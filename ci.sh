@@ -68,16 +68,17 @@ cargo run -q --release -p rt-bench --bin chaos -- --transport tcp --smoke \
 grep -q 'scenarios passed the trichotomy gate' "$chaos_tcp_log"
 
 echo "== perf smoke =="
-# One-rep wall-clock cell: proves the perf harness runs end to end, that
-# the pooled and per-transfer paths still agree bit-for-bit (asserted
-# inside the binary), and that the JSON artifact is emitted and parses
-# (the binary re-reads and deserializes it before exiting). Written to a
-# scratch path so the committed full-grid BENCH_compose.json is untouched.
+# One-rep wall-clock cell: proves the perf harness runs end to end and
+# that the JSON artifact is emitted and parses (the binary re-reads and
+# deserializes it before exiting). The per-transfer baseline arm it used
+# to compare against was retired with that path (PR 12), hence schema v3.
+# Written to a scratch path so the committed full-grid BENCH_compose.json
+# (the last v2 run) is untouched.
 smoke_out=target/bench_smoke.json
 rm -f "$smoke_out"
 cargo run -q --release -p rt-bench --bin perf -- --smoke --out "$smoke_out"
 test -s "$smoke_out"
-grep -q '"schema": "bench-compose/v2"' "$smoke_out"
+grep -q '"schema": "bench-compose/v3"' "$smoke_out"
 
 echo "== tcp loopback smoke =="
 # One-rep composition per method x codec at P=8 across 8 real OS
@@ -172,5 +173,14 @@ cargo run -q --release -p rt-bench --bin scale -- --smoke --out "$scale_out"
 test -s "$scale_out"
 grep -q '"schema": "bench-scale/v1"' "$scale_out"
 grep -q '"agree": true' "$scale_out"
+
+echo "== benchmark smoke =="
+# The repo benchmark (benchmark/, BENCHMARK.json) is a frozen standalone
+# package with path dependencies on the crates above, so building it is
+# the compile check that it still links the public API, and its smoke
+# suite — one short round of every workload plus the traced runs, every
+# frame verified, every declared metric present — is the end-to-end one.
+# Run unmodified; results land in benchmark/out/smoke.json.
+benchmark/smoke.sh
 
 echo "CI gate passed."

@@ -4,9 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rt_compress::CodecKind;
-use rt_core::exec::{run_composition, ComposeConfig};
+use rt_core::exec::ComposeConfig;
 use rt_core::method::CompositionMethod;
 use rt_core::{BinarySwap, DirectSend, ParallelPipelined, RotateTiling};
+use rt_core::{ComposePlan, Run};
 use rt_imaging::pixel::{GrayAlpha8, Pixel};
 use rt_imaging::Image;
 
@@ -40,7 +41,7 @@ fn bench_methods(c: &mut Criterion) {
     group.throughput(Throughput::Elements(A as u64));
     group.sample_size(20);
     for (name, m) in &methods {
-        let schedule = m.build(P, A).unwrap();
+        let plan = ComposePlan::Schedule(m.build(P, A).unwrap());
         for codec in [CodecKind::Raw, CodecKind::Trle] {
             let config = ComposeConfig {
                 codec,
@@ -48,18 +49,14 @@ fn bench_methods(c: &mut Criterion) {
                 gather: true,
                 ..Default::default()
             };
-            group.bench_with_input(
-                BenchmarkId::new(*name, codec.name()),
-                &schedule,
-                |b, schedule| {
-                    b.iter(|| {
-                        let (results, _) = run_composition(schedule, inputs.clone(), &config);
-                        for r in results {
-                            r.unwrap();
-                        }
-                    });
-                },
-            );
+            group.bench_with_input(BenchmarkId::new(*name, codec.name()), &plan, |b, plan| {
+                b.iter(|| {
+                    let (results, _) = Run::new(plan, &config).execute(inputs.clone());
+                    for r in results {
+                        r.unwrap();
+                    }
+                });
+            });
         }
     }
     group.finish();

@@ -34,10 +34,10 @@
 use rt_bench::harness::{price, print_table, secs, Args, ScreenScene};
 use rt_comm::FaultPlan;
 use rt_compress::CodecKind;
-use rt_core::exec::{run_composition_faulty, ComposeConfig, ComposeOutput};
+use rt_core::exec::{ComposeConfig, ComposeOutput};
 use rt_core::method::CompositionMethod;
-use rt_core::CoreError;
 use rt_core::{BinarySwap, DirectSend, ParallelPipelined, RotateTiling};
+use rt_core::{ComposePlan, CoreError, Run};
 use rt_imaging::pixel::GrayAlpha8;
 use rt_imaging::Image;
 
@@ -69,7 +69,9 @@ fn run(
     let config = ComposeConfig::default()
         .with_codec(codec)
         .resilient(!faults.is_none());
-    run_composition_faulty(&schedule, scene.partials.clone(), &config, faults)
+    Run::new(&ComposePlan::Schedule(schedule), &config)
+        .faults(faults)
+        .execute(scene.partials.clone())
 }
 
 fn frame_of(results: &[Result<ComposeOutput<GrayAlpha8>, CoreError>]) -> Image<GrayAlpha8> {

@@ -24,8 +24,9 @@ use rt_bench::chaosnet::{outcome, scenarios, soak_method, ChaosResult, VICTIM_EX
 use rt_bench::netgrid::{band_partials, frame_hash};
 use rt_comm::comm::{RankCtx, RankOptions};
 use rt_compress::CodecKind;
-use rt_core::exec::{compose, ComposeConfig};
+use rt_core::exec::{ComposeConfig, Scratch};
 use rt_core::method::CompositionMethod;
+use rt_core::{compose_plan, ComposePlan};
 use rt_net::{ChaosTransport, WorkerSession, ENV_WORLD};
 
 struct Cli {
@@ -91,9 +92,11 @@ fn main() {
         sc.net[rank].clone(),
     );
 
-    let schedule = soak_method()
-        .build(p, cli.frame * cli.frame)
-        .unwrap_or_else(|e| panic!("soak schedule: {e}"));
+    let plan = ComposePlan::Schedule(
+        soak_method()
+            .build(p, cli.frame * cli.frame)
+            .unwrap_or_else(|e| panic!("soak schedule: {e}")),
+    );
     let partial = band_partials(p, cli.frame, cli.frame).swap_remove(rank);
     let config = ComposeConfig::default()
         .with_codec(CodecKind::Raw)
@@ -104,7 +107,7 @@ fn main() {
         recorder: None,
     };
     let mut ctx = RankCtx::over_transport(Box::new(transport), opts);
-    let composed = compose(&mut ctx, &schedule, partial, &config);
+    let composed = compose_plan(&mut ctx, &plan, partial, &config, &mut Scratch::new());
     let (events, mut transport, _) = ctx.into_parts();
 
     // Bit-exact scenarios: quiesce before teardown. A fault on the *last*

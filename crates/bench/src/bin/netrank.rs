@@ -17,7 +17,7 @@
 use rt_bench::netgrid::{band_partials, frame_hash, parse_codec, NetJob, WorkerResult};
 use rt_comm::comm::{RankCtx, RankOptions};
 use rt_comm::Transport;
-use rt_core::exec::{ComposeConfig, ExecPath, Scratch};
+use rt_core::exec::{ComposeConfig, Scratch};
 use rt_core::method::CompositionMethod;
 use rt_core::tile::compose_plan;
 use rt_net::WorkerSession;
@@ -79,63 +79,37 @@ fn main() {
     plan.verify()
         .unwrap_or_else(|e| panic!("{}: {e}", method.name()));
     let partial = band_partials(p, job.frame, job.frame).swap_remove(rank);
-    let pooled_cfg = ComposeConfig::default()
-        .with_codec(job.codec)
-        .with_path(ExecPath::Pooled);
-    let baseline_cfg = pooled_cfg.with_path(ExecPath::PerTransfer);
+    let config = ComposeConfig::default().with_codec(job.codec);
 
     let mut scratch = Scratch::default();
     let mut result = WorkerResult {
         rank,
         trace: Vec::new(),
         pooled_ms: Vec::new(),
-        per_transfer_ms: Vec::new(),
         frame_hash: None,
     };
     for rep in 0..job.warmup + job.reps {
         let local = partial.clone();
         let t0 = Instant::now();
         let mut ctx = RankCtx::over_transport(transport, RankOptions::default());
-        let out_pooled = compose_plan(&mut ctx, &plan, local, &pooled_cfg, &mut scratch)
-            .unwrap_or_else(|e| panic!("rank {rank} pooled compose failed: {e}"));
-        let dt_pooled = t0.elapsed().as_secs_f64() * 1e3;
+        let out = compose_plan(&mut ctx, &plan, local, &config, &mut scratch)
+            .unwrap_or_else(|e| panic!("rank {rank} compose failed: {e}"));
+        let dt = t0.elapsed().as_secs_f64() * 1e3;
         let (events, tr, _) = ctx.into_parts();
         transport = tr;
-        // Align ranks between timed sections without touching the trace.
-        transport
-            .barrier()
-            .unwrap_or_else(|e| panic!("rank {rank} inter-section barrier failed: {e}"));
-
-        let local = partial.clone();
-        let t1 = Instant::now();
-        let mut ctx = RankCtx::over_transport(transport, RankOptions::default());
-        let out_base = compose_plan(&mut ctx, &plan, local, &baseline_cfg, &mut scratch)
-            .unwrap_or_else(|e| panic!("rank {rank} per-transfer compose failed: {e}"));
-        let dt_base = t1.elapsed().as_secs_f64() * 1e3;
-        let (_, tr, _) = ctx.into_parts();
-        transport = tr;
+        // Align ranks between repetitions without touching the trace.
         transport
             .barrier()
             .unwrap_or_else(|e| panic!("rank {rank} inter-rep barrier failed: {e}"));
 
         if rep == job.warmup {
             // First timed rep carries the comparison payload: the trace the
-            // launcher reconciles, and the root's frame fingerprint. The
-            // two execution paths must agree with each other locally.
-            let hash_of = |f: &Option<rt_imaging::Image<rt_imaging::pixel::GrayAlpha8>>| {
-                f.as_ref().map(frame_hash)
-            };
-            assert_eq!(
-                hash_of(&out_pooled.frame),
-                hash_of(&out_base.frame),
-                "rank {rank}: pooled and per-transfer paths diverged"
-            );
+            // launcher reconciles, and the root's frame fingerprint.
             result.trace = events;
-            result.frame_hash = hash_of(&out_pooled.frame);
+            result.frame_hash = out.frame.as_ref().map(frame_hash);
         }
         if rep >= job.warmup {
-            result.pooled_ms.push(dt_pooled);
-            result.per_transfer_ms.push(dt_base);
+            result.pooled_ms.push(dt);
         }
     }
 

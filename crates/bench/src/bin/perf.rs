@@ -1,10 +1,12 @@
-//! Wall-clock perf harness for the compositing fast path.
+//! Wall-clock perf harness for the compositing executor.
 //!
 //! Unlike the figure binaries (virtual-clock replay), this measures *real*
-//! elapsed time, comparing the pooled zero-copy execution path against the
-//! per-transfer allocation baseline over the bench method lineup (the
-//! Figure 6 methods plus tile-ownership, [`Method::bench_lineup`]) ×
-//! codec × machine size grid — on one or both communication backends:
+//! elapsed time of the pooled zero-copy executor over the bench method
+//! lineup (the Figure 6 methods plus tile-ownership,
+//! [`Method::bench_lineup`]) × codec × machine size grid — on one or both
+//! communication backends. (Until PR 12 it also timed a per-transfer
+//! allocation baseline; that arm was retired with the path it ran, see
+//! EXPERIMENTS.md E5.)
 //!
 //! * `--transport inproc` (default): the threaded multicomputer.
 //! * `--transport tcp`: one OS process per rank (`netrank` workers spawned
@@ -16,7 +18,7 @@
 //!   gated on every run. The reconciled timelines of the last TCP cell are
 //!   exported as a Chrome trace (`--trace-out`).
 //!
-//! Emits `BENCH_compose.json` (schema `bench-compose/v2`; every row names
+//! Emits `BENCH_compose.json` (schema `bench-compose/v3`; every row names
 //! its transport) and prints an aligned table. `--smoke` shrinks the grid
 //! to a one-rep 128×128 P=8 pass for CI.
 
@@ -26,9 +28,9 @@ use rt_bench::netgrid::{
 };
 use rt_comm::{replay_timeline, CostModel, Trace};
 use rt_compress::CodecKind;
-use rt_core::exec::{ComposeConfig, ExecPath, ScratchPool};
+use rt_core::exec::{ComposeConfig, ScratchPool};
 use rt_core::method::{CompositionMethod, Method};
-use rt_core::tile::{run_plan_composition, run_plan_composition_pooled, ComposePlan};
+use rt_core::{ComposePlan, Run};
 use rt_imaging::pixel::GrayAlpha8;
 use rt_net::{process::read_blob, Launcher};
 use rt_obs::{validate_chrome_trace, ChromeTrace};
@@ -167,10 +169,8 @@ struct Row {
     p: usize,
     /// Which backend carried the messages: `inproc` or `tcp`.
     transport: String,
+    /// Wall-clock quantiles of the (pooled, fused) executor.
     pooled: Quantiles,
-    per_transfer: Quantiles,
-    /// per-transfer p50 / pooled p50 — >1 means the pooled path is faster.
-    speedup_p50: f64,
     bytes: u64,
     messages: u64,
 }
@@ -182,16 +182,12 @@ struct Report {
     pixel: String,
     reps: usize,
     warmup: usize,
-    /// per-transfer p50 / pooled p50 on the in-process raw-codec P=32
-    /// cell (the allocation-heaviest cell), when that cell is in the grid.
-    speedup_raw_p32: Option<f64>,
     results: Vec<Row>,
 }
 
 /// Everything one cell measurement produces, on either backend.
 struct CellOutcome {
     pooled_ms: Vec<f64>,
-    baseline_ms: Vec<f64>,
     trace: Trace,
     frame_hash: Option<u64>,
 }
@@ -205,8 +201,8 @@ fn root_frame_hash(
         .map(frame_hash)
 }
 
-/// One in-process cell: both paths timed per rep, trace + frame hash from
-/// the first timed pooled rep.
+/// One in-process cell: every rep timed, trace + frame hash from the first
+/// timed rep.
 fn run_inproc_cell(
     plan: &ComposePlan,
     partials: &[rt_imaging::Image<GrayAlpha8>],
@@ -215,42 +211,24 @@ fn run_inproc_cell(
     reps: usize,
     warmup: usize,
 ) -> CellOutcome {
-    let pooled_cfg = ComposeConfig::default()
-        .with_codec(codec)
-        .with_path(ExecPath::Pooled);
-    let baseline_cfg = pooled_cfg.with_path(ExecPath::PerTransfer);
+    let config = ComposeConfig::default().with_codec(codec);
     let mut outcome = CellOutcome {
         pooled_ms: Vec::with_capacity(reps),
-        baseline_ms: Vec::with_capacity(reps),
         trace: Trace::default(),
         frame_hash: None,
     };
     for rep in 0..warmup + reps {
-        // Clones happen outside the timed region.
-        let a = partials.to_vec();
-        let b = partials.to_vec();
+        // The clone happens outside the timed region.
+        let inputs = partials.to_vec();
         let t0 = Instant::now();
-        let (out_pooled, trace) = run_plan_composition_pooled(plan, a, &pooled_cfg, pool);
-        let dt_pooled = t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = Instant::now();
-        let (out_base, _) = run_plan_composition(plan, b, &baseline_cfg);
-        let dt_base = t1.elapsed().as_secs_f64() * 1e3;
+        let (outputs, trace) = Run::new(plan, &config).pool(pool).execute(inputs);
+        let dt = t0.elapsed().as_secs_f64() * 1e3;
         if rep == warmup {
-            // Equivalence check once per cell, on the first timed rep:
-            // the two paths must agree bit-for-bit.
-            let pooled_hash = root_frame_hash(&out_pooled);
-            assert_eq!(
-                pooled_hash,
-                root_frame_hash(&out_base),
-                "{}/{codec:?}: paths diverged",
-                plan.method_name()
-            );
-            outcome.frame_hash = pooled_hash;
+            outcome.frame_hash = root_frame_hash(&outputs);
             outcome.trace = trace;
         }
         if rep >= warmup {
-            outcome.pooled_ms.push(dt_pooled);
-            outcome.baseline_ms.push(dt_base);
+            outcome.pooled_ms.push(dt);
         }
     }
     outcome
@@ -299,18 +277,14 @@ fn run_tcp_cell(job: NetJob, p: usize) -> CellOutcome {
     results.sort_by_key(|r| r.rank);
 
     let reps = results[0].pooled_ms.len();
-    let slowest = |pick: fn(&WorkerResult) -> &Vec<f64>| -> Vec<f64> {
-        (0..reps)
-            .map(|i| {
-                results
-                    .iter()
-                    .map(|r| pick(r)[i])
-                    .fold(f64::NEG_INFINITY, f64::max)
-            })
-            .collect()
-    };
-    let pooled_ms = slowest(|r| &r.pooled_ms);
-    let baseline_ms = slowest(|r| &r.per_transfer_ms);
+    let pooled_ms = (0..reps)
+        .map(|i| {
+            results
+                .iter()
+                .map(|r| r.pooled_ms[i])
+                .fold(f64::NEG_INFINITY, f64::max)
+        })
+        .collect();
     let frame_hash = results.iter().find_map(|r| r.frame_hash);
     let mut trace = Trace::default();
     for r in results {
@@ -318,7 +292,6 @@ fn run_tcp_cell(job: NetJob, p: usize) -> CellOutcome {
     }
     CellOutcome {
         pooled_ms,
-        baseline_ms,
         trace,
         frame_hash,
     }
@@ -422,19 +395,12 @@ fn main() {
         );
     }
 
-    let speedup_raw_p32 = rows
-        .iter()
-        .find(|r| {
-            r.codec == "raw" && r.p == 32 && r.method == "2N_RT(B=4)" && r.transport == "inproc"
-        })
-        .map(|r| r.speedup_p50);
     let report = Report {
-        schema: "bench-compose/v2".into(),
+        schema: "bench-compose/v3".into(),
         frame: args.frame,
         pixel: "GrayAlpha8".into(),
         reps: args.reps,
         warmup: args.warmup,
-        speedup_raw_p32,
         results: rows,
     };
 
@@ -449,30 +415,14 @@ fn main() {
                 r.transport.clone(),
                 format!("{:.2}", r.pooled.p50_ms),
                 format!("{:.2}", r.pooled.p95_ms),
-                format!("{:.2}", r.per_transfer.p50_ms),
-                format!("{:.2}", r.per_transfer.p95_ms),
-                format!("{:.2}x", r.speedup_p50),
             ]
         })
         .collect();
     print_table(
         &format!("wall-clock compose, {0}x{0}", report.frame),
-        &[
-            "method",
-            "codec",
-            "p",
-            "transport",
-            "pooled p50",
-            "pooled p95",
-            "base p50",
-            "base p95",
-            "speedup",
-        ],
+        &["method", "codec", "p", "transport", "p50 ms", "p95 ms"],
         &table,
     );
-    if let Some(s) = speedup_raw_p32 {
-        println!("speedup_raw_p32 = {s:.2}x (pooled vs per-transfer, 2N_RT(B=4))");
-    }
 
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&args.out, &json).expect("write BENCH_compose.json");
@@ -480,7 +430,7 @@ fn main() {
     // both present and valid JSON.
     let back = std::fs::read_to_string(&args.out).expect("re-read artifact");
     let parsed: Report = serde_json::from_str(&back).expect("artifact parses");
-    assert_eq!(parsed.schema, "bench-compose/v2");
+    assert_eq!(parsed.schema, "bench-compose/v3");
     let n = parsed.results.len();
     assert!(n > 0, "artifact has no result rows");
     println!("BENCH_compose.json OK ({n} rows -> {})", args.out);
@@ -493,16 +443,12 @@ fn build_row(
     transport: TransportArg,
     cell: &CellOutcome,
 ) -> Row {
-    let pooled = quantiles(cell.pooled_ms.clone());
-    let per_transfer = quantiles(cell.baseline_ms.clone());
     Row {
         method: method.name(),
         codec: codec_label(codec).into(),
         p,
         transport: transport_label(transport).into(),
-        pooled,
-        per_transfer,
-        speedup_p50: per_transfer.p50_ms / pooled.p50_ms,
+        pooled: quantiles(cell.pooled_ms.clone()),
         bytes: cell.trace.bytes_sent(),
         messages: cell.trace.message_count(),
     }

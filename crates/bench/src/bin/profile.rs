@@ -26,10 +26,10 @@
 
 use rt_comm::{replay_timeline, CostModel};
 use rt_compress::CodecKind;
-use rt_core::exec::{run_composition_observed, ComposeConfig, ExecPath, ScratchPool};
+use rt_core::exec::{ComposeConfig, ScratchPool};
 use rt_core::method::{CompositionMethod, Method};
 use rt_core::schedule::verify_schedule;
-use rt_core::CoreError;
+use rt_core::{ComposePlan, CoreError, Run};
 use rt_imaging::pixel::{GrayAlpha8, Pixel};
 use rt_imaging::Image;
 use rt_obs::{
@@ -184,10 +184,9 @@ fn main() {
                 Err(e) => panic!("{}: {e}", method.name()),
             };
             verify_schedule(&schedule).unwrap_or_else(|e| panic!("{}: {e}", method.name()));
+            let plan = ComposePlan::Schedule(schedule);
             for &codec in &args.codecs {
-                let cfg = ComposeConfig::default()
-                    .with_codec(codec)
-                    .with_path(ExecPath::Pooled);
+                let cfg = ComposeConfig::default().with_codec(codec);
                 let label = format!("{}/{}/p={p}", method.name(), codec_label(codec));
 
                 // Observed runs. The observer accumulates wall spans and
@@ -197,13 +196,10 @@ fn main() {
                 let pool = ScratchPool::<GrayAlpha8>::new();
                 let mut last_trace = None;
                 for _ in 0..args.reps {
-                    let (outs, trace) = run_composition_observed(
-                        &schedule,
-                        partials.clone(),
-                        &cfg,
-                        &pool,
-                        Arc::clone(&observer),
-                    );
+                    let (outs, trace) = Run::new(&plan, &cfg)
+                        .pool(&pool)
+                        .observer(Arc::clone(&observer))
+                        .execute(partials.clone());
                     for (rank, out) in outs.iter().enumerate() {
                         if let Err(e) = out {
                             panic!("{label}: rank {rank} failed: {e}");

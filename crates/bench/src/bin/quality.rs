@@ -39,7 +39,7 @@ use rt_comm::CostModel;
 use rt_compress::CodecKind;
 use rt_core::exec::{ComposeConfig, TransportKind};
 use rt_core::method::{CompositionMethod, Method};
-use rt_core::tile::run_plan_composition;
+use rt_core::Run;
 use rt_imaging::image::reference_composite;
 use rt_imaging::pixel::{GrayAlpha8, Pixel};
 use rt_imaging::Image;
@@ -230,7 +230,7 @@ fn run_cell(
     let config = ComposeConfig::default()
         .with_codec(codec)
         .with_transport(transport);
-    let (outputs, trace) = run_plan_composition(&plan, content.partials.clone(), &config);
+    let (outputs, trace) = Run::new(&plan, &config).execute(content.partials.clone());
     let mut frame = None;
     for r in outputs {
         let out = r.unwrap_or_else(|e| panic!("{}: {e}", method.name()));

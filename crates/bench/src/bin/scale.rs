@@ -25,8 +25,9 @@
 use rt_bench::harness::print_table;
 use rt_bench::netgrid::band_partials;
 use rt_comm::{replay_timeline, CostModel};
-use rt_core::tile::{run_plan_composition, ComposePlan};
-use rt_core::{sweep, Candidate, ComposeConfig, CompositionMethod, Method, TuneOptions};
+use rt_core::{
+    sweep, Candidate, ComposeConfig, ComposePlan, CompositionMethod, Method, Run, TuneOptions,
+};
 use rt_imaging::image::reference_composite;
 use rt_net::Topology;
 use serde::{Deserialize, Serialize};
@@ -130,7 +131,7 @@ fn run_cell(p: usize, width: usize, cost: &CostModel, opts: &TuneOptions) -> Cel
     for method in lineup(&cands) {
         let plan = method.plan(p, width, p).expect("plan");
         let sockets = socket_count(&plan, p);
-        let (results, trace) = run_plan_composition(&plan, partials.clone(), &config);
+        let (results, trace) = Run::new(&plan, &config).execute(partials.clone());
         let frame = results[0]
             .as_ref()
             .expect("root ok")

@@ -1,7 +1,7 @@
 //! Wall-clock frames/sec: pipelined streaming vs the serial per-frame loop.
 //!
 //! Each cell runs the same orbit twice — once through the serial
-//! per-frame pipeline (`render_frame_pooled_on`, one machine built and
+//! per-frame pipeline (`FrameRun`, one machine built and
 //! torn down per frame, the render→compose stall included) and once
 //! through the streaming front-end (`StreamSession`, one machine for the
 //! whole stream, bounded in-flight window) — and refuses to report any
@@ -17,15 +17,13 @@
 //! frame for the stall the floor measures).
 
 use rt_bench::harness::print_table;
-use rt_comm::{CostModel, FaultPlan};
+use rt_comm::CostModel;
 use rt_compress::CodecKind;
 use rt_core::exec::{ScratchPool, TransportKind};
 use rt_core::method::{CompositionMethod, Method};
 use rt_core::rotate::RtVariant;
 use rt_imaging::{GrayAlpha, Image};
-use rt_pvr::{
-    orbit_cameras, render_frame_pooled_on, OrbitConfig, PipelineConfig, StreamConfig, StreamSession,
-};
+use rt_pvr::{orbit_cameras, FrameRun, OrbitConfig, PipelineConfig, StreamConfig, StreamSession};
 use rt_render::shearwarp::RenderOptions;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -175,7 +173,10 @@ fn run_serial(
         let mut config = *base;
         config.camera = camera;
         let pool = ScratchPool::new();
-        let out = render_frame_pooled_on(p, &config, FaultPlan::none(), &pool, transport)
+        let out = FrameRun::new(p, &config)
+            .pool(&pool)
+            .transport(transport)
+            .execute()
             .expect("serial frame renders");
         // Per-frame stats, matching what the stream's emitter prices for
         // every StreamFrame.

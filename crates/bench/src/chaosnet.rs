@@ -24,9 +24,9 @@
 
 use rt_comm::{FaultPlan, RankTrace, Trace};
 use rt_compress::CodecKind;
-use rt_core::exec::{run_composition_faulty, ComposeConfig};
+use rt_core::exec::ComposeConfig;
 use rt_core::method::CompositionMethod;
-use rt_core::RotateTiling;
+use rt_core::{ComposePlan, RotateTiling, Run};
 use rt_net::{process::read_blob, Launcher, NetFaultPlan, TcpOptions};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -436,12 +436,9 @@ pub fn reference_run(sc: &Scenario, p: usize, frame: usize) -> Reference {
     let config = ComposeConfig::default()
         .with_codec(CodecKind::Raw)
         .resilient(!sc.faults.is_none());
-    let (results, trace) = run_composition_faulty(
-        &schedule,
-        band_partials(p, frame, frame),
-        &config,
-        sc.faults.clone(),
-    );
+    let (results, trace) = Run::new(&ComposePlan::Schedule(schedule), &config)
+        .faults(sc.faults.clone())
+        .execute(band_partials(p, frame, frame));
     let frame_img = results
         .iter()
         .filter_map(|r| r.as_ref().ok())

@@ -2,10 +2,11 @@
 
 use rt_comm::{replay, CostModel, Trace};
 use rt_compress::CodecKind;
-use rt_core::exec::{run_composition, ComposeConfig};
+use rt_core::exec::ComposeConfig;
 use rt_core::method::CompositionMethod;
 use rt_core::schedule::verify_schedule;
 use rt_core::theory::TheoryParams;
+use rt_core::{ComposePlan, Run};
 use rt_imaging::pixel::GrayAlpha8;
 use rt_imaging::Image;
 use rt_pvr::scene::prepare_scene_screen;
@@ -199,7 +200,8 @@ pub fn measure(
         .unwrap_or_else(|e| panic!("{}: {e}", method.name()));
     verify_schedule(&schedule).unwrap_or_else(|e| panic!("{}: {e}", method.name()));
     let config = ComposeConfig::default().with_codec(codec);
-    let (results, trace) = run_composition(&schedule, scene.partials.clone(), &config);
+    let plan = ComposePlan::Schedule(schedule);
+    let (results, trace) = Run::new(&plan, &config).execute(scene.partials.clone());
     let mut frame = None;
     for r in results {
         let out = r.unwrap_or_else(|e| panic!("{}: {e}", method.name()));

@@ -72,16 +72,14 @@ impl NetJob {
 pub struct WorkerResult {
     /// The reporting rank.
     pub rank: usize,
-    /// Event trace of the first timed pooled repetition — the launcher
+    /// Event trace of the first timed repetition — the launcher
     /// reassembles the full [`rt_comm::Trace`] from these and reconciles
     /// it against an in-process run of the same cell.
     pub trace: RankTrace,
-    /// Wall-clock milliseconds per timed repetition, pooled path.
+    /// Wall-clock milliseconds per timed repetition.
     pub pooled_ms: Vec<f64>,
-    /// Wall-clock milliseconds per timed repetition, per-transfer path.
-    pub per_transfer_ms: Vec<f64>,
     /// FNV-1a hash of the root's assembled frame (`None` off-root), from
-    /// the first timed pooled repetition.
+    /// the first timed repetition.
     pub frame_hash: Option<u64>,
 }
 
@@ -170,7 +168,6 @@ mod tests {
             rank: 3,
             trace: Vec::new(),
             pooled_ms: vec![1.5],
-            per_transfer_ms: vec![2.5],
             frame_hash: Some(7),
         };
         let json = serde_json::to_string(&r).unwrap();

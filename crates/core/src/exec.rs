@@ -3,10 +3,11 @@
 //! Every method uses this single code path, so cross-method comparisons
 //! measure schedules, not implementation accidents. Per step, a rank:
 //!
-//! 1. extracts and encodes each span it sends (charging the codec's bytes
-//!    to the `Encode` compute account);
-//! 2. receives, decodes and merges each incoming span, charging `To` per
-//!    composited pixel (`Over`);
+//! 1. encodes each span it sends straight off the frame's span slice
+//!    (charging the codec's bytes to the `Encode` compute account);
+//! 2. receives each incoming span and streams it through the codec's fused
+//!    [`rt_compress::Codec::decode_over`] kernel directly into the
+//!    destination slice, charging `To` per composited pixel (`Over`);
 //! 3. after the last step, flushes deferred back accumulators;
 //! 4. finally, the owners ship their fully-composited spans to the gather
 //!    root, which assembles the output frame.
@@ -15,45 +16,26 @@
 //! `gather:end`) delimit the stages for the virtual-clock replay and let
 //! [`rt_comm::replay_timeline`] attribute every charge to a step and phase.
 //!
-//! ### Execution paths
-//!
-//! The executor has two wall-clock paths that are **trace-identical** (same
-//! events, same virtual-clock charges, same composited frames):
-//!
-//! * [`ExecPath::Pooled`] (default) — sends encode straight from the frame's
-//!   span slice and receives stream through the codecs' fused
-//!   [`rt_compress::Codec::decode_over`] kernels directly into the
-//!   destination slice; deferred-back accumulators and gather staging reuse
-//!   buffers from a per-rank [`Scratch`], so the steady state of an
-//!   animation allocates nothing per transfer.
-//! * [`ExecPath::PerTransfer`] — the original extract → encode / decode →
-//!   merge path materializing a `Vec<P>` per transfer; kept as the
-//!   reference implementation and perf baseline.
+//! Deferred-back accumulators and gather staging reuse buffers from a
+//! per-rank [`Scratch`], so the steady state of an animation allocates
+//! nothing per transfer. The encode → charge → send and receive → charge →
+//! merge sequences live once, in `Stage`, and the tail every plan family
+//! ends with (ownership count, root or wall gather, output) in `finish` —
+//! the tile and hierarchical executors call the same two.
 
 use crate::display::{span_cell_segments, DisplayWall};
 use crate::repair::{repair, DegradedInfo};
 use crate::schedule::{MergeDir, Schedule};
 use crate::CoreError;
 use rt_comm::{CommError, ComputeKind, FaultPlan, Multicomputer, RankCtx, Trace};
-use rt_compress::{CodecKind, KernelPath, OverDir};
-use rt_imaging::pixel::Pixel;
+use rt_compress::{Codec, CodecKind, KernelPath, OverDir};
+use rt_imaging::pixel::{OverStats, Pixel};
 use rt_imaging::{Image, Span};
 use rt_net::TcpMulticomputer;
 use rt_obs::{Observer, Phase};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
-
-/// Which wall-clock implementation the executor runs (the virtual-clock
-/// trace is identical either way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecPath {
-    /// Fused zero-copy kernels plus scratch-buffer reuse (default).
-    #[default]
-    Pooled,
-    /// One decoded `Vec<P>` per transfer — the reference path.
-    PerTransfer,
-}
+use std::time::{Duration, Instant};
 
 /// Which communication backend carries the composition's messages.
 ///
@@ -74,7 +56,7 @@ pub enum TransportKind {
     TcpLoopback,
 }
 
-/// Execution options for [`compose`].
+/// Execution options for [`crate::compose_plan`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComposeConfig {
     /// Message codec applied to every transfer (and the gather).
@@ -91,20 +73,18 @@ pub struct ComposeConfig {
     /// [`ComposeOutput::degraded`].
     pub resilient: bool,
     /// Receive-deadline override for the harnesses that build their own
-    /// [`Multicomputer`] ([`run_composition`] and `rt-pvr`'s pipeline).
-    /// `None` keeps the comm layer's default.
+    /// machine ([`crate::Run`] and `rt-pvr`'s pipeline). `None` keeps the
+    /// comm layer's default.
     pub timeout: Option<Duration>,
-    /// Which wall-clock execution path to run.
-    pub path: ExecPath,
-    /// Which pixel/codec kernel implementation the pooled path drives
+    /// Which pixel/codec kernel implementation the executor drives
     /// (word-wise wide kernels by default; the scalar reference loops for
     /// A/B runs). Frames, traces and virtual-clock charges are identical
     /// on either setting — only wall-clock time and the observability
     /// kernel counters change.
     pub kernel: KernelPath,
     /// Which communication backend the execution harnesses build
-    /// ([`run_composition`] and friends, `rt-pvr`'s pipeline). Frames and
-    /// traces are identical on either setting.
+    /// ([`crate::Run`], `rt-pvr`'s pipeline). Frames and traces are
+    /// identical on either setting.
     pub transport: TransportKind,
     /// Frame-namespace bits OR'd into every message tag of this compose
     /// (see [`rt_comm::frame_tag_base`]). `0` (the default, and frame 0 of
@@ -128,7 +108,6 @@ impl Default for ComposeConfig {
             gather: true,
             resilient: false,
             timeout: None,
-            path: ExecPath::default(),
             kernel: KernelPath::default(),
             transport: TransportKind::default(),
             frame_tag: 0,
@@ -168,12 +147,6 @@ impl ComposeConfig {
         self
     }
 
-    /// Select the wall-clock execution path.
-    pub fn with_path(mut self, path: ExecPath) -> Self {
-        self.path = path;
-        self
-    }
-
     /// Select the compositing/codec kernel implementation.
     pub fn with_kernel(mut self, kernel: KernelPath) -> Self {
         self.kernel = kernel;
@@ -203,8 +176,8 @@ impl ComposeConfig {
 }
 
 /// A backend-selected machine: one constructor call instead of a
-/// `match` at every harness, so [`run_composition`] and `rt-pvr`'s
-/// pipeline swap transports by flipping [`ComposeConfig::transport`].
+/// `match` at every harness, so [`crate::Run`] and `rt-pvr`'s pipeline
+/// swap transports by flipping [`ComposeConfig::transport`].
 pub enum Machine {
     /// Threads joined by in-process channels ([`rt_comm::Multicomputer`]).
     InProc(Multicomputer),
@@ -282,17 +255,17 @@ impl Machine {
     }
 }
 
-/// Per-rank reusable buffers for the pooled execution path.
+/// Per-rank reusable buffers for the executors.
 ///
-/// Holding one `Scratch` across [`compose`] calls (one per frame of an
-/// animation) lets deferred-back accumulators and the gather staging buffer
-/// reach a steady state where no per-transfer allocation happens at all.
-/// A fresh `Scratch` is still correct — the first frame merely pays the
-/// allocations once.
+/// Holding one `Scratch` across [`crate::compose_plan`] calls (one per
+/// frame of an animation) lets deferred-back accumulators and the gather
+/// staging buffer reach a steady state where no per-transfer allocation
+/// happens at all. A fresh `Scratch` is still correct — the first frame
+/// merely pays the allocations once.
 #[derive(Debug)]
 pub struct Scratch<P: Pixel> {
-    /// Staging for the gather's concatenated owner spans.
-    pub(crate) gather_pixels: Vec<P>,
+    /// Staging for concatenated spans about to be encoded (gathers, tiles).
+    gather_pixels: Vec<P>,
     /// Retired deferred-back accumulators awaiting reuse.
     spare_accs: Vec<Vec<P>>,
 }
@@ -389,7 +362,7 @@ impl<P: Pixel> ScratchPool<P> {
     }
 }
 
-/// What one rank gets back from [`compose`].
+/// What one rank gets back from [`crate::compose_plan`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComposeOutput<P: Pixel> {
     /// The assembled frame (root only, and only if `gather` was requested).
@@ -412,6 +385,28 @@ pub struct ComposeOutput<P: Pixel> {
     /// contributions: rank failures occurred and the frame is the exact
     /// composite of the survivors (or this rank itself crashed).
     pub degraded: Option<DegradedInfo>,
+}
+
+impl<P: Pixel> ComposeOutput<P> {
+    /// What a rank reports about itself after stopping: nothing owned, no
+    /// residual, and `degraded` (usually [`DegradedInfo::self_crash`]).
+    pub(crate) fn dead(degraded: DegradedInfo) -> Self {
+        ComposeOutput {
+            frame: None,
+            owned_pixels: 0,
+            owners: Vec::new(),
+            residual: None,
+            degraded: Some(degraded),
+        }
+    }
+
+    /// Fail-stop this rank at its planned crash `step`: announce the death
+    /// to the peers, close the timeline and report the self-crash.
+    pub(crate) fn crash(ctx: &mut RankCtx, step: usize) -> Self {
+        ctx.announce_death(step);
+        ctx.mark("compose:crashed");
+        Self::dead(DegradedInfo::self_crash(ctx.rank(), step))
+    }
 }
 
 /// Tag for a transfer: frame-namespace bits on top, step index in the high
@@ -453,67 +448,184 @@ pub(crate) fn elect_root(
         .ok_or(CoreError::AllRanksFailed { p })
 }
 
+/// What every stage of one compose call shares: the config, the built
+/// codec, and which kernel implementation actually runs. It owns the two
+/// sequences every executor repeats — encode → charge → count → send, and
+/// charge → fused decode → count — so each virtual-clock charge is written
+/// once for all plan families.
+pub(crate) struct Stage<'a, P: Pixel> {
+    /// The compose call's options.
+    pub config: &'a ComposeConfig,
+    codec: Box<dyn Codec<P>>,
+    /// Raw buffers carry no blank structure, so `over` is charged for the
+    /// full span and the codec accounts stay empty.
+    pub raw: bool,
+    wide_requested: bool,
+    /// The wide path engages only for pixel types with a word-wise kernel;
+    /// other types fall back to the scalar reference loops (counted, so
+    /// profiles show the miss).
+    wide_active: bool,
+}
+
+impl<'a, P: Pixel> Stage<'a, P> {
+    pub fn new(config: &'a ComposeConfig) -> Self {
+        let wide_requested = config.kernel == KernelPath::Wide;
+        Stage {
+            config,
+            codec: config.codec.build::<P>(),
+            raw: config.codec == CodecKind::Raw,
+            wide_requested,
+            wide_active: wide_requested && P::HAS_WIDE_KERNEL,
+        }
+    }
+
+    /// Encode `pixels` through the configured scan kernel and ship them to
+    /// `dst`. `started` opens the wall-clock `Encode` span (callers that
+    /// stage the pixels first start it before the copy).
+    pub fn ship(
+        &self,
+        ctx: &mut RankCtx,
+        started: Option<Instant>,
+        pixels: &[P],
+        dst: usize,
+        tag: u64,
+    ) -> Result<(), CoreError> {
+        let encoded = self.codec.encode_with(pixels, self.config.kernel);
+        ctx.obs_span(Phase::Encode, started);
+        if !self.raw {
+            ctx.compute(ComputeKind::Encode, encoded.raw_bytes as u64);
+        }
+        let wire = encoded.bytes.len() as u64;
+        ctx.obs_counters(|c| {
+            c.add_wire_bytes(self.config.codec.name(), wire);
+            if self.wide_active {
+                c.wide_kernel_bytes += wire;
+            }
+        });
+        ctx.send(dst, tag, encoded.bytes)?;
+        Ok(())
+    }
+
+    /// [`Stage::ship`] for several `spans` of `local` as ONE message: the
+    /// spans are concatenated, in order, in the reusable staging buffer.
+    pub fn ship_spans(
+        &self,
+        ctx: &mut RankCtx,
+        scratch: &mut Scratch<P>,
+        local: &Image<P>,
+        spans: impl IntoIterator<Item = Span>,
+        dst: usize,
+        tag: u64,
+    ) -> Result<(), CoreError> {
+        let started = ctx.obs_start();
+        scratch.gather_pixels.clear();
+        for span in spans {
+            scratch
+                .gather_pixels
+                .extend_from_slice(local.span_pixels(span)?);
+        }
+        self.ship(ctx, started, &scratch.gather_pixels, dst, tag)
+    }
+
+    /// Decoding walks the *encoded* stream, so the compute charge is the
+    /// wire size, not the decompressed size — a compressed message must
+    /// cost less to decode, or the paper's claim that compression cuts
+    /// composition time (Section 3) is mispriced.
+    pub fn charge_decode(&self, ctx: &mut RankCtx, bytes: &[u8]) {
+        if !self.raw {
+            ctx.compute(ComputeKind::Decode, bytes.len() as u64);
+        }
+    }
+
+    /// Stream a received message through the fused decode+`over` kernel
+    /// directly into `dst` — no decoded `Vec` — and charge it.
+    ///
+    /// Blank pixels are the identity of `over`; the structured codecs
+    /// (TRLE templates, RLE runs, bounding intervals) identify blank
+    /// regions during decode, so — as the paper argues in Section 1 —
+    /// compression reduces the composition *computation* as well as the
+    /// traffic: only the non-blank pixels cost an `over`. Raw buffers
+    /// carry no such structure and are charged for the full span.
+    pub fn merge(
+        &self,
+        ctx: &mut RankCtx,
+        bytes: &[u8],
+        dst: &mut [P],
+        dir: OverDir,
+    ) -> Result<(), CoreError> {
+        self.charge_decode(ctx, bytes);
+        let started = ctx.obs_start();
+        let stats = self
+            .codec
+            .decode_over_with(bytes, dst, dir, self.config.kernel)?;
+        ctx.obs_span(Phase::Over, started);
+        self.count_stream(ctx, &stats, bytes.len(), stats.non_blank);
+        let over_units = if self.raw { dst.len() } else { stats.non_blank };
+        ctx.compute(ComputeKind::Over, over_units as u64);
+        Ok(())
+    }
+
+    /// Decode a received message as an exact copy into the blank `dst`
+    /// (`over` in front of a blank destination copies) — the gather and
+    /// placement receive: a decode charge, no `over` charge.
+    pub fn unpack(&self, ctx: &mut RankCtx, bytes: &[u8], dst: &mut [P]) -> Result<(), CoreError> {
+        self.charge_decode(ctx, bytes);
+        let stats = self
+            .codec
+            .decode_over_with(bytes, dst, OverDir::Front, self.config.kernel)?;
+        self.count_stream(ctx, &stats, bytes.len(), 0);
+        Ok(())
+    }
+
+    /// Tally one decoded stream on the observability kernel counters;
+    /// `merged` of its non-blank pixels were composited (none when the
+    /// stream was only copied).
+    fn count_stream(&self, ctx: &mut RankCtx, stats: &OverStats, wire: usize, merged: usize) {
+        ctx.obs_counters(|c| {
+            c.non_blank_merged += merged as u64;
+            c.blank_skipped += stats.blank_skipped as u64;
+            c.opaque_fast += stats.opaque_fast as u64;
+            if self.wide_active {
+                c.wide_kernel_pixels += stats.source_pixels() as u64;
+                c.wide_kernel_bytes += wire as u64;
+            } else {
+                c.scalar_kernel_pixels += stats.source_pixels() as u64;
+            }
+            if self.wide_requested && !self.wide_active {
+                c.kernel_fallbacks += 1;
+            }
+        });
+    }
+}
+
+/// Copy the concatenated `pixels` back out to `spans` of `image`, in order
+/// — the inverse of the staging [`Stage::ship_spans`] does.
+pub(crate) fn scatter<P: Pixel>(
+    image: &mut Image<P>,
+    spans: impl IntoIterator<Item = Span>,
+    pixels: &[P],
+) -> Result<(), CoreError> {
+    let mut at = 0usize;
+    for span in spans {
+        image.insert(span, &pixels[at..at + span.len])?;
+        at += span.len;
+    }
+    Ok(())
+}
+
 /// Execute `schedule` on this rank with `local` as the rank's rendered
 /// partial image. Depth order is rank order (rank 0 nearest the viewer);
 /// callers with a different depth order permute ranks beforehand (see
-/// `rt-pvr`).
-pub fn compose<P: Pixel>(
+/// `rt-pvr`). The caller ([`crate::compose_plan`]) has checked the shapes.
+pub(crate) fn compose_schedule<P: Pixel>(
     ctx: &mut RankCtx,
-    schedule: &Schedule,
-    local: Image<P>,
-    config: &ComposeConfig,
-) -> Result<ComposeOutput<P>, CoreError> {
-    let mut scratch = Scratch::new();
-    compose_with_scratch(ctx, schedule, local, config, &mut scratch)
-}
-
-/// [`compose`] with caller-held [`Scratch`] buffers, so repeated composes
-/// (one per animation frame) reuse allocations across calls.
-pub fn compose_with_scratch<P: Pixel>(
-    ctx: &mut RankCtx,
+    stage: &Stage<P>,
     schedule: &Schedule,
     mut local: Image<P>,
-    config: &ComposeConfig,
     scratch: &mut Scratch<P>,
 ) -> Result<ComposeOutput<P>, CoreError> {
     let me = ctx.rank();
-    if schedule.p != ctx.size() {
-        return Err(CoreError::InvalidSchedule {
-            why: format!(
-                "schedule built for {} ranks, machine has {}",
-                schedule.p,
-                ctx.size()
-            ),
-        });
-    }
-    if schedule.image_len != local.len() {
-        return Err(CoreError::InvalidSchedule {
-            why: format!(
-                "schedule built for {} pixels, image has {}",
-                schedule.image_len,
-                local.len()
-            ),
-        });
-    }
-    if let Some(wall) = config.display {
-        wall.validate(schedule.p)?;
-    }
-    let codec = config.codec.build::<P>();
-    // Which kernel implementation actually runs: the wide path engages only
-    // for pixel types with a word-wise kernel; other types fall back to the
-    // scalar reference loops (counted, so profiles show the miss).
-    let wide_requested = config.kernel == KernelPath::Wide;
-    let wide_active = wide_requested && P::HAS_WIDE_KERNEL;
-    let count_kernel_pixels = move |c: &mut rt_obs::Counters, source_pixels: u64| {
-        if wide_active {
-            c.wide_kernel_pixels += source_pixels;
-        } else {
-            c.scalar_kernel_pixels += source_pixels;
-        }
-        if wide_requested && !wide_active {
-            c.kernel_fallbacks += 1;
-        }
-    };
+    let config = stage.config;
 
     // Fail-stop point for this rank, if the fault plan crashes it within
     // this schedule (a step index, or `steps.len()` for "after the last
@@ -532,44 +644,22 @@ pub fn compose_with_scratch<P: Pixel>(
 
     for (k, step) in schedule.steps.iter().enumerate() {
         if my_crash == Some(k) {
-            ctx.announce_death(k);
-            ctx.mark("compose:crashed");
-            return Ok(ComposeOutput {
-                frame: None,
-                owned_pixels: 0,
-                owners: Vec::new(),
-                residual: None,
-                degraded: Some(DegradedInfo::self_crash(me, k)),
-            });
+            return Ok(ComposeOutput::crash(ctx, k));
         }
         // Step boundary for phase attribution (wall and virtual spans
-        // alike); identical on both execution paths.
+        // alike).
         ctx.mark(format!("step:{k}"));
         // Ship all sends first (non-blocking), then consume receives: the
         // pairwise exchanges of every method progress without deadlock.
         for t in step.sends_of(me) {
-            let enc_started = ctx.obs_start();
-            let encoded = match config.path {
-                // Encode straight off the frame's span slice, through the
-                // configured scan kernel (byte-identical wire either way).
-                ExecPath::Pooled => codec.encode_with(local.span_pixels(t.span)?, config.kernel),
-                ExecPath::PerTransfer => {
-                    let pixels = local.extract(t.span)?;
-                    codec.encode(&pixels)
-                }
-            };
-            ctx.obs_span(Phase::Encode, enc_started);
-            if config.codec != CodecKind::Raw {
-                ctx.compute(ComputeKind::Encode, encoded.raw_bytes as u64);
-            }
-            let wire = encoded.bytes.len() as u64;
-            ctx.obs_counters(|c| {
-                c.add_wire_bytes(config.codec.name(), wire);
-                if wide_active && config.path == ExecPath::Pooled {
-                    c.wide_kernel_bytes += wire;
-                }
-            });
-            ctx.send(t.dst, tag(config.frame_tag, k, t.span.start), encoded.bytes)?;
+            let started = ctx.obs_start();
+            stage.ship(
+                ctx,
+                started,
+                local.span_pixels(t.span)?,
+                t.dst,
+                tag(config.frame_tag, k, t.span.start),
+            )?;
         }
         for t in step.recvs_of(me) {
             let bytes = match ctx.recv(t.src, tag(config.frame_tag, k, t.span.start)) {
@@ -580,132 +670,38 @@ pub fn compose_with_scratch<P: Pixel>(
                 Err(CommError::RankFailed { .. }) if config.resilient => continue,
                 Err(e) => return Err(e.into()),
             };
-            if config.codec != CodecKind::Raw {
-                // Decoding walks the *encoded* stream, so the compute
-                // charge is the wire size, not the decompressed size — a
-                // compressed message must cost less to decode, or the
-                // paper's claim that compression cuts composition time
-                // (Section 3) is mispriced.
-                ctx.compute(ComputeKind::Decode, bytes.len() as u64);
-            }
-            // Blank pixels are the identity of `over`; the structured
-            // codecs (TRLE templates, RLE runs, bounding intervals)
-            // identify blank regions during decode, so — as the paper
-            // argues in Section 1 — compression reduces the composition
-            // *computation* as well as the traffic. Raw buffers carry no
-            // such structure and are charged for the full span.
-            let raw = config.codec == CodecKind::Raw;
-            match config.path {
-                // Stream the encoded bytes through the fused kernels
-                // directly into the destination slice — no decoded Vec.
-                ExecPath::Pooled => match t.dir {
-                    MergeDir::Front | MergeDir::Back => {
-                        let dir = if t.dir == MergeDir::Front {
-                            OverDir::Front
-                        } else {
-                            OverDir::Back
-                        };
-                        let over_started = ctx.obs_start();
-                        let dst = local.span_pixels_mut(t.span)?;
-                        let stats = codec.decode_over_with(&bytes, dst, dir, config.kernel)?;
-                        ctx.obs_span(Phase::Over, over_started);
-                        let wire = bytes.len() as u64;
-                        ctx.obs_counters(|c| {
-                            c.non_blank_merged += stats.non_blank as u64;
-                            c.blank_skipped += stats.blank_skipped as u64;
-                            c.opaque_fast += stats.opaque_fast as u64;
-                            count_kernel_pixels(c, stats.source_pixels() as u64);
-                            if wide_active {
-                                c.wide_kernel_bytes += wire;
-                            }
-                        });
-                        let over_units = if raw { t.span.len } else { stats.non_blank };
-                        ctx.compute(ComputeKind::Over, over_units as u64);
-                    }
-                    MergeDir::BackDefer => {
-                        let (acc_span, acc) = match back_acc.entry(t.span.start) {
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                // Blank is the identity of `over`, so
-                                // streaming the first arrival in front of a
-                                // blank accumulator reproduces it exactly.
-                                &mut *e.insert((t.span, scratch.take_acc(t.span.len, ctx)))
-                            }
-                            std::collections::hash_map::Entry::Occupied(e) => &mut *e.into_mut(),
-                        };
-                        if *acc_span != t.span {
-                            return Err(CoreError::InvalidSchedule {
-                                why: format!(
-                                    "deferred-back span mismatch: {acc_span} vs {}",
-                                    t.span
-                                ),
-                            });
+            match t.dir {
+                MergeDir::Front => {
+                    stage.merge(ctx, &bytes, local.span_pixels_mut(t.span)?, OverDir::Front)?
+                }
+                MergeDir::Back => {
+                    stage.merge(ctx, &bytes, local.span_pixels_mut(t.span)?, OverDir::Back)?
+                }
+                MergeDir::BackDefer => {
+                    let (acc_span, acc) = match back_acc.entry(t.span.start) {
+                        std::collections::hash_map::Entry::Vacant(e) => {
+                            // Blank is the identity of `over`, so streaming
+                            // the first arrival in front of a blank
+                            // accumulator reproduces it exactly.
+                            &mut *e.insert((t.span, scratch.take_acc(t.span.len, ctx)))
                         }
-                        // Arriving pieces are deepest-first: the new piece
-                        // goes in front of the accumulated deeper ones.
-                        let over_started = ctx.obs_start();
-                        let stats =
-                            codec.decode_over_with(&bytes, acc, OverDir::Front, config.kernel)?;
-                        ctx.obs_span(Phase::Over, over_started);
-                        let wire = bytes.len() as u64;
-                        ctx.obs_counters(|c| {
-                            c.non_blank_merged += stats.non_blank as u64;
-                            c.blank_skipped += stats.blank_skipped as u64;
-                            c.opaque_fast += stats.opaque_fast as u64;
-                            count_kernel_pixels(c, stats.source_pixels() as u64);
-                            if wide_active {
-                                c.wide_kernel_bytes += wire;
-                            }
-                        });
-                        let over_units = if raw { t.span.len } else { stats.non_blank };
-                        ctx.compute(ComputeKind::Over, over_units as u64);
-                    }
-                },
-                ExecPath::PerTransfer => {
-                    let dec_started = ctx.obs_start();
-                    let pixels: Vec<P> = codec.decode(&bytes, t.span.len)?;
-                    ctx.obs_span(Phase::Decode, dec_started);
-                    let over_units = if raw {
-                        t.span.len
-                    } else {
-                        pixels.iter().filter(|p| !p.is_blank()).count()
+                        std::collections::hash_map::Entry::Occupied(e) => &mut *e.into_mut(),
                     };
-                    ctx.compute(ComputeKind::Over, over_units as u64);
-                    let over_started = ctx.obs_start();
-                    match t.dir {
-                        MergeDir::Front => local.over_front(t.span, &pixels)?,
-                        MergeDir::Back => local.over_back(t.span, &pixels)?,
-                        MergeDir::BackDefer => match back_acc.entry(t.span.start) {
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                e.insert((t.span, pixels));
-                            }
-                            std::collections::hash_map::Entry::Occupied(mut e) => {
-                                let (acc_span, acc) = e.get_mut();
-                                if *acc_span != t.span {
-                                    return Err(CoreError::InvalidSchedule {
-                                        why: format!(
-                                            "deferred-back span mismatch: {acc_span} vs {}",
-                                            t.span
-                                        ),
-                                    });
-                                }
-                                // Arriving pieces are deepest-first: the new
-                                // piece goes in front of the accumulated
-                                // deeper ones.
-                                for (dst, f) in acc.iter_mut().zip(&pixels) {
-                                    *dst = f.over(dst);
-                                }
-                            }
-                        },
+                    if *acc_span != t.span {
+                        return Err(CoreError::InvalidSchedule {
+                            why: format!("deferred-back span mismatch: {acc_span} vs {}", t.span),
+                        });
                     }
-                    ctx.obs_span(Phase::Over, over_started);
+                    // Arriving pieces are deepest-first: the new piece goes
+                    // in front of the accumulated deeper ones.
+                    stage.merge(ctx, &bytes, acc, OverDir::Front)?;
                 }
             }
         }
     }
 
-    // Flush deferred accumulators: local over deferred-back. The mark is
-    // emitted on both execution paths so replay can attribute the trailing
-    // `over` computes to the flush phase.
+    // Flush deferred accumulators: local over deferred-back. The mark lets
+    // replay attribute the trailing `over` computes to the flush phase.
     ctx.mark("flush:start");
     let mut flushes: Vec<(Span, Vec<P>)> = back_acc.into_values().collect();
     flushes.sort_by_key(|(span, _)| span.start);
@@ -714,7 +710,7 @@ pub fn compose_with_scratch<P: Pixel>(
         // the non-blank accumulated pixels cost an `over`; charging the
         // full span here would price the flush as if the codec had found
         // no blank structure at all.
-        let over_units = if config.codec == CodecKind::Raw {
+        let over_units = if stage.raw {
             span.len
         } else {
             acc.iter().filter(|p| !p.is_blank()).count()
@@ -727,15 +723,7 @@ pub fn compose_with_scratch<P: Pixel>(
     }
 
     if my_crash == Some(steps_len) {
-        ctx.announce_death(steps_len);
-        ctx.mark("compose:crashed");
-        return Ok(ComposeOutput {
-            frame: None,
-            owned_pixels: 0,
-            owners: Vec::new(),
-            residual: None,
-            degraded: Some(DegradedInfo::self_crash(me, steps_len)),
-        });
+        return Ok(ComposeOutput::crash(ctx, steps_len));
     }
 
     ctx.mark("compose:end");
@@ -764,7 +752,7 @@ pub fn compose_with_scratch<P: Pixel>(
         if !crashed.is_empty() {
             let plan = repair(schedule, &crashed)?;
 
-            // Phase 1: extract every piece this rank holds for the plan
+            // Phase 1: copy every piece this rank keeps for the plan
             // *before* any insert can overwrite it, and ship the
             // remote-bound ones (all sends precede all receives: no
             // deadlock on the buffered channels).
@@ -774,17 +762,17 @@ pub fn compose_with_scratch<P: Pixel>(
                     if fetch.holder != me {
                         continue;
                     }
-                    let pixels = local.extract(e.span)?;
                     if e.owner == me {
-                        own_pieces.insert((ei, fi), pixels);
+                        own_pieces.insert((ei, fi), local.extract(e.span)?);
                     } else {
-                        let encoded = codec.encode_with(&pixels, config.kernel);
-                        if config.codec != CodecKind::Raw {
-                            ctx.compute(ComputeKind::Encode, encoded.raw_bytes as u64);
-                        }
-                        let wire = encoded.bytes.len() as u64;
-                        ctx.obs_counters(|c| c.add_wire_bytes(config.codec.name(), wire));
-                        ctx.send(e.owner, repair_tag(config.frame_tag, ei, fi), encoded.bytes)?;
+                        let started = ctx.obs_start();
+                        stage.ship(
+                            ctx,
+                            started,
+                            local.span_pixels(e.span)?,
+                            e.owner,
+                            repair_tag(config.frame_tag, ei, fi),
+                        )?;
                     }
                 }
             }
@@ -809,12 +797,8 @@ pub fn compose_with_scratch<P: Pixel>(
                         }
                     } else {
                         let bytes = ctx.recv(fetch.holder, repair_tag(config.frame_tag, ei, fi))?;
-                        if config.codec != CodecKind::Raw {
-                            // Charged on the encoded wire size (see the
-                            // step-receive path).
-                            ctx.compute(ComputeKind::Decode, bytes.len() as u64);
-                        }
-                        codec.decode(&bytes, e.span.len)?
+                        stage.charge_decode(ctx, &bytes);
+                        stage.codec.decode(&bytes, e.span.len)?
                     };
                     acc = Some(match acc {
                         None => pixels,
@@ -844,71 +828,64 @@ pub fn compose_with_scratch<P: Pixel>(
         ctx.mark("repair:end");
     }
 
-    let mut owned_pixels = 0usize;
-    for (span, owner) in &owners {
-        if *owner == me {
-            owned_pixels += span.len;
-        }
-    }
+    // Gather tags sit one step past the last exchange.
+    finish(ctx, stage, scratch, local, owners, root, degraded, |slot| {
+        tag(config.frame_tag, steps_len, slot)
+    })
+}
 
-    if !config.gather {
-        return Ok(ComposeOutput {
-            frame: None,
-            owned_pixels,
-            owners,
-            residual: Some(local),
-            degraded,
-        });
-    }
-
-    // Gather: each owner ships ONE message carrying all its final spans
-    // concatenated in span order (the coalesced collection a real system
-    // would do with MPI_Gatherv), tagged past the last step.
-    let gather_step = schedule.steps.len();
-    // Spans per owner, in (possibly repaired) ownership order.
-    let mut spans_of = vec![Vec::<Span>::new(); schedule.p];
-    for (span, owner) in &owners {
-        if !span.is_empty() {
-            spans_of[*owner].push(*span);
+/// The tail every plan family ends with: count what this rank finally
+/// owns, run the gather stage if requested — to `root`, or to the config's
+/// display wall — and package the output. `owners` is the (possibly
+/// repaired) ownership map, `local` holds this rank's owned spans, and
+/// `gather_tag` maps a sender slot to the family's gather tag namespace.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn finish<P: Pixel>(
+    ctx: &mut RankCtx,
+    stage: &Stage<P>,
+    scratch: &mut Scratch<P>,
+    local: Image<P>,
+    owners: Vec<(Span, usize)>,
+    root: usize,
+    degraded: Option<DegradedInfo>,
+    gather_tag: impl Fn(usize) -> u64,
+) -> Result<ComposeOutput<P>, CoreError> {
+    let me = ctx.rank();
+    let owned_pixels = owners
+        .iter()
+        .filter(|(_, owner)| *owner == me)
+        .map(|(span, _)| span.len)
+        .sum();
+    let mut frame = None;
+    if stage.config.gather {
+        // Spans per owner, in (possibly repaired) ownership order.
+        let mut spans_of = vec![Vec::<Span>::new(); ctx.size()];
+        for (span, owner) in &owners {
+            if !span.is_empty() {
+                spans_of[*owner].push(*span);
+            }
         }
-    }
-    if let Some(wall) = config.display {
-        let dead: std::collections::BTreeSet<usize> = degraded
-            .as_ref()
-            .map(|d| d.failed.iter().map(|(r, _)| *r).collect())
-            .unwrap_or_default();
-        let frame = gather_spans_to_wall(
-            ctx,
-            &spans_of,
-            &local,
-            config,
-            scratch,
-            codec.as_ref(),
-            wall,
-            gather_step,
-            &dead,
-        )?;
+        frame = match stage.config.display {
+            None => gather_to_root(ctx, stage, scratch, &spans_of, &local, root, &gather_tag)?,
+            Some(wall) => {
+                let dead: BTreeSet<usize> = degraded
+                    .iter()
+                    .flat_map(|d| d.failed.iter().map(|(r, _)| *r))
+                    .collect();
+                gather_to_wall(
+                    ctx,
+                    stage,
+                    scratch,
+                    &spans_of,
+                    &local,
+                    wall,
+                    &dead,
+                    &gather_tag,
+                )?
+            }
+        };
         ctx.mark("gather:end");
-        return Ok(ComposeOutput {
-            frame,
-            owned_pixels,
-            owners,
-            residual: Some(local),
-            degraded,
-        });
     }
-    let frame = gather_spans_to_root(
-        ctx,
-        &spans_of,
-        &local,
-        root,
-        config,
-        scratch,
-        codec.as_ref(),
-        gather_step,
-    )?;
-    ctx.mark("gather:end");
-
     Ok(ComposeOutput {
         frame,
         owned_pixels,
@@ -918,176 +895,73 @@ pub fn compose_with_scratch<P: Pixel>(
     })
 }
 
-/// Root-gather stage shared by the flat and hierarchical executors: each
-/// owner ships ONE message carrying all its final spans concatenated in
-/// span order (the coalesced collection a real system would do with
-/// `MPI_Gatherv`), tagged at `gather_step`; the root assembles the frame.
-/// Returns the frame at the root, `None` elsewhere. Ranks owning nothing
-/// send nothing.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gather_spans_to_root<P: Pixel>(
+/// Root gather: each owner ships ONE message carrying all its final spans
+/// concatenated in span order (the coalesced collection a real system
+/// would do with `MPI_Gatherv`); the root assembles the frame. Returns the
+/// frame at the root, `None` elsewhere. Ranks owning nothing send nothing.
+fn gather_to_root<P: Pixel>(
     ctx: &mut RankCtx,
+    stage: &Stage<P>,
+    scratch: &mut Scratch<P>,
     spans_of: &[Vec<Span>],
     local: &Image<P>,
     root: usize,
-    config: &ComposeConfig,
-    scratch: &mut Scratch<P>,
-    codec: &dyn rt_compress::Codec<P>,
-    gather_step: usize,
+    gather_tag: &impl Fn(usize) -> u64,
 ) -> Result<Option<Image<P>>, CoreError> {
     let me = ctx.rank();
-    let wide_requested = config.kernel == KernelPath::Wide;
-    let wide_active = wide_requested && P::HAS_WIDE_KERNEL;
-    let count_kernel_pixels = move |c: &mut rt_obs::Counters, source_pixels: u64| {
-        if wide_active {
-            c.wide_kernel_pixels += source_pixels;
+    if me != root {
+        if !spans_of[me].is_empty() {
+            let mine = spans_of[me].iter().copied();
+            stage.ship_spans(ctx, scratch, local, mine, root, gather_tag(me))?;
+        }
+        return Ok(None);
+    }
+    let mut frame = Image::blank(local.width(), local.height());
+    for (owner, owner_spans) in spans_of.iter().enumerate() {
+        if owner_spans.is_empty() {
+            continue;
+        }
+        if owner == me {
+            // The root's own spans copy straight from its local frame.
+            for span in owner_spans {
+                frame.insert(*span, local.span_pixels(*span)?)?;
+            }
+            continue;
+        }
+        let bytes = ctx.recv(owner, gather_tag(owner))?;
+        let started = ctx.obs_start();
+        if let [span] = owner_spans.as_slice() {
+            // One span: stream straight into the blank frame.
+            stage.unpack(ctx, &bytes, frame.span_pixels_mut(*span)?)?;
         } else {
-            c.scalar_kernel_pixels += source_pixels;
-        }
-        if wide_requested && !wide_active {
-            c.kernel_fallbacks += 1;
-        }
-    };
-    let mut frame = (me == root).then(|| Image::blank(local.width(), local.height()));
-    if me != root && !spans_of[me].is_empty() {
-        let enc_started = ctx.obs_start();
-        let encoded = match config.path {
-            // Concatenate into the reusable staging buffer.
-            ExecPath::Pooled => {
-                scratch.gather_pixels.clear();
-                for span in &spans_of[me] {
-                    scratch
-                        .gather_pixels
-                        .extend_from_slice(local.span_pixels(*span)?);
-                }
-                codec.encode_with(&scratch.gather_pixels, config.kernel)
-            }
-            ExecPath::PerTransfer => {
-                let cap: usize = spans_of[me].iter().map(|s| s.len).sum();
-                let mut pixels: Vec<P> = Vec::with_capacity(cap);
-                for span in &spans_of[me] {
-                    pixels.extend(local.extract(*span)?);
-                }
-                codec.encode(&pixels)
-            }
-        };
-        if config.codec != CodecKind::Raw {
-            ctx.compute(ComputeKind::Encode, encoded.raw_bytes as u64);
-        }
-        ctx.obs_span(Phase::Encode, enc_started);
-        let wire = encoded.bytes.len() as u64;
-        ctx.obs_counters(|c| c.add_wire_bytes(config.codec.name(), wire));
-        ctx.send(root, tag(config.frame_tag, gather_step, me), encoded.bytes)?;
-    }
-    if let Some(frame) = frame.as_mut() {
-        for (owner, owner_spans) in spans_of.iter().enumerate() {
-            if owner_spans.is_empty() {
-                continue;
-            }
             let total: usize = owner_spans.iter().map(|s| s.len).sum();
-            if owner == me {
-                match config.path {
-                    // The root's own spans copy straight from its local
-                    // frame.
-                    ExecPath::Pooled => {
-                        for span in owner_spans {
-                            frame.insert(*span, local.span_pixels(*span)?)?;
-                        }
-                    }
-                    ExecPath::PerTransfer => {
-                        let mut pixels: Vec<P> = Vec::with_capacity(total);
-                        for span in owner_spans {
-                            pixels.extend(local.extract(*span)?);
-                        }
-                        let mut at = 0usize;
-                        for span in owner_spans {
-                            frame.insert(*span, &pixels[at..at + span.len])?;
-                            at += span.len;
-                        }
-                    }
-                }
-                continue;
-            }
-            let bytes = ctx.recv(owner, tag(config.frame_tag, gather_step, owner))?;
-            if config.codec != CodecKind::Raw {
-                // Charged on the encoded wire size (see the step-receive
-                // path).
-                ctx.compute(ComputeKind::Decode, bytes.len() as u64);
-            }
-            match config.path {
-                ExecPath::Pooled => {
-                    let dec_started = ctx.obs_start();
-                    let stats = if let [span] = owner_spans.as_slice() {
-                        // One span: stream straight into the blank frame
-                        // (`over` a blank destination is an exact copy).
-                        codec.decode_over_with(
-                            &bytes,
-                            frame.span_pixels_mut(*span)?,
-                            OverDir::Front,
-                            config.kernel,
-                        )?
-                    } else {
-                        let mut staged = scratch.take_acc(total, ctx);
-                        let stats = codec.decode_over_with(
-                            &bytes,
-                            &mut staged,
-                            OverDir::Front,
-                            config.kernel,
-                        )?;
-                        let mut at = 0usize;
-                        for span in owner_spans {
-                            frame.insert(*span, &staged[at..at + span.len])?;
-                            at += span.len;
-                        }
-                        scratch.put_acc(staged);
-                        stats
-                    };
-                    ctx.obs_span(Phase::Decode, dec_started);
-                    let wire = bytes.len() as u64;
-                    ctx.obs_counters(|c| {
-                        c.blank_skipped += stats.blank_skipped as u64;
-                        c.opaque_fast += stats.opaque_fast as u64;
-                        count_kernel_pixels(c, stats.source_pixels() as u64);
-                        if wide_active {
-                            c.wide_kernel_bytes += wire;
-                        }
-                    });
-                }
-                ExecPath::PerTransfer => {
-                    let dec_started = ctx.obs_start();
-                    let pixels: Vec<P> = codec.decode(&bytes, total)?;
-                    let mut at = 0usize;
-                    for span in owner_spans {
-                        frame.insert(*span, &pixels[at..at + span.len])?;
-                        at += span.len;
-                    }
-                    ctx.obs_span(Phase::Decode, dec_started);
-                }
-            }
+            let mut staged = scratch.take_acc(total, ctx);
+            stage.unpack(ctx, &bytes, &mut staged)?;
+            scatter(&mut frame, owner_spans.iter().copied(), &staged)?;
+            scratch.put_acc(staged);
         }
+        ctx.obs_span(Phase::Decode, started);
     }
-    Ok(frame)
+    Ok(Some(frame))
 }
 
-/// Display-wall gather for the schedule path: each final owner ships, per
-/// display cell its spans overlap, one message with the overlap segments
-/// concatenated in span order; each display rank assembles its own
-/// cell-sized framebuffer. Returns the cell image on display ranks, `None`
-/// elsewhere. Dead ranks (post-repair) neither send nor receive.
+/// Display-wall gather: each final owner ships, per display cell its spans
+/// overlap, one message with the overlap segments concatenated in span
+/// order; each display rank assembles its own cell-sized framebuffer.
+/// Returns the cell image on display ranks, `None` elsewhere. Dead ranks
+/// (post-repair) neither send nor receive.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gather_spans_to_wall<P: Pixel>(
+fn gather_to_wall<P: Pixel>(
     ctx: &mut RankCtx,
+    stage: &Stage<P>,
+    scratch: &mut Scratch<P>,
     spans_of: &[Vec<Span>],
     local: &Image<P>,
-    config: &ComposeConfig,
-    scratch: &mut Scratch<P>,
-    codec: &dyn rt_compress::Codec<P>,
     wall: DisplayWall,
-    gather_step: usize,
-    dead: &std::collections::BTreeSet<usize>,
+    dead: &BTreeSet<usize>,
+    gather_tag: &impl Fn(usize) -> u64,
 ) -> Result<Option<Image<P>>, CoreError> {
     let me = ctx.rank();
-    let raw = config.codec == CodecKind::Raw;
     let width = local.width();
     // Overlap of `owner`'s final spans with a cell, in deterministic span
     // order: sender and receiver compute the same segment list locally.
@@ -1103,42 +977,12 @@ pub(crate) fn gather_spans_to_wall<P: Pixel>(
         if drank == me || spans_of[me].is_empty() || dead.contains(&drank) {
             continue;
         }
-        let cell = wall.cell_rect(d, width, local.height());
-        let segs = segments(me, cell);
+        let segs = segments(me, wall.cell_rect(d, width, local.height()));
         if segs.is_empty() {
             continue;
         }
-        let total: usize = segs.iter().map(|(s, _)| s.len).sum();
-        let enc_started = ctx.obs_start();
-        let encoded = match config.path {
-            ExecPath::Pooled => {
-                scratch.gather_pixels.clear();
-                for (seg, _) in &segs {
-                    scratch
-                        .gather_pixels
-                        .extend_from_slice(local.span_pixels(*seg)?);
-                }
-                codec.encode_with(&scratch.gather_pixels, config.kernel)
-            }
-            ExecPath::PerTransfer => {
-                let mut pixels: Vec<P> = Vec::with_capacity(total);
-                for (seg, _) in &segs {
-                    pixels.extend(local.extract(*seg)?);
-                }
-                codec.encode(&pixels)
-            }
-        };
-        if !raw {
-            ctx.compute(ComputeKind::Encode, encoded.raw_bytes as u64);
-        }
-        ctx.obs_span(Phase::Encode, enc_started);
-        let wire = encoded.bytes.len() as u64;
-        ctx.obs_counters(|c| c.add_wire_bytes(config.codec.name(), wire));
-        ctx.send(
-            drank,
-            tag(config.frame_tag, gather_step, (d << 20) | me),
-            encoded.bytes,
-        )?;
+        let mine = segs.iter().map(|(seg, _)| *seg);
+        stage.ship_spans(ctx, scratch, local, mine, drank, gather_tag((d << 20) | me))?;
     }
     let Some(d) = wall.display_of(me) else {
         return Ok(None);
@@ -1154,156 +998,22 @@ pub(crate) fn gather_spans_to_wall<P: Pixel>(
             continue;
         }
         if owner == me {
-            for (seg, local_at) in &segs {
-                out.insert(Span::new(*local_at, seg.len), local.span_pixels(*seg)?)?;
+            for (seg, at) in &segs {
+                out.insert(Span::new(*at, seg.len), local.span_pixels(*seg)?)?;
             }
             continue;
         }
-        let bytes = ctx.recv(owner, tag(config.frame_tag, gather_step, (d << 20) | owner))?;
-        if !raw {
-            ctx.compute(ComputeKind::Decode, bytes.len() as u64);
-        }
+        let bytes = ctx.recv(owner, gather_tag((d << 20) | owner))?;
         let total: usize = segs.iter().map(|(s, _)| s.len).sum();
-        let dec_started = ctx.obs_start();
+        let started = ctx.obs_start();
         let mut staged = scratch.take_acc(total, ctx);
-        match config.path {
-            ExecPath::Pooled => {
-                // `over` in front of a blank buffer is an exact copy.
-                codec.decode_over_with(&bytes, &mut staged, OverDir::Front, config.kernel)?;
-            }
-            ExecPath::PerTransfer => {
-                let pixels: Vec<P> = codec.decode(&bytes, total)?;
-                staged.clone_from_slice(&pixels);
-            }
-        }
-        let mut at = 0usize;
-        for (seg, local_at) in &segs {
-            out.insert(Span::new(*local_at, seg.len), &staged[at..at + seg.len])?;
-            at += seg.len;
-        }
+        stage.unpack(ctx, &bytes, &mut staged)?;
+        let cell_spans = segs.iter().map(|(seg, at)| Span::new(*at, seg.len));
+        scatter(&mut out, cell_spans, &staged)?;
         scratch.put_acc(staged);
-        ctx.obs_span(Phase::Decode, dec_started);
+        ctx.obs_span(Phase::Decode, started);
     }
     Ok(Some(out))
-}
-
-/// Convenience harness: run `schedule` over a fresh multicomputer with the
-/// given per-rank partial images, returning per-rank outputs and the trace.
-///
-/// `partials[r]` is rank `r`'s rendered partial (rank order = depth order).
-pub fn run_composition<P: Pixel>(
-    schedule: &Schedule,
-    partials: Vec<Image<P>>,
-    config: &ComposeConfig,
-) -> (Vec<Result<ComposeOutput<P>, CoreError>>, Trace) {
-    run_composition_faulty(schedule, partials, config, FaultPlan::none())
-}
-
-/// [`run_composition`] with fault injection: the multicomputer is built
-/// with `faults` installed (and `config.timeout` applied, if any), so
-/// message loss, corruption and rank crashes can be exercised end to end.
-pub fn run_composition_faulty<P: Pixel>(
-    schedule: &Schedule,
-    partials: Vec<Image<P>>,
-    config: &ComposeConfig,
-    faults: FaultPlan,
-) -> (Vec<Result<ComposeOutput<P>, CoreError>>, Trace) {
-    assert_eq!(
-        partials.len(),
-        schedule.p,
-        "one partial image per rank required"
-    );
-    let mc = Machine::build(schedule.p, config, faults, None);
-    let partials = std::sync::Mutex::new(
-        partials
-            .into_iter()
-            .map(Some)
-            .collect::<Vec<Option<Image<P>>>>(),
-    );
-    mc.run(move |ctx| {
-        // Poison-tolerant: if another rank panicked while holding the lock,
-        // this rank still takes its own slot instead of cascading the panic.
-        let local = partials.lock().unwrap_or_else(|e| e.into_inner())[ctx.rank()]
-            .take()
-            .ok_or_else(|| CoreError::InvalidSchedule {
-                why: format!("rank {} has no partial image to compose", ctx.rank()),
-            })?;
-        compose(ctx, schedule, local, config)
-    })
-}
-
-/// [`run_composition`] backed by a caller-held [`ScratchPool`], so repeated
-/// invocations (one per animation frame) reuse each rank's scratch buffers
-/// across frames. The config's [`ExecPath`] still selects the path; the
-/// pool only pays off under [`ExecPath::Pooled`].
-pub fn run_composition_pooled<P: Pixel>(
-    schedule: &Schedule,
-    partials: Vec<Image<P>>,
-    config: &ComposeConfig,
-    pool: &ScratchPool<P>,
-) -> (Vec<Result<ComposeOutput<P>, CoreError>>, Trace) {
-    assert_eq!(
-        partials.len(),
-        schedule.p,
-        "one partial image per rank required"
-    );
-    let mc = Machine::build(schedule.p, config, FaultPlan::none(), None);
-    let partials = std::sync::Mutex::new(
-        partials
-            .into_iter()
-            .map(Some)
-            .collect::<Vec<Option<Image<P>>>>(),
-    );
-    mc.run(move |ctx| {
-        let local = partials.lock().unwrap_or_else(|e| e.into_inner())[ctx.rank()]
-            .take()
-            .ok_or_else(|| CoreError::InvalidSchedule {
-                why: format!("rank {} has no partial image to compose", ctx.rank()),
-            })?;
-        let mut scratch = pool.checkout(ctx.rank());
-        let out = compose_with_scratch(ctx, schedule, local, config, &mut scratch);
-        pool.checkin(ctx.rank(), scratch);
-        out
-    })
-}
-
-/// [`run_composition_pooled`] with observability: every rank records
-/// wall-clock phase spans and counters into `observer`, which accumulates
-/// across repeated invocations (one per animation frame).
-///
-/// The recorded trace and composited frames are identical to an unobserved
-/// run — observation only adds wall-clock measurements, which never enter
-/// the [`Trace`].
-pub fn run_composition_observed<P: Pixel>(
-    schedule: &Schedule,
-    partials: Vec<Image<P>>,
-    config: &ComposeConfig,
-    pool: &ScratchPool<P>,
-    observer: Arc<Observer>,
-) -> (Vec<Result<ComposeOutput<P>, CoreError>>, Trace) {
-    assert_eq!(
-        partials.len(),
-        schedule.p,
-        "one partial image per rank required"
-    );
-    let mc = Machine::build(schedule.p, config, FaultPlan::none(), Some(observer));
-    let partials = Mutex::new(
-        partials
-            .into_iter()
-            .map(Some)
-            .collect::<Vec<Option<Image<P>>>>(),
-    );
-    mc.run(move |ctx| {
-        let local = partials.lock().unwrap_or_else(|e| e.into_inner())[ctx.rank()]
-            .take()
-            .ok_or_else(|| CoreError::InvalidSchedule {
-                why: format!("rank {} has no partial image to compose", ctx.rank()),
-            })?;
-        let mut scratch = pool.checkout(ctx.rank());
-        let out = compose_with_scratch(ctx, schedule, local, config, &mut scratch);
-        pool.checkin(ctx.rank(), scratch);
-        out
-    })
 }
 
 #[cfg(test)]
@@ -1311,7 +1021,25 @@ mod tests {
     use super::*;
     use crate::method::CompositionMethod;
     use crate::schedule::{Step, Transfer};
+    use crate::{ComposePlan, Run};
     use rt_imaging::pixel::Provenance;
+
+    type Outputs<P> = (Vec<Result<ComposeOutput<P>, CoreError>>, Trace);
+
+    fn run<P: Pixel>(s: &Schedule, partials: Vec<Image<P>>, config: &ComposeConfig) -> Outputs<P> {
+        run_faulty(s, partials, config, FaultPlan::none())
+    }
+
+    fn run_faulty<P: Pixel>(
+        s: &Schedule,
+        partials: Vec<Image<P>>,
+        config: &ComposeConfig,
+        faults: FaultPlan,
+    ) -> Outputs<P> {
+        Run::new(&ComposePlan::Schedule(s.clone()), config)
+            .faults(faults)
+            .execute(partials)
+    }
 
     fn provenance_partials(p: usize, w: usize, h: usize) -> Vec<Image<Provenance>> {
         (0..p)
@@ -1350,7 +1078,7 @@ mod tests {
     fn swap_produces_complete_frame_at_root() {
         let schedule = two_rank_swap(24);
         let partials = provenance_partials(2, 6, 4);
-        let (results, trace) = run_composition(&schedule, partials, &ComposeConfig::default());
+        let (results, trace) = run(&schedule, partials, &ComposeConfig::default());
         let out0 = results[0].as_ref().unwrap();
         let frame = out0.frame.as_ref().unwrap();
         assert!(frame
@@ -1366,7 +1094,7 @@ mod tests {
     fn owned_pixels_reported() {
         let schedule = two_rank_swap(25);
         let partials = provenance_partials(2, 5, 5);
-        let (results, _) = run_composition(&schedule, partials, &ComposeConfig::default());
+        let (results, _) = run(&schedule, partials, &ComposeConfig::default());
         let owned: Vec<usize> = results
             .iter()
             .map(|r| r.as_ref().unwrap().owned_pixels)
@@ -1383,7 +1111,7 @@ mod tests {
             gather: false,
             ..Default::default()
         };
-        let (results, trace) = run_composition(&schedule, partials, &config);
+        let (results, trace) = run(&schedule, partials, &config);
         assert!(results.iter().all(|r| r.as_ref().unwrap().frame.is_none()));
         assert_eq!(trace.message_count(), 2);
     }
@@ -1397,7 +1125,7 @@ mod tests {
                 codec,
                 ..Default::default()
             };
-            let (results, _) = run_composition(&schedule, partials, &config);
+            let (results, _) = run(&schedule, partials, &config);
             let frame = results[0].as_ref().unwrap().frame.clone().unwrap();
             assert!(
                 frame
@@ -1415,14 +1143,14 @@ mod tests {
         // and the same traffic shape as the classic single-frame compose;
         // only the tag values move into the frame namespace.
         let schedule = two_rank_swap(24);
-        let (base_results, base_trace) = run_composition(
+        let (base_results, base_trace) = run(
             &schedule,
             provenance_partials(2, 6, 4),
             &ComposeConfig::default(),
         );
         let config = ComposeConfig::default().with_frame(3);
         assert_eq!(config.frame_tag, rt_comm::frame_tag_base(3));
-        let (results, trace) = run_composition(&schedule, provenance_partials(2, 6, 4), &config);
+        let (results, trace) = run(&schedule, provenance_partials(2, 6, 4), &config);
         let frame = results[0].as_ref().unwrap().frame.clone().unwrap();
         let base_frame = base_results[0].as_ref().unwrap().frame.clone().unwrap();
         assert_eq!(frame.pixels(), base_frame.pixels());
@@ -1430,7 +1158,7 @@ mod tests {
         assert_eq!(trace.bytes_sent(), base_trace.bytes_sent());
         // Frame 0 is the identity: bit-identical trace, tags included.
         let zero = ComposeConfig::default().with_frame(0);
-        let (_, zero_trace) = run_composition(&schedule, provenance_partials(2, 6, 4), &zero);
+        let (_, zero_trace) = run(&schedule, provenance_partials(2, 6, 4), &zero);
         assert_eq!(zero_trace, base_trace);
     }
 
@@ -1457,7 +1185,7 @@ mod tests {
             root: 1,
             ..Default::default()
         };
-        let (results, _) = run_composition(&schedule, partials, &config);
+        let (results, _) = run(&schedule, partials, &config);
         assert!(results[0].as_ref().unwrap().frame.is_none());
         let frame = results[1].as_ref().unwrap().frame.clone().unwrap();
         assert!(frame
@@ -1470,7 +1198,7 @@ mod tests {
     fn size_mismatch_is_rejected() {
         let schedule = two_rank_swap(24);
         let partials = provenance_partials(2, 5, 4); // 20 px, schedule wants 24
-        let (results, _) = run_composition(&schedule, partials, &ComposeConfig::default());
+        let (results, _) = run(&schedule, partials, &ComposeConfig::default());
         assert!(matches!(results[0], Err(CoreError::InvalidSchedule { .. })));
     }
 
@@ -1478,7 +1206,7 @@ mod tests {
     fn marks_are_emitted() {
         let schedule = two_rank_swap(24);
         let partials = provenance_partials(2, 6, 4);
-        let (_, trace) = run_composition(&schedule, partials, &ComposeConfig::default());
+        let (_, trace) = run(&schedule, partials, &ComposeConfig::default());
         let report = rt_comm::replay(&trace, &rt_comm::CostModel::PAPER_EXAMPLE).unwrap();
         assert!(report.phase("compose:start", "compose:end").unwrap() > 0.0);
         assert!(report.phase("compose:start", "gather:end").unwrap() > 0.0);
@@ -1493,7 +1221,7 @@ mod tests {
             .with_seed(7)
             .drop_rate(0.10)
             .corrupt_rate(0.05);
-        let (results, trace) = run_composition_faulty(
+        let (results, trace) = run_faulty(
             &schedule,
             provenance_partials(4, 16, 16),
             &ComposeConfig::default(),
@@ -1523,7 +1251,7 @@ mod tests {
             let config = ComposeConfig::default().resilient(true);
             let faults = FaultPlan::none().crash_rank_at_step(3, 0);
             let (results, _) =
-                run_composition_faulty(&schedule, provenance_partials(4, 16, 16), &config, faults);
+                run_faulty(&schedule, provenance_partials(4, 16, 16), &config, faults);
             let out0 = results[0].as_ref().unwrap();
             let frame = out0.frame.as_ref().unwrap();
             assert!(
@@ -1552,8 +1280,7 @@ mod tests {
         let schedule = crate::BinarySwap::new().build(4, 256).unwrap();
         let config = ComposeConfig::default().resilient(true);
         let faults = FaultPlan::none().crash_rank_at_step(0, 1);
-        let (results, _) =
-            run_composition_faulty(&schedule, provenance_partials(4, 16, 16), &config, faults);
+        let (results, _) = run_faulty(&schedule, provenance_partials(4, 16, 16), &config, faults);
         // Root (rank 0) died: the lowest survivor assembles instead.
         let out1 = results[1].as_ref().unwrap();
         let info = out1.degraded.as_ref().unwrap();
@@ -1572,39 +1299,6 @@ mod tests {
             elect_root(4, &all).unwrap_err(),
             CoreError::AllRanksFailed { p: 4 }
         );
-    }
-
-    #[test]
-    fn pooled_and_per_transfer_paths_are_trace_identical() {
-        // The fused pooled path must be indistinguishable on the virtual
-        // clock: same events in the same order with the same units, and
-        // the same composited frame — across methods (incl. the pipelined
-        // method's deferred-back accumulators) and codecs.
-        for codec in CodecKind::ALL {
-            for schedule in [
-                crate::BinarySwap::new().build(4, 256).unwrap(),
-                crate::ParallelPipelined::new().build(4, 256).unwrap(),
-                crate::RotateTiling::two_n(2).build(4, 256).unwrap(),
-            ] {
-                let partials = provenance_partials(4, 16, 16);
-                let pooled = ComposeConfig::default()
-                    .with_codec(codec)
-                    .with_path(ExecPath::Pooled);
-                let baseline = pooled.with_path(ExecPath::PerTransfer);
-                let (r_pooled, t_pooled) = run_composition(&schedule, partials.clone(), &pooled);
-                let (r_base, t_base) = run_composition(&schedule, partials, &baseline);
-                assert_eq!(
-                    t_pooled, t_base,
-                    "{}/{codec:?}: traces must be bit-identical",
-                    schedule.method
-                );
-                assert_eq!(
-                    r_pooled, r_base,
-                    "{}/{codec:?}: outputs must be bit-identical",
-                    schedule.method
-                );
-            }
-        }
     }
 
     #[test]
@@ -1637,8 +1331,8 @@ mod tests {
                     .with_codec(codec)
                     .with_kernel(KernelPath::Scalar);
                 let wide_cfg = scalar_cfg.with_kernel(KernelPath::Wide);
-                let (r_s, t_s) = run_composition(&schedule, gray_partials.clone(), &scalar_cfg);
-                let (r_w, t_w) = run_composition(&schedule, gray_partials.clone(), &wide_cfg);
+                let (r_s, t_s) = run(&schedule, gray_partials.clone(), &scalar_cfg);
+                let (r_w, t_w) = run(&schedule, gray_partials.clone(), &wide_cfg);
                 assert_eq!(
                     t_s, t_w,
                     "{}/{codec:?}: kernel paths must be trace-identical",
@@ -1649,10 +1343,8 @@ mod tests {
                     "{}/{codec:?}: kernel paths must compose identically",
                     schedule.method
                 );
-                let (r_ps, t_ps) =
-                    run_composition(&schedule, provenance_partials(4, 16, 16), &scalar_cfg);
-                let (r_pw, t_pw) =
-                    run_composition(&schedule, provenance_partials(4, 16, 16), &wide_cfg);
+                let (r_ps, t_ps) = run(&schedule, provenance_partials(4, 16, 16), &scalar_cfg);
+                let (r_pw, t_pw) = run(&schedule, provenance_partials(4, 16, 16), &wide_cfg);
                 assert_eq!(
                     t_ps, t_pw,
                     "{}/{codec:?}: Provenance fallback trace",
@@ -1671,7 +1363,7 @@ mod tests {
     fn kernel_counters_record_which_path_ran() {
         use rt_imaging::pixel::GrayAlpha8;
         use rt_obs::Observer;
-        let schedule = crate::RotateTiling::two_n(2).build(4, 256).unwrap();
+        let plan = ComposePlan::Schedule(crate::RotateTiling::two_n(2).build(4, 256).unwrap());
         let gray: Vec<Image<GrayAlpha8>> = (0..4)
             .map(|r| {
                 Image::from_fn(16, 16, |x, y| {
@@ -1686,8 +1378,10 @@ mod tests {
         let run = |config: &ComposeConfig, partials: Vec<Image<GrayAlpha8>>| {
             let pool = ScratchPool::new();
             let observer = Arc::new(Observer::new());
-            let (results, _) =
-                run_composition_observed(&schedule, partials, config, &pool, Arc::clone(&observer));
+            let (results, _) = Run::new(&plan, config)
+                .pool(&pool)
+                .observer(Arc::clone(&observer))
+                .execute(partials);
             for r in &results {
                 r.as_ref().unwrap();
             }
@@ -1712,13 +1406,10 @@ mod tests {
         // Wide on a pixel type with no wide kernel: fallbacks recorded.
         let pool = ScratchPool::new();
         let observer = Arc::new(Observer::new());
-        let (_, _) = run_composition_observed(
-            &schedule,
-            provenance_partials(4, 16, 16),
-            &base.with_kernel(KernelPath::Wide),
-            &pool,
-            Arc::clone(&observer),
-        );
+        let (_, _) = Run::new(&plan, &base.with_kernel(KernelPath::Wide))
+            .pool(&pool)
+            .observer(Arc::clone(&observer))
+            .execute(provenance_partials(4, 16, 16));
         let prov = observer.counters_total();
         assert!(prov.kernel_fallbacks > 0, "fallbacks: {prov:?}");
         assert_eq!(prov.wide_kernel_pixels, 0);
@@ -1762,7 +1453,7 @@ mod tests {
         let old_charge = ((step_pixels + gather_pixels) * GrayAlpha8::BYTES) as u64;
         for codec in [CodecKind::Rle, CodecKind::Trle] {
             let config = ComposeConfig::default().with_codec(codec);
-            let (_, trace) = run_composition(&schedule, partials.clone(), &config);
+            let (_, trace) = run(&schedule, partials.clone(), &config);
             let mut decodes = 0u64;
             let mut total_units = 0u64;
             for events in &trace.ranks {
@@ -1799,7 +1490,7 @@ mod tests {
     fn resilient_clean_run_is_not_flagged_degraded() {
         let schedule = two_rank_swap(24);
         let config = ComposeConfig::default().resilient(true);
-        let (results, _) = run_composition(&schedule, provenance_partials(2, 6, 4), &config);
+        let (results, _) = run(&schedule, provenance_partials(2, 6, 4), &config);
         for r in &results {
             assert!(r.as_ref().unwrap().degraded.is_none());
         }

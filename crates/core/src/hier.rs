@@ -56,16 +56,13 @@ use rt_imaging::{Image, Span};
 use serde::{Deserialize, Serialize};
 
 use crate::display::DisplayWall;
-use crate::exec::{
-    compose_with_scratch, elect_root, gather_spans_to_root, gather_spans_to_wall, ComposeConfig,
-    ComposeOutput, Scratch,
-};
+use crate::exec::{compose_schedule, elect_root, finish, tag, ComposeOutput, Scratch, Stage};
 use crate::method::{CompositionMethod, Method};
 use crate::radix::RadixK;
 use crate::repair::{repair, DegradedInfo};
 use crate::rotate::RtVariant;
 use crate::schedule::Schedule;
-use crate::tile::{compose_plan, ComposePlan};
+use crate::tile::{check_shape, compose_plan, ComposePlan};
 use crate::CoreError;
 
 /// The flat method run inside each group — [`Method`] minus the
@@ -325,34 +322,16 @@ impl HierPlan {
 /// Execute a [`HierPlan`] on this rank. `local` is the rank's rendered
 /// partial at global depth position `rank` — exactly the flat executors'
 /// contract, and the output frame is byte-identical to theirs.
-pub fn compose_hier<P: Pixel>(
+pub(crate) fn compose_hier<P: Pixel>(
     ctx: &mut RankCtx,
+    stage: &Stage<P>,
     plan: &HierPlan,
     local: Image<P>,
-    config: &ComposeConfig,
     scratch: &mut Scratch<P>,
 ) -> Result<ComposeOutput<P>, CoreError> {
     let me = ctx.rank();
     let p = plan.p;
-    if p != ctx.size() {
-        return Err(CoreError::InvalidSchedule {
-            why: format!("plan built for {p} ranks, machine has {}", ctx.size()),
-        });
-    }
-    if plan.width != local.width() || plan.height != local.height() {
-        return Err(CoreError::InvalidSchedule {
-            why: format!(
-                "plan built for {}x{} frames, image is {}x{}",
-                plan.width,
-                plan.height,
-                local.width(),
-                local.height()
-            ),
-        });
-    }
-    if let Some(wall) = config.display {
-        wall.validate(p)?;
-    }
+    let config = stage.config;
 
     let g = plan.group_of(me);
     let members = plan.groups[g].clone();
@@ -374,17 +353,11 @@ pub fn compose_hier<P: Pixel>(
         // self-crash report (ranks via the member map; steps already
         // global since the intra view runs at step base 0).
         let d = intra_out.degraded.unwrap_or_default();
-        return Ok(ComposeOutput {
-            frame: None,
-            owned_pixels: 0,
-            owners: Vec::new(),
-            residual: None,
-            degraded: Some(DegradedInfo {
-                failed: d.failed.iter().map(|&(r, s)| (members[r], s)).collect(),
-                lost_contributions: d.lost_contributions.iter().map(|&r| members[r]).collect(),
-                ..d
-            }),
-        });
+        return Ok(ComposeOutput::dead(DegradedInfo {
+            failed: d.failed.iter().map(|&(r, s)| (members[r], s)).collect(),
+            lost_contributions: d.lost_contributions.iter().map(|&r| members[r]).collect(),
+            ..d
+        }));
     }
 
     // ---- Deterministic failure model (no communication): every rank
@@ -453,7 +426,16 @@ pub fn compose_hier<P: Pixel>(
         inter_config.root = 0;
         inter_config.display = None;
         ctx.enter_group(leaders.clone(), inter_base);
-        let inter_out = compose_with_scratch(ctx, &inter, group_frame, &inter_config, scratch);
+        let inter_out =
+            check_shape(ctx, inter.p, inter.image_len, None, &group_frame).and_then(|()| {
+                compose_schedule(
+                    ctx,
+                    &Stage::new(&inter_config),
+                    &inter,
+                    group_frame,
+                    scratch,
+                )
+            });
         ctx.leave_group();
         let inter_out = inter_out?;
         match inter_out.residual {
@@ -463,25 +445,19 @@ pub fn compose_hier<P: Pixel>(
                 // and steps via the inter base. The dead leader's group
                 // composite is what its peers' repair recovers (or not).
                 let d = inter_out.degraded.unwrap_or_default();
-                return Ok(ComposeOutput {
-                    frame: None,
-                    owned_pixels: 0,
-                    owners: Vec::new(),
-                    residual: None,
-                    degraded: Some(DegradedInfo {
-                        failed: d
-                            .failed
-                            .iter()
-                            .map(|&(r, s)| (leaders[r], s + inter_base))
-                            .collect(),
-                        lost_contributions: d
-                            .lost_contributions
-                            .iter()
-                            .flat_map(|&r| plan.groups[leader_groups[r]].iter().copied())
-                            .collect(),
-                        ..d
-                    }),
-                });
+                return Ok(ComposeOutput::dead(DegradedInfo {
+                    failed: d
+                        .failed
+                        .iter()
+                        .map(|&(r, s)| (leaders[r], s + inter_base))
+                        .collect(),
+                    lost_contributions: d
+                        .lost_contributions
+                        .iter()
+                        .flat_map(|&r| plan.groups[leader_groups[r]].iter().copied())
+                        .collect(),
+                    ..d
+                }));
             }
         }
     } else {
@@ -495,14 +471,6 @@ pub fn compose_hier<P: Pixel>(
         .iter()
         .map(|&(sp, li)| (sp, leaders[li]))
         .collect();
-    let mut spans_of: Vec<Vec<Span>> = vec![Vec::new(); p];
-    for &(sp, owner) in &owners {
-        if !sp.is_empty() {
-            spans_of[owner].push(sp);
-        }
-    }
-    let owned_pixels: usize = spans_of[me].iter().map(|s| s.len).sum();
-
     for (&li, &s) in &crashed_inter {
         dead.insert(leaders[li], s + inter_base);
     }
@@ -538,62 +506,26 @@ pub fn compose_hier<P: Pixel>(
         })
     };
 
-    if !config.gather {
-        return Ok(ComposeOutput {
-            frame: None,
-            owned_pixels,
-            owners,
-            residual: Some(working),
-            degraded,
-        });
-    }
-
     // A step index past every intra step, the intra gathers (at
     // `intra_steps(g) ≤ inter_base`) and every inter step — so final
     // gather tags collide with no earlier phase on any rank pair.
     let gather_step = inter_base + inter_steps + 2;
-    let codec = config.codec.build::<P>();
-    let frame = match config.display {
-        None => gather_spans_to_root(
-            ctx,
-            &spans_of,
-            &working,
-            root,
-            config,
-            scratch,
-            codec.as_ref(),
-            gather_step,
-        )?,
-        Some(wall) => {
-            let dead_set: BTreeSet<usize> = dead.keys().copied().collect();
-            gather_spans_to_wall(
-                ctx,
-                &spans_of,
-                &working,
-                config,
-                scratch,
-                codec.as_ref(),
-                wall,
-                gather_step,
-                &dead_set,
-            )?
-        }
-    };
-    ctx.mark("gather:end");
-
-    Ok(ComposeOutput {
-        frame,
-        owned_pixels,
+    finish(
+        ctx,
+        stage,
+        scratch,
+        working,
         owners,
-        residual: Some(working),
+        root,
         degraded,
-    })
+        |slot| tag(config.frame_tag, gather_step, slot),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tile::run_plan_composition_faulty;
+    use crate::{ComposeConfig, Run};
     use rt_comm::FaultPlan;
     use rt_imaging::image::reference_composite;
     use rt_imaging::pixel::{GrayAlpha8, Provenance};
@@ -633,7 +565,7 @@ mod tests {
         let (w, h) = (partials[0].width(), partials[0].height());
         let plan = ComposePlan::Hier(HierPlan::build(p, k, intra, w, h).unwrap());
         plan.verify().unwrap();
-        let (results, _) = run_plan_composition_faulty(&plan, partials, config, faults);
+        let (results, _) = Run::new(&plan, config).faults(faults).execute(partials);
         results
     }
 

@@ -19,9 +19,11 @@
 //!
 //! Every method is expressed as a pure, introspectable [`schedule::Schedule`]
 //! — the full list of `(step, sender, receiver, span, merge direction)`
-//! transfers plus the final ownership map. One executor ([`exec::compose`])
-//! runs any schedule over the `rt-comm` multicomputer with any `rt-compress`
-//! codec. This split gives three things the reproduction needs:
+//! transfers plus the final ownership map. One executor (behind
+//! [`compose_plan`], the single per-rank entry point) runs any schedule over
+//! the `rt-comm` multicomputer with any `rt-compress` codec; [`Run`] wraps
+//! it for a whole machine. This split gives three things the reproduction
+//! needs:
 //!
 //! 1. the *same* communication/composition machinery for all methods, so
 //!    timing comparisons measure the schedules rather than implementation
@@ -41,21 +43,21 @@
 //! depth-adjacent partial holders, balanced final ownership.
 //!
 //! ```
-//! use rt_core::exec::{run_composition, ComposeConfig};
-//! use rt_core::method::{CompositionMethod, Method};
+//! use rt_core::method::Method;
 //! use rt_core::rotate::RtVariant;
+//! use rt_core::{ComposeConfig, Run};
 //! use rt_imaging::pixel::{GrayAlpha8, Pixel};
 //! use rt_imaging::Image;
 //!
 //! // Build the paper's 2N_RT schedule for 4 ranks on a 64-pixel frame.
 //! let method = Method::RotateTiling { variant: RtVariant::TwoN, blocks: 4 };
-//! let schedule = method.build(4, 64).unwrap();
+//! let plan = method.plan(4, 64, 1).unwrap();
 //!
 //! // Rank r renders depth-r content; compose and gather at rank 0.
 //! let partials: Vec<Image<GrayAlpha8>> = (0..4)
 //!     .map(|r| Image::from_fn(64, 1, |_, _| GrayAlpha8::new(60 * r as u8, 128)))
 //!     .collect();
-//! let (outputs, trace) = run_composition(&schedule, partials, &ComposeConfig::default());
+//! let (outputs, trace) = Run::new(&plan, &ComposeConfig::default()).execute(partials);
 //! let frame = outputs[0].as_ref().unwrap().frame.as_ref().unwrap();
 //! assert_eq!(frame.pixels().len(), 64);
 //!
@@ -78,6 +80,7 @@ pub mod puzzle;
 pub mod radix;
 pub mod repair;
 pub mod rotate;
+pub mod run;
 pub mod schedule;
 pub mod theory;
 pub mod tile;
@@ -87,25 +90,17 @@ pub use analysis::{analyze, ScheduleCost};
 pub use binary_swap::BinarySwap;
 pub use direct::DirectSend;
 pub use display::{span_cell_segments, DisplayWall};
-pub use exec::{
-    compose, compose_with_scratch, run_composition, run_composition_faulty,
-    run_composition_observed, run_composition_pooled, ComposeConfig, ComposeOutput, ExecPath,
-    Machine, Scratch, ScratchPool, TransportKind,
-};
-pub use hier::{compose_hier, HierPlan, IntraMethod};
+pub use exec::{ComposeConfig, ComposeOutput, Machine, Scratch, ScratchPool, TransportKind};
+pub use hier::{HierPlan, IntraMethod};
 pub use method::{CompositionMethod, Method};
 pub use pipelined::ParallelPipelined;
-pub use puzzle::{compose_puzzle, PuzzlePlan};
+pub use puzzle::PuzzlePlan;
 pub use radix::RadixK;
 pub use repair::{repair, DegradedInfo, RepairEntry, RepairFetch, RepairPlan};
 pub use rotate::{RotateTiling, RtVariant};
+pub use run::{run_plan_composition_pooled, Run, RunOutput};
 pub use schedule::{verify_schedule, MergeDir, Schedule, Step, Transfer};
-pub use tile::{
-    compose_plan, compose_tiles, run_plan_composition, run_plan_composition_faulty,
-    run_plan_composition_pooled, run_tile_composition, run_tile_composition_faulty,
-    run_tile_composition_observed, run_tile_composition_pooled, verify_tile_plan, ComposePlan,
-    TileGrid, TilePlan,
-};
+pub use tile::{compose_plan, verify_tile_plan, ComposePlan, TileGrid, TilePlan};
 pub use tune::{choose, fit_link_costs, sweep, Candidate, FittedLink, MeasuredCost, TuneOptions};
 
 /// Errors produced while building or executing composition schedules.

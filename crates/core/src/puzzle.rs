@@ -36,11 +36,13 @@
 //! which is where the measured virtual-clock win over the exact methods
 //! comes from.
 //!
-//! Failure handling mirrors the tile path: fail-stop points before any
-//! traffic (step 0) and after compositing (step 1), liveness consensus,
-//! deterministic reassignment of dead owners' tiles, and a repair round
-//! that re-ships manifests, segment metadata and payloads to the new
-//! owners — which re-classify with the surviving contributors only.
+//! This module holds what is specific to the family — the plan, the scan,
+//! the segment wire format, the classification and the placement. The
+//! protocol around them (manifests, shipping, crash points, repair round,
+//! gather) is the tile executor's, [`crate::tile`]: failure handling is
+//! therefore *the* tile path's, with the repair round re-shipping segment
+//! metadata too, so new owners re-classify with the surviving contributors
+//! only.
 
 // The approximate path carries the same no-escape-hatch bar as rt-net and
 // rt-pvr from day one: every failure is a typed error, never a panic.
@@ -49,18 +51,10 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use crate::exec::{ComposeConfig, ComposeOutput, ExecPath, Scratch};
-use crate::repair::DegradedInfo;
-use crate::tile::{
-    compose_one_tile, gather_to_root, gather_to_wall, manifest_bit, manifest_bytes,
-    next_live_owner, verify_tile_plan, TileGrid, TilePlan,
-};
+use crate::exec::{scatter, Scratch, Stage};
+use crate::tile::{verify_tile_plan, TileGrid, TilePlan};
 use crate::CoreError;
-use rt_comm::{
-    tile_tag, CommError, ComputeKind, RankCtx, TILE_CH_MANIFEST, TILE_CH_PAYLOAD,
-    TILE_CH_REPAIR_MANIFEST, TILE_CH_REPAIR_PAYLOAD, TILE_CH_REPAIR_SEGMENTS, TILE_CH_SEGMENTS,
-};
-use rt_compress::{Codec, CodecKind, OverDir};
+use rt_comm::{tile_tag, CommError, RankCtx};
 use rt_imaging::pixel::Pixel;
 use rt_imaging::Image;
 use rt_obs::Phase;
@@ -68,7 +62,7 @@ use std::collections::BTreeMap;
 
 /// Per-scanline non-blank bounding intervals of one tile, top to bottom,
 /// in tile-local x coordinates (`lo == hi` marks a blank row).
-type RowIvals = Vec<(u16, u16)>;
+pub(crate) type RowIvals = Vec<(u16, u16)>;
 
 /// An approximate puzzlepiece plan: a [`TilePlan`] (grid, owner map, depth
 /// order) plus the per-tile overlap budget that gates the approximate
@@ -146,7 +140,7 @@ impl PuzzlePlan {
 
 /// Scan the local partial once: per tile, whether it holds any content,
 /// and the per-row non-blank bounding intervals.
-fn scan_tiles<P: Pixel>(
+pub(crate) fn scan_tiles<P: Pixel>(
     local: &Image<P>,
     grid: &TileGrid,
 ) -> Result<(Vec<bool>, Vec<RowIvals>), CoreError> {
@@ -175,7 +169,7 @@ fn scan_tiles<P: Pixel>(
 /// The segment-metadata blob this rank sends to `owner`: the row intervals
 /// of every non-blank tile in `owner_tiles` (ascending tile order — the
 /// receiver parses with the same deterministic order).
-fn segments_blob(owner_tiles: &[usize], have: &[bool], segs: &[RowIvals]) -> Vec<u8> {
+pub(crate) fn segments_blob(owner_tiles: &[usize], have: &[bool], segs: &[RowIvals]) -> Vec<u8> {
     let mut blob = Vec::new();
     for &t in owner_tiles {
         if !have[t] {
@@ -191,7 +185,7 @@ fn segments_blob(owner_tiles: &[usize], have: &[bool], segs: &[RowIvals]) -> Vec
 
 /// Parse `src`'s segment blob for the tiles in `owned` (ascending) whose
 /// manifest bit is set, validating interval sanity and exact length.
-fn parse_segments_blob(
+pub(crate) fn parse_segments_blob(
     grid: &TileGrid,
     owned: &[usize],
     expects: impl Fn(usize) -> bool,
@@ -266,18 +260,29 @@ fn overlap_pixels(ivals: &[&RowIvals]) -> usize {
     overlap
 }
 
-/// Classify one owned tile and resolve it: placement (exact or
-/// nearest-wins approximate) when the segment metadata allows, the exact
-/// depth-ordered fold otherwise. Writes the finished tile back into
-/// `local`.
+/// Nearest-wins placement of one row piece: the non-blank pixels of `src`
+/// replace what is already in `dst`.
+fn place_row<P: Pixel>(dst: &mut [P], src: &[P]) {
+    for (a, s) in dst.iter_mut().zip(src) {
+        if !s.is_blank() {
+            *a = s.clone();
+        }
+    }
+}
+
+/// Classify one owned tile and, when the segment metadata allows, resolve
+/// it by placement (exact or nearest-wins approximate), writing the
+/// finished tile back into `local`. Returns `false` when the tile must take
+/// the exact depth-ordered fold instead (overlap beyond the budget, or
+/// metadata missing) — the caller owns that path.
 #[allow(clippy::too_many_arguments)]
-fn compose_puzzle_tile<P: Pixel>(
+pub(crate) fn place_puzzle_tile<P: Pixel>(
     ctx: &mut RankCtx,
-    plan: &PuzzlePlan,
+    stage: &Stage<P>,
+    tiles: &TilePlan,
+    budget_permille: u16,
     local: &mut Image<P>,
-    config: &ComposeConfig,
     scratch: &mut Scratch<P>,
-    codec: &dyn Codec<P>,
     t: usize,
     have: &[bool],
     my_segs: &[RowIvals],
@@ -285,11 +290,8 @@ fn compose_puzzle_tile<P: Pixel>(
     remote_segs: &BTreeMap<(usize, usize), RowIvals>,
     payload_ch: u64,
     skip: Option<&BTreeMap<usize, usize>>,
-    count_kernel_pixels: &impl Fn(&mut rt_obs::Counters, u64),
-) -> Result<(), CoreError> {
+) -> Result<bool, CoreError> {
     let me = ctx.rank();
-    let tiles = &plan.tiles;
-    let raw = config.codec == CodecKind::Raw;
     // Contributors in depth order (front to back), dead ranks excluded.
     let contributors: Vec<usize> = tiles
         .rank_at_depth
@@ -300,12 +302,12 @@ fn compose_puzzle_tile<P: Pixel>(
         .collect();
     if contributors.is_empty() {
         // Nothing anywhere: the owner's own region is already blank.
-        return Ok(());
+        return Ok(true);
     }
     if contributors.len() == 1 && contributors[0] == me {
         // Solo-local: the finished tile is the local content, in place.
         ctx.obs_counters(|c| c.tiles_placed += 1);
-        return Ok(());
+        return Ok(true);
     }
     // Collect every contributor's intervals; any gap in the metadata
     // (e.g. a sender that died mid-protocol) forces the exact fold.
@@ -327,24 +329,11 @@ fn compose_puzzle_tile<P: Pixel>(
     } else {
         usize::MAX
     };
-    let placeable = metadata_complete
-        && (overlap == 0 || overlap * 1000 <= plan.budget_permille as usize * area);
+    let placeable =
+        metadata_complete && (overlap == 0 || overlap * 1000 <= budget_permille as usize * area);
     if !placeable {
         ctx.obs_counters(|c| c.tiles_exact_fallback += 1);
-        return compose_one_tile(
-            ctx,
-            tiles,
-            local,
-            config,
-            scratch,
-            codec,
-            t,
-            have,
-            expects,
-            payload_ch,
-            skip,
-            count_kernel_pixels,
-        );
+        return Ok(false);
     }
     ctx.obs_counters(|c| {
         if overlap == 0 {
@@ -364,577 +353,45 @@ fn compose_puzzle_tile<P: Pixel>(
         if r == me {
             for (row, span) in spans.iter().enumerate() {
                 let (lo, hi) = (iv[row].0 as usize, iv[row].1 as usize);
-                if hi <= lo {
-                    continue;
-                }
-                let src = &local.span_pixels(*span)?[lo..hi];
-                let base = row * tw;
-                for (a, s) in acc[base + lo..base + hi].iter_mut().zip(src) {
-                    if !s.is_blank() {
-                        *a = s.clone();
-                    }
+                if hi > lo {
+                    let at = row * tw;
+                    place_row(
+                        &mut acc[at + lo..at + hi],
+                        &local.span_pixels(*span)?[lo..hi],
+                    );
                 }
             }
             continue;
         }
-        let bytes = match ctx.recv(r, tile_tag(config.frame_tag, payload_ch, t as u64)) {
+        let tag = tile_tag(stage.config.frame_tag, payload_ch, t as u64);
+        let bytes = match ctx.recv(r, tag) {
             Ok(bytes) => bytes,
-            Err(CommError::RankFailed { .. }) if config.resilient => continue,
+            Err(CommError::RankFailed { .. }) if stage.config.resilient => continue,
             Err(e) => return Err(e.into()),
         };
-        if !raw {
-            ctx.compute(ComputeKind::Decode, bytes.len() as u64);
-        }
         let dec_started = ctx.obs_start();
         let mut staged = scratch.take_acc(area, ctx);
-        match config.path {
-            ExecPath::Pooled => {
-                // `over` in front of a blank accumulator is an exact copy.
-                codec.decode_over_with(&bytes, &mut staged, OverDir::Front, config.kernel)?;
-            }
-            ExecPath::PerTransfer => {
-                let pixels: Vec<P> = codec.decode(&bytes, area)?;
-                staged.clone_from_slice(&pixels);
-            }
-        }
-        for (row, _) in spans.iter().enumerate() {
-            let (lo, hi) = (iv[row].0 as usize, iv[row].1 as usize);
-            if hi <= lo {
-                continue;
-            }
-            let base = row * tw;
-            let (dst, src) = (
-                &mut acc[base + lo..base + hi],
-                &staged[base + lo..base + hi],
-            );
-            for (a, s) in dst.iter_mut().zip(src) {
-                if !s.is_blank() {
-                    *a = s.clone();
-                }
+        stage.unpack(ctx, &bytes, &mut staged)?;
+        for (row, &(lo, hi)) in iv.iter().enumerate() {
+            let (lo, hi) = (row * tw + lo as usize, row * tw + hi as usize);
+            if hi > lo {
+                place_row(&mut acc[lo..hi], &staged[lo..hi]);
             }
         }
         scratch.put_acc(staged);
         ctx.obs_span(Phase::Decode, dec_started);
         ctx.obs_counters(|c| c.tiles_recv += 1);
     }
-    let mut at = 0usize;
-    for span in &spans {
-        local.insert(*span, &acc[at..at + span.len])?;
-        at += span.len;
-    }
+    scatter(local, spans, &acc)?;
     scratch.put_acc(acc);
-    Ok(())
-}
-
-/// Execute a [`PuzzlePlan`] on this rank with `local` as the rank's
-/// rendered partial — the puzzle counterpart of
-/// [`crate::tile::compose_tiles`], with the same crash semantics (fail-stop
-/// points 0 and 1, liveness consensus, deterministic owner reassignment,
-/// repair round).
-pub fn compose_puzzle<P: Pixel>(
-    ctx: &mut RankCtx,
-    plan: &PuzzlePlan,
-    mut local: Image<P>,
-    config: &ComposeConfig,
-    scratch: &mut Scratch<P>,
-) -> Result<ComposeOutput<P>, CoreError> {
-    let me = ctx.rank();
-    let tiles = &plan.tiles;
-    let p = tiles.p;
-    if p != ctx.size() {
-        return Err(CoreError::InvalidSchedule {
-            why: format!("plan built for {p} ranks, machine has {}", ctx.size()),
-        });
-    }
-    if tiles.grid.width != local.width() || tiles.grid.height != local.height() {
-        return Err(CoreError::InvalidSchedule {
-            why: format!(
-                "plan built for {}x{} frames, image is {}x{}",
-                tiles.grid.width,
-                tiles.grid.height,
-                local.width(),
-                local.height()
-            ),
-        });
-    }
-    if let Some(wall) = config.display {
-        wall.validate(p)?;
-    }
-    let codec = config.codec.build::<P>();
-    let raw = config.codec == CodecKind::Raw;
-    let wide_requested = config.kernel == rt_compress::KernelPath::Wide;
-    let wide_active = wide_requested && P::HAS_WIDE_KERNEL;
-    let count_kernel_pixels = move |c: &mut rt_obs::Counters, source_pixels: u64| {
-        if wide_active {
-            c.wide_kernel_pixels += source_pixels;
-        } else {
-            c.scalar_kernel_pixels += source_pixels;
-        }
-        if wide_requested && !wide_active {
-            c.kernel_fallbacks += 1;
-        }
-    };
-    let nt = tiles.grid.tiles();
-
-    let my_crash = if config.resilient {
-        ctx.my_crash_step().filter(|k| *k <= 1)
-    } else {
-        None
-    };
-
-    ctx.mark("compose:start");
-    if my_crash == Some(0) {
-        ctx.announce_death(0);
-        ctx.mark("compose:crashed");
-        return Ok(ComposeOutput {
-            frame: None,
-            owned_pixels: 0,
-            owners: Vec::new(),
-            residual: None,
-            degraded: Some(DegradedInfo::self_crash(me, 0)),
-        });
-    }
-    ctx.mark("step:0");
-
-    // ---- Scan: content flags + per-row segment intervals, one pass. ----
-    let (have, my_segs) = scan_tiles(&local, &tiles.grid)?;
-    let blank_tiles = have.iter().filter(|h| !**h).count() as u64;
-    ctx.obs_counters(|c| {
-        c.tiles_scanned += nt as u64;
-        c.tiles_blank += blank_tiles;
-    });
-
-    let owner_ranks: Vec<usize> = (0..p).filter(|&r| tiles.owned_area(r) > 0).collect();
-
-    // ---- Manifests + segment metadata to every other owner rank. -------
-    let manifest = manifest_bytes(&have);
-    for &r in &owner_ranks {
-        if r == me {
-            continue;
-        }
-        let wire = manifest.len() as u64;
-        ctx.obs_counters(|c| c.add_wire_bytes("tile-manifest", wire));
-        ctx.send(
-            r,
-            tile_tag(config.frame_tag, TILE_CH_MANIFEST, me as u64),
-            manifest.clone(),
-        )?;
-        let r_tiles = tiles.tiles_of(r);
-        if r_tiles.iter().any(|&t| have[t]) {
-            let blob = segments_blob(&r_tiles, &have, &my_segs);
-            let wire = blob.len() as u64;
-            ctx.obs_counters(|c| c.add_wire_bytes("pz-segments", wire));
-            ctx.send(
-                r,
-                tile_tag(config.frame_tag, TILE_CH_SEGMENTS, me as u64),
-                blob,
-            )?;
-        }
-    }
-
-    // ---- Ship non-blank tiles straight to their owners. ----------------
-    for (t, &owner) in tiles.owner_of.iter().enumerate() {
-        if !have[t] || owner == me || tiles.grid.area(t) == 0 {
-            continue;
-        }
-        let spans = tiles.grid.row_spans(t);
-        let enc_started = ctx.obs_start();
-        let encoded = match config.path {
-            ExecPath::Pooled => {
-                scratch.gather_pixels.clear();
-                for span in &spans {
-                    scratch
-                        .gather_pixels
-                        .extend_from_slice(local.span_pixels(*span)?);
-                }
-                codec.encode_with(&scratch.gather_pixels, config.kernel)
-            }
-            ExecPath::PerTransfer => {
-                let mut pixels: Vec<P> = Vec::with_capacity(tiles.grid.area(t));
-                for span in &spans {
-                    pixels.extend(local.extract(*span)?);
-                }
-                codec.encode(&pixels)
-            }
-        };
-        ctx.obs_span(Phase::Encode, enc_started);
-        if !raw {
-            ctx.compute(ComputeKind::Encode, encoded.raw_bytes as u64);
-        }
-        let wire = encoded.bytes.len() as u64;
-        ctx.obs_counters(|c| {
-            c.tiles_sent += 1;
-            c.add_wire_bytes(config.codec.name(), wire);
-            if wide_active && config.path == ExecPath::Pooled {
-                c.wide_kernel_bytes += wire;
-            }
-        });
-        ctx.send(
-            owner,
-            tile_tag(config.frame_tag, TILE_CH_PAYLOAD, t as u64),
-            encoded.bytes,
-        )?;
-    }
-
-    // ---- Collect manifests + segment metadata (owners only). -----------
-    let my_tiles = tiles.tiles_of(me);
-    let mut have_of: Vec<Option<Vec<u8>>> = vec![None; p];
-    let mut remote_segs: BTreeMap<(usize, usize), RowIvals> = BTreeMap::new();
-    if !my_tiles.is_empty() {
-        for (src, slot) in have_of.iter_mut().enumerate() {
-            if src == me {
-                continue;
-            }
-            match ctx.recv(
-                src,
-                tile_tag(config.frame_tag, TILE_CH_MANIFEST, src as u64),
-            ) {
-                Ok(bytes) => *slot = Some(bytes.to_vec()),
-                Err(CommError::RankFailed { .. }) if config.resilient => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        for (src, slot) in have_of.iter().enumerate() {
-            if src == me {
-                continue;
-            }
-            let Some(m) = slot.as_ref() else {
-                continue;
-            };
-            if !my_tiles.iter().any(|&t| manifest_bit(Some(m), t)) {
-                continue;
-            }
-            match ctx.recv(
-                src,
-                tile_tag(config.frame_tag, TILE_CH_SEGMENTS, src as u64),
-            ) {
-                Ok(bytes) => {
-                    let parsed = parse_segments_blob(
-                        &tiles.grid,
-                        &my_tiles,
-                        |t| manifest_bit(Some(m), t),
-                        &bytes,
-                        src,
-                    )?;
-                    for (t, iv) in parsed {
-                        remote_segs.insert((src, t), iv);
-                    }
-                }
-                // A dead sender's metadata stays absent: the affected
-                // tiles conservatively take the exact fold.
-                Err(CommError::RankFailed { .. }) if config.resilient => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    // ---- Resolve owned tiles: classify, then place or fold. ------------
-    for &t in &my_tiles {
-        let expects = |r: usize, t: usize| manifest_bit(have_of[r].as_ref(), t);
-        compose_puzzle_tile(
-            ctx,
-            plan,
-            &mut local,
-            config,
-            scratch,
-            codec.as_ref(),
-            t,
-            &have,
-            &my_segs,
-            &expects,
-            &remote_segs,
-            TILE_CH_PAYLOAD,
-            None,
-            &count_kernel_pixels,
-        )?;
-    }
-
-    ctx.mark("flush:start");
-    if my_crash == Some(1) {
-        ctx.announce_death(1);
-        ctx.mark("compose:crashed");
-        return Ok(ComposeOutput {
-            frame: None,
-            owned_pixels: 0,
-            owners: Vec::new(),
-            residual: None,
-            degraded: Some(DegradedInfo::self_crash(me, 1)),
-        });
-    }
-    ctx.mark("compose:end");
-
-    // ---- Failure agreement + tile-granular repair. ---------------------
-    let mut effective_owner = tiles.owner_of.clone();
-    let mut root = config.root;
-    let mut degraded: Option<DegradedInfo> = None;
-    let mut crashed: BTreeMap<usize, usize> = BTreeMap::new();
-    let crash_planned = config.resilient && ctx.planned_crashes().iter().any(|(_, k)| *k <= 1);
-    if crash_planned {
-        ctx.mark("repair:start");
-        let announced: Vec<(usize, usize)> = ctx
-            .planned_crashes()
-            .into_iter()
-            .filter(|&(_, k)| k <= 1)
-            .collect();
-        crashed = ctx.liveness_exchange(&announced)?;
-        if !crashed.is_empty() {
-            let mut reassigned: Vec<usize> = Vec::new();
-            for (t, owner) in effective_owner.iter_mut().enumerate() {
-                if crashed.contains_key(owner) {
-                    *owner = next_live_owner(*owner, p, &crashed)?;
-                    if tiles.grid.area(t) > 0 {
-                        reassigned.push(t);
-                    }
-                }
-            }
-            // Repair round: live ranks re-announce manifests + segment
-            // metadata to the new owners, then re-ship the non-blank
-            // reassigned tiles; new owners re-classify with the surviving
-            // contributors only.
-            let new_owners: std::collections::BTreeSet<usize> =
-                reassigned.iter().map(|&t| effective_owner[t]).collect();
-            for &o in &new_owners {
-                if o == me {
-                    continue;
-                }
-                let wire = manifest.len() as u64;
-                ctx.obs_counters(|c| c.add_wire_bytes("tile-manifest", wire));
-                ctx.send(
-                    o,
-                    tile_tag(config.frame_tag, TILE_CH_REPAIR_MANIFEST, me as u64),
-                    manifest.clone(),
-                )?;
-                let o_tiles: Vec<usize> = reassigned
-                    .iter()
-                    .copied()
-                    .filter(|&t| effective_owner[t] == o)
-                    .collect();
-                if o_tiles.iter().any(|&t| have[t]) {
-                    let blob = segments_blob(&o_tiles, &have, &my_segs);
-                    let wire = blob.len() as u64;
-                    ctx.obs_counters(|c| c.add_wire_bytes("pz-segments", wire));
-                    ctx.send(
-                        o,
-                        tile_tag(config.frame_tag, TILE_CH_REPAIR_SEGMENTS, me as u64),
-                        blob,
-                    )?;
-                }
-            }
-            for &t in &reassigned {
-                let owner = effective_owner[t];
-                if !have[t] || owner == me {
-                    continue;
-                }
-                let spans = tiles.grid.row_spans(t);
-                let enc_started = ctx.obs_start();
-                let encoded = match config.path {
-                    ExecPath::Pooled => {
-                        scratch.gather_pixels.clear();
-                        for span in &spans {
-                            scratch
-                                .gather_pixels
-                                .extend_from_slice(local.span_pixels(*span)?);
-                        }
-                        codec.encode_with(&scratch.gather_pixels, config.kernel)
-                    }
-                    ExecPath::PerTransfer => {
-                        let mut pixels: Vec<P> = Vec::with_capacity(tiles.grid.area(t));
-                        for span in &spans {
-                            pixels.extend(local.extract(*span)?);
-                        }
-                        codec.encode(&pixels)
-                    }
-                };
-                ctx.obs_span(Phase::Encode, enc_started);
-                if !raw {
-                    ctx.compute(ComputeKind::Encode, encoded.raw_bytes as u64);
-                }
-                let wire = encoded.bytes.len() as u64;
-                ctx.obs_counters(|c| {
-                    c.tiles_sent += 1;
-                    c.add_wire_bytes(config.codec.name(), wire);
-                });
-                ctx.send(
-                    owner,
-                    tile_tag(config.frame_tag, TILE_CH_REPAIR_PAYLOAD, t as u64),
-                    encoded.bytes,
-                )?;
-            }
-            let my_new: Vec<usize> = reassigned
-                .iter()
-                .copied()
-                .filter(|&t| effective_owner[t] == me)
-                .collect();
-            if !my_new.is_empty() {
-                let mut rhave: Vec<Option<Vec<u8>>> = vec![None; p];
-                let mut rsegs: BTreeMap<(usize, usize), RowIvals> = BTreeMap::new();
-                for (src, slot) in rhave.iter_mut().enumerate() {
-                    if src == me || crashed.contains_key(&src) {
-                        continue;
-                    }
-                    match ctx.recv(
-                        src,
-                        tile_tag(config.frame_tag, TILE_CH_REPAIR_MANIFEST, src as u64),
-                    ) {
-                        Ok(bytes) => *slot = Some(bytes.to_vec()),
-                        Err(CommError::RankFailed { .. }) => {}
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                for (src, slot) in rhave.iter().enumerate() {
-                    if src == me || crashed.contains_key(&src) {
-                        continue;
-                    }
-                    let Some(m) = slot.as_ref() else {
-                        continue;
-                    };
-                    if !my_new.iter().any(|&t| manifest_bit(Some(m), t)) {
-                        continue;
-                    }
-                    match ctx.recv(
-                        src,
-                        tile_tag(config.frame_tag, TILE_CH_REPAIR_SEGMENTS, src as u64),
-                    ) {
-                        Ok(bytes) => {
-                            let parsed = parse_segments_blob(
-                                &tiles.grid,
-                                &my_new,
-                                |t| manifest_bit(Some(m), t),
-                                &bytes,
-                                src,
-                            )?;
-                            for (t, iv) in parsed {
-                                rsegs.insert((src, t), iv);
-                            }
-                        }
-                        Err(CommError::RankFailed { .. }) => {}
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                for &t in &my_new {
-                    let expects = |r: usize, t: usize| manifest_bit(rhave[r].as_ref(), t);
-                    compose_puzzle_tile(
-                        ctx,
-                        plan,
-                        &mut local,
-                        config,
-                        scratch,
-                        codec.as_ref(),
-                        t,
-                        &have,
-                        &my_segs,
-                        &expects,
-                        &rsegs,
-                        TILE_CH_REPAIR_PAYLOAD,
-                        Some(&crashed),
-                        &count_kernel_pixels,
-                    )?;
-                }
-            }
-            let failed: Vec<(usize, usize)> = crashed.iter().map(|(&r, &k)| (r, k)).collect();
-            let image_len = tiles.grid.width * tiles.grid.height;
-            let any_step0 = crashed.values().any(|&k| k == 0);
-            let lost_pixels = if any_step0 {
-                image_len
-            } else {
-                reassigned.iter().map(|&t| tiles.grid.area(t)).sum()
-            };
-            let lost_contributions: Vec<usize> = crashed
-                .iter()
-                .filter(|(&r, &k)| k == 0 || !tiles.tiles_of(r).is_empty())
-                .map(|(&r, _)| r)
-                .collect();
-            let mut info = DegradedInfo {
-                failed,
-                lost_contributions,
-                lost_pixels,
-                reassigned_spans: reassigned.len(),
-                root_reassigned_to: None,
-            };
-            if crashed.contains_key(&root) {
-                let nr = crate::exec::elect_root(p, &crashed)?;
-                info.root_reassigned_to = Some(nr);
-                root = nr;
-            }
-            degraded = Some(info);
-        }
-        ctx.mark("repair:end");
-    }
-
-    let my_final: Vec<usize> = (0..nt)
-        .filter(|&t| effective_owner[t] == me && tiles.grid.area(t) > 0)
-        .collect();
-    let owned_pixels: usize = my_final.iter().map(|&t| tiles.grid.area(t)).sum();
-    let owners: Vec<(rt_imaging::Span, usize)> = (0..nt)
-        .filter(|&t| tiles.grid.area(t) > 0)
-        .flat_map(|t| {
-            let owner = effective_owner[t];
-            tiles
-                .grid
-                .row_spans(t)
-                .into_iter()
-                .map(move |span| (span, owner))
-        })
-        .collect();
-
-    if !config.gather {
-        ctx.mark("gather:end");
-        return Ok(ComposeOutput {
-            frame: None,
-            owned_pixels,
-            owners,
-            residual: Some(local),
-            degraded,
-        });
-    }
-
-    // ---- Gather: identical to the tile path (shared helpers). ----------
-    let tiles_of_eff = |r: usize| -> Vec<usize> {
-        (0..nt)
-            .filter(|&t| effective_owner[t] == r && tiles.grid.area(t) > 0)
-            .collect()
-    };
-    let frame = match config.display {
-        None => gather_to_root(
-            ctx,
-            tiles,
-            &local,
-            config,
-            scratch,
-            codec.as_ref(),
-            root,
-            &tiles_of_eff,
-            &crashed,
-        )?,
-        Some(wall) => gather_to_wall(
-            ctx,
-            tiles,
-            &local,
-            config,
-            scratch,
-            codec.as_ref(),
-            wall,
-            &tiles_of_eff,
-            &crashed,
-        )?,
-    };
-    ctx.mark("gather:end");
-
-    Ok(ComposeOutput {
-        frame,
-        owned_pixels,
-        owners,
-        residual: Some(local),
-        degraded,
-    })
+    Ok(true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::TransportKind;
-    use crate::tile::run_plan_composition;
-    use crate::ComposePlan;
+    use crate::exec::{ComposeConfig, TransportKind};
+    use crate::{ComposePlan, Run};
     use rt_compress::CodecKind;
     use rt_imaging::image::reference_composite;
     use rt_imaging::pixel::GrayAlpha8;
@@ -1037,7 +494,7 @@ mod tests {
                 let grid = TileGrid::new(20, 12, 4, 3).unwrap();
                 let plan = ComposePlan::Puzzle(PuzzlePlan::new(4, grid, budget).unwrap());
                 let config = ComposeConfig::default().with_codec(codec);
-                let (results, _) = run_plan_composition(&plan, partials.clone(), &config);
+                let (results, _) = Run::new(&plan, &config).execute(partials.clone());
                 let frame = results[0].as_ref().unwrap().frame.as_ref().unwrap();
                 assert_eq!(frame.pixels(), want.pixels(), "b={budget} {codec:?}");
             }
@@ -1055,24 +512,9 @@ mod tests {
             let grid = TileGrid::new(16, 16, 4, 4).unwrap();
             let plan = ComposePlan::Puzzle(PuzzlePlan::new(4, grid, 0).unwrap());
             let config = ComposeConfig::default().with_codec(codec);
-            let (results, _) = run_plan_composition(&plan, partials.clone(), &config);
+            let (results, _) = Run::new(&plan, &config).execute(partials.clone());
             let frame = results[0].as_ref().unwrap().frame.as_ref().unwrap();
             assert_eq!(frame.pixels(), want.pixels(), "{codec:?}");
-        }
-    }
-
-    #[test]
-    fn pooled_and_per_transfer_paths_agree() {
-        let partials = band_partials(4, 16, 16);
-        let grid = TileGrid::new(16, 16, 4, 4).unwrap();
-        let plan = ComposePlan::Puzzle(PuzzlePlan::new(4, grid, 200).unwrap());
-        for codec in CodecKind::ALL {
-            let pooled = ComposeConfig::default().with_codec(codec);
-            let per = pooled.with_path(ExecPath::PerTransfer);
-            let (r_pooled, t_pooled) = run_plan_composition(&plan, partials.clone(), &pooled);
-            let (r_per, t_per) = run_plan_composition(&plan, partials.clone(), &per);
-            assert_eq!(t_pooled, t_per, "{codec:?}");
-            assert_eq!(r_pooled, r_per, "{codec:?}");
         }
     }
 
@@ -1083,8 +525,8 @@ mod tests {
         let plan = ComposePlan::Puzzle(PuzzlePlan::new(4, grid, 100).unwrap());
         let inproc = ComposeConfig::default().with_codec(CodecKind::Trle);
         let tcp = inproc.with_transport(TransportKind::TcpLoopback);
-        let (r_in, _) = run_plan_composition(&plan, partials.clone(), &inproc);
-        let (r_tcp, _) = run_plan_composition(&plan, partials, &tcp);
+        let (r_in, _) = Run::new(&plan, &inproc).execute(partials.clone());
+        let (r_tcp, _) = Run::new(&plan, &tcp).execute(partials);
         let f_in = r_in[0].as_ref().unwrap().frame.as_ref().unwrap();
         let f_tcp = r_tcp[0].as_ref().unwrap().frame.as_ref().unwrap();
         assert_eq!(f_in.pixels(), f_tcp.pixels());

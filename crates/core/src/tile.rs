@@ -28,28 +28,34 @@
 //! blank tiles is also exact).
 //!
 //! The method slots into the existing matrix end to end: both transports,
-//! both execution paths, fault trichotomy (bit-exact | exact-degraded |
-//! typed error) with tile-granular repair, observability counters and
-//! virtual-clock replay. The gather stage additionally supports the
-//! [`DisplayWall`] scenario for both this path and the schedule executor.
+//! fault trichotomy (bit-exact | exact-degraded | typed error) with
+//! tile-granular repair, observability counters and virtual-clock replay.
+//! Its gather is the schedule executor's ([`crate::exec`]'s `finish`) over
+//! the owned tiles' row spans, so the [`crate::DisplayWall`] scenario comes
+//! for free.
+//!
+//! The approximate puzzlepiece family ([`crate::puzzle`]) runs through the
+//! same executor: its plan is a [`TilePlan`] plus an overlap budget, and
+//! the only differences — ranks also exchange per-scanline segment
+//! metadata, owners *place* tiles within the budget instead of folding
+//! them — are two branches of the round below.
 
-use crate::display::{span_cell_segments, DisplayWall};
 use crate::exec::{
-    ComposeConfig, ComposeOutput, ExecPath, Machine, Scratch, ScratchPool, TransportKind,
+    compose_schedule, finish, scatter, ComposeConfig, ComposeOutput, Scratch, Stage,
 };
+use crate::puzzle::{parse_segments_blob, place_puzzle_tile, scan_tiles, segments_blob, RowIvals};
 use crate::repair::DegradedInfo;
 use crate::schedule::{verify_schedule, Schedule};
 use crate::CoreError;
 use rt_comm::{
-    tile_tag, CommError, ComputeKind, FaultPlan, RankCtx, Trace, TILE_CH_GATHER, TILE_CH_MANIFEST,
-    TILE_CH_PAYLOAD, TILE_CH_REPAIR_MANIFEST, TILE_CH_REPAIR_PAYLOAD,
+    tile_tag, CommError, ComputeKind, RankCtx, TILE_CH_GATHER, TILE_CH_MANIFEST, TILE_CH_PAYLOAD,
+    TILE_CH_REPAIR_MANIFEST, TILE_CH_REPAIR_PAYLOAD, TILE_CH_REPAIR_SEGMENTS, TILE_CH_SEGMENTS,
 };
-use rt_compress::{Codec, CodecKind, KernelPath, OverDir};
+use rt_compress::OverDir;
 use rt_imaging::pixel::Pixel;
 use rt_imaging::{Image, Rect, Span};
-use rt_obs::{Observer, Phase};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use rt_obs::Phase;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A static partition of a `width × height` frame into `tiles_x × tiles_y`
 /// rectangular tiles, row-major (tile `t` is column `t % tiles_x`, row
@@ -334,8 +340,54 @@ impl ComposePlan {
     }
 }
 
-/// Execute either plan family on this rank — dispatches to
-/// [`crate::exec::compose_with_scratch`] or [`compose_tiles`].
+/// Reject a plan that was not built for this machine and this image —
+/// the one shape check in front of every executor.
+pub(crate) fn check_shape<P: Pixel>(
+    ctx: &RankCtx,
+    p: usize,
+    image_len: usize,
+    dims: Option<(usize, usize)>,
+    local: &Image<P>,
+) -> Result<(), CoreError> {
+    if p != ctx.size() {
+        return Err(CoreError::InvalidSchedule {
+            why: format!("plan built for {p} ranks, machine has {}", ctx.size()),
+        });
+    }
+    // Span schedules know only the pixel count; the other families the
+    // frame geometry.
+    let fits = match dims {
+        Some(dims) => dims == (local.width(), local.height()),
+        None => image_len == local.len(),
+    };
+    if !fits {
+        return Err(CoreError::InvalidSchedule {
+            why: format!(
+                "plan built for {image_len} pixels (geometry {dims:?}), image is {}x{}",
+                local.width(),
+                local.height()
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// Execute a plan of any family on this rank, with `local` as the rank's
+/// rendered partial — **the** per-rank entry point: it checks the plan
+/// against the machine and the image once, builds the codec once, and
+/// dispatches to the family's executor. Depth order is rank order unless
+/// the plan was permuted (see `rt-pvr`). To run a whole machine in one
+/// call, use [`crate::Run`].
+///
+/// Crash semantics (resilient mode) for the tile families: a fault-plan
+/// step of `0` fails the rank before any traffic (its whole contribution
+/// is lost), `1` after compositing but before the gather (only its *owned
+/// tiles* are lost; tiles it shipped to live owners survive). Either
+/// triggers the deterministic repair round that reassigns dead owners'
+/// tiles to the next live rank and re-collects the survivors' content for
+/// them. Span schedules crash at their own step indices (see
+/// [`crate::repair()`]), hierarchical plans on the two-level clock of
+/// [`crate::hier`].
 pub fn compose_plan<P: Pixel>(
     ctx: &mut RankCtx,
     plan: &ComposePlan,
@@ -343,18 +395,30 @@ pub fn compose_plan<P: Pixel>(
     config: &ComposeConfig,
     scratch: &mut Scratch<P>,
 ) -> Result<ComposeOutput<P>, CoreError> {
+    let dims = match plan {
+        ComposePlan::Schedule(_) => None,
+        ComposePlan::Tiles(t) => Some((t.grid.width, t.grid.height)),
+        ComposePlan::Hier(h) => Some((h.width, h.height)),
+        ComposePlan::Puzzle(z) => Some((z.tiles.grid.width, z.tiles.grid.height)),
+    };
+    check_shape(ctx, plan.p(), plan.image_len(), dims, &local)?;
+    if let Some(wall) = config.display {
+        wall.validate(plan.p())?;
+    }
+    let stage = Stage::new(config);
     match plan {
-        ComposePlan::Schedule(s) => {
-            crate::exec::compose_with_scratch(ctx, s, local, config, scratch)
+        ComposePlan::Schedule(s) => compose_schedule(ctx, &stage, s, local, scratch),
+        ComposePlan::Tiles(t) => compose_tiles(ctx, &stage, t, None, local, scratch),
+        ComposePlan::Hier(h) => crate::hier::compose_hier(ctx, &stage, h, local, scratch),
+        ComposePlan::Puzzle(z) => {
+            let budget = Some(z.budget_permille);
+            compose_tiles(ctx, &stage, &z.tiles, budget, local, scratch)
         }
-        ComposePlan::Tiles(t) => compose_tiles(ctx, t, local, config, scratch),
-        ComposePlan::Hier(h) => crate::hier::compose_hier(ctx, h, local, config, scratch),
-        ComposePlan::Puzzle(z) => crate::puzzle::compose_puzzle(ctx, z, local, config, scratch),
     }
 }
 
 /// Manifest bitmap: bit `t` set when the sender will ship tile `t`.
-pub(crate) fn manifest_bytes(have: &[bool]) -> Vec<u8> {
+fn manifest_bytes(have: &[bool]) -> Vec<u8> {
     let mut bytes = vec![0u8; have.len().div_ceil(8)];
     for (t, &h) in have.iter().enumerate() {
         if h {
@@ -365,14 +429,14 @@ pub(crate) fn manifest_bytes(have: &[bool]) -> Vec<u8> {
 }
 
 /// Read bit `t` of a manifest (an absent manifest reads all-blank).
-pub(crate) fn manifest_bit(manifest: Option<&Vec<u8>>, t: usize) -> bool {
+fn manifest_bit(manifest: Option<&Vec<u8>>, t: usize) -> bool {
     manifest.is_some_and(|m| m.get(t / 8).is_some_and(|b| b & (1 << (t % 8)) != 0))
 }
 
 /// Lowest live rank strictly "after" `dead` cyclically — the deterministic
 /// reassignment every survivor computes identically from the agreed
 /// crashed set.
-pub(crate) fn next_live_owner(
+fn next_live_owner(
     dead: usize,
     p: usize,
     crashed: &BTreeMap<usize, usize>,
@@ -383,58 +447,197 @@ pub(crate) fn next_live_owner(
         .ok_or(CoreError::AllRanksFailed { p })
 }
 
-/// Execute a [`TilePlan`] on this rank with `local` as the rank's rendered
-/// partial. Depth position of each rank comes from the plan's
-/// `rank_at_depth` (identity unless permuted — see [`TilePlan::permute`]).
-///
-/// Crash semantics (resilient mode): a fault-plan step of `0` fails the
-/// rank before any traffic (its whole contribution is lost), `1` after
-/// compositing but before the gather (only its *owned tiles* are lost;
-/// tiles it shipped to live owners survive). Either triggers the
-/// deterministic repair round that reassigns dead owners' tiles to the
-/// next live rank and re-collects the survivors' content for them.
-pub fn compose_tiles<P: Pixel>(
+/// The message sub-channels of one announce → ship → collect → resolve
+/// round.
+struct Channels {
+    manifest: u64,
+    segments: u64,
+    payload: u64,
+}
+
+/// The round every compose runs, over all tiles and the planned owners.
+const FIRST_ROUND: Channels = Channels {
+    manifest: TILE_CH_MANIFEST,
+    segments: TILE_CH_SEGMENTS,
+    payload: TILE_CH_PAYLOAD,
+};
+
+/// The round that re-collects dead owners' tiles at their new owners.
+const REPAIR_ROUND: Channels = Channels {
+    manifest: TILE_CH_REPAIR_MANIFEST,
+    segments: TILE_CH_REPAIR_SEGMENTS,
+    payload: TILE_CH_REPAIR_PAYLOAD,
+};
+
+/// What one rank brings to a tile-family compose — the content scan of
+/// its partial — and the round that both the first pass and the repair
+/// run over it.
+struct TileScan<'a, P: Pixel> {
+    stage: &'a Stage<'a, P>,
+    plan: &'a TilePlan,
+    /// `None` resolves every tile with the exact fold (tile ownership);
+    /// `Some(‰)` is the puzzle family: ranks also exchange per-scanline
+    /// segment metadata and owners place pieces within the overlap budget.
+    budget: Option<u16>,
+    /// Which tiles of the local partial carry any content.
+    have: Vec<bool>,
+    /// `have` as the wire bitmap.
+    manifest: Vec<u8>,
+    /// Per tile, the per-row non-blank intervals (puzzle family only).
+    segs: Vec<RowIvals>,
+}
+
+impl<P: Pixel> TileScan<'_, P> {
+    /// One round over `tiles` (ascending, non-empty) under the owner map
+    /// `owner_of`: announce this rank's manifest (and segment metadata) to
+    /// the tiles' owners, ship its non-blank tiles straight to them, then —
+    /// as an owner — collect the announcements in rank order and resolve
+    /// each owned tile into `local`. Ranks in `dead` are neither heard
+    /// from nor folded.
+    #[allow(clippy::too_many_arguments)]
+    fn round(
+        &self,
+        ctx: &mut RankCtx,
+        local: &mut Image<P>,
+        scratch: &mut Scratch<P>,
+        ch: &Channels,
+        owner_of: &[usize],
+        tiles: &[usize],
+        dead: Option<&BTreeMap<usize, usize>>,
+    ) -> Result<(), CoreError> {
+        let me = ctx.rank();
+        let config = self.stage.config;
+        let frame_tag = config.frame_tag;
+        let tiles_of = |r: usize| -> Vec<usize> {
+            tiles
+                .iter()
+                .copied()
+                .filter(|&t| owner_of[t] == r)
+                .collect()
+        };
+
+        // ---- Announce: one fixed-size bitmap to every other owner. ------
+        let owners: BTreeSet<usize> = tiles.iter().map(|&t| owner_of[t]).collect();
+        for &o in owners.iter().filter(|&&o| o != me) {
+            let wire = self.manifest.len() as u64;
+            ctx.obs_counters(|c| c.add_wire_bytes("tile-manifest", wire));
+            ctx.send(
+                o,
+                tile_tag(frame_tag, ch.manifest, me as u64),
+                self.manifest.clone(),
+            )?;
+            if self.budget.is_none() {
+                continue;
+            }
+            let o_tiles = tiles_of(o);
+            if o_tiles.iter().any(|&t| self.have[t]) {
+                let blob = segments_blob(&o_tiles, &self.have, &self.segs);
+                let wire = blob.len() as u64;
+                ctx.obs_counters(|c| c.add_wire_bytes("pz-segments", wire));
+                ctx.send(o, tile_tag(frame_tag, ch.segments, me as u64), blob)?;
+            }
+        }
+
+        // ---- Ship non-blank tiles straight to their owners. -------------
+        for &t in tiles {
+            let owner = owner_of[t];
+            if !self.have[t] || owner == me {
+                continue;
+            }
+            let rows = self.plan.grid.row_spans(t);
+            let tag = tile_tag(frame_tag, ch.payload, t as u64);
+            self.stage
+                .ship_spans(ctx, scratch, local, rows, owner, tag)?;
+            ctx.obs_counters(|c| c.tiles_sent += 1);
+        }
+
+        // ---- Collect the announcements (owners only), in rank order. ----
+        let mine = tiles_of(me);
+        if mine.is_empty() {
+            return Ok(());
+        }
+        let heard = |src: usize| src != me && !dead.is_some_and(|d| d.contains_key(&src));
+        let mut have_of: Vec<Option<Vec<u8>>> = vec![None; self.plan.p];
+        for src in (0..self.plan.p).filter(|&src| heard(src)) {
+            match ctx.recv(src, tile_tag(frame_tag, ch.manifest, src as u64)) {
+                Ok(bytes) => have_of[src] = Some(bytes.to_vec()),
+                // A confirmed-dead peer contributed nothing: an absent
+                // manifest reads all-blank, which is exact (blank is the
+                // identity of `over`).
+                Err(CommError::RankFailed { .. }) if config.resilient => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        let mut remote_segs: BTreeMap<(usize, usize), RowIvals> = BTreeMap::new();
+        if self.budget.is_some() {
+            for src in (0..self.plan.p).filter(|&src| heard(src)) {
+                let Some(m) = have_of[src].as_ref() else {
+                    continue;
+                };
+                if !mine.iter().any(|&t| manifest_bit(Some(m), t)) {
+                    continue;
+                }
+                match ctx.recv(src, tile_tag(frame_tag, ch.segments, src as u64)) {
+                    Ok(bytes) => {
+                        let expects = |t| manifest_bit(Some(m), t);
+                        let parsed =
+                            parse_segments_blob(&self.plan.grid, &mine, expects, &bytes, src)?;
+                        remote_segs.extend(parsed.into_iter().map(|(t, iv)| ((src, t), iv)));
+                    }
+                    // A dead sender's metadata stays absent: the affected
+                    // tiles conservatively take the exact fold.
+                    Err(CommError::RankFailed { .. }) if config.resilient => {}
+                    Err(e) => return Err(e.into()),
+                }
+            }
+        }
+
+        // ---- Resolve owned tiles: place within budget, or fold. ---------
+        let expects = |r: usize, t: usize| manifest_bit(have_of[r].as_ref(), t);
+        for &t in &mine {
+            let placed = match self.budget {
+                None => false,
+                Some(budget) => place_puzzle_tile(
+                    ctx,
+                    self.stage,
+                    self.plan,
+                    budget,
+                    local,
+                    scratch,
+                    t,
+                    &self.have,
+                    &self.segs,
+                    &expects,
+                    &remote_segs,
+                    ch.payload,
+                    dead,
+                )?,
+            };
+            if !placed {
+                fold_tile(
+                    ctx, self.stage, self.plan, local, scratch, t, &self.have, &expects,
+                    ch.payload, dead,
+                )?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Execute a [`TilePlan`] on this rank — tile ownership when `budget` is
+/// `None`, approximate puzzlepiece when it carries the overlap budget. One
+/// skeleton serves both: scan → first round → (on failures) reassign +
+/// repair round → gather.
+pub(crate) fn compose_tiles<P: Pixel>(
     ctx: &mut RankCtx,
+    stage: &Stage<P>,
     plan: &TilePlan,
+    budget: Option<u16>,
     mut local: Image<P>,
-    config: &ComposeConfig,
     scratch: &mut Scratch<P>,
 ) -> Result<ComposeOutput<P>, CoreError> {
-    let me = ctx.rank();
     let p = plan.p;
-    if p != ctx.size() {
-        return Err(CoreError::InvalidSchedule {
-            why: format!("plan built for {p} ranks, machine has {}", ctx.size()),
-        });
-    }
-    if plan.grid.width != local.width() || plan.grid.height != local.height() {
-        return Err(CoreError::InvalidSchedule {
-            why: format!(
-                "plan built for {}x{} frames, image is {}x{}",
-                plan.grid.width,
-                plan.grid.height,
-                local.width(),
-                local.height()
-            ),
-        });
-    }
-    if let Some(wall) = config.display {
-        wall.validate(p)?;
-    }
-    let codec = config.codec.build::<P>();
-    let raw = config.codec == CodecKind::Raw;
-    let wide_requested = config.kernel == KernelPath::Wide;
-    let wide_active = wide_requested && P::HAS_WIDE_KERNEL;
-    let count_kernel_pixels = move |c: &mut rt_obs::Counters, source_pixels: u64| {
-        if wide_active {
-            c.wide_kernel_pixels += source_pixels;
-        } else {
-            c.scalar_kernel_pixels += source_pixels;
-        }
-        if wide_requested && !wide_active {
-            c.kernel_fallbacks += 1;
-        }
-    };
+    let config = stage.config;
     let nt = plan.grid.tiles();
 
     // Fail-stop points: 0 = before any traffic, 1 = after compose. Only
@@ -447,147 +650,46 @@ pub fn compose_tiles<P: Pixel>(
 
     ctx.mark("compose:start");
     if my_crash == Some(0) {
-        ctx.announce_death(0);
-        ctx.mark("compose:crashed");
-        return Ok(ComposeOutput {
-            frame: None,
-            owned_pixels: 0,
-            owners: Vec::new(),
-            residual: None,
-            degraded: Some(DegradedInfo::self_crash(me, 0)),
-        });
+        return Ok(ComposeOutput::crash(ctx, 0));
     }
     ctx.mark("step:0");
 
-    // ---- Scan: which of this rank's tiles carry any content. ----------
-    let mut have = vec![false; nt];
-    for (t, have_t) in have.iter_mut().enumerate() {
-        for span in plan.grid.row_spans(t) {
-            if local.span_pixels(span)?.iter().any(|px| !px.is_blank()) {
-                *have_t = true;
-                break;
-            }
-        }
-    }
+    // ---- Scan: which tiles carry content (and, for the puzzle family,
+    // the per-row intervals) — one pass, booked as encode-side work. -----
+    let scan_started = ctx.obs_start();
+    let (have, segs) = match budget {
+        None => (scan_flags(&local, &plan.grid)?, Vec::new()),
+        Some(_) => scan_tiles(&local, &plan.grid)?,
+    };
+    ctx.obs_span(Phase::Encode, scan_started);
     let blank_tiles = have.iter().filter(|h| !**h).count() as u64;
     ctx.obs_counters(|c| {
         c.tiles_scanned += nt as u64;
         c.tiles_blank += blank_tiles;
     });
+    let scan = TileScan {
+        stage,
+        plan,
+        budget,
+        manifest: manifest_bytes(&have),
+        have,
+        segs,
+    };
 
-    // Ranks that own at least one non-empty tile expect traffic.
-    let owner_ranks: Vec<usize> = (0..p).filter(|&r| plan.owned_area(r) > 0).collect();
-
-    // ---- Manifests: one fixed-size bitmap to every other owner rank. --
-    let manifest = manifest_bytes(&have);
-    for &r in &owner_ranks {
-        if r == me {
-            continue;
-        }
-        let wire = manifest.len() as u64;
-        ctx.obs_counters(|c| c.add_wire_bytes("tile-manifest", wire));
-        ctx.send(
-            r,
-            tile_tag(config.frame_tag, TILE_CH_MANIFEST, me as u64),
-            manifest.clone(),
-        )?;
-    }
-
-    // ---- Ship non-blank tiles straight to their owners. ---------------
-    for (t, &owner) in plan.owner_of.iter().enumerate() {
-        if !have[t] || owner == me || plan.grid.area(t) == 0 {
-            continue;
-        }
-        let spans = plan.grid.row_spans(t);
-        let enc_started = ctx.obs_start();
-        let encoded = match config.path {
-            ExecPath::Pooled => {
-                scratch.gather_pixels.clear();
-                for span in &spans {
-                    scratch
-                        .gather_pixels
-                        .extend_from_slice(local.span_pixels(*span)?);
-                }
-                codec.encode_with(&scratch.gather_pixels, config.kernel)
-            }
-            ExecPath::PerTransfer => {
-                let mut pixels: Vec<P> = Vec::with_capacity(plan.grid.area(t));
-                for span in &spans {
-                    pixels.extend(local.extract(*span)?);
-                }
-                codec.encode(&pixels)
-            }
-        };
-        ctx.obs_span(Phase::Encode, enc_started);
-        if !raw {
-            ctx.compute(ComputeKind::Encode, encoded.raw_bytes as u64);
-        }
-        let wire = encoded.bytes.len() as u64;
-        ctx.obs_counters(|c| {
-            c.tiles_sent += 1;
-            c.add_wire_bytes(config.codec.name(), wire);
-            if wide_active && config.path == ExecPath::Pooled {
-                c.wide_kernel_bytes += wire;
-            }
-        });
-        ctx.send(
-            owner,
-            tile_tag(config.frame_tag, TILE_CH_PAYLOAD, t as u64),
-            encoded.bytes,
-        )?;
-    }
-
-    // ---- Collect manifests (owners only), in rank order. --------------
-    let my_tiles = plan.tiles_of(me);
-    let mut have_of: Vec<Option<Vec<u8>>> = vec![None; p];
-    if !my_tiles.is_empty() {
-        for (src, slot) in have_of.iter_mut().enumerate() {
-            if src == me {
-                continue;
-            }
-            match ctx.recv(
-                src,
-                tile_tag(config.frame_tag, TILE_CH_MANIFEST, src as u64),
-            ) {
-                Ok(bytes) => *slot = Some(bytes.to_vec()),
-                // A confirmed-dead peer contributed nothing: an absent
-                // manifest reads all-blank, which is exact (blank is the
-                // identity of `over`).
-                Err(CommError::RankFailed { .. }) if config.resilient => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    // ---- Composite owned tiles: strict front-to-back left fold. -------
-    for &t in &my_tiles {
-        compose_one_tile(
-            ctx,
-            plan,
-            &mut local,
-            config,
-            scratch,
-            codec.as_ref(),
-            t,
-            &have,
-            |r, t| manifest_bit(have_of[r].as_ref(), t),
-            TILE_CH_PAYLOAD,
-            None,
-            &count_kernel_pixels,
-        )?;
-    }
+    let tiles: Vec<usize> = (0..nt).filter(|&t| plan.grid.area(t) > 0).collect();
+    scan.round(
+        ctx,
+        &mut local,
+        scratch,
+        &FIRST_ROUND,
+        &plan.owner_of,
+        &tiles,
+        None,
+    )?;
 
     ctx.mark("flush:start");
     if my_crash == Some(1) {
-        ctx.announce_death(1);
-        ctx.mark("compose:crashed");
-        return Ok(ComposeOutput {
-            frame: None,
-            owned_pixels: 0,
-            owners: Vec::new(),
-            residual: None,
-            degraded: Some(DegradedInfo::self_crash(me, 1)),
-        });
+        return Ok(ComposeOutput::crash(ctx, 1));
     }
     ctx.mark("compose:end");
 
@@ -595,7 +697,6 @@ pub fn compose_tiles<P: Pixel>(
     let mut effective_owner = plan.owner_of.clone();
     let mut root = config.root;
     let mut degraded: Option<DegradedInfo> = None;
-    let mut crashed: BTreeMap<usize, usize> = BTreeMap::new();
     let crash_planned = config.resilient && ctx.planned_crashes().iter().any(|(_, k)| *k <= 1);
     if crash_planned {
         ctx.mark("repair:start");
@@ -604,156 +705,64 @@ pub fn compose_tiles<P: Pixel>(
             .into_iter()
             .filter(|&(_, k)| k <= 1)
             .collect();
-        crashed = ctx.liveness_exchange(&announced)?;
+        let crashed = ctx.liveness_exchange(&announced)?;
         if !crashed.is_empty() {
             // Deterministic reassignment of dead owners' tiles.
             let mut reassigned: Vec<usize> = Vec::new();
-            for (t, owner) in effective_owner.iter_mut().enumerate() {
+            for &t in &tiles {
+                let owner = &mut effective_owner[t];
                 if crashed.contains_key(owner) {
                     *owner = next_live_owner(*owner, p, &crashed)?;
-                    if plan.grid.area(t) > 0 {
-                        reassigned.push(t);
-                    }
+                    reassigned.push(t);
                 }
             }
             // Repair round: every live rank re-announces its content to
             // the new owners, then re-ships the non-blank reassigned
-            // tiles. The new owner re-folds from the *live* ranks only —
-            // the dead owner's own content died with it.
-            let new_owners: std::collections::BTreeSet<usize> =
-                reassigned.iter().map(|&t| effective_owner[t]).collect();
-            for &o in &new_owners {
-                if o == me {
-                    continue;
-                }
-                let wire = manifest.len() as u64;
-                ctx.obs_counters(|c| c.add_wire_bytes("tile-manifest", wire));
-                ctx.send(
-                    o,
-                    tile_tag(config.frame_tag, TILE_CH_REPAIR_MANIFEST, me as u64),
-                    manifest.clone(),
-                )?;
-            }
-            for &t in &reassigned {
-                let owner = effective_owner[t];
-                if !have[t] || owner == me {
-                    continue;
-                }
-                let spans = plan.grid.row_spans(t);
-                let enc_started = ctx.obs_start();
-                let encoded = match config.path {
-                    ExecPath::Pooled => {
-                        scratch.gather_pixels.clear();
-                        for span in &spans {
-                            scratch
-                                .gather_pixels
-                                .extend_from_slice(local.span_pixels(*span)?);
-                        }
-                        codec.encode_with(&scratch.gather_pixels, config.kernel)
-                    }
-                    ExecPath::PerTransfer => {
-                        let mut pixels: Vec<P> = Vec::with_capacity(plan.grid.area(t));
-                        for span in &spans {
-                            pixels.extend(local.extract(*span)?);
-                        }
-                        codec.encode(&pixels)
-                    }
-                };
-                ctx.obs_span(Phase::Encode, enc_started);
-                if !raw {
-                    ctx.compute(ComputeKind::Encode, encoded.raw_bytes as u64);
-                }
-                let wire = encoded.bytes.len() as u64;
-                ctx.obs_counters(|c| {
-                    c.tiles_sent += 1;
-                    c.add_wire_bytes(config.codec.name(), wire);
-                });
-                ctx.send(
-                    owner,
-                    tile_tag(config.frame_tag, TILE_CH_REPAIR_PAYLOAD, t as u64),
-                    encoded.bytes,
-                )?;
-            }
-            let my_new: Vec<usize> = reassigned
-                .iter()
-                .copied()
-                .filter(|&t| effective_owner[t] == me)
-                .collect();
-            if !my_new.is_empty() {
-                let mut rhave: Vec<Option<Vec<u8>>> = vec![None; p];
-                for (src, slot) in rhave.iter_mut().enumerate() {
-                    if src == me || crashed.contains_key(&src) {
-                        continue;
-                    }
-                    match ctx.recv(
-                        src,
-                        tile_tag(config.frame_tag, TILE_CH_REPAIR_MANIFEST, src as u64),
-                    ) {
-                        Ok(bytes) => *slot = Some(bytes.to_vec()),
-                        Err(CommError::RankFailed { .. }) => {}
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                for &t in &my_new {
-                    compose_one_tile(
-                        ctx,
-                        plan,
-                        &mut local,
-                        config,
-                        scratch,
-                        codec.as_ref(),
-                        t,
-                        &have,
-                        |r, t| manifest_bit(rhave[r].as_ref(), t),
-                        TILE_CH_REPAIR_PAYLOAD,
-                        Some(&crashed),
-                        &count_kernel_pixels,
-                    )?;
-                }
-            }
+            // tiles. The new owner re-resolves from the *live* ranks only
+            // — the dead owner's own content died with it.
+            scan.round(
+                ctx,
+                &mut local,
+                scratch,
+                &REPAIR_ROUND,
+                &effective_owner,
+                &reassigned,
+                Some(&crashed),
+            )?;
             // What the degraded frame is missing: a step-0 crasher's
             // content is absent everywhere; a step-1 crasher's content
             // survives except on the tiles it owned (its composites died
             // unreachable, and the repair re-folds survivors only).
-            let failed: Vec<(usize, usize)> = crashed.iter().map(|(&r, &k)| (r, k)).collect();
-            let image_len = plan.grid.width * plan.grid.height;
             let any_step0 = crashed.values().any(|&k| k == 0);
-            let lost_pixels = if any_step0 {
-                image_len
-            } else {
-                reassigned.iter().map(|&t| plan.grid.area(t)).sum()
-            };
-            let lost_contributions: Vec<usize> = crashed
-                .iter()
-                .filter(|(&r, &k)| k == 0 || !plan.tiles_of(r).is_empty())
-                .map(|(&r, _)| r)
-                .collect();
             let mut info = DegradedInfo {
-                failed,
-                lost_contributions,
-                lost_pixels,
+                failed: crashed.iter().map(|(&r, &k)| (r, k)).collect(),
+                lost_contributions: crashed
+                    .iter()
+                    .filter(|(&r, &k)| k == 0 || !plan.tiles_of(r).is_empty())
+                    .map(|(&r, _)| r)
+                    .collect(),
+                lost_pixels: if any_step0 {
+                    plan.grid.width * plan.grid.height
+                } else {
+                    reassigned.iter().map(|&t| plan.grid.area(t)).sum()
+                },
                 reassigned_spans: reassigned.len(),
                 root_reassigned_to: None,
             };
             if crashed.contains_key(&root) {
-                let nr = crate::exec::elect_root(p, &crashed)?;
-                info.root_reassigned_to = Some(nr);
-                root = nr;
+                root = crate::exec::elect_root(p, &crashed)?;
+                info.root_reassigned_to = Some(root);
             }
             degraded = Some(info);
         }
         ctx.mark("repair:end");
     }
 
-    let my_final: Vec<usize> = (0..nt)
-        .filter(|&t| effective_owner[t] == me && plan.grid.area(t) > 0)
-        .collect();
-    let owned_pixels: usize = my_final.iter().map(|&t| plan.grid.area(t)).sum();
     // Post-repair ownership as row-segment spans, mirroring the schedule
     // executor's `owners` field.
-    let owners: Vec<(Span, usize)> = (0..nt)
-        .filter(|&t| plan.grid.area(t) > 0)
-        .flat_map(|t| {
+    let owners: Vec<(Span, usize)> = tiles
+        .iter()
+        .flat_map(|&t| {
             let owner = effective_owner[t];
             plan.grid
                 .row_spans(t)
@@ -763,55 +772,27 @@ pub fn compose_tiles<P: Pixel>(
         .collect();
 
     if !config.gather {
+        // The tile families close their timeline either way.
         ctx.mark("gather:end");
-        return Ok(ComposeOutput {
-            frame: None,
-            owned_pixels,
-            owners,
-            residual: Some(local),
-            degraded,
-        });
     }
-
-    // ---- Gather: to the root, or to the display wall. ------------------
-    let tiles_of_eff = |r: usize| -> Vec<usize> {
-        (0..nt)
-            .filter(|&t| effective_owner[t] == r && plan.grid.area(t) > 0)
-            .collect()
-    };
-    let frame = match config.display {
-        None => gather_to_root(
-            ctx,
-            plan,
-            &local,
-            config,
-            scratch,
-            codec.as_ref(),
-            root,
-            &tiles_of_eff,
-            &crashed,
-        )?,
-        Some(wall) => gather_to_wall(
-            ctx,
-            plan,
-            &local,
-            config,
-            scratch,
-            codec.as_ref(),
-            wall,
-            &tiles_of_eff,
-            &crashed,
-        )?,
-    };
-    ctx.mark("gather:end");
-
-    Ok(ComposeOutput {
-        frame,
-        owned_pixels,
-        owners,
-        residual: Some(local),
-        degraded,
+    finish(ctx, stage, scratch, local, owners, root, degraded, |slot| {
+        tile_tag(config.frame_tag, TILE_CH_GATHER, slot as u64)
     })
+}
+
+/// Flags-only content scan: tile ownership needs to know *whether* a tile
+/// holds anything, never where.
+fn scan_flags<P: Pixel>(local: &Image<P>, grid: &TileGrid) -> Result<Vec<bool>, CoreError> {
+    let mut have = vec![false; grid.tiles()];
+    for (t, have_t) in have.iter_mut().enumerate() {
+        for span in grid.row_spans(t) {
+            if local.span_pixels(span)?.iter().any(|px| !px.is_blank()) {
+                *have_t = true;
+                break;
+            }
+        }
+    }
+    Ok(have)
 }
 
 /// Left-fold one owned tile in depth order: blank accumulator, local
@@ -819,22 +800,19 @@ pub fn compose_tiles<P: Pixel>(
 /// through the fused kernels on arrival. Writes the finished tile back
 /// into `local`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn compose_one_tile<P: Pixel>(
+fn fold_tile<P: Pixel>(
     ctx: &mut RankCtx,
+    stage: &Stage<P>,
     plan: &TilePlan,
     local: &mut Image<P>,
-    config: &ComposeConfig,
     scratch: &mut Scratch<P>,
-    codec: &dyn Codec<P>,
     t: usize,
     have: &[bool],
-    expects: impl Fn(usize, usize) -> bool,
+    expects: &impl Fn(usize, usize) -> bool,
     channel: u64,
     skip: Option<&BTreeMap<usize, usize>>,
-    count_kernel_pixels: &impl Fn(&mut rt_obs::Counters, u64),
 ) -> Result<(), CoreError> {
     let me = ctx.rank();
-    let raw = config.codec == CodecKind::Raw;
     let area = plan.grid.area(t);
     let spans = plan.grid.row_spans(t);
     let mut acc = scratch.take_acc(area, ctx);
@@ -870,497 +848,41 @@ pub(crate) fn compose_one_tile<P: Pixel>(
                 c.non_blank_merged += non_blank as u64;
                 c.blank_skipped += (area - non_blank) as u64;
             });
-            let over_units = if raw { area } else { non_blank };
+            let over_units = if stage.raw { area } else { non_blank };
             ctx.compute(ComputeKind::Over, over_units as u64);
             continue;
         }
         if !expects(r, t) {
             continue;
         }
-        let bytes = match ctx.recv(r, tile_tag(config.frame_tag, channel, t as u64)) {
+        let bytes = match ctx.recv(r, tile_tag(stage.config.frame_tag, channel, t as u64)) {
             Ok(bytes) => bytes,
-            Err(CommError::RankFailed { .. }) if config.resilient => continue,
+            Err(CommError::RankFailed { .. }) if stage.config.resilient => continue,
             Err(e) => return Err(e.into()),
         };
-        if !raw {
-            ctx.compute(ComputeKind::Decode, bytes.len() as u64);
-        }
-        match config.path {
-            ExecPath::Pooled => {
-                let over_started = ctx.obs_start();
-                let stats =
-                    codec.decode_over_with(&bytes, &mut acc, OverDir::Back, config.kernel)?;
-                ctx.obs_span(Phase::Over, over_started);
-                let wire = bytes.len() as u64;
-                let wide_active = config.kernel == KernelPath::Wide && P::HAS_WIDE_KERNEL;
-                ctx.obs_counters(|c| {
-                    c.tiles_recv += 1;
-                    c.non_blank_merged += stats.non_blank as u64;
-                    c.blank_skipped += stats.blank_skipped as u64;
-                    c.opaque_fast += stats.opaque_fast as u64;
-                    count_kernel_pixels(c, stats.source_pixels() as u64);
-                    if wide_active {
-                        c.wide_kernel_bytes += wire;
-                    }
-                });
-                let over_units = if raw { area } else { stats.non_blank };
-                ctx.compute(ComputeKind::Over, over_units as u64);
-            }
-            ExecPath::PerTransfer => {
-                let dec_started = ctx.obs_start();
-                let pixels: Vec<P> = codec.decode(&bytes, area)?;
-                ctx.obs_span(Phase::Decode, dec_started);
-                let over_units = if raw {
-                    area
-                } else {
-                    pixels.iter().filter(|p| !p.is_blank()).count()
-                };
-                ctx.obs_counters(|c| c.tiles_recv += 1);
-                ctx.compute(ComputeKind::Over, over_units as u64);
-                let over_started = ctx.obs_start();
-                for (a, s) in acc.iter_mut().zip(&pixels) {
-                    *a = a.over(s);
-                }
-                ctx.obs_span(Phase::Over, over_started);
-            }
-        }
+        stage.merge(ctx, &bytes, &mut acc, OverDir::Back)?;
+        ctx.obs_counters(|c| c.tiles_recv += 1);
     }
-    let mut at = 0usize;
-    for span in &spans {
-        local.insert(*span, &acc[at..at + span.len])?;
-        at += span.len;
-    }
+    scatter(local, spans, &acc)?;
     scratch.put_acc(acc);
     Ok(())
-}
-
-/// Classic gather for the tile path: every effective owner ships one
-/// message with its tiles concatenated (tile order, row order); the root
-/// scatters them into the frame.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gather_to_root<P: Pixel>(
-    ctx: &mut RankCtx,
-    plan: &TilePlan,
-    local: &Image<P>,
-    config: &ComposeConfig,
-    scratch: &mut Scratch<P>,
-    codec: &dyn Codec<P>,
-    root: usize,
-    tiles_of_eff: &impl Fn(usize) -> Vec<usize>,
-    crashed: &BTreeMap<usize, usize>,
-) -> Result<Option<Image<P>>, CoreError> {
-    let me = ctx.rank();
-    let raw = config.codec == CodecKind::Raw;
-    let mine = tiles_of_eff(me);
-    if me != root && !mine.is_empty() {
-        let total: usize = mine.iter().map(|&t| plan.grid.area(t)).sum();
-        let enc_started = ctx.obs_start();
-        let encoded = match config.path {
-            ExecPath::Pooled => {
-                scratch.gather_pixels.clear();
-                for &t in &mine {
-                    for span in plan.grid.row_spans(t) {
-                        scratch
-                            .gather_pixels
-                            .extend_from_slice(local.span_pixels(span)?);
-                    }
-                }
-                codec.encode_with(&scratch.gather_pixels, config.kernel)
-            }
-            ExecPath::PerTransfer => {
-                let mut pixels: Vec<P> = Vec::with_capacity(total);
-                for &t in &mine {
-                    for span in plan.grid.row_spans(t) {
-                        pixels.extend(local.extract(span)?);
-                    }
-                }
-                codec.encode(&pixels)
-            }
-        };
-        if !raw {
-            ctx.compute(ComputeKind::Encode, encoded.raw_bytes as u64);
-        }
-        ctx.obs_span(Phase::Encode, enc_started);
-        let wire = encoded.bytes.len() as u64;
-        ctx.obs_counters(|c| c.add_wire_bytes(config.codec.name(), wire));
-        ctx.send(
-            root,
-            tile_tag(config.frame_tag, TILE_CH_GATHER, me as u64),
-            encoded.bytes,
-        )?;
-    }
-    if me != root {
-        return Ok(None);
-    }
-    let mut frame = Image::blank(plan.grid.width, plan.grid.height);
-    for owner in 0..plan.p {
-        if crashed.contains_key(&owner) {
-            continue;
-        }
-        let tiles = tiles_of_eff(owner);
-        if tiles.is_empty() {
-            continue;
-        }
-        let total: usize = tiles.iter().map(|&t| plan.grid.area(t)).sum();
-        if owner == me {
-            for &t in &tiles {
-                for span in plan.grid.row_spans(t) {
-                    frame.insert(span, local.span_pixels(span)?)?;
-                }
-            }
-            continue;
-        }
-        let bytes = ctx.recv(
-            owner,
-            tile_tag(config.frame_tag, TILE_CH_GATHER, owner as u64),
-        )?;
-        if !raw {
-            ctx.compute(ComputeKind::Decode, bytes.len() as u64);
-        }
-        let dec_started = ctx.obs_start();
-        let mut staged = scratch.take_acc(total, ctx);
-        match config.path {
-            ExecPath::Pooled => {
-                // `over` in front of a blank accumulator is an exact copy.
-                codec.decode_over_with(&bytes, &mut staged, OverDir::Front, config.kernel)?;
-            }
-            ExecPath::PerTransfer => {
-                let pixels: Vec<P> = codec.decode(&bytes, total)?;
-                staged.clone_from_slice(&pixels);
-            }
-        }
-        let mut at = 0usize;
-        for &t in &tiles {
-            for span in plan.grid.row_spans(t) {
-                frame.insert(span, &staged[at..at + span.len])?;
-                at += span.len;
-            }
-        }
-        scratch.put_acc(staged);
-        ctx.obs_span(Phase::Decode, dec_started);
-    }
-    Ok(Some(frame))
-}
-
-/// Display-wall gather for the tile path: each effective owner ships, per
-/// display cell it overlaps, one message with the overlap segments
-/// concatenated; each display rank assembles its own cell-sized
-/// framebuffer. Returns the cell image on display ranks, `None` elsewhere.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gather_to_wall<P: Pixel>(
-    ctx: &mut RankCtx,
-    plan: &TilePlan,
-    local: &Image<P>,
-    config: &ComposeConfig,
-    scratch: &mut Scratch<P>,
-    codec: &dyn Codec<P>,
-    wall: DisplayWall,
-    tiles_of_eff: &impl Fn(usize) -> Vec<usize>,
-    crashed: &BTreeMap<usize, usize>,
-) -> Result<Option<Image<P>>, CoreError> {
-    let me = ctx.rank();
-    let raw = config.codec == CodecKind::Raw;
-    let (w, h) = (plan.grid.width, plan.grid.height);
-    // Segments of `owner`'s tiles inside cell `d`, in deterministic
-    // (tile, row) order: both sides compute the same list locally.
-    let segments = |owner: usize, cell: Rect| -> Result<Vec<(Span, usize)>, CoreError> {
-        let mut segs = Vec::new();
-        for t in tiles_of_eff(owner) {
-            for span in plan.grid.row_spans(t) {
-                segs.extend(span_cell_segments(span, w, cell));
-            }
-        }
-        Ok(segs)
-    };
-    let mine = tiles_of_eff(me);
-    for d in 0..wall.count() {
-        let drank = wall.rank_of(d);
-        if drank == me || mine.is_empty() || crashed.contains_key(&drank) {
-            continue;
-        }
-        let cell = wall.cell_rect(d, w, h);
-        let segs = segments(me, cell)?;
-        if segs.is_empty() {
-            continue;
-        }
-        let total: usize = segs.iter().map(|(s, _)| s.len).sum();
-        let enc_started = ctx.obs_start();
-        let encoded = match config.path {
-            ExecPath::Pooled => {
-                scratch.gather_pixels.clear();
-                for (seg, _) in &segs {
-                    scratch
-                        .gather_pixels
-                        .extend_from_slice(local.span_pixels(*seg)?);
-                }
-                codec.encode_with(&scratch.gather_pixels, config.kernel)
-            }
-            ExecPath::PerTransfer => {
-                let mut pixels: Vec<P> = Vec::with_capacity(total);
-                for (seg, _) in &segs {
-                    pixels.extend(local.extract(*seg)?);
-                }
-                codec.encode(&pixels)
-            }
-        };
-        if !raw {
-            ctx.compute(ComputeKind::Encode, encoded.raw_bytes as u64);
-        }
-        ctx.obs_span(Phase::Encode, enc_started);
-        let wire = encoded.bytes.len() as u64;
-        ctx.obs_counters(|c| c.add_wire_bytes(config.codec.name(), wire));
-        ctx.send(
-            drank,
-            tile_tag(
-                config.frame_tag,
-                TILE_CH_GATHER,
-                ((d as u64) << 20) | me as u64,
-            ),
-            encoded.bytes,
-        )?;
-    }
-    let Some(d) = wall.display_of(me) else {
-        return Ok(None);
-    };
-    let cell = wall.cell_rect(d, w, h);
-    let mut out = Image::blank(cell.width(), cell.height());
-    for owner in 0..plan.p {
-        if crashed.contains_key(&owner) {
-            continue;
-        }
-        let segs = segments(owner, cell)?;
-        if segs.is_empty() {
-            continue;
-        }
-        if owner == me {
-            for (seg, local_at) in &segs {
-                out.insert(Span::new(*local_at, seg.len), local.span_pixels(*seg)?)?;
-            }
-            continue;
-        }
-        let bytes = ctx.recv(
-            owner,
-            tile_tag(
-                config.frame_tag,
-                TILE_CH_GATHER,
-                ((d as u64) << 20) | owner as u64,
-            ),
-        )?;
-        if !raw {
-            ctx.compute(ComputeKind::Decode, bytes.len() as u64);
-        }
-        let total: usize = segs.iter().map(|(s, _)| s.len).sum();
-        let dec_started = ctx.obs_start();
-        let mut staged = scratch.take_acc(total, ctx);
-        match config.path {
-            ExecPath::Pooled => {
-                codec.decode_over_with(&bytes, &mut staged, OverDir::Front, config.kernel)?;
-            }
-            ExecPath::PerTransfer => {
-                let pixels: Vec<P> = codec.decode(&bytes, total)?;
-                staged.clone_from_slice(&pixels);
-            }
-        }
-        let mut at = 0usize;
-        for (seg, local_at) in &segs {
-            out.insert(Span::new(*local_at, seg.len), &staged[at..at + seg.len])?;
-            at += seg.len;
-        }
-        scratch.put_acc(staged);
-        ctx.obs_span(Phase::Decode, dec_started);
-    }
-    Ok(Some(out))
-}
-
-/// Convenience harness: run `plan` over a fresh multicomputer with the
-/// given per-rank partial images (`partials[d]` at depth position `d`
-/// under the identity depth order), returning per-rank outputs and the
-/// trace — the tile path's [`crate::exec::run_composition`].
-pub fn run_tile_composition<P: Pixel>(
-    plan: &TilePlan,
-    partials: Vec<Image<P>>,
-    config: &ComposeConfig,
-) -> (Vec<Result<ComposeOutput<P>, CoreError>>, Trace) {
-    run_tile_composition_faulty(plan, partials, config, FaultPlan::none())
-}
-
-/// [`run_tile_composition`] with fault injection installed.
-pub fn run_tile_composition_faulty<P: Pixel>(
-    plan: &TilePlan,
-    partials: Vec<Image<P>>,
-    config: &ComposeConfig,
-    faults: FaultPlan,
-) -> (Vec<Result<ComposeOutput<P>, CoreError>>, Trace) {
-    assert_eq!(
-        partials.len(),
-        plan.p,
-        "one partial image per rank required"
-    );
-    let mc = Machine::build(plan.p, config, faults, None);
-    let partials = Mutex::new(partials.into_iter().map(Some).collect::<Vec<_>>());
-    mc.run(move |ctx| {
-        let local = partials.lock().unwrap_or_else(|e| e.into_inner())[ctx.rank()]
-            .take()
-            .ok_or_else(|| CoreError::InvalidSchedule {
-                why: format!("rank {} has no partial image to compose", ctx.rank()),
-            })?;
-        let mut scratch = Scratch::new();
-        compose_tiles(ctx, plan, local, config, &mut scratch)
-    })
-}
-
-/// [`run_tile_composition`] backed by a caller-held [`ScratchPool`], so
-/// repeated invocations reuse each rank's buffers across frames.
-pub fn run_tile_composition_pooled<P: Pixel>(
-    plan: &TilePlan,
-    partials: Vec<Image<P>>,
-    config: &ComposeConfig,
-    pool: &ScratchPool<P>,
-) -> (Vec<Result<ComposeOutput<P>, CoreError>>, Trace) {
-    assert_eq!(
-        partials.len(),
-        plan.p,
-        "one partial image per rank required"
-    );
-    let mc = Machine::build(plan.p, config, FaultPlan::none(), None);
-    let partials = Mutex::new(partials.into_iter().map(Some).collect::<Vec<_>>());
-    mc.run(move |ctx| {
-        let local = partials.lock().unwrap_or_else(|e| e.into_inner())[ctx.rank()]
-            .take()
-            .ok_or_else(|| CoreError::InvalidSchedule {
-                why: format!("rank {} has no partial image to compose", ctx.rank()),
-            })?;
-        let mut scratch = pool.checkout(ctx.rank());
-        let out = compose_tiles(ctx, plan, local, config, &mut scratch);
-        pool.checkin(ctx.rank(), scratch);
-        out
-    })
-}
-
-/// [`run_tile_composition_pooled`] with wall-clock observability installed
-/// (spans and counters accumulate into `observer`; the trace and frames
-/// are identical to an unobserved run).
-pub fn run_tile_composition_observed<P: Pixel>(
-    plan: &TilePlan,
-    partials: Vec<Image<P>>,
-    config: &ComposeConfig,
-    pool: &ScratchPool<P>,
-    observer: Arc<Observer>,
-) -> (Vec<Result<ComposeOutput<P>, CoreError>>, Trace) {
-    assert_eq!(
-        partials.len(),
-        plan.p,
-        "one partial image per rank required"
-    );
-    let mc = Machine::build(plan.p, config, FaultPlan::none(), Some(observer));
-    let partials = Mutex::new(partials.into_iter().map(Some).collect::<Vec<_>>());
-    mc.run(move |ctx| {
-        let local = partials.lock().unwrap_or_else(|e| e.into_inner())[ctx.rank()]
-            .take()
-            .ok_or_else(|| CoreError::InvalidSchedule {
-                why: format!("rank {} has no partial image to compose", ctx.rank()),
-            })?;
-        let mut scratch = pool.checkout(ctx.rank());
-        let out = compose_tiles(ctx, plan, local, config, &mut scratch);
-        pool.checkin(ctx.rank(), scratch);
-        out
-    })
-}
-
-/// The connection topology a plan-driven TCP run can restrict itself to,
-/// when that is safe: a hierarchical plan on real sockets uses only the
-/// group meshes, the leader overlay and the gather links, so a crash-free
-/// run dials `O(P·k + (P/k)²)` sockets instead of the `O(P²)` mesh.
-/// `None` (keep the full mesh) for the in-process backend (no sockets to
-/// save), for flat plans (direct-send and the gather already touch most
-/// pairs), and for resilient or faulty runs — repair fetches and
-/// reassigned leaders may route between ranks the crash-free plan never
-/// pairs.
-fn plan_topology(
-    plan: &ComposePlan,
-    config: &ComposeConfig,
-    faults: &FaultPlan,
-) -> Option<rt_net::Topology> {
-    if config.transport != TransportKind::TcpLoopback || config.resilient || !faults.is_none() {
-        return None;
-    }
-    match plan {
-        ComposePlan::Hier(h) => Some(rt_net::Topology::from_links(
-            h.links(config.root, config.display),
-        )),
-        _ => None,
-    }
-}
-
-/// Run a [`ComposePlan`] of either family over a fresh multicomputer.
-pub fn run_plan_composition<P: Pixel>(
-    plan: &ComposePlan,
-    partials: Vec<Image<P>>,
-    config: &ComposeConfig,
-) -> (Vec<Result<ComposeOutput<P>, CoreError>>, Trace) {
-    run_plan_composition_faulty(plan, partials, config, FaultPlan::none())
-}
-
-/// [`run_plan_composition`] with fault injection installed.
-pub fn run_plan_composition_faulty<P: Pixel>(
-    plan: &ComposePlan,
-    partials: Vec<Image<P>>,
-    config: &ComposeConfig,
-    faults: FaultPlan,
-) -> (Vec<Result<ComposeOutput<P>, CoreError>>, Trace) {
-    assert_eq!(
-        partials.len(),
-        plan.p(),
-        "one partial image per rank required"
-    );
-    let topology = plan_topology(plan, config, &faults);
-    let mc = Machine::build_with_topology(plan.p(), config, faults, None, topology);
-    let partials = Mutex::new(partials.into_iter().map(Some).collect::<Vec<_>>());
-    mc.run(move |ctx| {
-        let local = partials.lock().unwrap_or_else(|e| e.into_inner())[ctx.rank()]
-            .take()
-            .ok_or_else(|| CoreError::InvalidSchedule {
-                why: format!("rank {} has no partial image to compose", ctx.rank()),
-            })?;
-        let mut scratch = Scratch::new();
-        compose_plan(ctx, plan, local, config, &mut scratch)
-    })
-}
-
-/// [`run_plan_composition`] backed by a caller-held [`ScratchPool`].
-pub fn run_plan_composition_pooled<P: Pixel>(
-    plan: &ComposePlan,
-    partials: Vec<Image<P>>,
-    config: &ComposeConfig,
-    pool: &ScratchPool<P>,
-) -> (Vec<Result<ComposeOutput<P>, CoreError>>, Trace) {
-    assert_eq!(
-        partials.len(),
-        plan.p(),
-        "one partial image per rank required"
-    );
-    let faults = FaultPlan::none();
-    let topology = plan_topology(plan, config, &faults);
-    let mc = Machine::build_with_topology(plan.p(), config, faults, None, topology);
-    let partials = Mutex::new(partials.into_iter().map(Some).collect::<Vec<_>>());
-    mc.run(move |ctx| {
-        let local = partials.lock().unwrap_or_else(|e| e.into_inner())[ctx.rank()]
-            .take()
-            .ok_or_else(|| CoreError::InvalidSchedule {
-                why: format!("rank {} has no partial image to compose", ctx.rank()),
-            })?;
-        let mut scratch = pool.checkout(ctx.rank());
-        let out = compose_plan(ctx, plan, local, config, &mut scratch);
-        pool.checkin(ctx.rank(), scratch);
-        out
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DisplayWall, Run, RunOutput};
+    use rt_compress::{CodecKind, KernelPath};
     use rt_imaging::image::reference_composite;
     use rt_imaging::pixel::{GrayAlpha8, Provenance};
+
+    fn run<P: Pixel>(
+        plan: &TilePlan,
+        partials: Vec<Image<P>>,
+        config: &ComposeConfig,
+    ) -> RunOutput<P> {
+        Run::new(&ComposePlan::Tiles(plan.clone()), config).execute(partials)
+    }
 
     fn provenance_partials(p: usize, w: usize, h: usize) -> Vec<Image<Provenance>> {
         (0..p)
@@ -1394,7 +916,7 @@ mod tests {
     #[test]
     fn provenance_composite_is_complete_at_root() {
         let plan = plan(4, 16, 16, 4, 4);
-        let (results, _) = run_tile_composition(
+        let (results, _) = run(
             &plan,
             provenance_partials(4, 16, 16),
             &ComposeConfig::default(),
@@ -1421,7 +943,7 @@ mod tests {
         for codec in CodecKind::ALL {
             for (tx, ty) in [(1, 1), (3, 2), (5, 5), (24, 18)] {
                 let plan = plan(5, 24, 18, tx, ty);
-                let (results, _) = run_tile_composition(
+                let (results, _) = run(
                     &plan,
                     partials.clone(),
                     &ComposeConfig::default().with_codec(codec),
@@ -1449,23 +971,9 @@ mod tests {
             physical[rank_of_depth[d]] = Some(img);
         }
         let physical: Vec<_> = physical.into_iter().map(Option::unwrap).collect();
-        let (results, _) = run_tile_composition(&plan, physical, &ComposeConfig::default());
+        let (results, _) = run(&plan, physical, &ComposeConfig::default());
         let frame = results[0].as_ref().unwrap().frame.as_ref().unwrap();
         assert_eq!(frame.pixels(), want.pixels());
-    }
-
-    #[test]
-    fn pooled_and_per_transfer_paths_are_trace_identical() {
-        for codec in CodecKind::ALL {
-            let plan = plan(4, 16, 16, 4, 2);
-            let partials = gray_partials(4, 16, 16);
-            let pooled = ComposeConfig::default().with_codec(codec);
-            let per = pooled.with_path(ExecPath::PerTransfer);
-            let (r_pooled, t_pooled) = run_tile_composition(&plan, partials.clone(), &pooled);
-            let (r_per, t_per) = run_tile_composition(&plan, partials, &per);
-            assert_eq!(t_pooled, t_per, "{codec:?}: traces must be bit-identical");
-            assert_eq!(r_pooled, r_per, "{codec:?}: outputs must be bit-identical");
-        }
     }
 
     #[test]
@@ -1477,8 +985,8 @@ mod tests {
                 .with_codec(codec)
                 .with_kernel(KernelPath::Scalar);
             let wide = scalar.with_kernel(KernelPath::Wide);
-            let (r_s, t_s) = run_tile_composition(&plan, partials.clone(), &scalar);
-            let (r_w, t_w) = run_tile_composition(&plan, partials, &wide);
+            let (r_s, t_s) = run(&plan, partials.clone(), &scalar);
+            let (r_w, t_w) = run(&plan, partials, &wide);
             assert_eq!(t_s, t_w, "{codec:?}");
             assert_eq!(r_s, r_w, "{codec:?}");
         }
@@ -1488,12 +996,11 @@ mod tests {
     fn display_wall_cells_match_the_root_frame() {
         let partials = gray_partials(6, 32, 16);
         let tplan = plan(6, 32, 16, 4, 4);
-        let (root_results, _) =
-            run_tile_composition(&tplan, partials.clone(), &ComposeConfig::default());
+        let (root_results, _) = run(&tplan, partials.clone(), &ComposeConfig::default());
         let want = root_results[0].as_ref().unwrap().frame.clone().unwrap();
         let wall = DisplayWall::new(2, 1).with_base(1);
         let config = ComposeConfig::default().with_display_wall(wall);
-        let (results, _) = run_tile_composition(&tplan, partials, &config);
+        let (results, _) = run(&tplan, partials, &config);
         for d in 0..wall.count() {
             let cell = wall.cell_rect(d, 32, 16);
             let out = results[wall.rank_of(d)].as_ref().unwrap();

@@ -22,8 +22,8 @@
 //!   ranks two-level candidates ([`Method::Hier`]): an intra method per
 //!   group of `k`, Radix-k between the leaders. The predicted time is
 //!   the worst group's intra time (gathered at its leader) plus the
-//!   leader-level time — the same two-phase structure
-//!   [`crate::compose_hier`] executes, priced with the same analyzer.
+//!   leader-level time — the same two-phase structure the hierarchical
+//!   executor ([`crate::hier`]) executes, priced with the same analyzer.
 //!   When the two levels run on different fabrics (node-local vs
 //!   cross-node links), [`TuneOptions::inter_cost`] prices the leader
 //!   overlay under its own constants — typically fitted from a measured
@@ -207,7 +207,8 @@ fn hier_intra_candidates(p: usize, k: usize) -> Vec<IntraMethod> {
 
 /// Price a two-level candidate: worst group's intra time (gathered at
 /// its leader) plus the Radix-k leader level, mirroring the phase
-/// structure of [`crate::compose_hier`]. The two phases are summed —
+/// structure of the hierarchical executor ([`crate::hier`]). The two
+/// phases are summed —
 /// the leader level cannot start before the slowest group delivers —
 /// which upper-bounds runs where fast groups overlap the leaders' first
 /// exchanges.
@@ -737,7 +738,7 @@ mod tests {
             .collect();
         let config = crate::ComposeConfig::default();
         let (_, trace) =
-            crate::run_plan_composition(&ComposePlan::Hier(plan.clone()), partials, &config);
+            crate::Run::new(&ComposePlan::Hier(plan.clone()), &config).execute(partials);
         let truth = CostModel::new(3e-4, 7e-8, 2e-7);
         let (_, timelines) = rt_comm::replay_timeline(&trace, &truth).unwrap();
         let classify = |a: usize, b: usize| plan.link_class(a, b);

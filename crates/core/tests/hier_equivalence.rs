@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use rt_comm::FaultPlan;
 use rt_compress::CodecKind;
 use rt_core::rotate::RtVariant;
-use rt_core::{ComposeConfig, ComposePlan, HierPlan, IntraMethod};
+use rt_core::{ComposeConfig, ComposePlan, HierPlan, IntraMethod, Run};
 use rt_imaging::image::reference_composite;
 use rt_imaging::pixel::{GrayAlpha8, Pixel};
 use rt_imaging::Image;
@@ -75,11 +75,7 @@ proptest! {
             plan.verify().unwrap();
             for codec in CodecKind::ALL {
                 let config = ComposeConfig::default().with_codec(codec);
-                let (results, _) = rt_core::run_plan_composition(
-                    &plan,
-                    partials.clone(),
-                    &config,
-                );
+                let (results, _) = Run::new(&plan, &config).execute(partials.clone());
                 let out = results[0].as_ref().unwrap();
                 prop_assert_eq!(
                     out.frame.as_ref().unwrap().pixels(),
@@ -117,12 +113,7 @@ proptest! {
         let victim = leaders[group % leaders.len()];
         let faults = FaultPlan::none().crash_rank_at_step(victim, step);
         let config = ComposeConfig::default().resilient(true);
-        let (results, _) = rt_core::run_plan_composition_faulty(
-            &ComposePlan::Hier(plan),
-            partials,
-            &config,
-            faults,
-        );
+        let (results, _) = Run::new(&ComposePlan::Hier(plan), &config).faults(faults).execute(partials);
         // The victim may or may not have crashed (the step can lie past
         // both phases' windows); the gathered frame lands at the lowest
         // survivor either way.

@@ -3,7 +3,7 @@
 //! dialing only the plan's topology — group meshes plus the leader
 //! overlay — instead of the full `O(P²)` mesh.
 
-use rt_core::{ComposeConfig, ComposePlan, HierPlan, IntraMethod, TransportKind};
+use rt_core::{ComposeConfig, ComposePlan, HierPlan, IntraMethod, Run, TransportKind};
 use rt_imaging::image::reference_composite;
 use rt_imaging::pixel::{GrayAlpha8, Pixel};
 use rt_imaging::Image;
@@ -40,7 +40,7 @@ fn hier_over_tcp_matches_inproc_bit_exactly_on_restricted_sockets() {
     let expected = reference_composite(&partials).unwrap();
 
     let inproc = ComposeConfig::default();
-    let (in_results, in_trace) = rt_core::run_plan_composition(&plan, partials.clone(), &inproc);
+    let (in_results, in_trace) = Run::new(&plan, &inproc).execute(partials.clone());
 
     // The TCP run goes through the plan-derived restricted topology
     // (see `plan_topology` in the harness): establishment would fail if
@@ -48,7 +48,7 @@ fn hier_over_tcp_matches_inproc_bit_exactly_on_restricted_sockets() {
     let tcp = ComposeConfig::default()
         .with_transport(TransportKind::TcpLoopback)
         .with_timeout(Duration::from_secs(30));
-    let (tcp_results, tcp_trace) = rt_core::run_plan_composition(&plan, partials, &tcp);
+    let (tcp_results, tcp_trace) = Run::new(&plan, &tcp).execute(partials);
 
     let in_frame = in_results[0].as_ref().unwrap().frame.as_ref().unwrap();
     let tcp_frame = tcp_results[0].as_ref().unwrap().frame.as_ref().unwrap();

@@ -10,7 +10,7 @@
 //!   at P ∈ {256, 512}.
 
 use rt_comm::CostModel;
-use rt_core::{choose, sweep, ComposeConfig, CompositionMethod, Method, TuneOptions};
+use rt_core::{choose, sweep, ComposeConfig, CompositionMethod, Method, Run, TuneOptions};
 use rt_imaging::pixel::{GrayAlpha8, Pixel};
 use rt_imaging::Image;
 use serde_json::Value;
@@ -122,7 +122,7 @@ fn hier_pick_beats_best_flat_on_the_replayed_virtual_clock_at_p64() {
     let mut replayed = Vec::new();
     for method in [&pick.method, &flat.method] {
         let plan = method.plan(p, w, p).unwrap();
-        let (_, trace) = rt_core::run_plan_composition(&plan, band_partials(p, w), &config);
+        let (_, trace) = Run::new(&plan, &config).execute(band_partials(p, w));
         let report = rt_comm::replay(&trace, &cost).unwrap();
         replayed.push(report.makespan);
     }

@@ -24,8 +24,7 @@ use crate::pixel::{GrayAlpha8, OverStats, Rgba8};
 ///
 /// Both paths produce bit-identical pixels, stats that agree on
 /// `non_blank`/`blank_skipped` (only [`OverStats::opaque_fast`] may differ),
-/// and identical event traces — the choice is wall-clock only, like the
-/// executor's pooled/per-transfer split.
+/// and identical event traces — the choice is wall-clock only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelPath {
     /// Byte-at-a-time reference loops.

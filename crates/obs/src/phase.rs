@@ -21,8 +21,9 @@ pub enum Phase {
     Wait,
     /// Backoff windows of the reliable-delivery layer (virtual clock).
     Backoff,
-    /// Codec decode of an incoming message (the per-transfer path; the
-    /// pooled path's fused decode+merge reports as [`Phase::Over`]).
+    /// Codec decode of an incoming message that is copied, not merged:
+    /// gather receives and puzzle placement. (A step receive is one fused
+    /// decode+merge kernel and reports as [`Phase::Over`].)
     Decode,
     /// `over`-compositing incoming pixels into the local frame.
     Over,

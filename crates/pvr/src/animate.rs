@@ -8,9 +8,9 @@
 //! reports per-frame virtual timings, so regressions in view-dependent
 //! code paths show up as timing or correctness jumps across the sweep.
 
-use crate::pipeline::{render_frame_pooled, PipelineConfig, PipelineOutput};
+use crate::pipeline::{FrameRun, PipelineConfig, PipelineOutput};
 use crate::PvrError;
-use rt_comm::{replay, CostModel, FaultPlan};
+use rt_comm::{replay, CostModel};
 use rt_core::exec::ScratchPool;
 use rt_imaging::GrayAlpha;
 use serde::{Deserialize, Serialize};
@@ -114,7 +114,7 @@ pub fn render_orbit_with_pool(
     for (i, (yaw, camera)) in orbit_cameras(orbit).into_iter().enumerate() {
         let mut config = *base;
         config.camera = camera;
-        let frame = render_frame_pooled(p, &config, FaultPlan::none(), pool)?;
+        let frame = FrameRun::new(p, &config).pool(pool).execute()?;
         match after_first_frame {
             None => after_first_frame = Some(pool.fresh_checkouts()),
             Some(baseline) => {

@@ -17,7 +17,8 @@
 //!   the same inputs (what the figure harness uses);
 //! * [`pipeline::render_frame`] — the full pipeline including the
 //!   view-dependent depth permutation of ranks, as a production renderer
-//!   would run it per frame.
+//!   would run it per frame ([`pipeline::FrameRun`] adds faults, a scratch
+//!   pool, an observer or the TCP transport to the same call).
 
 #![warn(missing_docs)]
 #![cfg_attr(
@@ -33,10 +34,7 @@ pub mod stream;
 
 pub use animate::{orbit_cameras, render_orbit, render_orbit_with_pool, FrameStats, OrbitConfig};
 pub use permute::permute_schedule;
-pub use pipeline::{
-    render_frame, render_frame_on, render_frame_pooled, render_frame_pooled_on,
-    render_frame_with_faults, PipelineConfig, PipelineOutput,
-};
+pub use pipeline::{render_frame, render_frame_pooled, FrameRun, PipelineConfig, PipelineOutput};
 pub use scene::{compose_scene, prepare_scene, Scene};
 pub use stream::{StreamClient, StreamConfig, StreamFrame, StreamHandle, StreamSession};
 

@@ -76,162 +76,175 @@ pub struct PipelineOutput {
     pub degraded: Option<DegradedInfo>,
 }
 
-/// Run the full pipeline on `p` ranks.
+/// Run the full pipeline on `p` ranks: in-process, fault-free, fresh
+/// scratch buffers — `FrameRun::new(p, config).execute()`.
 pub fn render_frame(p: usize, config: &PipelineConfig) -> Result<PipelineOutput, PvrError> {
-    render_frame_with_faults(p, config, FaultPlan::none())
+    FrameRun::new(p, config).execute()
 }
 
-/// [`render_frame`] on an explicit communication backend: the ranks, the
-/// inter-render barrier and every composition transfer run over the
-/// selected transport. The frame and trace are bit-identical to the
-/// in-process run — this is the entry point cross-backend tests and the
-/// TCP examples use.
-pub fn render_frame_on(
-    p: usize,
-    config: &PipelineConfig,
-    transport: TransportKind,
-) -> Result<PipelineOutput, PvrError> {
-    render_frame_inner(p, config, FaultPlan::none(), None, transport)
-}
-
-/// [`render_frame`] under fault injection: `faults` is installed on the
-/// multicomputer and the composition runs in resilient mode, so seeded
-/// message loss/corruption is absorbed by retransmission and planned rank
-/// crashes degrade the frame gracefully (see
-/// [`PipelineOutput::degraded`]).
-pub fn render_frame_with_faults(
-    p: usize,
-    config: &PipelineConfig,
-    faults: FaultPlan,
-) -> Result<PipelineOutput, PvrError> {
-    render_frame_inner(p, config, faults, None, TransportKind::InProc)
-}
-
-/// [`render_frame_with_faults`] with per-rank scratch buffers checked out
-/// of `pool`, so an animation loop reuses its compositing allocations
-/// across frames instead of paying them per frame (the per-frame constant
-/// factor the paper's interactive scenario is sensitive to). The pool is
-/// updated in place; pass the same pool to every frame.
+/// `FrameRun::new(p, config).faults(faults).pool(pool).execute()` under its
+/// pre-`FrameRun` name: the frozen `benchmark/` package links this
+/// function, so it stays as a delegation. New code uses [`FrameRun`].
 pub fn render_frame_pooled(
     p: usize,
     config: &PipelineConfig,
     faults: FaultPlan,
     pool: &ScratchPool<GrayAlpha>,
 ) -> Result<PipelineOutput, PvrError> {
-    render_frame_inner(p, config, faults, Some(pool), TransportKind::InProc)
+    FrameRun::new(p, config).faults(faults).pool(pool).execute()
 }
 
-/// [`render_frame_pooled`] on an explicit communication backend — the
-/// per-frame serial baseline the streaming bench compares against, on
-/// either transport.
-pub fn render_frame_pooled_on(
+/// One frame through the full pipeline on `p` ranks — the pipeline's
+/// counterpart of [`rt_core::Run`]: faults, a scratch pool and the
+/// transport are independent add-ons.
+pub struct FrameRun<'a> {
     p: usize,
-    config: &PipelineConfig,
+    config: &'a PipelineConfig,
     faults: FaultPlan,
-    pool: &ScratchPool<GrayAlpha>,
+    pool: Option<&'a ScratchPool<GrayAlpha>>,
     transport: TransportKind,
-) -> Result<PipelineOutput, PvrError> {
-    render_frame_inner(p, config, faults, Some(pool), transport)
 }
 
-fn render_frame_inner(
-    p: usize,
-    config: &PipelineConfig,
-    faults: FaultPlan,
-    pool: Option<&ScratchPool<GrayAlpha>>,
-    transport: TransportKind,
-) -> Result<PipelineOutput, PvrError> {
-    // Data partitioning stage (host side, as the paper's stage 1): rank r
-    // owns slab r along the view's principal axis. The factorization is
-    // pure camera/geometry math — bit-identical to what each rank's render
-    // derives internally — so no probe render of the whole volume is
-    // needed to learn the axis.
-    let volume = config.dataset.generate(config.volume_size, config.seed);
-    let tf = config.dataset.transfer_function();
-    let f = factorize(
-        &config.camera,
-        volume.dims(),
-        config.render.width,
-        config.render.height,
-    );
-    let parts = partition_1d(&volume, p, f.axis)?;
-    let rank_of_depth = depth_order(&parts, &f);
-
-    // Compile and verify the plan in depth coordinates, then relabel onto
-    // the physical ranks for this view. Step-structured methods compile to
-    // a span schedule; tile-ownership compiles to a tile plan — both run
-    // through the same dispatch below.
-    let depth_plan = config.method.plan(p, f.inter_size.0, f.inter_size.1)?;
-    depth_plan.verify()?;
-    let plan = permute_plan(&depth_plan, &rank_of_depth)?;
-    let method_name = depth_plan.method_name().to_string();
-
-    let resilient = !faults.is_none();
-    let compose_config = ComposeConfig::default()
-        .with_codec(config.codec)
-        .with_root(config.root)
-        .resilient(resilient)
-        .with_transport(transport);
-
-    type RankOut = (Option<Image<GrayAlpha>>, Option<DegradedInfo>);
-    let parts_cell = std::sync::Mutex::new(parts.into_iter().map(Some).collect::<Vec<_>>());
-    let mc = Machine::build(p, &compose_config, faults, None);
-    let (results, trace) = mc.run(|ctx| -> Result<RankOut, PvrError> {
-        let sub = parts_cell.lock().unwrap_or_else(|e| e.into_inner())[ctx.rank()]
-            .take()
-            .ok_or_else(|| PvrError::Config {
-                what: format!("rank {} has no subvolume to render", ctx.rank()),
-            })?;
-        ctx.mark("render:start");
-        let (partial, _) = render_intermediate(&sub, &tf, &config.camera, &config.render);
-        ctx.compute(ComputeKind::Render, sub.vol.len() as u64);
-        ctx.mark("render:end");
-        ctx.barrier().map_err(rt_core::CoreError::from)?;
-        let mut scratch = match pool {
-            Some(pool) => pool.checkout(ctx.rank()),
-            None => Default::default(),
-        };
-        let composed = compose_plan(ctx, &plan, partial, &compose_config, &mut scratch);
-        if let Some(pool) = pool {
-            pool.checkin(ctx.rank(), scratch);
-        }
-        let out = composed?;
-        if let Some(inter) = out.frame {
-            ctx.compute(
-                ComputeKind::Render,
-                (config.render.width * config.render.height) as u64,
-            );
-            let screen = warp_to_screen(&inter, &f, &config.render);
-            ctx.mark("warp:end");
-            Ok((Some(screen), out.degraded))
-        } else {
-            Ok((None, out.degraded))
-        }
-    });
-
-    // The frame sits at the configured root — or, if the root died, at the
-    // survivor the repair plan promoted. Take the degraded report from the
-    // frame-holding rank (survivors compute identical reports; a crashed
-    // rank only knows about itself).
-    let mut frame = None;
-    let mut degraded = None;
-    for r in results {
-        let (img, deg) = r?;
-        if let Some(img) = img {
-            frame = Some(img);
-            degraded = deg;
+impl<'a> FrameRun<'a> {
+    /// A fault-free, in-process run with fresh scratch buffers.
+    pub fn new(p: usize, config: &'a PipelineConfig) -> Self {
+        FrameRun {
+            p,
+            config,
+            faults: FaultPlan::none(),
+            pool: None,
+            transport: TransportKind::InProc,
         }
     }
-    let frame = frame.ok_or_else(|| PvrError::Config {
-        what: "no rank produced the final frame".into(),
-    })?;
-    Ok(PipelineOutput {
-        frame,
-        trace,
-        rank_of_depth,
-        method_name,
-        degraded,
-    })
+
+    /// Install `faults` on the multicomputer and compose in resilient mode,
+    /// so seeded message loss/corruption is absorbed by retransmission and
+    /// planned rank crashes degrade the frame gracefully (see
+    /// [`PipelineOutput::degraded`]).
+    pub fn faults(mut self, faults: FaultPlan) -> Self {
+        self.faults = faults;
+        self
+    }
+
+    /// Check per-rank scratch buffers out of `pool`, so an animation loop
+    /// reuses its compositing allocations across frames instead of paying
+    /// them per frame (the per-frame constant factor the paper's
+    /// interactive scenario is sensitive to). Pass the same pool to every
+    /// frame.
+    pub fn pool(mut self, pool: &'a ScratchPool<GrayAlpha>) -> Self {
+        self.pool = Some(pool);
+        self
+    }
+
+    /// Run the ranks, the inter-render barrier and every composition
+    /// transfer over `transport`. The frame and trace are bit-identical to
+    /// the in-process run.
+    pub fn transport(mut self, transport: TransportKind) -> Self {
+        self.transport = transport;
+        self
+    }
+
+    /// Partition, render, composite and warp the frame.
+    pub fn execute(self) -> Result<PipelineOutput, PvrError> {
+        let FrameRun {
+            p,
+            config,
+            faults,
+            pool,
+            transport,
+        } = self;
+        // Data partitioning stage (host side, as the paper's stage 1): rank r
+        // owns slab r along the view's principal axis. The factorization is
+        // pure camera/geometry math — bit-identical to what each rank's render
+        // derives internally — so no probe render of the whole volume is
+        // needed to learn the axis.
+        let volume = config.dataset.generate(config.volume_size, config.seed);
+        let tf = config.dataset.transfer_function();
+        let f = factorize(
+            &config.camera,
+            volume.dims(),
+            config.render.width,
+            config.render.height,
+        );
+        let parts = partition_1d(&volume, p, f.axis)?;
+        let rank_of_depth = depth_order(&parts, &f);
+
+        // Compile and verify the plan in depth coordinates, then relabel onto
+        // the physical ranks for this view. Step-structured methods compile to
+        // a span schedule; tile-ownership compiles to a tile plan — both run
+        // through the same dispatch below.
+        let depth_plan = config.method.plan(p, f.inter_size.0, f.inter_size.1)?;
+        depth_plan.verify()?;
+        let plan = permute_plan(&depth_plan, &rank_of_depth)?;
+        let method_name = depth_plan.method_name().to_string();
+
+        let resilient = !faults.is_none();
+        let compose_config = ComposeConfig::default()
+            .with_codec(config.codec)
+            .with_root(config.root)
+            .resilient(resilient)
+            .with_transport(transport);
+
+        type RankOut = (Option<Image<GrayAlpha>>, Option<DegradedInfo>);
+        let parts_cell = std::sync::Mutex::new(parts.into_iter().map(Some).collect::<Vec<_>>());
+        let mc = Machine::build(p, &compose_config, faults, None);
+        let (results, trace) = mc.run(|ctx| -> Result<RankOut, PvrError> {
+            let sub = parts_cell.lock().unwrap_or_else(|e| e.into_inner())[ctx.rank()]
+                .take()
+                .ok_or_else(|| PvrError::Config {
+                    what: format!("rank {} has no subvolume to render", ctx.rank()),
+                })?;
+            ctx.mark("render:start");
+            let (partial, _) = render_intermediate(&sub, &tf, &config.camera, &config.render);
+            ctx.compute(ComputeKind::Render, sub.vol.len() as u64);
+            ctx.mark("render:end");
+            ctx.barrier().map_err(rt_core::CoreError::from)?;
+            let mut scratch = match pool {
+                Some(pool) => pool.checkout(ctx.rank()),
+                None => Default::default(),
+            };
+            let composed = compose_plan(ctx, &plan, partial, &compose_config, &mut scratch);
+            if let Some(pool) = pool {
+                pool.checkin(ctx.rank(), scratch);
+            }
+            let out = composed?;
+            if let Some(inter) = out.frame {
+                ctx.compute(
+                    ComputeKind::Render,
+                    (config.render.width * config.render.height) as u64,
+                );
+                let screen = warp_to_screen(&inter, &f, &config.render);
+                ctx.mark("warp:end");
+                Ok((Some(screen), out.degraded))
+            } else {
+                Ok((None, out.degraded))
+            }
+        });
+
+        // The frame sits at the configured root — or, if the root died, at the
+        // survivor the repair plan promoted. Take the degraded report from the
+        // frame-holding rank (survivors compute identical reports; a crashed
+        // rank only knows about itself).
+        let mut frame = None;
+        let mut degraded = None;
+        for r in results {
+            let (img, deg) = r?;
+            if let Some(img) = img {
+                frame = Some(img);
+                degraded = deg;
+            }
+        }
+        let frame = frame.ok_or_else(|| PvrError::Config {
+            what: "no rank produced the final frame".into(),
+        })?;
+        Ok(PipelineOutput {
+            frame,
+            trace,
+            rank_of_depth,
+            method_name,
+            degraded,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -355,8 +368,8 @@ mod tests {
         });
         let pool = rt_core::exec::ScratchPool::new();
         let fresh = render_frame(4, &config).unwrap();
-        let first = render_frame_pooled(4, &config, FaultPlan::none(), &pool).unwrap();
-        let reused = render_frame_pooled(4, &config, FaultPlan::none(), &pool).unwrap();
+        let first = FrameRun::new(4, &config).pool(&pool).execute().unwrap();
+        let reused = FrameRun::new(4, &config).pool(&pool).execute().unwrap();
         assert_eq!(fresh.frame.pixels(), first.frame.pixels());
         assert_eq!(fresh.frame.pixels(), reused.frame.pixels());
         assert_eq!(fresh.trace, reused.trace);
@@ -376,7 +389,7 @@ mod tests {
             .with_seed(3)
             .drop_rate(0.10)
             .corrupt_rate(0.05);
-        let faulty = render_frame_with_faults(4, &config, faults).unwrap();
+        let faulty = FrameRun::new(4, &config).faults(faults).execute().unwrap();
         assert!(faulty.degraded.is_none());
         assert_eq!(faulty.frame.pixels(), clean.frame.pixels());
         assert!(
@@ -393,7 +406,10 @@ mod tests {
             blocks: 4,
         });
         let inproc = render_frame(4, &config).unwrap();
-        let tcp = render_frame_on(4, &config, TransportKind::TcpLoopback).unwrap();
+        let tcp = FrameRun::new(4, &config)
+            .transport(TransportKind::TcpLoopback)
+            .execute()
+            .unwrap();
         assert_eq!(inproc.frame.pixels(), tcp.frame.pixels());
         assert_eq!(inproc.trace, tcp.trace);
     }
@@ -402,7 +418,7 @@ mod tests {
     fn crashed_rank_degrades_the_frame_gracefully() {
         let config = PipelineConfig::small(Method::ParallelPipelined);
         let faults = FaultPlan::none().crash_rank_at_step(2, 1);
-        let out = render_frame_with_faults(4, &config, faults).unwrap();
+        let out = FrameRun::new(4, &config).faults(faults).execute().unwrap();
         let info = out.degraded.expect("crash must be reported");
         assert_eq!(info.failed, vec![(2, 1)]);
         assert!(info.lost_contributions.contains(&2));

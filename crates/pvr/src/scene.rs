@@ -9,10 +9,10 @@
 use crate::PvrError;
 use rt_comm::Trace;
 use rt_compress::CodecKind;
-use rt_core::exec::{run_composition, ComposeConfig};
+use rt_core::exec::ComposeConfig;
 use rt_core::method::{CompositionMethod, Method};
 use rt_core::schedule::verify_schedule;
-use rt_core::tile::run_plan_composition;
+use rt_core::{ComposePlan, Run};
 use rt_imaging::{GrayAlpha, Image};
 use rt_render::camera::{factorize, Camera, Factorization};
 use rt_render::datasets::Dataset;
@@ -146,18 +146,7 @@ pub fn compose_scene(
 ) -> Result<(Option<Image<GrayAlpha>>, Trace), PvrError> {
     let schedule = method.build(scene.p(), scene.image_len())?;
     verify_schedule(&schedule)?;
-    let config = ComposeConfig::default()
-        .with_codec(codec)
-        .with_gather(gather);
-    let (results, trace) = run_composition(&schedule, scene.partials.clone(), &config);
-    let mut frame = None;
-    for r in results {
-        let out = r?;
-        if out.frame.is_some() {
-            frame = out.frame;
-        }
-    }
-    Ok((frame, trace))
+    compose_scene_plan(scene, &ComposePlan::Schedule(schedule), codec, gather)
 }
 
 /// [`compose_scene`] for a [`Method`] selector, dispatching through
@@ -172,10 +161,19 @@ pub fn compose_scene_method(
     let (w, h) = (scene.partials[0].width(), scene.partials[0].height());
     let plan = method.plan(scene.p(), w, h)?;
     plan.verify()?;
+    compose_scene_plan(scene, &plan, codec, gather)
+}
+
+fn compose_scene_plan(
+    scene: &Scene,
+    plan: &ComposePlan,
+    codec: CodecKind,
+    gather: bool,
+) -> Result<(Option<Image<GrayAlpha>>, Trace), PvrError> {
     let config = ComposeConfig::default()
         .with_codec(codec)
         .with_gather(gather);
-    let (results, trace) = run_plan_composition(&plan, scene.partials.clone(), &config);
+    let (results, trace) = Run::new(plan, &config).execute(scene.partials.clone());
     let mut frame = None;
     for r in results {
         let out = r?;

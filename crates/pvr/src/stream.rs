@@ -618,7 +618,7 @@ fn assemble_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{render_frame, render_frame_with_faults};
+    use crate::pipeline::{render_frame, FrameRun};
     use rt_core::method::Method;
     use rt_core::rotate::RtVariant;
 
@@ -758,7 +758,7 @@ mod tests {
         // sequence numbers, same participation).
         let mut config = base();
         config.camera = orbit_cameras(&orbit)[0].1;
-        let serial = render_frame_with_faults(4, &config, faults).unwrap();
+        let serial = FrameRun::new(4, &config).faults(faults).execute().unwrap();
         assert_eq!(frames[0].frame.pixels(), serial.frame.pixels());
         // Every frame resolves to the degraded arm of the trichotomy: the
         // exact survivors' composite, with the crash attributed.

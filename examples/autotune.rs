@@ -11,9 +11,10 @@
 
 use rotate_tiling::comm::{replay, CostModel};
 use rotate_tiling::compress::CodecKind;
-use rotate_tiling::core::exec::{run_composition, ComposeConfig};
+use rotate_tiling::core::exec::ComposeConfig;
 use rotate_tiling::core::method::CompositionMethod;
 use rotate_tiling::core::tune::{choose, sweep, TuneOptions};
+use rotate_tiling::core::{ComposePlan, Run};
 use rotate_tiling::imaging::pixel::GrayAlpha8;
 use rotate_tiling::imaging::Image;
 
@@ -57,16 +58,16 @@ fn main() {
         .take(5)
     {
         let schedule = cand.method.build(p, a).expect("winner builds");
-        let (results, trace) = run_composition(
-            &schedule,
-            partials.clone(),
+        let (results, trace) = Run::new(
+            &ComposePlan::Schedule(schedule.clone()),
             &ComposeConfig {
                 codec: CodecKind::Raw,
                 root: 0,
                 gather: true,
                 ..Default::default()
             },
-        );
+        )
+        .execute(partials.clone());
         for r in results {
             r.expect("composition succeeds");
         }

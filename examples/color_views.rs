@@ -9,9 +9,10 @@
 //! Run with: `cargo run --release --example color_views`
 
 use rotate_tiling::compress::CodecKind;
-use rotate_tiling::core::exec::{run_composition, ComposeConfig};
+use rotate_tiling::core::exec::ComposeConfig;
 use rotate_tiling::core::method::CompositionMethod;
 use rotate_tiling::core::RotateTiling;
+use rotate_tiling::core::{ComposePlan, Run};
 use rotate_tiling::imaging::io::save_ppm;
 use rotate_tiling::imaging::{Image, Rgba};
 use rotate_tiling::render::camera::Camera;
@@ -60,16 +61,16 @@ fn main() {
         let schedule = RotateTiling::two_n(4)
             .build(p, partials[0].len())
             .expect("schedule");
-        let (results, trace) = run_composition(
-            &schedule,
-            partials,
+        let (results, trace) = Run::new(
+            &ComposePlan::Schedule(schedule.clone()),
             &ComposeConfig {
                 codec: CodecKind::Trle,
                 root: 0,
                 gather: true,
                 ..Default::default()
             },
-        );
+        )
+        .execute(partials);
         let frame = results
             .into_iter()
             .filter_map(|r| r.expect("compose").frame)

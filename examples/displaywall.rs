@@ -20,7 +20,7 @@
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::{ComposeConfig, TransportKind};
 use rotate_tiling::core::method::Method;
-use rotate_tiling::core::{run_plan_composition, DisplayWall};
+use rotate_tiling::core::{DisplayWall, Run};
 use rotate_tiling::imaging::image::reference_composite;
 use rotate_tiling::imaging::{GrayAlpha8, Image, Pixel};
 use serde::{Serialize, Value};
@@ -95,7 +95,7 @@ fn main() {
         .with_display_wall(wall);
 
     let t0 = std::time::Instant::now();
-    let (results, trace) = run_plan_composition(&plan, partials, &config);
+    let (results, trace) = Run::new(&plan, &config).execute(partials);
     let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     println!(

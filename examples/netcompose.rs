@@ -10,10 +10,11 @@
 
 use rotate_tiling::comm::{replay_timeline, CostModel};
 use rotate_tiling::compress::CodecKind;
-use rotate_tiling::core::exec::{run_composition, ComposeConfig, TransportKind};
+use rotate_tiling::core::exec::{ComposeConfig, TransportKind};
 use rotate_tiling::core::method::CompositionMethod;
 use rotate_tiling::core::schedule::verify_schedule;
 use rotate_tiling::core::RotateTiling;
+use rotate_tiling::core::{ComposePlan, Run};
 use rotate_tiling::imaging::{GrayAlpha, Image, Pixel};
 
 fn main() {
@@ -41,11 +42,11 @@ fn main() {
     // One config per backend; everything but the transport is identical.
     let config = ComposeConfig::default().with_codec(CodecKind::Trle);
     let frame_of = |transport: TransportKind| {
-        let (results, trace) = run_composition(
-            &schedule,
-            partials.clone(),
+        let (results, trace) = Run::new(
+            &ComposePlan::Schedule(schedule.clone()),
             &config.with_transport(transport),
-        );
+        )
+        .execute(partials.clone());
         let frame = results
             .into_iter()
             .filter_map(|r| r.expect("composition succeeds").frame)

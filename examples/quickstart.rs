@@ -9,10 +9,11 @@
 
 use rotate_tiling::comm::{replay, CostModel};
 use rotate_tiling::compress::CodecKind;
-use rotate_tiling::core::exec::{run_composition, ComposeConfig};
+use rotate_tiling::core::exec::ComposeConfig;
 use rotate_tiling::core::method::CompositionMethod;
 use rotate_tiling::core::schedule::verify_schedule;
 use rotate_tiling::core::RotateTiling;
+use rotate_tiling::core::{ComposePlan, Run};
 use rotate_tiling::imaging::{GrayAlpha, Image, Pixel};
 
 fn main() {
@@ -52,7 +53,8 @@ fn main() {
         gather: true,
         ..Default::default()
     };
-    let (results, trace) = run_composition(&schedule, partials.clone(), &config);
+    let (results, trace) =
+        Run::new(&ComposePlan::Schedule(schedule.clone()), &config).execute(partials.clone());
     let frame = results
         .into_iter()
         .filter_map(|r| r.expect("composition succeeds").frame)

@@ -9,9 +9,10 @@
 use rotate_tiling::comm::{replay, CostModel};
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::analysis::analyze;
-use rotate_tiling::core::exec::{run_composition, ComposeConfig};
+use rotate_tiling::core::exec::ComposeConfig;
 use rotate_tiling::core::method::CompositionMethod;
 use rotate_tiling::core::{BinarySwap, DirectSend, ParallelPipelined, RotateTiling};
+use rotate_tiling::core::{ComposePlan, Run};
 use rotate_tiling::imaging::pixel::{GrayAlpha8, Pixel};
 use rotate_tiling::imaging::Image;
 
@@ -35,7 +36,8 @@ fn check(method: &dyn CompositionMethod, p: usize, len: usize, cost: &CostModel)
         gather: true,
         ..Default::default()
     };
-    let (results, trace) = run_composition(&schedule, partials(p, len), &config);
+    let (results, trace) =
+        Run::new(&ComposePlan::Schedule(schedule.clone()), &config).execute(partials(p, len));
     for r in results {
         r.unwrap();
     }

@@ -16,11 +16,12 @@
 use proptest::prelude::*;
 use rotate_tiling::comm::FaultPlan;
 use rotate_tiling::compress::CodecKind;
-use rotate_tiling::core::exec::{run_composition_faulty, ComposeConfig, ComposeOutput};
+use rotate_tiling::core::exec::{ComposeConfig, ComposeOutput};
 use rotate_tiling::core::method::CompositionMethod;
 use rotate_tiling::core::{
     BinarySwap, CoreError, DirectSend, ParallelPipelined, RotateTiling, Schedule,
 };
+use rotate_tiling::core::{ComposePlan, Run};
 use rotate_tiling::imaging::{Image, Provenance};
 use std::time::Duration;
 
@@ -56,7 +57,9 @@ fn run_guarded(
             .resilient(true)
             .with_timeout(Duration::from_millis(500));
         let p = schedule.p;
-        let (results, _) = run_composition_faulty(&schedule, partials(p), &config, faults);
+        let (results, _) = Run::new(&ComposePlan::Schedule(schedule.clone()), &config)
+            .faults(faults)
+            .execute(partials(p));
         let _ = tx.send(results);
     });
     match rx.recv_timeout(WATCHDOG) {
@@ -197,8 +200,8 @@ proptest! {
         let config = ComposeConfig::default()
             .resilient(true)
             .with_timeout(Duration::from_millis(500));
-        let (r1, t1) = run_composition_faulty(&schedule, partials(6), &config, faults());
-        let (r2, t2) = run_composition_faulty(&schedule, partials(6), &config, faults());
+        let (r1, t1) = Run::new(&ComposePlan::Schedule(schedule.clone()), &config).faults(faults()).execute(partials(6));
+        let (r2, t2) = Run::new(&ComposePlan::Schedule(schedule.clone()), &config).faults(faults()).execute(partials(6));
         prop_assert_eq!(t1.retransmit_count(), t2.retransmit_count());
         for (a, b) in r1.iter().zip(r2.iter()) {
             match (a, b) {

@@ -4,9 +4,10 @@
 //! 8-bit figure runs.
 
 use rotate_tiling::compress::CodecKind;
-use rotate_tiling::core::exec::{run_composition, ComposeConfig};
+use rotate_tiling::core::exec::ComposeConfig;
 use rotate_tiling::core::method::CompositionMethod;
 use rotate_tiling::core::{BinarySwap, ParallelPipelined, RotateTiling};
+use rotate_tiling::core::{ComposePlan, Run};
 use rotate_tiling::imaging::image::reference_composite;
 use rotate_tiling::imaging::{GrayAlpha, Image, Rgba};
 
@@ -59,16 +60,16 @@ fn rgba_composition_matches_reference_for_every_method_and_codec() {
     for m in &methods {
         for codec in CodecKind::ALL {
             let schedule = m.build(p, len).unwrap();
-            let (results, _) = run_composition(
-                &schedule,
-                partials.clone(),
+            let (results, _) = Run::new(
+                &ComposePlan::Schedule(schedule.clone()),
                 &ComposeConfig {
                     codec,
                     root: 0,
                     gather: true,
                     ..Default::default()
                 },
-            );
+            )
+            .execute(partials.clone());
             let frame = results
                 .into_iter()
                 .filter_map(|r| r.unwrap().frame)
@@ -95,16 +96,16 @@ fn f32_gray_composition_matches_reference() {
         Box::new(RotateTiling::two_n(2)),
     ] {
         let schedule = m.build(p, len).unwrap();
-        let (results, _) = run_composition(
-            &schedule,
-            partials.clone(),
+        let (results, _) = Run::new(
+            &ComposePlan::Schedule(schedule.clone()),
             &ComposeConfig {
                 codec: CodecKind::Trle,
                 root: 0,
                 gather: true,
                 ..Default::default()
             },
-        );
+        )
+        .execute(partials.clone());
         let frame = results
             .into_iter()
             .filter_map(|r| r.unwrap().frame)
@@ -122,16 +123,16 @@ fn trle_compresses_rgba_blank_structure() {
     let partials = rgba_partials(p, len);
     let schedule = RotateTiling::two_n(2).build(p, len).unwrap();
     let run = |codec| {
-        let (results, trace) = run_composition(
-            &schedule,
-            partials.clone(),
+        let (results, trace) = Run::new(
+            &ComposePlan::Schedule(schedule.clone()),
             &ComposeConfig {
                 codec,
                 root: 0,
                 gather: true,
                 ..Default::default()
             },
-        );
+        )
+        .execute(partials.clone());
         for r in results {
             r.unwrap();
         }

@@ -6,10 +6,11 @@
 //! order.
 
 use rotate_tiling::compress::CodecKind;
-use rotate_tiling::core::exec::{run_composition, ComposeConfig};
+use rotate_tiling::core::exec::ComposeConfig;
 use rotate_tiling::core::method::CompositionMethod;
 use rotate_tiling::core::schedule::verify_schedule;
 use rotate_tiling::core::{BinarySwap, DirectSend, ParallelPipelined, RotateTiling};
+use rotate_tiling::core::{ComposePlan, Run};
 use rotate_tiling::imaging::{Image, Provenance};
 
 const A: usize = 1920; // divisible by many block counts, with remainders elsewhere
@@ -31,7 +32,8 @@ fn assert_exact(method: &dyn CompositionMethod, p: usize, len: usize, codec: Cod
         gather: true,
         ..Default::default()
     };
-    let (results, _) = run_composition(&schedule, partials(p, len), &config);
+    let (results, _) =
+        Run::new(&ComposePlan::Schedule(schedule.clone()), &config).execute(partials(p, len));
     let mut frames = 0;
     for r in results {
         let out = r.unwrap_or_else(|e| panic!("{} p={p}: {e}", method.name()));

@@ -4,9 +4,9 @@
 
 use rotate_tiling::comm::{CommError, FaultPlan, Multicomputer};
 use rotate_tiling::compress::CodecKind;
-use rotate_tiling::core::exec::{compose, ComposeConfig};
+use rotate_tiling::core::exec::ComposeConfig;
 use rotate_tiling::core::method::CompositionMethod;
-use rotate_tiling::core::{CoreError, RotateTiling};
+use rotate_tiling::core::{ComposePlan, CoreError, RotateTiling, Run};
 use rotate_tiling::imaging::{Image, Provenance};
 use std::time::Duration;
 
@@ -24,16 +24,12 @@ fn run_with_faults(faults: FaultPlan) -> (Vec<Result<(), CoreError>>, rotate_til
         root: 0,
         gather: true,
         ..Default::default()
-    };
-    let imgs = std::sync::Mutex::new(partials(p, 256).into_iter().map(Some).collect::<Vec<_>>());
-    let mc = Multicomputer::new(p)
-        .with_timeout(Duration::from_millis(300))
-        .with_faults(faults);
-    let (results, trace) = mc.run(|ctx| {
-        let local = imgs.lock().unwrap()[ctx.rank()].take().unwrap();
-        compose(ctx, &schedule, local, &config).map(|_| ())
-    });
-    (results, trace)
+    }
+    .with_timeout(Duration::from_millis(300));
+    let (results, trace) = Run::new(&ComposePlan::Schedule(schedule), &config)
+        .faults(faults)
+        .execute(partials(p, 256));
+    (results.into_iter().map(|r| r.map(|_| ())).collect(), trace)
 }
 
 #[test]
@@ -110,19 +106,15 @@ fn sole_survivor_is_elected_root() {
         gather: true,
         ..Default::default()
     }
-    .resilient(true);
-    let imgs = std::sync::Mutex::new(partials(p, 256).into_iter().map(Some).collect::<Vec<_>>());
+    .resilient(true)
+    .with_timeout(Duration::from_millis(300));
     let faults = FaultPlan::none()
         .crash_rank_at_step(0, 0)
         .crash_rank_at_step(1, 0)
         .crash_rank_at_step(2, 0);
-    let mc = Multicomputer::new(p)
-        .with_timeout(Duration::from_millis(300))
-        .with_faults(faults);
-    let (results, _) = mc.run(|ctx| {
-        let local = imgs.lock().unwrap()[ctx.rank()].take().unwrap();
-        compose(ctx, &schedule, local, &config)
-    });
+    let (results, _) = Run::new(&ComposePlan::Schedule(schedule), &config)
+        .faults(faults)
+        .execute(partials(p, 256));
     let out = results[3].as_ref().expect("survivor must complete");
     let info = out.degraded.as_ref().expect("run must be flagged degraded");
     assert_eq!(info.root_reassigned_to, Some(3));

@@ -5,8 +5,9 @@
 //! `over` order-insensitive), and the result must equal the full render.
 
 use rotate_tiling::compress::CodecKind;
-use rotate_tiling::core::exec::{run_composition, ComposeConfig};
+use rotate_tiling::core::exec::ComposeConfig;
 use rotate_tiling::core::method::CompositionMethod;
+use rotate_tiling::core::{ComposePlan, Run};
 use rotate_tiling::core::{ParallelPipelined, RotateTiling};
 use rotate_tiling::imaging::image::psnr;
 use rotate_tiling::render::camera::Camera;
@@ -52,16 +53,16 @@ fn grid_partials_composite_to_the_full_frame() {
         Box::new(ParallelPipelined::new()),
     ] {
         let schedule = m.build(4, want.len()).unwrap();
-        let (results, _) = run_composition(
-            &schedule,
-            partials.clone(),
+        let (results, _) = Run::new(
+            &ComposePlan::Schedule(schedule.clone()),
             &ComposeConfig {
                 codec: CodecKind::Trle,
                 root: 0,
                 gather: true,
                 ..Default::default()
             },
-        );
+        )
+        .execute(partials.clone());
         let frame = results
             .into_iter()
             .filter_map(|r| r.unwrap().frame)

@@ -14,10 +14,9 @@
 use proptest::prelude::*;
 use rotate_tiling::comm::{FaultPlan, Trace};
 use rotate_tiling::compress::CodecKind;
-use rotate_tiling::core::exec::{
-    run_composition, run_composition_faulty, ComposeConfig, TransportKind,
-};
+use rotate_tiling::core::exec::{ComposeConfig, TransportKind};
 use rotate_tiling::core::method::{CompositionMethod, Method};
+use rotate_tiling::core::{ComposePlan, Run};
 use rotate_tiling::imaging::{GrayAlpha8, Image, Pixel};
 
 const EDGE: usize = 64;
@@ -56,7 +55,8 @@ fn run_cell(
     let config = ComposeConfig::default()
         .with_codec(codec)
         .with_transport(transport);
-    let (results, trace) = run_composition(&schedule, partials(p, seed), &config);
+    let (results, trace) =
+        Run::new(&ComposePlan::Schedule(schedule.clone()), &config).execute(partials(p, seed));
     let frame = results
         .into_iter()
         .filter_map(|r| r.expect("composition succeeds").frame)
@@ -142,20 +142,23 @@ fn dropped_frame_retransmits_identically_on_tcp() {
             .expect("root holds the frame")
     }
 
-    let (tcp_results, tcp_trace) = run_composition_faulty(
-        &schedule,
-        partials(4, 0),
+    let (tcp_results, tcp_trace) = Run::new(
+        &ComposePlan::Schedule(schedule.clone()),
         &config(TransportKind::TcpLoopback),
-        plan(),
-    );
-    let (inproc_results, inproc_trace) = run_composition_faulty(
-        &schedule,
-        partials(4, 0),
+    )
+    .faults(plan())
+    .execute(partials(4, 0));
+    let (inproc_results, inproc_trace) = Run::new(
+        &ComposePlan::Schedule(schedule.clone()),
         &config(TransportKind::InProc),
-        plan(),
-    );
-    let (clean_results, _) =
-        run_composition(&schedule, partials(4, 0), &config(TransportKind::InProc));
+    )
+    .faults(plan())
+    .execute(partials(4, 0));
+    let (clean_results, _) = Run::new(
+        &ComposePlan::Schedule(schedule.clone()),
+        &config(TransportKind::InProc),
+    )
+    .execute(partials(4, 0));
 
     assert!(
         tcp_trace.retransmit_count() > 0,

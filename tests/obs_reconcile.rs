@@ -10,9 +10,10 @@
 
 use rotate_tiling::comm::{replay, replay_timeline, CostModel};
 use rotate_tiling::compress::CodecKind;
-use rotate_tiling::core::exec::{run_composition, ComposeConfig, ExecPath};
+use rotate_tiling::core::exec::ComposeConfig;
 use rotate_tiling::core::method::{CompositionMethod, Method};
 use rotate_tiling::core::CoreError;
+use rotate_tiling::core::{ComposePlan, Run};
 use rotate_tiling::imaging::pixel::GrayAlpha8;
 use rotate_tiling::imaging::{Image, Pixel};
 use rotate_tiling::obs::reconcile_all;
@@ -44,10 +45,9 @@ fn check_cell(method: Method, p: usize, codec: CodecKind, cost: &CostModel) {
         Err(CoreError::UnsupportedShape { .. }) => return,
         Err(e) => panic!("{} P={p}: {e}", method.name()),
     };
-    let config = ComposeConfig::default()
-        .with_codec(codec)
-        .with_path(ExecPath::PerTransfer);
-    let (results, trace) = run_composition(&schedule, banded_partials(p, LEN), &config);
+    let config = ComposeConfig::default().with_codec(codec);
+    let (results, trace) = Run::new(&ComposePlan::Schedule(schedule.clone()), &config)
+        .execute(banded_partials(p, LEN));
     for r in results {
         r.unwrap();
     }

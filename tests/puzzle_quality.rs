@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::{ComposeConfig, TransportKind};
 use rotate_tiling::core::method::Method;
-use rotate_tiling::core::tile::run_plan_composition;
+use rotate_tiling::core::Run;
 use rotate_tiling::imaging::image::reference_composite;
 use rotate_tiling::imaging::pixel::{GrayAlpha8, Pixel};
 use rotate_tiling::imaging::Image;
@@ -105,7 +105,7 @@ fn compose_puzzle_frame(
     let config = ComposeConfig::default()
         .with_codec(codec)
         .with_transport(transport);
-    let (outputs, _) = run_plan_composition(&plan, partials.to_vec(), &config);
+    let (outputs, _) = Run::new(&plan, &config).execute(partials.to_vec());
     outputs
         .into_iter()
         .filter_map(|r| r.unwrap().frame)

@@ -4,10 +4,11 @@
 
 use rotate_tiling::comm::{replay, CostModel};
 use rotate_tiling::compress::CodecKind;
-use rotate_tiling::core::exec::{run_composition, ComposeConfig};
+use rotate_tiling::core::exec::ComposeConfig;
 use rotate_tiling::core::method::CompositionMethod;
 use rotate_tiling::core::theory;
 use rotate_tiling::core::{BinarySwap, ParallelPipelined, RotateTiling};
+use rotate_tiling::core::{ComposePlan, Run};
 use rotate_tiling::imaging::pixel::GrayAlpha8;
 use rotate_tiling::imaging::{Image, Pixel};
 
@@ -44,7 +45,8 @@ fn run_of(
         gather: true,
         ..Default::default()
     };
-    let (results, trace) = run_composition(&schedule, banded_partials(p, len), &config);
+    let (results, trace) = Run::new(&ComposePlan::Schedule(schedule.clone()), &config)
+        .execute(banded_partials(p, len));
     for r in results {
         r.unwrap();
     }
@@ -197,16 +199,16 @@ fn theory_module_reproduces_paper_orderings() {
 fn gather_cost_is_visible_in_the_replay() {
     let cost = CostModel::PAPER_EXAMPLE;
     let schedule = RotateTiling::two_n(4).build(8, A).unwrap();
-    let (results, trace) = run_composition(
-        &schedule,
-        banded_partials(8, A),
+    let (results, trace) = Run::new(
+        &ComposePlan::Schedule(schedule.clone()),
         &ComposeConfig {
             codec: CodecKind::Raw,
             root: 0,
             gather: true,
             ..Default::default()
         },
-    );
+    )
+    .execute(banded_partials(8, A));
     for r in results {
         r.unwrap();
     }

@@ -9,7 +9,7 @@ use rotate_tiling::core::exec::TransportKind;
 use rotate_tiling::core::method::Method;
 use rotate_tiling::imaging::{GrayAlpha, Image};
 use rotate_tiling::pvr::animate::{orbit_cameras, OrbitConfig};
-use rotate_tiling::pvr::pipeline::{render_frame, render_frame_with_faults, PipelineConfig};
+use rotate_tiling::pvr::pipeline::{render_frame, FrameRun, PipelineConfig};
 use rotate_tiling::pvr::stream::{StreamConfig, StreamSession};
 use rotate_tiling::pvr::PvrError;
 use rotate_tiling::render::shearwarp::RenderOptions;
@@ -147,7 +147,7 @@ fn seeded_crash_mid_stream_resolves_to_exact_degraded() {
     // against the serial degraded frame.
     let mut c = config;
     c.camera = orbit_cameras(&orbit)[0].1;
-    let serial = render_frame_with_faults(4, &c, faults).unwrap();
+    let serial = FrameRun::new(4, &c).faults(faults).execute().unwrap();
     assert_eq!(got[0].frame.pixels(), serial.frame.pixels());
     assert_eq!(
         got[0].degraded.as_ref().map(|d| d.failed.clone()),

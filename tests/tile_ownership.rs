@@ -9,7 +9,7 @@ use rotate_tiling::comm::{Event, FaultPlan, Trace, TILE_CH_MANIFEST, TILE_CH_PAY
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::{ComposeConfig, TransportKind};
 use rotate_tiling::core::method::Method;
-use rotate_tiling::core::{run_plan_composition, run_plan_composition_faulty, DisplayWall};
+use rotate_tiling::core::{DisplayWall, Run};
 use rotate_tiling::imaging::image::reference_composite;
 use rotate_tiling::imaging::{GrayAlpha8, Image, Pixel, Provenance};
 use std::time::Duration;
@@ -76,7 +76,7 @@ fn a_fully_blank_rank_sends_manifests_but_zero_tile_payloads() {
     let want = reference_composite(&partials).unwrap();
     let plan = tile_owner(6, 6).plan(p, 48, 48).unwrap();
     let config = ComposeConfig::default().with_codec(CodecKind::Trle);
-    let (results, trace) = run_plan_composition(&plan, partials, &config);
+    let (results, trace) = Run::new(&plan, &config).execute(partials);
     let frame = root_frame(results);
     assert_eq!(frame.pixels(), want.pixels());
     // The blank rank still announces itself (fixed-size manifests) but
@@ -93,7 +93,7 @@ fn a_single_tile_grid_degenerates_to_one_owner_and_stays_exact() {
     let partials = band_partials(p, 40, 24);
     let want = reference_composite(&partials).unwrap();
     let plan = tile_owner(1, 1).plan(p, 40, 24).unwrap();
-    let (results, trace) = run_plan_composition(&plan, partials, &ComposeConfig::default());
+    let (results, trace) = Run::new(&plan, &ComposeConfig::default()).execute(partials);
     assert_eq!(root_frame(results).pixels(), want.pixels());
     // One tile → rank 0 owns everything; nobody ships more than one
     // payload, and the owner ships none.
@@ -111,7 +111,7 @@ fn a_grid_that_does_not_divide_the_frame_still_covers_every_pixel_once() {
     let p = 3;
     let partials = provenance_partials(p, 29, 13);
     let plan = tile_owner(4, 5).plan(p, 29, 13).unwrap();
-    let (results, _) = run_plan_composition(&plan, partials, &ComposeConfig::default());
+    let (results, _) = Run::new(&plan, &ComposeConfig::default()).execute(partials);
     let frame = root_frame(results);
     for px in frame.pixels() {
         assert_eq!(*px, Provenance::complete(p as u16));
@@ -130,8 +130,8 @@ fn tile_owner_is_byte_identical_to_direct_send_and_the_reference_fold() {
         let config = ComposeConfig::default().with_codec(codec);
         let to_plan = tile_owner(5, 3).plan(p, 64, 64).unwrap();
         let ds_plan = Method::DirectSend.plan(p, 64, 64).unwrap();
-        let (to, _) = run_plan_composition(&to_plan, partials.clone(), &config);
-        let (ds, _) = run_plan_composition(&ds_plan, partials.clone(), &config);
+        let (to, _) = Run::new(&to_plan, &config).execute(partials.clone());
+        let (ds, _) = Run::new(&ds_plan, &config).execute(partials.clone());
         let to_frame = root_frame(to);
         assert_eq!(to_frame.pixels(), want.pixels(), "{codec:?} vs reference");
         assert_eq!(
@@ -155,7 +155,7 @@ fn tcp_and_inproc_tile_runs_are_bit_identical() {
             let config = ComposeConfig::default()
                 .with_codec(codec)
                 .with_transport(kind);
-            let (results, trace) = run_plan_composition(&plan, partials.clone(), &config);
+            let (results, trace) = Run::new(&plan, &config).execute(partials.clone());
             (root_frame(results), trace)
         };
         let (inproc_frame, inproc_trace) = run(TransportKind::InProc);
@@ -174,7 +174,7 @@ fn owner_rank_death_mid_frame_keeps_the_trichotomy() {
     let deepest = p - 1; // depth order is identity: rank 3 is farthest
 
     // 1. Bit-exact: no fault planned, every pixel fully composited.
-    let (clean, _) = run_plan_composition(&plan, partials.clone(), &ComposeConfig::default());
+    let (clean, _) = Run::new(&plan, &ComposeConfig::default()).execute(partials.clone());
     for px in root_frame(clean).pixels() {
         assert_eq!(*px, Provenance::complete(p as u16));
     }
@@ -187,7 +187,9 @@ fn owner_rank_death_mid_frame_keeps_the_trichotomy() {
     let config = ComposeConfig::default()
         .resilient(true)
         .with_timeout(Duration::from_millis(500));
-    let (results, _) = run_plan_composition_faulty(&plan, partials.clone(), &config, faults);
+    let (results, _) = Run::new(&plan, &config)
+        .faults(faults)
+        .execute(partials.clone());
     let mut frames = Vec::new();
     for (rank, r) in results.into_iter().enumerate() {
         if rank == deepest {
@@ -226,7 +228,7 @@ fn owner_rank_death_mid_frame_keeps_the_trichotomy() {
     //    a typed error on some rank — never a silently wrong frame.
     let faults = FaultPlan::none().sever_channel(deepest, 0);
     let config = ComposeConfig::default().with_timeout(Duration::from_millis(300));
-    let (results, _) = run_plan_composition_faulty(&plan, partials, &config, faults);
+    let (results, _) = Run::new(&plan, &config).faults(faults).execute(partials);
     assert!(
         results.iter().any(|r| r.is_err()),
         "a severed link must surface as a typed error"
@@ -250,12 +252,12 @@ fn display_wall_cells_of_a_span_schedule_match_the_root_frame() {
     let (w, h) = (32, 24);
     let partials = band_partials(p, w, h);
     let plan = Method::BinarySwap.plan(p, w, h).unwrap();
-    let (rooted, _) = run_plan_composition(&plan, partials.clone(), &ComposeConfig::default());
+    let (rooted, _) = Run::new(&plan, &ComposeConfig::default()).execute(partials.clone());
     let whole = root_frame(rooted);
 
     let wall = DisplayWall::new(2, 1).with_base(1); // ranks 1 and 2 display
     let config = ComposeConfig::default().with_display_wall(wall);
-    let (results, _) = run_plan_composition(&plan, partials, &config);
+    let (results, _) = Run::new(&plan, &config).execute(partials);
     let mut cells = 0;
     for (rank, r) in results.into_iter().enumerate() {
         let out = r.expect("rank failed");
