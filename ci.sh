@@ -111,19 +111,6 @@ cargo run -q --release -p rt-bench --bin kernels -- --smoke --out "$kernels_out"
 test -s "$kernels_out"
 grep -q '"schema": "bench-kernels/v1"' "$kernels_out"
 
-echo "== stream smoke =="
-# Pipelined frame streaming over a 3-frame orbit at P=8, both codecs
-# that matter (Raw, TRLE), two methods: every streamed frame is asserted
-# byte-identical to the serial per-frame pipeline inside the binary
-# before any timing is trusted, and the bench-stream/v1 artifact must
-# emit and parse. Speedup floors are only enforced on full-size runs,
-# not in CI, where shared-runner wall clocks are meaningless.
-stream_out=target/stream_smoke.json
-rm -f "$stream_out"
-cargo run -q --release -p rt-bench --bin stream -- --smoke --out "$stream_out"
-test -s "$stream_out"
-grep -q '"schema": "bench-stream/v1"' "$stream_out"
-
 echo "== quality smoke =="
 # The E12 approximate-compositing grid at CI size (128x128, P=8,
 # raw+trle): every cell is gated inside the binary — disjoint content

@@ -108,7 +108,6 @@ impl Scenario {
                 reconnect_backoff: Duration::from_millis(25),
                 restore_deadline: Duration::from_millis(900),
                 heartbeat_interval: Some(Duration::from_millis(100)),
-                heartbeat_misses: 5,
                 ..TcpOptions::default()
             },
             Budget::NoReconnect => TcpOptions {
@@ -116,7 +115,6 @@ impl Scenario {
                 reconnect_backoff: Duration::from_millis(1),
                 restore_deadline: Duration::from_millis(150),
                 heartbeat_interval: Some(Duration::from_millis(100)),
-                heartbeat_misses: 5,
                 ..TcpOptions::default()
             },
         };

@@ -308,8 +308,8 @@ const CORRUPT_SALT: u64 = 0xC0;
 /// Reference-counted message payload.
 ///
 /// The reliable-delivery envelope may transmit the same bytes up to
-/// [`MAX_ATTEMPTS`] times, and collectives forward one buffer to many
-/// peers. Backing payloads with an [`Arc`] makes every such re-send a
+/// [`MAX_ATTEMPTS`] times, and a death notification goes to every
+/// peer. Backing payloads with an [`Arc`] makes every such re-send a
 /// pointer bump instead of a byte copy — only a deliberately *corrupted*
 /// attempt materializes a fresh buffer (it must damage its own copy).
 ///
@@ -437,12 +437,6 @@ pub const DEATH_TAG: u64 = 1 << 61;
 
 /// Tag namespace of the liveness-exchange control round.
 pub const LIVENESS_TAG_BIT: u64 = 1 << 59;
-
-/// `⌈log₂ p⌉` helper shared with the collectives module.
-pub(crate) fn ceil_log2_pub(p: usize) -> usize {
-    debug_assert!(p > 0);
-    p.next_power_of_two().trailing_zeros() as usize
-}
 
 /// Options for building a standalone [`RankCtx`] over an external
 /// [`Transport`] (the multi-process mode of the `rt-net` crate). The
@@ -1313,22 +1307,44 @@ impl Multicomputer {
         self.size
     }
 
-    /// Run `f` on every rank concurrently; returns the per-rank results and
-    /// the merged event trace.
+    /// The receive timeout — what a backend derives its link deadlines from.
+    pub fn timeout(&self) -> Duration {
+        self.timeout
+    }
+
+    /// Run `f` on every rank concurrently over in-process channels; returns
+    /// the per-rank results and the merged event trace.
     ///
-    /// If ranks panic, every thread is still joined and the panic is
-    /// re-raised with a report naming **which** rank(s) panicked and their
-    /// messages, as a crashed node would abort an MPI job with its rank in
-    /// the error.
+    /// # Panics
+    /// As [`Multicomputer::run_on`].
     pub fn run<T, F>(&self, f: F) -> (Vec<T>, Trace)
     where
         T: Send,
         F: Fn(&mut RankCtx) -> T + Send + Sync,
     {
+        self.run_on(InProc::mesh(self.size), f)
+    }
+
+    /// [`Multicomputer::run`] over a caller-built `mesh` (rank `r` talks
+    /// through `mesh[r]`): the one place ranks are launched, whatever
+    /// carries their messages. A backend is a mesh constructor.
+    ///
+    /// # Panics
+    /// If `mesh` is not one transport per rank. If ranks panic, every thread
+    /// is still joined and the panic is re-raised with a report naming
+    /// **which** ranks panicked and their messages, as a crashed node
+    /// would abort an MPI job with its rank in the error.
+    pub fn run_on<X, T, F>(&self, mesh: Vec<X>, f: F) -> (Vec<T>, Trace)
+    where
+        X: Transport + 'static,
+        T: Send,
+        F: Fn(&mut RankCtx) -> T + Send + Sync,
+    {
         let p = self.size;
+        assert_eq!(mesh.len(), p, "a mesh needs one transport per rank");
         let f = &f;
 
-        let mut ctxs: Vec<RankCtx> = InProc::mesh(p)
+        let mut ctxs: Vec<RankCtx> = mesh
             .into_iter()
             .enumerate()
             .map(|(rank, transport)| {

@@ -45,14 +45,12 @@
 
 #![warn(missing_docs)]
 
-pub mod collective;
 pub mod comm;
 pub mod cost;
 pub mod replay;
 pub mod trace;
 pub mod transport;
 
-pub use collective::{all_gather, broadcast, reduce};
 pub use comm::{CommError, FaultPlan, Multicomputer, Payload, RankCtx, RankOptions};
 pub use cost::{ComputeKind, CostModel};
 pub use replay::{replay, replay_timeline, RankStats, ReplayError, ReplayReport};

@@ -35,7 +35,7 @@ use std::time::Duration;
 /// backend's barrier protocol). These frames never surface through
 /// [`Transport::recv_raw`] on backends that use them, and algorithm tags
 /// must keep this bit clear — like the gather (bit 63), death (bit 61),
-/// repair (bit 60), liveness (bit 59) and collective (bit 62) namespaces.
+/// repair (bit 60) and liveness (bit 59) namespaces.
 pub const NET_CONTROL_TAG_BIT: u64 = 1 << 58;
 
 /// Step-field values at or above this base belong to the tile-ownership

@@ -82,30 +82,3 @@ fn deep_fifo_queues() {
     });
     assert_eq!(results[1], n);
 }
-
-/// Collectives compose with point-to-point traffic without crosstalk.
-#[test]
-fn collectives_interleaved_with_p2p() {
-    let p = 6;
-    let mc = Multicomputer::new(p);
-    let (results, _) = mc.run(|ctx| {
-        let me = ctx.rank();
-        // P2P ring shift.
-        ctx.send((me + 1) % p, 7, vec![me as u8]).unwrap();
-        // Broadcast in the middle of outstanding p2p traffic.
-        let b = rt_comm::broadcast(ctx, 2, (me == 2).then(|| vec![99]), 0).unwrap();
-        let from_prev = ctx.recv((me + p - 1) % p, 7).unwrap();
-        // Reduce after.
-        let sum = rt_comm::reduce(ctx, 0, vec![me as u8], 1, |a, b| vec![a[0] + b[0]]).unwrap();
-        (b, from_prev, sum)
-    });
-    for (r, (b, from_prev, sum)) in results.into_iter().enumerate() {
-        assert_eq!(b, vec![99]);
-        assert_eq!(from_prev, vec![((r + p - 1) % p) as u8]);
-        if r == 0 {
-            assert_eq!(sum, Some(vec![15])); // 0+1+2+3+4+5
-        } else {
-            assert_eq!(sum, None);
-        }
-    }
-}

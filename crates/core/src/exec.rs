@@ -28,7 +28,7 @@ use crate::repair::{repair, DegradedInfo};
 use crate::schedule::{MergeDir, Schedule};
 use crate::CoreError;
 use rt_comm::{CommError, ComputeKind, FaultPlan, Multicomputer, RankCtx, Trace};
-use rt_compress::{Codec, CodecKind, KernelPath, OverDir};
+use rt_compress::{Codec, CodecKind, OverDir};
 use rt_imaging::pixel::{OverStats, Pixel};
 use rt_imaging::{Image, Span};
 use rt_net::TcpMulticomputer;
@@ -76,12 +76,6 @@ pub struct ComposeConfig {
     /// machine ([`crate::Run`] and `rt-pvr`'s pipeline). `None` keeps the
     /// comm layer's default.
     pub timeout: Option<Duration>,
-    /// Which pixel/codec kernel implementation the executor drives
-    /// (word-wise wide kernels by default; the scalar reference loops for
-    /// A/B runs). Frames, traces and virtual-clock charges are identical
-    /// on either setting — only wall-clock time and the observability
-    /// kernel counters change.
-    pub kernel: KernelPath,
     /// Which communication backend the execution harnesses build
     /// ([`crate::Run`], `rt-pvr`'s pipeline). Frames and traces are
     /// identical on either setting.
@@ -108,7 +102,6 @@ impl Default for ComposeConfig {
             gather: true,
             resilient: false,
             timeout: None,
-            kernel: KernelPath::default(),
             transport: TransportKind::default(),
             frame_tag: 0,
             display: None,
@@ -147,12 +140,6 @@ impl ComposeConfig {
         self
     }
 
-    /// Select the compositing/codec kernel implementation.
-    pub fn with_kernel(mut self, kernel: KernelPath) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// Select the communication backend the harnesses build.
     pub fn with_transport(mut self, transport: TransportKind) -> Self {
         self.transport = transport;
@@ -181,11 +168,9 @@ impl ComposeConfig {
 pub enum Machine {
     /// Threads joined by in-process channels ([`rt_comm::Multicomputer`]).
     InProc(Multicomputer),
-    /// Threads joined by loopback TCP sockets
-    /// ([`rt_net::TcpMulticomputer`]). Boxed: it holds its `FaultPlan`
-    /// inline, making it much larger than the `Arc`-based in-process
-    /// variant.
-    Tcp(Box<TcpMulticomputer>),
+    /// The same machine over loopback TCP sockets
+    /// ([`rt_net::TcpMulticomputer`]).
+    Tcp(TcpMulticomputer),
 }
 
 impl Machine {
@@ -213,36 +198,28 @@ impl Machine {
         observer: Option<Arc<Observer>>,
         topology: Option<rt_net::Topology>,
     ) -> Machine {
+        let mut ranks = Multicomputer::new(p).with_faults(faults);
+        if let Some(timeout) = config.timeout {
+            ranks = ranks.with_timeout(timeout);
+        }
+        if let Some(observer) = observer {
+            ranks = ranks.with_observer(observer);
+        }
         match config.transport {
-            TransportKind::InProc => {
-                let mut mc = Multicomputer::new(p).with_faults(faults);
-                if let Some(timeout) = config.timeout {
-                    mc = mc.with_timeout(timeout);
-                }
-                if let Some(observer) = observer {
-                    mc = mc.with_observer(observer);
-                }
-                Machine::InProc(mc)
-            }
+            TransportKind::InProc => Machine::InProc(ranks),
             TransportKind::TcpLoopback => {
-                let mut mc = TcpMulticomputer::new(p).with_faults(faults);
-                if let Some(timeout) = config.timeout {
-                    mc = mc.with_timeout(timeout);
-                }
-                if let Some(observer) = observer {
-                    mc = mc.with_observer(observer);
-                }
-                if let Some(topology) = topology {
-                    mc = mc.with_topology(topology);
-                }
-                Machine::Tcp(Box::new(mc))
+                let tcp = TcpMulticomputer::from(ranks);
+                Machine::Tcp(match topology {
+                    Some(topology) => tcp.with_topology(topology),
+                    None => tcp,
+                })
             }
         }
     }
 
     /// Run `f` on every rank concurrently; returns the per-rank results
-    /// and the merged event trace. Panic semantics match
-    /// [`rt_comm::Multicomputer::run`] on either backend.
+    /// and the merged event trace. Either backend launches the ranks
+    /// through [`rt_comm::Multicomputer::run_on`].
     pub fn run<T, F>(&self, f: F) -> (Vec<T>, Trace)
     where
         T: Send,
@@ -448,11 +425,10 @@ pub(crate) fn elect_root(
         .ok_or(CoreError::AllRanksFailed { p })
 }
 
-/// What every stage of one compose call shares: the config, the built
-/// codec, and which kernel implementation actually runs. It owns the two
-/// sequences every executor repeats — encode → charge → count → send, and
-/// charge → fused decode → count — so each virtual-clock charge is written
-/// once for all plan families.
+/// What every stage of one compose call shares: the config and the built
+/// codec. It owns the two sequences every executor repeats — encode →
+/// charge → count → send, and charge → fused decode → count — so each
+/// virtual-clock charge is written once for all plan families.
 pub(crate) struct Stage<'a, P: Pixel> {
     /// The compose call's options.
     pub config: &'a ComposeConfig,
@@ -460,28 +436,20 @@ pub(crate) struct Stage<'a, P: Pixel> {
     /// Raw buffers carry no blank structure, so `over` is charged for the
     /// full span and the codec accounts stay empty.
     pub raw: bool,
-    wide_requested: bool,
-    /// The wide path engages only for pixel types with a word-wise kernel;
-    /// other types fall back to the scalar reference loops (counted, so
-    /// profiles show the miss).
-    wide_active: bool,
 }
 
 impl<'a, P: Pixel> Stage<'a, P> {
     pub fn new(config: &'a ComposeConfig) -> Self {
-        let wide_requested = config.kernel == KernelPath::Wide;
         Stage {
             config,
             codec: config.codec.build::<P>(),
             raw: config.codec == CodecKind::Raw,
-            wide_requested,
-            wide_active: wide_requested && P::HAS_WIDE_KERNEL,
         }
     }
 
-    /// Encode `pixels` through the configured scan kernel and ship them to
-    /// `dst`. `started` opens the wall-clock `Encode` span (callers that
-    /// stage the pixels first start it before the copy).
+    /// Encode `pixels` and ship them to `dst`. `started` opens the
+    /// wall-clock `Encode` span (callers that stage the pixels first start
+    /// it before the copy).
     pub fn ship(
         &self,
         ctx: &mut RankCtx,
@@ -490,7 +458,7 @@ impl<'a, P: Pixel> Stage<'a, P> {
         dst: usize,
         tag: u64,
     ) -> Result<(), CoreError> {
-        let encoded = self.codec.encode_with(pixels, self.config.kernel);
+        let encoded = self.codec.encode(pixels);
         ctx.obs_span(Phase::Encode, started);
         if !self.raw {
             ctx.compute(ComputeKind::Encode, encoded.raw_bytes as u64);
@@ -498,7 +466,7 @@ impl<'a, P: Pixel> Stage<'a, P> {
         let wire = encoded.bytes.len() as u64;
         ctx.obs_counters(|c| {
             c.add_wire_bytes(self.config.codec.name(), wire);
-            if self.wide_active {
+            if P::HAS_WIDE_KERNEL {
                 c.wide_kernel_bytes += wire;
             }
         });
@@ -555,9 +523,7 @@ impl<'a, P: Pixel> Stage<'a, P> {
     ) -> Result<(), CoreError> {
         self.charge_decode(ctx, bytes);
         let started = ctx.obs_start();
-        let stats = self
-            .codec
-            .decode_over_with(bytes, dst, dir, self.config.kernel)?;
+        let stats = self.codec.decode_over(bytes, dst, dir)?;
         ctx.obs_span(Phase::Over, started);
         self.count_stream(ctx, &stats, bytes.len(), stats.non_blank);
         let over_units = if self.raw { dst.len() } else { stats.non_blank };
@@ -570,28 +536,26 @@ impl<'a, P: Pixel> Stage<'a, P> {
     /// placement receive: a decode charge, no `over` charge.
     pub fn unpack(&self, ctx: &mut RankCtx, bytes: &[u8], dst: &mut [P]) -> Result<(), CoreError> {
         self.charge_decode(ctx, bytes);
-        let stats = self
-            .codec
-            .decode_over_with(bytes, dst, OverDir::Front, self.config.kernel)?;
+        let stats = self.codec.decode_over(bytes, dst, OverDir::Front)?;
         self.count_stream(ctx, &stats, bytes.len(), 0);
         Ok(())
     }
 
     /// Tally one decoded stream on the observability kernel counters;
     /// `merged` of its non-blank pixels were composited (none when the
-    /// stream was only copied).
+    /// stream was only copied). The codecs run their word-wise kernels for
+    /// pixel types that have them; other types fall back to the scalar
+    /// reference loops (counted, so profiles show the miss).
     fn count_stream(&self, ctx: &mut RankCtx, stats: &OverStats, wire: usize, merged: usize) {
         ctx.obs_counters(|c| {
             c.non_blank_merged += merged as u64;
             c.blank_skipped += stats.blank_skipped as u64;
             c.opaque_fast += stats.opaque_fast as u64;
-            if self.wide_active {
+            if P::HAS_WIDE_KERNEL {
                 c.wide_kernel_pixels += stats.source_pixels() as u64;
                 c.wide_kernel_bytes += wire as u64;
             } else {
                 c.scalar_kernel_pixels += stats.source_pixels() as u64;
-            }
-            if self.wide_requested && !self.wide_active {
                 c.kernel_fallbacks += 1;
             }
         });
@@ -1302,64 +1266,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_paths_are_trace_identical() {
-        // Scalar and wide kernels must be indistinguishable on the virtual
-        // clock and in the composited frames, across methods and codecs —
-        // on GrayAlpha8 (where the wide kernels actually engage) and on
-        // Provenance (where the wide request falls back to scalar).
-        use rt_imaging::pixel::GrayAlpha8;
-        let gray_partials: Vec<Image<GrayAlpha8>> = (0..4)
-            .map(|r| {
-                Image::from_fn(16, 16, |x, y| {
-                    // Blank-heavy with opaque patches: exercises the blank
-                    // skip, the opaque fast path and the dense lanes.
-                    match (x + 2 * y + 3 * r) % 5 {
-                        0 | 1 => GrayAlpha8::blank(),
-                        2 => GrayAlpha8::new((60 * r + x) as u8, 255),
-                        _ => GrayAlpha8::new((40 * r + y) as u8, (x * 11) as u8),
-                    }
-                })
-            })
-            .collect();
-        for codec in CodecKind::ALL {
-            for schedule in [
-                crate::BinarySwap::new().build(4, 256).unwrap(),
-                crate::ParallelPipelined::new().build(4, 256).unwrap(),
-                crate::RotateTiling::two_n(2).build(4, 256).unwrap(),
-            ] {
-                let scalar_cfg = ComposeConfig::default()
-                    .with_codec(codec)
-                    .with_kernel(KernelPath::Scalar);
-                let wide_cfg = scalar_cfg.with_kernel(KernelPath::Wide);
-                let (r_s, t_s) = run(&schedule, gray_partials.clone(), &scalar_cfg);
-                let (r_w, t_w) = run(&schedule, gray_partials.clone(), &wide_cfg);
-                assert_eq!(
-                    t_s, t_w,
-                    "{}/{codec:?}: kernel paths must be trace-identical",
-                    schedule.method
-                );
-                assert_eq!(
-                    r_s, r_w,
-                    "{}/{codec:?}: kernel paths must compose identically",
-                    schedule.method
-                );
-                let (r_ps, t_ps) = run(&schedule, provenance_partials(4, 16, 16), &scalar_cfg);
-                let (r_pw, t_pw) = run(&schedule, provenance_partials(4, 16, 16), &wide_cfg);
-                assert_eq!(
-                    t_ps, t_pw,
-                    "{}/{codec:?}: Provenance fallback trace",
-                    schedule.method
-                );
-                assert_eq!(
-                    r_ps, r_pw,
-                    "{}/{codec:?}: Provenance fallback output",
-                    schedule.method
-                );
-            }
-        }
-    }
-
-    #[test]
     fn kernel_counters_record_which_path_ran() {
         use rt_imaging::pixel::GrayAlpha8;
         use rt_obs::Observer;
@@ -1375,38 +1281,27 @@ mod tests {
                 })
             })
             .collect();
-        let run = |config: &ComposeConfig, partials: Vec<Image<GrayAlpha8>>| {
-            let pool = ScratchPool::new();
-            let observer = Arc::new(Observer::new());
-            let (results, _) = Run::new(&plan, config)
-                .pool(&pool)
-                .observer(Arc::clone(&observer))
-                .execute(partials);
-            for r in &results {
-                r.as_ref().unwrap();
-            }
-            observer.counters_total()
-        };
-        let base = ComposeConfig::default().with_codec(CodecKind::Trle);
-        // Wide on a wide-capable pixel: wide counters move, no fallbacks.
-        let wide = run(&base.with_kernel(KernelPath::Wide), gray.clone());
+        let config = ComposeConfig::default().with_codec(CodecKind::Trle);
+        // A wide-capable pixel: wide counters move, no fallbacks.
+        let pool = ScratchPool::new();
+        let observer = Arc::new(Observer::new());
+        let (results, _) = Run::new(&plan, &config)
+            .pool(&pool)
+            .observer(Arc::clone(&observer))
+            .execute(gray);
+        for r in &results {
+            r.as_ref().unwrap();
+        }
+        let wide = observer.counters_total();
         assert!(wide.wide_kernel_pixels > 0, "wide pixels: {wide:?}");
         assert!(wide.wide_kernel_bytes > 0);
         assert_eq!(wide.scalar_kernel_pixels, 0);
         assert_eq!(wide.kernel_fallbacks, 0);
-        // Scalar selected: only scalar counters move.
-        let scalar = run(&base.with_kernel(KernelPath::Scalar), gray);
-        assert!(scalar.scalar_kernel_pixels > 0);
-        assert_eq!(scalar.wide_kernel_pixels, 0);
-        assert_eq!(scalar.wide_kernel_bytes, 0);
-        assert_eq!(scalar.kernel_fallbacks, 0);
-        // Same merge work either way.
-        assert_eq!(wide.wide_kernel_pixels, scalar.scalar_kernel_pixels);
-        assert_eq!(wide.non_blank_merged, scalar.non_blank_merged);
-        // Wide on a pixel type with no wide kernel: fallbacks recorded.
+        // A pixel type with no wide kernel: the scalar loops run, and every
+        // stream is counted as a fallback.
         let pool = ScratchPool::new();
         let observer = Arc::new(Observer::new());
-        let (_, _) = Run::new(&plan, &base.with_kernel(KernelPath::Wide))
+        let (_, _) = Run::new(&plan, &config)
             .pool(&pool)
             .observer(Arc::clone(&observer))
             .execute(provenance_partials(4, 16, 16));

@@ -872,7 +872,7 @@ fn fold_tile<P: Pixel>(
 mod tests {
     use super::*;
     use crate::{DisplayWall, Run, RunOutput};
-    use rt_compress::{CodecKind, KernelPath};
+    use rt_compress::CodecKind;
     use rt_imaging::image::reference_composite;
     use rt_imaging::pixel::{GrayAlpha8, Provenance};
 
@@ -974,22 +974,6 @@ mod tests {
         let (results, _) = run(&plan, physical, &ComposeConfig::default());
         let frame = results[0].as_ref().unwrap().frame.as_ref().unwrap();
         assert_eq!(frame.pixels(), want.pixels());
-    }
-
-    #[test]
-    fn kernel_paths_are_trace_identical() {
-        for codec in CodecKind::ALL {
-            let plan = plan(4, 16, 16, 3, 3);
-            let partials = gray_partials(4, 16, 16);
-            let scalar = ComposeConfig::default()
-                .with_codec(codec)
-                .with_kernel(KernelPath::Scalar);
-            let wide = scalar.with_kernel(KernelPath::Wide);
-            let (r_s, t_s) = run(&plan, partials.clone(), &scalar);
-            let (r_w, t_w) = run(&plan, partials, &wide);
-            assert_eq!(t_s, t_w, "{codec:?}");
-            assert_eq!(r_s, r_w, "{codec:?}");
-        }
     }
 
     #[test]

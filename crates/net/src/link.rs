@@ -30,7 +30,7 @@
 //!
 //! Liveness is active: a heartbeat thread sends `PING` control frames on
 //! idle links and shuts down any stream that has been silent for
-//! [`TcpOptions::heartbeat_misses`] intervals, converting silent peer
+//! `HEARTBEAT_MISSES` intervals, converting silent peer
 //! death into a detectable EOF. Heartbeats live in the reserved
 //! [`NET_CONTROL_TAG_BIT`] namespace and never reach the envelope, the
 //! log, or the counters — traces stay bit-identical to the in-process
@@ -68,6 +68,14 @@ const SHUTDOWN_HELLO: u64 = u64::MAX;
 /// peer cannot wedge the accept loop or a repair thread.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// A link silent for `heartbeat_interval * HEARTBEAT_MISSES` is forced
+/// down (its stream is shut), entering the reconnect path.
+const HEARTBEAT_MISSES: u32 = 5;
+
+/// Byte budget of the per-peer sent-frame log. A reconnect that needs
+/// frames already evicted cannot resume; the peer is declared dead.
+const SENT_LOG_BUDGET: usize = 64 << 20;
+
 /// Knobs for the TCP fabric's failure handling.
 ///
 /// The defaults suit long-lived meshes; [`TcpOptions::scaled_to`] derives
@@ -85,14 +93,10 @@ pub struct TcpOptions {
     /// How long the accepting side waits for a lost peer to re-dial
     /// before declaring it dead.
     pub restore_deadline: Duration,
-    /// Interval between liveness pings; `None` disables heartbeats.
+    /// Interval between liveness pings (a link silent for
+    /// `HEARTBEAT_MISSES` of them is forced down); `None` disables
+    /// heartbeats.
     pub heartbeat_interval: Option<Duration>,
-    /// A link silent for `heartbeat_interval * heartbeat_misses` is
-    /// forced down (its stream is shut), entering the reconnect path.
-    pub heartbeat_misses: u32,
-    /// Byte budget of the per-peer sent-frame log. A reconnect that needs
-    /// frames already evicted cannot resume; the peer is declared dead.
-    pub sent_log_budget: usize,
     /// Upper bound on one barrier round before it fails with a typed
     /// timeout.
     pub barrier_timeout: Duration,
@@ -110,8 +114,6 @@ impl Default for TcpOptions {
             reconnect_backoff: Duration::from_millis(50),
             restore_deadline: Duration::from_secs(3),
             heartbeat_interval: Some(Duration::from_secs(1)),
-            heartbeat_misses: 5,
-            sent_log_budget: 64 << 20,
             barrier_timeout: Duration::from_secs(30),
             death_steps: HashMap::new(),
         }
@@ -135,7 +137,6 @@ impl TcpOptions {
             reconnect_backoff: backoff,
             restore_deadline: restore,
             heartbeat_interval: Some(heartbeat),
-            heartbeat_misses: 5,
             barrier_timeout: timeout.max(Duration::from_secs(5)),
             ..TcpOptions::default()
         }
@@ -290,7 +291,7 @@ impl Fabric {
                 topology.connects(rank, peer).then(|| {
                     Arc::new(Link {
                         peer,
-                        log: Mutex::new(SentLog::new(opts.sent_log_budget)),
+                        log: Mutex::new(SentLog::new(SENT_LOG_BUDGET)),
                         writer: Mutex::new(None),
                         state: Mutex::new(LinkState {
                             epoch: 0,
@@ -760,7 +761,7 @@ impl Fabric {
         let Some(interval) = self.opts.heartbeat_interval else {
             return;
         };
-        let stale_after = interval.saturating_mul(self.opts.heartbeat_misses.max(1));
+        let stale_after = interval.saturating_mul(HEARTBEAT_MISSES);
         let fabric = Arc::clone(self);
         let ping = encode_frame(&control_frame(self.rank, PING_TAG)).unwrap_or_default();
         let spawned = std::thread::Builder::new()
@@ -902,6 +903,6 @@ mod tests {
             "reconnect budget {dial_budget:?} exceeds timeout {t:?}"
         );
         let hb = opts.heartbeat_interval.unwrap();
-        assert!(hb.saturating_mul(opts.heartbeat_misses) <= t);
+        assert!(hb.saturating_mul(HEARTBEAT_MISSES) <= t);
     }
 }

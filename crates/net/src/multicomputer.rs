@@ -10,8 +10,8 @@
 use crate::link::TcpOptions;
 use crate::tcp::TcpTransport;
 use crate::topology::Topology;
-use rt_comm::comm::{RankCtx, RankOptions};
-use rt_comm::{FaultPlan, RankTrace, Trace};
+use rt_comm::comm::RankCtx;
+use rt_comm::{FaultPlan, Multicomputer, Trace};
 use rt_obs::Observer;
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,13 +19,23 @@ use std::time::Duration;
 /// A machine of `size` ranks joined by loopback TCP.
 ///
 /// Mirrors the [`rt_comm::Multicomputer`] builder API so call sites can
-/// switch backends by swapping the constructor.
+/// switch backends by swapping the constructor. It *is* that machine —
+/// timeout, fault plan, observer and the rank launcher are its — plus the
+/// socket mesh dialed for each run.
 pub struct TcpMulticomputer {
-    size: usize,
-    timeout: Duration,
-    faults: FaultPlan,
-    observer: Option<Arc<Observer>>,
+    ranks: Multicomputer,
     topology: Topology,
+}
+
+impl From<Multicomputer> for TcpMulticomputer {
+    /// The same machine (size, timeout, faults, observer) over loopback
+    /// TCP, full mesh.
+    fn from(ranks: Multicomputer) -> Self {
+        Self {
+            ranks,
+            topology: Topology::FullMesh,
+        }
+    }
 }
 
 impl TcpMulticomputer {
@@ -34,14 +44,7 @@ impl TcpMulticomputer {
     /// # Panics
     /// Panics if `size == 0`.
     pub fn new(size: usize) -> Self {
-        assert!(size > 0, "a multicomputer needs at least one rank");
-        Self {
-            size,
-            timeout: Duration::from_secs(10),
-            faults: FaultPlan::none(),
-            observer: None,
-            topology: Topology::FullMesh,
-        }
+        Multicomputer::new(size).into()
     }
 
     /// Restrict establishment to a connection [`Topology`] (default:
@@ -58,7 +61,7 @@ impl TcpMulticomputer {
     /// via [`TcpOptions::scaled_to`], so socket failures resolve into the
     /// typed failure protocol before the envelope's deadline fires.
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
+        self.ranks = self.ranks.with_timeout(timeout);
         self
     }
 
@@ -66,120 +69,48 @@ impl TcpMulticomputer {
     /// envelope above the transport, so the plan behaves exactly as on
     /// the in-process backend — same drops, same retransmits, same trace.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
+        self.ranks = self.ranks.with_faults(faults);
         self
     }
 
     /// Attach a wall-clock [`Observer`]; recorders are checked back in
     /// when all ranks have joined.
     pub fn with_observer(mut self, observer: Arc<Observer>) -> Self {
-        self.observer = Some(observer);
+        self.ranks = self.ranks.with_observer(observer);
         self
     }
 
     /// Machine size.
     pub fn size(&self) -> usize {
-        self.size
+        self.ranks.size()
     }
 
     /// Run `f` on every rank concurrently; returns the per-rank results
-    /// and the merged event trace.
-    ///
-    /// Panic semantics match [`rt_comm::Multicomputer::run`]: every
-    /// thread is joined, and rank panics are re-raised with a report
-    /// naming which rank(s) failed.
+    /// and the merged event trace: [`rt_comm::Multicomputer::run_on`] over
+    /// a freshly dialed loopback mesh.
     ///
     /// # Panics
     /// Panics if the loopback mesh cannot be established (no free ports,
     /// loopback disabled) or if any rank's closure panics.
-    // Panicking is this method's documented contract, mirroring
-    // rt_comm::Multicomputer::run: rank-closure panics are collected and
-    // re-raised with a per-rank report, and an unusable host network is
-    // not a recoverable condition for a test/example harness.
-    #[allow(clippy::panic, clippy::expect_used)]
+    // An unusable host network is not a recoverable condition for a
+    // test/example harness.
+    #[allow(clippy::panic)]
     pub fn run<T, F>(&self, f: F) -> (Vec<T>, Trace)
     where
         T: Send,
         F: Fn(&mut RankCtx) -> T + Send + Sync,
     {
-        let p = self.size;
-        let f = &f;
-        let mesh =
-            TcpTransport::loopback_topology(p, &self.topology, TcpOptions::scaled_to(self.timeout))
-                .unwrap_or_else(|e| panic!("loopback mesh of {p} ranks failed: {e}"));
-        let mut ctxs: Vec<RankCtx> = mesh
-            .into_iter()
-            .enumerate()
-            .map(|(rank, transport)| {
-                RankCtx::over_transport(
-                    Box::new(transport),
-                    RankOptions {
-                        timeout: Some(self.timeout),
-                        faults: self.faults.clone(),
-                        recorder: self.observer.as_ref().map(|o| o.recorder(rank)),
-                    },
-                )
-            })
-            .collect();
-
-        let mut outcome: Vec<Option<(T, RankTrace)>> = (0..p).map(|_| None).collect();
-        let mut panics: Vec<(usize, String)> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ctxs
-                .iter_mut()
-                .map(|ctx| {
-                    scope.spawn(move || {
-                        let result = f(ctx);
-                        (result, ctx.take_events())
-                    })
-                })
-                .collect();
-            for (rank, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(pair) => outcome[rank] = Some(pair),
-                    Err(payload) => {
-                        let msg = payload
-                            .downcast_ref::<&'static str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_string());
-                        panics.push((rank, msg));
-                    }
-                }
-            }
-        });
-        if let Some(observer) = &self.observer {
-            for ctx in ctxs {
-                let (_, _, recorder) = ctx.into_parts();
-                if let Some(rec) = recorder {
-                    observer.checkin(rec);
-                }
-            }
-        }
-        if !panics.is_empty() {
-            let report = panics
-                .iter()
-                .map(|(r, m)| format!("rank {r}: {m}"))
-                .collect::<Vec<_>>()
-                .join("; ");
-            panic!("{} rank(s) panicked — {report}", panics.len());
-        }
-
-        let mut results = Vec::with_capacity(p);
-        let mut trace = Trace::default();
-        for slot in outcome {
-            let (result, events) = slot.expect("every rank joined successfully");
-            results.push(result);
-            trace.ranks.push(events);
-        }
-        (results, trace)
+        let p = self.size();
+        let link = TcpOptions::scaled_to(self.ranks.timeout());
+        let mesh = TcpTransport::loopback_topology(p, &self.topology, link)
+            .unwrap_or_else(|e| panic!("loopback mesh of {p} ranks failed: {e}"));
+        self.ranks.run_on(mesh, f)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_comm::Multicomputer;
 
     #[test]
     fn ring_pass_matches_inproc_trace() {
@@ -196,6 +127,25 @@ mod tests {
         assert_eq!(tcp_results, vec![3, 0, 1, 2]);
         assert_eq!(tcp_results, inproc_results);
         assert_eq!(tcp_trace, inproc_trace);
+    }
+
+    #[test]
+    fn rank_panic_report_matches_inproc() {
+        // Both backends launch ranks through `Multicomputer::run_on`, so a
+        // panicking closure is attributed to its rank the same way.
+        let boom = |ctx: &mut RankCtx| {
+            if ctx.rank() == 1 {
+                panic!("boom");
+            }
+        };
+        let report = |run: &dyn Fn()| {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_err();
+            *payload.downcast::<String>().unwrap()
+        };
+        let tcp = report(&|| drop(TcpMulticomputer::new(3).run(boom)));
+        let inproc = report(&|| drop(Multicomputer::new(3).run(boom)));
+        assert_eq!(tcp, "1 rank(s) panicked — rank 1: boom");
+        assert_eq!(tcp, inproc);
     }
 
     #[test]

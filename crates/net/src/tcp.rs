@@ -560,7 +560,6 @@ mod tests {
             reconnect_backoff: Duration::from_millis(5),
             restore_deadline: Duration::from_millis(100),
             heartbeat_interval: Some(Duration::from_millis(20)),
-            heartbeat_misses: 5,
             barrier_timeout: Duration::from_secs(5),
             ..TcpOptions::default()
         }

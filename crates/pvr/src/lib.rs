@@ -10,7 +10,7 @@
 //!    [`rt_core`] method/codec over the [`rt_comm`] multicomputer, and the
 //!    root warps the composited intermediate image to the screen.
 //!
-//! Two entry points:
+//! Three entry points:
 //!
 //! * [`scene::prepare_scene`] + [`scene::compose_scene`] — render the
 //!   partials once, then benchmark many method/codec combinations against
@@ -18,7 +18,9 @@
 //! * [`pipeline::render_frame`] — the full pipeline including the
 //!   view-dependent depth permutation of ranks, as a production renderer
 //!   would run it per frame ([`pipeline::FrameRun`] adds faults, a scratch
-//!   pool, an observer or the TCP transport to the same call).
+//!   pool or the TCP transport to the same call);
+//! * [`stream::StreamSession`] — an orbit of such frames on one live
+//!   machine, each rank rendering ahead while it composes.
 
 #![warn(missing_docs)]
 #![cfg_attr(
@@ -32,7 +34,7 @@ pub mod pipeline;
 pub mod scene;
 pub mod stream;
 
-pub use animate::{orbit_cameras, render_orbit, render_orbit_with_pool, FrameStats, OrbitConfig};
+pub use animate::{orbit_cameras, FrameStats, OrbitConfig};
 pub use permute::permute_schedule;
 pub use pipeline::{render_frame, render_frame_pooled, FrameRun, PipelineConfig, PipelineOutput};
 pub use scene::{compose_scene, prepare_scene, Scene};

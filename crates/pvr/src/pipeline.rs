@@ -5,20 +5,28 @@
 //! under [`rt_comm::ComputeKind::Render`]), the depth-indexed schedule is
 //! permuted onto the physical ranks for the current view, and the root
 //! finishes with the 2-D warp — the complete system of the paper.
+//!
+//! A frame's host-side derivation (`FramePlanner` → `FramePlan`) and its
+//! post-compose tail (`FramePlan::warp`, `frame_holder`) are written once
+//! here; [`FrameRun`] and [`crate::stream`] differ only in their per-rank
+//! loops.
 
 use crate::permute::permute_plan;
 use crate::PvrError;
-use rt_comm::{ComputeKind, FaultPlan, Trace};
+use rt_comm::{ComputeKind, FaultPlan, RankCtx, Trace};
 use rt_compress::CodecKind;
-use rt_core::exec::{ComposeConfig, Machine, ScratchPool, TransportKind};
+use rt_core::exec::{ComposeConfig, ComposeOutput, Machine, ScratchPool, TransportKind};
 use rt_core::method::Method;
 use rt_core::repair::DegradedInfo;
-use rt_core::tile::compose_plan;
+use rt_core::tile::{compose_plan, ComposePlan};
 use rt_imaging::{GrayAlpha, Image};
-use rt_render::camera::{factorize, Camera};
+use rt_render::camera::{factorize, Camera, Factorization};
 use rt_render::datasets::Dataset;
-use rt_render::partition::{depth_order, partition_1d};
+use rt_render::partition::{depth_order, partition_1d, Subvolume};
 use rt_render::shearwarp::{render_intermediate, warp_to_screen, RenderOptions};
+use rt_render::volume::Volume;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Configuration of one pipeline run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,6 +66,135 @@ impl PipelineConfig {
             root: 0,
         }
     }
+
+    /// The composition options this pipeline implies: its codec and root,
+    /// resilient exactly when a fault plan is installed.
+    pub(crate) fn compose_config(
+        &self,
+        faults: &FaultPlan,
+        transport: TransportKind,
+    ) -> ComposeConfig {
+        ComposeConfig::default()
+            .with_codec(self.codec)
+            .with_root(self.root)
+            .resilient(!faults.is_none())
+            .with_transport(transport)
+    }
+}
+
+/// Host-side plan of one frame: everything that depends on the view,
+/// derived before the machine starts.
+pub(crate) struct FramePlan {
+    pub camera: Camera,
+    pub f: Factorization,
+    /// Rank `r` renders `parts[r]`.
+    pub parts: Arc<Vec<Subvolume>>,
+    /// Physical rank at each depth position (0 = nearest).
+    pub rank_of_depth: Vec<usize>,
+    /// The method's verified plan, relabelled from depth positions onto the
+    /// physical ranks of this view.
+    pub compose: ComposePlan,
+    pub method_name: String,
+}
+
+/// What one rank holds once a frame is composed: the screen frame (on the
+/// frame-holding rank only) and the degradation report.
+pub(crate) type RankFrame = (Option<Image<GrayAlpha>>, Option<DegradedInfo>);
+
+impl FramePlan {
+    /// The per-rank tail of a frame: the rank holding the composited
+    /// intermediate image warps it to the screen.
+    pub fn warp(
+        &self,
+        ctx: &mut RankCtx,
+        render: &RenderOptions,
+        composed: ComposeOutput<GrayAlpha>,
+    ) -> RankFrame {
+        let screen = composed.frame.map(|inter| {
+            ctx.compute(ComputeKind::Render, (render.width * render.height) as u64);
+            let screen = warp_to_screen(&inter, &self.f, render);
+            ctx.mark("warp:end");
+            screen
+        });
+        (screen, composed.degraded)
+    }
+}
+
+/// The data-partitioning stage (host side, as the paper's stage 1): the
+/// volume is generated once and cut once per principal axis (there are at
+/// most three), however many views are planned.
+pub(crate) struct FramePlanner<'a> {
+    p: usize,
+    config: &'a PipelineConfig,
+    volume: Volume,
+    parts_by_axis: HashMap<usize, Arc<Vec<Subvolume>>>,
+}
+
+impl<'a> FramePlanner<'a> {
+    pub fn new(p: usize, config: &'a PipelineConfig) -> Self {
+        FramePlanner {
+            p,
+            config,
+            volume: config.dataset.generate(config.volume_size, config.seed),
+            parts_by_axis: HashMap::new(),
+        }
+    }
+
+    /// Plan the frame seen from `camera` (`config.camera` is not read).
+    pub fn plan(&mut self, camera: Camera) -> Result<FramePlan, PvrError> {
+        let (p, config) = (self.p, self.config);
+        // Rank r owns slab r along the view's principal axis. The
+        // factorization is pure camera/geometry math — bit-identical to what
+        // each rank's render derives internally — so no probe render of the
+        // whole volume is needed to learn the axis.
+        let f = factorize(
+            &camera,
+            self.volume.dims(),
+            config.render.width,
+            config.render.height,
+        );
+        let parts = match self.parts_by_axis.get(&f.axis) {
+            Some(parts) => Arc::clone(parts),
+            None => {
+                let parts = Arc::new(partition_1d(&self.volume, p, f.axis)?);
+                self.parts_by_axis.insert(f.axis, Arc::clone(&parts));
+                parts
+            }
+        };
+        let rank_of_depth = depth_order(&parts, &f);
+
+        // Compile and verify the plan in depth coordinates, then relabel onto
+        // the physical ranks for this view. Step-structured methods compile to
+        // a span schedule; tile-ownership compiles to a tile plan — both run
+        // through `compose_plan`.
+        let depth_plan = config.method.plan(p, f.inter_size.0, f.inter_size.1)?;
+        depth_plan.verify()?;
+        let compose = permute_plan(&depth_plan, &rank_of_depth)?;
+        Ok(FramePlan {
+            camera,
+            f,
+            parts,
+            rank_of_depth,
+            compose,
+            method_name: depth_plan.method_name().to_string(),
+        })
+    }
+}
+
+/// The host-side tail of a frame. The frame sits at the configured root —
+/// or, if the root died, at the survivor the repair plan promoted. The
+/// degraded report is taken from that frame-holding rank (survivors compute
+/// identical reports; a crashed rank only knows about itself).
+pub(crate) fn frame_holder(
+    ranks: impl IntoIterator<Item = RankFrame>,
+) -> Result<(Image<GrayAlpha>, Option<DegradedInfo>), PvrError> {
+    ranks
+        .into_iter()
+        .filter_map(|(frame, degraded)| frame.map(|frame| (frame, degraded)))
+        .last()
+        .ok_or_else(|| PvrError::Config {
+            what: "no rank produced the final frame".into(),
+        })
 }
 
 /// The result of a pipeline run.
@@ -153,49 +290,15 @@ impl<'a> FrameRun<'a> {
             pool,
             transport,
         } = self;
-        // Data partitioning stage (host side, as the paper's stage 1): rank r
-        // owns slab r along the view's principal axis. The factorization is
-        // pure camera/geometry math — bit-identical to what each rank's render
-        // derives internally — so no probe render of the whole volume is
-        // needed to learn the axis.
-        let volume = config.dataset.generate(config.volume_size, config.seed);
+        let plan = FramePlanner::new(p, config).plan(config.camera)?;
         let tf = config.dataset.transfer_function();
-        let f = factorize(
-            &config.camera,
-            volume.dims(),
-            config.render.width,
-            config.render.height,
-        );
-        let parts = partition_1d(&volume, p, f.axis)?;
-        let rank_of_depth = depth_order(&parts, &f);
+        let compose_config = config.compose_config(&faults, transport);
 
-        // Compile and verify the plan in depth coordinates, then relabel onto
-        // the physical ranks for this view. Step-structured methods compile to
-        // a span schedule; tile-ownership compiles to a tile plan — both run
-        // through the same dispatch below.
-        let depth_plan = config.method.plan(p, f.inter_size.0, f.inter_size.1)?;
-        depth_plan.verify()?;
-        let plan = permute_plan(&depth_plan, &rank_of_depth)?;
-        let method_name = depth_plan.method_name().to_string();
-
-        let resilient = !faults.is_none();
-        let compose_config = ComposeConfig::default()
-            .with_codec(config.codec)
-            .with_root(config.root)
-            .resilient(resilient)
-            .with_transport(transport);
-
-        type RankOut = (Option<Image<GrayAlpha>>, Option<DegradedInfo>);
-        let parts_cell = std::sync::Mutex::new(parts.into_iter().map(Some).collect::<Vec<_>>());
         let mc = Machine::build(p, &compose_config, faults, None);
-        let (results, trace) = mc.run(|ctx| -> Result<RankOut, PvrError> {
-            let sub = parts_cell.lock().unwrap_or_else(|e| e.into_inner())[ctx.rank()]
-                .take()
-                .ok_or_else(|| PvrError::Config {
-                    what: format!("rank {} has no subvolume to render", ctx.rank()),
-                })?;
+        let (results, trace) = mc.run(|ctx| -> Result<RankFrame, PvrError> {
+            let sub = &plan.parts[ctx.rank()];
             ctx.mark("render:start");
-            let (partial, _) = render_intermediate(&sub, &tf, &config.camera, &config.render);
+            let (partial, _) = render_intermediate(sub, &tf, &plan.camera, &config.render);
             ctx.compute(ComputeKind::Render, sub.vol.len() as u64);
             ctx.mark("render:end");
             ctx.barrier().map_err(rt_core::CoreError::from)?;
@@ -203,45 +306,20 @@ impl<'a> FrameRun<'a> {
                 Some(pool) => pool.checkout(ctx.rank()),
                 None => Default::default(),
             };
-            let composed = compose_plan(ctx, &plan, partial, &compose_config, &mut scratch);
+            let composed = compose_plan(ctx, &plan.compose, partial, &compose_config, &mut scratch);
             if let Some(pool) = pool {
                 pool.checkin(ctx.rank(), scratch);
             }
-            let out = composed?;
-            if let Some(inter) = out.frame {
-                ctx.compute(
-                    ComputeKind::Render,
-                    (config.render.width * config.render.height) as u64,
-                );
-                let screen = warp_to_screen(&inter, &f, &config.render);
-                ctx.mark("warp:end");
-                Ok((Some(screen), out.degraded))
-            } else {
-                Ok((None, out.degraded))
-            }
+            Ok(plan.warp(ctx, &config.render, composed?))
         });
 
-        // The frame sits at the configured root — or, if the root died, at the
-        // survivor the repair plan promoted. Take the degraded report from the
-        // frame-holding rank (survivors compute identical reports; a crashed
-        // rank only knows about itself).
-        let mut frame = None;
-        let mut degraded = None;
-        for r in results {
-            let (img, deg) = r?;
-            if let Some(img) = img {
-                frame = Some(img);
-                degraded = deg;
-            }
-        }
-        let frame = frame.ok_or_else(|| PvrError::Config {
-            what: "no rank produced the final frame".into(),
-        })?;
+        let ranks = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let (frame, degraded) = frame_holder(ranks)?;
         Ok(PipelineOutput {
             frame,
             trace,
-            rank_of_depth,
-            method_name,
+            rank_of_depth: plan.rank_of_depth,
+            method_name: plan.method_name,
             degraded,
         })
     }

@@ -10,9 +10,8 @@ use crate::PvrError;
 use rt_comm::Trace;
 use rt_compress::CodecKind;
 use rt_core::exec::ComposeConfig;
-use rt_core::method::{CompositionMethod, Method};
-use rt_core::schedule::verify_schedule;
-use rt_core::{ComposePlan, Run};
+use rt_core::method::Method;
+use rt_core::Run;
 use rt_imaging::{GrayAlpha, Image};
 use rt_render::camera::{factorize, Camera, Factorization};
 use rt_render::datasets::Dataset;
@@ -136,23 +135,10 @@ pub fn prepare_scene_screen(
 /// Run one composition over the multicomputer: returns the gathered frame
 /// (from the root) and the event trace for cost replay.
 ///
-/// The schedule is verified before execution — a failure here is a bug in
-/// the method, not in the caller.
+/// The method compiles through [`Method::plan`], so every plan family runs
+/// here. The plan is verified before execution — a failure there is a bug
+/// in the method, not in the caller.
 pub fn compose_scene(
-    scene: &Scene,
-    method: &dyn CompositionMethod,
-    codec: CodecKind,
-    gather: bool,
-) -> Result<(Option<Image<GrayAlpha>>, Trace), PvrError> {
-    let schedule = method.build(scene.p(), scene.image_len())?;
-    verify_schedule(&schedule)?;
-    compose_scene_plan(scene, &ComposePlan::Schedule(schedule), codec, gather)
-}
-
-/// [`compose_scene`] for a [`Method`] selector, dispatching through
-/// [`Method::plan`] — the entry point that also runs the tile-ownership
-/// family, which has no span schedule for [`compose_scene`] to build.
-pub fn compose_scene_method(
     scene: &Scene,
     method: Method,
     codec: CodecKind,
@@ -161,19 +147,10 @@ pub fn compose_scene_method(
     let (w, h) = (scene.partials[0].width(), scene.partials[0].height());
     let plan = method.plan(scene.p(), w, h)?;
     plan.verify()?;
-    compose_scene_plan(scene, &plan, codec, gather)
-}
-
-fn compose_scene_plan(
-    scene: &Scene,
-    plan: &ComposePlan,
-    codec: CodecKind,
-    gather: bool,
-) -> Result<(Option<Image<GrayAlpha>>, Trace), PvrError> {
     let config = ComposeConfig::default()
         .with_codec(codec)
         .with_gather(gather);
-    let (results, trace) = Run::new(plan, &config).execute(scene.partials.clone());
+    let (results, trace) = Run::new(&plan, &config).execute(scene.partials.clone());
     let mut frame = None;
     for r in results {
         let out = r?;
@@ -187,7 +164,15 @@ fn compose_scene_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_core::{BinarySwap, DirectSend, ParallelPipelined, RotateTiling};
+    use rt_core::method::CompositionMethod;
+    use rt_core::rotate::RtVariant;
+
+    fn two_n(blocks: usize) -> Method {
+        Method::RotateTiling {
+            variant: RtVariant::TwoN,
+            blocks,
+        }
+    }
 
     fn small_scene(p: usize) -> Scene {
         prepare_scene(
@@ -215,15 +200,18 @@ mod tests {
     fn every_method_matches_the_sequential_reference() {
         let scene = small_scene(4);
         let want = scene.reference().unwrap();
-        let methods: Vec<Box<dyn CompositionMethod>> = vec![
-            Box::new(BinarySwap::new()),
-            Box::new(ParallelPipelined::new()),
-            Box::new(DirectSend::new()),
-            Box::new(RotateTiling::two_n(4)),
-            Box::new(RotateTiling::n(3)),
+        let methods = [
+            Method::BinarySwap,
+            Method::ParallelPipelined,
+            Method::DirectSend,
+            two_n(4),
+            Method::RotateTiling {
+                variant: RtVariant::N,
+                blocks: 3,
+            },
         ];
-        for m in &methods {
-            let (frame, _) = compose_scene(&scene, m.as_ref(), CodecKind::Raw, true).unwrap();
+        for m in methods {
+            let (frame, _) = compose_scene(&scene, m, CodecKind::Raw, true).unwrap();
             let frame = frame.expect("root gathers the frame");
             assert!(
                 frame.approx_eq(&want, 1e-4),
@@ -245,7 +233,7 @@ mod tests {
                 tiles_x: 6,
                 tiles_y: 6,
             };
-            let (frame, _) = compose_scene_method(&scene, method, codec, true).unwrap();
+            let (frame, _) = compose_scene(&scene, method, codec, true).unwrap();
             assert_eq!(
                 frame.unwrap().pixels(),
                 want.pixels(),
@@ -259,7 +247,7 @@ mod tests {
         let scene = small_scene(3);
         let want = scene.reference().unwrap();
         for codec in CodecKind::ALL {
-            let (frame, _) = compose_scene(&scene, &RotateTiling::two_n(2), codec, true).unwrap();
+            let (frame, _) = compose_scene(&scene, two_n(2), codec, true).unwrap();
             assert!(
                 frame.unwrap().approx_eq(&want, 1e-4),
                 "codec {codec:?} diverges"
@@ -289,16 +277,15 @@ mod tests {
         assert!(scene.mean_blank_fraction() > 0.2);
         // Composition still matches its own reference exactly.
         let want = scene.reference().unwrap();
-        let (frame, _) =
-            compose_scene(&scene, &RotateTiling::two_n(4), CodecKind::Raw, true).unwrap();
+        let (frame, _) = compose_scene(&scene, two_n(4), CodecKind::Raw, true).unwrap();
         assert!(frame.unwrap().approx_eq(&want, 1e-4));
     }
 
     #[test]
     fn traces_show_codec_savings_on_sparse_scenes() {
         let scene = small_scene(4);
-        let (_, raw) = compose_scene(&scene, &BinarySwap::new(), CodecKind::Raw, true).unwrap();
-        let (_, trle) = compose_scene(&scene, &BinarySwap::new(), CodecKind::Trle, true).unwrap();
+        let (_, raw) = compose_scene(&scene, Method::BinarySwap, CodecKind::Raw, true).unwrap();
+        let (_, trle) = compose_scene(&scene, Method::BinarySwap, CodecKind::Trle, true).unwrap();
         assert!(
             trle.bytes_sent() < raw.bytes_sent(),
             "TRLE {} vs raw {}",

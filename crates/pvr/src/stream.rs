@@ -1,10 +1,10 @@
 //! Pipelined frame streaming: render frame `k+1` while frame `k`'s
 //! composition is in flight.
 //!
-//! The serial animation loop ([`crate::render_orbit`]) pays the paper's
-//! Eq. 5/6 communication cost *after* each frame's render, so every rank
-//! idles through composition — the per-frame render→compose stall. This
-//! module removes it:
+//! A serial animation loop (one [`crate::FrameRun`] per view) pays the
+//! paper's Eq. 5/6 communication cost *after* each frame's render, so every
+//! rank idles through composition — the per-frame render→compose stall.
+//! This module removes it:
 //!
 //! * **Per-rank render thread.** Each rank spawns a renderer that
 //!   shear-warps its subvolume for upcoming frames into fresh partials and
@@ -40,21 +40,19 @@
 //! dead rank is consumed before the death marker, and the marker then
 //! fails the first frame the rank truly abandoned, fast.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 
 use crate::animate::{orbit_cameras, FrameStats, OrbitConfig};
-use crate::permute::permute_plan;
-use crate::pipeline::PipelineConfig;
+use crate::pipeline::{frame_holder, FramePlan, FramePlanner, PipelineConfig, RankFrame};
 use crate::PvrError;
 use rt_comm::{replay, ComputeKind, CostModel, FaultPlan, RankCtx, RankTrace, Trace};
 use rt_core::exec::{ComposeConfig, Machine, ScratchPool, TransportKind};
 use rt_core::repair::DegradedInfo;
-use rt_core::tile::{compose_plan, ComposePlan};
+use rt_core::tile::compose_plan;
 use rt_imaging::{GrayAlpha, Image};
-use rt_render::camera::{factorize, Camera, Factorization};
-use rt_render::partition::{depth_order, partition_1d, Subvolume};
-use rt_render::shearwarp::{render_intermediate, warp_to_screen};
+use rt_render::camera::Camera;
+use rt_render::shearwarp::render_intermediate;
 use rt_render::tf::TransferFunction;
 
 /// Configuration of one streaming run: the per-frame pipeline settings
@@ -250,25 +248,10 @@ impl Drop for StreamHandle {
     }
 }
 
-/// Host-side per-frame plan, derived before the machine starts.
-struct FramePlan {
-    index: usize,
-    yaw: f64,
-    camera: Camera,
-    f: Factorization,
-    parts: Arc<Vec<Subvolume>>,
-    rank_of_depth: Vec<usize>,
-    compose: Arc<ComposePlan>,
-}
-
 /// What one rank reports for one frame.
 enum FrameOutcome {
-    /// The rank completed the frame's composition (its `frame` is `Some`
-    /// only on the rank holding the assembled image).
-    Alive {
-        frame: Option<Image<GrayAlpha>>,
-        degraded: Option<DegradedInfo>,
-    },
+    /// The rank completed the frame's composition.
+    Alive(RankFrame),
     /// The rank was dead for this frame and contributed nothing.
     Dead,
     /// The frame's composition failed on this rank.
@@ -282,53 +265,23 @@ struct Contribution {
     outcome: FrameOutcome,
 }
 
-/// Derive every frame's partition/schedule once, on the host — the volume
-/// is generated once for the whole stream and partitions are cached per
-/// principal axis (there are at most three).
+/// Derive every frame's partition/schedule once, on the host, before the
+/// machine starts.
 fn plan_frames(
     p: usize,
     base: &PipelineConfig,
-    orbit: &OrbitConfig,
-) -> Result<(Vec<FramePlan>, TransferFunction), PvrError> {
-    if orbit.frames == 0 {
+    cameras: &[(f64, Camera)],
+) -> Result<Vec<FramePlan>, PvrError> {
+    if cameras.is_empty() {
         return Err(PvrError::Config {
             what: "a stream needs at least one frame".into(),
         });
     }
-    let volume = base.dataset.generate(base.volume_size, base.seed);
-    let tf = base.dataset.transfer_function();
-    let mut parts_by_axis: HashMap<usize, Arc<Vec<Subvolume>>> = HashMap::new();
-    let mut plans = Vec::with_capacity(orbit.frames);
-    for (index, (yaw, camera)) in orbit_cameras(orbit).into_iter().enumerate() {
-        let f = factorize(
-            &camera,
-            volume.dims(),
-            base.render.width,
-            base.render.height,
-        );
-        let parts = match parts_by_axis.get(&f.axis) {
-            Some(parts) => Arc::clone(parts),
-            None => {
-                let parts = Arc::new(partition_1d(&volume, p, f.axis)?);
-                parts_by_axis.insert(f.axis, Arc::clone(&parts));
-                parts
-            }
-        };
-        let rank_of_depth = depth_order(&parts, &f);
-        let depth_plan = base.method.plan(p, f.inter_size.0, f.inter_size.1)?;
-        depth_plan.verify()?;
-        let compose = Arc::new(permute_plan(&depth_plan, &rank_of_depth)?);
-        plans.push(FramePlan {
-            index,
-            yaw,
-            camera,
-            f,
-            parts,
-            rank_of_depth,
-            compose,
-        });
-    }
-    Ok((plans, tf))
+    let mut planner = FramePlanner::new(p, base);
+    cameras
+        .iter()
+        .map(|&(_, camera)| planner.plan(camera))
+        .collect()
 }
 
 fn run_stream(
@@ -338,33 +291,29 @@ fn run_stream(
     pool: &ScratchPool<GrayAlpha>,
     out: &mpsc::Sender<Result<StreamFrame, PvrError>>,
 ) {
-    let (plans, tf) = match plan_frames(p, &config.base, orbit) {
-        Ok(ok) => ok,
+    let cameras = orbit_cameras(orbit);
+    let plans = match plan_frames(p, &config.base, &cameras) {
+        Ok(plans) => plans,
         Err(e) => {
             let _ = out.send(Err(e));
             return;
         }
     };
-    let n_frames = plans.len();
-    let resilient = !config.faults.is_none();
-    let compose_cfg = ComposeConfig::default()
-        .with_codec(config.base.codec)
-        .with_root(config.base.root)
-        .resilient(resilient)
-        .with_transport(config.transport);
+    let tf = config.base.dataset.transfer_function();
+    let compose_cfg = config.base.compose_config(&config.faults, config.transport);
     let machine = Machine::build(p, &compose_cfg, config.faults.clone(), None);
 
     // Frame metadata the emitter needs to build FrameStats.
-    let frame_meta: Vec<(f64, Vec<usize>)> = plans
+    let frame_meta: Vec<(f64, Vec<usize>)> = cameras
         .iter()
-        .map(|plan| (plan.yaw, plan.rank_of_depth.clone()))
+        .zip(&plans)
+        .map(|(&(yaw, _), plan)| (yaw, plan.rank_of_depth.clone()))
         .collect();
     let (ctb_tx, ctb_rx) = mpsc::channel::<Contribution>();
     let cost = config.cost;
 
     std::thread::scope(|scope| {
-        let emitter =
-            scope.spawn(move || emit_frames(p, n_frames, &frame_meta, cost, &ctb_rx, out));
+        let emitter = scope.spawn(move || emit_frames(p, &frame_meta, cost, &ctb_rx, out));
         machine.run(|ctx| {
             stream_rank(ctx, config, &plans, &tf, pool, &compose_cfg, &ctb_tx);
         });
@@ -401,6 +350,11 @@ fn stream_rank(
             outcome,
         });
     };
+    let report_dead = |frames: std::ops::Range<usize>| {
+        for frame in frames {
+            report(frame, RankTrace::new(), FrameOutcome::Dead);
+        }
+    };
 
     std::thread::scope(|scope| {
         // Render pipeline: the channel buffers `window - 1` finished
@@ -410,28 +364,25 @@ fn stream_rank(
             mpsc::sync_channel::<(usize, Image<GrayAlpha>)>(config.window.saturating_sub(1));
         let render = &config.base.render;
         scope.spawn(move || {
-            for plan in plans {
-                if my_death.is_some_and(|death| plan.index >= death) {
+            for (k, plan) in plans.iter().enumerate() {
+                if my_death.is_some_and(|death| k >= death) {
                     break;
                 }
                 let (partial, _) = render_intermediate(&plan.parts[me], tf, &plan.camera, render);
-                if part_tx.send((plan.index, partial)).is_err() {
+                if part_tx.send((k, partial)).is_err() {
                     break; // compose loop stopped; backpressure doubles as shutdown
                 }
             }
         });
 
-        for plan in plans {
-            let k = plan.index;
+        for (k, plan) in plans.iter().enumerate() {
             if my_death == Some(k) {
                 // Die between frames: the notification rides the same FIFO
                 // channels as data, so peers consume every contribution of
                 // the frames this rank finished before seeing the death.
                 ctx.announce_death(0);
                 let _ = ctx.take_events();
-                for rest in &plans[k..] {
-                    report(rest.index, RankTrace::new(), FrameOutcome::Dead);
-                }
+                report_dead(k..plans.len());
                 return;
             }
             let Ok((rendered, partial)) = part_rx.recv() else {
@@ -463,30 +414,13 @@ fn stream_rank(
                         .degraded
                         .as_ref()
                         .is_some_and(|d| d.failed.iter().any(|&(rank, _)| rank == me));
-                    let screen = band.frame.map(|inter| {
-                        ctx.compute(
-                            ComputeKind::Render,
-                            (config.base.render.width * config.base.render.height) as u64,
-                        );
-                        let screen = warp_to_screen(&inter, &plan.f, &config.base.render);
-                        ctx.mark("warp:end");
-                        screen
-                    });
+                    let held = plan.warp(ctx, render, band);
                     ctx.mark(format!("frame:{k}:end"));
-                    report(
-                        k,
-                        ctx.take_events(),
-                        FrameOutcome::Alive {
-                            frame: screen,
-                            degraded: band.degraded,
-                        },
-                    );
+                    report(k, ctx.take_events(), FrameOutcome::Alive(held));
                     if crashed_self {
                         // The fault plan crashed this rank mid-frame; it is
                         // gone for the rest of the stream.
-                        for rest in &plans[k + 1..] {
-                            report(rest.index, RankTrace::new(), FrameOutcome::Dead);
-                        }
+                        report_dead(k + 1..plans.len());
                         return;
                     }
                 }
@@ -511,12 +445,12 @@ fn stream_rank(
 /// stream at the first failed frame.
 fn emit_frames(
     p: usize,
-    n_frames: usize,
     frame_meta: &[(f64, Vec<usize>)],
     cost: CostModel,
     ctb_rx: &mpsc::Receiver<Contribution>,
     out: &mpsc::Sender<Result<StreamFrame, PvrError>>,
 ) {
+    let n_frames = frame_meta.len();
     let mut pending: BTreeMap<usize, Vec<Contribution>> = BTreeMap::new();
     let mut next = 0usize;
     while next < n_frames {
@@ -561,36 +495,21 @@ fn assemble_frame(
     rank_of_depth: Vec<usize>,
     cost: &CostModel,
 ) -> Result<StreamFrame, PvrError> {
+    let frame_error = |e| PvrError::Frame {
+        index,
+        source: Box::new(e),
+    };
     let mut ranks: Vec<RankTrace> = vec![RankTrace::new(); p];
-    let mut image = None;
-    let mut degraded = None;
+    let mut alive = Vec::new();
     for c in contributions {
         match c.outcome {
-            FrameOutcome::Failed(e) => {
-                return Err(PvrError::Frame {
-                    index,
-                    source: Box::new(e),
-                })
-            }
+            FrameOutcome::Failed(e) => return Err(frame_error(e)),
             FrameOutcome::Dead => {}
-            FrameOutcome::Alive { frame, degraded: d } => {
-                // Like the serial pipeline, the degraded report travels
-                // with the frame-holding rank (survivors agree; a crashed
-                // rank only knows about itself).
-                if let Some(img) = frame {
-                    image = Some(img);
-                    degraded = d;
-                }
-            }
+            FrameOutcome::Alive(held) => alive.push(held),
         }
         ranks[c.rank] = c.events;
     }
-    let image = image.ok_or_else(|| PvrError::Frame {
-        index,
-        source: Box::new(PvrError::Config {
-            what: "no rank produced the final frame".into(),
-        }),
-    })?;
+    let (image, degraded) = frame_holder(alive).map_err(frame_error)?;
     let trace = Trace { ranks };
     // Best-effort pricing: a degraded frame's trace replays like the
     // serial degraded path; anything unpriceable reports zero.
@@ -642,23 +561,48 @@ mod tests {
 
     #[test]
     fn streamed_frames_match_the_serial_loop_byte_for_byte() {
-        let orbit = OrbitConfig::quarter(4);
-        let session = StreamSession::new(3);
-        let frames = session
-            .open()
-            .collect_orbit(&StreamConfig::new(base()), &orbit)
-            .unwrap();
-        let want = serial_frames(3, &orbit);
-        assert_eq!(frames.len(), 4);
-        for (got, want) in frames.iter().zip(&want) {
-            assert_eq!(got.frame.pixels(), want.pixels(), "frame {}", got.seq);
-        }
-        // In order, with sequence numbers, each priced.
-        for (i, f) in frames.iter().enumerate() {
-            assert_eq!(f.seq, i as u64);
-            assert_eq!(f.stats.index, i);
-            assert!(f.stats.compose_time > 0.0);
-            assert!(f.degraded.is_none());
+        let half = OrbitConfig {
+            frames: 2,
+            start_yaw: 0.0,
+            end_yaw: std::f64::consts::PI,
+            pitch: 0.0,
+        };
+        let single = OrbitConfig {
+            frames: 1,
+            start_yaw: 0.4,
+            end_yaw: 9.9, // ignored with one frame
+            pitch: 0.1,
+        };
+        for orbit in [OrbitConfig::quarter(4), half, single] {
+            let session = StreamSession::new(3);
+            let frames = session
+                .open()
+                .collect_orbit(&StreamConfig::new(base()), &orbit)
+                .unwrap();
+            let want = serial_frames(3, &orbit);
+            assert_eq!(frames.len(), orbit.frames);
+            for (got, want) in frames.iter().zip(&want) {
+                assert_eq!(got.frame.pixels(), want.pixels(), "frame {}", got.seq);
+            }
+            // In order, with sequence numbers, each priced.
+            for (i, f) in frames.iter().enumerate() {
+                assert_eq!(f.seq, i as u64);
+                assert_eq!(f.stats.index, i);
+                assert!(f.stats.compose_time > 0.0);
+                assert!(f.stats.bytes > 0);
+                assert!(f.degraded.is_none());
+            }
+            // Yaw sweeps start → end; a one-frame orbit sits at the start.
+            assert!((frames[0].stats.yaw - orbit.start_yaw).abs() < 1e-12);
+            if orbit.frames > 1 {
+                let last = frames.last().unwrap();
+                assert!((last.stats.yaw - orbit.end_yaw).abs() < 1e-12);
+            }
+            if orbit == half {
+                // Sweeping yaw through π reverses the traversal of the slabs.
+                assert_eq!(frames[0].stats.rank_of_depth, vec![0, 1, 2]);
+                assert_eq!(frames[1].stats.rank_of_depth, vec![2, 1, 0]);
+            }
         }
     }
 

@@ -12,8 +12,9 @@
 
 use rotate_tiling::comm::{replay, CostModel};
 use rotate_tiling::compress::CodecKind;
-use rotate_tiling::core::method::CompositionMethod;
-use rotate_tiling::core::{BinarySwap, DirectSend, ParallelPipelined, RotateTiling};
+use rotate_tiling::core::method::{CompositionMethod, Method};
+use rotate_tiling::core::rotate::RtVariant;
+use rotate_tiling::core::RotateTiling;
 use rotate_tiling::pvr::scene::{compose_scene, prepare_scene_screen};
 use rotate_tiling::render::camera::Camera;
 use rotate_tiling::render::datasets::Dataset;
@@ -46,23 +47,29 @@ fn main() {
         scene.mean_blank_fraction()
     );
 
-    let methods: Vec<Box<dyn CompositionMethod>> = vec![
-        Box::new(BinarySwap::new()),
-        Box::new(BinarySwap::with_fold()),
-        Box::new(ParallelPipelined::new()),
-        Box::new(DirectSend::new()),
-        Box::new(RotateTiling::two_n(4)),
-        Box::new(RotateTiling::n(3)),
+    let methods = [
+        Method::BinarySwap,
+        Method::BinarySwapFold,
+        Method::ParallelPipelined,
+        Method::DirectSend,
+        Method::RotateTiling {
+            variant: RtVariant::TwoN,
+            blocks: 4,
+        },
+        Method::RotateTiling {
+            variant: RtVariant::N,
+            blocks: 3,
+        },
     ];
 
     println!(
         "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10}",
         "method", "codec", "time(ms)", "msgs", "bytes", "vs raw"
     );
-    for method in &methods {
+    for method in methods {
         let mut raw_time = None;
         for codec in CodecKind::ALL {
-            match compose_scene(&scene, method.as_ref(), codec, true) {
+            match compose_scene(&scene, method, codec, true) {
                 Ok((_, trace)) => {
                     let report = replay(&trace, &CostModel::SP2).unwrap();
                     let t = report.phase("compose:start", "gather:end").unwrap();

@@ -10,15 +10,24 @@
 //! remaining executor. A digest mismatch means the executor's observable
 //! behaviour changed; regenerate (`RT_REGENERATE_GOLDEN=1 cargo test --test
 //! trace_golden`) only when that change is intended and explained.
+//!
+//! The pipeline cells after them (generated at PR 12, before the serial
+//! pipeline and the stream were given one frame planner) pin the full
+//! render → compose → warp trace and the delivered screen frame of
+//! `FrameRun` and of every streamed frame.
 
 use rotate_tiling::comm::{ComputeKind, Event, FaultPlan, Trace};
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::ComposeConfig;
 use rotate_tiling::core::hier::IntraMethod;
 use rotate_tiling::core::method::{CompositionMethod, Method};
+use rotate_tiling::core::rotate::RtVariant;
 use rotate_tiling::core::{ComposeOutput, CoreError, DisplayWall, Run};
 use rotate_tiling::imaging::pixel::{pixels_to_bytes, GrayAlpha8};
-use rotate_tiling::imaging::{Image, Pixel};
+use rotate_tiling::imaging::{GrayAlpha, Image, Pixel};
+use rotate_tiling::pvr::animate::{orbit_cameras, OrbitConfig};
+use rotate_tiling::pvr::pipeline::{FrameRun, PipelineConfig};
+use rotate_tiling::pvr::stream::{StreamConfig, StreamSession};
 use std::fmt::Write as _;
 
 const GOLDEN: &str = concat!(
@@ -196,6 +205,69 @@ fn compute_digests() -> String {
                         )
                         .unwrap();
                     }
+                }
+            }
+        }
+    }
+    out + &pipeline_digests()
+}
+
+fn screen_digest(frame: &Image<GrayAlpha>) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(frame.width() as u64);
+    h.u64(frame.height() as u64);
+    for px in frame.pixels() {
+        h.words(&[px.v.to_bits() as u64, px.a.to_bits() as u64]);
+    }
+    h.0
+}
+
+/// The full pipeline, frame by frame over a 4-frame quarter orbit: each
+/// view through `FrameRun` (one machine per frame) and the whole orbit
+/// through one `StreamSession` (window 2).
+fn pipeline_digests() -> String {
+    let mut out = String::new();
+    let orbit = OrbitConfig::quarter(4);
+    let methods = [
+        Method::RotateTiling {
+            variant: RtVariant::TwoN,
+            blocks: 2,
+        },
+        Method::TileOwner {
+            tiles_x: 4,
+            tiles_y: 4,
+        },
+    ];
+    for method in methods {
+        for p in [3usize, 4] {
+            for crash in [false, true] {
+                let faults = if crash {
+                    FaultPlan::none().crash_rank_at_step(p - 1, 1)
+                } else {
+                    FaultPlan::none()
+                };
+                let base = PipelineConfig::small(method);
+                let mut cell = |path: &str, k: usize, trace: &Trace, frame: &Image<GrayAlpha>| {
+                    writeln!(
+                        out,
+                        "pipeline {path} {} P={p} {} frame={k} trace={:016x} screen={:016x}",
+                        method.name(),
+                        if crash { "crash" } else { "clean" },
+                        trace_digest(trace),
+                        screen_digest(frame),
+                    )
+                    .unwrap();
+                };
+                for (k, (_, camera)) in orbit_cameras(&orbit).into_iter().enumerate() {
+                    let config = PipelineConfig { camera, ..base };
+                    let run = FrameRun::new(p, &config).faults(faults.clone());
+                    let frame = run.execute().unwrap();
+                    cell("serial", k, &frame.trace, &frame.frame);
+                }
+                let config = StreamConfig::new(base).with_faults(faults);
+                let frames = StreamSession::new(p).open().collect_orbit(&config, &orbit);
+                for (k, frame) in frames.unwrap().iter().enumerate() {
+                    cell("stream", k, &frame.trace, &frame.frame);
                 }
             }
         }
