@@ -39,6 +39,14 @@ cargo test -q --release --doc -p rotate-tiling
 echo "== tests (PROPTEST_CASES=$PROPTEST_CASES) =="
 cargo test --workspace -q
 
+echo "== render kernel equivalence =="
+# The shear-warp scanline kernels against the per-sample renderer kept in
+# rt-render's test module, bit for bit, over 256 random scenes in release
+# (the workspace stage above runs the same property at PROPTEST_CASES in
+# debug). Besides the `render` cells of tests/golden/trace_digests.txt this
+# is the only gate on the float path.
+PROPTEST_CASES=256 cargo test -q --release -p rt-render kernel_equivalence
+
 echo "== chaos smoke =="
 # One tiny fault-tolerance sweep end to end: must print only bit-exact
 # frames and a degradation report, and must be deterministic across reruns.

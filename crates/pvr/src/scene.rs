@@ -16,7 +16,7 @@ use rt_imaging::{GrayAlpha, Image};
 use rt_render::camera::{factorize, Camera, Factorization};
 use rt_render::datasets::Dataset;
 use rt_render::partition::{depth_order, partition_1d};
-use rt_render::shearwarp::{render_intermediate, RenderOptions};
+use rt_render::shearwarp::{render_intermediate, warp_to_screen, RenderOptions};
 
 /// Pre-rendered composition inputs: `partials[d]` is the partial
 /// intermediate image at depth position `d` (0 = nearest the viewer).
@@ -119,11 +119,14 @@ pub fn prepare_scene_screen(
 ) -> Result<Scene, PvrError> {
     let scene = prepare_scene(p, dataset, volume_size, seed, camera, opts)?;
     let f = scene.factorization.clone();
-    let partials = scene
-        .partials
-        .iter()
-        .map(|inter| rt_render::shearwarp::warp_to_screen(inter, &f, opts))
-        .collect();
+    let partials = {
+        use rayon::prelude::*;
+        scene
+            .partials
+            .par_iter()
+            .map(|inter| warp_to_screen(inter, &f, opts))
+            .collect()
+    };
     Ok(Scene {
         partials,
         factorization: f,

@@ -21,7 +21,6 @@
 
 #![warn(missing_docs)]
 
-pub mod accel;
 pub mod camera;
 pub mod datasets;
 pub mod math;

@@ -3,14 +3,15 @@
 //! The reference ray-caster spends most of its time sampling empty space.
 //! A [`MinMaxOctree`] stores, for every power-of-two brick of the volume,
 //! the minimum and maximum scalar inside (dilated by one voxel so trilinear
-//! taps are covered). A region whose `[min, max]` range is entirely
-//! transparent under the transfer function can be skipped without
-//! sampling. [`crate::raycast::render_raycast_accel`] uses the octree to
+//! taps are covered). A region whose maximum lies in the transfer
+//! function's transparent prefix (every scalar from 0 up to it is fully
+//! transparent) can be skipped without sampling. [`crate::raycast::render_raycast_accel`] uses the octree to
 //! advance rays through empty bricks in single steps per brick.
 //!
 //! Classification-independent: the octree stores scalar ranges, so it is
-//! built once per volume and works with any transfer function (unlike
-//! [`crate::accel::SliceBounds`], which bakes the classification in).
+//! built once per volume and works with any transfer function (the
+//! shear-warp renderer's per-scanline intervals bake the classification in
+//! and are rebuilt by every render).
 
 use crate::volume::Volume;
 

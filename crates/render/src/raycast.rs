@@ -83,8 +83,9 @@ pub fn render_raycast(
 /// is entirely transparent under `tf`, the ray jumps to the brick's exit
 /// in whole steps, visiting exactly the sample positions the plain marcher
 /// would have found transparent — output is **identical** to
-/// [`render_raycast`] (asserted by tests). Requires the transfer
-/// function's transparent set to be one interval.
+/// [`render_raycast`] (asserted by tests), for every transfer function: a
+/// brick is skipped only when its scalars all lie in the table's
+/// transparent prefix, which every interpolated sample then does too.
 pub fn render_raycast_accel(
     sub: &Subvolume,
     tf: &TransferFunction,
@@ -92,10 +93,7 @@ pub fn render_raycast_accel(
     opts: &RaycastOptions,
     tree: &crate::octree::MinMaxOctree,
 ) -> Image<GrayAlpha> {
-    assert!(
-        tf.transparent_is_interval(),
-        "octree skipping requires an interval transparent set"
-    );
+    let transparent = tf.transparent_prefix();
     let (w, h) = (opts.frame.width, opts.frame.height);
     let dims = sub.full;
     let r = camera.rotation();
@@ -127,7 +125,7 @@ pub fn render_raycast_accel(
             let s = t + half_diag; // distance along the ray from p0
             let p = p0 + dir * s;
             let range = tree.leaf_range(p.x, p.y, p.z);
-            if tf.is_transparent(range.min) && tf.is_transparent(range.max) {
+            if transparent.is_some_and(|t| range.max <= t) {
                 // The whole (dilated) brick is transparent: jump to its
                 // exit, in whole step multiples so sample positions match
                 // the plain marcher.
@@ -257,24 +255,20 @@ mod octree_tests {
     }
 
     #[test]
-    #[should_panic(expected = "interval transparent set")]
-    fn octree_raycast_rejects_non_interval_tf() {
-        let tf = TransferFunction::from_points(&[
-            (0, 0.0, 0.0),
-            (50, 0.3, 0.4),
-            (100, 0.5, 0.0),
-            (120, 0.5, 0.0),
-            (200, 0.5, 0.5),
-        ]);
-        let vol = crate::volume::Volume::zeros(8, 8, 8);
+    fn octree_raycast_is_exact_for_a_two_window_tf() {
+        // Only bricks inside the prefix window may be skipped, and the
+        // frame must not change.
+        let tf = TransferFunction::two_windows();
+        let vol = Dataset::Engine.generate(20, 5);
         let tree = MinMaxOctree::build(&vol, 4);
         let sub = Subvolume::whole(vol);
-        render_raycast_accel(
-            &sub,
-            &tf,
-            &Camera::front(),
-            &RaycastOptions::square(8),
-            &tree,
+        let opts = RaycastOptions::square(40);
+        let camera = Camera::yaw_pitch(0.5, -0.3);
+        let plain = render_raycast(&sub, &tf, &camera, &opts);
+        assert!(plain.count_non_blank() > 0);
+        assert_eq!(
+            plain,
+            render_raycast_accel(&sub, &tf, &camera, &opts, &tree)
         );
     }
 }

@@ -103,24 +103,30 @@ impl TransferFunction {
         self.table[scalar as usize].opacity <= 0.0
     }
 
-    /// True if the transparent scalars form one contiguous interval.
+    /// The largest `t` such that every scalar in `0..=t` is fully
+    /// transparent; `None` if scalar 0 is visible.
     ///
-    /// Interpolated samples are convex combinations of voxel scalars, so a
-    /// blend of transparent scalars is guaranteed transparent only when the
-    /// transparent set is an interval — the precondition of the scanline-
-    /// bounds acceleration ([`crate::accel`]). All preset transfer
-    /// functions satisfy it (transparency only below a threshold).
-    pub fn transparent_is_interval(&self) -> bool {
-        let mut runs = 0;
-        let mut prev = false;
-        for s in 0..=255u8 {
-            let t = self.is_transparent(s);
-            if t && !prev {
-                runs += 1;
-            }
-            prev = t;
-        }
-        runs <= 1
+    /// Interpolated samples are convex combinations of voxel scalars (and
+    /// of the 0 read outside the grid), so a sample whose taps are all
+    /// `≤ t` classifies transparent whatever the rest of the table looks
+    /// like. This is the renderers' proof that a region can be skipped
+    /// without sampling; `None` means nothing can.
+    pub(crate) fn transparent_prefix(&self) -> Option<u8> {
+        (0..=255u8).take_while(|&s| self.is_transparent(s)).last()
+    }
+
+    /// Transparent at zero AND in a mid-range window: two disjoint
+    /// transparent runs, of which only the first is a prefix — the table
+    /// the renderers' skip tests are held to.
+    #[cfg(test)]
+    pub(crate) fn two_windows() -> Self {
+        Self::from_points(&[
+            (0, 0.0, 0.0),
+            (50, 0.3, 0.4),
+            (100, 0.5, 0.0),
+            (120, 0.5, 0.0),
+            (200, 0.5, 0.5),
+        ])
     }
 }
 
@@ -162,6 +168,23 @@ mod tests {
         assert!((at15.opacity - 0.3).abs() < 1e-6);
         // Below the first point clamps to it.
         assert!((tf.classify(0).opacity - 0.1).abs() < 1e-6);
+    }
+
+    #[test]
+    fn transparent_prefix_stops_at_the_first_visible_scalar() {
+        assert_eq!(
+            TransferFunction::ramp(50, 200, 0.8).transparent_prefix(),
+            Some(50)
+        );
+        // A second transparent window further up does not extend it.
+        assert_eq!(
+            TransferFunction::two_windows().transparent_prefix(),
+            Some(0)
+        );
+        let all = TransferFunction::from_points(&[(0, 0.5, 0.0)]);
+        assert_eq!(all.transparent_prefix(), Some(255));
+        let none = TransferFunction::from_points(&[(0, 0.5, 0.1)]);
+        assert_eq!(none.transparent_prefix(), None);
     }
 
     #[test]

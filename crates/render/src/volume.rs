@@ -1,6 +1,7 @@
 //! The [`Volume`] scalar field: 8-bit voxels with trilinear sampling.
 
 use crate::RenderError;
+use rayon::prelude::*;
 
 /// A regular 3-D grid of 8-bit scalars, stored x-fastest (index
 /// `x + nx·(y + ny·z)`).
@@ -23,20 +24,25 @@ impl Volume {
         }
     }
 
-    /// Create a volume by evaluating `f(x, y, z)` at every voxel.
+    /// Create a volume by evaluating `f(x, y, z)` at every voxel; z-slices
+    /// are filled on worker threads.
     pub fn from_fn(
         nx: usize,
         ny: usize,
         nz: usize,
-        mut f: impl FnMut(usize, usize, usize) -> u8,
+        f: impl Fn(usize, usize, usize) -> u8 + Sync,
     ) -> Self {
-        let mut data = Vec::with_capacity(nx * ny * nz);
-        for z in 0..nz {
-            for y in 0..ny {
-                for x in 0..nx {
-                    data.push(f(x, y, z));
-                }
-            }
+        let mut data = vec![0; nx * ny * nz];
+        if !data.is_empty() {
+            data.par_chunks_mut(nx * ny)
+                .enumerate()
+                .for_each(|(z, slice)| {
+                    for (y, row) in slice.chunks_mut(nx).enumerate() {
+                        for (x, voxel) in row.iter_mut().enumerate() {
+                            *voxel = f(x, y, z);
+                        }
+                    }
+                });
         }
         Self { nx, ny, nz, data }
     }

@@ -15,6 +15,11 @@
 //! pipeline and the stream were given one frame planner) pin the full
 //! render → compose → warp trace and the delivered screen frame of
 //! `FrameRun` and of every streamed frame.
+//!
+//! The `render` cells at the end (generated at PR 13, before the shear-warp
+//! loops became scanline kernels) pin the `f32` bits of every slab partial
+//! and of the warped screen: the renderer's contract is bit-identity with
+//! the per-sample code that produced them, not a tolerance.
 
 use rotate_tiling::comm::{ComputeKind, Event, FaultPlan, Trace};
 use rotate_tiling::compress::CodecKind;
@@ -23,11 +28,18 @@ use rotate_tiling::core::hier::IntraMethod;
 use rotate_tiling::core::method::{CompositionMethod, Method};
 use rotate_tiling::core::rotate::RtVariant;
 use rotate_tiling::core::{ComposeOutput, CoreError, DisplayWall, Run};
+use rotate_tiling::imaging::image::reference_composite;
 use rotate_tiling::imaging::pixel::{pixels_to_bytes, GrayAlpha8};
 use rotate_tiling::imaging::{GrayAlpha, Image, Pixel};
 use rotate_tiling::pvr::animate::{orbit_cameras, OrbitConfig};
 use rotate_tiling::pvr::pipeline::{FrameRun, PipelineConfig};
 use rotate_tiling::pvr::stream::{StreamConfig, StreamSession};
+use rotate_tiling::render::camera::{factorize, Camera};
+use rotate_tiling::render::datasets::Dataset;
+use rotate_tiling::render::partition::{depth_order, partition_1d};
+use rotate_tiling::render::shearwarp::{render_intermediate, warp_to_screen, RenderOptions};
+use rotate_tiling::render::tf::TransferFunction;
+use rotate_tiling::render::volume::Volume;
 use std::fmt::Write as _;
 
 const GOLDEN: &str = concat!(
@@ -209,7 +221,7 @@ fn compute_digests() -> String {
             }
         }
     }
-    out + &pipeline_digests()
+    out + &pipeline_digests() + &render_digests()
 }
 
 fn screen_digest(frame: &Image<GrayAlpha>) -> u64 {
@@ -272,6 +284,127 @@ fn pipeline_digests() -> String {
             }
         }
     }
+    out
+}
+
+/// Six views covering every principal axis in both slice orders, with
+/// roll and an explicit scale mixed in.
+fn render_cameras() -> [Camera; 6] {
+    use std::f64::consts::{FRAC_PI_2, PI};
+    [
+        Camera::yaw_pitch(0.3, 0.2),
+        Camera::yaw_pitch(PI - 0.3, -0.5),
+        Camera {
+            roll: 0.4,
+            ..Camera::yaw_pitch(FRAC_PI_2 + 0.25, 0.15)
+        },
+        Camera::yaw_pitch(-FRAC_PI_2 + 0.2, -0.3),
+        Camera {
+            scale: 1.3,
+            ..Camera::yaw_pitch(0.35, FRAC_PI_2 - 0.3)
+        },
+        Camera {
+            roll: -0.7,
+            ..Camera::yaw_pitch(-0.2, -FRAC_PI_2 + 0.25)
+        },
+    ]
+}
+
+/// One `render` line: every slab partial (`render_intermediate`, nearest
+/// first) and the warp of their composite. Returns the view's `(axis,
+/// flip)`.
+fn render_cell(
+    out: &mut String,
+    name: &str,
+    vol: &Volume,
+    tf: &TransferFunction,
+    p: usize,
+    camera: &Camera,
+    opts: &RenderOptions,
+) -> (usize, bool) {
+    let f = factorize(camera, vol.dims(), opts.width, opts.height);
+    let parts = partition_1d(vol, p, f.axis).unwrap();
+    let mut h = Fnv::new();
+    let partials: Vec<Image<GrayAlpha>> = depth_order(&parts, &f)
+        .into_iter()
+        .map(|i| {
+            let (partial, _) = render_intermediate(&parts[i], tf, camera, opts);
+            h.u64(screen_digest(&partial));
+            partial
+        })
+        .collect();
+    let composed = reference_composite(&partials).unwrap();
+    writeln!(
+        out,
+        "render {name} P={p} axis={}{} et={} par={} partials={:016x} screen={:016x}",
+        f.axis,
+        if f.flip { '-' } else { '+' },
+        opts.early_termination,
+        opts.parallel as u8,
+        h.0,
+        screen_digest(&warp_to_screen(&composed, &f, opts)),
+    )
+    .unwrap();
+    (f.axis, f.flip)
+}
+
+/// The renderer alone, on a 20×24×28 block cut out of a generated cube,
+/// into a non-square frame.
+fn render_digests() -> String {
+    let mut out = String::new();
+    let block = |dataset: Dataset| {
+        dataset
+            .generate(28, 7)
+            .extract((3, 23), (2, 26), (0, 28))
+            .unwrap()
+    };
+    let frame = |early_termination, parallel| RenderOptions {
+        width: 44,
+        height: 36,
+        early_termination,
+        parallel,
+    };
+    let mut views = std::collections::BTreeSet::new();
+    for dataset in Dataset::PAPER {
+        let vol = block(dataset);
+        let tf = dataset.transfer_function();
+        for p in [1usize, 3] {
+            for camera in render_cameras() {
+                for early_termination in [1.0, 0.98] {
+                    for parallel in [false, true] {
+                        views.insert(render_cell(
+                            &mut out,
+                            dataset.name(),
+                            &vol,
+                            &tf,
+                            p,
+                            &camera,
+                            &frame(early_termination, parallel),
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(views.len(), 6, "three principal axes × both slice orders");
+    // Transparent at zero AND in a mid-range window: two disjoint
+    // transparent runs, so no prefix of the scalar range covers them.
+    let two_runs = TransferFunction::from_points(&[
+        (0, 0.0, 0.0),
+        (50, 0.3, 0.4),
+        (100, 0.5, 0.0),
+        (120, 0.5, 0.0),
+        (200, 0.5, 0.5),
+    ]);
+    render_cell(
+        &mut out,
+        "engine/two-runs-tf",
+        &block(Dataset::Engine),
+        &two_runs,
+        3,
+        &render_cameras()[2],
+        &frame(0.98, false),
+    );
     out
 }
 
