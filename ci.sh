@@ -16,6 +16,46 @@ cargo fmt --all --check
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== vocabulary gate =="
+# One fact, one home: the 64-bit tag layout lives in crates/comm/src/tag.rs
+# and the mark labels in crates/comm/src/mark.rs, and nothing else may grow
+# a private copy. Checked over non-test code (each file up to its
+# `#[cfg(test)]` module).
+non_test_src() {
+    local f
+    for f in crates/*/src/*.rs crates/*/src/bin/*.rs; do
+        awk -v F="$f" '/#\[cfg\(test\)\]/ { exit } { print F ":" FNR ":" $0 }' "$f"
+    done
+}
+vocabulary_fail() {
+    echo "vocabulary gate: $1" >&2
+    shift
+    printf '%s\n' "$@" >&2
+    exit 1
+}
+# Tag shifts and control bits. Two look-alikes are not tags: the seed mix
+# of FaultPlan::chance and the reconnect flag of rt-net's 8-byte hello.
+stray=$(non_test_src | grep -v '^crates/comm/src/tag\.rs:' \
+    | grep -E '<< *(40|48)\b|1(u64)? *<< *(5[7-9]|6[0-3])\b|<< *(16|20)\b.*[Tt]ag|[Tt]ag.*<< *(16|20)\b' \
+    | grep -v -e 'wrapping_add((src as u64) << 48)' -e 'const RECONNECT_FLAG: u64' || true)
+[ -z "$stray" ] || vocabulary_fail "tag bits outside rt_comm::tag" "$stray"
+# Mark labels are parsed in exactly one place.
+for needle in 'strip_prefix("step:")' '"flush:start"'; do
+    sites=$(non_test_src | grep -F "$needle" || true)
+    [ "$(grep -c . <<<"$sites")" -eq 1 ] \
+        || vocabulary_fail "$needle must have exactly one site" "$sites"
+done
+# One frame-posting path, one failure-agreement round.
+frames=$(non_test_src | grep '^crates/comm/src/comm\.rs:' | grep -c 'WireFrame {' || true)
+[ "$frames" -le 2 ] || vocabulary_fail "comm.rs assembles WireFrame in $frames places"
+rounds=$(grep -rn 'liveness_exchange(' crates/core/src || true)
+[ "$(grep -c . <<<"$rounds")" -eq 1 ] \
+    || vocabulary_fail "rt-core must call liveness_exchange from one place" "$rounds"
+# What this vocabulary replaced stays gone.
+gone=$(grep -rn 'PuzzlePlan\|GATHER_TAG_BIT\|REPAIR_TAG_BIT\|fn repair_tag\|with_cost' \
+    crates src tests examples || true)
+[ -z "$gone" ] || vocabulary_fail "retired names are back" "$gone"
+
 echo "== build (release) =="
 cargo build --release --workspace
 

@@ -21,12 +21,13 @@
 //!   still exits 0, because *reporting* a typed failure is success here.
 
 use rt_bench::chaosnet::{outcome, scenarios, soak_method, ChaosResult, VICTIM_EXIT_CODE};
-use rt_bench::netgrid::{band_partials, frame_hash};
+use rt_bench::netgrid::frame_hash;
 use rt_comm::comm::{RankCtx, RankOptions};
 use rt_compress::CodecKind;
 use rt_core::exec::{ComposeConfig, Scratch};
 use rt_core::method::CompositionMethod;
 use rt_core::{compose_plan, ComposePlan};
+use rt_imaging::synth::band_partials;
 use rt_net::{ChaosTransport, WorkerSession, ENV_WORLD};
 
 struct Cli {

@@ -8,7 +8,7 @@
 //! the full run additionally asserts the headline speedups (blank scan and
 //! RLE run detection must beat the scalar loops by ≥1.5× at p50).
 
-use rt_bench::harness::print_table;
+use rt_bench::harness::{print_table, quantiles, Quantiles};
 use rt_compress::rle::{rle_encode_bytes, rle_encode_bytes_wide};
 use rt_compress::{CodecKind, OverDir};
 use rt_imaging::kernels::{byte_run_len, byte_run_len_scalar, zero_prefix, zero_prefix_scalar};
@@ -68,24 +68,6 @@ impl KernelArgs {
         }
         assert!(out.reps > 0, "--reps must be positive");
         out
-    }
-}
-
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-struct Quantiles {
-    p50_ms: f64,
-    p95_ms: f64,
-}
-
-fn quantiles(mut samples: Vec<f64>) -> Quantiles {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let at = |q: f64| {
-        let idx = ((samples.len() - 1) as f64 * q).round() as usize;
-        samples[idx]
-    };
-    Quantiles {
-        p50_ms: at(0.50),
-        p95_ms: at(0.95),
     }
 }
 

@@ -14,12 +14,13 @@
 //! same cell. Transport-level barriers between repetitions keep the ranks
 //! aligned without leaving any mark in the trace.
 
-use rt_bench::netgrid::{band_partials, frame_hash, parse_codec, NetJob, WorkerResult};
+use rt_bench::netgrid::{frame_hash, NetJob, WorkerResult};
 use rt_comm::comm::{RankCtx, RankOptions};
 use rt_comm::Transport;
 use rt_core::exec::{ComposeConfig, Scratch};
 use rt_core::method::CompositionMethod;
 use rt_core::tile::compose_plan;
+use rt_imaging::synth::band_partials;
 use rt_net::WorkerSession;
 use std::time::Instant;
 
@@ -41,7 +42,7 @@ fn parse_job() -> NetJob {
             "--method-index" => {
                 job.method_index = value("--method-index").parse().expect("bad --method-index")
             }
-            "--codec" => job.codec = parse_codec(&value("--codec")),
+            "--codec" => job.codec = value("--codec").parse().unwrap_or_else(|e| panic!("{e}")),
             "--frame" => job.frame = value("--frame").parse().expect("bad --frame"),
             "--reps" => job.reps = value("--reps").parse().expect("bad --reps"),
             "--warmup" => job.warmup = value("--warmup").parse().expect("bad --warmup"),

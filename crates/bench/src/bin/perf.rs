@@ -22,16 +22,15 @@
 //! its transport) and prints an aligned table. `--smoke` shrinks the grid
 //! to a one-rep 128×128 P=8 pass for CI.
 
-use rt_bench::harness::print_table;
-use rt_bench::netgrid::{
-    band_partials, codec_label, frame_hash, parse_codec, NetJob, WorkerResult,
-};
+use rt_bench::harness::{parse_list, print_table, quantiles, Quantiles};
+use rt_bench::netgrid::{frame_hash, NetJob, WorkerResult};
 use rt_comm::{replay_timeline, CostModel, Trace};
 use rt_compress::CodecKind;
 use rt_core::exec::{ComposeConfig, ScratchPool};
 use rt_core::method::{CompositionMethod, Method};
 use rt_core::{ComposePlan, Run};
 use rt_imaging::pixel::GrayAlpha8;
+use rt_imaging::synth::band_partials;
 use rt_net::{process::read_blob, Launcher};
 use rt_obs::{validate_chrome_trace, ChromeTrace};
 use serde::{Deserialize, Serialize};
@@ -92,18 +91,8 @@ impl PerfArgs {
                 "--reps" => out.reps = value("--reps").parse().expect("bad --reps"),
                 "--warmup" => out.warmup = value("--warmup").parse().expect("bad --warmup"),
                 "--frame" => out.frame = value("--frame").parse().expect("bad --frame"),
-                "--p" => {
-                    out.ps = value("--p")
-                        .split(',')
-                        .map(|s| s.trim().parse().expect("bad --p"))
-                        .collect();
-                }
-                "--codecs" => {
-                    out.codecs = value("--codecs")
-                        .split(',')
-                        .map(|s| parse_codec(s.trim()))
-                        .collect();
-                }
+                "--p" => out.ps = parse_list("--p", &value("--p")),
+                "--codecs" => out.codecs = parse_list("--codecs", &value("--codecs")),
                 "--transport" => {
                     out.transports = value("--transport")
                         .split(',')
@@ -141,24 +130,6 @@ impl PerfArgs {
             "--transport must name a backend"
         );
         out
-    }
-}
-
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-struct Quantiles {
-    p50_ms: f64,
-    p95_ms: f64,
-}
-
-fn quantiles(mut samples: Vec<f64>) -> Quantiles {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let at = |q: f64| {
-        let idx = ((samples.len() - 1) as f64 * q).round() as usize;
-        samples[idx]
-    };
-    Quantiles {
-        p50_ms: at(0.50),
-        p95_ms: at(0.95),
     }
 }
 
@@ -359,7 +330,7 @@ fn main() {
                                 warmup: args.warmup,
                             };
                             let tcp = run_tcp_cell(job, p);
-                            let label = format!("{}/{}/p={p}", method.name(), codec_label(codec));
+                            let label = format!("{}/{}/p={p}", method.name(), codec.name());
                             let (_, timelines) =
                                 reconcile_cell(&label, &tcp, inproc.as_ref().expect("reference"));
                             reconciled_cells += 1;
@@ -445,7 +416,7 @@ fn build_row(
 ) -> Row {
     Row {
         method: method.name(),
-        codec: codec_label(codec).into(),
+        codec: codec.name().into(),
         p,
         transport: transport_label(transport).into(),
         pooled: quantiles(cell.pooled_ms.clone()),

@@ -24,14 +24,15 @@
 //! and re-validates every emitted artifact with
 //! [`rt_obs::validate_chrome_trace`].
 
+use rt_bench::harness::parse_list;
 use rt_comm::{replay_timeline, CostModel};
 use rt_compress::CodecKind;
 use rt_core::exec::{ComposeConfig, ScratchPool};
 use rt_core::method::{CompositionMethod, Method};
 use rt_core::schedule::verify_schedule;
 use rt_core::{ComposePlan, CoreError, Run};
-use rt_imaging::pixel::{GrayAlpha8, Pixel};
-use rt_imaging::Image;
+use rt_imaging::pixel::GrayAlpha8;
+use rt_imaging::synth::band_partials;
 use rt_obs::{
     phase_summary_with_counters, reconcile_all, ChromeTrace, Observer, PID_VIRTUAL, PID_WALL,
 };
@@ -64,15 +65,6 @@ impl Default for ProfileArgs {
     }
 }
 
-fn parse_codec(s: &str) -> CodecKind {
-    match s {
-        "raw" => CodecKind::Raw,
-        "rle" => CodecKind::Rle,
-        "trle" => CodecKind::Trle,
-        other => panic!("unknown codec '{other}' (raw|rle|trle)"),
-    }
-}
-
 impl ProfileArgs {
     fn parse() -> Self {
         let mut out = Self::default();
@@ -85,18 +77,8 @@ impl ProfileArgs {
             match flag.as_str() {
                 "--reps" => out.reps = value("--reps").parse().expect("bad --reps"),
                 "--frame" => out.frame = value("--frame").parse().expect("bad --frame"),
-                "--p" => {
-                    out.ps = value("--p")
-                        .split(',')
-                        .map(|s| s.trim().parse().expect("bad --p"))
-                        .collect();
-                }
-                "--codecs" => {
-                    out.codecs = value("--codecs")
-                        .split(',')
-                        .map(|s| parse_codec(s.trim()))
-                        .collect();
-                }
+                "--p" => out.ps = parse_list("--p", &value("--p")),
+                "--codecs" => out.codecs = parse_list("--codecs", &value("--codecs")),
                 "--cost" => {
                     out.cost_name = value("--cost");
                     out.cost = match out.cost_name.as_str() {
@@ -132,31 +114,6 @@ impl ProfileArgs {
 /// Depth-ordered synthetic partials: rank `r` contributes a horizontal
 /// band of semi-transparent 8-pixel runs, blank elsewhere (same profile as
 /// the `perf` binary, so the two harnesses measure the same workload).
-fn band_partials(p: usize, w: usize, h: usize) -> Vec<Image<GrayAlpha8>> {
-    (0..p)
-        .map(|r| {
-            let lo = r * h / p;
-            let hi = (r + 1) * h / p;
-            Image::from_fn(w, h, |x, y| {
-                if y >= lo && y < hi {
-                    GrayAlpha8::new((((x / 8) * 7 + r) % 151) as u8, 200)
-                } else {
-                    GrayAlpha8::blank()
-                }
-            })
-        })
-        .collect()
-}
-
-fn codec_label(c: CodecKind) -> &'static str {
-    match c {
-        CodecKind::Raw => "raw",
-        CodecKind::Rle => "rle",
-        CodecKind::Trle => "trle",
-        CodecKind::Bounds => "bounds",
-    }
-}
-
 /// `"2N_RT(B=4)"` → `"2n_rt_b4"`: lowercase, `(` → `_`, drop `)`/`=`.
 fn sanitize(name: &str) -> String {
     name.chars()
@@ -187,7 +144,7 @@ fn main() {
             let plan = ComposePlan::Schedule(schedule);
             for &codec in &args.codecs {
                 let cfg = ComposeConfig::default().with_codec(codec);
-                let label = format!("{}/{}/p={p}", method.name(), codec_label(codec));
+                let label = format!("{}/{}/p={p}", method.name(), codec.name());
 
                 // Observed runs. The observer accumulates wall spans and
                 // counters across reps; the trace of the last rep feeds the
@@ -242,7 +199,7 @@ fn main() {
                     "{}/PROFILE_{}_{}_p{p}.json",
                     args.out_dir,
                     sanitize(&method.name()),
-                    codec_label(codec),
+                    codec.name(),
                 );
                 std::fs::write(&path, ct.to_json()).expect("write profile artifact");
                 emitted.push(path.clone());
@@ -263,8 +220,8 @@ fn main() {
                      pool {}H/{}M, {} blank-skipped, {} opaque-fast",
                     total.sends,
                     total.retransmits,
-                    total.wire_bytes_for(codec_label(codec)),
-                    codec_label(codec),
+                    total.wire_bytes_for(codec.name()),
+                    codec.name(),
                     total.pool_hits,
                     total.pool_misses,
                     total.blank_skipped,

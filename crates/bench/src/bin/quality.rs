@@ -33,8 +33,7 @@
 //! Emits `BENCH_quality.json` (schema `bench-quality/v1`). `--smoke`
 //! shrinks the grid to a 128×128 P=8 pass for CI.
 
-use rt_bench::harness::{price, print_table, Args, Measurement, ScreenScene};
-use rt_bench::netgrid::{band_partials, codec_label, parse_codec};
+use rt_bench::harness::{parse_list, price, print_table, Args, Measurement, ScreenScene};
 use rt_comm::CostModel;
 use rt_compress::CodecKind;
 use rt_core::exec::{ComposeConfig, TransportKind};
@@ -42,6 +41,7 @@ use rt_core::method::{CompositionMethod, Method};
 use rt_core::Run;
 use rt_imaging::image::reference_composite;
 use rt_imaging::pixel::{GrayAlpha8, Pixel};
+use rt_imaging::synth::band_partials;
 use rt_imaging::Image;
 use rt_quality::{assert_within_tolerance, compare, QualityReport, Tolerance};
 use rt_render::datasets::Dataset;
@@ -104,18 +104,8 @@ impl QualityArgs {
             match flag.as_str() {
                 "--frame" => out.frame = value("--frame").parse().expect("bad --frame"),
                 "--volume" => out.volume = value("--volume").parse().expect("bad --volume"),
-                "--p" => {
-                    out.ps = value("--p")
-                        .split(',')
-                        .map(|s| s.trim().parse().expect("bad --p"))
-                        .collect();
-                }
-                "--codecs" => {
-                    out.codecs = value("--codecs")
-                        .split(',')
-                        .map(|s| parse_codec(s.trim()))
-                        .collect();
-                }
+                "--p" => out.ps = parse_list("--p", &value("--p")),
+                "--codecs" => out.codecs = parse_list("--codecs", &value("--codecs")),
                 "--out" => out.out = value("--out"),
                 "--smoke" => out.smoke = true,
                 "--help" | "-h" => {
@@ -296,7 +286,7 @@ fn build_row(
     Row {
         content: content.name.clone(),
         method: m.method.clone(),
-        codec: codec_label(m.codec).into(),
+        codec: m.codec.name().into(),
         p,
         compose_time: m.compose_time,
         total_time: m.total_time,

@@ -23,12 +23,12 @@
 //! Usage: `cargo run --release -p rt-bench --bin scale -- [--smoke] [--out BENCH_scale.json]`
 
 use rt_bench::harness::print_table;
-use rt_bench::netgrid::band_partials;
 use rt_comm::{replay_timeline, CostModel};
 use rt_core::{
     sweep, Candidate, ComposeConfig, ComposePlan, CompositionMethod, Method, Run, TuneOptions,
 };
 use rt_imaging::image::reference_composite;
+use rt_imaging::synth::band_partials;
 use rt_net::Topology;
 use serde::{Deserialize, Serialize};
 

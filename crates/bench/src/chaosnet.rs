@@ -32,7 +32,8 @@ use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use crate::netgrid::{band_partials, frame_hash};
+use crate::netgrid::frame_hash;
+use rt_imaging::synth::band_partials;
 
 /// Which bucket of the trichotomy a scenario must land in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -13,6 +13,51 @@ use rt_pvr::scene::prepare_scene_screen;
 use rt_render::camera::Camera;
 use rt_render::datasets::Dataset;
 use rt_render::shearwarp::RenderOptions;
+use serde::{Deserialize, Serialize};
+
+/// Median and 95th percentile of a cell's wall-clock samples, as the
+/// `BENCH_*.json` files record them.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+pub struct Quantiles {
+    /// Median, milliseconds.
+    pub p50_ms: f64,
+    /// 95th percentile, milliseconds.
+    pub p95_ms: f64,
+}
+
+/// Nearest-rank quantiles of `samples` (milliseconds).
+///
+/// # Panics
+/// On an empty sample set or a NaN sample.
+pub fn quantiles(mut samples: Vec<f64>) -> Quantiles {
+    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let at = |q: f64| {
+        let idx = ((samples.len() - 1) as f64 * q).round() as usize;
+        samples[idx]
+    };
+    Quantiles {
+        p50_ms: at(0.50),
+        p95_ms: at(0.95),
+    }
+}
+
+/// Parse the comma-separated value of `flag` (`--p 8,32`,
+/// `--codecs raw,trle`) with each element's own `FromStr`.
+///
+/// # Panics
+/// On an element that does not parse, naming the flag.
+pub fn parse_list<T: std::str::FromStr>(flag: &str, list: &str) -> Vec<T>
+where
+    T::Err: std::fmt::Display,
+{
+    list.split(',')
+        .map(|s| {
+            s.trim()
+                .parse()
+                .unwrap_or_else(|e| panic!("bad {flag} element '{s}': {e}"))
+        })
+        .collect()
+}
 
 /// Shared CLI arguments of the figure binaries.
 #[derive(Debug, Clone)]

@@ -4,14 +4,15 @@
 //! workload both sides (and the in-process reference run) must agree on.
 //!
 //! The launcher and workers are separate OS processes of the *same* build,
-//! so everything they must agree on — partial-image content, method
-//! lineup, codec labels, frame hashing — lives here instead of being
-//! duplicated per binary.
+//! so everything they must agree on — method lineup, frame hashing, and
+//! through [`rt_imaging::synth::band_partials`] and [`CodecKind`]'s own
+//! name/`FromStr` the partial-image content and codec labels — has one
+//! home instead of a copy per binary.
 
 use rt_comm::RankTrace;
 use rt_compress::CodecKind;
 use rt_core::method::Method;
-use rt_imaging::pixel::{GrayAlpha8, Pixel};
+use rt_imaging::pixel::GrayAlpha8;
 use rt_imaging::Image;
 use serde::{Deserialize, Serialize};
 
@@ -54,7 +55,7 @@ impl NetJob {
             "--method-index".into(),
             self.method_index.to_string(),
             "--codec".into(),
-            codec_label(self.codec).into(),
+            self.codec.name().into(),
             "--frame".into(),
             self.frame.to_string(),
             "--reps".into(),
@@ -83,27 +84,6 @@ pub struct WorkerResult {
     pub frame_hash: Option<u64>,
 }
 
-/// Depth-ordered synthetic partials: rank `r` contributes a horizontal
-/// band (≈1/p of the rows) of semi-transparent pixels with 8-pixel runs,
-/// blank elsewhere — the sparsity profile the structured codecs exist
-/// for. Every process generates the full set and keeps its own band, so
-/// no pixels cross the rendezvous.
-pub fn band_partials(p: usize, w: usize, h: usize) -> Vec<Image<GrayAlpha8>> {
-    (0..p)
-        .map(|r| {
-            let lo = r * h / p;
-            let hi = (r + 1) * h / p;
-            Image::from_fn(w, h, |x, y| {
-                if y >= lo && y < hi {
-                    GrayAlpha8::new((((x / 8) * 7 + r) % 151) as u8, 200)
-                } else {
-                    GrayAlpha8::blank()
-                }
-            })
-        })
-        .collect()
-}
-
 /// FNV-1a over a frame's pixels, for cheap cross-process frame-equality
 /// checks (the determinism *tests* compare full pixel buffers; the bench
 /// gate only needs a fingerprint).
@@ -120,38 +100,24 @@ pub fn frame_hash(frame: &Image<GrayAlpha8>) -> u64 {
     h
 }
 
-/// Canonical short label for a codec (CLI + JSON vocabulary).
-pub fn codec_label(c: CodecKind) -> &'static str {
-    match c {
-        CodecKind::Raw => "raw",
-        CodecKind::Rle => "rle",
-        CodecKind::Trle => "trle",
-        CodecKind::Bounds => "bounds",
-    }
-}
-
-/// Parse a codec label produced by [`codec_label`].
-///
-/// # Panics
-/// Panics on an unknown label.
-pub fn parse_codec(s: &str) -> CodecKind {
-    match s {
-        "raw" => CodecKind::Raw,
-        "rle" => CodecKind::Rle,
-        "trle" => CodecKind::Trle,
-        "bounds" => CodecKind::Bounds,
-        other => panic!("unknown codec '{other}' (raw|rle|trle|bounds)"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rt_imaging::synth::band_partials;
 
     #[test]
     fn job_args_round_trip_the_codec_vocabulary() {
         for codec in [CodecKind::Raw, CodecKind::Rle, CodecKind::Trle] {
-            assert_eq!(parse_codec(codec_label(codec)), codec);
+            let job = NetJob {
+                method_index: 0,
+                codec,
+                frame: 64,
+                reps: 1,
+                warmup: 0,
+            };
+            let args = job.to_args();
+            let at = args.iter().position(|a| a == "--codec").unwrap();
+            assert_eq!(args[at + 1].parse::<CodecKind>(), Ok(codec));
         }
     }
 

@@ -2,8 +2,8 @@
 //! reliable-delivery envelope and fail-stop rank-failure detection.
 //!
 //! [`Multicomputer::run`] spawns one thread per rank and hands each a
-//! [`RankCtx`] with MPI-like tagged point-to-point messaging, barriers and a
-//! gather primitive. Every operation is recorded into the rank's event trace
+//! [`RankCtx`] with MPI-like tagged point-to-point messaging and barriers.
+//! Every operation is recorded into the rank's event trace
 //! so the run can be re-priced on the virtual clock afterwards
 //! (see [`mod@crate::replay`]).
 //!
@@ -33,8 +33,10 @@
 //! of the plan's seed and the message coordinates, so a faulty run's trace
 //! is bit-for-bit reproducible.
 
+use crate::mark::{Cursor, Mark};
+use crate::tag;
 use crate::trace::{Event, RankTrace, Trace};
-use crate::transport::{InProc, RecvRawError, SendRawError, Transport, WireFrame};
+use crate::transport::{InProc, RecvRawError, Transport, WireFrame};
 use crate::ComputeKind;
 use rt_obs::{Counters, Observer, Phase, Recorder};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -188,7 +190,6 @@ pub struct FaultPlan {
     severed: HashSet<(usize, usize)>,
     tag_corruptions: HashMap<(usize, usize, u64), u64>,
     payload_corruptions: HashSet<(usize, usize, u64)>,
-    delays: HashMap<(usize, usize, u64), f64>,
     drop_rate: f64,
     corrupt_rate: f64,
     crashes: HashMap<usize, usize>,
@@ -237,14 +238,6 @@ impl FaultPlan {
         self
     }
 
-    /// Delay delivery of the `seq`-th message from `src` to `dst` by
-    /// `seconds` of virtual time (priced by replay; the threaded execution
-    /// is not slowed down).
-    pub fn delay_message(mut self, src: usize, dst: usize, seq: u64, seconds: f64) -> Self {
-        self.delays.insert((src, dst, seq), seconds);
-        self
-    }
-
     /// Drop each delivery attempt independently with probability `rate`
     /// (deterministic in the plan seed).
     pub fn drop_rate(mut self, rate: f64) -> Self {
@@ -279,7 +272,6 @@ impl FaultPlan {
             && self.severed.is_empty()
             && self.tag_corruptions.is_empty()
             && self.payload_corruptions.is_empty()
-            && self.delays.is_empty()
             && self.drop_rate == 0.0
             && self.corrupt_rate == 0.0
             && self.crashes.is_empty()
@@ -314,8 +306,7 @@ const CORRUPT_SALT: u64 = 0xC0;
 /// attempt materializes a fresh buffer (it must damage its own copy).
 ///
 /// `Payload` dereferences to `[u8]`, so receivers use it like a byte
-/// slice; [`Payload::into_vec`] recovers an owned vector (cloning only if
-/// the bytes are still shared with an in-flight frame).
+/// slice.
 #[derive(Debug, Clone)]
 pub struct Payload(Arc<Vec<u8>>);
 
@@ -324,14 +315,6 @@ impl Payload {
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.0
-    }
-
-    /// Recover an owned vector, cloning only if the buffer is shared.
-    pub fn into_vec(self) -> Vec<u8> {
-        match Arc::try_unwrap(self.0) {
-            Ok(v) => v,
-            Err(shared) => (*shared).clone(),
-        }
     }
 }
 
@@ -363,12 +346,6 @@ impl PartialEq<Vec<u8>> for Payload {
     }
 }
 
-impl PartialEq<Payload> for Vec<u8> {
-    fn eq(&self, other: &Payload) -> bool {
-        *self == *other.0
-    }
-}
-
 /// Per-rank handle: the algorithm-facing API of the multicomputer.
 ///
 /// A `RankCtx` owns the reliable-delivery envelope (sequence numbers,
@@ -387,7 +364,6 @@ pub struct RankCtx {
     send_seq: Vec<u64>,
     events: RankTrace,
     barrier_gen: u64,
-    gather_gen: u64,
     liveness_gen: u64,
     timeout: Duration,
     faults: Arc<FaultPlan>,
@@ -397,12 +373,9 @@ pub struct RankCtx {
     /// Wall-clock recorder; `None` when the run is not observed, so every
     /// instrumentation hook is a single branch.
     obs: Option<Recorder>,
-    /// Current composition step for wall-span attribution, tracked from the
-    /// executor's `step:`/`flush:`/`compose:` marks (observed runs only).
-    obs_step: Option<u32>,
-    /// Current streaming frame for wall-span attribution, tracked from the
-    /// streaming front-end's `frame:K:start` marks (observed runs only).
-    obs_frame: Option<u32>,
+    /// Where this rank is in its frame, advanced by [`RankCtx::mark`]:
+    /// the step and frame wall-clock spans are attributed to.
+    cursor: Cursor,
 }
 
 /// A contiguous-membership subteam view over a [`RankCtx`] — the
@@ -427,16 +400,6 @@ struct GroupView {
     /// ones relative to it (global step `s` surfaces as `s - base`).
     step_base: usize,
 }
-
-/// Tag namespace reserved for the built-in gather; algorithm tags must keep
-/// this bit clear.
-pub const GATHER_TAG_BIT: u64 = 1 << 63;
-
-/// Tag of death-notification control frames (failure broadcast).
-pub const DEATH_TAG: u64 = 1 << 61;
-
-/// Tag namespace of the liveness-exchange control round.
-pub const LIVENESS_TAG_BIT: u64 = 1 << 59;
 
 /// Options for building a standalone [`RankCtx`] over an external
 /// [`Transport`] (the multi-process mode of the `rt-net` crate). The
@@ -475,15 +438,13 @@ impl RankCtx {
             send_seq: vec![0; size],
             events: Vec::new(),
             barrier_gen: 0,
-            gather_gen: 0,
             liveness_gen: 0,
             timeout: opts.timeout.unwrap_or(Duration::from_secs(10)),
             faults: Arc::new(opts.faults),
             dead: BTreeMap::new(),
             checksum_rejects: 0,
             obs: opts.recorder,
-            obs_step: None,
-            obs_frame: None,
+            cursor: Cursor::default(),
         }
     }
 
@@ -514,22 +475,10 @@ impl RankCtx {
         }
     }
 
-    /// This rank's global id, regardless of any installed group view.
-    #[inline]
-    pub fn global_rank(&self) -> usize {
-        self.rank
-    }
-
-    /// The global machine size, regardless of any installed group view.
-    #[inline]
-    pub fn global_size(&self) -> usize {
-        self.size
-    }
-
     /// Install a subteam view: until [`RankCtx::leave_group`], the
     /// context behaves as a world of `members.len()` ranks in which this
-    /// rank is `members.iter().position(|&m| m == global_rank)`. Peer ids
-    /// passed to `send`/`recv`/`gather` and returned by
+    /// rank is the position of its global id in `members`. Peer ids
+    /// passed to `send`/`recv` and returned by
     /// `planned_crashes`/`liveness_exchange` are view-local; the
     /// underlying channels, sequence numbers and traced events stay
     /// global, so a hierarchical executor composes phases over one
@@ -583,12 +532,6 @@ impl RankCtx {
             "leave_group: no group view is installed"
         );
         self.group = None;
-    }
-
-    /// Whether a group view is currently installed.
-    #[inline]
-    pub fn in_group(&self) -> bool {
-        self.group.is_some()
     }
 
     /// Translate a view-local peer id to its global rank (identity when
@@ -679,13 +622,13 @@ impl RankCtx {
 
     /// Close a wall-clock span opened by [`RankCtx::obs_start`]. A `None`
     /// start (unobserved run) is a no-op. The span is attributed to the
-    /// composition step most recently announced via a `step:K` mark.
+    /// step and frame the marks so far have opened (see [`crate::mark`]);
+    /// on this clock, flush work belongs to no particular step.
     #[inline]
     pub fn obs_span(&mut self, phase: Phase, started: Option<Instant>) {
         if let (Some(rec), Some(t)) = (self.obs.as_mut(), started) {
-            let step = self.obs_step;
-            let frame = self.obs_frame;
-            rec.record_span(phase, step, frame, t);
+            let at = self.cursor;
+            rec.record_span(phase, at.step.filter(|_| !at.in_flush), at.frame, t);
         }
     }
 
@@ -696,12 +639,6 @@ impl RankCtx {
         if let Some(rec) = self.obs.as_mut() {
             f(rec.counters_mut());
         }
-    }
-
-    /// Whether a wall-clock recorder is attached to this rank.
-    #[inline]
-    pub fn observed(&self) -> bool {
-        self.obs.is_some()
     }
 
     fn check_rank(&self, rank: usize) -> Result<(), CommError> {
@@ -715,21 +652,58 @@ impl RankCtx {
         }
     }
 
-    /// Push a frame into `to`'s queue, tolerating a planned-dead receiver.
-    fn push_frame(&mut self, to: usize, msg: WireFrame) -> Result<(), CommError> {
-        let tag = msg.tag;
-        match self.transport.send_raw(to, msg) {
-            Ok(()) => Ok(()),
-            // The receiver's endpoint is gone. If its death was planned
-            // (or already announced), the loss is part of the failure
-            // model and the send is a deterministic no-op; otherwise it
-            // is a genuine wiring bug.
-            Err(SendRawError { .. })
-                if self.faults.crashes.contains_key(&to) || self.dead.contains_key(&to) =>
-            {
-                Ok(())
+    /// Take the next sequence number of the `self → to` channel and trace
+    /// the send that uses it.
+    fn open_send(&mut self, to: usize, tag: u64, bytes: u64) -> u64 {
+        let seq = self.send_seq[to];
+        self.send_seq[to] += 1;
+        self.events.push(Event::Send {
+            to,
+            tag,
+            bytes,
+            seq,
+        });
+        seq
+    }
+
+    /// Put one frame on the wire — the one place an envelope is assembled.
+    /// A planned-dead (or already announced dead) receiver's endpoint may
+    /// be gone: that loss is part of the failure model and the post is a
+    /// deterministic no-op; any other closed endpoint is a wiring bug.
+    fn post(
+        &mut self,
+        to: usize,
+        tag: u64,
+        seq: u64,
+        checksum: u64,
+        payload: Payload,
+    ) -> Result<(), CommError> {
+        let frame = WireFrame {
+            from: self.rank,
+            tag,
+            seq,
+            checksum,
+            payload,
+        };
+        match self.transport.send_raw(to, frame) {
+            Err(_) if !self.faults.crashes.contains_key(&to) && !self.dead.contains_key(&to) => {
+                Err(CommError::Disconnected { from: to, tag })
             }
-            Err(SendRawError { .. }) => Err(CommError::Disconnected { from: to, tag }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Post one frame of the membership protocol (death notices, liveness
+    /// rounds) to each of `peers`: traced as ordinary sends, so replay
+    /// prices the traffic, but outside fault injection — the failure model
+    /// assumes the membership protocol itself is reliable — and best
+    /// effort, since a peer whose endpoint is gone has already exited.
+    fn post_control(&mut self, peers: &[usize], tag: u64, bytes: Vec<u8>) {
+        let payload = Payload::from(bytes);
+        let checksum = fnv1a(&payload);
+        for &to in peers {
+            let seq = self.open_send(to, tag, payload.len() as u64);
+            let _ = self.post(to, tag, seq, checksum, payload.clone());
         }
     }
 
@@ -757,22 +731,13 @@ impl RankCtx {
 
     fn send_inner(&mut self, to: usize, tag: u64, payload: Payload) -> Result<(), CommError> {
         self.check_rank(to)?;
-        let seq = self.send_seq[to];
-        self.send_seq[to] += 1;
         let bytes = payload.len() as u64;
+        let seq = self.open_send(to, tag, bytes);
         let key = (self.rank, to, seq);
         let wire_tag = *self.faults.tag_corruptions.get(&key).unwrap_or(&tag);
-        let delay = self.faults.delays.get(&key).copied();
         let faults = Arc::clone(&self.faults);
         for attempt in 0..MAX_ATTEMPTS {
-            if attempt == 0 {
-                self.events.push(Event::Send {
-                    to,
-                    tag,
-                    bytes,
-                    seq,
-                });
-            } else {
+            if attempt > 0 {
                 self.events.push(Event::Retransmit {
                     to,
                     tag,
@@ -792,55 +757,35 @@ impl RankCtx {
             let dropped = (attempt == 0 && faults.drops.contains(&key))
                 || faults.severed.contains(&(self.rank, to))
                 || faults.chance(DROP_SALT, self.rank, to, seq, attempt) < faults.drop_rate;
-            if dropped {
-                // Vanished into the network: wait one backoff window for
-                // the acknowledgement that never comes, then retry.
-                self.events.push(Event::AckWait { to, seq, attempt });
-                self.obs_counters(|c| c.ack_timeouts += 1);
-                continue;
-            }
-            let corrupted = (attempt == 0 && faults.payload_corruptions.contains(&key))
-                || faults.chance(CORRUPT_SALT, self.rank, to, seq, attempt) < faults.corrupt_rate;
-            if corrupted {
-                // Deliver a damaged frame: the receiver's checksum rejects
-                // it, the sender sees no acknowledgement and retries. Only
-                // this path copies the bytes — the damage must not reach
-                // the shared buffer the retransmission will resend.
-                let mut bad = payload.to_vec();
-                let checksum = fnv1a(&payload);
-                let checksum = if let Some(b) = bad.first_mut() {
-                    *b ^= 0xA5;
-                    checksum
+            let corrupted = !dropped
+                && ((attempt == 0 && faults.payload_corruptions.contains(&key))
+                    || faults.chance(CORRUPT_SALT, self.rank, to, seq, attempt)
+                        < faults.corrupt_rate);
+            if !dropped {
+                let mut checksum = fnv1a(&payload);
+                let wire = if corrupted {
+                    // Deliver a damaged frame: the receiver's checksum
+                    // rejects it. Only this path copies the bytes — the
+                    // damage must not reach the shared buffer the
+                    // retransmission will resend.
+                    let mut bad = payload.to_vec();
+                    match bad.first_mut() {
+                        Some(b) => *b ^= 0xA5,
+                        None => checksum ^= 1,
+                    }
+                    Payload::from(bad)
                 } else {
-                    checksum ^ 1
+                    payload.clone()
                 };
-                self.push_frame(
-                    to,
-                    WireFrame {
-                        from: self.rank,
-                        tag: wire_tag,
-                        seq,
-                        checksum,
-                        payload: Payload::from(bad),
-                    },
-                )?;
+                self.post(to, wire_tag, seq, checksum, wire)?;
+            }
+            if dropped || corrupted {
+                // Vanished into the network, or rejected at the far end:
+                // wait one backoff window for the acknowledgement that
+                // never comes, then retry.
                 self.events.push(Event::AckWait { to, seq, attempt });
                 self.obs_counters(|c| c.ack_timeouts += 1);
                 continue;
-            }
-            let checksum = fnv1a(&payload);
-            self.push_frame(
-                to,
-                WireFrame {
-                    from: self.rank,
-                    tag: wire_tag,
-                    seq,
-                    checksum,
-                    payload: payload.clone(),
-                },
-            )?;
-            if let Some(seconds) = delay {
-                self.events.push(Event::Delay { to, seq, seconds });
             }
             return Ok(());
         }
@@ -854,9 +799,8 @@ impl RankCtx {
     /// File an incoming frame: verify its checksum, intercept control
     /// frames, queue the rest.
     fn stash(&mut self, msg: WireFrame) {
-        if msg.tag == DEATH_TAG {
-            let step = usize::from_le_bytes(msg.payload.as_slice().try_into().unwrap_or([0; 8]));
-            self.dead.insert(msg.from, step);
+        if msg.tag == tag::DEATH {
+            self.dead.insert(msg.from, msg.death_step());
             return;
         }
         if fnv1a(&msg.payload) != msg.checksum {
@@ -943,16 +887,10 @@ impl RankCtx {
 
     /// Drain already-arrived frames without blocking (files death
     /// notifications and queues data frames).
-    pub fn poll(&mut self) {
+    fn poll(&mut self) {
         while let Some(msg) = self.transport.try_recv_raw() {
             self.stash(msg);
         }
-    }
-
-    /// Ranks known (from death notifications) to have failed, with the
-    /// schedule step each announced.
-    pub fn dead_ranks(&self) -> &BTreeMap<usize, usize> {
-        &self.dead
     }
 
     /// Corrupted frames discarded by the checksum so far.
@@ -1011,31 +949,8 @@ impl RankCtx {
         // phases agree on one failure clock.
         let step = step + self.step_base();
         self.dead.insert(self.rank, step);
-        let payload = Payload::from(step.to_le_bytes().to_vec());
-        let checksum = fnv1a(&payload);
-        for to in 0..self.size {
-            if to == self.rank {
-                continue;
-            }
-            let seq = self.send_seq[to];
-            self.send_seq[to] += 1;
-            self.events.push(Event::Send {
-                to,
-                tag: DEATH_TAG,
-                bytes: payload.len() as u64,
-                seq,
-            });
-            let _ = self.transport.send_raw(
-                to,
-                WireFrame {
-                    from: self.rank,
-                    tag: DEATH_TAG,
-                    seq,
-                    checksum,
-                    payload: payload.clone(),
-                },
-            );
-        }
+        let peers: Vec<usize> = (0..self.size).filter(|&to| to != self.rank).collect();
+        self.post_control(&peers, tag::DEATH, WireFrame::death_payload(step));
     }
 
     /// Agree on the set of failed ranks: every survivor merges `announced`
@@ -1057,7 +972,7 @@ impl RankCtx {
         &mut self,
         announced: &[(usize, usize)],
     ) -> Result<BTreeMap<usize, usize>, CommError> {
-        let tag = LIVENESS_TAG_BIT | self.liveness_gen;
+        let tag = tag::liveness(self.liveness_gen);
         self.liveness_gen += 1;
         self.poll();
         // `announced` arrives in the caller's (possibly view-local) world;
@@ -1069,14 +984,6 @@ impl RankCtx {
                 self.dead.entry(global).or_insert(k + base);
             }
         }
-        let encode = |dead: &BTreeMap<usize, usize>| {
-            let mut out = Vec::with_capacity(dead.len() * 16);
-            for (&r, &k) in dead {
-                out.extend_from_slice(&(r as u64).to_le_bytes());
-                out.extend_from_slice(&(k as u64).to_le_bytes());
-            }
-            out
-        };
         // The exchange runs among the active world's members only: a group
         // view keeps its membership round inside the group, in global ids
         // on the wire so every phase shares one failure ledger.
@@ -1090,31 +997,15 @@ impl RankCtx {
             .filter(|&r| r != self.rank && !self.dead.contains_key(&r))
             .collect();
         // One shared buffer for every survivor (`dead` cannot change during
-        // the send loop — nothing is received until the loop below).
-        let payload = Payload::from(encode(&self.dead));
-        let checksum = fnv1a(&payload);
-        for &to in &sent_to {
-            let seq = self.send_seq[to];
-            self.send_seq[to] += 1;
-            self.events.push(Event::Send {
-                to,
-                tag,
-                bytes: payload.len() as u64,
-                seq,
-            });
-            // A send failure here means the peer exited: its death frame
-            // is already queued and the receive below will find it.
-            let _ = self.transport.send_raw(
-                to,
-                WireFrame {
-                    from: self.rank,
-                    tag,
-                    seq,
-                    checksum,
-                    payload: payload.clone(),
-                },
-            );
+        // the send loop — nothing is received until the loop below). A
+        // send that finds the peer gone means it exited: its death frame
+        // is already queued and the receive below will find it.
+        let mut ledger = Vec::with_capacity(self.dead.len() * 16);
+        for (&r, &k) in &self.dead {
+            ledger.extend_from_slice(&(r as u64).to_le_bytes());
+            ledger.extend_from_slice(&(k as u64).to_le_bytes());
         }
+        self.post_control(&sent_to, tag, ledger);
         for &from in &sent_to {
             if self.dead.contains_key(&from) {
                 continue; // learned of its death earlier in this loop
@@ -1158,33 +1049,17 @@ impl RankCtx {
         self.events.push(Event::Compute { kind, units });
     }
 
-    /// Record a named phase boundary (e.g. `"compose:start"`).
-    ///
-    /// On observed runs the executor's step marks (`step:K`,
-    /// `flush:start`, `compose:start`/`compose:end`) also drive the step
-    /// attribution of subsequent wall-clock spans, mirroring how
-    /// `replay_timeline` attributes virtual spans from the same labels.
-    pub fn mark(&mut self, label: impl Into<String>) {
-        let label = label.into();
-        if self.obs.is_some() {
-            if let Some(step) = label.strip_prefix("step:") {
-                self.obs_step = step.parse().ok();
-            } else if label == "flush:start" {
-                // Flush work stays attributed to no particular step.
-                self.obs_step = None;
-            } else if label == "compose:start" || label == "compose:end" {
-                self.obs_step = None;
-            } else if let Some(rest) = label.strip_prefix("frame:") {
-                // Streaming marks: `frame:K:start` opens frame K,
-                // `frame:K:end` closes it.
-                if let Some(frame) = rest.strip_suffix(":start") {
-                    self.obs_frame = frame.parse().ok();
-                } else if rest.ends_with(":end") {
-                    self.obs_frame = None;
-                }
-            }
-        }
-        self.events.push(Event::Mark { label });
+    /// Record a named phase boundary — a [`Mark`], or any label (a `&str`
+    /// converts). The mark also advances the cursor that
+    /// attributes this rank's subsequent wall-clock spans to a step and a
+    /// frame, exactly as the replay attributes virtual spans from the
+    /// recorded label.
+    pub fn mark(&mut self, mark: impl Into<Mark>) {
+        let mark = mark.into();
+        self.cursor.advance(&mark);
+        self.events.push(Event::Mark {
+            label: mark.to_string(),
+        });
     }
 
     /// Synchronize all ranks. Must not be called after any rank has
@@ -1204,47 +1079,6 @@ impl RankCtx {
         let result = self.transport.barrier();
         self.obs_span(Phase::Wait, started);
         result.map_err(CommError::from)
-    }
-
-    /// Gather one buffer from every rank at `root`.
-    ///
-    /// Returns `Some(buffers)` (indexed by rank, including the root's own
-    /// `payload`) at the root and `None` elsewhere. Implemented with the
-    /// ordinary traced sends, so gather traffic is priced by replay exactly
-    /// like the paper's final collection stage.
-    pub fn gather(
-        &mut self,
-        root: usize,
-        payload: impl Into<Payload>,
-    ) -> Result<Option<Vec<Payload>>, CommError> {
-        // Operates in the active world: under a group view `root` and the
-        // returned buffer order are view-local, and only members take part.
-        let size = self.size();
-        if root >= size {
-            return Err(CommError::InvalidRank { rank: root, size });
-        }
-        let payload: Payload = payload.into();
-        let tag = GATHER_TAG_BIT | self.gather_gen;
-        self.gather_gen += 1;
-        if self.rank() == root {
-            let mut out: Vec<Payload> = Vec::with_capacity(size);
-            for r in 0..size {
-                if r == root {
-                    out.push(payload.clone());
-                } else {
-                    out.push(self.recv(r, tag)?);
-                }
-            }
-            Ok(Some(out))
-        } else {
-            self.send(root, tag, payload)?;
-            Ok(None)
-        }
-    }
-
-    /// The events recorded so far (mainly for tests).
-    pub fn events(&self) -> &RankTrace {
-        &self.events
     }
 
     /// Drain this rank's recorded events, leaving an empty trace behind.
@@ -1481,7 +1315,7 @@ mod tests {
                 ctx.send(1, 42, vec![1]).unwrap();
                 Ok(Vec::new())
             } else {
-                ctx.recv(0, 43).map(Payload::into_vec)
+                ctx.recv(0, 43).map(|bytes| bytes.to_vec())
             }
         });
         assert_eq!(
@@ -1504,7 +1338,7 @@ mod tests {
                 ctx.send(1, 5, vec![9]).unwrap();
                 Ok(vec![])
             } else {
-                ctx.recv(0, 5).map(Payload::into_vec)
+                ctx.recv(0, 5).map(|bytes| bytes.to_vec())
             }
         });
         assert_eq!(results[1], Ok(vec![9]));
@@ -1522,7 +1356,7 @@ mod tests {
                 ctx.send(1, 5, vec![1, 2, 3]).unwrap();
                 Ok::<_, CommError>((vec![], 0))
             } else {
-                let got = ctx.recv(0, 5)?.into_vec();
+                let got = ctx.recv(0, 5)?.to_vec();
                 Ok((got, ctx.checksum_rejects()))
             }
         });
@@ -1541,7 +1375,7 @@ mod tests {
             if ctx.rank() == 0 {
                 ctx.send(1, 5, vec![9]).map(|_| vec![])
             } else {
-                ctx.recv(0, 5).map(Payload::into_vec)
+                ctx.recv(0, 5).map(|bytes| bytes.to_vec())
             }
         });
         assert_eq!(
@@ -1617,7 +1451,7 @@ mod tests {
                 ctx.send(1, 5, vec![9]).unwrap();
                 Ok(vec![])
             } else {
-                ctx.recv(0, 5).map(Payload::into_vec)
+                ctx.recv(0, 5).map(|bytes| bytes.to_vec())
             }
         });
         assert_eq!(
@@ -1638,7 +1472,7 @@ mod tests {
             if ctx.rank() == 0 {
                 Ok(vec![])
             } else {
-                ctx.recv(0, 5).map(Payload::into_vec)
+                ctx.recv(0, 5).map(|bytes| bytes.to_vec())
             }
         });
         match &results[1] {
@@ -1662,7 +1496,7 @@ mod tests {
         let mc = Multicomputer::new(2).with_timeout(Duration::from_millis(30));
         let (results, _) = mc.run(|ctx| {
             if ctx.rank() == 0 {
-                ctx.recv(1, 0x2a).map(Payload::into_vec)
+                ctx.recv(1, 0x2a).map(|bytes| bytes.to_vec())
             } else {
                 Ok(vec![])
             }
@@ -1685,7 +1519,7 @@ mod tests {
                 ctx.announce_death(3);
                 Ok(vec![])
             } else {
-                ctx.recv(0, 5).map(Payload::into_vec)
+                ctx.recv(0, 5).map(|bytes| bytes.to_vec())
             }
         });
         assert_eq!(results[1], Err(CommError::RankFailed { rank: 0 }));
@@ -1725,46 +1559,6 @@ mod tests {
         });
         assert_eq!(results[0].0, CommError::InvalidRank { rank: 7, size: 2 });
         assert_eq!(results[0].1, CommError::InvalidRank { rank: 9, size: 2 });
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let mc = Multicomputer::new(5);
-        let (results, trace) = mc.run(|ctx| {
-            let payload = vec![ctx.rank() as u8; ctx.rank() + 1];
-            ctx.gather(2, payload).unwrap()
-        });
-        for (r, res) in results.iter().enumerate() {
-            if r == 2 {
-                let bufs = res.as_ref().unwrap();
-                assert_eq!(bufs.len(), 5);
-                for (i, b) in bufs.iter().enumerate() {
-                    assert_eq!(b, &vec![i as u8; i + 1]);
-                }
-            } else {
-                assert!(res.is_none());
-            }
-        }
-        // 4 messages (root contributes locally).
-        assert_eq!(trace.message_count(), 4);
-    }
-
-    #[test]
-    fn consecutive_gathers_do_not_cross() {
-        let mc = Multicomputer::new(3);
-        let (results, _) = mc.run(|ctx| {
-            let a = ctx.gather(0, vec![ctx.rank() as u8]).unwrap();
-            let b = ctx.gather(1, vec![10 + ctx.rank() as u8]).unwrap();
-            (a, b)
-        });
-        assert_eq!(
-            results[0].0.as_ref().unwrap(),
-            &vec![vec![0], vec![1], vec![2]]
-        );
-        assert_eq!(
-            results[1].1.as_ref().unwrap(),
-            &vec![vec![10], vec![11], vec![12]]
-        );
     }
 
     #[test]
@@ -1846,7 +1640,7 @@ mod tests {
             ctx.enter_group(members, 0);
             assert_eq!(ctx.size(), 2);
             let out = if ctx.rank() == 0 {
-                ctx.send(1, 7, vec![ctx.global_rank() as u8]).unwrap();
+                ctx.send(1, 7, vec![me as u8]).unwrap();
                 None
             } else {
                 Some(ctx.recv(0, 7).unwrap()[0])
@@ -1903,25 +1697,6 @@ mod tests {
         assert_eq!(results[1].1, vec![(1, 2)]);
         assert_eq!(results[1].2, None); // global step 2 ≤ base 3: already fired
         assert_eq!(results[3].2, Some(2)); // global step 5 − base 3
-    }
-
-    #[test]
-    fn group_view_gather_collects_member_payloads() {
-        let mc = Multicomputer::new(4);
-        let (results, _) = mc.run(|ctx| {
-            let me = ctx.rank();
-            if me == 0 || me == 2 {
-                return None;
-            }
-            ctx.enter_group(vec![1, 3], 0);
-            let out = ctx
-                .gather(0, vec![ctx.global_rank() as u8])
-                .unwrap()
-                .map(|bufs| bufs.iter().map(|b| b[0]).collect::<Vec<u8>>());
-            ctx.leave_group();
-            out
-        });
-        assert_eq!(results, vec![None, Some(vec![1, 3]), None, None]);
     }
 
     #[test]

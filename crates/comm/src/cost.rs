@@ -119,12 +119,6 @@ impl CostModel {
         self
     }
 
-    /// Builder-style override of the reliable-delivery ack timeout.
-    pub fn with_ack_timeout(mut self, ack_timeout: f64) -> Self {
-        self.ack_timeout = ack_timeout;
-        self
-    }
-
     /// Backoff charged before retransmission attempt `attempt + 1`:
     /// `ack_timeout · 2^attempt`.
     #[inline]

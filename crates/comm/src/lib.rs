@@ -8,8 +8,8 @@
 //! 1. **Execution layer** ([`comm`]): a [`comm::Multicomputer`] spawns one OS
 //!    thread per rank, connected by lossless FIFO channels. Algorithms are
 //!    written against [`comm::RankCtx`] exactly as they would be against MPI:
-//!    tagged point-to-point `send`/`recv`, `barrier`, `gather`. This layer
-//!    proves *correctness* under real concurrency.
+//!    tagged point-to-point `send`/`recv` and `barrier`. This layer proves
+//!    *correctness* under real concurrency.
 //!
 //! 2. **Timing layer** ([`trace`] + [`mod@replay`]): every send, receive, compute
 //!    and barrier is recorded into an event [`trace::Trace`]. A deterministic
@@ -23,6 +23,11 @@
 //! cost-model statement; Figures 5–8 are that model plus measured message
 //! sizes. Replay uses the *actual* message sizes and counts of the executed
 //! algorithm, so schedule inefficiencies show up faithfully.
+//!
+//! Two small vocabularies hold the layers together, each defined once:
+//! [`tag`] lays out the 64-bit message tag (so frames, steps, tile
+//! sub-channels, repairs and control traffic never collide), and [`mark`]
+//! names the phase boundaries both clocks attribute their spans from.
 //!
 //! ```
 //! use rt_comm::{replay, CostModel, Multicomputer};
@@ -47,17 +52,15 @@
 
 pub mod comm;
 pub mod cost;
+pub mod mark;
 pub mod replay;
+pub mod tag;
 pub mod trace;
 pub mod transport;
 
 pub use comm::{CommError, FaultPlan, Multicomputer, Payload, RankCtx, RankOptions};
 pub use cost::{ComputeKind, CostModel};
+pub use mark::Mark;
 pub use replay::{replay, replay_timeline, RankStats, ReplayError, ReplayReport};
 pub use trace::{Event, RankTrace, Trace};
-pub use transport::{
-    frame_tag_base, tile_tag, BarrierError, InProc, RecvRawError, SendRawError, Transport,
-    WireFrame, FRAME_TAG_BITS, FRAME_TAG_SHIFT, NET_CONTROL_TAG_BIT, TILE_CH_GATHER,
-    TILE_CH_MANIFEST, TILE_CH_PAYLOAD, TILE_CH_REPAIR_MANIFEST, TILE_CH_REPAIR_PAYLOAD,
-    TILE_CH_REPAIR_SEGMENTS, TILE_CH_SEGMENTS, TILE_STEP_BASE,
-};
+pub use transport::{BarrierError, InProc, RecvRawError, SendRawError, Transport, WireFrame};

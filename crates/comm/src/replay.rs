@@ -19,6 +19,7 @@
 //! clock (optionally between two marks).
 
 use crate::cost::{ComputeKind, CostModel};
+use crate::mark::{Cursor, Mark};
 use crate::trace::{Event, Trace};
 use rt_obs::{Phase, PhaseTotals, RankTimeline, SpanRec};
 use std::collections::{BTreeMap, HashMap};
@@ -143,10 +144,11 @@ pub fn replay(trace: &Trace, cost: &CostModel) -> Result<ReplayReport, ReplayErr
 /// Spans are emitted at the very program points that advance the clock and
 /// the [`RankStats`] accumulators, with the identical `f64` durations in
 /// the identical order — so re-summing a timeline's spans reproduces the
-/// stats **bit-exactly** ([`rt_obs::reconcile()`] enforces this). Step
-/// attribution comes from the `Mark` events the executor already records:
-/// `step:K` opens step `K`, `flush:start` routes subsequent over-charges to
-/// [`Phase::Flush`], and `compose:start`/`compose:end` reset both.
+/// stats **bit-exactly** ([`rt_obs::reconcile()`] enforces this). Step and
+/// frame attribution come from the `Mark` events the executor already
+/// records, through the same [`Cursor`] that attributes the wall-clock
+/// spans (see [`crate::mark`]); `over` charges after `flush:start` become
+/// [`Phase::Flush`].
 ///
 /// Zero-duration charges are elided from the timeline (adding `+0.0` to a
 /// non-negative accumulator cannot change its bits, so reconciliation is
@@ -206,11 +208,8 @@ fn replay_inner(
     // Barrier bookkeeping: generation -> (arrival clock per rank).
     let mut barrier_entries: HashMap<u64, Vec<Option<f64>>> = HashMap::new();
     let mut marks: BTreeMap<String, Vec<Option<f64>>> = BTreeMap::new();
-    // Step/frame attribution for derived spans, driven by the executor's
-    // and streaming front-end's marks.
-    let mut cur_step: Vec<Option<u32>> = vec![None; p];
-    let mut cur_frame: Vec<Option<u32>> = vec![None; p];
-    let mut in_flush = vec![false; p];
+    // Step/frame attribution for derived spans, driven by the marks.
+    let mut cursors = vec![Cursor::default(); p];
 
     // Emit a virtual span; zero-duration charges are elided (see
     // `replay_timeline` docs for why that preserves reconciliation).
@@ -218,8 +217,7 @@ fn replay_inner(
         timelines: &mut Option<&mut Vec<RankTimeline>>,
         r: usize,
         phase: Phase,
-        step: Option<u32>,
-        frame: Option<u32>,
+        at: Cursor,
         start: f64,
         dur: f64,
     ) {
@@ -227,8 +225,8 @@ fn replay_inner(
             if let Some(tl) = timelines {
                 tl[r].spans.push(SpanRec {
                     phase,
-                    step,
-                    frame,
+                    step: at.step,
+                    frame: at.frame,
                     start,
                     dur,
                 });
@@ -245,15 +243,7 @@ fn replay_inner(
                 match &events[idx[r]] {
                     Event::Send { to, bytes, seq, .. } => {
                         let dur = cost.message_time(*bytes);
-                        emit(
-                            &mut timelines,
-                            r,
-                            Phase::Send,
-                            cur_step[r],
-                            cur_frame[r],
-                            clocks[r],
-                            dur,
-                        );
+                        emit(&mut timelines, r, Phase::Send, cursors[r], clocks[r], dur);
                         clocks[r] += dur;
                         stats[r].send_time += dur;
                         stats[r].messages_sent += 1;
@@ -272,15 +262,7 @@ fn replay_inner(
                         // A retransmission occupies the sender exactly like a
                         // fresh send of the same payload.
                         let dur = cost.message_time(*bytes);
-                        emit(
-                            &mut timelines,
-                            r,
-                            Phase::Send,
-                            cur_step[r],
-                            cur_frame[r],
-                            clocks[r],
-                            dur,
-                        );
+                        emit(&mut timelines, r, Phase::Send, cursors[r], clocks[r], dur);
                         clocks[r] += dur;
                         stats[r].send_time += dur;
                         stats[r].retransmits += 1;
@@ -295,20 +277,12 @@ fn replay_inner(
                             &mut timelines,
                             r,
                             Phase::Backoff,
-                            cur_step[r],
-                            cur_frame[r],
+                            cursors[r],
                             clocks[r],
                             dur,
                         );
                         clocks[r] += dur;
                         stats[r].backoff_time += dur;
-                    }
-                    Event::Delay { to, seq, seconds } => {
-                        // The message left the sender on time but spends
-                        // `seconds` extra in flight.
-                        if let Some(finish) = send_finish.get_mut(&(r, *to, *seq)) {
-                            *finish += seconds;
-                        }
                     }
                     Event::Recv { from, seq, .. } => {
                         let Some(&arrival) = send_finish.get(&(*from, r, *seq)) else {
@@ -316,15 +290,7 @@ fn replay_inner(
                         };
                         if arrival > clocks[r] {
                             let dur = arrival - clocks[r];
-                            emit(
-                                &mut timelines,
-                                r,
-                                Phase::Wait,
-                                cur_step[r],
-                                cur_frame[r],
-                                clocks[r],
-                                dur,
-                            );
+                            emit(&mut timelines, r, Phase::Wait, cursors[r], clocks[r], dur);
                             stats[r].wait_time += dur;
                             // Additive (not `= arrival`) so the clock stays
                             // bit-identical to the fold of emitted span
@@ -336,8 +302,7 @@ fn replay_inner(
                             &mut timelines,
                             r,
                             Phase::Recv,
-                            cur_step[r],
-                            cur_frame[r],
+                            cursors[r],
                             clocks[r],
                             cost.tr,
                         );
@@ -347,21 +312,13 @@ fn replay_inner(
                     Event::Compute { kind, units } => {
                         let dur = cost.compute_time(*kind, *units);
                         let phase = match kind {
-                            ComputeKind::Over if in_flush[r] => Phase::Flush,
+                            ComputeKind::Over if cursors[r].in_flush => Phase::Flush,
                             ComputeKind::Over => Phase::Over,
                             ComputeKind::Encode => Phase::Encode,
                             ComputeKind::Decode => Phase::Decode,
                             ComputeKind::Render => Phase::Render,
                         };
-                        emit(
-                            &mut timelines,
-                            r,
-                            phase,
-                            cur_step[r],
-                            cur_frame[r],
-                            clocks[r],
-                            dur,
-                        );
+                        emit(&mut timelines, r, phase, cursors[r], clocks[r], dur);
                         clocks[r] += dur;
                         match kind {
                             ComputeKind::Over => stats[r].over_time += dur,
@@ -387,15 +344,7 @@ fn replay_inner(
                             barrier_entries.insert(*generation, vec![Some(release); p]);
                             if release > clocks[r] {
                                 let dur = release - clocks[r];
-                                emit(
-                                    &mut timelines,
-                                    r,
-                                    Phase::Wait,
-                                    cur_step[r],
-                                    cur_frame[r],
-                                    clocks[r],
-                                    dur,
-                                );
+                                emit(&mut timelines, r, Phase::Wait, cursors[r], clocks[r], dur);
                                 stats[r].wait_time += dur;
                                 // Additive for the same bit-exactness
                                 // reason as the `Recv` wait above.
@@ -408,22 +357,7 @@ fn replay_inner(
                     Event::Mark { label } => {
                         marks.entry(label.clone()).or_insert_with(|| vec![None; p])[r] =
                             Some(clocks[r]);
-                        // Step attribution for derived spans.
-                        if let Some(step) = label.strip_prefix("step:") {
-                            cur_step[r] = step.parse().ok();
-                            in_flush[r] = false;
-                        } else if label == "flush:start" {
-                            in_flush[r] = true;
-                        } else if label == "compose:start" || label == "compose:end" {
-                            cur_step[r] = None;
-                            in_flush[r] = false;
-                        } else if let Some(rest) = label.strip_prefix("frame:") {
-                            if let Some(frame) = rest.strip_suffix(":start") {
-                                cur_frame[r] = frame.parse().ok();
-                            } else if rest.ends_with(":end") {
-                                cur_frame[r] = None;
-                            }
-                        }
+                        cursors[r].advance(&Mark::from(label.as_str()));
                     }
                 }
                 idx[r] += 1;
@@ -611,7 +545,7 @@ mod tests {
             ctx.compute(ComputeKind::Render, 5 + me as u64);
             ctx.mark("compose:start");
             for k in 0..2u32 {
-                ctx.mark(format!("step:{k}"));
+                ctx.mark(Mark::Step(k));
                 ctx.compute(ComputeKind::Encode, 10);
                 ctx.send((me + 1) % p, k as u64, vec![me as u8; 8 * (me + 1)])
                     .unwrap();
@@ -694,9 +628,17 @@ mod tests {
 
     #[test]
     fn gather_traffic_is_priced() {
+        // A root collection written on plain sends and receives: replay
+        // prices it exactly like the paper's final collection stage.
         let mc = Multicomputer::new(3);
         let (_, trace) = mc.run(|ctx| {
-            ctx.gather(0, vec![0u8; 10]).unwrap();
+            if ctx.rank() == 0 {
+                for from in 1..ctx.size() {
+                    ctx.recv(from, 9).unwrap();
+                }
+            } else {
+                ctx.send(0, 9, vec![0u8; 10]).unwrap();
+            }
         });
         let report = replay(&trace, &cost111()).unwrap();
         // Two non-root ranks each send one 10-byte message (cost 2.0);

@@ -48,16 +48,6 @@ pub enum Event {
         /// The attempt that timed out (0 for the original send).
         attempt: u32,
     },
-    /// Fault-injected network delay on message `(to, seq)`: delivery
-    /// completes `seconds` later than the send finished.
-    Delay {
-        /// Destination rank.
-        to: usize,
-        /// Per-directed-channel sequence number of the delayed message.
-        seq: u64,
-        /// Extra in-flight time, virtual seconds.
-        seconds: f64,
-    },
     /// A message was consumed from `from` (matching the sender's `seq`).
     Recv {
         /// Source rank.

@@ -31,82 +31,6 @@ use crossbeam_channel::{unbounded, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Tag namespace reserved for transport-internal control frames (the TCP
-/// backend's barrier protocol). These frames never surface through
-/// [`Transport::recv_raw`] on backends that use them, and algorithm tags
-/// must keep this bit clear — like the gather (bit 63), death (bit 61),
-/// repair (bit 60) and liveness (bit 59) namespaces.
-pub const NET_CONTROL_TAG_BIT: u64 = 1 << 58;
-
-/// Step-field values at or above this base belong to the tile-ownership
-/// protocol's sub-channels, not to schedule steps.
-///
-/// Schedule executors place the step index in bits `40..48` of a tag (see
-/// `rt-core`'s executor); real schedules never exceed a few dozen steps,
-/// so the top half of that field is free. The tile-ownership path — which
-/// has no step structure at all — claims step values `0x80..0x100` as
-/// sub-channels ([`TILE_CH_MANIFEST`] … [`TILE_CH_REPAIR_SEGMENTS`]), keeping
-/// every control bit (58–63) clear and the frame namespace (bits 48–57)
-/// composable, so streaming, fault injection, retransmission and tracing
-/// work unchanged for tile traffic.
-pub const TILE_STEP_BASE: u64 = 0x80;
-
-/// Tile sub-channel: per-sender manifest bitmaps announcing which tiles
-/// the sender will ship (low bits: sending rank).
-pub const TILE_CH_MANIFEST: u64 = 0;
-/// Tile sub-channel: encoded tile payloads (low bits: tile index).
-pub const TILE_CH_PAYLOAD: u64 = 1;
-/// Tile sub-channel: manifest bitmaps of the post-failure repair round
-/// (low bits: sending rank).
-pub const TILE_CH_REPAIR_MANIFEST: u64 = 2;
-/// Tile sub-channel: re-sent tile payloads of the repair round (low bits:
-/// tile index).
-pub const TILE_CH_REPAIR_PAYLOAD: u64 = 3;
-/// Tile sub-channel: gather messages from tile owners to the root or to
-/// display-wall ranks (low bits: cell/owner coordinates).
-pub const TILE_CH_GATHER: u64 = 4;
-/// Tile sub-channel: per-sender puzzle-piece segment metadata — the
-/// per-row non-blank intervals of every tile the sender will ship, used
-/// by the puzzle method's overlap classifier (low bits: sending rank).
-pub const TILE_CH_SEGMENTS: u64 = 5;
-/// Tile sub-channel: segment metadata re-sent during the post-failure
-/// repair round (low bits: sending rank).
-pub const TILE_CH_REPAIR_SEGMENTS: u64 = 6;
-
-/// Tag of a tile-protocol message: frame-namespace bits on top, the
-/// sub-channel in the reserved step-field range, and a channel-specific
-/// discriminator in the low 40 bits.
-pub fn tile_tag(frame_tag: u64, channel: u64, low: u64) -> u64 {
-    debug_assert!(
-        channel < TILE_STEP_BASE,
-        "tile channel {channel} overflows the reserved step-field range"
-    );
-    debug_assert!(low < (1 << 40), "tile tag low bits {low} overflow");
-    frame_tag | ((TILE_STEP_BASE + channel) << 40) | low
-}
-
-/// Bit position of the frame-stream tag namespace: bits
-/// `FRAME_TAG_SHIFT .. FRAME_TAG_SHIFT + FRAME_TAG_BITS` carry the frame
-/// index of a multi-frame streaming pipeline, so two frames can be in
-/// flight at once without their composition tags colliding. Sits strictly
-/// below every control namespace ([`NET_CONTROL_TAG_BIT`] and the comm
-/// layer's bits 59–63) and strictly above the executor's step bits, so
-/// reliability, retransmission, fault injection and tracing all work
-/// unchanged per frame.
-pub const FRAME_TAG_SHIFT: u32 = 48;
-
-/// Width of the frame tag namespace in bits. Frame indices wrap modulo
-/// `2^FRAME_TAG_BITS` (1024); a streaming window keeps at most a handful
-/// of frames in flight, so wrapped tags can never coexist.
-pub const FRAME_TAG_BITS: u32 = 10;
-
-/// The tag bits identifying frame `frame` of a stream: OR this into every
-/// algorithm tag of that frame's composition. Frame 0 maps to `0`, so a
-/// single-frame (non-streaming) run tags messages exactly as before.
-pub fn frame_tag_base(frame: u64) -> u64 {
-    (frame % (1 << FRAME_TAG_BITS)) << FRAME_TAG_SHIFT
-}
-
 /// One frame as it crosses the wire: the delivery envelope's coordinates
 /// plus the (possibly shared) payload bytes.
 ///
@@ -118,7 +42,7 @@ pub fn frame_tag_base(frame: u64) -> u64 {
 pub struct WireFrame {
     /// Sending rank.
     pub from: usize,
-    /// Message tag (algorithm-defined, or a reserved control namespace).
+    /// Message tag, laid out as [`crate::tag`] documents.
     pub tag: u64,
     /// Per-directed-channel FIFO sequence number.
     pub seq: u64,
@@ -126,6 +50,34 @@ pub struct WireFrame {
     pub checksum: u64,
     /// The message bytes.
     pub payload: Payload,
+}
+
+impl WireFrame {
+    /// A frame that travels outside the delivery envelope — no sequence
+    /// number, no checksum: a backend's own control traffic
+    /// ([`crate::tag::barrier`], [`crate::tag::PING`]) and the death notice
+    /// a backend files on behalf of a peer it has declared dead.
+    pub fn control(from: usize, tag: u64, payload: Vec<u8>) -> WireFrame {
+        WireFrame {
+            from,
+            tag,
+            seq: 0,
+            checksum: 0,
+            payload: Payload::from(payload),
+        }
+    }
+
+    /// The payload of a [`crate::tag::DEATH`] notification: the schedule
+    /// step at which the sender stopped.
+    pub fn death_payload(step: usize) -> Vec<u8> {
+        step.to_le_bytes().to_vec()
+    }
+
+    /// The step a [`crate::tag::DEATH`] notification announces (0 if the
+    /// payload is malformed).
+    pub fn death_step(&self) -> usize {
+        usize::from_le_bytes(self.payload.as_slice().try_into().unwrap_or([0; 8]))
+    }
 }
 
 /// A raw send failed: the peer's endpoint is gone.
@@ -158,8 +110,8 @@ pub struct BarrierError {
     /// The peer that was unreachable or declared dead, when known; `None`
     /// when the round timed out without identifying a culprit.
     pub peer: Option<usize>,
-    /// The control tag of the barrier round (in the
-    /// [`NET_CONTROL_TAG_BIT`] namespace on backends that move frames).
+    /// The control tag of the barrier round ([`crate::tag::barrier`] on
+    /// backends that move frames).
     pub tag: u64,
     /// How long the rank waited before giving up, for timeout failures.
     pub waited: Option<Duration>,
@@ -362,22 +314,5 @@ mod tests {
     #[should_panic(expected = "at least one rank")]
     fn zero_rank_mesh_panics() {
         InProc::mesh(0);
-    }
-
-    #[test]
-    fn frame_tag_namespace_is_disjoint_from_control_bits() {
-        // Frame 0 is the identity: single-frame runs tag exactly as before.
-        assert_eq!(frame_tag_base(0), 0);
-        // Distinct in-window frames get distinct bases; indices wrap.
-        assert_ne!(frame_tag_base(1), frame_tag_base(2));
-        assert_eq!(frame_tag_base(5), frame_tag_base(5 + (1 << FRAME_TAG_BITS)));
-        // The namespace never touches a control bit (58..=63).
-        for frame in 0..2048u64 {
-            assert_eq!(frame_tag_base(frame) & !((1 << 58) - 1), 0, "{frame}");
-        }
-        // And sits above the executor's step-tag budget (step < 256 at
-        // bit 40 → highest step bit is 47).
-        assert_eq!(frame_tag_base(1), 1 << FRAME_TAG_SHIFT);
-        const { assert!(FRAME_TAG_SHIFT >= 48) };
     }
 }

@@ -12,9 +12,10 @@
 //! 4. finally, the owners ship their fully-composited spans to the gather
 //!    root, which assembles the output frame.
 //!
-//! Phase marks (`compose:start`, `step:K`, `flush:start`, `compose:end`,
-//! `gather:end`) delimit the stages for the virtual-clock replay and let
-//! [`rt_comm::replay_timeline`] attribute every charge to a step and phase.
+//! Phase marks ([`rt_comm::mark`]: `compose:start`, `step:K`,
+//! `flush:start`, `compose:end`, `gather:end`) delimit the stages for the
+//! virtual-clock replay and let both clocks attribute every charge to a
+//! step and phase; every message tag comes from [`rt_comm::tag`].
 //!
 //! Deferred-back accumulators and gather staging reuse buffers from a
 //! per-rank [`Scratch`], so the steady state of an animation allocates
@@ -24,10 +25,10 @@
 //! the tile and hierarchical executors call the same two.
 
 use crate::display::{span_cell_segments, DisplayWall};
-use crate::repair::{repair, DegradedInfo};
+use crate::repair::{agree_on_failures, repair, DegradedInfo};
 use crate::schedule::{MergeDir, Schedule};
 use crate::CoreError;
-use rt_comm::{CommError, ComputeKind, FaultPlan, Multicomputer, RankCtx, Trace};
+use rt_comm::{tag, CommError, ComputeKind, FaultPlan, Mark, Multicomputer, RankCtx, Trace};
 use rt_compress::{Codec, CodecKind, OverDir};
 use rt_imaging::pixel::{OverStats, Pixel};
 use rt_imaging::{Image, Span};
@@ -81,7 +82,7 @@ pub struct ComposeConfig {
     /// identical on either setting.
     pub transport: TransportKind,
     /// Frame-namespace bits OR'd into every message tag of this compose
-    /// (see [`rt_comm::frame_tag_base`]). `0` (the default, and frame 0 of
+    /// (see [`rt_comm::tag::frame_base`]). `0` (the default, and frame 0 of
     /// a stream) reproduces the classic single-frame tags exactly; a
     /// streaming pipeline sets a distinct base per in-flight frame so two
     /// frames' transfers, repairs and gathers never collide in the tag
@@ -149,7 +150,7 @@ impl ComposeConfig {
     /// Namespace this compose's tags as frame `frame` of a stream (frame 0
     /// is the identity — identical tags to a non-streaming run).
     pub fn with_frame(mut self, frame: u64) -> Self {
-        self.frame_tag = rt_comm::frame_tag_base(frame);
+        self.frame_tag = tag::frame_base(frame);
         self
     }
 
@@ -381,48 +382,9 @@ impl<P: Pixel> ComposeOutput<P> {
     /// to the peers, close the timeline and report the self-crash.
     pub(crate) fn crash(ctx: &mut RankCtx, step: usize) -> Self {
         ctx.announce_death(step);
-        ctx.mark("compose:crashed");
+        ctx.mark(Mark::ComposeCrashed);
         Self::dead(DegradedInfo::self_crash(ctx.rank(), step))
     }
-}
-
-/// Tag for a transfer: frame-namespace bits on top, step index in the high
-/// bits, span start in the low.
-///
-/// Unique per `(src, dst, step)` within a frame because a step never ships
-/// the same span twice between the same pair, and disjoint spans have
-/// distinct starts. The step index must stay below 256 so it cannot bleed
-/// into the frame namespace at bit [`rt_comm::FRAME_TAG_SHIFT`]; every
-/// schedule in this repository is orders of magnitude below that.
-pub(crate) fn tag(frame_tag: u64, step: usize, span_start: usize) -> u64 {
-    debug_assert!(
-        (step as u64) < (1 << (rt_comm::FRAME_TAG_SHIFT - 40)),
-        "step index {step} overflows into the frame tag namespace"
-    );
-    frame_tag | ((step as u64) << 40) | span_start as u64
-}
-
-/// Tag namespace of the repair (reconstruction-fetch) phase; disjoint from
-/// step tags (bits < 58) and the comm layer's control namespaces (bits
-/// 59/61/62/63).
-const REPAIR_TAG_BIT: u64 = 1 << 60;
-
-/// Tag of the repair fetch `fetch` of plan entry `entry`, carrying the
-/// frame namespace so per-frame repairs of a stream never collide.
-fn repair_tag(frame_tag: u64, entry: usize, fetch: usize) -> u64 {
-    REPAIR_TAG_BIT | frame_tag | ((entry as u64) << 16) | fetch as u64
-}
-
-/// Lowest-ranked survivor, for gather-root reassignment after failures.
-/// Every survivor computes the same answer from the agreed `crashed` set;
-/// if no rank survived there is nobody to assemble a frame at all.
-pub(crate) fn elect_root(
-    p: usize,
-    crashed: &std::collections::BTreeMap<usize, usize>,
-) -> Result<usize, CoreError> {
-    (0..p)
-        .find(|r| !crashed.contains_key(r))
-        .ok_or(CoreError::AllRanksFailed { p })
 }
 
 /// What every stage of one compose call shares: the config and the built
@@ -601,7 +563,7 @@ pub(crate) fn compose_schedule<P: Pixel>(
         None
     };
 
-    ctx.mark("compose:start");
+    ctx.mark(Mark::ComposeStart);
 
     // Deferred back accumulators, keyed by span start.
     let mut back_acc: HashMap<usize, (Span, Vec<P>)> = HashMap::new();
@@ -612,7 +574,7 @@ pub(crate) fn compose_schedule<P: Pixel>(
         }
         // Step boundary for phase attribution (wall and virtual spans
         // alike).
-        ctx.mark(format!("step:{k}"));
+        ctx.mark(Mark::Step(k as u32));
         // Ship all sends first (non-blocking), then consume receives: the
         // pairwise exchanges of every method progress without deadlock.
         for t in step.sends_of(me) {
@@ -622,11 +584,11 @@ pub(crate) fn compose_schedule<P: Pixel>(
                 started,
                 local.span_pixels(t.span)?,
                 t.dst,
-                tag(config.frame_tag, k, t.span.start),
+                tag::step(config.frame_tag, k, t.span.start),
             )?;
         }
         for t in step.recvs_of(me) {
-            let bytes = match ctx.recv(t.src, tag(config.frame_tag, k, t.span.start)) {
+            let bytes = match ctx.recv(t.src, tag::step(config.frame_tag, k, t.span.start)) {
                 Ok(bytes) => bytes,
                 // A confirmed-dead peer's contribution is skipped: `over`
                 // is associative, so the composite of the remaining
@@ -666,7 +628,7 @@ pub(crate) fn compose_schedule<P: Pixel>(
 
     // Flush deferred accumulators: local over deferred-back. The mark lets
     // replay attribute the trailing `over` computes to the flush phase.
-    ctx.mark("flush:start");
+    ctx.mark(Mark::FlushStart);
     let mut flushes: Vec<(Span, Vec<P>)> = back_acc.into_values().collect();
     flushes.sort_by_key(|(span, _)| span.start);
     for (span, acc) in flushes {
@@ -690,36 +652,18 @@ pub(crate) fn compose_schedule<P: Pixel>(
         return Ok(ComposeOutput::crash(ctx, steps_len));
     }
 
-    ctx.mark("compose:end");
+    ctx.mark(Mark::ComposeEnd);
 
     // --- Failure handling: agree on the dead, then re-pair survivors ----
-    // The fault plan is shared, so "is a failure phase needed" is decided
-    // identically (and without communication) by every rank.
     let mut owners: Vec<(Span, usize)> = schedule.final_owners.clone();
-    let mut root = config.root;
-    let mut degraded: Option<DegradedInfo> = None;
-    let crash_planned =
-        config.resilient && ctx.planned_crashes().iter().any(|(_, k)| *k <= steps_len);
-    if crash_planned {
-        ctx.mark("repair:start");
-        // Announce the deterministic planned-failure set: every survivor
-        // contributes identical membership traffic, so faulty runs replay
-        // bit-exact (the death notifications alone would race — a frame
-        // processed before the exchange on one run may arrive after it on
-        // the next, changing payload sizes).
-        let announced: Vec<(usize, usize)> = ctx
-            .planned_crashes()
-            .into_iter()
-            .filter(|&(_, k)| k <= steps_len)
-            .collect();
-        let crashed = ctx.liveness_exchange(&announced)?;
-        if !crashed.is_empty() {
-            let plan = repair(schedule, &crashed)?;
+    let (root, degraded) =
+        agree_on_failures(ctx, config, schedule.p, steps_len, |ctx, crashed| {
+            let plan = repair(schedule, crashed)?;
 
-            // Phase 1: copy every piece this rank keeps for the plan
-            // *before* any insert can overwrite it, and ship the
-            // remote-bound ones (all sends precede all receives: no
-            // deadlock on the buffered channels).
+            // Phase 1: copy every piece this rank keeps for the plan *before*
+            // any insert can overwrite it, and ship the remote-bound ones (all
+            // sends precede all receives: no deadlock on the buffered
+            // channels).
             let mut own_pieces: HashMap<(usize, usize), Vec<P>> = HashMap::new();
             for (ei, e) in plan.entries.iter().enumerate() {
                 for (fi, fetch) in e.fetches.iter().enumerate() {
@@ -735,7 +679,7 @@ pub(crate) fn compose_schedule<P: Pixel>(
                             started,
                             local.span_pixels(e.span)?,
                             e.owner,
-                            repair_tag(config.frame_tag, ei, fi),
+                            tag::repair(config.frame_tag, ei, fi),
                         )?;
                     }
                 }
@@ -754,13 +698,14 @@ pub(crate) fn compose_schedule<P: Pixel>(
                             None => {
                                 return Err(CoreError::InvalidSchedule {
                                     why: format!(
-                                        "repair plan fetch ({ei},{fi}) was not extracted in phase 1"
-                                    ),
+                                    "repair plan fetch ({ei},{fi}) was not extracted in phase 1"
+                                ),
                                 })
                             }
                         }
                     } else {
-                        let bytes = ctx.recv(fetch.holder, repair_tag(config.frame_tag, ei, fi))?;
+                        let bytes =
+                            ctx.recv(fetch.holder, tag::repair(config.frame_tag, ei, fi))?;
                         stage.charge_decode(ctx, &bytes);
                         stage.codec.decode(&bytes, e.span.len)?
                     };
@@ -780,21 +725,13 @@ pub(crate) fn compose_schedule<P: Pixel>(
                 }
             }
 
-            owners = plan.final_owners.clone();
-            let mut info = plan.info;
-            if crashed.contains_key(&root) {
-                let nr = elect_root(schedule.p, &crashed)?;
-                info.root_reassigned_to = Some(nr);
-                root = nr;
-            }
-            degraded = Some(info);
-        }
-        ctx.mark("repair:end");
-    }
+            owners = plan.final_owners;
+            Ok(plan.info)
+        })?;
 
     // Gather tags sit one step past the last exchange.
     finish(ctx, stage, scratch, local, owners, root, degraded, |slot| {
-        tag(config.frame_tag, steps_len, slot)
+        tag::step(config.frame_tag, steps_len, slot)
     })
 }
 
@@ -848,7 +785,7 @@ pub(crate) fn finish<P: Pixel>(
                 )?
             }
         };
-        ctx.mark("gather:end");
+        ctx.mark(Mark::GatherEnd);
     }
     Ok(ComposeOutput {
         frame,
@@ -946,7 +883,8 @@ fn gather_to_wall<P: Pixel>(
             continue;
         }
         let mine = segs.iter().map(|(seg, _)| *seg);
-        stage.ship_spans(ctx, scratch, local, mine, drank, gather_tag((d << 20) | me))?;
+        let slot = tag::wall_slot(d, me);
+        stage.ship_spans(ctx, scratch, local, mine, drank, gather_tag(slot))?;
     }
     let Some(d) = wall.display_of(me) else {
         return Ok(None);
@@ -967,7 +905,7 @@ fn gather_to_wall<P: Pixel>(
             }
             continue;
         }
-        let bytes = ctx.recv(owner, gather_tag((d << 20) | owner))?;
+        let bytes = ctx.recv(owner, gather_tag(tag::wall_slot(d, owner)))?;
         let total: usize = segs.iter().map(|(s, _)| s.len).sum();
         let started = ctx.obs_start();
         let mut staged = scratch.take_acc(total, ctx);
@@ -987,6 +925,7 @@ mod tests {
     use crate::schedule::{Step, Transfer};
     use crate::{ComposePlan, Run};
     use rt_imaging::pixel::Provenance;
+    use rt_imaging::synth::provenance_partials;
 
     type Outputs<P> = (Vec<Result<ComposeOutput<P>, CoreError>>, Trace);
 
@@ -1003,12 +942,6 @@ mod tests {
         Run::new(&ComposePlan::Schedule(s.clone()), config)
             .faults(faults)
             .execute(partials)
-    }
-
-    fn provenance_partials(p: usize, w: usize, h: usize) -> Vec<Image<Provenance>> {
-        (0..p)
-            .map(|r| Image::from_fn(w, h, |_, _| Provenance::rank(r as u16)))
-            .collect()
     }
 
     fn two_rank_swap(a: usize) -> Schedule {
@@ -1113,7 +1046,7 @@ mod tests {
             &ComposeConfig::default(),
         );
         let config = ComposeConfig::default().with_frame(3);
-        assert_eq!(config.frame_tag, rt_comm::frame_tag_base(3));
+        assert_eq!(config.frame_tag, tag::frame_base(3));
         let (results, trace) = run(&schedule, provenance_partials(2, 6, 4), &config);
         let frame = results[0].as_ref().unwrap().frame.clone().unwrap();
         let base_frame = base_results[0].as_ref().unwrap().frame.clone().unwrap();
@@ -1251,18 +1184,6 @@ mod tests {
         assert_eq!(info.root_reassigned_to, Some(1));
         assert!(out1.frame.is_some(), "new root must hold the frame");
         assert!(results[2].as_ref().unwrap().frame.is_none());
-    }
-
-    #[test]
-    fn elect_root_picks_lowest_survivor_or_errors() {
-        use std::collections::BTreeMap;
-        let crashed: BTreeMap<usize, usize> = [(0, 0), (1, 2)].into_iter().collect();
-        assert_eq!(elect_root(4, &crashed).unwrap(), 2);
-        let all: BTreeMap<usize, usize> = (0..4).map(|r| (r, 0)).collect();
-        assert_eq!(
-            elect_root(4, &all).unwrap_err(),
-            CoreError::AllRanksFailed { p: 4 }
-        );
     }
 
     #[test]

@@ -50,16 +50,16 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
-use rt_comm::RankCtx;
+use rt_comm::{tag, RankCtx};
 use rt_imaging::pixel::Pixel;
 use rt_imaging::{Image, Span};
 use serde::{Deserialize, Serialize};
 
 use crate::display::DisplayWall;
-use crate::exec::{compose_schedule, elect_root, finish, tag, ComposeOutput, Scratch, Stage};
+use crate::exec::{compose_schedule, finish, ComposeOutput, Scratch, Stage};
 use crate::method::{CompositionMethod, Method};
 use crate::radix::RadixK;
-use crate::repair::{repair, DegradedInfo};
+use crate::repair::{reassign_root, repair, DegradedInfo};
 use crate::rotate::RtVariant;
 use crate::schedule::Schedule;
 use crate::tile::{check_shape, compose_plan, ComposePlan};
@@ -212,7 +212,7 @@ impl HierPlan {
     pub fn intra_steps(&self, g: usize) -> usize {
         match &self.intra_plans[g] {
             ComposePlan::Schedule(s) => s.steps.len(),
-            ComposePlan::Tiles(_) | ComposePlan::Puzzle(_) => 1,
+            ComposePlan::Tiles(_) => 1,
             ComposePlan::Hier(_) => unreachable!("intra plans are flat by construction"),
         }
     }
@@ -223,6 +223,12 @@ impl HierPlan {
             .map(|g| self.intra_steps(g))
             .max()
             .unwrap_or(0)
+    }
+
+    /// The step index of the final gather's tags, given how many steps the
+    /// (possibly shrunk) inter schedule runs.
+    pub(crate) fn gather_step(&self, inter_steps: usize) -> usize {
+        tag::hier_gather_step(self.max_intra_steps(), inter_steps)
     }
 
     /// The undirected links a crash-free execution uses: a full mesh
@@ -475,11 +481,7 @@ pub(crate) fn compose_hier<P: Pixel>(
         dead.insert(leaders[li], s + inter_base);
     }
     let mut root = config.root;
-    let mut root_reassigned = None;
-    if dead.contains_key(&root) {
-        root = elect_root(p, &dead)?;
-        root_reassigned = Some(root);
-    }
+    let root_reassigned = reassign_root(p, &mut root, &dead)?;
     let degraded = if dead.is_empty() {
         None
     } else {
@@ -506,10 +508,7 @@ pub(crate) fn compose_hier<P: Pixel>(
         })
     };
 
-    // A step index past every intra step, the intra gathers (at
-    // `intra_steps(g) ≤ inter_base`) and every inter step — so final
-    // gather tags collide with no earlier phase on any rank pair.
-    let gather_step = inter_base + inter_steps + 2;
+    let gather_step = plan.gather_step(inter_steps);
     finish(
         ctx,
         stage,
@@ -518,7 +517,7 @@ pub(crate) fn compose_hier<P: Pixel>(
         owners,
         root,
         degraded,
-        |slot| tag(config.frame_tag, gather_step, slot),
+        |slot| tag::step(config.frame_tag, gather_step, slot),
     )
 }
 
@@ -529,29 +528,11 @@ mod tests {
     use rt_comm::FaultPlan;
     use rt_imaging::image::reference_composite;
     use rt_imaging::pixel::{GrayAlpha8, Provenance};
+    use rt_imaging::synth::provenance_partials;
 
-    /// Depth-disjoint content: rank `r` renders only row `r` (requires
-    /// `h == p`). Any association of `over` then reproduces the flat
-    /// reference fold byte-for-byte, because blank is `over`'s exact
-    /// two-sided identity — while wrong routing still corrupts bytes.
+    /// Depth-disjoint content, rank `r` rendering only row `r`.
     fn band_partials(p: usize, w: usize) -> Vec<Image<GrayAlpha8>> {
-        (0..p)
-            .map(|r| {
-                Image::from_fn(w, p, |x, y| {
-                    if y == r {
-                        GrayAlpha8::new((r * 7 + x) as u8, (73 + 5 * r + x) as u8)
-                    } else {
-                        GrayAlpha8::blank()
-                    }
-                })
-            })
-            .collect()
-    }
-
-    fn provenance_partials(p: usize, w: usize, h: usize) -> Vec<Image<Provenance>> {
-        (0..p)
-            .map(|r| Image::from_fn(w, h, |_, _| Provenance::rank(r as u16)))
-            .collect()
+        rt_imaging::synth::band_partials(p, w, p)
     }
 
     fn run_hier<P: Pixel>(

@@ -94,7 +94,6 @@ pub use exec::{ComposeConfig, ComposeOutput, Machine, Scratch, ScratchPool, Tran
 pub use hier::{HierPlan, IntraMethod};
 pub use method::{CompositionMethod, Method};
 pub use pipelined::ParallelPipelined;
-pub use puzzle::PuzzlePlan;
 pub use radix::RadixK;
 pub use repair::{repair, DegradedInfo, RepairEntry, RepairFetch, RepairPlan};
 pub use rotate::{RotateTiling, RtVariant};

@@ -109,8 +109,9 @@ impl Method {
 
     /// Compile to a [`ComposePlan`] of the appropriate family: a span
     /// [`Schedule`] for the step-structured methods, a [`TilePlan`] for
-    /// [`Method::TileOwner`]. The tile path needs the real frame geometry,
-    /// not just the pixel count, hence the extra parameters.
+    /// [`Method::TileOwner`] and (with its budget) [`Method::Puzzle`]. The
+    /// tile path needs the real frame geometry, not just the pixel count,
+    /// hence the extra parameters.
     pub fn plan(&self, p: usize, width: usize, height: usize) -> Result<ComposePlan, CoreError> {
         match self {
             Method::TileOwner { tiles_x, tiles_y } => {
@@ -126,11 +127,8 @@ impl Method {
                 budget_permille,
             } => {
                 let grid = TileGrid::new(width, height, *tiles_x, *tiles_y)?;
-                Ok(ComposePlan::Puzzle(crate::puzzle::PuzzlePlan::new(
-                    p,
-                    grid,
-                    *budget_permille,
-                )?))
+                let plan = TilePlan::puzzle(p, grid, *budget_permille)?;
+                Ok(ComposePlan::Tiles(plan))
             }
             _ => Ok(ComposePlan::Schedule(self.build(p, width * height)?)),
         }

@@ -36,8 +36,9 @@
 //! which is where the measured virtual-clock win over the exact methods
 //! comes from.
 //!
-//! This module holds what is specific to the family — the plan, the scan,
-//! the segment wire format, the classification and the placement. The
+//! This module holds what is specific to the family — the scan, the
+//! segment wire format, the classification and the placement; its plan is
+//! a [`TilePlan`] carrying a [`budget`](TilePlan::budget). The
 //! protocol around them (manifests, shipping, crash points, repair round,
 //! gather) is the tile executor's, [`crate::tile`]: failure handling is
 //! therefore *the* tile path's, with the repair round re-shipping segment
@@ -52,9 +53,10 @@
 )]
 
 use crate::exec::{scatter, Scratch, Stage};
-use crate::tile::{verify_tile_plan, TileGrid, TilePlan};
+use crate::tile::{TileGrid, TilePlan};
 use crate::CoreError;
-use rt_comm::{tile_tag, CommError, RankCtx};
+use rt_comm::tag::{self, TileChannel};
+use rt_comm::{CommError, RankCtx};
 use rt_imaging::pixel::Pixel;
 use rt_imaging::Image;
 use rt_obs::Phase;
@@ -63,80 +65,6 @@ use std::collections::BTreeMap;
 /// Per-scanline non-blank bounding intervals of one tile, top to bottom,
 /// in tile-local x coordinates (`lo == hi` marks a blank row).
 pub(crate) type RowIvals = Vec<(u16, u16)>;
-
-/// An approximate puzzlepiece plan: a [`TilePlan`] (grid, owner map, depth
-/// order) plus the per-tile overlap budget that gates the approximate
-/// merge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PuzzlePlan {
-    /// The underlying tile-ownership plan (grid, owners, depth order).
-    pub tiles: TilePlan,
-    /// Per-tile overlap budget in permille of the tile area. Estimated
-    /// contributor overlap above this forces the exact fold; `0` is fully
-    /// conservative (byte-identical to the reference everywhere).
-    pub budget_permille: u16,
-    /// Display name, e.g. `PZ(16x16,b50)`.
-    pub method: String,
-}
-
-impl PuzzlePlan {
-    /// A plan over a round-robin [`TilePlan`] with the identity depth
-    /// order and the given overlap budget.
-    pub fn new(p: usize, grid: TileGrid, budget_permille: u16) -> Result<Self, CoreError> {
-        if budget_permille > 1000 {
-            return Err(CoreError::UnsupportedShape {
-                method: "puzzle",
-                why: format!("overlap budget {budget_permille}‰ exceeds 1000‰ (the tile area)"),
-            });
-        }
-        if grid.width > u16::MAX as usize {
-            return Err(CoreError::UnsupportedShape {
-                method: "puzzle",
-                why: format!(
-                    "frame width {} overflows the u16 segment coordinates",
-                    grid.width
-                ),
-            });
-        }
-        let tiles = TilePlan::new(p, grid)?;
-        Ok(Self {
-            tiles,
-            budget_permille,
-            method: format!("PZ({}x{},b{budget_permille})", grid.tiles_x, grid.tiles_y),
-        })
-    }
-
-    /// Relabel the plan onto physical ranks (see [`TilePlan::permute`]);
-    /// the budget rides along unchanged.
-    pub fn permute(&self, rank_of_depth: &[usize]) -> Result<PuzzlePlan, CoreError> {
-        let tiles = self.tiles.permute(rank_of_depth)?;
-        Ok(PuzzlePlan {
-            tiles,
-            budget_permille: self.budget_permille,
-            method: format!("{}∘π", self.method),
-        })
-    }
-
-    /// Verify the plan: the inner tile plan's invariants plus the puzzle
-    /// constraints (budget and segment-coordinate range).
-    pub fn verify(&self) -> Result<(), CoreError> {
-        verify_tile_plan(&self.tiles)?;
-        if self.budget_permille > 1000 {
-            return Err(CoreError::InvalidSchedule {
-                why: format!("puzzle budget {}‰ exceeds 1000‰", self.budget_permille),
-            });
-        }
-        if self.tiles.grid.width > u16::MAX as usize {
-            return Err(CoreError::InvalidSchedule {
-                why: format!(
-                    "frame width {} overflows the u16 segment coordinates",
-                    self.tiles.grid.width
-                ),
-            });
-        }
-        Ok(())
-    }
-}
 
 /// Scan the local partial once: per tile, whether it holds any content,
 /// and the per-row non-blank bounding intervals.
@@ -288,7 +216,7 @@ pub(crate) fn place_puzzle_tile<P: Pixel>(
     my_segs: &[RowIvals],
     expects: &impl Fn(usize, usize) -> bool,
     remote_segs: &BTreeMap<(usize, usize), RowIvals>,
-    payload_ch: u64,
+    payload_ch: TileChannel,
     skip: Option<&BTreeMap<usize, usize>>,
 ) -> Result<bool, CoreError> {
     let me = ctx.rank();
@@ -363,7 +291,7 @@ pub(crate) fn place_puzzle_tile<P: Pixel>(
             }
             continue;
         }
-        let tag = tile_tag(stage.config.frame_tag, payload_ch, t as u64);
+        let tag = tag::tile(stage.config.frame_tag, payload_ch, t as u64);
         let bytes = match ctx.recv(r, tag) {
             Ok(bytes) => bytes,
             Err(CommError::RankFailed { .. }) if stage.config.resilient => continue,
@@ -391,23 +319,15 @@ pub(crate) fn place_puzzle_tile<P: Pixel>(
 mod tests {
     use super::*;
     use crate::exec::{ComposeConfig, TransportKind};
+    use crate::tile::verify_tile_plan;
     use crate::{ComposePlan, Run};
     use rt_compress::CodecKind;
     use rt_imaging::image::reference_composite;
     use rt_imaging::pixel::GrayAlpha8;
+    use rt_imaging::synth::band_partials;
 
-    fn band_partials(p: usize, w: usize, h: usize) -> Vec<Image<GrayAlpha8>> {
-        (0..p)
-            .map(|r| {
-                Image::from_fn(w, h, |x, y| {
-                    if y % p == r {
-                        GrayAlpha8::new((r * 13 + x) as u8, (60 + r * 5 + y) as u8)
-                    } else {
-                        GrayAlpha8::blank()
-                    }
-                })
-            })
-            .collect()
+    fn puzzle(p: usize, grid: TileGrid, budget: u16) -> ComposePlan {
+        ComposePlan::Tiles(TilePlan::puzzle(p, grid, budget).unwrap())
     }
 
     /// Dense content where every rank covers the full frame — maximal
@@ -426,13 +346,17 @@ mod tests {
     #[test]
     fn plan_builds_verifies_and_permutes() {
         let grid = TileGrid::new(24, 18, 4, 3).unwrap();
-        let plan = PuzzlePlan::new(5, grid, 50).unwrap();
+        let plan = TilePlan::puzzle(5, grid, 50).unwrap();
         assert_eq!(plan.method, "PZ(4x3,b50)");
-        plan.verify().unwrap();
+        verify_tile_plan(&plan).unwrap();
         let pi = plan.permute(&[4, 2, 0, 1, 3]).unwrap();
-        pi.verify().unwrap();
-        assert_eq!(pi.budget_permille, 50);
-        assert!(PuzzlePlan::new(5, grid, 1001).is_err());
+        verify_tile_plan(&pi).unwrap();
+        assert_eq!(pi.budget, Some(50));
+        assert_eq!(pi.method, "PZ(4x3,b50)∘π");
+        assert!(TilePlan::puzzle(5, grid, 1001).is_err());
+        let mut over = plan.clone();
+        over.budget = Some(1001);
+        assert!(verify_tile_plan(&over).is_err());
     }
 
     #[test]
@@ -492,7 +416,7 @@ mod tests {
         for budget in [0u16, 500, 1000] {
             for codec in CodecKind::ALL {
                 let grid = TileGrid::new(20, 12, 4, 3).unwrap();
-                let plan = ComposePlan::Puzzle(PuzzlePlan::new(4, grid, budget).unwrap());
+                let plan = puzzle(4, grid, budget);
                 let config = ComposeConfig::default().with_codec(codec);
                 let (results, _) = Run::new(&plan, &config).execute(partials.clone());
                 let frame = results[0].as_ref().unwrap().frame.as_ref().unwrap();
@@ -510,7 +434,7 @@ mod tests {
         let want = reference_composite(&partials).unwrap();
         for codec in CodecKind::ALL {
             let grid = TileGrid::new(16, 16, 4, 4).unwrap();
-            let plan = ComposePlan::Puzzle(PuzzlePlan::new(4, grid, 0).unwrap());
+            let plan = puzzle(4, grid, 0);
             let config = ComposeConfig::default().with_codec(codec);
             let (results, _) = Run::new(&plan, &config).execute(partials.clone());
             let frame = results[0].as_ref().unwrap().frame.as_ref().unwrap();
@@ -522,7 +446,7 @@ mod tests {
     fn tcp_loopback_matches_in_process() {
         let partials = band_partials(4, 16, 8);
         let grid = TileGrid::new(16, 8, 4, 2).unwrap();
-        let plan = ComposePlan::Puzzle(PuzzlePlan::new(4, grid, 100).unwrap());
+        let plan = puzzle(4, grid, 100);
         let inproc = ComposeConfig::default().with_codec(CodecKind::Trle);
         let tcp = inproc.with_transport(TransportKind::TcpLoopback);
         let (r_in, _) = Run::new(&plan, &inproc).execute(partials.clone());

@@ -37,8 +37,10 @@
 //! camera-permuted schedule ([`Schedule::depth_of_rank`]) repairs the same
 //! way as a depth-indexed one.
 
+use crate::exec::ComposeConfig;
 use crate::schedule::{MergeDir, Schedule};
 use crate::CoreError;
+use rt_comm::{Mark, RankCtx};
 use rt_imaging::Span;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -71,6 +73,67 @@ impl DegradedInfo {
             root_reassigned_to: None,
         }
     }
+}
+
+/// Move the gather root to the lowest-ranked survivor if `root` is among
+/// `crashed`, and report the new root when it moved. Every survivor
+/// computes the same answer from the agreed set; if no rank survived there
+/// is nobody to assemble a frame at all.
+pub(crate) fn reassign_root(
+    p: usize,
+    root: &mut usize,
+    crashed: &BTreeMap<usize, usize>,
+) -> Result<Option<usize>, CoreError> {
+    if !crashed.contains_key(root) {
+        return Ok(None);
+    }
+    let survivor = (0..p)
+        .find(|r| !crashed.contains_key(r))
+        .ok_or(CoreError::AllRanksFailed { p })?;
+    *root = survivor;
+    Ok(Some(survivor))
+}
+
+/// The failure-agreement round of a flat executor, run between
+/// `compose:end` and the gather: decide whether any planned crash fires
+/// within this compose (steps `..= horizon`), agree with the other
+/// survivors on who actually died, let `recover` rebuild what the dead
+/// owned, and re-elect the gather root. Returns the root to gather at and
+/// what the frame is missing (`None` when nobody died).
+///
+/// The fault plan is shared, so "is a failure phase needed" is decided
+/// identically, and without communication, by every rank; and the
+/// survivors announce the deterministic planned-failure set, so every one
+/// of them contributes identical membership traffic and faulty runs replay
+/// bit-exact (the death notifications alone would race — a frame processed
+/// before the exchange on one run may arrive after it on the next, changing
+/// payload sizes).
+pub(crate) fn agree_on_failures(
+    ctx: &mut RankCtx,
+    config: &ComposeConfig,
+    p: usize,
+    horizon: usize,
+    recover: impl FnOnce(&mut RankCtx, &BTreeMap<usize, usize>) -> Result<DegradedInfo, CoreError>,
+) -> Result<(usize, Option<DegradedInfo>), CoreError> {
+    let mut root = config.root;
+    if !config.resilient {
+        return Ok((root, None));
+    }
+    let mut announced = ctx.planned_crashes();
+    announced.retain(|&(_, step)| step <= horizon);
+    if announced.is_empty() {
+        return Ok((root, None));
+    }
+    ctx.mark(Mark::RepairStart);
+    let crashed = ctx.liveness_exchange(&announced)?;
+    let mut degraded = None;
+    if !crashed.is_empty() {
+        let mut info = recover(ctx, &crashed)?;
+        info.root_reassigned_to = reassign_root(p, &mut root, &crashed)?;
+        degraded = Some(info);
+    }
+    ctx.mark(Mark::RepairEnd);
+    Ok((root, degraded))
 }
 
 /// One piece an owner must fetch while reconstructing a span.
@@ -475,6 +538,22 @@ mod tests {
                 assert!(fetch.holder != 0 && fetch.holder != 4);
             }
         }
+    }
+
+    #[test]
+    fn the_root_moves_to_the_lowest_survivor_or_errors() {
+        let crashed = crash(&[(0, 0), (1, 2)]);
+        let mut root = 3;
+        assert_eq!(reassign_root(4, &mut root, &crashed).unwrap(), None);
+        assert_eq!(root, 3, "a live root stays");
+        let mut root = 1;
+        assert_eq!(reassign_root(4, &mut root, &crashed).unwrap(), Some(2));
+        assert_eq!(root, 2);
+        let all: BTreeMap<usize, usize> = (0..4).map(|r| (r, 0)).collect();
+        assert_eq!(
+            reassign_root(4, &mut 0, &all).unwrap_err(),
+            CoreError::AllRanksFailed { p: 4 }
+        );
     }
 
     #[test]

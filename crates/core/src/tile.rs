@@ -35,22 +35,20 @@
 //! for free.
 //!
 //! The approximate puzzlepiece family ([`crate::puzzle`]) runs through the
-//! same executor: its plan is a [`TilePlan`] plus an overlap budget, and
-//! the only differences — ranks also exchange per-scanline segment
-//! metadata, owners *place* tiles within the budget instead of folding
-//! them — are two branches of the round below.
+//! same executor: its plan is a [`TilePlan`] with an overlap
+//! [`budget`](TilePlan::budget), and the only differences — ranks also
+//! exchange per-scanline segment metadata, owners *place* tiles within the
+//! budget instead of folding them — are two branches of the round below.
 
 use crate::exec::{
     compose_schedule, finish, scatter, ComposeConfig, ComposeOutput, Scratch, Stage,
 };
 use crate::puzzle::{parse_segments_blob, place_puzzle_tile, scan_tiles, segments_blob, RowIvals};
-use crate::repair::DegradedInfo;
+use crate::repair::{agree_on_failures, DegradedInfo};
 use crate::schedule::{verify_schedule, Schedule};
 use crate::CoreError;
-use rt_comm::{
-    tile_tag, CommError, ComputeKind, RankCtx, TILE_CH_GATHER, TILE_CH_MANIFEST, TILE_CH_PAYLOAD,
-    TILE_CH_REPAIR_MANIFEST, TILE_CH_REPAIR_PAYLOAD, TILE_CH_REPAIR_SEGMENTS, TILE_CH_SEGMENTS,
-};
+use rt_comm::tag::{self, Extents, TileChannel};
+use rt_comm::{CommError, ComputeKind, Mark, RankCtx};
 use rt_compress::OverDir;
 use rt_imaging::pixel::Pixel;
 use rt_imaging::{Image, Rect, Span};
@@ -132,7 +130,9 @@ impl TileGrid {
 }
 
 /// A tile-ownership composition plan: the grid, the owner map, and the
-/// depth order — the tile path's counterpart of a [`Schedule`].
+/// depth order — the tile path's counterpart of a [`Schedule`]. With an
+/// overlap [`budget`](TilePlan::budget) it is an approximate puzzlepiece
+/// plan (see [`crate::puzzle`]).
 ///
 /// Plans are built in *depth coordinates* (rank `d` renders the partial at
 /// depth position `d`, like every schedule) and relabeled onto physical
@@ -148,8 +148,16 @@ pub struct TilePlan {
     /// Physical rank whose partial sits at each depth position (0 =
     /// nearest the viewer). Identity until [`TilePlan::permute`].
     pub rank_at_depth: Vec<usize>,
-    /// Display name, e.g. `TO(16x16)`.
+    /// Display name, e.g. `TO(16x16)` or `PZ(16x16,b50)`.
     pub method: String,
+    /// `None` composites every tile with the exact fold (tile ownership).
+    /// `Some(‰)` is the puzzlepiece family's per-tile overlap budget in
+    /// permille of the tile area: ranks also exchange per-scanline segment
+    /// metadata and owners *place* the pieces of a tile whose estimated
+    /// contributor overlap is within the budget; above it the tile takes
+    /// the exact fold. `Some(0)` is fully conservative (byte-identical to
+    /// the reference everywhere).
+    pub budget: Option<u16>,
 }
 
 impl TilePlan {
@@ -168,12 +176,29 @@ impl TilePlan {
             owner_of: (0..grid.tiles()).map(|t| t % p).collect(),
             rank_at_depth: (0..p).collect(),
             method: format!("TO({}x{})", grid.tiles_x, grid.tiles_y),
+            budget: None,
         })
+    }
+
+    /// An approximate puzzlepiece plan: [`TilePlan::new`] plus the per-tile
+    /// overlap budget, in permille of the tile area (at most 1000).
+    pub fn puzzle(p: usize, grid: TileGrid, budget_permille: u16) -> Result<Self, CoreError> {
+        if let Some(why) = puzzle_budget_problem(&grid, budget_permille) {
+            return Err(CoreError::UnsupportedShape {
+                method: "puzzle",
+                why,
+            });
+        }
+        let mut plan = Self::new(p, grid)?;
+        plan.budget = Some(budget_permille);
+        plan.method = format!("PZ({}x{},b{budget_permille})", grid.tiles_x, grid.tiles_y);
+        Ok(plan)
     }
 
     /// Relabel the plan onto physical ranks: `rank_of_depth[d]` is the
     /// physical rank whose partial sits at depth position `d`. Owners move
-    /// with the relabeling so the tile distribution stays balanced.
+    /// with the relabeling so the tile distribution stays balanced; the
+    /// budget rides along unchanged.
     pub fn permute(&self, rank_of_depth: &[usize]) -> Result<TilePlan, CoreError> {
         let p = self.p;
         if rank_of_depth.len() != p {
@@ -219,12 +244,36 @@ impl TilePlan {
     }
 }
 
+/// Why `budget_permille` cannot be a puzzle budget over `grid`, if it
+/// cannot: it is a share of the tile area, and the segment metadata ships
+/// x coordinates as `u16`.
+fn puzzle_budget_problem(grid: &TileGrid, budget_permille: u16) -> Option<String> {
+    if budget_permille > 1000 {
+        return Some(format!(
+            "overlap budget {budget_permille}‰ exceeds 1000‰ (the tile area)"
+        ));
+    }
+    (grid.width > u16::MAX as usize).then(|| {
+        format!(
+            "frame width {} overflows the u16 segment coordinates",
+            grid.width
+        )
+    })
+}
+
 /// Check a [`TilePlan`]'s invariants: the owner map covers every tile with
-/// an in-range rank, the depth order is a permutation, and the tiles cover
-/// every frame pixel exactly once — the tile path's counterpart of
-/// [`verify_schedule`].
+/// an in-range rank, the depth order is a permutation, the tiles cover
+/// every frame pixel exactly once, and a puzzle budget stays within the
+/// tile area with segment coordinates that fit their `u16` wire format —
+/// the tile path's counterpart of [`verify_schedule`].
 pub fn verify_tile_plan(plan: &TilePlan) -> Result<(), CoreError> {
     let nt = plan.grid.tiles();
+    if let Some(why) = plan
+        .budget
+        .and_then(|budget| puzzle_budget_problem(&plan.grid, budget))
+    {
+        return Err(CoreError::InvalidSchedule { why });
+    }
     if plan.owner_of.len() != nt {
         return Err(CoreError::InvalidSchedule {
             why: format!(
@@ -278,23 +327,19 @@ pub fn verify_tile_plan(plan: &TilePlan) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// A composition plan of either family — span schedules or tile ownership
-/// — so pipelines, benches and streams dispatch on one value.
+/// A composition plan of any family — span schedules, tile ownership
+/// (exact or puzzlepiece) or two-level — so pipelines, benches and streams
+/// dispatch on one value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ComposePlan {
     /// A step-structured span schedule ([`crate::method::Method`]'s
     /// schedule-compiling variants).
     Schedule(Schedule),
-    /// A tile-ownership plan.
+    /// A tile-ownership plan, exact or (with a budget) puzzlepiece.
     Tiles(TilePlan),
     /// A two-level hierarchical plan (intra-group method + Radix-k
     /// leader overlay).
     Hier(crate::hier::HierPlan),
-    /// An approximate puzzlepiece plan: tile ownership plus per-scanline
-    /// segment metadata and an overlap budget (the repo's first method
-    /// allowed to differ from the reference fold — within a declared
-    /// tolerance).
-    Puzzle(crate::puzzle::PuzzlePlan),
 }
 
 impl ComposePlan {
@@ -304,7 +349,6 @@ impl ComposePlan {
             ComposePlan::Schedule(s) => s.p,
             ComposePlan::Tiles(t) => t.p,
             ComposePlan::Hier(h) => h.p,
-            ComposePlan::Puzzle(z) => z.tiles.p,
         }
     }
 
@@ -314,7 +358,6 @@ impl ComposePlan {
             ComposePlan::Schedule(s) => s.image_len,
             ComposePlan::Tiles(t) => t.grid.width * t.grid.height,
             ComposePlan::Hier(h) => h.width * h.height,
-            ComposePlan::Puzzle(z) => z.tiles.grid.width * z.tiles.grid.height,
         }
     }
 
@@ -324,7 +367,6 @@ impl ComposePlan {
             ComposePlan::Schedule(s) => &s.method,
             ComposePlan::Tiles(t) => &t.method,
             ComposePlan::Hier(h) => &h.method,
-            ComposePlan::Puzzle(z) => &z.method,
         }
     }
 
@@ -335,7 +377,6 @@ impl ComposePlan {
             ComposePlan::Schedule(s) => verify_schedule(s),
             ComposePlan::Tiles(t) => verify_tile_plan(t),
             ComposePlan::Hier(h) => h.verify(),
-            ComposePlan::Puzzle(z) => z.verify(),
         }
     }
 }
@@ -399,21 +440,66 @@ pub fn compose_plan<P: Pixel>(
         ComposePlan::Schedule(_) => None,
         ComposePlan::Tiles(t) => Some((t.grid.width, t.grid.height)),
         ComposePlan::Hier(h) => Some((h.width, h.height)),
-        ComposePlan::Puzzle(z) => Some((z.tiles.grid.width, z.tiles.grid.height)),
     };
     check_shape(ctx, plan.p(), plan.image_len(), dims, &local)?;
     if let Some(wall) = config.display {
         wall.validate(plan.p())?;
     }
+    // An oversized plan is a typed error here, before any message is sent,
+    // instead of a tag that aliases another frame's or another step's.
+    tag_extents(plan, config)
+        .check()
+        .map_err(|why| CoreError::InvalidSchedule { why })?;
     let stage = Stage::new(config);
     match plan {
         ComposePlan::Schedule(s) => compose_schedule(ctx, &stage, s, local, scratch),
-        ComposePlan::Tiles(t) => compose_tiles(ctx, &stage, t, None, local, scratch),
+        ComposePlan::Tiles(t) => compose_tiles(ctx, &stage, t, local, scratch),
         ComposePlan::Hier(h) => crate::hier::compose_hier(ctx, &stage, h, local, scratch),
-        ComposePlan::Puzzle(z) => {
-            let budget = Some(z.budget_permille);
-            compose_tiles(ctx, &stage, &z.tiles, budget, local, scratch)
+    }
+}
+
+/// The largest values this compose call will write into the bounded fields
+/// of a message tag ([`rt_comm::tag`]), for the width check at entry.
+fn tag_extents(plan: &ComposePlan, config: &ComposeConfig) -> Extents {
+    let p = plan.p();
+    let mut extents = match plan {
+        ComposePlan::Schedule(s) => schedule_tag_extents(s, s.steps.len(), config),
+        // The low field carries a rank, a tile index or a gather slot.
+        ComposePlan::Tiles(t) => Extents {
+            low: t.grid.tiles().max(p) - 1,
+            ..Extents::default()
+        },
+        // Each group's intra plan is checked by its own compose call.
+        ComposePlan::Hier(h) => {
+            schedule_tag_extents(&h.inter, h.gather_step(h.inter.steps.len()), config)
         }
+    };
+    if let Some(wall) = config.display.filter(|_| config.gather) {
+        extents.wall = Some((wall.count() - 1, p - 1));
+    }
+    extents
+}
+
+/// What a span schedule writes: its steps up to `gather_step`, span starts
+/// and root-gather slots in the low field, and — when failures may be
+/// repaired — the coordinates of the repair plan's fetches.
+fn schedule_tag_extents(
+    schedule: &Schedule,
+    gather_step: usize,
+    config: &ComposeConfig,
+) -> Extents {
+    Extents {
+        step: gather_step,
+        low: schedule.image_len.max(schedule.p).saturating_sub(1),
+        wall: None,
+        // An entry fetches from distinct holders, and a repair plan has at
+        // most one entry per piece the final spans are cut into, whose
+        // edges are all edges of transfer spans: fewer than this many.
+        repair: config.resilient.then(|| {
+            let transfers: usize = schedule.steps.iter().map(|s| s.transfers.len()).sum();
+            let entries = schedule.final_owners.len() + 2 * transfers;
+            (entries, schedule.p.saturating_sub(1))
+        }),
     }
 }
 
@@ -450,23 +536,23 @@ fn next_live_owner(
 /// The message sub-channels of one announce → ship → collect → resolve
 /// round.
 struct Channels {
-    manifest: u64,
-    segments: u64,
-    payload: u64,
+    manifest: TileChannel,
+    segments: TileChannel,
+    payload: TileChannel,
 }
 
 /// The round every compose runs, over all tiles and the planned owners.
 const FIRST_ROUND: Channels = Channels {
-    manifest: TILE_CH_MANIFEST,
-    segments: TILE_CH_SEGMENTS,
-    payload: TILE_CH_PAYLOAD,
+    manifest: TileChannel::Manifest,
+    segments: TileChannel::Segments,
+    payload: TileChannel::Payload,
 };
 
 /// The round that re-collects dead owners' tiles at their new owners.
 const REPAIR_ROUND: Channels = Channels {
-    manifest: TILE_CH_REPAIR_MANIFEST,
-    segments: TILE_CH_REPAIR_SEGMENTS,
-    payload: TILE_CH_REPAIR_PAYLOAD,
+    manifest: TileChannel::RepairManifest,
+    segments: TileChannel::RepairSegments,
+    payload: TileChannel::RepairPayload,
 };
 
 /// What one rank brings to a tile-family compose — the content scan of
@@ -475,10 +561,6 @@ const REPAIR_ROUND: Channels = Channels {
 struct TileScan<'a, P: Pixel> {
     stage: &'a Stage<'a, P>,
     plan: &'a TilePlan,
-    /// `None` resolves every tile with the exact fold (tile ownership);
-    /// `Some(‰)` is the puzzle family: ranks also exchange per-scanline
-    /// segment metadata and owners place pieces within the overlap budget.
-    budget: Option<u16>,
     /// Which tiles of the local partial carry any content.
     have: Vec<bool>,
     /// `have` as the wire bitmap.
@@ -523,10 +605,10 @@ impl<P: Pixel> TileScan<'_, P> {
             ctx.obs_counters(|c| c.add_wire_bytes("tile-manifest", wire));
             ctx.send(
                 o,
-                tile_tag(frame_tag, ch.manifest, me as u64),
+                tag::tile(frame_tag, ch.manifest, me as u64),
                 self.manifest.clone(),
             )?;
-            if self.budget.is_none() {
+            if self.plan.budget.is_none() {
                 continue;
             }
             let o_tiles = tiles_of(o);
@@ -534,7 +616,7 @@ impl<P: Pixel> TileScan<'_, P> {
                 let blob = segments_blob(&o_tiles, &self.have, &self.segs);
                 let wire = blob.len() as u64;
                 ctx.obs_counters(|c| c.add_wire_bytes("pz-segments", wire));
-                ctx.send(o, tile_tag(frame_tag, ch.segments, me as u64), blob)?;
+                ctx.send(o, tag::tile(frame_tag, ch.segments, me as u64), blob)?;
             }
         }
 
@@ -545,7 +627,7 @@ impl<P: Pixel> TileScan<'_, P> {
                 continue;
             }
             let rows = self.plan.grid.row_spans(t);
-            let tag = tile_tag(frame_tag, ch.payload, t as u64);
+            let tag = tag::tile(frame_tag, ch.payload, t as u64);
             self.stage
                 .ship_spans(ctx, scratch, local, rows, owner, tag)?;
             ctx.obs_counters(|c| c.tiles_sent += 1);
@@ -559,7 +641,7 @@ impl<P: Pixel> TileScan<'_, P> {
         let heard = |src: usize| src != me && !dead.is_some_and(|d| d.contains_key(&src));
         let mut have_of: Vec<Option<Vec<u8>>> = vec![None; self.plan.p];
         for src in (0..self.plan.p).filter(|&src| heard(src)) {
-            match ctx.recv(src, tile_tag(frame_tag, ch.manifest, src as u64)) {
+            match ctx.recv(src, tag::tile(frame_tag, ch.manifest, src as u64)) {
                 Ok(bytes) => have_of[src] = Some(bytes.to_vec()),
                 // A confirmed-dead peer contributed nothing: an absent
                 // manifest reads all-blank, which is exact (blank is the
@@ -569,7 +651,7 @@ impl<P: Pixel> TileScan<'_, P> {
             }
         }
         let mut remote_segs: BTreeMap<(usize, usize), RowIvals> = BTreeMap::new();
-        if self.budget.is_some() {
+        if self.plan.budget.is_some() {
             for src in (0..self.plan.p).filter(|&src| heard(src)) {
                 let Some(m) = have_of[src].as_ref() else {
                     continue;
@@ -577,7 +659,7 @@ impl<P: Pixel> TileScan<'_, P> {
                 if !mine.iter().any(|&t| manifest_bit(Some(m), t)) {
                     continue;
                 }
-                match ctx.recv(src, tile_tag(frame_tag, ch.segments, src as u64)) {
+                match ctx.recv(src, tag::tile(frame_tag, ch.segments, src as u64)) {
                     Ok(bytes) => {
                         let expects = |t| manifest_bit(Some(m), t);
                         let parsed =
@@ -595,7 +677,7 @@ impl<P: Pixel> TileScan<'_, P> {
         // ---- Resolve owned tiles: place within budget, or fold. ---------
         let expects = |r: usize, t: usize| manifest_bit(have_of[r].as_ref(), t);
         for &t in &mine {
-            let placed = match self.budget {
+            let placed = match self.plan.budget {
                 None => false,
                 Some(budget) => place_puzzle_tile(
                     ctx,
@@ -624,15 +706,14 @@ impl<P: Pixel> TileScan<'_, P> {
     }
 }
 
-/// Execute a [`TilePlan`] on this rank — tile ownership when `budget` is
-/// `None`, approximate puzzlepiece when it carries the overlap budget. One
-/// skeleton serves both: scan → first round → (on failures) reassign +
-/// repair round → gather.
+/// Execute a [`TilePlan`] on this rank — tile ownership, or approximate
+/// puzzlepiece when the plan carries an overlap budget. One skeleton serves
+/// both: scan → first round → (on failures) reassign + repair round →
+/// gather.
 pub(crate) fn compose_tiles<P: Pixel>(
     ctx: &mut RankCtx,
     stage: &Stage<P>,
     plan: &TilePlan,
-    budget: Option<u16>,
     mut local: Image<P>,
     scratch: &mut Scratch<P>,
 ) -> Result<ComposeOutput<P>, CoreError> {
@@ -648,16 +729,16 @@ pub(crate) fn compose_tiles<P: Pixel>(
         None
     };
 
-    ctx.mark("compose:start");
+    ctx.mark(Mark::ComposeStart);
     if my_crash == Some(0) {
         return Ok(ComposeOutput::crash(ctx, 0));
     }
-    ctx.mark("step:0");
+    ctx.mark(Mark::Step(0));
 
     // ---- Scan: which tiles carry content (and, for the puzzle family,
     // the per-row intervals) — one pass, booked as encode-side work. -----
     let scan_started = ctx.obs_start();
-    let (have, segs) = match budget {
+    let (have, segs) = match plan.budget {
         None => (scan_flags(&local, &plan.grid)?, Vec::new()),
         Some(_) => scan_tiles(&local, &plan.grid)?,
     };
@@ -670,7 +751,6 @@ pub(crate) fn compose_tiles<P: Pixel>(
     let scan = TileScan {
         stage,
         plan,
-        budget,
         manifest: manifest_bytes(&have),
         have,
         segs,
@@ -687,76 +767,58 @@ pub(crate) fn compose_tiles<P: Pixel>(
         None,
     )?;
 
-    ctx.mark("flush:start");
+    ctx.mark(Mark::FlushStart);
     if my_crash == Some(1) {
         return Ok(ComposeOutput::crash(ctx, 1));
     }
-    ctx.mark("compose:end");
+    ctx.mark(Mark::ComposeEnd);
 
     // ---- Failure agreement + tile-granular repair. --------------------
     let mut effective_owner = plan.owner_of.clone();
-    let mut root = config.root;
-    let mut degraded: Option<DegradedInfo> = None;
-    let crash_planned = config.resilient && ctx.planned_crashes().iter().any(|(_, k)| *k <= 1);
-    if crash_planned {
-        ctx.mark("repair:start");
-        let announced: Vec<(usize, usize)> = ctx
-            .planned_crashes()
-            .into_iter()
-            .filter(|&(_, k)| k <= 1)
-            .collect();
-        let crashed = ctx.liveness_exchange(&announced)?;
-        if !crashed.is_empty() {
-            // Deterministic reassignment of dead owners' tiles.
-            let mut reassigned: Vec<usize> = Vec::new();
-            for &t in &tiles {
-                let owner = &mut effective_owner[t];
-                if crashed.contains_key(owner) {
-                    *owner = next_live_owner(*owner, p, &crashed)?;
-                    reassigned.push(t);
-                }
+    let (root, degraded) = agree_on_failures(ctx, config, p, 1, |ctx, crashed| {
+        // Deterministic reassignment of dead owners' tiles.
+        let mut reassigned: Vec<usize> = Vec::new();
+        for &t in &tiles {
+            let owner = &mut effective_owner[t];
+            if crashed.contains_key(owner) {
+                *owner = next_live_owner(*owner, p, crashed)?;
+                reassigned.push(t);
             }
-            // Repair round: every live rank re-announces its content to
-            // the new owners, then re-ships the non-blank reassigned
-            // tiles. The new owner re-resolves from the *live* ranks only
-            // — the dead owner's own content died with it.
-            scan.round(
-                ctx,
-                &mut local,
-                scratch,
-                &REPAIR_ROUND,
-                &effective_owner,
-                &reassigned,
-                Some(&crashed),
-            )?;
-            // What the degraded frame is missing: a step-0 crasher's
-            // content is absent everywhere; a step-1 crasher's content
-            // survives except on the tiles it owned (its composites died
-            // unreachable, and the repair re-folds survivors only).
-            let any_step0 = crashed.values().any(|&k| k == 0);
-            let mut info = DegradedInfo {
-                failed: crashed.iter().map(|(&r, &k)| (r, k)).collect(),
-                lost_contributions: crashed
-                    .iter()
-                    .filter(|(&r, &k)| k == 0 || !plan.tiles_of(r).is_empty())
-                    .map(|(&r, _)| r)
-                    .collect(),
-                lost_pixels: if any_step0 {
-                    plan.grid.width * plan.grid.height
-                } else {
-                    reassigned.iter().map(|&t| plan.grid.area(t)).sum()
-                },
-                reassigned_spans: reassigned.len(),
-                root_reassigned_to: None,
-            };
-            if crashed.contains_key(&root) {
-                root = crate::exec::elect_root(p, &crashed)?;
-                info.root_reassigned_to = Some(root);
-            }
-            degraded = Some(info);
         }
-        ctx.mark("repair:end");
-    }
+        // Repair round: every live rank re-announces its content to the
+        // new owners, then re-ships the non-blank reassigned tiles. The
+        // new owner re-resolves from the *live* ranks only — the dead
+        // owner's own content died with it.
+        scan.round(
+            ctx,
+            &mut local,
+            scratch,
+            &REPAIR_ROUND,
+            &effective_owner,
+            &reassigned,
+            Some(crashed),
+        )?;
+        // What the degraded frame is missing: a step-0 crasher's content
+        // is absent everywhere; a step-1 crasher's content survives except
+        // on the tiles it owned (its composites died unreachable, and the
+        // repair re-folds survivors only).
+        let any_step0 = crashed.values().any(|&k| k == 0);
+        Ok(DegradedInfo {
+            failed: crashed.iter().map(|(&r, &k)| (r, k)).collect(),
+            lost_contributions: crashed
+                .iter()
+                .filter(|(&r, &k)| k == 0 || !plan.tiles_of(r).is_empty())
+                .map(|(&r, _)| r)
+                .collect(),
+            lost_pixels: if any_step0 {
+                plan.grid.width * plan.grid.height
+            } else {
+                reassigned.iter().map(|&t| plan.grid.area(t)).sum()
+            },
+            reassigned_spans: reassigned.len(),
+            root_reassigned_to: None,
+        })
+    })?;
 
     // Post-repair ownership as row-segment spans, mirroring the schedule
     // executor's `owners` field.
@@ -773,10 +835,10 @@ pub(crate) fn compose_tiles<P: Pixel>(
 
     if !config.gather {
         // The tile families close their timeline either way.
-        ctx.mark("gather:end");
+        ctx.mark(Mark::GatherEnd);
     }
     finish(ctx, stage, scratch, local, owners, root, degraded, |slot| {
-        tile_tag(config.frame_tag, TILE_CH_GATHER, slot as u64)
+        tag::tile(config.frame_tag, TileChannel::Gather, slot as u64)
     })
 }
 
@@ -809,7 +871,7 @@ fn fold_tile<P: Pixel>(
     t: usize,
     have: &[bool],
     expects: &impl Fn(usize, usize) -> bool,
-    channel: u64,
+    channel: TileChannel,
     skip: Option<&BTreeMap<usize, usize>>,
 ) -> Result<(), CoreError> {
     let me = ctx.rank();
@@ -855,7 +917,7 @@ fn fold_tile<P: Pixel>(
         if !expects(r, t) {
             continue;
         }
-        let bytes = match ctx.recv(r, tile_tag(stage.config.frame_tag, channel, t as u64)) {
+        let bytes = match ctx.recv(r, tag::tile(stage.config.frame_tag, channel, t as u64)) {
             Ok(bytes) => bytes,
             Err(CommError::RankFailed { .. }) if stage.config.resilient => continue,
             Err(e) => return Err(e.into()),
@@ -875,6 +937,7 @@ mod tests {
     use rt_compress::CodecKind;
     use rt_imaging::image::reference_composite;
     use rt_imaging::pixel::{GrayAlpha8, Provenance};
+    use rt_imaging::synth::provenance_partials;
 
     fn run<P: Pixel>(
         plan: &TilePlan,
@@ -882,12 +945,6 @@ mod tests {
         config: &ComposeConfig,
     ) -> RunOutput<P> {
         Run::new(&ComposePlan::Tiles(plan.clone()), config).execute(partials)
-    }
-
-    fn provenance_partials(p: usize, w: usize, h: usize) -> Vec<Image<Provenance>> {
-        (0..p)
-            .map(|r| Image::from_fn(w, h, |_, _| Provenance::rank(r as u16)))
-            .collect()
     }
 
     fn gray_partials(p: usize, w: usize, h: usize) -> Vec<Image<GrayAlpha8>> {
@@ -1002,6 +1059,36 @@ mod tests {
         }
         // Non-display ranks hold no frame.
         assert!(results[0].as_ref().unwrap().frame.is_none());
+    }
+
+    #[test]
+    fn an_overlong_schedule_is_a_typed_error_before_any_message() {
+        // 299 steps do not fit the 8-bit step field: step 256 of frame 0
+        // would carry the tag of step 0 of frame 1. Planning and static
+        // analysis of such a schedule stay legal; executing it is refused
+        // on every rank, naming the field, with nothing sent.
+        use crate::method::Method;
+        let plan = Method::ParallelPipelined.plan(300, 20, 15).unwrap();
+        plan.verify().unwrap();
+        let (results, trace) =
+            Run::new(&plan, &ComposeConfig::default()).execute(provenance_partials(300, 20, 15));
+        for (rank, result) in results.iter().enumerate() {
+            match result {
+                Err(CoreError::InvalidSchedule { why }) => {
+                    assert!(why.contains("`step`") && why.contains("299"), "{why}")
+                }
+                other => panic!("rank {rank}: expected a typed overflow, got {other:?}"),
+            }
+        }
+        assert_eq!(trace.message_count(), 0);
+        // One step fewer than the field holds is fine (gather step 255).
+        let widest = Method::ParallelPipelined.plan(256, 16, 16).unwrap();
+        let config = ComposeConfig::default()
+            .resilient(true)
+            .with_display_wall(DisplayWall::new(2, 1));
+        let extents = tag_extents(&widest, &config);
+        assert_eq!((extents.step, extents.wall), (255, Some((1, 255))));
+        extents.check().unwrap();
     }
 
     #[test]

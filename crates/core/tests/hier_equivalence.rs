@@ -15,7 +15,7 @@ use rt_core::rotate::RtVariant;
 use rt_core::{ComposeConfig, ComposePlan, HierPlan, IntraMethod, Run};
 use rt_imaging::image::reference_composite;
 use rt_imaging::pixel::{GrayAlpha8, Pixel};
-use rt_imaging::Image;
+use rt_imaging::synth::band_partials;
 
 /// Intra methods valid for *any* group size, ragged last group included.
 fn ragged_safe_intras() -> Vec<IntraMethod> {
@@ -41,20 +41,6 @@ fn non_dividing_k(p: usize, seed: usize) -> usize {
     candidates[seed % candidates.len()]
 }
 
-fn band_partials(p: usize, w: usize) -> Vec<Image<GrayAlpha8>> {
-    (0..p)
-        .map(|r| {
-            Image::from_fn(w, p, |x, y| {
-                if y == r {
-                    GrayAlpha8::new((r * 11 + x) as u8, (61 + 3 * r + x) as u8)
-                } else {
-                    GrayAlpha8::blank()
-                }
-            })
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -67,7 +53,7 @@ proptest! {
         w in 6usize..=24,
     ) {
         let k = non_dividing_k(p, k_seed);
-        let partials = band_partials(p, w);
+        let partials = band_partials(p, w, p);
         let expected = reference_composite(&partials).unwrap();
         for intra in ragged_safe_intras() {
             let plan =
@@ -105,7 +91,7 @@ proptest! {
     ) {
         let k = non_dividing_k(p, k_seed);
         let w = 16;
-        let partials = band_partials(p, w);
+        let partials = band_partials(p, w, p);
         let expected = reference_composite(&partials).unwrap();
         let plan =
             HierPlan::build(p, k, IntraMethod::DirectSend, w, p).unwrap();

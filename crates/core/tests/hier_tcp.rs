@@ -5,24 +5,9 @@
 
 use rt_core::{ComposeConfig, ComposePlan, HierPlan, IntraMethod, Run, TransportKind};
 use rt_imaging::image::reference_composite;
-use rt_imaging::pixel::{GrayAlpha8, Pixel};
-use rt_imaging::Image;
+use rt_imaging::synth::band_partials;
 use rt_net::Topology;
 use std::time::Duration;
-
-fn band_partials(p: usize, w: usize) -> Vec<Image<GrayAlpha8>> {
-    (0..p)
-        .map(|r| {
-            Image::from_fn(w, p, |x, y| {
-                if y == r {
-                    GrayAlpha8::new((r * 9 + x) as u8, (80 + 4 * r + x) as u8)
-                } else {
-                    GrayAlpha8::blank()
-                }
-            })
-        })
-        .collect()
-}
 
 #[test]
 fn hier_over_tcp_matches_inproc_bit_exactly_on_restricted_sockets() {
@@ -36,7 +21,7 @@ fn hier_over_tcp_matches_inproc_bit_exactly_on_restricted_sockets() {
     assert!(topo.socket_count(p) < p * (p - 1) / 2);
 
     let plan = ComposePlan::Hier(plan);
-    let partials = band_partials(p, w);
+    let partials = band_partials(p, w, p);
     let expected = reference_composite(&partials).unwrap();
 
     let inproc = ComposeConfig::default();

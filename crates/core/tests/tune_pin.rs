@@ -11,8 +11,7 @@
 
 use rt_comm::CostModel;
 use rt_core::{choose, sweep, ComposeConfig, CompositionMethod, Method, Run, TuneOptions};
-use rt_imaging::pixel::{GrayAlpha8, Pixel};
-use rt_imaging::Image;
+use rt_imaging::synth::band_partials;
 use serde_json::Value;
 
 fn num(v: &Value) -> f64 {
@@ -81,20 +80,6 @@ fn tuner_pick_matches_the_measured_p32_winner() {
         .any(|c| matches!(c.method, Method::TileOwner { .. })));
 }
 
-fn band_partials(p: usize, w: usize) -> Vec<Image<GrayAlpha8>> {
-    (0..p)
-        .map(|r| {
-            Image::from_fn(w, p, |x, y| {
-                if y == r {
-                    GrayAlpha8::new((r * 3 + x) as u8, (90 + 2 * r + x) as u8)
-                } else {
-                    GrayAlpha8::blank()
-                }
-            })
-        })
-        .collect()
-}
-
 #[test]
 fn hier_pick_beats_best_flat_on_the_replayed_virtual_clock_at_p64() {
     let (p, w) = (64usize, 16usize);
@@ -122,7 +107,7 @@ fn hier_pick_beats_best_flat_on_the_replayed_virtual_clock_at_p64() {
     let mut replayed = Vec::new();
     for method in [&pick.method, &flat.method] {
         let plan = method.plan(p, w, p).unwrap();
-        let (_, trace) = Run::new(&plan, &config).execute(band_partials(p, w));
+        let (_, trace) = Run::new(&plan, &config).execute(band_partials(p, w, p));
         let report = rt_comm::replay(&trace, &cost).unwrap();
         replayed.push(report.makespan);
     }

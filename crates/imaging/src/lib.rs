@@ -14,7 +14,9 @@
 //! * [`io`] — PGM / PPM writers for the example binaries;
 //! * [`kernels`] — word-wise (SWAR) compositing kernels and the
 //!   [`kernels::KernelPath`] selector between the scalar reference loops
-//!   and the wide fast paths (bit-identical, proptest-pinned).
+//!   and the wide fast paths (bit-identical, proptest-pinned);
+//! * [`synth`] — the synthetic partial images tests, benches and examples
+//!   share.
 //!
 //! Everything here is deliberately independent of the communication and
 //! compositing crates so that property tests can exercise the image algebra
@@ -28,6 +30,7 @@ pub mod kernels;
 pub mod pixel;
 pub mod rect;
 pub mod span;
+pub mod synth;
 
 pub use image::Image;
 pub use kernels::KernelPath;

@@ -14,7 +14,7 @@
 //! The crucial property: every injected fault is **recovered inside the
 //! transport** (reconnect + sent-log replay, see [`crate::link`]) or
 //! **escalated through the typed failure path** (peer declared dead →
-//! `DEATH_TAG` → repair planner). The envelope's event trace therefore
+//! [`tag::DEATH`] → repair planner). The envelope's event trace therefore
 //! stays bit-identical to a fault-free run for recoverable faults — the
 //! reconciliation the chaos soak (`rt-bench`'s `chaos --transport tcp`)
 //! gates on.
@@ -22,12 +22,12 @@
 //! Death swallowing: a scenario that kills a worker process wants the
 //! victim's voluntary death announcements suppressed, so the survivors
 //! must detect the death at the socket level (EOF → restore deadline →
-//! synthesized `DEATH_TAG`), exactly like a real `SIGKILL`.
+//! synthesized [`tag::DEATH`]), exactly like a real `SIGKILL`.
 //! [`NetFaultPlan::swallow_death`] arranges that.
 
 use crate::link::WireFault;
 use crate::tcp::TcpTransport;
-use rt_comm::comm::DEATH_TAG;
+use rt_comm::tag;
 use rt_comm::{BarrierError, RecvRawError, SendRawError, Transport, WireFrame};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
@@ -102,7 +102,7 @@ impl NetFaultPlan {
         self
     }
 
-    /// Suppress outgoing `DEATH_TAG` announcements so peers must detect
+    /// Suppress outgoing [`tag::DEATH`] announcements so peers must detect
     /// this rank's death at the socket level (kill scenarios).
     pub fn swallow_death(mut self) -> Self {
         self.swallow_death = true;
@@ -195,7 +195,7 @@ impl Transport for ChaosTransport {
     }
 
     fn send_raw(&mut self, to: usize, frame: WireFrame) -> Result<(), SendRawError> {
-        if self.plan.swallow_death && frame.tag == DEATH_TAG {
+        if self.plan.swallow_death && frame.tag == tag::DEATH {
             // The announcement evaporates before the wire: peers must
             // discover this death at the socket level.
             return Ok(());
@@ -324,13 +324,7 @@ mod tests {
         let mut world = TcpTransport::loopback_mesh(2).unwrap();
         let mut b = world.pop().unwrap();
         let mut a = ChaosTransport::new(world.pop().unwrap(), NetFaultPlan::none().swallow_death());
-        let death = WireFrame {
-            from: 0,
-            tag: DEATH_TAG,
-            seq: 0,
-            checksum: 0,
-            payload: rt_comm::Payload::from(0usize.to_le_bytes().to_vec()),
-        };
+        let death = WireFrame::control(0, tag::DEATH, WireFrame::death_payload(0));
         a.send_raw(1, death).unwrap();
         let f = WireFrame {
             from: 0,

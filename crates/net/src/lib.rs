@@ -33,7 +33,7 @@
 //! link layer can repair (reconnect + replay) are invisible to the
 //! envelope, so even a chaos-injected run reconciles bit-exactly against
 //! the in-process reference; failures past the repair budget are
-//! *declared deaths* that flow through the same `DEATH_TAG` protocol a
+//! *declared deaths* that flow through the same `rt_comm::tag::DEATH` protocol a
 //! crashing rank announces voluntarily, engaging the resilient executor's
 //! repair planner. The virtual-clock replay prices traced bytes, not wall
 //! time; determinism survives the nondeterministic network.

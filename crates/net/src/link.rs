@@ -24,22 +24,21 @@
 //! watchdog instead; if no reconnect lands within
 //! [`TcpOptions::restore_deadline`], or the dialer exhausts
 //! [`TcpOptions::reconnect_attempts`], the peer is **declared dead**: a
-//! synthesized death-notification frame (the same `DEATH_TAG` protocol a
+//! synthesized death-notification frame (the same [`tag::DEATH`] protocol a
 //! crashing rank announces voluntarily) enters the receive queue, and the
 //! resilient executor's repair planner takes over.
 //!
 //! Liveness is active: a heartbeat thread sends `PING` control frames on
 //! idle links and shuts down any stream that has been silent for
 //! `HEARTBEAT_MISSES` intervals, converting silent peer
-//! death into a detectable EOF. Heartbeats live in the reserved
-//! [`NET_CONTROL_TAG_BIT`] namespace and never reach the envelope, the
-//! log, or the counters — traces stay bit-identical to the in-process
+//! death into a detectable EOF. Heartbeats ([`tag::PING`]/[`tag::PONG`])
+//! live in the transport-control namespace and never reach the envelope,
+//! the log, or the counters — traces stay bit-identical to the in-process
 //! backend.
 
 use crate::error::NetError;
 use crate::frame::{encode_frame, read_frame};
-use rt_comm::comm::DEATH_TAG;
-use rt_comm::{Payload, SendRawError, WireFrame, NET_CONTROL_TAG_BIT};
+use rt_comm::{tag, SendRawError, WireFrame};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -48,14 +47,6 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Liveness probe: sent by the heartbeat thread, answered with
-/// [`PONG_TAG`]. Never surfaces above the fabric. Bit 57 keeps the tag
-/// clear of the barrier generation counters, which share the
-/// [`NET_CONTROL_TAG_BIT`] namespace.
-pub(crate) const PING_TAG: u64 = NET_CONTROL_TAG_BIT | (1 << 57);
-/// Liveness reply to [`PING_TAG`].
-pub(crate) const PONG_TAG: u64 = PING_TAG | 1;
 
 /// Set on the 8-byte hello of a *reconnect* dial (vs. the plain-rank hello
 /// of mesh establishment), so the accept loop knows a resume handshake
@@ -595,7 +586,7 @@ impl Fabric {
     }
 
     /// Declare `peer` dead exactly once: stop all traffic and synthesize
-    /// the `DEATH_TAG` notification the envelope's failure protocol
+    /// the [`tag::DEATH`] notification the envelope's failure protocol
     /// expects — from here on, the in-process and TCP failure paths are
     /// the same code.
     fn declare_dead(self: &Arc<Self>, link: &Link) {
@@ -623,13 +614,8 @@ impl Fabric {
             .get(&link.peer)
             .copied()
             .unwrap_or(usize::MAX);
-        let _ = self.tx.send(WireFrame {
-            from: link.peer,
-            tag: DEATH_TAG,
-            seq: 0,
-            checksum: 0,
-            payload: Payload::from(step.to_le_bytes().to_vec()),
-        });
+        let notice = WireFrame::control(link.peer, tag::DEATH, WireFrame::death_payload(step));
+        let _ = self.tx.send(notice);
     }
 
     /// Reader thread for one installed stream: decode frames, answer
@@ -648,19 +634,20 @@ impl Fabric {
             .name(name)
             .spawn(move || {
                 let mut stream = stream;
-                let pong = encode_frame(&control_frame(fabric.rank, PONG_TAG)).unwrap_or_default();
+                let pong = encode_frame(&WireFrame::control(fabric.rank, tag::PONG, Vec::new()))
+                    .unwrap_or_default();
                 while let Ok(Some(frame)) = read_frame(&mut stream) {
                     *lock(&link.last_heard) = Instant::now();
                     match frame.tag {
-                        PING_TAG => {
+                        tag::PING => {
                             let mut writer = lock(&link.writer);
                             if let Some(slot) = writer.as_mut() {
                                 let _ = slot.stream.write_all(&pong);
                             }
                         }
-                        PONG_TAG => {}
+                        tag::PONG => {}
                         tag => {
-                            if tag == DEATH_TAG {
+                            if tag == tag::DEATH {
                                 // The peer announced its own death: no
                                 // repair, and no second (synthesized)
                                 // notification when its socket closes.
@@ -763,7 +750,8 @@ impl Fabric {
         };
         let stale_after = interval.saturating_mul(HEARTBEAT_MISSES);
         let fabric = Arc::clone(self);
-        let ping = encode_frame(&control_frame(self.rank, PING_TAG)).unwrap_or_default();
+        let ping =
+            encode_frame(&WireFrame::control(self.rank, tag::PING, Vec::new())).unwrap_or_default();
         let spawned = std::thread::Builder::new()
             .name(format!("rt-net-heartbeat-{}", self.rank))
             .spawn(move || loop {
@@ -818,17 +806,6 @@ impl Fabric {
             let mut s = &stream;
             let _ = s.write_all(&SHUTDOWN_HELLO.to_le_bytes());
         }
-    }
-}
-
-/// An empty control frame in the transport-internal namespace.
-fn control_frame(from: usize, tag: u64) -> WireFrame {
-    WireFrame {
-        from,
-        tag,
-        seq: 0,
-        checksum: 0,
-        payload: Payload::from(Vec::new()),
     }
 }
 

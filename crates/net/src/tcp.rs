@@ -24,7 +24,7 @@
 //!
 //! **Barrier.** The trait requires a barrier that does not surface data
 //! frames. The TCP backend runs a centralized two-phase protocol over
-//! frames tagged in the reserved [`NET_CONTROL_TAG_BIT`] namespace: every
+//! frames tagged [`tag::barrier`]`(generation)`: every
 //! rank sends an arrival frame to rank 0, and rank 0 releases everyone
 //! once all have arrived. Control frames are invisible to
 //! `recv_raw`/`try_recv_raw` (they are diverted to an internal queue), and
@@ -40,9 +40,7 @@
 use crate::error::NetError;
 use crate::link::{Fabric, TcpOptions, WireFault};
 use crate::topology::Topology;
-use rt_comm::{
-    BarrierError, Payload, RecvRawError, SendRawError, Transport, WireFrame, NET_CONTROL_TAG_BIT,
-};
+use rt_comm::{tag, BarrierError, RecvRawError, SendRawError, Transport, WireFrame};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -317,21 +315,11 @@ impl TcpTransport {
     /// Route one queue frame: control frames park for the next barrier,
     /// data frames go to the caller.
     fn route(&mut self, frame: WireFrame) -> Option<WireFrame> {
-        if frame.tag & NET_CONTROL_TAG_BIT != 0 {
+        if tag::is_net_control(frame.tag) {
             self.barrier_pending.push_back(frame);
             None
         } else {
             Some(frame)
-        }
-    }
-
-    fn control_frame(&self, tag: u64) -> WireFrame {
-        WireFrame {
-            from: self.fabric.rank,
-            tag,
-            seq: 0,
-            checksum: 0,
-            payload: Payload::from(Vec::new()),
         }
     }
 
@@ -485,7 +473,7 @@ impl Transport for TcpTransport {
     }
 
     fn barrier(&mut self) -> Result<(), BarrierError> {
-        let tag = NET_CONTROL_TAG_BIT | self.barrier_gen;
+        let tag = tag::barrier(self.barrier_gen);
         self.barrier_gen += 1;
         let (rank, size) = (self.fabric.rank, self.fabric.world);
         if size == 1 {
@@ -508,7 +496,7 @@ impl Transport for TcpTransport {
                     a.iter().all(|&x| x)
                 },
             )?;
-            let release = self.control_frame(tag);
+            let release = WireFrame::control(rank, tag, Vec::new());
             for to in 1..size {
                 self.fabric
                     .send_frame(to, &release, None)
@@ -521,7 +509,7 @@ impl Transport for TcpTransport {
             }
             Ok(())
         } else {
-            let arrival = self.control_frame(tag);
+            let arrival = WireFrame::control(rank, tag, Vec::new());
             self.fabric
                 .send_frame(0, &arrival, None)
                 .map_err(|_| BarrierError {
@@ -544,13 +532,7 @@ mod tests {
     use super::*;
 
     fn frame(from: usize, tag: u64, payload: Vec<u8>) -> WireFrame {
-        WireFrame {
-            from,
-            tag,
-            seq: 0,
-            checksum: 0,
-            payload: Payload::from(payload),
-        }
+        WireFrame::control(from, tag, payload)
     }
 
     /// Options that resolve failures fast enough for unit tests.
@@ -709,10 +691,7 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("rank 1 unreachable"), "{msg}");
         assert!(msg.contains("barrier"), "{msg}");
-        assert!(
-            msg.contains(&format!("{:#x}", NET_CONTROL_TAG_BIT)),
-            "{msg}"
-        );
+        assert!(msg.contains(&format!("{:#x}", tag::barrier(0))), "{msg}");
     }
 
     #[test]

@@ -43,9 +43,6 @@ pub struct FrameStats {
     pub index: usize,
     /// Camera yaw of this frame.
     pub yaw: f64,
-    /// Virtual composition time (compose + gather) under the orbit's cost
-    /// model.
-    pub compose_time: f64,
     /// Bytes shipped (post-codec).
     pub bytes: u64,
     /// Messages sent.

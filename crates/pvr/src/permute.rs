@@ -62,11 +62,10 @@ pub fn permute_schedule(
 }
 
 /// Relabel a [`ComposePlan`] onto physical ranks —
-/// [`permute_schedule`] for span schedules,
-/// [`rt_core::tile::TilePlan::permute`] for tile-ownership plans, and
-/// [`rt_core::puzzle::PuzzlePlan::permute`] for puzzle plans (the budget
-/// rides along unchanged, so streamed puzzle frames keep their declared
-/// tolerance under every camera).
+/// [`permute_schedule`] for span schedules and
+/// [`rt_core::tile::TilePlan::permute`] for tile-ownership and puzzle plans
+/// (a puzzle budget rides along unchanged, so streamed puzzle frames keep
+/// their declared tolerance under every camera).
 ///
 /// Hierarchical plans are rejected with a typed error: their contiguous
 /// group partition (and the topology a restricted transport dials from
@@ -77,7 +76,6 @@ pub fn permute_plan(plan: &ComposePlan, rank_of_depth: &[usize]) -> Result<Compo
     match plan {
         ComposePlan::Schedule(s) => Ok(ComposePlan::Schedule(permute_schedule(s, rank_of_depth)?)),
         ComposePlan::Tiles(t) => Ok(ComposePlan::Tiles(t.permute(rank_of_depth)?)),
-        ComposePlan::Puzzle(z) => Ok(ComposePlan::Puzzle(z.permute(rank_of_depth)?)),
         ComposePlan::Hier(h) => Err(PvrError::Config {
             what: format!(
                 "hierarchical plan {} cannot be rank-permuted: its group partition is \
@@ -154,11 +152,11 @@ mod tests {
         .plan(4, 20, 20)
         .unwrap();
         let q = permute_plan(&plan, &[2, 0, 3, 1]).unwrap();
-        let ComposePlan::Puzzle(perm) = &q else {
-            panic!("puzzle must stay a puzzle plan through permutation");
+        let ComposePlan::Tiles(perm) = &q else {
+            panic!("puzzle must stay a tile plan through permutation");
         };
-        assert_eq!(perm.budget_permille, 75);
-        assert_eq!(perm.tiles.rank_at_depth, vec![2, 0, 3, 1]);
+        assert_eq!(perm.budget, Some(75));
+        assert_eq!(perm.rank_at_depth, vec![2, 0, 3, 1]);
         q.verify().unwrap();
         assert!(permute_plan(&plan, &[0, 0, 1, 2]).is_err());
     }

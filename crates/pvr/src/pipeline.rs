@@ -13,7 +13,7 @@
 
 use crate::permute::permute_plan;
 use crate::PvrError;
-use rt_comm::{ComputeKind, FaultPlan, RankCtx, Trace};
+use rt_comm::{ComputeKind, FaultPlan, Mark, RankCtx, Trace};
 use rt_compress::CodecKind;
 use rt_core::exec::{ComposeConfig, ComposeOutput, Machine, ScratchPool, TransportKind};
 use rt_core::method::Method;
@@ -113,7 +113,7 @@ impl FramePlan {
         let screen = composed.frame.map(|inter| {
             ctx.compute(ComputeKind::Render, (render.width * render.height) as u64);
             let screen = warp_to_screen(&inter, &self.f, render);
-            ctx.mark("warp:end");
+            ctx.mark(Mark::WarpEnd);
             screen
         });
         (screen, composed.degraded)
@@ -297,10 +297,10 @@ impl<'a> FrameRun<'a> {
         let mc = Machine::build(p, &compose_config, faults, None);
         let (results, trace) = mc.run(|ctx| -> Result<RankFrame, PvrError> {
             let sub = &plan.parts[ctx.rank()];
-            ctx.mark("render:start");
+            ctx.mark(Mark::RenderStart);
             let (partial, _) = render_intermediate(sub, &tf, &plan.camera, &config.render);
             ctx.compute(ComputeKind::Render, sub.vol.len() as u64);
-            ctx.mark("render:end");
+            ctx.mark(Mark::RenderEnd);
             ctx.barrier().map_err(rt_core::CoreError::from)?;
             let mut scratch = match pool {
                 Some(pool) => pool.checkout(ctx.rank()),

@@ -15,7 +15,7 @@
 //!   stalls — backpressure — instead of ballooning memory when composition
 //!   is the bottleneck.
 //! * **Frame-namespaced tags.** Every composition message of frame `k`
-//!   carries [`rt_comm::frame_tag_base`]`(k)` in bits 48..58 of its tag, so
+//!   carries [`rt_comm::tag::frame_base`]`(k)` in the frame field of its tag, so
 //!   ranks on *different* frames exchange concurrently without collision
 //!   and with no inter-frame barrier. Reliability (acks, retransmission),
 //!   chaos injection and observability work unchanged per frame. Frame 0's
@@ -26,8 +26,8 @@
 //!   scratch sets per rank alternate across frames, and after the first two
 //!   frames the pool hands out no fresh allocation.
 //! * **In-order emission.** A collector assembles the per-rank event
-//!   slices of each frame into a per-frame [`Trace`], replays it for
-//!   [`FrameStats`], and emits [`StreamFrame`]s strictly in sequence.
+//!   slices of each frame into a per-frame [`Trace`] and emits
+//!   [`StreamFrame`]s strictly in sequence.
 //!
 //! Failure semantics per frame follow the established trichotomy: a clean
 //! frame is byte-identical to the serial pipeline's; a frame degraded by a
@@ -46,7 +46,7 @@ use std::sync::{mpsc, Arc};
 use crate::animate::{orbit_cameras, FrameStats, OrbitConfig};
 use crate::pipeline::{frame_holder, FramePlan, FramePlanner, PipelineConfig, RankFrame};
 use crate::PvrError;
-use rt_comm::{replay, ComputeKind, CostModel, FaultPlan, RankCtx, RankTrace, Trace};
+use rt_comm::{replay, ComputeKind, CostModel, FaultPlan, Mark, RankCtx, RankTrace, Trace};
 use rt_core::exec::{ComposeConfig, Machine, ScratchPool, TransportKind};
 use rt_core::repair::DegradedInfo;
 use rt_core::tile::compose_plan;
@@ -75,13 +75,11 @@ pub struct StreamConfig {
     pub death_at_frame: Vec<(usize, usize)>,
     /// Communication backend for every inter-rank transfer.
     pub transport: TransportKind,
-    /// Cost model pricing each frame's trace for [`FrameStats`].
-    pub cost: CostModel,
 }
 
 impl StreamConfig {
     /// Streaming defaults around `base`: window 2, no faults, in-process
-    /// transport, SP2 cost model.
+    /// transport.
     pub fn new(base: PipelineConfig) -> Self {
         StreamConfig {
             base,
@@ -89,7 +87,6 @@ impl StreamConfig {
             faults: FaultPlan::none(),
             death_at_frame: Vec::new(),
             transport: TransportKind::InProc,
-            cost: CostModel::SP2,
         }
     }
 
@@ -111,12 +108,6 @@ impl StreamConfig {
         self
     }
 
-    /// Price frame traces with `cost`.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Script `rank` to die between frames `frame - 1` and `frame`: it
     /// completes every frame before `frame`, announces its death, and
     /// contributes nothing from `frame` on. Survivors surface the loss as
@@ -134,13 +125,26 @@ pub struct StreamFrame {
     pub seq: u64,
     /// The final screen frame.
     pub frame: Image<GrayAlpha>,
-    /// Per-frame statistics (virtual compose time, traffic, depth order).
+    /// Per-frame statistics (traffic, depth order).
     pub stats: FrameStats,
     /// `Some` when rank failures degraded this frame — it is then the
     /// exact composite of the surviving ranks.
     pub degraded: Option<DegradedInfo>,
     /// This frame's assembled event trace (all ranks, this frame only).
     pub trace: Trace,
+}
+
+impl StreamFrame {
+    /// Virtual composition time (compose + gather) of this frame under
+    /// `cost`, replayed from the frame's own trace. Best effort: a trace
+    /// that cannot be priced (a degraded frame whose compose never closed)
+    /// reports zero.
+    pub fn compose_time(&self, cost: &CostModel) -> f64 {
+        replay(&self.trace, cost)
+            .ok()
+            .and_then(|report| report.phase("compose:start", "gather:end"))
+            .unwrap_or_default()
+    }
 }
 
 /// A streaming service endpoint owning the session-lifetime scratch pool.
@@ -310,10 +314,9 @@ fn run_stream(
         .map(|(&(yaw, _), plan)| (yaw, plan.rank_of_depth.clone()))
         .collect();
     let (ctb_tx, ctb_rx) = mpsc::channel::<Contribution>();
-    let cost = config.cost;
 
     std::thread::scope(|scope| {
-        let emitter = scope.spawn(move || emit_frames(p, &frame_meta, cost, &ctb_rx, out));
+        let emitter = scope.spawn(move || emit_frames(p, &frame_meta, &ctb_rx, out));
         machine.run(|ctx| {
             stream_rank(ctx, config, &plans, &tf, pool, &compose_cfg, &ctb_tx);
         });
@@ -397,10 +400,10 @@ fn stream_rank(
                 return;
             };
             debug_assert_eq!(rendered, k, "renderer and compose loop out of step");
-            ctx.mark(format!("frame:{k}:start"));
-            ctx.mark("render:start");
+            ctx.mark(Mark::FrameStart(k as u32));
+            ctx.mark(Mark::RenderStart);
             ctx.compute(ComputeKind::Render, plan.parts[me].vol.len() as u64);
-            ctx.mark("render:end");
+            ctx.mark(Mark::RenderEnd);
             let frame_cfg = compose_cfg.with_frame(k as u64);
             // Double-buffered scratch: frames alternate between two
             // session-pooled scratch sets per rank.
@@ -415,7 +418,7 @@ fn stream_rank(
                         .as_ref()
                         .is_some_and(|d| d.failed.iter().any(|&(rank, _)| rank == me));
                     let held = plan.warp(ctx, render, band);
-                    ctx.mark(format!("frame:{k}:end"));
+                    ctx.mark(Mark::FrameEnd(k as u32));
                     report(k, ctx.take_events(), FrameOutcome::Alive(held));
                     if crashed_self {
                         // The fault plan crashed this rank mid-frame; it is
@@ -431,7 +434,7 @@ fn stream_rank(
                     // deadline. The error cascades and the machine drains
                     // promptly.
                     ctx.announce_death(0);
-                    ctx.mark(format!("frame:{k}:end"));
+                    ctx.mark(Mark::FrameEnd(k as u32));
                     let _ = ctx.take_events();
                     report(k, RankTrace::new(), FrameOutcome::Failed(e.into()));
                     return;
@@ -446,7 +449,6 @@ fn stream_rank(
 fn emit_frames(
     p: usize,
     frame_meta: &[(f64, Vec<usize>)],
-    cost: CostModel,
     ctb_rx: &mpsc::Receiver<Contribution>,
     out: &mpsc::Sender<Result<StreamFrame, PvrError>>,
 ) {
@@ -471,7 +473,7 @@ fn emit_frames(
         while next < n_frames && pending.get(&next).is_some_and(|c| c.len() == p) {
             let contributions = pending.remove(&next).unwrap_or_default();
             let (yaw, rank_of_depth) = frame_meta.get(next).cloned().unwrap_or((0.0, Vec::new()));
-            match assemble_frame(p, next, contributions, yaw, rank_of_depth, &cost) {
+            match assemble_frame(p, next, contributions, yaw, rank_of_depth) {
                 Ok(frame) => {
                     // A closed receiver means the consumer lost interest;
                     // keep draining so the ranks never block.
@@ -493,7 +495,6 @@ fn assemble_frame(
     contributions: Vec<Contribution>,
     yaw: f64,
     rank_of_depth: Vec<usize>,
-    cost: &CostModel,
 ) -> Result<StreamFrame, PvrError> {
     let frame_error = |e| PvrError::Frame {
         index,
@@ -511,16 +512,9 @@ fn assemble_frame(
     }
     let (image, degraded) = frame_holder(alive).map_err(frame_error)?;
     let trace = Trace { ranks };
-    // Best-effort pricing: a degraded frame's trace replays like the
-    // serial degraded path; anything unpriceable reports zero.
-    let compose_time = replay(&trace, cost)
-        .ok()
-        .and_then(|report| report.phase("compose:start", "gather:end"))
-        .unwrap_or_default();
     let stats = FrameStats {
         index,
         yaw,
-        compose_time,
         bytes: trace.bytes_sent(),
         messages: trace.message_count(),
         rank_of_depth,
@@ -588,7 +582,7 @@ mod tests {
             for (i, f) in frames.iter().enumerate() {
                 assert_eq!(f.seq, i as u64);
                 assert_eq!(f.stats.index, i);
-                assert!(f.stats.compose_time > 0.0);
+                assert!(f.compose_time(&CostModel::SP2) > 0.0);
                 assert!(f.stats.bytes > 0);
                 assert!(f.degraded.is_none());
             }

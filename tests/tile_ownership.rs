@@ -5,52 +5,26 @@
 //! bit-exact | exact-degraded | typed-error trichotomy when an owner
 //! rank dies mid-frame.
 
-use rotate_tiling::comm::{Event, FaultPlan, Trace, TILE_CH_MANIFEST, TILE_CH_PAYLOAD};
+use rotate_tiling::comm::tag::{tile_channel, TileChannel};
+use rotate_tiling::comm::{Event, FaultPlan, Trace};
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::{ComposeConfig, TransportKind};
 use rotate_tiling::core::method::Method;
 use rotate_tiling::core::{DisplayWall, Run};
 use rotate_tiling::imaging::image::reference_composite;
-use rotate_tiling::imaging::{GrayAlpha8, Image, Pixel, Provenance};
+use rotate_tiling::imaging::synth::{band_partials, provenance_partials};
+use rotate_tiling::imaging::{Image, Pixel, Provenance};
 use std::time::Duration;
-
-/// Depth-ordered sparse band partials (rank `r` owns ≈1/p of the rows).
-fn band_partials(p: usize, w: usize, h: usize) -> Vec<Image<GrayAlpha8>> {
-    (0..p)
-        .map(|r| {
-            let (lo, hi) = (r * h / p, (r + 1) * h / p);
-            Image::from_fn(w, h, |x, y| {
-                if y >= lo && y < hi {
-                    GrayAlpha8::new((((x / 8) * 7 + r) % 151) as u8, 200)
-                } else {
-                    GrayAlpha8::blank()
-                }
-            })
-        })
-        .collect()
-}
-
-fn provenance_partials(p: usize, w: usize, h: usize) -> Vec<Image<Provenance>> {
-    (0..p)
-        .map(|r| Image::from_fn(w, h, |_, _| Provenance::rank(r as u16)))
-        .collect()
-}
 
 fn tile_owner(tiles_x: usize, tiles_y: usize) -> Method {
     Method::TileOwner { tiles_x, tiles_y }
 }
 
-/// True if `tag`'s step field names the given tile sub-channel.
-fn on_channel(tag: u64, channel: u64) -> bool {
-    use rotate_tiling::comm::TILE_STEP_BASE;
-    (tag >> 40) & 0xff == TILE_STEP_BASE + channel
-}
-
 /// Count `Send` events on one tile sub-channel in one rank's trace.
-fn sends_on(trace: &Trace, rank: usize, channel: u64) -> usize {
+fn sends_on(trace: &Trace, rank: usize, channel: TileChannel) -> usize {
     trace.ranks[rank]
         .iter()
-        .filter(|e| matches!(e, Event::Send { tag, .. } if on_channel(*tag, channel)))
+        .filter(|e| matches!(e, Event::Send { tag, .. } if tile_channel(*tag) == Some(channel)))
         .count()
 }
 
@@ -81,10 +55,10 @@ fn a_fully_blank_rank_sends_manifests_but_zero_tile_payloads() {
     assert_eq!(frame.pixels(), want.pixels());
     // The blank rank still announces itself (fixed-size manifests) but
     // ships no pixel payloads at all; content-bearing ranks do.
-    assert!(sends_on(&trace, 1, TILE_CH_MANIFEST) > 0);
-    assert_eq!(sends_on(&trace, 1, TILE_CH_PAYLOAD), 0);
-    assert!(sends_on(&trace, 0, TILE_CH_PAYLOAD) > 0);
-    assert!(sends_on(&trace, 2, TILE_CH_PAYLOAD) > 0);
+    assert!(sends_on(&trace, 1, TileChannel::Manifest) > 0);
+    assert_eq!(sends_on(&trace, 1, TileChannel::Payload), 0);
+    assert!(sends_on(&trace, 0, TileChannel::Payload) > 0);
+    assert!(sends_on(&trace, 2, TileChannel::Payload) > 0);
 }
 
 #[test]
@@ -97,9 +71,9 @@ fn a_single_tile_grid_degenerates_to_one_owner_and_stays_exact() {
     assert_eq!(root_frame(results).pixels(), want.pixels());
     // One tile → rank 0 owns everything; nobody ships more than one
     // payload, and the owner ships none.
-    assert_eq!(sends_on(&trace, 0, TILE_CH_PAYLOAD), 0);
+    assert_eq!(sends_on(&trace, 0, TileChannel::Payload), 0);
     for r in 1..p {
-        assert!(sends_on(&trace, r, TILE_CH_PAYLOAD) <= 1);
+        assert!(sends_on(&trace, r, TileChannel::Payload) <= 1);
     }
 }
 

@@ -96,9 +96,6 @@ fn trace_digest(trace: &Trace) -> u64 {
                 Event::AckWait { to, seq, attempt } => {
                     h.words(&[3, *to as u64, *seq, *attempt as u64])
                 }
-                Event::Delay { to, seq, seconds } => {
-                    h.words(&[4, *to as u64, *seq, seconds.to_bits()])
-                }
                 Event::Recv {
                     from,
                     tag,
