@@ -87,6 +87,16 @@ echo "== render kernel equivalence =="
 # is the only gate on the float path.
 PROPTEST_CASES=256 cargo test -q --release -p rt-render kernel_equivalence
 
+echo "== net log bound =="
+# rt-net's sent-frame log must follow the in-flight window, not the length
+# of the run, and its reader threads must never wait on a sender: 2 000 x
+# 256 KiB streamed one way and both ways with the log checked after every
+# send, two ranks pushing 512 MiB at each other before either receives
+# (10 ms heartbeats, under a watchdog), and chaos cuts at the header/payload
+# boundary offsets after the log was trimmed — on real loopback sockets, in
+# release (the workspace stage above runs the same file in debug).
+cargo test -q --release -p rt-net --test log_bound --test mutual_bulk
+
 echo "== chaos smoke =="
 # One tiny fault-tolerance sweep end to end: must print only bit-exact
 # frames and a degradation report, and must be deterministic across reruns.

@@ -13,7 +13,7 @@
 //! | 61       | death        | [`DEATH`], the whole tag of a death notification |
 //! | 60       | repair       | [`repair`]: reconstruction fetches of the schedule executor |
 //! | 59       | liveness     | [`liveness`]: the failure-agreement round, low bits = round counter |
-//! | 58       | net control  | [`barrier`]: transport-internal frames, low bits = barrier generation; with bit 57, [`PING`]/[`PONG`] |
+//! | 58       | net control  | [`barrier`]: transport-internal frames, low bits = barrier generation; with bit 57, the link-level frames [`PING`], [`PONG`] = `PING \| 1`, [`ACK`] = `PING \| 2` |
 //! | 48..58   | frame        | [`frame_base`]: frame index of a stream, modulo [`FRAME_WRAP`] |
 //! | 40..48   | step         | [`step`]: schedule step index `0..256`; the tile families' sub-channels ([`TileChannel`], via [`tile`]) sit at `0x80..` |
 //! | 0..40    | low          | per constructor, see below |
@@ -51,8 +51,8 @@ const TILE_STEP_BASE: u64 = 0x80;
 const REPAIR: u64 = 1 << 60;
 const LIVENESS: u64 = 1 << 59;
 const NET_CONTROL: u64 = 1 << 58;
-/// Within [`NET_CONTROL`]: keeps the heartbeat clear of the barrier
-/// generation counters.
+/// Within [`NET_CONTROL`]: keeps the link-level frames (heartbeat,
+/// acknowledgement) clear of the barrier generation counters.
 const HEARTBEAT: u64 = 1 << 57;
 
 /// Tag of a death notification (the failure broadcast), payload = the step
@@ -64,6 +64,12 @@ pub const PING: u64 = NET_CONTROL | HEARTBEAT;
 
 /// Reply to [`PING`].
 pub const PONG: u64 = PING | 1;
+
+/// Delivery acknowledgement of a link: its payload is how many frames the
+/// sender of this frame has received on it ([`PING`] and [`PONG`] carry the
+/// same count). Like them it is consumed inside the link fabric and never
+/// logged, counted or surfaced.
+pub const ACK: u64 = PING | 2;
 
 /// Frame indices wrap at this many frames: a stream keeps a handful of
 /// frames in flight, so two frames a whole wrap apart never coexist.
@@ -165,8 +171,8 @@ pub fn barrier(generation: u64) -> u64 {
     NET_CONTROL | generation
 }
 
-/// Whether `tag` is transport-internal ([`barrier`], [`PING`], [`PONG`])
-/// and must never surface through a receive.
+/// Whether `tag` is transport-internal ([`barrier`], [`PING`], [`PONG`],
+/// [`ACK`]) and must never surface through a receive.
 pub fn is_net_control(tag: u64) -> bool {
     tag & NET_CONTROL != 0
 }
@@ -231,6 +237,7 @@ mod tests {
         assert_eq!(DEATH, 0x2000_0000_0000_0000);
         assert_eq!(PING, 0x0600_0000_0000_0000);
         assert_eq!(PONG, 0x0600_0000_0000_0001);
+        assert_eq!(ACK, 0x0600_0000_0000_0002);
         assert_eq!(liveness(3), 0x0800_0000_0000_0003);
         assert_eq!(barrier(7), 0x0400_0000_0000_0007);
         assert_eq!(frame_base(0), 0);
@@ -256,6 +263,7 @@ mod tests {
             assert!(!is_net_control(frame_base(frame)));
         }
         assert!(is_net_control(barrier(0)) && is_net_control(PING) && is_net_control(PONG));
+        assert!(is_net_control(ACK));
     }
 
     #[test]
@@ -365,11 +373,12 @@ mod tests {
             ("death".into(), DEATH),
             ("ping".into(), PING),
             ("pong".into(), PONG),
+            ("ack".into(), ACK),
         ];
         for &n in &counters {
             tags.push(("liveness".into(), liveness(n)));
-            // Barrier generations and PONG's low bit share NET_CONTROL;
-            // the heartbeat bit keeps them apart.
+            // Barrier generations and PONG's/ACK's low bits share
+            // NET_CONTROL; the heartbeat bit keeps them apart.
             tags.push(("barrier".into(), barrier(n)));
         }
         for &frame in &frames {

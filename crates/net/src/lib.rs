@@ -8,9 +8,10 @@
 //! * [`frame`] — the length-prefixed wire format for
 //!   [`WireFrame`](rt_comm::WireFrame)s; decoding is total (typed
 //!   [`FrameError`], never a panic).
-//! * [`link`] — the per-peer fabric: sent-frame logs, bounded
-//!   reconnect-with-resume, heartbeat liveness, and death declaration
-//!   ([`TcpOptions`] holds the knobs).
+//! * [`link`] — the per-peer fabric: acknowledged, zero-copy sent-frame
+//!   logs, bounded reconnect-with-resume, heartbeat liveness, and death
+//!   declaration ([`TcpOptions`] holds the knobs, [`LinkStats`] reads a
+//!   link's state).
 //! * [`tcp`] — [`TcpTransport`]: full-mesh `TcpStream`s with a rank
 //!   handshake, `TCP_NODELAY`, per-peer receive threads, and a
 //!   control-frame barrier that fails typed instead of panicking.
@@ -76,7 +77,7 @@ pub mod topology;
 pub use chaos::{ChaosTransport, NetFaultPlan};
 pub use error::NetError;
 pub use frame::FrameError;
-pub use link::{TcpOptions, WireFault};
+pub use link::{LinkStats, TcpOptions, WireFault};
 pub use multicomputer::TcpMulticomputer;
 pub use process::{Launcher, WorkerSession, ENV_RANK, ENV_RENDEZVOUS, ENV_WORLD};
 pub use tcp::TcpTransport;

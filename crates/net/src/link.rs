@@ -1,27 +1,51 @@
-//! The per-peer link fabric: sent-frame logs, bounded reconnection,
-//! heartbeats, and death declaration.
+//! The per-peer link fabric: acknowledged sent-frame logs, bounded
+//! reconnection, heartbeats, and death declaration.
 //!
 //! A `Fabric` owns one `Link` per peer (both crate-internal — the public
-//! surface is [`TcpOptions`] plus the `tcp` module's transport). Each
-//! link tracks everything
-//! needed to survive a socket failure without the layers above noticing:
+//! surface is [`TcpOptions`], [`LinkStats`] and the `tcp` module's
+//! transport). Each link tracks everything needed to survive a socket
+//! failure without the layers above noticing:
 //!
-//! * a **sent-frame log** — the encoded bytes of every frame pushed toward
-//!   the peer, windowed by a byte budget. A frame is "sent" the moment it
-//!   is logged; the socket write is best-effort.
+//! * a **sent-frame log** — the frames pushed toward the peer that it has
+//!   not yet confirmed: the *unacknowledged suffix* of the link's history,
+//!   so its size follows the in-flight window and not the length of the
+//!   run. An entry is the frame's 36-byte header plus a reference to its
+//!   shared [`Payload`]; logging a frame copies no payload byte. A frame is
+//!   "sent" the moment it is logged; the socket write is best-effort.
 //! * a **receive counter** — how many complete frames this side has pulled
-//!   off the wire and delivered upward. Heartbeats are excluded on both
-//!   sides, so the counter and the log index the same sequence.
+//!   off the wire and delivered upward. Link-level control frames are
+//!   excluded on both sides, so the counter and the log index the same
+//!   sequence.
 //! * an **epoch** — bumped on every (re)installed stream so stale reader
 //!   threads and watchdogs from a previous socket cannot clobber a repaired
 //!   link.
 //!
+//! **Acknowledgements.** The receive counter travels back to the sender as
+//! the 8-byte payload of every link-level control frame: an [`tag::ACK`]
+//! whenever [`ACK_BYTES`] have been delivered since the last one, and every
+//! [`tag::PING`]/[`tag::PONG`], so an idle link's tail is confirmed at
+//! heartbeat cadence. The reader thread that receives a count only records
+//! it (an atomic maximum); the next `send_frame`, which holds the log lock
+//! anyway, drops the confirmed prefix. A count beyond what was ever sent is
+//! a protocol violation that takes the stream down. `SENT_LOG_BUDGET`
+//! remains as the backstop against a peer that stops acknowledging.
+//!
+//! **The lock rule.** `send_frame` holds `log` and `writer` across a
+//! blocking socket write, and the peer can only take those bytes if its
+//! reader thread keeps draining. So a reader thread with a live stream
+//! *never waits* — not on a lock held across a socket write, and not on
+//! socket buffer space: its `PONG`s and `ACK`s go through `try_control`,
+//! which gives up when the writer is busy or the send buffer is full. A
+//! busy writer is itself traffic the peer will hear, and the sender that
+//! holds it writes the owed `ACK` itself after its frame; anything still
+//! owed is retried on the next delivered frame or heartbeat.
+//!
 //! When a stream fails, the side that originally dialed (the higher rank)
 //! re-dials with a resume handshake: both sides exchange receive counters
-//! and replay their logs from the peer's counter, so delivery is
-//! exactly-once and in order across the reconnect — invisible to the
-//! `rt-comm` envelope. The accepting side (the lower rank) arms a restore
-//! watchdog instead; if no reconnect lands within
+//! (each the freshest acknowledgement there is) and replay their logs from
+//! the peer's counter, so delivery is exactly-once and in order across the
+//! reconnect — invisible to the `rt-comm` envelope. The accepting side (the
+//! lower rank) arms a restore watchdog instead; if no reconnect lands within
 //! [`TcpOptions::restore_deadline`], or the dialer exhausts
 //! [`TcpOptions::reconnect_attempts`], the peer is **declared dead**: a
 //! synthesized death-notification frame (the same [`tag::DEATH`] protocol a
@@ -29,22 +53,22 @@
 //! resilient executor's repair planner takes over.
 //!
 //! Liveness is active: a heartbeat thread sends `PING` control frames on
-//! idle links and shuts down any stream that has been silent for
-//! `HEARTBEAT_MISSES` intervals, converting silent peer
-//! death into a detectable EOF. Heartbeats ([`tag::PING`]/[`tag::PONG`])
-//! live in the transport-control namespace and never reach the envelope,
-//! the log, or the counters — traces stay bit-identical to the in-process
-//! backend.
+//! idle links — those not heard from within half an interval — and shuts
+//! down any stream that has been silent for `HEARTBEAT_MISSES` intervals,
+//! converting silent peer death into a detectable EOF. The link-level
+//! control frames live in the transport-control namespace and never reach
+//! the envelope, the log, or the counters — traces stay bit-identical to
+//! the in-process backend.
 
 use crate::error::NetError;
-use crate::frame::{encode_frame, read_frame};
-use rt_comm::{tag, SendRawError, WireFrame};
+use crate::frame::{encode_header, header, read_frame_noting, write_encoded, HEADER_BYTES};
+use rt_comm::{tag, Payload, SendRawError, WireFrame};
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -63,9 +87,25 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 /// down (its stream is shut), entering the reconnect path.
 const HEARTBEAT_MISSES: u32 = 5;
 
-/// Byte budget of the per-peer sent-frame log. A reconnect that needs
-/// frames already evicted cannot resume; the peer is declared dead.
+/// Byte budget of the per-peer sent-frame log — the backstop for a peer
+/// that stops acknowledging; an acknowledging peer keeps the log far below
+/// it. A reconnect that needs frames already evicted cannot resume; the
+/// peer is declared dead.
 const SENT_LOG_BUDGET: usize = 64 << 20;
+
+/// A link's receiver confirms its delivery count once this many bytes have
+/// been delivered since it last did, so a sender's log holds at most this
+/// much beyond what is in flight. A constant, not an option: one control
+/// frame per 256 KiB costs nothing measurable and no workload wants another
+/// value.
+pub const ACK_BYTES: usize = 256 << 10;
+
+/// A link-level control frame: a header plus the sender's delivery count.
+const CONTROL_BYTES: usize = HEADER_BYTES + 8;
+
+/// Send timeout of `try_control`'s write — the shortest the socket API can
+/// express, standing in for "do not wait".
+const NO_WAIT: Duration = Duration::from_micros(1);
 
 /// Knobs for the TCP fabric's failure handling.
 ///
@@ -167,7 +207,20 @@ pub enum WireFault {
     Stall(Duration),
 }
 
-/// Windowed log of the encoded frames pushed toward one peer.
+/// One logged frame: its header and a reference to the payload it shares
+/// with the sender — what [`write_encoded`] needs to put it on the wire.
+struct Entry {
+    header: [u8; HEADER_BYTES],
+    payload: Payload,
+}
+
+impl Entry {
+    fn wire_len(&self) -> usize {
+        HEADER_BYTES + self.payload.len()
+    }
+}
+
+/// The frames pushed toward one peer that it has not confirmed yet.
 struct SentLog {
     /// Index of `entries.front()` in the all-time frame sequence.
     base: u64,
@@ -175,7 +228,7 @@ struct SentLog {
     next: u64,
     bytes: usize,
     budget: usize,
-    entries: VecDeque<Arc<Vec<u8>>>,
+    entries: VecDeque<Entry>,
 }
 
 impl SentLog {
@@ -189,33 +242,64 @@ impl SentLog {
         }
     }
 
-    fn push(&mut self, entry: Arc<Vec<u8>>) {
-        self.bytes += entry.len();
+    fn pop_front(&mut self) {
+        if let Some(old) = self.entries.pop_front() {
+            self.bytes -= old.wire_len();
+            self.base += 1;
+        }
+    }
+
+    fn push(&mut self, entry: Entry) {
+        self.bytes += entry.wire_len();
         self.entries.push_back(entry);
         self.next += 1;
         // Evict past the budget, but always retain the newest frame so a
         // single oversized frame can still be replayed.
         while self.bytes > self.budget && self.entries.len() > 1 {
-            if let Some(old) = self.entries.pop_front() {
-                self.bytes -= old.len();
-                self.base += 1;
-            }
+            self.pop_front();
         }
+    }
+
+    /// Drop the frames before `acked`, the peer's confirmed delivery count.
+    /// Counts only grow, so an older one changes nothing; one beyond what
+    /// was ever pushed cannot come from a peer running this protocol.
+    fn trim(&mut self, acked: u64) -> Result<(), NetError> {
+        if acked > self.next {
+            return Err(NetError::protocol(format!(
+                "peer confirmed {acked} frames of the {} sent",
+                self.next
+            )));
+        }
+        while self.base < acked {
+            self.pop_front();
+        }
+        Ok(())
     }
 
     /// Frames the peer has not yet received, given it consumed `count`
     /// frames so far. `None` if the window has already evicted some of
     /// them — the link cannot be resumed.
-    fn replay_from(&self, count: u64) -> Option<Vec<Arc<Vec<u8>>>> {
+    fn replay_from(&self, count: u64) -> Option<impl Iterator<Item = &Entry>> {
         if count < self.base {
             return None;
         }
-        if count >= self.next {
-            return Some(Vec::new());
-        }
-        let skip = (count - self.base) as usize;
-        Some(self.entries.iter().skip(skip).cloned().collect())
+        let skip = ((count - self.base) as usize).min(self.entries.len());
+        Some(self.entries.range(skip..))
     }
+}
+
+/// A snapshot of one link's health, from [`crate::TcpTransport::link_stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinkStats {
+    /// Frames in the sent log: pushed toward the peer, not yet confirmed.
+    pub logged_frames: usize,
+    /// Wire bytes (headers included) of those frames.
+    pub logged_bytes: usize,
+    /// How many frames the peer has confirmed delivering.
+    pub acked: u64,
+    /// Streams installed on this link so far: 1 after establishment, +1 per
+    /// reconnect.
+    pub epoch: u64,
 }
 
 /// One installed stream: the writable half plus the epoch it belongs to.
@@ -246,8 +330,14 @@ struct Link {
     writer: Mutex<Option<WriterSlot>>,
     state: Mutex<LinkState>,
     reader: Mutex<Option<JoinHandle<()>>>,
-    /// Complete non-heartbeat frames read off the wire and delivered.
+    /// Complete frames (link-level control excluded) read off the wire and
+    /// delivered.
     recv_count: AtomicU64,
+    /// Wire bytes delivered since `recv_count` last went out to the peer.
+    ack_owed: AtomicUsize,
+    /// The highest delivery count heard from the peer. Reader threads raise
+    /// it; `send_frame` trims the log to it.
+    acked: AtomicU64,
     /// Peer declared dead: no sends, no repair, death already synthesized.
     dead: AtomicBool,
     last_heard: Mutex<Instant>,
@@ -291,6 +381,8 @@ impl Fabric {
                         }),
                         reader: Mutex::new(None),
                         recv_count: AtomicU64::new(0),
+                        ack_owed: AtomicUsize::new(0),
+                        acked: AtomicU64::new(0),
                         dead: AtomicBool::new(false),
                         last_heard: Mutex::new(Instant::now()),
                     })
@@ -319,6 +411,18 @@ impl Fabric {
 
     fn link(&self, peer: usize) -> Option<&Arc<Link>> {
         self.links.get(peer).and_then(|l| l.as_ref())
+    }
+
+    /// The state of the link to `peer`; `None` without one.
+    pub(crate) fn link_stats(&self, peer: usize) -> Option<LinkStats> {
+        let link = self.link(peer)?;
+        let log = lock(&link.log);
+        Some(LinkStats {
+            logged_frames: log.entries.len(),
+            logged_bytes: log.bytes,
+            acked: link.acked.load(Ordering::Acquire),
+            epoch: lock(&link.state).epoch,
+        })
     }
 
     /// Has `peer` been declared dead?
@@ -352,50 +456,118 @@ impl Fabric {
         if link.dead.load(Ordering::Acquire) {
             return Err(SendRawError { to });
         }
-        let Ok(bytes) = encode_frame(frame) else {
+        let Ok(header) = encode_header(frame) else {
             return Err(SendRawError { to });
         };
-        let bytes = Arc::new(bytes);
         if let Some(WireFault::Delay(d) | WireFault::Stall(d)) = fault {
             std::thread::sleep(d);
         }
+        // How much of the frame the chaos layer lets onto the wire before
+        // it resets the stream; `None` is a whole, healthy write.
+        let cut = match fault {
+            None | Some(WireFault::Delay(_) | WireFault::Stall(_)) => None,
+            Some(WireFault::Reset) => Some(0),
+            Some(WireFault::Partial(n)) => Some(n),
+            Some(WireFault::Truncate) => Some(HEADER_BYTES + frame.payload.len() / 2),
+        };
         // Hold the log across the write so a concurrent reconnect cannot
         // interleave its replay with this frame (lock order log → writer).
         let mut log = lock(&link.log);
-        log.push(Arc::clone(&bytes));
+        let trimmed = log.trim(link.acked.load(Ordering::Acquire));
+        log.push(Entry {
+            header,
+            payload: frame.payload.clone(),
+        });
         let mut writer = lock(&link.writer);
-        if let Some(slot) = writer.as_mut() {
-            let epoch = slot.epoch;
-            let wrote = match fault {
-                None | Some(WireFault::Delay(_) | WireFault::Stall(_)) => {
-                    slot.stream.write_all(&bytes)
-                }
-                Some(WireFault::Reset) => {
-                    Err(std::io::Error::from(std::io::ErrorKind::ConnectionReset))
-                }
-                Some(WireFault::Partial(n)) => {
-                    let cut = n.min(bytes.len());
-                    let _ = slot.stream.write_all(&bytes[..cut]);
-                    Err(std::io::Error::from(std::io::ErrorKind::ConnectionReset))
-                }
-                Some(WireFault::Truncate) => {
-                    let cut = crate::frame::HEADER_BYTES.min(bytes.len())
-                        + (bytes.len() - crate::frame::HEADER_BYTES.min(bytes.len())) / 2;
-                    let _ = slot.stream.write_all(&bytes[..cut]);
-                    Err(std::io::Error::from(std::io::ErrorKind::ConnectionReset))
-                }
-            };
-            if wrote.is_err() {
-                let _ = slot.stream.shutdown(Shutdown::Both);
-                *writer = None;
-                drop(writer);
-                self.link_down(&link, epoch);
+        let wrote = match (writer.as_mut(), trimmed, cut) {
+            (None, ..) => Ok(()),
+            // The peer confirmed frames never sent: its stream cannot be
+            // trusted, and the resume handshake re-bases the count.
+            (Some(_), Err(_), _) => Err(ErrorKind::InvalidData.into()),
+            (Some(slot), Ok(()), Some(cut)) => {
+                let _ = write_encoded(&mut slot.stream, &header, &frame.payload, cut);
+                Err(ErrorKind::ConnectionReset.into())
             }
+            (Some(slot), Ok(()), None) => {
+                let mut wrote =
+                    write_encoded(&mut slot.stream, &header, &frame.payload, usize::MAX);
+                // This thread may wait on the socket, reader threads may
+                // not: an ACK they still owe is paid from here.
+                if wrote.is_ok() && link.ack_owed.load(Ordering::Acquire) >= ACK_BYTES {
+                    wrote = slot
+                        .stream
+                        .write_all(&self.control_frame(&link, tag::ACK).0);
+                }
+                wrote
+            }
+        };
+        if wrote.is_err() {
+            self.writer_failed(&link, writer);
         }
         // Writer absent: the link is down and a repair is in flight; the
         // logged frame rides the replay (or the peer is declared dead and
         // later sends fail).
         Ok(())
+    }
+
+    /// The link-level control frame `tag` toward `link`'s peer. Whatever the
+    /// tag, its payload is this side's delivery count, so building one
+    /// settles the owed acknowledgement (returned, for a caller that then
+    /// fails to send the frame).
+    fn control_frame(&self, link: &Link, tag: u64) -> ([u8; CONTROL_BYTES], usize) {
+        let owed = link.ack_owed.swap(0, Ordering::AcqRel);
+        let count = link.recv_count.load(Ordering::Acquire);
+        let mut bytes = [0u8; CONTROL_BYTES];
+        bytes[..HEADER_BYTES].copy_from_slice(&header(8, [self.rank as u64, tag, 0, 0]));
+        bytes[HEADER_BYTES..].copy_from_slice(&count.to_le_bytes());
+        (bytes, owed)
+    }
+
+    /// Send the control frame `tag` if that takes no waiting — the only way
+    /// reader threads and the heartbeat write (see the module's lock rule).
+    /// A busy writer or a full send buffer leaves the frame unsent, for the
+    /// caller's next occasion; a frame cut part-way, like any failed write,
+    /// takes the stream down.
+    fn try_control(self: &Arc<Self>, link: &Arc<Link>, tag: u64) {
+        let mut writer = match link.writer.try_lock() {
+            Ok(writer) => writer,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return,
+        };
+        let Some(slot) = writer.as_mut() else {
+            return;
+        };
+        let (bytes, owed) = self.control_frame(link, tag);
+        // The send timeout touches no read, and every write to this stream
+        // happens under the writer lock held here, so blocking senders
+        // never see it.
+        let wrote = slot
+            .stream
+            .set_write_timeout(Some(NO_WAIT))
+            .and_then(|()| slot.stream.write(&bytes));
+        let restored = slot.stream.set_write_timeout(None);
+        match (wrote, restored) {
+            (Ok(n), Ok(())) if n == bytes.len() => {}
+            (Err(e), Ok(())) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                link.ack_owed.fetch_add(owed, Ordering::AcqRel);
+            }
+            _ => self.writer_failed(link, writer),
+        }
+    }
+
+    /// A write on the stream in `writer` failed: shut it, clear the slot and
+    /// start the repair.
+    fn writer_failed(
+        self: &Arc<Self>,
+        link: &Arc<Link>,
+        mut writer: MutexGuard<'_, Option<WriterSlot>>,
+    ) {
+        let Some(slot) = writer.take() else {
+            return;
+        };
+        let _ = slot.stream.shutdown(Shutdown::Both);
+        drop(writer);
+        self.link_down(link, slot.epoch);
     }
 
     /// Transition a link to "down" and ensure exactly one repair is
@@ -539,17 +711,23 @@ impl Fabric {
         let reader_stream = stream
             .try_clone()
             .map_err(|e| NetError::io(format!("cloning restored stream to rank {peer}"), e))?;
-        let log = lock(&link.log);
-        let Some(replay) = log.replay_from(peer_count) else {
+        let mut log = lock(&link.log);
+        // The resume count is the peer's final delivery count on the old
+        // stream (its reader is quiesced, as is ours, so nothing races this
+        // store): the freshest acknowledgement there is.
+        link.acked.store(peer_count, Ordering::Release);
+        let trimmed = log.trim(peer_count);
+        let Some(replay) = trimmed.ok().and_then(|()| log.replay_from(peer_count)) else {
+            let (base, next) = (log.base, log.next);
             drop(log);
             self.declare_dead(link.as_ref());
             return Err(NetError::protocol(format!(
-                "rank {peer} resumed from frame {peer_count}, already evicted from the sent log"
+                "rank {peer} resumed from frame {peer_count}, outside the sent log ({base}..{next})"
             )));
         };
         let mut s = &stream;
-        for entry in &replay {
-            s.write_all(entry)
+        for entry in replay {
+            write_encoded(&mut s, &entry.header, &entry.payload, usize::MAX)
                 .map_err(|e| NetError::io(format!("replaying sent log to rank {peer}"), e))?;
         }
         let mut writer = lock(&link.writer);
@@ -634,30 +812,34 @@ impl Fabric {
             .name(name)
             .spawn(move || {
                 let mut stream = stream;
-                let pong = encode_frame(&WireFrame::control(fabric.rank, tag::PONG, Vec::new()))
-                    .unwrap_or_default();
-                while let Ok(Some(frame)) = read_frame(&mut stream) {
-                    *lock(&link.last_heard) = Instant::now();
-                    match frame.tag {
-                        tag::PING => {
-                            let mut writer = lock(&link.writer);
-                            if let Some(slot) = writer.as_mut() {
-                                let _ = slot.stream.write_all(&pong);
-                            }
+                let heard = || *lock(&link.last_heard) = Instant::now();
+                while let Ok(Some(frame)) = read_frame_noting(&mut stream, heard) {
+                    if matches!(frame.tag, tag::PING | tag::PONG | tag::ACK) {
+                        // Every link-level frame confirms its sender's
+                        // delivery count; one without it breaks the stream.
+                        let Ok(count) = <[u8; 8]>::try_from(frame.payload.as_slice()) else {
+                            break;
+                        };
+                        link.acked
+                            .fetch_max(u64::from_le_bytes(count), Ordering::AcqRel);
+                        if frame.tag == tag::PING {
+                            fabric.try_control(&link, tag::PONG);
                         }
-                        tag::PONG => {}
-                        tag => {
-                            if tag == tag::DEATH {
-                                // The peer announced its own death: no
-                                // repair, and no second (synthesized)
-                                // notification when its socket closes.
-                                link.dead.store(true, Ordering::Release);
-                            }
-                            link.recv_count.fetch_add(1, Ordering::AcqRel);
-                            if fabric.tx.send(frame).is_err() {
-                                break;
-                            }
-                        }
+                        continue;
+                    }
+                    if frame.tag == tag::DEATH {
+                        // The peer announced its own death: no repair, and
+                        // no second (synthesized) notification when its
+                        // socket closes.
+                        link.dead.store(true, Ordering::Release);
+                    }
+                    link.recv_count.fetch_add(1, Ordering::AcqRel);
+                    let len = HEADER_BYTES + frame.payload.len();
+                    if fabric.tx.send(frame).is_err() {
+                        break;
+                    }
+                    if link.ack_owed.fetch_add(len, Ordering::AcqRel) + len >= ACK_BYTES {
+                        fabric.try_control(&link, tag::ACK);
                     }
                 }
                 fabric.mark_down(&link, epoch);
@@ -750,8 +932,6 @@ impl Fabric {
         };
         let stale_after = interval.saturating_mul(HEARTBEAT_MISSES);
         let fabric = Arc::clone(self);
-        let ping =
-            encode_frame(&WireFrame::control(self.rank, tag::PING, Vec::new())).unwrap_or_default();
         let spawned = std::thread::Builder::new()
             .name(format!("rt-net-heartbeat-{}", self.rank))
             .spawn(move || loop {
@@ -764,21 +944,14 @@ impl Fabric {
                         continue;
                     }
                     let heard = lock(&link.last_heard).elapsed();
-                    let mut writer = lock(&link.writer);
-                    let Some(slot) = writer.as_mut() else {
-                        continue;
-                    };
-                    let epoch = slot.epoch;
-                    let failed = if heard > stale_after {
-                        true
-                    } else {
-                        slot.stream.write_all(&ping).is_err()
-                    };
-                    if failed {
-                        let _ = slot.stream.shutdown(Shutdown::Both);
-                        *writer = None;
-                        drop(writer);
-                        fabric.link_down(link, epoch);
+                    if heard > stale_after {
+                        let epoch = lock(&link.state).epoch;
+                        fabric.mark_down(link, epoch);
+                    } else if heard >= interval / 2 {
+                        // Idle, as far as this side can hear. (A link we
+                        // only ever write to must be pinged too: nothing
+                        // else would make the peer speak.)
+                        fabric.try_control(link, tag::PING);
                     }
                 }
             });
@@ -830,41 +1003,164 @@ fn quiesce(link: &Link) {
 mod tests {
     use super::*;
 
+    fn entry(payload: Vec<u8>) -> Entry {
+        Entry {
+            header: [0; HEADER_BYTES],
+            payload: Payload::from(payload),
+        }
+    }
+
+    /// First payload byte of each frame `replay_from(count)` yields.
+    fn replayed(log: &SentLog, count: u64) -> Option<Vec<u8>> {
+        Some(log.replay_from(count)?.map(|e| e.payload[0]).collect())
+    }
+
     #[test]
     fn sent_log_replays_exactly_the_unseen_suffix() {
         let mut log = SentLog::new(1 << 20);
         for i in 0u8..5 {
-            log.push(Arc::new(vec![i]));
+            log.push(entry(vec![i]));
         }
-        let all = log.replay_from(0).unwrap();
-        assert_eq!(all.len(), 5);
-        let tail = log.replay_from(3).unwrap();
-        assert_eq!(tail.len(), 2);
-        assert_eq!(*tail[0], vec![3]);
-        assert_eq!(*tail[1], vec![4]);
-        assert!(log.replay_from(5).unwrap().is_empty());
+        assert_eq!(replayed(&log, 0).unwrap(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(replayed(&log, 3).unwrap(), vec![3, 4]);
+        assert!(replayed(&log, 5).unwrap().is_empty());
     }
 
     #[test]
     fn sent_log_evicts_past_budget_and_reports_the_gap() {
-        let mut log = SentLog::new(8);
+        let frame = HEADER_BYTES + 4;
+        let mut log = SentLog::new(2 * frame);
         for i in 0u8..4 {
-            log.push(Arc::new(vec![i; 4])); // 16 bytes total, budget 8
+            log.push(entry(vec![i; 4])); // four frames, budget for two
         }
         assert!(log.replay_from(0).is_none(), "evicted frames are a gap");
-        let tail = log.replay_from(log.base).unwrap();
-        assert!(!tail.is_empty());
-        assert!(log.bytes <= 8);
+        assert_eq!(replayed(&log, log.base).unwrap(), vec![2, 3]);
+        assert!(log.bytes <= 2 * frame);
     }
 
     #[test]
     fn sent_log_always_keeps_the_newest_frame() {
         let mut log = SentLog::new(2);
-        log.push(Arc::new(vec![0; 64]));
-        assert_eq!(log.replay_from(0).unwrap().len(), 1);
-        log.push(Arc::new(vec![1; 64]));
+        log.push(entry(vec![0; 64]));
+        assert_eq!(replayed(&log, 0).unwrap().len(), 1);
+        log.push(entry(vec![1; 64]));
         assert!(log.replay_from(0).is_none());
-        assert_eq!(log.replay_from(1).unwrap().len(), 1);
+        assert_eq!(replayed(&log, 1).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn trimming_is_monotone_idempotent_and_leaves_the_unconfirmed_suffix() {
+        let mut log = SentLog::new(1 << 20);
+        for i in 0u8..6 {
+            log.push(entry(vec![i; 10]));
+        }
+        let frame = HEADER_BYTES + 10;
+        log.trim(2).unwrap();
+        assert_eq!((log.base, log.next, log.bytes), (2, 6, 4 * frame));
+        // The same count again, and an older one, change nothing.
+        log.trim(2).unwrap();
+        log.trim(1).unwrap();
+        assert_eq!((log.base, log.bytes, log.entries.len()), (2, 4 * frame, 4));
+        // A resume count is never below an acknowledgement, and gets
+        // exactly what is still unconfirmed.
+        assert_eq!(replayed(&log, 2).unwrap(), vec![2, 3, 4, 5]);
+        assert_eq!(replayed(&log, 4).unwrap(), vec![4, 5]);
+        assert!(log.replay_from(1).is_none(), "confirmed frames are gone");
+        // Confirming everything empties the log; pushing resumes the count.
+        log.trim(6).unwrap();
+        assert_eq!((log.base, log.bytes, log.entries.len()), (6, 0, 0));
+        log.push(entry(vec![6; 10]));
+        assert_eq!(replayed(&log, 6).unwrap(), vec![6]);
+    }
+
+    #[test]
+    fn confirming_more_than_was_sent_is_a_typed_error_not_an_underflow() {
+        let mut log = SentLog::new(1 << 20);
+        log.push(entry(vec![0; 10]));
+        log.push(entry(vec![1; 10]));
+        let err = log.trim(3).expect_err("only two frames were ever sent");
+        assert!(matches!(err, NetError::Protocol { .. }), "{err}");
+        assert!(err.to_string().contains("3 frames of the 2 sent"), "{err}");
+        // The log is untouched and still serves the true count.
+        assert_eq!((log.base, log.entries.len()), (0, 2));
+        assert_eq!(replayed(&log, 1).unwrap(), vec![1]);
+        // The same holds once everything has been confirmed.
+        log.trim(2).unwrap();
+        assert!(log.trim(u64::MAX).is_err());
+        assert_eq!((log.base, log.bytes), (2, 0));
+    }
+
+    /// A two-rank loopback pair with fast failure handling.
+    fn pair(heartbeat: Option<Duration>) -> (crate::TcpTransport, crate::TcpTransport) {
+        let opts = TcpOptions {
+            reconnect_attempts: 4,
+            reconnect_backoff: Duration::from_millis(5),
+            restore_deadline: Duration::from_millis(500),
+            heartbeat_interval: heartbeat,
+            ..TcpOptions::default()
+        };
+        let mut world = crate::TcpTransport::loopback_mesh_with(2, opts).unwrap();
+        let b = world.pop().unwrap();
+        (world.pop().unwrap(), b)
+    }
+
+    /// Poll `probe` until it holds, failing after five seconds.
+    fn eventually(what: &str, mut probe: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !probe() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn an_ack_beyond_the_sent_count_downs_the_link_and_the_resume_rebases_it() {
+        use rt_comm::Transport;
+        let (mut a, mut b) = pair(None);
+        a.send_raw(1, WireFrame::control(0, 7, vec![1])).unwrap();
+        assert_eq!(b.recv_raw(Duration::from_secs(5)).unwrap().payload[0], 1);
+        // Forge what a broken peer would send: rank 1 "confirms" 99 frames.
+        let link = Arc::clone(b.fabric.link(0).unwrap());
+        link.recv_count.store(99, Ordering::Release);
+        b.fabric.try_control(&link, tag::ACK);
+        eventually("the forged count is heard", || {
+            a.link_stats(1).unwrap().acked == 99
+        });
+        link.recv_count.store(1, Ordering::Release);
+        // The next send finds the violation, drops the stream, and the
+        // frame rides the reconnect's replay: delivered once, in order.
+        a.send_raw(1, WireFrame::control(0, 7, vec![2])).unwrap();
+        a.send_raw(1, WireFrame::control(0, 7, vec![3])).unwrap();
+        assert_eq!(b.recv_raw(Duration::from_secs(5)).unwrap().payload[0], 2);
+        assert_eq!(b.recv_raw(Duration::from_secs(5)).unwrap().payload[0], 3);
+        let stats = a.link_stats(1).unwrap();
+        assert_eq!(stats.epoch, 2, "one reconnect");
+        assert!(
+            stats.acked <= 3,
+            "the handshake re-based the count: {stats:?}"
+        );
+        assert!(!a.peer_is_dead(1) && b.try_recv_raw().is_none());
+    }
+
+    #[test]
+    fn heartbeats_alone_confirm_an_idle_links_tail() {
+        use rt_comm::Transport;
+        let (mut a, mut b) = pair(Some(Duration::from_millis(10)));
+        // Far less than ACK_BYTES: no ACK is due, only PING/PONG carry the
+        // count back. The log is trimmed by the next send.
+        for i in 0..3u8 {
+            a.send_raw(1, WireFrame::control(0, 7, vec![i; 100]))
+                .unwrap();
+            b.recv_raw(Duration::from_secs(5)).unwrap();
+        }
+        eventually("a heartbeat confirms all three", || {
+            a.link_stats(1).unwrap().acked == 3
+        });
+        a.send_raw(1, WireFrame::control(0, 7, vec![3; 100]))
+            .unwrap();
+        let stats = a.link_stats(1).unwrap();
+        assert_eq!((stats.logged_frames, stats.epoch), (1, 1), "{stats:?}");
+        assert_eq!(stats.logged_bytes, HEADER_BYTES + 100);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The TCP backend: real sockets between ranks, one endpoint per rank.
 //!
 //! A [`TcpTransport`] holds one [`crate::link`] per peer. Frames go out
-//! length-prefixed (see [`crate::frame`]) on the link's stream; one
+//! length-prefixed (see [`crate::frame`]) on the link's stream, header and
+//! payload in one vectored write and no payload byte copied; one
 //! receive thread per peer reads frames off its stream and feeds them
 //! into a single queue, preserving per-peer FIFO order — the same demux
 //! contract as the in-process backend. Self-sends never touch a socket:
@@ -17,9 +18,10 @@
 //! are latency-bound barrier and composition traffic, not bulk streams.
 //! After establishment the listener moves to a persistent accept loop that
 //! serves **reconnections** (see [`crate::link`]): a lost stream is
-//! re-dialed with a resume handshake and the sent-frame log replays the
-//! gap, so transient socket failures are invisible above the transport; a
-//! peer that stays gone is declared dead through the envelope's
+//! re-dialed with a resume handshake and the sent-frame log — the frames
+//! the peer has not acknowledged yet, held by reference — replays the gap,
+//! so transient socket failures are invisible above the transport; a peer
+//! that stays gone is declared dead through the envelope's
 //! death-notification protocol.
 //!
 //! **Barrier.** The trait requires a barrier that does not surface data
@@ -38,7 +40,7 @@
 //! hanging.
 
 use crate::error::NetError;
-use crate::link::{Fabric, TcpOptions, WireFault};
+use crate::link::{Fabric, LinkStats, TcpOptions, WireFault};
 use crate::topology::Topology;
 use rt_comm::{tag, BarrierError, RecvRawError, SendRawError, Transport, WireFrame};
 use std::collections::VecDeque;
@@ -59,7 +61,7 @@ const BARRIER_POLL: Duration = Duration::from_millis(20);
 /// process, for tests and examples). Multi-process worlds get theirs
 /// through the rendezvous in [`crate::process`].
 pub struct TcpTransport {
-    fabric: Arc<Fabric>,
+    pub(crate) fabric: Arc<Fabric>,
     rx: Receiver<WireFrame>,
     /// Data frames that arrived while a barrier was draining the queue;
     /// surfaced (in arrival order) before anything newer.
@@ -292,6 +294,13 @@ impl TcpTransport {
     /// on a full mesh, the rank's topology degree on a restricted world.
     pub fn link_count(&self) -> usize {
         self.fabric.link_count()
+    }
+
+    /// What the link to `peer` holds right now: the frames logged for
+    /// replay, the peer's confirmed delivery count and the stream epoch.
+    /// `None` for this rank itself and for a peer outside the topology.
+    pub fn link_stats(&self, peer: usize) -> Option<LinkStats> {
+        self.fabric.link_stats(peer)
     }
 
     /// [`Transport::send_raw`] with an optional socket-level fault
