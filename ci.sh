@@ -51,10 +51,18 @@ frames=$(non_test_src | grep '^crates/comm/src/comm\.rs:' | grep -c 'WireFrame {
 rounds=$(grep -rn 'liveness_exchange(' crates/core/src || true)
 [ "$(grep -c . <<<"$rounds")" -eq 1 ] \
     || vocabulary_fail "rt-core must call liveness_exchange from one place" "$rounds"
-# What this vocabulary replaced stays gone.
+# What this vocabulary replaced stays gone, and so does the wall-clock
+# bench stack the repo benchmark (benchmark/) retired: its two JSON files,
+# the stub it ran on and every per-figure binary `figures` folded in. The
+# change log and the planning files are history and may say the names.
 gone=$(grep -rn 'PuzzlePlan\|GATHER_TAG_BIT\|REPAIR_TAG_BIT\|fn repair_tag\|with_cost' \
     crates src tests examples || true)
 [ -z "$gone" ] || vocabulary_fail "retired names are back" "$gone"
+bin_flag='--bin'
+gone=$(grep -rnE "BENCH_(compose|kernels)|[c]riterion|$bin_flag +(perf|kernels|fig[5-8]|table1|bounds|ablation|scaling|trle_demo|walkthrough|inspect)\b" \
+    crates src tests examples docs ./*.md ci.sh .github Cargo.toml \
+    --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md || true)
+[ -z "$gone" ] || vocabulary_fail "the retired bench stack is back" "$gone"
 
 echo "== build (release) =="
 cargo build --release --workspace
@@ -125,49 +133,13 @@ cargo run -q --release -p rt-bench --bin chaos -- --transport tcp --smoke \
     | tee "$chaos_tcp_log"
 grep -q 'scenarios passed the trichotomy gate' "$chaos_tcp_log"
 
-echo "== perf smoke =="
-# One-rep wall-clock cell: proves the perf harness runs end to end and
-# that the JSON artifact is emitted and parses (the binary re-reads and
-# deserializes it before exiting). The per-transfer baseline arm it used
-# to compare against was retired with that path (PR 12), hence schema v3.
-# Written to a scratch path so the committed full-grid BENCH_compose.json
-# (the last v2 run) is untouched.
-smoke_out=target/bench_smoke.json
-rm -f "$smoke_out"
-cargo run -q --release -p rt-bench --bin perf -- --smoke --out "$smoke_out"
-test -s "$smoke_out"
-grep -q '"schema": "bench-compose/v3"' "$smoke_out"
-
-echo "== tcp loopback smoke =="
-# One-rep composition per method x codec at P=8 across 8 real OS
-# processes on loopback TCP: the launcher spawns `netrank` workers, runs
-# the same cell in-process, and refuses to emit anything unless event
-# traces, virtual-clock RankStats and frame hashes reconcile bit-exactly
-# across backends (asserted inside the binary). The Chrome trace of the
-# last reconciled cell is validated and kept as a CI artifact.
-tcp_out=target/bench_tcp_smoke.json
-tcp_trace=target/tcp_smoke_trace.json
-rm -f "$tcp_out" "$tcp_trace"
-tcp_log=$(cargo run -q --release -p rt-bench --bin perf -- \
-    --smoke --transport tcp --out "$tcp_out" --trace-out "$tcp_trace")
-echo "$tcp_log"
-grep -q 'reconciled 15 tcp cell(s)' <<<"$tcp_log"
-test -s "$tcp_out"
-test -s "$tcp_trace"
-grep -q '"transport": "tcp"' "$tcp_out"
-
-echo "== kernels smoke =="
-# One-rep scalar-vs-wide microbench cell on a small frame: proves every
-# wide kernel still produces bit-identical pixels and stats against its
-# scalar reference (asserted inside the binary before any timing is
-# trusted) and that the bench-kernels/v1 artifact is emitted and parses.
-# Speedup floors are only enforced on full-size runs, not in CI, where
-# shared-runner wall clocks are meaningless.
-kernels_out=target/kernels_smoke.json
-rm -f "$kernels_out"
-cargo run -q --release -p rt-bench --bin kernels -- --smoke --out "$kernels_out"
-test -s "$kernels_out"
-grep -q '"schema": "bench-kernels/v1"' "$kernels_out"
+echo "== reproduction pinned =="
+# Every committed result (21 results/*.txt, BENCH_scale.json,
+# BENCH_quality.json — the table is rt_bench::figures::PINNED) is
+# regenerated in process on the virtual clock and must match its file byte
+# for byte; a drifted file is named with its first differing line. An
+# intended change is committed with RT_REGENERATE_GOLDEN=1.
+cargo run -q --release -p rt-bench --bin figures -- check
 
 echo "== quality smoke =="
 # The E12 approximate-compositing grid at CI size (128x128, P=8,
@@ -199,7 +171,6 @@ echo "== profile smoke =="
 # inside the binary, and re-validates every emitted Chrome-trace artifact.
 profile_dir=target/profile_smoke
 rm -rf "$profile_dir"
-mkdir -p "$profile_dir"
 cargo run -q --release -p rt-bench --bin profile -- --smoke --out-dir "$profile_dir"
 ls "$profile_dir"/PROFILE_*.json >/dev/null
 

@@ -1,18 +1,6 @@
-//! **Extension experiment E4 — chaos sweep**: composition under seeded
-//! message faults and rank crashes.
-//!
-//! Three tables:
-//!
-//! * E4a — drop/corruption-rate sweep for every method: retransmissions,
-//!   virtual-time overhead vs the clean run, and whether the frame stayed
-//!   bit-exact (it must — reliable delivery absorbs message faults).
-//! * E4b — codec sensitivity under a fixed fault rate (compressed frames
-//!   are smaller, but every retransmission re-ships the encoded body).
-//! * E4c — rank-crash degradation: crash one rank at each step and report
-//!   the lost contributions/pixels from [`rt_core::repair::DegradedInfo`].
-//!
-//! Everything is seeded and virtual-clock priced, so every row reproduces
-//! exactly on rerun.
+//! **Extension experiments E4 and E9 — chaos.** Without `--transport`
+//! this is the in-process sweep [`rt_bench::figures::chaos`] (seeded
+//! message faults and rank crashes, virtual-clock priced).
 //!
 //! **Extension experiment E9 — TCP chaos soak** (`--transport tcp`): the
 //! same seeded-fault philosophy pushed below the envelope, onto real
@@ -31,56 +19,7 @@
 //! `cargo run -p rt-bench --release --bin chaos -- [--p 8] [--dataset engine] [--cost paper|sp2]`
 //! `cargo run -p rt-bench --release --bin chaos -- --transport tcp [--smoke] [--seed N] [--frame N]`
 
-use rt_bench::harness::{price, print_table, secs, Args, ScreenScene};
-use rt_comm::FaultPlan;
-use rt_compress::CodecKind;
-use rt_core::exec::{ComposeConfig, ComposeOutput};
-use rt_core::method::CompositionMethod;
-use rt_core::{BinarySwap, DirectSend, ParallelPipelined, RotateTiling};
-use rt_core::{ComposePlan, CoreError, Run};
-use rt_imaging::pixel::GrayAlpha8;
-use rt_imaging::Image;
-
-fn methods(p: usize) -> Vec<Box<dyn CompositionMethod>> {
-    let mut out: Vec<Box<dyn CompositionMethod>> = vec![
-        Box::new(ParallelPipelined::new()),
-        Box::new(DirectSend::new()),
-        Box::new(RotateTiling::two_n(4)),
-    ];
-    if p.is_power_of_two() {
-        out.insert(0, Box::new(BinarySwap::new()));
-    }
-    out
-}
-
-/// Run one faulty composition and pull out the root frame.
-fn run(
-    scene: &ScreenScene,
-    method: &dyn CompositionMethod,
-    codec: CodecKind,
-    faults: FaultPlan,
-) -> (
-    Vec<Result<ComposeOutput<GrayAlpha8>, CoreError>>,
-    rt_comm::Trace,
-) {
-    let schedule = method
-        .build(scene.p(), scene.image_len())
-        .unwrap_or_else(|e| panic!("{}: {e}", method.name()));
-    let config = ComposeConfig::default()
-        .with_codec(codec)
-        .resilient(!faults.is_none());
-    Run::new(&ComposePlan::Schedule(schedule), &config)
-        .faults(faults)
-        .execute(scene.partials.clone())
-}
-
-fn frame_of(results: &[Result<ComposeOutput<GrayAlpha8>, CoreError>]) -> Image<GrayAlpha8> {
-    results
-        .iter()
-        .filter_map(|r| r.as_ref().ok())
-        .find_map(|o| o.frame.clone())
-        .expect("some rank gathered the frame")
-}
+use rt_bench::harness::{parse_flags, print_table};
 
 /// The sibling `chaosrank` worker binary (same target directory).
 fn chaosrank_path() -> std::path::PathBuf {
@@ -102,28 +41,25 @@ fn tcp_soak(argv: &[String]) -> ! {
     let mut seed = 42u64;
     let mut frame = 64usize;
     let mut smoke = false;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
+    parse_flags(
+        argv,
+        "soak flags: --transport tcp  --smoke  --seed N  --frame N",
+        |f| match f.name {
             "--transport" => {
-                let t = value("--transport");
+                let t = f.value();
                 assert_eq!(t, "tcp", "chaos soaks only the tcp transport, not '{t}'");
             }
             "--smoke" => smoke = true,
-            "--seed" => seed = value("--seed").parse().expect("bad --seed"),
-            "--frame" => frame = value("--frame").parse().expect("bad --frame"),
+            "--seed" => seed = f.parse(),
+            "--frame" => frame = f.parse(),
             // The soak matrix is tuned for exactly four ranks; accept and
             // ignore the shared flags so callers can pass a common line.
             "--p" | "--dataset" | "--cost" | "--volume" => {
-                let _ = value(flag);
+                f.value();
             }
-            other => panic!("unknown soak flag {other}"),
-        }
-    }
+            _ => f.unknown(),
+        },
+    );
     const P: usize = 4;
     let worker = chaosrank_path();
     let matrix = scenarios(P, frame, seed);
@@ -160,13 +96,15 @@ fn tcp_soak(argv: &[String]) -> ! {
         ]);
     }
     print_table(
+        &mut std::io::stdout(),
         &format!(
             "E9 — TCP chaos soak, P = {P}, frame {frame}x{frame}, seed {seed}{}",
             if smoke { " (smoke subset)" } else { "" }
         ),
         &["scenario", "injected", "expected", "wall", "verdict"],
         &rows,
-    );
+    )
+    .expect("write the verdict table");
     println!(
         "chaos-tcp: {passed}/{} scenarios passed the trichotomy gate (seed {seed}, P = {P})",
         picks.len()
@@ -177,147 +115,12 @@ fn tcp_soak(argv: &[String]) -> ! {
     std::process::exit(if failures.is_empty() { 0 } else { 1 });
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     // `--transport tcp` switches to the distributed soak, whose flag
-    // vocabulary differs; scan before Args::parse (which rejects unknown
-    // flags) decides.
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+    // vocabulary differs from the sweep's.
+    let argv = rt_bench::harness::argv();
     if argv.iter().any(|a| a == "--transport") {
         tcp_soak(&argv);
     }
-    let mut args = Args::parse();
-    // The default figure shape (P = 32) is bigger than chaos needs; sweep a
-    // modest machine unless the caller asked for a specific size.
-    if args.p == 32 {
-        args.p = 8;
-    }
-    if args.p < 2 {
-        eprintln!("chaos: --p must be at least 2 (composition needs multiple ranks)");
-        std::process::exit(2);
-    }
-    let cost = args.cost();
-    let dataset = args.dataset;
-    let scene = ScreenScene::prepare(&args, dataset);
-
-    // E4a — fault-rate sweep, raw codec.
-    {
-        let mut rows = Vec::new();
-        for m in methods(args.p) {
-            let (clean_results, clean_trace) =
-                run(&scene, m.as_ref(), CodecKind::Raw, FaultPlan::none());
-            let clean_frame = frame_of(&clean_results);
-            let clean_time = price(&clean_trace, &cost, m.name(), CodecKind::Raw).total_time;
-            for rate in [0.01, 0.05, 0.10] {
-                let faults = FaultPlan::none()
-                    .with_seed(args.seed)
-                    .drop_rate(rate)
-                    .corrupt_rate(rate / 2.0);
-                let (results, trace) = run(&scene, m.as_ref(), CodecKind::Raw, faults);
-                let frame = frame_of(&results);
-                let degraded = results
-                    .iter()
-                    .filter_map(|r| r.as_ref().ok())
-                    .any(|o| o.degraded.is_some());
-                let meas = price(&trace, &cost, m.name(), CodecKind::Raw);
-                rows.push(vec![
-                    m.name(),
-                    format!("{:.0}%/{:.1}%", rate * 100.0, rate * 50.0),
-                    trace.retransmit_count().to_string(),
-                    secs(meas.total_time),
-                    format!("{:+.1}%", 100.0 * (meas.total_time / clean_time - 1.0)),
-                    if frame.pixels() == clean_frame.pixels() && !degraded {
-                        "bit-exact".into()
-                    } else {
-                        "DIVERGED".into()
-                    },
-                ]);
-            }
-        }
-        print_table(
-            &format!(
-                "E4a — reliable delivery under drop/corrupt rates, P = {}, {}",
-                args.p,
-                dataset.name()
-            ),
-            &[
-                "method",
-                "drop/corrupt",
-                "retx",
-                "sim(+gather)",
-                "overhead",
-                "frame",
-            ],
-            &rows,
-        );
-    }
-
-    // E4b — codec sensitivity at a fixed fault rate.
-    {
-        let mut rows = Vec::new();
-        let m = RotateTiling::two_n(4);
-        for codec in CodecKind::ALL {
-            let faults = FaultPlan::none()
-                .with_seed(args.seed)
-                .drop_rate(0.05)
-                .corrupt_rate(0.02);
-            let (_, trace) = run(&scene, &m, codec, faults);
-            let meas = price(&trace, &cost, m.name(), codec);
-            rows.push(vec![
-                format!("{codec:?}"),
-                trace.retransmit_count().to_string(),
-                meas.bytes.to_string(),
-                secs(meas.total_time),
-            ]);
-        }
-        print_table(
-            &format!(
-                "E4b — codecs under 5%/2% faults, 2N_RT(4), P = {}, {}",
-                args.p,
-                dataset.name()
-            ),
-            &["codec", "retx", "bytes", "sim(+gather)"],
-            &rows,
-        );
-    }
-
-    // E4c — single-rank crash at each step: graceful degradation.
-    {
-        let mut rows = Vec::new();
-        let m = RotateTiling::two_n(4);
-        let schedule = m.build(args.p, scene.image_len()).unwrap();
-        let steps = schedule.steps.len();
-        let crash_rank = args.p - 1; // deepest rank: survivors stay contiguous
-        for step in [0, steps / 2, steps] {
-            let faults = FaultPlan::none().crash_rank_at_step(crash_rank, step);
-            let (results, trace) = run(&scene, &m, CodecKind::Raw, faults);
-            let info = results
-                .iter()
-                .filter_map(|r| r.as_ref().ok())
-                .find_map(|o| o.degraded.clone())
-                .expect("crash must be reported as degradation");
-            let meas = price(&trace, &cost, m.name(), CodecKind::Raw);
-            rows.push(vec![
-                format!("rank {crash_rank} @ step {step}"),
-                format!("{:?}", info.lost_contributions),
-                info.lost_pixels.to_string(),
-                info.reassigned_spans.to_string(),
-                secs(meas.total_time),
-            ]);
-        }
-        print_table(
-            &format!(
-                "E4c — graceful degradation after a crash, 2N_RT(4), P = {}, {}",
-                args.p,
-                dataset.name()
-            ),
-            &[
-                "crash",
-                "lost ranks",
-                "lost px",
-                "repaired spans",
-                "sim(+gather)",
-            ],
-            &rows,
-        );
-    }
+    rt_bench::figures::chaos(&argv, &mut std::io::stdout())
 }

@@ -21,6 +21,7 @@
 //!   still exits 0, because *reporting* a typed failure is success here.
 
 use rt_bench::chaosnet::{outcome, scenarios, soak_method, ChaosResult, VICTIM_EXIT_CODE};
+use rt_bench::harness::{argv, parse_flags};
 use rt_bench::netgrid::frame_hash;
 use rt_comm::comm::{RankCtx, RankOptions};
 use rt_compress::CodecKind;
@@ -42,27 +43,18 @@ fn parse_cli() -> Cli {
         seed: 42,
         frame: 64,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--scenario" => cli.scenario = value("--scenario").parse().expect("bad --scenario"),
-            "--seed" => cli.seed = value("--seed").parse().expect("bad --seed"),
-            "--frame" => cli.frame = value("--frame").parse().expect("bad --frame"),
-            "--help" | "-h" => {
-                eprintln!(
-                    "worker for `rt-bench chaos --transport tcp`; not meant to be run by hand.\n\
-                     flags: --scenario N --seed N --frame N\n\
-                     env:   RT_NET_RENDEZVOUS, RT_NET_RANK, RT_NET_WORLD (set by the launcher)"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag {other}"),
-        }
-    }
+    parse_flags(
+        &argv(),
+        "worker for `rt-bench chaos --transport tcp`; not meant to be run by hand.\n\
+         flags: --scenario N --seed N --frame N\n\
+         env:   RT_NET_RENDEZVOUS, RT_NET_RANK, RT_NET_WORLD (set by the launcher)",
+        |f| match f.name {
+            "--scenario" => cli.scenario = f.parse(),
+            "--seed" => cli.seed = f.parse(),
+            "--frame" => cli.frame = f.parse(),
+            _ => f.unknown(),
+        },
+    );
     cli
 }
 

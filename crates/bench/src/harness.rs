@@ -13,50 +13,106 @@ use rt_pvr::scene::prepare_scene_screen;
 use rt_render::camera::Camera;
 use rt_render::datasets::Dataset;
 use rt_render::shearwarp::RenderOptions;
-use serde::{Deserialize, Serialize};
+use std::io::{self, Write};
 
-/// Median and 95th percentile of a cell's wall-clock samples, as the
-/// `BENCH_*.json` files record them.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Quantiles {
-    /// Median, milliseconds.
-    pub p50_ms: f64,
-    /// 95th percentile, milliseconds.
-    pub p95_ms: f64,
+/// One `--flag` of a command line, handed to the closure of
+/// [`parse_flags`], which pulls the flag's argument (if it takes one)
+/// through [`Flag::value`], [`Flag::parse`] or [`Flag::list`] and sends a
+/// name it does not know to [`Flag::unknown`].
+pub struct Flag<'a, 'r> {
+    /// The flag as written, dashes included (`"--frame"`).
+    pub name: &'a str,
+    rest: &'r mut std::slice::Iter<'a, String>,
+    usage: &'r str,
 }
 
-/// Nearest-rank quantiles of `samples` (milliseconds).
-///
-/// # Panics
-/// On an empty sample set or a NaN sample.
-pub fn quantiles(mut samples: Vec<f64>) -> Quantiles {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let at = |q: f64| {
-        let idx = ((samples.len() - 1) as f64 * q).round() as usize;
-        samples[idx]
-    };
-    Quantiles {
-        p50_ms: at(0.50),
-        p95_ms: at(0.95),
+impl Flag<'_, '_> {
+    /// Reject the flag.
+    ///
+    /// # Panics
+    /// Always, naming the flag and the binary's usage.
+    pub fn unknown(&self) -> ! {
+        panic!("unknown flag {}\n{}", self.name, self.usage)
+    }
+
+    /// The flag's argument.
+    ///
+    /// # Panics
+    /// When the command line ends at the flag.
+    pub fn value(&mut self) -> String {
+        let name = self.name;
+        self.rest
+            .next()
+            .unwrap_or_else(|| panic!("missing value for {name}"))
+            .clone()
+    }
+
+    /// The flag's argument through its own `FromStr`.
+    ///
+    /// # Panics
+    /// On a missing or unparsable argument, naming the flag.
+    pub fn parse<T: std::str::FromStr>(&mut self) -> T
+    where
+        T::Err: std::fmt::Display,
+    {
+        let (name, text) = (self.name, self.value());
+        text.parse()
+            .unwrap_or_else(|e| panic!("bad {name} '{text}': {e}"))
+    }
+
+    /// The flag's comma-separated argument (`--p 8,32`,
+    /// `--codecs raw,trle`), each element through its own `FromStr`.
+    ///
+    /// # Panics
+    /// On a missing argument or an element that does not parse.
+    pub fn list<T: std::str::FromStr>(&mut self) -> Vec<T>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let name = self.name;
+        self.value()
+            .split(',')
+            .map(|s| {
+                s.trim()
+                    .parse()
+                    .unwrap_or_else(|e| panic!("bad {name} element '{s}': {e}"))
+            })
+            .collect()
     }
 }
 
-/// Parse the comma-separated value of `flag` (`--p 8,32`,
-/// `--codecs raw,trle`) with each element's own `FromStr`.
+/// The one flag loop of every rt-bench binary: `set` is called once per
+/// flag of `argv`. `--help`/`-h` prints `usage` and exits.
+pub fn parse_flags(argv: &[String], usage: &str, mut set: impl FnMut(&mut Flag)) {
+    let mut rest = argv.iter();
+    while let Some(name) = rest.next() {
+        if name == "--help" || name == "-h" {
+            eprintln!("{usage}");
+            std::process::exit(0);
+        }
+        set(&mut Flag {
+            name,
+            rest: &mut rest,
+            usage,
+        });
+    }
+}
+
+/// This process's command line without the program name.
+pub fn argv() -> Vec<String> {
+    std::env::args().skip(1).collect()
+}
+
+/// The cost model a `--cost` value names.
 ///
 /// # Panics
-/// On an element that does not parse, naming the flag.
-pub fn parse_list<T: std::str::FromStr>(flag: &str, list: &str) -> Vec<T>
-where
-    T::Err: std::fmt::Display,
-{
-    list.split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .unwrap_or_else(|e| panic!("bad {flag} element '{s}': {e}"))
-        })
-        .collect()
+/// On anything but `paper` or `sp2`.
+pub fn cost_by_name(name: &str) -> CostModel {
+    match name {
+        "paper" => CostModel::PAPER_EXAMPLE,
+        "sp2" => CostModel::SP2,
+        other => panic!("unknown cost model '{other}' (paper|sp2)"),
+    }
 }
 
 /// Shared CLI arguments of the figure binaries.
@@ -93,45 +149,30 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Parse `std::env::args()`, exiting with a usage message on error.
-    pub fn parse() -> Self {
+    /// Parse the shared figure flags out of `argv`.
+    pub fn parse(argv: &[String]) -> Self {
         let mut out = Self::default();
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| {
-                it.next()
-                    .unwrap_or_else(|| panic!("missing value for {name}"))
-            };
-            match flag.as_str() {
-                "--dataset" => {
-                    out.dataset = value("--dataset").parse().expect("bad --dataset");
-                }
+        parse_flags(
+            argv,
+            "flags: --dataset engine|brain|head|sphere  --all  --p N  \
+             --volume N  --frame N  --cost paper|sp2  --seed N",
+            |f| match f.name {
+                "--dataset" => out.dataset = f.parse(),
                 "--all" => out.all = true,
-                "--p" => out.p = value("--p").parse().expect("bad --p"),
-                "--volume" => out.volume = value("--volume").parse().expect("bad --volume"),
-                "--frame" => out.frame = value("--frame").parse().expect("bad --frame"),
-                "--cost" => out.cost_name = value("--cost"),
-                "--seed" => out.seed = value("--seed").parse().expect("bad --seed"),
-                "--help" | "-h" => {
-                    eprintln!(
-                        "flags: --dataset engine|brain|head|sphere  --all  --p N  \
-                         --volume N  --frame N  --cost paper|sp2  --seed N"
-                    );
-                    std::process::exit(0);
-                }
-                other => panic!("unknown flag {other}"),
-            }
-        }
+                "--p" => out.p = f.parse(),
+                "--volume" => out.volume = f.parse(),
+                "--frame" => out.frame = f.parse(),
+                "--cost" => out.cost_name = f.value(),
+                "--seed" => out.seed = f.parse(),
+                _ => f.unknown(),
+            },
+        );
         out
     }
 
     /// The selected cost model.
     pub fn cost(&self) -> CostModel {
-        match self.cost_name.as_str() {
-            "paper" => CostModel::PAPER_EXAMPLE,
-            "sp2" => CostModel::SP2,
-            other => panic!("unknown cost model '{other}' (paper|sp2)"),
-        }
+        cost_by_name(&self.cost_name)
     }
 
     /// Datasets to run: the chosen one, or all three paper datasets.
@@ -288,9 +329,14 @@ pub fn price(trace: &Trace, cost: &CostModel, method: String, codec: CodecKind) 
     }
 }
 
-/// Print a header plus aligned rows, and matching `csv,`-prefixed lines.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
+/// Write a header plus aligned rows, and matching `csv,`-prefixed lines.
+pub fn print_table(
+    out: &mut dyn Write,
+    title: &str,
+    header: &[&str],
+    rows: &[Vec<String>],
+) -> io::Result<()> {
+    writeln!(out, "\n== {title} ==")?;
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -306,14 +352,15 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
             .join("  ")
     };
     let header_cells: Vec<String> = header.iter().map(|s| s.to_string()).collect();
-    println!("{}", fmt_row(&header_cells));
+    writeln!(out, "{}", fmt_row(&header_cells))?;
     for row in rows {
-        println!("{}", fmt_row(row));
+        writeln!(out, "{}", fmt_row(row))?;
     }
-    println!("csv,{}", header.join(","));
+    writeln!(out, "csv,{}", header.join(","))?;
     for row in rows {
-        println!("csv,{}", row.join(","));
+        writeln!(out, "csv,{}", row.join(","))?;
     }
+    Ok(())
 }
 
 /// Format seconds with 4 significant decimals.

@@ -1,7 +1,8 @@
-//! Shared plumbing for the multi-process TCP benchmark cells: the job
-//! description the `perf` launcher hands each `netrank` worker process,
-//! the per-rank result blob the worker reports back, and the synthetic
-//! workload both sides (and the in-process reference run) must agree on.
+//! Shared plumbing for multi-process TCP composition cells: the job
+//! description a launcher (`tests/tcp_reconcile.rs`) hands each `netrank`
+//! worker process, the per-rank result blob the worker reports back, and
+//! the synthetic workload both sides (and the in-process reference run)
+//! must agree on.
 //!
 //! The launcher and workers are separate OS processes of the *same* build,
 //! so everything they must agree on — method lineup, frame hashing, and
@@ -16,7 +17,7 @@ use rt_imaging::pixel::GrayAlpha8;
 use rt_imaging::Image;
 use serde::{Deserialize, Serialize};
 
-/// One benchmark cell, as the launcher encodes it onto a `netrank`
+/// One composition cell, as the launcher encodes it onto a `netrank`
 /// command line and the worker decodes it back.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NetJob {
@@ -27,10 +28,6 @@ pub struct NetJob {
     pub codec: CodecKind,
     /// Square frame edge in pixels.
     pub frame: usize,
-    /// Timed repetitions per cell.
-    pub reps: usize,
-    /// Untimed warm-up repetitions before the timed ones.
-    pub warmup: usize,
 }
 
 impl NetJob {
@@ -58,35 +55,27 @@ impl NetJob {
             self.codec.name().into(),
             "--frame".into(),
             self.frame.to_string(),
-            "--reps".into(),
-            self.reps.to_string(),
-            "--warmup".into(),
-            self.warmup.to_string(),
         ]
     }
 }
 
 /// What one worker rank reports back over the rendezvous control stream
-/// (JSON-encoded): its event trace from the first timed repetition plus
-/// wall-clock samples for every timed repetition.
+/// (JSON-encoded).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkerResult {
     /// The reporting rank.
     pub rank: usize,
-    /// Event trace of the first timed repetition — the launcher
-    /// reassembles the full [`rt_comm::Trace`] from these and reconciles
-    /// it against an in-process run of the same cell.
+    /// Its event trace — the launcher reassembles the full
+    /// [`rt_comm::Trace`] from these and reconciles it against an
+    /// in-process run of the same cell.
     pub trace: RankTrace,
-    /// Wall-clock milliseconds per timed repetition.
-    pub pooled_ms: Vec<f64>,
-    /// FNV-1a hash of the root's assembled frame (`None` off-root), from
-    /// the first timed repetition.
+    /// FNV-1a hash of the root's assembled frame (`None` off-root).
     pub frame_hash: Option<u64>,
 }
 
 /// FNV-1a over a frame's pixels, for cheap cross-process frame-equality
-/// checks (the determinism *tests* compare full pixel buffers; the bench
-/// gate only needs a fingerprint).
+/// checks (the in-process determinism tests compare full pixel buffers;
+/// across processes a fingerprint is enough).
 pub fn frame_hash(frame: &Image<GrayAlpha8>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |b: u8| {
@@ -112,8 +101,6 @@ mod tests {
                 method_index: 0,
                 codec,
                 frame: 64,
-                reps: 1,
-                warmup: 0,
             };
             let args = job.to_args();
             let at = args.iter().position(|a| a == "--codec").unwrap();
@@ -133,7 +120,6 @@ mod tests {
         let r = WorkerResult {
             rank: 3,
             trace: Vec::new(),
-            pooled_ms: vec![1.5],
             frame_hash: Some(7),
         };
         let json = serde_json::to_string(&r).unwrap();

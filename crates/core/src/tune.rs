@@ -9,11 +9,12 @@
 //!
 //! Three axes extend the flat sweep:
 //!
-//! * **Codecs.** A per-codec compression ratio (measured, e.g. from
-//!   `BENCH_compose.json` byte counts) scales the wire term `Tp`; every
-//!   enabled codec multiplies the method space. Codec CPU time is *not*
-//!   modeled (the paper's premise is that TRLE's bit operations are
-//!   cheap); fold it into the ratio if it matters on a platform.
+//! * **Codecs.** A per-codec compression ratio (measured, e.g. from a
+//!   trace's `bytes_sent` under that codec against raw) scales the wire
+//!   term `Tp`; every enabled codec multiplies the method space. Codec
+//!   CPU time is *not* modeled (the paper's premise is that TRLE's bit
+//!   operations are cheap); fold it into the ratio if it matters on a
+//!   platform.
 //! * **Content.** [`TuneOptions::content_fraction`] is the fraction of
 //!   the frame that actually holds non-blank pixels. It prices the
 //!   tile-ownership method, which ships only content tiles — modeled as

