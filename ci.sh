@@ -54,7 +54,8 @@ rounds=$(grep -rn 'liveness_exchange(' crates/core/src || true)
 # What this vocabulary replaced stays gone, and so does the wall-clock
 # bench stack the repo benchmark (benchmark/) retired: its two JSON files,
 # the stub it ran on and every per-figure binary `figures` folded in. The
-# change log and the planning files are history and may say the names.
+# change log, the planning files and a reviewer's notes are history and may
+# say the names.
 gone=$(grep -rn 'PuzzlePlan\|GATHER_TAG_BIT\|REPAIR_TAG_BIT\|fn repair_tag\|with_cost' \
     crates src tests examples || true)
 [ -z "$gone" ] || vocabulary_fail "retired names are back" "$gone"
@@ -63,6 +64,13 @@ gone=$(grep -rnE "BENCH_(compose|kernels)|[c]riterion|$bin_flag +(perf|kernels|f
     crates src tests examples docs ./*.md ci.sh .github Cargo.toml \
     --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md || true)
 [ -z "$gone" ] || vocabulary_fail "the retired bench stack is back" "$gone"
+# Hierarchical plans are span schedules: the third plan family, its
+# executor, rt-comm's group views and the two-level pricing formula stay
+# gone (bracketed so this line does not match itself).
+gone=$(grep -rnE '[c]ompose_hier|[H]ierPlan|ComposePlan::[H]ier|[e]nter_group|[l]eave_group|[h]ier_gather_step|[h]ier_cost|[i]nter_cost' \
+    crates src tests examples docs ./*.md ci.sh \
+    --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md --exclude=REVIEW.md || true)
+[ -z "$gone" ] || vocabulary_fail "the hierarchical plan family is back" "$gone"
 
 echo "== build (release) =="
 cargo build --release --workspace

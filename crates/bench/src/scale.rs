@@ -17,8 +17,8 @@
 //!   `RankStats` (the virtual-clock self-check);
 //! * the tuner's pick is the measured virtual-clock winner of its cell;
 //! * at `P ≥ 256` the hierarchical pick beats the best flat method and
-//!   its connection topology stays `O(P·k + (P/k)²)` — strictly below
-//!   the flat mesh's `P(P−1)/2`.
+//!   its connection topology — the schedule's own links, `O(P·k +
+//!   (P/k)²)` — stays strictly below the full mesh's `P(P−1)/2`.
 //!
 //! Usage: `cargo run --release -p rt-bench --bin scale -- [--smoke] [--out BENCH_scale.json]`
 
@@ -57,7 +57,7 @@ struct Cell {
     agree: bool,
     /// Best flat replayed time over best hierarchical replayed time.
     hier_speedup: f64,
-    /// Flat full-mesh socket count `P(P−1)/2`, for the topology column.
+    /// Full-mesh socket count `P(P−1)/2`, for the topology column.
     mesh_sockets: usize,
     measured: Vec<MeasuredRow>,
 }
@@ -81,12 +81,13 @@ fn is_hier(m: &Method) -> bool {
     matches!(m, Method::Hier { .. })
 }
 
-/// Sockets the cell's plan needs on a restricted TCP fabric: the plan's
-/// own link set for hierarchical methods, the full mesh for flat ones.
+/// Sockets the cell's plan needs on a restricted TCP fabric: a span
+/// schedule's own link set (what `Run` dials for it), the full mesh for a
+/// tile plan.
 fn socket_count(plan: &ComposePlan, p: usize) -> usize {
     match plan {
-        ComposePlan::Hier(h) => Topology::from_links(h.links(0, None)).socket_count(p),
-        _ => Topology::FullMesh.socket_count(p),
+        ComposePlan::Schedule(s) => Topology::from_links(s.links(0, None)).socket_count(p),
+        ComposePlan::Tiles(_) => Topology::FullMesh.socket_count(p),
     }
 }
 

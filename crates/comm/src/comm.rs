@@ -357,8 +357,6 @@ impl PartialEq<Vec<u8>> for Payload {
 pub struct RankCtx {
     rank: usize,
     size: usize,
-    /// Active subteam view, if any (see [`RankCtx::enter_group`]).
-    group: Option<GroupView>,
     transport: Box<dyn Transport>,
     pending: Vec<VecDeque<WireFrame>>,
     send_seq: Vec<u64>,
@@ -376,29 +374,6 @@ pub struct RankCtx {
     /// Where this rank is in its frame, advanced by [`RankCtx::mark`]:
     /// the step and frame wall-clock spans are attributed to.
     cursor: Cursor,
-}
-
-/// A contiguous-membership subteam view over a [`RankCtx`] — the
-/// multicomputer analogue of an MPI sub-communicator.
-///
-/// While a view is installed, the context presents a world of
-/// `members.len()` ranks: [`RankCtx::rank`]/[`RankCtx::size`] report
-/// view-local values and every peer id accepted or returned by the
-/// public API is view-local. Underneath, nothing changes: messages
-/// travel on the same global channels with the same per-destination
-/// sequence numbers, so traces, replay matching and fault-injection
-/// keys are identical to a flat run making the same transfers.
-#[derive(Debug, Clone)]
-struct GroupView {
-    /// Global rank ids of the members, in view-local rank order
-    /// (strictly increasing, preserving global depth order).
-    members: Vec<usize>,
-    /// This rank's position in `members`.
-    local: usize,
-    /// Crash-step base: planned crashes at or below this global step
-    /// fired in an earlier phase, and the view reports the remaining
-    /// ones relative to it (global step `s` surfaces as `s - base`).
-    step_base: usize,
 }
 
 /// Options for building a standalone [`RankCtx`] over an external
@@ -432,7 +407,6 @@ impl RankCtx {
         RankCtx {
             rank,
             size,
-            group: None,
             transport,
             pending: (0..size).map(|_| VecDeque::new()).collect(),
             send_seq: vec![0; size],
@@ -455,162 +429,16 @@ impl RankCtx {
         (self.events, self.transport, self.obs)
     }
 
-    /// This rank's id in `0..size` — view-local while a group view is
-    /// installed (see [`RankCtx::enter_group`]).
+    /// This rank's id in `0..size`.
     #[inline]
     pub fn rank(&self) -> usize {
-        match &self.group {
-            Some(g) => g.local,
-            None => self.rank,
-        }
+        self.rank
     }
 
-    /// Machine size (number of ranks) — the member count while a group
-    /// view is installed.
+    /// Machine size (number of ranks).
     #[inline]
     pub fn size(&self) -> usize {
-        match &self.group {
-            Some(g) => g.members.len(),
-            None => self.size,
-        }
-    }
-
-    /// Install a subteam view: until [`RankCtx::leave_group`], the
-    /// context behaves as a world of `members.len()` ranks in which this
-    /// rank is the position of its global id in `members`. Peer ids
-    /// passed to `send`/`recv` and returned by
-    /// `planned_crashes`/`liveness_exchange` are view-local; the
-    /// underlying channels, sequence numbers and traced events stay
-    /// global, so a hierarchical executor composes phases over one
-    /// context without disturbing replay or fault-injection matching.
-    ///
-    /// `step_base` shifts the planned-crash clock: crashes at global
-    /// steps `≤ step_base` are treated as already fired (the rank is
-    /// expected not to be a member), and later ones surface at
-    /// `step - step_base` so a phase schedule counts its own steps
-    /// from 1.
-    ///
-    /// # Panics
-    ///
-    /// If a view is already installed, `members` is not strictly
-    /// increasing, any member is out of range, or this rank is not a
-    /// member. Barriers are forbidden while a view is installed.
-    pub fn enter_group(&mut self, members: Vec<usize>, step_base: usize) {
-        assert!(
-            self.group.is_none(),
-            "enter_group: a group view is already installed"
-        );
-        assert!(!members.is_empty(), "enter_group: empty member set");
-        assert!(
-            members.windows(2).all(|w| w[0] < w[1]),
-            "enter_group: members must be strictly increasing"
-        );
-        assert!(
-            *members.last().expect("non-empty") < self.size,
-            "enter_group: member out of range"
-        );
-        let local = members
-            .iter()
-            .position(|&m| m == self.rank)
-            .unwrap_or_else(|| {
-                panic!(
-                    "enter_group: rank {} is not in the member set {:?}",
-                    self.rank, members
-                )
-            });
-        self.group = Some(GroupView {
-            members,
-            local,
-            step_base,
-        });
-    }
-
-    /// Remove the installed group view, restoring the flat world.
-    pub fn leave_group(&mut self) {
-        assert!(
-            self.group.is_some(),
-            "leave_group: no group view is installed"
-        );
-        self.group = None;
-    }
-
-    /// Translate a view-local peer id to its global rank (identity when
-    /// no view is installed), bounds-checked against the active world.
-    fn peer_to_global(&self, peer: usize) -> Result<usize, CommError> {
-        match &self.group {
-            Some(g) => g.members.get(peer).copied().ok_or(CommError::InvalidRank {
-                rank: peer,
-                size: g.members.len(),
-            }),
-            None => {
-                self.check_rank(peer)?;
-                Ok(peer)
-            }
-        }
-    }
-
-    /// Translate a global rank back to the view-local id of an error or
-    /// report (identity when no view is installed). Global ranks outside
-    /// the view are left untranslated — they can only appear through
-    /// internal misuse, never from the checked public API.
-    fn peer_to_local(&self, global: usize) -> usize {
-        match &self.group {
-            Some(g) => g
-                .members
-                .iter()
-                .position(|&m| m == global)
-                .unwrap_or(global),
-            None => global,
-        }
-    }
-
-    /// Rewrite the peer ids inside a [`CommError`] to view-local ids so
-    /// callers running under a group view see a consistent world.
-    fn localize_err(&self, e: CommError) -> CommError {
-        if self.group.is_none() {
-            return e;
-        }
-        match e {
-            CommError::Timeout {
-                from,
-                tag,
-                elapsed,
-                deadline,
-            } => CommError::Timeout {
-                from: self.peer_to_local(from),
-                tag,
-                elapsed,
-                deadline,
-            },
-            CommError::TagMismatch {
-                from,
-                expected,
-                got,
-            } => CommError::TagMismatch {
-                from: self.peer_to_local(from),
-                expected,
-                got,
-            },
-            CommError::RankFailed { rank } => CommError::RankFailed {
-                rank: self.peer_to_local(rank),
-            },
-            CommError::Disconnected { from, tag } => CommError::Disconnected {
-                from: self.peer_to_local(from),
-                tag,
-            },
-            CommError::DeliveryFailed { to, tag, attempts } => CommError::DeliveryFailed {
-                to: self.peer_to_local(to),
-                tag,
-                attempts,
-            },
-            other => other,
-        }
-    }
-
-    /// The active crash-step base (0 in the flat world).
-    #[inline]
-    fn step_base(&self) -> usize {
-        self.group.as_ref().map(|g| g.step_base).unwrap_or(0)
+        self.size
     }
 
     /// Timestamp for a wall-clock span, `None` when the run is unobserved
@@ -722,11 +550,10 @@ impl RankCtx {
         tag: u64,
         payload: impl Into<Payload>,
     ) -> Result<(), CommError> {
-        let to = self.peer_to_global(to)?;
         let started = self.obs_start();
         let result = self.send_inner(to, tag, payload.into());
         self.obs_span(Phase::Send, started);
-        result.map_err(|e| self.localize_err(e))
+        result
     }
 
     fn send_inner(&mut self, to: usize, tag: u64, payload: Payload) -> Result<(), CommError> {
@@ -838,11 +665,10 @@ impl RankCtx {
     /// and no matching message is queued, returns
     /// [`CommError::RankFailed`] immediately instead of waiting.
     pub fn recv(&mut self, from: usize, tag: u64) -> Result<Payload, CommError> {
-        let from = self.peer_to_global(from)?;
         let span_started = self.obs_start();
         let result = self.recv_inner(from, tag);
         self.obs_span(Phase::Recv, span_started);
-        result.map_err(|e| self.localize_err(e))
+        result
     }
 
     fn recv_inner(&mut self, from: usize, tag: u64) -> Result<Payload, CommError> {
@@ -899,42 +725,19 @@ impl RankCtx {
     }
 
     /// The schedule step at which this rank is planned to fail, if any.
-    /// Under a group view the step is reported relative to the view's
-    /// crash-step base; a crash at or below the base fired in an earlier
-    /// phase and is reported as `None`.
     pub fn my_crash_step(&self) -> Option<usize> {
-        let step = self.faults.crash_step_of(self.rank)?;
-        let base = self.step_base();
-        // Base 0 is the identity (step-0 crashes fire before any step);
-        // a positive base means `base` steps already ran, so crashes at
-        // or below it have fired.
-        (base == 0 || step > base).then(|| step - base)
+        self.faults.crash_step_of(self.rank)
     }
 
     /// All fail-stop crashes in the installed fault plan, as sorted
     /// `(rank, step)` pairs. The plan is shared by every rank, so this is
     /// a deterministic, agreement-free way for an executor to decide
-    /// whether a failure-handling phase is needed at all. Under a group
-    /// view, only member crashes are reported, with view-local ranks and
-    /// base-relative steps.
+    /// whether a failure-handling phase is needed at all.
     pub fn planned_crashes(&self) -> Vec<(usize, usize)> {
-        match &self.group {
-            None => {
-                let mut v: Vec<(usize, usize)> =
-                    self.faults.crashes.iter().map(|(&r, &k)| (r, k)).collect();
-                v.sort_unstable();
-                v
-            }
-            Some(g) => g
-                .members
-                .iter()
-                .enumerate()
-                .filter_map(|(local, &global)| {
-                    let step = self.faults.crash_step_of(global)?;
-                    (g.step_base == 0 || step > g.step_base).then(|| (local, step - g.step_base))
-                })
-                .collect(),
-        }
+        let mut v: Vec<(usize, usize)> =
+            self.faults.crashes.iter().map(|(&r, &k)| (r, k)).collect();
+        v.sort_unstable();
+        v
     }
 
     /// Broadcast a death notification: this rank is failing (fail-stop) at
@@ -943,11 +746,6 @@ impl RankCtx {
     /// protocol itself is reliable) but are traced as ordinary sends, so
     /// replay prices the notification traffic.
     pub fn announce_death(&mut self, step: usize) {
-        // The broadcast is always global — every rank of the machine must
-        // learn of the failure, whatever view the dying rank held — and
-        // the recorded step is globalized against the view's base so all
-        // phases agree on one failure clock.
-        let step = step + self.step_base();
         self.dead.insert(self.rank, step);
         let peers: Vec<usize> = (0..self.size).filter(|&to| to != self.rank).collect();
         self.post_control(&peers, tag::DEATH, WireFrame::death_payload(step));
@@ -975,25 +773,13 @@ impl RankCtx {
         let tag = tag::liveness(self.liveness_gen);
         self.liveness_gen += 1;
         self.poll();
-        // `announced` arrives in the caller's (possibly view-local) world;
-        // the internal death map is always global, so translate on merge.
-        let base = self.step_base();
         for &(r, k) in announced {
-            let global = self.peer_to_global(r)?;
-            if global != self.rank {
-                self.dead.entry(global).or_insert(k + base);
+            self.check_rank(r)?;
+            if r != self.rank {
+                self.dead.entry(r).or_insert(k);
             }
         }
-        // The exchange runs among the active world's members only: a group
-        // view keeps its membership round inside the group, in global ids
-        // on the wire so every phase shares one failure ledger.
-        let world: Vec<usize> = match &self.group {
-            Some(g) => g.members.clone(),
-            None => (0..self.size).collect(),
-        };
-        let sent_to: Vec<usize> = world
-            .iter()
-            .copied()
+        let sent_to: Vec<usize> = (0..self.size)
             .filter(|&r| r != self.rank && !self.dead.contains_key(&r))
             .collect();
         // One shared buffer for every survivor (`dead` cannot change during
@@ -1010,12 +796,7 @@ impl RankCtx {
             if self.dead.contains_key(&from) {
                 continue; // learned of its death earlier in this loop
             }
-            // `sent_to` holds global ids; bypass the public receive's
-            // view-local translation.
-            let span_started = self.obs_start();
-            let polled = self.recv_inner(from, tag);
-            self.obs_span(Phase::Recv, span_started);
-            match polled {
+            match self.recv(from, tag) {
                 Ok(bytes) => {
                     for chunk in bytes.chunks_exact(16) {
                         let r = u64::from_le_bytes(chunk[..8].try_into().expect("8 bytes"));
@@ -1024,24 +805,10 @@ impl RankCtx {
                     }
                 }
                 Err(CommError::RankFailed { .. }) => {} // recorded by recv
-                Err(e) => return Err(self.localize_err(e)),
+                Err(e) => return Err(e),
             }
         }
-        // Report in the active world: view-local member ids with
-        // base-relative steps under a group view, the global map otherwise.
-        match &self.group {
-            None => Ok(self.dead.clone()),
-            Some(g) => Ok(g
-                .members
-                .iter()
-                .enumerate()
-                .filter_map(|(local, global)| {
-                    self.dead
-                        .get(global)
-                        .map(|&k| (local, k.saturating_sub(g.step_base)))
-                })
-                .collect()),
-        }
+        Ok(self.dead.clone())
     }
 
     /// Record local computation so replay can charge it.
@@ -1067,11 +834,6 @@ impl RankCtx {
     /// A backend that detects a dead peer mid-round surfaces it as
     /// [`CommError::Barrier`] naming the peer and the control tag.
     pub fn barrier(&mut self) -> Result<(), CommError> {
-        assert!(
-            self.group.is_none(),
-            "barrier: global synchronization is forbidden under a group view \
-             (members of other groups are not participating)"
-        );
         let generation = self.barrier_gen;
         self.barrier_gen += 1;
         self.events.push(Event::Barrier { generation });
@@ -1624,125 +1386,6 @@ mod tests {
             if ctx.rank() == 1 {
                 panic!("boom");
             }
-        });
-    }
-
-    #[test]
-    fn group_view_translates_ranks_and_keeps_the_trace_global() {
-        // Two disjoint groups run the same local algorithm concurrently:
-        // local rank 0 sends to local rank 1 with an identical tag. The
-        // views keep the worlds separate, while the recorded trace stays
-        // in global ids so replay sees one coherent machine.
-        let mc = Multicomputer::new(4);
-        let (results, trace) = mc.run(|ctx| {
-            let me = ctx.rank();
-            let members = if me < 2 { vec![0, 1] } else { vec![2, 3] };
-            ctx.enter_group(members, 0);
-            assert_eq!(ctx.size(), 2);
-            let out = if ctx.rank() == 0 {
-                ctx.send(1, 7, vec![me as u8]).unwrap();
-                None
-            } else {
-                Some(ctx.recv(0, 7).unwrap()[0])
-            };
-            ctx.leave_group();
-            assert_eq!(ctx.rank(), me);
-            assert_eq!(ctx.size(), 4);
-            out
-        });
-        assert_eq!(results, vec![None, Some(0), None, Some(2)]);
-        // Global destinations in the trace: 0→1 and 2→3.
-        let sends: Vec<(usize, usize)> = trace
-            .ranks
-            .iter()
-            .enumerate()
-            .flat_map(|(r, events)| {
-                events.iter().filter_map(move |e| match e {
-                    Event::Send { to, .. } => Some((r, *to)),
-                    _ => None,
-                })
-            })
-            .collect();
-        assert_eq!(sends, vec![(0, 1), (2, 3)]);
-    }
-
-    #[test]
-    fn group_view_filters_and_rebases_planned_crashes() {
-        let faults = FaultPlan::none()
-            .crash_rank_at_step(3, 5)
-            .crash_rank_at_step(1, 2);
-        let mc = Multicomputer::new(4).with_faults(faults);
-        let (results, _) = mc.run(|ctx| {
-            // Flat world: both crashes, global ids.
-            assert_eq!(ctx.planned_crashes(), vec![(1, 2), (3, 5)]);
-            let me = ctx.rank();
-            let members = if me % 2 == 0 { vec![0, 2] } else { vec![1, 3] };
-            ctx.enter_group(members, 0);
-            let seen = ctx.planned_crashes();
-            ctx.leave_group();
-            // Rebased view: rank 3's crash at global step 5 surfaces at
-            // step 2 once 3 phase-steps have been consumed; rank 1's crash
-            // at step 2 has already fired and disappears.
-            ctx.enter_group(if me % 2 == 0 { vec![0, 2] } else { vec![1, 3] }, 3);
-            let rebased = ctx.planned_crashes();
-            let mine = ctx.my_crash_step();
-            ctx.leave_group();
-            (seen, rebased, mine)
-        });
-        // Even group {0,2}: no member crashes.
-        assert_eq!(results[0].0, vec![]);
-        assert_eq!(results[0].1, vec![]);
-        // Odd group {1,3}: local ids 0↦1, 1↦3.
-        assert_eq!(results[1].0, vec![(0, 2), (1, 5)]);
-        assert_eq!(results[1].1, vec![(1, 2)]);
-        assert_eq!(results[1].2, None); // global step 2 ≤ base 3: already fired
-        assert_eq!(results[3].2, Some(2)); // global step 5 − base 3
-    }
-
-    #[test]
-    fn group_view_liveness_exchange_stays_local() {
-        // Rank 3 (group {1,3}, local 1) is announced dead at phase step 1;
-        // the survivors of that group agree on the local view of the
-        // failure while the other group's exchange sees nothing.
-        let faults = FaultPlan::none().crash_rank_at_step(3, 1);
-        let mc = Multicomputer::new(4).with_faults(faults);
-        let (results, _) = mc.run(|ctx| {
-            let me = ctx.rank();
-            let members = if me % 2 == 0 { vec![0, 2] } else { vec![1, 3] };
-            ctx.enter_group(members, 0);
-            let out = if me == 3 {
-                ctx.announce_death(1);
-                None
-            } else {
-                let announced = ctx.planned_crashes();
-                Some(ctx.liveness_exchange(&announced).unwrap())
-            };
-            ctx.leave_group();
-            out
-        });
-        let dead_of = |r: usize| results[r].as_ref().unwrap().clone();
-        assert_eq!(dead_of(1), BTreeMap::from([(1, 1)])); // local id of rank 3
-        assert_eq!(dead_of(0), BTreeMap::new());
-        assert_eq!(dead_of(2), BTreeMap::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "forbidden under a group view")]
-    fn group_view_forbids_the_global_barrier() {
-        let mc = Multicomputer::new(2);
-        let _ = mc.run(|ctx| {
-            ctx.enter_group(vec![0, 1], 0);
-            let _ = ctx.barrier();
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "not in the member set")]
-    fn group_view_requires_membership() {
-        let mc = Multicomputer::new(3);
-        let _ = mc.run(|ctx| {
-            ctx.enter_group(vec![0, 1], 0);
-            ctx.leave_group();
         });
     }
 }

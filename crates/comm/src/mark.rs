@@ -11,7 +11,7 @@
 //! |------------------|------------------------|------------|
 //! | `compose:start`  | [`Mark::ComposeStart`] | every executor, first thing |
 //! | `step:K`         | [`Mark::Step`]         | schedule step `K`; the tile families' single round is `step:0` |
-//! | `flush:start`    | [`Mark::FlushStart`]   | after the last step, before deferred-back accumulators merge |
+//! | `flush:start`    | [`Mark::FlushStart`]   | at each flush point (after a step the schedule flags, and after the last step), before deferred-back accumulators merge |
 //! | `compose:end`    | [`Mark::ComposeEnd`]   | composition done, failure handling and gather still ahead |
 //! | `compose:crashed`| [`Mark::ComposeCrashed`]| a rank fail-stopping at its planned crash step |
 //! | `repair:start`, `repair:end` | [`Mark::RepairStart`], [`Mark::RepairEnd`] | around the failure-agreement round and the repair it triggers |

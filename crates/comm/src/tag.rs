@@ -138,13 +138,6 @@ pub fn step(frame_tag: u64, step: usize, low: usize) -> u64 {
     frame_tag | ((step as u64) << STEP_SHIFT) | low as u64
 }
 
-/// The final-gather step of a two-level plan: past every intra step, the
-/// intra gathers (at most `intra_steps`) and every inter step, so its tags
-/// collide with no earlier phase on any rank pair.
-pub fn hier_gather_step(intra_steps: usize, inter_steps: usize) -> usize {
-    intra_steps + inter_steps + 2
-}
-
 /// Gather slot of the display-wall gather: `rank` ships its share of
 /// display cell `cell`.
 pub fn wall_slot(cell: usize, rank: usize) -> usize {
@@ -253,7 +246,6 @@ mod tests {
             tile(frame_base(1), TileChannel::Gather, 6),
             (1 << 48) | (0x84 << 40) | 6
         );
-        assert_eq!(hier_gather_step(3, 2), 7);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use crate::schedule::{MergeDir, Schedule};
 use rt_comm::CostModel;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Static cost report for one schedule under one cost model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -53,11 +54,20 @@ impl Sim<'_> {
     fn run(&self) -> (Vec<f64>, Vec<f64>) {
         let p = self.schedule.p;
         let mut clocks = vec![0.0f64; p];
-        // Deferred back accumulators add one flush `over` per span later;
-        // track deferred pixels per rank.
-        let mut deferred: Vec<usize> = vec![0; p];
-        let mut seen_defer: Vec<std::collections::HashSet<usize>> =
-            vec![std::collections::HashSet::new(); p];
+        // Deferred back accumulators (span start → pixels, per rank) cost
+        // one more `over` pass each at the next flush point.
+        let mut deferred: Vec<BTreeMap<usize, usize>> = vec![BTreeMap::new(); p];
+        let over = |px: usize| {
+            self.cost
+                .compute_time(rt_comm::ComputeKind::Over, px as u64)
+        };
+        let flush = |clocks: &mut [f64], deferred: &mut [BTreeMap<usize, usize>]| {
+            for (clock, accs) in clocks.iter_mut().zip(deferred) {
+                for px in std::mem::take(accs).into_values() {
+                    *clock += over(px);
+                }
+            }
+        };
         for step in &self.schedule.steps {
             // Senders push their messages in schedule order; arrival time
             // is the sender's clock after pushing. Receivers then merge in
@@ -76,21 +86,20 @@ impl Sim<'_> {
                     recv_clock[t.dst] = *arrival;
                 }
                 recv_clock[t.dst] += self.cost.tr;
-                recv_clock[t.dst] += self
-                    .cost
-                    .compute_time(rt_comm::ComputeKind::Over, t.span.len as u64);
-                if t.dir == MergeDir::BackDefer && seen_defer[t.dst].insert(t.span.start) {
-                    deferred[t.dst] += t.span.len;
+                // A placement is copied in, not composited.
+                if t.dir != MergeDir::Place {
+                    recv_clock[t.dst] += over(t.span.len);
+                }
+                if t.dir == MergeDir::BackDefer {
+                    deferred[t.dst].insert(t.span.start, t.span.len);
                 }
             }
             clocks = recv_clock;
+            if step.flush {
+                flush(&mut clocks, &mut deferred);
+            }
         }
-        // Deferred flush: one extra `over` pass per deferred span.
-        for (r, px) in deferred.iter().enumerate() {
-            clocks[r] += self
-                .cost
-                .compute_time(rt_comm::ComputeKind::Over, *px as u64);
-        }
+        flush(&mut clocks, &mut deferred);
         let compose = clocks.clone();
 
         // Coalesced gather to rank 0: each owner ships its owned pixels in
@@ -135,7 +144,9 @@ pub fn analyze(schedule: &Schedule, cost: &CostModel, bytes_per_pixel: usize) ->
     for step in &schedule.steps {
         for t in &step.transfers {
             sent[t.src] += t.span.len;
-            over[t.dst] += t.span.len;
+            if t.dir != MergeDir::Place {
+                over[t.dst] += t.span.len;
+            }
         }
     }
 

@@ -8,7 +8,8 @@
 //! 2. receives each incoming span and streams it through the codec's fused
 //!    [`rt_compress::Codec::decode_over`] kernel directly into the
 //!    destination slice, charging `To` per composited pixel (`Over`);
-//! 3. after the last step, flushes deferred back accumulators;
+//! 3. at each flush point ([`crate::schedule::Step::flush`], and after the
+//!    last step), flushes deferred back accumulators;
 //! 4. finally, the owners ship their fully-composited spans to the gather
 //!    root, which assembles the output frame.
 //!
@@ -22,7 +23,7 @@
 //! nothing per transfer. The encode → charge → send and receive → charge →
 //! merge sequences live once, in `Stage`, and the tail every plan family
 //! ends with (ownership count, root or wall gather, output) in `finish` —
-//! the tile and hierarchical executors call the same two.
+//! the tile executor calls the same two.
 
 use crate::display::{span_cell_segments, DisplayWall};
 use crate::repair::{agree_on_failures, repair, DegradedInfo};
@@ -71,7 +72,8 @@ pub struct ComposeConfig {
     /// Degrade gracefully on confirmed rank failures instead of erroring:
     /// skip dead peers' contributions, re-pair the survivors via
     /// [`crate::repair()`], and report what is missing in
-    /// [`ComposeOutput::degraded`].
+    /// [`ComposeOutput::degraded`]. A span schedule's ranks each keep a copy
+    /// of their partial for the frame, so only dead ranks' data can go.
     pub resilient: bool,
     /// Receive-deadline override for the harnesses that build their own
     /// machine ([`crate::Run`] and `rt-pvr`'s pipeline). `None` keeps the
@@ -350,14 +352,12 @@ pub struct ComposeOutput<P: Pixel> {
     /// The final ownership map the run actually used — the schedule's
     /// `final_owners` after any failure repair reassignments. Rank ids are
     /// world-local (the machine the schedule ran on). Empty when this rank
-    /// itself crashed. The hierarchical executor reads this to route its
-    /// cross-level gathers; callers that skip the gather can use it to
-    /// collect the distributed result themselves.
+    /// itself crashed. Callers that skip the gather can use it to collect
+    /// the distributed result themselves.
     pub owners: Vec<(Span, usize)>,
     /// This rank's working image after composition, returned so a caller
-    /// running a larger protocol (the hierarchical executor, or a custom
-    /// collection) can read the spans `owners` assigns to this rank.
-    /// `None` only when this rank crashed.
+    /// running a larger protocol (a custom collection) can read the spans
+    /// `owners` assigns to this rank. `None` only when this rank crashed.
     pub residual: Option<Image<P>>,
     /// `Some` when the run completed without the full set of
     /// contributions: rank failures occurred and the frame is the exact
@@ -567,6 +567,11 @@ pub(crate) fn compose_schedule<P: Pixel>(
 
     // Deferred back accumulators, keyed by span start.
     let mut back_acc: HashMap<usize, (Span, Vec<P>)> = HashMap::new();
+    // A resilient rank keeps its rendered partial aside: its own content on
+    // spans it never shipped is the one thing no send-time archive holds,
+    // and a merge behind a dead relay's hole would bury it (see
+    // `crate::repair`).
+    let own = config.resilient.then(|| local.clone());
 
     for (k, step) in schedule.steps.iter().enumerate() {
         if my_crash == Some(k) {
@@ -622,31 +627,22 @@ pub(crate) fn compose_schedule<P: Pixel>(
                     // in front of the accumulated deeper ones.
                     stage.merge(ctx, &bytes, acc, OverDir::Front)?;
                 }
+                MergeDir::Place => {
+                    // What the buffer still shows here is this rank's own
+                    // send-time copy; the message replaces it.
+                    let started = ctx.obs_start();
+                    let placed = local.span_pixels_mut(t.span)?;
+                    placed.fill(P::blank());
+                    stage.unpack(ctx, &bytes, placed)?;
+                    ctx.obs_span(Phase::Decode, started);
+                }
             }
         }
+        if step.flush {
+            flush_deferred(ctx, stage, scratch, &mut back_acc, &mut local)?;
+        }
     }
-
-    // Flush deferred accumulators: local over deferred-back. The mark lets
-    // replay attribute the trailing `over` computes to the flush phase.
-    ctx.mark(Mark::FlushStart);
-    let mut flushes: Vec<(Span, Vec<P>)> = back_acc.into_values().collect();
-    flushes.sort_by_key(|(span, _)| span.start);
-    for (span, acc) in flushes {
-        // Mirror the per-step charging rule: under a structured codec only
-        // the non-blank accumulated pixels cost an `over`; charging the
-        // full span here would price the flush as if the codec had found
-        // no blank structure at all.
-        let over_units = if stage.raw {
-            span.len
-        } else {
-            acc.iter().filter(|p| !p.is_blank()).count()
-        };
-        let flush_started = ctx.obs_start();
-        ctx.compute(ComputeKind::Over, over_units as u64);
-        local.over_back(span, &acc)?;
-        ctx.obs_span(Phase::Flush, flush_started);
-        scratch.put_acc(acc);
-    }
+    flush_deferred(ctx, stage, scratch, &mut back_acc, &mut local)?;
 
     if my_crash == Some(steps_len) {
         return Ok(ComposeOutput::crash(ctx, steps_len));
@@ -670,14 +666,16 @@ pub(crate) fn compose_schedule<P: Pixel>(
                     if fetch.holder != me {
                         continue;
                     }
+                    // `own` is kept whenever a repair can run (resilient).
+                    let source = own.as_ref().filter(|_| fetch.own).unwrap_or(&local);
                     if e.owner == me {
-                        own_pieces.insert((ei, fi), local.extract(e.span)?);
+                        own_pieces.insert((ei, fi), source.extract(e.span)?);
                     } else {
                         let started = ctx.obs_start();
                         stage.ship(
                             ctx,
                             started,
-                            local.span_pixels(e.span)?,
+                            source.span_pixels(e.span)?,
                             e.owner,
                             tag::repair(config.frame_tag, ei, fi),
                         )?;
@@ -733,6 +731,38 @@ pub(crate) fn compose_schedule<P: Pixel>(
     finish(ctx, stage, scratch, local, owners, root, degraded, |slot| {
         tag::step(config.frame_tag, steps_len, slot)
     })
+}
+
+/// A flush point: apply every deferred back accumulator (`local over
+/// deferred`), in span order. The mark lets replay attribute the `over`
+/// computes that follow to the flush phase.
+fn flush_deferred<P: Pixel>(
+    ctx: &mut RankCtx,
+    stage: &Stage<P>,
+    scratch: &mut Scratch<P>,
+    back_acc: &mut HashMap<usize, (Span, Vec<P>)>,
+    local: &mut Image<P>,
+) -> Result<(), CoreError> {
+    ctx.mark(Mark::FlushStart);
+    let mut flushes: Vec<(Span, Vec<P>)> = back_acc.drain().map(|(_, acc)| acc).collect();
+    flushes.sort_by_key(|(span, _)| span.start);
+    for (span, acc) in flushes {
+        // Mirror the per-step charging rule: under a structured codec only
+        // the non-blank accumulated pixels cost an `over`; charging the
+        // full span here would price the flush as if the codec had found
+        // no blank structure at all.
+        let over_units = if stage.raw {
+            span.len
+        } else {
+            acc.iter().filter(|p| !p.is_blank()).count()
+        };
+        let flush_started = ctx.obs_start();
+        ctx.compute(ComputeKind::Over, over_units as u64);
+        local.over_back(span, &acc)?;
+        ctx.obs_span(Phase::Flush, flush_started);
+        scratch.put_acc(acc);
+    }
+    Ok(())
 }
 
 /// The tail every plan family ends with: count what this rank finally
@@ -964,6 +994,7 @@ mod tests {
                         dir: MergeDir::Front,
                     },
                 ],
+                flush: false,
             }],
             final_owners: vec![(first, 0), (second, 1)],
             method: "swap2".into(),

@@ -12,6 +12,8 @@
 //!   `A/P`-pixel blocks);
 //! * [`direct`] — a direct-send baseline (extension; not in the paper's
 //!   experiments but a standard comparator);
+//! * [`hier`] — two-level hierarchical schedules for large `P` (extension):
+//!   any of the above inside rank groups, [`radix`] between their leaders;
 //! * [`theory`] — the paper's Table 1 cost formulas and the optimal
 //!   block-count bounds of Equations (5) and (6).
 //!
@@ -91,7 +93,7 @@ pub use binary_swap::BinarySwap;
 pub use direct::DirectSend;
 pub use display::{span_cell_segments, DisplayWall};
 pub use exec::{ComposeConfig, ComposeOutput, Machine, Scratch, ScratchPool, TransportKind};
-pub use hier::{HierPlan, IntraMethod};
+pub use hier::IntraMethod;
 pub use method::{CompositionMethod, Method};
 pub use pipelined::ParallelPipelined;
 pub use radix::RadixK;

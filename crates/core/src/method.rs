@@ -50,9 +50,8 @@ pub enum Method {
     },
     /// Two-level hierarchical composition: `intra` inside contiguous
     /// groups of `k` ranks, Radix-k between the group leaders (extension;
-    /// the `P ≥ 256` scaling path). Spans two machine levels, so it
-    /// compiles through [`Method::plan`] instead of
-    /// [`CompositionMethod::build`].
+    /// the `P ≥ 256` scaling path). Compiles to one span [`Schedule`] over
+    /// all `P` ranks (see [`crate::hier`]).
     Hier {
         /// Group size (the last group may be smaller when `k ∤ P`).
         k: usize,
@@ -118,9 +117,6 @@ impl Method {
                 let grid = TileGrid::new(width, height, *tiles_x, *tiles_y)?;
                 Ok(ComposePlan::Tiles(TilePlan::new(p, grid)?))
             }
-            Method::Hier { k, intra } => Ok(ComposePlan::Hier(crate::hier::HierPlan::build(
-                p, *k, *intra, width, height,
-            )?)),
             Method::Puzzle {
                 tiles_x,
                 tiles_y,
@@ -172,12 +168,7 @@ impl CompositionMethod for Method {
                       schedule; use Method::plan for a ComposePlan"
                     .into(),
             }),
-            Method::Hier { .. } => Err(CoreError::UnsupportedShape {
-                method: "hier",
-                why: "two-level plans span group views and cannot compile to one flat \
-                      span schedule; use Method::plan for a ComposePlan"
-                    .into(),
-            }),
+            Method::Hier { k, intra } => crate::hier::build(p, *k, *intra, image_len),
             Method::Puzzle { .. } => Err(CoreError::UnsupportedShape {
                 method: "puzzle",
                 why: "content-adaptive segment routing cannot compile to a static span \

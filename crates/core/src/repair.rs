@@ -21,6 +21,28 @@
 //! for good is the failed rank's **own** rendered contribution, where it
 //! was never shipped.
 //!
+//! The one transfer that writes into an already-shipped span is
+//! [`MergeDir::Place`], and it amends the rule in exactly one way,
+//! mirrored by the executor: a *delivered* placement overwrites — and so
+//! retires — the receiver's archives under its span; a *skipped* one (dead
+//! sender) leaves the buffer untouched, so what the receiver carries on
+//! from there is its own archived snapshot.
+//!
+//! # Dead relays, and why a resilient rank keeps its partial
+//!
+//! Pieces can be composited together only if their depth ranges do not
+//! interleave. A rank that dies holding other ranks' data — a group leader,
+//! a member part-way through a multi-step intra method, any rank of a
+//! multi-round flat schedule — leaves a *hole*: its receivers skip what was
+//! to pass through it and go on merging pieces from beyond the hole, in
+//! place, over their own never-shipped content (a leader that missed a
+//! placement carries its old snapshot onward the same way). The skipped
+//! ranks' archives then interleave with those pieces, and a survivor's own
+//! content could be kept only by giving theirs up. So a resilient executor
+//! keeps each rank's rendered partial aside ([`RepairFetch::own`]): every
+//! survivor is fetchable alone on every span, a cover of all survivors
+//! always exists, and a degraded frame misses dead ranks' data only.
+//!
 //! # Degradation semantics
 //!
 //! Skipping a failed rank's contributions is sound because `over` is
@@ -31,18 +53,20 @@
 //! the surviving ranks would have produced on their own; [`DegradedInfo`]
 //! reports exactly which contributions are missing where.
 //!
-//! The planner simulates the degraded execution symbolically (member *sets*
-//! instead of pixels), mirroring [`crate::schedule::verify_schedule`] but
-//! keeping the send-time archives. All bookkeeping is in depth space, so a
-//! camera-permuted schedule ([`Schedule::depth_of_rank`]) repairs the same
-//! way as a depth-indexed one.
+//! The planner simulates the degraded execution symbolically, over the
+//! piece table [`crate::schedule::verify_schedule`] uses (member *sets* in
+//! place of depth runs) and keeping the send-time archives. All bookkeeping
+//! is in depth space, so a camera-permuted schedule
+//! ([`Schedule::depth_of_rank`]) repairs the same way as a depth-indexed
+//! one.
 
 use crate::exec::ComposeConfig;
-use crate::schedule::{MergeDir, Schedule};
+use crate::schedule::{MergeDir, Pieces, Schedule};
 use crate::CoreError;
 use rt_comm::{Mark, RankCtx};
 use rt_imaging::Span;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What the degraded output is missing, and who is to blame.
@@ -144,6 +168,9 @@ pub struct RepairFetch {
     /// Depth indices composited into the piece, ascending (for tests and
     /// reports; the executor only needs the fetch order).
     pub members: Vec<usize>,
+    /// The piece is the holder's own rendered partial, kept aside since the
+    /// frame began, not what its composition buffer shows.
+    pub own: bool,
 }
 
 /// Reconstruction of one span of the final frame.
@@ -173,54 +200,6 @@ pub struct RepairPlan {
 /// A piece's member set: depth indices whose contribution it carries.
 type Members = BTreeSet<usize>;
 
-/// Per-depth current holdings, keyed by span start (verifier-style).
-struct Holdings {
-    pieces: BTreeMap<usize, (Span, Members)>,
-}
-
-impl Holdings {
-    fn seed(depth: usize, image_len: usize) -> Self {
-        let mut pieces = BTreeMap::new();
-        let span = Span::whole(image_len);
-        pieces.insert(0, (span, Members::from([depth])));
-        Holdings { pieces }
-    }
-
-    /// Remove and return the members of the current piece at exactly
-    /// `span`, splitting a larger containing piece if needed.
-    fn take(&mut self, span: Span, who: usize) -> Result<Members, CoreError> {
-        let key = match self.pieces.range(..=span.start).next_back() {
-            Some((&k, (held, _))) if held.contains(&span) => k,
-            _ => {
-                return Err(CoreError::InvalidSchedule {
-                    why: format!("repair simulation: depth {who} does not hold {span}"),
-                })
-            }
-        };
-        let (held, members) = match self.pieces.remove(&key) {
-            Some(piece) => piece,
-            None => {
-                return Err(CoreError::InvalidSchedule {
-                    why: format!("repair simulation: piece at {key} vanished"),
-                })
-            }
-        };
-        if held.start < span.start {
-            let left = Span::new(held.start, span.start - held.start);
-            self.pieces.insert(left.start, (left, members.clone()));
-        }
-        if span.end() < held.end() {
-            let right = Span::new(span.end(), held.end() - span.end());
-            self.pieces.insert(right.start, (right, members.clone()));
-        }
-        Ok(members)
-    }
-
-    fn put(&mut self, span: Span, members: Members) {
-        self.pieces.insert(span.start, (span, members));
-    }
-}
-
 /// Compute the recovery plan for `schedule` given the confirmed failure
 /// set `crashed` (`rank → step`, as agreed by the liveness exchange).
 ///
@@ -232,12 +211,12 @@ pub fn repair(
     crashed: &BTreeMap<usize, usize>,
 ) -> Result<RepairPlan, CoreError> {
     let p = schedule.p;
-    if (0..p).all(|r| crashed.contains_key(&r)) {
-        // With no survivor there is nobody to hold a plan entry, own a
-        // span, or serve as gather root — an empty plan would silently
-        // present a blank frame as a valid degraded composite.
-        return Err(CoreError::AllRanksFailed { p });
-    }
+    // With no survivor there is nobody to hold a plan entry, own a span, or
+    // serve as gather root — an empty plan would silently present a blank
+    // frame as a valid degraded composite.
+    let fallback_owner = (0..p)
+        .find(|r| !crashed.contains_key(r))
+        .ok_or(CoreError::AllRanksFailed { p })?;
     // rank ↔ depth translation (identity unless the schedule was permuted).
     let depth_of = |rank: usize| schedule.depth_of(rank);
     let mut rank_of_depth = vec![0usize; p];
@@ -254,85 +233,94 @@ pub fn repair(
     let dead = |depth: usize| crash_step_of_depth.contains_key(&depth);
 
     // --- Symbolic degraded execution over member sets -------------------
-    let mut holdings: Vec<Holdings> = (0..p)
-        .map(|d| Holdings::seed(d, schedule.image_len))
+    // Deferred merges are applied on arrival: a verified schedule ships a
+    // span only after the flush that completes it, so no snapshot can tell
+    // the difference.
+    let whole = Span::whole(schedule.image_len);
+    let mut holdings: Vec<Pieces<Members>> = (0..p)
+        .map(|d| Pieces::holding(whole, Members::from([d])))
         .collect();
     // Send-time snapshots still physically present in each depth's buffer.
-    let mut archives: Vec<Vec<(Span, Members)>> = vec![Vec::new(); p];
-    // Deferred back accumulators, keyed by (depth, span start).
-    let mut back_accs: BTreeMap<(usize, usize), (Span, Members)> = BTreeMap::new();
+    let mut archives: Vec<Pieces<Members>> = vec![Pieces::empty(); p];
+    let unheld = |depth: usize, why: String| CoreError::InvalidSchedule {
+        why: format!("repair simulation: depth {depth}: {why}"),
+    };
 
     for (k, step) in schedule.steps.iter().enumerate() {
         for t in &step.transfers {
             let sd = depth_of(t.src);
             let dd = depth_of(t.dst);
             if dead_at(sd, k) {
-                continue; // never sent; the receiver skips the merge
+                // Never sent; the receiver skips the merge — and a skipped
+                // placement leaves it holding what it archived there.
+                if t.dir == MergeDir::Place {
+                    for (span, stale) in archives[dd].remove(t.span) {
+                        holdings[dd].put(span, stale);
+                    }
+                }
+                continue;
             }
-            let sent = holdings[sd].take(t.span, sd)?;
-            archives[sd].push((t.span, sent.clone()));
+            let sent = holdings[sd].take(t.span).map_err(|e| unheld(sd, e))?;
+            for (span, members) in &sent {
+                archives[sd].put(*span, members.clone());
+            }
             if dead_at(dd, k) {
                 continue; // lost in transit; inputs remain archived
             }
-            match t.dir {
-                MergeDir::Front | MergeDir::Back => {
-                    let mut local = holdings[dd].take(t.span, dd)?;
-                    local.extend(sent.iter().copied());
-                    holdings[dd].put(t.span, local);
+            if t.dir == MergeDir::Place {
+                // Delivered: it overwrites what the receiver archived there.
+                archives[dd].remove(t.span);
+                for (span, members) in sent {
+                    holdings[dd].put(span, members);
                 }
-                MergeDir::BackDefer => {
-                    let acc = back_accs
-                        .entry((dd, t.span.start))
-                        .or_insert_with(|| (t.span, Members::new()));
-                    acc.1.extend(sent.iter().copied());
+                continue;
+            }
+            for (span, members) in sent {
+                for (piece, mut local) in holdings[dd].take(span).map_err(|e| unheld(dd, e))? {
+                    local.extend(members.iter().copied());
+                    holdings[dd].put(piece, local);
                 }
             }
         }
     }
-    for ((d, _), (span, acc)) in back_accs {
-        if dead(d) {
-            continue;
-        }
-        let mut local = holdings[d].take(span, d)?;
-        local.extend(acc.iter().copied());
-        holdings[d].put(span, local);
-    }
 
-    // --- Available pieces (survivors only): current first, then archives.
-    // `kind` 0 = current, 1 = archive, so sorting prefers live pieces.
+    // --- Available pieces (survivors only) ------------------------------
+    // `kind` 0 = current, 1 = archive, 2 = the rank's own partial kept
+    // aside, so ties prefer live pieces and the partials are fetched only
+    // where nothing else serves.
     struct Avail {
         span: Span,
         members: Members,
+        /// Nearest and farthest member: the depth range the piece spans.
+        front: usize,
+        back: usize,
+        /// How many of the members are survivors.
+        alive: usize,
         holder_depth: usize,
         kind: u8,
     }
     let mut avail: Vec<Avail> = Vec::new();
-    for d in 0..p {
-        if dead(d) {
-            continue;
-        }
-        for (span, members) in holdings[d].pieces.values() {
-            avail.push(Avail {
-                span: *span,
-                members: members.clone(),
-                holder_depth: d,
-                kind: 0,
-            });
-        }
-        for (span, members) in archives[d].drain(..) {
-            avail.push(Avail {
-                span,
-                members,
-                holder_depth: d,
-                kind: 1,
-            });
+    for d in (0..p).filter(|&d| !dead(d)) {
+        let own = Pieces::holding(whole, Members::from([d]));
+        for (kind, table) in [&holdings[d], &archives[d], &own].into_iter().enumerate() {
+            for (span, members) in table.iter() {
+                let (Some(&front), Some(&back)) = (members.first(), members.last()) else {
+                    continue;
+                };
+                avail.push(Avail {
+                    span: *span,
+                    members: members.clone(),
+                    front,
+                    back,
+                    alive: members.iter().filter(|&&m| !dead(m)).count(),
+                    holder_depth: d,
+                    kind: kind as u8,
+                });
+            }
         }
     }
 
     // --- Reassign dead owners and reconstruct each final span -----------
-    let survivors: Vec<usize> = (0..p).filter(|&r| !crashed.contains_key(&r)).collect();
-    let fallback_owner = survivors.first().copied();
-
     let mut entries: Vec<RepairEntry> = Vec::new();
     let mut final_owners = schedule.final_owners.clone();
     let mut reassigned_spans = 0usize;
@@ -340,12 +328,8 @@ pub fn repair(
     let mut lost_pixels = 0usize;
 
     for (span, owner) in &mut final_owners {
-        let owner_alive = !crashed.contains_key(owner);
-        if !owner_alive {
-            let Some(new_owner) = fallback_owner else {
-                continue; // no survivors: nothing to plan
-            };
-            *owner = new_owner;
+        if crashed.contains_key(owner) {
+            *owner = fallback_owner;
             reassigned_spans += 1;
         }
         if span.is_empty() {
@@ -365,38 +349,52 @@ pub fn repair(
         let cuts: Vec<usize> = cuts.into_iter().collect();
         for w in cuts.windows(2) {
             let atom = Span::new(w[0], w[1] - w[0]);
-            // Candidate pieces fully covering the atom. Thanks to the
-            // cuts, partial overlap is impossible.
+            // Candidate pieces fully covering the atom (thanks to the cuts,
+            // partial overlap is impossible), by the depth they reach back
+            // to; among equals, live before archived, front holder first.
             let mut cands: Vec<&Avail> = avail.iter().filter(|a| a.span.contains(&atom)).collect();
-            let achievable: Members = cands
-                .iter()
-                .flat_map(|a| a.members.iter().copied())
-                .collect();
+            cands.sort_by_key(|a| (a.back, a.kind, a.holder_depth));
+            // Only pieces whose depth ranges do not interleave composite
+            // together (module doc), so the cover is a weighted interval
+            // scheduling: `best[d]` is the most survivors' contributions —
+            // then the most of the dead's, then the fewest pieces —
+            // reachable with pieces wholly in front of depth `d`, `via[d]`
+            // the last piece of that choice. On the laminar ghost runs of a
+            // flat schedule without a dead relay it picks the maximal sets.
+            let mut best = vec![(0usize, 0usize, Reverse(0usize)); p + 1];
+            let mut via: Vec<Option<&Avail>> = vec![None; p + 1];
+            let mut ending = cands.iter().peekable();
             for d in 0..p {
-                if !achievable.contains(&d) {
-                    lost_members.insert(d);
+                best[d + 1] = best[d];
+                while let Some(c) = ending.next_if(|c| c.back == d) {
+                    let (alive, members, Reverse(pieces)) = best[c.front];
+                    let with = (
+                        alive + c.alive,
+                        members + c.members.len(),
+                        Reverse(pieces + 1),
+                    );
+                    if with > best[d + 1] {
+                        best[d + 1] = with;
+                        via[d + 1] = Some(c);
+                    }
                 }
             }
-            if achievable.len() < p {
+            // Walk the choice back; `picked` comes out front-to-back, which
+            // is the merge order.
+            let mut picked: Vec<&Avail> = Vec::new();
+            let mut d = p;
+            while d > 0 {
+                d = via[d].map_or(d - 1, |c| {
+                    picked.push(c);
+                    c.front
+                });
+            }
+            picked.reverse();
+            let covered: Members = picked.iter().flat_map(|c| &c.members).copied().collect();
+            lost_members.extend((0..p).filter(|d| !covered.contains(d)));
+            if covered.len() < p {
                 lost_pixels += atom.len;
             }
-            // The member sets form a laminar family (pieces only ever grow
-            // by merging, archives are snapshots of ancestors), so a
-            // largest-first greedy cover is exact.
-            cands.sort_by_key(|a| (std::cmp::Reverse(a.members.len()), a.kind, a.holder_depth));
-            let mut needed = achievable;
-            let mut picked: Vec<&Avail> = Vec::new();
-            for c in cands {
-                if !c.members.is_empty() && c.members.is_subset(&needed) {
-                    for m in &c.members {
-                        needed.remove(m);
-                    }
-                    picked.push(c);
-                }
-            }
-            debug_assert!(needed.is_empty(), "laminar cover must be exact");
-            // Front-to-back merge order = ascending minimum depth.
-            picked.sort_by_key(|a| a.members.first().copied().unwrap_or(usize::MAX));
             // No work if the owner already holds the atom as one live piece.
             if let [only] = picked.as_slice() {
                 if only.kind == 0 && only.holder_depth == owner_depth {
@@ -411,6 +409,7 @@ pub fn repair(
                     .map(|a| RepairFetch {
                         holder: rank_of_depth[a.holder_depth],
                         members: a.members.iter().copied().collect(),
+                        own: a.kind == 2,
                     })
                     .collect(),
             });
@@ -469,22 +468,11 @@ mod tests {
             );
             // Rank 2 contributed nothing anywhere: every pixel lost it.
             assert_eq!(plan.info.lost_pixels, 256, "{}", s.method);
-            // Spans owned by the dead rank moved to a survivor.
-            for (_, owner) in &plan.final_owners {
-                assert_ne!(*owner, 2, "{}", s.method);
-            }
-            // Every fetch comes from a survivor and covers each entry's
-            // achievable members exactly once.
-            for e in &plan.entries {
-                let mut seen = BTreeSet::new();
-                for fetch in &e.fetches {
-                    assert_ne!(fetch.holder, 2, "{}", s.method);
-                    for &m in &fetch.members {
-                        assert!(seen.insert(m), "{}: member duplicated", s.method);
-                    }
-                }
-                assert!(!seen.contains(&2), "{}", s.method);
-            }
+            // Spans owned by the dead rank moved to a survivor, every fetch
+            // comes from one and covers each member once, in depth order.
+            assert_sound(&plan, &[2]);
+            let mut fetches = plan.entries.iter().flat_map(|e| &e.fetches);
+            assert!(fetches.all(|f| !f.members.contains(&2)), "{}", s.method);
         }
     }
 
@@ -515,6 +503,7 @@ mod tests {
     fn entries_tile_the_reassigned_spans() {
         let s = RotateTiling::two_n(2).build(6, 360).unwrap();
         let plan = repair(&s, &crash(&[(3, 1)])).unwrap();
+        assert_sound(&plan, &[3]);
         for e in &plan.entries {
             assert!(!e.fetches.is_empty());
             assert!(e.span.len > 0);
@@ -530,14 +519,7 @@ mod tests {
         let s = ParallelPipelined::new().build(6, 360).unwrap();
         let plan = repair(&s, &crash(&[(0, 1), (4, 2)])).unwrap();
         assert_eq!(plan.info.failed, vec![(0, 1), (4, 2)]);
-        for (_, owner) in &plan.final_owners {
-            assert!(*owner != 0 && *owner != 4);
-        }
-        for e in &plan.entries {
-            for fetch in &e.fetches {
-                assert!(fetch.holder != 0 && fetch.holder != 4);
-            }
-        }
+        assert_sound(&plan, &[0, 4]);
     }
 
     #[test]
@@ -554,6 +536,127 @@ mod tests {
             reassign_root(4, &mut 0, &all).unwrap_err(),
             CoreError::AllRanksFailed { p: 4 }
         );
+    }
+
+    /// p = 8 in two groups of 4 on one step clock: the intra steps, then
+    /// the placements at `place`, then the leader exchange.
+    fn hier(intra: crate::IntraMethod) -> (Schedule, usize) {
+        let s = crate::hier::build(8, 4, intra, 256).unwrap();
+        let place = s
+            .steps
+            .iter()
+            .position(|step| step.transfers.iter().any(|t| t.dir == MergeDir::Place))
+            .unwrap();
+        (s, place)
+    }
+
+    /// No fetch is served by, and no span left with, a dead rank — and
+    /// every entry composites front to back: each fetched piece lies wholly
+    /// behind the one before it.
+    fn assert_sound(plan: &RepairPlan, dead: &[usize]) {
+        for e in &plan.entries {
+            assert!(!dead.contains(&e.owner));
+            for fetch in &e.fetches {
+                assert!(!dead.contains(&fetch.holder));
+            }
+            for w in e.fetches.windows(2) {
+                assert!(
+                    w[0].members.last() < w[1].members.first(),
+                    "{}: {:?} cannot go in front of {:?}",
+                    e.span,
+                    w[0].members,
+                    w[1].members
+                );
+            }
+        }
+        assert!(plan.final_owners.iter().all(|(_, r)| !dead.contains(r)));
+    }
+
+    #[test]
+    fn member_dead_before_its_placement_loses_only_its_unshipped_data() {
+        // Rank 2 finished a quarter of its group's composite and dies
+        // before placing it: the leader goes on with the snapshot it
+        // archived there and the other leader merges its group behind that,
+        // past ranks 1 and 3, whose inputs are still in their buffers. The
+        // quarter is rebuilt in depth order around them, and only rank 2's
+        // own data on it is gone.
+        for intra in [
+            crate::IntraMethod::DirectSend,
+            crate::IntraMethod::BinarySwap,
+        ] {
+            let (s, place) = hier(intra);
+            let unplaced = s.steps[place]
+                .transfers
+                .iter()
+                .find(|t| t.src == 2)
+                .unwrap()
+                .span;
+            let plan = repair(&s, &crash(&[(2, place)])).unwrap();
+            assert_eq!(plan.info.lost_contributions, vec![2], "{intra:?}");
+            assert_eq!(plan.info.lost_pixels, unplaced.len, "{intra:?}");
+            assert_sound(&plan, &[2]);
+            let rebuilt = plan.entries.iter().filter(|e| unplaced.contains(&e.span));
+            let mut pixels = 0;
+            for e in rebuilt {
+                let members: Vec<usize> =
+                    e.fetches.iter().flat_map(|f| f.members.clone()).collect();
+                assert_eq!(members, vec![0, 1, 3, 4, 5, 6, 7], "{intra:?} {}", e.span);
+                pixels += e.span.len;
+            }
+            assert_eq!(pixels, unplaced.len, "{intra:?}");
+        }
+    }
+
+    #[test]
+    fn a_dead_relay_costs_no_survivor_its_own_data() {
+        // Radix-k [3, 3] on 9 ranks: rank 3 dies before the second round,
+        // holding the composite of ranks 3..6. Rank 0 skips it and merges
+        // ranks 6..9 straight behind its own 0..3, in place, so ranks 4 and
+        // 5 no longer fit in between and rank 0's data exists nowhere else
+        // in the buffers: its kept partial is what saves it.
+        let s = crate::RadixK::new(vec![3, 3]).build(9, 324).unwrap();
+        let plan = repair(&s, &crash(&[(3, 1)])).unwrap();
+        assert_eq!(plan.info.lost_contributions, vec![3]);
+        assert_sound(&plan, &[3]);
+        let mut fetches = plan.entries.iter().flat_map(|e| &e.fetches);
+        assert!(fetches.any(|f| f.own && f.members == vec![0]));
+    }
+
+    #[test]
+    fn leader_dead_in_the_inter_phase_does_not_cost_its_group() {
+        // Leader 4 dies holding the placed composite of ranks 4..8: every
+        // member still has the span it placed, so the group is refetched
+        // from them; only rank 4's own data on the quarter it never
+        // shipped (its final intra span) is lost.
+        let (s, place) = hier(crate::IntraMethod::DirectSend);
+        let plan = repair(&s, &crash(&[(4, place + 1)])).unwrap();
+        assert_eq!(plan.info.lost_contributions, vec![4]);
+        assert_eq!(plan.info.lost_pixels, 256 / 4);
+        assert_sound(&plan, &[4]);
+        for member in 5..8 {
+            assert!(
+                plan.entries
+                    .iter()
+                    .flat_map(|e| &e.fetches)
+                    .any(|f| { f.holder == member && f.members == vec![4, 5, 6, 7] }),
+                "member {member} serves no placed span"
+            );
+        }
+    }
+
+    #[test]
+    fn a_whole_group_dead_loses_exactly_that_group() {
+        let (s, _) = hier(crate::IntraMethod::DirectSend);
+        let dead = [4, 5, 6, 7];
+        let plan = repair(&s, &dead.iter().map(|&r| (r, 0)).collect()).unwrap();
+        assert_eq!(plan.info.lost_contributions, dead);
+        assert_eq!(plan.info.lost_pixels, 256);
+        assert_sound(&plan, &dead);
+        // The surviving group's composite is whole on every span.
+        for e in &plan.entries {
+            let members: Vec<usize> = e.fetches.iter().flat_map(|f| f.members.clone()).collect();
+            assert_eq!(members, vec![0, 1, 2, 3], "{:?}", e.span);
+        }
     }
 
     #[test]

@@ -127,13 +127,13 @@ impl<'a, P: Pixel> Run<'a, P> {
 }
 
 /// The connection topology a TCP run can restrict itself to, when that is
-/// safe: a hierarchical plan on real sockets uses only the group meshes,
-/// the leader overlay and the gather links, so a crash-free run dials
+/// safe: a span schedule on real sockets talks over exactly the links it
+/// lists ([`crate::Schedule::links`]), which for a hierarchical schedule is
 /// `O(P·k + (P/k)²)` sockets instead of the `O(P²)` mesh. `None` (keep the
-/// full mesh) for the in-process backend (no sockets to save), for flat
-/// plans (direct-send and the gather already touch most pairs), and for
-/// resilient or faulty runs — repair fetches and reassigned leaders may
-/// route between ranks the crash-free plan never pairs.
+/// full mesh) for the in-process backend (no sockets to save), for tile
+/// plans (the message set depends on the content), and for resilient or
+/// faulty runs — repair fetches and reassigned owners may route between
+/// ranks the crash-free schedule never pairs.
 fn plan_topology(
     plan: &ComposePlan,
     config: &ComposeConfig,
@@ -143,10 +143,10 @@ fn plan_topology(
         return None;
     }
     match plan {
-        ComposePlan::Hier(h) => Some(rt_net::Topology::from_links(
-            h.links(config.root, config.display),
+        ComposePlan::Schedule(s) => Some(rt_net::Topology::from_links(
+            s.links(config.root, config.display),
         )),
-        _ => None,
+        ComposePlan::Tiles(_) => None,
     }
 }
 

@@ -1,7 +1,9 @@
 //! Composition schedules: the pure description every method compiles to.
 //!
 //! A [`Schedule`] lists, step by step, which rank ships which pixel [`Span`]
-//! to which rank and how the receiver merges it ([`MergeDir`]). The final
+//! to which rank and how the receiver merges it ([`MergeDir`]) — or, for
+//! [`MergeDir::Place`], takes it over whole — and after which steps the
+//! deferred accumulators are flushed ([`Step::flush`]). The final
 //! ownership map says which rank holds each fully-composited piece of the
 //! frame before the gather.
 //!
@@ -13,10 +15,11 @@
 //! the full correctness condition for compositing with the non-commutative
 //! `over` operator.
 
+use crate::display::DisplayWall;
 use crate::CoreError;
 use rt_imaging::Span;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How a receiver merges an incoming partial into its accumulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -27,9 +30,15 @@ pub enum MergeDir {
     Back,
     /// The incoming partial is farther but not yet adjacent to the local
     /// run; it is folded into a per-span deferred back accumulator
-    /// (`back = recv over back`) and applied after the last step. Used by
-    /// the pipelined method, whose far pieces arrive deepest-first.
+    /// (`back = recv over back`) and applied at the next flush point
+    /// ([`Step::flush`], or after the last step). Used by the pipelined
+    /// method, whose far pieces arrive deepest-first.
     BackDefer,
+    /// The receiver holds nothing live on the span (it shipped it earlier):
+    /// the incoming partial *becomes* its piece there — a decode, no
+    /// `over`. Used by the hierarchical builder ([`crate::hier`]) to
+    /// collect a group's finished spans at its leader.
+    Place,
 }
 
 /// One point-to-point block transfer.
@@ -50,6 +59,11 @@ pub struct Transfer {
 pub struct Step {
     /// The step's transfers, in deterministic schedule order.
     pub transfers: Vec<Transfer>,
+    /// Flush every rank's deferred back accumulators after this step's
+    /// receives, so the spans they complete can be shipped by a later
+    /// step. The flush after the last step is implicit; every flat method
+    /// leaves this `false`.
+    pub flush: bool,
 }
 
 impl Step {
@@ -142,6 +156,34 @@ impl Schedule {
         owned
     }
 
+    /// The undirected rank pairs a crash-free execution talks over: every
+    /// transfer's `(src, dst)`, plus the gather links from each final owner
+    /// to `root` (or to every display rank of `wall`). This is the topology
+    /// a connection-restricted transport dials — for a hierarchical
+    /// schedule far below the `P(P−1)/2` mesh. Fault repair may route
+    /// outside this set, so resilient runs keep the full mesh.
+    pub fn links(&self, root: usize, wall: Option<DisplayWall>) -> BTreeSet<(usize, usize)> {
+        let transfers = self
+            .steps
+            .iter()
+            .flat_map(|s| &s.transfers)
+            .map(|t| (t.src, t.dst));
+        let sinks: Vec<usize> = match wall {
+            None => vec![root],
+            Some(w) => (0..w.count()).map(|d| w.rank_of(d)).collect(),
+        };
+        let gathers = self
+            .final_owners
+            .iter()
+            .filter(|(span, _)| !span.is_empty())
+            .flat_map(|&(_, owner)| sinks.iter().map(move |&sink| (owner, sink)));
+        transfers
+            .chain(gathers)
+            .filter(|(a, b)| a != b)
+            .map(|(a, b)| (a.min(b), a.max(b)))
+            .collect()
+    }
+
     /// Human-readable walkthrough in the style of the paper's Figures 1–2.
     pub fn walkthrough(&self) -> String {
         use std::fmt::Write as _;
@@ -162,12 +204,16 @@ impl Schedule {
                     MergeDir::Front => "front",
                     MergeDir::Back => "back",
                     MergeDir::BackDefer => "back*",
+                    MergeDir::Place => "place",
                 };
                 let _ = writeln!(
                     out,
                     "  P{} -> P{}  {}  ({} px, merge {})",
                     t.src, t.dst, t.span, t.span.len, dir
                 );
+            }
+            if step.flush {
+                let _ = writeln!(out, "  flush deferred accumulators");
             }
         }
         let _ = writeln!(out, "final ownership:");
@@ -178,6 +224,106 @@ impl Schedule {
     }
 }
 
+/// What one rank holds, as disjoint `(span, payload)` pieces keyed by span
+/// start: the take / split / put map a schedule is simulated over. The
+/// verifier's payload is a depth run, the repair planner's a member set.
+/// Adjacent pieces with equal payloads are kept coalesced, so a rank that
+/// was handed several spans of one composite can ship a span covering them.
+#[derive(Debug, Clone)]
+pub(crate) struct Pieces<T> {
+    map: BTreeMap<usize, (Span, T)>,
+}
+
+impl<T: Clone + PartialEq> Pieces<T> {
+    /// Holding nothing.
+    pub fn empty() -> Self {
+        Pieces {
+            map: BTreeMap::new(),
+        }
+    }
+
+    /// Holding `payload` over the whole `span`.
+    pub fn holding(span: Span, payload: T) -> Self {
+        let mut pieces = Self::empty();
+        pieces.put(span, payload);
+        pieces
+    }
+
+    /// Every piece, in span order.
+    pub fn iter(&self) -> impl Iterator<Item = &(Span, T)> {
+        self.map.values()
+    }
+
+    /// Remove and return whatever is held under `span`, in span order,
+    /// cutting the pieces that straddle its ends.
+    pub fn remove(&mut self, span: Span) -> Vec<(Span, T)> {
+        if span.is_empty() {
+            return Vec::new();
+        }
+        // Pieces are disjoint: the ones under `span` are the last to start
+        // before its end, back to the first that ends at or before its start.
+        let mut keys: Vec<usize> = self
+            .map
+            .range(..span.end())
+            .rev()
+            .take_while(|(_, (held, _))| held.end() > span.start)
+            .map(|(&start, _)| start)
+            .collect();
+        keys.reverse();
+        let mut under = Vec::with_capacity(keys.len());
+        for key in keys {
+            let Some((held, payload)) = self.map.remove(&key) else {
+                continue;
+            };
+            let (start, end) = (held.start.max(span.start), held.end().min(span.end()));
+            if held.start < start {
+                let left = Span::new(held.start, start - held.start);
+                self.map.insert(left.start, (left, payload.clone()));
+            }
+            if end < held.end() {
+                let right = Span::new(end, held.end() - end);
+                self.map.insert(right.start, (right, payload.clone()));
+            }
+            under.push((Span::new(start, end - start), payload));
+        }
+        under
+    }
+
+    /// [`Pieces::remove`], requiring the pieces to cover `span` without a
+    /// gap. A failed take leaves the table cut; callers abandon it.
+    pub fn take(&mut self, span: Span) -> Result<Vec<(Span, T)>, String> {
+        let under = self.remove(span);
+        let covered: usize = under.iter().map(|(piece, _)| piece.len).sum();
+        if covered == span.len {
+            Ok(under)
+        } else {
+            Err(format!("no pieces cover all of {span}"))
+        }
+    }
+
+    /// Hold `payload` over `span` (which must be vacant), coalescing with
+    /// an adjacent piece of equal payload on either side.
+    pub fn put(&mut self, mut span: Span, payload: T) {
+        if span.is_empty() {
+            return;
+        }
+        let left = self.map.range(..span.start).next_back();
+        if let Some((held, _)) = left
+            .map(|(_, piece)| piece)
+            .filter(|(held, p)| held.end() == span.start && *p == payload)
+        {
+            span = Span::new(held.start, held.len + span.len);
+        }
+        if let Some((held, _)) = self.map.get(&span.end()).filter(|(_, p)| *p == payload) {
+            let right = held.start;
+            span.len += held.len;
+            self.map.remove(&right);
+        }
+        // A coalesced left neighbour has the same key and is replaced.
+        self.map.insert(span.start, (span, payload));
+    }
+}
+
 /// A contiguous depth interval `[lo, hi)` of rank contributions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Run {
@@ -185,51 +331,60 @@ struct Run {
     hi: usize,
 }
 
-/// Symbolic verifier state: what one rank currently holds, as disjoint
-/// `(span, run)` pieces sorted by span start.
-#[derive(Debug, Default, Clone)]
+impl Run {
+    /// `self over back`, which `over` only allows for depth-adjacent runs.
+    fn over(self, back: Run) -> Option<Run> {
+        (self.hi == back.lo).then_some(Run {
+            lo: self.lo,
+            hi: back.hi,
+        })
+    }
+}
+
+/// Symbolic verifier state of one rank.
 struct Holding {
-    pieces: BTreeMap<usize, (Span, Run)>,
+    /// What the rank currently holds live.
+    local: Pieces<Run>,
     /// Deferred back accumulators, keyed by span start.
     back: BTreeMap<usize, (Span, Run)>,
 }
 
 impl Holding {
-    /// Remove and return the run held over exactly `span`, splitting a
-    /// larger containing piece if needed.
+    /// Remove the one run held over exactly `span`.
     fn take(&mut self, span: Span) -> Result<Run, String> {
-        // Find the piece containing span.start.
-        let (&start, &(piece_span, run)) = self
-            .pieces
-            .range(..=span.start)
-            .next_back()
-            .ok_or_else(|| format!("no piece covers {span}"))?;
-        if !piece_span.contains(&span) {
-            return Err(format!("piece {piece_span} does not contain {span}"));
+        match self.local.take(span)?.as_slice() {
+            [(_, run)] => Ok(*run),
+            pieces => Err(format!(
+                "{span} is held as {} pieces of different runs",
+                pieces.len()
+            )),
         }
-        self.pieces.remove(&start);
-        if piece_span.start < span.start {
-            let left = Span::new(piece_span.start, span.start - piece_span.start);
-            self.pieces.insert(left.start, (left, run));
-        }
-        if span.end() < piece_span.end() {
-            let right = Span::new(span.end(), piece_span.end() - span.end());
-            self.pieces.insert(right.start, (right, run));
-        }
-        Ok(run)
     }
 
-    fn put(&mut self, span: Span, run: Run) {
-        self.pieces.insert(span.start, (span, run));
+    /// Apply the deferred accumulators: `local over deferred`.
+    fn flush(&mut self) -> Result<(), String> {
+        for (span, acc) in std::mem::take(&mut self.back).into_values() {
+            let local = self.take(span)?;
+            let merged = local.over(acc).ok_or_else(|| {
+                format!(
+                    "local [{},{}) not adjacent to deferred [{},{})",
+                    local.lo, local.hi, acc.lo, acc.hi
+                )
+            })?;
+            self.local.put(span, merged);
+        }
+        Ok(())
     }
 }
 
 /// Symbolically execute `schedule` and prove it correct.
 ///
 /// Checks, in order:
-/// 1. every transfer's source actually holds the span it ships, and every
-///    merge is depth-adjacent (the `over` contiguity requirement);
-/// 2. deferred back accumulators are completed and adjacent at flush time;
+/// 1. every transfer's source actually holds the span it ships, every
+///    merge is depth-adjacent (the `over` contiguity requirement), and a
+///    [`MergeDir::Place`] lands where its receiver holds nothing;
+/// 2. deferred back accumulators are completed and adjacent at each flush
+///    point ([`Step::flush`], and after the last step);
 /// 3. after the last step, the surviving pieces are exactly the
 ///    `final_owners` map, every piece carrying the complete run `[0, P)`;
 /// 4. `final_owners` tiles the frame.
@@ -239,10 +394,9 @@ pub fn verify_schedule(schedule: &Schedule) -> Result<(), CoreError> {
     let bad = |why: String| CoreError::InvalidSchedule { why };
 
     let mut holdings: Vec<Holding> = (0..p)
-        .map(|r| {
-            let mut h = Holding::default();
-            h.put(Span::whole(a), Run { lo: r, hi: r + 1 });
-            h
+        .map(|r| Holding {
+            local: Pieces::holding(Span::whole(a), Run { lo: r, hi: r + 1 }),
+            back: BTreeMap::new(),
         })
         .collect();
 
@@ -254,111 +408,79 @@ pub fn verify_schedule(schedule: &Schedule) -> Result<(), CoreError> {
             if t.src == t.dst {
                 return Err(bad(format!("step {k}: self transfer {t:?}")));
             }
-            if t.span.end() > a || t.span.is_empty() && a > 0 {
-                // Empty spans are legal no-ops only when the frame is empty;
-                // schedules on degenerate frames may produce them.
-                if t.span.end() > a {
-                    return Err(bad(format!("step {k}: span out of frame in {t:?}")));
-                }
+            if t.span.end() > a {
+                return Err(bad(format!("step {k}: span out of frame in {t:?}")));
+            }
+            if t.span.is_empty() {
+                // Degenerate shapes (fewer pixels than ranks) ship nothing.
+                continue;
             }
             let sent = holdings[t.src]
                 .take(t.span)
                 .map_err(|e| bad(format!("step {k}: sender P{}: {e}", t.src)))?;
+            let dst = &mut holdings[t.dst];
+            let receiver = |e: String| bad(format!("step {k}: receiver P{}: {e}", t.dst));
+            let apart = |what: &str, front: Run, back: Run| {
+                bad(format!(
+                    "step {k}: {what}: [{},{}) vs [{},{}) in {t:?}",
+                    front.lo, front.hi, back.lo, back.hi
+                ))
+            };
             match t.dir {
                 MergeDir::Front => {
-                    let local = holdings[t.dst]
-                        .take(t.span)
-                        .map_err(|e| bad(format!("step {k}: receiver P{}: {e}", t.dst)))?;
-                    if sent.hi != local.lo {
-                        return Err(bad(format!(
-                            "step {k}: front merge not adjacent: recv [{},{}) vs local [{},{}) in {t:?}",
-                            sent.lo, sent.hi, local.lo, local.hi
-                        )));
-                    }
-                    holdings[t.dst].put(
-                        t.span,
-                        Run {
-                            lo: sent.lo,
-                            hi: local.hi,
-                        },
-                    );
+                    let local = dst.take(t.span).map_err(receiver)?;
+                    let merged = sent
+                        .over(local)
+                        .ok_or_else(|| apart("front merge not adjacent", sent, local))?;
+                    dst.local.put(t.span, merged);
                 }
                 MergeDir::Back => {
-                    let local = holdings[t.dst]
-                        .take(t.span)
-                        .map_err(|e| bad(format!("step {k}: receiver P{}: {e}", t.dst)))?;
-                    if local.hi != sent.lo {
+                    let local = dst.take(t.span).map_err(receiver)?;
+                    let merged = local
+                        .over(sent)
+                        .ok_or_else(|| apart("back merge not adjacent", local, sent))?;
+                    dst.local.put(t.span, merged);
+                }
+                MergeDir::BackDefer => match dst.back.get(&t.span.start).copied() {
+                    None => {
+                        dst.back.insert(t.span.start, (t.span, sent));
+                    }
+                    Some((acc_span, _)) if acc_span != t.span => {
                         return Err(bad(format!(
-                            "step {k}: back merge not adjacent: local [{},{}) vs recv [{},{}) in {t:?}",
-                            local.lo, local.hi, sent.lo, sent.hi
+                            "step {k}: deferred-back span mismatch {acc_span} vs {}",
+                            t.span
                         )));
                     }
-                    holdings[t.dst].put(
-                        t.span,
-                        Run {
-                            lo: local.lo,
-                            hi: sent.hi,
-                        },
-                    );
-                }
-                MergeDir::BackDefer => {
-                    let entry = holdings[t.dst].back.get(&t.span.start).copied();
-                    match entry {
-                        None => {
-                            holdings[t.dst].back.insert(t.span.start, (t.span, sent));
-                        }
-                        Some((acc_span, acc)) => {
-                            if acc_span != t.span {
-                                return Err(bad(format!(
-                                    "step {k}: deferred-back span mismatch {acc_span} vs {}",
-                                    t.span
-                                )));
-                            }
-                            if sent.hi != acc.lo {
-                                return Err(bad(format!(
-                                    "step {k}: deferred back not deepest-first: recv [{},{}) vs acc [{},{})",
-                                    sent.lo, sent.hi, acc.lo, acc.hi
-                                )));
-                            }
-                            holdings[t.dst].back.insert(
-                                t.span.start,
-                                (
-                                    acc_span,
-                                    Run {
-                                        lo: sent.lo,
-                                        hi: acc.hi,
-                                    },
-                                ),
-                            );
-                        }
+                    Some((_, acc)) => {
+                        let merged = sent
+                            .over(acc)
+                            .ok_or_else(|| apart("deferred back not deepest-first", sent, acc))?;
+                        dst.back.insert(t.span.start, (t.span, merged));
                     }
+                },
+                MergeDir::Place => {
+                    if !dst.local.remove(t.span).is_empty() {
+                        return Err(receiver(format!(
+                            "a placement onto {}, which it still holds",
+                            t.span
+                        )));
+                    }
+                    dst.local.put(t.span, sent);
                 }
+            }
+        }
+        if step.flush {
+            for (r, holding) in holdings.iter_mut().enumerate() {
+                holding
+                    .flush()
+                    .map_err(|e| bad(format!("flush after step {k}: rank P{r}: {e}")))?;
             }
         }
     }
-
-    // Flush deferred back accumulators.
     for (r, holding) in holdings.iter_mut().enumerate() {
-        let backs: Vec<(Span, Run)> = holding.back.values().copied().collect();
-        holding.back.clear();
-        for (span, acc) in backs {
-            let local = holding
-                .take(span)
-                .map_err(|e| bad(format!("flush: rank P{r}: {e}")))?;
-            if local.hi != acc.lo {
-                return Err(bad(format!(
-                    "flush: rank P{r}: local [{},{}) not adjacent to deferred [{},{})",
-                    local.lo, local.hi, acc.lo, acc.hi
-                )));
-            }
-            holding.put(
-                span,
-                Run {
-                    lo: local.lo,
-                    hi: acc.hi,
-                },
-            );
-        }
+        holding
+            .flush()
+            .map_err(|e| bad(format!("flush: rank P{r}: {e}")))?;
     }
 
     // final_owners must tile the frame (zero-pixel spans, which degenerate
@@ -422,11 +544,89 @@ mod tests {
                         dir: MergeDir::Front,
                     },
                 ],
+                flush: false,
             }],
             final_owners: vec![(first, 0), (second, 1)],
             method: "swap2".into(),
             depth_of_rank: None,
         }
+    }
+
+    #[test]
+    fn pieces_split_on_take_and_coalesce_on_put() {
+        let at = |start: usize, end: usize| Span::new(start, end - start);
+        let mut held = Pieces::holding(at(0, 100), 'a');
+        assert_eq!(held.take(at(20, 50)).unwrap(), vec![(at(20, 50), 'a')]);
+        assert_eq!(held.iter().count(), 2);
+        // An equal neighbour is absorbed, an unequal one is not.
+        held.put(at(20, 35), 'b');
+        held.put(at(35, 50), 'a');
+        let pieces: Vec<_> = held.iter().copied().collect();
+        assert_eq!(
+            pieces,
+            vec![(at(0, 20), 'a'), (at(20, 35), 'b'), (at(35, 100), 'a')]
+        );
+        // A span over several pieces comes back piecewise, ends cut.
+        assert_eq!(
+            held.take(at(10, 60)).unwrap(),
+            vec![(at(10, 20), 'a'), (at(20, 35), 'b'), (at(35, 60), 'a')]
+        );
+        held.put(at(10, 60), 'a');
+        assert_eq!(
+            held.iter().copied().collect::<Vec<_>>(),
+            vec![(at(0, 100), 'a')]
+        );
+        // A gap fails a take but not a remove; empty spans hold nothing.
+        assert_eq!(held.remove(at(40, 60)).len(), 1);
+        assert!(held.take(at(30, 70)).is_err());
+        assert!(held.take(Span::new(50, 0)).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_placement_needs_a_vacant_span_and_a_flush_point_completes_one() {
+        // P = 3: rank 1 collects 2's far half deferred, flushes, and places
+        // the finished half at rank 0, which shipped its own copy away.
+        let (first, second) = Span::whole(10).halve();
+        let transfer = |src, dst, span, dir| Transfer {
+            src,
+            dst,
+            span,
+            dir,
+        };
+        let good = Schedule {
+            p: 3,
+            image_len: 10,
+            steps: vec![
+                Step {
+                    transfers: vec![
+                        transfer(0, 1, second, MergeDir::Front),
+                        transfer(2, 1, second, MergeDir::BackDefer),
+                        transfer(1, 0, first, MergeDir::Back),
+                        transfer(2, 0, first, MergeDir::BackDefer),
+                    ],
+                    flush: true,
+                },
+                Step {
+                    transfers: vec![transfer(1, 0, second, MergeDir::Place)],
+                    flush: false,
+                },
+            ],
+            final_owners: vec![(Span::whole(10), 0)],
+            method: "place".into(),
+            depth_of_rank: None,
+        };
+        verify_schedule(&good).unwrap();
+        assert_eq!(good.links(0, None).len(), 3);
+
+        let mut unflushed = good.clone();
+        unflushed.steps[0].flush = false;
+        assert!(verify_schedule(&unflushed).is_err());
+
+        // Rank 0 keeps its second half: the placement has nowhere to land.
+        let mut held = good.clone();
+        held.steps[0].transfers.remove(0);
+        let err = verify_schedule(&held).unwrap_err();
+        assert!(err.to_string().contains("still holds"), "{err}");
     }
 
     #[test]
@@ -490,6 +690,7 @@ mod tests {
                         span,
                         dir: MergeDir::BackDefer,
                     }],
+                    flush: false,
                 },
                 Step {
                     transfers: vec![Transfer {
@@ -498,6 +699,7 @@ mod tests {
                         span,
                         dir: MergeDir::BackDefer,
                     }],
+                    flush: false,
                 },
             ],
             final_owners: vec![(span, 0)],

@@ -327,9 +327,9 @@ pub fn verify_tile_plan(plan: &TilePlan) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// A composition plan of any family — span schedules, tile ownership
-/// (exact or puzzlepiece) or two-level — so pipelines, benches and streams
-/// dispatch on one value.
+/// A composition plan of either family — span schedules (flat or
+/// hierarchical) or tile ownership (exact or puzzlepiece) — so pipelines,
+/// benches and streams dispatch on one value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ComposePlan {
     /// A step-structured span schedule ([`crate::method::Method`]'s
@@ -337,9 +337,6 @@ pub enum ComposePlan {
     Schedule(Schedule),
     /// A tile-ownership plan, exact or (with a budget) puzzlepiece.
     Tiles(TilePlan),
-    /// A two-level hierarchical plan (intra-group method + Radix-k
-    /// leader overlay).
-    Hier(crate::hier::HierPlan),
 }
 
 impl ComposePlan {
@@ -348,7 +345,6 @@ impl ComposePlan {
         match self {
             ComposePlan::Schedule(s) => s.p,
             ComposePlan::Tiles(t) => t.p,
-            ComposePlan::Hier(h) => h.p,
         }
     }
 
@@ -357,7 +353,6 @@ impl ComposePlan {
         match self {
             ComposePlan::Schedule(s) => s.image_len,
             ComposePlan::Tiles(t) => t.grid.width * t.grid.height,
-            ComposePlan::Hier(h) => h.width * h.height,
         }
     }
 
@@ -366,24 +361,22 @@ impl ComposePlan {
         match self {
             ComposePlan::Schedule(s) => &s.method,
             ComposePlan::Tiles(t) => &t.method,
-            ComposePlan::Hier(h) => &h.method,
         }
     }
 
-    /// Verify the plan's invariants ([`verify_schedule`],
-    /// [`verify_tile_plan`] or [`crate::hier::HierPlan::verify`]).
+    /// Verify the plan's invariants ([`verify_schedule`] or
+    /// [`verify_tile_plan`]).
     pub fn verify(&self) -> Result<(), CoreError> {
         match self {
             ComposePlan::Schedule(s) => verify_schedule(s),
             ComposePlan::Tiles(t) => verify_tile_plan(t),
-            ComposePlan::Hier(h) => h.verify(),
         }
     }
 }
 
 /// Reject a plan that was not built for this machine and this image —
 /// the one shape check in front of every executor.
-pub(crate) fn check_shape<P: Pixel>(
+fn check_shape<P: Pixel>(
     ctx: &RankCtx,
     p: usize,
     image_len: usize,
@@ -395,8 +388,8 @@ pub(crate) fn check_shape<P: Pixel>(
             why: format!("plan built for {p} ranks, machine has {}", ctx.size()),
         });
     }
-    // Span schedules know only the pixel count; the other families the
-    // frame geometry.
+    // Span schedules know only the pixel count; tile plans the frame
+    // geometry.
     let fits = match dims {
         Some(dims) => dims == (local.width(), local.height()),
         None => image_len == local.len(),
@@ -427,8 +420,7 @@ pub(crate) fn check_shape<P: Pixel>(
 /// triggers the deterministic repair round that reassigns dead owners'
 /// tiles to the next live rank and re-collects the survivors' content for
 /// them. Span schedules crash at their own step indices (see
-/// [`crate::repair()`]), hierarchical plans on the two-level clock of
-/// [`crate::hier`].
+/// [`crate::repair()`]).
 pub fn compose_plan<P: Pixel>(
     ctx: &mut RankCtx,
     plan: &ComposePlan,
@@ -439,7 +431,6 @@ pub fn compose_plan<P: Pixel>(
     let dims = match plan {
         ComposePlan::Schedule(_) => None,
         ComposePlan::Tiles(t) => Some((t.grid.width, t.grid.height)),
-        ComposePlan::Hier(h) => Some((h.width, h.height)),
     };
     check_shape(ctx, plan.p(), plan.image_len(), dims, &local)?;
     if let Some(wall) = config.display {
@@ -454,7 +445,6 @@ pub fn compose_plan<P: Pixel>(
     match plan {
         ComposePlan::Schedule(s) => compose_schedule(ctx, &stage, s, local, scratch),
         ComposePlan::Tiles(t) => compose_tiles(ctx, &stage, t, local, scratch),
-        ComposePlan::Hier(h) => crate::hier::compose_hier(ctx, &stage, h, local, scratch),
     }
 }
 
@@ -463,16 +453,12 @@ pub fn compose_plan<P: Pixel>(
 fn tag_extents(plan: &ComposePlan, config: &ComposeConfig) -> Extents {
     let p = plan.p();
     let mut extents = match plan {
-        ComposePlan::Schedule(s) => schedule_tag_extents(s, s.steps.len(), config),
+        ComposePlan::Schedule(s) => schedule_tag_extents(s, config),
         // The low field carries a rank, a tile index or a gather slot.
         ComposePlan::Tiles(t) => Extents {
             low: t.grid.tiles().max(p) - 1,
             ..Extents::default()
         },
-        // Each group's intra plan is checked by its own compose call.
-        ComposePlan::Hier(h) => {
-            schedule_tag_extents(&h.inter, h.gather_step(h.inter.steps.len()), config)
-        }
     };
     if let Some(wall) = config.display.filter(|_| config.gather) {
         extents.wall = Some((wall.count() - 1, p - 1));
@@ -480,16 +466,12 @@ fn tag_extents(plan: &ComposePlan, config: &ComposeConfig) -> Extents {
     extents
 }
 
-/// What a span schedule writes: its steps up to `gather_step`, span starts
-/// and root-gather slots in the low field, and — when failures may be
-/// repaired — the coordinates of the repair plan's fetches.
-fn schedule_tag_extents(
-    schedule: &Schedule,
-    gather_step: usize,
-    config: &ComposeConfig,
-) -> Extents {
+/// What a span schedule writes: its steps and the gather one past them,
+/// span starts and root-gather slots in the low field, and — when failures
+/// may be repaired — the coordinates of the repair plan's fetches.
+fn schedule_tag_extents(schedule: &Schedule, config: &ComposeConfig) -> Extents {
     Extents {
-        step: gather_step,
+        step: schedule.steps.len(),
         low: schedule.image_len.max(schedule.p).saturating_sub(1),
         wall: None,
         // An entry fetches from distinct holders, and a repair plan has at

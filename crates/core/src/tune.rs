@@ -21,14 +21,9 @@
 //!   a direct-send message set with every span scaled by the fraction.
 //! * **Hierarchy.** With [`TuneOptions::max_group`] ≥ 2 the sweep also
 //!   ranks two-level candidates ([`Method::Hier`]): an intra method per
-//!   group of `k`, Radix-k between the leaders. The predicted time is
-//!   the worst group's intra time (gathered at its leader) plus the
-//!   leader-level time — the same two-phase structure the hierarchical
-//!   executor ([`crate::hier`]) executes, priced with the same analyzer.
-//!   When the two levels run on different fabrics (node-local vs
-//!   cross-node links), [`TuneOptions::inter_cost`] prices the leader
-//!   overlay under its own constants — typically fitted from a measured
-//!   run by [`fit_link_costs`].
+//!   group of `k`, Radix-k between the leaders. They compile to span
+//!   schedules ([`crate::hier`]) and are priced by the same analyzer call
+//!   as every flat candidate.
 //!
 //! [`fit_link_costs`] closes the loop: it recovers `(Ts, Tp)` per link
 //! class and `To` from replayed observability timelines by pairing each
@@ -38,7 +33,6 @@
 use crate::analysis::{analyze, ScheduleCost};
 use crate::hier::IntraMethod;
 use crate::method::{CompositionMethod, Method};
-use crate::radix::RadixK;
 use crate::rotate::RtVariant;
 use crate::CoreError;
 use rt_comm::{CostModel, Event, Trace};
@@ -59,13 +53,6 @@ pub struct Candidate {
 /// Search options.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuneOptions {
-    /// Largest rotate-tiling block count to consider.
-    pub max_blocks: usize,
-    /// Wire bytes per pixel (before codec scaling).
-    pub bytes_per_pixel: usize,
-    /// Rank by time including the gather (`true`, the paper's composition
-    /// stage) or without it.
-    pub include_gather: bool,
     /// Per-codec wire-volume ratios, indexed like [`CodecKind::ALL`]
     /// (raw, RLE, TRLE, bounds). `Some(r)` enables the codec and scales
     /// `Tp` by `r`; `None` leaves it out of the sweep. The default
@@ -80,22 +67,14 @@ pub struct TuneOptions {
     /// Prices [`Method::TileOwner`]; at the default `1.0` the method is
     /// left out (with full content it degenerates to direct-send).
     pub content_fraction: f64,
-    /// Cost constants for the leader overlay of hierarchical candidates
-    /// (`None`: same fabric as the intra links). Codec ratios apply on
-    /// top of either model.
-    pub inter_cost: Option<CostModel>,
 }
 
 impl Default for TuneOptions {
     fn default() -> Self {
         Self {
-            max_blocks: 12,
-            bytes_per_pixel: 2,
-            include_gather: true,
             codec_ratios: [Some(1.0), None, None, None],
             max_group: 0,
             content_fraction: 1.0,
-            inter_cost: None,
         }
     }
 }
@@ -120,13 +99,14 @@ impl TuneOptions {
         self.content_fraction = f;
         self
     }
-
-    /// Price the hierarchical leader overlay under its own constants.
-    pub fn with_inter_cost(mut self, cost: CostModel) -> Self {
-        self.inter_cost = Some(cost);
-        self
-    }
 }
+
+/// Largest rotate-tiling block count the sweep considers.
+const MAX_BLOCKS: usize = 12;
+
+/// Wire bytes per pixel before codec scaling (the `GrayAlpha8` format the
+/// benches compose).
+const BYTES_PER_PIXEL: usize = 2;
 
 /// The default tile grid for tile-ownership candidates (the bench
 /// line-up's `TO(16x16)`). The predicted cost depends on the content
@@ -161,34 +141,16 @@ fn tile_owner_cost(
     p: usize,
     image_len: usize,
     wire: &CostModel,
-    opts: &TuneOptions,
+    content_fraction: f64,
 ) -> Result<ScheduleCost, CoreError> {
     let mut s = Method::DirectSend.build(p, image_len)?;
     for step in &mut s.steps {
         for t in &mut step.transfers {
-            let scaled = (t.span.len as f64 * opts.content_fraction).round() as usize;
+            let scaled = (t.span.len as f64 * content_fraction).round() as usize;
             t.span.len = scaled.max(1);
         }
     }
-    Ok(analyze(&s, wire, opts.bytes_per_pixel))
-}
-
-/// Price one flat method at machine size `s` (the hierarchical intra
-/// level runs flat methods on group-sized sub-machines).
-fn flat_cost(
-    method: IntraMethod,
-    s: usize,
-    image_len: usize,
-    wire: &CostModel,
-    opts: &TuneOptions,
-) -> Result<ScheduleCost, CoreError> {
-    match method {
-        IntraMethod::TileOwner { .. } => tile_owner_cost(s, image_len, wire, opts),
-        m => {
-            let schedule = m.as_method().build(s, image_len)?;
-            Ok(analyze(&schedule, wire, opts.bytes_per_pixel))
-        }
-    }
+    Ok(analyze(&s, wire, BYTES_PER_PIXEL))
 }
 
 /// Intra methods worth trying inside groups of `k` when `p` ranks are
@@ -206,82 +168,11 @@ fn hier_intra_candidates(p: usize, k: usize) -> Vec<IntraMethod> {
     out
 }
 
-/// Price a two-level candidate: worst group's intra time (gathered at
-/// its leader) plus the Radix-k leader level, mirroring the phase
-/// structure of the hierarchical executor ([`crate::hier`]). The two
-/// phases are summed —
-/// the leader level cannot start before the slowest group delivers —
-/// which upper-bounds runs where fast groups overlap the leaders' first
-/// exchanges.
-fn hier_cost(
-    p: usize,
-    image_len: usize,
-    k: usize,
-    intra: IntraMethod,
-    wire: &CostModel,
-    inter_wire: &CostModel,
-    opts: &TuneOptions,
-) -> Result<ScheduleCost, CoreError> {
-    let g = p.div_ceil(k);
-    if g < 2 {
-        return Err(CoreError::UnsupportedShape {
-            method: "hier",
-            why: format!("k={k} leaves fewer than two groups of p={p}"),
-        });
-    }
-    // Distinct group sizes: `g-1` full groups of `k` plus a ragged tail.
-    let rem = p % k;
-    let sizes: Vec<(usize, usize)> = if rem == 0 {
-        vec![(k, g)]
-    } else {
-        vec![(k, g - 1), (rem, 1)]
-    };
-    let mut worst: Option<ScheduleCost> = None;
-    let mut steps = 0usize;
-    let mut messages = 0usize;
-    let mut pixels = 0usize;
-    let mut max_sent = 0usize;
-    let mut max_over = 0usize;
-    let mut latency = 0f64;
-    for &(s, count) in &sizes {
-        let sc = flat_cost(intra, s, image_len, wire, opts)?;
-        // Every non-leader ships its owned span to the leader in the
-        // intra gather; approximate that volume as the frame minus the
-        // leader's own share.
-        let gather_px = image_len - image_len / s.max(1);
-        messages += count * (sc.messages + (s - 1));
-        pixels += count * (sc.pixels_shipped + gather_px);
-        steps = steps.max(sc.steps);
-        max_sent = max_sent.max(sc.max_sent_pixels);
-        max_over = max_over.max(sc.max_over_pixels);
-        latency = latency.max(sc.latency_depth);
-        let better = worst
-            .as_ref()
-            .is_none_or(|w| sc.makespan_with_gather > w.makespan_with_gather);
-        if better {
-            worst = Some(sc);
-        }
-    }
-    let worst = worst.expect("at least one group size");
-    let inter_schedule = RadixK::for_group_size(g, k).build(g, image_len)?;
-    let inter = analyze(&inter_schedule, inter_wire, opts.bytes_per_pixel);
-    Ok(ScheduleCost {
-        makespan: worst.makespan_with_gather + inter.makespan,
-        makespan_with_gather: worst.makespan_with_gather + inter.makespan_with_gather,
-        steps: steps + inter.steps,
-        messages: messages + inter.messages,
-        pixels_shipped: pixels + inter.pixels_shipped,
-        max_sent_pixels: max_sent.max(inter.max_sent_pixels),
-        max_over_pixels: max_over.max(inter.max_over_pixels),
-        latency_depth: latency + inter.latency_depth,
-    })
-}
-
 /// Evaluate every applicable design point — the flat methods (the four
-/// baselines, rotate-tiling at every admissible block count up to
-/// `opts.max_blocks`, tile-ownership when content is sparse) times every
-/// enabled codec, plus hierarchical `(k, intra)` pairs when
-/// `opts.max_group ≥ 2` — ranked best first.
+/// baselines, rotate-tiling at every admissible block count up to 12,
+/// tile-ownership when content is sparse) times every enabled codec, plus
+/// hierarchical `(k, intra)` pairs when `opts.max_group ≥ 2` — ranked best
+/// first.
 pub fn sweep(
     p: usize,
     image_len: usize,
@@ -294,7 +185,6 @@ pub fn sweep(
             continue;
         };
         let wire = wire_model(cost, ratio);
-        let inter_wire = wire_model(opts.inter_cost.as_ref().unwrap_or(cost), ratio);
         let mut push = |method: Method, sc: ScheduleCost| {
             out.push(Candidate {
                 method,
@@ -302,29 +192,25 @@ pub fn sweep(
                 cost: sc,
             });
         };
-        for m in flat_candidates(p) {
-            let schedule = m.build(p, image_len)?;
-            push(m, analyze(&schedule, &wire, opts.bytes_per_pixel));
-        }
-        for b in 1..=opts.max_blocks {
+        let mut scheduled = flat_candidates(p);
+        for b in 1..=MAX_BLOCKS {
             if b % 2 == 0 {
-                let m = Method::RotateTiling {
+                scheduled.push(Method::RotateTiling {
                     variant: RtVariant::TwoN,
                     blocks: b,
-                };
-                let schedule = m.build(p, image_len)?;
-                push(m, analyze(&schedule, &wire, opts.bytes_per_pixel));
+                });
             } else if p.is_multiple_of(2) {
-                let m = Method::RotateTiling {
+                scheduled.push(Method::RotateTiling {
                     variant: RtVariant::N,
                     blocks: b,
-                };
-                let schedule = m.build(p, image_len)?;
-                push(m, analyze(&schedule, &wire, opts.bytes_per_pixel));
+                });
             }
         }
+        for m in scheduled {
+            push(m, analyze(&m.build(p, image_len)?, &wire, BYTES_PER_PIXEL));
+        }
         if opts.content_fraction < 1.0 && p > 1 {
-            let sc = tile_owner_cost(p, image_len, &wire, opts)?;
+            let sc = tile_owner_cost(p, image_len, &wire, opts.content_fraction)?;
             push(
                 Method::TileOwner {
                     tiles_x: TO_GRID.0,
@@ -336,21 +222,24 @@ pub fn sweep(
         let mut k = 2usize;
         while k <= opts.max_group && k <= p / 2 {
             for intra in hier_intra_candidates(p, k) {
-                if let Ok(sc) = hier_cost(p, image_len, k, intra, &wire, &inter_wire, opts) {
-                    push(Method::Hier { k, intra }, sc);
+                let m = Method::Hier { k, intra };
+                // A pair whose groups the intra method cannot run is not a
+                // design point; it must not abort the sweep.
+                match m.build(p, image_len) {
+                    Ok(s) => push(m, analyze(&s, &wire, BYTES_PER_PIXEL)),
+                    Err(CoreError::UnsupportedShape { .. }) => {}
+                    Err(e) => return Err(e),
                 }
             }
             k *= 2;
         }
     }
-    let key = |c: &Candidate| {
-        if opts.include_gather {
-            c.cost.makespan_with_gather
-        } else {
-            c.cost.makespan
-        }
-    };
-    out.sort_by(|a, b| key(a).total_cmp(&key(b)));
+    // Ranked by the paper's composition stage: time including the gather.
+    out.sort_by(|a, b| {
+        a.cost
+            .makespan_with_gather
+            .total_cmp(&b.cost.makespan_with_gather)
+    });
     Ok(out)
 }
 
@@ -419,8 +308,9 @@ impl MeasuredCost {
 /// `Send`/`Retransmit` events (which carry the destination and byte
 /// count the spans lack); `Over` spans pair with `Compute(Over)` events.
 /// `classify(src, dst)` maps each directed send onto one of `classes`
-/// link classes — e.g. [`crate::HierPlan::link_class`] separates
-/// group-local links from the leader overlay. Per class, `(Ts, Tp)` is
+/// link classes — e.g. `src / k != dst / k` separates the group-local
+/// links of a hierarchical schedule from its leader overlay, for fabrics
+/// where the two differ. Per class, `(Ts, Tp)` is
 /// the least-squares line through `(bytes, duration)`; `To` is total
 /// over-time divided by total over-pixels.
 ///
@@ -566,7 +456,6 @@ pub fn fit_link_costs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hier::HierPlan;
     use crate::tile::ComposePlan;
 
     fn opts() -> TuneOptions {
@@ -725,7 +614,8 @@ mod tests {
         // so the least-squares fit can separate `Ts` from `Tp` in both
         // classes; the inter level's Radix-k rounds at G = 8 vary too.
         let (p, k, w) = (32usize, 4usize, 16usize);
-        let plan = HierPlan::build(p, k, crate::IntraMethod::BinarySwap, w, p).unwrap();
+        let intra = IntraMethod::BinarySwap;
+        let plan = Method::Hier { k, intra }.plan(p, w, p).unwrap();
         let partials: Vec<Image<GrayAlpha8>> = (0..p)
             .map(|r| {
                 Image::from_fn(w, p, |x, y| {
@@ -738,13 +628,12 @@ mod tests {
             })
             .collect();
         let config = crate::ComposeConfig::default();
-        let (_, trace) =
-            crate::Run::new(&ComposePlan::Hier(plan.clone()), &config).execute(partials);
+        let (_, trace) = crate::Run::new(&plan, &config).execute(partials);
         let truth = CostModel::new(3e-4, 7e-8, 2e-7);
         let (_, timelines) = rt_comm::replay_timeline(&trace, &truth).unwrap();
-        let classify = |a: usize, b: usize| plan.link_class(a, b);
+        let classify = |a: usize, b: usize| usize::from(a / k != b / k);
         let fit = fit_link_costs(&trace, &timelines, 2, &classify).unwrap();
-        // Both classes saw traffic (intra gathers + leader exchange).
+        // Both classes saw traffic (intra placements + leader exchange).
         for link in &fit.classes {
             assert!(link.samples > 0, "fit {fit:?}");
             assert!((link.ts - truth.ts).abs() < truth.ts * 0.05, "fit {fit:?}");

@@ -1,9 +1,9 @@
-//! The hierarchical plan over real loopback sockets: the TCP backend
+//! The hierarchical schedule over real loopback sockets: the TCP backend
 //! must reproduce the in-process frame and trace bit-exactly while
-//! dialing only the plan's topology — group meshes plus the leader
-//! overlay — instead of the full `O(P²)` mesh.
+//! dialing only the schedule's own links — swap partners, placements, the
+//! leader overlay and the gather — instead of the full `O(P²)` mesh.
 
-use rt_core::{ComposeConfig, ComposePlan, HierPlan, IntraMethod, Run, TransportKind};
+use rt_core::{ComposeConfig, ComposePlan, IntraMethod, Method, Run, TransportKind};
 use rt_imaging::image::reference_composite;
 use rt_imaging::synth::band_partials;
 use rt_net::Topology;
@@ -12,15 +12,20 @@ use std::time::Duration;
 #[test]
 fn hier_over_tcp_matches_inproc_bit_exactly_on_restricted_sockets() {
     let (p, k, w) = (16, 4, 24);
-    let plan = HierPlan::build(p, k, IntraMethod::BinarySwap, w, p).unwrap();
+    let intra = IntraMethod::BinarySwap;
+    let plan = Method::Hier { k, intra }.plan(p, w, p).unwrap();
+    let ComposePlan::Schedule(schedule) = &plan else {
+        panic!("a hierarchical plan is a span schedule");
+    };
 
-    // The plan's topology is the O(P·k + (P/k)²) set, far below the mesh.
-    let links = plan.links(0, None);
+    // The schedule's topology is an O(P·k + (P/k)²) set — per group the
+    // swap pairs plus the one placement link they miss, and the leader
+    // mesh — far below the full mesh.
+    let links = schedule.links(0, None);
     let topo = Topology::from_links(links.iter().copied());
-    assert_eq!(topo.socket_count(p), 4 * 6 + 6);
+    assert_eq!(topo.socket_count(p), 4 * 5 + 6);
     assert!(topo.socket_count(p) < p * (p - 1) / 2);
 
-    let plan = ComposePlan::Hier(plan);
     let partials = band_partials(p, w, p);
     let expected = reference_composite(&partials).unwrap();
 

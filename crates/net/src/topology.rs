@@ -3,9 +3,9 @@
 //! The classic mesh establishment dials every pair — `P(P−1)/2` sockets,
 //! which at `P = 256` is over 32k streams and 65k file descriptors
 //! across the world, far past default fd budgets. Plan-driven runs know
-//! their communication graph ahead of time (a hierarchical plan uses
-//! only the group-local meshes, the leader overlay and the gather
-//! links — `O(P·k + (P/k)²)` edges), so [`Topology::Links`] restricts
+//! their communication graph ahead of time (a span schedule talks over
+//! its transfers' pairs and the gather links only — for a hierarchical
+//! schedule `O(P·k + (P/k)²)` edges), so [`Topology::Links`] restricts
 //! establishment to exactly those edges. Everything above the socket
 //! layer — the reliable-delivery envelope, reconnection, heartbeats,
 //! death declaration — is untouched: it operates per established link.

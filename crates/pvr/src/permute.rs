@@ -65,24 +65,13 @@ pub fn permute_schedule(
 /// [`permute_schedule`] for span schedules and
 /// [`rt_core::tile::TilePlan::permute`] for tile-ownership and puzzle plans
 /// (a puzzle budget rides along unchanged, so streamed puzzle frames keep
-/// their declared tolerance under every camera).
-///
-/// Hierarchical plans are rejected with a typed error: their contiguous
-/// group partition (and the topology a restricted transport dials from
-/// it) is anchored to physical rank IDs, so a camera's depth order must
-/// be applied to the *partials* handed to each rank, not by relabeling
-/// the plan's endpoints.
+/// their declared tolerance under every camera). A hierarchical schedule
+/// relabels like any other: its groups are contiguous in *depth*, wherever
+/// the camera puts those depths.
 pub fn permute_plan(plan: &ComposePlan, rank_of_depth: &[usize]) -> Result<ComposePlan, PvrError> {
     match plan {
         ComposePlan::Schedule(s) => Ok(ComposePlan::Schedule(permute_schedule(s, rank_of_depth)?)),
         ComposePlan::Tiles(t) => Ok(ComposePlan::Tiles(t.permute(rank_of_depth)?)),
-        ComposePlan::Hier(h) => Err(PvrError::Config {
-            what: format!(
-                "hierarchical plan {} cannot be rank-permuted: its group partition is \
-                 rank-anchored; permute the depth order of the partials instead",
-                h.method
-            ),
-        }),
     }
 }
 
@@ -159,19 +148,6 @@ mod tests {
         assert_eq!(perm.rank_at_depth, vec![2, 0, 3, 1]);
         q.verify().unwrap();
         assert!(permute_plan(&plan, &[0, 0, 1, 2]).is_err());
-    }
-
-    #[test]
-    fn hierarchical_plans_refuse_rank_permutation() {
-        use rt_core::method::Method;
-        let plan = Method::Hier {
-            k: 2,
-            intra: rt_core::IntraMethod::DirectSend,
-        }
-        .plan(4, 8, 4)
-        .unwrap();
-        let err = permute_plan(&plan, &[2, 0, 3, 1]).unwrap_err();
-        assert!(err.to_string().contains("rank-anchored"), "{err}");
     }
 
     #[test]

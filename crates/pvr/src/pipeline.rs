@@ -389,6 +389,34 @@ mod tests {
     }
 
     #[test]
+    fn hierarchical_pipeline_matches_the_sequential_renderer() {
+        // A two-level schedule is a span schedule: the reversed camera
+        // relabels its groups and leaders like any other endpoints.
+        let mut config = PipelineConfig::small(Method::Hier {
+            k: 2,
+            intra: rt_core::IntraMethod::BinarySwap,
+        });
+        for camera in [
+            Camera::front(),
+            Camera::yaw_pitch(std::f64::consts::PI, 0.0),
+        ] {
+            config.camera = camera;
+            let out = render_frame(8, &config).unwrap();
+            assert!(
+                out.method_name.starts_with("HIER(k=2,BS)"),
+                "{}",
+                out.method_name
+            );
+            let want = reference_frame(&config);
+            assert!(
+                out.frame.approx_eq(&want, 1e-3),
+                "{:?}",
+                out.frame.first_mismatch(&want, 1e-3)
+            );
+        }
+    }
+
+    #[test]
     fn reversed_view_permutes_depth_order() {
         let mut config = PipelineConfig::small(Method::ParallelPipelined);
         config.camera = Camera::front();

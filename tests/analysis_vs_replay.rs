@@ -10,7 +10,8 @@ use rotate_tiling::comm::{replay, CostModel};
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::analysis::analyze;
 use rotate_tiling::core::exec::ComposeConfig;
-use rotate_tiling::core::method::CompositionMethod;
+use rotate_tiling::core::hier::IntraMethod;
+use rotate_tiling::core::method::{CompositionMethod, Method};
 use rotate_tiling::core::{BinarySwap, DirectSend, ParallelPipelined, RotateTiling};
 use rotate_tiling::core::{ComposePlan, Run};
 use rotate_tiling::imaging::pixel::{GrayAlpha8, Pixel};
@@ -26,7 +27,9 @@ fn partials(p: usize, len: usize) -> Vec<Image<GrayAlpha8>> {
         .collect()
 }
 
-fn check(method: &dyn CompositionMethod, p: usize, len: usize, cost: &CostModel) {
+/// Build, analyze, execute and replay `method`; returns the predicted and
+/// the replayed makespan including the gather.
+fn check(method: &dyn CompositionMethod, p: usize, len: usize, cost: &CostModel) -> (f64, f64) {
     let schedule = method.build(p, len).unwrap();
     let predicted = analyze(&schedule, cost, GrayAlpha8::BYTES);
 
@@ -64,6 +67,7 @@ fn check(method: &dyn CompositionMethod, p: usize, len: usize, cost: &CostModel)
         predicted.messages as u64 + gather_messages(&schedule),
         trace.message_count()
     );
+    (predicted.makespan_with_gather, report.makespan)
 }
 
 fn gather_messages(schedule: &rotate_tiling::core::Schedule) -> u64 {
@@ -116,6 +120,30 @@ fn analyzer_matches_replay_at_paper_scale() {
         Box::new(RotateTiling::n(3)),
     ] {
         check(m.as_ref(), 32, 256 * 256, &cost);
+    }
+}
+
+#[test]
+fn analyzer_matches_replay_to_the_bit_for_hierarchical_schedules() {
+    // A two-level plan is one schedule, so the analyzer prices it like a
+    // flat one — placements (a receive, no `over`) and the mid-schedule
+    // flush included — and the tolerance-free comparison holds.
+    let cost = CostModel::new(4e-5, 2.9e-8, 1e-9).with_tr(4e-5);
+    for (p, k, intra) in [
+        (16, 4, IntraMethod::BinarySwap),
+        (12, 4, IntraMethod::DirectSend),
+        (10, 4, IntraMethod::BinarySwapFold), // k ∤ P: last group of 2
+        (7, 3, IntraMethod::ParallelPipelined), // k ∤ P: last group of 1
+        (9, 2, IntraMethod::DirectSend),      // k ∤ P: five leaders
+    ] {
+        let method = Method::Hier { k, intra };
+        let (predicted, replayed) = check(&method, p, 3000, &cost);
+        assert_eq!(
+            predicted.to_bits(),
+            replayed.to_bits(),
+            "{}: static {predicted} vs replay {replayed}",
+            method.name()
+        );
     }
 }
 

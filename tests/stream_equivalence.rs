@@ -6,6 +6,7 @@
 use rotate_tiling::comm::FaultPlan;
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::TransportKind;
+use rotate_tiling::core::hier::IntraMethod;
 use rotate_tiling::core::method::Method;
 use rotate_tiling::imaging::{GrayAlpha, Image};
 use rotate_tiling::pvr::animate::{orbit_cameras, OrbitConfig};
@@ -37,11 +38,17 @@ fn serial_frames(p: usize, config: &PipelineConfig, orbit: &OrbitConfig) -> Vec<
 }
 
 /// The core grid: every composition method × codec × P ∈ {4, 8}, streamed
-/// in-process, must reproduce the serial loop byte for byte, in order.
+/// in-process, must reproduce the serial loop byte for byte, in order. A
+/// hierarchical schedule rides along: each frame's camera relabels it like
+/// any flat one.
 #[test]
 fn streamed_frames_are_byte_identical_across_methods_codecs_and_p() {
     let orbit = OrbitConfig::quarter(3);
-    for method in Method::figure6_lineup() {
+    let hier = Method::Hier {
+        k: 2,
+        intra: IntraMethod::BinarySwap,
+    };
+    for method in Method::figure6_lineup().into_iter().chain([hier]) {
         for codec in [CodecKind::Raw, CodecKind::Rle, CodecKind::Trle] {
             for p in [4usize, 8] {
                 let config = base(method, codec);
