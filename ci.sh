@@ -59,6 +59,11 @@ rounds=$(grep -rn 'liveness_exchange(' crates/core/src || true)
 gone=$(grep -rn 'PuzzlePlan\|GATHER_TAG_BIT\|REPAIR_TAG_BIT\|fn repair_tag\|with_cost' \
     crates src tests examples || true)
 [ -z "$gone" ] || vocabulary_fail "retired names are back" "$gone"
+# A tile frame is one bundle per (sender, owner): the three-kind protocol
+# (manifest, segment blob, one payload per tile) and its channels stay gone.
+gone=$(grep -rnE 'manifest_bytes|manifest_bit|FIRST_ROUND|REPAIR_ROUND|Repair(Manifest|Payload|Segments)|TileChannel::(Manifest|Payload|Segments)' \
+    crates src tests examples || true)
+[ -z "$gone" ] || vocabulary_fail "the split tile protocol is back" "$gone"
 bin_flag='--bin'
 gone=$(grep -rnE "BENCH_(compose|kernels)|[c]riterion|$bin_flag +(perf|kernels|fig[5-8]|table1|bounds|ablation|scaling|trle_demo|walkthrough|inspect)\b" \
     crates src tests examples docs ./*.md ci.sh .github Cargo.toml \

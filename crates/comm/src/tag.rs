@@ -25,8 +25,8 @@
 //!   `cell << 20 | rank` for the display-wall gather;
 //! * [`repair`] — `entry << 16 | fetch`, the coordinates of one fetch in the
 //!   repair plan;
-//! * [`tile`] — the sending rank (manifests, segment metadata), the tile
-//!   index (payloads) or a gather slot ([`TileChannel::Gather`]).
+//! * [`tile`] — the sending rank (a bundle: everything one rank contributes
+//!   to one owner in a round) or a gather slot ([`TileChannel::Gather`]).
 //!
 //! Frame 0 has base `0`, so a single-frame run tags exactly as if the frame
 //! field did not exist, and the control namespaces (bits 58–61) stay clear
@@ -89,7 +89,7 @@ const REPAIR_FETCH_LIMIT: u64 = 1 << REPAIR_ENTRY_SHIFT;
 pub struct Extents {
     /// Largest step index, the gather step included.
     pub step: usize,
-    /// Largest low-field value: a span start, a gather slot, a tile index.
+    /// Largest low-field value: a span start, a gather slot, a sending rank.
     pub low: usize,
     /// Largest [`wall_slot`] `(cell, rank)`, when the gather goes to a wall.
     pub wall: Option<(usize, usize)>,
@@ -174,35 +174,23 @@ pub fn is_net_control(tag: u64) -> bool {
 /// use the top half of the step field instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TileChannel {
-    /// Per-sender manifest bitmaps: which tiles the sender will ship
-    /// (low: sending rank).
-    Manifest = 0,
-    /// Encoded tile payloads (low: tile index).
-    Payload = 1,
-    /// Manifests of the post-failure repair round (low: sending rank).
-    RepairManifest = 2,
-    /// Re-sent tile payloads of the repair round (low: tile index).
-    RepairPayload = 3,
+    /// One bundle per (sender, owner): which of the owner's tiles the
+    /// sender has content on and that content (low: sending rank).
+    Bundle = 0,
+    /// Bundles of the post-failure repair round, for the tiles reassigned
+    /// to the receiver (low: sending rank).
+    RepairBundle = 1,
     /// Gather messages from tile owners to the root or the display wall
     /// (low: gather slot).
-    Gather = 4,
-    /// Puzzle-piece segment metadata: the per-row non-blank intervals of
-    /// the tiles the sender will ship (low: sending rank).
-    Segments = 5,
-    /// Segment metadata of the repair round (low: sending rank).
-    RepairSegments = 6,
+    Gather = 2,
 }
 
 impl TileChannel {
     /// Every channel, in step-field order.
-    pub const ALL: [TileChannel; 7] = [
-        TileChannel::Manifest,
-        TileChannel::Payload,
-        TileChannel::RepairManifest,
-        TileChannel::RepairPayload,
+    pub const ALL: [TileChannel; 3] = [
+        TileChannel::Bundle,
+        TileChannel::RepairBundle,
         TileChannel::Gather,
-        TileChannel::Segments,
-        TileChannel::RepairSegments,
     ];
 }
 
@@ -244,7 +232,7 @@ mod tests {
         );
         assert_eq!(
             tile(frame_base(1), TileChannel::Gather, 6),
-            (1 << 48) | (0x84 << 40) | 6
+            (1 << 48) | (0x82 << 40) | 6
         );
     }
 
@@ -267,12 +255,9 @@ mod tests {
             }
         }
         assert_eq!(tile_channel(step(0, 3, 0)), None);
-        assert_eq!(tile_channel(step(0, 0x87, 0)), None);
+        assert_eq!(tile_channel(step(0, 0x83, 0)), None);
         // A control bit above the frame field disqualifies the tag.
-        assert_eq!(
-            tile_channel(tile(0, TileChannel::Manifest, 0) | DEATH),
-            None
-        );
+        assert_eq!(tile_channel(tile(0, TileChannel::Bundle, 0) | DEATH), None);
     }
 
     #[test]

@@ -6,14 +6,16 @@
 //! compositing literature (Hsu '93, Neumann '93) and is included for the
 //! ablation benches; the paper itself compares only BS and PP.
 //!
-//! Merge order at each owner matches the pipelined method: nearer
-//! contributions merge in front (ordered nearest-last in the transfer list),
-//! farther ones fold deepest-first into the deferred back accumulator.
+//! It is Radix-k with the single round `[P]` ([`crate::radix`]), which is
+//! where its transfer list is built. Merge order at each owner matches the
+//! pipelined method: nearer contributions merge in front (ordered
+//! nearest-last in the transfer list), farther ones fold deepest-first into
+//! the deferred back accumulator.
 
 use crate::method::CompositionMethod;
-use crate::schedule::{MergeDir, Schedule, Step, Transfer};
+use crate::radix::RadixK;
+use crate::schedule::Schedule;
 use crate::CoreError;
-use rt_imaging::Span;
 use serde::{Deserialize, Serialize};
 
 /// The direct-send method.
@@ -39,52 +41,11 @@ impl CompositionMethod for DirectSend {
                 why: "zero ranks".into(),
             });
         }
-        let spans = Span::whole(image_len).split_even(p);
-        let mut step = Step::default();
-        for (b, &span) in spans.iter().enumerate() {
-            if span.is_empty() {
-                continue;
-            }
-            // Receiver-side merge order: front contributions nearest-last
-            // (b−1, b−2, …, 0), then far contributions deepest-first
-            // (P−1, P−2, …, b+1). The executor processes a rank's receives
-            // in transfer-list order, so emitting them in this order per
-            // destination realizes the required merges.
-            for src in (0..b).rev() {
-                step.transfers.push(Transfer {
-                    src,
-                    dst: b,
-                    span,
-                    dir: MergeDir::Front,
-                });
-            }
-            for src in ((b + 1)..p).rev() {
-                step.transfers.push(Transfer {
-                    src,
-                    dst: b,
-                    span,
-                    dir: MergeDir::BackDefer,
-                });
-            }
-        }
-        let steps = if step.transfers.is_empty() {
-            Vec::new()
-        } else {
-            vec![step]
-        };
-        let final_owners = spans
-            .into_iter()
-            .enumerate()
-            .map(|(b, span)| (span, b))
-            .collect();
-        Ok(Schedule {
-            p,
-            image_len,
-            steps,
-            final_owners,
-            method: self.name(),
-            depth_of_rank: None,
-        })
+        // One round of radix `P`; a single rank has nothing to exchange.
+        let radices = if p > 1 { vec![p] } else { Vec::new() };
+        let mut schedule = RadixK::new(radices).build(p, image_len)?;
+        schedule.method = self.name();
+        Ok(schedule)
     }
 }
 

@@ -409,17 +409,10 @@ impl<'a, P: Pixel> Stage<'a, P> {
         }
     }
 
-    /// Encode `pixels` and ship them to `dst`. `started` opens the
-    /// wall-clock `Encode` span (callers that stage the pixels first start
-    /// it before the copy).
-    pub fn ship(
-        &self,
-        ctx: &mut RankCtx,
-        started: Option<Instant>,
-        pixels: &[P],
-        dst: usize,
-        tag: u64,
-    ) -> Result<(), CoreError> {
+    /// Encode `pixels` and charge the codec's work: the sending half of
+    /// every message. `started` opens the wall-clock `Encode` span (callers
+    /// that stage the pixels first start it before the copy).
+    pub fn encode(&self, ctx: &mut RankCtx, started: Option<Instant>, pixels: &[P]) -> Vec<u8> {
         let encoded = self.codec.encode(pixels);
         ctx.obs_span(Phase::Encode, started);
         if !self.raw {
@@ -432,21 +425,33 @@ impl<'a, P: Pixel> Stage<'a, P> {
                 c.wide_kernel_bytes += wire;
             }
         });
-        ctx.send(dst, tag, encoded.bytes)?;
+        encoded.bytes
+    }
+
+    /// [`Stage::encode`] `pixels` and send the codec's buffer, uncopied, to
+    /// `dst`.
+    pub fn ship(
+        &self,
+        ctx: &mut RankCtx,
+        pixels: &[P],
+        dst: usize,
+        tag: u64,
+    ) -> Result<(), CoreError> {
+        let started = ctx.obs_start();
+        let bytes = self.encode(ctx, started, pixels);
+        ctx.send(dst, tag, bytes)?;
         Ok(())
     }
 
-    /// [`Stage::ship`] for several `spans` of `local` as ONE message: the
+    /// [`Stage::encode`] for several `spans` of `local` as ONE stream: the
     /// spans are concatenated, in order, in the reusable staging buffer.
-    pub fn ship_spans(
+    pub fn encode_spans(
         &self,
         ctx: &mut RankCtx,
         scratch: &mut Scratch<P>,
         local: &Image<P>,
         spans: impl IntoIterator<Item = Span>,
-        dst: usize,
-        tag: u64,
-    ) -> Result<(), CoreError> {
+    ) -> Result<Vec<u8>, CoreError> {
         let started = ctx.obs_start();
         scratch.gather_pixels.clear();
         for span in spans {
@@ -454,7 +459,7 @@ impl<'a, P: Pixel> Stage<'a, P> {
                 .gather_pixels
                 .extend_from_slice(local.span_pixels(span)?);
         }
-        self.ship(ctx, started, &scratch.gather_pixels, dst, tag)
+        Ok(self.encode(ctx, started, &scratch.gather_pixels))
     }
 
     /// Decoding walks the *encoded* stream, so the compute charge is the
@@ -525,7 +530,7 @@ impl<'a, P: Pixel> Stage<'a, P> {
 }
 
 /// Copy the concatenated `pixels` back out to `spans` of `image`, in order
-/// — the inverse of the staging [`Stage::ship_spans`] does.
+/// — the inverse of the staging [`Stage::encode_spans`] does.
 pub(crate) fn scatter<P: Pixel>(
     image: &mut Image<P>,
     spans: impl IntoIterator<Item = Span>,
@@ -583,14 +588,8 @@ pub(crate) fn compose_schedule<P: Pixel>(
         // Ship all sends first (non-blocking), then consume receives: the
         // pairwise exchanges of every method progress without deadlock.
         for t in step.sends_of(me) {
-            let started = ctx.obs_start();
-            stage.ship(
-                ctx,
-                started,
-                local.span_pixels(t.span)?,
-                t.dst,
-                tag::step(config.frame_tag, k, t.span.start),
-            )?;
+            let tag = tag::step(config.frame_tag, k, t.span.start);
+            stage.ship(ctx, local.span_pixels(t.span)?, t.dst, tag)?;
         }
         for t in step.recvs_of(me) {
             let bytes = match ctx.recv(t.src, tag::step(config.frame_tag, k, t.span.start)) {
@@ -671,14 +670,8 @@ pub(crate) fn compose_schedule<P: Pixel>(
                     if e.owner == me {
                         own_pieces.insert((ei, fi), source.extract(e.span)?);
                     } else {
-                        let started = ctx.obs_start();
-                        stage.ship(
-                            ctx,
-                            started,
-                            source.span_pixels(e.span)?,
-                            e.owner,
-                            tag::repair(config.frame_tag, ei, fi),
-                        )?;
+                        let tag = tag::repair(config.frame_tag, ei, fi);
+                        stage.ship(ctx, source.span_pixels(e.span)?, e.owner, tag)?;
                     }
                 }
             }
@@ -843,7 +836,8 @@ fn gather_to_root<P: Pixel>(
     if me != root {
         if !spans_of[me].is_empty() {
             let mine = spans_of[me].iter().copied();
-            stage.ship_spans(ctx, scratch, local, mine, root, gather_tag(me))?;
+            let bytes = stage.encode_spans(ctx, scratch, local, mine)?;
+            ctx.send(root, gather_tag(me), bytes)?;
         }
         return Ok(None);
     }
@@ -913,8 +907,8 @@ fn gather_to_wall<P: Pixel>(
             continue;
         }
         let mine = segs.iter().map(|(seg, _)| *seg);
-        let slot = tag::wall_slot(d, me);
-        stage.ship_spans(ctx, scratch, local, mine, drank, gather_tag(slot))?;
+        let bytes = stage.encode_spans(ctx, scratch, local, mine)?;
+        ctx.send(drank, gather_tag(tag::wall_slot(d, me)), bytes)?;
     }
     let Some(d) = wall.display_of(me) else {
         return Ok(None);

@@ -4,9 +4,9 @@
 //! After *Approximate Puzzlepiece Compositing* (Huang, Usher & Pascucci,
 //! arXiv:2501.12581): every rank's rendered partial is treated as a set of
 //! puzzle pieces — per tile, per scanline, the bounding interval of its
-//! non-blank pixels. Ranks exchange this tiny metadata alongside the
-//! tile-ownership manifests, and each owner *classifies* every owned tile
-//! before touching a payload:
+//! non-blank pixels. This tiny metadata rides in the tile-ownership
+//! bundles, *with* the pieces it describes, and each owner *classifies*
+//! every owned tile before touching a codec stream:
 //!
 //! * **solo / disjoint** — at most one contributor, or all pairwise
 //!   interval intersections empty: the owner *places* each piece (decode +
@@ -20,9 +20,9 @@
 //!   the *approximate* merge — exact wherever the front piece is opaque or
 //!   pieces don't truly overlap, and bounded by the translucent tail of
 //!   `over` on the (budgeted) conflict pixels otherwise.
-//! * **heavily overlapping** — over budget (or metadata missing): fall
-//!   back to the exact depth-ordered left fold of the tile-ownership
-//!   path, byte-identical to [`rt_imaging::image::reference_composite`].
+//! * **heavily overlapping** — over budget: fall back to the exact
+//!   depth-ordered left fold of the tile-ownership path, byte-identical
+//!   to [`rt_imaging::image::reference_composite`].
 //!
 //! A budget of `0` never takes the approximate branch, so the whole method
 //! degenerates to an exact (placement-accelerated) fold. On fully
@@ -37,13 +37,14 @@
 //! comes from.
 //!
 //! This module holds what is specific to the family — the scan, the
-//! segment wire format, the classification and the placement; its plan is
-//! a [`TilePlan`] carrying a [`budget`](TilePlan::budget). The
-//! protocol around them (manifests, shipping, crash points, repair round,
-//! gather) is the tile executor's, [`crate::tile`]: failure handling is
-//! therefore *the* tile path's, with the repair round re-shipping segment
-//! metadata too, so new owners re-classify with the surviving contributors
-//! only.
+//! classification and the placement — and never talks to the network; its
+//! plan is a [`crate::TilePlan`] carrying a
+//! [`budget`](crate::TilePlan::budget). The protocol around them (bundles
+//! and their wire format, crash points, repair round, gather) is the tile
+//! executor's, [`crate::tile`]: failure handling is therefore *the* tile
+//! path's, and since a piece's intervals travel in the same message as its
+//! pixels, new owners re-classify with the surviving contributors only and
+//! never see one without the other.
 
 // The approximate path carries the same no-escape-hatch bar as rt-net and
 // rt-pvr from day one: every failure is a typed error, never a panic.
@@ -52,19 +53,17 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use crate::exec::{scatter, Scratch, Stage};
-use crate::tile::{TileGrid, TilePlan};
+use crate::exec::{scatter, Scratch};
+use crate::tile::{Piece, TileGrid, TileScan};
 use crate::CoreError;
-use rt_comm::tag::{self, TileChannel};
-use rt_comm::{CommError, RankCtx};
+use rt_comm::RankCtx;
 use rt_imaging::pixel::Pixel;
 use rt_imaging::Image;
 use rt_obs::Phase;
-use std::collections::BTreeMap;
 
 /// Per-scanline non-blank bounding intervals of one tile, top to bottom,
 /// in tile-local x coordinates (`lo == hi` marks a blank row).
-pub(crate) type RowIvals = Vec<(u16, u16)>;
+pub type RowIvals = Vec<(u16, u16)>;
 
 /// Scan the local partial once: per tile, whether it holds any content,
 /// and the per-row non-blank bounding intervals.
@@ -94,75 +93,6 @@ pub(crate) fn scan_tiles<P: Pixel>(
     Ok((have, segs))
 }
 
-/// The segment-metadata blob this rank sends to `owner`: the row intervals
-/// of every non-blank tile in `owner_tiles` (ascending tile order — the
-/// receiver parses with the same deterministic order).
-pub(crate) fn segments_blob(owner_tiles: &[usize], have: &[bool], segs: &[RowIvals]) -> Vec<u8> {
-    let mut blob = Vec::new();
-    for &t in owner_tiles {
-        if !have[t] {
-            continue;
-        }
-        for &(lo, hi) in &segs[t] {
-            blob.extend_from_slice(&lo.to_le_bytes());
-            blob.extend_from_slice(&hi.to_le_bytes());
-        }
-    }
-    blob
-}
-
-/// Parse `src`'s segment blob for the tiles in `owned` (ascending) whose
-/// manifest bit is set, validating interval sanity and exact length.
-pub(crate) fn parse_segments_blob(
-    grid: &TileGrid,
-    owned: &[usize],
-    expects: impl Fn(usize) -> bool,
-    blob: &[u8],
-    src: usize,
-) -> Result<BTreeMap<usize, RowIvals>, CoreError> {
-    let mut out = BTreeMap::new();
-    let mut at = 0usize;
-    for &t in owned {
-        if !expects(t) {
-            continue;
-        }
-        let rect = grid.rect(t);
-        let rows = rect.height();
-        let need = rows * 4;
-        let Some(chunk) = blob.get(at..at + need) else {
-            return Err(CoreError::InvalidSchedule {
-                why: format!("rank {src}: puzzle segment metadata truncated at tile {t}"),
-            });
-        };
-        let mut ivals: RowIvals = Vec::with_capacity(rows);
-        for row in chunk.chunks_exact(4) {
-            let lo = u16::from_le_bytes([row[0], row[1]]);
-            let hi = u16::from_le_bytes([row[2], row[3]]);
-            if lo > hi || hi as usize > rect.width() {
-                return Err(CoreError::InvalidSchedule {
-                    why: format!(
-                        "rank {src}: puzzle segment interval {lo}..{hi} out of range \
-                         for tile {t} ({} wide)",
-                        rect.width()
-                    ),
-                });
-            }
-            ivals.push((lo, hi));
-        }
-        out.insert(t, ivals);
-        at += need;
-    }
-    if at != blob.len() {
-        return Err(CoreError::InvalidSchedule {
-            why: format!(
-                "rank {src}: puzzle segment metadata has {} trailing bytes",
-                blob.len() - at
-            ),
-        });
-    }
-    Ok(out)
-}
-
 /// Conservative overlap estimate: the summed width of every pairwise
 /// row-interval intersection across the contributors. Zero proves the
 /// pieces are depth-disjoint on this tile (intervals over-approximate
@@ -188,78 +118,71 @@ fn overlap_pixels(ivals: &[&RowIvals]) -> usize {
     overlap
 }
 
-/// Nearest-wins placement of one row piece: the non-blank pixels of `src`
-/// replace what is already in `dst`.
-fn place_row<P: Pixel>(dst: &mut [P], src: &[P]) {
-    for (a, s) in dst.iter_mut().zip(src) {
-        if !s.is_blank() {
-            *a = s.clone();
+/// Nearest-wins placement of one piece: inside each row's interval, the
+/// non-blank pixels of `row_of(row)` — the piece's full tile row, `tw` wide
+/// — replace what is already in `acc`.
+fn place_piece<'p, P: Pixel>(
+    acc: &mut [P],
+    tw: usize,
+    ivals: &RowIvals,
+    row_of: impl Fn(usize) -> Result<&'p [P], CoreError>,
+) -> Result<(), CoreError> {
+    for (row, &(lo, hi)) in ivals.iter().enumerate() {
+        let (lo, hi) = (lo as usize, hi as usize);
+        let dst = &mut acc[row * tw + lo..row * tw + hi];
+        for (a, s) in dst.iter_mut().zip(&row_of(row)?[lo..hi]) {
+            if !s.is_blank() {
+                *a = s.clone();
+            }
         }
     }
+    Ok(())
 }
 
-/// Classify one owned tile and, when the segment metadata allows, resolve
-/// it by placement (exact or nearest-wins approximate), writing the
-/// finished tile back into `local`. Returns `false` when the tile must take
-/// the exact depth-ordered fold instead (overlap beyond the budget, or
-/// metadata missing) — the caller owns that path.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn place_puzzle_tile<P: Pixel>(
+/// Classify owned tile `t` of a puzzle plan and, when its pieces' intervals
+/// allow, resolve it by placement (exact or nearest-wins approximate),
+/// writing the finished tile back into `local`. `piece_of(r)` is rank `r`'s
+/// piece out of its bundle. Returns `false` when the tile must take the
+/// exact depth-ordered fold instead (no budget: a tile-ownership plan; or
+/// overlap beyond it) — the caller owns that path.
+pub(crate) fn place_puzzle_tile<'a, P: Pixel>(
     ctx: &mut RankCtx,
-    stage: &Stage<P>,
-    tiles: &TilePlan,
-    budget_permille: u16,
+    scan: &TileScan<P>,
     local: &mut Image<P>,
     scratch: &mut Scratch<P>,
     t: usize,
-    have: &[bool],
-    my_segs: &[RowIvals],
-    expects: &impl Fn(usize, usize) -> bool,
-    remote_segs: &BTreeMap<(usize, usize), RowIvals>,
-    payload_ch: TileChannel,
-    skip: Option<&BTreeMap<usize, usize>>,
+    piece_of: &impl Fn(usize) -> Option<&'a Piece<'a>>,
 ) -> Result<bool, CoreError> {
+    let (stage, tiles) = (scan.stage, scan.plan);
+    let Some(budget_permille) = tiles.budget else {
+        return Ok(false);
+    };
+    let own = scan.have[t].then(|| &scan.segs[t]);
     let me = ctx.rank();
-    // Contributors in depth order (front to back), dead ranks excluded.
-    let contributors: Vec<usize> = tiles
+    // Contributors in depth order (front to back): their intervals, and the
+    // codec stream of every piece but this rank's own.
+    let contributors: Vec<(&RowIvals, Option<&[u8]>)> = tiles
         .rank_at_depth
         .iter()
-        .copied()
-        .filter(|r| !skip.is_some_and(|dead| dead.contains_key(r)))
-        .filter(|&r| if r == me { have[t] } else { expects(r, t) })
+        .filter_map(|&r| match r == me {
+            true => own.map(|ivals| (ivals, None)),
+            false => piece_of(r).map(|piece| (&piece.ivals, Some(piece.stream))),
+        })
         .collect();
-    if contributors.is_empty() {
+    match contributors.as_slice() {
         // Nothing anywhere: the owner's own region is already blank.
-        return Ok(true);
-    }
-    if contributors.len() == 1 && contributors[0] == me {
+        [] => return Ok(true),
         // Solo-local: the finished tile is the local content, in place.
-        ctx.obs_counters(|c| c.tiles_placed += 1);
-        return Ok(true);
-    }
-    // Collect every contributor's intervals; any gap in the metadata
-    // (e.g. a sender that died mid-protocol) forces the exact fold.
-    let mut ivals: Vec<&RowIvals> = Vec::with_capacity(contributors.len());
-    let mut metadata_complete = true;
-    for &r in &contributors {
-        if r == me {
-            ivals.push(&my_segs[t]);
-        } else if let Some(iv) = remote_segs.get(&(r, t)) {
-            ivals.push(iv);
-        } else {
-            metadata_complete = false;
-            break;
+        [(_, None)] => {
+            ctx.obs_counters(|c| c.tiles_placed += 1);
+            return Ok(true);
         }
+        _ => {}
     }
+    let ivals: Vec<&RowIvals> = contributors.iter().map(|(ivals, _)| *ivals).collect();
     let area = tiles.grid.area(t);
-    let overlap = if metadata_complete {
-        overlap_pixels(&ivals)
-    } else {
-        usize::MAX
-    };
-    let placeable =
-        metadata_complete && (overlap == 0 || overlap * 1000 <= budget_permille as usize * area);
-    if !placeable {
+    let overlap = overlap_pixels(&ivals);
+    if overlap * 1000 > budget_permille as usize * area {
         ctx.obs_counters(|c| c.tiles_exact_fallback += 1);
         return Ok(false);
     }
@@ -277,35 +200,15 @@ pub(crate) fn place_puzzle_tile<P: Pixel>(
     let spans = tiles.grid.row_spans(t);
     let tw = tiles.grid.rect(t).width();
     let mut acc = scratch.take_acc(area, ctx);
-    for (&r, iv) in contributors.iter().zip(&ivals).rev() {
-        if r == me {
-            for (row, span) in spans.iter().enumerate() {
-                let (lo, hi) = (iv[row].0 as usize, iv[row].1 as usize);
-                if hi > lo {
-                    let at = row * tw;
-                    place_row(
-                        &mut acc[at + lo..at + hi],
-                        &local.span_pixels(*span)?[lo..hi],
-                    );
-                }
-            }
+    for &(iv, stream) in contributors.iter().rev() {
+        let Some(bytes) = stream else {
+            place_piece(&mut acc, tw, iv, |row| Ok(local.span_pixels(spans[row])?))?;
             continue;
-        }
-        let tag = tag::tile(stage.config.frame_tag, payload_ch, t as u64);
-        let bytes = match ctx.recv(r, tag) {
-            Ok(bytes) => bytes,
-            Err(CommError::RankFailed { .. }) if stage.config.resilient => continue,
-            Err(e) => return Err(e.into()),
         };
         let dec_started = ctx.obs_start();
         let mut staged = scratch.take_acc(area, ctx);
-        stage.unpack(ctx, &bytes, &mut staged)?;
-        for (row, &(lo, hi)) in iv.iter().enumerate() {
-            let (lo, hi) = (row * tw + lo as usize, row * tw + hi as usize);
-            if hi > lo {
-                place_row(&mut acc[lo..hi], &staged[lo..hi]);
-            }
-        }
+        stage.unpack(ctx, bytes, &mut staged)?;
+        place_piece(&mut acc, tw, iv, |row| Ok(&staged[row * tw..][..tw]))?;
         scratch.put_acc(staged);
         ctx.obs_span(Phase::Decode, dec_started);
         ctx.obs_counters(|c| c.tiles_recv += 1);
@@ -319,7 +222,7 @@ pub(crate) fn place_puzzle_tile<P: Pixel>(
 mod tests {
     use super::*;
     use crate::exec::{ComposeConfig, TransportKind};
-    use crate::tile::verify_tile_plan;
+    use crate::tile::{verify_tile_plan, TilePlan};
     use crate::{ComposePlan, Run};
     use rt_compress::CodecKind;
     use rt_imaging::image::reference_composite;
@@ -376,6 +279,8 @@ mod tests {
 
     #[test]
     fn segment_blob_roundtrips() {
+        // The intervals ride in the tile bundle, with the pieces.
+        use crate::tile::{parse_bundle, write_bundle};
         let img: Image<GrayAlpha8> = Image::from_fn(12, 6, |x, y| {
             if (x + y) % 3 == 0 {
                 GrayAlpha8::new(1, 50)
@@ -386,17 +291,20 @@ mod tests {
         let grid = TileGrid::new(12, 6, 3, 2).unwrap();
         let (have, segs) = scan_tiles(&img, &grid).unwrap();
         let owned: Vec<usize> = (0..grid.tiles()).collect();
-        let blob = segments_blob(&owned, &have, &segs);
-        let parsed = parse_segments_blob(&grid, &owned, |t| have[t], &blob, 0).unwrap();
-        for &t in &owned {
-            if have[t] {
-                assert_eq!(parsed[&t], segs[t], "tile {t}");
-            }
-        }
-        // A truncated blob is a typed error, not a panic.
-        assert!(
-            parse_segments_blob(&grid, &owned, |t| have[t], &blob[..blob.len() - 1], 0).is_err()
+        let piece = |&t: &usize| {
+            have[t].then(|| Piece {
+                ivals: segs[t].clone(),
+                stream: b"px",
+            })
+        };
+        let pieces: Vec<_> = owned.iter().map(piece).collect();
+        let bundle = write_bundle(&pieces).unwrap();
+        assert_eq!(
+            parse_bundle(&grid, &owned, true, &bundle, 0).unwrap(),
+            pieces
         );
+        // A truncated bundle is a typed error, not a panic.
+        assert!(parse_bundle(&grid, &owned, true, &bundle[..bundle.len() - 1], 0).is_err());
     }
 
     #[test]

@@ -216,12 +216,18 @@ mod tests {
 
     #[test]
     fn single_round_is_direct_send() {
-        // radices = [P] must reproduce the direct-send transfer set
-        // exactly (same spans, same merge order, same ownership).
+        // radices = [P] is the direct-send transfer set (`DS` builds through
+        // it): nearer partials merge nearest-first in front, farther ones
+        // fold deepest-first into the deferred accumulator.
         let radix = RadixK::new(vec![7]).build(7, 700).unwrap();
         let ds = DirectSend::new().build(7, 700).unwrap();
         assert_eq!(radix.steps, ds.steps);
         assert_eq!(radix.final_owners, ds.final_owners);
+        assert_eq!(ds.method, "DS");
+        let to_3: Vec<_> = ds.steps[0].recvs_of(3).map(|t| (t.src, t.dir)).collect();
+        let front = [2, 1, 0].map(|src| (src, MergeDir::Front));
+        let defer = [6, 5, 4].map(|src| (src, MergeDir::BackDefer));
+        assert_eq!(to_3, [front, defer].concat());
     }
 
     #[test]

@@ -109,6 +109,31 @@ impl Schedule {
         self.steps.len()
     }
 
+    /// Relabel the schedule (depth-indexed as built) onto physical ranks:
+    /// `rank_of_depth[d]` is the physical rank whose partial sits at depth
+    /// position `d` (0 = nearest). Merge directions stay baked in depth
+    /// terms, and the inverse map is recorded in `depth_of_rank` so the
+    /// verifier and recovery planning still see depth contiguity through
+    /// the relabeling.
+    pub fn permute(&self, rank_of_depth: &[usize]) -> Result<Schedule, CoreError> {
+        check_permutation(self.p, rank_of_depth)?;
+        let mut out = self.clone();
+        for t in out.steps.iter_mut().flat_map(|s| &mut s.transfers) {
+            t.src = rank_of_depth[t.src];
+            t.dst = rank_of_depth[t.dst];
+        }
+        for (_, owner) in &mut out.final_owners {
+            *owner = rank_of_depth[*owner];
+        }
+        let mut depth_of_rank = vec![0usize; self.p];
+        for (depth, &rank) in rank_of_depth.iter().enumerate() {
+            depth_of_rank[rank] = self.depth_of(depth);
+        }
+        out.depth_of_rank = Some(depth_of_rank);
+        out.method = format!("{}∘π", self.method);
+        Ok(out)
+    }
+
     /// Depth index of `rank` in the back-to-front compositing order
     /// (identity when no permutation was recorded).
     pub fn depth_of(&self, rank: usize) -> usize {
@@ -222,6 +247,24 @@ impl Schedule {
         }
         out
     }
+}
+
+/// `Ok` when `perm` is a permutation of `0..p` — the one check behind every
+/// depth order and rank relabeling.
+pub fn check_permutation(p: usize, perm: &[usize]) -> Result<(), CoreError> {
+    let mut seen = vec![false; p];
+    let distinct = perm
+        .iter()
+        .all(|&r| r < p && !std::mem::replace(&mut seen[r], true));
+    if perm.len() == p && distinct {
+        return Ok(());
+    }
+    Err(CoreError::InvalidSchedule {
+        why: format!(
+            "{perm:?} is not a permutation of 0..{p} ({} entries for {p} ranks)",
+            perm.len()
+        ),
+    })
 }
 
 /// What one rank holds, as disjoint `(span, payload)` pieces keyed by span
@@ -379,7 +422,9 @@ impl Holding {
 
 /// Symbolically execute `schedule` and prove it correct.
 ///
-/// Checks, in order:
+/// Rank `r` starts out holding the run of its own depth,
+/// [`Schedule::depth_of`]`(r)`, so a camera-permuted schedule is proven as
+/// executed. Checks, in order:
 /// 1. every transfer's source actually holds the span it ships, every
 ///    merge is depth-adjacent (the `over` contiguity requirement), and a
 ///    [`MergeDir::Place`] lands where its receiver holds nothing;
@@ -393,9 +438,14 @@ pub fn verify_schedule(schedule: &Schedule) -> Result<(), CoreError> {
     let a = schedule.image_len;
     let bad = |why: String| CoreError::InvalidSchedule { why };
 
+    if let Some(depths) = &schedule.depth_of_rank {
+        check_permutation(p, depths)?;
+    }
+    // Rank `r` starts out holding the run of its own depth `d`.
     let mut holdings: Vec<Holding> = (0..p)
-        .map(|r| Holding {
-            local: Pieces::holding(Span::whole(a), Run { lo: r, hi: r + 1 }),
+        .map(|r| schedule.depth_of(r))
+        .map(|d| Holding {
+            local: Pieces::holding(Span::whole(a), Run { lo: d, hi: d + 1 }),
             back: BTreeMap::new(),
         })
         .collect();

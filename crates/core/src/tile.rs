@@ -8,12 +8,16 @@
 //! 1. the final frame is statically partitioned into a [`TileGrid`] of
 //!    rectangular tiles, each tile assigned an owner rank by the
 //!    [`TilePlan`]'s owner map;
-//! 2. each rank scans its rendered partial once, then encodes and sends
-//!    **only its non-blank tiles**, each directly to that tile's owner —
-//!    a fully blank rank ships zero tile payloads;
-//! 3. tiny per-sender manifest bitmaps tell each owner exactly which
-//!    payloads to expect, so arrival order never matters (the comm layer
-//!    stashes out-of-order messages until the owner asks);
+//! 2. each rank scans its rendered partial once, then encodes **only its
+//!    non-blank tiles** and sends every other owner ONE self-describing
+//!    *bundle* ([`write_bundle`]): a bitmap over that owner's tiles, then
+//!    the set tiles' codec streams, each behind its length — `P·(P−1)`
+//!    messages a frame whatever the content, and a fully blank rank's
+//!    bundles are the bitmap alone;
+//! 3. each owner receives the `P−1` bundles in rank order and parses them
+//!    with one exact-length parser ([`parse_bundle`]); a rank's
+//!    contribution to an owner is therefore atomic — all of it arrives, or
+//!    the rank is dead for that owner;
 //! 4. each owner composites every owned tile with a strict front-to-back
 //!    left fold from a blank accumulator, in depth order — **the exact
 //!    association order of [`rt_imaging::image::reference_composite`]**,
@@ -36,16 +40,17 @@
 //!
 //! The approximate puzzlepiece family ([`crate::puzzle`]) runs through the
 //! same executor: its plan is a [`TilePlan`] with an overlap
-//! [`budget`](TilePlan::budget), and the only differences — ranks also
-//! exchange per-scanline segment metadata, owners *place* tiles within the
-//! budget instead of folding them — are two branches of the round below.
+//! [`budget`](TilePlan::budget), and the only differences — a bundle also
+//! carries the per-scanline intervals of its tiles, owners *place* tiles
+//! within the budget instead of folding them — are two branches of the
+//! round below.
 
 use crate::exec::{
     compose_schedule, finish, scatter, ComposeConfig, ComposeOutput, Scratch, Stage,
 };
-use crate::puzzle::{parse_segments_blob, place_puzzle_tile, scan_tiles, segments_blob, RowIvals};
+use crate::puzzle::{place_puzzle_tile, scan_tiles, RowIvals};
 use crate::repair::{agree_on_failures, DegradedInfo};
-use crate::schedule::{verify_schedule, Schedule};
+use crate::schedule::{check_permutation, verify_schedule, Schedule};
 use crate::CoreError;
 use rt_comm::tag::{self, Extents, TileChannel};
 use rt_comm::{CommError, ComputeKind, Mark, RankCtx};
@@ -53,7 +58,7 @@ use rt_compress::OverDir;
 use rt_imaging::pixel::Pixel;
 use rt_imaging::{Image, Rect, Span};
 use rt_obs::Phase;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A static partition of a `width × height` frame into `tiles_x × tiles_y`
 /// rectangular tiles, row-major (tile `t` is column `t % tiles_x`, row
@@ -200,33 +205,14 @@ impl TilePlan {
     /// with the relabeling so the tile distribution stays balanced; the
     /// budget rides along unchanged.
     pub fn permute(&self, rank_of_depth: &[usize]) -> Result<TilePlan, CoreError> {
-        let p = self.p;
-        if rank_of_depth.len() != p {
-            return Err(CoreError::InvalidSchedule {
-                why: format!(
-                    "permutation size mismatch: {} depth positions for {p} ranks",
-                    rank_of_depth.len()
-                ),
-            });
-        }
-        let mut seen = vec![false; p];
-        for &r in rank_of_depth {
-            if r >= p || seen[r] {
-                return Err(CoreError::InvalidSchedule {
-                    why: format!("rank_of_depth {rank_of_depth:?} is not a permutation of 0..{p}"),
-                });
-            }
-            seen[r] = true;
-        }
+        check_permutation(self.p, rank_of_depth)?;
         let mut out = self.clone();
         for owner in &mut out.owner_of {
             *owner = rank_of_depth[*owner];
         }
-        let mut rank_at_depth = vec![0usize; p];
-        for (d, &slot) in self.rank_at_depth.iter().enumerate() {
-            rank_at_depth[d] = rank_of_depth[slot];
+        for slot in &mut out.rank_at_depth {
+            *slot = rank_of_depth[*slot];
         }
-        out.rank_at_depth = rank_at_depth;
         out.method = format!("{}∘π", self.method);
         Ok(out)
     }
@@ -287,27 +273,7 @@ pub fn verify_tile_plan(plan: &TilePlan) -> Result<(), CoreError> {
             why: format!("tile owner {bad} out of range for {} ranks", plan.p),
         });
     }
-    let mut seen = vec![false; plan.p];
-    if plan.rank_at_depth.len() != plan.p {
-        return Err(CoreError::InvalidSchedule {
-            why: format!(
-                "depth order has {} slots for {} ranks",
-                plan.rank_at_depth.len(),
-                plan.p
-            ),
-        });
-    }
-    for &r in &plan.rank_at_depth {
-        if r >= plan.p || seen[r] {
-            return Err(CoreError::InvalidSchedule {
-                why: format!(
-                    "rank_at_depth {:?} is not a permutation",
-                    plan.rank_at_depth
-                ),
-            });
-        }
-        seen[r] = true;
-    }
+    check_permutation(plan.p, &plan.rank_at_depth)?;
     let mut covered = vec![0u32; plan.grid.width * plan.grid.height];
     for t in 0..nt {
         for span in plan.grid.row_spans(t) {
@@ -371,6 +337,17 @@ impl ComposePlan {
             ComposePlan::Schedule(s) => verify_schedule(s),
             ComposePlan::Tiles(t) => verify_tile_plan(t),
         }
+    }
+
+    /// Relabel the plan onto physical ranks: `rank_of_depth[d]` is the
+    /// physical rank whose partial sits at depth position `d` (0 = nearest)
+    /// — [`Schedule::permute`] or [`TilePlan::permute`]. Anything but a
+    /// permutation of `0..p` is a typed error.
+    pub fn permute(&self, rank_of_depth: &[usize]) -> Result<ComposePlan, CoreError> {
+        Ok(match self {
+            ComposePlan::Schedule(s) => ComposePlan::Schedule(s.permute(rank_of_depth)?),
+            ComposePlan::Tiles(t) => ComposePlan::Tiles(t.permute(rank_of_depth)?),
+        })
     }
 }
 
@@ -454,9 +431,9 @@ fn tag_extents(plan: &ComposePlan, config: &ComposeConfig) -> Extents {
     let p = plan.p();
     let mut extents = match plan {
         ComposePlan::Schedule(s) => schedule_tag_extents(s, config),
-        // The low field carries a rank, a tile index or a gather slot.
-        ComposePlan::Tiles(t) => Extents {
-            low: t.grid.tiles().max(p) - 1,
+        // The low field carries a sending rank or a gather slot.
+        ComposePlan::Tiles(_) => Extents {
+            low: p - 1,
             ..Extents::default()
         },
     };
@@ -485,20 +462,112 @@ fn schedule_tag_extents(schedule: &Schedule, config: &ComposeConfig) -> Extents 
     }
 }
 
-/// Manifest bitmap: bit `t` set when the sender will ship tile `t`.
-fn manifest_bytes(have: &[bool]) -> Vec<u8> {
-    let mut bytes = vec![0u8; have.len().div_ceil(8)];
-    for (t, &h) in have.iter().enumerate() {
-        if h {
-            bytes[t / 8] |= 1 << (t % 8);
-        }
-    }
-    bytes
+/// One tile's share of a bundle.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Piece<'a> {
+    /// The sender's per-row non-blank intervals on the tile (puzzle plans;
+    /// empty for tile ownership).
+    pub ivals: RowIvals,
+    /// The tile's pixels, as the codec wrote them.
+    pub stream: &'a [u8],
 }
 
-/// Read bit `t` of a manifest (an absent manifest reads all-blank).
-fn manifest_bit(manifest: Option<&Vec<u8>>, t: usize) -> bool {
-    manifest.is_some_and(|m| m.get(t / 8).is_some_and(|b| b & (1 << (t % 8)) != 0))
+/// Write one bundle — everything a rank contributes to one owner in one
+/// round. `pieces[i]` is its share of the owner's `i`-th tile of the round
+/// (ascending), `None` where it holds no content. Wire layout:
+///
+/// 1. a bitmap over the owner's tiles, bit `i` set when `pieces[i]` is;
+/// 2. for each set tile, its row intervals as `(lo, hi)` `u16` LE pairs
+///    (puzzle plans; nothing otherwise);
+/// 3. for each set tile, a `u32` LE length and that many codec bytes.
+pub fn write_bundle(pieces: &[Option<Piece<'_>>]) -> Result<Vec<u8>, CoreError> {
+    let carried = |piece: &Piece| 4 * piece.ivals.len() + 4 + piece.stream.len();
+    let mut bytes = vec![0u8; pieces.len().div_ceil(8)];
+    bytes.reserve_exact(pieces.iter().flatten().map(carried).sum());
+    for (i, piece) in pieces.iter().enumerate() {
+        if piece.is_some() {
+            bytes[i / 8] |= 1 << (i % 8);
+        }
+    }
+    for &(lo, hi) in pieces.iter().flatten().flat_map(|piece| &piece.ivals) {
+        bytes.extend_from_slice(&lo.to_le_bytes());
+        bytes.extend_from_slice(&hi.to_le_bytes());
+    }
+    for piece in pieces.iter().flatten() {
+        let len = u32::try_from(piece.stream.len()).map_err(|_| CoreError::InvalidSchedule {
+            why: format!(
+                "a {}-byte tile stream overflows the bundle's u32 length",
+                piece.stream.len()
+            ),
+        })?;
+        bytes.extend_from_slice(&len.to_le_bytes());
+        bytes.extend_from_slice(piece.stream);
+    }
+    Ok(bytes)
+}
+
+/// Parse the bundle rank `src` sent for `tiles` (the receiver's tiles of
+/// the round, ascending; `puzzle` when the plan carries a budget) —
+/// [`write_bundle`]'s inverse, borrowing the streams from `bytes`. The
+/// length must come out exact: a short or long bitmap, a length running
+/// past the end, trailing bytes or an interval outside its tile is a typed
+/// error, never a panic and never a tile read as blank.
+pub fn parse_bundle<'a>(
+    grid: &TileGrid,
+    tiles: &[usize],
+    puzzle: bool,
+    bytes: &'a [u8],
+    src: usize,
+) -> Result<Vec<Option<Piece<'a>>>, CoreError> {
+    let bad = |why: String| CoreError::InvalidSchedule {
+        why: format!("rank {src}: tile bundle of {} bytes {why}", bytes.len()),
+    };
+    let mut rest = bytes;
+    let mut take = |len: usize, what: &str| match rest.split_at_checked(len) {
+        Some((chunk, tail)) => {
+            rest = tail;
+            Ok(chunk)
+        }
+        None => Err(bad(format!("ends inside its {what}"))),
+    };
+    let bitmap = take(tiles.len().div_ceil(8), "bitmap")?;
+    let set = |i: usize| bitmap[i / 8] & (1 << (i % 8)) != 0;
+    if (tiles.len()..bitmap.len() * 8).any(set) {
+        return Err(bad(format!("sets a bit past its {} tiles", tiles.len())));
+    }
+    let blank = Piece {
+        ivals: Vec::new(),
+        stream: &[],
+    };
+    let mut pieces: Vec<_> = (0..tiles.len())
+        .map(|i| set(i).then(|| blank.clone()))
+        .collect();
+    for (&t, piece) in tiles.iter().zip(&mut pieces).filter(|_| puzzle) {
+        let Some(piece) = piece else { continue };
+        let rect = grid.rect(t);
+        let ival = |row: &[u8]| {
+            let lo = u16::from_le_bytes([row[0], row[1]]);
+            let hi = u16::from_le_bytes([row[2], row[3]]);
+            let inside = lo <= hi && hi as usize <= rect.width();
+            inside.then_some((lo, hi)).ok_or_else(|| {
+                let width = rect.width();
+                bad(format!(
+                    "carries the interval {lo}..{hi} for tile {t} ({width} wide)"
+                ))
+            })
+        };
+        let rows = take(rect.height() * 4, "intervals")?.chunks_exact(4);
+        piece.ivals = rows.map(ival).collect::<Result<_, _>>()?;
+    }
+    for piece in pieces.iter_mut().flatten() {
+        let len = take(4, "streams")?;
+        let len = u32::from_le_bytes([len[0], len[1], len[2], len[3]]);
+        piece.stream = take(len as usize, "streams")?;
+    }
+    if !rest.is_empty() {
+        return Err(bad(format!("has {} trailing bytes", rest.len())));
+    }
+    Ok(pieces)
 }
 
 /// Lowest live rank strictly "after" `dead` cyclically — the deterministic
@@ -515,175 +584,172 @@ fn next_live_owner(
         .ok_or(CoreError::AllRanksFailed { p })
 }
 
-/// The message sub-channels of one announce → ship → collect → resolve
-/// round.
-struct Channels {
-    manifest: TileChannel,
-    segments: TileChannel,
-    payload: TileChannel,
-}
-
-/// The round every compose runs, over all tiles and the planned owners.
-const FIRST_ROUND: Channels = Channels {
-    manifest: TileChannel::Manifest,
-    segments: TileChannel::Segments,
-    payload: TileChannel::Payload,
-};
-
-/// The round that re-collects dead owners' tiles at their new owners.
-const REPAIR_ROUND: Channels = Channels {
-    manifest: TileChannel::RepairManifest,
-    segments: TileChannel::RepairSegments,
-    payload: TileChannel::RepairPayload,
-};
-
 /// What one rank brings to a tile-family compose — the content scan of
 /// its partial — and the round that both the first pass and the repair
 /// run over it.
-struct TileScan<'a, P: Pixel> {
-    stage: &'a Stage<'a, P>,
-    plan: &'a TilePlan,
+pub(crate) struct TileScan<'a, P: Pixel> {
+    pub stage: &'a Stage<'a, P>,
+    pub plan: &'a TilePlan,
     /// Which tiles of the local partial carry any content.
-    have: Vec<bool>,
-    /// `have` as the wire bitmap.
-    manifest: Vec<u8>,
+    pub have: Vec<bool>,
     /// Per tile, the per-row non-blank intervals (puzzle family only).
-    segs: Vec<RowIvals>,
+    pub segs: Vec<RowIvals>,
 }
 
 impl<P: Pixel> TileScan<'_, P> {
     /// One round over `tiles` (ascending, non-empty) under the owner map
-    /// `owner_of`: announce this rank's manifest (and segment metadata) to
-    /// the tiles' owners, ship its non-blank tiles straight to them, then —
-    /// as an owner — collect the announcements in rank order and resolve
-    /// each owned tile into `local`. Ranks in `dead` are neither heard
+    /// `owner_of`: send every other owner of a tile one bundle — this
+    /// rank's content on that owner's tiles — then, as an owner, receive
+    /// the other ranks' bundles in rank order and resolve each owned tile
+    /// into `local`. With a `dead` set this is the repair round: it travels
+    /// on [`TileChannel::RepairBundle`], and the dead are neither heard
     /// from nor folded.
-    #[allow(clippy::too_many_arguments)]
     fn round(
         &self,
         ctx: &mut RankCtx,
         local: &mut Image<P>,
         scratch: &mut Scratch<P>,
-        ch: &Channels,
         owner_of: &[usize],
         tiles: &[usize],
         dead: Option<&BTreeMap<usize, usize>>,
     ) -> Result<(), CoreError> {
         let me = ctx.rank();
         let config = self.stage.config;
-        let frame_tag = config.frame_tag;
-        let tiles_of = |r: usize| -> Vec<usize> {
-            tiles
-                .iter()
-                .copied()
-                .filter(|&t| owner_of[t] == r)
-                .collect()
+        let channel = match dead {
+            None => TileChannel::Bundle,
+            Some(_) => TileChannel::RepairBundle,
         };
-
-        // ---- Announce: one fixed-size bitmap to every other owner. ------
-        let owners: BTreeSet<usize> = tiles.iter().map(|&t| owner_of[t]).collect();
-        for &o in owners.iter().filter(|&&o| o != me) {
-            let wire = self.manifest.len() as u64;
-            ctx.obs_counters(|c| c.add_wire_bytes("tile-manifest", wire));
-            ctx.send(
-                o,
-                tag::tile(frame_tag, ch.manifest, me as u64),
-                self.manifest.clone(),
-            )?;
-            if self.plan.budget.is_none() {
-                continue;
-            }
-            let o_tiles = tiles_of(o);
-            if o_tiles.iter().any(|&t| self.have[t]) {
-                let blob = segments_blob(&o_tiles, &self.have, &self.segs);
-                let wire = blob.len() as u64;
-                ctx.obs_counters(|c| c.add_wire_bytes("pz-segments", wire));
-                ctx.send(o, tag::tile(frame_tag, ch.segments, me as u64), blob)?;
-            }
-        }
-
-        // ---- Ship non-blank tiles straight to their owners. -------------
+        let tag_of = |sender: usize| tag::tile(config.frame_tag, channel, sender as u64);
+        let mut tiles_of = vec![Vec::new(); self.plan.p];
         for &t in tiles {
-            let owner = owner_of[t];
-            if !self.have[t] || owner == me {
-                continue;
-            }
-            let rows = self.plan.grid.row_spans(t);
-            let tag = tag::tile(frame_tag, ch.payload, t as u64);
-            self.stage
-                .ship_spans(ctx, scratch, local, rows, owner, tag)?;
-            ctx.obs_counters(|c| c.tiles_sent += 1);
+            tiles_of[owner_of[t]].push(t);
         }
 
-        // ---- Collect the announcements (owners only), in rank order. ----
-        let mine = tiles_of(me);
+        // ---- Ship: one bundle to every other owner, blank or not. --------
+        for (o, o_tiles) in tiles_of.iter().enumerate() {
+            if o == me || o_tiles.is_empty() {
+                continue;
+            }
+            let mut streams = Vec::with_capacity(o_tiles.len());
+            for &t in o_tiles {
+                let encode = || {
+                    let rows = self.plan.grid.row_spans(t);
+                    self.stage.encode_spans(ctx, scratch, local, rows)
+                };
+                streams.push(self.have[t].then(encode).transpose()?);
+            }
+            let pieces: Vec<Option<Piece>> = (o_tiles.iter().zip(&streams))
+                .map(|(&t, stream)| {
+                    let stream = stream.as_deref()?;
+                    let ivals = self.segs.get(t).cloned().unwrap_or_default();
+                    Some(Piece { ivals, stream })
+                })
+                .collect();
+            let bundle = write_bundle(&pieces)?;
+            // The codec streams are booked by `encode`; the rest is the
+            // interval metadata and the framing (bitmap, length prefixes).
+            let sent = pieces.iter().flatten().count();
+            let streamed: usize = pieces.iter().flatten().map(|p| p.stream.len()).sum();
+            let intervals: usize = pieces.iter().flatten().map(|p| 4 * p.ivals.len()).sum();
+            let framing = bundle.len() - streamed - intervals;
+            ctx.obs_counters(|c| {
+                c.tiles_sent += sent as u64;
+                c.add_wire_bytes("tile-manifest", framing as u64);
+                if intervals > 0 {
+                    c.add_wire_bytes("pz-segments", intervals as u64);
+                }
+            });
+            ctx.send(o, tag_of(me), bundle)?;
+        }
+
+        // ---- Collect (owners only): the live ranks' bundles, in rank
+        // order. The one receive of the tile families. -------------------
+        let mine = &tiles_of[me];
         if mine.is_empty() {
             return Ok(());
         }
-        let heard = |src: usize| src != me && !dead.is_some_and(|d| d.contains_key(&src));
-        let mut have_of: Vec<Option<Vec<u8>>> = vec![None; self.plan.p];
-        for src in (0..self.plan.p).filter(|&src| heard(src)) {
-            match ctx.recv(src, tag::tile(frame_tag, ch.manifest, src as u64)) {
-                Ok(bytes) => have_of[src] = Some(bytes.to_vec()),
-                // A confirmed-dead peer contributed nothing: an absent
-                // manifest reads all-blank, which is exact (blank is the
-                // identity of `over`).
+        let mut bundles = vec![None; self.plan.p];
+        for src in (0..self.plan.p).filter(|&src| src != me) {
+            if dead.is_some_and(|d| d.contains_key(&src)) {
+                continue;
+            }
+            match ctx.recv(src, tag_of(src)) {
+                Ok(bytes) => bundles[src] = Some(bytes),
+                // A confirmed-dead peer contributed nothing, atomically:
+                // exact, because blank is the identity of `over`.
                 Err(CommError::RankFailed { .. }) if config.resilient => {}
                 Err(e) => return Err(e.into()),
             }
         }
-        let mut remote_segs: BTreeMap<(usize, usize), RowIvals> = BTreeMap::new();
-        if self.plan.budget.is_some() {
-            for src in (0..self.plan.p).filter(|&src| heard(src)) {
-                let Some(m) = have_of[src].as_ref() else {
-                    continue;
-                };
-                if !mine.iter().any(|&t| manifest_bit(Some(m), t)) {
-                    continue;
-                }
-                match ctx.recv(src, tag::tile(frame_tag, ch.segments, src as u64)) {
-                    Ok(bytes) => {
-                        let expects = |t| manifest_bit(Some(m), t);
-                        let parsed =
-                            parse_segments_blob(&self.plan.grid, &mine, expects, &bytes, src)?;
-                        remote_segs.extend(parsed.into_iter().map(|(t, iv)| ((src, t), iv)));
-                    }
-                    // A dead sender's metadata stays absent: the affected
-                    // tiles conservatively take the exact fold.
-                    Err(CommError::RankFailed { .. }) if config.resilient => {}
-                    Err(e) => return Err(e.into()),
-                }
-            }
+        let puzzle = self.plan.budget.is_some();
+        let mut pieces = Vec::with_capacity(bundles.len());
+        for (src, bundle) in bundles.iter().enumerate() {
+            pieces.push(match bundle {
+                Some(bytes) => parse_bundle(&self.plan.grid, mine, puzzle, bytes, src)?,
+                None => Vec::new(),
+            });
         }
 
         // ---- Resolve owned tiles: place within budget, or fold. ---------
-        let expects = |r: usize, t: usize| manifest_bit(have_of[r].as_ref(), t);
-        for &t in &mine {
-            let placed = match self.plan.budget {
-                None => false,
-                Some(budget) => place_puzzle_tile(
-                    ctx,
-                    self.stage,
-                    self.plan,
-                    budget,
-                    local,
-                    scratch,
-                    t,
-                    &self.have,
-                    &self.segs,
-                    &expects,
-                    &remote_segs,
-                    ch.payload,
-                    dead,
-                )?,
-            };
-            if !placed {
-                fold_tile(
-                    ctx, self.stage, self.plan, local, scratch, t, &self.have, &expects,
-                    ch.payload, dead,
-                )?;
+        for (i, &t) in mine.iter().enumerate() {
+            let piece_of = |r: usize| pieces[r].get(i).and_then(Option::as_ref);
+            if !place_puzzle_tile(ctx, self, local, scratch, t, &piece_of)? {
+                self.fold_tile(ctx, local, scratch, t, &piece_of)?;
             }
         }
+        Ok(())
+    }
+
+    /// Left-fold owned tile `t` in depth order: blank accumulator, local
+    /// content merged at this rank's depth slot, every other rank's piece
+    /// streamed through the fused kernels out of its bundle. Writes the
+    /// finished tile back into `local`.
+    fn fold_tile<'a>(
+        &self,
+        ctx: &mut RankCtx,
+        local: &mut Image<P>,
+        scratch: &mut Scratch<P>,
+        t: usize,
+        piece_of: &impl Fn(usize) -> Option<&'a Piece<'a>>,
+    ) -> Result<(), CoreError> {
+        let me = ctx.rank();
+        let area = self.plan.grid.area(t);
+        let spans = self.plan.grid.row_spans(t);
+        let mut acc = scratch.take_acc(area, ctx);
+        for &r in &self.plan.rank_at_depth {
+            if r != me {
+                if let Some(piece) = piece_of(r) {
+                    self.stage
+                        .merge(ctx, piece.stream, &mut acc, OverDir::Back)?;
+                    ctx.obs_counters(|c| c.tiles_recv += 1);
+                }
+                continue;
+            }
+            if !self.have[t] {
+                continue;
+            }
+            // Fold the local tile at its depth position: acc = acc over
+            // local (the incoming piece is deeper than everything folded so
+            // far).
+            let over_started = ctx.obs_start();
+            let mut non_blank = 0usize;
+            let width = self.plan.grid.rect(t).width();
+            for (row, span) in acc.chunks_mut(width).zip(&spans) {
+                for (a, s) in row.iter_mut().zip(local.span_pixels(*span)?) {
+                    non_blank += usize::from(!s.is_blank());
+                    *a = a.over(s);
+                }
+            }
+            ctx.obs_span(Phase::Over, over_started);
+            ctx.obs_counters(|c| {
+                c.non_blank_merged += non_blank as u64;
+                c.blank_skipped += (area - non_blank) as u64;
+            });
+            let over_units = if self.stage.raw { area } else { non_blank };
+            ctx.compute(ComputeKind::Over, over_units as u64);
+        }
+        scatter(local, spans, &acc)?;
+        scratch.put_acc(acc);
         Ok(())
     }
 }
@@ -733,21 +799,12 @@ pub(crate) fn compose_tiles<P: Pixel>(
     let scan = TileScan {
         stage,
         plan,
-        manifest: manifest_bytes(&have),
         have,
         segs,
     };
 
     let tiles: Vec<usize> = (0..nt).filter(|&t| plan.grid.area(t) > 0).collect();
-    scan.round(
-        ctx,
-        &mut local,
-        scratch,
-        &FIRST_ROUND,
-        &plan.owner_of,
-        &tiles,
-        None,
-    )?;
+    scan.round(ctx, &mut local, scratch, &plan.owner_of, &tiles, None)?;
 
     ctx.mark(Mark::FlushStart);
     if my_crash == Some(1) {
@@ -756,27 +813,26 @@ pub(crate) fn compose_tiles<P: Pixel>(
     ctx.mark(Mark::ComposeEnd);
 
     // ---- Failure agreement + tile-granular repair. --------------------
-    let mut effective_owner = plan.owner_of.clone();
+    let mut owner_of = plan.owner_of.clone();
     let (root, degraded) = agree_on_failures(ctx, config, p, 1, |ctx, crashed| {
         // Deterministic reassignment of dead owners' tiles.
         let mut reassigned: Vec<usize> = Vec::new();
         for &t in &tiles {
-            let owner = &mut effective_owner[t];
+            let owner = &mut owner_of[t];
             if crashed.contains_key(owner) {
                 *owner = next_live_owner(*owner, p, crashed)?;
                 reassigned.push(t);
             }
         }
-        // Repair round: every live rank re-announces its content to the
-        // new owners, then re-ships the non-blank reassigned tiles. The
-        // new owner re-resolves from the *live* ranks only — the dead
-        // owner's own content died with it.
+        // Repair round: every live rank bundles its content on the
+        // reassigned tiles for their new owners, which re-resolve from
+        // the *live* ranks only — the dead owner's own content died with
+        // it.
         scan.round(
             ctx,
             &mut local,
             scratch,
-            &REPAIR_ROUND,
-            &effective_owner,
+            &owner_of,
             &reassigned,
             Some(crashed),
         )?;
@@ -807,7 +863,7 @@ pub(crate) fn compose_tiles<P: Pixel>(
     let owners: Vec<(Span, usize)> = tiles
         .iter()
         .flat_map(|&t| {
-            let owner = effective_owner[t];
+            let owner = owner_of[t];
             plan.grid
                 .row_spans(t)
                 .into_iter()
@@ -837,79 +893,6 @@ fn scan_flags<P: Pixel>(local: &Image<P>, grid: &TileGrid) -> Result<Vec<bool>, 
         }
     }
     Ok(have)
-}
-
-/// Left-fold one owned tile in depth order: blank accumulator, local
-/// content merged at this rank's depth slot, remote payloads streamed
-/// through the fused kernels on arrival. Writes the finished tile back
-/// into `local`.
-#[allow(clippy::too_many_arguments)]
-fn fold_tile<P: Pixel>(
-    ctx: &mut RankCtx,
-    stage: &Stage<P>,
-    plan: &TilePlan,
-    local: &mut Image<P>,
-    scratch: &mut Scratch<P>,
-    t: usize,
-    have: &[bool],
-    expects: &impl Fn(usize, usize) -> bool,
-    channel: TileChannel,
-    skip: Option<&BTreeMap<usize, usize>>,
-) -> Result<(), CoreError> {
-    let me = ctx.rank();
-    let area = plan.grid.area(t);
-    let spans = plan.grid.row_spans(t);
-    let mut acc = scratch.take_acc(area, ctx);
-    for d in 0..plan.p {
-        let r = plan.rank_at_depth[d];
-        if skip.is_some_and(|dead| dead.contains_key(&r)) {
-            continue;
-        }
-        if r == me {
-            if !have[t] {
-                continue;
-            }
-            // Fold the local tile at its depth position: acc = acc over
-            // local (the incoming piece is deeper than everything folded
-            // so far).
-            let over_started = ctx.obs_start();
-            let mut non_blank = 0usize;
-            let mut at = 0usize;
-            for span in &spans {
-                for (a, s) in acc[at..at + span.len]
-                    .iter_mut()
-                    .zip(local.span_pixels(*span)?)
-                {
-                    if !s.is_blank() {
-                        non_blank += 1;
-                    }
-                    *a = a.over(s);
-                }
-                at += span.len;
-            }
-            ctx.obs_span(Phase::Over, over_started);
-            ctx.obs_counters(|c| {
-                c.non_blank_merged += non_blank as u64;
-                c.blank_skipped += (area - non_blank) as u64;
-            });
-            let over_units = if stage.raw { area } else { non_blank };
-            ctx.compute(ComputeKind::Over, over_units as u64);
-            continue;
-        }
-        if !expects(r, t) {
-            continue;
-        }
-        let bytes = match ctx.recv(r, tag::tile(stage.config.frame_tag, channel, t as u64)) {
-            Ok(bytes) => bytes,
-            Err(CommError::RankFailed { .. }) if stage.config.resilient => continue,
-            Err(e) => return Err(e.into()),
-        };
-        stage.merge(ctx, &bytes, &mut acc, OverDir::Back)?;
-        ctx.obs_counters(|c| c.tiles_recv += 1);
-    }
-    scatter(local, spans, &acc)?;
-    scratch.put_acc(acc);
-    Ok(())
 }
 
 #[cfg(test)]

@@ -18,7 +18,8 @@
 //! * **Content.** [`TuneOptions::content_fraction`] is the fraction of
 //!   the frame that actually holds non-blank pixels. It prices the
 //!   tile-ownership method, which ships only content tiles — modeled as
-//!   a direct-send message set with every span scaled by the fraction.
+//!   a direct-send message set with every span scaled by the fraction,
+//!   which is the executor's message set too: `P·(P−1)` bundles.
 //! * **Hierarchy.** With [`TuneOptions::max_group`] ≥ 2 the sweep also
 //!   ranks two-level candidates ([`Method::Hier`]): an intra method per
 //!   group of `k`, Radix-k between the leaders. They compile to span
@@ -133,10 +134,11 @@ fn wire_model(base: &CostModel, ratio: f64) -> CostModel {
     }
 }
 
-/// Price tile-ownership: the content-adaptive direct-to-owner message
-/// set, modeled as direct-send with every shipped span scaled by the
-/// content fraction. The gather is left at full owned size (owners hold
-/// assembled tiles), making this a mild over-estimate.
+/// Price tile-ownership: one bundle per (sender, owner) — exactly
+/// direct-send's messages (`tests/tile_ownership.rs` holds the counts
+/// equal) — with every shipped span scaled by the content fraction. The
+/// gather is left at full owned size (owners hold assembled tiles), making
+/// this a mild over-estimate.
 fn tile_owner_cost(
     p: usize,
     image_len: usize,

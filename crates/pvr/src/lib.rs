@@ -35,7 +35,6 @@ pub mod scene;
 pub mod stream;
 
 pub use animate::{orbit_cameras, FrameStats, OrbitConfig};
-pub use permute::permute_schedule;
 pub use pipeline::{render_frame, render_frame_pooled, FrameRun, PipelineConfig, PipelineOutput};
 pub use scene::{compose_scene, prepare_scene, Scene};
 pub use stream::{StreamClient, StreamConfig, StreamFrame, StreamHandle, StreamSession};

@@ -1,78 +1,24 @@
-//! Rank permutation: adapting depth-indexed schedules to physical ranks.
+//! Rank permutation: adapting depth-indexed plans to physical ranks.
 //!
-//! Every [`rt_core`] schedule is built in *depth coordinates*: index 0 is
-//! the partial nearest the viewer. On a real machine, ranks own fixed
-//! subvolumes and the view changes per frame, so the depth order is a
-//! permutation of the physical ranks. [`permute_schedule`] relabels a
-//! verified depth-indexed schedule onto physical ranks; merge directions
-//! stay baked in depth terms, so correctness is preserved by construction
-//! (and re-checked end-to-end by the pipeline tests).
+//! Every [`rt_core`] plan is built in *depth coordinates* (index 0 is the
+//! partial nearest the viewer); ranks own fixed subvolumes and the view
+//! changes per frame, so the depth order is a permutation of the physical
+//! ranks. The relabeling is rt-core's ([`ComposePlan::permute`]); this is
+//! the pipeline's entry to it.
 
 use crate::PvrError;
-use rt_core::schedule::Schedule;
 use rt_core::tile::ComposePlan;
 
-/// Relabel `schedule` (depth-indexed) onto physical ranks:
-/// `rank_of_depth[d]` is the physical rank whose partial sits at depth
-/// position `d` (0 = nearest).
-///
-/// Errors with [`PvrError::Config`] if `rank_of_depth` is not a
-/// permutation of `0..schedule.p`.
-pub fn permute_schedule(
-    schedule: &Schedule,
-    rank_of_depth: &[usize],
-) -> Result<Schedule, PvrError> {
-    let p = schedule.p;
-    if rank_of_depth.len() != p {
-        return Err(PvrError::Config {
-            what: format!(
-                "permutation size mismatch: {} depth positions for {p} ranks",
-                rank_of_depth.len()
-            ),
-        });
-    }
-    let mut seen = vec![false; p];
-    for &r in rank_of_depth {
-        if r >= p || seen[r] {
-            return Err(PvrError::Config {
-                what: format!("rank_of_depth {rank_of_depth:?} is not a permutation of 0..{p}"),
-            });
-        }
-        seen[r] = true;
-    }
-    let mut out = schedule.clone();
-    for step in &mut out.steps {
-        for t in &mut step.transfers {
-            t.src = rank_of_depth[t.src];
-            t.dst = rank_of_depth[t.dst];
-        }
-    }
-    for (_, owner) in &mut out.final_owners {
-        *owner = rank_of_depth[*owner];
-    }
-    // Record the inverse map so recovery planning can still see depth
-    // contiguity through the relabeling.
-    let mut depth_of_rank = vec![0usize; p];
-    for (depth, &rank) in rank_of_depth.iter().enumerate() {
-        depth_of_rank[rank] = schedule.depth_of(depth);
-    }
-    out.depth_of_rank = Some(depth_of_rank);
-    out.method = format!("{}∘π", schedule.method);
-    Ok(out)
-}
-
-/// Relabel a [`ComposePlan`] onto physical ranks —
-/// [`permute_schedule`] for span schedules and
-/// [`rt_core::tile::TilePlan::permute`] for tile-ownership and puzzle plans
-/// (a puzzle budget rides along unchanged, so streamed puzzle frames keep
-/// their declared tolerance under every camera). A hierarchical schedule
+/// Relabel a [`ComposePlan`] onto physical ranks: `rank_of_depth[d]` is the
+/// physical rank whose partial sits at depth position `d` (0 = nearest). A
+/// puzzle budget rides along unchanged, so streamed puzzle frames keep
+/// their declared tolerance under every camera; a hierarchical schedule
 /// relabels like any other: its groups are contiguous in *depth*, wherever
 /// the camera puts those depths.
+///
+/// Errors if `rank_of_depth` is not a permutation of `0..plan.p()`.
 pub fn permute_plan(plan: &ComposePlan, rank_of_depth: &[usize]) -> Result<ComposePlan, PvrError> {
-    match plan {
-        ComposePlan::Schedule(s) => Ok(ComposePlan::Schedule(permute_schedule(s, rank_of_depth)?)),
-        ComposePlan::Tiles(t) => Ok(ComposePlan::Tiles(t.permute(rank_of_depth)?)),
-    }
+    Ok(plan.permute(rank_of_depth)?)
 }
 
 #[cfg(test)]
@@ -84,7 +30,7 @@ mod tests {
     #[test]
     fn identity_permutation_changes_only_the_label() {
         let s = ParallelPipelined::new().build(4, 400).unwrap();
-        let q = permute_schedule(&s, &[0, 1, 2, 3]).unwrap();
+        let q = s.permute(&[0, 1, 2, 3]).unwrap();
         assert_eq!(s.steps, q.steps);
         assert_eq!(s.final_owners, q.final_owners);
     }
@@ -93,7 +39,7 @@ mod tests {
     fn permutation_relabels_every_endpoint() {
         let s = BinarySwap::new().build(4, 400).unwrap();
         let perm = [2, 0, 3, 1];
-        let q = permute_schedule(&s, &perm).unwrap();
+        let q = s.permute(&perm).unwrap();
         for (a, b) in s
             .steps
             .iter()
@@ -151,16 +97,60 @@ mod tests {
     }
 
     #[test]
+    fn permuted_schedules_verify_as_executed() {
+        // `verify` seeds rank r with its recorded depth, so it proves the
+        // relabeled plan a frame actually runs — not only the depth-indexed
+        // one it was built from.
+        use rt_core::hier::IntraMethod;
+        use rt_core::method::Method;
+        use rt_core::rotate::RtVariant;
+        let reversed: Vec<usize> = (0..8).rev().collect();
+        let scrambled = [5, 2, 7, 0, 3, 6, 1, 4];
+        for method in [
+            Method::BinarySwap,
+            Method::RotateTiling {
+                variant: RtVariant::TwoN,
+                blocks: 4,
+            },
+            Method::Hier {
+                k: 2,
+                intra: IntraMethod::BinarySwap,
+            },
+        ] {
+            let plan = method.plan(8, 32, 24).unwrap();
+            for order in [&reversed[..], &scrambled[..]] {
+                let permuted = permute_plan(&plan, order).unwrap();
+                permuted
+                    .verify()
+                    .unwrap_or_else(|e| panic!("{method:?} under {order:?}: {e}"));
+                // Two ranks trading depths hold runs the merges do not join.
+                let ComposePlan::Schedule(mut swapped) = permuted else {
+                    panic!("{method:?} compiles to a span schedule");
+                };
+                swapped.depth_of_rank.as_mut().unwrap().swap(1, 6);
+                assert!(
+                    rt_core::verify_schedule(&swapped).is_err(),
+                    "{method:?} under {order:?}"
+                );
+                // And a depth map that is no permutation is refused outright.
+                swapped.depth_of_rank.as_mut().unwrap()[1] = 8;
+                let err = rt_core::verify_schedule(&swapped).unwrap_err();
+                assert!(err.to_string().contains("not a permutation"), "{err}");
+            }
+        }
+    }
+
+    #[test]
     fn non_permutation_is_a_typed_error() {
         let s = BinarySwap::new().build(4, 400).unwrap();
-        let err = permute_schedule(&s, &[0, 0, 1, 2]).unwrap_err();
+        let err = s.permute(&[0, 0, 1, 2]).unwrap_err();
         assert!(err.to_string().contains("not a permutation"), "{err}");
     }
 
     #[test]
     fn wrong_size_is_a_typed_error() {
         let s = BinarySwap::new().build(4, 400).unwrap();
-        let err = permute_schedule(&s, &[0, 1, 2]).unwrap_err();
-        assert!(err.to_string().contains("size mismatch"), "{err}");
+        let err = s.permute(&[0, 1, 2]).unwrap_err();
+        assert!(err.to_string().contains("3 entries for 4 ranks"), "{err}");
     }
 }

@@ -21,10 +21,11 @@
 //!   chaos injection and observability work unchanged per frame. Frame 0's
 //!   namespace is the identity, so single-frame tags and traces are
 //!   byte-compatible with the serial path.
-//! * **Double-buffered scratch.** Compose scratch is checked out of a
-//!   session-lifetime [`ScratchPool`] keyed by `(rank, frame parity)`: two
-//!   scratch sets per rank alternate across frames, and after the first two
-//!   frames the pool hands out no fresh allocation.
+//! * **Session-pooled scratch.** Compose scratch is checked out of a
+//!   session-lifetime [`ScratchPool`] keyed by rank. A rank composes one
+//!   frame at a time (render-ahead overlaps *rendering*, not compositing),
+//!   so one scratch set per rank serves every frame, and after the first
+//!   frame the pool hands out no fresh allocation.
 //! * **In-order emission.** A collector assembles the per-rank event
 //!   slices of each frame into a per-frame [`Trace`] and emits
 //!   [`StreamFrame`]s strictly in sequence.
@@ -405,12 +406,11 @@ fn stream_rank(
             ctx.compute(ComputeKind::Render, plan.parts[me].vol.len() as u64);
             ctx.mark(Mark::RenderEnd);
             let frame_cfg = compose_cfg.with_frame(k as u64);
-            // Double-buffered scratch: frames alternate between two
-            // session-pooled scratch sets per rank.
-            let slot = me * 2 + (k & 1);
-            let mut scratch = pool.checkout(slot);
+            // The check-in precedes the next frame's checkout: one
+            // session-pooled scratch set per rank.
+            let mut scratch = pool.checkout(me);
             let composed = compose_plan(ctx, &plan.compose, partial, &frame_cfg, &mut scratch);
-            pool.checkin(slot, scratch);
+            pool.checkin(me, scratch);
             match composed {
                 Ok(band) => {
                     let crashed_self = band
@@ -608,10 +608,10 @@ mod tests {
         client
             .collect_orbit(&StreamConfig::new(base()), &orbit)
             .unwrap();
-        // Two scratch sets per rank (double-buffering), allocated on the
-        // first two frames.
+        // One scratch set per rank, allocated on the first frame: a rank
+        // checks its set back in before it composes the next frame.
         let after_first = session.fresh_checkouts();
-        assert!(after_first <= 6, "expected ≤ 2·p fresh, got {after_first}");
+        assert_eq!(after_first, 3, "expected p fresh checkouts");
         // A second stream on the same session reuses every buffer.
         client
             .collect_orbit(&StreamConfig::new(base()), &orbit)

@@ -1,7 +1,8 @@
-//! Tile-ownership compositing end to end: the content-adaptive message
-//! set must stay *exact* (byte-identical to the sequential depth fold and
-//! to the direct-send schedule, on both transports), ship nothing for
-//! blank content, survive degenerate tile grids, and keep the
+//! Tile-ownership compositing end to end: one bundle per (sender, owner)
+//! must stay *exact* (byte-identical to the sequential depth fold and
+//! to the direct-send schedule, on both transports), carry nothing but its
+//! bitmap for blank content, survive degenerate tile grids, send the
+//! message count the tuner prices, and keep the
 //! bit-exact | exact-degraded | typed-error trichotomy when an owner
 //! rank dies mid-frame.
 
@@ -20,12 +21,15 @@ fn tile_owner(tiles_x: usize, tiles_y: usize) -> Method {
     Method::TileOwner { tiles_x, tiles_y }
 }
 
-/// Count `Send` events on one tile sub-channel in one rank's trace.
-fn sends_on(trace: &Trace, rank: usize, channel: TileChannel) -> usize {
+/// The byte sizes of the messages `rank` sent on one tile sub-channel.
+fn sends_on(trace: &Trace, rank: usize, channel: TileChannel) -> Vec<u64> {
     trace.ranks[rank]
         .iter()
-        .filter(|e| matches!(e, Event::Send { tag, .. } if tile_channel(*tag) == Some(channel)))
-        .count()
+        .filter_map(|e| match e {
+            Event::Send { tag, bytes, .. } if tile_channel(*tag) == Some(channel) => Some(*bytes),
+            _ => None,
+        })
+        .collect()
 }
 
 /// The root's gathered frame out of a result set (exactly one expected).
@@ -53,12 +57,16 @@ fn a_fully_blank_rank_sends_manifests_but_zero_tile_payloads() {
     let (results, trace) = Run::new(&plan, &config).execute(partials);
     let frame = root_frame(results);
     assert_eq!(frame.pixels(), want.pixels());
-    // The blank rank still announces itself (fixed-size manifests) but
-    // ships no pixel payloads at all; content-bearing ranks do.
-    assert!(sends_on(&trace, 1, TileChannel::Manifest) > 0);
-    assert_eq!(sends_on(&trace, 1, TileChannel::Payload), 0);
-    assert!(sends_on(&trace, 0, TileChannel::Payload) > 0);
-    assert!(sends_on(&trace, 2, TileChannel::Payload) > 0);
+    // Every rank owns 9 of the 36 tiles, so a bundle's bitmap is 2 bytes.
+    // The blank rank still sends every other owner its bundle, and that
+    // bundle is exactly the bitmap; content-bearing ranks append streams.
+    assert_eq!(sends_on(&trace, 1, TileChannel::Bundle), vec![2, 2, 2]);
+    for r in [0, 2, 3] {
+        let bundles = sends_on(&trace, r, TileChannel::Bundle);
+        assert_eq!(bundles.len(), p - 1, "rank {r}");
+        assert!(bundles.iter().any(|&bytes| bytes > 2), "rank {r}");
+    }
+    assert!(sends_on(&trace, 1, TileChannel::RepairBundle).is_empty());
 }
 
 #[test]
@@ -69,11 +77,66 @@ fn a_single_tile_grid_degenerates_to_one_owner_and_stays_exact() {
     let plan = tile_owner(1, 1).plan(p, 40, 24).unwrap();
     let (results, trace) = Run::new(&plan, &ComposeConfig::default()).execute(partials);
     assert_eq!(root_frame(results).pixels(), want.pixels());
-    // One tile → rank 0 owns everything; nobody ships more than one
-    // payload, and the owner ships none.
-    assert_eq!(sends_on(&trace, 0, TileChannel::Payload), 0);
+    // One tile → rank 0 owns everything: the sole owner sends no bundle,
+    // everybody else exactly one, to it — a 1-byte bitmap, a 4-byte length
+    // and the raw tile.
+    assert!(sends_on(&trace, 0, TileChannel::Bundle).is_empty());
     for r in 1..p {
-        assert!(sends_on(&trace, r, TileChannel::Payload) <= 1);
+        let bundles = sends_on(&trace, r, TileChannel::Bundle);
+        assert_eq!(bundles, vec![1 + 4 + 40 * 24 * 2], "rank {r}");
+    }
+    // The root gathers from itself: no gather message either.
+    assert_eq!(trace.message_count(), (p - 1) as u64);
+}
+
+#[test]
+fn a_clean_frame_sends_the_message_count_the_tuner_prices() {
+    // P·(P−1) bundles plus P−1 gather messages, whatever the content —
+    // and the tuner's TileOwner candidate (`tile_owner_cost`: the
+    // direct-send message set) predicts exactly that many composition
+    // messages, so the pricer and the executor agree on the count.
+    use rotate_tiling::comm::CostModel;
+    use rotate_tiling::core::tune::{sweep, TuneOptions};
+    for p in [4usize, 8] {
+        let (w, h) = (64, 64);
+        let opts = TuneOptions {
+            content_fraction: 0.25,
+            ..TuneOptions::default()
+        };
+        let candidates = sweep(p, w * h, &CostModel::PAPER_EXAMPLE, &opts).unwrap();
+        let priced = candidates
+            .iter()
+            .find(|c| matches!(c.method, Method::TileOwner { .. }))
+            .expect("sparse content puts tile ownership in the sweep");
+        assert_eq!(priced.cost.messages, p * (p - 1));
+        let mut blank_but_one = band_partials(p, w, h);
+        for partial in &mut blank_but_one[1..] {
+            *partial = Image::blank(w, h);
+        }
+        for partials in [band_partials(p, w, h), blank_but_one] {
+            for method in [
+                tile_owner(16, 16),
+                Method::Puzzle {
+                    tiles_x: 16,
+                    tiles_y: 16,
+                    budget_permille: 0,
+                },
+            ] {
+                let plan = method.plan(p, w, h).unwrap();
+                let (results, trace) =
+                    Run::new(&plan, &ComposeConfig::default()).execute(partials.clone());
+                root_frame(results);
+                let sent =
+                    |channel| -> usize { (0..p).map(|r| sends_on(&trace, r, channel).len()).sum() };
+                assert_eq!(
+                    sent(TileChannel::Bundle),
+                    priced.cost.messages,
+                    "{method:?}"
+                );
+                assert_eq!(sent(TileChannel::Gather), p - 1, "{method:?}");
+                assert_eq!(trace.message_count() as usize, p * (p - 1) + p - 1);
+            }
+        }
     }
 }
 
@@ -213,6 +276,95 @@ fn owner_rank_death_mid_frame_keeps_the_trichotomy() {
                 "no rank may emit a frame built on missing data: {:?}",
                 f.pixels()[0]
             );
+        }
+    }
+}
+
+#[test]
+fn owner_deaths_keep_their_degraded_info_and_frame_bytes() {
+    // A bundle makes a rank's contribution to an owner atomic, which is
+    // what the two crash points always were: a step-0 victim sent nothing
+    // (the frame is the survivors' fold everywhere), a step-1 victim sent
+    // everything (only the tiles it owned are re-folded, from the
+    // survivors). Overlapping translucent content, so a wrong merge order
+    // or a missing piece changes bytes.
+    use rotate_tiling::core::{ComposePlan, DegradedInfo};
+    use rotate_tiling::imaging::GrayAlpha8;
+    let (w, h) = (32, 32);
+    for p in [4usize, 8] {
+        let partials: Vec<Image<GrayAlpha8>> = (0..p)
+            .map(|r| {
+                Image::from_fn(w, h, |x, y| match (x / 3 + y / 2 + r) % 3 {
+                    0 => GrayAlpha8::blank(),
+                    _ => GrayAlpha8::new((29 * r + x + 3 * y) as u8, (70 + 20 * r + x) as u8),
+                })
+            })
+            .collect();
+        let victim = p - 2;
+        let full = reference_composite(&partials).unwrap();
+        let mut surviving = partials.clone();
+        surviving[victim] = Image::blank(w, h);
+        let survivors = reference_composite(&surviving).unwrap();
+        for method in [
+            tile_owner(4, 4),
+            Method::Puzzle {
+                tiles_x: 4,
+                tiles_y: 4,
+                budget_permille: 0,
+            },
+        ] {
+            let plan = method.plan(p, w, h).unwrap();
+            let ComposePlan::Tiles(tiles) = &plan else {
+                unreachable!("{method:?} compiles to a tile plan");
+            };
+            let owned = tiles.tiles_of(victim);
+            for step in [0usize, 1] {
+                let mut want = if step == 0 {
+                    survivors.clone()
+                } else {
+                    full.clone()
+                };
+                for span in owned.iter().flat_map(|&t| tiles.grid.row_spans(t)) {
+                    want.insert(span, survivors.span_pixels(span).unwrap())
+                        .unwrap();
+                }
+                let info = DegradedInfo {
+                    failed: vec![(victim, step)],
+                    lost_contributions: vec![victim],
+                    lost_pixels: match step {
+                        0 => w * h,
+                        _ => tiles.owned_area(victim),
+                    },
+                    reassigned_spans: owned.len(),
+                    root_reassigned_to: None,
+                };
+                for codec in [CodecKind::Raw, CodecKind::Trle] {
+                    let config = ComposeConfig::default()
+                        .with_codec(codec)
+                        .resilient(true)
+                        .with_timeout(Duration::from_millis(500));
+                    let (results, trace) = Run::new(&plan, &config)
+                        .faults(FaultPlan::none().crash_rank_at_step(victim, step))
+                        .execute(partials.clone());
+                    let what = format!("{method:?} p={p} step={step} {codec:?}");
+                    let mut frames = Vec::new();
+                    for (rank, result) in results.into_iter().enumerate() {
+                        let out = result.unwrap_or_else(|e| panic!("{what}: rank {rank}: {e}"));
+                        if rank != victim {
+                            assert_eq!(out.degraded.as_ref(), Some(&info), "{what}: rank {rank}");
+                        }
+                        frames.extend(out.frame);
+                    }
+                    assert_eq!(frames.len(), 1, "{what}");
+                    assert_eq!(frames[0].pixels(), want.pixels(), "{what}");
+                    // The repair round is one bundle per survivor to the
+                    // new owner (the next live rank), nothing else.
+                    let repair: usize = (0..p)
+                        .map(|r| sends_on(&trace, r, TileChannel::RepairBundle).len())
+                        .sum();
+                    assert_eq!(repair, p - 2, "{what}");
+                }
+            }
         }
     }
 }
