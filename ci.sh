@@ -76,6 +76,14 @@ gone=$(grep -rnE '[c]ompose_hier|[H]ierPlan|ComposePlan::[H]ier|[e]nter_group|[l
     crates src tests examples docs ./*.md ci.sh \
     --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md --exclude=REVIEW.md || true)
 [ -z "$gone" ] || vocabulary_fail "the hierarchical plan family is back" "$gone"
+# A transport backend is two verbs: the backend-provided barrier, its error
+# type and deadline knob, the non-blocking receive, the step hints rt-net
+# was handed, the uncalled targeted payload corruption and the second worker
+# binary stay gone.
+gone=$(grep -rnE '[B]arrierError|[b]arrier_timeout|[d]eath_steps|[t]ry_recv_raw|[c]orrupt_payload|[c]haosrank' \
+    crates src tests examples docs ./*.md ci.sh .claude \
+    --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md --exclude=REVIEW.md || true)
+[ -z "$gone" ] || vocabulary_fail "the transport-level barrier vocabulary is back" "$gone"
 
 echo "== build (release) =="
 cargo build --release --workspace
@@ -115,8 +123,10 @@ echo "== net log bound =="
 # send, two ranks pushing 512 MiB at each other before either receives
 # (10 ms heartbeats, under a watchdog), and chaos cuts at the header/payload
 # boundary offsets after the log was trimmed — on real loopback sockets, in
-# release (the workspace stage above runs the same file in debug).
-cargo test -q --release -p rt-net --test log_bound --test mutual_bulk
+# release (the workspace stage above runs the same files in debug). The
+# both-mesh barrier test rides along so the message round of
+# `RankCtx::barrier` is exercised optimised over TCP too.
+cargo test -q --release -p rt-net --test log_bound --test mutual_bulk --test barrier
 
 echo "== chaos smoke =="
 # One tiny fault-tolerance sweep end to end: must print only bit-exact

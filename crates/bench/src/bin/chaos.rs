@@ -7,7 +7,7 @@
 //! sockets between real OS processes. A matrix of socket-level scenarios
 //! (connection resets, partial writes, truncated frames, delays, stalls,
 //! hard process kills — see [`rt_bench::chaosnet::scenarios`]) runs over
-//! `chaosrank` worker processes, each gated on the trichotomy:
+//! `netrank` worker processes, each gated on the trichotomy:
 //! **bit-exact** (link-layer repair is invisible — trace and frame
 //! reconcile against the in-process reference), **exact-degraded** (a
 //! killed worker degrades the output exactly as the in-process
@@ -21,10 +21,10 @@
 
 use rt_bench::harness::{parse_flags, print_table};
 
-/// The sibling `chaosrank` worker binary (same target directory).
-fn chaosrank_path() -> std::path::PathBuf {
+/// The sibling `netrank` worker binary (same target directory).
+fn worker_path() -> std::path::PathBuf {
     let mut path = std::env::current_exe().expect("own executable path");
-    path.set_file_name("chaosrank");
+    path.set_file_name("netrank");
     assert!(
         path.exists(),
         "worker binary {} not built — build the rt-bench bins first",
@@ -36,7 +36,7 @@ fn chaosrank_path() -> std::path::PathBuf {
 /// E9: the distributed soak. Exits non-zero if any scenario fails its
 /// trichotomy gate.
 fn tcp_soak(argv: &[String]) -> ! {
-    use rt_bench::chaosnet::{gate, reference_run, run_scenario, scenarios, SMOKE_IDS};
+    use rt_bench::chaosnet::{gate, reference_run, run_scenario, scenarios, Job, SMOKE_IDS};
 
     let mut seed = 42u64;
     let mut frame = 64usize;
@@ -61,7 +61,7 @@ fn tcp_soak(argv: &[String]) -> ! {
         },
     );
     const P: usize = 4;
-    let worker = chaosrank_path();
+    let worker = worker_path();
     let matrix = scenarios(P, frame, seed);
     let picks: Vec<usize> = if smoke {
         SMOKE_IDS.to_vec()
@@ -74,8 +74,9 @@ fn tcp_soak(argv: &[String]) -> ! {
     let mut failures: Vec<String> = Vec::new();
     for id in &picks {
         let sc = &matrix[*id];
-        let reference = sc.reconciles().then(|| reference_run(sc, P, frame));
-        let verdict = run_scenario(sc, P, frame, seed, &worker)
+        let job = Job::soak(*id, frame, seed);
+        let reference = sc.reconciles().then(|| reference_run(sc, P, &job));
+        let verdict = run_scenario(sc, P, &job, &worker)
             .and_then(|run| gate(sc, &run, reference.as_ref()).map(|status| (run.elapsed, status)));
         let (status, took) = match verdict {
             Ok((elapsed, status)) => {

@@ -1,7 +1,9 @@
-//! Shared plumbing for the **TCP chaos soak**: the seeded scenario matrix
-//! the `chaos --transport tcp` launcher drives over real OS processes, the
-//! per-rank result blob each `chaosrank` worker reports back, and the
-//! trichotomy gate that judges every scenario.
+//! Shared plumbing for **multi-process composition cells**: the [`Job`] a
+//! launcher hands each `netrank` worker process, the seeded scenario matrix
+//! the `chaos --transport tcp` soak drives over them, the per-rank result
+//! blob a worker reports back, and the trichotomy gate that judges every
+//! scenario. A clean cell (`tests/tcp_reconcile.rs`) is a job under the
+//! matrix's control scenario.
 //!
 //! The launcher and the workers are separate processes of the *same*
 //! build, so everything they must agree on lives here and is a pure
@@ -25,8 +27,9 @@
 use rt_comm::{FaultPlan, RankTrace, Trace};
 use rt_compress::CodecKind;
 use rt_core::exec::ComposeConfig;
-use rt_core::method::CompositionMethod;
-use rt_core::{ComposePlan, RotateTiling, Run};
+use rt_core::method::{CompositionMethod, Method};
+use rt_core::rotate::RtVariant;
+use rt_core::Run;
 use rt_net::{process::read_blob, Launcher, NetFaultPlan, TcpOptions};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -99,32 +102,24 @@ pub struct Scenario {
 
 impl Scenario {
     /// The [`TcpOptions`] every worker of this scenario builds its mesh
-    /// with: a repair budget sized to the scenario, plus the death-step
-    /// hints that make a real process kill byte-identical to the
-    /// in-process crash announcement.
-    pub fn tcp_options(&self, p: usize) -> TcpOptions {
-        let mut opts = match self.budget {
+    /// with: a repair budget sized to the scenario. (Nothing here says
+    /// when a victim dies: a survivor's link layer only learns *that* it
+    /// did, and the envelope reads the step off [`Scenario::faults`].)
+    pub fn tcp_options(&self) -> TcpOptions {
+        match self.budget {
             Budget::Repairing => TcpOptions {
                 reconnect_attempts: 6,
                 reconnect_backoff: Duration::from_millis(25),
                 restore_deadline: Duration::from_millis(900),
                 heartbeat_interval: Some(Duration::from_millis(100)),
-                ..TcpOptions::default()
             },
             Budget::NoReconnect => TcpOptions {
                 reconnect_attempts: 0,
                 reconnect_backoff: Duration::from_millis(1),
                 restore_deadline: Duration::from_millis(150),
                 heartbeat_interval: Some(Duration::from_millis(100)),
-                ..TcpOptions::default()
             },
-        };
-        for rank in 0..p {
-            if let Some(step) = self.faults.crash_step_of(rank) {
-                opts = opts.death_step(rank, step);
-            }
         }
-        opts
     }
 
     /// Whether the scenario reconciles against an in-process reference
@@ -136,8 +131,71 @@ impl Scenario {
 
 /// The method every soak cell composes with (the paper's rotate-tiling
 /// schedule, `2N_RT(4)`).
-pub fn soak_method() -> RotateTiling {
-    RotateTiling::two_n(4)
+pub fn soak_method() -> Method {
+    Method::RotateTiling {
+        variant: RtVariant::TwoN,
+        blocks: 4,
+    }
+}
+
+/// One composition cell, as a launcher encodes it onto a `netrank` command
+/// line and the worker decodes it back.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Job {
+    /// Index into [`Method::bench_lineup`] (indices are stable across
+    /// processes of one build — both sides call the same function).
+    pub method_index: usize,
+    /// Message codec for every transfer and the gather.
+    pub codec: CodecKind,
+    /// Square frame edge in pixels.
+    pub frame: usize,
+    /// Index into [`scenarios`]; 0 is the clean control scenario.
+    pub scenario: usize,
+    /// Seed of the scenario matrix.
+    pub seed: u64,
+}
+
+impl Job {
+    /// The soak's cell for scenario `scenario`: [`soak_method`], raw codec.
+    ///
+    /// # Panics
+    /// Panics if the soak method is not in the bench lineup.
+    pub fn soak(scenario: usize, frame: usize, seed: u64) -> Job {
+        let method_index = Method::bench_lineup()
+            .iter()
+            .position(|m| *m == soak_method())
+            .unwrap_or_else(|| panic!("the soak method left the bench lineup"));
+        Job {
+            method_index,
+            codec: CodecKind::Raw,
+            frame,
+            scenario,
+            seed,
+        }
+    }
+
+    /// The method this job runs.
+    ///
+    /// # Panics
+    /// Panics if `method_index` is out of range for the lineup.
+    pub fn method(&self) -> Method {
+        Method::bench_lineup()[self.method_index]
+    }
+
+    /// Encode as `netrank` command-line arguments.
+    pub fn to_args(&self) -> Vec<String> {
+        format!(
+            "--method-index {} --codec {} --frame {} --scenario {} --seed {}",
+            self.method_index,
+            self.codec.name(),
+            self.frame,
+            self.scenario,
+            self.seed
+        )
+        .split(' ')
+        .map(String::from)
+        .collect()
+    }
 }
 
 /// The seeded scenario matrix: a pure function of `(p, frame, seed)` so
@@ -424,20 +482,21 @@ pub struct Reference {
     pub lost_pixels: usize,
 }
 
-/// Run the in-process reference for a scenario: the same schedule,
-/// partials, codec and envelope fault plan over the threaded backend.
+/// Run the in-process reference for `job` under its scenario `sc`: the same
+/// plan, partials, codec and envelope fault plan over the threaded backend.
 /// Socket-level faults don't map (there is no socket) — which is the
 /// point: a repaired run must be indistinguishable from this.
-pub fn reference_run(sc: &Scenario, p: usize, frame: usize) -> Reference {
-    let schedule = soak_method()
-        .build(p, frame * frame)
-        .unwrap_or_else(|e| panic!("soak schedule: {e}"));
+pub fn reference_run(sc: &Scenario, p: usize, job: &Job) -> Reference {
+    let method = job.method();
+    let plan = method
+        .plan(p, job.frame, job.frame)
+        .unwrap_or_else(|e| panic!("{}: {e}", method.name()));
     let config = ComposeConfig::default()
-        .with_codec(CodecKind::Raw)
+        .with_codec(job.codec)
         .resilient(!sc.faults.is_none());
-    let (results, trace) = Run::new(&ComposePlan::Schedule(schedule), &config)
+    let (results, trace) = Run::new(&plan, &config)
         .faults(sc.faults.clone())
-        .execute(band_partials(p, frame, frame));
+        .execute(band_partials(p, job.frame, job.frame));
     let frame_img = results
         .iter()
         .filter_map(|r| r.as_ref().ok())
@@ -470,17 +529,12 @@ pub struct DistRun {
     pub elapsed: Duration,
 }
 
-/// Spawn `p` worker processes for one scenario, rendezvous them, collect
-/// their results, and reap them — all under the scenario's watchdog.
-/// Any process that outlives the watchdog is killed and the scenario
-/// fails; a panic (non-zero, non-victim exit) fails it too.
-pub fn run_scenario(
-    sc: &Scenario,
-    p: usize,
-    frame: usize,
-    seed: u64,
-    worker: &Path,
-) -> Result<DistRun, String> {
+/// Spawn `p` `netrank` worker processes on `job` (whose scenario is `sc`),
+/// rendezvous them, collect their results, and reap them — all under the
+/// scenario's watchdog. Any process that outlives the watchdog is killed
+/// and the scenario fails; a panic (non-zero, non-victim exit) fails it too.
+pub fn run_scenario(sc: &Scenario, p: usize, job: &Job, worker: &Path) -> Result<DistRun, String> {
+    assert_eq!(sc.id, job.scenario, "the job names another scenario");
     let started = Instant::now();
     let deadline = |why: &str| format!("{}: watchdog expired while {why}", sc.name);
     let remaining = |started: Instant| {
@@ -493,14 +547,7 @@ pub fn run_scenario(
     let mut children = Vec::with_capacity(p);
     for rank in 0..p {
         let mut cmd = std::process::Command::new(worker);
-        cmd.args([
-            "--scenario".to_string(),
-            sc.id.to_string(),
-            "--seed".to_string(),
-            seed.to_string(),
-            "--frame".to_string(),
-            frame.to_string(),
-        ]);
+        cmd.args(job.to_args());
         launcher
             .configure(&mut cmd, rank, p)
             .map_err(|e| format!("{}: {e}", sc.name))?;
@@ -766,30 +813,44 @@ mod tests {
     }
 
     #[test]
-    fn kill_scenarios_thread_the_crash_step_into_the_link_options() {
+    fn kill_scenarios_plan_the_crash_and_swallow_its_announcement() {
+        // The step lives in the envelope's fault plan and nowhere else; the
+        // socket layer is only told not to let the victim say goodbye.
         let list = scenarios(4, 64, 7);
         let kill = list
             .iter()
             .find(|s| s.name == "kill-mid")
             .expect("kill-mid exists");
-        let opts = kill.tcp_options(4);
         let victim = kill.victim.expect("kill has a victim");
-        let step = kill.faults.crash_step_of(victim).expect("victim crashes");
-        assert_eq!(opts.death_steps.get(&victim), Some(&step));
+        assert!(kill.faults.crash_step_of(victim).is_some());
         assert!(kill.net[victim].swallows_death());
+    }
+
+    #[test]
+    fn job_args_round_trip_the_codec_vocabulary() {
+        for codec in [CodecKind::Raw, CodecKind::Rle, CodecKind::Trle] {
+            let args = Job {
+                codec,
+                ..Job::soak(3, 64, 7)
+            }
+            .to_args();
+            let at = args.iter().position(|a| a == "--codec").unwrap();
+            assert_eq!(args[at + 1].parse::<CodecKind>(), Ok(codec));
+        }
+        assert_eq!(Job::soak(3, 64, 7).method(), soak_method());
     }
 
     #[test]
     fn reference_runs_reconcile_shapes() {
         let list = scenarios(4, 16, 42);
-        let clean = reference_run(&list[0], 4, 16);
+        let clean = reference_run(&list[0], 4, &Job::soak(0, 16, 42));
         assert_eq!(clean.lost_pixels, 0);
         assert!(clean.lost_contributions.is_empty());
         let kill = list
             .iter()
             .find(|s| s.name == "kill-early")
             .expect("kill-early exists");
-        let degraded = reference_run(kill, 4, 16);
+        let degraded = reference_run(kill, 4, &Job::soak(kill.id, 16, 42));
         assert_eq!(degraded.lost_contributions, vec![3]);
         assert!(degraded.lost_pixels > 0);
         assert_ne!(clean.frame_hash, degraded.frame_hash);

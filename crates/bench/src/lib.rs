@@ -6,9 +6,9 @@
 //!   committed `results/*.txt` and `BENCH_{scale,quality}.json` to;
 //! * [`profile`], [`scale`], [`quality`] — the experiments behind the
 //!   binaries of those names (E6, E11, E12), each gated in-binary;
-//! * [`chaosnet`] / [`netgrid`] — the multi-process TCP gates: the chaos
-//!   soak matrix (`chaos --transport tcp`, `chaosrank` workers) and the
-//!   job/result vocabulary of the `netrank` worker;
+//! * [`chaosnet`] / [`netgrid`] — the multi-process TCP gates: the job and
+//!   result vocabulary of the `netrank` worker, the chaos soak matrix it
+//!   runs under (`chaos --transport tcp`) and the frame fingerprint;
 //! * [`harness`] — what they share: [`harness::ScreenScene`] (a dataset
 //!   rendered once into depth-ordered screen-space partials in the paper's
 //!   8-bit gray wire format), [`harness::measure`] (run one `(method,

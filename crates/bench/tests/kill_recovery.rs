@@ -1,4 +1,4 @@
-//! Real-process crash recovery, end to end: spawn four `chaosrank`
+//! Real-process crash recovery, end to end: spawn four `netrank`
 //! worker processes over loopback TCP, have one exit mid-composition
 //! without announcing (its death broadcast is swallowed at the socket
 //! layer), and require the survivors to detect the death through the
@@ -12,7 +12,7 @@
 //! schedule, same partials, same `FaultPlan` — only the failure is now a
 //! genuine OS process disappearing under real sockets.
 
-use rt_bench::chaosnet::{gate, reference_run, run_scenario, scenarios, Expectation};
+use rt_bench::chaosnet::{gate, reference_run, run_scenario, scenarios, Expectation, Job};
 use std::path::Path;
 
 const P: usize = 4;
@@ -20,7 +20,7 @@ const FRAME: usize = 64;
 const SEED: u64 = 42;
 
 fn run_kill(name: &str) {
-    let worker = Path::new(env!("CARGO_BIN_EXE_chaosrank"));
+    let worker = Path::new(env!("CARGO_BIN_EXE_netrank"));
     let matrix = scenarios(P, FRAME, SEED);
     let sc = matrix
         .iter()
@@ -30,13 +30,14 @@ fn run_kill(name: &str) {
     let victim = sc.victim.expect("kill scenario has a victim");
     assert_eq!(victim, P - 1);
 
-    let reference = reference_run(sc, P, FRAME);
+    let job = Job::soak(sc.id, FRAME, SEED);
+    let reference = reference_run(sc, P, &job);
     assert!(
         !reference.lost_contributions.is_empty(),
         "the in-process crash run must lose the victim's contribution"
     );
-    let run = run_scenario(sc, P, FRAME, SEED, worker)
-        .unwrap_or_else(|e| panic!("distributed run failed: {e}"));
+    let run =
+        run_scenario(sc, P, &job, worker).unwrap_or_else(|e| panic!("distributed run failed: {e}"));
     assert!(
         run.results[victim].is_none(),
         "the killed rank must not report a result"

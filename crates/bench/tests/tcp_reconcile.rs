@@ -6,51 +6,33 @@
 //! merge into a valid Chrome trace. The wall clock is the only observable
 //! a transport may change.
 
-use rt_bench::netgrid::{frame_hash, NetJob, WorkerResult};
+use rt_bench::chaosnet::{outcome, run_scenario, scenarios, Job};
+use rt_bench::netgrid::frame_hash;
 use rt_comm::{replay_timeline, CostModel, Trace};
 use rt_compress::CodecKind;
 use rt_core::method::{CompositionMethod, Method};
 use rt_core::{ComposeConfig, Run};
 use rt_imaging::synth::band_partials;
-use rt_net::{process::read_blob, Launcher};
 use rt_obs::{validate_chrome_trace, ChromeTrace};
-use std::process::Command;
+use std::path::Path;
 
 const P: usize = 8;
 const FRAME: usize = 128;
 
 /// Spawn `P` `netrank` processes on `job`, rendezvous them into a mesh and
 /// collect the full trace plus the root's frame hash.
-fn tcp_cell(job: NetJob) -> (Trace, Option<u64>) {
-    let launcher = Launcher::bind().expect("bind rendezvous listener");
-    let children: Vec<_> = (0..P)
-        .map(|rank| {
-            let mut cmd = Command::new(env!("CARGO_BIN_EXE_netrank"));
-            cmd.args(job.to_args());
-            launcher
-                .configure(&mut cmd, rank, P)
-                .expect("stamp worker environment");
-            cmd.spawn().expect("spawn netrank worker")
-        })
-        .collect();
-    let mut controls = launcher.rendezvous(P).expect("rendezvous workers");
-    let mut results: Vec<WorkerResult> = controls
-        .iter_mut()
-        .map(|c| {
-            let blob = read_blob(c).expect("worker result blob");
-            serde_json::from_str(&String::from_utf8(blob).expect("result is UTF-8"))
-                .expect("worker result parses")
-        })
-        .collect();
-    for mut child in children {
-        let status = child.wait().expect("reap worker");
-        assert!(status.success(), "netrank worker exited with {status}");
+fn tcp_cell(job: &Job) -> (Trace, Option<u64>) {
+    let clean = &scenarios(P, job.frame, job.seed)[job.scenario];
+    let run = run_scenario(clean, P, job, Path::new(env!("CARGO_BIN_EXE_netrank")))
+        .unwrap_or_else(|e| panic!("distributed run failed: {e}"));
+    let mut trace = Trace::default();
+    let mut frame_hash = None;
+    for result in run.results {
+        let result = result.expect("every rank reports");
+        assert_eq!(result.outcome, outcome::OK, "{}", result.detail);
+        frame_hash = frame_hash.or(result.frame_hash);
+        trace.ranks.push(result.trace);
     }
-    results.sort_by_key(|r| r.rank);
-    let frame_hash = results.iter().find_map(|r| r.frame_hash);
-    let trace = Trace {
-        ranks: results.into_iter().map(|r| r.trace).collect(),
-    };
     (trace, frame_hash)
 }
 
@@ -71,10 +53,12 @@ fn every_lineup_cell_over_real_processes_reconciles_with_the_in_process_run() {
                 .map(frame_hash);
             assert!(reference_hash.is_some(), "{label}: no root frame");
 
-            let (trace, hash) = tcp_cell(NetJob {
+            let (trace, hash) = tcp_cell(&Job {
                 method_index,
                 codec,
                 frame: FRAME,
+                scenario: 0,
+                seed: 42,
             });
             assert_eq!(trace, reference, "{label}: event traces diverged");
             assert_eq!(hash, reference_hash, "{label}: root frames diverged");

@@ -100,10 +100,15 @@ pub enum CommError {
         /// The failed rank.
         rank: usize,
     },
-    /// A transport barrier round could not complete (a peer died or became
-    /// unreachable mid-round). Only backends that move real frames for
-    /// their barrier can produce this; the in-process barrier never fails.
-    Barrier(crate::transport::BarrierError),
+    /// A membership-protocol message did not parse: a liveness ledger that
+    /// is not whole `(rank, step)` entries, or that names a rank outside
+    /// the machine.
+    Malformed {
+        /// Rank the message came from.
+        from: usize,
+        /// Tag it carried.
+        tag: u64,
+    },
 }
 
 impl std::fmt::Display for CommError {
@@ -143,18 +148,17 @@ impl std::fmt::Display for CommError {
             CommError::RankFailed { rank } => {
                 write!(f, "rank {rank} failed (death notification received)")
             }
-            CommError::Barrier(e) => write!(f, "{e}"),
+            CommError::Malformed { from, tag } => {
+                write!(
+                    f,
+                    "malformed control message from rank {from} (tag {tag:#x})"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for CommError {}
-
-impl From<crate::transport::BarrierError> for CommError {
-    fn from(e: crate::transport::BarrierError) -> Self {
-        CommError::Barrier(e)
-    }
-}
 
 /// FNV-1a 64-bit checksum used by the delivery envelope.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -164,12 +168,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     // cost of large frames. Only sender/receiver agreement matters — the
     // value never leaves the delivery envelope.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in chunks.by_ref() {
-        h ^= u64::from_le_bytes(c.try_into().unwrap());
+    let (words, tail) = bytes.as_chunks::<8>();
+    for word in words {
+        h ^= u64::from_le_bytes(*word);
         h = h.wrapping_mul(0x100_0000_01b3);
     }
-    for &b in chunks.remainder() {
+    for &b in tail {
         h ^= b as u64;
         h = h.wrapping_mul(0x100_0000_01b3);
     }
@@ -189,7 +193,6 @@ pub struct FaultPlan {
     drops: HashSet<(usize, usize, u64)>,
     severed: HashSet<(usize, usize)>,
     tag_corruptions: HashMap<(usize, usize, u64), u64>,
-    payload_corruptions: HashSet<(usize, usize, u64)>,
     drop_rate: f64,
     corrupt_rate: f64,
     crashes: HashMap<usize, usize>,
@@ -230,14 +233,6 @@ impl FaultPlan {
         self
     }
 
-    /// Corrupt the payload of the first attempt of the `seq`-th message
-    /// from `src` to `dst`. The receiver's checksum rejects the frame and
-    /// the retransmission recovers it.
-    pub fn corrupt_payload(mut self, src: usize, dst: usize, seq: u64) -> Self {
-        self.payload_corruptions.insert((src, dst, seq));
-        self
-    }
-
     /// Drop each delivery attempt independently with probability `rate`
     /// (deterministic in the plan seed).
     pub fn drop_rate(mut self, rate: f64) -> Self {
@@ -271,7 +266,6 @@ impl FaultPlan {
         self.drops.is_empty()
             && self.severed.is_empty()
             && self.tag_corruptions.is_empty()
-            && self.payload_corruptions.is_empty()
             && self.drop_rate == 0.0
             && self.corrupt_rate == 0.0
             && self.crashes.is_empty()
@@ -420,13 +414,6 @@ impl RankCtx {
             obs: opts.recorder,
             cursor: Cursor::default(),
         }
-    }
-
-    /// Tear the context down, recovering the recorded event history, the
-    /// transport (for reuse across composes — e.g. one per animation
-    /// frame) and the recorder of an observed run.
-    pub fn into_parts(self) -> (RankTrace, Box<dyn Transport>, Option<Recorder>) {
-        (self.events, self.transport, self.obs)
     }
 
     /// This rank's id in `0..size`.
@@ -585,9 +572,7 @@ impl RankCtx {
                 || faults.severed.contains(&(self.rank, to))
                 || faults.chance(DROP_SALT, self.rank, to, seq, attempt) < faults.drop_rate;
             let corrupted = !dropped
-                && ((attempt == 0 && faults.payload_corruptions.contains(&key))
-                    || faults.chance(CORRUPT_SALT, self.rank, to, seq, attempt)
-                        < faults.corrupt_rate);
+                && faults.chance(CORRUPT_SALT, self.rank, to, seq, attempt) < faults.corrupt_rate;
             if !dropped {
                 let mut checksum = fnv1a(&payload);
                 let wire = if corrupted {
@@ -623,14 +608,22 @@ impl RankCtx {
         })
     }
 
-    /// File an incoming frame: verify its checksum, intercept control
-    /// frames, queue the rest.
+    /// File an incoming frame: intercept death notices, drop and count a
+    /// frame whose checksum fails or whose sender is outside the machine
+    /// (`from` comes off the wire), queue the rest.
     fn stash(&mut self, msg: WireFrame) {
-        if msg.tag == tag::DEATH {
-            self.dead.insert(msg.from, msg.death_step());
+        let known = msg.from < self.size;
+        if known && msg.tag == tag::DEATH {
+            // A backend that gave up on a peer does not know what a step
+            // is and says `usize::MAX`; the shared fault plan knows.
+            let step = match msg.death_step() {
+                usize::MAX => self.faults.crash_step_of(msg.from).unwrap_or(usize::MAX),
+                step => step,
+            };
+            self.dead.insert(msg.from, step);
             return;
         }
-        if fnv1a(&msg.payload) != msg.checksum {
+        if !known || fnv1a(&msg.payload) != msg.checksum {
             self.checksum_rejects += 1;
             self.obs_counters(|c| c.checksum_rejects += 1);
             return;
@@ -673,23 +666,40 @@ impl RankCtx {
 
     fn recv_inner(&mut self, from: usize, tag: u64) -> Result<Payload, CommError> {
         self.check_rank(from)?;
-        let started = Instant::now();
+        let msg = self.take(from, tag, Instant::now(), true)?;
+        let bytes = msg.payload.len() as u64;
+        self.events.push(Event::Recv {
+            from,
+            tag,
+            bytes,
+            seq: msg.seq,
+        });
+        self.obs_counters(|c| {
+            c.recvs += 1;
+            c.bytes_received += bytes;
+        });
+        Ok(msg.payload)
+    }
+
+    /// The `(source, tag)` demux every receive and the barrier go through:
+    /// take the first queued frame from `from` tagged `tag`, filing whatever
+    /// else arrives until there is one. Fails as [`RankCtx::recv`]
+    /// documents, the receive deadline counted from `started`.
+    /// `span_polls` brackets each blocking poll as a `Wait` span — nested in
+    /// a receive's `Recv` span; the barrier is one `Wait` span already.
+    fn take(
+        &mut self,
+        from: usize,
+        tag: u64,
+        started: Instant,
+        span_polls: bool,
+    ) -> Result<WireFrame, CommError> {
         let deadline = started + self.timeout;
         loop {
-            if let Some(idx) = self.pending[from].iter().position(|m| m.tag == tag) {
-                let msg = self.pending[from].remove(idx).expect("index just found");
-                let bytes = msg.payload.len() as u64;
-                self.events.push(Event::Recv {
-                    from,
-                    tag,
-                    bytes,
-                    seq: msg.seq,
-                });
-                self.obs_counters(|c| {
-                    c.recvs += 1;
-                    c.bytes_received += bytes;
-                });
-                return Ok(msg.payload);
+            let queue = &mut self.pending[from];
+            let found = queue.iter().position(|m| m.tag == tag);
+            if let Some(msg) = found.and_then(|idx| queue.remove(idx)) {
+                return Ok(msg);
             }
             if self.dead.contains_key(&from) {
                 return Err(CommError::RankFailed { rank: from });
@@ -698,9 +708,7 @@ impl RankCtx {
                 Some(d) => d,
                 None => return Err(self.recv_failure(from, tag, started)),
             };
-            // The blocking poll is bracketed as a nested `Wait` span inside
-            // the enclosing `Recv` span.
-            let wait_started = self.obs_start();
+            let wait_started = if span_polls { self.obs_start() } else { None };
             let polled = self.transport.recv_raw(remaining);
             self.obs_span(Phase::Wait, wait_started);
             match polled {
@@ -714,12 +722,13 @@ impl RankCtx {
     /// Drain already-arrived frames without blocking (files death
     /// notifications and queues data frames).
     fn poll(&mut self) {
-        while let Some(msg) = self.transport.try_recv_raw() {
+        while let Ok(msg) = self.transport.recv_raw(Duration::ZERO) {
             self.stash(msg);
         }
     }
 
-    /// Corrupted frames discarded by the checksum so far.
+    /// Frames discarded on arrival so far: a failed checksum, or a sender
+    /// outside the machine.
     pub fn checksum_rejects(&self) -> u64 {
         self.checksum_rejects
     }
@@ -798,10 +807,17 @@ impl RankCtx {
             }
             match self.recv(from, tag) {
                 Ok(bytes) => {
-                    for chunk in bytes.chunks_exact(16) {
-                        let r = u64::from_le_bytes(chunk[..8].try_into().expect("8 bytes"));
-                        let k = u64::from_le_bytes(chunk[8..].try_into().expect("8 bytes"));
-                        self.dead.entry(r as usize).or_insert(k as usize);
+                    let (words, tail) = bytes.as_chunks::<8>();
+                    let entries = words.chunks_exact(2).map(|entry| {
+                        let [r, k] = [entry[0], entry[1]].map(u64::from_le_bytes);
+                        (r as usize, k as usize)
+                    });
+                    let whole = tail.is_empty() && words.len() % 2 == 0;
+                    if !whole || entries.clone().any(|(r, _)| r >= self.size) {
+                        return Err(CommError::Malformed { from, tag });
+                    }
+                    for (r, k) in entries {
+                        self.dead.entry(r).or_insert(k);
                     }
                 }
                 Err(CommError::RankFailed { .. }) => {} // recorded by recv
@@ -829,18 +845,48 @@ impl RankCtx {
         });
     }
 
-    /// Synchronize all ranks. Must not be called after any rank has
-    /// exited (the failure protocol therefore never barriers post-crash).
-    /// A backend that detects a dead peer mid-round surfaces it as
-    /// [`CommError::Barrier`] naming the peer and the control tag.
+    /// Synchronize all ranks — the one barrier in the workspace, a message
+    /// round over the transport's two verbs: every rank but 0 posts an
+    /// empty frame tagged [`tag::barrier`]`(generation)` to rank 0 and
+    /// awaits rank 0's release, posted once all have arrived (so a
+    /// restricted topology needs a link from every rank to rank 0). The
+    /// round is outside the delivery envelope and untraced — no sequence
+    /// number, no injected fault, no event but `Barrier { generation }`,
+    /// which replay prices as clock alignment — so a run records the same
+    /// trace whatever carries its frames; data frames arriving meanwhile
+    /// are queued for later receives.
+    ///
+    /// Must not be called after any rank has exited (the failure protocol
+    /// therefore never barriers post-crash). A round that cannot complete
+    /// fails as a receive does, within one receive deadline:
+    /// [`CommError::RankFailed`] for a peer whose death notice arrived,
+    /// [`CommError::Timeout`] naming the silent peer and the round's tag.
     pub fn barrier(&mut self) -> Result<(), CommError> {
         let generation = self.barrier_gen;
         self.barrier_gen += 1;
         self.events.push(Event::Barrier { generation });
         let started = self.obs_start();
-        let result = self.transport.barrier();
+        let result = self.barrier_round(tag::barrier(generation));
         self.obs_span(Phase::Wait, started);
-        result.map_err(CommError::from)
+        result
+    }
+
+    fn barrier_round(&mut self, tag: u64) -> Result<(), CommError> {
+        let started = Instant::now();
+        let empty = Payload::from(Vec::new());
+        let checksum = fnv1a(&empty);
+        if self.rank == 0 {
+            for from in 1..self.size {
+                self.take(from, tag, started, false)?;
+            }
+            for to in 1..self.size {
+                self.post(to, tag, 0, checksum, empty.clone())?;
+            }
+        } else {
+            self.post(0, tag, 0, checksum, empty)?;
+            self.take(0, tag, started, false)?;
+        }
+        Ok(())
     }
 
     /// Drain this rank's recorded events, leaving an empty trace behind.
@@ -930,6 +976,8 @@ impl Multicomputer {
     /// is still joined and the panic is re-raised with a report naming
     /// **which** ranks panicked and their messages, as a crashed node
     /// would abort an MPI job with its rank in the error.
+    // A rank's panic is the closure's bug, reported under its rank.
+    #[allow(clippy::panic)]
     pub fn run_on<X, T, F>(&self, mesh: Vec<X>, f: F) -> (Vec<T>, Trace)
     where
         X: Transport + 'static,
@@ -958,7 +1006,8 @@ impl Multicomputer {
             })
             .collect();
 
-        let mut outcome: Vec<Option<(T, RankTrace)>> = (0..p).map(|_| None).collect();
+        let mut results = Vec::with_capacity(p);
+        let mut trace = Trace::default();
         let mut panics: Vec<(usize, String)> = Vec::new();
         std::thread::scope(|scope| {
             let handles: Vec<_> = ctxs
@@ -972,7 +1021,10 @@ impl Multicomputer {
                 .collect();
             for (rank, h) in handles.into_iter().enumerate() {
                 match h.join() {
-                    Ok(pair) => outcome[rank] = Some(pair),
+                    Ok((result, events)) => {
+                        results.push(result);
+                        trace.ranks.push(events);
+                    }
                     Err(payload) => {
                         let msg = payload
                             .downcast_ref::<&'static str>()
@@ -1000,14 +1052,6 @@ impl Multicomputer {
                 .collect::<Vec<_>>()
                 .join("; ");
             panic!("{} rank(s) panicked — {report}", panics.len());
-        }
-
-        let mut results = Vec::with_capacity(p);
-        let mut trace = Trace::default();
-        for slot in outcome {
-            let (result, events) = slot.expect("every rank joined successfully");
-            results.push(result);
-            trace.ranks.push(events);
         }
         (results, trace)
     }
@@ -1112,7 +1156,10 @@ mod tests {
 
     #[test]
     fn corrupted_payload_is_rejected_and_recovered() {
-        let mc = Multicomputer::new(2).with_faults(FaultPlan::none().corrupt_payload(0, 1, 0));
+        // Seed 16 at rate 0.5 damages the first attempt of message 0 on
+        // channel 0 → 1 and spares its retry.
+        let mc =
+            Multicomputer::new(2).with_faults(FaultPlan::none().with_seed(16).corrupt_rate(0.5));
         let (results, trace) = mc.run(|ctx| {
             if ctx.rank() == 0 {
                 ctx.send(1, 5, vec![1, 2, 3]).unwrap();
@@ -1308,6 +1355,66 @@ mod tests {
                 continue;
             }
             assert_eq!(dead, &BTreeMap::from([(2usize, 0usize)]), "rank {r}");
+        }
+    }
+
+    /// Rank 0 of an in-process pair as a bare context, and rank 1's raw
+    /// endpoint to feed it hand-written frames.
+    fn ctx_and_raw_peer(faults: FaultPlan) -> (RankCtx, InProc) {
+        let mut mesh = InProc::mesh(2);
+        let peer = mesh.pop().unwrap();
+        let opts = RankOptions {
+            timeout: Some(Duration::from_millis(30)),
+            faults,
+            recorder: None,
+        };
+        let ctx = RankCtx::over_transport(Box::new(mesh.pop().unwrap()), opts);
+        (ctx, peer)
+    }
+
+    #[test]
+    fn unknown_death_step_resolves_from_the_fault_plan() {
+        // A transport that gave up on a peer files the notice with step
+        // `usize::MAX`; the plan every rank shares knows the real one.
+        let notice = || WireFrame::control(1, tag::DEATH, WireFrame::death_payload(usize::MAX));
+        let (mut ctx, _peer) = ctx_and_raw_peer(FaultPlan::none().crash_rank_at_step(1, 2));
+        ctx.stash(notice());
+        assert_eq!(ctx.dead.get(&1), Some(&2));
+        let (mut ctx, _peer) = ctx_and_raw_peer(FaultPlan::none());
+        ctx.stash(notice());
+        assert_eq!(ctx.dead.get(&1), Some(&usize::MAX));
+        assert_eq!(ctx.recv(1, 5), Err(CommError::RankFailed { rank: 1 }));
+    }
+
+    #[test]
+    fn frames_from_outside_the_machine_are_dropped_and_counted() {
+        // `from` comes off the wire: neither a data frame nor a death
+        // notice naming rank 7 of 2 may index anything.
+        let (mut ctx, mut peer) = ctx_and_raw_peer(FaultPlan::none());
+        peer.send_raw(0, WireFrame::control(7, 5, vec![1])).unwrap();
+        let forged_death = WireFrame::control(7, tag::DEATH, WireFrame::death_payload(0));
+        peer.send_raw(0, forged_death).unwrap();
+        let err = ctx.recv(1, 5).unwrap_err();
+        assert!(matches!(err, CommError::Timeout { from: 1, .. }), "{err}");
+        assert_eq!(ctx.checksum_rejects(), 2);
+        assert!(ctx.dead.is_empty());
+    }
+
+    #[test]
+    fn malformed_liveness_ledger_is_a_typed_error() {
+        let tag = tag::liveness(0);
+        let ledgers = [
+            vec![0u8; 15],                                     // not whole (rank, step) entries
+            vec![0u8; 24],                                     // an entry and a half
+            [9u64.to_le_bytes(), 0u64.to_le_bytes()].concat(), // rank 9 of 2
+        ];
+        for ledger in ledgers {
+            let (mut ctx, mut peer) = ctx_and_raw_peer(FaultPlan::none());
+            let mut frame = WireFrame::control(1, tag, ledger);
+            frame.checksum = fnv1a(&frame.payload);
+            peer.send_raw(0, frame).unwrap();
+            let malformed = CommError::Malformed { from: 1, tag };
+            assert_eq!(ctx.liveness_exchange(&[]), Err(malformed));
         }
     }
 

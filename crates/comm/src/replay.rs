@@ -236,7 +236,8 @@ fn replay_inner(
 
     loop {
         let mut progressed = false;
-        let mut all_done = true;
+        // The first rank with events left after this sweep, and where.
+        let mut blocked = None;
         for r in 0..p {
             let events = &trace.ranks[r];
             while idx[r] < events.len() {
@@ -364,18 +365,15 @@ fn replay_inner(
                 progressed = true;
             }
             if idx[r] < events.len() {
-                all_done = false;
+                blocked = blocked.or(Some((r, idx[r])));
             }
         }
-        if all_done {
-            break;
-        }
-        if !progressed {
-            let (rank, event_index) = (0..p)
-                .map(|r| (r, idx[r]))
-                .find(|(r, i)| *i < trace.ranks[*r].len())
-                .expect("not all done implies some rank is blocked");
-            return Err(ReplayError::Stuck { rank, event_index });
+        match blocked {
+            None => break,
+            Some((rank, event_index)) if !progressed => {
+                return Err(ReplayError::Stuck { rank, event_index });
+            }
+            Some(_) => {}
         }
     }
 

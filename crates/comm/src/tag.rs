@@ -13,7 +13,7 @@
 //! | 61       | death        | [`DEATH`], the whole tag of a death notification |
 //! | 60       | repair       | [`repair`]: reconstruction fetches of the schedule executor |
 //! | 59       | liveness     | [`liveness`]: the failure-agreement round, low bits = round counter |
-//! | 58       | net control  | [`barrier`]: transport-internal frames, low bits = barrier generation; with bit 57, the link-level frames [`PING`], [`PONG`] = `PING \| 1`, [`ACK`] = `PING \| 2` |
+//! | 58       | control      | [`barrier`]: the round of `RankCtx::barrier`, low bits = barrier generation — an rt-comm message round that no transport interprets; with bit 57, the link-level frames [`PING`], [`PONG`] = `PING \| 1`, [`ACK`] = `PING \| 2`, which a transport's links exchange and consume below `recv_raw` |
 //! | 48..58   | frame        | [`frame_base`]: frame index of a stream, modulo [`FRAME_WRAP`] |
 //! | 40..48   | step         | [`step`]: schedule step index `0..256`; the tile families' sub-channels ([`TileChannel`], via [`tile`]) sit at `0x80..` |
 //! | 0..40    | low          | per constructor, see below |
@@ -158,16 +158,17 @@ pub fn liveness(round: u64) -> u64 {
     LIVENESS | round
 }
 
-/// Control tag of barrier generation `generation` on transports that move
-/// frames for their barrier.
+/// Tag of both frames of barrier round `generation`: a rank's arrival at
+/// rank 0 and rank 0's release. Built and matched by `RankCtx::barrier`
+/// alone; to a transport it is a frame like any other.
 pub fn barrier(generation: u64) -> u64 {
     NET_CONTROL | generation
 }
 
-/// Whether `tag` is transport-internal ([`barrier`], [`PING`], [`PONG`],
-/// [`ACK`]) and must never surface through a receive.
-pub fn is_net_control(tag: u64) -> bool {
-    tag & NET_CONTROL != 0
+/// Whether `tag` is a [`barrier`] round's, of any generation — for a fault
+/// injector that keeps its schedule aligned to a composition's sends.
+pub fn is_barrier(tag: u64) -> bool {
+    tag & !(HEARTBEAT - 1) == NET_CONTROL
 }
 
 /// The sub-channels of the tile families, which have no step structure and
@@ -240,10 +241,12 @@ mod tests {
     fn frame_bases_stay_below_the_control_bits() {
         for frame in 0..2 * FRAME_WRAP {
             assert!(frame_base(frame) < NET_CONTROL, "{frame}");
-            assert!(!is_net_control(frame_base(frame)));
+            assert!(!is_barrier(frame_base(frame)));
         }
-        assert!(is_net_control(barrier(0)) && is_net_control(PING) && is_net_control(PONG));
-        assert!(is_net_control(ACK));
+        assert!(is_barrier(barrier(0)) && is_barrier(barrier(u32::MAX as u64)));
+        for other in [PING, PONG, ACK, DEATH, liveness(0), repair(0, 0, 0)] {
+            assert!(!is_barrier(other), "{other:#x}");
+        }
     }
 
     #[test]

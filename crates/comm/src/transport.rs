@@ -1,21 +1,23 @@
 //! The transport abstraction: how ranks exchange raw frames.
 //!
-//! Everything the reliable-delivery envelope needs from a network is
-//! captured by the [`Transport`] trait: push a [`WireFrame`] toward a peer
-//! ([`Transport::send_raw`]), pull the next arrived frame from anyone
-//! ([`Transport::recv_raw`]), and synchronize the world
-//! ([`Transport::barrier`]). The envelope itself — per-channel sequence
+//! A backend is two verbs, the reliable tagged point-to-point substrate the
+//! paper's SP2 + MPL provided: push a [`WireFrame`] toward a peer
+//! ([`Transport::send_raw`]) and pull the next arrived frame from anyone
+//! ([`Transport::recv_raw`]). Everything else — per-channel sequence
 //! numbers, FNV checksums, retransmission with backoff, fault injection,
-//! death notifications — lives **above** the trait in
+//! death notifications, the `(source, tag)` demux and the barrier, which is
+//! one message round over these two verbs
+//! ([`crate::comm::RankCtx::barrier`]) — lives **above** the trait in
 //! [`crate::comm::RankCtx`], so every backend inherits identical
-//! [`crate::FaultPlan`] semantics and produces identical event traces.
+//! [`crate::FaultPlan`] semantics and produces identical event traces, and
+//! a new backend is a mesh constructor plus the two verbs.
 //!
 //! Two backends exist:
 //!
 //! * [`InProc`] (this module) — the original crossbeam-channel path: all
 //!   ranks share one address space, frames are reference-counted pointer
-//!   bumps, the barrier is [`std::sync::Barrier`]. This is the default for
-//!   tests, figures and the virtual-clock experiments.
+//!   bumps. This is the default for tests, figures and the virtual-clock
+//!   experiments.
 //! * `Tcp` (the `rt-net` crate) — real sockets: length-prefixed frames
 //!   over `TcpStream`, one OS process (or thread) per rank, per-peer
 //!   receive threads feeding the same tagged demux.
@@ -28,7 +30,6 @@
 
 use crate::comm::Payload;
 use crossbeam_channel::{unbounded, Receiver, Sender};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// One frame as it crosses the wire: the delivery envelope's coordinates
@@ -54,9 +55,9 @@ pub struct WireFrame {
 
 impl WireFrame {
     /// A frame that travels outside the delivery envelope — no sequence
-    /// number, no checksum: a backend's own control traffic
-    /// ([`crate::tag::barrier`], [`crate::tag::PING`]) and the death notice
-    /// a backend files on behalf of a peer it has declared dead.
+    /// number, no checksum: a backend's own link-level traffic
+    /// ([`crate::tag::PING`]) and the death notice a backend files on behalf
+    /// of a peer it has declared dead.
     pub fn control(from: usize, tag: u64, payload: Vec<u8>) -> WireFrame {
         WireFrame {
             from,
@@ -68,7 +69,10 @@ impl WireFrame {
     }
 
     /// The payload of a [`crate::tag::DEATH`] notification: the schedule
-    /// step at which the sender stopped.
+    /// step at which the sender stopped. A backend that declares a peer
+    /// dead does not know what a step is and writes `usize::MAX`; the
+    /// receiving [`crate::comm::RankCtx`] resolves that from the shared
+    /// fault plan.
     pub fn death_payload(step: usize) -> Vec<u8> {
         step.to_le_bytes().to_vec()
     }
@@ -96,55 +100,16 @@ pub enum RecvRawError {
     Closed,
 }
 
-/// A transport barrier could not complete.
-///
-/// On the in-process backend the barrier is a [`std::sync::Barrier`] and
-/// never fails; over real sockets a peer can die mid-round, and the
-/// error names exactly which peer and which control tag the round was
-/// stuck on — the same diagnostic contract as
-/// [`crate::CommError::Timeout`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BarrierError {
-    /// The rank reporting the failure.
-    pub rank: usize,
-    /// The peer that was unreachable or declared dead, when known; `None`
-    /// when the round timed out without identifying a culprit.
-    pub peer: Option<usize>,
-    /// The control tag of the barrier round ([`crate::tag::barrier`] on
-    /// backends that move frames).
-    pub tag: u64,
-    /// How long the rank waited before giving up, for timeout failures.
-    pub waited: Option<Duration>,
-}
-
-impl std::fmt::Display for BarrierError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "barrier (control tag {:#x}) failed at rank {}",
-            self.tag, self.rank
-        )?;
-        if let Some(peer) = self.peer {
-            write!(f, ": rank {peer} unreachable during the round")?;
-        }
-        if let Some(waited) = self.waited {
-            write!(f, " (waited {waited:?})")?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for BarrierError {}
-
 /// How ranks exchange raw frames — the backend interface.
 ///
 /// Implementations must preserve per-directed-channel FIFO order: two
 /// frames pushed `A → B` surface from `recv_raw` at `B` in push order.
 /// Cross-channel ordering is unspecified (both backends interleave
 /// arbitrarily). `send_raw` must not block on the receiver making
-/// progress (eager buffering), and `barrier` must not surface frames —
-/// any data frames that arrive during a barrier are queued for later
-/// receives.
+/// progress (eager buffering). A backend interprets no tag: it moves every
+/// frame it is handed, and the only frames it originates are the death
+/// notice of a peer it has given up on and whatever its links exchange
+/// below `recv_raw`.
 pub trait Transport: Send {
     /// This endpoint's rank in `0..world_size`.
     fn rank(&self) -> usize;
@@ -157,22 +122,14 @@ pub trait Transport: Send {
     /// has been torn down.
     fn send_raw(&mut self, to: usize, frame: WireFrame) -> Result<(), SendRawError>;
 
-    /// Block up to `timeout` for the next frame from any peer.
+    /// Block up to `timeout` for the next frame from any peer. A frame
+    /// that has already arrived is returned whatever the timeout, so
+    /// `Duration::ZERO` is the non-blocking receive.
     fn recv_raw(&mut self, timeout: Duration) -> Result<WireFrame, RecvRawError>;
-
-    /// Non-blocking receive: the next already-arrived frame, if any.
-    fn try_recv_raw(&mut self) -> Option<WireFrame>;
-
-    /// Synchronize all ranks. Must only be called while every rank is
-    /// still participating (the failure protocol never barriers
-    /// post-crash); a backend that detects a dead or unreachable peer
-    /// mid-round reports it as a typed [`BarrierError`] instead of
-    /// panicking or hanging.
-    fn barrier(&mut self) -> Result<(), BarrierError>;
 }
 
 /// The in-process backend: crossbeam channels between threads of one
-/// address space, `std::sync::Barrier` for synchronization.
+/// address space.
 ///
 /// Frames are never copied — the shared [`Payload`] crosses the "network"
 /// as a reference-count bump. This is the fastest backend and the
@@ -182,7 +139,6 @@ pub struct InProc {
     size: usize,
     senders: Vec<Sender<WireFrame>>,
     rx: Receiver<WireFrame>,
-    barrier: Arc<std::sync::Barrier>,
 }
 
 impl InProc {
@@ -199,7 +155,6 @@ impl InProc {
             txs.push(tx);
             rxs.push(rx);
         }
-        let barrier = Arc::new(std::sync::Barrier::new(p));
         rxs.into_iter()
             .enumerate()
             .map(|(rank, rx)| InProc {
@@ -207,7 +162,6 @@ impl InProc {
                 size: p,
                 senders: txs.clone(),
                 rx,
-                barrier: Arc::clone(&barrier),
             })
             .collect()
     }
@@ -235,15 +189,6 @@ impl Transport for InProc {
             crossbeam_channel::RecvTimeoutError::Disconnected => RecvRawError::Closed,
         })
     }
-
-    fn try_recv_raw(&mut self) -> Option<WireFrame> {
-        self.rx.try_recv()
-    }
-
-    fn barrier(&mut self) -> Result<(), BarrierError> {
-        self.barrier.wait();
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -270,10 +215,14 @@ mod tests {
         a.send_raw(1, frame(0, 7, vec![1])).unwrap();
         a.send_raw(1, frame(0, 7, vec![2])).unwrap();
         let first = b.recv_raw(Duration::from_secs(1)).unwrap();
-        let second = b.recv_raw(Duration::from_secs(1)).unwrap();
+        // Already queued: a zero timeout is the non-blocking receive.
+        let second = b.recv_raw(Duration::ZERO).unwrap();
         assert_eq!(first.payload.as_slice(), &[1]);
         assert_eq!(second.payload.as_slice(), &[2]);
-        assert!(b.try_recv_raw().is_none());
+        assert_eq!(
+            b.recv_raw(Duration::ZERO).map(|f| f.tag),
+            Err(RecvRawError::Timeout)
+        );
     }
 
     #[test]

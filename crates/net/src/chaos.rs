@@ -28,7 +28,7 @@
 use crate::link::WireFault;
 use crate::tcp::TcpTransport;
 use rt_comm::tag;
-use rt_comm::{BarrierError, RecvRawError, SendRawError, Transport, WireFrame};
+use rt_comm::{RecvRawError, SendRawError, Transport, WireFrame};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
@@ -158,10 +158,12 @@ fn splitmix(mut x: u64) -> u64 {
 /// A [`Transport`] that injects the scheduled socket faults on the way
 /// into a wrapped [`TcpTransport`].
 ///
-/// Frame counting is per destination and counts only frames that pass
-/// through [`Transport::send_raw`] — the transport's own control traffic
-/// (barrier rounds, heartbeats) is not part of the schedule's timeline,
-/// so a plan written against the envelope's send sequence is stable.
+/// Frame counting is per destination and follows the envelope's send
+/// sequence: the link fabric's own traffic (heartbeats, acknowledgements)
+/// never passes through [`Transport::send_raw`], and the frames of a
+/// `RankCtx::barrier` round, which do, pass uncounted and unfaulted — so a
+/// plan written against the sends of a composition does not shift when a
+/// barrier is added before or after it.
 pub struct ChaosTransport {
     inner: TcpTransport,
     plan: NetFaultPlan,
@@ -200,7 +202,7 @@ impl Transport for ChaosTransport {
             // discover this death at the socket level.
             return Ok(());
         }
-        if to == self.inner.rank() {
+        if to == self.inner.rank() || tag::is_barrier(frame.tag) {
             return self.inner.send_raw(to, frame);
         }
         let nth = self.outgoing[to];
@@ -211,14 +213,6 @@ impl Transport for ChaosTransport {
 
     fn recv_raw(&mut self, timeout: Duration) -> Result<WireFrame, RecvRawError> {
         self.inner.recv_raw(timeout)
-    }
-
-    fn try_recv_raw(&mut self) -> Option<WireFrame> {
-        self.inner.try_recv_raw()
-    }
-
-    fn barrier(&mut self) -> Result<(), BarrierError> {
-        self.inner.barrier()
     }
 }
 
@@ -286,10 +280,6 @@ mod tests {
                 .as_slice(),
             &[5, 6]
         );
-        std::thread::scope(|scope| {
-            scope.spawn(|| a.barrier().unwrap());
-            scope.spawn(|| b.barrier().unwrap());
-        });
     }
 
     #[test]
@@ -320,6 +310,23 @@ mod tests {
     }
 
     #[test]
+    fn barrier_round_frames_pass_uncounted_and_unfaulted() {
+        let mut world = TcpTransport::loopback_mesh(2).unwrap();
+        let mut b = world.pop().unwrap();
+        let mut a = ChaosTransport::new(world.pop().unwrap(), NetFaultPlan::none().reset(1, 0));
+        let round = WireFrame::control(0, tag::barrier(3), Vec::new());
+        a.send_raw(1, round).unwrap();
+        let got = b.recv_raw(Duration::from_secs(5)).unwrap();
+        assert_eq!(got.tag, tag::barrier(3));
+        assert_eq!(b.link_stats(0).unwrap().epoch, 1, "no reset spent on it");
+        // The reset scheduled for frame 0 still waits for the first data
+        // frame, which then arrives over the re-dialed stream.
+        a.send_raw(1, WireFrame::control(0, 9, vec![1])).unwrap();
+        assert_eq!(b.recv_raw(Duration::from_secs(5)).unwrap().tag, 9);
+        assert_eq!(b.link_stats(0).unwrap().epoch, 2);
+    }
+
+    #[test]
     fn swallowed_death_never_reaches_the_wire() {
         let mut world = TcpTransport::loopback_mesh(2).unwrap();
         let mut b = world.pop().unwrap();
@@ -337,6 +344,6 @@ mod tests {
         // Only the data frame arrives; the death was swallowed.
         let got = b.recv_raw(Duration::from_secs(5)).unwrap();
         assert_eq!(got.tag, 2);
-        assert!(b.try_recv_raw().is_none());
+        assert!(b.recv_raw(Duration::ZERO).is_err());
     }
 }

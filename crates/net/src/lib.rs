@@ -13,8 +13,8 @@
 //!   declaration ([`TcpOptions`] holds the knobs, [`LinkStats`] reads a
 //!   link's state).
 //! * [`tcp`] — [`TcpTransport`]: full-mesh `TcpStream`s with a rank
-//!   handshake, `TCP_NODELAY`, per-peer receive threads, and a
-//!   control-frame barrier that fails typed instead of panicking.
+//!   handshake, `TCP_NODELAY` and per-peer receive threads behind the
+//!   trait's two verbs, `send_raw` and `recv_raw`.
 //! * [`chaos`] — [`ChaosTransport`] + [`NetFaultPlan`]: deterministic,
 //!   seeded socket-level fault injection (resets, partial writes,
 //!   truncated frames, delays, stalls) under the real transport.

@@ -49,8 +49,9 @@
 //! [`TcpOptions::restore_deadline`], or the dialer exhausts
 //! [`TcpOptions::reconnect_attempts`], the peer is **declared dead**: a
 //! synthesized death-notification frame (the same [`tag::DEATH`] protocol a
-//! crashing rank announces voluntarily) enters the receive queue, and the
-//! resilient executor's repair planner takes over.
+//! crashing rank announces voluntarily, its step "unknown" — `usize::MAX`)
+//! enters the receive queue, and the resilient executor's repair planner
+//! takes over.
 //!
 //! Liveness is active: a heartbeat thread sends `PING` control frames on
 //! idle links — those not heard from within half an interval — and shuts
@@ -63,7 +64,7 @@
 use crate::error::NetError;
 use crate::frame::{encode_header, header, read_frame_noting, write_encoded, HEADER_BYTES};
 use rt_comm::{tag, Payload, SendRawError, WireFrame};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -128,14 +129,6 @@ pub struct TcpOptions {
     /// `HEARTBEAT_MISSES` of them is forced down); `None` disables
     /// heartbeats.
     pub heartbeat_interval: Option<Duration>,
-    /// Upper bound on one barrier round before it fails with a typed
-    /// timeout.
-    pub barrier_timeout: Duration,
-    /// Step hints for the death notifications synthesized when a peer is
-    /// declared dead: rank → composition step. Lets a launcher that knows
-    /// the fault schedule (the chaos soak) make a real-process kill
-    /// byte-identical to the in-process `crash_rank_at_step` announcement.
-    pub death_steps: HashMap<usize, usize>,
 }
 
 impl Default for TcpOptions {
@@ -145,8 +138,6 @@ impl Default for TcpOptions {
             reconnect_backoff: Duration::from_millis(50),
             restore_deadline: Duration::from_secs(3),
             heartbeat_interval: Some(Duration::from_secs(1)),
-            barrier_timeout: Duration::from_secs(30),
-            death_steps: HashMap::new(),
         }
     }
 }
@@ -168,16 +159,7 @@ impl TcpOptions {
             reconnect_backoff: backoff,
             restore_deadline: restore,
             heartbeat_interval: Some(heartbeat),
-            barrier_timeout: timeout.max(Duration::from_secs(5)),
-            ..TcpOptions::default()
         }
-    }
-
-    /// Record that `rank` is scheduled to crash at `step` (see
-    /// [`TcpOptions::death_steps`]).
-    pub fn death_step(mut self, rank: usize, step: usize) -> Self {
-        self.death_steps.insert(rank, step);
-        self
     }
 }
 
@@ -398,10 +380,6 @@ impl Fabric {
             tx,
             shutdown: AtomicBool::new(false),
         })
-    }
-
-    pub(crate) fn opts(&self) -> &TcpOptions {
-        &self.opts
     }
 
     /// How many peers this endpoint holds a link (socket) to.
@@ -786,19 +764,19 @@ impl Fabric {
         if self.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let step = self
-            .opts
-            .death_steps
-            .get(&link.peer)
-            .copied()
-            .unwrap_or(usize::MAX);
-        let notice = WireFrame::control(link.peer, tag::DEATH, WireFrame::death_payload(step));
+        // The socket layer does not know what a composition step is: the
+        // notice says "unknown", and the envelope resolves it from the
+        // fault plan its ranks share.
+        let unknown = WireFrame::death_payload(usize::MAX);
+        let notice = WireFrame::control(link.peer, tag::DEATH, unknown);
         let _ = self.tx.send(notice);
     }
 
     /// Reader thread for one installed stream: decode frames, answer
     /// pings, count and forward everything else. Exits (and marks the
-    /// link down) on EOF or a decode failure.
+    /// link down) on EOF, a decode failure, or a frame that claims another
+    /// sender than this link's peer — `from` is the peer's to write, and
+    /// the layers above index by it.
     fn spawn_reader(
         self: &Arc<Self>,
         link: &Arc<Link>,
@@ -814,6 +792,9 @@ impl Fabric {
                 let mut stream = stream;
                 let heard = || *lock(&link.last_heard) = Instant::now();
                 while let Ok(Some(frame)) = read_frame_noting(&mut stream, heard) {
+                    if frame.from != link.peer {
+                        break;
+                    }
                     if matches!(frame.tag, tag::PING | tag::PONG | tag::ACK) {
                         // Every link-level frame confirms its sender's
                         // delivery count; one without it breaks the stream.
@@ -1097,7 +1078,6 @@ mod tests {
             reconnect_backoff: Duration::from_millis(5),
             restore_deadline: Duration::from_millis(500),
             heartbeat_interval: heartbeat,
-            ..TcpOptions::default()
         };
         let mut world = crate::TcpTransport::loopback_mesh_with(2, opts).unwrap();
         let b = world.pop().unwrap();
@@ -1139,7 +1119,7 @@ mod tests {
             stats.acked <= 3,
             "the handshake re-based the count: {stats:?}"
         );
-        assert!(!a.peer_is_dead(1) && b.try_recv_raw().is_none());
+        assert!(!a.peer_is_dead(1) && b.recv_raw(Duration::ZERO).is_err());
     }
 
     #[test]

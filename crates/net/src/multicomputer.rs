@@ -48,9 +48,10 @@ impl TcpMulticomputer {
     }
 
     /// Restrict establishment to a connection [`Topology`] (default:
-    /// the full mesh). The centralized barrier needs a star on rank 0 —
-    /// see [`Topology::with_star`] — and sends outside the topology fail
-    /// typed, so only plan-driven closures should restrict.
+    /// the full mesh). A closure that barriers needs a star on rank 0, the
+    /// hub of the round — see [`Topology::with_star`] — and sends outside
+    /// the topology fail typed, so only plan-driven closures should
+    /// restrict.
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
         self

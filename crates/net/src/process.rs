@@ -217,11 +217,6 @@ pub struct WorkerSession {
 }
 
 impl WorkerSession {
-    /// [`WorkerSession::from_env_with`] with default [`TcpOptions`].
-    pub fn from_env() -> Result<WorkerSession, NetError> {
-        WorkerSession::from_env_with(TcpOptions::default())
-    }
-
     /// Join the world described by the environment: register with the
     /// launcher, receive the address table, run the mesh handshake with
     /// the given failure-handling options.
@@ -299,7 +294,7 @@ impl WorkerSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_comm::Transport;
+    use rt_comm::{RankCtx, RankOptions};
 
     #[test]
     fn blob_round_trip() {
@@ -320,7 +315,7 @@ mod tests {
         let workers: Vec<_> = (0..WORLD)
             .map(|rank| {
                 std::thread::spawn(move || {
-                    // Threads can't use from_env (the environment is
+                    // Threads can't use from_env_with (the environment is
                     // process-global); replicate its protocol inline.
                     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
                     let mesh_addr = listener.local_addr().unwrap();
@@ -330,8 +325,9 @@ mod tests {
                     let table = String::from_utf8(read_blob(&mut control).unwrap()).unwrap();
                     let addrs: Vec<SocketAddr> =
                         table.lines().map(|l| l.parse().unwrap()).collect();
-                    let mut t = TcpTransport::establish(rank, WORLD, listener, &addrs).unwrap();
-                    t.barrier().unwrap();
+                    let t = TcpTransport::establish(rank, WORLD, listener, &addrs).unwrap();
+                    let mut ctx = RankCtx::over_transport(Box::new(t), RankOptions::default());
+                    ctx.barrier().unwrap();
                     write_blob(&mut control, format!("rank{rank}").as_bytes()).unwrap();
                 })
             })

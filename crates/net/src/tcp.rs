@@ -6,7 +6,11 @@
 //! receive thread per peer reads frames off its stream and feeds them
 //! into a single queue, preserving per-peer FIFO order — the same demux
 //! contract as the in-process backend. Self-sends never touch a socket:
-//! they loop back through the shared queue locally.
+//! they loop back through the shared queue locally. That is the whole
+//! [`Transport`]: `send_raw` logs and writes a frame, `recv_raw` is the
+//! queue's `recv_timeout`, and no tag is interpreted — the barrier is a
+//! message round in `rt_comm::RankCtx` that reaches this file as ordinary
+//! frames.
 //!
 //! **Mesh establishment.** All listeners are bound *before* any address is
 //! published, so connection order cannot deadlock: rank `r` actively
@@ -15,7 +19,7 @@
 //! from every higher rank. The connector opens with an 8-byte handshake
 //! naming its rank, so the acceptor files the stream under the right peer
 //! regardless of arrival order. Every stream sets `TCP_NODELAY` — frames
-//! are latency-bound barrier and composition traffic, not bulk streams.
+//! are latency-bound composition traffic, not bulk streams.
 //! After establishment the listener moves to a persistent accept loop that
 //! serves **reconnections** (see [`crate::link`]): a lost stream is
 //! re-dialed with a resume handshake and the sent-frame log — the frames
@@ -23,35 +27,16 @@
 //! so transient socket failures are invisible above the transport; a peer
 //! that stays gone is declared dead through the envelope's
 //! death-notification protocol.
-//!
-//! **Barrier.** The trait requires a barrier that does not surface data
-//! frames. The TCP backend runs a centralized two-phase protocol over
-//! frames tagged [`tag::barrier`]`(generation)`: every
-//! rank sends an arrival frame to rank 0, and rank 0 releases everyone
-//! once all have arrived. Control frames are invisible to
-//! `recv_raw`/`try_recv_raw` (they are diverted to an internal queue), and
-//! data frames that arrive while a barrier is in progress are stashed and
-//! surfaced by later receives — so the event trace a rank records is
-//! identical to the in-process run, where the barrier is a
-//! `std::sync::Barrier` and moves no bytes at all. A peer that dies
-//! mid-round surfaces as a typed [`BarrierError`] naming the peer and the
-//! round's control tag; a round that exceeds
-//! [`TcpOptions::barrier_timeout`] fails with the elapsed wait instead of
-//! hanging.
 
 use crate::error::NetError;
 use crate::link::{Fabric, LinkStats, TcpOptions, WireFault};
 use crate::topology::Topology;
-use rt_comm::{tag, BarrierError, RecvRawError, SendRawError, Transport, WireFrame};
-use std::collections::VecDeque;
+use rt_comm::{RecvRawError, SendRawError, Transport, WireFrame};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// How often barrier waits re-check peer liveness while blocked.
-const BARRIER_POLL: Duration = Duration::from_millis(20);
+use std::time::Duration;
 
 /// A [`Transport`] over per-peer `TcpStream`s with reconnection and
 /// liveness (see the module docs).
@@ -63,13 +48,6 @@ const BARRIER_POLL: Duration = Duration::from_millis(20);
 pub struct TcpTransport {
     pub(crate) fabric: Arc<Fabric>,
     rx: Receiver<WireFrame>,
-    /// Data frames that arrived while a barrier was draining the queue;
-    /// surfaced (in arrival order) before anything newer.
-    stash: VecDeque<WireFrame>,
-    /// Control frames that arrived while a normal receive was draining the
-    /// queue; consumed by the next barrier.
-    barrier_pending: VecDeque<WireFrame>,
-    barrier_gen: u64,
 }
 
 impl TcpTransport {
@@ -170,13 +148,7 @@ impl TcpTransport {
         }
         fabric.spawn_accept_loop(listener)?;
         fabric.spawn_heartbeat();
-        Ok(TcpTransport {
-            fabric,
-            rx,
-            stash: VecDeque::new(),
-            barrier_pending: VecDeque::new(),
-            barrier_gen: 0,
-        })
+        Ok(TcpTransport { fabric, rx })
     }
 
     /// Build a fully-connected world of `p` endpoints over loopback TCP,
@@ -280,11 +252,6 @@ impl TcpTransport {
         endpoints.into_iter().collect()
     }
 
-    /// The failure-handling options this endpoint runs with.
-    pub fn options(&self) -> &TcpOptions {
-        self.fabric.opts()
-    }
-
     /// Has `peer` been declared dead by this endpoint's fabric?
     pub fn peer_is_dead(&self, peer: usize) -> bool {
         self.fabric.is_dead(peer)
@@ -319,77 +286,6 @@ impl TcpTransport {
             return self.fabric.loopback(frame);
         }
         self.fabric.send_frame(to, &frame, fault)
-    }
-
-    /// Route one queue frame: control frames park for the next barrier,
-    /// data frames go to the caller.
-    fn route(&mut self, frame: WireFrame) -> Option<WireFrame> {
-        if tag::is_net_control(frame.tag) {
-            self.barrier_pending.push_back(frame);
-            None
-        } else {
-            Some(frame)
-        }
-    }
-
-    /// Take a parked control frame with exactly `tag`, if any.
-    fn take_pending(&mut self, tag: u64) -> Option<WireFrame> {
-        let i = self.barrier_pending.iter().position(|f| f.tag == tag)?;
-        self.barrier_pending.remove(i)
-    }
-
-    /// Block for control frames with `tag` until `accept` says the round
-    /// is complete, diverting data frames to the stash. Fails on a dead
-    /// `watch`ed peer or the barrier deadline.
-    fn await_control(
-        &mut self,
-        tag: u64,
-        watch: impl Fn(&Fabric) -> Option<usize>,
-        mut accept: impl FnMut(WireFrame) -> bool,
-    ) -> Result<(), BarrierError> {
-        let rank = self.fabric.rank;
-        let started = Instant::now();
-        let deadline = started + self.fabric.opts().barrier_timeout;
-        loop {
-            if let Some(frame) = self.take_pending(tag) {
-                if accept(frame) {
-                    return Ok(());
-                }
-                continue;
-            }
-            if let Some(peer) = watch(&self.fabric) {
-                return Err(BarrierError {
-                    rank,
-                    peer: Some(peer),
-                    tag,
-                    waited: None,
-                });
-            }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return Err(BarrierError {
-                    rank,
-                    peer: None,
-                    tag,
-                    waited: Some(started.elapsed()),
-                });
-            };
-            match self.rx.recv_timeout(remaining.min(BARRIER_POLL)) {
-                Ok(frame) => {
-                    if let Some(data) = self.route(frame) {
-                        self.stash.push_back(data);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(BarrierError {
-                        rank,
-                        peer: None,
-                        tag,
-                        waited: Some(started.elapsed()),
-                    });
-                }
-            }
-        }
     }
 }
 
@@ -445,94 +341,10 @@ impl Transport for TcpTransport {
     }
 
     fn recv_raw(&mut self, timeout: Duration) -> Result<WireFrame, RecvRawError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(frame) = self.stash.pop_front() {
-                return Ok(frame);
-            }
-            let remaining = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or(RecvRawError::Timeout)?;
-            match self.rx.recv_timeout(remaining) {
-                Ok(frame) => {
-                    if let Some(data) = self.route(frame) {
-                        return Ok(data);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => return Err(RecvRawError::Timeout),
-                Err(RecvTimeoutError::Disconnected) => return Err(RecvRawError::Closed),
-            }
-        }
-    }
-
-    fn try_recv_raw(&mut self) -> Option<WireFrame> {
-        loop {
-            if let Some(frame) = self.stash.pop_front() {
-                return Some(frame);
-            }
-            match self.rx.try_recv() {
-                Ok(frame) => {
-                    if let Some(data) = self.route(frame) {
-                        return Some(data);
-                    }
-                }
-                Err(_) => return None,
-            }
-        }
-    }
-
-    fn barrier(&mut self) -> Result<(), BarrierError> {
-        let tag = tag::barrier(self.barrier_gen);
-        self.barrier_gen += 1;
-        let (rank, size) = (self.fabric.rank, self.fabric.world);
-        if size == 1 {
-            return Ok(());
-        }
-        if rank == 0 {
-            let arrived = std::cell::RefCell::new(vec![false; size]);
-            arrived.borrow_mut()[0] = true;
-            self.await_control(
-                tag,
-                |fabric| {
-                    let a = arrived.borrow();
-                    (1..size).find(|&p| !a[p] && fabric.is_dead(p))
-                },
-                |frame| {
-                    let mut a = arrived.borrow_mut();
-                    if frame.from < size {
-                        a[frame.from] = true;
-                    }
-                    a.iter().all(|&x| x)
-                },
-            )?;
-            let release = WireFrame::control(rank, tag, Vec::new());
-            for to in 1..size {
-                self.fabric
-                    .send_frame(to, &release, None)
-                    .map_err(|_| BarrierError {
-                        rank,
-                        peer: Some(to),
-                        tag,
-                        waited: None,
-                    })?;
-            }
-            Ok(())
-        } else {
-            let arrival = WireFrame::control(rank, tag, Vec::new());
-            self.fabric
-                .send_frame(0, &arrival, None)
-                .map_err(|_| BarrierError {
-                    rank,
-                    peer: Some(0),
-                    tag,
-                    waited: None,
-                })?;
-            self.await_control(
-                tag,
-                |fabric| fabric.is_dead(0).then_some(0),
-                |_release| true,
-            )
-        }
+        self.rx.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => RecvRawError::Timeout,
+            RecvTimeoutError::Disconnected => RecvRawError::Closed,
+        })
     }
 }
 
@@ -551,8 +363,6 @@ mod tests {
             reconnect_backoff: Duration::from_millis(5),
             restore_deadline: Duration::from_millis(100),
             heartbeat_interval: Some(Duration::from_millis(20)),
-            barrier_timeout: Duration::from_secs(5),
-            ..TcpOptions::default()
         }
     }
 
@@ -582,7 +392,6 @@ mod tests {
                 .as_slice(),
             &[9]
         );
-        t.barrier().unwrap(); // single-rank barrier is a no-op
     }
 
     #[test]
@@ -593,34 +402,10 @@ mod tests {
             a.recv_raw(Duration::from_millis(30)),
             Err(RecvRawError::Timeout)
         ));
-        assert!(a.try_recv_raw().is_none());
-    }
-
-    #[test]
-    fn barrier_synchronizes_and_preserves_data_frames() {
-        let world = TcpTransport::loopback_mesh(4).unwrap();
-        std::thread::scope(|scope| {
-            for mut t in world {
-                scope.spawn(move || {
-                    let rank = t.rank();
-                    // Everyone floods rank 0 right before the barrier, so
-                    // rank 0's barrier drain must stash data frames.
-                    if rank != 0 {
-                        t.send_raw(0, frame(rank, 42, vec![rank as u8])).unwrap();
-                    }
-                    for _ in 0..3 {
-                        t.barrier().unwrap();
-                    }
-                    if rank == 0 {
-                        let mut got: Vec<u8> = (0..3)
-                            .map(|_| t.recv_raw(Duration::from_secs(5)).unwrap().payload[0])
-                            .collect();
-                        got.sort_unstable();
-                        assert_eq!(got, vec![1, 2, 3]);
-                    }
-                });
-            }
-        });
+        assert!(matches!(
+            a.recv_raw(Duration::ZERO),
+            Err(RecvRawError::Timeout)
+        ));
     }
 
     #[test]
@@ -689,31 +474,41 @@ mod tests {
         assert_eq!(got.payload.as_slice(), &[7; 128][..], "no torn frame");
     }
 
+    /// `survivor`'s barrier after its only peer's endpoint was dropped must
+    /// fail naming that peer, and on the link layer's verdict (rank 0's
+    /// restore watchdog, rank 1's dial budget), not the 30 s receive
+    /// deadline: the death notice, or the arrival frame refused outright.
+    fn barrier_beside_a_dropped_peer(survivor: usize) {
+        use rt_comm::{CommError, RankCtx, RankOptions};
+        let mut world = TcpTransport::loopback_mesh_with(2, tight()).unwrap();
+        let alive = world.swap_remove(survivor);
+        drop(world);
+        let opts = RankOptions {
+            timeout: Some(Duration::from_secs(30)),
+            ..RankOptions::default()
+        };
+        let started = std::time::Instant::now();
+        let err = RankCtx::over_transport(Box::new(alive), opts)
+            .barrier()
+            .expect_err("barrier must fail");
+        assert!(started.elapsed() < Duration::from_secs(10), "{err}");
+        let gone = 1 - survivor;
+        let refused = matches!(err, CommError::Disconnected { from, .. } if from == gone);
+        assert!(
+            err == CommError::RankFailed { rank: gone } || refused,
+            "{err}"
+        );
+        assert!(err.to_string().contains(&format!("rank {gone}")), "{err}");
+    }
+
     #[test]
     fn barrier_failure_names_dead_peer_and_tag_at_the_leader() {
-        let mut world = TcpTransport::loopback_mesh_with(2, tight()).unwrap();
-        let b = world.pop().unwrap();
-        let mut a = world.pop().unwrap();
-        drop(b); // rank 1 is gone; rank 0 leads the round
-        let err = a.barrier().expect_err("barrier must fail");
-        assert_eq!(err.peer, Some(1));
-        let msg = err.to_string();
-        assert!(msg.contains("rank 1 unreachable"), "{msg}");
-        assert!(msg.contains("barrier"), "{msg}");
-        assert!(msg.contains(&format!("{:#x}", tag::barrier(0))), "{msg}");
+        barrier_beside_a_dropped_peer(0);
     }
 
     #[test]
     fn barrier_failure_names_dead_leader_at_a_follower() {
-        let mut world = TcpTransport::loopback_mesh_with(2, tight()).unwrap();
-        let mut b = world.pop().unwrap();
-        let a = world.pop().unwrap();
-        drop(a); // rank 0 (the leader) is gone
-        let err = b.barrier().expect_err("barrier must fail");
-        assert_eq!(err.peer, Some(0));
-        let msg = err.to_string();
-        assert!(msg.contains("rank 0 unreachable"), "{msg}");
-        assert!(msg.contains("failed at rank 1"), "{msg}");
+        barrier_beside_a_dropped_peer(1);
     }
 
     #[test]

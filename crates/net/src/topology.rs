@@ -12,10 +12,10 @@
 //!
 //! Two caveats, by design:
 //!
-//! * The TCP barrier is centralized at rank 0, so worlds that call
-//!   `barrier()` need a link from every rank to rank 0 — add
-//!   [`Topology::with_star`] if the closure barriers. Plan-driven
-//!   compositions never barrier.
+//! * `RankCtx::barrier` is a message round through rank 0 (arrivals in,
+//!   releases out), so worlds that call `barrier()` need a link from every
+//!   rank to rank 0 — add [`Topology::with_star`] if the closure barriers.
+//!   Plan-driven compositions never barrier.
 //! * Fault *repair* may route pieces between ranks the crash-free plan
 //!   never pairs. A resilient run should keep [`Topology::FullMesh`];
 //!   the restricted set is the fast path for crash-free scale runs.
@@ -71,9 +71,10 @@ impl Topology {
         }
     }
 
-    /// Add a star on `hub`: a link from every rank to `hub`. Required for
-    /// the centralized barrier (`hub = 0`) on a restricted topology; a
-    /// no-op on [`Topology::FullMesh`].
+    /// Add a star on `hub`: a link from every rank to `hub`. What a
+    /// closure that barriers needs on a restricted topology (`hub = 0`, the
+    /// hub of the barrier round in rt-comm); a no-op on
+    /// [`Topology::FullMesh`].
     pub fn with_star(self, hub: usize, world: usize) -> Topology {
         match self {
             Topology::FullMesh => Topology::FullMesh,

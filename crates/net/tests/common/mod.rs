@@ -15,7 +15,6 @@ pub fn pair(heartbeat: Option<Duration>) -> (TcpTransport, TcpTransport) {
         reconnect_backoff: Duration::from_millis(5),
         restore_deadline: Duration::from_secs(2),
         heartbeat_interval: heartbeat,
-        ..TcpOptions::default()
     };
     let mut world = TcpTransport::loopback_mesh_with(2, opts).unwrap();
     let b = world.pop().unwrap();
