@@ -84,6 +84,13 @@ gone=$(grep -rnE '[B]arrierError|[b]arrier_timeout|[d]eath_steps|[t]ry_recv_raw|
     crates src tests examples docs ./*.md ci.sh .claude \
     --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md --exclude=REVIEW.md || true)
 [ -z "$gone" ] || vocabulary_fail "the transport-level barrier vocabulary is back" "$gone"
+# One kernel path, one renderer, four pixel types: the scalar/wide selector
+# and the counters that recorded it, the ray-cast accel / octree / shading
+# stack and the 8-bit colour pixel stay gone.
+gone=$(grep -rnE 'KernelPath::[S]calar|[H]AS_WIDE_KERNEL|over_(front|back)_[b]ytes_with|_over_codes_[s]calar|(wide|scalar)_[k]ernel_(pixels|bytes)|[k]ernel_fallbacks|[r]ender_raycast_accel|[M]inMaxOctree|[r]ender_color|[R]gba8|[c]olor_views' \
+    crates src tests examples docs ./*.md ci.sh .claude \
+    --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md --exclude=REVIEW.md || true)
+[ -z "$gone" ] || vocabulary_fail "the second kernel path / second renderer / fifth pixel type is back" "$gone"
 
 echo "== build (release) =="
 cargo build --release --workspace
@@ -97,6 +104,15 @@ echo "== markdown links =="
 # Every relative link and #anchor in tracked markdown must resolve
 # (stdlib-only checker; external URLs are not fetched).
 python3 tools/linkcheck.py
+
+echo "== prose budget =="
+# The docs describe the system as it is and may not grow faster than the
+# code shrinks: the four prose files plus docs/ stay under 2 400 lines, and
+# a change-log entry is one line that fits a screen.
+prose=$(cat README.md DESIGN.md EXPERIMENTS.md docs/*.md | wc -l)
+[ "$prose" -le 2400 ] || { echo "prose budget: $prose lines of docs (limit 2400)" >&2; exit 1; }
+entry=$(tail -n 1 CHANGES.md | wc -m)
+[ "$entry" -le 1500 ] || { echo "prose budget: last CHANGES.md entry is $entry characters (limit 1500)" >&2; exit 1; }
 
 echo "== doc examples =="
 # The facade crate includes README.md and docs/METHODS.md as rustdoc, so

@@ -27,7 +27,8 @@ impl<P: Pixel> Codec<P> for BoundsCodec {
         let (lead, content): (usize, &[P]) = match first {
             None => (pixels.len(), &[]),
             Some(f) => {
-                let last = pixels.iter().rposition(|p| !p.is_blank()).unwrap();
+                // A non-blank pixel exists, so rposition finds `f` at worst.
+                let last = pixels.iter().rposition(|p| !p.is_blank()).unwrap_or(f);
                 (f, &pixels[f..=last])
             }
         };

@@ -84,11 +84,10 @@ pub trait Codec<P: Pixel>: Send + Sync {
     /// Encode a pixel block.
     fn encode(&self, pixels: &[P]) -> Encoded;
 
-    /// [`Codec::encode`] with an explicit [`KernelPath`]. Codecs with
-    /// word-wise scan paths (RLE run detection, TRLE template
-    /// classification) override this; the wide path must produce
-    /// **byte-identical wire output** to the scalar one — only the time to
-    /// produce it changes. The default ignores `kernel`.
+    /// [`Codec::encode`] under its pre-single-path name: the frozen
+    /// `benchmark/` package calls this method, so it stays as a delegation
+    /// (the [`KernelPath`] argument carries nothing) and is dropped at the
+    /// next `benchmark/` unfreeze.
     fn encode_with(&self, pixels: &[P], _kernel: KernelPath) -> Encoded {
         self.encode(pixels)
     }
@@ -103,27 +102,29 @@ pub trait Codec<P: Pixel>: Send + Sync {
     /// codecs' `Over` cost unit. Blank stream pixels are the identity of
     /// `over` and leave their destination untouched.
     ///
-    /// Convenience wrapper over [`Codec::decode_over_with`] using the
-    /// default [`KernelPath`].
+    /// This default **is the reference**: decode, then merge pixel by
+    /// pixel. [`RawCodec`], [`RleCodec`](crate::RleCodec) and
+    /// [`TrleCodec`](crate::TrleCodec) override it with streaming
+    /// byte-level walks that never materialize a `Vec<P>`;
+    /// [`BoundsCodec`](crate::BoundsCodec) runs this body. An override must
+    /// leave `dst` bit-identical to it and report the same `non_blank` /
+    /// `blank_skipped` counts (`opaque_fast` may differ — it is zero here),
+    /// and must reject exactly the streams [`Codec::decode`] rejects. On
+    /// *invalid* streams only the verdict is pinned, not the partial
+    /// contents of `dst`.
     fn decode_over(
         &self,
         data: &[u8],
         dst: &mut [P],
         dir: OverDir,
     ) -> Result<OverStats, CodecError> {
-        self.decode_over_with(data, dst, dir, KernelPath::default())
+        let pixels = self.decode(data, dst.len())?;
+        Ok(over_decoded(&pixels, dst, dir))
     }
 
-    /// [`Codec::decode_over`] with an explicit kernel selection.
-    ///
-    /// The default decodes then merges regardless of `kernel`; the shipped
-    /// codecs override it with streaming byte-level kernels that never
-    /// materialize a `Vec<P>` and thread `kernel` down into the pixel
-    /// kernels. Overrides must leave `dst` bit-identical to this default on
-    /// every kernel path and report the same `non_blank` / `blank_skipped`
-    /// counts (`opaque_fast` may differ — it is zero on this reference
-    /// path). On *invalid* streams only the returned error is pinned, not
-    /// the partial contents of `dst`.
+    /// [`Codec::decode_over`] under its pre-single-path name; a delegation
+    /// kept for the frozen `benchmark/` exactly like [`Codec::encode_with`]
+    /// and dropped with it.
     fn decode_over_with(
         &self,
         data: &[u8],
@@ -131,14 +132,13 @@ pub trait Codec<P: Pixel>: Send + Sync {
         dir: OverDir,
         _kernel: KernelPath,
     ) -> Result<OverStats, CodecError> {
-        let pixels = self.decode(data, dst.len())?;
-        Ok(over_decoded(&pixels, dst, dir))
+        self.decode_over(data, dst, dir)
     }
 }
 
 /// Merge already-decoded pixels into `dst`, returning [`OverStats`] — the
 /// reference semantics every fused [`Codec::decode_over`] must match.
-pub(crate) fn over_decoded<P: Pixel>(pixels: &[P], dst: &mut [P], dir: OverDir) -> OverStats {
+fn over_decoded<P: Pixel>(pixels: &[P], dst: &mut [P], dir: OverDir) -> OverStats {
     let mut stats = OverStats::default();
     for (d, s) in dst.iter_mut().zip(pixels) {
         if !s.is_blank() {
@@ -155,14 +155,13 @@ pub(crate) fn over_decoded<P: Pixel>(pixels: &[P], dst: &mut [P], dir: OverDir) 
 }
 
 /// Shared raw-stream kernel: composite `body` (exactly `dst.len() *
-/// P::BYTES` wire bytes) into `dst` through the selected pixel kernel,
+/// P::BYTES` wire bytes) into `dst` through the pixel type's byte kernel,
 /// mapping shape errors to `codec`.
-pub(crate) fn over_raw_body_with<P: Pixel>(
+pub(crate) fn over_raw_body<P: Pixel>(
     codec: &'static str,
     body: &[u8],
     dst: &mut [P],
     dir: OverDir,
-    kernel: KernelPath,
 ) -> Result<OverStats, CodecError> {
     if body.len() != dst.len() * P::BYTES {
         return Err(CodecError::WrongPixelCount {
@@ -172,8 +171,8 @@ pub(crate) fn over_raw_body_with<P: Pixel>(
         });
     }
     let merged = match dir {
-        OverDir::Front => P::over_front_bytes_with(dst, body, kernel),
-        OverDir::Back => P::over_back_bytes_with(dst, body, kernel),
+        OverDir::Front => P::over_front_bytes(dst, body),
+        OverDir::Back => P::over_back_bytes(dst, body),
     };
     merged.map_err(|_| CodecError::Corrupt {
         codec,
@@ -210,14 +209,13 @@ impl<P: Pixel> Codec<P> for RawCodec {
         })
     }
 
-    fn decode_over_with(
+    fn decode_over(
         &self,
         data: &[u8],
         dst: &mut [P],
         dir: OverDir,
-        kernel: KernelPath,
     ) -> Result<OverStats, CodecError> {
-        over_raw_body_with("raw", data, dst, dir, kernel)
+        over_raw_body("raw", data, dst, dir)
     }
 }
 

@@ -9,10 +9,9 @@
 //! A one-byte header selects between `RLE` and a raw fallback, so the codec
 //! never more than doubles (plus one byte) and is exactly reversible.
 
-use crate::codec::{over_decoded, over_raw_body_with, Codec, CodecError, Encoded, OverDir};
+use crate::codec::{over_raw_body, Codec, CodecError, Encoded, OverDir};
 use rt_imaging::kernels::byte_run_len;
 use rt_imaging::pixel::{pixels_from_bytes, pixels_to_bytes, OverStats, Pixel};
-use rt_imaging::KernelPath;
 
 const MODE_RAW: u8 = 0;
 const MODE_RLE: u8 = 1;
@@ -21,29 +20,11 @@ const MODE_RLE: u8 = 1;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RleCodec;
 
-/// Run-length encode a byte slice as `(count, byte)` pairs.
+/// Run-length encode a byte slice as `(count, byte)` pairs, with
+/// memchr-style word-wise run detection: each run is found by XORing eight
+/// bytes at a time against the broadcast run byte. The scan slice is capped
+/// at the 255-byte run limit so detection stays linear on long runs.
 pub fn rle_encode_bytes(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < data.len() {
-        let b = data[i];
-        let mut run = 1usize;
-        while i + run < data.len() && data[i + run] == b && run < 255 {
-            run += 1;
-        }
-        out.push(run as u8);
-        out.push(b);
-        i += run;
-    }
-    out
-}
-
-/// Run-length encode a byte slice with memchr-style word-wise run
-/// detection: each run is found by XORing eight bytes at a time against the
-/// broadcast run byte. Output is byte-identical to [`rle_encode_bytes`];
-/// the scan slice is capped at the 255-byte run limit so detection stays
-/// linear on long runs.
-pub fn rle_encode_bytes_wide(data: &[u8]) -> Vec<u8> {
     let n = data.len();
     let mut out = Vec::with_capacity(n / 2 + 8);
     let mut i = 0;
@@ -51,8 +32,8 @@ pub fn rle_encode_bytes_wide(data: &[u8]) -> Vec<u8> {
         let b = data[i];
         // One-byte peek: a length-1 run (every byte of dense content with
         // per-pixel variation) exits without paying the word-wise setup, so
-        // the wide path never loses to the scalar loop on incompressible
-        // spans and wins on the long blank runs that dominate partials.
+        // incompressible spans cost a byte loop and the long blank runs
+        // that dominate partials go a word at a time.
         if i + 1 >= n || data[i + 1] != b {
             out.push(1);
             out.push(b);
@@ -68,12 +49,15 @@ pub fn rle_encode_bytes_wide(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Invert [`rle_encode_bytes`].
+/// Invert [`rle_encode_bytes`], giving up as soon as the output passes
+/// `max_len` bytes: a caller that expects `max_len` rejects such a stream
+/// whatever its remainder says, and a hostile body must not size the
+/// allocation (1 MiB of `(255, b)` pairs expands to 127 MiB).
 ///
 /// An odd-length buffer cannot be a whole number of `(count, byte)` pairs,
 /// so it is rejected as [`CodecError::Truncated`] up front rather than
 /// silently dropping the trailing byte (`chunks_exact(2)` alone would).
-pub fn rle_decode_bytes(data: &[u8]) -> Result<Vec<u8>, CodecError> {
+pub fn rle_decode_bytes(data: &[u8], max_len: usize) -> Result<Vec<u8>, CodecError> {
     if !data.len().is_multiple_of(2) {
         return Err(CodecError::Truncated { codec: "rle" });
     }
@@ -87,9 +71,17 @@ pub fn rle_decode_bytes(data: &[u8]) -> Result<Vec<u8>, CodecError> {
             });
         }
         out.extend(std::iter::repeat_n(byte, count as usize));
+        if out.len() > max_len {
+            break;
+        }
     }
     Ok(out)
 }
+
+/// Staging-buffer size of the fused RLE walk: a multiple of every shipped
+/// pixel size (the largest, `Rgba`, is 16 bytes), big enough to amortize
+/// the bulk-kernel call per flush, small enough to stay in L1.
+const STAGE_BYTES: usize = 4096;
 
 impl<P: Pixel> Codec<P> for RleCodec {
     fn name(&self) -> &'static str {
@@ -97,15 +89,8 @@ impl<P: Pixel> Codec<P> for RleCodec {
     }
 
     fn encode(&self, pixels: &[P]) -> Encoded {
-        self.encode_with(pixels, KernelPath::default())
-    }
-
-    fn encode_with(&self, pixels: &[P], kernel: KernelPath) -> Encoded {
         let raw = pixels_to_bytes(pixels);
-        let rle = match kernel {
-            KernelPath::Scalar => rle_encode_bytes(&raw),
-            KernelPath::Wide => rle_encode_bytes_wide(&raw),
-        };
+        let rle = rle_encode_bytes(&raw);
         let raw_bytes = raw.len();
         let mut bytes;
         if rle.len() < raw.len() {
@@ -127,9 +112,13 @@ impl<P: Pixel> Codec<P> for RleCodec {
             }
             return Err(CodecError::Truncated { codec: "rle" });
         };
+        let expanded;
         let raw = match mode {
-            MODE_RAW => body.to_vec(),
-            MODE_RLE => rle_decode_bytes(body)?,
+            MODE_RAW => body,
+            MODE_RLE => {
+                expanded = rle_decode_bytes(body, n_pixels * P::BYTES)?;
+                &expanded[..]
+            }
             _ => {
                 return Err(CodecError::Corrupt {
                     codec: "rle",
@@ -144,19 +133,20 @@ impl<P: Pixel> Codec<P> for RleCodec {
                 got: raw.len() / P::BYTES,
             });
         }
-        pixels_from_bytes(&raw).map_err(|_| CodecError::Corrupt {
+        pixels_from_bytes(raw).map_err(|_| CodecError::Corrupt {
             codec: "rle",
             what: "undecodable pixel bytes",
         })
     }
 
-    fn decode_over_with(
+    fn decode_over(
         &self,
         data: &[u8],
         dst: &mut [P],
         dir: OverDir,
-        kernel: KernelPath,
     ) -> Result<OverStats, CodecError> {
+        // A staged flush composites whole pixels only.
+        const { assert!(P::BYTES <= STAGE_BYTES) };
         let Some((&mode, body)) = data.split_first() else {
             if dst.is_empty() {
                 return Ok(OverStats::default());
@@ -164,14 +154,14 @@ impl<P: Pixel> Codec<P> for RleCodec {
             return Err(CodecError::Truncated { codec: "rle" });
         };
         match mode {
-            MODE_RAW => over_raw_body_with("rle", body, dst, dir, kernel),
+            MODE_RAW => over_raw_body("rle", body, dst, dir),
             // Runs do not align to pixel boundaries, so the stream is
             // expanded through a bounded staging buffer: runs fill the
             // buffer, and every buffer-full of *whole* pixels is composited
             // in place in one bulk kernel call (any trailing partial pixel
             // carries over to the next fill). No decoded image-sized buffer
             // ever exists.
-            MODE_RLE if P::BYTES <= STAGE_BYTES => {
+            MODE_RLE => {
                 // The pair walk below uses `chunks_exact(2)`, which would
                 // silently drop a trailing odd byte — the explicit parity
                 // check keeps truncated streams an error here exactly as in
@@ -196,7 +186,7 @@ impl<P: Pixel> Codec<P> for RleCodec {
                             got: *at + px,
                         });
                     };
-                    let n = over_raw_body_with("rle", &stage[..whole], d, dir, kernel)?;
+                    let n = over_raw_body("rle", &stage[..whole], d, dir)?;
                     *at += px;
                     stage.copy_within(whole..*fill, 0);
                     *fill -= whole;
@@ -231,23 +221,6 @@ impl<P: Pixel> Codec<P> for RleCodec {
                 }
                 Ok(stats)
             }
-            // Oversized pixel types (none today) fall back to the decoded
-            // path rather than growing the staging window unboundedly.
-            MODE_RLE => {
-                let raw = rle_decode_bytes(body)?;
-                if raw.len() != dst.len() * P::BYTES {
-                    return Err(CodecError::WrongPixelCount {
-                        codec: "rle",
-                        expected: dst.len(),
-                        got: raw.len() / P::BYTES,
-                    });
-                }
-                let pixels = pixels_from_bytes(&raw).map_err(|_| CodecError::Corrupt {
-                    codec: "rle",
-                    what: "undecodable pixel bytes",
-                })?;
-                Ok(over_decoded(&pixels, dst, dir))
-            }
             _ => Err(CodecError::Corrupt {
                 codec: "rle",
                 what: "unknown mode byte",
@@ -256,23 +229,34 @@ impl<P: Pixel> Codec<P> for RleCodec {
     }
 }
 
-/// Staging-buffer size of the fused RLE kernel: a multiple of every shipped
-/// pixel size (the largest, `Rgba`, is 16 bytes), big enough to amortize
-/// the bulk-kernel call per flush, small enough to stay in L1.
-const STAGE_BYTES: usize = 4096;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use rt_imaging::pixel::{GrayAlpha8, Pixel};
 
+    /// Byte-at-a-time RLE, the reference the word-wise encoder is held to.
+    fn byte_rle(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < data.len() {
+            let run = data[i..]
+                .iter()
+                .take(255)
+                .take_while(|&&b| b == data[i])
+                .count();
+            out.extend([run as u8, data[i]]);
+            i += run;
+        }
+        out
+    }
+
     #[test]
     fn byte_rle_roundtrip_simple() {
         let data = b"aaabbbbbc";
         let enc = rle_encode_bytes(data);
         assert_eq!(enc, vec![3, b'a', 5, b'b', 1, b'c']);
-        assert_eq!(rle_decode_bytes(&enc).unwrap(), data);
+        assert_eq!(rle_decode_bytes(&enc, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -280,7 +264,7 @@ mod tests {
         let data = vec![7u8; 300];
         let enc = rle_encode_bytes(&data);
         assert_eq!(enc, vec![255, 7, 45, 7]);
-        assert_eq!(rle_decode_bytes(&enc).unwrap(), data);
+        assert_eq!(rle_decode_bytes(&enc, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -308,8 +292,8 @@ mod tests {
 
     #[test]
     fn decode_error_paths() {
-        assert!(rle_decode_bytes(&[1]).is_err()); // odd length
-        assert!(rle_decode_bytes(&[0, 5]).is_err()); // zero run
+        assert!(rle_decode_bytes(&[1], 1).is_err()); // odd length
+        assert!(rle_decode_bytes(&[0, 5], 1).is_err()); // zero run
         assert!(Codec::<GrayAlpha8>::decode(&RleCodec, &[9, 1, 2], 1).is_err()); // bad mode
         assert!(Codec::<GrayAlpha8>::decode(&RleCodec, &[], 1).is_err()); // empty
         assert_eq!(
@@ -332,25 +316,17 @@ mod tests {
         let mut body = rle_encode_bytes(&[7, 7, 9, 9]);
         body.push(3); // dangling count with no byte
         assert_eq!(
-            rle_decode_bytes(&body),
+            rle_decode_bytes(&body, 4),
             Err(CodecError::Truncated { codec: "rle" })
         );
         // Same stream through the fused staging path.
         let mut data = vec![MODE_RLE];
         data.extend_from_slice(&body);
         let mut dst = vec![GrayAlpha8::blank(); 2];
-        for kernel in rt_imaging::KernelPath::ALL {
-            assert_eq!(
-                Codec::<GrayAlpha8>::decode_over_with(
-                    &RleCodec,
-                    &data,
-                    &mut dst,
-                    OverDir::Front,
-                    kernel
-                ),
-                Err(CodecError::Truncated { codec: "rle" })
-            );
-        }
+        assert_eq!(
+            Codec::<GrayAlpha8>::decode_over(&RleCodec, &data, &mut dst, OverDir::Front),
+            Err(CodecError::Truncated { codec: "rle" })
+        );
         // And through decode().
         assert_eq!(
             Codec::<GrayAlpha8>::decode(&RleCodec, &data, 2),
@@ -363,10 +339,10 @@ mod tests {
         // Runs that straddle the 255 cap and the 8-byte word width.
         for len in [0usize, 1, 7, 8, 9, 254, 255, 256, 300, 511, 1000] {
             let data = vec![42u8; len];
-            assert_eq!(rle_encode_bytes_wide(&data), rle_encode_bytes(&data));
+            assert_eq!(rle_encode_bytes(&data), byte_rle(&data));
         }
         let mixed: Vec<u8> = (0..1000u32).map(|i| (i / 13 % 7) as u8).collect();
-        assert_eq!(rle_encode_bytes_wide(&mixed), rle_encode_bytes(&mixed));
+        assert_eq!(rle_encode_bytes(&mixed), byte_rle(&mixed));
     }
 
     proptest! {
@@ -379,44 +355,13 @@ mod tests {
             for (b, n) in runs {
                 data.extend(std::iter::repeat_n(b, n));
             }
-            prop_assert_eq!(rle_encode_bytes_wide(&data), rle_encode_bytes(&data));
+            prop_assert_eq!(rle_encode_bytes(&data), byte_rle(&data));
         }
 
-        #[test]
-        fn decode_over_kernels_agree(
-            values in proptest::collection::vec(
-                prop_oneof![2 => Just((0u8, 0u8)), 3 => (any::<u8>(), any::<u8>())],
-                0..500,
-            )
-        ) {
-            let px: Vec<GrayAlpha8> = values.iter().map(|&(v, a)| GrayAlpha8::new(v, a)).collect();
-            let enc_s = Codec::<GrayAlpha8>::encode_with(&RleCodec, &px, rt_imaging::KernelPath::Scalar);
-            let enc_w = Codec::<GrayAlpha8>::encode_with(&RleCodec, &px, rt_imaging::KernelPath::Wide);
-            prop_assert_eq!(&enc_s.bytes, &enc_w.bytes);
-            let dst: Vec<GrayAlpha8> = (0..px.len())
-                .map(|i| GrayAlpha8::new((i * 31 % 256) as u8, (i * 17 % 256) as u8))
-                .collect();
-            for dir in [OverDir::Front, OverDir::Back] {
-                let mut scalar = dst.clone();
-                let mut wide = dst.clone();
-                let s = Codec::<GrayAlpha8>::decode_over_with(
-                    &RleCodec, &enc_s.bytes, &mut scalar, dir, rt_imaging::KernelPath::Scalar,
-                ).unwrap();
-                let w = Codec::<GrayAlpha8>::decode_over_with(
-                    &RleCodec, &enc_w.bytes, &mut wide, dir, rt_imaging::KernelPath::Wide,
-                ).unwrap();
-                prop_assert_eq!(&scalar, &wide);
-                prop_assert_eq!(s.non_blank, w.non_blank);
-                prop_assert_eq!(s.blank_skipped, w.blank_skipped);
-            }
-        }
-    }
-
-    proptest! {
         #[test]
         fn byte_rle_roundtrips(data in proptest::collection::vec(any::<u8>(), 0..2000)) {
             let enc = rle_encode_bytes(&data);
-            prop_assert_eq!(rle_decode_bytes(&enc).unwrap(), data);
+            prop_assert_eq!(rle_decode_bytes(&enc, data.len()).unwrap(), data);
         }
 
         #[test]

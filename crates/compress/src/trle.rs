@@ -20,10 +20,9 @@
 //! with a raw-fallback mode so the codec never expands beyond one byte of
 //! header.
 
-use crate::codec::{over_raw_body_with, Codec, CodecError, Encoded, OverDir};
+use crate::codec::{over_raw_body, Codec, CodecError, Encoded, OverDir};
 use rt_imaging::kernels::nonzero_byte_mask;
-use rt_imaging::pixel::{pixels_to_bytes, OverStats, Pixel};
-use rt_imaging::KernelPath;
+use rt_imaging::pixel::{pixels_from_bytes, pixels_to_bytes, OverStats, Pixel};
 
 const MODE_RAW: u8 = 0;
 const MODE_TRLE: u8 = 1;
@@ -103,41 +102,20 @@ const PAIR_TEMPLATE: [u8; 256] = {
     table
 };
 
-/// Classify every tile of a wire-byte stream (`n_pixels` pixels of
-/// `P::BYTES` each) into templates by byte inspection alone. Requires
-/// [`Pixel::BLANK_IS_ZERO_BYTES`] (blank ⟺ all-zero bytes); 2-byte pixels
-/// go through a word load + movemask + table lookup per full tile.
-fn templates_from_bytes<P: Pixel>(raw: &[u8], n_pixels: usize) -> Vec<u8> {
-    debug_assert!(P::BLANK_IS_ZERO_BYTES);
-    let n_tiles = n_pixels.div_ceil(TILE);
-    let full = n_pixels / TILE;
-    let mut out = Vec::with_capacity(n_tiles);
-    if P::BYTES == 2 {
-        for i in 0..full {
-            let w = u64::from_le_bytes(raw[i * 8..i * 8 + 8].try_into().unwrap());
-            out.push(PAIR_TEMPLATE[nonzero_byte_mask(w) as usize]);
-        }
-    } else {
-        for i in 0..full {
-            let mut t = 0u8;
-            for j in 0..TILE {
-                let o = (i * TILE + j) * P::BYTES;
-                if raw[o..o + P::BYTES].iter().any(|&b| b != 0) {
-                    t |= 1 << j;
-                }
-            }
-            out.push(t);
-        }
-    }
-    if full < n_tiles {
-        let mut t = 0u8;
-        for j in 0..n_pixels - full * TILE {
-            let o = (full * TILE + j) * P::BYTES;
-            if raw[o..o + P::BYTES].iter().any(|&b| b != 0) {
-                t |= 1 << j;
-            }
-        }
-        out.push(t);
+/// Classify every tile of a wire-byte stream of 2-byte pixels into
+/// templates by byte inspection alone: a word load + movemask + table
+/// lookup per tile (the partial last tile zero-padded, so its missing
+/// pixels read as blank). Requires [`Pixel::BLANK_IS_ZERO_BYTES`].
+fn templates_from_bytes(raw: &[u8]) -> Vec<u8> {
+    let template =
+        |tile: [u8; 8]| PAIR_TEMPLATE[nonzero_byte_mask(u64::from_le_bytes(tile)) as usize];
+    let (tiles, tail) = raw.as_chunks::<8>();
+    let mut out = Vec::with_capacity(tiles.len() + 1);
+    out.extend(tiles.iter().map(|t| template(*t)));
+    if !tail.is_empty() {
+        let mut padded = [0u8; 8];
+        padded[..tail.len()].copy_from_slice(tail);
+        out.push(template(padded));
     }
     out
 }
@@ -153,10 +131,10 @@ pub fn decode_codes(codes: &[u8]) -> Vec<u8> {
     tiles
 }
 
-/// Reference TRLE encoder: per-pixel `is_blank` classification and
-/// per-pixel payload writes.
+/// Per-pixel TRLE encoder: `is_blank` classification and per-pixel payload
+/// writes — the only classifier valid for pixel types whose blankness is
+/// not the all-zero byte pattern.
 fn trle_encode_scalar<P: Pixel>(pixels: &[P]) -> Encoded {
-    let raw_bytes = pixels.len() * P::BYTES;
     let codes = encode_codes(pixels);
     let mut payload = Vec::new();
     for p in pixels {
@@ -164,57 +142,47 @@ fn trle_encode_scalar<P: Pixel>(pixels: &[P]) -> Encoded {
             p.write_bytes(&mut payload);
         }
     }
-    assemble_trle(pixels, raw_bytes, codes, payload)
+    let raw = || pixels_to_bytes(pixels);
+    assemble_trle(pixels.len() * P::BYTES, raw, codes, payload)
 }
 
-/// Wide TRLE encoder: serialize once, classify tiles from the wire bytes
-/// (word load + movemask + template table for 2-byte pixels), then build
-/// the payload with bulk slice copies — skipping blank tiles outright and
-/// copying full tiles in one go. Wire output is byte-identical to
+/// Word-wise TRLE encoder for 2-byte pixels: serialize once, classify tiles
+/// from the wire bytes ([`templates_from_bytes`]), then build the payload
+/// with bulk slice copies — skipping blank tiles outright and copying full
+/// tiles as one 8-byte word. Wire output is byte-identical to
 /// [`trle_encode_scalar`] because [`Pixel::BLANK_IS_ZERO_BYTES`] makes the
 /// byte-level classification agree with `is_blank` exactly.
 fn trle_encode_wide<P: Pixel>(pixels: &[P]) -> Encoded {
     let raw = pixels_to_bytes(pixels);
-    let raw_bytes = raw.len();
-    let templates = templates_from_bytes::<P>(&raw, pixels.len());
+    let templates = templates_from_bytes(&raw);
     let codes = codes_from_templates(templates.iter().copied());
     let mut payload = Vec::new();
-    for (tile_idx, &t) in templates.iter().enumerate() {
-        if t == 0 {
-            continue;
-        }
-        let base = tile_idx * TILE;
-        if t == 0x0F {
-            // Full tiles can only be classified 15 when wholly in bounds.
-            payload.extend_from_slice(&raw[base * P::BYTES..(base + TILE) * P::BYTES]);
-            continue;
-        }
-        for j in 0..TILE {
+    let ship = |payload: &mut Vec<u8>, tile: &[u8], t: u8| {
+        for (j, px) in tile.chunks_exact(2).enumerate() {
             if t & (1 << j) != 0 {
-                let o = (base + j) * P::BYTES;
-                payload.extend_from_slice(&raw[o..o + P::BYTES]);
+                payload.extend_from_slice(px);
             }
         }
+    };
+    let (tiles, tail) = raw.as_chunks::<8>();
+    for (tile, &t) in tiles.iter().zip(&templates) {
+        match t {
+            0 => {}
+            0x0F => payload.extend_from_slice(tile),
+            _ => ship(&mut payload, tile, t),
+        }
     }
-    let trle_len = 1 + 4 + codes.len() + payload.len();
-    if trle_len > raw_bytes {
-        let mut bytes = Vec::with_capacity(raw_bytes + 1);
-        bytes.push(MODE_RAW);
-        bytes.extend_from_slice(&raw);
-        return Encoded { bytes, raw_bytes };
+    if let Some(&t) = templates.get(tiles.len()) {
+        ship(&mut payload, tail, t);
     }
-    let mut bytes = Vec::with_capacity(trle_len);
-    bytes.push(MODE_TRLE);
-    bytes.extend_from_slice(&(codes.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&codes);
-    bytes.extend_from_slice(&payload);
-    Encoded { bytes, raw_bytes }
+    assemble_trle(raw.len(), || raw, codes, payload)
 }
 
-/// Shared tail of the scalar encoder: pick TRLE or the raw fallback.
-fn assemble_trle<P: Pixel>(
-    pixels: &[P],
+/// Shared tail of the encoders: pick TRLE or the raw fallback, whose bytes
+/// `raw` serializes (or hands over, if the encoder already has them).
+fn assemble_trle(
     raw_bytes: usize,
+    raw: impl FnOnce() -> Vec<u8>,
     codes: Vec<u8>,
     payload: Vec<u8>,
 ) -> Encoded {
@@ -222,7 +190,7 @@ fn assemble_trle<P: Pixel>(
     if trle_len > raw_bytes {
         let mut bytes = Vec::with_capacity(raw_bytes + 1);
         bytes.push(MODE_RAW);
-        bytes.extend_from_slice(&pixels_to_bytes(pixels));
+        bytes.extend_from_slice(&raw());
         return Encoded { bytes, raw_bytes };
     }
     let mut bytes = Vec::with_capacity(trle_len);
@@ -233,21 +201,41 @@ fn assemble_trle<P: Pixel>(
     Encoded { bytes, raw_bytes }
 }
 
+/// Split a `MODE_TRLE` body into `(codes, payload)`. `n_codes` is the
+/// peer's claim: it is checked against the bytes that are there and never
+/// sizes anything.
+fn split_body(body: &[u8]) -> Result<(&[u8], &[u8]), CodecError> {
+    let truncated = CodecError::Truncated { codec: "trle" };
+    let Some((n_codes, rest)) = body.split_first_chunk::<4>() else {
+        return Err(truncated);
+    };
+    rest.split_at_checked(u32::from_le_bytes(*n_codes) as usize)
+        .ok_or(truncated)
+}
+
+/// Tiles a code stream covers.
+fn tile_count(codes: &[u8]) -> usize {
+    codes.iter().map(|&code| (code >> 4) as usize + 1).sum()
+}
+
+const TILE_COUNT_MISMATCH: CodecError = CodecError::Corrupt {
+    codec: "trle",
+    what: "tile count does not match pixel count",
+};
+
 impl<P: Pixel> Codec<P> for TrleCodec {
     fn name(&self) -> &'static str {
         "trle"
     }
 
     fn encode(&self, pixels: &[P]) -> Encoded {
-        self.encode_with(pixels, KernelPath::default())
-    }
-
-    fn encode_with(&self, pixels: &[P], kernel: KernelPath) -> Encoded {
-        match kernel {
-            // The wide classifier reads wire bytes, so it is only valid
-            // when blankness is exactly the all-zero byte pattern.
-            KernelPath::Wide if P::BLANK_IS_ZERO_BYTES => trle_encode_wide(pixels),
-            _ => trle_encode_scalar(pixels),
+        // The word-wise classifier reads wire bytes, four 2-byte pixels at
+        // a time, so it is only valid when blankness is exactly the
+        // all-zero byte pattern of such a pixel.
+        if P::BLANK_IS_ZERO_BYTES && P::BYTES == 2 {
+            trle_encode_wide(pixels)
+        } else {
+            trle_encode_scalar(pixels)
         }
     }
 
@@ -267,29 +255,19 @@ impl<P: Pixel> Codec<P> for TrleCodec {
                         got: body.len() / P::BYTES,
                     });
                 }
-                rt_imaging::pixel::pixels_from_bytes(body).map_err(|_| CodecError::Corrupt {
+                pixels_from_bytes(body).map_err(|_| CodecError::Corrupt {
                     codec: "trle",
                     what: "undecodable raw pixel bytes",
                 })
             }
             MODE_TRLE => {
-                if body.len() < 4 {
-                    return Err(CodecError::Truncated { codec: "trle" });
+                let (codes, payload) = split_body(body)?;
+                // Counted before it is expanded: a code stream may claim
+                // sixteen tiles per byte.
+                if tile_count(codes) != n_pixels.div_ceil(TILE) {
+                    return Err(TILE_COUNT_MISMATCH);
                 }
-                let n_codes = u32::from_le_bytes([body[0], body[1], body[2], body[3]]) as usize;
-                if body.len() < 4 + n_codes {
-                    return Err(CodecError::Truncated { codec: "trle" });
-                }
-                let codes = &body[4..4 + n_codes];
-                let payload = &body[4 + n_codes..];
                 let tiles = decode_codes(codes);
-                let expected_tiles = n_pixels.div_ceil(TILE);
-                if tiles.len() != expected_tiles {
-                    return Err(CodecError::Corrupt {
-                        codec: "trle",
-                        what: "tile count does not match pixel count",
-                    });
-                }
                 let mut out = Vec::with_capacity(n_pixels);
                 let mut at = 0usize;
                 for (tile_idx, template) in tiles.iter().enumerate() {
@@ -336,12 +314,11 @@ impl<P: Pixel> Codec<P> for TrleCodec {
         }
     }
 
-    fn decode_over_with(
+    fn decode_over(
         &self,
         data: &[u8],
         dst: &mut [P],
         dir: OverDir,
-        kernel: KernelPath,
     ) -> Result<OverStats, CodecError> {
         let Some((&mode, body)) = data.split_first() else {
             if dst.is_empty() {
@@ -350,25 +327,10 @@ impl<P: Pixel> Codec<P> for TrleCodec {
             return Err(CodecError::Truncated { codec: "trle" });
         };
         match mode {
-            MODE_RAW => over_raw_body_with("trle", body, dst, dir, kernel),
-            // Walk the code stream tile by tile, compositing only the
-            // pixels whose template bit is set: blank pixels are the
-            // identity of `over`, so they ship no bytes AND cost no work —
-            // the paper's Section 1 claim, realized at the byte level.
+            MODE_RAW => over_raw_body("trle", body, dst, dir),
             MODE_TRLE => {
-                if body.len() < 4 {
-                    return Err(CodecError::Truncated { codec: "trle" });
-                }
-                let n_codes = u32::from_le_bytes([body[0], body[1], body[2], body[3]]) as usize;
-                if body.len() < 4 + n_codes {
-                    return Err(CodecError::Truncated { codec: "trle" });
-                }
-                let codes = &body[4..4 + n_codes];
-                let payload = &body[4 + n_codes..];
-                match kernel {
-                    KernelPath::Wide => trle_over_codes_wide(codes, payload, dst, dir),
-                    KernelPath::Scalar => trle_over_codes_scalar(codes, payload, dst, dir, kernel),
-                }
+                let (codes, payload) = split_body(body)?;
+                trle_over_codes(codes, payload, dst, dir)
             }
             _ => Err(CodecError::Corrupt {
                 codec: "trle",
@@ -378,93 +340,17 @@ impl<P: Pixel> Codec<P> for TrleCodec {
     }
 }
 
-/// Reference TRLE merge walk: one `over` kernel call per set template bit.
-fn trle_over_codes_scalar<P: Pixel>(
-    codes: &[u8],
-    payload: &[u8],
-    dst: &mut [P],
-    dir: OverDir,
-    kernel: KernelPath,
-) -> Result<OverStats, CodecError> {
-    let n_pixels = dst.len();
-    let expected_tiles = n_pixels.div_ceil(TILE);
-    let mut tile_idx = 0usize;
-    let mut at = 0usize; // payload byte cursor
-    let mut stats = OverStats::default();
-    for &code in codes {
-        let template = code & 0x0F;
-        let run = ((code >> 4) as usize) + 1;
-        for _ in 0..run {
-            if tile_idx >= expected_tiles {
-                return Err(CodecError::Corrupt {
-                    codec: "trle",
-                    what: "tile count does not match pixel count",
-                });
-            }
-            for j in 0..TILE {
-                let pixel_idx = tile_idx * TILE + j;
-                if template & (1 << j) == 0 {
-                    // Blank: identity, no work. Padding past the
-                    // image is not a skipped source pixel.
-                    if pixel_idx < n_pixels {
-                        stats.blank_skipped += 1;
-                    }
-                    continue;
-                }
-                if pixel_idx >= n_pixels {
-                    return Err(CodecError::Corrupt {
-                        codec: "trle",
-                        what: "non-blank bit set in padding",
-                    });
-                }
-                if at + P::BYTES > payload.len() {
-                    return Err(CodecError::Truncated { codec: "trle" });
-                }
-                let merged = over_raw_body_with(
-                    "trle",
-                    &payload[at..at + P::BYTES],
-                    &mut dst[pixel_idx..pixel_idx + 1],
-                    dir,
-                    kernel,
-                )
-                .map_err(|_| CodecError::Corrupt {
-                    codec: "trle",
-                    what: "undecodable payload pixel",
-                })?;
-                at += P::BYTES;
-                // A set template bit is a non-blank stream pixel
-                // by construction; the kernel's opacity shortcut
-                // count still flows through.
-                stats.non_blank += 1;
-                stats.opaque_fast += merged.opaque_fast;
-            }
-            tile_idx += 1;
-        }
-    }
-    if tile_idx != expected_tiles {
-        return Err(CodecError::Corrupt {
-            codec: "trle",
-            what: "tile count does not match pixel count",
-        });
-    }
-    if at != payload.len() {
-        return Err(CodecError::Corrupt {
-            codec: "trle",
-            what: "trailing payload bytes",
-        });
-    }
-    Ok(stats)
-}
-
-/// Chunked TRLE merge walk: a run of all-blank tiles is skipped in one
+/// The fused TRLE merge walk, code by code, compositing only the pixels
+/// whose template bit is set: blank pixels are the identity of `over`, so
+/// they ship no bytes AND cost no work — the paper's Section 1 claim,
+/// realized at the byte level. A run of all-blank tiles is skipped in one
 /// step, and a run of all-non-blank tiles that lies wholly in bounds is
 /// merged with a single bulk kernel call over `run · TILE` contiguous
-/// payload pixels. Mixed templates fall back to the per-bit walk. Stats
-/// stay equal to the scalar walk because `non_blank` is derived from the
-/// templates (a set bit is a non-blank stream pixel by construction),
-/// never from payload byte inspection; only `opaque_fast` flows up from
-/// the bulk kernel.
-fn trle_over_codes_wide<P: Pixel>(
+/// payload pixels; mixed templates go bit by bit. The stats of shipped
+/// pixels are the kernel's own: an honest encoder ships only non-blank
+/// ones, and a blank one under a set bit counts as what it is, exactly as
+/// decode-then-`over` would count it.
+fn trle_over_codes<P: Pixel>(
     codes: &[u8],
     payload: &[u8],
     dst: &mut [P],
@@ -475,14 +361,26 @@ fn trle_over_codes_wide<P: Pixel>(
     let mut tile_idx = 0usize;
     let mut at = 0usize; // payload byte cursor
     let mut stats = OverStats::default();
+    // Merge `px` payload pixels at `at` into `dst[base..]`.
+    let mut merge = |at: &mut usize, base: usize, px: usize| {
+        let bytes = payload
+            .get(*at..*at + px * P::BYTES)
+            .ok_or(CodecError::Truncated { codec: "trle" })?;
+        let merged =
+            over_raw_body("trle", bytes, &mut dst[base..base + px], dir).map_err(|_| {
+                CodecError::Corrupt {
+                    codec: "trle",
+                    what: "undecodable payload pixel",
+                }
+            })?;
+        *at += bytes.len();
+        Ok::<_, CodecError>(merged)
+    };
     for &code in codes {
         let template = code & 0x0F;
         let run = ((code >> 4) as usize) + 1;
         if tile_idx + run > expected_tiles {
-            return Err(CodecError::Corrupt {
-                codec: "trle",
-                what: "tile count does not match pixel count",
-            });
+            return Err(TILE_COUNT_MISMATCH);
         }
         let base = tile_idx * TILE;
         if template == 0 {
@@ -493,25 +391,7 @@ fn trle_over_codes_wide<P: Pixel>(
             continue;
         }
         if template == 0x0F && base + run * TILE <= n_pixels {
-            let px = run * TILE;
-            let need = px * P::BYTES;
-            if at + need > payload.len() {
-                return Err(CodecError::Truncated { codec: "trle" });
-            }
-            let merged = over_raw_body_with(
-                "trle",
-                &payload[at..at + need],
-                &mut dst[base..base + px],
-                dir,
-                KernelPath::Wide,
-            )
-            .map_err(|_| CodecError::Corrupt {
-                codec: "trle",
-                what: "undecodable payload pixel",
-            })?;
-            at += need;
-            stats.non_blank += px;
-            stats.opaque_fast += merged.opaque_fast;
+            stats += merge(&mut at, base, run * TILE)?;
             tile_idx += run;
             continue;
         }
@@ -530,32 +410,13 @@ fn trle_over_codes_wide<P: Pixel>(
                         what: "non-blank bit set in padding",
                     });
                 }
-                if at + P::BYTES > payload.len() {
-                    return Err(CodecError::Truncated { codec: "trle" });
-                }
-                let merged = over_raw_body_with(
-                    "trle",
-                    &payload[at..at + P::BYTES],
-                    &mut dst[pixel_idx..pixel_idx + 1],
-                    dir,
-                    KernelPath::Wide,
-                )
-                .map_err(|_| CodecError::Corrupt {
-                    codec: "trle",
-                    what: "undecodable payload pixel",
-                })?;
-                at += P::BYTES;
-                stats.non_blank += 1;
-                stats.opaque_fast += merged.opaque_fast;
+                stats += merge(&mut at, pixel_idx, 1)?;
             }
             tile_idx += 1;
         }
     }
     if tile_idx != expected_tiles {
-        return Err(CodecError::Corrupt {
-            codec: "trle",
-            what: "tile count does not match pixel count",
-        });
+        return Err(TILE_COUNT_MISMATCH);
     }
     if at != payload.len() {
         return Err(CodecError::Corrupt {
@@ -673,26 +534,40 @@ mod tests {
 
     #[test]
     fn decode_error_paths() {
-        // Unknown mode.
-        assert!(Codec::<GrayAlpha8>::decode(&TrleCodec, &[7, 0, 0, 0, 0], 0).is_err());
-        // Truncated header.
-        assert!(Codec::<GrayAlpha8>::decode(&TrleCodec, &[MODE_TRLE, 1, 0], 4).is_err());
-        // Code count beyond buffer.
-        assert!(
-            Codec::<GrayAlpha8>::decode(&TrleCodec, &[MODE_TRLE, 9, 0, 0, 0, 0xF0], 4).is_err()
-        );
-        // Tile count mismatch: one code covering one tile, but 9 pixels.
-        assert!(
-            Codec::<GrayAlpha8>::decode(&TrleCodec, &[MODE_TRLE, 1, 0, 0, 0, 0x00], 9).is_err()
-        );
-        // Payload missing for a non-blank bit.
-        assert!(
-            Codec::<GrayAlpha8>::decode(&TrleCodec, &[MODE_TRLE, 1, 0, 0, 0, 0x01], 4).is_err()
-        );
-        // Padding bit set past n_pixels.
-        assert!(
-            Codec::<GrayAlpha8>::decode(&TrleCodec, &[MODE_TRLE, 1, 0, 0, 0, 0x08, 1, 1], 3)
-                .is_err()
+        // Every stream must be refused by `decode` and by the fused walk
+        // alike (only the error is pinned, not partial `dst` contents).
+        let cases: [(&[u8], usize); 7] = [
+            (&[7, 0, 0, 0, 0], 0),                     // unknown mode
+            (&[MODE_TRLE, 1, 0], 4),                   // truncated header
+            (&[MODE_TRLE, 9, 0, 0, 0, 0xF0], 4),       // code count beyond buffer
+            (&[MODE_TRLE, 1, 0, 0, 0, 0x00], 9),       // one tile coded, 9 pixels
+            (&[MODE_TRLE, 1, 0, 0, 0, 0x01], 4),       // payload missing for a set bit
+            (&[MODE_TRLE, 1, 0, 0, 0, 0x08, 1, 1], 3), // padding bit set past n_pixels
+            (&[MODE_TRLE, 1, 0, 0, 0, 0x00, 9, 9], 4), // trailing payload bytes
+        ];
+        for (data, n) in cases {
+            assert!(
+                Codec::<GrayAlpha8>::decode(&TrleCodec, data, n).is_err(),
+                "{data:?}"
+            );
+            let mut dst = vec![blank(); n];
+            let fused =
+                Codec::<GrayAlpha8>::decode_over(&TrleCodec, data, &mut dst, OverDir::Front);
+            assert!(fused.is_err(), "{data:?}");
+        }
+        let trailing = Err(CodecError::Corrupt {
+            codec: "trle",
+            what: "trailing payload bytes",
+        });
+        let (data, n) = cases[6];
+        assert_eq!(
+            Codec::<GrayAlpha8>::decode_over(
+                &TrleCodec,
+                data,
+                &mut vec![blank(); n],
+                OverDir::Back
+            ),
+            trailing
         );
         // Empty buffer with zero pixels is fine.
         assert_eq!(
@@ -704,91 +579,40 @@ mod tests {
     #[test]
     fn wide_walk_covers_bulk_blank_and_bulk_full_runs() {
         // Long all-blank prefix (bulk skip), long dense middle (bulk merge),
-        // mixed tail and a partial final tile (per-bit fallback) — all three
-        // wide-walk arms in one stream, checked against the scalar walk.
+        // mixed tail and a partial final tile (per-bit walk) — all three
+        // arms of the fused walk in one stream, against decode-then-`over`.
         let mut pixels = vec![blank(); 64];
         pixels.extend((0..64u32).map(|i| px((i % 254) as u8 + 1)));
         pixels.extend([px(1), blank(), px(3), blank(), px(5), px(6)]);
         let enc = Codec::<GrayAlpha8>::encode(&TrleCodec, &pixels);
         assert_eq!(enc.bytes[0], MODE_TRLE);
+        let decoded = Codec::<GrayAlpha8>::decode(&TrleCodec, &enc.bytes, pixels.len()).unwrap();
         for dir in [OverDir::Front, OverDir::Back] {
             let base: Vec<GrayAlpha8> = (0..pixels.len())
                 .map(|i| GrayAlpha8::new((i % 256) as u8, (i * 7 % 256) as u8))
                 .collect();
-            let mut dst_s = base.clone();
-            let mut dst_w = base;
-            let ss = Codec::<GrayAlpha8>::decode_over_with(
-                &TrleCodec,
-                &enc.bytes,
-                &mut dst_s,
-                dir,
-                KernelPath::Scalar,
-            )
-            .unwrap();
-            let sw = Codec::<GrayAlpha8>::decode_over_with(
-                &TrleCodec,
-                &enc.bytes,
-                &mut dst_w,
-                dir,
-                KernelPath::Wide,
-            )
-            .unwrap();
-            assert_eq!(dst_s, dst_w);
-            assert_eq!(ss, sw);
-            assert_eq!(ss.non_blank, 68);
-            assert_eq!(ss.blank_skipped, 66);
-        }
-    }
-
-    #[test]
-    fn wide_walk_rejects_same_corrupt_streams_as_scalar() {
-        // Every decode_error_paths stream must fail on the wide walk too
-        // (only the error itself is pinned, not partial dst contents).
-        let cases: [(&[u8], usize); 5] = [
-            (&[MODE_TRLE, 1, 0], 4),                   // truncated header
-            (&[MODE_TRLE, 9, 0, 0, 0, 0xF0], 4),       // code count beyond buffer
-            (&[MODE_TRLE, 1, 0, 0, 0, 0x00], 9),       // tile count mismatch
-            (&[MODE_TRLE, 1, 0, 0, 0, 0x01], 4),       // payload missing
-            (&[MODE_TRLE, 1, 0, 0, 0, 0x08, 1, 1], 3), // padding bit set
-        ];
-        for (data, n) in cases {
-            for kernel in KernelPath::ALL {
-                let mut dst = vec![blank(); n];
-                let got = Codec::<GrayAlpha8>::decode_over_with(
-                    &TrleCodec,
-                    data,
-                    &mut dst,
-                    OverDir::Front,
-                    kernel,
-                );
-                assert!(got.is_err(), "{data:?} with {kernel:?}");
-            }
-        }
-        // Trailing payload bytes after a fully-blank stream.
-        for kernel in KernelPath::ALL {
-            let mut dst = vec![blank(); 4];
-            let got = Codec::<GrayAlpha8>::decode_over_with(
-                &TrleCodec,
-                &[MODE_TRLE, 1, 0, 0, 0, 0x00, 9, 9],
-                &mut dst,
-                OverDir::Front,
-                kernel,
-            );
-            assert_eq!(
-                got,
-                Err(CodecError::Corrupt {
-                    codec: "trle",
-                    what: "trailing payload bytes",
+            let want: Vec<GrayAlpha8> = decoded
+                .iter()
+                .zip(&base)
+                .map(|(s, d)| match dir {
+                    OverDir::Front => s.over(d),
+                    OverDir::Back => d.over(s),
                 })
-            );
+                .collect();
+            let mut dst = base;
+            let stats =
+                Codec::<GrayAlpha8>::decode_over(&TrleCodec, &enc.bytes, &mut dst, dir).unwrap();
+            assert_eq!(dst, want);
+            assert_eq!(stats.non_blank, 68);
+            assert_eq!(stats.blank_skipped, 66);
         }
     }
 
     #[test]
     fn pixel_without_zero_blank_bytes_uses_scalar_classification() {
         // Provenance's blank test is lo == hi, not all-zero bytes, so the
-        // byte-level wide classifier must not engage; encode_with(Wide) has
-        // to fall back to the scalar encoder and stay byte-identical.
+        // byte-level classifier must not engage: `encode` has to be the
+        // per-pixel encoder, and roundtrip.
         use rt_imaging::pixel::Provenance;
         const { assert!(!Provenance::BLANK_IS_ZERO_BYTES) };
         let pixels: Vec<Provenance> = (0..40u16)
@@ -800,10 +624,9 @@ mod tests {
                 }
             })
             .collect();
-        let scalar = Codec::<Provenance>::encode_with(&TrleCodec, &pixels, KernelPath::Scalar);
-        let wide = Codec::<Provenance>::encode_with(&TrleCodec, &pixels, KernelPath::Wide);
-        assert_eq!(scalar, wide);
-        let dec = Codec::<Provenance>::decode(&TrleCodec, &wide.bytes, pixels.len()).unwrap();
+        let enc = Codec::<Provenance>::encode(&TrleCodec, &pixels);
+        assert_eq!(enc, trle_encode_scalar(&pixels));
+        let dec = Codec::<Provenance>::decode(&TrleCodec, &enc.bytes, pixels.len()).unwrap();
         assert_eq!(dec, pixels);
     }
 
@@ -831,35 +654,7 @@ mod tests {
 
         #[test]
         fn wide_encode_is_byte_identical(pixels in arb_pixels()) {
-            let scalar = Codec::<GrayAlpha8>::encode_with(&TrleCodec, &pixels, KernelPath::Scalar);
-            let wide = Codec::<GrayAlpha8>::encode_with(&TrleCodec, &pixels, KernelPath::Wide);
-            prop_assert_eq!(scalar, wide);
-        }
-
-        #[test]
-        fn decode_over_kernels_agree(
-            pixels in arb_pixels(),
-            seed in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..600),
-            front in any::<bool>(),
-        ) {
-            let enc = Codec::<GrayAlpha8>::encode(&TrleCodec, &pixels);
-            let dir = if front { OverDir::Front } else { OverDir::Back };
-            let base: Vec<GrayAlpha8> = (0..pixels.len())
-                .map(|i| {
-                    let (v, a) = seed.get(i).copied().unwrap_or((0, 0));
-                    GrayAlpha8::new(v, a)
-                })
-                .collect();
-            let mut dst_s = base.clone();
-            let mut dst_w = base;
-            let ss = Codec::<GrayAlpha8>::decode_over_with(
-                &TrleCodec, &enc.bytes, &mut dst_s, dir, KernelPath::Scalar).unwrap();
-            let sw = Codec::<GrayAlpha8>::decode_over_with(
-                &TrleCodec, &enc.bytes, &mut dst_w, dir, KernelPath::Wide).unwrap();
-            prop_assert_eq!(dst_s, dst_w);
-            prop_assert_eq!(ss.non_blank, sw.non_blank);
-            prop_assert_eq!(ss.blank_skipped, sw.blank_skipped);
-            prop_assert_eq!(ss.opaque_fast, sw.opaque_fast);
+            prop_assert_eq!(trle_encode_scalar(&pixels), trle_encode_wide(&pixels));
         }
 
         #[test]

@@ -1,11 +1,14 @@
-//! Property tests pinning the fused byte-level `decode_over` kernels to the
-//! reference decode-then-`Pixel::over` path, for every codec and merge
-//! direction. The executor's hot path relies on this equivalence being
-//! **bit-exact** (virtual-clock charges and composited frames must not
-//! change when the fused path replaces the allocating one).
+//! Property tests pinning every codec's `decode_over` to the reference
+//! decode-then-`Pixel::over` path, for both merge directions: the three
+//! fused byte-level walks (raw, RLE, TRLE) and the bounds codec, which runs
+//! the trait default. The executor's hot path relies on this equivalence
+//! being **bit-exact** (virtual-clock charges and composited frames must
+//! not depend on which walk ran).
+
+mod common;
 
 use proptest::prelude::*;
-use rt_compress::{Codec, CodecKind, KernelPath, OverDir};
+use rt_compress::{Codec, CodecKind, OverDir};
 use rt_imaging::pixel::{GrayAlpha8, Pixel, Provenance};
 
 /// Reference semantics: decode the stream, then merge pixel by pixel,
@@ -35,43 +38,22 @@ fn reference_over<P: Pixel>(
 }
 
 fn check_equivalence<P: Pixel>(src: &[P], dst: &[P]) {
-    for kind in [CodecKind::Raw, CodecKind::Rle, CodecKind::Trle] {
+    for kind in CodecKind::ALL {
         let codec = kind.build::<P>();
-        for encode_kernel in KernelPath::ALL {
-            let enc = codec.encode_with(src, encode_kernel);
-            // Wide scan paths must produce byte-identical wire output.
+        let enc = codec.encode(src);
+        for dir in [OverDir::Front, OverDir::Back] {
+            let (want, want_count, want_blank) =
+                reference_over(codec.as_ref(), &enc.bytes, dst, dir);
+            let mut got = dst.to_vec();
+            let stats = codec
+                .decode_over(&enc.bytes, &mut got, dir)
+                .unwrap_or_else(|e| panic!("{kind:?}/{dir:?}: {e}"));
+            assert_eq!(got, want, "{kind:?}/{dir:?}: composited pixels differ");
+            assert_eq!(stats.non_blank, want_count, "{kind:?}/{dir:?}: non-blank");
             assert_eq!(
-                enc,
-                codec.encode(src),
-                "{kind:?}/{encode_kernel:?}: wire bytes differ from default encode"
+                stats.blank_skipped, want_blank,
+                "{kind:?}/{dir:?}: blank-skipped"
             );
-            for dir in [OverDir::Front, OverDir::Back] {
-                let (want, want_count, want_blank) =
-                    reference_over(codec.as_ref(), &enc.bytes, dst, dir);
-                for kernel in KernelPath::ALL {
-                    let mut got = dst.to_vec();
-                    let stats = codec
-                        .decode_over_with(&enc.bytes, &mut got, dir, kernel)
-                        .unwrap_or_else(|e| panic!("{kind:?}/{dir:?}/{kernel:?}: {e}"));
-                    assert_eq!(
-                        got, want,
-                        "{kind:?}/{dir:?}/{kernel:?}: composited pixels differ"
-                    );
-                    assert_eq!(
-                        stats.non_blank, want_count,
-                        "{kind:?}/{dir:?}/{kernel:?}: non-blank count"
-                    );
-                    assert_eq!(
-                        stats.blank_skipped, want_blank,
-                        "{kind:?}/{dir:?}/{kernel:?}: blank-skipped count"
-                    );
-                    assert_eq!(
-                        stats.source_pixels(),
-                        dst.len(),
-                        "{kind:?}/{dir:?}/{kernel:?}: stats must cover every stream pixel"
-                    );
-                }
-            }
         }
     }
 }
@@ -111,6 +93,25 @@ proptest! {
     }
 
     #[test]
+    fn fused_kernels_match_reference_on_run_structured_content(
+        // Blank runs long enough for word-wide skips and TRLE codes split at
+        // 16 tiles; a length that leaves a partial trailing tile three
+        // times in four.
+        runs in proptest::collection::vec((0u8..4, 1u8..=255, 1usize..300, any::<u64>()), 0..6),
+        dst_seed in any::<u64>(),
+    ) {
+        let src = common::runs_to_pixels(runs);
+        let dst: Vec<GrayAlpha8> = (0..src.len() as u64)
+            .map(|i| {
+                let x = (i ^ dst_seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                // One destination in four is opaque, for the back-merge shortcut.
+                GrayAlpha8::new((x >> 40) as u8, if x >> 62 == 0 { 255 } else { (x >> 48) as u8 })
+            })
+            .collect();
+        check_equivalence(&src, &dst);
+    }
+
+    #[test]
     fn blank_stream_is_identity(
         dst_seed in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..300),
     ) {
@@ -119,7 +120,7 @@ proptest! {
             .map(|(v, a)| GrayAlpha8::new(v, a))
             .collect();
         let src = vec![GrayAlpha8::blank(); dst.len()];
-        for kind in [CodecKind::Raw, CodecKind::Rle, CodecKind::Trle] {
+        for kind in CodecKind::ALL {
             let codec = kind.build::<GrayAlpha8>();
             let enc = codec.encode(&src);
             for dir in [OverDir::Front, OverDir::Back] {
@@ -163,7 +164,7 @@ proptest! {
         let dst: Vec<GrayAlpha8> = (0..n)
             .map(|i| GrayAlpha8::new((i * 13 % 251) as u8, (i * 7 % 256) as u8))
             .collect();
-        for kind in [CodecKind::Raw, CodecKind::Rle, CodecKind::Trle] {
+        for kind in CodecKind::ALL {
             let codec = kind.build::<GrayAlpha8>();
 
             // (a) spatial split: halves vs whole.

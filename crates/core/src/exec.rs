@@ -419,12 +419,7 @@ impl<'a, P: Pixel> Stage<'a, P> {
             ctx.compute(ComputeKind::Encode, encoded.raw_bytes as u64);
         }
         let wire = encoded.bytes.len() as u64;
-        ctx.obs_counters(|c| {
-            c.add_wire_bytes(self.config.codec.name(), wire);
-            if P::HAS_WIDE_KERNEL {
-                c.wide_kernel_bytes += wire;
-            }
-        });
+        ctx.obs_counters(|c| c.add_wire_bytes(self.config.codec.name(), wire));
         encoded.bytes
     }
 
@@ -492,7 +487,7 @@ impl<'a, P: Pixel> Stage<'a, P> {
         let started = ctx.obs_start();
         let stats = self.codec.decode_over(bytes, dst, dir)?;
         ctx.obs_span(Phase::Over, started);
-        self.count_stream(ctx, &stats, bytes.len(), stats.non_blank);
+        self.count_stream(ctx, &stats, stats.non_blank);
         let over_units = if self.raw { dst.len() } else { stats.non_blank };
         ctx.compute(ComputeKind::Over, over_units as u64);
         Ok(())
@@ -504,27 +499,18 @@ impl<'a, P: Pixel> Stage<'a, P> {
     pub fn unpack(&self, ctx: &mut RankCtx, bytes: &[u8], dst: &mut [P]) -> Result<(), CoreError> {
         self.charge_decode(ctx, bytes);
         let stats = self.codec.decode_over(bytes, dst, OverDir::Front)?;
-        self.count_stream(ctx, &stats, bytes.len(), 0);
+        self.count_stream(ctx, &stats, 0);
         Ok(())
     }
 
     /// Tally one decoded stream on the observability kernel counters;
     /// `merged` of its non-blank pixels were composited (none when the
-    /// stream was only copied). The codecs run their word-wise kernels for
-    /// pixel types that have them; other types fall back to the scalar
-    /// reference loops (counted, so profiles show the miss).
-    fn count_stream(&self, ctx: &mut RankCtx, stats: &OverStats, wire: usize, merged: usize) {
+    /// stream was only copied).
+    fn count_stream(&self, ctx: &mut RankCtx, stats: &OverStats, merged: usize) {
         ctx.obs_counters(|c| {
             c.non_blank_merged += merged as u64;
             c.blank_skipped += stats.blank_skipped as u64;
             c.opaque_fast += stats.opaque_fast as u64;
-            if P::HAS_WIDE_KERNEL {
-                c.wide_kernel_pixels += stats.source_pixels() as u64;
-                c.wide_kernel_bytes += wire as u64;
-            } else {
-                c.scalar_kernel_pixels += stats.source_pixels() as u64;
-                c.kernel_fallbacks += 1;
-            }
         });
     }
 }
@@ -1209,52 +1195,6 @@ mod tests {
         assert_eq!(info.root_reassigned_to, Some(1));
         assert!(out1.frame.is_some(), "new root must hold the frame");
         assert!(results[2].as_ref().unwrap().frame.is_none());
-    }
-
-    #[test]
-    fn kernel_counters_record_which_path_ran() {
-        use rt_imaging::pixel::GrayAlpha8;
-        use rt_obs::Observer;
-        let plan = ComposePlan::Schedule(crate::RotateTiling::two_n(2).build(4, 256).unwrap());
-        let gray: Vec<Image<GrayAlpha8>> = (0..4)
-            .map(|r| {
-                Image::from_fn(16, 16, |x, y| {
-                    if (x + y + r) % 2 == 0 {
-                        GrayAlpha8::new((30 * r + x) as u8, 200)
-                    } else {
-                        GrayAlpha8::blank()
-                    }
-                })
-            })
-            .collect();
-        let config = ComposeConfig::default().with_codec(CodecKind::Trle);
-        // A wide-capable pixel: wide counters move, no fallbacks.
-        let pool = ScratchPool::new();
-        let observer = Arc::new(Observer::new());
-        let (results, _) = Run::new(&plan, &config)
-            .pool(&pool)
-            .observer(Arc::clone(&observer))
-            .execute(gray);
-        for r in &results {
-            r.as_ref().unwrap();
-        }
-        let wide = observer.counters_total();
-        assert!(wide.wide_kernel_pixels > 0, "wide pixels: {wide:?}");
-        assert!(wide.wide_kernel_bytes > 0);
-        assert_eq!(wide.scalar_kernel_pixels, 0);
-        assert_eq!(wide.kernel_fallbacks, 0);
-        // A pixel type with no wide kernel: the scalar loops run, and every
-        // stream is counted as a fallback.
-        let pool = ScratchPool::new();
-        let observer = Arc::new(Observer::new());
-        let (_, _) = Run::new(&plan, &config)
-            .pool(&pool)
-            .observer(Arc::clone(&observer))
-            .execute(provenance_partials(4, 16, 16));
-        let prov = observer.counters_total();
-        assert!(prov.kernel_fallbacks > 0, "fallbacks: {prov:?}");
-        assert_eq!(prov.wide_kernel_pixels, 0);
-        assert!(prov.scalar_kernel_pixels > 0);
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Minimal PGM / PPM output (and PGM input for tests).
+//! Minimal PGM output (and PGM input for tests).
 //!
-//! The example binaries write rendered frames as binary PGM (grayscale) or
-//! PPM (color) files, which every common image viewer understands and which
-//! need no external dependencies.
+//! The example binaries write rendered frames as binary PGM (grayscale)
+//! files, which every common image viewer understands and which need no
+//! external dependencies.
 
 use crate::image::Image;
-use crate::pixel::{GrayAlpha, Rgba};
+use crate::pixel::GrayAlpha;
 use crate::ImagingError;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -21,22 +21,6 @@ pub fn write_pgm<W: Write>(img: &Image<GrayAlpha>, mut w: W) -> io::Result<()> {
 pub fn save_pgm(img: &Image<GrayAlpha>, path: impl AsRef<Path>) -> io::Result<()> {
     let f = std::fs::File::create(path)?;
     write_pgm(img, io::BufWriter::new(f))
-}
-
-/// Write a color image as binary PPM (`P6`).
-pub fn write_ppm<W: Write>(img: &Image<Rgba>, mut w: W) -> io::Result<()> {
-    write!(w, "P6\n{} {}\n255\n", img.width(), img.height())?;
-    let mut bytes = Vec::with_capacity(img.len() * 3);
-    for p in img.pixels() {
-        bytes.extend_from_slice(&p.to_rgb8());
-    }
-    w.write_all(&bytes)
-}
-
-/// Write a color image to a PPM file at `path`.
-pub fn save_ppm(img: &Image<Rgba>, path: impl AsRef<Path>) -> io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    write_ppm(img, io::BufWriter::new(f))
 }
 
 /// Read a binary PGM (`P5`, maxval 255) into an opaque grayscale image.
@@ -133,15 +117,6 @@ mod tests {
         let img = read_pgm(&data[..]).unwrap();
         assert_eq!(img.len(), 4);
         assert_eq!(img.get(0, 0).to_u8(), b'a');
-    }
-
-    #[test]
-    fn ppm_header_and_size() {
-        let img = Image::from_fn(3, 2, |x, _| Rgba::new(x as f32 / 3.0, 0.0, 0.0, 1.0));
-        let mut buf = Vec::new();
-        write_ppm(&img, &mut buf).unwrap();
-        assert!(buf.starts_with(b"P6\n3 2\n255\n"));
-        assert_eq!(buf.len(), b"P6\n3 2\n255\n".len() + 18);
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //!   and the halving used by the rotate-tiling block tree;
 //! * [`rect`] — bounding rectangles of non-blank pixels (Ma et al.'s
 //!   compression baseline) with intersection/union algebra;
-//! * [`io`] — PGM / PPM writers for the example binaries;
-//! * [`kernels`] — word-wise (SWAR) compositing kernels and the
-//!   [`kernels::KernelPath`] selector between the scalar reference loops
-//!   and the wide fast paths (bit-identical, proptest-pinned);
+//! * [`io`] — the PGM writer for the example binaries;
+//! * [`kernels`] — word-wise (SWAR) scan primitives and the fused
+//!   [`pixel::GrayAlpha8`] `over` kernels, pinned bit for bit to
+//!   decode-then-`over` by property tests;
 //! * [`synth`] — the synthetic partial images tests, benches and examples
 //!   share.
 //!
@@ -23,6 +23,10 @@
 //! in isolation.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod image;
 pub mod io;
@@ -34,7 +38,7 @@ pub mod synth;
 
 pub use image::Image;
 pub use kernels::KernelPath;
-pub use pixel::{GrayAlpha, GrayAlpha8, OverStats, Pixel, Provenance, Rgba, Rgba8};
+pub use pixel::{GrayAlpha, GrayAlpha8, OverStats, Pixel, Provenance, Rgba};
 pub use rect::Rect;
 pub use span::Span;
 

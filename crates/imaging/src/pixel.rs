@@ -14,7 +14,7 @@
 //!
 //! * [`GrayAlpha`] — `f32` luminance + alpha, the workhorse of the paper's
 //!   grayscale 512×512 frames;
-//! * [`Rgba`] — `f32` RGBA for the color examples;
+//! * [`Rgba`] — `f32` RGBA, the color pixel of the `color_matrix` tests;
 //! * [`GrayAlpha8`] — 8-bit fixed-point gray+alpha, matching the wire format
 //!   a 2001-era renderer would actually ship (and what TRLE compresses best);
 //! * [`Provenance`] — an *exact* algebraic pixel used by tests: it records
@@ -22,7 +22,7 @@
 //!   itself on any out-of-order merge. Composition algorithms are proven
 //!   correct by running them over `Provenance` images.
 
-use crate::kernels::{self, KernelPath};
+use crate::kernels::{self, mul255};
 use crate::ImagingError;
 
 /// Statistics returned by the byte-level composition kernels
@@ -113,12 +113,6 @@ pub trait Pixel: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// zero), true for the fixed-point wire types.
     const BLANK_IS_ZERO_BYTES: bool = false;
 
-    /// True iff this type ships dedicated wide (word-wise) kernels, i.e.
-    /// [`KernelPath::Wide`] selects a different implementation than
-    /// [`KernelPath::Scalar`]. Types without wide kernels run the same
-    /// reference loop on either path.
-    const HAS_WIDE_KERNEL: bool = false;
-
     /// The fully transparent pixel (identity of `over`).
     fn blank() -> Self;
 
@@ -154,80 +148,57 @@ pub trait Pixel: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// (`dst[i] = src[i] over dst[i]`), returning [`OverStats`] over the
     /// source pixels. `src` must hold exactly `dst.len() * BYTES` bytes.
     ///
-    /// Convenience wrapper over [`Pixel::over_front_bytes_with`] using the
-    /// default [`KernelPath`].
+    /// The default decodes pixel by pixel via [`Pixel::read_bytes`];
+    /// [`GrayAlpha8`] overrides it with a fused byte-level kernel that
+    /// never materializes an intermediate pixel. An override must leave
+    /// `dst` bit-identical to this default (decode-then-`over`) and report
+    /// the same `non_blank` / `blank_skipped` counts; only
+    /// [`OverStats::opaque_fast`] may differ.
     fn over_front_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
-        Self::over_front_bytes_with(dst, src, KernelPath::default())
+        over_decoded_bytes("Pixel::over_front_bytes", dst, src, |s, d| s.over(d))
     }
 
     /// Composite a wire-format pixel stream **behind** `dst`, in place
     /// (`dst[i] = dst[i] over src[i]`), returning [`OverStats`] over the
     /// source pixels. Same contract as [`Pixel::over_front_bytes`].
     fn over_back_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
-        Self::over_back_bytes_with(dst, src, KernelPath::default())
+        over_decoded_bytes("Pixel::over_back_bytes", dst, src, |s, d| d.over(s))
     }
+}
 
-    /// [`Pixel::over_front_bytes`] with an explicit kernel selection.
-    ///
-    /// The default decodes pixel by pixel via [`Pixel::read_bytes`]
-    /// regardless of `kernel`; the fixed-point wire types override it with
-    /// fused byte-level kernels (a byte-at-a-time scalar reference and a
-    /// word-wise wide path) that never materialize an intermediate pixel.
-    /// Overrides must leave `dst` bit-identical to the default
-    /// (decode-then-`over`) path *on every kernel path* and report the
-    /// same `non_blank` / `blank_skipped` counts; only
-    /// [`OverStats::opaque_fast`] may differ.
-    fn over_front_bytes_with(
-        dst: &mut [Self],
-        src: &[u8],
-        _kernel: KernelPath,
-    ) -> Result<OverStats, ImagingError> {
-        if src.len() != dst.len() * Self::BYTES {
-            return Err(ImagingError::ShapeMismatch {
-                what: "Pixel::over_front_bytes",
-                lhs: dst.len() * Self::BYTES,
-                rhs: src.len(),
-            });
-        }
-        let mut stats = OverStats::default();
-        for (d, chunk) in dst.iter_mut().zip(src.chunks_exact(Self::BYTES)) {
-            let f = Self::read_bytes(chunk)?;
-            if !f.is_blank() {
-                stats.non_blank += 1;
-            } else {
-                stats.blank_skipped += 1;
-            }
-            *d = f.over(d);
-        }
-        Ok(stats)
+/// The one length check of the byte kernels: `src` must hold exactly
+/// `dst.len()` wire pixels.
+fn check_wire_len<P: Pixel>(what: &'static str, dst: &[P], src: &[u8]) -> Result<(), ImagingError> {
+    if src.len() != dst.len() * P::BYTES {
+        return Err(ImagingError::ShapeMismatch {
+            what,
+            lhs: dst.len() * P::BYTES,
+            rhs: src.len(),
+        });
     }
+    Ok(())
+}
 
-    /// [`Pixel::over_back_bytes`] with an explicit kernel selection. Same
-    /// contract as [`Pixel::over_front_bytes_with`].
-    fn over_back_bytes_with(
-        dst: &mut [Self],
-        src: &[u8],
-        _kernel: KernelPath,
-    ) -> Result<OverStats, ImagingError> {
-        if src.len() != dst.len() * Self::BYTES {
-            return Err(ImagingError::ShapeMismatch {
-                what: "Pixel::over_back_bytes",
-                lhs: dst.len() * Self::BYTES,
-                rhs: src.len(),
-            });
+/// Decode-then-`over`, the reference semantics of the byte kernels:
+/// `merge(stream pixel, destination pixel)` replaces the destination.
+fn over_decoded_bytes<P: Pixel>(
+    what: &'static str,
+    dst: &mut [P],
+    src: &[u8],
+    merge: impl Fn(&P, &P) -> P,
+) -> Result<OverStats, ImagingError> {
+    check_wire_len(what, dst, src)?;
+    let mut stats = OverStats::default();
+    for (d, chunk) in dst.iter_mut().zip(src.chunks_exact(P::BYTES)) {
+        let s = P::read_bytes(chunk)?;
+        if !s.is_blank() {
+            stats.non_blank += 1;
+        } else {
+            stats.blank_skipped += 1;
         }
-        let mut stats = OverStats::default();
-        for (d, chunk) in dst.iter_mut().zip(src.chunks_exact(Self::BYTES)) {
-            let b = Self::read_bytes(chunk)?;
-            if !b.is_blank() {
-                stats.non_blank += 1;
-            } else {
-                stats.blank_skipped += 1;
-            }
-            *d = d.over(&b);
-        }
-        Ok(stats)
+        *d = merge(&s, d);
     }
+    Ok(stats)
 }
 
 fn f32_from(bytes: &[u8], at: usize) -> f32 {
@@ -338,16 +309,6 @@ impl Rgba {
     pub fn new(r: f32, g: f32, b: f32, a: f32) -> Self {
         Self { r, g, b, a }
     }
-
-    /// Quantize to 8-bit RGB against a black background.
-    #[inline]
-    pub fn to_rgb8(&self) -> [u8; 3] {
-        [
-            (self.r.clamp(0.0, 1.0) * 255.0).round() as u8,
-            (self.g.clamp(0.0, 1.0) * 255.0).round() as u8,
-            (self.b.clamp(0.0, 1.0) * 255.0).round() as u8,
-        ]
-    }
 }
 
 impl Pixel for Rgba {
@@ -422,11 +383,6 @@ pub struct GrayAlpha8 {
     pub a: u8,
 }
 
-#[inline]
-fn mul255(x: u16, y: u16) -> u16 {
-    (x * y + 127) / 255
-}
-
 impl GrayAlpha8 {
     /// Construct from premultiplied 8-bit luminance and alpha.
     #[inline]
@@ -456,7 +412,6 @@ impl GrayAlpha8 {
 impl Pixel for GrayAlpha8 {
     const BYTES: usize = 2;
     const BLANK_IS_ZERO_BYTES: bool = true;
-    const HAS_WIDE_KERNEL: bool = true;
 
     #[inline]
     fn blank() -> Self {
@@ -510,45 +465,18 @@ impl Pixel for GrayAlpha8 {
     }
 
     // Fused byte-level kernels: the wire format IS the pixel layout
-    // (`[v, a]`), so the stream is composited without decoding. Both
-    // kernel paths use the same `mul255` arithmetic as `over` with the
-    // same blank/opaque shortcuts (exact identities: `mul255(255, x) = x`,
-    // `mul255(0, x) = 0`); the wide path additionally scans blank runs a
-    // word at a time and replaces opaque groups in bulk.
-    fn over_front_bytes_with(
-        dst: &mut [Self],
-        src: &[u8],
-        kernel: KernelPath,
-    ) -> Result<OverStats, ImagingError> {
-        if src.len() != dst.len() * Self::BYTES {
-            return Err(ImagingError::ShapeMismatch {
-                what: "Pixel::over_front_bytes",
-                lhs: dst.len() * Self::BYTES,
-                rhs: src.len(),
-            });
-        }
-        Ok(match kernel {
-            KernelPath::Scalar => kernels::ga8_over_front_scalar(dst, src),
-            KernelPath::Wide => kernels::ga8_over_front_wide(dst, src),
-        })
+    // (`[v, a]`), so the stream is composited without decoding, with the
+    // same `mul255` arithmetic as `over` plus blank/opaque shortcuts that
+    // are exact identities of it (`mul255(255, x) = x`, `mul255(0, x) = 0`);
+    // blank runs are scanned a word at a time.
+    fn over_front_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
+        check_wire_len("Pixel::over_front_bytes", dst, src)?;
+        Ok(kernels::ga8_over_front(dst, src))
     }
 
-    fn over_back_bytes_with(
-        dst: &mut [Self],
-        src: &[u8],
-        kernel: KernelPath,
-    ) -> Result<OverStats, ImagingError> {
-        if src.len() != dst.len() * Self::BYTES {
-            return Err(ImagingError::ShapeMismatch {
-                what: "Pixel::over_back_bytes",
-                lhs: dst.len() * Self::BYTES,
-                rhs: src.len(),
-            });
-        }
-        Ok(match kernel {
-            KernelPath::Scalar => kernels::ga8_over_back_scalar(dst, src),
-            KernelPath::Wide => kernels::ga8_over_back_wide(dst, src),
-        })
+    fn over_back_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
+        check_wire_len("Pixel::over_back_bytes", dst, src)?;
+        Ok(kernels::ga8_over_back(dst, src))
     }
 }
 
@@ -844,7 +772,20 @@ mod tests {
 
         #[test]
         fn gray8_byte_kernels_match_decode_then_over(
-            pairs in proptest::collection::vec(((0u8..=255, 0u8..=255), (0u8..=255, 0u8..=255)), 0..128)
+            pairs in proptest::collection::vec(
+                (
+                    // Mostly-blank sources with opaque spikes, so word-wide
+                    // blank runs, all-blank groups inside a span, opaque
+                    // pixels and mixed groups all occur.
+                    prop_oneof![
+                        4 => Just((0u8, 0u8)),
+                        2 => (0u8..=255, Just(255u8)),
+                        3 => (0u8..=255, 0u8..=255),
+                    ],
+                    (0u8..=255, 0u8..=255),
+                ),
+                0..256,
+            )
         ) {
             let src: Vec<GrayAlpha8> = pairs.iter().map(|&((v, a), _)| GrayAlpha8::new(v, a)).collect();
             let dst: Vec<GrayAlpha8> = pairs.iter().map(|&(_, (v, a))| GrayAlpha8::new(v, a)).collect();
@@ -867,110 +808,10 @@ mod tests {
             prop_assert_eq!(&fused, &want);
             prop_assert_eq!(back.non_blank, front.non_blank);
             prop_assert_eq!(back.blank_skipped, front.blank_skipped);
-        }
-
-        #[test]
-        fn gray8_wide_kernels_match_scalar(
-            pairs in proptest::collection::vec(
-                (
-                    // Mostly-blank sources with opaque spikes, so runs,
-                    // bulk-opaque groups, and mixed groups all occur.
-                    prop_oneof![
-                        4 => Just((0u8, 0u8)),
-                        2 => (0u8..=255, Just(255u8)),
-                        3 => (0u8..=255, 0u8..=255),
-                    ],
-                    (0u8..=255, 0u8..=255),
-                ),
-                0..256,
-            )
-        ) {
-            let src: Vec<GrayAlpha8> = pairs.iter().map(|&((v, a), _)| GrayAlpha8::new(v, a)).collect();
-            let dst: Vec<GrayAlpha8> = pairs.iter().map(|&(_, (v, a))| GrayAlpha8::new(v, a)).collect();
-            let bytes = pixels_to_bytes(&src);
-
-            let mut scalar = dst.clone();
-            let mut wide = dst.clone();
-            let s = GrayAlpha8::over_front_bytes_with(&mut scalar, &bytes, KernelPath::Scalar).unwrap();
-            let w = GrayAlpha8::over_front_bytes_with(&mut wide, &bytes, KernelPath::Wide).unwrap();
-            prop_assert_eq!(&scalar, &wide);
-            // GrayAlpha8 paths share the exact same shortcuts, so even
-            // `opaque_fast` agrees.
-            prop_assert_eq!(s, w);
-
-            let mut scalar = dst.clone();
-            let mut wide = dst.clone();
-            let s = GrayAlpha8::over_back_bytes_with(&mut scalar, &bytes, KernelPath::Scalar).unwrap();
-            let w = GrayAlpha8::over_back_bytes_with(&mut wide, &bytes, KernelPath::Wide).unwrap();
-            prop_assert_eq!(&scalar, &wide);
-            prop_assert_eq!(s, w);
-        }
-
-        #[test]
-        fn rgba8_wide_kernels_match_scalar(
-            quads in proptest::collection::vec(
-                (
-                    prop_oneof![
-                        4 => Just((0u8, 0u8, 0u8, 0u8)),
-                        2 => (0u8..=255, 0u8..=255, 0u8..=255, Just(255u8)),
-                        3 => (0u8..=255, 0u8..=255, 0u8..=255, 0u8..=255),
-                    ],
-                    (0u8..=255, 0u8..=255, 0u8..=255, 0u8..=255),
-                ),
-                0..256,
-            )
-        ) {
-            let src: Vec<Rgba8> = quads.iter().map(|&((r, g, b, a), _)| Rgba8::new(r, g, b, a)).collect();
-            let dst: Vec<Rgba8> = quads.iter().map(|&(_, (r, g, b, a))| Rgba8::new(r, g, b, a)).collect();
-            let bytes = pixels_to_bytes(&src);
-
-            let mut scalar = dst.clone();
-            let mut wide = dst.clone();
-            let s = Rgba8::over_front_bytes_with(&mut scalar, &bytes, KernelPath::Scalar).unwrap();
-            let w = Rgba8::over_front_bytes_with(&mut wide, &bytes, KernelPath::Wide).unwrap();
-            prop_assert_eq!(&scalar, &wide);
-            // Rgba8's scalar path is dense (no shortcuts), so only the
-            // contract-guaranteed fields must agree.
-            prop_assert_eq!(s.non_blank, w.non_blank);
-            prop_assert_eq!(s.blank_skipped, w.blank_skipped);
-            prop_assert_eq!(s.opaque_fast, 0);
-
-            let mut scalar = dst.clone();
-            let mut wide = dst.clone();
-            let s = Rgba8::over_back_bytes_with(&mut scalar, &bytes, KernelPath::Scalar).unwrap();
-            let w = Rgba8::over_back_bytes_with(&mut wide, &bytes, KernelPath::Wide).unwrap();
-            prop_assert_eq!(&scalar, &wide);
-            prop_assert_eq!(s.non_blank, w.non_blank);
-            prop_assert_eq!(s.blank_skipped, w.blank_skipped);
-        }
-
-        #[test]
-        fn rgba8_wide_matches_decode_then_over(
-            quads in proptest::collection::vec(
-                (
-                    prop_oneof![
-                        3 => Just((0u8, 0u8, 0u8, 0u8)),
-                        1 => (0u8..=255, 0u8..=255, 0u8..=255, Just(255u8)),
-                        2 => (0u8..=255, 0u8..=255, 0u8..=255, 0u8..=255),
-                    ],
-                    (0u8..=255, 0u8..=255, 0u8..=255, 0u8..=255),
-                ),
-                0..128,
-            )
-        ) {
-            let src: Vec<Rgba8> = quads.iter().map(|&((r, g, b, a), _)| Rgba8::new(r, g, b, a)).collect();
-            let dst: Vec<Rgba8> = quads.iter().map(|&(_, (r, g, b, a))| Rgba8::new(r, g, b, a)).collect();
-            let bytes = pixels_to_bytes(&src);
-
-            let mut wide = dst.clone();
-            Rgba8::over_front_bytes_with(&mut wide, &bytes, KernelPath::Wide).unwrap();
-            let want: Vec<Rgba8> = src.iter().zip(&dst).map(|(f, b)| f.over(b)).collect();
-            prop_assert_eq!(&wide, &want);
-
-            let mut wide = dst.clone();
-            Rgba8::over_back_bytes_with(&mut wide, &bytes, KernelPath::Wide).unwrap();
-            let want: Vec<Rgba8> = src.iter().zip(&dst).map(|(b, f)| f.over(b)).collect();
-            prop_assert_eq!(&wide, &want);
+            prop_assert_eq!(
+                back.opaque_fast,
+                src.iter().zip(&dst).filter(|(s, d)| !s.is_blank() && d.a == 255).count()
+            );
         }
     }
 
@@ -1007,200 +848,5 @@ mod tests {
         GrayAlpha8::over_front_bytes(&mut dst, &bytes).unwrap();
         assert_eq!(dst[0], src[0].over(&GrayAlpha8::new(250, 200)));
         assert_eq!(dst[0].v, 255);
-    }
-}
-
-/// 8-bit fixed-point premultiplied RGBA pixel (4 bytes on the wire) — the
-/// color analog of [`GrayAlpha8`], for shipping shaded color frames through
-/// the composition stage at wire-realistic sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Rgba8 {
-    /// Premultiplied red.
-    pub r: u8,
-    /// Premultiplied green.
-    pub g: u8,
-    /// Premultiplied blue.
-    pub b: u8,
-    /// Alpha.
-    pub a: u8,
-}
-
-impl Rgba8 {
-    /// Construct from premultiplied 8-bit channels.
-    #[inline]
-    pub fn new(r: u8, g: u8, b: u8, a: u8) -> Self {
-        Self { r, g, b, a }
-    }
-
-    /// Lossy conversion from the `f32` color pixel.
-    #[inline]
-    pub fn from_f32(p: Rgba) -> Self {
-        let q = |v: f32| (v.clamp(0.0, 1.0) * 255.0).round() as u8;
-        Self {
-            r: q(p.r),
-            g: q(p.g),
-            b: q(p.b),
-            a: q(p.a),
-        }
-    }
-
-    /// Widening conversion to the `f32` color pixel.
-    #[inline]
-    pub fn to_f32(self) -> Rgba {
-        Rgba {
-            r: self.r as f32 / 255.0,
-            g: self.g as f32 / 255.0,
-            b: self.b as f32 / 255.0,
-            a: self.a as f32 / 255.0,
-        }
-    }
-}
-
-impl Pixel for Rgba8 {
-    const BYTES: usize = 4;
-    const BLANK_IS_ZERO_BYTES: bool = true;
-    const HAS_WIDE_KERNEL: bool = true;
-
-    #[inline]
-    fn blank() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    fn is_blank(&self) -> bool {
-        self.r == 0 && self.g == 0 && self.b == 0 && self.a == 0
-    }
-
-    #[inline]
-    fn over(&self, back: &Self) -> Self {
-        let t = 255 - self.a as u16;
-        let ch = |f: u8, b: u8| (f as u16 + mul255(t, b as u16)).min(255) as u8;
-        Self {
-            r: ch(self.r, back.r),
-            g: ch(self.g, back.g),
-            b: ch(self.b, back.b),
-            a: ch(self.a, back.a),
-        }
-    }
-
-    fn write_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&[self.r, self.g, self.b, self.a]);
-    }
-
-    fn read_bytes(bytes: &[u8]) -> Result<Self, ImagingError> {
-        if bytes.len() < Self::BYTES {
-            return Err(ImagingError::BadEncoding {
-                what: "Rgba8 needs 4 bytes",
-            });
-        }
-        Ok(Self {
-            r: bytes[0],
-            g: bytes[1],
-            b: bytes[2],
-            a: bytes[3],
-        })
-    }
-
-    fn extend_wire_bytes(pixels: &[Self], out: &mut Vec<u8>) {
-        let start = out.len();
-        out.resize(start + pixels.len() * 4, 0);
-        for (quad, p) in out[start..].chunks_exact_mut(4).zip(pixels) {
-            quad[0] = p.r;
-            quad[1] = p.g;
-            quad[2] = p.b;
-            quad[3] = p.a;
-        }
-    }
-
-    #[inline]
-    fn approx_eq(&self, other: &Self, tol: f64) -> bool {
-        let t = tol * 255.0;
-        ((self.r as f64 - other.r as f64).abs()) <= t
-            && ((self.g as f64 - other.g as f64).abs()) <= t
-            && ((self.b as f64 - other.b as f64).abs()) <= t
-            && ((self.a as f64 - other.a as f64).abs()) <= t
-    }
-
-    // Fused byte-level kernels, as for `GrayAlpha8`: the wire format is the
-    // channel layout `[r, g, b, a]`. The scalar path is the dense per-pixel
-    // loop this type has always used; the wide path adds blank-run skipping
-    // and opaque shortcuts, which are exact identities of the arithmetic
-    // (so `dst` stays bit-identical) but newly count `opaque_fast`.
-    fn over_front_bytes_with(
-        dst: &mut [Self],
-        src: &[u8],
-        kernel: KernelPath,
-    ) -> Result<OverStats, ImagingError> {
-        if src.len() != dst.len() * Self::BYTES {
-            return Err(ImagingError::ShapeMismatch {
-                what: "Pixel::over_front_bytes",
-                lhs: dst.len() * Self::BYTES,
-                rhs: src.len(),
-            });
-        }
-        Ok(match kernel {
-            KernelPath::Scalar => kernels::rgba8_over_front_scalar(dst, src),
-            KernelPath::Wide => kernels::rgba8_over_front_wide(dst, src),
-        })
-    }
-
-    fn over_back_bytes_with(
-        dst: &mut [Self],
-        src: &[u8],
-        kernel: KernelPath,
-    ) -> Result<OverStats, ImagingError> {
-        if src.len() != dst.len() * Self::BYTES {
-            return Err(ImagingError::ShapeMismatch {
-                what: "Pixel::over_back_bytes",
-                lhs: dst.len() * Self::BYTES,
-                rhs: src.len(),
-            });
-        }
-        Ok(match kernel {
-            KernelPath::Scalar => kernels::rgba8_over_back_scalar(dst, src),
-            KernelPath::Wide => kernels::rgba8_over_back_wide(dst, src),
-        })
-    }
-}
-
-#[cfg(test)]
-mod rgba8_tests {
-    use super::*;
-
-    #[test]
-    fn over_matches_float_within_quantization() {
-        let a = Rgba8::new(90, 40, 20, 128);
-        let b = Rgba8::new(10, 60, 90, 220);
-        let fixed = a.over(&b).to_f32();
-        let float = a.to_f32().over(&b.to_f32());
-        assert!(
-            fixed.approx_eq(&float, 1.5 / 255.0),
-            "{fixed:?} vs {float:?}"
-        );
-    }
-
-    #[test]
-    fn blank_is_identity() {
-        let p = Rgba8::new(10, 20, 30, 200);
-        assert_eq!(Rgba8::blank().over(&p), p);
-        assert_eq!(p.over(&Rgba8::blank()), p);
-        assert!(Rgba8::blank().is_blank());
-        assert!(!p.is_blank());
-    }
-
-    #[test]
-    fn bytes_roundtrip() {
-        let p = Rgba8::new(1, 2, 3, 4);
-        let mut buf = Vec::new();
-        p.write_bytes(&mut buf);
-        assert_eq!(buf.len(), Rgba8::BYTES);
-        assert_eq!(Rgba8::read_bytes(&buf).unwrap(), p);
-        assert!(Rgba8::read_bytes(&buf[..3]).is_err());
-    }
-
-    #[test]
-    fn conversion_roundtrip_is_tight() {
-        let p = Rgba8::new(17, 99, 201, 255);
-        assert_eq!(Rgba8::from_f32(p.to_f32()), p);
     }
 }

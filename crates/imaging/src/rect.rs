@@ -108,12 +108,11 @@ pub fn bounding_rect<P: Pixel>(img: &Image<P>) -> Rect {
     let mut r = None::<Rect>;
     for y in 0..h {
         let row = &img.pixels()[y * w..(y + 1) * w];
-        let first = match row.iter().position(|p| !p.is_blank()) {
-            Some(i) => i,
-            None => continue,
+        let Some(first) = row.iter().position(|p| !p.is_blank()) else {
+            continue;
         };
-        // A non-blank pixel exists, so rposition is Some.
-        let last = row.iter().rposition(|p| !p.is_blank()).unwrap();
+        // A non-blank pixel exists, so rposition finds `first` at worst.
+        let last = row.iter().rposition(|p| !p.is_blank()).unwrap_or(first);
         let rect = Rect::new(first, y, last + 1, y + 1);
         r = Some(match r {
             Some(acc) => acc.union(&rect),

@@ -52,15 +52,6 @@ pub struct Counters {
     pub opaque_fast: u64,
     /// Non-blank source pixels actually merged by `decode_over`.
     pub non_blank_merged: u64,
-    /// Stream pixels processed through the word-wise (SWAR) kernels.
-    pub wide_kernel_pixels: u64,
-    /// Wire bytes encoded or merged through the word-wise kernel paths.
-    pub wide_kernel_bytes: u64,
-    /// Stream pixels processed through the scalar reference kernels.
-    pub scalar_kernel_pixels: u64,
-    /// Operations where the wide kernel was requested but the pixel type
-    /// has no word-wise implementation, so the scalar path ran instead.
-    pub kernel_fallbacks: u64,
     /// Tiles scanned for blankness by the tile-ownership path.
     pub tiles_scanned: u64,
     /// Scanned tiles found fully blank (and therefore never shipped).
@@ -118,10 +109,6 @@ impl Counters {
         self.blank_skipped += other.blank_skipped;
         self.opaque_fast += other.opaque_fast;
         self.non_blank_merged += other.non_blank_merged;
-        self.wide_kernel_pixels += other.wide_kernel_pixels;
-        self.wide_kernel_bytes += other.wide_kernel_bytes;
-        self.scalar_kernel_pixels += other.scalar_kernel_pixels;
-        self.kernel_fallbacks += other.kernel_fallbacks;
         self.tiles_scanned += other.tiles_scanned;
         self.tiles_blank += other.tiles_blank;
         self.tiles_sent += other.tiles_sent;
@@ -149,10 +136,6 @@ impl Counters {
             ("blank_skipped", self.blank_skipped),
             ("opaque_fast", self.opaque_fast),
             ("non_blank_merged", self.non_blank_merged),
-            ("wide_kernel_pixels", self.wide_kernel_pixels),
-            ("wide_kernel_bytes", self.wide_kernel_bytes),
-            ("scalar_kernel_pixels", self.scalar_kernel_pixels),
-            ("kernel_fallbacks", self.kernel_fallbacks),
             ("tiles_scanned", self.tiles_scanned),
             ("tiles_blank", self.tiles_blank),
             ("tiles_sent", self.tiles_sent),
@@ -195,10 +178,6 @@ mod tests {
             blank_skipped: 10,
             opaque_fast: 11,
             non_blank_merged: 12,
-            wide_kernel_pixels: 13,
-            wide_kernel_bytes: 14,
-            scalar_kernel_pixels: 15,
-            kernel_fallbacks: 16,
             tiles_scanned: 17,
             tiles_blank: 18,
             tiles_sent: 19,
@@ -222,10 +201,6 @@ mod tests {
         assert_eq!(a.blank_skipped, 20);
         assert_eq!(a.opaque_fast, 22);
         assert_eq!(a.non_blank_merged, 24);
-        assert_eq!(a.wide_kernel_pixels, 26);
-        assert_eq!(a.wide_kernel_bytes, 28);
-        assert_eq!(a.scalar_kernel_pixels, 30);
-        assert_eq!(a.kernel_fallbacks, 32);
         assert_eq!(a.tiles_scanned, 34);
         assert_eq!(a.tiles_blank, 36);
         assert_eq!(a.tiles_sent, 38);

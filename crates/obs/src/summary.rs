@@ -63,20 +63,18 @@ pub fn phase_summary(label: &str, timelines: &[RankTimeline]) -> String {
     out
 }
 
-/// [`phase_summary`] followed by a kernel-path block: which compositing
-/// kernels ran, how many stream pixels and wire bytes went through them,
-/// and how often a requested wide kernel fell back to the scalar loops.
-/// Zero-valued lines are omitted, so an all-scalar run prints no wide rows.
+/// [`phase_summary`] followed by a kernel block: how many stream pixels
+/// the compositing kernels skipped as blank, resolved through the opaque
+/// shortcut, and merged. Zero-valued lines are omitted.
 ///
 /// ```
 /// use rt_obs::{phase_summary_with_counters, Counters};
 ///
 /// let mut c = Counters::default();
-/// c.wide_kernel_pixels = 1024;
-/// c.scalar_kernel_pixels = 0;
+/// c.blank_skipped = 1024;
 /// let text = phase_summary_with_counters("demo", &[], &c);
-/// assert!(text.contains("wide_kernel_pixels"));
-/// assert!(!text.contains("scalar_kernel_pixels"));
+/// assert!(text.contains("blank_skipped"));
+/// assert!(!text.contains("opaque_fast"));
 /// ```
 pub fn phase_summary_with_counters(
     label: &str,
@@ -85,10 +83,6 @@ pub fn phase_summary_with_counters(
 ) -> String {
     let mut out = phase_summary(label, timelines);
     let kernel_rows: Vec<(&str, u64)> = [
-        ("wide_kernel_pixels", counters.wide_kernel_pixels),
-        ("wide_kernel_bytes", counters.wide_kernel_bytes),
-        ("scalar_kernel_pixels", counters.scalar_kernel_pixels),
-        ("kernel_fallbacks", counters.kernel_fallbacks),
         ("blank_skipped", counters.blank_skipped),
         ("opaque_fast", counters.opaque_fast),
         ("non_blank_merged", counters.non_blank_merged),

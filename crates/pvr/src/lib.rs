@@ -28,16 +28,17 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-pub mod animate;
 pub mod permute;
 pub mod pipeline;
 pub mod scene;
 pub mod stream;
 
-pub use animate::{orbit_cameras, FrameStats, OrbitConfig};
 pub use pipeline::{render_frame, render_frame_pooled, FrameRun, PipelineConfig, PipelineOutput};
 pub use scene::{compose_scene, prepare_scene, Scene};
-pub use stream::{StreamClient, StreamConfig, StreamFrame, StreamHandle, StreamSession};
+pub use stream::{
+    orbit_cameras, FrameStats, OrbitConfig, StreamClient, StreamConfig, StreamFrame, StreamHandle,
+    StreamSession,
+};
 
 /// Errors from the end-to-end pipeline.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,6 +1,12 @@
 //! Pipelined frame streaming: render frame `k+1` while frame `k`'s
 //! composition is in flight.
 //!
+//! The workload is an orbit ([`OrbitConfig`]): the views of a moving camera,
+//! the interactive-rendering scenario that motivates the paper (composition
+//! cost is paid *per frame*). Each frame re-derives the depth permutation
+//! for its view and reports [`FrameStats`], so regressions in
+//! view-dependent code paths show up as jumps across the sweep.
+//!
 //! A serial animation loop (one [`crate::FrameRun`] per view) pays the
 //! paper's Eq. 5/6 communication cost *after* each frame's render, so every
 //! rank idles through composition — the per-frame render→compose stall.
@@ -44,7 +50,6 @@
 use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 
-use crate::animate::{orbit_cameras, FrameStats, OrbitConfig};
 use crate::pipeline::{frame_holder, FramePlan, FramePlanner, PipelineConfig, RankFrame};
 use crate::PvrError;
 use rt_comm::{replay, ComputeKind, CostModel, FaultPlan, Mark, RankCtx, RankTrace, Trace};
@@ -55,6 +60,64 @@ use rt_imaging::{GrayAlpha, Image};
 use rt_render::camera::Camera;
 use rt_render::shearwarp::render_intermediate;
 use rt_render::tf::TransferFunction;
+use serde::{Deserialize, Serialize};
+
+/// An orbit sweep specification.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OrbitConfig {
+    /// Number of frames.
+    pub frames: usize,
+    /// Yaw of the first frame (radians).
+    pub start_yaw: f64,
+    /// Yaw of the last frame (radians).
+    pub end_yaw: f64,
+    /// Fixed pitch (radians).
+    pub pitch: f64,
+}
+
+impl OrbitConfig {
+    /// A quarter orbit in `frames` steps.
+    pub fn quarter(frames: usize) -> Self {
+        Self {
+            frames,
+            start_yaw: 0.0,
+            end_yaw: std::f64::consts::FRAC_PI_2,
+            pitch: 0.2,
+        }
+    }
+}
+
+/// Per-frame statistics of an orbit run.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FrameStats {
+    /// Frame index.
+    pub index: usize,
+    /// Camera yaw of this frame.
+    pub yaw: f64,
+    /// Bytes shipped (post-codec).
+    pub bytes: u64,
+    /// Messages sent.
+    pub messages: u64,
+    /// Physical rank at each depth position for this view.
+    pub rank_of_depth: Vec<usize>,
+}
+
+/// The camera of every frame of `orbit`, with its yaw: index `i` gets yaw
+/// interpolated linearly from `start_yaw` to `end_yaw` (a single-frame
+/// orbit sits at `start_yaw`).
+pub fn orbit_cameras(orbit: &OrbitConfig) -> Vec<(f64, Camera)> {
+    (0..orbit.frames)
+        .map(|i| {
+            let t = if orbit.frames == 1 {
+                0.0
+            } else {
+                i as f64 / (orbit.frames - 1) as f64
+            };
+            let yaw = orbit.start_yaw + t * (orbit.end_yaw - orbit.start_yaw);
+            (yaw, Camera::yaw_pitch(yaw, orbit.pitch))
+        })
+        .collect()
+}
 
 /// Configuration of one streaming run: the per-frame pipeline settings
 /// plus the streaming-specific knobs.

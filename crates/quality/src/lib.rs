@@ -11,10 +11,9 @@
 //! This crate is that yardstick:
 //!
 //! * [`metrics`] — per-pixel **max absolute error**, **MSE**, **PSNR**
-//!   and a box-windowed **SSIM**, all over the 8-bit wire pixel types
-//!   ([`GrayAlpha8`](rt_imaging::pixel::GrayAlpha8),
-//!   [`Rgba8`](rt_imaging::pixel::Rgba8)) via the [`ChannelPixel`]
-//!   channel-extraction trait;
+//!   and a box-windowed **SSIM**, all over the 8-bit wire pixel type
+//!   [`GrayAlpha8`](rt_imaging::pixel::GrayAlpha8) via the
+//!   [`ChannelPixel`] channel-extraction trait;
 //! * [`tolerance`] — the [`Tolerance`] policy type (a declared bound on
 //!   all three axes), the [`QualityReport`] produced by [`compare`], and
 //!   [`assert_within_tolerance`], the reconciliation helper benches and

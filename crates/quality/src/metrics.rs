@@ -1,8 +1,8 @@
 //! The metric kernels: max-abs-error, MSE, PSNR and box-windowed SSIM.
 //!
 //! All four operate channel-wise over 8-bit frames through the
-//! [`ChannelPixel`] extraction trait, so one implementation serves both
-//! the grayscale wire format and the color examples. Conventions:
+//! [`ChannelPixel`] extraction trait, which the grayscale wire format
+//! implements. Conventions:
 //!
 //! * **max-abs-error** — `max |a − b|` over every pixel and channel, in
 //!   8-bit counts. `0` iff the frames are byte-identical, which makes it
@@ -21,7 +21,7 @@
 //! [`QualityReport::psnr_db_capped`]: crate::QualityReport::psnr_db_capped
 
 use crate::QualityError;
-use rt_imaging::pixel::{GrayAlpha8, Pixel, Rgba8};
+use rt_imaging::pixel::{GrayAlpha8, Pixel};
 use rt_imaging::Image;
 
 /// Side length of the non-overlapping SSIM box window (pixels).
@@ -50,20 +50,6 @@ impl ChannelPixel for GrayAlpha8 {
         match i {
             0 => self.v,
             1 => self.a,
-            _ => 0,
-        }
-    }
-}
-
-impl ChannelPixel for Rgba8 {
-    const CHANNELS: usize = 4;
-
-    fn channel(&self, i: usize) -> u8 {
-        match i {
-            0 => self.r,
-            1 => self.g,
-            2 => self.b,
-            3 => self.a,
             _ => 0,
         }
     }
@@ -191,14 +177,6 @@ mod tests {
         let psnr = psnr_db(&a, &b).unwrap();
         assert!(psnr.is_finite() && psnr > 30.0, "{psnr}");
         assert!(ssim(&a, &b).unwrap() < 1.0);
-    }
-
-    #[test]
-    fn rgba_walks_all_four_channels() {
-        let a = Image::from_fn(8, 8, |x, y| Rgba8::new(x as u8, y as u8, 7, 255));
-        let mut b = a.clone();
-        b.set(2, 2, Rgba8::new(2, 2, 47, 255));
-        assert_eq!(max_abs_error(&a, &b).unwrap(), 40);
     }
 
     #[test]

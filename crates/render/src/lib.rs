@@ -14,8 +14,6 @@
 //!   the viewing transformation;
 //! * [`shearwarp`] — the slice-order renderer with early-ray termination
 //!   and the final 2-D warp;
-//! * [`raycast`] — a reference ray-caster used to cross-validate the
-//!   shear-warp images;
 //! * [`partition`] — the 1-D slab and 2-D grid partitioning schemes of the
 //!   paper reference \[15\], with view-dependent depth ordering.
 
@@ -24,10 +22,9 @@
 pub mod camera;
 pub mod datasets;
 pub mod math;
-pub mod octree;
 pub mod partition;
-pub mod raycast;
-pub mod shade;
+#[cfg(test)]
+mod raycast;
 pub mod shearwarp;
 pub mod tf;
 pub mod volume;

@@ -9,10 +9,10 @@ use rotate_tiling::core::exec::TransportKind;
 use rotate_tiling::core::hier::IntraMethod;
 use rotate_tiling::core::method::Method;
 use rotate_tiling::imaging::{GrayAlpha, Image};
-use rotate_tiling::pvr::animate::{orbit_cameras, OrbitConfig};
 use rotate_tiling::pvr::pipeline::{render_frame, FrameRun, PipelineConfig};
 use rotate_tiling::pvr::stream::{StreamConfig, StreamSession};
 use rotate_tiling::pvr::PvrError;
+use rotate_tiling::pvr::{orbit_cameras, OrbitConfig};
 use rotate_tiling::render::shearwarp::RenderOptions;
 
 fn base(method: Method, codec: CodecKind) -> PipelineConfig {

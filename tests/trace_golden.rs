@@ -31,9 +31,9 @@ use rotate_tiling::core::{ComposeOutput, CoreError, DisplayWall, Run};
 use rotate_tiling::imaging::image::reference_composite;
 use rotate_tiling::imaging::pixel::{pixels_to_bytes, GrayAlpha8};
 use rotate_tiling::imaging::{GrayAlpha, Image, Pixel};
-use rotate_tiling::pvr::animate::{orbit_cameras, OrbitConfig};
 use rotate_tiling::pvr::pipeline::{FrameRun, PipelineConfig};
 use rotate_tiling::pvr::stream::{StreamConfig, StreamSession};
+use rotate_tiling::pvr::{orbit_cameras, OrbitConfig};
 use rotate_tiling::render::camera::{factorize, Camera};
 use rotate_tiling::render::datasets::Dataset;
 use rotate_tiling::render::partition::{depth_order, partition_1d};

@@ -11,9 +11,9 @@ use rotate_tiling::core::method::Method;
 use rotate_tiling::core::rotate::RtVariant;
 use rotate_tiling::core::Run;
 use rotate_tiling::imaging::synth::band_partials;
-use rotate_tiling::pvr::animate::OrbitConfig;
 use rotate_tiling::pvr::pipeline::{FrameRun, PipelineConfig};
 use rotate_tiling::pvr::stream::{StreamConfig, StreamSession};
+use rotate_tiling::pvr::OrbitConfig;
 use std::collections::BTreeSet;
 
 fn labels_of(trace: &Trace, into: &mut BTreeSet<String>) {
