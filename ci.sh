@@ -91,6 +91,13 @@ gone=$(grep -rnE 'KernelPath::[S]calar|[H]AS_WIDE_KERNEL|over_(front|back)_[b]yt
     crates src tests examples docs ./*.md ci.sh .claude \
     --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md --exclude=REVIEW.md || true)
 [ -z "$gone" ] || vocabulary_fail "the second kernel path / second renderer / fifth pixel type is back" "$gone"
+# A link has one queue, one data-frame writer and one way down: the evicting
+# log's replay iterator, the second and third down paths and the two records
+# that split a link's stream from its state stay gone.
+gone=$(grep -rnE '[r]eplay_from|[w]riter_failed|fn [m]ark_down|struct [W]riterSlot|struct [L]inkState' \
+    crates src tests examples docs ./*.md ci.sh .claude \
+    --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md --exclude=REVIEW.md || true)
+[ -z "$gone" ] || vocabulary_fail "rt-net's second link paths are back" "$gone"
 
 echo "== build (release) =="
 cargo build --release --workspace
@@ -139,10 +146,36 @@ echo "== net log bound =="
 # send, two ranks pushing 512 MiB at each other before either receives
 # (10 ms heartbeats, under a watchdog), and chaos cuts at the header/payload
 # boundary offsets after the log was trimmed — on real loopback sockets, in
-# release (the workspace stage above runs the same files in debug). The
-# both-mesh barrier test rides along so the message round of
-# `RankCtx::barrier` is exercised optimised over TCP too.
-cargo test -q --release -p rt-net --test log_bound --test mutual_bulk --test barrier
+# release (the workspace stage above runs the same files in debug).
+# `resume.rs` pins what a link owes once it has gone down: a mutual 48 MiB
+# replay, a sender held at the log's budget instead of losing frames, a
+# silent peer taken down under a blocked sender. The both-mesh barrier test
+# rides along so the message round of `RankCtx::barrier` is exercised
+# optimised over TCP too.
+cargo test -q --release -p rt-net \
+    --test log_bound --test mutual_bulk --test resume --test barrier
+
+echo "== net stall soak =="
+# The mutual bulk exchange again, 20 times, with every core also running a
+# busy loop: scheduling stalls longer than the test's five 10 ms heartbeats
+# take the link down mid-bulk, so both ranks must resume it while each owes
+# the other more than the socket buffers hold. The debug binary the
+# workspace stage built is run directly; the first failing run fails CI.
+soak_bin=$(cargo test -p rt-net --test mutual_bulk --no-run 2>&1 \
+    | sed -n 's/.*Executable.*(\(.*\))$/\1/p')
+[ -x "$soak_bin" ] || { echo "net stall soak: no mutual_bulk test binary" >&2; exit 1; }
+spinners=()
+trap 'kill "${spinners[@]}" 2>/dev/null || true' EXIT
+for _ in $(seq "$(nproc)"); do
+    (while :; do :; done) &
+    spinners+=($!)
+done
+for run in $(seq 20); do
+    "$soak_bin" -q >/dev/null 2>&1 \
+        || { echo "net stall soak: run $run of 20 failed" >&2; exit 1; }
+done
+kill "${spinners[@]}"
+trap - EXIT
 
 echo "== chaos smoke =="
 # One tiny fault-tolerance sweep end to end: must print only bit-exact

@@ -6,12 +6,16 @@
 //! transport). Each link tracks everything needed to survive a socket
 //! failure without the layers above noticing:
 //!
-//! * a **sent-frame log** — the frames pushed toward the peer that it has
-//!   not yet confirmed: the *unacknowledged suffix* of the link's history,
-//!   so its size follows the in-flight window and not the length of the
-//!   run. An entry is the frame's 36-byte header plus a reference to its
-//!   shared [`Payload`]; logging a frame copies no payload byte. A frame is
-//!   "sent" the moment it is logged; the socket write is best-effort.
+//! * a **sent-frame log** — the link's one queue: the frames pushed toward
+//!   the peer that it has not yet confirmed (the *unacknowledged suffix* of
+//!   the link's history, so its size follows the in-flight window and not
+//!   the length of the run) and a `written` cursor, how far the current
+//!   stream has carried them. An entry is the frame's 36-byte header plus a
+//!   reference to its shared [`Payload`]; logging a frame copies no payload
+//!   byte. A frame is "sent" the moment it is logged, and only the peer's
+//!   confirmation removes it: a log over [`SENT_LOG_BUDGET`] makes its
+//!   sender wait — for an acknowledgement or a resume to make room, or for
+//!   the peer's declared death — and never drops what a resume will need.
 //! * a **receive counter** — how many complete frames this side has pulled
 //!   off the wire and delivered upward. Link-level control frames are
 //!   excluded on both sides, so the counter and the log index the same
@@ -20,29 +24,40 @@
 //!   threads and watchdogs from a previous socket cannot clobber a repaired
 //!   link.
 //!
+//! **One writer.** `pump` writes the frames past the cursor and is the only
+//! place a data frame meets a socket: `send_frame` is wait for room → trim →
+//! push → pump, and installing a stream is cursor := the peer's count →
+//! publish the stream → start its reader → pump. A replay is that same
+//! pump, started after the reader, so draining never waits on a write.
+//!
 //! **Acknowledgements.** The receive counter travels back to the sender as
 //! the 8-byte payload of every link-level control frame: an [`tag::ACK`]
 //! whenever [`ACK_BYTES`] have been delivered since the last one, and every
 //! [`tag::PING`]/[`tag::PONG`], so an idle link's tail is confirmed at
 //! heartbeat cadence. The reader thread that receives a count only records
-//! it (an atomic maximum); the next `send_frame`, which holds the log lock
-//! anyway, drops the confirmed prefix. A count beyond what was ever sent is
-//! a protocol violation that takes the stream down. `SENT_LOG_BUDGET`
-//! remains as the backstop against a peer that stops acknowledging.
+//! it (a maximum, in `conn`) and wakes a sender waiting for room; the next
+//! `send_frame`, which holds the log lock anyway, drops the confirmed
+//! prefix. A count beyond what was ever written is a protocol violation
+//! that takes the stream down.
 //!
-//! **The lock rule.** `send_frame` holds `log` and `writer` across a
-//! blocking socket write, and the peer can only take those bytes if its
-//! reader thread keeps draining. So a reader thread with a live stream
-//! *never waits* — not on a lock held across a socket write, and not on
+//! **The lock rule.** `log` guards the queue *and* the right to write to
+//! the stream: `pump` holds it across a blocking socket write, and the peer
+//! can only take those bytes if its reader thread keeps draining. So a
+//! reader thread with a live stream *never waits* — not on `log`, and not on
 //! socket buffer space: its `PONG`s and `ACK`s go through `try_control`,
-//! which gives up when the writer is busy or the send buffer is full. A
-//! busy writer is itself traffic the peer will hear, and the sender that
-//! holds it writes the owed `ACK` itself after its frame; anything still
-//! owed is retried on the next delivered frame or heartbeat.
+//! which gives up when the log is busy or the send buffer is full. A busy
+//! log is itself traffic the peer will hear, and the pump that holds it
+//! writes the owed `ACK` itself after its frame; anything still owed is
+//! retried on the next delivered frame or heartbeat. The stream handle
+//! lives in `conn`, a leaf lock beside `log` that is never held across a
+//! blocking call, so **the one way down** — `down`, for a failed write, a
+//! reader's exit, heartbeat silence, a resume quiescing the old stream, a
+//! declared death and teardown alike — always gets through to shut the
+//! stream, and so fails whatever write some pump is stuck in.
 //!
 //! When a stream fails, the side that originally dialed (the higher rank)
 //! re-dials with a resume handshake: both sides exchange receive counters
-//! (each the freshest acknowledgement there is) and replay their logs from
+//! (each the freshest acknowledgement there is) and pump their logs from
 //! the peer's counter, so delivery is exactly-once and in order across the
 //! reconnect — invisible to the `rt-comm` envelope. The accepting side (the
 //! lower rank) arms a restore watchdog instead; if no reconnect lands within
@@ -53,9 +68,9 @@
 //! enters the receive queue, and the resilient executor's repair planner
 //! takes over.
 //!
-//! Liveness is active: a heartbeat thread sends `PING` control frames on
-//! idle links — those not heard from within half an interval — and shuts
-//! down any stream that has been silent for `HEARTBEAT_MISSES` intervals,
+//! Liveness is active: a heartbeat thread sends a `PING` control frame on
+//! every link every interval (so even a one-way bulk sender keeps hearing
+//! its receiver) and takes down any stream silent for `HEARTBEAT_MISSES`,
 //! converting silent peer death into a detectable EOF. The link-level
 //! control frames live in the transport-control namespace and never reach
 //! the envelope, the log, or the counters — traces stay bit-identical to
@@ -69,7 +84,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -88,11 +103,11 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 /// down (its stream is shut), entering the reconnect path.
 const HEARTBEAT_MISSES: u32 = 5;
 
-/// Byte budget of the per-peer sent-frame log — the backstop for a peer
-/// that stops acknowledging; an acknowledging peer keeps the log far below
-/// it. A reconnect that needs frames already evicted cannot resume; the
-/// peer is declared dead.
-const SENT_LOG_BUDGET: usize = 64 << 20;
+/// Byte budget of the per-peer sent-frame log. An acknowledging peer keeps
+/// the log far below it; past it, `send_frame` waits for room. A frame is
+/// admitted whenever the log is within the budget, so the log peaks at the
+/// budget plus one frame and a frame of any size enters an empty log.
+pub const SENT_LOG_BUDGET: usize = 64 << 20;
 
 /// A link's receiver confirms its delivery count once this many bytes have
 /// been delivered since it last did, so a sender's log holds at most this
@@ -191,6 +206,7 @@ pub enum WireFault {
 
 /// One logged frame: its header and a reference to the payload it shares
 /// with the sender — what [`write_encoded`] needs to put it on the wire.
+#[cfg_attr(test, derive(Clone))]
 struct Entry {
     header: [u8; HEADER_BYTES],
     payload: Payload,
@@ -202,71 +218,70 @@ impl Entry {
     }
 }
 
-/// The frames pushed toward one peer that it has not confirmed yet.
+/// The frames pushed toward one peer that it has not confirmed yet, in the
+/// all-time frame sequence: `base <= written <= next()`.
+#[derive(Default)]
+#[cfg_attr(test, derive(Clone))]
 struct SentLog {
-    /// Index of `entries.front()` in the all-time frame sequence.
+    /// Index of `entries.front()`.
     base: u64,
-    /// Index the next pushed frame will get.
-    next: u64,
+    /// Index of the first frame the current stream has not carried whole;
+    /// `pump` advances it, a resume sets it to the peer's count.
+    written: u64,
     bytes: usize,
-    budget: usize,
     entries: VecDeque<Entry>,
 }
 
 impl SentLog {
-    fn new(budget: usize) -> Self {
-        SentLog {
-            base: 0,
-            next: 0,
-            bytes: 0,
-            budget,
-            entries: VecDeque::new(),
-        }
+    /// Index the next pushed frame will get.
+    fn next(&self) -> u64 {
+        self.base + self.entries.len() as u64
     }
 
-    fn pop_front(&mut self) {
-        if let Some(old) = self.entries.pop_front() {
-            self.bytes -= old.wire_len();
-            self.base += 1;
-        }
-    }
-
+    /// Append a frame. Nothing is ever dropped to make room: the budget is
+    /// `send_frame`'s to wait on before it pushes.
     fn push(&mut self, entry: Entry) {
         self.bytes += entry.wire_len();
         self.entries.push_back(entry);
-        self.next += 1;
-        // Evict past the budget, but always retain the newest frame so a
-        // single oversized frame can still be replayed.
-        while self.bytes > self.budget && self.entries.len() > 1 {
-            self.pop_front();
-        }
+    }
+
+    /// The frame at the cursor: the next one `pump` owes the stream.
+    fn pending(&self) -> Option<&Entry> {
+        self.entries.get((self.written - self.base) as usize)
     }
 
     /// Drop the frames before `acked`, the peer's confirmed delivery count.
     /// Counts only grow, so an older one changes nothing; one beyond what
-    /// was ever pushed cannot come from a peer running this protocol.
+    /// was ever written cannot come from a peer running this protocol.
     fn trim(&mut self, acked: u64) -> Result<(), NetError> {
-        if acked > self.next {
+        if acked > self.written {
             return Err(NetError::protocol(format!(
                 "peer confirmed {acked} frames of the {} sent",
-                self.next
+                self.written
             )));
         }
         while self.base < acked {
-            self.pop_front();
+            if let Some(old) = self.entries.pop_front() {
+                self.bytes -= old.wire_len();
+            }
+            self.base += 1;
         }
         Ok(())
     }
 
-    /// Frames the peer has not yet received, given it consumed `count`
-    /// frames so far. `None` if the window has already evicted some of
-    /// them — the link cannot be resumed.
-    fn replay_from(&self, count: u64) -> Option<impl Iterator<Item = &Entry>> {
-        if count < self.base {
-            return None;
+    /// A fresh stream starts at `count`, the peer's final delivery count on
+    /// the old one: everything before it is confirmed. Nothing is evicted,
+    /// so a peer running this protocol never names a frame outside the log.
+    fn resume(&mut self, count: u64) -> Result<(), NetError> {
+        if count < self.base || count > self.next() {
+            return Err(NetError::protocol(format!(
+                "peer resumed from frame {count}, outside the sent log ({}..{})",
+                self.base,
+                self.next()
+            )));
         }
-        let skip = ((count - self.base) as usize).min(self.entries.len());
-        Some(self.entries.range(skip..))
+        self.written = count;
+        self.trim(count)
     }
 }
 
@@ -284,42 +299,38 @@ pub struct LinkStats {
     pub epoch: u64,
 }
 
-/// One installed stream: the writable half plus the epoch it belongs to.
-struct WriterSlot {
-    stream: TcpStream,
+/// A link's connection record, under a leaf lock that reader threads, the
+/// heartbeat and repair threads take without ever waiting on a sender.
+#[derive(Default)]
+struct Conn {
+    /// The installed stream; `None` is what "the link is down" means.
+    stream: Option<Arc<TcpStream>>,
+    /// Streams installed so far: names `stream`, or the last one when down.
     epoch: u64,
-}
-
-/// Mutable link lifecycle state (guarded separately from the writer so
-/// repair threads can inspect it without blocking senders).
-struct LinkState {
-    /// Bumped on every installed stream.
-    epoch: u64,
-    /// No usable stream right now.
-    down: bool,
     /// A repair thread (redial or restore watchdog) is already running.
     repairing: bool,
+    /// The highest delivery count heard from the peer (a resume re-bases
+    /// it). Reader threads raise it; `send_frame` trims the log to it.
+    acked: u64,
 }
 
 /// Everything this endpoint knows about one peer.
 ///
-/// Lock order, where multiple are held: `log` → `writer` → `state`.
-/// `last_heard` and `reader` are leaf locks, never held across another
-/// acquisition.
+/// Lock order: `log` → `conn`. `last_heard` and `reader` are leaf locks,
+/// never held across another acquisition.
 struct Link {
     peer: usize,
     log: Mutex<SentLog>,
-    writer: Mutex<Option<WriterSlot>>,
-    state: Mutex<LinkState>,
+    conn: Mutex<Conn>,
+    /// Paired with `conn`: signalled after anything that can make room in
+    /// the log (a raised `acked`, a new epoch) or end the wait (a death).
+    room: Condvar,
     reader: Mutex<Option<JoinHandle<()>>>,
     /// Complete frames (link-level control excluded) read off the wire and
     /// delivered.
     recv_count: AtomicU64,
     /// Wire bytes delivered since `recv_count` last went out to the peer.
     ack_owed: AtomicUsize,
-    /// The highest delivery count heard from the peer. Reader threads raise
-    /// it; `send_frame` trims the log to it.
-    acked: AtomicU64,
     /// Peer declared dead: no sends, no repair, death already synthesized.
     dead: AtomicBool,
     last_heard: Mutex<Instant>,
@@ -354,17 +365,12 @@ impl Fabric {
                 topology.connects(rank, peer).then(|| {
                     Arc::new(Link {
                         peer,
-                        log: Mutex::new(SentLog::new(SENT_LOG_BUDGET)),
-                        writer: Mutex::new(None),
-                        state: Mutex::new(LinkState {
-                            epoch: 0,
-                            down: true,
-                            repairing: false,
-                        }),
+                        log: Mutex::default(),
+                        conn: Mutex::default(),
+                        room: Condvar::new(),
                         reader: Mutex::new(None),
                         recv_count: AtomicU64::new(0),
                         ack_owed: AtomicUsize::new(0),
-                        acked: AtomicU64::new(0),
                         dead: AtomicBool::new(false),
                         last_heard: Mutex::new(Instant::now()),
                     })
@@ -395,11 +401,12 @@ impl Fabric {
     pub(crate) fn link_stats(&self, peer: usize) -> Option<LinkStats> {
         let link = self.link(peer)?;
         let log = lock(&link.log);
+        let conn = lock(&link.conn);
         Some(LinkStats {
             logged_frames: log.entries.len(),
             logged_bytes: log.bytes,
-            acked: link.acked.load(Ordering::Acquire),
-            epoch: lock(&link.state).epoch,
+            acked: conn.acked,
+            epoch: conn.epoch,
         })
     }
 
@@ -410,6 +417,12 @@ impl Fabric {
             .unwrap_or(false)
     }
 
+    /// No more traffic or repair on `link`: its peer is declared dead, or
+    /// this endpoint is shutting down.
+    fn gone(&self, link: &Link) -> bool {
+        self.shutdown.load(Ordering::Acquire) || link.dead.load(Ordering::Acquire)
+    }
+
     /// Deliver a frame to this endpoint's own receive queue (self-sends
     /// never touch a socket).
     pub(crate) fn loopback(&self, frame: WireFrame) -> Result<(), SendRawError> {
@@ -417,10 +430,15 @@ impl Fabric {
         self.tx.send(frame).map_err(|_| SendRawError { to })
     }
 
-    /// Push `frame` toward `to`: log it, then best-effort write it. A
-    /// logged frame *will* reach a live peer (the reconnect replays it);
-    /// the only failure is a peer already declared dead. `fault` injects
-    /// a socket-level failure on this specific write (chaos layer).
+    /// Push `frame` toward `to`: wait for room in the log, log it, then
+    /// best-effort write it. `Ok` means logged, and a logged frame *will*
+    /// reach a live peer: nothing evicts it, and every stream the link gets
+    /// is pumped from the peer's count. The call may block on a full socket
+    /// while the link is up, or on a log over [`SENT_LOG_BUDGET`] while it
+    /// is down or the peer is behind on `ACK`s — a wait the death deadlines
+    /// of [`TcpOptions`] bound. `Err` only for a peer declared dead (before
+    /// or during that wait) or outside the topology. `fault` injects a
+    /// socket-level failure on this specific write (chaos layer).
     pub(crate) fn send_frame(
         self: &Arc<Self>,
         to: usize,
@@ -430,10 +448,6 @@ impl Fabric {
         let Some(link) = self.link(to) else {
             return Err(SendRawError { to });
         };
-        let link = Arc::clone(link);
-        if link.dead.load(Ordering::Acquire) {
-            return Err(SendRawError { to });
-        }
         let Ok(header) = encode_header(frame) else {
             return Err(SendRawError { to });
         };
@@ -448,44 +462,80 @@ impl Fabric {
             Some(WireFault::Partial(n)) => Some(n),
             Some(WireFault::Truncate) => Some(HEADER_BYTES + frame.payload.len() / 2),
         };
-        // Hold the log across the write so a concurrent reconnect cannot
-        // interleave its replay with this frame (lock order log → writer).
+        // From the push to the end of its pump the log stays locked, so a
+        // concurrent resume cannot interleave its frames with this one.
         let mut log = lock(&link.log);
-        let trimmed = log.trim(link.acked.load(Ordering::Acquire));
+        let stream = loop {
+            if self.gone(link) {
+                return Err(SendRawError { to });
+            }
+            let (acked, epoch, mut stream) = {
+                let conn = lock(&link.conn);
+                (conn.acked, conn.epoch, conn.stream.clone())
+            };
+            if log.trim(acked).is_err() {
+                // The peer confirmed frames never written: its stream cannot
+                // be trusted, and the resume handshake re-bases the count.
+                self.down(link, Some(epoch));
+                stream = None;
+            }
+            if log.bytes <= SENT_LOG_BUDGET {
+                break stream.map(|stream| (stream, epoch));
+            }
+            // Full. Wait without the log (a resume needs it) for what can
+            // make room: a higher count, a new stream, or the peer's death.
+            drop(log);
+            let full =
+                |conn: &mut Conn| conn.acked == acked && conn.epoch == epoch && !self.gone(link);
+            drop(link.room.wait_while(lock(&link.conn), full));
+            log = lock(&link.log);
+        };
         log.push(Entry {
             header,
             payload: frame.payload.clone(),
         });
-        let mut writer = lock(&link.writer);
-        let wrote = match (writer.as_mut(), trimmed, cut) {
-            (None, ..) => Ok(()),
-            // The peer confirmed frames never sent: its stream cannot be
-            // trusted, and the resume handshake re-bases the count.
-            (Some(_), Err(_), _) => Err(ErrorKind::InvalidData.into()),
-            (Some(slot), Ok(()), Some(cut)) => {
-                let _ = write_encoded(&mut slot.stream, &header, &frame.payload, cut);
-                Err(ErrorKind::ConnectionReset.into())
-            }
-            (Some(slot), Ok(()), None) => {
-                let mut wrote =
-                    write_encoded(&mut slot.stream, &header, &frame.payload, usize::MAX);
+        // No stream: a repair is in flight and the frame rides the resumed
+        // stream's pump (or the peer is declared dead and later sends fail).
+        if let Some((stream, epoch)) = stream {
+            self.pump(link, &mut log, &stream, epoch, cut);
+        }
+        Ok(())
+    }
+
+    /// Write every logged frame `stream` (the one in `conn` under `epoch`)
+    /// has not carried yet, moving the cursor past each one written whole —
+    /// the only place a data frame meets a socket, live send and resume
+    /// alike. `cut` is how much of the *newest* frame the chaos layer lets
+    /// through before it resets the stream. A failed write takes the stream
+    /// down; the cursor stays on the frame that failed.
+    fn pump(
+        self: &Arc<Self>,
+        link: &Arc<Link>,
+        log: &mut SentLog,
+        mut stream: &TcpStream,
+        epoch: u64,
+        cut: Option<usize>,
+    ) {
+        let mut carry = || -> std::io::Result<()> {
+            while let Some(entry) = log.pending() {
+                let cut = cut.filter(|_| log.written + 1 == log.next());
+                let upto = cut.unwrap_or(usize::MAX);
+                write_encoded(&mut stream, &entry.header, &entry.payload, upto)?;
+                if cut.is_some() {
+                    return Err(ErrorKind::ConnectionReset.into());
+                }
+                log.written += 1;
                 // This thread may wait on the socket, reader threads may
                 // not: an ACK they still owe is paid from here.
-                if wrote.is_ok() && link.ack_owed.load(Ordering::Acquire) >= ACK_BYTES {
-                    wrote = slot
-                        .stream
-                        .write_all(&self.control_frame(&link, tag::ACK).0);
+                if link.ack_owed.load(Ordering::Acquire) >= ACK_BYTES {
+                    stream.write_all(&self.control_frame(link, tag::ACK).0)?;
                 }
-                wrote
             }
+            Ok(())
         };
-        if wrote.is_err() {
-            self.writer_failed(&link, writer);
+        if carry().is_err() {
+            self.down(link, Some(epoch));
         }
-        // Writer absent: the link is down and a repair is in flight; the
-        // logged frame rides the replay (or the peer is declared dead and
-        // later sends fail).
-        Ok(())
     }
 
     /// The link-level control frame `tag` toward `link`'s peer. Whatever the
@@ -503,89 +553,61 @@ impl Fabric {
 
     /// Send the control frame `tag` if that takes no waiting — the only way
     /// reader threads and the heartbeat write (see the module's lock rule).
-    /// A busy writer or a full send buffer leaves the frame unsent, for the
+    /// A busy log or a full send buffer leaves the frame unsent, for the
     /// caller's next occasion; a frame cut part-way, like any failed write,
     /// takes the stream down.
     fn try_control(self: &Arc<Self>, link: &Arc<Link>, tag: u64) {
-        let mut writer = match link.writer.try_lock() {
-            Ok(writer) => writer,
+        let _writing = match link.log.try_lock() {
+            Ok(log) => log,
             Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
             Err(TryLockError::WouldBlock) => return,
         };
-        let Some(slot) = writer.as_mut() else {
+        let (stream, epoch) = {
+            let conn = lock(&link.conn);
+            (conn.stream.clone(), conn.epoch)
+        };
+        let Some(stream) = stream else {
             return;
         };
         let (bytes, owed) = self.control_frame(link, tag);
         // The send timeout touches no read, and every write to this stream
-        // happens under the writer lock held here, so blocking senders
-        // never see it.
-        let wrote = slot
-            .stream
+        // happens under the log lock held here, so blocking senders never
+        // see it.
+        let wrote = stream
             .set_write_timeout(Some(NO_WAIT))
-            .and_then(|()| slot.stream.write(&bytes));
-        let restored = slot.stream.set_write_timeout(None);
+            .and_then(|()| (&*stream).write(&bytes));
+        let restored = stream.set_write_timeout(None);
         match (wrote, restored) {
             (Ok(n), Ok(())) if n == bytes.len() => {}
             (Err(e), Ok(())) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 link.ack_owed.fetch_add(owed, Ordering::AcqRel);
             }
-            _ => self.writer_failed(link, writer),
+            _ => self.down(link, Some(epoch)),
         }
     }
 
-    /// A write on the stream in `writer` failed: shut it, clear the slot and
-    /// start the repair.
-    fn writer_failed(
-        self: &Arc<Self>,
-        link: &Arc<Link>,
-        mut writer: MutexGuard<'_, Option<WriterSlot>>,
-    ) {
-        let Some(slot) = writer.take() else {
-            return;
-        };
-        let _ = slot.stream.shutdown(Shutdown::Both);
-        drop(writer);
-        self.link_down(link, slot.epoch);
-    }
-
-    /// Transition a link to "down" and ensure exactly one repair is
-    /// running. Callers must have already cleared/shut the writer for
-    /// `epoch`. Stale epochs (a newer stream is installed) are ignored.
-    fn link_down(self: &Arc<Self>, link: &Arc<Link>, epoch: u64) {
-        if self.shutdown.load(Ordering::Acquire) || link.dead.load(Ordering::Acquire) {
-            return;
-        }
-        let mut st = lock(&link.state);
-        if st.epoch != epoch {
-            return;
-        }
-        st.down = true;
-        if st.repairing {
-            return;
-        }
-        st.repairing = true;
-        drop(st);
-        self.spawn_repair(link, epoch);
-    }
-
-    /// Full down-marking for callers not holding the writer lock (reader
-    /// threads, the heartbeat): shut and clear the writer if it still
-    /// belongs to `epoch`, then [`Fabric::link_down`].
-    fn mark_down(self: &Arc<Self>, link: &Arc<Link>, epoch: u64) {
-        if self.shutdown.load(Ordering::Acquire) || link.dead.load(Ordering::Acquire) {
-            return;
-        }
-        {
-            let mut writer = lock(&link.writer);
-            if let Some(slot) = writer.as_ref() {
-                if slot.epoch != epoch {
-                    return;
-                }
-                let _ = slot.stream.shutdown(Shutdown::Both);
-                *writer = None;
+    /// The one way down: shut `link`'s stream (failing whatever read or
+    /// write is blocked on it), clear the slot, wake a sender waiting for
+    /// room, and unless the link is gone for good make sure exactly one
+    /// repair is running. `Some(epoch)` is a caller that saw that stream
+    /// fail, and changes nothing once a newer one is installed; `None`
+    /// means whatever stream there is.
+    fn down(self: &Arc<Self>, link: &Arc<Link>, epoch: Option<u64>) {
+        let repair = {
+            let mut conn = lock(&link.conn);
+            if epoch.is_some_and(|epoch| epoch != conn.epoch) {
+                return;
             }
+            if let Some(stream) = conn.stream.take() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            let start = !self.gone(link) && !std::mem::replace(&mut conn.repairing, true);
+            start.then_some(conn.epoch)
+        };
+        link.room.notify_all();
+        if let Some(epoch) = repair {
+            self.spawn_repair(link, epoch);
         }
-        self.link_down(link, epoch);
     }
 
     /// One repair per loss: the side that dialed originally (we dial
@@ -610,7 +632,7 @@ impl Fabric {
         });
         if spawned.is_err() {
             // No thread, no repair: the peer is unreachable for good.
-            self.declare_dead(link.as_ref());
+            self.declare_dead(link);
         }
     }
 
@@ -618,7 +640,7 @@ impl Fabric {
     /// then death.
     fn dial_repair(self: &Arc<Self>, link: &Arc<Link>) {
         for attempt in 0..self.opts.reconnect_attempts {
-            if self.shutdown.load(Ordering::Acquire) || link.dead.load(Ordering::Acquire) {
+            if self.gone(link) {
                 return;
             }
             std::thread::sleep(self.opts.reconnect_backoff.saturating_mul(attempt + 1));
@@ -626,7 +648,7 @@ impl Fabric {
                 return;
             }
         }
-        self.declare_dead(link.as_ref());
+        self.declare_dead(link);
     }
 
     /// One reconnect attempt: dial, resume-handshake, install.
@@ -646,7 +668,7 @@ impl Fabric {
             .map_err(|e| NetError::io(ctx("greeting"), e))?;
         // Quiesce the old reader so our receive counter is final before we
         // report it.
-        quiesce(link);
+        self.quiesce(link);
         let my_count = link.recv_count.load(Ordering::Acquire);
         s.write_all(&my_count.to_le_bytes())
             .map_err(|e| NetError::io(ctx("resuming with"), e))?;
@@ -665,63 +687,58 @@ impl Fabric {
     /// dead.
     fn await_restore(self: &Arc<Self>, link: &Arc<Link>, epoch: u64) {
         std::thread::sleep(self.opts.restore_deadline);
-        if self.shutdown.load(Ordering::Acquire) || link.dead.load(Ordering::Acquire) {
-            return;
-        }
         let still_down = {
-            let st = lock(&link.state);
-            st.down && st.epoch == epoch
+            let conn = lock(&link.conn);
+            conn.stream.is_none() && conn.epoch == epoch
         };
         if still_down {
-            self.declare_dead(link.as_ref());
+            self.declare_dead(link);
         }
     }
 
-    /// Install a fresh stream on a link: replay everything the peer has
-    /// not seen, publish the writer under a new epoch, start a reader.
+    /// Install a fresh stream on a link whose peer has delivered
+    /// `peer_count` frames: move the cursor there, publish the stream under
+    /// a new epoch, start its reader, and only then pump what the peer has
+    /// not seen — both ends of a resume do this at once, and each pump
+    /// finishes because the other end's reader is already draining.
     fn install(
         self: &Arc<Self>,
         link: &Arc<Link>,
         stream: TcpStream,
         peer_count: u64,
     ) -> Result<(), NetError> {
-        let peer = link.peer;
-        let reader_stream = stream
-            .try_clone()
-            .map_err(|e| NetError::io(format!("cloning restored stream to rank {peer}"), e))?;
+        let stream = Arc::new(stream);
         let mut log = lock(&link.log);
         // The resume count is the peer's final delivery count on the old
-        // stream (its reader is quiesced, as is ours, so nothing races this
-        // store): the freshest acknowledgement there is.
-        link.acked.store(peer_count, Ordering::Release);
-        let trimmed = log.trim(peer_count);
-        let Some(replay) = trimmed.ok().and_then(|()| log.replay_from(peer_count)) else {
-            let (base, next) = (log.base, log.next);
-            drop(log);
-            self.declare_dead(link.as_ref());
-            return Err(NetError::protocol(format!(
-                "rank {peer} resumed from frame {peer_count}, outside the sent log ({base}..{next})"
-            )));
-        };
-        let mut s = &stream;
-        for entry in replay {
-            write_encoded(&mut s, &entry.header, &entry.payload, usize::MAX)
-                .map_err(|e| NetError::io(format!("replaying sent log to rank {peer}"), e))?;
+        // stream (its reader is quiesced, as is ours, so nothing races the
+        // `acked` store below): the freshest acknowledgement there is.
+        if let Err(violation) = log.resume(peer_count) {
+            self.declare_dead(link);
+            return Err(violation);
         }
-        let mut writer = lock(&link.writer);
-        let epoch = {
-            let mut st = lock(&link.state);
-            st.epoch += 1;
-            st.down = false;
-            st.repairing = false;
-            st.epoch
-        };
-        *writer = Some(WriterSlot { stream, epoch });
-        drop(writer);
+        // Before the epoch, so the heartbeat never reads the new epoch
+        // beside the old stream's silence.
         *lock(&link.last_heard) = Instant::now();
-        let handle = self.spawn_reader(link, reader_stream, epoch)?;
-        *lock(&link.reader) = Some(handle);
-        drop(log);
+        let epoch = {
+            let mut conn = lock(&link.conn);
+            if self.gone(link) {
+                return Err(NetError::PeerDead { peer: link.peer });
+            }
+            conn.stream = Some(Arc::clone(&stream));
+            conn.epoch += 1;
+            conn.repairing = false;
+            conn.acked = peer_count;
+            conn.epoch
+        };
+        link.room.notify_all();
+        match self.spawn_reader(link, Arc::clone(&stream), epoch) {
+            Ok(handle) => *lock(&link.reader) = Some(handle),
+            Err(e) => {
+                self.down(link, Some(epoch));
+                return Err(e);
+            }
+        }
+        self.pump(link, &mut log, &stream, epoch, None);
         Ok(())
     }
 
@@ -738,29 +755,18 @@ impl Fabric {
                 self.world
             )));
         };
-        self.install(&Arc::clone(link), stream, 0)
+        self.install(link, stream, 0)
     }
 
     /// Declare `peer` dead exactly once: stop all traffic and synthesize
     /// the [`tag::DEATH`] notification the envelope's failure protocol
     /// expects — from here on, the in-process and TCP failure paths are
     /// the same code.
-    fn declare_dead(self: &Arc<Self>, link: &Link) {
+    fn declare_dead(self: &Arc<Self>, link: &Arc<Link>) {
         if link.dead.swap(true, Ordering::AcqRel) {
             return;
         }
-        {
-            let mut writer = lock(&link.writer);
-            if let Some(slot) = writer.as_ref() {
-                let _ = slot.stream.shutdown(Shutdown::Both);
-            }
-            *writer = None;
-        }
-        {
-            let mut st = lock(&link.state);
-            st.down = true;
-            st.repairing = false;
-        }
+        self.down(link, None);
         if self.shutdown.load(Ordering::Acquire) {
             return;
         }
@@ -773,14 +779,14 @@ impl Fabric {
     }
 
     /// Reader thread for one installed stream: decode frames, answer
-    /// pings, count and forward everything else. Exits (and marks the
+    /// pings, count and forward everything else. Exits (and takes the
     /// link down) on EOF, a decode failure, or a frame that claims another
     /// sender than this link's peer — `from` is the peer's to write, and
     /// the layers above index by it.
     fn spawn_reader(
         self: &Arc<Self>,
         link: &Arc<Link>,
-        stream: TcpStream,
+        stream: Arc<TcpStream>,
         epoch: u64,
     ) -> Result<JoinHandle<()>, NetError> {
         let fabric = Arc::clone(self);
@@ -789,7 +795,7 @@ impl Fabric {
         std::thread::Builder::new()
             .name(name)
             .spawn(move || {
-                let mut stream = stream;
+                let mut stream = &*stream;
                 let heard = || *lock(&link.last_heard) = Instant::now();
                 while let Ok(Some(frame)) = read_frame_noting(&mut stream, heard) {
                     if frame.from != link.peer {
@@ -801,8 +807,11 @@ impl Fabric {
                         let Ok(count) = <[u8; 8]>::try_from(frame.payload.as_slice()) else {
                             break;
                         };
-                        link.acked
-                            .fetch_max(u64::from_le_bytes(count), Ordering::AcqRel);
+                        {
+                            let mut conn = lock(&link.conn);
+                            conn.acked = conn.acked.max(u64::from_le_bytes(count));
+                        }
+                        link.room.notify_all();
                         if frame.tag == tag::PING {
                             fabric.try_control(&link, tag::PONG);
                         }
@@ -823,7 +832,7 @@ impl Fabric {
                         fabric.try_control(&link, tag::ACK);
                     }
                 }
-                fabric.mark_down(&link, epoch);
+                fabric.down(&link, Some(epoch));
             })
             .map_err(|e| NetError::io("spawning receive thread", e))
     }
@@ -893,18 +902,28 @@ impl Fabric {
             // planner has moved on).
             return Ok(());
         }
-        let link = Arc::clone(link);
         s.read_exact(&mut buf).map_err(herr)?;
         let peer_count = u64::from_le_bytes(buf);
-        quiesce(&link);
+        self.quiesce(link);
         let my_count = link.recv_count.load(Ordering::Acquire);
         s.write_all(&my_count.to_le_bytes())
             .map_err(|e| NetError::io("answering reconnect handshake", e))?;
         stream.set_read_timeout(None).map_err(herr)?;
-        self.install(&link, stream, peer_count)
+        self.install(link, stream, peer_count)
     }
 
-    /// Background liveness: ping idle links; force down any link silent
+    /// Stop a link's current reader for good: take the stream down, join
+    /// the thread. Afterwards `recv_count` is final — the resume handshake
+    /// depends on that.
+    fn quiesce(self: &Arc<Self>, link: &Arc<Link>) {
+        self.down(link, None);
+        let handle = lock(&link.reader).take();
+        if let Some(handle) = handle {
+            let _ = handle.join();
+        }
+    }
+
+    /// Background liveness: ping idle links; take down any link silent
     /// past the miss budget so a silently dead peer becomes a detectable
     /// EOF and enters the reconnect/death path.
     pub(crate) fn spawn_heartbeat(self: &Arc<Self>) {
@@ -924,14 +943,14 @@ impl Fabric {
                     if link.dead.load(Ordering::Acquire) {
                         continue;
                     }
+                    let epoch = lock(&link.conn).epoch;
                     let heard = lock(&link.last_heard).elapsed();
                     if heard > stale_after {
-                        let epoch = lock(&link.state).epoch;
-                        fabric.mark_down(link, epoch);
-                    } else if heard >= interval / 2 {
-                        // Idle, as far as this side can hear. (A link we
-                        // only ever write to must be pinged too: nothing
-                        // else would make the peer speak.)
+                        fabric.down(link, Some(epoch));
+                    } else {
+                        // Whether or not the link is idle: a peer blocked
+                        // in one long write toward us cannot ask (its log
+                        // is busy) and hears only what we volunteer.
                         fabric.try_control(link, tag::PING);
                     }
                 }
@@ -950,33 +969,12 @@ impl Fabric {
         }
         for link in self.links.iter().flatten() {
             link.dead.store(true, Ordering::Release);
-            let mut writer = lock(&link.writer);
-            if let Some(slot) = writer.as_ref() {
-                let _ = slot.stream.shutdown(Shutdown::Both);
-            }
-            *writer = None;
+            self.down(link, None);
         }
         if let Ok(stream) = TcpStream::connect(self.addrs[self.rank]) {
             let mut s = &stream;
             let _ = s.write_all(&SHUTDOWN_HELLO.to_le_bytes());
         }
-    }
-}
-
-/// Stop a link's current reader for good: shut the stream, join the
-/// thread. Afterwards `recv_count` is final — the resume handshake
-/// depends on that.
-fn quiesce(link: &Link) {
-    {
-        let mut writer = lock(&link.writer);
-        if let Some(slot) = writer.as_ref() {
-            let _ = slot.stream.shutdown(Shutdown::Both);
-        }
-        *writer = None;
-    }
-    let handle = lock(&link.reader).take();
-    if let Some(handle) = handle {
-        let _ = handle.join();
     }
 }
 
@@ -991,53 +989,89 @@ mod tests {
         }
     }
 
-    /// First payload byte of each frame `replay_from(count)` yields.
+    /// A log holding one-frame-per-byte `fill`, all of it written.
+    fn written(fill: impl IntoIterator<Item = Vec<u8>>) -> SentLog {
+        let mut log = SentLog::default();
+        fill.into_iter()
+            .for_each(|payload| log.push(entry(payload)));
+        log.written = log.next();
+        log
+    }
+
+    /// First payload byte of each frame a pump would write once the peer
+    /// has resumed from `count`; `None` if that count cannot be resumed.
     fn replayed(log: &SentLog, count: u64) -> Option<Vec<u8>> {
-        Some(log.replay_from(count)?.map(|e| e.payload[0]).collect())
+        let mut log = log.clone();
+        log.resume(count).ok()?;
+        let mut carried = Vec::new();
+        while let Some(entry) = log.pending() {
+            carried.push(entry.payload[0]);
+            log.written += 1;
+        }
+        Some(carried)
     }
 
     #[test]
     fn sent_log_replays_exactly_the_unseen_suffix() {
-        let mut log = SentLog::new(1 << 20);
-        for i in 0u8..5 {
-            log.push(entry(vec![i]));
-        }
+        let log = written((0u8..5).map(|i| vec![i]));
         assert_eq!(replayed(&log, 0).unwrap(), vec![0, 1, 2, 3, 4]);
         assert_eq!(replayed(&log, 3).unwrap(), vec![3, 4]);
         assert!(replayed(&log, 5).unwrap().is_empty());
     }
 
     #[test]
-    fn sent_log_evicts_past_budget_and_reports_the_gap() {
-        let frame = HEADER_BYTES + 4;
-        let mut log = SentLog::new(2 * frame);
-        for i in 0u8..4 {
-            log.push(entry(vec![i; 4])); // four frames, budget for two
+    fn pushing_never_drops_a_frame_whatever_the_log_holds() {
+        // Twice the budget in 32 shared-payload frames, and one frame
+        // bigger than the budget by itself: the log keeps every one, and
+        // every one is there for a peer that resumes from zero.
+        let payload = Payload::from(vec![7u8; 4 << 20]);
+        let mut log = SentLog::default();
+        for _ in 0..32 {
+            log.push(Entry {
+                header: [0; HEADER_BYTES],
+                payload: payload.clone(),
+            });
         }
-        assert!(log.replay_from(0).is_none(), "evicted frames are a gap");
-        assert_eq!(replayed(&log, log.base).unwrap(), vec![2, 3]);
-        assert!(log.bytes <= 2 * frame);
+        log.push(entry(vec![9; 16]));
+        assert!(log.bytes > 2 * SENT_LOG_BUDGET);
+        assert_eq!((log.base, log.written, log.next()), (0, 0, 33));
+        assert_eq!(replayed(&log, 0).unwrap().len(), 33);
+        assert_eq!(replayed(&log, 32).unwrap(), vec![9]);
     }
 
     #[test]
-    fn sent_log_always_keeps_the_newest_frame() {
-        let mut log = SentLog::new(2);
-        log.push(entry(vec![0; 64]));
-        assert_eq!(replayed(&log, 0).unwrap().len(), 1);
-        log.push(entry(vec![1; 64]));
-        assert!(log.replay_from(0).is_none());
-        assert_eq!(replayed(&log, 1).unwrap().len(), 1);
+    fn the_cursor_survives_a_failed_pump_and_a_resume_count_resets_it() {
+        let mut log = written((0u8..3).map(|i| vec![i; 10]));
+        for i in 3u8..6 {
+            log.push(entry(vec![i; 10]));
+        }
+        // A pump that carried frame 3 whole and failed inside frame 4.
+        log.written += 1;
+        assert_eq!(log.pending().unwrap().payload[0], 4);
+        // More pushes and an acknowledgement leave the cursor where it is.
+        log.push(entry(vec![6; 10]));
+        log.trim(2).unwrap();
+        assert_eq!((log.base, log.written, log.next()), (2, 4, 7));
+        assert_eq!(log.pending().unwrap().payload[0], 4);
+        // The peer turns out to have frame 3 but not what followed, or (a
+        // cut that let the whole frame through) one more than was counted
+        // as written: either way its count is where the next pump starts.
+        assert_eq!(replayed(&log, 4).unwrap(), vec![4, 5, 6]);
+        assert_eq!(replayed(&log, 5).unwrap(), vec![5, 6]);
+        log.resume(3).unwrap();
+        assert_eq!((log.base, log.written, log.next()), (3, 3, 7));
+        assert_eq!(log.bytes, 4 * (HEADER_BYTES + 10));
+        // Counts outside the log are refused and change nothing.
+        assert!(log.resume(2).is_err() && log.resume(8).is_err());
+        assert_eq!((log.base, log.written, log.next()), (3, 3, 7));
     }
 
     #[test]
     fn trimming_is_monotone_idempotent_and_leaves_the_unconfirmed_suffix() {
-        let mut log = SentLog::new(1 << 20);
-        for i in 0u8..6 {
-            log.push(entry(vec![i; 10]));
-        }
+        let mut log = written((0u8..6).map(|i| vec![i; 10]));
         let frame = HEADER_BYTES + 10;
         log.trim(2).unwrap();
-        assert_eq!((log.base, log.next, log.bytes), (2, 6, 4 * frame));
+        assert_eq!((log.base, log.next(), log.bytes), (2, 6, 4 * frame));
         // The same count again, and an older one, change nothing.
         log.trim(2).unwrap();
         log.trim(1).unwrap();
@@ -1046,7 +1080,7 @@ mod tests {
         // exactly what is still unconfirmed.
         assert_eq!(replayed(&log, 2).unwrap(), vec![2, 3, 4, 5]);
         assert_eq!(replayed(&log, 4).unwrap(), vec![4, 5]);
-        assert!(log.replay_from(1).is_none(), "confirmed frames are gone");
+        assert!(replayed(&log, 1).is_none(), "confirmed frames are gone");
         // Confirming everything empties the log; pushing resumes the count.
         log.trim(6).unwrap();
         assert_eq!((log.base, log.bytes, log.entries.len()), (6, 0, 0));
@@ -1056,19 +1090,22 @@ mod tests {
 
     #[test]
     fn confirming_more_than_was_sent_is_a_typed_error_not_an_underflow() {
-        let mut log = SentLog::new(1 << 20);
-        log.push(entry(vec![0; 10]));
-        log.push(entry(vec![1; 10]));
+        let mut log = written((0u8..2).map(|i| vec![i; 10]));
         let err = log.trim(3).expect_err("only two frames were ever sent");
         assert!(matches!(err, NetError::Protocol { .. }), "{err}");
         assert!(err.to_string().contains("3 frames of the 2 sent"), "{err}");
         // The log is untouched and still serves the true count.
         assert_eq!((log.base, log.entries.len()), (0, 2));
         assert_eq!(replayed(&log, 1).unwrap(), vec![1]);
+        // A frame that is logged but not yet written cannot be confirmed
+        // either: the peer has never been sent it.
+        log.push(entry(vec![2; 10]));
+        assert!(log.trim(3).is_err());
+        assert_eq!((log.base, log.written, log.next()), (0, 2, 3));
         // The same holds once everything has been confirmed.
         log.trim(2).unwrap();
         assert!(log.trim(u64::MAX).is_err());
-        assert_eq!((log.base, log.bytes), (2, 0));
+        assert_eq!((log.base, log.bytes), (2, HEADER_BYTES + 10));
     }
 
     /// A two-rank loopback pair with fast failure handling.

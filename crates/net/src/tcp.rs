@@ -273,8 +273,15 @@ impl TcpTransport {
     /// [`Transport::send_raw`] with an optional socket-level fault
     /// injected on this specific write — the hook the chaos layer
     /// ([`crate::chaos::ChaosTransport`]) drives. A faulted write still
-    /// logs the frame, so the reconnect path redelivers it; `Ok` means
-    /// "will reach the peer unless it is declared dead".
+    /// logs the frame, so the reconnect path redelivers it.
+    ///
+    /// The contract of both: `Ok` once the frame is in the link's sent log,
+    /// which means "will reach the peer unless it is declared dead" —
+    /// nothing evicts a logged frame. The call may block: on a full socket
+    /// while the link is up, or on a full log ([`crate::link::SENT_LOG_BUDGET`])
+    /// while the link is down or the peer is behind on acknowledgements,
+    /// until room appears or the link's death deadlines pass. `Err` only for
+    /// a peer declared dead or one outside the topology.
     pub fn send_raw_faulty(
         &mut self,
         to: usize,
