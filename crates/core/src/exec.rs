@@ -35,6 +35,7 @@ use rt_imaging::pixel::{OverStats, Pixel};
 use rt_imaging::{Image, Span};
 use rt_net::TcpMulticomputer;
 use rt_obs::{Observer, Phase};
+use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -293,10 +294,17 @@ impl<P: Pixel> Scratch<P> {
 /// many composes (the animation pipeline): each rank checks its scratch
 /// out for the duration of a frame and back in afterwards, so buffers
 /// persist across frames without any cross-rank sharing.
+///
+/// Besides the scratch the pool has one *carried slot*: a single
+/// type-erased value its caller keeps from frame to frame (rt-pvr puts a
+/// session's generated volume and classified slabs there — a type this
+/// crate cannot name). The pool never reads it; [`ScratchPool::carry`]
+/// replaces whatever was there, so a pool holds at most one.
 #[derive(Debug, Default)]
 pub struct ScratchPool<P: Pixel> {
     slots: Mutex<HashMap<usize, Scratch<P>>>,
     fresh: std::sync::atomic::AtomicU64,
+    carried: Mutex<Option<Arc<dyn Any + Send + Sync>>>,
 }
 
 impl<P: Pixel> ScratchPool<P> {
@@ -305,6 +313,7 @@ impl<P: Pixel> ScratchPool<P> {
         Self {
             slots: Mutex::new(HashMap::new()),
             fresh: std::sync::atomic::AtomicU64::new(0),
+            carried: Mutex::new(None),
         }
     }
 
@@ -339,6 +348,21 @@ impl<P: Pixel> ScratchPool<P> {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(rank, scratch);
+    }
+
+    /// The carried value, if there is one and it is a `T`.
+    pub fn carried<T: Any + Send + Sync>(&self) -> Option<Arc<T>> {
+        let value = self
+            .carried
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()?;
+        value.downcast().ok()
+    }
+
+    /// Carry `value` from now on, in place of whatever was carried before.
+    pub fn carry<T: Any + Send + Sync>(&self, value: Arc<T>) {
+        *self.carried.lock().unwrap_or_else(|e| e.into_inner()) = Some(value);
     }
 }
 

@@ -10,6 +10,14 @@
 //! post-compose tail (`FramePlan::warp`, `frame_holder`) are written once
 //! here; [`FrameRun`] and [`crate::stream`] differ only in their per-rank
 //! loops.
+//!
+//! The half of that derivation no camera changes — the generated volume,
+//! its slabs along the current principal axis and each slab's
+//! classification (`Partitioned`) — is session state: it rides in the
+//! carried slot of the [`ScratchPool`] the caller already passes
+//! ([`FrameRun::pool`], [`crate::StreamSession`]'s own), is reused while
+//! `(dataset, volume_size, seed, p)` holds and replaced when it or the
+//! axis changes. A frame without a pool partitions for itself.
 
 use crate::permute::permute_plan;
 use crate::PvrError;
@@ -22,10 +30,9 @@ use rt_core::tile::{compose_plan, ComposePlan};
 use rt_imaging::{GrayAlpha, Image};
 use rt_render::camera::{factorize, Camera, Factorization};
 use rt_render::datasets::Dataset;
-use rt_render::partition::{depth_order, partition_1d, Subvolume};
-use rt_render::shearwarp::{render_intermediate, warp_to_screen, RenderOptions};
+use rt_render::partition::{depth_order, partition_1d};
+use rt_render::shearwarp::{warp_to_screen, PreparedSlab, RenderOptions};
 use rt_render::volume::Volume;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Configuration of one pipeline run.
@@ -88,7 +95,7 @@ pub(crate) struct FramePlan {
     pub camera: Camera,
     pub f: Factorization,
     /// Rank `r` renders `parts[r]`.
-    pub parts: Arc<Vec<Subvolume>>,
+    pub parts: Arc<Vec<PreparedSlab>>,
     /// Physical rank at each depth position (0 = nearest).
     pub rank_of_depth: Vec<usize>,
     /// The method's verified plan, relabelled from depth positions onto the
@@ -120,44 +127,103 @@ impl FramePlan {
     }
 }
 
-/// The data-partitioning stage (host side, as the paper's stage 1): the
-/// volume is generated once and cut once per principal axis (there are at
-/// most three), however many views are planned.
+/// The view-independent half of a frame — the paper's stage 1, done once:
+/// the generated volume, cut into `p` slabs along one principal axis, each
+/// slab classified ahead of its views. A [`ScratchPool`] carries one of
+/// these from frame to frame (its carried slot), so neither a serial
+/// animation loop nor the orbits of a stream session regenerate their
+/// dataset; a frame whose `(dataset, volume_size, seed, p)` or axis differs
+/// builds its own and replaces it.
+pub(crate) struct Partitioned {
+    key: PartitionKey,
+    volume: Arc<Volume>,
+    axis: usize,
+    parts: Arc<Vec<PreparedSlab>>,
+}
+
+/// What a partition is a function of: `(dataset, volume_size, seed, p)`.
+type PartitionKey = (Dataset, usize, u64, usize);
+
+/// The data-partitioning stage (host side): plans any number of views over
+/// one volume, cutting it at most once per principal axis.
 pub(crate) struct FramePlanner<'a> {
-    p: usize,
+    key: PartitionKey,
     config: &'a PipelineConfig,
-    volume: Volume,
-    parts_by_axis: HashMap<usize, Arc<Vec<Subvolume>>>,
+    pool: Option<&'a ScratchPool<GrayAlpha>>,
+    /// The partition this planner used for each axis, so an orbit that
+    /// crosses an axis change and comes back cuts twice, not three times.
+    by_axis: [Option<Arc<Partitioned>>; 3],
 }
 
 impl<'a> FramePlanner<'a> {
-    pub fn new(p: usize, config: &'a PipelineConfig) -> Self {
+    /// A planner that starts from what `pool` carries, if that is this
+    /// configuration's partition, and leaves its latest cut there.
+    pub fn new(
+        p: usize,
+        config: &'a PipelineConfig,
+        pool: Option<&'a ScratchPool<GrayAlpha>>,
+    ) -> Self {
+        let mut by_axis = [None, None, None];
+        let key = (config.dataset, config.volume_size, config.seed, p);
+        if let Some(carried) = pool.and_then(|pool| pool.carried::<Partitioned>()) {
+            if carried.key == key {
+                let axis = carried.axis;
+                by_axis[axis] = Some(carried);
+            }
+        }
         FramePlanner {
-            p,
+            key,
             config,
-            volume: config.dataset.generate(config.volume_size, config.seed),
-            parts_by_axis: HashMap::new(),
+            pool,
+            by_axis,
         }
     }
 
     /// Plan the frame seen from `camera` (`config.camera` is not read).
     pub fn plan(&mut self, camera: Camera) -> Result<FramePlan, PvrError> {
-        let (p, config) = (self.p, self.config);
+        let (key, config) = (self.key, self.config);
+        let p = key.3;
+        if config.render.width == 0 || config.render.height == 0 {
+            return Err(PvrError::Config {
+                what: format!(
+                    "a {}x{} frame has no pixels to render",
+                    config.render.width, config.render.height
+                ),
+            });
+        }
+        let volume = match self.by_axis.iter().flatten().next() {
+            Some(cut) => Arc::clone(&cut.volume),
+            None => Arc::new(config.dataset.generate(config.volume_size, config.seed)),
+        };
         // Rank r owns slab r along the view's principal axis. The
         // factorization is pure camera/geometry math — bit-identical to what
         // each rank's render derives internally — so no probe render of the
         // whole volume is needed to learn the axis.
         let f = factorize(
             &camera,
-            self.volume.dims(),
+            volume.dims(),
             config.render.width,
             config.render.height,
         );
-        let parts = match self.parts_by_axis.get(&f.axis) {
-            Some(parts) => Arc::clone(parts),
+        let parts = match &self.by_axis[f.axis] {
+            Some(cut) => Arc::clone(&cut.parts),
             None => {
-                let parts = Arc::new(partition_1d(&self.volume, p, f.axis)?);
-                self.parts_by_axis.insert(f.axis, Arc::clone(&parts));
+                let tf = config.dataset.transfer_function();
+                let parts = partition_1d(&volume, p, f.axis)?
+                    .into_iter()
+                    .map(|sub| PreparedSlab::new(sub, &tf, f.axis))
+                    .collect();
+                let cut = Arc::new(Partitioned {
+                    key,
+                    volume,
+                    axis: f.axis,
+                    parts: Arc::new(parts),
+                });
+                if let Some(pool) = self.pool {
+                    pool.carry(Arc::clone(&cut));
+                }
+                let parts = Arc::clone(&cut.parts);
+                self.by_axis[f.axis] = Some(cut);
                 parts
             }
         };
@@ -263,11 +329,13 @@ impl<'a> FrameRun<'a> {
         self
     }
 
-    /// Check per-rank scratch buffers out of `pool`, so an animation loop
-    /// reuses its compositing allocations across frames instead of paying
-    /// them per frame (the per-frame constant factor the paper's
+    /// Check per-rank scratch buffers out of `pool` and plan from the
+    /// partition it carries, so an animation loop neither reallocates its
+    /// compositing buffers nor regenerates, re-cuts and re-classifies its
+    /// dataset per frame (the per-frame constant factor the paper's
     /// interactive scenario is sensitive to). Pass the same pool to every
-    /// frame.
+    /// frame; frames of another dataset, size, seed or `p` stay correct
+    /// and take the pool's one partition over.
     pub fn pool(mut self, pool: &'a ScratchPool<GrayAlpha>) -> Self {
         self.pool = Some(pool);
         self
@@ -290,16 +358,15 @@ impl<'a> FrameRun<'a> {
             pool,
             transport,
         } = self;
-        let plan = FramePlanner::new(p, config).plan(config.camera)?;
-        let tf = config.dataset.transfer_function();
+        let plan = FramePlanner::new(p, config, pool).plan(config.camera)?;
         let compose_config = config.compose_config(&faults, transport);
 
         let mc = Machine::build(p, &compose_config, faults, None);
         let (results, trace) = mc.run(|ctx| -> Result<RankFrame, PvrError> {
-            let sub = &plan.parts[ctx.rank()];
+            let slab = &plan.parts[ctx.rank()];
             ctx.mark(Mark::RenderStart);
-            let (partial, _) = render_intermediate(sub, &tf, &plan.camera, &config.render);
-            ctx.compute(ComputeKind::Render, sub.vol.len() as u64);
+            let (partial, _) = slab.render(&plan.camera, &config.render);
+            ctx.compute(ComputeKind::Render, slab.sub().vol.len() as u64);
             ctx.mark(Mark::RenderEnd);
             ctx.barrier().map_err(rt_core::CoreError::from)?;
             let mut scratch = match pool {
@@ -472,13 +539,104 @@ mod tests {
             variant: RtVariant::TwoN,
             blocks: 4,
         });
-        let pool = rt_core::exec::ScratchPool::new();
+        let pool = ScratchPool::new();
         let fresh = render_frame(4, &config).unwrap();
         let first = FrameRun::new(4, &config).pool(&pool).execute().unwrap();
         let reused = FrameRun::new(4, &config).pool(&pool).execute().unwrap();
         assert_eq!(fresh.frame.pixels(), first.frame.pixels());
         assert_eq!(fresh.frame.pixels(), reused.frame.pixels());
         assert_eq!(fresh.trace, reused.trace);
+    }
+
+    #[test]
+    fn a_pool_carries_one_partition_and_recuts_the_same_volume() {
+        let mut config = PipelineConfig::small(Method::ParallelPipelined);
+        let pool = ScratchPool::new();
+        let carried = || {
+            pool.carried::<Partitioned>()
+                .expect("a pooled frame carries")
+        };
+        FrameRun::new(3, &config).pool(&pool).execute().unwrap();
+        let first = carried();
+        FrameRun::new(3, &config).pool(&pool).execute().unwrap();
+        assert!(Arc::ptr_eq(&first, &carried()), "same config: same record");
+        // Another principal axis cuts the carried volume again.
+        config.camera = Camera::yaw_pitch(std::f64::consts::FRAC_PI_2, 0.1);
+        let turned = FrameRun::new(3, &config).pool(&pool).execute().unwrap();
+        let recut = carried();
+        assert_ne!(first.axis, recut.axis);
+        assert!(Arc::ptr_eq(&first.volume, &recut.volume));
+        assert_eq!(turned.frame, render_frame(3, &config).unwrap().frame);
+    }
+
+    #[test]
+    fn one_pool_never_serves_a_stale_partition() {
+        // Each frame follows one that differed in exactly the field named,
+        // through one pool, and must equal its un-pooled run: pixels, trace.
+        let base = PipelineConfig::small(Method::RotateTiling {
+            variant: RtVariant::TwoN,
+            blocks: 2,
+        });
+        let frames = [
+            (4, base),
+            (4, PipelineConfig { seed: 8, ..base }),
+            (
+                4,
+                PipelineConfig {
+                    dataset: Dataset::Brain,
+                    seed: 8,
+                    ..base
+                },
+            ),
+            (4, base),
+            (
+                4,
+                PipelineConfig {
+                    volume_size: 20,
+                    ..base
+                },
+            ),
+            (4, base),
+            (3, base),
+            (4, base),
+        ];
+        let pool = ScratchPool::new();
+        for (i, (p, config)) in frames.iter().enumerate() {
+            let pooled = FrameRun::new(*p, config).pool(&pool).execute().unwrap();
+            let fresh = render_frame(*p, config).unwrap();
+            assert_eq!(pooled.frame.pixels(), fresh.frame.pixels(), "frame {i}");
+            assert_eq!(pooled.trace, fresh.trace, "frame {i}");
+        }
+    }
+
+    #[test]
+    fn frames_that_cannot_be_planned_are_typed_errors() {
+        let base = PipelineConfig::small(Method::ParallelPipelined);
+        let no_pixels = |render| PipelineConfig { render, ..base };
+        for render in [
+            RenderOptions {
+                width: 0,
+                ..base.render
+            },
+            RenderOptions {
+                height: 0,
+                ..base.render
+            },
+        ] {
+            let err = render_frame(4, &no_pixels(render)).unwrap_err();
+            assert!(matches!(err, PvrError::Config { .. }), "{err}");
+        }
+        // The neighbouring misconfigurations, typed all along.
+        let err = render_frame(4, &PipelineConfig { root: 4, ..base }).unwrap_err();
+        assert!(matches!(err, PvrError::Core(_)), "{err}");
+        let tiny = PipelineConfig {
+            volume_size: 3,
+            ..base
+        };
+        let err = render_frame(4, &tiny).unwrap_err();
+        assert!(matches!(err, PvrError::Render(_)), "{err}");
+        let err = render_frame(0, &base).unwrap_err();
+        assert!(matches!(err, PvrError::Render(_)), "{err}");
     }
 
     #[test]

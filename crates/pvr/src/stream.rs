@@ -31,7 +31,10 @@
 //!   session-lifetime [`ScratchPool`] keyed by rank. A rank composes one
 //!   frame at a time (render-ahead overlaps *rendering*, not compositing),
 //!   so one scratch set per rank serves every frame, and after the first
-//!   frame the pool hands out no fresh allocation.
+//!   frame the pool hands out no fresh allocation. The same pool carries
+//!   the session's partition (generated volume, slabs, classification —
+//!   see [`crate::pipeline`]), so an orbit of the dataset the last one
+//!   showed starts without generating it.
 //! * **In-order emission.** A collector assembles the per-rank event
 //!   slices of each frame into a per-frame [`Trace`] and emits
 //!   [`StreamFrame`]s strictly in sequence.
@@ -58,8 +61,6 @@ use rt_core::repair::DegradedInfo;
 use rt_core::tile::compose_plan;
 use rt_imaging::{GrayAlpha, Image};
 use rt_render::camera::Camera;
-use rt_render::shearwarp::render_intermediate;
-use rt_render::tf::TransferFunction;
 use serde::{Deserialize, Serialize};
 
 /// An orbit sweep specification.
@@ -216,9 +217,11 @@ impl StreamFrame {
 /// One session serves any number of clients ([`StreamSession::open`]);
 /// each client can run orbit streams, sequentially or concurrently. The
 /// shared pool means successive streams reuse the same compositing
-/// buffers — concurrent streams stay correct (checkout removes a buffer
-/// from the pool, so nothing is shared mid-frame) and merely fall back to
-/// fresh allocations when they collide on a slot.
+/// buffers and the same partitioned volume — concurrent streams stay
+/// correct (checkout removes a buffer from the pool, so nothing is shared
+/// mid-frame; a stream plans from its own handle on a partition, whoever
+/// replaces the pool's) and merely fall back to fresh allocations when
+/// they collide on a slot.
 #[derive(Debug)]
 pub struct StreamSession {
     p: usize,
@@ -339,13 +342,14 @@ fn plan_frames(
     p: usize,
     base: &PipelineConfig,
     cameras: &[(f64, Camera)],
+    pool: &ScratchPool<GrayAlpha>,
 ) -> Result<Vec<FramePlan>, PvrError> {
     if cameras.is_empty() {
         return Err(PvrError::Config {
             what: "a stream needs at least one frame".into(),
         });
     }
-    let mut planner = FramePlanner::new(p, base);
+    let mut planner = FramePlanner::new(p, base, Some(pool));
     cameras
         .iter()
         .map(|&(_, camera)| planner.plan(camera))
@@ -360,14 +364,13 @@ fn run_stream(
     out: &mpsc::Sender<Result<StreamFrame, PvrError>>,
 ) {
     let cameras = orbit_cameras(orbit);
-    let plans = match plan_frames(p, &config.base, &cameras) {
+    let plans = match plan_frames(p, &config.base, &cameras, pool) {
         Ok(plans) => plans,
         Err(e) => {
             let _ = out.send(Err(e));
             return;
         }
     };
-    let tf = config.base.dataset.transfer_function();
     let compose_cfg = config.base.compose_config(&config.faults, config.transport);
     let machine = Machine::build(p, &compose_cfg, config.faults.clone(), None);
 
@@ -382,7 +385,7 @@ fn run_stream(
     std::thread::scope(|scope| {
         let emitter = scope.spawn(move || emit_frames(p, &frame_meta, &ctb_rx, out));
         machine.run(|ctx| {
-            stream_rank(ctx, config, &plans, &tf, pool, &compose_cfg, &ctb_tx);
+            stream_rank(ctx, config, &plans, pool, &compose_cfg, &ctb_tx);
         });
         drop(ctb_tx);
         let _ = emitter.join();
@@ -395,7 +398,6 @@ fn stream_rank(
     ctx: &mut RankCtx,
     config: &StreamConfig,
     plans: &[FramePlan],
-    tf: &TransferFunction,
     pool: &ScratchPool<GrayAlpha>,
     compose_cfg: &ComposeConfig,
     ctb_tx: &mpsc::Sender<Contribution>,
@@ -435,7 +437,7 @@ fn stream_rank(
                 if my_death.is_some_and(|death| k >= death) {
                     break;
                 }
-                let (partial, _) = render_intermediate(&plan.parts[me], tf, &plan.camera, render);
+                let (partial, _) = plan.parts[me].render(&plan.camera, render);
                 if part_tx.send((k, partial)).is_err() {
                     break; // compose loop stopped; backpressure doubles as shutdown
                 }
@@ -466,7 +468,7 @@ fn stream_rank(
             debug_assert_eq!(rendered, k, "renderer and compose loop out of step");
             ctx.mark(Mark::FrameStart(k as u32));
             ctx.mark(Mark::RenderStart);
-            ctx.compute(ComputeKind::Render, plan.parts[me].vol.len() as u64);
+            ctx.compute(ComputeKind::Render, plan.parts[me].sub().vol.len() as u64);
             ctx.mark(Mark::RenderEnd);
             let frame_cfg = compose_cfg.with_frame(k as u64);
             // The check-in precedes the next frame's checkout: one
@@ -704,6 +706,59 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_orbits_of_different_seeds_equal_their_solo_runs() {
+        // Both orbits read and replace the session's one carried partition
+        // while the other is planning or rendering from its own.
+        let orbit = OrbitConfig::quarter(4);
+        let configs = [7, 8].map(|seed| StreamConfig::new(PipelineConfig { seed, ..base() }));
+        let shared = StreamSession::new(3);
+        let handles = configs
+            .each_ref()
+            .map(|config| shared.open().stream_orbit(config, &orbit));
+        for (config, handle) in configs.iter().zip(handles) {
+            let together: Vec<_> = handle.map(Result::unwrap).collect();
+            let solo = StreamSession::new(3)
+                .open()
+                .collect_orbit(config, &orbit)
+                .unwrap();
+            assert_eq!(together.len(), solo.len());
+            for (got, want) in together.iter().zip(&solo) {
+                assert_eq!(got.frame.pixels(), want.frame.pixels(), "frame {}", got.seq);
+                assert_eq!(got.trace, want.trace, "frame {}", got.seq);
+            }
+        }
+    }
+
+    #[test]
+    fn an_orbit_across_an_axis_change_and_back_matches_the_serial_loop() {
+        // Yaw 0 → π sweeps the principal axis z → x → z; the second orbit
+        // starts from the cut the first one left in the session's pool.
+        let orbit = OrbitConfig {
+            frames: 6,
+            start_yaw: 0.0,
+            end_yaw: std::f64::consts::PI,
+            pitch: 0.1,
+        };
+        let want = serial_frames(3, &orbit);
+        let session = StreamSession::new(3);
+        for round in 0..2 {
+            let frames = session
+                .open()
+                .collect_orbit(&StreamConfig::new(base()), &orbit)
+                .unwrap();
+            assert_eq!(frames.len(), want.len());
+            for (got, want) in frames.iter().zip(&want) {
+                assert_eq!(
+                    got.frame.pixels(),
+                    want.pixels(),
+                    "round {round} frame {}",
+                    got.seq
+                );
+            }
+        }
+    }
+
+    #[test]
     fn wide_windows_change_nothing_but_memory() {
         let orbit = OrbitConfig::quarter(4);
         let session = StreamSession::new(2);
@@ -802,6 +857,32 @@ mod tests {
                 started.elapsed()
             );
         }
+    }
+
+    #[test]
+    fn streams_that_cannot_be_planned_are_typed_errors() {
+        let orbit = OrbitConfig::quarter(2);
+        let stream = |p: usize, base: PipelineConfig| {
+            StreamSession::new(p)
+                .open()
+                .collect_orbit(&StreamConfig::new(base), &orbit)
+                .unwrap_err()
+        };
+        let mut flat = base();
+        flat.render.height = 0;
+        let err = stream(3, flat);
+        assert!(matches!(err, PvrError::Config { .. }), "{err}");
+        // The neighbouring misconfigurations, typed all along.
+        let err = stream(3, PipelineConfig { root: 3, ..base() });
+        assert!(matches!(err, PvrError::Frame { index: 0, .. }), "{err}");
+        let tiny = PipelineConfig {
+            volume_size: 2,
+            ..base()
+        };
+        let err = stream(3, tiny);
+        assert!(matches!(err, PvrError::Render(_)), "{err}");
+        let err = stream(0, base());
+        assert!(matches!(err, PvrError::Render(_)), "{err}");
     }
 
     #[test]

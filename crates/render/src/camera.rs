@@ -128,7 +128,20 @@ impl Factorization {
     }
 }
 
+/// The in-slice axes `(i, j)` of principal axis `axis`: the other two,
+/// ascending ([`Factorization::plane`]).
+pub(crate) fn plane_of(axis: usize) -> (usize, usize) {
+    match axis {
+        0 => (1, 2),
+        1 => (0, 2),
+        _ => (0, 1),
+    }
+}
+
 /// Factorize `camera` for a volume of `dims` rendered to a `w×h` frame.
+// The warp is fitted from slice 0's origin and unit steps along `i` and
+// `j`, shifted by one finite translation: never collinear.
+#[allow(clippy::expect_used)]
 pub fn factorize(
     camera: &Camera,
     dims: (usize, usize, usize),
@@ -138,11 +151,7 @@ pub fn factorize(
     let r = camera.rotation();
     let dir = camera.view_dir_object();
     let axis = dir.argmax_abs();
-    let (i_axis, j_axis) = match axis {
-        0 => (1, 2),
-        1 => (0, 2),
-        _ => (0, 1),
-    };
+    let (i_axis, j_axis) = plane_of(axis);
     let dk = dir.get(axis);
     let shear = (-dir.get(i_axis) / dk, -dir.get(j_axis) / dk);
     let flip = dk < 0.0;

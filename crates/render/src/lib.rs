@@ -18,6 +18,10 @@
 //!   paper reference \[15\], with view-dependent depth ordering.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod camera;
 pub mod datasets;

@@ -24,12 +24,7 @@ impl Vec3 {
 
     /// Component by index (0 = x, 1 = y, 2 = z).
     pub fn get(&self, i: usize) -> f64 {
-        match i {
-            0 => self.x,
-            1 => self.y,
-            2 => self.z,
-            _ => panic!("Vec3 index {i} out of range"),
-        }
+        [self.x, self.y, self.z][i]
     }
 
     /// Dot product.

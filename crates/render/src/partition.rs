@@ -11,6 +11,7 @@
 use crate::camera::Factorization;
 use crate::volume::Volume;
 use crate::RenderError;
+use std::borrow::Borrow;
 
 /// A rank's piece of the dataset.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,9 +150,9 @@ pub fn partition_2d(
 /// nearest-first along the factorization's principal axis (ties broken by
 /// index, which is safe because tied subvolumes do not overlap on screen
 /// along the view direction).
-pub fn depth_order(subs: &[Subvolume], f: &Factorization) -> Vec<usize> {
+pub fn depth_order<S: Borrow<Subvolume>>(subs: &[S], f: &Factorization) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..subs.len()).collect();
-    idx.sort_by_key(|&i| (f.depth_key(subs[i].extent(f.axis).0), i));
+    idx.sort_by_key(|&i| (f.depth_key(subs[i].borrow().extent(f.axis).0), i));
     idx
 }
 

@@ -21,7 +21,7 @@
 //! every "frame equals the sequential render" check downstream compare
 //! `f32` bits (DESIGN.md §9, "Where the words go", has the argument).
 
-use crate::camera::{factorize, Camera, Factorization};
+use crate::camera::{factorize, plane_of, Camera, Factorization};
 use crate::partition::Subvolume;
 use crate::tf::TransferFunction;
 use rayon::prelude::*;
@@ -120,6 +120,7 @@ impl VoxelRow<'_> {
 /// its four taps, rounded — is too whenever all four taps are `≤ max`.
 /// Per voxel scanline `(j, k)` of the slab, `[lo, hi)` is the interval of
 /// voxels `> max` (`lo ≥ hi`: none).
+#[derive(Debug)]
 struct Transparent {
     max: u8,
     nk: usize,
@@ -168,10 +169,90 @@ impl Transparent {
     }
 }
 
-/// The slab as the sweep sees it: voxels addressed by in-slice `(i, j)` and
-/// slice `k` through their strides in the x-fastest buffer, the slab's
-/// offset inside the full grid, the classification table premultiplied
-/// once, and what may be skipped.
+/// A slab's voxel scanlines as a sweep along `axis` addresses them: extents
+/// `(ni, nj, nk)` and strides along the in-slice axes `(i, j)` and the
+/// slice axis `k` of the x-fastest buffer.
+fn scanlines(sub: &Subvolume, axis: usize) -> ((usize, usize, usize), (usize, usize, usize)) {
+    let (nx, ny, _) = sub.vol.dims();
+    let strides = [1, nx, nx * ny];
+    let (i, j) = plane_of(axis);
+    (
+        (sub.vol.dim(i), sub.vol.dim(j), sub.vol.dim(axis)),
+        (strides[i], strides[j], strides[axis]),
+    )
+}
+
+/// The view-independent half of rendering a slab, good for every camera
+/// whose principal axis is `axis`: the classification table premultiplied
+/// once, and what the table's transparent prefix lets a sweep skip.
+#[derive(Debug)]
+struct Classification {
+    axis: usize,
+    classes: [GrayAlpha; 256],
+    transparent: Option<Transparent>,
+}
+
+impl Classification {
+    fn new(sub: &Subvolume, tf: &TransferFunction, axis: usize) -> Self {
+        let (dims, stride) = scanlines(sub, axis);
+        Classification {
+            axis,
+            classes: std::array::from_fn(|s| tf.classify_premultiplied(s as u8)),
+            transparent: tf
+                .transparent_prefix()
+                .map(|max| Transparent::scan(sub.vol.voxels(), dims, stride, max)),
+        }
+    }
+}
+
+/// A subvolume classified ahead of its views (Lacroute & Levoy classify per
+/// principal axis before rendering): everything [`render_intermediate`]
+/// derives that no camera changes, so an animation pays it once per slab
+/// instead of once per frame.
+#[derive(Debug)]
+pub struct PreparedSlab {
+    sub: Subvolume,
+    classification: Classification,
+}
+
+impl PreparedSlab {
+    /// Classify `sub` under `tf` for sweeps along principal axis `axis`
+    /// (0 = x, 1 = y, 2 = z).
+    pub fn new(sub: Subvolume, tf: &TransferFunction, axis: usize) -> Self {
+        let classification = Classification::new(&sub, tf, axis);
+        PreparedSlab {
+            sub,
+            classification,
+        }
+    }
+
+    /// The voxels and their placement in the full grid.
+    pub fn sub(&self) -> &Subvolume {
+        &self.sub
+    }
+
+    /// [`render_intermediate`] of this slab under the transfer function it
+    /// was prepared with, bit for bit. A camera whose principal axis is not
+    /// the prepared one renders the same pixels, only without skipping.
+    pub fn render(
+        &self,
+        camera: &Camera,
+        opts: &RenderOptions,
+    ) -> (Image<GrayAlpha>, Factorization) {
+        let f = factorize(camera, self.sub.full, opts.width, opts.height);
+        sweep(&self.sub, &self.classification, f, opts)
+    }
+}
+
+impl std::borrow::Borrow<Subvolume> for PreparedSlab {
+    fn borrow(&self) -> &Subvolume {
+        &self.sub
+    }
+}
+
+/// The slab as one view's sweep sees it: voxels addressed by in-slice
+/// `(i, j)` and slice `k`, the slab's offset inside the full grid, and the
+/// classification with what may be skipped.
 struct Slab<'a> {
     voxels: &'a [u8],
     ni: usize,
@@ -180,36 +261,35 @@ struct Slab<'a> {
     off_i: f64,
     off_j: f64,
     k_lo: usize,
-    classes: [GrayAlpha; 256],
-    transparent: Option<Transparent>,
+    classes: &'a [GrayAlpha; 256],
+    transparent: Option<&'a Transparent>,
     early_termination: f32,
 }
 
 impl<'a> Slab<'a> {
     fn new(
         sub: &'a Subvolume,
-        tf: &TransferFunction,
+        classification: &'a Classification,
         f: &Factorization,
         opts: &RenderOptions,
     ) -> Self {
-        let (nx, ny, _) = sub.vol.dims();
-        let strides = [1, nx, nx * ny];
+        let ((ni, nj, _), stride) = scanlines(sub, f.axis);
         let off = [sub.offset.0, sub.offset.1, sub.offset.2];
-        let (i, j, k) = (f.plane.0, f.plane.1, f.axis);
-        let dims = (sub.vol.dim(i), sub.vol.dim(j), sub.vol.dim(k));
-        let stride = (strides[i], strides[j], strides[k]);
         Slab {
             voxels: sub.vol.voxels(),
-            ni: dims.0,
-            nj: dims.1,
+            ni,
+            nj,
             stride,
-            off_i: off[i] as f64,
-            off_j: off[j] as f64,
-            k_lo: off[k],
-            classes: std::array::from_fn(|s| tf.classify_premultiplied(s as u8)),
-            transparent: tf
-                .transparent_prefix()
-                .map(|max| Transparent::scan(sub.vol.voxels(), dims, stride, max)),
+            off_i: off[f.plane.0] as f64,
+            off_j: off[f.plane.1] as f64,
+            k_lo: off[f.axis],
+            classes: &classification.classes,
+            // The intervals are laid out along the prepared axis's
+            // scanlines; along another they prove nothing.
+            transparent: classification
+                .transparent
+                .as_ref()
+                .filter(|_| classification.axis == f.axis),
             early_termination: opts.early_termination,
         }
     }
@@ -371,7 +451,7 @@ fn composite_row(slab: &Slab, job: &SliceJob, iv: usize, row: &mut [GrayAlpha]) 
     };
     let mut end = (job.iu1 + 1).min(row.len());
     let mut start = job.iu0.min(end);
-    if let Some(t) = &slab.transparent {
+    if let Some(t) = slab.transparent {
         // Only a pixel with a tap inside the union of the two scanlines'
         // intervals can be visible: columns `lo - 1 ..= hi - 1`.
         let (mut lo, mut hi) = (u32::MAX, 0);
@@ -414,9 +494,20 @@ pub fn render_intermediate(
     opts: &RenderOptions,
 ) -> (Image<GrayAlpha>, Factorization) {
     let f = factorize(camera, sub.full, opts.width, opts.height);
+    sweep(sub, &Classification::new(sub, tf, f.axis), f, opts)
+}
+
+/// The per-view half: sweep the classified slab's slices front to back
+/// under factorization `f` into a blank intermediate image.
+fn sweep(
+    sub: &Subvolume,
+    classification: &Classification,
+    f: Factorization,
+    opts: &RenderOptions,
+) -> (Image<GrayAlpha>, Factorization) {
     let mut inter: Image<GrayAlpha> = Image::blank(f.inter_size.0, f.inter_size.1);
     let w = inter.width();
-    let slab = Slab::new(sub, tf, &f, opts);
+    let slab = Slab::new(sub, classification, &f, opts);
     let jobs = slice_jobs(sub, &f);
 
     if opts.parallel && w > 0 && inter.height() > 0 {
@@ -486,15 +577,19 @@ fn warp_pixel(src: &[GrayAlpha], iw: usize, ih: usize, u: f64, v: f64) -> GrayAl
 }
 
 /// Warp a composited intermediate image to the screen frame.
+// The loops below push one pixel per screen position, which is all
+// `Image::from_vec` asks for.
+#[allow(clippy::expect_used)]
 pub fn warp_to_screen(
     inter: &Image<GrayAlpha>,
     f: &Factorization,
     opts: &RenderOptions,
 ) -> Image<GrayAlpha> {
-    let inv = f
-        .warp
-        .inverse()
-        .expect("the warp of a rotation view is invertible");
+    // A rotation view's warp is singular only at scale zero, the auto-fit
+    // of a frame without area: there is no screen pixel to sample for.
+    let Some(inv) = f.warp.inverse() else {
+        return Image::blank(opts.width, opts.height);
+    };
     let (src, iw, ih) = (inter.pixels(), inter.width(), inter.height());
     let mut screen = Vec::with_capacity(opts.width * opts.height);
     for y in 0..opts.height {
@@ -783,7 +878,9 @@ mod kernel_tests {
             .collect()
     }
 
-    /// Both drivers of the kernel and the warp, against the reference.
+    /// Both drivers of the kernel and the warp, against the reference —
+    /// and one slab prepared for `camera`'s axis, rendered from `camera`
+    /// and from a rolled, zoomed camera that shares it.
     fn assert_kernel_matches_reference(
         sub: &Subvolume,
         tf: &TransferFunction,
@@ -801,6 +898,18 @@ mod kernel_tests {
                 bits(&want),
                 "{what}: partial, parallel={parallel}"
             );
+        }
+        let prepared = PreparedSlab::new(sub.clone(), tf, f.axis);
+        let rolled = Camera {
+            roll: camera.roll + 0.7,
+            scale: 1.3,
+            ..*camera
+        };
+        let (want_rolled, rolled_f) = render_intermediate_reference(sub, tf, &rolled, opts);
+        assert_eq!(rolled_f.axis, f.axis, "roll and scale keep the view's axis");
+        for (view, want) in [(camera, &want), (&rolled, &want_rolled)] {
+            let (got, _) = prepared.render(view, opts);
+            assert_eq!(bits(&got), bits(want), "{what}: prepared slab, {view:?}");
         }
         assert_eq!(
             bits(&warp_to_screen(&want, &f, opts)),
@@ -828,12 +937,19 @@ mod kernel_tests {
             ..RenderOptions::square(64)
         };
         let f = factorize(&camera, vol.dims(), 64, 64);
+        let side = Camera::yaw_pitch(std::f64::consts::FRAC_PI_2, 0.1);
         for part in partition_1d(&vol, 3, f.axis).unwrap() {
             for tf in [
                 Dataset::Engine.transfer_function(),
                 TransferFunction::two_windows(),
             ] {
                 assert_kernel_matches_reference(&part, &tf, &camera, &opts, "engine slab");
+                // A slab prepared for one axis and viewed along another
+                // skips nothing and still carries the reference's bits.
+                let (want, want_f) = render_intermediate_reference(&part, &tf, &side, &opts);
+                assert_ne!(want_f.axis, f.axis);
+                let (got, _) = PreparedSlab::new(part.clone(), &tf, f.axis).render(&side, &opts);
+                assert_eq!(bits(&got), bits(&want), "engine slab off its prepared axis");
             }
         }
     }

@@ -37,6 +37,7 @@ impl TransferFunction {
     /// first/last control points clamp.
     pub fn from_points(points: &[(u8, f32, f32)]) -> Self {
         assert!(!points.is_empty(), "need at least one control point");
+        let last = points[points.len() - 1];
         let mut table = Vec::with_capacity(256);
         for s in 0..=255u16 {
             let s = s as u8;
@@ -45,13 +46,10 @@ impl TransferFunction {
                     luminance: points[0].1,
                     opacity: points[0].2,
                 },
-                None => {
-                    let last = points.last().unwrap();
-                    Classified {
-                        luminance: last.1,
-                        opacity: last.2,
-                    }
-                }
+                None => Classified {
+                    luminance: last.1,
+                    opacity: last.2,
+                },
                 Some(i) => {
                     let (s0, l0, o0) = points[i - 1];
                     let (s1, l1, o1) = points[i];

@@ -64,12 +64,7 @@ impl Volume {
 
     /// Dimension along `axis` (0 = x, 1 = y, 2 = z).
     pub fn dim(&self, axis: usize) -> usize {
-        match axis {
-            0 => self.nx,
-            1 => self.ny,
-            2 => self.nz,
-            _ => panic!("axis {axis} out of range"),
-        }
+        [self.nx, self.ny, self.nz][axis]
     }
 
     /// Total voxel count.
@@ -116,8 +111,10 @@ impl Volume {
     }
 
     /// Trilinear sample at continuous coordinates (voxel centers at the
-    /// integers); 0 outside the grid.
-    pub fn sample(&self, x: f64, y: f64, z: f64) -> f64 {
+    /// integers); 0 outside the grid. Only the test-only ray-caster samples
+    /// off the slice planes.
+    #[cfg(test)]
+    pub(crate) fn sample(&self, x: f64, y: f64, z: f64) -> f64 {
         let (x0, y0, z0) = (x.floor(), y.floor(), z.floor());
         let (fx, fy, fz) = (x - x0, y - y0, z - z0);
         let (xi, yi, zi) = (x0 as isize, y0 as isize, z0 as isize);
