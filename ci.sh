@@ -135,7 +135,8 @@ echo "== render kernel equivalence =="
 # The shear-warp scanline kernels against the per-sample renderer kept in
 # rt-render's test module, bit for bit, over 256 random scenes in release
 # (the workspace stage above runs the same property at PROPTEST_CASES in
-# debug). Besides the `render` cells of tests/golden/trace_digests.txt this
+# debug), plus the preset scenes and the rows past a pass-1 chunk of
+# `kernel_equivalence_at_production_widths`. Besides the `render` cells of tests/golden/trace_digests.txt this
 # is the only gate on the float path.
 PROPTEST_CASES=256 cargo test -q --release -p rt-render kernel_equivalence
 
@@ -149,7 +150,8 @@ echo "== net log bound =="
 # release (the workspace stage above runs the same files in debug).
 # `resume.rs` pins what a link owes once it has gone down: a mutual 48 MiB
 # replay, a sender held at the log's budget instead of losing frames, a
-# silent peer taken down under a blocked sender. The both-mesh barrier test
+# silent peer taken down under a blocked sender, a blocked sender released
+# by a peer's death notice on a socket it keeps open. The both-mesh barrier test
 # rides along so the message round of `RankCtx::barrier` is exercised
 # optimised over TCP too.
 cargo test -q --release -p rt-net \

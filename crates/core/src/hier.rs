@@ -38,11 +38,6 @@
 //! every pixel once in depth order, [`crate::analyze`] prices it and
 //! [`crate::repair()`] plans its recovery like any other schedule's.
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use crate::method::{CompositionMethod, Method};
 use crate::radix::RadixK;
 use crate::rotate::RtVariant;

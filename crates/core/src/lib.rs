@@ -69,6 +69,12 @@
 //! ```
 
 #![warn(missing_docs)]
+// Plans, schedules and bundles come from tuners and peers: the non-test code
+// turns what it cannot use into a typed error and never panics on it.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod analysis;
 pub mod binary_swap;

@@ -46,13 +46,6 @@
 //! pixels, new owners re-classify with the surviving contributors only and
 //! never see one without the other.
 
-// The approximate path carries the same no-escape-hatch bar as rt-net and
-// rt-pvr from day one: every failure is a typed error, never a panic.
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use crate::exec::{scatter, Scratch};
 use crate::tile::{Piece, TileGrid, TileScan};
 use crate::CoreError;

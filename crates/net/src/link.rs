@@ -780,9 +780,9 @@ impl Fabric {
 
     /// Reader thread for one installed stream: decode frames, answer
     /// pings, count and forward everything else. Exits (and takes the
-    /// link down) on EOF, a decode failure, or a frame that claims another
-    /// sender than this link's peer — `from` is the peer's to write, and
-    /// the layers above index by it.
+    /// link down) on EOF, a decode failure, the peer's forwarded death
+    /// notice, or a frame that claims another sender than this link's peer
+    /// — `from` is the peer's to write, and the layers above index by it.
     fn spawn_reader(
         self: &Arc<Self>,
         link: &Arc<Link>,
@@ -817,7 +817,8 @@ impl Fabric {
                         }
                         continue;
                     }
-                    if frame.tag == tag::DEATH {
+                    let death = frame.tag == tag::DEATH;
+                    if death {
                         // The peer announced its own death: no repair, and
                         // no second (synthesized) notification when its
                         // socket closes.
@@ -825,7 +826,11 @@ impl Fabric {
                     }
                     link.recv_count.fetch_add(1, Ordering::AcqRel);
                     let len = HEADER_BYTES + frame.payload.len();
-                    if fabric.tx.send(frame).is_err() {
+                    if fabric.tx.send(frame).is_err() || death {
+                        // After a death nothing more is read: `down` shuts
+                        // the stream, which fails a write blocked on a peer
+                        // that keeps its socket open, and wakes a sender
+                        // waiting for room.
                         break;
                     }
                     if link.ack_owed.fetch_add(len, Ordering::AcqRel) + len >= ACK_BYTES {

@@ -12,6 +12,8 @@
 //!   will ask for;
 //! * a sender is blocked on a peer that has stopped reading — the heartbeat
 //!   must still be able to take that stream down;
+//! * the same peer announces its death but keeps its socket open — the
+//!   announcement alone must release the sender;
 //! * one frame larger than the whole budget still goes through.
 //!
 //! `ci.sh` runs this file in release as part of its `net log bound` stage.
@@ -19,8 +21,8 @@
 mod common;
 
 use common::{expect, frame, pair, within};
-use rt_comm::{Payload, SendRawError, Transport};
-use rt_net::frame::HEADER_BYTES;
+use rt_comm::{tag, Payload, SendRawError, Transport, WireFrame};
+use rt_net::frame::{encode_header, write_encoded, HEADER_BYTES};
 use rt_net::link::SENT_LOG_BUDGET;
 use rt_net::{TcpOptions, TcpTransport, WireFault};
 use std::io::Read;
@@ -117,6 +119,39 @@ fn a_silent_peer_is_taken_down_while_a_sender_is_blocked_on_it() {
         assert_eq!(refused, Some(SendRawError { to: 0 }));
         assert!(t.peer_is_dead(0));
         drop(held_open);
+    });
+}
+
+#[test]
+fn a_peer_that_announces_its_death_releases_a_blocked_sender() {
+    within(Duration::from_secs(20), || {
+        // Rank 0 takes rank 1's hello, lets the sender block, writes one
+        // `DEATH` frame and then never reads again — but keeps the socket
+        // open. There is no heartbeat: only the announcement can end it.
+        let dying = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mine = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = [dying.local_addr().unwrap(), mine.local_addr().unwrap()];
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = dying.accept().unwrap();
+            stream.read_exact(&mut [0u8; 8]).unwrap();
+            std::thread::sleep(Duration::from_millis(500));
+            let death = WireFrame::control(0, tag::DEATH, WireFrame::death_payload(3));
+            let header = encode_header(&death).unwrap();
+            write_encoded(&mut stream, &header, &death.payload, usize::MAX).unwrap();
+            (dying, stream)
+        });
+        let opts = TcpOptions {
+            heartbeat_interval: None,
+            ..TcpOptions::default()
+        };
+        let mut t = TcpTransport::establish_with(1, 2, mine, &addrs, opts).unwrap();
+        let payload = Payload::from(vec![0xd5; BULK_BYTES]);
+        let refused = (0..).find_map(|seq| t.send_raw(0, frame(1, seq, &payload)).err());
+        assert_eq!(refused, Some(SendRawError { to: 0 }));
+        assert!(t.peer_is_dead(0));
+        let notice = t.recv_raw(Duration::from_secs(1)).unwrap();
+        assert_eq!((notice.tag, notice.death_step()), (tag::DEATH, 3));
+        drop(peer.join().unwrap());
     });
 }
 

@@ -14,18 +14,20 @@
 //!
 //! Both resampling loops are scanline kernels: inside one slice (and along
 //! one screen row) the geometry that does not depend on the pixel is
-//! computed once, voxels are fetched by direct indexing, and samples the
-//! transfer function proves transparent are never computed. Their contract
-//! is **bit-identity** with the per-sample renderer kept in this module's
-//! tests, not a tolerance: the composition stage, the golden digests and
-//! every "frame equals the sequential render" check downstream compare
-//! `f32` bits (DESIGN.md §9, "Where the words go", has the argument).
+//! computed once, a chunk of pixels is sampled before it is composited, and
+//! runs the transfer function proves transparent are never sampled. Their
+//! contract is **bit-identity** with the per-sample renderer kept in this
+//! module's tests, not a tolerance: the composition stage, the golden
+//! digests and every "frame equals the sequential render" check downstream
+//! compare `f32` bits (DESIGN.md §9, "Where the words go", has the argument).
 
 use crate::camera::{factorize, plane_of, Camera, Factorization};
 use crate::partition::Subvolume;
 use crate::tf::TransferFunction;
 use rayon::prelude::*;
 use rt_imaging::{GrayAlpha, Image, Pixel};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Rendering options.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,28 +94,9 @@ fn round_to_u8(x: f64) -> u8 {
     (t + i32::from(x - f64::from(t) >= 0.5)).min(255) as u8
 }
 
-/// One voxel scanline along the in-slice `i` axis: voxel `i` is
-/// `data[i * stride]`.
-#[derive(Clone, Copy)]
-struct VoxelRow<'a> {
-    data: &'a [u8],
-    stride: usize,
-}
-
-impl VoxelRow<'_> {
-    /// A scanline outside the slab reads as zeros: every index lands on
-    /// the one zero byte.
-    const ZERO: VoxelRow<'static> = VoxelRow {
-        data: &[0],
-        stride: 0,
-    };
-
-    /// Voxel `i`, known to be on the scanline.
-    #[inline(always)]
-    fn at(self, i: i64) -> u8 {
-        self.data[i as usize * self.stride]
-    }
-}
+/// Pixels per pass-1 chunk of a slab kernel run: the scalars of one chunk
+/// fit a stack buffer.
+const CHUNK: usize = 64;
 
 /// What the transfer function proves transparent without sampling: every
 /// scalar in `0..=max` is, so a bilinear sample — a convex combination of
@@ -122,85 +105,110 @@ impl VoxelRow<'_> {
 /// voxels `> max` (`lo ≥ hi`: none).
 #[derive(Debug)]
 struct Transparent {
-    max: u8,
     nk: usize,
     lo: Vec<u32>,
     hi: Vec<u32>,
 }
 
 impl Transparent {
-    /// One pass over the slab in memory order, widening each scanline's
-    /// interval by every voxel above `max` it meets.
+    /// One pass over the slab's scanlines, each interval from its first
+    /// and last voxel above `max`.
     fn scan(
         voxels: &[u8],
         (ni, nj, nk): (usize, usize, usize),
-        (si, sj, sk): (usize, usize, usize),
+        (sj, sk): (usize, usize),
         max: u8,
     ) -> Self {
         let mut lo = vec![u32::MAX; nj * nk];
         let mut hi = vec![0u32; nj * nk];
-        if si == 1 {
-            // Scanlines are memory rows.
-            for (jk, (lo, hi)) in lo.iter_mut().zip(&mut hi).enumerate() {
-                let row = &voxels[(jk / nk) * sj + (jk % nk) * sk..][..ni];
-                if let Some(first) = row.iter().position(|&v| v > max) {
-                    let last = row.iter().rposition(|&v| v > max).unwrap_or(first);
-                    (*lo, *hi) = (first as u32, last as u32 + 1);
-                }
-            }
-        } else {
-            // The principal axis is x: a memory row holds voxel `i` of the
-            // `nk` scanlines sharing `j`.
-            debug_assert_eq!(sk, 1);
-            for j in 0..nj {
-                let (lo, hi) = (&mut lo[j * nk..][..nk], &mut hi[j * nk..][..nk]);
-                for i in 0..ni {
-                    let row = &voxels[j * sj + i * si..][..nk];
-                    for ((lo, hi), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(row) {
-                        if v > max {
-                            *lo = (*lo).min(i as u32);
-                            *hi = i as u32 + 1;
-                        }
-                    }
-                }
+        for (jk, (lo, hi)) in lo.iter_mut().zip(&mut hi).enumerate() {
+            let row = &voxels[(jk / nk) * sj + (jk % nk) * sk..][..ni];
+            if let Some(first) = row.iter().position(|&v| v > max) {
+                let last = row.iter().rposition(|&v| v > max).unwrap_or(first);
+                (*lo, *hi) = (first as u32, last as u32 + 1);
             }
         }
-        Transparent { max, nk, lo, hi }
+        Transparent { nk, lo, hi }
     }
 }
 
-/// A slab's voxel scanlines as a sweep along `axis` addresses them: extents
-/// `(ni, nj, nk)` and strides along the in-slice axes `(i, j)` and the
-/// slice axis `k` of the x-fastest buffer.
-fn scanlines(sub: &Subvolume, axis: usize) -> ((usize, usize, usize), (usize, usize, usize)) {
+/// A slab's voxels as a sweep along `axis` addresses them: extents
+/// `(ni, nj, nk)` along the in-slice axes `(i, j)` and the slice axis `k`,
+/// and where scanline `(j, k)` starts in [`scanline_voxels`]' buffer.
+fn scanlines(sub: &Subvolume, axis: usize) -> ((usize, usize, usize), (usize, usize)) {
+    let (i, j) = plane_of(axis);
+    let dims = (sub.vol.dim(i), sub.vol.dim(j), sub.vol.dim(axis));
     let (nx, ny, _) = sub.vol.dims();
     let strides = [1, nx, nx * ny];
-    let (i, j) = plane_of(axis);
-    (
-        (sub.vol.dim(i), sub.vol.dim(j), sub.vol.dim(axis)),
-        (strides[i], strides[j], strides[axis]),
-    )
+    let starts = if axis == 0 {
+        (dims.0, dims.0 * dims.1)
+    } else {
+        (strides[j], strides[axis])
+    };
+    (dims, starts)
+}
+
+/// The slab's voxels with every scanline along the in-slice `i` axis of
+/// `axis` contiguous. For axes y and z that axis is x, and the x-fastest
+/// buffer's rows are the scanlines; for axis x (`i` = y) it is a copy in
+/// `(k, j, i)` = `(x, z, y)` order.
+fn scanline_voxels(sub: &Subvolume, axis: usize) -> Cow<'_, [u8]> {
+    let voxels = sub.vol.voxels();
+    if axis != 0 {
+        return Cow::Borrowed(voxels);
+    }
+    let mut kji = vec![0; voxels.len()];
+    if kji.is_empty() {
+        return Cow::Owned(kji);
+    }
+    // The x-fastest rows, in `(y, z)` order, are the `(i, j)` of slice x:
+    // voxel `x` of row `r` goes to `kji[x * rows + r]`, gathered a block of
+    // rows at a time so the block stays in cache across the `nx` slices.
+    const BLOCK: usize = 64;
+    let nx = sub.vol.dim(0);
+    let rows = voxels.len() / nx;
+    for (b, block) in voxels.chunks(nx * BLOCK).enumerate() {
+        let n = block.len() / nx;
+        for (x, slice) in kji.chunks_exact_mut(rows).enumerate() {
+            for (r, to) in slice[b * BLOCK..][..n].iter_mut().enumerate() {
+                *to = block[r * nx + x];
+            }
+        }
+    }
+    Cow::Owned(kji)
 }
 
 /// The view-independent half of rendering a slab, good for every camera
 /// whose principal axis is `axis`: the classification table premultiplied
-/// once, and what the table's transparent prefix lets a sweep skip.
+/// once, what the table's transparent prefix lets a sweep skip, and for
+/// axis x the scanline copy of the voxels.
 #[derive(Debug)]
 struct Classification {
     axis: usize,
     classes: [GrayAlpha; 256],
     transparent: Option<Transparent>,
+    /// [`scanline_voxels`]' copy, if it made one.
+    copy: Option<Vec<u8>>,
+    /// What a scanline off the slab reads: as long as the slab's longest
+    /// side, so it serves a sweep along any axis.
+    zeros: Vec<u8>,
 }
 
 impl Classification {
     fn new(sub: &Subvolume, tf: &TransferFunction, axis: usize) -> Self {
-        let (dims, stride) = scanlines(sub, axis);
+        let (dims, starts) = scanlines(sub, axis);
+        let voxels = scanline_voxels(sub, axis);
         Classification {
             axis,
             classes: std::array::from_fn(|s| tf.classify_premultiplied(s as u8)),
             transparent: tf
                 .transparent_prefix()
-                .map(|max| Transparent::scan(sub.vol.voxels(), dims, stride, max)),
+                .map(|max| Transparent::scan(&voxels, dims, starts, max)),
+            copy: match voxels {
+                Cow::Owned(copy) => Some(copy),
+                Cow::Borrowed(_) => None,
+            },
+            zeros: vec![0; dims.0.max(dims.1).max(dims.2)],
         }
     }
 }
@@ -233,7 +241,8 @@ impl PreparedSlab {
 
     /// [`render_intermediate`] of this slab under the transfer function it
     /// was prepared with, bit for bit. A camera whose principal axis is not
-    /// the prepared one renders the same pixels, only without skipping.
+    /// the prepared one renders the same pixels, only without skipping (and
+    /// along x from a scanline copy of its own).
     pub fn render(
         &self,
         camera: &Camera,
@@ -250,14 +259,16 @@ impl std::borrow::Borrow<Subvolume> for PreparedSlab {
     }
 }
 
-/// The slab as one view's sweep sees it: voxels addressed by in-slice
-/// `(i, j)` and slice `k`, the slab's offset inside the full grid, and the
-/// classification with what may be skipped.
+/// The slab as one view's sweep sees it: contiguous voxel scanlines
+/// addressed by in-slice `j` and slice `k`, the slab's offset inside the
+/// full grid, and the classification with what may be skipped.
 struct Slab<'a> {
-    voxels: &'a [u8],
+    voxels: Cow<'a, [u8]>,
     ni: usize,
     nj: usize,
-    stride: (usize, usize, usize),
+    starts: (usize, usize),
+    /// The scanline every row outside the slab reads.
+    zeros: &'a [u8],
     off_i: f64,
     off_j: f64,
     k_lo: usize,
@@ -273,36 +284,67 @@ impl<'a> Slab<'a> {
         f: &Factorization,
         opts: &RenderOptions,
     ) -> Self {
-        let ((ni, nj, _), stride) = scanlines(sub, f.axis);
+        let ((ni, nj, _), starts) = scanlines(sub, f.axis);
         let off = [sub.offset.0, sub.offset.1, sub.offset.2];
+        // The intervals and the copy are laid out along the prepared axis's
+        // scanlines; along another they prove nothing and are made afresh.
+        let prepared = classification.axis == f.axis;
         Slab {
-            voxels: sub.vol.voxels(),
+            voxels: match &classification.copy {
+                Some(copy) if prepared => Cow::Borrowed(copy),
+                _ => scanline_voxels(sub, f.axis),
+            },
             ni,
             nj,
-            stride,
+            starts,
+            zeros: &classification.zeros[..ni],
             off_i: off[f.plane.0] as f64,
             off_j: off[f.plane.1] as f64,
             k_lo: off[f.axis],
             classes: &classification.classes,
-            // The intervals are laid out along the prepared axis's
-            // scanlines; along another they prove nothing.
-            transparent: classification
-                .transparent
-                .as_ref()
-                .filter(|_| classification.axis == f.axis),
+            transparent: classification.transparent.as_ref().filter(|_| prepared),
             early_termination: opts.early_termination,
         }
     }
 
-    /// Scanline `j` of local slice `k`; zeros outside the slab.
+    /// Scanline `j` of local slice `k`, `ni` voxels; zeros outside the slab.
     #[inline]
-    fn row(&self, j: i64, k: usize) -> VoxelRow<'a> {
+    fn row(&self, j: i64, k: usize) -> &[u8] {
         if j < 0 || j as usize >= self.nj {
-            return VoxelRow::ZERO;
+            return self.zeros;
         }
-        VoxelRow {
-            data: &self.voxels[j as usize * self.stride.1 + k * self.stride.2..],
-            stride: self.stride.0,
+        &self.voxels[j as usize * self.starts.0 + k * self.starts.1..][..self.ni]
+    }
+
+    /// Classify and composite the pixels `run` (the first is pixel `iu0` of
+    /// the image row) in chunks of two passes: first every pixel's rounded
+    /// scalar `scalar(iu)`, with nothing to branch on; then, in order, the
+    /// early-termination test, the table lookup, the transparent skip and
+    /// `over`. A sample the transfer function proves transparent classifies
+    /// to `a ≤ 0`, so pass 2 skips it without a test of its own.
+    #[inline(always)]
+    fn composite(&self, iu0: usize, run: &mut [GrayAlpha], scalar: impl Fn(f64) -> u8) {
+        let mut scalars = [0u8; CHUNK];
+        // Pixel indices counted in `f64` are exact, and spare the loop an
+        // integer conversion.
+        let mut iu = iu0 as f64;
+        for chunk in run.chunks_mut(CHUNK) {
+            let scalars = &mut scalars[..chunk.len()];
+            for s in scalars.iter_mut() {
+                *s = scalar(iu);
+                iu += 1.0;
+            }
+            for (acc, &s) in chunk.iter_mut().zip(scalars.iter()) {
+                if acc.a >= self.early_termination {
+                    continue;
+                }
+                let sample = self.classes[usize::from(s)];
+                if sample.a <= 0.0 {
+                    continue;
+                }
+                // Front-to-back: the accumulated pixel is nearer.
+                *acc = acc.over(&sample);
+            }
         }
     }
 }
@@ -353,23 +395,65 @@ fn slice_jobs(sub: &Subvolume, f: &Factorization) -> Vec<SliceJob> {
 /// function of `(slice, image row)` alone.
 struct RowTaps<'a> {
     /// Voxel scanlines `j0` and `j0 + 1`.
-    rows: [VoxelRow<'a>; 2],
+    rows: [&'a [u8]; 2],
     /// Their bilinear weights `1 - fj`, `fj`.
     wj: [f64; 2],
     /// `iu - u_off - off_i` is the in-slice column coordinate `li`.
     u_off: f64,
     off_i: f64,
-    /// Skip a sample whose four taps are all `≤ skip_max` (−1: never).
-    skip_max: i32,
 }
 
 impl RowTaps<'_> {
-    /// In-slice column coordinate of pixel `iu` and its floor — monotone in
-    /// `iu`, which is all the run boundaries below rely on.
+    /// In-slice column coordinate of pixel `iu`.
     #[inline(always)]
-    fn column(&self, iu: usize) -> (f64, i64) {
-        let li = (iu as f64 - self.u_off) - self.off_i;
+    fn li(&self, iu: f64) -> f64 {
+        (iu - self.u_off) - self.off_i
+    }
+
+    /// `li` and its floor — monotone in `iu`, which is all the run
+    /// boundaries below rely on.
+    #[inline(always)]
+    fn column(&self, iu: f64) -> (f64, i64) {
+        let li = self.li(iu);
         (li, floor_to_int(li))
+    }
+
+    /// The rounded bilinear scalar at column `li`, `i0 = ⌊li⌋`, from the
+    /// taps `v` = voxels `i0`, `i0 + 1` of each scanline.
+    #[inline(always)]
+    fn blend(&self, li: f64, i0: f64, v: [u8; 4]) -> u8 {
+        let fi = li - i0;
+        let wi = [1.0 - fi, fi];
+        // A tap of weight zero adds +0 to a sum that is never −0, so the
+        // four terms need no `w > 0` tests to match a sampler that skips
+        // them.
+        round_to_u8(
+            (wi[0] * self.wj[0]) * f64::from(v[0])
+                + (wi[1] * self.wj[0]) * f64::from(v[1])
+                + (wi[0] * self.wj[1]) * f64::from(v[2])
+                + (wi[1] * self.wj[1]) * f64::from(v[3]),
+        )
+    }
+
+    /// Pixel `iu`'s scalar where both taps of both scanlines are on the
+    /// slab (`0 ≤ ⌊li⌋ ≤ ni − 2`): `li ≥ 0`, so truncation is the floor.
+    #[inline(always)]
+    fn interior(&self, iu: f64) -> u8 {
+        let li = self.li(iu);
+        // `ni` fits a `u32` (the transparency intervals store it as one).
+        let i0 = li as u32;
+        let at = i0 as usize;
+        let [r0, r1] = self.rows.map(|r| &r[at..at + 2]);
+        self.blend(li, f64::from(i0), [r0[0], r0[1], r1[0], r1[1]])
+    }
+
+    /// Pixel `iu`'s scalar anywhere, taps off the slab reading 0.
+    fn edge(&self, iu: f64) -> u8 {
+        let (li, i0) = self.column(iu);
+        let tap = |r: &[u8], i: i64| usize::try_from(i).map_or(0, |i| r.get(i).map_or(0, |&v| v));
+        let [r0, r1] = self.rows;
+        let v = [tap(r0, i0), tap(r0, i0 + 1), tap(r1, i0), tap(r1, i0 + 1)];
+        self.blend(li, i0 as f64, v)
     }
 
     /// The first pixel of `from..to` whose column is at least `target`
@@ -378,51 +462,13 @@ impl RowTaps<'_> {
     fn first_at(&self, target: i64, from: usize, to: usize) -> usize {
         let guess = (target as f64 + self.off_i + self.u_off).ceil();
         let mut iu = (guess.max(from as f64) as usize).min(to);
-        while iu < to && self.column(iu).1 < target {
+        while iu < to && self.column(iu as f64).1 < target {
             iu += 1;
         }
-        while iu > from && self.column(iu - 1).1 >= target {
+        while iu > from && self.column((iu - 1) as f64).1 >= target {
             iu -= 1;
         }
         iu
-    }
-
-    /// Sample, classify and composite the pixels `run` (the first is pixel
-    /// `iu0` of the image row), fetching voxel `i` of a scanline with `tap`.
-    #[inline(always)]
-    fn composite(
-        &self,
-        slab: &Slab,
-        iu0: usize,
-        run: &mut [GrayAlpha],
-        tap: impl Fn(VoxelRow, i64) -> u8,
-    ) {
-        let [r0, r1] = self.rows;
-        for (iu, acc) in (iu0..).zip(run) {
-            if acc.a >= slab.early_termination {
-                continue;
-            }
-            let (li, i0) = self.column(iu);
-            let v = [tap(r0, i0), tap(r0, i0 + 1), tap(r1, i0), tap(r1, i0 + 1)];
-            if i32::from(v[0].max(v[1]).max(v[2]).max(v[3])) <= self.skip_max {
-                continue;
-            }
-            let fi = li - i0 as f64;
-            let wi = [1.0 - fi, fi];
-            // A tap of weight zero adds +0 to a sum that is never −0, so
-            // the four terms need no `w > 0` tests to match a sampler that
-            // skips them.
-            let scalar = (wi[0] * self.wj[0]) * f64::from(v[0])
-                + (wi[1] * self.wj[0]) * f64::from(v[1])
-                + (wi[0] * self.wj[1]) * f64::from(v[2])
-                + (wi[1] * self.wj[1]) * f64::from(v[3]);
-            let sample = slab.classes[usize::from(round_to_u8(scalar))];
-            if sample.a <= 0.0 {
-                continue;
-            }
-            // Front-to-back: the accumulated pixel is nearer.
-            *acc = acc.over(&sample);
-        }
     }
 }
 
@@ -433,21 +479,20 @@ impl RowTaps<'_> {
 /// bit-identical.
 ///
 /// Inside one slice the resampling is a translation, so the row reads two
-/// voxel scanlines with fixed weights, and splits into the pixels the
-/// transfer function cannot prove transparent (the rest are never
-/// sampled), and those into an interior run whose taps all lie on the slab
-/// (fetched without a range test) and the few edge pixels either side.
+/// contiguous voxel scanlines with fixed weights. The run is trimmed to the
+/// pixels the transfer function cannot prove transparent (the rest are
+/// never sampled) and split into an interior whose taps all lie on the
+/// slab and the few edge pixels either side.
 fn composite_row(slab: &Slab, job: &SliceJob, iv: usize, row: &mut [GrayAlpha]) {
     let lj = (iv as f64 - job.v_off) - slab.off_j;
     let j0 = floor_to_int(lj);
     let fj = lj - j0 as f64;
     let k = job.k - slab.k_lo;
-    let mut taps = RowTaps {
+    let taps = RowTaps {
         rows: [slab.row(j0, k), slab.row(j0 + 1, k)],
         wj: [1.0 - fj, fj],
         u_off: job.u_off,
         off_i: slab.off_i,
-        skip_max: -1,
     };
     let mut end = (job.iu1 + 1).min(row.len());
     let mut start = job.iu0.min(end);
@@ -466,15 +511,12 @@ fn composite_row(slab: &Slab, job: &SliceJob, iv: usize, row: &mut [GrayAlpha]) 
         }
         start = taps.first_at(i64::from(lo) - 1, start, end);
         end = taps.first_at(i64::from(hi), start, end);
-        taps.skip_max = i32::from(t.max);
     }
-    let ni = slab.ni as i64;
     let inner = taps.first_at(0, start, end);
-    let inner_end = taps.first_at(ni - 1, inner, end);
-    let edge = |r: VoxelRow, i: i64| if i >= 0 && i < ni { r.at(i) } else { 0 };
-    taps.composite(slab, start, &mut row[start..inner], edge);
-    taps.composite(slab, inner, &mut row[inner..inner_end], |r, i| r.at(i));
-    taps.composite(slab, inner_end, &mut row[inner_end..end], edge);
+    let inner_end = taps.first_at(slab.ni as i64 - 1, inner, end);
+    slab.composite(start, &mut row[start..inner], |iu| taps.edge(iu));
+    slab.composite(inner, &mut row[inner..inner_end], |iu| taps.interior(iu));
+    slab.composite(inner_end, &mut row[inner_end..end], |iu| taps.edge(iu));
 }
 
 /// Render a subvolume into the full-frame intermediate image.
@@ -484,9 +526,10 @@ fn composite_row(slab: &Slab, job: &SliceJob, iv: usize, row: &mut [GrayAlpha]) 
 /// produce images of identical shape for the same camera/options, because
 /// the factorization depends only on `sub.full`.
 ///
-/// Samples the transfer function proves transparent are skipped without
-/// being computed, whatever the table looks like; every pixel carries the
-/// bits a plain sample-classify-composite loop over all of them produces.
+/// Runs of pixels the transfer function proves transparent are skipped
+/// without being sampled, whatever the table looks like; every pixel
+/// carries the bits a plain sample-classify-composite loop over all of them
+/// produces.
 pub fn render_intermediate(
     sub: &Subvolume,
     tf: &TransferFunction,
@@ -536,72 +579,144 @@ fn sweep(
     (inter, f)
 }
 
-/// Bilinear sample of a premultiplied gray image (`iw`-pixel rows) at
-/// continuous coordinates, blank outside.
+/// The bilinear blend of taps `p` (`(u0, v0)`, `(u0 + 1, v0)`, `(u0, v0 +
+/// 1)`, `(u0 + 1, v0 + 1)`) at fractions `(fu, fv)`. A tap of weight zero
+/// contributes nothing — not `0 · p`, which is NaN for a non-finite `p` —
+/// and the `+0` that stands in for it leaves a sum that is never −0 alone.
 #[inline(always)]
-fn warp_pixel(src: &[GrayAlpha], iw: usize, ih: usize, u: f64, v: f64) -> GrayAlpha {
-    let mut out = GrayAlpha::new(0.0, 0.0);
-    let (u0, v0) = (floor_to_int(u), floor_to_int(v));
-    let (w, h) = (iw as i64, ih as i64);
-    if u0 < -1 || v0 < -1 || u0 >= w || v0 >= h {
-        // All four taps are outside the image.
-        return out;
-    }
-    let (fu, fv) = ((u - u0 as f64) as f32, (v - v0 as f64) as f32);
+fn bilinear(fu: f32, fv: f32, p: [GrayAlpha; 4]) -> GrayAlpha {
     let (wu, wv) = ([1.0 - fu, fu], [1.0 - fv, fv]);
-    let mut tap = |w: f32, p: GrayAlpha| {
-        if w <= 0.0 {
-            return;
-        }
-        out.v += w * p.v;
-        out.a += w * p.a;
-    };
-    if u0 >= 0 && v0 >= 0 && u0 + 1 < w && v0 + 1 < h {
-        let at = v0 as usize * iw + u0 as usize;
-        let (top, bottom) = (&src[at..at + 2], &src[at + iw..at + iw + 2]);
-        tap(wu[0] * wv[0], top[0]);
-        tap(wu[1] * wv[0], top[1]);
-        tap(wu[0] * wv[1], bottom[0]);
-        tap(wu[1] * wv[1], bottom[1]);
-    } else {
-        for (dv, wv) in (0..2).zip(wv) {
-            for (du, wu) in (0..2).zip(wu) {
-                let (x, y) = (u0 + du, v0 + dv);
-                if x >= 0 && y >= 0 && x < w && y < h {
-                    tap(wu * wv, src[y as usize * iw + x as usize]);
-                }
-            }
+    let w = [wu[0] * wv[0], wu[1] * wv[0], wu[0] * wv[1], wu[1] * wv[1]];
+    let mut out = GrayAlpha::new(0.0, 0.0);
+    for (w, p) in w.into_iter().zip(p) {
+        if w > 0.0 {
+            out.v += w * p.v;
+            out.a += w * p.a;
         }
     }
     out
 }
 
+/// `a ∩ b`, empty at `a ∩ b`'s start when they are disjoint.
+fn intersect(a: Range<usize>, b: Range<usize>) -> Range<usize> {
+    let start = a.start.max(b.start);
+    start..a.end.min(b.end).max(start)
+}
+
+/// The pixels of `0..n` where `holds`, a predicate monotone in the pixel
+/// (true on a prefix or a suffix), is true — by bisection on the predicate
+/// itself, so the span is exact whatever rounding put its ends there.
+fn monotone_span(n: usize, holds: impl Fn(usize) -> bool) -> Range<usize> {
+    let Some(last) = n.checked_sub(1) else {
+        return 0..0;
+    };
+    let rising = holds(last);
+    if holds(0) == rising {
+        return if rising { 0..n } else { 0..0 };
+    }
+    // `holds(lo) != rising == holds(hi)`, down to adjacent pixels.
+    let (mut lo, mut hi) = (0, last);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid) == rising {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    if rising {
+        hi..n
+    } else {
+        0..hi
+    }
+}
+
 /// Warp a composited intermediate image to the screen frame.
-// The loops below push one pixel per screen position, which is all
-// `Image::from_vec` asks for.
-#[allow(clippy::expect_used)]
+///
+/// Along one screen row the intermediate coordinates `(u, v)` of pixel `x`
+/// are monotone in `x` (each is a product by a constant plus constants,
+/// every rounding monotone), so the pixels with a tap on the image form one
+/// span, found by bisection on that very predicate, and those with all four
+/// taps on it one sub-span, reached by walking the edge pixels in from its
+/// ends. Outside the span the screen stays blank, inside the sub-span taps
+/// are read without range tests, and every pixel carries the bits of a
+/// per-pixel sampler that tests and skips each tap.
 pub fn warp_to_screen(
     inter: &Image<GrayAlpha>,
     f: &Factorization,
     opts: &RenderOptions,
 ) -> Image<GrayAlpha> {
+    let mut screen = Image::blank(opts.width, opts.height);
     // A rotation view's warp is singular only at scale zero, the auto-fit
     // of a frame without area: there is no screen pixel to sample for.
     let Some(inv) = f.warp.inverse() else {
-        return Image::blank(opts.width, opts.height);
+        return screen;
     };
     let (src, iw, ih) = (inter.pixels(), inter.width(), inter.height());
-    let mut screen = Vec::with_capacity(opts.width * opts.height);
-    for y in 0..opts.height {
-        // `Affine2::apply`, with its `y` products computed once per row.
+    let (w, h) = (iw as i64, ih as i64);
+    let rows = screen.pixels_mut().chunks_exact_mut(opts.width.max(1));
+    for (y, row) in rows.enumerate() {
+        // `Affine2::apply`, with its `y` products computed once per row;
+        // `x` fits a `u32`, whose conversion is exact and cheap.
         let (bu, bv) = (inv.x[1] * y as f64, inv.y[1] * y as f64);
-        screen.extend((0..opts.width).map(|x| {
-            let u = inv.x[0] * x as f64 + bu + inv.x[2];
-            let v = inv.y[0] * x as f64 + bv + inv.y[2];
-            warp_pixel(src, iw, ih, u, v)
-        }));
+        let uv = |x: usize| {
+            let x = f64::from(x as u32);
+            (inv.x[0] * x + bu + inv.x[2], inv.y[0] * x + bv + inv.y[2])
+        };
+        let floors = |x: usize| {
+            let (u, v) = uv(x);
+            [floor_to_int(u), floor_to_int(v)]
+        };
+        // Some tap on the image: `-1 ≤ ⌊u⌋ < w` and `-1 ≤ ⌊v⌋ < h`.
+        let within = |c: usize, limit: i64| {
+            let low = monotone_span(row.len(), |x| floors(x)[c] >= -1);
+            intersect(low, monotone_span(row.len(), |x| floors(x)[c] < limit))
+        };
+        let touch = intersect(within(0, w), within(1, h));
+        // All four taps on it: `0 ≤ ⌊u⌋ < w - 1` and `0 ≤ ⌊v⌋ < h - 1`.
+        let inside = |x: usize| {
+            let [u0, v0] = floors(x);
+            u0 >= 0 && v0 >= 0 && u0 < w - 1 && v0 < h - 1
+        };
+        let edge = |x: usize| {
+            let (u, v) = uv(x);
+            let (u0, v0) = (floor_to_int(u), floor_to_int(v));
+            let tap = |x: i64, y: i64| {
+                let on = x >= 0 && y >= 0 && x < w && y < h;
+                if on {
+                    src[y as usize * iw + x as usize]
+                } else {
+                    GrayAlpha::new(0.0, 0.0)
+                }
+            };
+            let p = [
+                tap(u0, v0),
+                tap(u0 + 1, v0),
+                tap(u0, v0 + 1),
+                tap(u0 + 1, v0 + 1),
+            ];
+            bilinear((u - u0 as f64) as f32, (v - v0 as f64) as f32, p)
+        };
+        let (mut start, mut end) = (touch.start, touch.end);
+        while start < end && !inside(start) {
+            row[start] = edge(start);
+            start += 1;
+        }
+        while end > start && !inside(end - 1) {
+            end -= 1;
+            row[end] = edge(end);
+        }
+        for (x, out) in (start..end).zip(&mut row[start..end]) {
+            let (u, v) = uv(x);
+            // `u, v ≥ 0`: truncation is the floor.
+            let (u0, v0) = (u as i32, v as i32);
+            let at = v0 as usize * iw + u0 as usize;
+            let quad = &src[at..at + iw + 2];
+            let p = [quad[0], quad[1], quad[iw], quad[iw + 1]];
+            *out = bilinear((u - f64::from(u0)) as f32, (v - f64::from(v0)) as f32, p);
+        }
     }
-    Image::from_vec(opts.width, opts.height, screen).expect("one pixel per screen position")
+    screen
 }
 
 /// Render a subvolume straight to the screen: intermediate pass + warp.
@@ -880,14 +995,15 @@ mod kernel_tests {
 
     /// Both drivers of the kernel and the warp, against the reference —
     /// and one slab prepared for `camera`'s axis, rendered from `camera`
-    /// and from a rolled, zoomed camera that shares it.
+    /// and from a rolled, zoomed camera that shares it. Returns the
+    /// reference render.
     fn assert_kernel_matches_reference(
         sub: &Subvolume,
         tf: &TransferFunction,
         camera: &Camera,
         opts: &RenderOptions,
         what: &str,
-    ) {
+    ) -> (Image<GrayAlpha>, Factorization) {
         let (want, f) = render_intermediate_reference(sub, tf, camera, opts);
         for parallel in [false, true] {
             let (got, got_f) = render_intermediate(sub, tf, camera, &opts.with_parallel(parallel));
@@ -916,6 +1032,7 @@ mod kernel_tests {
             bits(&warp_reference(&want, &f, opts)),
             "{what}: screen"
         );
+        (want, f)
     }
 
     #[test]
@@ -951,6 +1068,73 @@ mod kernel_tests {
                 let (got, _) = PreparedSlab::new(part.clone(), &tf, f.axis).render(&side, &opts);
                 assert_eq!(bits(&got), bits(&want), "engine slab off its prepared axis");
             }
+        }
+    }
+
+    /// The golden's six `render_cameras` (tests/trace_golden.rs): every
+    /// principal axis, both flips, a roll and a scale.
+    fn golden_cameras() -> [Camera; 6] {
+        use std::f64::consts::{FRAC_PI_2, PI};
+        let view = Camera::yaw_pitch;
+        [
+            view(0.3, 0.2),
+            view(PI - 0.3, -0.5),
+            Camera {
+                roll: 0.4,
+                ..view(FRAC_PI_2 + 0.25, 0.15)
+            },
+            view(-FRAC_PI_2 + 0.2, -0.3),
+            Camera {
+                scale: 1.3,
+                ..view(0.35, FRAC_PI_2 - 0.3)
+            },
+            Camera {
+                roll: -0.7,
+                ..view(-0.2, -FRAC_PI_2 + 0.25)
+            },
+        ]
+    }
+
+    /// Rows longer than a pass-1 chunk and warp spans hundreds of pixels
+    /// wide, which the 24³ presets and the ≤ 25-voxel random scenes never
+    /// reach: a 96×96×12 Engine slab at 256², early termination off and
+    /// on, also rendered prepared for another axis; then warps of an
+    /// intermediate holding non-finite pixels, one of them under a warp
+    /// whose taps on one side all weigh zero.
+    #[test]
+    fn kernel_equivalence_at_production_widths() {
+        let vol = Dataset::Engine.generate(96, 5);
+        let slab = partition_1d(&vol, 8, 2).unwrap().swap_remove(3);
+        let tf = Dataset::Engine.transfer_function();
+        for camera in golden_cameras() {
+            for early_termination in [1.0, 0.98] {
+                let opts = RenderOptions {
+                    early_termination,
+                    ..RenderOptions::square(256)
+                };
+                let what = format!("{camera:?} et={early_termination}");
+                let (want, f) = assert_kernel_matches_reference(&slab, &tf, &camera, &opts, &what);
+                let other = PreparedSlab::new(slab.clone(), &tf, (f.axis + 1) % 3);
+                assert_eq!(bits(&other.render(&camera, &opts).0), bits(&want), "{what}");
+            }
+        }
+        // At scale 1 the front view's warp is a whole-pixel shift: every
+        // screen pixel's right-hand taps weigh zero.
+        let opts = RenderOptions::square(256);
+        let front = Camera {
+            scale: 1.0,
+            ..Camera::front()
+        };
+        for camera in [golden_cameras()[0], front] {
+            let (mut inter, f) = render_intermediate_reference(&slab, &tf, &camera, &opts);
+            let (w, h) = (inter.width(), inter.height());
+            inter.set(w / 2, h / 2, GrayAlpha::new(f32::NAN, f32::INFINITY));
+            inter.set(w / 3, h / 2, GrayAlpha::new(f32::NEG_INFINITY, 1.0));
+            assert_eq!(
+                bits(&warp_to_screen(&inter, &f, &opts)),
+                bits(&warp_reference(&inter, &f, &opts)),
+                "non-finite pixels, {camera:?}"
+            );
         }
     }
 
