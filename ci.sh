@@ -98,6 +98,14 @@ gone=$(grep -rnE '[r]eplay_from|[w]riter_failed|fn [m]ark_down|struct [W]riterSl
     crates src tests examples docs ./*.md ci.sh .claude \
     --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md --exclude=REVIEW.md || true)
 [ -z "$gone" ] || vocabulary_fail "rt-net's second link paths are back" "$gone"
+# A frame is a stream of one: rt-pvr has one per-rank frame body, so its
+# non-test code has no barrier and marks a render's start in one place.
+pvr=$(non_test_src | grep '^crates/pvr/src/' || true)
+stray=$(grep -F '.barrier()' <<<"$pvr" || true)
+[ -z "$stray" ] || vocabulary_fail "rt-pvr waits on a barrier again" "$stray"
+sites=$(grep -F 'Mark::RenderStart' <<<"$pvr" || true)
+[ "$(grep -c . <<<"$sites")" -eq 1 ] \
+    || vocabulary_fail "rt-pvr must mark RenderStart in exactly one place" "$sites"
 
 echo "== build (release) =="
 cargo build --release --workspace

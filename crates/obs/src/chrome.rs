@@ -133,21 +133,11 @@ impl ChromeTrace {
 
     /// Render to pretty-printed JSON text.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
         let v = ChromeTrace {
             events: self.events.clone(),
         }
         .into_value();
-        // Value has no Serialize impl in the vendored serde; go through a
-        // tiny adapter so serde_json's writer can be reused.
-        struct Raw(Value);
-        impl Serialize for Raw {
-            fn serialize(&self) -> Value {
-                self.0.clone()
-            }
-        }
-        out.push_str(&serde_json::to_string_pretty(&Raw(v)).expect("infallible"));
-        out
+        format!("{v:#}")
     }
 
     /// Number of events accumulated so far.

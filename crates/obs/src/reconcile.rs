@@ -49,6 +49,19 @@ impl PhaseTotals {
             ("recv_overhead", self.recv_overhead),
         ]
     }
+
+    /// The account a span of `phase` is charged to.
+    fn account_mut(&mut self, phase: Phase) -> &mut f64 {
+        match phase {
+            Phase::Send => &mut self.send,
+            Phase::Wait => &mut self.wait,
+            Phase::Backoff => &mut self.backoff,
+            Phase::Over | Phase::Flush => &mut self.over,
+            Phase::Encode | Phase::Decode => &mut self.codec,
+            Phase::Render => &mut self.render,
+            Phase::Recv => &mut self.recv_overhead,
+        }
+    }
 }
 
 /// A reconciliation failure: one account on one rank did not match.
@@ -81,19 +94,6 @@ impl std::fmt::Display for ReconcileError {
 
 impl std::error::Error for ReconcileError {}
 
-/// Map each phase onto the [`PhaseTotals`] account it is charged to.
-fn account_of(phase: Phase) -> &'static str {
-    match phase {
-        Phase::Send => "send",
-        Phase::Wait => "wait",
-        Phase::Backoff => "backoff",
-        Phase::Over | Phase::Flush => "over",
-        Phase::Encode | Phase::Decode => "codec",
-        Phase::Render => "render",
-        Phase::Recv => "recv_overhead",
-    }
-}
-
 /// Check one rank's virtual timeline against its replay totals.
 ///
 /// Every account must match with **exact** `f64` equality, and the
@@ -103,25 +103,17 @@ fn account_of(phase: Phase) -> &'static str {
 /// same order; see the module docs.
 pub fn reconcile(timeline: &RankTimeline, totals: &PhaseTotals) -> Result<(), ReconcileError> {
     // Per-account sums in recording (= chronological) order.
-    let mut sums = [("send", 0.0f64); 7];
-    for (slot, (name, _)) in sums.iter_mut().zip(totals.accounts()) {
-        *slot = (name, 0.0);
-    }
+    let mut sums = PhaseTotals::default();
     for span in &timeline.spans {
-        let account = account_of(span.phase);
-        let slot = sums
-            .iter_mut()
-            .find(|(name, _)| *name == account)
-            .expect("every phase maps to an account");
-        slot.1 += span.dur;
+        *sums.account_mut(span.phase) += span.dur;
     }
-    for ((name, got), (_, want)) in sums.iter().zip(totals.accounts()) {
+    for ((name, got), (_, want)) in sums.accounts().into_iter().zip(totals.accounts()) {
         // Exact equality on purpose — see function docs.
-        if *got != want {
+        if got != want {
             return Err(ReconcileError {
                 rank: timeline.rank,
                 account: name,
-                from_spans: *got,
+                from_spans: got,
                 from_replay: want,
             });
         }

@@ -8,7 +8,7 @@
 //! instrumentation collapses to an `is_some()` branch.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use crate::counters::Counters;
@@ -119,7 +119,7 @@ impl Observer {
     /// Merge a finished recorder back in (append spans, add counters).
     pub fn checkin(&self, rec: Recorder) {
         let (timeline, counters) = rec.into_parts();
-        let mut slots = self.slots.lock().expect("observer mutex poisoned");
+        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         let slot = slots.entry(timeline.rank).or_default();
         slot.0.extend(timeline.spans);
         slot.1.merge(&counters);
@@ -127,7 +127,7 @@ impl Observer {
 
     /// Wall-clock timelines checked in so far, sorted by rank.
     pub fn timelines(&self) -> Vec<RankTimeline> {
-        let slots = self.slots.lock().expect("observer mutex poisoned");
+        let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         slots
             .iter()
             .map(|(&rank, (spans, _))| RankTimeline {
@@ -139,7 +139,7 @@ impl Observer {
 
     /// Counters checked in so far, sorted by rank.
     pub fn counters(&self) -> Vec<(usize, Counters)> {
-        let slots = self.slots.lock().expect("observer mutex poisoned");
+        let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         slots
             .iter()
             .map(|(&rank, (_, counters))| (rank, counters.clone()))

@@ -94,20 +94,13 @@ impl RankTimeline {
     /// trivially pass; wall timelines pass because the execution layer only
     /// records properly bracketed regions.
     pub fn check_nesting(&self, eps: f64) -> Result<(), (usize, usize)> {
-        let mut order: Vec<usize> = (0..self.spans.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (sa, sb) = (&self.spans[a], &self.spans[b]);
-            sa.start
-                .partial_cmp(&sb.start)
-                .unwrap()
-                .then(sb.dur.partial_cmp(&sa.dur).unwrap())
-        });
-        // Stack of spans we are currently "inside of".
+        let mut order: Vec<&SpanRec> = self.spans.iter().collect();
+        order.sort_by(|a, b| a.start.total_cmp(&b.start).then(b.dur.total_cmp(&a.dur)));
+        // Sorted positions of the spans we are currently "inside of".
         let mut stack: Vec<usize> = Vec::new();
-        for (pos, &i) in order.iter().enumerate() {
-            let s = &self.spans[i];
+        for (pos, s) in order.iter().enumerate() {
             while let Some(&top) = stack.last() {
-                if self.spans[top].end() <= s.start + eps {
+                if order[top].end() <= s.start + eps {
                     stack.pop();
                 } else {
                     break;
@@ -115,12 +108,11 @@ impl RankTimeline {
             }
             if let Some(&top) = stack.last() {
                 // Still open: the new span must fit inside it.
-                if s.end() > self.spans[top].end() + eps {
-                    let outer_pos = order.iter().position(|&x| x == top).unwrap();
-                    return Err((outer_pos, pos));
+                if s.end() > order[top].end() + eps {
+                    return Err((top, pos));
                 }
             }
-            stack.push(i);
+            stack.push(pos);
         }
         Ok(())
     }
@@ -192,6 +184,22 @@ mod tests {
             spans: vec![span(Phase::Recv, 0.0, 2.0), span(Phase::Wait, 1.0, 5.0)],
         };
         assert!(tl.check_nesting(1e-9).is_err());
+    }
+
+    #[test]
+    fn a_nan_span_does_not_panic_the_nesting_check() {
+        // A timeline is plain data: the check orders spans totally and
+        // reports, whatever times it is handed.
+        for bad in [
+            span(Phase::Wait, f64::NAN, 1.0),
+            span(Phase::Wait, 0.5, f64::NAN),
+        ] {
+            let tl = RankTimeline {
+                rank: 0,
+                spans: vec![span(Phase::Recv, 0.0, 2.0), bad],
+            };
+            let _ = tl.check_nesting(1e-9);
+        }
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //!   pool or the TCP transport to the same call);
 //! * [`stream::StreamSession`] — an orbit of such frames on one live
 //!   machine, each rank rendering ahead while it composes.
+//!
+//! A frame is a stream of one: both run the same per-rank body.
 
 #![warn(missing_docs)]
 #![cfg_attr(

@@ -6,34 +6,35 @@
 //! permuted onto the physical ranks for the current view, and the root
 //! finishes with the 2-D warp — the complete system of the paper.
 //!
-//! A frame's host-side derivation (`FramePlanner` → `FramePlan`) and its
-//! post-compose tail (`FramePlan::warp`, `frame_holder`) are written once
-//! here; [`FrameRun`] and [`crate::stream`] differ only in their per-rank
-//! loops.
+//! This module is the host side of a frame (`FramePlanner` → `FramePlan`).
+//! A frame is a stream of one: [`FrameRun`] plans its camera and runs that
+//! one plan through [`crate::stream`]'s machine, window 1, so every rank's
+//! frame body is written once, there.
 //!
-//! The half of that derivation no camera changes — the generated volume,
-//! its slabs along the current principal axis and each slab's
-//! classification (`Partitioned`) — is session state: it rides in the
-//! carried slot of the [`ScratchPool`] the caller already passes
-//! ([`FrameRun::pool`], [`crate::StreamSession`]'s own), is reused while
-//! `(dataset, volume_size, seed, p)` holds and replaced when it or the
-//! axis changes. A frame without a pool partitions for itself.
+//! The half of a plan no camera changes — the generated volume, its slabs
+//! along the current principal axis and each slab's classification
+//! (`Partitioned`) — is session state: it rides in the carried slot of the
+//! [`ScratchPool`] the caller passes ([`FrameRun::pool`],
+//! [`crate::StreamSession`]'s own), is reused while `(dataset,
+//! volume_size, seed, p)` holds and replaced when it or the axis changes.
+//! A frame without a pool plans into a throwaway one.
 
 use crate::permute::permute_plan;
+use crate::stream::{stream_plans, StreamConfig};
 use crate::PvrError;
-use rt_comm::{ComputeKind, FaultPlan, Mark, RankCtx, Trace};
+use rt_comm::{FaultPlan, Trace};
 use rt_compress::CodecKind;
-use rt_core::exec::{ComposeConfig, ComposeOutput, Machine, ScratchPool, TransportKind};
+use rt_core::exec::{ComposeConfig, ScratchPool, TransportKind};
 use rt_core::method::Method;
 use rt_core::repair::DegradedInfo;
-use rt_core::tile::{compose_plan, ComposePlan};
+use rt_core::tile::ComposePlan;
 use rt_imaging::{GrayAlpha, Image};
 use rt_render::camera::{factorize, Camera, Factorization};
 use rt_render::datasets::Dataset;
 use rt_render::partition::{depth_order, partition_1d};
-use rt_render::shearwarp::{warp_to_screen, PreparedSlab, RenderOptions};
+use rt_render::shearwarp::{PreparedSlab, RenderOptions};
 use rt_render::volume::Volume;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 /// Configuration of one pipeline run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,29 +105,6 @@ pub(crate) struct FramePlan {
     pub method_name: String,
 }
 
-/// What one rank holds once a frame is composed: the screen frame (on the
-/// frame-holding rank only) and the degradation report.
-pub(crate) type RankFrame = (Option<Image<GrayAlpha>>, Option<DegradedInfo>);
-
-impl FramePlan {
-    /// The per-rank tail of a frame: the rank holding the composited
-    /// intermediate image warps it to the screen.
-    pub fn warp(
-        &self,
-        ctx: &mut RankCtx,
-        render: &RenderOptions,
-        composed: ComposeOutput<GrayAlpha>,
-    ) -> RankFrame {
-        let screen = composed.frame.map(|inter| {
-            ctx.compute(ComputeKind::Render, (render.width * render.height) as u64);
-            let screen = warp_to_screen(&inter, &self.f, render);
-            ctx.mark(Mark::WarpEnd);
-            screen
-        });
-        (screen, composed.degraded)
-    }
-}
-
 /// The view-independent half of a frame — the paper's stage 1, done once:
 /// the generated volume, cut into `p` slabs along one principal axis, each
 /// slab classified ahead of its views. A [`ScratchPool`] carries one of
@@ -149,7 +127,7 @@ type PartitionKey = (Dataset, usize, u64, usize);
 pub(crate) struct FramePlanner<'a> {
     key: PartitionKey,
     config: &'a PipelineConfig,
-    pool: Option<&'a ScratchPool<GrayAlpha>>,
+    pool: &'a ScratchPool<GrayAlpha>,
     /// The partition this planner used for each axis, so an orbit that
     /// crosses an axis change and comes back cuts twice, not three times.
     by_axis: [Option<Arc<Partitioned>>; 3],
@@ -158,14 +136,10 @@ pub(crate) struct FramePlanner<'a> {
 impl<'a> FramePlanner<'a> {
     /// A planner that starts from what `pool` carries, if that is this
     /// configuration's partition, and leaves its latest cut there.
-    pub fn new(
-        p: usize,
-        config: &'a PipelineConfig,
-        pool: Option<&'a ScratchPool<GrayAlpha>>,
-    ) -> Self {
+    pub fn new(p: usize, config: &'a PipelineConfig, pool: &'a ScratchPool<GrayAlpha>) -> Self {
         let mut by_axis = [None, None, None];
         let key = (config.dataset, config.volume_size, config.seed, p);
-        if let Some(carried) = pool.and_then(|pool| pool.carried::<Partitioned>()) {
+        if let Some(carried) = pool.carried::<Partitioned>() {
             if carried.key == key {
                 let axis = carried.axis;
                 by_axis[axis] = Some(carried);
@@ -219,9 +193,7 @@ impl<'a> FramePlanner<'a> {
                     axis: f.axis,
                     parts: Arc::new(parts),
                 });
-                if let Some(pool) = self.pool {
-                    pool.carry(Arc::clone(&cut));
-                }
+                self.pool.carry(Arc::clone(&cut));
                 let parts = Arc::clone(&cut.parts);
                 self.by_axis[f.axis] = Some(cut);
                 parts
@@ -247,28 +219,13 @@ impl<'a> FramePlanner<'a> {
     }
 }
 
-/// The host-side tail of a frame. The frame sits at the configured root —
-/// or, if the root died, at the survivor the repair plan promoted. The
-/// degraded report is taken from that frame-holding rank (survivors compute
-/// identical reports; a crashed rank only knows about itself).
-pub(crate) fn frame_holder(
-    ranks: impl IntoIterator<Item = RankFrame>,
-) -> Result<(Image<GrayAlpha>, Option<DegradedInfo>), PvrError> {
-    ranks
-        .into_iter()
-        .filter_map(|(frame, degraded)| frame.map(|frame| (frame, degraded)))
-        .last()
-        .ok_or_else(|| PvrError::Config {
-            what: "no rank produced the final frame".into(),
-        })
-}
-
 /// The result of a pipeline run.
 #[derive(Debug, Clone)]
 pub struct PipelineOutput {
     /// The final screen frame (assembled and warped at the root).
     pub frame: Image<GrayAlpha>,
-    /// Event trace of the whole run (render + composite + gather + warp).
+    /// This frame's trace: render, composite, gather and warp on every
+    /// rank, between its `frame:0` marks.
     pub trace: Trace,
     /// Physical rank at each depth position for this view (0 = nearest).
     pub rank_of_depth: Vec<usize>,
@@ -341,15 +298,15 @@ impl<'a> FrameRun<'a> {
         self
     }
 
-    /// Run the ranks, the inter-render barrier and every composition
-    /// transfer over `transport`. The frame and trace are bit-identical to
-    /// the in-process run.
+    /// Run the ranks and every composition transfer over `transport`. The
+    /// frame and trace are bit-identical to the in-process run.
     pub fn transport(mut self, transport: TransportKind) -> Self {
         self.transport = transport;
         self
     }
 
-    /// Partition, render, composite and warp the frame.
+    /// Partition, render, composite and warp the frame: plan its one
+    /// camera, then stream that one plan, window 1, on this thread.
     pub fn execute(self) -> Result<PipelineOutput, PvrError> {
         let FrameRun {
             p,
@@ -358,36 +315,41 @@ impl<'a> FrameRun<'a> {
             pool,
             transport,
         } = self;
-        let plan = FramePlanner::new(p, config, pool).plan(config.camera)?;
-        let compose_config = config.compose_config(&faults, transport);
-
-        let mc = Machine::build(p, &compose_config, faults, None);
-        let (results, trace) = mc.run(|ctx| -> Result<RankFrame, PvrError> {
-            let slab = &plan.parts[ctx.rank()];
-            ctx.mark(Mark::RenderStart);
-            let (partial, _) = slab.render(&plan.camera, &config.render);
-            ctx.compute(ComputeKind::Render, slab.sub().vol.len() as u64);
-            ctx.mark(Mark::RenderEnd);
-            ctx.barrier().map_err(rt_core::CoreError::from)?;
-            let mut scratch = match pool {
-                Some(pool) => pool.checkout(ctx.rank()),
-                None => Default::default(),
-            };
-            let composed = compose_plan(ctx, &plan.compose, partial, &compose_config, &mut scratch);
-            if let Some(pool) = pool {
-                pool.checkin(ctx.rank(), scratch);
+        let own_pool;
+        let pool = match pool {
+            Some(pool) => pool,
+            None => {
+                own_pool = ScratchPool::new();
+                &own_pool
             }
-            Ok(plan.warp(ctx, &config.render, composed?))
-        });
-
-        let ranks = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let (frame, degraded) = frame_holder(ranks)?;
+        };
+        let plan = FramePlanner::new(p, config, pool).plan(config.camera)?;
+        let stream = StreamConfig {
+            window: 1,
+            faults,
+            transport,
+            ..StreamConfig::new(*config)
+        };
+        let (tx, rx) = mpsc::channel();
+        stream_plans(p, &stream, std::slice::from_ref(&plan), pool, &tx);
+        drop(tx);
+        let frame = rx
+            .recv()
+            .unwrap_or_else(|_| {
+                Err(PvrError::Config {
+                    what: "the stream emitted no frame".into(),
+                })
+            })
+            .map_err(|e| match e {
+                PvrError::Frame { index: 0, source } => *source,
+                e => e,
+            })?;
         Ok(PipelineOutput {
-            frame,
-            trace,
-            rank_of_depth: plan.rank_of_depth,
+            frame: frame.frame,
+            trace: frame.trace,
+            rank_of_depth: frame.stats.rank_of_depth,
             method_name: plan.method_name,
-            degraded,
+            degraded: frame.degraded,
         })
     }
 }

@@ -1,16 +1,15 @@
 //! Pipelined frame streaming: render frame `k+1` while frame `k`'s
-//! composition is in flight.
+//! composition is in flight. This is every frame's one per-rank body: a
+//! [`crate::FrameRun`] is a stream of one, window 1.
 //!
 //! The workload is an orbit ([`OrbitConfig`]): the views of a moving camera,
 //! the interactive-rendering scenario that motivates the paper (composition
 //! cost is paid *per frame*). Each frame re-derives the depth permutation
-//! for its view and reports [`FrameStats`], so regressions in
-//! view-dependent code paths show up as jumps across the sweep.
+//! for its view and reports [`FrameStats`].
 //!
 //! A serial animation loop (one [`crate::FrameRun`] per view) pays the
 //! paper's Eq. 5/6 communication cost *after* each frame's render, so every
-//! rank idles through composition — the per-frame render→compose stall.
-//! This module removes it:
+//! rank idles through composition. A longer stream removes that stall:
 //!
 //! * **Per-rank render thread.** Each rank spawns a renderer that
 //!   shear-warps its subvolume for upcoming frames into fresh partials and
@@ -25,8 +24,7 @@
 //!   ranks on *different* frames exchange concurrently without collision
 //!   and with no inter-frame barrier. Reliability (acks, retransmission),
 //!   chaos injection and observability work unchanged per frame. Frame 0's
-//!   namespace is the identity, so single-frame tags and traces are
-//!   byte-compatible with the serial path.
+//!   namespace is the identity.
 //! * **Session-pooled scratch.** Compose scratch is checked out of a
 //!   session-lifetime [`ScratchPool`] keyed by rank. A rank composes one
 //!   frame at a time (render-ahead overlaps *rendering*, not compositing),
@@ -36,14 +34,14 @@
 //!   see [`crate::pipeline`]), so an orbit of the dataset the last one
 //!   showed starts without generating it.
 //! * **In-order emission.** A collector assembles the per-rank event
-//!   slices of each frame into a per-frame [`Trace`] and emits
-//!   [`StreamFrame`]s strictly in sequence.
+//!   slices of each frame, in rank order, into a per-frame [`Trace`] and
+//!   emits [`StreamFrame`]s strictly in sequence.
 //!
 //! Failure semantics per frame follow the established trichotomy: a clean
 //! frame is byte-identical to the serial pipeline's; a frame degraded by a
 //! planned crash is the exact composite of the survivors; anything else is
-//! a typed error. A rank that dies *between* frames (see
-//! [`StreamConfig::kill_rank_before_frame`]) surfaces as the **next**
+//! the lowest failed rank's typed error. A rank that dies *between* frames
+//! (see [`StreamConfig::kill_rank_before_frame`]) surfaces as the **next**
 //! frame's [`PvrError::Frame`] with that frame's index — never as a stale
 //! deadline from the previous frame — because death notifications travel
 //! the same FIFO channels as data: every already-sent contribution of the
@@ -53,7 +51,7 @@
 use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 
-use crate::pipeline::{frame_holder, FramePlan, FramePlanner, PipelineConfig, RankFrame};
+use crate::pipeline::{FramePlan, FramePlanner, PipelineConfig};
 use crate::PvrError;
 use rt_comm::{replay, ComputeKind, CostModel, FaultPlan, Mark, RankCtx, RankTrace, Trace};
 use rt_core::exec::{ComposeConfig, Machine, ScratchPool, TransportKind};
@@ -61,6 +59,7 @@ use rt_core::repair::DegradedInfo;
 use rt_core::tile::compose_plan;
 use rt_imaging::{GrayAlpha, Image};
 use rt_render::camera::Camera;
+use rt_render::shearwarp::warp_to_screen;
 use serde::{Deserialize, Serialize};
 
 /// An orbit sweep specification.
@@ -321,8 +320,9 @@ impl Drop for StreamHandle {
 
 /// What one rank reports for one frame.
 enum FrameOutcome {
-    /// The rank completed the frame's composition.
-    Alive(RankFrame),
+    /// The rank completed the frame's composition: the screen frame (on
+    /// the frame-holding rank only) and the degradation report.
+    Alive(Option<Image<GrayAlpha>>, Option<DegradedInfo>),
     /// The rank was dead for this frame and contributed nothing.
     Dead,
     /// The frame's composition failed on this rank.
@@ -336,26 +336,7 @@ struct Contribution {
     outcome: FrameOutcome,
 }
 
-/// Derive every frame's partition/schedule once, on the host, before the
-/// machine starts.
-fn plan_frames(
-    p: usize,
-    base: &PipelineConfig,
-    cameras: &[(f64, Camera)],
-    pool: &ScratchPool<GrayAlpha>,
-) -> Result<Vec<FramePlan>, PvrError> {
-    if cameras.is_empty() {
-        return Err(PvrError::Config {
-            what: "a stream needs at least one frame".into(),
-        });
-    }
-    let mut planner = FramePlanner::new(p, base, Some(pool));
-    cameras
-        .iter()
-        .map(|&(_, camera)| planner.plan(camera))
-        .collect()
-}
-
+/// Plan every frame of `orbit` on the host, then stream the plans.
 fn run_stream(
     p: usize,
     config: &StreamConfig,
@@ -363,29 +344,42 @@ fn run_stream(
     pool: &ScratchPool<GrayAlpha>,
     out: &mpsc::Sender<Result<StreamFrame, PvrError>>,
 ) {
-    let cameras = orbit_cameras(orbit);
-    let plans = match plan_frames(p, &config.base, &cameras, pool) {
-        Ok(plans) => plans,
+    let plans: Result<Vec<_>, _> = if orbit.frames == 0 {
+        Err(PvrError::Config {
+            what: "a stream needs at least one frame".into(),
+        })
+    } else {
+        let mut planner = FramePlanner::new(p, &config.base, pool);
+        orbit_cameras(orbit)
+            .into_iter()
+            .map(|(_, camera)| planner.plan(camera))
+            .collect()
+    };
+    match plans {
+        Ok(plans) => stream_plans(p, config, &plans, pool, out),
         Err(e) => {
             let _ = out.send(Err(e));
-            return;
         }
-    };
+    }
+}
+
+/// Run `plans` on one machine of `p` ranks: every rank's [`stream_rank`]
+/// and the emitter, which sends each frame to `out` in order. A stream
+/// and a lone [`crate::FrameRun`] both end here.
+pub(crate) fn stream_plans(
+    p: usize,
+    config: &StreamConfig,
+    plans: &[FramePlan],
+    pool: &ScratchPool<GrayAlpha>,
+    out: &mpsc::Sender<Result<StreamFrame, PvrError>>,
+) {
     let compose_cfg = config.base.compose_config(&config.faults, config.transport);
     let machine = Machine::build(p, &compose_cfg, config.faults.clone(), None);
-
-    // Frame metadata the emitter needs to build FrameStats.
-    let frame_meta: Vec<(f64, Vec<usize>)> = cameras
-        .iter()
-        .zip(&plans)
-        .map(|(&(yaw, _), plan)| (yaw, plan.rank_of_depth.clone()))
-        .collect();
     let (ctb_tx, ctb_rx) = mpsc::channel::<Contribution>();
-
     std::thread::scope(|scope| {
-        let emitter = scope.spawn(move || emit_frames(p, &frame_meta, &ctb_rx, out));
+        let emitter = scope.spawn(move || emit_frames(p, plans, &ctb_rx, out));
         machine.run(|ctx| {
-            stream_rank(ctx, config, &plans, pool, &compose_cfg, &ctb_tx);
+            stream_rank(ctx, config, plans, pool, &compose_cfg, &ctb_tx);
         });
         drop(ctb_tx);
         let _ = emitter.join();
@@ -482,9 +476,17 @@ fn stream_rank(
                         .degraded
                         .as_ref()
                         .is_some_and(|d| d.failed.iter().any(|&(rank, _)| rank == me));
-                    let held = plan.warp(ctx, render, band);
+                    // The rank holding the composited intermediate image
+                    // warps it to the screen.
+                    let screen = band.frame.map(|inter| {
+                        ctx.compute(ComputeKind::Render, (render.width * render.height) as u64);
+                        let screen = warp_to_screen(&inter, &plan.f, render);
+                        ctx.mark(Mark::WarpEnd);
+                        screen
+                    });
                     ctx.mark(Mark::FrameEnd(k as u32));
-                    report(k, ctx.take_events(), FrameOutcome::Alive(held));
+                    let outcome = FrameOutcome::Alive(screen, band.degraded);
+                    report(k, ctx.take_events(), outcome);
                     if crashed_self {
                         // The fault plan crashed this rank mid-frame; it is
                         // gone for the rest of the stream.
@@ -513,51 +515,54 @@ fn stream_rank(
 /// stream at the first failed frame.
 fn emit_frames(
     p: usize,
-    frame_meta: &[(f64, Vec<usize>)],
+    plans: &[FramePlan],
     ctb_rx: &mpsc::Receiver<Contribution>,
     out: &mpsc::Sender<Result<StreamFrame, PvrError>>,
 ) {
-    let n_frames = frame_meta.len();
     let mut pending: BTreeMap<usize, Vec<Contribution>> = BTreeMap::new();
-    let mut next = 0usize;
-    while next < n_frames {
-        let Ok(contribution) = ctb_rx.recv() else {
-            // Every rank finished without completing frame `next`.
-            let _ = out.send(Err(PvrError::Frame {
-                index: next,
-                source: Box::new(PvrError::Config {
-                    what: "stream ended before the frame was produced".into(),
-                }),
-            }));
-            return;
-        };
-        pending
-            .entry(contribution.frame)
-            .or_default()
-            .push(contribution);
-        while next < n_frames && pending.get(&next).is_some_and(|c| c.len() == p) {
-            let contributions = pending.remove(&next).unwrap_or_default();
-            let (yaw, rank_of_depth) = frame_meta.get(next).cloned().unwrap_or((0.0, Vec::new()));
-            match assemble_frame(p, next, contributions, yaw, rank_of_depth) {
-                Ok(frame) => {
-                    // A closed receiver means the consumer lost interest;
-                    // keep draining so the ranks never block.
-                    let _ = out.send(Ok(frame));
-                }
-                Err(e) => {
-                    let _ = out.send(Err(e));
-                    return;
-                }
+    for (index, plan) in plans.iter().enumerate() {
+        while pending.get(&index).map_or(0, Vec::len) < p {
+            let Ok(contribution) = ctb_rx.recv() else {
+                // Every rank finished without completing this frame.
+                let _ = out.send(Err(PvrError::Frame {
+                    index,
+                    source: Box::new(PvrError::Config {
+                        what: "stream ended before the frame was produced".into(),
+                    }),
+                }));
+                return;
+            };
+            pending
+                .entry(contribution.frame)
+                .or_default()
+                .push(contribution);
+        }
+        let contributions = pending.remove(&index).unwrap_or_default();
+        let rank_of_depth = plan.rank_of_depth.clone();
+        match assemble_frame(p, index, contributions, plan.camera.yaw, rank_of_depth) {
+            Ok(frame) => {
+                // A closed receiver means the consumer lost interest;
+                // keep draining so the ranks never block.
+                let _ = out.send(Ok(frame));
             }
-            next += 1;
+            Err(e) => {
+                let _ = out.send(Err(e));
+                return;
+            }
         }
     }
 }
 
+/// One frame from its `p` contributions, walked in rank order: a failed
+/// frame reports its lowest failed rank's error, whatever order the
+/// contributions arrived in. The frame sits at the configured root — or,
+/// if the root died, at the survivor the repair plan promoted — and the
+/// degraded report is that rank's (survivors compute identical reports; a
+/// crashed rank only knows about itself).
 fn assemble_frame(
     p: usize,
     index: usize,
-    contributions: Vec<Contribution>,
+    mut contributions: Vec<Contribution>,
     yaw: f64,
     rank_of_depth: Vec<usize>,
 ) -> Result<StreamFrame, PvrError> {
@@ -565,17 +570,22 @@ fn assemble_frame(
         index,
         source: Box::new(e),
     };
+    contributions.sort_by_key(|c| c.rank);
     let mut ranks: Vec<RankTrace> = vec![RankTrace::new(); p];
-    let mut alive = Vec::new();
+    let mut held = None;
     for c in contributions {
         match c.outcome {
             FrameOutcome::Failed(e) => return Err(frame_error(e)),
-            FrameOutcome::Dead => {}
-            FrameOutcome::Alive(held) => alive.push(held),
+            FrameOutcome::Dead | FrameOutcome::Alive(None, _) => {}
+            FrameOutcome::Alive(Some(image), degraded) => held = Some((image, degraded)),
         }
         ranks[c.rank] = c.events;
     }
-    let (image, degraded) = frame_holder(alive).map_err(frame_error)?;
+    let (image, degraded) = held.ok_or_else(|| {
+        frame_error(PvrError::Config {
+            what: "no rank produced the final frame".into(),
+        })
+    })?;
     let trace = Trace { ranks };
     let stats = FrameStats {
         index,
@@ -883,6 +893,32 @@ mod tests {
         assert!(matches!(err, PvrError::Render(_)), "{err}");
         let err = stream(0, base());
         assert!(matches!(err, PvrError::Render(_)), "{err}");
+    }
+
+    #[test]
+    fn a_failed_frame_reports_its_lowest_failed_rank_whatever_the_arrival_order() {
+        let contribution = |rank: usize, outcome| Contribution {
+            frame: 0,
+            rank,
+            events: RankTrace::new(),
+            outcome,
+        };
+        let failed = |rank: usize| {
+            let what = format!("rank {rank} failed");
+            contribution(rank, FrameOutcome::Failed(PvrError::Config { what }))
+        };
+        let arrived = vec![failed(2), contribution(0, FrameOutcome::Dead), failed(1)];
+        let err = assemble_frame(3, 0, arrived, 0.0, vec![0, 1, 2]).unwrap_err();
+        let want = PvrError::Config {
+            what: "rank 1 failed".into(),
+        };
+        assert_eq!(
+            err,
+            PvrError::Frame {
+                index: 0,
+                source: Box::new(want)
+            }
+        );
     }
 
     #[test]

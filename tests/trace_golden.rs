@@ -14,7 +14,10 @@
 //! The pipeline cells after them (generated at PR 12, before the serial
 //! pipeline and the stream were given one frame planner) pin the full
 //! render → compose → warp trace and the delivered screen frame of
-//! `FrameRun` and of every streamed frame.
+//! `FrameRun` and of every streamed frame. The `pipeline serial` trace
+//! digests were regenerated once more when `FrameRun` became a stream of
+//! one: its inter-render `Barrier` event went and the `frame:0:*` marks
+//! came in; no screen digest moved.
 //!
 //! The `render` cells at the end (generated at PR 13, before the shear-warp
 //! loops became scanline kernels) pin the `f32` bits of every slab partial
@@ -233,7 +236,8 @@ fn screen_digest(frame: &Image<GrayAlpha>) -> u64 {
 
 /// The full pipeline, frame by frame over a 4-frame quarter orbit: each
 /// view through `FrameRun` (one machine per frame) and the whole orbit
-/// through one `StreamSession` (window 2).
+/// through one `StreamSession` (window 2). A frame is a stream of one, so
+/// every cell's serial frame 0 must carry its streamed twin's trace.
 fn pipeline_digests() -> String {
     let mut out = String::new();
     let orbit = OrbitConfig::quarter(4);
@@ -267,17 +271,26 @@ fn pipeline_digests() -> String {
                     )
                     .unwrap();
                 };
+                let mut serial_first = None;
                 for (k, (_, camera)) in orbit_cameras(&orbit).into_iter().enumerate() {
                     let config = PipelineConfig { camera, ..base };
                     let run = FrameRun::new(p, &config).faults(faults.clone());
                     let frame = run.execute().unwrap();
                     cell("serial", k, &frame.trace, &frame.frame);
+                    serial_first.get_or_insert(frame.trace);
                 }
                 let config = StreamConfig::new(base).with_faults(faults);
                 let frames = StreamSession::new(p).open().collect_orbit(&config, &orbit);
-                for (k, frame) in frames.unwrap().iter().enumerate() {
+                let frames = frames.unwrap();
+                for (k, frame) in frames.iter().enumerate() {
                     cell("stream", k, &frame.trace, &frame.frame);
                 }
+                assert_eq!(
+                    serial_first.as_ref(),
+                    Some(&frames[0].trace),
+                    "{} P={p} crash={crash}: FrameRun is not the stream's frame 0",
+                    method.name()
+                );
             }
         }
     }
