@@ -120,6 +120,14 @@ echo "== markdown links =="
 # (stdlib-only checker; external URLs are not fetched).
 python3 tools/linkcheck.py
 
+echo "== trajectory baseline =="
+# Every BENCH_trajectory.jsonl line must parse and carry a host identity
+# `(nproc, rustc, profile)`, the key a new suite result finds its baseline
+# by (stdlib-only script); checked with the newest line as the result.
+mkdir -p target
+tail -n 1 BENCH_trajectory.jsonl > target/trajectory_newest.json
+python3 tools/trajectory_baseline.py target/trajectory_newest.json >/dev/null
+
 echo "== prose budget =="
 # The docs describe the system as it is and may not grow faster than the
 # code shrinks: the four prose files plus docs/ stay under 2 400 lines, and
@@ -144,8 +152,12 @@ echo "== render kernel equivalence =="
 # rt-render's test module, bit for bit, over 256 random scenes in release
 # (the workspace stage above runs the same property at PROPTEST_CASES in
 # debug), plus the preset scenes and the rows past a pass-1 chunk of
-# `kernel_equivalence_at_production_widths`. Besides the `render` cells of tests/golden/trace_digests.txt this
-# is the only gate on the float path.
+# `kernel_equivalence_at_production_widths`, and the warp alone over 256
+# mostly blank intermediates (`warp_kernel_equivalence_on_sparse_images`:
+# lone border pixels, `−0`, `a = 0, v ≠ 0`, NaN, ±∞ — the cases its
+# occupancy rule must read as blank or as content). Besides the `render`
+# cells of tests/golden/trace_digests.txt this is the only gate on the
+# float path.
 PROPTEST_CASES=256 cargo test -q --release -p rt-render kernel_equivalence
 
 echo "== net log bound =="

@@ -15,7 +15,9 @@
 //! Both resampling loops are scanline kernels: inside one slice (and along
 //! one screen row) the geometry that does not depend on the pixel is
 //! computed once, a chunk of pixels is sampled before it is composited, and
-//! runs the transfer function proves transparent are never sampled. Their
+//! runs that provably contribute nothing are never sampled — voxels the
+//! transfer function makes transparent, screen pixels whose taps are all
+//! blank. The warp always splits its screen rows across threads. Their
 //! contract is **bit-identity** with the per-sample renderer kept in this
 //! module's tests, not a tolerance: the composition stage, the golden
 //! digests and every "frame equals the sequential render" check downstream
@@ -38,7 +40,8 @@ pub struct RenderOptions {
     pub height: usize,
     /// Early-ray-termination opacity threshold (1.0 disables).
     pub early_termination: f32,
-    /// Render intermediate-image rows on worker threads. The output is
+    /// Render the slab sweep's intermediate-image rows on worker threads
+    /// ([`warp_to_screen`] always splits its rows). The output is
     /// **bit-identical** to the serial render: parallelism is over rows,
     /// which never share an accumulation pixel, and every slice still
     /// reaches a given pixel in depth order (the serial slice loop and the
@@ -636,11 +639,17 @@ fn monotone_span(n: usize, holds: impl Fn(usize) -> bool) -> Range<usize> {
 /// Along one screen row the intermediate coordinates `(u, v)` of pixel `x`
 /// are monotone in `x` (each is a product by a constant plus constants,
 /// every rounding monotone), so the pixels with a tap on the image form one
-/// span, found by bisection on that very predicate, and those with all four
-/// taps on it one sub-span, reached by walking the edge pixels in from its
-/// ends. Outside the span the screen stays blank, inside the sub-span taps
-/// are read without range tests, and every pixel carries the bits of a
-/// per-pixel sampler that tests and skips each tap.
+/// span, found by bisection on that very predicate. The span is narrowed,
+/// by the same bisection, to the pixels with a tap on a column some row it
+/// reads occupies (each row's non-blank columns are found once per warp):
+/// a pixel whose four taps are blank or off the image blends to `+0, +0`,
+/// the blank screen pixel. Those with all four taps on the image form one
+/// sub-span, reached by walking the edge pixels in from the span's ends.
+/// Outside the span the screen stays blank, inside the sub-span taps are
+/// read without range tests, and every pixel carries the bits of a
+/// per-pixel sampler that tests and skips each tap. Screen rows are
+/// disjoint outputs over an immutable source, so they go to worker threads
+/// whatever [`RenderOptions::parallel`] says, and the frame is the same.
 pub fn warp_to_screen(
     inter: &Image<GrayAlpha>,
     f: &Factorization,
@@ -654,8 +663,21 @@ pub fn warp_to_screen(
     };
     let (src, iw, ih) = (inter.pixels(), inter.width(), inter.height());
     let (w, h) = (iw as i64, ih as i64);
-    let rows = screen.pixels_mut().chunks_exact_mut(opts.width.max(1));
-    for (y, row) in rows.enumerate() {
+    // Each intermediate row's occupied columns `[lo, hi)`, `(w, 0)` if none.
+    // `is_blank` decides: `−0` is blank, a non-finite pixel is content.
+    let occupied: Vec<(i64, i64)> = (0..ih)
+        .map(|r| {
+            let row = &src[r * iw..][..iw];
+            let content = |p: &GrayAlpha| !p.is_blank();
+            let Some(lo) = row.iter().position(content) else {
+                return (w, 0);
+            };
+            let hi = row.iter().rposition(content).map_or(lo + 1, |x| x + 1);
+            (lo as i64, hi as i64)
+        })
+        .collect();
+    let rows = screen.pixels_mut().par_chunks_mut(opts.width.max(1));
+    rows.enumerate().for_each(|(y, row)| {
         // `Affine2::apply`, with its `y` products computed once per row;
         // `x` fits a `u32`, whose conversion is exact and cheap.
         let (bu, bv) = (inv.x[1] * y as f64, inv.y[1] * y as f64);
@@ -667,12 +689,27 @@ pub fn warp_to_screen(
             let (u, v) = uv(x);
             [floor_to_int(u), floor_to_int(v)]
         };
-        // Some tap on the image: `-1 ≤ ⌊u⌋ < w` and `-1 ≤ ⌊v⌋ < h`.
-        let within = |c: usize, limit: i64| {
-            let low = monotone_span(row.len(), |x| floors(x)[c] >= -1);
-            intersect(low, monotone_span(row.len(), |x| floors(x)[c] < limit))
+        // The pixels with `low ≤ ⌊u⌋ < limit` (`c = 0`) or `⌊v⌋` (`c = 1`).
+        let within = |c: usize, low: i64, limit: i64| {
+            let above = monotone_span(row.len(), |x| floors(x)[c] >= low);
+            intersect(above, monotone_span(row.len(), |x| floors(x)[c] < limit))
         };
-        let touch = intersect(within(0, w), within(1, h));
+        // Some tap on the image: `-1 ≤ ⌊u⌋ < w` and `-1 ≤ ⌊v⌋ < h`.
+        let touch = intersect(within(0, -1, w), within(1, -1, h));
+        if touch.is_empty() {
+            return;
+        }
+        // It reads rows `⌊v⌋ ..= ⌊v⌋ + 1`, `⌊v⌋` between its ends' values;
+        // some tap on a column they occupy: `lo - 1 ≤ ⌊u⌋ < hi`.
+        let (va, vb) = (floors(touch.start)[1], floors(touch.end - 1)[1]);
+        let read = va.min(vb).max(0) as usize..(va.max(vb) + 2).min(h) as usize;
+        let (lo, hi) = occupied[read]
+            .iter()
+            .fold((w, 0), |(lo, hi), &(l, r)| (lo.min(l), hi.max(r)));
+        if lo >= hi {
+            return;
+        }
+        let span = intersect(touch, within(0, lo - 1, hi));
         // All four taps on it: `0 ≤ ⌊u⌋ < w - 1` and `0 ≤ ⌊v⌋ < h - 1`.
         let inside = |x: usize| {
             let [u0, v0] = floors(x);
@@ -697,7 +734,7 @@ pub fn warp_to_screen(
             ];
             bilinear((u - u0 as f64) as f32, (v - v0 as f64) as f32, p)
         };
-        let (mut start, mut end) = (touch.start, touch.end);
+        let (mut start, mut end) = (span.start, span.end);
         while start < end && !inside(start) {
             row[start] = edge(start);
             start += 1;
@@ -715,7 +752,7 @@ pub fn warp_to_screen(
             let p = [quad[0], quad[1], quad[iw], quad[iw + 1]];
             *out = bilinear((u - f64::from(u0)) as f32, (v - f64::from(v0)) as f32, p);
         }
-    }
+    });
     screen
 }
 
@@ -1229,6 +1266,97 @@ mod kernel_tests {
             };
             assert_kernel_matches_reference(&sub, &tf, &camera, &opts, "random scene");
         }
+
+        // The warp's blank rule on intermediates no rendered scene makes:
+        // a lone pixel in a blank row, on any border, and content that
+        // `a > 0` misses (`a = 0, v ≠ 0`, NaN) beside blank `−0`.
+        #[test]
+        fn warp_kernel_equivalence_on_sparse_images(
+            size in (prop_oneof![Just(1usize), 1usize..=40], prop_oneof![Just(1usize), 1usize..=40]),
+            density in 0u64..=3,
+            seed in any::<u64>(),
+            depth in 1usize..=40,
+            angles in (-3.2f64..3.2, -1.6f64..1.6, -3.2f64..3.2),
+            scale in 0.3f64..4.0,
+            front in prop_oneof![3 => Just(false), 1 => Just(true)],
+            frame in (0usize..=48, 0usize..=48),
+        ) {
+            let inter = sparse_intermediate(density, seed, size);
+            let (camera, dims) = if front {
+                // A volume as wide as the frame modulo 2 centres on a whole
+                // pixel: at scale 1 the warp is a whole-pixel shift.
+                let fit = |n: usize, screen: usize| n + (n + screen) % 2;
+                let camera = Camera { scale: 1.0, ..Camera::front() };
+                (camera, (fit(size.0, frame.0), fit(size.1, frame.1), depth))
+            } else {
+                let (yaw, pitch, roll) = angles;
+                (Camera { yaw, pitch, roll, scale }, (size.0, size.1, depth))
+            };
+            let f = factorize(&camera, dims, frame.0, frame.1);
+            if front {
+                let inv = f.warp.inverse().unwrap();
+                prop_assert_eq!((inv.x[2].fract(), inv.y[2].fract()), (0.0, 0.0));
+            }
+            let opts = RenderOptions {
+                width: frame.0,
+                height: frame.1,
+                ..RenderOptions::paper()
+            };
+            prop_assert_eq!(
+                bits(&warp_to_screen(&inter, &f, &opts)),
+                bits(&warp_reference(&inter, &f, &opts))
+            );
+        }
+    }
+
+    /// One of each awkward pixel: blank `−0`, `a = 0` with `v ≠ 0`, NaN and
+    /// ±∞ in either channel, or an ordinary premultiplied pixel.
+    fn awkward_pixel(state: &mut u64) -> GrayAlpha {
+        let r = splitmix(state);
+        let x = (r >> 8 & 0xff) as f32 / 255.0;
+        let (v, a) = match r % 8 {
+            0 => (-0.0, -0.0),
+            1 => (x + 0.1, 0.0),
+            2 => (f32::NAN, x),
+            3 => (x, f32::NAN),
+            4 => (f32::INFINITY, 1.0),
+            5 => (x, f32::NEG_INFINITY),
+            _ => (x * 0.5, x),
+        };
+        GrayAlpha::new(v, a)
+    }
+
+    /// A mostly blank `iw × ih` intermediate: each border holds a lone pixel
+    /// half the time, and at `density > 0` a third of the rows hold pixels
+    /// at rate `density / 8`, the rest wholly blank.
+    fn sparse_intermediate(density: u64, seed: u64, (iw, ih): (usize, usize)) -> Image<GrayAlpha> {
+        let mut state = seed;
+        let mut img = Image::blank(iw, ih);
+        for y in 0..ih {
+            if density == 0 || !splitmix(&mut state).is_multiple_of(3) {
+                continue;
+            }
+            for x in 0..iw {
+                if splitmix(&mut state) % 8 < density {
+                    img.set(x, y, awkward_pixel(&mut state));
+                }
+            }
+        }
+        for border in 0..4 {
+            let r = splitmix(&mut state);
+            if r & 1 == 0 {
+                continue;
+            }
+            let (across, along) = ((r >> 8) as usize % iw, (r >> 8) as usize % ih);
+            let (x, y) = match border {
+                0 => (0, along),
+                1 => (iw - 1, along),
+                2 => (across, 0),
+                _ => (across, ih - 1),
+            };
+            img.set(x, y, awkward_pixel(&mut state));
+        }
+        img
     }
 
     #[test]

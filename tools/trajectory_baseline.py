@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Print the baseline a suite result compares against.
+
+A host's identity is `(nproc, rustc, profile)` from a result's `host`
+block; the CPU model string is left out because the same machine has
+reported it in more than one form. The baseline of SUITE.json is the last
+line of BENCH_trajectory.jsonl (at the repo root, beside tools/) whose
+identity equals SUITE.json's.
+
+Usage: python3 tools/trajectory_baseline.py SUITE.json > previous.json
+Exit status: 0 with the baseline line on stdout; 1 if no line matches, if
+SUITE.json or any trajectory line lacks an identity key, or if a line is
+not JSON (each reason on stderr); 2 on a usage error.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+IDENTITY = ("nproc", "rustc", "profile")
+TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_trajectory.jsonl"
+
+
+def identity(result, where):
+    host = result.get("host") if isinstance(result, dict) else None
+    missing = [k for k in IDENTITY if not isinstance(host, dict) or k not in host]
+    if missing:
+        raise ValueError(f"{where}: host block lacks {', '.join(missing)}")
+    return tuple(host[k] for k in IDENTITY)
+
+
+def main(argv):
+    if len(argv) != 2:
+        print("usage: python3 tools/trajectory_baseline.py SUITE.json", file=sys.stderr)
+        return 2
+    try:
+        with open(argv[1]) as f:
+            want = identity(json.load(f), argv[1])
+        baseline = None
+        lines = TRAJECTORY.read_text().splitlines()
+        for n, line in enumerate(lines, 1):
+            where = f"{TRAJECTORY.name}:{n}"
+            try:
+                result = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{where}: not JSON ({e})") from None
+            if identity(result, where) == want:
+                baseline = line
+    except (OSError, ValueError) as e:
+        print(f"trajectory_baseline: {e}", file=sys.stderr)
+        return 1
+    if baseline is None:
+        print(f"trajectory_baseline: no line of {TRAJECTORY.name} has host "
+              f"{dict(zip(IDENTITY, want))}", file=sys.stderr)
+        return 1
+    print(baseline)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
