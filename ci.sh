@@ -151,13 +151,17 @@ echo "== render kernel equivalence =="
 # The shear-warp scanline kernels against the per-sample renderer kept in
 # rt-render's test module, bit for bit, over 256 random scenes in release
 # (the workspace stage above runs the same property at PROPTEST_CASES in
-# debug), plus the preset scenes and the rows past a pass-1 chunk of
-# `kernel_equivalence_at_production_widths`, and the warp alone over 256
+# debug; one scene in eight has in-slice extents past 64 voxels), plus the
+# preset scenes and the rows past a pass-1 chunk of
+# `kernel_equivalence_at_production_widths`, the warp alone over 256
 # mostly blank intermediates (`warp_kernel_equivalence_on_sparse_images`:
 # lone border pixels, `−0`, `a = 0, v ≠ 0`, NaN, ±∞ — the cases its
-# occupancy rule must read as blank or as content). Besides the `render`
-# cells of tests/golden/trace_digests.txt this is the only gate on the
-# float path.
+# occupancy rule must read as blank or as content), and the band loop's
+# premise on single rows (`band_kernel_equivalence_at_binade_edges`: over
+# shifts at binade edges each band steps `⌊li⌋` by one and keeps one
+# fraction — the only cell that fails if an interior run is one band).
+# Besides the `render` cells of tests/golden/trace_digests.txt this is the
+# only gate on the float path.
 PROPTEST_CASES=256 cargo test -q --release -p rt-render kernel_equivalence
 
 echo "== net log bound =="
@@ -292,5 +296,14 @@ echo "== benchmark smoke =="
 # frame verified, every declared metric present — is the end-to-end one.
 # Run unmodified; results land in benchmark/out/smoke.json.
 benchmark/smoke.sh
+
+echo "== benchmark byte identity =="
+# What the smoke suite computed must be what the trajectory recorded: every
+# workload's input and frame-0 hashes and its exact per-layer rows (wire
+# bytes, virtual compose time, messages and `over` pixels per frame) equal
+# to the baseline line tools/trajectory_baseline.py picks for this host —
+# a wall-clock change may not change a byte. Skipped, saying so, on a host
+# no trajectory line has measured (stdlib-only script).
+python3 tools/smoke_identity.py benchmark/out/smoke.json
 
 echo "CI gate passed."

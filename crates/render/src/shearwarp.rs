@@ -17,7 +17,10 @@
 //! computed once, a chunk of pixels is sampled before it is composited, and
 //! runs that provably contribute nothing are never sampled — voxels the
 //! transfer function makes transparent, screen pixels whose taps are all
-//! blank. The warp always splits its screen rows across threads. Their
+//! blank. A slice's row is cut into *bands* over which its column
+//! coordinate steps by exactly one voxel, so a band is sampled as one
+//! fixed-weight four-tap stencil over two voxel scanlines. The warp always
+//! splits its screen rows across threads. Their
 //! contract is **bit-identity** with the per-sample renderer kept in this
 //! module's tests, not a tolerance: the composition stage, the golden
 //! digests and every "frame equals the sequential render" check downstream
@@ -320,23 +323,18 @@ impl<'a> Slab<'a> {
     }
 
     /// Classify and composite the pixels `run` (the first is pixel `iu0` of
-    /// the image row) in chunks of two passes: first every pixel's rounded
-    /// scalar `scalar(iu)`, with nothing to branch on; then, in order, the
-    /// early-termination test, the table lookup, the transparent skip and
-    /// `over`. A sample the transfer function proves transparent classifies
-    /// to `a ≤ 0`, so pass 2 skips it without a test of its own.
+    /// the image row) in chunks of two passes: first `fill(iu, scalars)`
+    /// writes the rounded scalars of the chunk's pixels `iu..`, with nothing
+    /// to branch on; then, in order, the early-termination test, the table
+    /// lookup, the transparent skip and `over`. A sample the transfer
+    /// function proves transparent classifies to `a ≤ 0`, so pass 2 skips it
+    /// without a test of its own.
     #[inline(always)]
-    fn composite(&self, iu0: usize, run: &mut [GrayAlpha], scalar: impl Fn(f64) -> u8) {
+    fn composite(&self, iu0: usize, run: &mut [GrayAlpha], fill: impl Fn(usize, &mut [u8])) {
         let mut scalars = [0u8; CHUNK];
-        // Pixel indices counted in `f64` are exact, and spare the loop an
-        // integer conversion.
-        let mut iu = iu0 as f64;
-        for chunk in run.chunks_mut(CHUNK) {
+        for (iu, chunk) in (iu0..).step_by(CHUNK).zip(run.chunks_mut(CHUNK)) {
             let scalars = &mut scalars[..chunk.len()];
-            for s in scalars.iter_mut() {
-                *s = scalar(iu);
-                iu += 1.0;
-            }
+            fill(iu, scalars);
             for (acc, &s) in chunk.iter_mut().zip(scalars.iter()) {
                 if acc.a >= self.early_termination {
                     continue;
@@ -406,72 +404,115 @@ struct RowTaps<'a> {
     off_i: f64,
 }
 
+/// The rounded bilinear scalar of the taps `v` — voxels `i0`, `i0 + 1` of
+/// each scanline — under their weights `w`, summed in the reference's
+/// order. A tap of weight zero adds +0 to a sum that is never −0, so the
+/// four terms need no `w > 0` tests to match a sampler that skips them.
+#[inline(always)]
+fn blend(w: [f64; 4], v: [u8; 4]) -> u8 {
+    round_to_u8(
+        w[0] * f64::from(v[0])
+            + w[1] * f64::from(v[1])
+            + w[2] * f64::from(v[2])
+            + w[3] * f64::from(v[3]),
+    )
+}
+
+/// The first pixel of `from..to` where `reached` — false, then true along
+/// the row — holds (`to` if nowhere): a guess from the real-number inverse,
+/// stepped to the exact answer, so rounding never misplaces it.
+fn first_where(from: usize, to: usize, guess: f64, reached: impl Fn(usize) -> bool) -> usize {
+    let mut iu = (guess.max(from as f64) as usize).min(to);
+    while iu < to && !reached(iu) {
+        iu += 1;
+    }
+    while iu > from && reached(iu - 1) {
+        iu -= 1;
+    }
+    iu
+}
+
 impl RowTaps<'_> {
-    /// In-slice column coordinate of pixel `iu`.
+    /// The two roundings that make pixel `iu`'s in-slice column coordinate:
+    /// `x = iu − u_off`, then `li = x − off_i`.
     #[inline(always)]
-    fn li(&self, iu: f64) -> f64 {
-        (iu - self.u_off) - self.off_i
+    fn shifts(&self, iu: usize) -> (f64, f64) {
+        let x = iu as f64 - self.u_off;
+        (x, x - self.off_i)
     }
 
     /// `li` and its floor — monotone in `iu`, which is all the run
     /// boundaries below rely on.
     #[inline(always)]
-    fn column(&self, iu: f64) -> (f64, i64) {
-        let li = self.li(iu);
+    fn column(&self, iu: usize) -> (f64, i64) {
+        let li = self.shifts(iu).1;
         (li, floor_to_int(li))
     }
 
-    /// The rounded bilinear scalar at column `li`, `i0 = ⌊li⌋`, from the
-    /// taps `v` = voxels `i0`, `i0 + 1` of each scanline.
+    /// The four tap weights at column `li`, `i0 = ⌊li⌋`, in [`blend`]'s
+    /// order.
     #[inline(always)]
-    fn blend(&self, li: f64, i0: f64, v: [u8; 4]) -> u8 {
-        let fi = li - i0;
+    fn weights(&self, li: f64, i0: i64) -> [f64; 4] {
+        let fi = li - i0 as f64;
         let wi = [1.0 - fi, fi];
-        // A tap of weight zero adds +0 to a sum that is never −0, so the
-        // four terms need no `w > 0` tests to match a sampler that skips
-        // them.
-        round_to_u8(
-            (wi[0] * self.wj[0]) * f64::from(v[0])
-                + (wi[1] * self.wj[0]) * f64::from(v[1])
-                + (wi[0] * self.wj[1]) * f64::from(v[2])
-                + (wi[1] * self.wj[1]) * f64::from(v[3]),
-        )
-    }
-
-    /// Pixel `iu`'s scalar where both taps of both scanlines are on the
-    /// slab (`0 ≤ ⌊li⌋ ≤ ni − 2`): `li ≥ 0`, so truncation is the floor.
-    #[inline(always)]
-    fn interior(&self, iu: f64) -> u8 {
-        let li = self.li(iu);
-        // `ni` fits a `u32` (the transparency intervals store it as one).
-        let i0 = li as u32;
-        let at = i0 as usize;
-        let [r0, r1] = self.rows.map(|r| &r[at..at + 2]);
-        self.blend(li, f64::from(i0), [r0[0], r0[1], r1[0], r1[1]])
+        let wj = self.wj;
+        [wi[0] * wj[0], wi[1] * wj[0], wi[0] * wj[1], wi[1] * wj[1]]
     }
 
     /// Pixel `iu`'s scalar anywhere, taps off the slab reading 0.
-    fn edge(&self, iu: f64) -> u8 {
+    fn edge(&self, iu: usize) -> u8 {
         let (li, i0) = self.column(iu);
         let tap = |r: &[u8], i: i64| usize::try_from(i).map_or(0, |i| r.get(i).map_or(0, |&v| v));
         let [r0, r1] = self.rows;
         let v = [tap(r0, i0), tap(r0, i0 + 1), tap(r1, i0), tap(r1, i0 + 1)];
-        self.blend(li, i0 as f64, v)
+        blend(self.weights(li, i0), v)
     }
 
     /// The first pixel of `from..to` whose column is at least `target`
-    /// (`to` if none is): a guess from the real-number inverse, stepped to
-    /// the exact answer.
+    /// (`to` if none is).
     fn first_at(&self, target: i64, from: usize, to: usize) -> usize {
         let guess = (target as f64 + self.off_i + self.u_off).ceil();
-        let mut iu = (guess.max(from as f64) as usize).min(to);
-        while iu < to && self.column(iu as f64).1 < target {
-            iu += 1;
+        first_where(from, to, guess, |iu| self.column(iu).1 >= target)
+    }
+
+    /// Sign and binary exponent of both roundings of pixel `iu`'s column.
+    #[inline(always)]
+    fn binades(&self, iu: usize) -> (u64, u64) {
+        let (x, li) = self.shifts(iu);
+        (x.to_bits() >> 52, li.to_bits() >> 52)
+    }
+
+    /// The end of the band that starts at pixel `a` of the interior
+    /// `a..to`: the pixels over which `x` and `li` keep their binades.
+    /// Both are monotone in `iu`, so that is a prefix; both are `≥ 0` here,
+    /// so it ends where one of them reaches its next power of two.
+    fn band_end(&self, a: usize, to: usize) -> usize {
+        let key = self.binades(a);
+        let top = |binade: u64| f64::from_bits((binade + 1) << 52);
+        let guess = (top(key.0) + self.u_off).min(top(key.1) + self.off_i + self.u_off);
+        first_where(a + 1, to, guess.ceil(), |iu| self.binades(iu) != key)
+    }
+
+    /// The scalars of pixels `iu..` of one interior band: one set of
+    /// weights and one fixed-weight four-tap stencil over the two
+    /// scanlines from voxel `⌊li(iu)⌋` on.
+    ///
+    /// Inside a band `x` and `li` each keep a binade whose ulp is at most
+    /// ½ (they are voxel coordinates, far below 2⁵²), so subtracting a
+    /// fixed value from `iu` rounds alike for every pixel: both ties-to-
+    /// even parity bits are fractional, and `li` steps by exactly 1.0. So
+    /// `⌊li⌋` steps by one, the exactly computed fraction `li − ⌊li⌋` keeps
+    /// its bits, and every pixel gets the bits [`RowTaps::edge`] gives it.
+    #[inline(always)]
+    fn band(&self, iu: usize, out: &mut [u8]) {
+        let (li, i0) = self.column(iu);
+        let w = self.weights(li, i0);
+        // In the interior `0 ≤ ⌊li⌋ ≤ ni − 2` for every pixel.
+        let at = i0 as usize;
+        let [r0, r1] = self.rows.map(|r| &r[at..at + out.len() + 1]);
+        for ((s, p), q) in out.iter_mut().zip(r0.windows(2)).zip(r1.windows(2)) {
+            *s = blend(w, [p[0], p[1], q[0], q[1]]);
         }
-        while iu > from && self.column((iu - 1) as f64).1 >= target {
-            iu -= 1;
-        }
-        iu
     }
 }
 
@@ -485,7 +526,8 @@ impl RowTaps<'_> {
 /// contiguous voxel scanlines with fixed weights. The run is trimmed to the
 /// pixels the transfer function cannot prove transparent (the rest are
 /// never sampled) and split into an interior whose taps all lie on the
-/// slab and the few edge pixels either side.
+/// slab, cut into bands of one weight set each, and the few edge pixels
+/// either side.
 fn composite_row(slab: &Slab, job: &SliceJob, iv: usize, row: &mut [GrayAlpha]) {
     let lj = (iv as f64 - job.v_off) - slab.off_j;
     let j0 = floor_to_int(lj);
@@ -517,9 +559,19 @@ fn composite_row(slab: &Slab, job: &SliceJob, iv: usize, row: &mut [GrayAlpha]) 
     }
     let inner = taps.first_at(0, start, end);
     let inner_end = taps.first_at(slab.ni as i64 - 1, inner, end);
-    slab.composite(start, &mut row[start..inner], |iu| taps.edge(iu));
-    slab.composite(inner, &mut row[inner..inner_end], |iu| taps.interior(iu));
-    slab.composite(inner_end, &mut row[inner_end..end], |iu| taps.edge(iu));
+    let edge = |iu: usize, scalars: &mut [u8]| {
+        for (s, iu) in scalars.iter_mut().zip(iu..) {
+            *s = taps.edge(iu);
+        }
+    };
+    slab.composite(start, &mut row[start..inner], edge);
+    let mut a = inner;
+    while a < inner_end {
+        let b = taps.band_end(a, inner_end);
+        slab.composite(a, &mut row[a..b], |iu, scalars| taps.band(iu, scalars));
+        a = b;
+    }
+    slab.composite(inner_end, &mut row[inner_end..end], edge);
 }
 
 /// Render a subvolume into the full-frame intermediate image.
@@ -1175,6 +1227,64 @@ mod kernel_tests {
         }
     }
 
+    /// The band loop's premise, row by row, where the render oracles cannot
+    /// see it: a rendered scene seldom puts a binade edge where merging two
+    /// bands changes a rounded scalar. Over shifts on and beside binade
+    /// edges, both signs, in-slice offsets 0, 5 and 37 and rows past 128
+    /// voxels, the bands tile the interior; across each, `⌊li⌋` steps by one
+    /// from the band's first pixel and `li − ⌊li⌋` keeps that pixel's bits;
+    /// and the band's scalars, from its first pixel or from any later one
+    /// (a pass-1 chunk may start there), are the per-pixel blend's.
+    #[test]
+    fn band_kernel_equivalence_at_binade_edges() {
+        let mut state = 11;
+        let mut shifts: Vec<f64> = (-90..=90).map(|k| f64::from(k) / 3.0).collect();
+        shifts.push(0.5 - 2f64.powi(-48));
+        for n in 0..=8 {
+            let p = f64::from(1 << n);
+            shifts.push(p.next_down());
+            shifts.extend([-2f64.powi(-40), -1.0 / 3.0, 1.0 / 3.0].map(|d| p + d));
+        }
+        shifts.extend((0..32).map(|_| (splitmix(&mut state) >> 11) as f64 * 2f64.powi(-46)));
+        let voxels: Vec<u8> = (0..300).map(|_| splitmix(&mut state) as u8).collect();
+        for u_off in shifts.iter().flat_map(|&s| [s, -s]) {
+            for off_i in [0.0, 5.0, 37.0] {
+                for ni in [130, 150] {
+                    let taps = RowTaps {
+                        rows: [&voxels[..ni], &voxels[ni..2 * ni]],
+                        wj: [0.7, 0.3],
+                        u_off,
+                        off_i,
+                    };
+                    let width = ni + off_i as usize + u_off.abs().ceil() as usize + 3;
+                    let inner = taps.first_at(0, 0, width);
+                    let inner_end = taps.first_at(ni as i64 - 1, inner, width);
+                    let what = format!("u_off {u_off:e}, off_i {off_i}, ni {ni}");
+                    let mut a = inner;
+                    while a < inner_end {
+                        let b = taps.band_end(a, inner_end);
+                        assert!(a < b && b <= inner_end, "{what}: band {a}..{b}");
+                        let (li_a, i0_a) = taps.column(a);
+                        let fraction = (li_a - i0_a as f64).to_bits();
+                        let mut scalars = vec![0; b - a];
+                        taps.band(a, &mut scalars);
+                        for (iu, &s) in (a..b).zip(&scalars) {
+                            let (li, i0) = taps.column(iu);
+                            let band = format!("{what}: band {a}..{b}, pixel {iu}");
+                            assert_eq!(i0, i0_a + (iu - a) as i64, "{band}: floor");
+                            assert_eq!((li - i0 as f64).to_bits(), fraction, "{band}: fraction");
+                            assert_eq!(s, taps.edge(iu), "{band}: scalar");
+                            let mut from_here = [0];
+                            taps.band(iu, &mut from_here);
+                            assert_eq!(from_here[0], s, "{band}: scalar from a later start");
+                        }
+                        a = b;
+                    }
+                }
+            }
+        }
+    }
+
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = *state;
@@ -1235,9 +1345,15 @@ mod kernel_tests {
     }
 
     proptest! {
+        // About one scene in eight is wide and thin: in-slice extents past
+        // 64 voxels along any principal axis, so its rows cross the 32 and
+        // 64 binades the band loop splits at.
         #[test]
         fn kernel_equivalence(
-            dims in (1usize..=17, 1usize..=17, 1usize..=17),
+            dims in prop_oneof![
+                7 => (1usize..=17, 1usize..=17, 1usize..=17),
+                1 => (65usize..=80, 65usize..=80, 1usize..=3),
+            ],
             before in (0usize..=4, 0usize..=4, 0usize..=4),
             after in (0usize..=4, 0usize..=4, 0usize..=4),
             kinds in (0u8..=4, 0u8..=5),

@@ -29,29 +29,36 @@ def identity(result, where):
     return tuple(host[k] for k in IDENTITY)
 
 
+def baseline_of(result, where):
+    """The host identity of `result` (read from `where`) and its baseline
+    line, None if no line has that identity; ValueError or OSError naming
+    the file or line that is malformed or unreadable."""
+    want = identity(result, where)
+    baseline = None
+    for n, line in enumerate(TRAJECTORY.read_text().splitlines(), 1):
+        at = f"{TRAJECTORY.name}:{n}"
+        try:
+            recorded = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{at}: not JSON ({e})") from None
+        if identity(recorded, at) == want:
+            baseline = line
+    return dict(zip(IDENTITY, want)), baseline
+
+
 def main(argv):
     if len(argv) != 2:
         print("usage: python3 tools/trajectory_baseline.py SUITE.json", file=sys.stderr)
         return 2
     try:
         with open(argv[1]) as f:
-            want = identity(json.load(f), argv[1])
-        baseline = None
-        lines = TRAJECTORY.read_text().splitlines()
-        for n, line in enumerate(lines, 1):
-            where = f"{TRAJECTORY.name}:{n}"
-            try:
-                result = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{where}: not JSON ({e})") from None
-            if identity(result, where) == want:
-                baseline = line
+            host, baseline = baseline_of(json.load(f), argv[1])
     except (OSError, ValueError) as e:
         print(f"trajectory_baseline: {e}", file=sys.stderr)
         return 1
     if baseline is None:
-        print(f"trajectory_baseline: no line of {TRAJECTORY.name} has host "
-              f"{dict(zip(IDENTITY, want))}", file=sys.stderr)
+        print(f"trajectory_baseline: no line of {TRAJECTORY.name} has host {host}",
+              file=sys.stderr)
         return 1
     print(baseline)
     return 0
