@@ -156,13 +156,23 @@ echo "== render kernel equivalence =="
 # `kernel_equivalence_at_production_widths`, the warp alone over 256
 # mostly blank intermediates (`warp_kernel_equivalence_on_sparse_images`:
 # lone border pixels, `−0`, `a = 0, v ≠ 0`, NaN, ±∞ — the cases its
-# occupancy rule must read as blank or as content), and the band loop's
-# premise on single rows (`band_kernel_equivalence_at_binade_edges`: over
-# shifts at binade edges each band steps `⌊li⌋` by one and keeps one
-# fraction — the only cell that fails if an interior run is one band).
-# Besides the `render` cells of tests/golden/trace_digests.txt this is the
-# only gate on the float path.
+# occupancy rule must read as blank or as content), the slice column map
+# against its definition (`slice_columns_kernel_equivalence`: over shifts
+# at binade edges every `at[c]` is the first pixel whose `⌊li⌋ ≥ c`, and
+# the bands tile the interior, each stepping `⌊li⌋` by one with one
+# fraction — fails on a table built with `>` or an interior of one band),
+# the band stencil against the per-pixel blend
+# (`band_kernel_equivalence_at_binade_edges`) and the branch-free rounding
+# against libm's at every half-integer and the `f64` either side
+# (`round_to_u8_kernel_equivalence`). Besides the `render` cells of
+# tests/golden/trace_digests.txt this is the only gate on the float path.
 PROPTEST_CASES=256 cargo test -q --release -p rt-render kernel_equivalence
+
+echo "== render stage probe =="
+# The benchmark's orbit with each stage timed on its own (slab sweeps,
+# reference composite, warp) and a hash of its screens: one round, so the
+# probe that sizes a renderer change keeps compiling and running.
+cargo run -q --release --example render_stages -- 1
 
 echo "== net log bound =="
 # rt-net's sent-frame log must follow the in-flight window, not the length

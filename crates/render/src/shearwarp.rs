@@ -17,14 +17,17 @@
 //! computed once, a chunk of pixels is sampled before it is composited, and
 //! runs that provably contribute nothing are never sampled — voxels the
 //! transfer function makes transparent, screen pixels whose taps are all
-//! blank. A slice's row is cut into *bands* over which its column
-//! coordinate steps by exactly one voxel, so a band is sampled as one
-//! fixed-weight four-tap stencil over two voxel scanlines. The warp always
-//! splits its screen rows across threads. Their
-//! contract is **bit-identity** with the per-sample renderer kept in this
-//! module's tests, not a tolerance: the composition stage, the golden
-//! digests and every "frame equals the sequential render" check downstream
-//! compare `f32` bits (DESIGN.md §9, "Where the words go", has the argument).
+//! blank. Where a slice's pixels fall along its voxel scanlines is a
+//! function of the slice alone, so it is mapped once per slice: the first
+//! pixel of each voxel column, and the *bands* over which the column steps
+//! by exactly one voxel. Every row of the slice reads that map instead of
+//! searching, and samples a band as one fixed-weight four-tap stencil over
+//! two voxel scanlines, rounding without a branch. The warp always splits
+//! its screen rows across threads. Their contract is **bit-identity** with
+//! the per-sample renderer kept in this module's tests, not a tolerance:
+//! the composition stage, the golden digests and every "frame equals the
+//! sequential render" check downstream compare `f32` bits (DESIGN.md §9,
+//! "Where the words go", has the argument).
 
 use crate::camera::{factorize, plane_of, Camera, Factorization};
 use crate::partition::Subvolume;
@@ -91,13 +94,18 @@ fn floor_to_int(x: f64) -> i64 {
 }
 
 /// `x.round().clamp(0.0, 255.0) as u8` for `x ∈ [0, 255.5)` — the range an
-/// interpolated 8-bit scalar lives in — without the libm `round`: half away
-/// from zero is `⌊x⌋`, plus one where the (exactly computed) fraction
-/// reaches ½.
+/// interpolated 8-bit scalar lives in — in `f64` selects alone, so a loop of
+/// them vectorises: adding and subtracting 2⁵² rounds `x` to an integer `r`
+/// exactly (ties to even), `⌊x⌋` is `r` or `r − 1`, half away from zero adds
+/// one where the exactly computed fraction `x − ⌊x⌋` reaches ½, and the
+/// result plus 2⁵² carries it in the low byte of its bits.
 #[inline(always)]
 fn round_to_u8(x: f64) -> u8 {
-    let t = x as i32;
-    (t + i32::from(x - f64::from(t) >= 0.5)).min(255) as u8
+    const TWO_52: f64 = (1u64 << 52) as f64;
+    let r = (x + TWO_52) - TWO_52;
+    let floor = if r > x { r - 1.0 } else { r };
+    let t = if x - floor >= 0.5 { floor + 1.0 } else { floor };
+    (t.min(255.0) + TWO_52).to_bits() as u8
 }
 
 /// Pixels per pass-1 chunk of a slab kernel run: the scalars of one chunk
@@ -275,7 +283,6 @@ struct Slab<'a> {
     starts: (usize, usize),
     /// The scanline every row outside the slab reads.
     zeros: &'a [u8],
-    off_i: f64,
     off_j: f64,
     k_lo: usize,
     classes: &'a [GrayAlpha; 256],
@@ -304,7 +311,6 @@ impl<'a> Slab<'a> {
             nj,
             starts,
             zeros: &classification.zeros[..ni],
-            off_i: off[f.plane.0] as f64,
             off_j: off[f.plane.1] as f64,
             k_lo: off[f.axis],
             classes: &classification.classes,
@@ -350,46 +356,191 @@ impl<'a> Slab<'a> {
     }
 }
 
-/// One slice of the principal-axis sweep, with its shear offsets and the
-/// intermediate-image window its footprint can touch — precomputed once so
-/// the serial slice-major loop and the parallel row-major loop interchange
-/// over the exact same numbers.
-struct SliceJob {
-    k: usize,
-    u_off: f64,
-    v_off: f64,
-    iu0: usize,
-    iu1: usize,
-    iv0: usize,
-    iv1: usize,
+/// The first pixel of `from..to` where `reached` — false, then true along
+/// the row — holds (`to` if nowhere): a guess from the real-number inverse,
+/// stepped to the exact answer, so rounding never misplaces it.
+fn first_where(from: usize, to: usize, guess: f64, reached: impl Fn(usize) -> bool) -> usize {
+    let mut iu = (guess.max(from as f64) as usize).min(to);
+    while iu < to && !reached(iu) {
+        iu += 1;
+    }
+    while iu > from && reached(iu - 1) {
+        iu -= 1;
+    }
+    iu
 }
 
-/// The depth-ordered slice jobs of `sub`; both drivers walk this list in
-/// order, so every pixel sees its slices front-to-back either way.
-fn slice_jobs(sub: &Subvolume, f: &Factorization) -> Vec<SliceJob> {
+/// Where one slice puts an image row's pixels along its in-slice axis `i`:
+/// pixel `iu`'s column coordinate is two roundings, `x = iu − u_off`, then
+/// `li = x − off_i`. Both are monotone in `iu`, which is all the column map
+/// ([`map_columns`]) relies on.
+#[derive(Debug, Clone, Copy)]
+struct Columns {
+    u_off: f64,
+    off_i: f64,
+}
+
+impl Columns {
+    /// `x` and `li` of pixel `iu`.
+    #[inline(always)]
+    fn shifts(self, iu: usize) -> (f64, f64) {
+        let x = iu as f64 - self.u_off;
+        (x, x - self.off_i)
+    }
+
+    /// `li` and its floor, the column of pixel `iu`'s first taps.
+    #[inline(always)]
+    fn column(self, iu: usize) -> (f64, i64) {
+        let li = self.shifts(iu).1;
+        (li, floor_to_int(li))
+    }
+
+    /// Sign and binary exponent of both roundings of pixel `iu`'s column.
+    #[inline(always)]
+    fn binades(self, iu: usize) -> (u64, u64) {
+        let (x, li) = self.shifts(iu);
+        (x.to_bits() >> 52, li.to_bits() >> 52)
+    }
+
+    /// The end of the band that starts at pixel `a` of the interior
+    /// `a..to`: the pixels over which `x` and `li` keep their binades.
+    /// Both are monotone in `iu`, so that is a prefix; both are `≥ 0` here,
+    /// so it ends where one of them reaches its next power of two.
+    ///
+    /// Inside a band `x` and `li` each keep a binade whose ulp is at most
+    /// ½ (they are voxel coordinates, far below 2⁵²), so subtracting a
+    /// fixed value from `iu` rounds alike for every pixel: both ties-to-
+    /// even parity bits are fractional, and `li` steps by exactly 1.0. So
+    /// `⌊li⌋` steps by one and the exactly computed fraction `li − ⌊li⌋`
+    /// keeps its bits across the band.
+    fn band_end(self, a: usize, to: usize) -> usize {
+        let key = self.binades(a);
+        let top = |binade: u64| f64::from_bits((binade + 1) << 52);
+        let guess = (top(key.0) + self.u_off).min(top(key.1) + self.off_i + self.u_off);
+        first_where(a + 1, to, guess.ceil(), |iu| self.binades(iu) != key)
+    }
+}
+
+/// A band of a slice's interior: pixels `a..b` over which `⌊li⌋` steps by
+/// one from `i0` and the in-slice weights `wi = [1 − fi, fi]` are fixed
+/// ([`Columns::band_end`] has the argument).
+struct Band {
+    a: usize,
+    b: usize,
+    i0: usize,
+    wi: [f64; 2],
+}
+
+/// Append one slice's column map over its `run` of pixels: to `at`, for
+/// `c ∈ −1..=ni`, the first pixel of `run` whose column `⌊li⌋` is at least
+/// `c` (`run.end` if none), found by one monotone walk; to `bands`, the
+/// bands that tile its interior `at[0]..at[ni − 1]`, the pixels with
+/// `0 ≤ ⌊li⌋ ≤ ni − 2`, whose four taps all lie on the slab.
+///
+/// Every row of the slice trims its own pixels inside `run`, and `⌊li⌋` is
+/// monotone, so the first pixel of `from..to ⊆ run` with column at least
+/// `c` is `at[c].clamp(from, to)`: a row reads the map, it never searches.
+fn map_columns(
+    cols: Columns,
+    ni: usize,
+    run: Range<usize>,
+    at: &mut Vec<usize>,
+    bands: &mut Vec<Band>,
+) {
+    let table = at.len();
+    let mut iu = run.start;
+    for c in -1..=ni as i64 {
+        while iu < run.end && cols.column(iu).1 < c {
+            iu += 1;
+        }
+        at.push(iu);
+    }
+    let (mut a, end) = (at[table + 1], at[table + ni]);
+    while a < end {
+        let b = cols.band_end(a, end);
+        let (li, i0) = cols.column(a);
+        let fi = li - i0 as f64;
+        bands.push(Band {
+            a,
+            b,
+            i0: i0 as usize,
+            wi: [1.0 - fi, fi],
+        });
+        a = b;
+    }
+}
+
+/// One slice of the principal-axis sweep: its shear offsets, the
+/// intermediate-image window its footprint can touch and where its column
+/// map lies in [`Slices`] — precomputed once so the serial slice-major loop
+/// and the parallel row-major loop interchange over the exact same numbers.
+struct SliceJob {
+    k: usize,
+    cols: Columns,
+    v_off: f64,
+    /// The pixels of an image row its footprint can touch.
+    run: Range<usize>,
+    iv0: usize,
+    iv1: usize,
+    /// Where its `ni + 2` entries of [`Slices::at`] start.
+    at: usize,
+    /// Its interior's bands in [`Slices::bands`].
+    bands: Range<usize>,
+}
+
+/// A sweep's slice jobs in depth order and their column maps
+/// ([`map_columns`]), every slice's stored in the same two vectors.
+struct Slices {
+    jobs: Vec<SliceJob>,
+    at: Vec<usize>,
+    bands: Vec<Band>,
+}
+
+/// The depth-ordered slices of `sub`; both drivers walk the jobs in order,
+/// so every pixel sees its slices front-to-back either way.
+fn slice_jobs(sub: &Subvolume, f: &Factorization) -> Slices {
     let (k_lo, k_hi) = sub.extent(f.axis);
     let (i_lo, i_hi) = sub.extent(f.plane.0);
     let (j_lo, j_hi) = sub.extent(f.plane.1);
     let (w, h) = f.inter_size;
-    f.slice_order()
-        .filter(|&k| k >= k_lo && k < k_hi)
-        .map(|k| {
-            let kf = k as f64;
-            let u_off = f.origin.0 + f.shear.0 * kf;
-            let v_off = f.origin.1 + f.shear.1 * kf;
-            // Intermediate pixels whose pre-image lies inside this slice's
-            // in-slice extent.
-            SliceJob {
-                k,
-                u_off,
-                v_off,
-                iu0: (i_lo as f64 + u_off).floor().max(0.0) as usize,
-                iu1: ((i_hi as f64 + u_off).ceil() as usize).min(w.saturating_sub(1)),
-                iv0: (j_lo as f64 + v_off).floor().max(0.0) as usize,
-                iv1: ((j_hi as f64 + v_off).ceil() as usize).min(h.saturating_sub(1)),
-            }
-        })
-        .collect()
+    let (n, ni) = (k_hi - k_lo, i_hi - i_lo);
+    // Over an interior `x` and `li` are `≥ 0`, below `i_hi` and at most one
+    // of each below 1: each visits at most this many binades, and every
+    // band starts where one of them enters a new one.
+    let binades = (usize::BITS - i_hi.leading_zeros()) as usize + 1;
+    let mut slices = Slices {
+        jobs: Vec::with_capacity(n),
+        at: Vec::with_capacity(n * (ni + 2)),
+        bands: Vec::with_capacity(n * 2 * binades),
+    };
+    for k in f.slice_order().filter(|&k| k >= k_lo && k < k_hi) {
+        let kf = k as f64;
+        let u_off = f.origin.0 + f.shear.0 * kf;
+        let v_off = f.origin.1 + f.shear.1 * kf;
+        // Intermediate pixels whose pre-image lies inside this slice's
+        // in-slice extent.
+        let iu0 = (i_lo as f64 + u_off).floor().max(0.0) as usize;
+        let iu1 = ((i_hi as f64 + u_off).ceil() as usize).min(w.saturating_sub(1));
+        let end = (iu1 + 1).min(w);
+        let run = iu0.min(end)..end;
+        let cols = Columns {
+            u_off,
+            off_i: i_lo as f64,
+        };
+        let (at, first_band) = (slices.at.len(), slices.bands.len());
+        map_columns(cols, ni, run.clone(), &mut slices.at, &mut slices.bands);
+        slices.jobs.push(SliceJob {
+            k,
+            cols,
+            v_off,
+            run,
+            iv0: (j_lo as f64 + v_off).floor().max(0.0) as usize,
+            iv1: ((j_hi as f64 + v_off).ceil() as usize).min(h.saturating_sub(1)),
+            at,
+            bands: first_band..slices.bands.len(),
+        });
+    }
+    slices
 }
 
 /// What `composite_row` hoists out of its pixel loops: everything that is a
@@ -399,9 +550,7 @@ struct RowTaps<'a> {
     rows: [&'a [u8]; 2],
     /// Their bilinear weights `1 - fj`, `fj`.
     wj: [f64; 2],
-    /// `iu - u_off - off_i` is the in-slice column coordinate `li`.
-    u_off: f64,
-    off_i: f64,
+    cols: Columns,
 }
 
 /// The rounded bilinear scalar of the taps `v` — voxels `i0`, `i0 + 1` of
@@ -418,98 +567,31 @@ fn blend(w: [f64; 4], v: [u8; 4]) -> u8 {
     )
 }
 
-/// The first pixel of `from..to` where `reached` — false, then true along
-/// the row — holds (`to` if nowhere): a guess from the real-number inverse,
-/// stepped to the exact answer, so rounding never misplaces it.
-fn first_where(from: usize, to: usize, guess: f64, reached: impl Fn(usize) -> bool) -> usize {
-    let mut iu = (guess.max(from as f64) as usize).min(to);
-    while iu < to && !reached(iu) {
-        iu += 1;
-    }
-    while iu > from && reached(iu - 1) {
-        iu -= 1;
-    }
-    iu
-}
-
 impl RowTaps<'_> {
-    /// The two roundings that make pixel `iu`'s in-slice column coordinate:
-    /// `x = iu − u_off`, then `li = x − off_i`.
-    #[inline(always)]
-    fn shifts(&self, iu: usize) -> (f64, f64) {
-        let x = iu as f64 - self.u_off;
-        (x, x - self.off_i)
-    }
-
-    /// `li` and its floor — monotone in `iu`, which is all the run
-    /// boundaries below rely on.
-    #[inline(always)]
-    fn column(&self, iu: usize) -> (f64, i64) {
-        let li = self.shifts(iu).1;
-        (li, floor_to_int(li))
-    }
-
-    /// The four tap weights at column `li`, `i0 = ⌊li⌋`, in [`blend`]'s
+    /// The four tap weights under in-slice weights `wi`, in [`blend`]'s
     /// order.
     #[inline(always)]
-    fn weights(&self, li: f64, i0: i64) -> [f64; 4] {
-        let fi = li - i0 as f64;
-        let wi = [1.0 - fi, fi];
+    fn weights(&self, wi: [f64; 2]) -> [f64; 4] {
         let wj = self.wj;
         [wi[0] * wj[0], wi[1] * wj[0], wi[0] * wj[1], wi[1] * wj[1]]
     }
 
     /// Pixel `iu`'s scalar anywhere, taps off the slab reading 0.
     fn edge(&self, iu: usize) -> u8 {
-        let (li, i0) = self.column(iu);
+        let (li, i0) = self.cols.column(iu);
+        let fi = li - i0 as f64;
         let tap = |r: &[u8], i: i64| usize::try_from(i).map_or(0, |i| r.get(i).map_or(0, |&v| v));
         let [r0, r1] = self.rows;
         let v = [tap(r0, i0), tap(r0, i0 + 1), tap(r1, i0), tap(r1, i0 + 1)];
-        blend(self.weights(li, i0), v)
+        blend(self.weights([1.0 - fi, fi]), v)
     }
 
-    /// The first pixel of `from..to` whose column is at least `target`
-    /// (`to` if none is).
-    fn first_at(&self, target: i64, from: usize, to: usize) -> usize {
-        let guess = (target as f64 + self.off_i + self.u_off).ceil();
-        first_where(from, to, guess, |iu| self.column(iu).1 >= target)
-    }
-
-    /// Sign and binary exponent of both roundings of pixel `iu`'s column.
+    /// The scalars of consecutive pixels of one band from column `i0` on:
+    /// one fixed-weight four-tap stencil over the two scanlines, which
+    /// gives every pixel the bits [`RowTaps::edge`] gives it.
     #[inline(always)]
-    fn binades(&self, iu: usize) -> (u64, u64) {
-        let (x, li) = self.shifts(iu);
-        (x.to_bits() >> 52, li.to_bits() >> 52)
-    }
-
-    /// The end of the band that starts at pixel `a` of the interior
-    /// `a..to`: the pixels over which `x` and `li` keep their binades.
-    /// Both are monotone in `iu`, so that is a prefix; both are `≥ 0` here,
-    /// so it ends where one of them reaches its next power of two.
-    fn band_end(&self, a: usize, to: usize) -> usize {
-        let key = self.binades(a);
-        let top = |binade: u64| f64::from_bits((binade + 1) << 52);
-        let guess = (top(key.0) + self.u_off).min(top(key.1) + self.off_i + self.u_off);
-        first_where(a + 1, to, guess.ceil(), |iu| self.binades(iu) != key)
-    }
-
-    /// The scalars of pixels `iu..` of one interior band: one set of
-    /// weights and one fixed-weight four-tap stencil over the two
-    /// scanlines from voxel `⌊li(iu)⌋` on.
-    ///
-    /// Inside a band `x` and `li` each keep a binade whose ulp is at most
-    /// ½ (they are voxel coordinates, far below 2⁵²), so subtracting a
-    /// fixed value from `iu` rounds alike for every pixel: both ties-to-
-    /// even parity bits are fractional, and `li` steps by exactly 1.0. So
-    /// `⌊li⌋` steps by one, the exactly computed fraction `li − ⌊li⌋` keeps
-    /// its bits, and every pixel gets the bits [`RowTaps::edge`] gives it.
-    #[inline(always)]
-    fn band(&self, iu: usize, out: &mut [u8]) {
-        let (li, i0) = self.column(iu);
-        let w = self.weights(li, i0);
-        // In the interior `0 ≤ ⌊li⌋ ≤ ni − 2` for every pixel.
-        let at = i0 as usize;
-        let [r0, r1] = self.rows.map(|r| &r[at..at + out.len() + 1]);
+    fn stencil(&self, i0: usize, w: [f64; 4], out: &mut [u8]) {
+        let [r0, r1] = self.rows.map(|r| &r[i0..i0 + out.len() + 1]);
         for ((s, p), q) in out.iter_mut().zip(r0.windows(2)).zip(r1.windows(2)) {
             *s = blend(w, [p[0], p[1], q[0], q[1]]);
         }
@@ -523,12 +605,12 @@ impl RowTaps<'_> {
 /// bit-identical.
 ///
 /// Inside one slice the resampling is a translation, so the row reads two
-/// contiguous voxel scanlines with fixed weights. The run is trimmed to the
-/// pixels the transfer function cannot prove transparent (the rest are
-/// never sampled) and split into an interior whose taps all lie on the
-/// slab, cut into bands of one weight set each, and the few edge pixels
-/// either side.
-fn composite_row(slab: &Slab, job: &SliceJob, iv: usize, row: &mut [GrayAlpha]) {
+/// contiguous voxel scanlines with fixed weights, and where its pixels fall
+/// along them is the slice's column map. The run is trimmed to the pixels
+/// the transfer function cannot prove transparent (the rest are never
+/// sampled) and split into the slice's interior bands and the few edge
+/// pixels either side.
+fn composite_row(slab: &Slab, slices: &Slices, job: &SliceJob, iv: usize, row: &mut [GrayAlpha]) {
     let lj = (iv as f64 - job.v_off) - slab.off_j;
     let j0 = floor_to_int(lj);
     let fj = lj - j0 as f64;
@@ -536,11 +618,12 @@ fn composite_row(slab: &Slab, job: &SliceJob, iv: usize, row: &mut [GrayAlpha]) 
     let taps = RowTaps {
         rows: [slab.row(j0, k), slab.row(j0 + 1, k)],
         wj: [1.0 - fj, fj],
-        u_off: job.u_off,
-        off_i: slab.off_i,
+        cols: job.cols,
     };
-    let mut end = (job.iu1 + 1).min(row.len());
-    let mut start = job.iu0.min(end);
+    // The first pixel of `from..to` whose column is at least `c`.
+    let at = &slices.at[job.at..][..slab.ni + 2];
+    let at_least = |c: i64, from: usize, to: usize| at[(c + 1) as usize].clamp(from, to);
+    let (mut start, mut end) = (job.run.start, job.run.end);
     if let Some(t) = slab.transparent {
         // Only a pixel with a tap inside the union of the two scanlines'
         // intervals can be visible: columns `lo - 1 ..= hi - 1`.
@@ -554,22 +637,25 @@ fn composite_row(slab: &Slab, job: &SliceJob, iv: usize, row: &mut [GrayAlpha]) 
         if lo >= hi {
             return;
         }
-        start = taps.first_at(i64::from(lo) - 1, start, end);
-        end = taps.first_at(i64::from(hi), start, end);
+        start = at_least(i64::from(lo) - 1, start, end);
+        end = at_least(i64::from(hi), start, end);
     }
-    let inner = taps.first_at(0, start, end);
-    let inner_end = taps.first_at(slab.ni as i64 - 1, inner, end);
+    let inner = at_least(0, start, end);
+    let inner_end = at_least(slab.ni as i64 - 1, inner, end);
     let edge = |iu: usize, scalars: &mut [u8]| {
         for (s, iu) in scalars.iter_mut().zip(iu..) {
             *s = taps.edge(iu);
         }
     };
     slab.composite(start, &mut row[start..inner], edge);
-    let mut a = inner;
-    while a < inner_end {
-        let b = taps.band_end(a, inner_end);
-        slab.composite(a, &mut row[a..b], |iu, scalars| taps.band(iu, scalars));
-        a = b;
+    for band in &slices.bands[job.bands.clone()] {
+        let (a, b) = (band.a.max(inner), band.b.min(inner_end));
+        if a < b {
+            let (i0, w) = (band.i0 + (a - band.a), taps.weights(band.wi));
+            slab.composite(a, &mut row[a..b], |iu, scalars| {
+                taps.stencil(i0 + (iu - a), w, scalars);
+            });
+        }
     }
     slab.composite(inner_end, &mut row[inner_end..end], edge);
 }
@@ -606,7 +692,7 @@ fn sweep(
     let mut inter: Image<GrayAlpha> = Image::blank(f.inter_size.0, f.inter_size.1);
     let w = inter.width();
     let slab = Slab::new(sub, classification, &f, opts);
-    let jobs = slice_jobs(sub, &f);
+    let slices = slice_jobs(sub, &f);
 
     if opts.parallel && w > 0 && inter.height() > 0 {
         // Row-parallel interchange: rows are independent accumulation
@@ -616,18 +702,18 @@ fn sweep(
             .par_chunks_mut(w)
             .enumerate()
             .for_each(|(iv, row)| {
-                for job in &jobs {
+                for job in &slices.jobs {
                     if iv >= job.iv0 && iv <= job.iv1 {
-                        composite_row(&slab, job, iv, row);
+                        composite_row(&slab, &slices, job, iv, row);
                     }
                 }
             });
     } else {
         let pixels = inter.pixels_mut();
-        for job in &jobs {
+        for job in &slices.jobs {
             for iv in job.iv0..=job.iv1 {
                 let row = &mut pixels[iv * w..(iv + 1) * w];
-                composite_row(&slab, job, iv, row);
+                composite_row(&slab, &slices, job, iv, row);
             }
         }
     }
@@ -1005,11 +1091,16 @@ mod kernel_tests {
         row: &mut [GrayAlpha],
     ) {
         let gj = iv as f64 - job.v_off;
-        for (iu, acc) in row.iter_mut().enumerate().take(job.iu1 + 1).skip(job.iu0) {
+        for (iu, acc) in row
+            .iter_mut()
+            .enumerate()
+            .take(job.run.end)
+            .skip(job.run.start)
+        {
             if acc.a >= opts.early_termination {
                 continue;
             }
-            let gi = iu as f64 - job.u_off;
+            let gi = iu as f64 - job.cols.u_off;
             let scalar = slice_sample(sub, f, gi, gj, job.k);
             let s8 = scalar.round().clamp(0.0, 255.0) as u8;
             if tf.is_transparent(s8) {
@@ -1030,7 +1121,7 @@ mod kernel_tests {
         let mut inter: Image<GrayAlpha> = Image::blank(f.inter_size.0, f.inter_size.1);
         let w = inter.width();
         let pixels = inter.pixels_mut();
-        for job in &slice_jobs(sub, &f) {
+        for job in &slice_jobs(sub, &f).jobs {
             for iv in job.iv0..=job.iv1 {
                 let row = &mut pixels[iv * w..(iv + 1) * w];
                 composite_row_reference(sub, &f, tf, opts, job, iv, row);
@@ -1227,16 +1318,10 @@ mod kernel_tests {
         }
     }
 
-    /// The band loop's premise, row by row, where the render oracles cannot
-    /// see it: a rendered scene seldom puts a binade edge where merging two
-    /// bands changes a rounded scalar. Over shifts on and beside binade
-    /// edges, both signs, in-slice offsets 0, 5 and 37 and rows past 128
-    /// voxels, the bands tile the interior; across each, `⌊li⌋` steps by one
-    /// from the band's first pixel and `li − ⌊li⌋` keeps that pixel's bits;
-    /// and the band's scalars, from its first pixel or from any later one
-    /// (a pass-1 chunk may start there), are the per-pixel blend's.
-    #[test]
-    fn band_kernel_equivalence_at_binade_edges() {
+    /// Shifts `u_off` on and beside binade edges, both signs: thirds,
+    /// `0.5 − 2⁻⁴⁸`, every power of two to 256 less one ulp, less 2⁻⁴⁰ and
+    /// ± ⅓, and 32 seeded values with 46 fraction bits.
+    fn binade_edge_shifts() -> Vec<f64> {
         let mut state = 11;
         let mut shifts: Vec<f64> = (-90..=90).map(|k| f64::from(k) / 3.0).collect();
         shifts.push(0.5 - 2f64.powi(-48));
@@ -1246,42 +1331,120 @@ mod kernel_tests {
             shifts.extend([-2f64.powi(-40), -1.0 / 3.0, 1.0 / 3.0].map(|d| p + d));
         }
         shifts.extend((0..32).map(|_| (splitmix(&mut state) >> 11) as f64 * 2f64.powi(-46)));
+        shifts.iter().flat_map(|&s| [s, -s]).collect()
+    }
+
+    /// A row as wide as a slab of `ni` voxels at offset `off_i` needs under
+    /// shift `u_off`, plus three pixels: past the slab on the right, and on
+    /// the left too where `u_off + off_i ≥ 1`.
+    fn row_width(u_off: f64, off_i: f64, ni: usize) -> usize {
+        ni + off_i as usize + u_off.abs().ceil() as usize + 3
+    }
+
+    /// The slice column map against its definition, where the render oracles
+    /// cannot see a wrong entry: a rendered scene seldom puts a binade edge
+    /// or a transparent interval's end where a one-pixel slip changes a
+    /// rounded scalar. Over binade-edge shifts, in-slice offsets 0, 5 and
+    /// 37, slabs of 0–150 voxels and runs that start and end outside the
+    /// slab or inside it: every `at[c]` is the first pixel of the run whose
+    /// `⌊li⌋` (libm's floor) is at least `c`, the bands tile the interior
+    /// `at[0]..at[ni − 1]`, and across each `⌊li⌋` steps by one from the
+    /// band's `i0` and `[1 − fi, fi]` keeps the band's bits.
+    #[test]
+    fn slice_columns_kernel_equivalence() {
+        for u_off in binade_edge_shifts() {
+            for off_i in [0.0, 5.0, 37.0] {
+                for ni in [0, 1, 2, 130, 150] {
+                    let cols = Columns { u_off, off_i };
+                    let floor = |iu: usize| ((iu as f64 - u_off) - off_i).floor();
+                    let width = row_width(u_off, off_i, ni);
+                    for run in [0..width, width / 3..width, 0..2 * width / 3, width..width] {
+                        let what = format!("u_off {u_off:e}, off_i {off_i}, ni {ni}, run {run:?}");
+                        let (mut at, mut bands) = (Vec::new(), Vec::new());
+                        map_columns(cols, ni, run.clone(), &mut at, &mut bands);
+                        assert_eq!(at.len(), ni + 2, "{what}");
+                        for (c, &got) in (-1..).zip(&at) {
+                            let first = run.clone().find(|&iu| floor(iu) >= f64::from(c));
+                            assert_eq!(got, first.unwrap_or(run.end), "{what}: at[{c}]");
+                        }
+                        let mut next = at[1];
+                        for band in &bands {
+                            let (a, b) = (band.a, band.b);
+                            assert!(a == next && a < b, "{what}: band {a}..{b} after {next}");
+                            for iu in a..b {
+                                let pixel = format!("{what}: band {a}..{b}, pixel {iu}");
+                                let li = (iu as f64 - u_off) - off_i;
+                                assert_eq!(li.floor(), (band.i0 + iu - a) as f64, "{pixel}: floor");
+                                let fi = li - li.floor();
+                                let wi = [1.0 - fi, fi].map(f64::to_bits);
+                                assert_eq!(wi, band.wi.map(f64::to_bits), "{pixel}: fraction");
+                            }
+                            next = b;
+                        }
+                        assert_eq!(next, at[ni].max(at[1]), "{what}: the bands' end");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The band stencil's premise, row by row: over the same shifts and
+    /// slabs past 128 voxels, a band's scalars, from its first pixel or from
+    /// any later one (a pass-1 chunk may start there), are the per-pixel
+    /// blend's.
+    #[test]
+    fn band_kernel_equivalence_at_binade_edges() {
+        let mut state = 13;
         let voxels: Vec<u8> = (0..300).map(|_| splitmix(&mut state) as u8).collect();
-        for u_off in shifts.iter().flat_map(|&s| [s, -s]) {
+        for u_off in binade_edge_shifts() {
             for off_i in [0.0, 5.0, 37.0] {
                 for ni in [130, 150] {
                     let taps = RowTaps {
                         rows: [&voxels[..ni], &voxels[ni..2 * ni]],
                         wj: [0.7, 0.3],
-                        u_off,
-                        off_i,
+                        cols: Columns { u_off, off_i },
                     };
-                    let width = ni + off_i as usize + u_off.abs().ceil() as usize + 3;
-                    let inner = taps.first_at(0, 0, width);
-                    let inner_end = taps.first_at(ni as i64 - 1, inner, width);
+                    let (mut at, mut bands) = (Vec::new(), Vec::new());
+                    let run = 0..row_width(u_off, off_i, ni);
+                    map_columns(taps.cols, ni, run, &mut at, &mut bands);
                     let what = format!("u_off {u_off:e}, off_i {off_i}, ni {ni}");
-                    let mut a = inner;
-                    while a < inner_end {
-                        let b = taps.band_end(a, inner_end);
-                        assert!(a < b && b <= inner_end, "{what}: band {a}..{b}");
-                        let (li_a, i0_a) = taps.column(a);
-                        let fraction = (li_a - i0_a as f64).to_bits();
+                    for &Band { a, b, i0, wi } in &bands {
+                        let w = taps.weights(wi);
                         let mut scalars = vec![0; b - a];
-                        taps.band(a, &mut scalars);
+                        taps.stencil(i0, w, &mut scalars);
                         for (iu, &s) in (a..b).zip(&scalars) {
-                            let (li, i0) = taps.column(iu);
                             let band = format!("{what}: band {a}..{b}, pixel {iu}");
-                            assert_eq!(i0, i0_a + (iu - a) as i64, "{band}: floor");
-                            assert_eq!((li - i0 as f64).to_bits(), fraction, "{band}: fraction");
                             assert_eq!(s, taps.edge(iu), "{band}: scalar");
                             let mut from_here = [0];
-                            taps.band(iu, &mut from_here);
+                            taps.stencil(i0 + (iu - a), w, &mut from_here);
                             assert_eq!(from_here[0], s, "{band}: scalar from a later start");
                         }
-                        a = b;
                     }
                 }
             }
+        }
+    }
+
+    /// The branch-free rounding against libm's, at every half-integer of
+    /// its range and the `f64` either side (where truncate-and-correct and
+    /// ties-to-even part), at both zeros and the top of the range, and at
+    /// 10⁵ seeded values in `[0, 255.5)`.
+    #[test]
+    fn round_to_u8_kernel_equivalence() {
+        let mut xs: Vec<f64> = (0..=511)
+            .map(|k| f64::from(k) / 2.0)
+            .flat_map(|x| [x.next_down(), x, x.next_up()])
+            .collect();
+        xs.extend([0.0, -0.0, 255.5f64.next_down()]);
+        let mut state = 17;
+        let unit = 2f64.powi(-53);
+        xs.extend((0..100_000).map(|_| (splitmix(&mut state) >> 11) as f64 * unit * 255.5));
+        for x in xs {
+            assert_eq!(
+                round_to_u8(x),
+                x.round().clamp(0.0, 255.0) as u8,
+                "round {x:e}"
+            );
         }
     }
 
