@@ -106,6 +106,18 @@ stray=$(grep -F '.barrier()' <<<"$pvr" || true)
 sites=$(grep -F 'Mark::RenderStart' <<<"$pvr" || true)
 [ "$(grep -c . <<<"$sites")" -eq 1 ] \
     || vocabulary_fail "rt-pvr must mark RenderStart in exactly one place" "$sites"
+# One unsafe: the slab sweep's dispatch to its AVX2 row kernel. Non-test code
+# (comments aside) holds exactly that one, uses nothing of core::arch or
+# std::arch but the feature probe, and rt-render fuses no product into a sum,
+# so both compiled copies of the row kernel round alike.
+code=$(non_test_src | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+sites=$(grep -w 'unsafe' <<<"$code" || true)
+{ [ "$(grep -c . <<<"$sites")" -eq 1 ] && grep -q '^crates/render/src/shearwarp\.rs:' <<<"$sites"; } \
+    || vocabulary_fail "non-test code must hold one unsafe, the row kernel dispatch" "$sites"
+stray=$(grep -E '(core|std)::arch' <<<"$code" | grep -vF 'std::arch::is_x86_feature_detected!' || true)
+[ -z "$stray" ] || vocabulary_fail "core::arch / std::arch beyond the feature probe" "$stray"
+stray=$(grep '^crates/render/src/' <<<"$code" | grep -F 'mul_add' || true)
+[ -z "$stray" ] || vocabulary_fail "rt-render fuses a product into a sum" "$stray"
 
 echo "== build (release) =="
 cargo build --release --workspace
@@ -162,16 +174,22 @@ echo "== render kernel equivalence =="
 # the bands tile the interior, each stepping `⌊li⌋` by one with one
 # fraction — fails on a table built with `>` or an interior of one band),
 # the band stencil against the per-pixel blend
-# (`band_kernel_equivalence_at_binade_edges`) and the branch-free rounding
+# (`band_kernel_equivalence_at_binade_edges`), the branch-free rounding
 # against libm's at every half-integer and the `f64` either side
-# (`round_to_u8_kernel_equivalence`). Besides the `render` cells of
+# (`round_to_u8_kernel_equivalence`), and each compiled copy of the row
+# kernel called directly — baseline and, on a CPU with AVX2, the wide one,
+# which the sweep otherwise always picks there — over the presets, the six
+# golden cameras at 256² and single rows at binade-edge shifts
+# (`compiled_copies_kernel_equivalence`; a CPU without AVX2 prints that it
+# skipped the wide copy). Besides the `render` cells of
 # tests/golden/trace_digests.txt this is the only gate on the float path.
 PROPTEST_CASES=256 cargo test -q --release -p rt-render kernel_equivalence
 
 echo "== render stage probe =="
 # The benchmark's orbit with each stage timed on its own (slab sweeps,
-# reference composite, warp) and a hash of its screens: one round, so the
-# probe that sizes a renderer change keeps compiling and running.
+# reference composite, warp), the row kernel copy the sweep picked and a hash
+# of its screens: one round, so the probe that sizes a renderer change keeps
+# compiling and running.
 cargo run -q --release --example render_stages -- 1
 
 echo "== net log bound =="

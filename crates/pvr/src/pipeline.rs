@@ -12,11 +12,11 @@
 //! frame body is written once, there.
 //!
 //! The half of a plan no camera changes — the generated volume, its slabs
-//! along the current principal axis and each slab's classification
-//! (`Partitioned`) — is session state: it rides in the carried slot of the
-//! [`ScratchPool`] the caller passes ([`FrameRun::pool`],
-//! [`crate::StreamSession`]'s own), is reused while `(dataset,
-//! volume_size, seed, p)` holds and replaced when it or the axis changes.
+//! along each principal axis a view has needed and each slab's
+//! classification (`Partitioned`) — is session state: it rides in the
+//! carried slot of the [`ScratchPool`] the caller passes
+//! ([`FrameRun::pool`], [`crate::StreamSession`]'s own), is reused while
+//! `(dataset, volume_size, seed, p)` holds and replaced when that changes.
 //! A frame without a pool plans into a throwaway one.
 
 use crate::permute::permute_plan;
@@ -34,7 +34,7 @@ use rt_render::datasets::Dataset;
 use rt_render::partition::{depth_order, partition_1d};
 use rt_render::shearwarp::{PreparedSlab, RenderOptions};
 use rt_render::volume::Volume;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 
 /// Configuration of one pipeline run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,50 +106,69 @@ pub(crate) struct FramePlan {
 }
 
 /// The view-independent half of a frame — the paper's stage 1, done once:
-/// the generated volume, cut into `p` slabs along one principal axis, each
-/// slab classified ahead of its views. A [`ScratchPool`] carries one of
-/// these from frame to frame (its carried slot), so neither a serial
+/// the generated volume and, per principal axis, its cut into `p` slabs,
+/// each slab classified ahead of its views. An axis is cut the first time a
+/// view along it is planned, and never again. A [`ScratchPool`] carries one
+/// of these from frame to frame (its carried slot), so neither a serial
 /// animation loop nor the orbits of a stream session regenerate their
-/// dataset; a frame whose `(dataset, volume_size, seed, p)` or axis differs
-/// builds its own and replaces it.
+/// dataset or re-cut an axis; a frame whose `(dataset, volume_size, seed,
+/// p)` differs builds its own and replaces it.
 pub(crate) struct Partitioned {
     key: PartitionKey,
-    volume: Arc<Volume>,
-    axis: usize,
-    parts: Arc<Vec<PreparedSlab>>,
+    volume: Volume,
+    by_axis: [OnceLock<Arc<Vec<PreparedSlab>>>; 3],
 }
 
 /// What a partition is a function of: `(dataset, volume_size, seed, p)`.
 type PartitionKey = (Dataset, usize, u64, usize);
 
+impl Partitioned {
+    fn new(key: PartitionKey) -> Self {
+        let (dataset, volume_size, seed, _) = key;
+        Partitioned {
+            key,
+            volume: dataset.generate(volume_size, seed),
+            by_axis: Default::default(),
+        }
+    }
+
+    /// The slabs along `axis`, cut and classified on first use. Planners
+    /// that race to cut one axis compute the same slabs, and one cut wins.
+    fn parts(&self, axis: usize) -> Result<Arc<Vec<PreparedSlab>>, PvrError> {
+        let cut = &self.by_axis[axis];
+        if let Some(parts) = cut.get() {
+            return Ok(Arc::clone(parts));
+        }
+        let (dataset, _, _, p) = self.key;
+        let tf = dataset.transfer_function();
+        let parts = partition_1d(&self.volume, p, axis)?
+            .into_iter()
+            .map(|sub| PreparedSlab::new(sub, &tf, axis))
+            .collect();
+        Ok(Arc::clone(cut.get_or_init(|| Arc::new(parts))))
+    }
+}
+
 /// The data-partitioning stage (host side): plans any number of views over
-/// one volume, cutting it at most once per principal axis.
+/// the session's partition, the one `pool` carries for this configuration.
 pub(crate) struct FramePlanner<'a> {
     key: PartitionKey,
     config: &'a PipelineConfig,
     pool: &'a ScratchPool<GrayAlpha>,
-    /// The partition this planner used for each axis, so an orbit that
-    /// crosses an axis change and comes back cuts twice, not three times.
-    by_axis: [Option<Arc<Partitioned>>; 3],
+    /// This configuration's partition, once a plan has needed it.
+    session: Option<Arc<Partitioned>>,
 }
 
 impl<'a> FramePlanner<'a> {
     /// A planner that starts from what `pool` carries, if that is this
-    /// configuration's partition, and leaves its latest cut there.
+    /// configuration's partition, and otherwise carries its own there.
     pub fn new(p: usize, config: &'a PipelineConfig, pool: &'a ScratchPool<GrayAlpha>) -> Self {
-        let mut by_axis = [None, None, None];
         let key = (config.dataset, config.volume_size, config.seed, p);
-        if let Some(carried) = pool.carried::<Partitioned>() {
-            if carried.key == key {
-                let axis = carried.axis;
-                by_axis[axis] = Some(carried);
-            }
-        }
         FramePlanner {
             key,
             config,
             pool,
-            by_axis,
+            session: pool.carried::<Partitioned>().filter(|c| c.key == key),
         }
     }
 
@@ -165,9 +184,14 @@ impl<'a> FramePlanner<'a> {
                 ),
             });
         }
-        let volume = match self.by_axis.iter().flatten().next() {
-            Some(cut) => Arc::clone(&cut.volume),
-            None => Arc::new(config.dataset.generate(config.volume_size, config.seed)),
+        let session = match &self.session {
+            Some(session) => Arc::clone(session),
+            None => {
+                let session = Arc::new(Partitioned::new(key));
+                self.pool.carry(Arc::clone(&session));
+                self.session = Some(Arc::clone(&session));
+                session
+            }
         };
         // Rank r owns slab r along the view's principal axis. The
         // factorization is pure camera/geometry math — bit-identical to what
@@ -175,30 +199,11 @@ impl<'a> FramePlanner<'a> {
         // whole volume is needed to learn the axis.
         let f = factorize(
             &camera,
-            volume.dims(),
+            session.volume.dims(),
             config.render.width,
             config.render.height,
         );
-        let parts = match &self.by_axis[f.axis] {
-            Some(cut) => Arc::clone(&cut.parts),
-            None => {
-                let tf = config.dataset.transfer_function();
-                let parts = partition_1d(&volume, p, f.axis)?
-                    .into_iter()
-                    .map(|sub| PreparedSlab::new(sub, &tf, f.axis))
-                    .collect();
-                let cut = Arc::new(Partitioned {
-                    key,
-                    volume,
-                    axis: f.axis,
-                    parts: Arc::new(parts),
-                });
-                self.pool.carry(Arc::clone(&cut));
-                let parts = Arc::clone(&cut.parts);
-                self.by_axis[f.axis] = Some(cut);
-                parts
-            }
-        };
+        let parts = session.parts(f.axis)?;
         let rank_of_depth = depth_order(&parts, &f);
 
         // Compile and verify the plan in depth coordinates, then relabel onto
@@ -522,13 +527,43 @@ mod tests {
         let first = carried();
         FrameRun::new(3, &config).pool(&pool).execute().unwrap();
         assert!(Arc::ptr_eq(&first, &carried()), "same config: same record");
-        // Another principal axis cuts the carried volume again.
+        // Another principal axis cuts the carried volume again, into the
+        // same record.
         config.camera = Camera::yaw_pitch(std::f64::consts::FRAC_PI_2, 0.1);
         let turned = FrameRun::new(3, &config).pool(&pool).execute().unwrap();
-        let recut = carried();
-        assert_ne!(first.axis, recut.axis);
-        assert!(Arc::ptr_eq(&first.volume, &recut.volume));
+        assert!(Arc::ptr_eq(&first, &carried()), "same config: same record");
+        let cut = |axis: usize| first.by_axis[axis].get().is_some();
+        assert_eq!([0, 1, 2].map(cut), [true, false, true]);
         assert_eq!(turned.frame, render_frame(3, &config).unwrap().frame);
+    }
+
+    #[test]
+    fn an_orbit_across_an_axis_change_and_back_cuts_each_axis_once() {
+        use std::f64::consts::{FRAC_PI_2, PI};
+        let mut config = PipelineConfig::small(Method::ParallelPipelined);
+        let pool = ScratchPool::new();
+        let mut session = None;
+        let mut cuts = [None; 3];
+        // Yaw 0 → π/2 → π → 0 → π/2: principal axis z → x → z → z → x.
+        for (frame, yaw) in [0.0, FRAC_PI_2, PI, 0.0, FRAC_PI_2].into_iter().enumerate() {
+            config.camera = Camera::yaw_pitch(yaw, 0.1);
+            let out = FrameRun::new(3, &config).pool(&pool).execute().unwrap();
+            let want = render_frame(3, &config).unwrap().frame;
+            assert_eq!(out.frame, want, "frame {frame}");
+            let carried = pool.carried::<Partitioned>().unwrap();
+            let session = session.get_or_insert_with(|| Arc::clone(&carried));
+            assert!(Arc::ptr_eq(session, &carried), "frame {frame}: one record");
+            for (axis, cut) in cuts.iter_mut().enumerate() {
+                let now = carried.by_axis[axis].get().map(Arc::as_ptr);
+                // Once cut, an axis keeps its slabs for the session.
+                assert!(
+                    cut.is_none() || *cut == now,
+                    "frame {frame}: axis {axis} recut"
+                );
+                *cut = now;
+            }
+        }
+        assert_eq!(cuts.map(|cut| cut.is_some()), [true, false, true]);
     }
 
     #[test]

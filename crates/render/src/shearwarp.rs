@@ -263,7 +263,7 @@ impl PreparedSlab {
         opts: &RenderOptions,
     ) -> (Image<GrayAlpha>, Factorization) {
         let f = factorize(camera, self.sub.full, opts.width, opts.height);
-        sweep(&self.sub, &self.classification, f, opts)
+        sweep(row_kernel().1, &self.sub, &self.classification, f, opts)
     }
 }
 
@@ -610,6 +610,11 @@ impl RowTaps<'_> {
 /// the transfer function cannot prove transparent (the rest are never
 /// sampled) and split into the slice's interior bands and the few edge
 /// pixels either side.
+///
+/// The one source of both compiled copies ([`RowKernel`]): each inlines
+/// it, with pass 1's band stencil and pass 2. Only the edge pixels'
+/// per-pixel fill, a few pixels a row, stays one shared function.
+#[inline(always)]
 fn composite_row(slab: &Slab, slices: &Slices, job: &SliceJob, iv: usize, row: &mut [GrayAlpha]) {
     let lj = (iv as f64 - job.v_off) - slab.off_j;
     let j0 = floor_to_int(lj);
@@ -660,6 +665,58 @@ fn composite_row(slab: &Slab, slices: &Slices, job: &SliceJob, iv: usize, row: &
     slab.composite(inner_end, &mut row[inner_end..end], edge);
 }
 
+/// A compiled copy of [`composite_row`]. There are two, from the one
+/// source: [`composite_row_baseline`] for the target's baseline, and on
+/// x86-64 [`composite_row_avx2`], where pass 1's stencil runs four `f64`
+/// lanes wide. Only `avx2` is enabled — no `fma`, so no product is fused
+/// into a sum — and IEEE add, multiply, min and conversion round alike at
+/// any width: the copies write the same bits.
+type RowKernel = fn(&Slab, &Slices, &SliceJob, usize, &mut [GrayAlpha]);
+
+fn composite_row_baseline(
+    slab: &Slab,
+    slices: &Slices,
+    job: &SliceJob,
+    iv: usize,
+    row: &mut [GrayAlpha],
+) {
+    composite_row(slab, slices, job, iv, row);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn composite_row_avx2(
+    slab: &Slab,
+    slices: &Slices,
+    job: &SliceJob,
+    iv: usize,
+    row: &mut [GrayAlpha],
+) {
+    composite_row(slab, slices, job, iv, row);
+}
+
+/// The row kernel's one dispatch: the widest copy this CPU runs, and its
+/// name.
+fn row_kernel() -> (&'static str, RowKernel) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        let avx2: RowKernel = |slab, slices, job, iv, row| {
+            // SAFETY: the CPU was just found to support AVX2, the one
+            // feature `composite_row_avx2` is compiled with.
+            unsafe { composite_row_avx2(slab, slices, job, iv, row) }
+        };
+        return ("avx2", avx2);
+    }
+    ("baseline", composite_row_baseline)
+}
+
+/// Which compiled copy of the slab sweep's row kernel this CPU runs:
+/// `"avx2"` or `"baseline"`. Both render the same bits; only the time
+/// differs.
+pub fn sweep_kernel() -> &'static str {
+    row_kernel().0
+}
+
 /// Render a subvolume into the full-frame intermediate image.
 ///
 /// Returns the intermediate image and the factorization (needed for the
@@ -678,12 +735,15 @@ pub fn render_intermediate(
     opts: &RenderOptions,
 ) -> (Image<GrayAlpha>, Factorization) {
     let f = factorize(camera, sub.full, opts.width, opts.height);
-    sweep(sub, &Classification::new(sub, tf, f.axis), f, opts)
+    let classification = Classification::new(sub, tf, f.axis);
+    sweep(row_kernel().1, sub, &classification, f, opts)
 }
 
 /// The per-view half: sweep the classified slab's slices front to back
-/// under factorization `f` into a blank intermediate image.
+/// under factorization `f` into a blank intermediate image, every row
+/// through `kernel`, one copy of the row kernel.
 fn sweep(
+    kernel: RowKernel,
     sub: &Subvolume,
     classification: &Classification,
     f: Factorization,
@@ -704,7 +764,7 @@ fn sweep(
             .for_each(|(iv, row)| {
                 for job in &slices.jobs {
                     if iv >= job.iv0 && iv <= job.iv1 {
-                        composite_row(&slab, &slices, job, iv, row);
+                        kernel(&slab, &slices, job, iv, row);
                     }
                 }
             });
@@ -713,7 +773,7 @@ fn sweep(
         for job in &slices.jobs {
             for iv in job.iv0..=job.iv1 {
                 let row = &mut pixels[iv * w..(iv + 1) * w];
-                composite_row(&slab, &slices, job, iv, row);
+                kernel(&slab, &slices, job, iv, row);
             }
         }
     }
@@ -1052,6 +1112,7 @@ mod kernel_tests {
     use crate::partition::partition_1d;
     use crate::volume::Volume;
     use proptest::prelude::*;
+    use std::io::Write;
 
     /// Bilinear scalar sample of slice `k` (global principal-axis index) at
     /// global in-slice coordinates `(gi, gj)`, reading 0 outside the
@@ -1419,6 +1480,171 @@ mod kernel_tests {
                             taps.stencil(i0 + (iu - a), w, &mut from_here);
                             assert_eq!(from_here[0], s, "{band}: scalar from a later start");
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every compiled copy of the row kernel this CPU runs, by name, each
+    /// called directly rather than through [`row_kernel`]. A CPU without
+    /// AVX2 tests the baseline copy alone and says so.
+    fn row_kernels() -> Vec<(&'static str, RowKernel)> {
+        let mut kernels: Vec<(&'static str, RowKernel)> =
+            vec![("baseline", composite_row_baseline)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked just above.
+            kernels.push(("avx2", |slab, slices, job, iv, row| unsafe {
+                composite_row_avx2(slab, slices, job, iv, row)
+            }));
+        }
+        if kernels.len() == 1 {
+            // Past the test harness's capture, so every run shows the skip.
+            let skip = "row kernel copies: no AVX2 on this CPU, the wide copy is not tested";
+            let _ = writeln!(std::io::stderr(), "{skip}");
+        }
+        kernels
+    }
+
+    /// `sub` seen from `camera` through each compiled copy, both drivers,
+    /// against the per-sample reference: so also against each other.
+    fn assert_copies_match_reference(
+        sub: &Subvolume,
+        tf: &TransferFunction,
+        camera: &Camera,
+        opts: &RenderOptions,
+        what: &str,
+    ) {
+        let (want, f) = render_intermediate_reference(sub, tf, camera, opts);
+        let classification = Classification::new(sub, tf, f.axis);
+        for (copy, kernel) in row_kernels() {
+            for parallel in [false, true] {
+                let opts = opts.with_parallel(parallel);
+                let (got, _) = sweep(kernel, sub, &classification, f.clone(), &opts);
+                let what = format!("{what}: {copy} copy, parallel={parallel}");
+                assert_eq!(bits(&got), bits(&want), "{what}");
+            }
+        }
+    }
+
+    /// One slice's row `iv = 0` sampled pixel by pixel as
+    /// [`composite_row_reference`] samples it — libm's floor and round,
+    /// zero-weight taps skipped, 0 off the two scanlines `rows` — over a
+    /// blank row under early termination 1.0.
+    fn row_reference(
+        rows: [&[u8]; 2],
+        fj: f64,
+        cols: Columns,
+        tf: &TransferFunction,
+        width: usize,
+    ) -> Image<GrayAlpha> {
+        let tap = |j: usize, i: f64| match rows[j].get(i as usize) {
+            Some(&v) if i >= 0.0 => f64::from(v),
+            _ => 0.0,
+        };
+        Image::from_fn(width, 1, |iu, _| {
+            let li = (iu as f64 - cols.u_off) - cols.off_i;
+            let (i0, fi) = (li.floor(), li - li.floor());
+            let mut acc = 0.0;
+            for (dj, wj) in [1.0 - fj, fj].into_iter().enumerate() {
+                for (di, wi) in [1.0 - fi, fi].into_iter().enumerate() {
+                    let w = wi * wj;
+                    if w > 0.0 {
+                        acc += w * tap(dj, i0 + di as f64);
+                    }
+                }
+            }
+            let s8 = acc.round().clamp(0.0, 255.0) as u8;
+            let blank = GrayAlpha::blank();
+            if tf.is_transparent(s8) {
+                blank
+            } else {
+                blank.over(&tf.classify_premultiplied(s8))
+            }
+        })
+    }
+
+    /// The row kernel is compiled twice from one source, and the sweep runs
+    /// the widest copy the CPU has, so on an AVX2 machine no other test
+    /// reaches the baseline copy. Each copy, called directly, must carry
+    /// the per-sample reference's bits: on the preset scenes, at the six
+    /// golden cameras at production widths, and on single rows at the
+    /// binade-edge shifts, where every band must step `⌊li⌋` by one. A
+    /// copy whose body alone changes the arithmetic (a `mul_add` in the
+    /// stencil, a product fused by an enabled `fma`) fails here.
+    #[test]
+    fn compiled_copies_kernel_equivalence() {
+        for dataset in [Dataset::Engine, Dataset::Brain, Dataset::Head] {
+            let sub = Subvolume::whole(dataset.generate(24, 5));
+            let tf = dataset.transfer_function();
+            for camera in [Camera::front(), Camera::yaw_pitch(0.4, -0.3)] {
+                let opts = RenderOptions::square(72);
+                assert_copies_match_reference(&sub, &tf, &camera, &opts, dataset.name());
+            }
+        }
+        let vol = Dataset::Engine.generate(96, 5);
+        let slab = partition_1d(&vol, 8, 2).unwrap().swap_remove(3);
+        let tf = Dataset::Engine.transfer_function();
+        for camera in golden_cameras() {
+            for early_termination in [1.0, 0.98] {
+                let opts = RenderOptions {
+                    early_termination,
+                    ..RenderOptions::square(256)
+                };
+                let what = format!("{camera:?} et={early_termination}");
+                assert_copies_match_reference(&slab, &tf, &camera, &opts, &what);
+            }
+        }
+        // One slice of two scanlines, row `iv = 0` at `lj = fj`.
+        let mut state = 13;
+        let voxels: Vec<u8> = (0..300).map(|_| splitmix(&mut state) as u8).collect();
+        let classes = std::array::from_fn(|s| tf.classify_premultiplied(s as u8));
+        for u_off in binade_edge_shifts() {
+            for off_i in [0.0, 5.0, 37.0] {
+                for (ni, fj) in [(130, 0.0), (150, 0.3)] {
+                    let voxels = &voxels[..2 * ni];
+                    let zeros = vec![0; ni];
+                    let transparent = tf
+                        .transparent_prefix()
+                        .map(|max| Transparent::scan(voxels, (ni, 2, 1), (ni, 2 * ni), max));
+                    let slab = Slab {
+                        voxels: Cow::Borrowed(voxels),
+                        ni,
+                        nj: 2,
+                        starts: (ni, 2 * ni),
+                        zeros: &zeros,
+                        off_j: 0.0,
+                        k_lo: 0,
+                        classes: &classes,
+                        transparent: transparent.as_ref(),
+                        early_termination: 1.0,
+                    };
+                    let cols = Columns { u_off, off_i };
+                    let width = row_width(u_off, off_i, ni);
+                    let mut slices = Slices {
+                        jobs: Vec::new(),
+                        at: Vec::new(),
+                        bands: Vec::new(),
+                    };
+                    map_columns(cols, ni, 0..width, &mut slices.at, &mut slices.bands);
+                    slices.jobs.push(SliceJob {
+                        k: 0,
+                        cols,
+                        v_off: -fj,
+                        run: 0..width,
+                        iv0: 0,
+                        iv1: 0,
+                        at: 0,
+                        bands: 0..slices.bands.len(),
+                    });
+                    let rows = [&voxels[..ni], &voxels[ni..]];
+                    let want = row_reference(rows, fj, cols, &tf, width);
+                    for (copy, kernel) in row_kernels() {
+                        let mut got = Image::blank(width, 1);
+                        kernel(&slab, &slices, &slices.jobs[0], 0, got.pixels_mut());
+                        let what = format!("u_off {u_off:e}, off_i {off_i}, ni {ni}: {copy} copy");
+                        assert_eq!(bits(&got), bits(&want), "{what}");
                     }
                 }
             }

@@ -17,7 +17,7 @@ use rotate_tiling::imaging::image::reference_composite;
 use rotate_tiling::pvr::{orbit_cameras, OrbitConfig};
 use rotate_tiling::render::camera::factorize;
 use rotate_tiling::render::partition::depth_order;
-use rotate_tiling::render::shearwarp::{warp_to_screen, PreparedSlab, RenderOptions};
+use rotate_tiling::render::shearwarp::{sweep_kernel, warp_to_screen, PreparedSlab, RenderOptions};
 use rotate_tiling::render::{partition_1d, Dataset};
 use std::time::Instant;
 
@@ -82,6 +82,7 @@ fn main() {
         "Engine 128³, P = {P}, 512², {} cameras × {rounds} rounds, seed {seed}",
         cameras.len()
     );
+    println!("sweep row kernel      {}", sweep_kernel());
     println!("slab sweep ms/frame   {}", slabs.join(" "));
     println!("sweeps total          {}", per_frame(slab_ms.iter().sum()));
     println!("reference composite   {}", per_frame(composite_ms));
