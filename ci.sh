@@ -185,6 +185,18 @@ echo "== render kernel equivalence =="
 # tests/golden/trace_digests.txt this is the only gate on the float path.
 PROPTEST_CASES=256 cargo test -q --release -p rt-render kernel_equivalence
 
+echo "== over kernel equivalence =="
+# The 8-bit `over` kernels' one branch-free span body against
+# `GrayAlpha8::over`, in release, the build the benchmark runs: every
+# (front alpha, front value, back value) triple, 2^24 merges, which also
+# covers every alpha pair, through the front and the back merge, cut into
+# pieces of 1 to 47 pixels so lanes land in whole sixteen-pixel chunks and
+# in the tail; the `non_blank`/`blank_skipped`/`opaque_fast` counters of
+# every piece against their definitions (`over_kernel_equivalence` — the
+# only test that fails when the back merge counts `opaque` from the stream's
+# alpha instead of its word). The workspace stage above runs it in debug.
+cargo test -q --release -p rt-imaging kernel_equivalence
+
 echo "== render stage probe =="
 # The benchmark's orbit with each stage timed on its own (slab sweeps,
 # reference composite, warp), the row kernel copy the sweep picked and a hash

@@ -33,10 +33,10 @@ use crate::ImagingError;
 /// [`OverStats::blank_skipped`]) or *non-blank* (counted in
 /// [`OverStats::non_blank`]), so
 /// `non_blank + blank_skipped == source pixel count` always holds.
-/// [`OverStats::opaque_fast`] additionally counts non-blank merges that a
-/// fused kernel resolved through an opacity shortcut; reference
-/// (decode-then-`over`) paths report `0` there, and equivalence tests must
-/// therefore only compare the first two fields.
+/// [`OverStats::opaque_fast`] additionally counts the merges a fused kernel
+/// saw decided by an opaque front pixel; reference (decode-then-`over`)
+/// paths report `0` there, and equivalence tests must therefore only
+/// compare the first two fields.
 ///
 /// ```
 /// use rt_imaging::pixel::OverStats;
@@ -51,12 +51,16 @@ pub struct OverStats {
     /// Non-blank source pixels merged (the structured codecs' `Over` cost
     /// unit).
     pub non_blank: usize,
-    /// Blank source pixels that contributed nothing (skipped outright by
-    /// the fused kernels; walked but identity for reference paths).
+    /// Blank source pixels that contributed nothing (skipped by the fused
+    /// kernels' word scan or merged as the identity inside a span; walked
+    /// but identity for reference paths).
     pub blank_skipped: usize,
-    /// Non-blank merges short-circuited by an opacity fast path (an opaque
-    /// front pixel replacing the destination, or an opaque destination
-    /// hiding a behind-merge). Zero on reference paths.
+    /// Merges whose result the front pixel's opacity decides: an opaque
+    /// stream pixel merged in front (it replaces the destination), or a
+    /// non-blank stream pixel merged behind an opaque destination (it is
+    /// hidden). Nothing is short-circuited — the kernels run the same
+    /// arithmetic on every pixel — so this is a count, not a path. Zero on
+    /// reference paths.
     pub opaque_fast: usize,
 }
 
@@ -466,9 +470,9 @@ impl Pixel for GrayAlpha8 {
 
     // Fused byte-level kernels: the wire format IS the pixel layout
     // (`[v, a]`), so the stream is composited without decoding, with the
-    // same `mul255` arithmetic as `over` plus blank/opaque shortcuts that
-    // are exact identities of it (`mul255(255, x) = x`, `mul255(0, x) = 0`);
-    // blank runs are scanned a word at a time.
+    // same `mul255` arithmetic as `over` applied to every pixel of a span
+    // without a branch (blank and opaque pixels need none: `mul255(255, x)
+    // = x`, `mul255(0, x) = 0`); blank runs are scanned a word at a time.
     fn over_front_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
         check_wire_len("Pixel::over_front_bytes", dst, src)?;
         Ok(kernels::ga8_over_front(dst, src))
@@ -772,20 +776,37 @@ mod tests {
 
         #[test]
         fn gray8_byte_kernels_match_decode_then_over(
-            pairs in proptest::collection::vec(
-                (
-                    // Mostly-blank sources with opaque spikes, so word-wide
-                    // blank runs, all-blank groups inside a span, opaque
-                    // pixels and mixed groups all occur.
-                    prop_oneof![
-                        4 => Just((0u8, 0u8)),
-                        2 => (0u8..=255, Just(255u8)),
-                        3 => (0u8..=255, 0u8..=255),
-                    ],
-                    (0u8..=255, 0u8..=255),
+            pairs in prop_oneof![
+                // Mostly-blank sources with opaque spikes, so word-wide
+                // blank runs, all-blank groups inside a span, opaque pixels
+                // and mixed groups all occur.
+                proptest::collection::vec(
+                    (
+                        prop_oneof![
+                            4 => Just((0u8, 0u8)),
+                            2 => (0u8..=255, Just(255u8)),
+                            3 => (0u8..=255, 0u8..=255),
+                        ],
+                        (0u8..=255, 0u8..=255),
+                    ),
+                    0..256,
                 ),
-                0..256,
-            )
+                // Dense sources, rarely eight blanks in a row: spans run
+                // past two sixteen-pixel chunks, and a chunk holds blank,
+                // opaque and translucent lanes over destinations of every
+                // opacity together.
+                proptest::collection::vec(
+                    (
+                        prop_oneof![
+                            1 => Just((0u8, 0u8)),
+                            2 => (0u8..=255, Just(255u8)),
+                            5 => (0u8..=255, 1u8..=254),
+                        ],
+                        (0u8..=255, prop_oneof![1 => Just(255u8), 1 => Just(0u8), 4 => 0u8..=255]),
+                    ),
+                    0..256,
+                ),
+            ]
         ) {
             let src: Vec<GrayAlpha8> = pairs.iter().map(|&((v, a), _)| GrayAlpha8::new(v, a)).collect();
             let dst: Vec<GrayAlpha8> = pairs.iter().map(|&(_, (v, a))| GrayAlpha8::new(v, a)).collect();

@@ -48,7 +48,8 @@ pub struct Counters {
     pub pool_misses: u64,
     /// Blank source pixels skipped (or identity-merged) by `decode_over`.
     pub blank_skipped: u64,
-    /// Merges resolved by the opaque fast path inside the fused kernels.
+    /// Merges the fused kernels saw decided by an opaque front pixel
+    /// (`OverStats::opaque_fast`).
     pub opaque_fast: u64,
     /// Non-blank source pixels actually merged by `decode_over`.
     pub non_blank_merged: u64,

@@ -64,8 +64,8 @@ pub fn phase_summary(label: &str, timelines: &[RankTimeline]) -> String {
 }
 
 /// [`phase_summary`] followed by a kernel block: how many stream pixels
-/// the compositing kernels skipped as blank, resolved through the opaque
-/// shortcut, and merged. Zero-valued lines are omitted.
+/// the compositing kernels skipped as blank, saw decided by an opaque
+/// front pixel, and merged. Zero-valued lines are omitted.
 ///
 /// ```
 /// use rt_obs::{phase_summary_with_counters, Counters};
