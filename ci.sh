@@ -45,6 +45,12 @@ for needle in 'strip_prefix("step:")' '"flush:start"'; do
     [ "$(grep -c . <<<"$sites")" -eq 1 ] \
         || vocabulary_fail "$needle must have exactly one site" "$sites"
 done
+# One virtual clock: the cost model's per-event prices are charged by the
+# replay walk alone; the analyzer prices a schedule by replaying the trace it
+# compiles to.
+stray=$(non_test_src | grep -v '^crates/comm/src/replay\.rs:' \
+    | grep -E '\.(message|compute|backoff)_time\(' || true)
+[ -z "$stray" ] || vocabulary_fail "clock arithmetic outside rt_comm::replay" "$stray"
 # One frame-posting path, one failure-agreement round.
 frames=$(non_test_src | grep '^crates/comm/src/comm\.rs:' | grep -c 'WireFrame {' || true)
 [ "$frames" -le 2 ] || vocabulary_fail "comm.rs assembles WireFrame in $frames places"
@@ -56,7 +62,7 @@ rounds=$(grep -rn 'liveness_exchange(' crates/core/src || true)
 # the stub it ran on and every per-figure binary `figures` folded in. The
 # change log, the planning files and a reviewer's notes are history and may
 # say the names.
-gone=$(grep -rn 'PuzzlePlan\|GATHER_TAG_BIT\|REPAIR_TAG_BIT\|fn repair_tag\|with_cost' \
+gone=$(grep -rn 'PuzzlePlan\|GATHER_TAG_BIT\|REPAIR_TAG_BIT\|fn repair_tag\|with_cost\|struct Sim\b' \
     crates src tests examples || true)
 [ -z "$gone" ] || vocabulary_fail "retired names are back" "$gone"
 # A tile frame is one bundle per (sender, owner): the three-kind protocol

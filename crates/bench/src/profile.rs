@@ -9,7 +9,9 @@
 //!    [`rt_comm::replay_timeline`], yielding per-rank virtual-clock spans;
 //! 3. **reconciles** the two books: per-phase virtual span sums must equal
 //!    the replay cost model's per-rank totals bit-exactly (the binary
-//!    aborts otherwise);
+//!    aborts otherwise), and prints the cell's critical path
+//!    ([`rt_comm::critical_path`]): its links and rank hops, the rank that
+//!    holds most of its time and the rank with the most slack;
 //! 4. emits `PROFILE_<method>_<codec>_p<P>.json` — a Chrome-trace (open in
 //!    `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)) carrying
 //!    both clocks as separate processes plus per-rank counter events — and
@@ -25,7 +27,7 @@
 //! [`rt_obs::validate_chrome_trace`].
 
 use crate::harness::{cost_by_name, parse_flags};
-use rt_comm::replay_timeline;
+use rt_comm::{critical_path, replay_timeline};
 use rt_compress::CodecKind;
 use rt_core::exec::{ComposeConfig, ScratchPool};
 use rt_core::method::{CompositionMethod, Method};
@@ -215,6 +217,23 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> io::Result<()> {
                 writeln!(
                     out,
                     "  reconcile: OK (phase sums == replay totals, {p} ranks)"
+                )?;
+
+                // The chain that set the cell's compose + gather time, read
+                // back from the same replay walk.
+                let chain = critical_path(&trace, &cost, "compose:start", "gather:end")
+                    .expect("trace replays")
+                    .expect("every cell composes and gathers");
+                let window = chain.end - chain.start;
+                let (bound, held) = chain.bounding_rank().expect("the window takes time");
+                let (idle, slack) = chain.largest_slack().expect("every rank gathers");
+                writeln!(
+                    out,
+                    "  critical path: {} links, {} hops, bounding rank {bound} \
+                     ({:.1}% of {window:.6}s), largest slack rank {idle} ({slack:.6}s)",
+                    chain.links.len(),
+                    chain.hops(),
+                    100.0 * held / window,
                 )?;
                 writeln!(out, "  -> {path}\n")?;
             }

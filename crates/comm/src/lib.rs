@@ -68,6 +68,9 @@ pub mod transport;
 pub use comm::{CommError, FaultPlan, Multicomputer, Payload, RankCtx, RankOptions};
 pub use cost::{ComputeKind, CostModel};
 pub use mark::Mark;
-pub use replay::{replay, replay_timeline, RankStats, ReplayError, ReplayReport};
+pub use replay::{
+    critical_path, replay, replay_timeline, CriticalPath, PathLink, RankStats, ReplayError,
+    ReplayReport,
+};
 pub use trace::{Event, RankTrace, Trace};
 pub use transport::{InProc, RecvRawError, SendRawError, Transport, WireFrame};

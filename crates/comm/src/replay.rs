@@ -16,13 +16,17 @@
 //! * `Mark` — records the rank's current clock under the label.
 //!
 //! The result is the *composition time* the paper plots: the maximum rank
-//! clock (optionally between two marks).
+//! clock (optionally between two marks). This walk is the workspace's one
+//! virtual clock: a schedule is priced before it runs by replaying the
+//! trace it compiles to (`rt_core::analysis`), and [`critical_path`] reads
+//! the chain that set a window's time back from the same walk.
 
 use crate::cost::{ComputeKind, CostModel};
 use crate::mark::{Cursor, Mark};
 use crate::trace::{Event, Trace};
 use rt_obs::{Phase, PhaseTotals, RankTimeline, SpanRec};
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Replay failure: the trace is internally inconsistent.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,7 +139,7 @@ impl ReplayReport {
 
 /// Price `trace` under `cost`. See the module docs for the clock rules.
 pub fn replay(trace: &Trace, cost: &CostModel) -> Result<ReplayReport, ReplayError> {
-    replay_inner(trace, cost, None)
+    walk(trace, cost, None, None)
 }
 
 /// Price `trace` under `cost` **and** derive per-rank virtual-clock phase
@@ -171,44 +175,297 @@ pub fn replay_timeline(
     cost: &CostModel,
 ) -> Result<(ReplayReport, Vec<RankTimeline>), ReplayError> {
     let mut timelines: Vec<RankTimeline> = (0..trace.size()).map(RankTimeline::new).collect();
-    let report = replay_inner(trace, cost, Some(&mut timelines))?;
+    let report = walk(trace, cost, Some(&mut timelines), None)?;
     Ok((report, timelines))
 }
 
-fn replay_inner(
+/// One link of a [`CriticalPath`]: an event whose priced interval lies on
+/// the chain that set a window's virtual time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PathLink {
+    /// The rank that ran the event.
+    pub rank: usize,
+    /// The event's index in that rank's history.
+    pub event_index: usize,
+    /// What the event charged, named as its timeline span would be
+    /// ([`Phase::Wait`] for a barrier).
+    pub op: Phase,
+    /// The step the shared [`Cursor`] attributes the event to.
+    pub step: Option<u32>,
+    /// Where the link begins: where the event began or, for a receive or
+    /// barrier that waited, the instant the event it waited for ended —
+    /// never before the window's start.
+    pub start: f64,
+    /// The rank's clock after the event.
+    pub end: f64,
+}
+
+/// The chain of events that set the virtual time of the window between
+/// two marks, and what every rank had to spare. See [`critical_path`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CriticalPath {
+    /// The earliest clock at which a rank passed the start mark.
+    pub start: f64,
+    /// The latest clock at which a rank passed the end mark.
+    pub end: f64,
+    /// The chain in time order, zero-duration events included: the first
+    /// link starts at `start`, each link starts exactly where the one
+    /// before it ended, and the last one ends at `end`.
+    pub links: Vec<PathLink>,
+    /// Per rank, `end` minus the clock at which the rank passed the end
+    /// mark — how much later it could have got there without moving the
+    /// window's end (`None` when it never passed it).
+    pub slack: Vec<Option<f64>>,
+}
+
+impl CriticalPath {
+    /// How often the chain moves to another rank: once per message or
+    /// barrier a rank on it waited for.
+    pub fn hops(&self) -> usize {
+        self.links
+            .windows(2)
+            .filter(|pair| pair[0].rank != pair[1].rank)
+            .count()
+    }
+
+    /// The rank holding the largest share of the chain's time, and that
+    /// share (the lowest rank on a tie; `None` for an empty chain).
+    pub fn bounding_rank(&self) -> Option<(usize, f64)> {
+        let mut held = vec![0.0f64; self.slack.len()];
+        for link in &self.links {
+            held[link.rank] += link.end - link.start;
+        }
+        largest(held.into_iter().enumerate()).filter(|_| !self.links.is_empty())
+    }
+
+    /// The rank with the most slack, and that slack (the lowest rank on a
+    /// tie).
+    pub fn largest_slack(&self) -> Option<(usize, f64)> {
+        largest(passed(&self.slack))
+    }
+}
+
+/// The `(rank, value)` pair with the largest value, the lowest rank on a
+/// tie.
+fn largest(pairs: impl Iterator<Item = (usize, f64)>) -> Option<(usize, f64)> {
+    pairs.fold(None, |best, (r, t)| match best {
+        Some((_, b)) if b >= t => best,
+        _ => Some((r, t)),
+    })
+}
+
+/// The ranks that have a value, with it.
+fn passed(per_rank: &[Option<f64>]) -> impl Iterator<Item = (usize, f64)> + '_ {
+    per_rank
+        .iter()
+        .enumerate()
+        .filter_map(|(r, t)| t.map(|t| (r, t)))
+}
+
+/// The critical path of the window from the earliest `start` mark to the
+/// latest `end` mark of `trace` priced under `cost` — `Ok(None)` when no
+/// rank passed one of them.
+///
+/// It is read back from the one replay walk, not priced again: the walk
+/// records, per event, the clock after it and, for every `Recv` (or
+/// `Barrier`) that waited, the sender's event it waited for. From the rank
+/// that passed `end` last, the chain steps back event by event; at a wait
+/// it hops to the event waited for, whose end is the instant the wait was
+/// released. It stops at the window's start, so the last link taken is
+/// clipped there. Every boundary is a clock value of the walk, so the chain
+/// telescopes to the bit: `links[0].start` is `start`, each link begins at
+/// its predecessor's `end`, and the last `end` minus the first `start`
+/// equals [`ReplayReport::phase`]`(start, end)`.
+///
+/// ```
+/// use rt_comm::{critical_path, ComputeKind, CostModel, Multicomputer};
+///
+/// // Rank 1 renders slowly, then rank 0 waits for its message.
+/// let (_, trace) = Multicomputer::new(2).run(|ctx| {
+///     ctx.mark("frame:start");
+///     if ctx.rank() == 1 {
+///         ctx.compute(ComputeKind::Render, 10);
+///         ctx.send(0, 0, vec![0u8; 8]).unwrap();
+///     } else {
+///         ctx.recv(1, 0).unwrap();
+///     }
+///     ctx.mark("frame:end");
+/// });
+/// let cost = CostModel::new(1.0, 0.0, 0.0).with_render_unit(1.0);
+/// let path = critical_path(&trace, &cost, "frame:start", "frame:end")
+///     .unwrap()
+///     .unwrap();
+/// let ranks: Vec<usize> = path.links.iter().map(|link| link.rank).collect();
+/// assert_eq!(ranks, [1, 1, 0]); // render, send, then the receive it released
+/// assert_eq!((path.start, path.end), (0.0, 11.0));
+/// assert_eq!(path.slack, [Some(0.0), Some(0.0)]);
+/// ```
+pub fn critical_path(
+    trace: &Trace,
+    cost: &CostModel,
+    start: &str,
+    end: &str,
+) -> Result<Option<CriticalPath>, ReplayError> {
+    let mut stamps: Vec<Vec<Stamp>> = trace
+        .ranks
+        .iter()
+        .map(|events| Vec::with_capacity(events.len()))
+        .collect();
+    let report = walk(trace, cost, None, Some(&mut stamps))?;
+    let (Some(starts), Some(ends)) = (report.marks.get(start), report.marks.get(end)) else {
+        return Ok(None);
+    };
+    let from = starts
+        .iter()
+        .flatten()
+        .copied()
+        .fold(f64::INFINITY, f64::min);
+    // The rank that passed `end` last (the lowest on a tie), and where.
+    let Some((mut r, to)) = largest(passed(ends)).filter(|_| from.is_finite()) else {
+        return Ok(None);
+    };
+    let at_end = trace.ranks[r]
+        .iter()
+        .rposition(|e| matches!(e, Event::Mark { label } if label == end));
+    let Some(mut i) = at_end else {
+        return Ok(None);
+    };
+
+    let mut links = Vec::new();
+    let mut t = to;
+    while t > from && i > 0 {
+        i -= 1;
+        let stamp = stamps[r][i];
+        // A mark takes no time and is no link.
+        let Some(op) = stamp.phase else { continue };
+        let (begin, hop) = match stamp.waited_on {
+            Some((q, j)) => (stamps[q][j].end, Some((q, j + 1))),
+            None if i == 0 => (0.0, None),
+            None => (stamps[r][i - 1].end, None),
+        };
+        links.push(PathLink {
+            rank: r,
+            event_index: i,
+            op,
+            step: stamp.step,
+            start: begin.max(from),
+            end: t,
+        });
+        t = begin;
+        if let Some((q, j)) = hop {
+            (r, i) = (q, j);
+        }
+    }
+    links.reverse();
+    Ok(Some(CriticalPath {
+        start: from,
+        end: to,
+        links,
+        slack: ends.iter().map(|t| t.map(|t| to - t)).collect(),
+    }))
+}
+
+/// A message of the trace: `(src, dst, seq)`.
+type MsgKey = (usize, usize, u64);
+
+/// The walk's maps are keyed by ranks and sequence numbers from a trace, so
+/// a multiply-rotate hash serves them; SipHash's resistance to chosen keys
+/// buys nothing here.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// What the walk leaves behind per event for [`critical_path`].
+#[derive(Clone, Copy)]
+struct Stamp {
+    /// The rank's clock after the event.
+    end: f64,
+    /// The event's timeline phase; `None` for a mark.
+    phase: Option<Phase>,
+    /// The step the rank's cursor stood at.
+    step: Option<u32>,
+    /// For a `Recv` or `Barrier` that waited: the `(rank, event index)`
+    /// whose end released it.
+    waited_on: Option<(usize, usize)>,
+}
+
+/// Record `at` — the sender's clock after the attempt and its event index —
+/// as when message `key` was sent, if `attempt` is the one its receiver
+/// matches: the last, which `retried` holds for a retransmitted message.
+fn publish(
+    sent: &mut WordMap<MsgKey, (f64, usize)>,
+    retried: &WordMap<MsgKey, u32>,
+    key: MsgKey,
+    attempt: u32,
+    at: (f64, usize),
+) {
+    // Most traces retransmit nothing: skip the lookup then.
+    let last = if retried.is_empty() {
+        0
+    } else {
+        retried.get(&key).copied().unwrap_or(0)
+    };
+    if attempt == last {
+        sent.insert(key, at);
+    }
+}
+
+/// The one virtual clock: price every event of `trace` under `cost`,
+/// optionally emitting timeline spans and per-event stamps as it goes.
+fn walk(
     trace: &Trace,
     cost: &CostModel,
     mut timelines: Option<&mut Vec<RankTimeline>>,
+    mut stamps: Option<&mut Vec<Vec<Stamp>>>,
 ) -> Result<ReplayReport, ReplayError> {
     let p = trace.size();
     let mut clocks = vec![0.0f64; p];
     let mut idx = vec![0usize; p];
     let mut stats = vec![RankStats::default(); p];
-    let mut send_finish: HashMap<(usize, usize, u64), f64> = HashMap::new();
     // Reliable delivery: the receiver matches the *last* attempt of a
-    // message, so a prepass finds each channel message's final attempt and
-    // only that attempt publishes `send_finish`.
-    let mut last_attempt: HashMap<(usize, usize, u64), u32> = HashMap::new();
+    // message, so a prepass finds the final attempt of every retransmitted
+    // message, and only that attempt publishes when the message was sent.
+    let mut retried: WordMap<MsgKey, u32> = WordMap::default();
     for (r, events) in trace.ranks.iter().enumerate() {
         for e in events {
-            match e {
-                Event::Send { to, seq, .. } => {
-                    last_attempt.entry((r, *to, *seq)).or_insert(0);
-                }
-                Event::Retransmit {
-                    to, seq, attempt, ..
-                } => {
-                    let slot = last_attempt.entry((r, *to, *seq)).or_insert(0);
-                    *slot = (*slot).max(*attempt);
-                }
-                _ => {}
+            if let Event::Retransmit {
+                to, seq, attempt, ..
+            } = e
+            {
+                let last = retried.entry((r, *to, *seq)).or_insert(0);
+                *last = (*last).max(*attempt);
             }
         }
     }
-    // Barrier bookkeeping: generation -> (arrival clock per rank).
-    let mut barrier_entries: HashMap<u64, Vec<Option<f64>>> = HashMap::new();
-    let mut marks: BTreeMap<String, Vec<Option<f64>>> = BTreeMap::new();
-    // Step/frame attribution for derived spans, driven by the marks.
+    let mut sent: WordMap<MsgKey, (f64, usize)> =
+        WordMap::with_capacity_and_hasher(trace.message_count() as usize, Default::default());
+    // Barrier bookkeeping: generation -> (arrival clock, event index) per rank.
+    let mut barriers: WordMap<u64, Vec<Option<(f64, usize)>>> = WordMap::default();
+    let mut marks: BTreeMap<&str, Vec<Option<f64>>> = BTreeMap::new();
+    // Step/frame attribution, driven by the marks: parsed only when spans
+    // or stamps are asked for.
+    let attribute = timelines.is_some() || stamps.is_some();
     let mut cursors = vec![Cursor::default(); p];
 
     // Emit a virtual span; zero-duration charges are elided (see
@@ -241,17 +498,19 @@ fn replay_inner(
         for r in 0..p {
             let events = &trace.ranks[r];
             while idx[r] < events.len() {
-                match &events[idx[r]] {
+                let i = idx[r];
+                let at = cursors[r];
+                let mut waited_on = None;
+                let phase = match &events[i] {
                     Event::Send { to, bytes, seq, .. } => {
                         let dur = cost.message_time(*bytes);
-                        emit(&mut timelines, r, Phase::Send, cursors[r], clocks[r], dur);
+                        emit(&mut timelines, r, Phase::Send, at, clocks[r], dur);
                         clocks[r] += dur;
                         stats[r].send_time += dur;
                         stats[r].messages_sent += 1;
                         stats[r].bytes_sent += bytes;
-                        if last_attempt.get(&(r, *to, *seq)) == Some(&0) {
-                            send_finish.insert((r, *to, *seq), clocks[r]);
-                        }
+                        publish(&mut sent, &retried, (r, *to, *seq), 0, (clocks[r], i));
+                        Some(Phase::Send)
                     }
                     Event::Retransmit {
                         to,
@@ -263,103 +522,111 @@ fn replay_inner(
                         // A retransmission occupies the sender exactly like a
                         // fresh send of the same payload.
                         let dur = cost.message_time(*bytes);
-                        emit(&mut timelines, r, Phase::Send, cursors[r], clocks[r], dur);
+                        emit(&mut timelines, r, Phase::Send, at, clocks[r], dur);
                         clocks[r] += dur;
                         stats[r].send_time += dur;
                         stats[r].retransmits += 1;
                         stats[r].bytes_sent += bytes;
-                        if last_attempt.get(&(r, *to, *seq)) == Some(attempt) {
-                            send_finish.insert((r, *to, *seq), clocks[r]);
-                        }
+                        publish(
+                            &mut sent,
+                            &retried,
+                            (r, *to, *seq),
+                            *attempt,
+                            (clocks[r], i),
+                        );
+                        Some(Phase::Send)
                     }
                     Event::AckWait { attempt, .. } => {
                         let dur = cost.backoff_time(*attempt);
-                        emit(
-                            &mut timelines,
-                            r,
-                            Phase::Backoff,
-                            cursors[r],
-                            clocks[r],
-                            dur,
-                        );
+                        emit(&mut timelines, r, Phase::Backoff, at, clocks[r], dur);
                         clocks[r] += dur;
                         stats[r].backoff_time += dur;
+                        Some(Phase::Backoff)
                     }
                     Event::Recv { from, seq, .. } => {
-                        let Some(&arrival) = send_finish.get(&(*from, r, *seq)) else {
+                        let Some(&(arrival, sent_at)) = sent.get(&(*from, r, *seq)) else {
                             break; // sender not replayed this far yet
                         };
                         if arrival > clocks[r] {
                             let dur = arrival - clocks[r];
-                            emit(&mut timelines, r, Phase::Wait, cursors[r], clocks[r], dur);
+                            emit(&mut timelines, r, Phase::Wait, at, clocks[r], dur);
                             stats[r].wait_time += dur;
                             // Additive (not `= arrival`) so the clock stays
                             // bit-identical to the fold of emitted span
                             // durations — the reconciliation invariant.
                             clocks[r] += dur;
+                            waited_on = Some((*from, sent_at));
                         }
                         // LogGP-style receiver overhead (0 in the presets).
-                        emit(
-                            &mut timelines,
-                            r,
-                            Phase::Recv,
-                            cursors[r],
-                            clocks[r],
-                            cost.tr,
-                        );
+                        emit(&mut timelines, r, Phase::Recv, at, clocks[r], cost.tr);
                         clocks[r] += cost.tr;
                         stats[r].recv_overhead_time += cost.tr;
+                        Some(Phase::Recv)
                     }
                     Event::Compute { kind, units } => {
                         let dur = cost.compute_time(*kind, *units);
                         let phase = match kind {
-                            ComputeKind::Over if cursors[r].in_flush => Phase::Flush,
+                            ComputeKind::Over if at.in_flush => Phase::Flush,
                             ComputeKind::Over => Phase::Over,
                             ComputeKind::Encode => Phase::Encode,
                             ComputeKind::Decode => Phase::Decode,
                             ComputeKind::Render => Phase::Render,
                         };
-                        emit(&mut timelines, r, phase, cursors[r], clocks[r], dur);
+                        emit(&mut timelines, r, phase, at, clocks[r], dur);
                         clocks[r] += dur;
                         match kind {
                             ComputeKind::Over => stats[r].over_time += dur,
                             ComputeKind::Encode | ComputeKind::Decode => stats[r].codec_time += dur,
                             ComputeKind::Render => stats[r].render_time += dur,
                         }
+                        Some(phase)
                     }
                     Event::Barrier { generation } => {
-                        let entry = barrier_entries
-                            .entry(*generation)
-                            .or_insert_with(|| vec![None; p]);
-                        entry[r] = Some(clocks[r]);
-                        if entry.iter().all(Option::is_some) {
-                            let t = entry
-                                .iter()
-                                .flatten()
-                                .cloned()
-                                .fold(f64::NEG_INFINITY, f64::max);
-                            // Release everyone currently parked at this
-                            // barrier; ranks reaching it later in the replay
-                            // scan will see the stored release time.
-                            let release = t;
-                            barrier_entries.insert(*generation, vec![Some(release); p]);
-                            if release > clocks[r] {
-                                let dur = release - clocks[r];
-                                emit(&mut timelines, r, Phase::Wait, cursors[r], clocks[r], dur);
-                                stats[r].wait_time += dur;
-                                // Additive for the same bit-exactness
-                                // reason as the `Recv` wait above.
-                                clocks[r] += dur;
-                            }
-                        } else {
+                        let arrivals = barriers.entry(*generation).or_insert_with(|| vec![None; p]);
+                        arrivals[r].get_or_insert((clocks[r], i));
+                        if arrivals.iter().any(Option::is_none) {
                             break; // wait for the others
                         }
+                        // The latest arrival (the lowest rank on a tie)
+                        // releases everyone; ranks reaching the barrier
+                        // later in the replay scan see the same arrivals.
+                        let (release, q, j) = arrivals
+                            .iter()
+                            .enumerate()
+                            .filter_map(|(q, a)| a.map(|(t, j)| (t, q, j)))
+                            .fold((f64::NEG_INFINITY, r, i), |best, a| {
+                                if a.0 > best.0 {
+                                    a
+                                } else {
+                                    best
+                                }
+                            });
+                        if release > clocks[r] {
+                            let dur = release - clocks[r];
+                            emit(&mut timelines, r, Phase::Wait, at, clocks[r], dur);
+                            stats[r].wait_time += dur;
+                            // Additive for the same bit-exactness reason as
+                            // the `Recv` wait above.
+                            clocks[r] += dur;
+                            waited_on = Some((q, j));
+                        }
+                        Some(Phase::Wait)
                     }
                     Event::Mark { label } => {
-                        marks.entry(label.clone()).or_insert_with(|| vec![None; p])[r] =
-                            Some(clocks[r]);
-                        cursors[r].advance(&Mark::from(label.as_str()));
+                        marks.entry(label).or_insert_with(|| vec![None; p])[r] = Some(clocks[r]);
+                        if attribute {
+                            cursors[r].advance(&Mark::from(label.as_str()));
+                        }
+                        None
                     }
+                };
+                if let Some(stamps) = stamps.as_deref_mut() {
+                    stamps[r].push(Stamp {
+                        end: clocks[r],
+                        phase,
+                        step: at.step,
+                        waited_on,
+                    });
                 }
                 idx[r] += 1;
                 progressed = true;
@@ -384,7 +651,10 @@ fn replay_inner(
     Ok(ReplayReport {
         ranks: stats,
         makespan,
-        marks,
+        marks: marks
+            .into_iter()
+            .map(|(label, at)| (label.to_owned(), at))
+            .collect(),
     })
 }
 
@@ -622,6 +892,62 @@ mod tests {
                 .all(|s| !matches!(s.phase, Phase::Recv | Phase::Encode | Phase::Decode)));
             rt_obs::reconcile(tl, &stats.phase_totals()).unwrap();
         }
+    }
+
+    #[test]
+    fn critical_path_hops_to_the_last_attempt_and_the_last_arrival() {
+        // Rank 1's message to rank 0 is dropped once, so rank 0 waits for
+        // the retransmission; then rank 2's long `over` holds the barrier.
+        let mc =
+            Multicomputer::new(3).with_faults(crate::comm::FaultPlan::none().drop_message(1, 0, 0));
+        let (_, trace) = mc.run(|ctx| {
+            ctx.mark("start");
+            match ctx.rank() {
+                0 => {
+                    ctx.recv(1, 0).unwrap();
+                    ctx.mark("received");
+                }
+                1 => ctx.send(0, 0, vec![0u8; 10]).unwrap(),
+                _ => ctx.compute(ComputeKind::Over, 1000),
+            }
+            ctx.barrier().unwrap();
+            ctx.mark("end");
+        });
+        let walk = |end| {
+            let path = critical_path(&trace, &cost111(), "start", end)
+                .unwrap()
+                .unwrap();
+            let links: Vec<_> = path
+                .links
+                .iter()
+                .map(|l| (l.rank, l.op, l.start, l.end))
+                .collect();
+            (links, path.slack)
+        };
+        // Send 2.0, backoff ack_timeout = 2.0, the retransmission 2.0; the
+        // receive starts where the last attempt ended.
+        let (links, slack) = walk("received");
+        assert_eq!(
+            links,
+            [
+                (1, Phase::Send, 0.0, 2.0),
+                (1, Phase::Backoff, 2.0, 4.0),
+                (1, Phase::Send, 4.0, 6.0),
+                (0, Phase::Recv, 6.0, 6.0),
+            ]
+        );
+        assert_eq!(slack, [Some(0.0), None, None]);
+        // The barrier releases at rank 2's 10.0: rank 0 waited for it.
+        let (links, slack) = walk("end");
+        assert_eq!(
+            links,
+            [
+                (2, Phase::Over, 0.0, 10.0),
+                (2, Phase::Wait, 10.0, 10.0),
+                (0, Phase::Wait, 10.0, 10.0),
+            ]
+        );
+        assert_eq!(slack, [Some(0.0); 3]);
     }
 
     #[test]

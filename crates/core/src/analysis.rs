@@ -1,30 +1,34 @@
 //! Static schedule analysis: cost a [`Schedule`] *without executing it*.
 //!
-//! The virtual-clock replay prices a recorded run; this module prices the
-//! schedule directly, using the same timing semantics (eager sends charged
-//! `Ts + bytes·Tp` to the sender, receives waiting for the matching send,
-//! `To` per composited pixel, spans shipped uncompressed). For the raw
-//! codec the two must agree **exactly** — asserted by integration tests —
-//! which cross-validates both machineries; the analyzer is then the cheap
-//! way to sweep large design spaces (no threads, no pixels).
+//! [`schedule_trace`] compiles a schedule into the trace a fault-free,
+//! raw-codec, root-0-gather run of it records — event for event, which
+//! integration tests check against executed runs — and [`analyze`] *is* the
+//! virtual-clock replay ([`rt_comm::replay()`]) of that trace. The clock rules
+//! live in the replay alone, and a tuner candidate and an executed frame
+//! read their critical path ([`rt_comm::critical_path`]) from the same walk.
+//! No threads and no pixels are involved, so this is the cheap way to sweep
+//! large design spaces.
 //!
 //! Beyond the makespan, the analyzer reports the quantities the paper's
 //! Table 1 tabulates per method — step count, messages, shipped volume —
 //! plus the per-rank balance and the latency-only / bandwidth-only lower
 //! bounds that explain *why* a schedule performs as it does.
 
+use crate::exec::ComposeConfig;
 use crate::schedule::{MergeDir, Schedule};
-use rt_comm::CostModel;
+use crate::tile::schedule_tag_extents;
+use rt_comm::{replay, tag, ComputeKind, CostModel, Event, Mark, RankTrace, ReplayReport, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Static cost report for one schedule under one cost model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScheduleCost {
-    /// Virtual completion time of the composition steps (no gather),
-    /// identical to the replay of an actual raw-codec run.
+    /// Virtual completion time of the composition steps (no gather): the
+    /// replay's `compose:start` → `compose:end` phase.
     pub makespan: f64,
-    /// Makespan including the coalesced gather to rank 0.
+    /// Makespan including the coalesced gather to rank 0 (`compose:start`
+    /// → `gather:end`).
     pub makespan_with_gather: f64,
     /// Communication steps.
     pub steps: usize,
@@ -41,102 +45,134 @@ pub struct ScheduleCost {
     pub latency_depth: f64,
 }
 
-/// Internal simulator state shared by the two passes.
-struct Sim<'a> {
-    schedule: &'a Schedule,
-    bytes_per_pixel: usize,
-    cost: CostModel,
-}
+/// The trace a fault-free run of `schedule` records under the raw codec
+/// with the default [`ComposeConfig`] (frame 0, gather to rank 0), built
+/// without running it. Per step, each rank records its `step:K` mark, its
+/// sends, then its receives, each with its `over` charge (none for a
+/// [`MergeDir::Place`]); the deferred-back flushes and the coalesced gather
+/// follow. `bytes_per_pixel` sizes every message as the raw codec ships it.
+///
+/// An executor refuses a schedule too large for the message-tag fields; the
+/// trace of one still prices (replay matches on sequence numbers), with
+/// every tag 0.
+pub fn schedule_trace(schedule: &Schedule, bytes_per_pixel: usize) -> Trace {
+    let p = schedule.p;
+    let mut ranks: Vec<RankTrace> = vec![Vec::new(); p];
+    let mark_all = |ranks: &mut [RankTrace], mark: Mark| {
+        let label = mark.to_string();
+        for events in ranks {
+            events.push(Event::Mark {
+                label: label.clone(),
+            });
+        }
+    };
+    let tagged = schedule_tag_extents(schedule, &ComposeConfig::default())
+        .check()
+        .is_ok();
+    let tag = |step: usize, low: usize| if tagged { tag::step(0, step, low) } else { 0 };
+    let bytes = |px: usize| (px * bytes_per_pixel) as u64;
+    let over = |px: usize| Event::Compute {
+        kind: ComputeKind::Over,
+        units: px as u64,
+    };
+    // Per directed channel `src · p + dst`, the next sequence number.
+    let mut seqs = vec![0u64; p * p];
+    let mut next_seq = |src: usize, dst: usize| {
+        let seq = &mut seqs[src * p + dst];
+        *seq += 1;
+        *seq - 1
+    };
+    // Deferred back accumulators per rank: span start → pixels, flushed in
+    // span order.
+    let mut deferred: Vec<BTreeMap<usize, usize>> = vec![BTreeMap::new(); p];
+    let flush = |ranks: &mut [RankTrace], deferred: &mut [BTreeMap<usize, usize>]| {
+        mark_all(ranks, Mark::FlushStart);
+        for (events, accs) in ranks.iter_mut().zip(deferred) {
+            events.extend(std::mem::take(accs).into_values().map(over));
+        }
+    };
 
-impl Sim<'_> {
-    /// Run the dependency simulation; returns per-rank clocks after the
-    /// composition steps and after the gather.
-    fn run(&self) -> (Vec<f64>, Vec<f64>) {
-        let p = self.schedule.p;
-        let mut clocks = vec![0.0f64; p];
-        // Deferred back accumulators (span start → pixels, per rank) cost
-        // one more `over` pass each at the next flush point.
-        let mut deferred: Vec<BTreeMap<usize, usize>> = vec![BTreeMap::new(); p];
-        let over = |px: usize| {
-            self.cost
-                .compute_time(rt_comm::ComputeKind::Over, px as u64)
-        };
-        let flush = |clocks: &mut [f64], deferred: &mut [BTreeMap<usize, usize>]| {
-            for (clock, accs) in clocks.iter_mut().zip(deferred) {
-                for px in std::mem::take(accs).into_values() {
-                    *clock += over(px);
-                }
+    mark_all(&mut ranks, Mark::ComposeStart);
+    let mut step_seqs = Vec::new();
+    for (k, step) in schedule.steps.iter().enumerate() {
+        mark_all(&mut ranks, Mark::Step(k as u32));
+        step_seqs.clear();
+        for t in &step.transfers {
+            let seq = next_seq(t.src, t.dst);
+            ranks[t.src].push(Event::Send {
+                to: t.dst,
+                tag: tag(k, t.span.start),
+                bytes: bytes(t.span.len),
+                seq,
+            });
+            step_seqs.push(seq);
+        }
+        for (t, &seq) in step.transfers.iter().zip(&step_seqs) {
+            let events = &mut ranks[t.dst];
+            events.push(Event::Recv {
+                from: t.src,
+                tag: tag(k, t.span.start),
+                bytes: bytes(t.span.len),
+                seq,
+            });
+            // A placement is copied in, not composited.
+            if t.dir != MergeDir::Place {
+                events.push(over(t.span.len));
             }
-        };
-        for step in &self.schedule.steps {
-            // Senders push their messages in schedule order; arrival time
-            // is the sender's clock after pushing. Receivers then merge in
-            // schedule order. This matches the executor exactly: sends
-            // first, then receives, per rank, in transfer order.
-            let mut arrivals: Vec<f64> = Vec::with_capacity(step.transfers.len());
-            let mut send_clock = clocks.clone();
-            for t in &step.transfers {
-                let bytes = (t.span.len * self.bytes_per_pixel) as u64;
-                send_clock[t.src] += self.cost.message_time(bytes);
-                arrivals.push(send_clock[t.src]);
-            }
-            let mut recv_clock = send_clock;
-            for (t, arrival) in step.transfers.iter().zip(&arrivals) {
-                if *arrival > recv_clock[t.dst] {
-                    recv_clock[t.dst] = *arrival;
-                }
-                recv_clock[t.dst] += self.cost.tr;
-                // A placement is copied in, not composited.
-                if t.dir != MergeDir::Place {
-                    recv_clock[t.dst] += over(t.span.len);
-                }
-                if t.dir == MergeDir::BackDefer {
-                    deferred[t.dst].insert(t.span.start, t.span.len);
-                }
-            }
-            clocks = recv_clock;
-            if step.flush {
-                flush(&mut clocks, &mut deferred);
+            if t.dir == MergeDir::BackDefer {
+                deferred[t.dst].insert(t.span.start, t.span.len);
             }
         }
-        flush(&mut clocks, &mut deferred);
-        let compose = clocks.clone();
-
-        // Coalesced gather to rank 0: each owner ships its owned pixels in
-        // one message; the root's finish is the latest arrival.
-        let owned = self.schedule.owned_pixels();
-        let mut root_finish = clocks[0];
-        for (r, px) in owned.iter().enumerate() {
-            if r == 0 || *px == 0 {
-                continue;
-            }
-            let bytes = (px * self.bytes_per_pixel) as u64;
-            clocks[r] += self.cost.message_time(bytes);
-            // Root receives in rank order, paying `tr` per message.
-            root_finish = root_finish.max(clocks[r]) + self.cost.tr;
+        if step.flush {
+            flush(&mut ranks, &mut deferred);
         }
-        clocks[0] = root_finish;
-        (compose, clocks)
     }
+    flush(&mut ranks, &mut deferred);
+    mark_all(&mut ranks, Mark::ComposeEnd);
+
+    // Coalesced gather: each owner but the root ships its owned pixels in
+    // one message, tagged one step past the last; the root receives them in
+    // rank order.
+    let gather_step = schedule.steps.len();
+    let owners = schedule.owned_pixels();
+    for (r, &px) in owners.iter().enumerate().skip(1).filter(|(_, px)| **px > 0) {
+        let seq = next_seq(r, 0);
+        let (tag, bytes) = (tag(gather_step, r), bytes(px));
+        ranks[r].push(Event::Send {
+            to: 0,
+            tag,
+            bytes,
+            seq,
+        });
+        ranks[0].push(Event::Recv {
+            from: r,
+            tag,
+            bytes,
+            seq,
+        });
+    }
+    mark_all(&mut ranks, Mark::GatherEnd);
+    Trace { ranks }
 }
 
 /// Statically price `schedule` under `cost`, assuming `bytes_per_pixel`
-/// bytes on the wire (2 for the `GrayAlpha8` format the benches use).
+/// bytes on the wire (2 for the `GrayAlpha8` format the benches use): the
+/// replay of its [`schedule_trace`].
 pub fn analyze(schedule: &Schedule, cost: &CostModel, bytes_per_pixel: usize) -> ScheduleCost {
-    let sim = Sim {
-        schedule,
-        bytes_per_pixel,
-        cost: *cost,
+    let trace = schedule_trace(schedule, bytes_per_pixel);
+    // A compiled trace cannot get stuck — each receive's send is in the same
+    // step and every rank sends before it receives — so the replay error
+    // never occurs; were it to, NaN would rank the schedule last.
+    let priced = |cost: &CostModel| replay(&trace, cost).ok();
+    let phase = |report: &Option<ReplayReport>, end: Mark| {
+        let start = Mark::ComposeStart.to_string();
+        report
+            .as_ref()
+            .and_then(|r| r.phase(&start, &end.to_string()))
+            .unwrap_or(f64::NAN)
     };
-    let (compose, with_gather) = sim.run();
-
-    let latency_cost = CostModel::new(cost.ts, 0.0, 0.0);
-    let latency_sim = Sim {
-        schedule,
-        bytes_per_pixel,
-        cost: latency_cost,
-    };
-    let (latency_compose, _) = latency_sim.run();
+    let full = priced(cost);
+    let latency = priced(&CostModel::new(cost.ts, 0.0, 0.0));
 
     let p = schedule.p;
     let mut sent = vec![0usize; p];
@@ -151,14 +187,14 @@ pub fn analyze(schedule: &Schedule, cost: &CostModel, bytes_per_pixel: usize) ->
     }
 
     ScheduleCost {
-        makespan: compose.iter().cloned().fold(0.0, f64::max),
-        makespan_with_gather: with_gather.iter().cloned().fold(0.0, f64::max),
+        makespan: phase(&full, Mark::ComposeEnd),
+        makespan_with_gather: phase(&full, Mark::GatherEnd),
         steps: schedule.step_count(),
         messages: schedule.message_count(),
         pixels_shipped: schedule.pixels_shipped(),
         max_sent_pixels: sent.into_iter().max().unwrap_or(0),
         max_over_pixels: over.into_iter().max().unwrap_or(0),
-        latency_depth: latency_compose.iter().cloned().fold(0.0, f64::max),
+        latency_depth: phase(&latency, Mark::ComposeEnd),
     }
 }
 

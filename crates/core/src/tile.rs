@@ -446,7 +446,7 @@ fn tag_extents(plan: &ComposePlan, config: &ComposeConfig) -> Extents {
 /// What a span schedule writes: its steps and the gather one past them,
 /// span starts and root-gather slots in the low field, and — when failures
 /// may be repaired — the coordinates of the repair plan's fetches.
-fn schedule_tag_extents(schedule: &Schedule, config: &ComposeConfig) -> Extents {
+pub(crate) fn schedule_tag_extents(schedule: &Schedule, config: &ComposeConfig) -> Extents {
     Extents {
         step: schedule.steps.len(),
         low: schedule.image_len.max(schedule.p).saturating_sub(1),

@@ -3,9 +3,10 @@
 //! The paper's Section 2.3 derives the optimal block count analytically;
 //! with the static analyzer the same question — *which method, which
 //! parameters, for this `(P, A, cost)`?* — can be answered by exhaustive
-//! search over the (small) design space, using the exact same pricing the
-//! replay applies to real runs. [`choose`] returns the winner;
-//! [`sweep`] returns the whole ranked space for reports.
+//! search over the (small) design space, and the pricing *is* the replay
+//! of the trace each candidate compiles to ([`crate::analysis`]).
+//! [`choose`] returns the winner; [`sweep`] returns the whole ranked space
+//! for reports.
 //!
 //! Three axes extend the flat sweep:
 //!
@@ -590,14 +591,14 @@ mod tests {
         // root — the tree-gather argument that motivates hierarchy.
         let cost = CostModel::new(4e-5, 2.9e-8, 1e-9).with_tr(4e-5);
         let opts = opts().with_max_group(16);
-        let best = choose(256, 1 << 16, &cost, &opts).unwrap();
+        let cands = sweep(256, 1 << 16, &cost, &opts).unwrap();
+        let best = &cands[0];
         assert!(
             matches!(best.method, Method::Hier { .. }),
             "winner {:?}",
             best.method
         );
         // The flat methods are still in the ranked report, just slower.
-        let cands = sweep(256, 1 << 16, &cost, &opts).unwrap();
         let flat_best = cands
             .iter()
             .find(|c| !matches!(c.method, Method::Hier { .. }))

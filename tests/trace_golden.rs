@@ -23,14 +23,19 @@
 //! loops became scanline kernels) pin the `f32` bits of every slab partial
 //! and of the warped screen: the renderer's contract is bit-identity with
 //! the per-sample code that produced them, not a tolerance.
+//!
+//! Every compose and pipeline cell's trace also has its critical path
+//! checked in memory (it must telescope to the bit onto the replayed
+//! compose + gather phase); that check writes nothing to the file.
 
-use rotate_tiling::comm::{ComputeKind, Event, FaultPlan, Trace};
+use rotate_tiling::comm::{critical_path, replay, ComputeKind, CostModel, Event, FaultPlan, Trace};
 use rotate_tiling::compress::CodecKind;
+use rotate_tiling::core::analysis::schedule_trace;
 use rotate_tiling::core::exec::ComposeConfig;
 use rotate_tiling::core::hier::IntraMethod;
 use rotate_tiling::core::method::{CompositionMethod, Method};
 use rotate_tiling::core::rotate::RtVariant;
-use rotate_tiling::core::{ComposeOutput, CoreError, DisplayWall, Run};
+use rotate_tiling::core::{ComposeOutput, ComposePlan, CoreError, DisplayWall, Run};
 use rotate_tiling::imaging::image::reference_composite;
 use rotate_tiling::imaging::pixel::{pixels_to_bytes, GrayAlpha8};
 use rotate_tiling::imaging::{GrayAlpha, Image, Pixel};
@@ -126,6 +131,28 @@ fn trace_digest(trace: &Trace) -> u64 {
     h.0
 }
 
+/// The critical path of `trace`'s compose window (`compose:start` →
+/// `gather:end`) under SP2 telescopes to the bit: it starts at the earliest
+/// `compose:start`, each link begins where the one before it ended, and it
+/// ends at the latest `gather:end`, so it spans exactly the replayed phase.
+fn assert_path_telescopes(trace: &Trace, cell: &str) {
+    let (start, end) = ("compose:start", "gather:end");
+    let cost = CostModel::SP2;
+    let phase = replay(trace, &cost).unwrap().phase(start, end).unwrap();
+    let path = critical_path(trace, &cost, start, end).unwrap().unwrap();
+    let (first, last) = (&path.links[0], &path.links[path.links.len() - 1]);
+    assert_eq!(first.start.to_bits(), path.start.to_bits(), "{cell}");
+    for pair in path.links.windows(2) {
+        assert_eq!(
+            pair[1].start.to_bits(),
+            pair[0].end.to_bits(),
+            "{cell}: {pair:?}"
+        );
+    }
+    assert_eq!(last.end.to_bits(), path.end.to_bits(), "{cell}");
+    assert_eq!((path.end - path.start).to_bits(), phase.to_bits(), "{cell}");
+}
+
 /// Every rank's gathered frame (the root's, the promoted root's, or each
 /// display rank's wall cell), in rank order.
 fn frames_digest(results: &[Result<ComposeOutput<GrayAlpha8>, CoreError>]) -> u64 {
@@ -205,13 +232,17 @@ fn compute_digests() -> String {
                         };
                         let (results, trace) =
                             Run::new(&plan, &config).faults(faults).execute(partials(p));
-                        writeln!(
-                            out,
-                            "{} {} P={p} {} {} trace={:016x} frames={:016x}",
+                        let cell = format!(
+                            "{} {} P={p} {} {}",
                             method.name(),
                             codec.name(),
                             if crash { "crash" } else { "clean" },
                             if wall { "wall2x2" } else { "root" },
+                        );
+                        assert_path_telescopes(&trace, &cell);
+                        writeln!(
+                            out,
+                            "{cell} trace={:016x} frames={:016x}",
                             trace_digest(&trace),
                             frames_digest(&results),
                         )
@@ -261,11 +292,15 @@ fn pipeline_digests() -> String {
                 };
                 let base = PipelineConfig::small(method);
                 let mut cell = |path: &str, k: usize, trace: &Trace, frame: &Image<GrayAlpha>| {
-                    writeln!(
-                        out,
-                        "pipeline {path} {} P={p} {} frame={k} trace={:016x} screen={:016x}",
+                    let cell = format!(
+                        "pipeline {path} {} P={p} {} frame={k}",
                         method.name(),
                         if crash { "crash" } else { "clean" },
+                    );
+                    assert_path_telescopes(trace, &cell);
+                    writeln!(
+                        out,
+                        "{cell} trace={:016x} screen={:016x}",
                         trace_digest(trace),
                         screen_digest(frame),
                     )
@@ -430,4 +465,66 @@ fn traces_and_frames_match_the_golden_digests() {
     for (g, w) in got.lines().zip(want.lines()) {
         assert_eq!(g, w, "digest drifted from tests/golden/trace_digests.txt");
     }
+}
+
+/// Every raw, clean, root-gathered schedule cell records the trace its
+/// schedule compiles to: `schedule_trace` reproduces the committed digest
+/// without running a thread.
+#[test]
+fn compiled_schedule_traces_match_the_golden_digests() {
+    let want = std::fs::read_to_string(GOLDEN).unwrap();
+    let mut checked = 0;
+    for method in methods() {
+        for p in [4usize, 8] {
+            let Ok(ComposePlan::Schedule(schedule)) = method.plan(p, SIDE, SIDE) else {
+                continue;
+            };
+            let cell = format!("{} raw P={p} clean root trace=", method.name());
+            let line = want.lines().find(|l| l.starts_with(&cell)).unwrap();
+            let digest = trace_digest(&schedule_trace(&schedule, GrayAlpha8::BYTES));
+            assert_eq!(
+                &line[cell.len()..][..16],
+                format!("{digest:016x}"),
+                "{cell}"
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 10, "schedule cells in the golden file");
+}
+
+/// One rank slowed by a large `over` charge right after `compose:start`:
+/// the critical path must run through that charge, and the slow rank must
+/// hold most of the path's time.
+#[test]
+fn the_critical_path_names_a_slow_rank() {
+    let method = Method::RotateTiling {
+        variant: RtVariant::TwoN,
+        blocks: 4,
+    };
+    let schedule = method.build(8, SIDE * SIDE).unwrap();
+    let mut trace = schedule_trace(&schedule, GrayAlpha8::BYTES);
+    let slow = &mut trace.ranks[5];
+    let at = 1 + slow
+        .iter()
+        .position(|e| matches!(e, Event::Mark { label } if label == "compose:start"))
+        .unwrap();
+    slow.insert(
+        at,
+        Event::Compute {
+            kind: ComputeKind::Over,
+            units: 1 << 20,
+        },
+    );
+    let path = critical_path(&trace, &CostModel::SP2, "compose:start", "gather:end")
+        .unwrap()
+        .unwrap();
+    let ranks: Vec<usize> = path.links.iter().map(|link| link.rank).collect();
+    assert!(
+        path.links
+            .iter()
+            .any(|link| (link.rank, link.event_index) == (5, at)),
+        "path ranks {ranks:?}"
+    );
+    assert_eq!(path.bounding_rank().map(|(rank, _)| rank), Some(5));
 }
