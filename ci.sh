@@ -54,6 +54,11 @@ stray=$(non_test_src | grep -v '^crates/comm/src/replay\.rs:' \
 # One frame-posting path, one failure-agreement round.
 frames=$(non_test_src | grep '^crates/comm/src/comm\.rs:' | grep -c 'WireFrame {' || true)
 [ "$frames" -le 2 ] || vocabulary_fail "comm.rs assembles WireFrame in $frames places"
+# One envelope checksum: the delivery envelope's hash is defined once, in
+# crates/comm/src/comm.rs.
+sites=$(non_test_src | grep -E '\bfn fnv1a\b' || true)
+{ [ "$(grep -c . <<<"$sites")" -eq 1 ] && grep -q '^crates/comm/src/comm\.rs:' <<<"$sites"; } \
+    || vocabulary_fail "the envelope checksum must be defined once, in rt_comm::comm" "$sites"
 rounds=$(grep -rn 'liveness_exchange(' crates/core/src || true)
 [ "$(grep -c . <<<"$rounds")" -eq 1 ] \
     || vocabulary_fail "rt-core must call liveness_exchange from one place" "$rounds"
@@ -202,6 +207,15 @@ echo "== over kernel equivalence =="
 # only test that fails when the back merge counts `opaque` from the stream's
 # alpha instead of its word). The workspace stage above runs it in debug.
 cargo test -q --release -p rt-imaging kernel_equivalence
+
+echo "== envelope checksum =="
+# The delivery envelope's checksum (word-wise FNV-1a in eight lanes) in
+# release, the build the benchmark runs: equal to a plain reference at every
+# length 0..=300 and at 1 MiB + 13, every single-bit flip and the fault
+# plan's `^ 0xA5` of every byte at lengths 1..=200 caught, and a trailing
+# zero byte changing it (`envelope_checksum_contract` — the only test that
+# fails when the lane loop leaves lane 7 unhashed).
+cargo test -q --release -p rt-comm envelope_checksum
 
 echo "== render stage probe =="
 # The benchmark's orbit with each stage timed on its own (slab sweeps,

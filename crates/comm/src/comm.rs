@@ -8,7 +8,8 @@
 //! (see [`mod@crate::replay`]).
 //!
 //! **Reliable delivery.** Every message carries a per-channel sequence
-//! number and an FNV-1a payload checksum. A [`FaultPlan`] can drop or
+//! number and a payload checksum, word-wise FNV-1a in eight independent
+//! lanes, hashed once per message. A [`FaultPlan`] can drop or
 //! corrupt messages (deterministically or at a seeded rate); the sender
 //! retransmits with exponential backoff, up to [`MAX_ATTEMPTS`] attempts,
 //! recording `Retransmit`/`AckWait` trace events so the virtual-clock
@@ -160,22 +161,41 @@ impl std::fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
-/// FNV-1a 64-bit checksum used by the delivery envelope.
+// FNV-1a's 64-bit offset basis and prime.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// The delivery envelope's checksum: word-wise FNV-1a in eight independent
+/// lanes. Payloads are hashed on every send *and* verified on every
+/// receive, so one serial multiply chain would set the wall-clock cost of
+/// moving a large frame; eight chains keep the multiplier busy instead.
+///
+/// Lane `i` hashes words `i, i + 8, …` of the payload's whole 64-byte
+/// blocks; the eight lane states and then the payload length are folded
+/// into one FNV-1a state, which goes on through the leftover words and then
+/// the leftover bytes. For a fixed length every lane step and the fold are
+/// bijective in any single word, so damage confined to one 8-byte word —
+/// such as [`FaultPlan`]'s flipped first byte — always changes the value.
+/// The blind spot is word-wise FNV-1a's own: flipping the top bit of two
+/// words cancels, as it did with one chain. Only sender/receiver agreement
+/// matters — the value never leaves the delivery envelope.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    // FNV-1a folding applied a machine word at a time: payloads are hashed
-    // on every send *and* verified on every receive, so the byte-serial
-    // variant (one 64-bit multiply per byte) would dominate the wall-clock
-    // cost of large frames. Only sender/receiver agreement matters — the
-    // value never leaves the delivery envelope.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let (words, tail) = bytes.as_chunks::<8>();
+    let step = |h: u64, x: u64| (h ^ x).wrapping_mul(FNV_PRIME);
+    let (blocks, rest) = bytes.as_chunks::<64>();
+    let mut lanes = [FNV_OFFSET; 8];
+    for block in blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
+            *lane = step(*lane, u64::from_le_bytes(*word));
+        }
+    }
+    let mut h = lanes.into_iter().fold(FNV_OFFSET, step);
+    h = step(h, bytes.len() as u64);
+    let (words, tail) = rest.as_chunks::<8>();
     for word in words {
-        h ^= u64::from_le_bytes(*word);
-        h = h.wrapping_mul(0x100_0000_01b3);
+        h = step(h, u64::from_le_bytes(*word));
     }
     for &b in tail {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+        h = step(h, b as u64);
     }
     h
 }
@@ -550,6 +570,7 @@ impl RankCtx {
         let key = (self.rank, to, seq);
         let wire_tag = *self.faults.tag_corruptions.get(&key).unwrap_or(&tag);
         let faults = Arc::clone(&self.faults);
+        let checksum = fnv1a(&payload);
         for attempt in 0..MAX_ATTEMPTS {
             if attempt > 0 {
                 self.events.push(Event::Retransmit {
@@ -574,7 +595,7 @@ impl RankCtx {
             let corrupted = !dropped
                 && faults.chance(CORRUPT_SALT, self.rank, to, seq, attempt) < faults.corrupt_rate;
             if !dropped {
-                let mut checksum = fnv1a(&payload);
+                let mut sum = checksum;
                 let wire = if corrupted {
                     // Deliver a damaged frame: the receiver's checksum
                     // rejects it. Only this path copies the bytes — the
@@ -583,13 +604,13 @@ impl RankCtx {
                     let mut bad = payload.to_vec();
                     match bad.first_mut() {
                         Some(b) => *b ^= 0xA5,
-                        None => checksum ^= 1,
+                        None => sum ^= 1,
                     }
                     Payload::from(bad)
                 } else {
                     payload.clone()
                 };
-                self.post(to, wire_tag, seq, checksum, wire)?;
+                self.post(to, wire_tag, seq, sum, wire)?;
             }
             if dropped || corrupted {
                 // Vanished into the network, or rejected at the far end:
@@ -1494,5 +1515,79 @@ mod tests {
                 panic!("boom");
             }
         });
+    }
+
+    /// Word-wise FNV-1a in eight lanes, written out plainly: lane `i` over
+    /// words `i, i + 8, …` of the whole 64-byte blocks, the lanes and then
+    /// the length folded into one state, then the leftover words and bytes.
+    fn lane_fnv1a_reference(bytes: &[u8]) -> u64 {
+        let mix = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+        let word = |k: usize| u64::from_le_bytes(bytes[8 * k..8 * k + 8].try_into().unwrap());
+        let (blocks, words) = (bytes.len() / 64, bytes.len() / 8);
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for lane in 0..8 {
+            let mut state = 0xcbf2_9ce4_8422_2325;
+            for block in 0..blocks {
+                state = mix(state, word(8 * block + lane));
+            }
+            h = mix(h, state);
+        }
+        h = mix(h, bytes.len() as u64);
+        for k in 8 * blocks..words {
+            h = mix(h, word(k));
+        }
+        for &b in &bytes[8 * words..] {
+            h = mix(h, u64::from(b));
+        }
+        h
+    }
+
+    /// `len` bytes of splitmix64 output from `seed`.
+    fn seeded_bytes(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        let mut next = || {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        (0..len).map(|_| next() as u8).collect()
+    }
+
+    /// The envelope checksum's contract: (a) it equals the plain reference
+    /// above at every length 0..=300 and at 1 MiB + 13, so every block,
+    /// leftover-word and leftover-byte split is covered; (b) at every length
+    /// 1..=200 each single-bit flip of each byte, and the fault plan's
+    /// `^ 0xA5`, changes it; (c) appending a zero byte changes it at every
+    /// length 0..=200. The only test that fails when the lane loop leaves
+    /// lane 7 unhashed (`zip(&block.as_chunks::<8>().0[..7])`): the fault
+    /// plan damages a payload's first byte, which lies in lane 0.
+    #[test]
+    fn envelope_checksum_contract() {
+        for len in (0..=300).chain([(1 << 20) + 13]) {
+            let bytes = seeded_bytes(len, len as u64);
+            assert_eq!(fnv1a(&bytes), lane_fnv1a_reference(&bytes), "length {len}");
+        }
+        for len in 1..=200 {
+            let bytes = seeded_bytes(len, 7);
+            let good = fnv1a(&bytes);
+            for pos in 0..len {
+                for damage in (0..8).map(|bit| 1u8 << bit).chain([0xA5]) {
+                    let mut bad = bytes.clone();
+                    bad[pos] ^= damage;
+                    assert_ne!(
+                        fnv1a(&bad),
+                        good,
+                        "length {len}, byte {pos} ^ {damage:#04x}"
+                    );
+                }
+            }
+        }
+        for len in 0..=200 {
+            let mut bytes = seeded_bytes(len, 13);
+            let good = fnv1a(&bytes);
+            bytes.push(0);
+            assert_ne!(fnv1a(&bytes), good, "length {len} + one zero byte");
+        }
     }
 }

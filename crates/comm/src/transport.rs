@@ -4,9 +4,9 @@
 //! paper's SP2 + MPL provided: push a [`WireFrame`] toward a peer
 //! ([`Transport::send_raw`]) and pull the next arrived frame from anyone
 //! ([`Transport::recv_raw`]). Everything else — per-channel sequence
-//! numbers, FNV checksums, retransmission with backoff, fault injection,
-//! death notifications, the `(source, tag)` demux and the barrier, which is
-//! one message round over these two verbs
+//! numbers, eight-lane FNV-1a checksums, retransmission with backoff, fault
+//! injection, death notifications, the `(source, tag)` demux and the
+//! barrier, which is one message round over these two verbs
 //! ([`crate::comm::RankCtx::barrier`]) — lives **above** the trait in
 //! [`crate::comm::RankCtx`], so every backend inherits identical
 //! [`crate::FaultPlan`] semantics and produces identical event traces, and
@@ -47,7 +47,8 @@ pub struct WireFrame {
     pub tag: u64,
     /// Per-directed-channel FIFO sequence number.
     pub seq: u64,
-    /// FNV-1a checksum of the payload as the sender computed it.
+    /// Checksum of the payload as the sender computed it: word-wise FNV-1a
+    /// in eight lanes, defined by the delivery envelope in [`crate::comm`].
     pub checksum: u64,
     /// The message bytes.
     pub payload: Payload,

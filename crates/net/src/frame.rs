@@ -8,11 +8,11 @@
 //! ```
 //!
 //! The header carries the delivery envelope verbatim — the checksum is the
-//! sender's FNV-1a over the payload, computed by `rt-comm` *above* the
-//! transport, so a frame corrupted by the fault plan is detected by the
-//! receiving envelope exactly as on the in-process backend. The length
-//! prefix makes frame boundaries explicit on the byte stream; a clean EOF
-//! at a frame boundary means the peer closed its endpoint.
+//! sender's eight-lane FNV-1a over the payload, computed by `rt-comm`
+//! *above* the transport, so a frame corrupted by the fault plan is detected
+//! by the receiving envelope exactly as on the in-process backend. The
+//! length prefix makes frame boundaries explicit on the byte stream; a clean
+//! EOF at a frame boundary means the peer closed its endpoint.
 //!
 //! Encoding never copies a payload: [`encode_header`] builds the 36 bytes,
 //! and [`write_encoded`] hands header and payload to the socket as the two

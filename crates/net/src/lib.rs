@@ -25,8 +25,8 @@
 //!   [`rt_comm::Multicomputer`] API over loopback TCP, for tests and
 //!   examples that want real sockets without real processes.
 //!
-//! The reliable-delivery envelope (sequence numbers, FNV checksums,
-//! retransmission, fault injection) lives above the transport in
+//! The reliable-delivery envelope (sequence numbers, eight-lane FNV-1a
+//! checksums, retransmission, fault injection) lives above the transport in
 //! `rt-comm`, so a [`FaultPlan`](rt_comm::FaultPlan) behaves identically
 //! here — and because the event trace records only *what* was
 //! sent/received, a clean run produces a bit-identical

@@ -34,7 +34,8 @@ pub struct Counters {
     pub retransmits: u64,
     /// Ack windows that expired and forced another attempt.
     pub ack_timeouts: u64,
-    /// Envelopes rejected by the FNV-1a payload checksum (corruption).
+    /// Envelopes rejected by the payload checksum, word-wise FNV-1a in eight
+    /// lanes (corruption).
     pub checksum_rejects: u64,
     /// Messages received (after checksum acceptance).
     pub recvs: u64,
