@@ -109,6 +109,14 @@ gone=$(grep -rnE '[r]eplay_from|[w]riter_failed|fn [m]ark_down|struct [W]riterSl
     crates src tests examples docs ./*.md ci.sh .claude \
     --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md --exclude=REVIEW.md || true)
 [ -z "$gone" ] || vocabulary_fail "rt-net's second link paths are back" "$gone"
+# One gather and one sweep driver: the root is the one-cell display wall,
+# so the separate root gather stays gone, and the slab sweep has no
+# row-parallel option beside its slice-major loop (bracketed so this line
+# does not match itself). The change log and the roadmap may name them.
+gone=$(grep -rnE '[g]ather_to_root|[w]ith_parallel|[o]pts\.parallel' \
+    crates src tests examples docs ci.sh .claude \
+    ./DESIGN.md ./EXPERIMENTS.md ./PAPER.md ./PAPERS.md ./README.md ./SNIPPETS.md || true)
+[ -z "$gone" ] || vocabulary_fail "the second gather or the second sweep driver is back" "$gone"
 # A frame is a stream of one: rt-pvr has one per-rank frame body, so its
 # non-test code has no barrier and marks a render's start in one place.
 pvr=$(non_test_src | grep '^crates/pvr/src/' || true)
@@ -192,7 +200,9 @@ echo "== render kernel equivalence =="
 # which the sweep otherwise always picks there — over the presets, the six
 # golden cameras at 256² and single rows at binade-edge shifts
 # (`compiled_copies_kernel_equivalence`; a CPU without AVX2 prints that it
-# skipped the wide copy). Besides the `render` cells of
+# skipped the wide copy). The sweep has one driver, the slice-major loop,
+# so a scene is one render per compiled copy; only the warp splits its rows
+# over threads. Besides the `render` cells of
 # tests/golden/trace_digests.txt this is the only gate on the float path.
 PROPTEST_CASES=256 cargo test -q --release -p rt-render kernel_equivalence
 

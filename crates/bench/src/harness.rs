@@ -220,7 +220,6 @@ impl ScreenScene {
             width: args.frame,
             height: args.frame,
             early_termination: 1.0,
-            parallel: false,
         };
         let scene = prepare_scene_screen(args.p, dataset, args.volume, args.seed, &camera, &opts)
             .expect("scene preparation failed");

@@ -25,7 +25,8 @@
 use crate::harness::{parse_flags, print_table};
 use rt_comm::{replay_timeline, CostModel};
 use rt_core::{
-    sweep, Candidate, ComposeConfig, ComposePlan, CompositionMethod, Method, Run, TuneOptions,
+    sweep, Candidate, ComposeConfig, ComposePlan, CompositionMethod, DisplayWall, Method, Run,
+    TuneOptions,
 };
 use rt_imaging::image::reference_composite;
 use rt_imaging::synth::band_partials;
@@ -86,7 +87,9 @@ fn is_hier(m: &Method) -> bool {
 /// tile plan.
 fn socket_count(plan: &ComposePlan, p: usize) -> usize {
     match plan {
-        ComposePlan::Schedule(s) => Topology::from_links(s.links(0, None)).socket_count(p),
+        ComposePlan::Schedule(s) => {
+            Topology::from_links(s.links(DisplayWall::root(0))).socket_count(p)
+        }
         ComposePlan::Tiles(_) => Topology::FullMesh.socket_count(p),
     }
 }

@@ -796,6 +796,12 @@ impl RankCtx {
     ///
     /// Control traffic runs outside fault injection but is traced, so the
     /// virtual clock charges the membership round.
+    ///
+    /// A peer's ledger that is not whole `(rank, step)` entries, names a
+    /// rank outside the machine, or names this rank is
+    /// [`CommError::Malformed`]: no survivor sends the last one, since a
+    /// rank posts its ledger only to ranks it believes alive, and before it
+    /// receives anything.
     pub fn liveness_exchange(
         &mut self,
         announced: &[(usize, usize)],
@@ -834,7 +840,8 @@ impl RankCtx {
                         (r as usize, k as usize)
                     });
                     let whole = tail.is_empty() && words.len() % 2 == 0;
-                    if !whole || entries.clone().any(|(r, _)| r >= self.size) {
+                    let foreign = |(r, _): (usize, usize)| r >= self.size || r == self.rank;
+                    if !whole || entries.clone().any(foreign) {
                         return Err(CommError::Malformed { from, tag });
                     }
                     for (r, k) in entries {
@@ -1382,15 +1389,22 @@ mod tests {
     /// Rank 0 of an in-process pair as a bare context, and rank 1's raw
     /// endpoint to feed it hand-written frames.
     fn ctx_and_raw_peer(faults: FaultPlan) -> (RankCtx, InProc) {
-        let mut mesh = InProc::mesh(2);
-        let peer = mesh.pop().unwrap();
+        let (ctx, mut peers) = ctx_and_raw_peers(2, faults);
+        (ctx, peers.remove(0))
+    }
+
+    /// Rank 0 of an in-process machine of `p` as a bare context, and the
+    /// raw endpoints of ranks `1..p`, in rank order.
+    fn ctx_and_raw_peers(p: usize, faults: FaultPlan) -> (RankCtx, Vec<InProc>) {
+        let mut mesh = InProc::mesh(p);
+        let peers = mesh.split_off(1);
         let opts = RankOptions {
             timeout: Some(Duration::from_millis(30)),
             faults,
             recorder: None,
         };
         let ctx = RankCtx::over_transport(Box::new(mesh.pop().unwrap()), opts);
-        (ctx, peer)
+        (ctx, peers)
     }
 
     #[test]
@@ -1436,6 +1450,44 @@ mod tests {
             peer.send_raw(0, frame).unwrap();
             let malformed = CommError::Malformed { from: 1, tag };
             assert_eq!(ctx.liveness_exchange(&[]), Err(malformed));
+        }
+
+        // Rank 1 of 4 hands rank 0 `ledger`; ranks 2 and 3 have sent empty
+        // ones, so no answer waits out the deadline. Whatever the bytes,
+        // the round ends in a typed error or a map of other in-range ranks.
+        let exchange = |ledger: Vec<u8>| {
+            let (mut ctx, mut peers) = ctx_and_raw_peers(4, FaultPlan::none());
+            for (from, ledger) in [(3, Vec::new()), (2, Vec::new()), (1, ledger)] {
+                let mut frame = WireFrame::control(from, tag, ledger);
+                frame.checksum = fnv1a(&frame.payload);
+                peers[from - 1].send_raw(0, frame).unwrap();
+            }
+            let got = ctx.liveness_exchange(&[]);
+            if let Ok(dead) = &got {
+                assert!(dead.keys().all(|&r| r != 0 && r < 4), "{dead:?}");
+            }
+            got
+        };
+        let entry = |r: u64, k: u64| [r.to_le_bytes(), k.to_le_bytes()].concat();
+        let valid = [entry(2, 0), entry(3, 1)].concat();
+        assert_eq!(
+            exchange(valid.clone()),
+            Ok(BTreeMap::from([(2, 0), (3, 1)]))
+        );
+        for len in 0..valid.len() {
+            let got = exchange(valid[..len].to_vec());
+            if len % 16 != 0 {
+                assert_eq!(got, Err(CommError::Malformed { from: 1, tag }), "{len}");
+            }
+        }
+        let malformed = Err(CommError::Malformed { from: 1, tag });
+        assert_eq!(exchange(entry(0, 0)), malformed, "names the receiver");
+        for word in [0, 16] {
+            for bit in 0..64 {
+                let mut flipped = valid.clone();
+                flipped[word + bit / 8] ^= 1 << (bit % 8);
+                let _ = exchange(flipped);
+            }
         }
     }
 

@@ -20,9 +20,9 @@
 //!
 //! The low field holds, by constructor:
 //!
-//! * [`step`] — the span start of a transfer, or a gather slot: the sending
-//!   rank for the root gather, [`wall_slot`]`(cell, rank)` =
-//!   `cell << 20 | rank` for the display-wall gather;
+//! * [`step`] — the span start of a transfer, or a gather slot:
+//!   [`wall_slot`]`(cell, rank)` = `cell << 20 | rank`, which for the root
+//!   (a one-cell wall, cell 0) is the sending rank;
 //! * [`repair`] — `entry << 16 | fetch`, the coordinates of one fetch in the
 //!   repair plan;
 //! * [`tile`] — the sending rank (a bundle: everything one rank contributes
@@ -91,7 +91,8 @@ pub struct Extents {
     pub step: usize,
     /// Largest low-field value: a span start, a gather slot, a sending rank.
     pub low: usize,
-    /// Largest [`wall_slot`] `(cell, rank)`, when the gather goes to a wall.
+    /// Largest [`wall_slot`] `(cell, rank)`, when the compose gathers (to a
+    /// display wall, or to the root's one-cell wall).
     pub wall: Option<(usize, usize)>,
     /// Largest [`repair`] `(entry, fetch)`, when failures may be repaired.
     pub repair: Option<(usize, usize)>,
@@ -138,8 +139,8 @@ pub fn step(frame_tag: u64, step: usize, low: usize) -> u64 {
     frame_tag | ((step as u64) << STEP_SHIFT) | low as u64
 }
 
-/// Gather slot of the display-wall gather: `rank` ships its share of
-/// display cell `cell`.
+/// Gather slot: `rank` ships its share of display cell `cell` (the root's
+/// one-cell wall has cell 0 alone, whose slot is `rank`).
 pub fn wall_slot(cell: usize, rank: usize) -> usize {
     debug_assert!((cell as u64) < WALL_CELL_LIMIT, "cell {cell} overflows");
     debug_assert!((rank as u64) < WALL_RANK_LIMIT, "rank {rank} overflows");

@@ -1,18 +1,17 @@
-//! Display-wall gather geometry: a grid of display ranks, each assembling
-//! one cell of a large virtual framebuffer.
+//! Gather geometry: a grid of display ranks, each assembling one cell of
+//! the final frame.
 //!
-//! The classic gather funnels every finally-owned pixel to one root rank —
+//! The paper's gather funnels every finally-owned pixel to one root rank —
 //! fine for a single monitor, hopeless for a tiled display wall driving a
 //! 4K–8K virtual framebuffer, where the pixels must *end up* spread over
 //! the machines wired to the physical panels (see "A Virtual Frame Buffer
 //! Abstraction for Parallel Rendering of Large Tiled Display Walls",
 //! arXiv:2009.03368, in PAPERS.md). A [`DisplayWall`] describes that
 //! arrangement: `cols × rows` display cells splitting the frame evenly
-//! along both axes, cell `d` assembled by rank `base + d`. Both gather
-//! implementations — the schedule executor's span gather and the
-//! tile-ownership path — consult the same geometry here, so a frame
-//! gathered to a wall is byte-identical to the corresponding sub-rectangles
-//! of a root gather.
+//! along both axes, cell `d` assembled by rank `base + d`. The single root
+//! is the wall's `1×1` case ([`DisplayWall::root`]), so every plan family
+//! gathers through one function to one kind of target, and a wall's cells
+//! are byte-identical to the same rectangles of the root's frame.
 
 use crate::CoreError;
 use rt_imaging::{Rect, Span};
@@ -41,6 +40,12 @@ impl DisplayWall {
             rows,
             base: 0,
         }
+    }
+
+    /// The paper's gather target: one cell, the whole frame, assembled by
+    /// `rank`.
+    pub fn root(rank: usize) -> Self {
+        Self::new(1, 1).with_base(rank)
     }
 
     /// Move the display ranks to `base..base + cols*rows`.
@@ -98,28 +103,38 @@ impl DisplayWall {
     }
 }
 
-/// Intersect a flat frame-space `span` with a display cell: the row
-/// segments of the overlap, as `(frame_span, cell_offset)` pairs where
-/// `cell_offset` is the segment's flat pixel position inside the cell's
-/// own `cell.width() × cell.height()` framebuffer.
+/// Intersect flat frame-space `spans` with a display cell: the row
+/// segments of the overlap, written to `out` (cleared first) as
+/// `(frame_span, cell_offset)` pairs where `cell_offset` is the segment's
+/// flat pixel position inside the cell's own `cell.width() ×
+/// cell.height()` framebuffer.
 ///
-/// Segments come out in frame order (ascending start), so sender and
-/// receiver serialize the overlap identically without negotiation.
-pub fn span_cell_segments(span: Span, width: usize, cell: Rect) -> Vec<(Span, usize)> {
-    let mut out = Vec::new();
-    if span.is_empty() || cell.is_empty() || width == 0 {
-        return out;
+/// Segments come out in span order, each span's in frame order, so sender
+/// and receiver serialize the overlap identically without negotiation.
+/// The rows of a full-width cell abut in the frame and in the cell, so a
+/// span meets it in one segment: the root's cell hands back the spans
+/// themselves.
+pub fn span_cell_segments(spans: &[Span], width: usize, cell: Rect, out: &mut Vec<(Span, usize)>) {
+    out.clear();
+    if cell.is_empty() || width == 0 {
+        return;
     }
-    let y0 = (span.start / width).max(cell.y0);
-    let y1 = ((span.end() - 1) / width + 1).min(cell.y1);
-    for y in y0..y1 {
-        let row = Span::new(y * width + cell.x0, cell.width());
-        if let Some(seg) = span.intersect(&row) {
-            let local = (y - cell.y0) * cell.width() + (seg.start - y * width - cell.x0);
-            out.push((seg, local));
+    if cell.width() == width {
+        let strip = Span::new(cell.y0 * width, cell.area());
+        let segs = spans.iter().filter_map(|span| span.intersect(&strip));
+        out.extend(segs.map(|seg| (seg, seg.start - strip.start)));
+        return;
+    }
+    for span in spans.iter().filter(|span| !span.is_empty()) {
+        let y0 = (span.start / width).max(cell.y0);
+        let y1 = ((span.end() - 1) / width + 1).min(cell.y1);
+        for y in y0..y1 {
+            let row = Span::new(y * width + cell.x0, cell.width());
+            if let Some(seg) = span.intersect(&row) {
+                out.push((seg, (y - cell.y0) * cell.width() + (seg.start - row.start)));
+            }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -165,7 +180,8 @@ mod tests {
         let w = 10;
         let cell = Rect::new(3, 1, 8, 3); // rows 1..3, cols 3..8
         let span = Span::new(7, 20); // pixels 7..27 → rows 0,1,2
-        let segs = span_cell_segments(span, w, cell);
+        let mut segs = Vec::new();
+        span_cell_segments(&[span], w, cell, &mut segs);
         // Row 1: frame 13..18; row 2: frame 23..27 (span ends at 27).
         assert_eq!(segs, vec![(Span::new(13, 5), 0), (Span::new(23, 4), 5),]);
         // Local offsets address a 5-wide, 2-tall cell buffer.
@@ -175,9 +191,32 @@ mod tests {
     }
 
     #[test]
+    fn a_full_width_cell_hands_back_the_span_whole() {
+        // Four rows of 10: the root's cell, and the top half of a 1x2 wall.
+        let span = Span::new(7, 25); // rows 0..4
+        let root = DisplayWall::root(3);
+        assert_eq!((root.count(), root.rank_of(0)), (1, 3));
+        let frame = root.cell_rect(0, 10, 4);
+        let segs = |cell| {
+            let mut out = Vec::new();
+            span_cell_segments(&[span], 10, cell, &mut out);
+            out
+        };
+        assert_eq!(segs(frame), vec![(span, 7)]);
+        let top = DisplayWall::new(1, 2).cell_rect(0, 10, 4);
+        assert_eq!(segs(top), vec![(Span::new(7, 13), 7)]);
+        let bottom = DisplayWall::new(1, 2).cell_rect(1, 10, 4);
+        assert_eq!(segs(bottom), vec![(Span::new(20, 12), 0)]);
+    }
+
+    #[test]
     fn disjoint_span_and_cell_yield_nothing() {
-        let segs = span_cell_segments(Span::new(0, 10), 10, Rect::new(0, 5, 10, 6));
+        let mut segs = vec![(Span::new(1, 1), 0)];
+        span_cell_segments(&[Span::new(0, 10)], 10, Rect::new(0, 5, 10, 6), &mut segs);
         assert!(segs.is_empty());
-        assert!(span_cell_segments(Span::new(0, 0), 10, Rect::new(0, 0, 10, 10)).is_empty());
+        span_cell_segments(&[Span::new(0, 0)], 10, Rect::new(0, 0, 10, 10), &mut segs);
+        assert!(segs.is_empty());
+        span_cell_segments(&[Span::new(0, 0)], 10, Rect::new(0, 0, 5, 10), &mut segs);
+        assert!(segs.is_empty());
     }
 }

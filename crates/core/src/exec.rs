@@ -11,7 +11,8 @@
 //! 3. at each flush point ([`crate::schedule::Step::flush`], and after the
 //!    last step), flushes deferred back accumulators;
 //! 4. finally, the owners ship their fully-composited spans to the gather
-//!    root, which assembles the output frame.
+//!    target — the root (a one-cell [`DisplayWall`]) or a wall of display
+//!    ranks — which assembles the output frame.
 //!
 //! Phase marks ([`rt_comm::mark`]: `compose:start`, `step:K`,
 //! `flush:start`, `compose:end`, `gather:end`) delimit the stages for the
@@ -22,7 +23,7 @@
 //! per-rank [`Scratch`], so the steady state of an animation allocates
 //! nothing per transfer. The encode → charge → send and receive → charge →
 //! merge sequences live once, in `Stage`, and the tail every plan family
-//! ends with (ownership count, root or wall gather, output) in `finish` —
+//! ends with (ownership count, the one gather, output) in `finish` —
 //! the tile executor calls the same two.
 
 use crate::display::{span_cell_segments, DisplayWall};
@@ -64,7 +65,8 @@ pub enum TransportKind {
 pub struct ComposeConfig {
     /// Message codec applied to every transfer (and the gather).
     pub codec: CodecKind,
-    /// Rank that assembles the final frame.
+    /// Rank that assembles the final frame: the base of the one-cell wall
+    /// the gather targets when [`ComposeConfig::display`] is `None`.
     pub root: usize,
     /// Whether to run the final gather (the paper's collection stage).
     /// When `false`, the composed pieces stay distributed and only the
@@ -93,8 +95,9 @@ pub struct ComposeConfig {
     pub frame_tag: u64,
     /// Gather to a tiled display wall instead of the single root: each
     /// display rank assembles its own cell of the virtual framebuffer
-    /// (see [`crate::display::DisplayWall`]). `None` (default) keeps the
-    /// classic root gather. Ignored when [`ComposeConfig::gather`] is off.
+    /// (see [`crate::display::DisplayWall`]). `None` (default) gathers to
+    /// [`DisplayWall::root`]`(root)`. Ignored when
+    /// [`ComposeConfig::gather`] is off.
     pub display: Option<DisplayWall>,
 }
 
@@ -163,6 +166,13 @@ impl ComposeConfig {
         self.display = Some(wall);
         self.gather = true;
         self
+    }
+
+    /// Where the gather goes before any failure: the display wall, or
+    /// else the one-cell wall at the root. Validation, tag widths and the
+    /// connection topology all read this one target.
+    pub fn gather_target(&self) -> DisplayWall {
+        self.display.unwrap_or(DisplayWall::root(self.root))
     }
 }
 
@@ -247,6 +257,8 @@ impl Machine {
 pub struct Scratch<P: Pixel> {
     /// Staging for concatenated spans about to be encoded (gathers, tiles).
     gather_pixels: Vec<P>,
+    /// The gather's overlap of one owner's spans with one display cell.
+    segments: Vec<(Span, usize)>,
     /// Retired deferred-back accumulators awaiting reuse.
     spare_accs: Vec<Vec<P>>,
 }
@@ -262,6 +274,7 @@ impl<P: Pixel> Scratch<P> {
     pub fn new() -> Self {
         Self {
             gather_pixels: Vec::new(),
+            segments: Vec::new(),
             spare_accs: Vec::new(),
         }
     }
@@ -769,10 +782,12 @@ fn flush_deferred<P: Pixel>(
 }
 
 /// The tail every plan family ends with: count what this rank finally
-/// owns, run the gather stage if requested — to `root`, or to the config's
-/// display wall — and package the output. `owners` is the (possibly
-/// repaired) ownership map, `local` holds this rank's owned spans, and
-/// `gather_tag` maps a sender slot to the family's gather tag namespace.
+/// owns, run the gather stage if requested — to the config's display wall,
+/// or else to the one-cell wall at `root` — and package the output.
+/// `owners` is the (possibly repaired) ownership map, `local` holds this
+/// rank's owned spans, `root` is the (possibly reassigned) gather root,
+/// and `gather_tag` maps a sender slot to the family's gather tag
+/// namespace.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish<P: Pixel>(
     ctx: &mut RankCtx,
@@ -799,25 +814,21 @@ pub(crate) fn finish<P: Pixel>(
                 spans_of[*owner].push(*span);
             }
         }
-        frame = match stage.config.display {
-            None => gather_to_root(ctx, stage, scratch, &spans_of, &local, root, &gather_tag)?,
-            Some(wall) => {
-                let dead: BTreeSet<usize> = degraded
-                    .iter()
-                    .flat_map(|d| d.failed.iter().map(|(r, _)| *r))
-                    .collect();
-                gather_to_wall(
-                    ctx,
-                    stage,
-                    scratch,
-                    &spans_of,
-                    &local,
-                    wall,
-                    &dead,
-                    &gather_tag,
-                )?
-            }
-        };
+        let wall = stage.config.with_root(root).gather_target();
+        let dead: BTreeSet<usize> = degraded
+            .iter()
+            .flat_map(|d| d.failed.iter().map(|(r, _)| *r))
+            .collect();
+        frame = gather(
+            ctx,
+            stage,
+            scratch,
+            &spans_of,
+            &local,
+            wall,
+            &dead,
+            &gather_tag,
+        )?;
         ctx.mark(Mark::GatherEnd);
     }
     Ok(ComposeOutput {
@@ -829,64 +840,15 @@ pub(crate) fn finish<P: Pixel>(
     })
 }
 
-/// Root gather: each owner ships ONE message carrying all its final spans
-/// concatenated in span order (the coalesced collection a real system
-/// would do with `MPI_Gatherv`); the root assembles the frame. Returns the
-/// frame at the root, `None` elsewhere. Ranks owning nothing send nothing.
-fn gather_to_root<P: Pixel>(
-    ctx: &mut RankCtx,
-    stage: &Stage<P>,
-    scratch: &mut Scratch<P>,
-    spans_of: &[Vec<Span>],
-    local: &Image<P>,
-    root: usize,
-    gather_tag: &impl Fn(usize) -> u64,
-) -> Result<Option<Image<P>>, CoreError> {
-    let me = ctx.rank();
-    if me != root {
-        if !spans_of[me].is_empty() {
-            let mine = spans_of[me].iter().copied();
-            let bytes = stage.encode_spans(ctx, scratch, local, mine)?;
-            ctx.send(root, gather_tag(me), bytes)?;
-        }
-        return Ok(None);
-    }
-    let mut frame = Image::blank(local.width(), local.height());
-    for (owner, owner_spans) in spans_of.iter().enumerate() {
-        if owner_spans.is_empty() {
-            continue;
-        }
-        if owner == me {
-            // The root's own spans copy straight from its local frame.
-            for span in owner_spans {
-                frame.insert(*span, local.span_pixels(*span)?)?;
-            }
-            continue;
-        }
-        let bytes = ctx.recv(owner, gather_tag(owner))?;
-        let started = ctx.obs_start();
-        if let [span] = owner_spans.as_slice() {
-            // One span: stream straight into the blank frame.
-            stage.unpack(ctx, &bytes, frame.span_pixels_mut(*span)?)?;
-        } else {
-            let total: usize = owner_spans.iter().map(|s| s.len).sum();
-            let mut staged = scratch.take_acc(total, ctx);
-            stage.unpack(ctx, &bytes, &mut staged)?;
-            scatter(&mut frame, owner_spans.iter().copied(), &staged)?;
-            scratch.put_acc(staged);
-        }
-        ctx.obs_span(Phase::Decode, started);
-    }
-    Ok(Some(frame))
-}
-
-/// Display-wall gather: each final owner ships, per display cell its spans
-/// overlap, one message with the overlap segments concatenated in span
-/// order; each display rank assembles its own cell-sized framebuffer.
-/// Returns the cell image on display ranks, `None` elsewhere. Dead ranks
-/// (post-repair) neither send nor receive.
+/// The gather: each final owner ships, per display cell its spans overlap,
+/// ONE message with the overlap segments concatenated in span order (the
+/// coalesced collection a real system would do with `MPI_Gatherv`); each
+/// display rank assembles its own cell-sized framebuffer. For the root's
+/// one-cell wall the segments are the owner's spans themselves. Returns
+/// the cell image on display ranks, `None` elsewhere. Ranks owning nothing
+/// send nothing, and dead ranks (post-repair) neither send nor receive.
 #[allow(clippy::too_many_arguments)]
-fn gather_to_wall<P: Pixel>(
+fn gather<P: Pixel>(
     ctx: &mut RankCtx,
     stage: &Stage<P>,
     scratch: &mut Scratch<P>,
@@ -898,21 +860,16 @@ fn gather_to_wall<P: Pixel>(
 ) -> Result<Option<Image<P>>, CoreError> {
     let me = ctx.rank();
     let width = local.width();
-    // Overlap of `owner`'s final spans with a cell, in deterministic span
-    // order: sender and receiver compute the same segment list locally.
-    let segments = |owner: usize, cell: rt_imaging::Rect| -> Vec<(Span, usize)> {
-        let mut segs = Vec::new();
-        for span in &spans_of[owner] {
-            segs.extend(span_cell_segments(*span, width, cell));
-        }
-        segs
-    };
+    // Overlap of an owner's final spans with a cell, in deterministic span
+    // order: sender and receiver compute the same segments locally.
+    let mut segs = std::mem::take(&mut scratch.segments);
     for d in 0..wall.count() {
         let drank = wall.rank_of(d);
-        if drank == me || spans_of[me].is_empty() || dead.contains(&drank) {
+        if drank == me || dead.contains(&drank) {
             continue;
         }
-        let segs = segments(me, wall.cell_rect(d, width, local.height()));
+        let cell = wall.cell_rect(d, width, local.height());
+        span_cell_segments(&spans_of[me], width, cell, &mut segs);
         if segs.is_empty() {
             continue;
         }
@@ -921,34 +878,41 @@ fn gather_to_wall<P: Pixel>(
         ctx.send(drank, gather_tag(tag::wall_slot(d, me)), bytes)?;
     }
     let Some(d) = wall.display_of(me) else {
+        scratch.segments = segs;
         return Ok(None);
     };
     let cell = wall.cell_rect(d, width, local.height());
     let mut out = Image::blank(cell.width(), cell.height());
-    for owner in 0..spans_of.len() {
+    for (owner, spans) in spans_of.iter().enumerate() {
         if dead.contains(&owner) {
             continue;
         }
-        let segs = segments(owner, cell);
-        if segs.is_empty() {
-            continue;
-        }
+        span_cell_segments(spans, width, cell, &mut segs);
         if owner == me {
-            for (seg, at) in &segs {
+            for (seg, at) in segs.iter() {
                 out.insert(Span::new(*at, seg.len), local.span_pixels(*seg)?)?;
             }
             continue;
         }
+        if segs.is_empty() {
+            continue;
+        }
         let bytes = ctx.recv(owner, gather_tag(tag::wall_slot(d, owner)))?;
-        let total: usize = segs.iter().map(|(s, _)| s.len).sum();
         let started = ctx.obs_start();
-        let mut staged = scratch.take_acc(total, ctx);
-        stage.unpack(ctx, &bytes, &mut staged)?;
-        let cell_spans = segs.iter().map(|(seg, at)| Span::new(*at, seg.len));
-        scatter(&mut out, cell_spans, &staged)?;
-        scratch.put_acc(staged);
+        if let [(seg, at)] = segs.as_slice() {
+            // One segment: stream straight into the blank cell.
+            stage.unpack(ctx, &bytes, out.span_pixels_mut(Span::new(*at, seg.len))?)?;
+        } else {
+            let total: usize = segs.iter().map(|(s, _)| s.len).sum();
+            let mut staged = scratch.take_acc(total, ctx);
+            stage.unpack(ctx, &bytes, &mut staged)?;
+            let cell_spans = segs.iter().map(|(seg, at)| Span::new(*at, seg.len));
+            scatter(&mut out, cell_spans, &staged)?;
+            scratch.put_acc(staged);
+        }
         ctx.obs_span(Phase::Decode, started);
     }
+    scratch.segments = segs;
     Ok(Some(out))
 }
 

@@ -213,7 +213,7 @@ pub fn build(
 mod tests {
     use super::*;
     use crate::schedule::verify_schedule;
-    use crate::{ComposeConfig, ComposeOutput, ComposePlan, Run};
+    use crate::{ComposeConfig, ComposeOutput, ComposePlan, DisplayWall, Run};
     use rt_comm::FaultPlan;
     use rt_imaging::image::reference_composite;
     use rt_imaging::pixel::{GrayAlpha8, Pixel, Provenance};
@@ -330,20 +330,20 @@ mod tests {
         // p=16, k=4, direct-send groups: 4 groups × C(4,2) + C(4,2) leader
         // mesh; the root links (root 0 is itself a leader) add nothing new.
         let s = build(16, 4, IntraMethod::DirectSend, 64).unwrap();
-        let links = s.links(0, None);
+        let links = s.links(DisplayWall::root(0));
         assert_eq!(links.len(), 4 * 6 + 6);
         // Far below the flat mesh.
         assert!(links.len() < 16 * 15 / 2);
         // A non-leader root adds one link per leader it doesn't already
         // reach: root 5 is in leader 4's group.
-        let links = s.links(5, None);
+        let links = s.links(DisplayWall::root(5));
         assert_eq!(links.len(), 4 * 6 + 6 + 3);
         // Every link is an ordered in-range pair.
         assert!(links.iter().all(|&(a, b)| a < b && b < 16));
         // Binary-swap groups talk to their swap partners and their leader
         // only: log₂k·k/2 + 1 links a group instead of the C(k,2) mesh.
         let s = build(16, 4, IntraMethod::BinarySwap, 64).unwrap();
-        assert_eq!(s.links(0, None).len(), 4 * 5 + 6);
+        assert_eq!(s.links(DisplayWall::root(0)).len(), 4 * 5 + 6);
     }
 
     #[test]

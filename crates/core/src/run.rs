@@ -144,7 +144,7 @@ fn plan_topology(
     }
     match plan {
         ComposePlan::Schedule(s) => Some(rt_net::Topology::from_links(
-            s.links(config.root, config.display),
+            s.links(config.gather_target()),
         )),
         ComposePlan::Tiles(_) => None,
     }

@@ -183,25 +183,23 @@ impl Schedule {
 
     /// The undirected rank pairs a crash-free execution talks over: every
     /// transfer's `(src, dst)`, plus the gather links from each final owner
-    /// to `root` (or to every display rank of `wall`). This is the topology
-    /// a connection-restricted transport dials — for a hierarchical
-    /// schedule far below the `P(P−1)/2` mesh. Fault repair may route
-    /// outside this set, so resilient runs keep the full mesh.
-    pub fn links(&self, root: usize, wall: Option<DisplayWall>) -> BTreeSet<(usize, usize)> {
+    /// to every display rank of `target` (the root's one-cell wall, or a
+    /// display wall; see [`crate::ComposeConfig::gather_target`]). This is
+    /// the topology a connection-restricted transport dials — for a
+    /// hierarchical schedule far below the `P(P−1)/2` mesh. Fault repair
+    /// may route outside this set, so resilient runs keep the full mesh.
+    pub fn links(&self, target: DisplayWall) -> BTreeSet<(usize, usize)> {
         let transfers = self
             .steps
             .iter()
             .flat_map(|s| &s.transfers)
             .map(|t| (t.src, t.dst));
-        let sinks: Vec<usize> = match wall {
-            None => vec![root],
-            Some(w) => (0..w.count()).map(|d| w.rank_of(d)).collect(),
-        };
+        let sinks = target.rank_of(0)..target.rank_of(target.count());
         let gathers = self
             .final_owners
             .iter()
             .filter(|(span, _)| !span.is_empty())
-            .flat_map(|&(_, owner)| sinks.iter().map(move |&sink| (owner, sink)));
+            .flat_map(|&(_, owner)| sinks.clone().map(move |sink| (owner, sink)));
         transfers
             .chain(gathers)
             .filter(|(a, b)| a != b)
@@ -666,7 +664,7 @@ mod tests {
             depth_of_rank: None,
         };
         verify_schedule(&good).unwrap();
-        assert_eq!(good.links(0, None).len(), 3);
+        assert_eq!(good.links(DisplayWall::root(0)).len(), 3);
 
         let mut unflushed = good.clone();
         unflushed.steps[0].flush = false;

@@ -410,9 +410,7 @@ pub fn compose_plan<P: Pixel>(
         ComposePlan::Tiles(t) => Some((t.grid.width, t.grid.height)),
     };
     check_shape(ctx, plan.p(), plan.image_len(), dims, &local)?;
-    if let Some(wall) = config.display {
-        wall.validate(plan.p())?;
-    }
+    config.gather_target().validate(plan.p())?;
     // An oversized plan is a typed error here, before any message is sent,
     // instead of a tag that aliases another frame's or another step's.
     tag_extents(plan, config)
@@ -437,15 +435,16 @@ fn tag_extents(plan: &ComposePlan, config: &ComposeConfig) -> Extents {
             ..Extents::default()
         },
     };
-    if let Some(wall) = config.display.filter(|_| config.gather) {
-        extents.wall = Some((wall.count() - 1, p - 1));
+    if config.gather {
+        extents.wall = Some((config.gather_target().count() - 1, p - 1));
     }
     extents
 }
 
 /// What a span schedule writes: its steps and the gather one past them,
-/// span starts and root-gather slots in the low field, and — when failures
-/// may be repaired — the coordinates of the repair plan's fetches.
+/// span starts and the root's gather slots (sending ranks) in the low
+/// field, and — when failures may be repaired — the coordinates of the
+/// repair plan's fetches.
 pub(crate) fn schedule_tag_extents(schedule: &Schedule, config: &ComposeConfig) -> Extents {
     Extents {
         step: schedule.steps.len(),

@@ -3,7 +3,7 @@
 //! dialing only the schedule's own links — swap partners, placements, the
 //! leader overlay and the gather — instead of the full `O(P²)` mesh.
 
-use rt_core::{ComposeConfig, ComposePlan, IntraMethod, Method, Run, TransportKind};
+use rt_core::{ComposeConfig, ComposePlan, DisplayWall, IntraMethod, Method, Run, TransportKind};
 use rt_imaging::image::reference_composite;
 use rt_imaging::synth::band_partials;
 use rt_net::Topology;
@@ -21,7 +21,7 @@ fn hier_over_tcp_matches_inproc_bit_exactly_on_restricted_sockets() {
     // The schedule's topology is an O(P·k + (P/k)²) set — per group the
     // swap pairs plus the one placement link they miss, and the leader
     // mesh — far below the full mesh.
-    let links = schedule.links(0, None);
+    let links = schedule.links(DisplayWall::root(0));
     let topo = Topology::from_links(links.iter().copied());
     assert_eq!(topo.socket_count(p), 4 * 5 + 6);
     assert!(topo.socket_count(p) < p * (p - 1) / 2);

@@ -270,7 +270,6 @@ mod tests {
                 width: 80,
                 height: 60,
                 early_termination: 1.0,
-                parallel: false,
             },
         )
         .unwrap();

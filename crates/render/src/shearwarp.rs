@@ -46,13 +46,6 @@ pub struct RenderOptions {
     pub height: usize,
     /// Early-ray-termination opacity threshold (1.0 disables).
     pub early_termination: f32,
-    /// Render the slab sweep's intermediate-image rows on worker threads
-    /// ([`warp_to_screen`] always splits its rows). The output is
-    /// **bit-identical** to the serial render: parallelism is over rows,
-    /// which never share an accumulation pixel, and every slice still
-    /// reaches a given pixel in depth order (the serial slice loop and the
-    /// parallel row loop are interchanged, not reordered).
-    pub parallel: bool,
 }
 
 impl RenderOptions {
@@ -62,7 +55,6 @@ impl RenderOptions {
             width: 512,
             height: 512,
             early_termination: 0.98,
-            parallel: false,
         }
     }
 
@@ -72,13 +64,7 @@ impl RenderOptions {
             width: n,
             height: n,
             early_termination: 0.98,
-            parallel: false,
         }
-    }
-
-    /// Same options with row-parallel rendering switched on or off.
-    pub fn with_parallel(self, parallel: bool) -> Self {
-        Self { parallel, ..self }
     }
 }
 
@@ -472,8 +458,8 @@ fn map_columns(
 
 /// One slice of the principal-axis sweep: its shear offsets, the
 /// intermediate-image window its footprint can touch and where its column
-/// map lies in [`Slices`] — precomputed once so the serial slice-major loop
-/// and the parallel row-major loop interchange over the exact same numbers.
+/// map lies in [`Slices`] — precomputed once per sweep, so every row the
+/// slice reaches reads the same numbers.
 struct SliceJob {
     k: usize,
     cols: Columns,
@@ -496,8 +482,8 @@ struct Slices {
     bands: Vec<Band>,
 }
 
-/// The depth-ordered slices of `sub`; both drivers walk the jobs in order,
-/// so every pixel sees its slices front-to-back either way.
+/// The depth-ordered slices of `sub`; the sweep walks the jobs in order, so
+/// every pixel sees its slices front-to-back.
 fn slice_jobs(sub: &Subvolume, f: &Factorization) -> Slices {
     let (k_lo, k_hi) = sub.extent(f.axis);
     let (i_lo, i_hi) = sub.extent(f.plane.0);
@@ -600,8 +586,8 @@ impl RowTaps<'_> {
 
 /// Composite every pixel slice `job` contributes to row `iv` into that row
 /// of the intermediate image. This is the *only* place sample values are
-/// produced, shared verbatim by the serial and parallel drivers — identical
-/// float expressions per `(k, iv, iu)` is what makes the two orders
+/// produced, shared verbatim by both compiled copies ([`RowKernel`]) —
+/// identical float expressions per `(k, iv, iu)` is what makes the copies
 /// bit-identical.
 ///
 /// Inside one slice the resampling is a translation, so the row reads two
@@ -754,27 +740,11 @@ fn sweep(
     let slab = Slab::new(sub, classification, &f, opts);
     let slices = slice_jobs(sub, &f);
 
-    if opts.parallel && w > 0 && inter.height() > 0 {
-        // Row-parallel interchange: rows are independent accumulation
-        // domains, and each row still applies its slices in `jobs` order.
-        inter
-            .pixels_mut()
-            .par_chunks_mut(w)
-            .enumerate()
-            .for_each(|(iv, row)| {
-                for job in &slices.jobs {
-                    if iv >= job.iv0 && iv <= job.iv1 {
-                        kernel(&slab, &slices, job, iv, row);
-                    }
-                }
-            });
-    } else {
-        let pixels = inter.pixels_mut();
-        for job in &slices.jobs {
-            for iv in job.iv0..=job.iv1 {
-                let row = &mut pixels[iv * w..(iv + 1) * w];
-                kernel(&slab, &slices, job, iv, row);
-            }
+    let pixels = inter.pixels_mut();
+    for job in &slices.jobs {
+        for iv in job.iv0..=job.iv1 {
+            let row = &mut pixels[iv * w..(iv + 1) * w];
+            kernel(&slab, &slices, job, iv, row);
         }
     }
     (inter, f)
@@ -846,8 +816,8 @@ fn monotone_span(n: usize, holds: impl Fn(usize) -> bool) -> Range<usize> {
 /// Outside the span the screen stays blank, inside the sub-span taps are
 /// read without range tests, and every pixel carries the bits of a
 /// per-pixel sampler that tests and skips each tap. Screen rows are
-/// disjoint outputs over an immutable source, so they go to worker threads
-/// whatever [`RenderOptions::parallel`] says, and the frame is the same.
+/// disjoint outputs over an immutable source, so they go to worker
+/// threads, and the frame is the same.
 pub fn warp_to_screen(
     inter: &Image<GrayAlpha>,
     f: &Factorization,
@@ -1234,7 +1204,7 @@ mod kernel_tests {
             .collect()
     }
 
-    /// Both drivers of the kernel and the warp, against the reference —
+    /// The kernel and the warp, against the reference —
     /// and one slab prepared for `camera`'s axis, rendered from `camera`
     /// and from a rolled, zoomed camera that shares it. Returns the
     /// reference render.
@@ -1246,16 +1216,10 @@ mod kernel_tests {
         what: &str,
     ) -> (Image<GrayAlpha>, Factorization) {
         let (want, f) = render_intermediate_reference(sub, tf, camera, opts);
-        for parallel in [false, true] {
-            let (got, got_f) = render_intermediate(sub, tf, camera, &opts.with_parallel(parallel));
-            assert_eq!(got_f, f);
-            assert_eq!(got.width(), want.width());
-            assert_eq!(
-                bits(&got),
-                bits(&want),
-                "{what}: partial, parallel={parallel}"
-            );
-        }
+        let (got, got_f) = render_intermediate(sub, tf, camera, opts);
+        assert_eq!(got_f, f);
+        assert_eq!(got.width(), want.width());
+        assert_eq!(bits(&got), bits(&want), "{what}: partial");
         let prepared = PreparedSlab::new(sub.clone(), tf, f.axis);
         let rolled = Camera {
             roll: camera.roll + 0.7,
@@ -1507,8 +1471,8 @@ mod kernel_tests {
         kernels
     }
 
-    /// `sub` seen from `camera` through each compiled copy, both drivers,
-    /// against the per-sample reference: so also against each other.
+    /// `sub` seen from `camera` through each compiled copy, against the
+    /// per-sample reference: so also against each other.
     fn assert_copies_match_reference(
         sub: &Subvolume,
         tf: &TransferFunction,
@@ -1519,12 +1483,8 @@ mod kernel_tests {
         let (want, f) = render_intermediate_reference(sub, tf, camera, opts);
         let classification = Classification::new(sub, tf, f.axis);
         for (copy, kernel) in row_kernels() {
-            for parallel in [false, true] {
-                let opts = opts.with_parallel(parallel);
-                let (got, _) = sweep(kernel, sub, &classification, f.clone(), &opts);
-                let what = format!("{what}: {copy} copy, parallel={parallel}");
-                assert_eq!(bits(&got), bits(&want), "{what}");
-            }
+            let (got, _) = sweep(kernel, sub, &classification, f.clone(), opts);
+            assert_eq!(bits(&got), bits(&want), "{what}: {copy} copy");
         }
     }
 
@@ -1767,7 +1727,6 @@ mod kernel_tests {
                 width: frame.0,
                 height: frame.1,
                 early_termination,
-                parallel: false,
             };
             assert_kernel_matches_reference(&sub, &tf, &camera, &opts, "random scene");
         }
@@ -1898,51 +1857,5 @@ mod kernel_tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn parallel_render_is_bit_identical() {
-        // The row-parallel driver must reproduce the serial render down to
-        // the last float bit — on whole volumes and on slab partials, with
-        // early termination both on and off.
-        for dataset in [Dataset::Engine, Dataset::Brain] {
-            let vol = dataset.generate(24, 5);
-            let tf = dataset.transfer_function();
-            let sub = Subvolume::whole(vol.clone());
-            for camera in [Camera::front(), Camera::yaw_pitch(0.4, -0.3)] {
-                for et in [1.0, 0.98] {
-                    let serial = RenderOptions {
-                        early_termination: et,
-                        ..RenderOptions::square(72)
-                    };
-                    let par = serial.with_parallel(true);
-                    let (want, _) = render_intermediate(&sub, &tf, &camera, &serial);
-                    let (got, _) = render_intermediate(&sub, &tf, &camera, &par);
-                    assert_eq!(want, got, "{:?} {camera:?} et={et}", dataset.name());
-                }
-            }
-            let camera = Camera::yaw_pitch(0.3, 0.15);
-            let serial = RenderOptions::square(64);
-            let (_, f) = render_intermediate(&sub, &tf, &camera, &serial);
-            for part in partition_1d(&vol, 3, f.axis).unwrap() {
-                let (want, _) = render_intermediate(&part, &tf, &camera, &serial);
-                let (got, _) =
-                    render_intermediate(&part, &tf, &camera, &serial.with_parallel(true));
-                assert_eq!(want, got, "slab {:?}", part.offset);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_render_handles_degenerate_frames() {
-        // A zero-size screen still yields a volume-footprint intermediate;
-        // the parallel driver must match serial and never chunk by zero.
-        let sub = Subvolume::whole(crate::volume::Volume::zeros(4, 4, 4));
-        let tf = TransferFunction::ramp(1, 255, 0.5);
-        let serial = RenderOptions::square(0);
-        let (want, _) = render_intermediate(&sub, &tf, &Camera::front(), &serial);
-        let (got, _) =
-            render_intermediate(&sub, &tf, &Camera::front(), &serial.with_parallel(true));
-        assert_eq!(want, got);
     }
 }

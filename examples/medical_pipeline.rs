@@ -25,7 +25,7 @@ fn main() {
             volume_size: 96,
             seed: 2001,
             camera: Camera::yaw_pitch(yaw, 0.25),
-            render: RenderOptions::square(384).with_parallel(true),
+            render: RenderOptions::square(384),
             method: Method::RotateTiling {
                 variant: RtVariant::TwoN,
                 blocks: 4,

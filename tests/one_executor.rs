@@ -7,13 +7,15 @@
 //!   still ships no segment metadata;
 //! * the skeleton's one content scan is inside the phase book;
 //! * faults, a scratch pool and an observer — a combination none of the old
-//!   `run_*` suffixes could express — compose on one `Run`.
+//!   `run_*` suffixes could express — compose on one `Run`;
+//! * the gather has one destination type: the root is the one-cell display
+//!   wall at its rank, and an out-of-range root is refused before traffic.
 
-use rotate_tiling::comm::FaultPlan;
+use rotate_tiling::comm::{Event, FaultPlan};
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::{ComposeConfig, ScratchPool};
 use rotate_tiling::core::method::Method;
-use rotate_tiling::core::Run;
+use rotate_tiling::core::{CoreError, DisplayWall, IntraMethod, Run};
 use rotate_tiling::imaging::image::reference_composite;
 use rotate_tiling::imaging::{GrayAlpha8, Image, Pixel};
 use rotate_tiling::obs::{Observer, Phase};
@@ -179,4 +181,80 @@ fn faults_pool_and_observer_compose_on_one_run() {
             );
         }
     }
+}
+
+#[test]
+fn the_root_is_the_one_cell_display_wall() {
+    let (w, h) = (32, 32);
+    let mut methods = Method::bench_lineup();
+    methods.push(Method::Hier {
+        k: 2,
+        intra: IntraMethod::BinarySwapFold,
+    });
+    for budget_permille in [0, 150] {
+        methods.push(Method::Puzzle {
+            tiles_x: 4,
+            tiles_y: 4,
+            budget_permille,
+        });
+    }
+    let mut cells = 0;
+    for p in [3, 4, 8] {
+        let partials = partials(p, w, h);
+        for method in &methods {
+            let Ok(plan) = method.plan(p, w, h) else {
+                continue; // a shape the method does not take
+            };
+            for codec in CodecKind::ALL {
+                for root in [0, p - 1] {
+                    // The crash spares the root: a dead root moves, a dead
+                    // display rank does not.
+                    for faults in [
+                        FaultPlan::none(),
+                        FaultPlan::none().crash_rank_at_step(1, 1),
+                    ] {
+                        let base = ComposeConfig::default()
+                            .with_codec(codec)
+                            .resilient(!faults.is_none());
+                        let run = |config: ComposeConfig| {
+                            let (results, trace) = Run::new(&plan, &config)
+                                .faults(faults.clone())
+                                .execute(partials.clone());
+                            let outs: Vec<_> = results
+                                .into_iter()
+                                .map(|r| r.map(|out| (out.frame, out.owners)))
+                                .collect();
+                            (outs, trace)
+                        };
+                        let (rooted, rooted_trace) = run(base.with_root(root));
+                        let (walled, walled_trace) =
+                            run(base.with_display_wall(DisplayWall::root(root)));
+                        let what = format!("{method:?} {codec:?} P={p} root={root} {faults:?}");
+                        assert!(
+                            matches!(&rooted[root], Ok((Some(_), _))),
+                            "{what}: the root holds the frame"
+                        );
+                        assert_eq!(rooted, walled, "{what}: frames and owners");
+                        assert_eq!(rooted_trace, walled_trace, "{what}: trace");
+                        cells += 1;
+                    }
+                }
+            }
+            // A root outside the machine is refused before any traffic.
+            let config = ComposeConfig::default().with_root(p);
+            let (results, trace) = Run::<GrayAlpha8>::new(&plan, &config).execute(partials.clone());
+            for r in results {
+                assert!(
+                    matches!(r, Err(CoreError::InvalidSchedule { .. })),
+                    "{method:?} P={p}: {r:?}"
+                );
+            }
+            let sends = trace.ranks.iter().flatten();
+            assert!(
+                !sends.into_iter().any(|e| matches!(e, Event::Send { .. })),
+                "{method:?} P={p}: a refused plan sent a message"
+            );
+        }
+    }
+    assert!(cells >= 3 * 2 * 2 * 3 * 6, "only {cells} cells ran");
 }

@@ -381,11 +381,10 @@ fn render_cell(
     let composed = reference_composite(&partials).unwrap();
     writeln!(
         out,
-        "render {name} P={p} axis={}{} et={} par={} partials={:016x} screen={:016x}",
+        "render {name} P={p} axis={}{} et={} partials={:016x} screen={:016x}",
         f.axis,
         if f.flip { '-' } else { '+' },
         opts.early_termination,
-        opts.parallel as u8,
         h.0,
         screen_digest(&warp_to_screen(&composed, &f, opts)),
     )
@@ -403,11 +402,10 @@ fn render_digests() -> String {
             .extract((3, 23), (2, 26), (0, 28))
             .unwrap()
     };
-    let frame = |early_termination, parallel| RenderOptions {
+    let frame = |early_termination| RenderOptions {
         width: 44,
         height: 36,
         early_termination,
-        parallel,
     };
     let mut views = std::collections::BTreeSet::new();
     for dataset in Dataset::PAPER {
@@ -416,17 +414,15 @@ fn render_digests() -> String {
         for p in [1usize, 3] {
             for camera in render_cameras() {
                 for early_termination in [1.0, 0.98] {
-                    for parallel in [false, true] {
-                        views.insert(render_cell(
-                            &mut out,
-                            dataset.name(),
-                            &vol,
-                            &tf,
-                            p,
-                            &camera,
-                            &frame(early_termination, parallel),
-                        ));
-                    }
+                    views.insert(render_cell(
+                        &mut out,
+                        dataset.name(),
+                        &vol,
+                        &tf,
+                        p,
+                        &camera,
+                        &frame(early_termination),
+                    ));
                 }
             }
         }
@@ -448,7 +444,7 @@ fn render_digests() -> String {
         &two_runs,
         3,
         &render_cameras()[2],
-        &frame(0.98, false),
+        &frame(0.98),
     );
     out
 }
