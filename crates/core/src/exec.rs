@@ -727,9 +727,7 @@ pub(crate) fn compose_schedule<P: Pixel>(
                         None => pixels,
                         Some(mut front) => {
                             ctx.compute(ComputeKind::Over, e.span.len as u64);
-                            for (f, b) in front.iter_mut().zip(&pixels) {
-                                *f = f.over(b);
-                            }
+                            P::over_back_slice(&mut front, &pixels)?;
                             front
                         }
                     });
@@ -763,18 +761,14 @@ fn flush_deferred<P: Pixel>(
     let mut flushes: Vec<(Span, Vec<P>)> = back_acc.drain().map(|(_, acc)| acc).collect();
     flushes.sort_by_key(|(span, _)| span.start);
     for (span, acc) in flushes {
+        let flush_started = ctx.obs_start();
+        let stats = local.over_back(span, &acc)?;
         // Mirror the per-step charging rule: under a structured codec only
         // the non-blank accumulated pixels cost an `over`; charging the
         // full span here would price the flush as if the codec had found
         // no blank structure at all.
-        let over_units = if stage.raw {
-            span.len
-        } else {
-            acc.iter().filter(|p| !p.is_blank()).count()
-        };
-        let flush_started = ctx.obs_start();
+        let over_units = if stage.raw { span.len } else { stats.non_blank };
         ctx.compute(ComputeKind::Over, over_units as u64);
-        local.over_back(span, &acc)?;
         ctx.obs_span(Phase::Flush, flush_started);
         scratch.put_acc(acc);
     }

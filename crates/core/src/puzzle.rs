@@ -70,8 +70,8 @@ pub(crate) fn scan_tiles<P: Pixel>(
     for (t, have_t) in have.iter_mut().enumerate() {
         let spans = grid.row_spans(t);
         let mut rows: RowIvals = Vec::with_capacity(spans.len());
-        for span in &spans {
-            let px = local.span_pixels(*span)?;
+        for span in spans {
+            let px = local.span_pixels(span)?;
             match px.iter().position(|p| !p.is_blank()) {
                 None => rows.push((0, 0)),
                 Some(lo) => {
@@ -190,12 +190,14 @@ pub(crate) fn place_puzzle_tile<'a, P: Pixel>(
     // Placement: farthest-first interval copies, nearest content winning
     // conflict pixels. No `over` work — priced like the gather stage
     // (decode charges only), which is the method's measured speed win.
-    let spans = tiles.grid.row_spans(t);
-    let tw = tiles.grid.rect(t).width();
+    let grid = &tiles.grid;
+    let tw = grid.rect(t).width();
     let mut acc = scratch.take_acc(area, ctx);
     for &(iv, stream) in contributors.iter().rev() {
         let Some(bytes) = stream else {
-            place_piece(&mut acc, tw, iv, |row| Ok(local.span_pixels(spans[row])?))?;
+            place_piece(&mut acc, tw, iv, |row| {
+                Ok(local.span_pixels(grid.row_span(t, row))?)
+            })?;
             continue;
         };
         let dec_started = ctx.obs_start();
@@ -206,7 +208,7 @@ pub(crate) fn place_puzzle_tile<'a, P: Pixel>(
         ctx.obs_span(Phase::Decode, dec_started);
         ctx.obs_counters(|c| c.tiles_recv += 1);
     }
-    scatter(local, spans, &acc)?;
+    scatter(local, grid.row_spans(t), &acc)?;
     scratch.put_acc(acc);
     Ok(true)
 }

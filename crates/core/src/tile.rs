@@ -55,7 +55,7 @@ use crate::CoreError;
 use rt_comm::tag::{self, Extents, TileChannel};
 use rt_comm::{CommError, ComputeKind, Mark, RankCtx};
 use rt_compress::OverDir;
-use rt_imaging::pixel::Pixel;
+use rt_imaging::pixel::{OverStats, Pixel};
 use rt_imaging::{Image, Rect, Span};
 use rt_obs::Phase;
 use std::collections::BTreeMap;
@@ -125,12 +125,17 @@ impl TileGrid {
         self.rect(t).area()
     }
 
-    /// The flat frame-space row spans of tile `t`, top to bottom.
-    pub fn row_spans(&self, t: usize) -> Vec<Span> {
+    /// The flat frame-space row spans of tile `t`, top to bottom, computed
+    /// as they are read.
+    pub fn row_spans(&self, t: usize) -> impl ExactSizeIterator<Item = Span> + Clone {
+        let (r, width) = (self.rect(t), self.width);
+        (r.y0..r.y1).map(move |y| Span::new(y * width + r.x0, r.width()))
+    }
+
+    /// Row `row` of tile `t`: the `row`-th of [`TileGrid::row_spans`].
+    pub fn row_span(&self, t: usize, row: usize) -> Span {
         let r = self.rect(t);
-        (r.y0..r.y1)
-            .map(|y| Span::new(y * self.width + r.x0, r.width()))
-            .collect()
+        Span::new((r.y0 + row) * self.width + r.x0, r.width())
     }
 }
 
@@ -252,11 +257,19 @@ fn puzzle_budget_problem(grid: &TileGrid, budget_permille: u16) -> Option<String
 /// every frame pixel exactly once, and a puzzle budget stays within the
 /// tile area with segment coordinates that fit their `u16` wire format —
 /// the tile path's counterpart of [`verify_schedule`].
+///
+/// Coverage follows from the 1-D tile boundaries: [`TileGrid::rect`] cuts
+/// each axis at `i · len / tiles` for `i = 0..=tiles`, a non-decreasing
+/// sequence from 0 to `len`, so the columns partition the width, the rows
+/// the height and their products the frame — whenever each axis has a tile
+/// and `tiles · len` does not overflow. A frame with no pixels is covered
+/// by any grid.
 pub fn verify_tile_plan(plan: &TilePlan) -> Result<(), CoreError> {
-    let nt = plan.grid.tiles();
+    let g = &plan.grid;
+    let nt = g.tiles();
     if let Some(why) = plan
         .budget
-        .and_then(|budget| puzzle_budget_problem(&plan.grid, budget))
+        .and_then(|budget| puzzle_budget_problem(g, budget))
     {
         return Err(CoreError::InvalidSchedule { why });
     }
@@ -274,19 +287,13 @@ pub fn verify_tile_plan(plan: &TilePlan) -> Result<(), CoreError> {
         });
     }
     check_permutation(plan.p, &plan.rank_at_depth)?;
-    let mut covered = vec![0u32; plan.grid.width * plan.grid.height];
-    for t in 0..nt {
-        for span in plan.grid.row_spans(t) {
-            for c in &mut covered[span.range()] {
-                *c += 1;
-            }
-        }
-    }
-    if covered.iter().any(|&c| c != 1) {
+    let cut = |tiles: usize, len: usize| tiles >= 1 && tiles.checked_mul(len).is_some();
+    let empty = g.width == 0 || g.height == 0;
+    if !(empty || cut(g.tiles_x, g.width) && cut(g.tiles_y, g.height)) {
         return Err(CoreError::InvalidSchedule {
             why: format!(
                 "grid {}x{} does not tile the {}x{} frame exactly once",
-                plan.grid.tiles_x, plan.grid.tiles_y, plan.grid.width, plan.grid.height
+                g.tiles_x, g.tiles_y, g.width, g.height
             ),
         });
     }
@@ -713,7 +720,6 @@ impl<P: Pixel> TileScan<'_, P> {
     ) -> Result<(), CoreError> {
         let me = ctx.rank();
         let area = self.plan.grid.area(t);
-        let spans = self.plan.grid.row_spans(t);
         let mut acc = scratch.take_acc(area, ctx);
         for &r in &self.plan.rank_at_depth {
             if r != me {
@@ -731,23 +737,24 @@ impl<P: Pixel> TileScan<'_, P> {
             // local (the incoming piece is deeper than everything folded so
             // far).
             let over_started = ctx.obs_start();
-            let mut non_blank = 0usize;
+            let mut stats = OverStats::default();
             let width = self.plan.grid.rect(t).width();
-            for (row, span) in acc.chunks_mut(width).zip(&spans) {
-                for (a, s) in row.iter_mut().zip(local.span_pixels(*span)?) {
-                    non_blank += usize::from(!s.is_blank());
-                    *a = a.over(s);
-                }
+            for (row, span) in acc.chunks_mut(width).zip(self.plan.grid.row_spans(t)) {
+                stats += P::over_back_slice(row, local.span_pixels(span)?)?;
             }
             ctx.obs_span(Phase::Over, over_started);
             ctx.obs_counters(|c| {
-                c.non_blank_merged += non_blank as u64;
-                c.blank_skipped += (area - non_blank) as u64;
+                c.non_blank_merged += stats.non_blank as u64;
+                c.blank_skipped += stats.blank_skipped as u64;
             });
-            let over_units = if self.stage.raw { area } else { non_blank };
+            let over_units = if self.stage.raw {
+                area
+            } else {
+                stats.non_blank
+            };
             ctx.compute(ComputeKind::Over, over_units as u64);
         }
-        scatter(local, spans, &acc)?;
+        scatter(local, self.plan.grid.row_spans(t), &acc)?;
         scratch.put_acc(acc);
         Ok(())
     }
@@ -863,10 +870,7 @@ pub(crate) fn compose_tiles<P: Pixel>(
         .iter()
         .flat_map(|&t| {
             let owner = owner_of[t];
-            plan.grid
-                .row_spans(t)
-                .into_iter()
-                .map(move |span| (span, owner))
+            plan.grid.row_spans(t).map(move |span| (span, owner))
         })
         .collect();
 
@@ -932,6 +936,47 @@ mod tests {
         for (w, h, tx, ty) in [(16, 16, 4, 4), (17, 11, 4, 3), (5, 5, 1, 1), (3, 3, 5, 5)] {
             verify_tile_plan(&plan(3, w, h, tx, ty)).unwrap();
         }
+    }
+
+    /// The brute-force coverage check `verify_tile_plan` reasons its way
+    /// past: count how often the tiles' row spans cover each frame pixel.
+    fn covers_exactly_once(grid: &TileGrid) -> bool {
+        let mut covered = vec![0u32; grid.width * grid.height];
+        for t in 0..grid.tiles() {
+            for span in grid.row_spans(t) {
+                for c in &mut covered[span.range()] {
+                    *c += 1;
+                }
+            }
+        }
+        covered.iter().all(|&c| c == 1)
+    }
+
+    #[test]
+    fn tile_plan_coverage_verdict_matches_enumeration() {
+        let mut plan = plan(2, 1, 1, 1, 1);
+        for (width, height) in (0..=7).flat_map(|w| (0..=6).map(move |h| (w, h))) {
+            for (tiles_x, tiles_y) in (0..=9).flat_map(|x| (0..=8).map(move |y| (x, y))) {
+                let grid = TileGrid {
+                    width,
+                    height,
+                    tiles_x,
+                    tiles_y,
+                };
+                (plan.grid, plan.owner_of) = (grid, vec![0; grid.tiles()]);
+                let want = covers_exactly_once(&grid);
+                assert_eq!(verify_tile_plan(&plan).is_ok(), want, "{grid:?}");
+                for t in (0..grid.tiles()).filter(|_| want) {
+                    for (row, span) in grid.row_spans(t).enumerate() {
+                        assert_eq!(grid.row_span(t, row), span, "{grid:?} tile {t}");
+                    }
+                }
+            }
+        }
+        // A grid whose cut arithmetic would overflow is refused, not run.
+        let grid = TileGrid::new(usize::MAX / 2, 1, 3, 1).unwrap();
+        (plan.grid, plan.owner_of) = (grid, vec![0; 3]);
+        assert!(verify_tile_plan(&plan).is_err());
     }
 
     #[test]

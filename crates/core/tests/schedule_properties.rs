@@ -11,6 +11,15 @@ use rt_core::{BinarySwap, DirectSend, ParallelPipelined, RotateTiling};
 use rt_imaging::span::spans_tile;
 use rt_imaging::Span;
 
+/// The case upstream proptest once shrank `binary_swap_verifies_for_powers_of_two`
+/// to: eight ranks over two pixels, so most blocks are empty.
+#[test]
+fn binary_swap_verifies_with_fewer_pixels_than_ranks() {
+    let s = BinarySwap::new().build(8, 2).unwrap();
+    assert!(verify_schedule(&s).is_ok());
+    assert_eq!(s.step_count(), 3);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -1,6 +1,6 @@
 //! The [`Image`] container and span-wise composition primitives.
 
-use crate::pixel::Pixel;
+use crate::pixel::{OverStats, Pixel};
 use crate::span::Span;
 use crate::ImagingError;
 
@@ -81,12 +81,6 @@ impl<P: Pixel> Image<P> {
         self.data.is_empty()
     }
 
-    /// The span covering the whole image.
-    #[inline]
-    pub fn full_span(&self) -> Span {
-        Span::whole(self.len())
-    }
-
     /// Immutable access to the flat pixel buffer.
     #[inline]
     pub fn pixels(&self) -> &[P] {
@@ -158,56 +152,23 @@ impl<P: Pixel> Image<P> {
     }
 
     /// Composite `front` (a buffer of `span.len` pixels) **over** the pixels
-    /// covered by `span`, in place: `self[span] = front over self[span]`.
+    /// covered by `span`, in place: `self[span] = front over self[span]`,
+    /// through [`Pixel::over_front_slice`].
     ///
     /// This is the receive-side merge used when a *nearer* partial arrives.
-    pub fn over_front(&mut self, span: Span, front: &[P]) -> Result<(), ImagingError> {
+    pub fn over_front(&mut self, span: Span, front: &[P]) -> Result<OverStats, ImagingError> {
         self.check_span(span)?;
-        if front.len() != span.len {
-            return Err(ImagingError::ShapeMismatch {
-                what: "Image::over_front",
-                lhs: span.len,
-                rhs: front.len(),
-            });
-        }
-        for (dst, f) in self.data[span.range()].iter_mut().zip(front) {
-            *dst = f.over(dst);
-        }
-        Ok(())
+        P::over_front_slice(&mut self.data[span.range()], front)
     }
 
     /// Composite `back` **under** the pixels covered by `span`, in place:
-    /// `self[span] = self[span] over back`.
+    /// `self[span] = self[span] over back`, through
+    /// [`Pixel::over_back_slice`].
     ///
     /// This is the receive-side merge used when a *farther* partial arrives.
-    pub fn over_back(&mut self, span: Span, back: &[P]) -> Result<(), ImagingError> {
+    pub fn over_back(&mut self, span: Span, back: &[P]) -> Result<OverStats, ImagingError> {
         self.check_span(span)?;
-        if back.len() != span.len {
-            return Err(ImagingError::ShapeMismatch {
-                what: "Image::over_back",
-                lhs: span.len,
-                rhs: back.len(),
-            });
-        }
-        for (dst, b) in self.data[span.range()].iter_mut().zip(back) {
-            *dst = dst.over(b);
-        }
-        Ok(())
-    }
-
-    /// Composite an entire equally-shaped image over this one.
-    pub fn composite_over(&mut self, front: &Image<P>) -> Result<(), ImagingError> {
-        if front.width != self.width || front.height != self.height {
-            return Err(ImagingError::ShapeMismatch {
-                what: "Image::composite_over",
-                lhs: self.len(),
-                rhs: front.len(),
-            });
-        }
-        for (dst, f) in self.data.iter_mut().zip(&front.data) {
-            *dst = f.over(dst);
-        }
-        Ok(())
+        P::over_back_slice(&mut self.data[span.range()], back)
     }
 
     /// Number of non-blank pixels (drives compression ratios and bounding

@@ -4,9 +4,10 @@
 //! The hot loops of the composition stage — blank-pixel scanning and the
 //! codecs' run detection / template classification — find their runs a
 //! machine word (`u64`) or two (`u128`) at a time. The `over` kernels skip
-//! blank runs that way and merge every other pixel with one branch-free
-//! body, sixteen pixels per chunk, which the baseline compiler vectorises.
-//! Neither changes what is computed: a blank or opaque pixel needs no
+//! a wire stream's blank runs that way and merge every other pixel with one
+//! branch-free body, sixteen pixels per chunk, which the baseline compiler
+//! vectorises; the same body merges two in-memory pixel slices. Neither
+//! changes what is computed: a blank or opaque pixel needs no
 //! shortcut, because the fixed-point arithmetic already gives its result
 //! (`mul255(0, x) = 0`, `mul255(255, x) = x`), and every
 //! kernel is pinned bit for bit to decode-then-
@@ -108,26 +109,36 @@ fn ga8_lane<const FRONT: bool>(s: u16, d: u16) -> (u16, u16, u16) {
     (v | a << 8, blank, opaque)
 }
 
+/// A pixel as the span body's little-endian word `v | a << 8`.
+#[inline(always)]
+fn ga8_word(px: &GrayAlpha8) -> u16 {
+    u16::from_le_bytes([px.v, px.a])
+}
+
 /// The fused merge over one span, `dst[i] = src[i] over dst[i]` (`FRONT`)
 /// or `dst[i] = dst[i] over src[i]`: sixteen pixels per chunk, every lane
-/// through [`ga8_lane`] with no branch. The chunk is read into two word
-/// arrays, merged lane by lane into a third and written back through the
-/// pixel fields; in that shape the baseline compiler keeps the whole chunk
-/// in vector registers (fused into one loop, it loads and stores the
-/// destination a pixel at a time and runs ≈ 3.5× slower). The pixels past
-/// the last whole chunk take the same lane one at a time.
-/// `src.len() == dst.len() * 2` is the caller's contract.
+/// through [`ga8_lane`] with no branch. The source comes as whole chunks,
+/// each read into a word array by `load`, and the words of its tail; the
+/// destination chunk is read into a second array, merged lane by lane into
+/// a third and written back through the pixel fields. In that shape the
+/// baseline compiler keeps the whole chunk in vector registers (fused into
+/// one loop, it loads and stores the destination a pixel at a time and runs
+/// ≈ 3.5× slower). The pixels past the last whole chunk take the same lane
+/// one at a time. One source pixel per destination pixel is the callers'
+/// contract.
 #[inline(always)]
-fn ga8_span<const FRONT: bool>(dst: &mut [GrayAlpha8], src: &[u8]) -> OverStats {
-    let word = |d: &GrayAlpha8| u16::from_le_bytes([d.v, d.a]);
+fn ga8_span<const FRONT: bool, C>(
+    dst: &mut [GrayAlpha8],
+    src: &[C],
+    src_tail: impl Iterator<Item = u16>,
+    load: impl Fn(&C) -> [u16; GA8_CHUNK],
+) -> OverStats {
     let mut blank = 0;
     let mut opaque = 0;
     let (chunks, tail) = dst.as_chunks_mut::<GA8_CHUNK>();
-    let (words, tail_src) = src.as_chunks::<{ 2 * GA8_CHUNK }>();
-    for (d, s) in chunks.iter_mut().zip(words) {
-        let sw: [u16; GA8_CHUNK] =
-            std::array::from_fn(|k| u16::from_le_bytes([s[2 * k], s[2 * k + 1]]));
-        let dw: [u16; GA8_CHUNK] = std::array::from_fn(|k| word(&d[k]));
+    for (d, s) in chunks.iter_mut().zip(src) {
+        let sw = load(s);
+        let dw: [u16; GA8_CHUNK] = std::array::from_fn(|k| ga8_word(&d[k]));
         let mut out = [0u16; GA8_CHUNK];
         let (mut chunk_blank, mut chunk_opaque) = (0u16, 0u16);
         for k in 0..GA8_CHUNK {
@@ -142,8 +153,8 @@ fn ga8_span<const FRONT: bool>(dst: &mut [GrayAlpha8], src: &[u8]) -> OverStats 
         blank += chunk_blank as usize;
         opaque += chunk_opaque as usize;
     }
-    for (px, s) in tail.iter_mut().zip(tail_src.chunks_exact(2)) {
-        let (out, b, o) = ga8_lane::<FRONT>(u16::from_le_bytes([s[0], s[1]]), word(px));
+    for (px, s) in tail.iter_mut().zip(src_tail) {
+        let (out, b, o) = ga8_lane::<FRONT>(s, ga8_word(px));
         [px.v, px.a] = out.to_le_bytes();
         blank += b as usize;
         opaque += o as usize;
@@ -155,19 +166,41 @@ fn ga8_span<const FRONT: bool>(dst: &mut [GrayAlpha8], src: &[u8]) -> OverStats 
     }
 }
 
-/// Span-structured driver shared by the two merges: leading blank pixels
-/// are skipped sixteen bytes per test via [`zero_prefix`], then the
-/// non-blank span — everything up to the start of the next all-zero
-/// 16-byte group, found by one `u128` test per eight pixels — is handed to
-/// the branch-free span body in a single call. Sparse content is mostly
-/// skipped by the words; dense content costs the span body plus one word
-/// test per group.
-#[inline]
-fn ga8_over_spans(
+/// [`ga8_span`] over a wire stream, two bytes per pixel:
+/// `src.len() == dst.len() * 2` is the caller's contract.
+#[inline(always)]
+fn ga8_span_bytes<const FRONT: bool>(dst: &mut [GrayAlpha8], src: &[u8]) -> OverStats {
+    let (words, tail) = src.as_chunks::<{ 2 * GA8_CHUNK }>();
+    let tail = tail
+        .chunks_exact(2)
+        .map(|s| u16::from_le_bytes([s[0], s[1]]));
+    ga8_span::<FRONT, _>(dst, words, tail, |s| {
+        std::array::from_fn(|k| u16::from_le_bytes([s[2 * k], s[2 * k + 1]]))
+    })
+}
+
+/// [`ga8_span`] over an in-memory pixel slice, the merge of two pixel
+/// slices (`src.len() == dst.len()` is the caller's contract). No blank
+/// skip in front of it: the span body merges a blank pixel as the identity
+/// at the same speed.
+pub(crate) fn ga8_over_pixels<const FRONT: bool>(
     dst: &mut [GrayAlpha8],
-    src: &[u8],
-    span: fn(&mut [GrayAlpha8], &[u8]) -> OverStats,
+    src: &[GrayAlpha8],
 ) -> OverStats {
+    let (words, tail) = src.as_chunks::<GA8_CHUNK>();
+    ga8_span::<FRONT, _>(dst, words, tail.iter().map(ga8_word), |s| {
+        std::array::from_fn(|k| ga8_word(&s[k]))
+    })
+}
+
+/// The fused merge of a `GrayAlpha8` wire stream, front or back: leading
+/// blank pixels are skipped sixteen bytes per test via [`zero_prefix`],
+/// then the non-blank span — everything up to the start of the next
+/// all-zero 16-byte group, found by one `u128` test per eight pixels — is
+/// handed to the branch-free span body in a single call. Sparse content is
+/// mostly skipped by the words; dense content costs the span body plus one
+/// word test per group.
+pub(crate) fn ga8_over_bytes<const FRONT: bool>(dst: &mut [GrayAlpha8], src: &[u8]) -> OverStats {
     let mut stats = OverStats::default();
     let n = dst.len();
     let mut i = 0;
@@ -190,20 +223,10 @@ fn ga8_over_spans(
             Some(k) => i + 1 + GA8_LANES * k,
             None => n,
         };
-        stats += span(&mut dst[i..j], &src[2 * i..2 * j]);
+        stats += ga8_span_bytes::<FRONT>(&mut dst[i..j], &src[2 * i..2 * j]);
         i = j;
     }
     stats
-}
-
-/// Fused front merge of a `GrayAlpha8` wire stream (see [`ga8_over_spans`]).
-pub(crate) fn ga8_over_front(dst: &mut [GrayAlpha8], src: &[u8]) -> OverStats {
-    ga8_over_spans(dst, src, ga8_span::<true>)
-}
-
-/// Fused back merge of a `GrayAlpha8` wire stream.
-pub(crate) fn ga8_over_back(dst: &mut [GrayAlpha8], src: &[u8]) -> OverStats {
-    ga8_over_spans(dst, src, ga8_span::<false>)
 }
 
 #[cfg(test)]
@@ -213,18 +236,18 @@ mod tests {
     use proptest::prelude::*;
 
     /// Every merge the 8-bit `over` can be asked for, through both fused
-    /// merges, against [`GrayAlpha8::over`] and the counter definitions.
-    /// The front pixel is `(x, y)` and the back one `(z, x + z mod 256)`
-    /// for all 2²⁴ triples, so the value channel sees every
-    /// (front alpha, front value, back value) triple, the alpha channel
-    /// every alpha pair, and the back merge's stream every pixel behind
-    /// every destination alpha. Each run of 2¹⁶ merges is cut into pieces
-    /// of 1 to 47 pixels, so lanes fall in whole chunks and in the tail at
-    /// every offset. The only rt-imaging or rt-compress test that fails
-    /// when the back merge's `opaque` tests the stream's alpha instead of
-    /// its word (`s >> 8 != 0` for `s != 0`): that counts a blank-alpha,
-    /// non-zero stream pixel behind an opaque destination, which a random
-    /// pixel is once in 2¹⁶ tries.
+    /// merges of both entries — the wire stream and the pixel slice —
+    /// against [`GrayAlpha8::over`] and the counter definitions. The front
+    /// pixel is `(x, y)` and the back one `(z, x + z mod 256)` for all 2²⁴
+    /// triples, so the value channel sees every (front alpha, front value,
+    /// back value) triple, the alpha channel every alpha pair, and the back
+    /// merge's source every pixel behind every destination alpha. Each run
+    /// of 2¹⁶ merges is cut into pieces of 1 to 47 pixels, so lanes fall in
+    /// whole chunks and in the tail at every offset. The only rt-imaging or
+    /// rt-compress test that fails when the back merge's `opaque` tests the
+    /// stream's alpha instead of its word (`s >> 8 != 0` for `s != 0`):
+    /// that counts a blank-alpha, non-zero stream pixel behind an opaque
+    /// destination, which a random pixel is once in 2¹⁶ tries.
     #[test]
     fn over_kernel_equivalence() {
         // Two threads, one per parity of the front alpha.
@@ -245,8 +268,8 @@ mod tests {
             })
             .unzip();
         let want: Vec<GrayAlpha8> = front.iter().zip(&back).map(|(f, b)| f.over(b)).collect();
-        for dir_front in [true, false] {
-            let (stream, mut dst) = if dir_front {
+        for (dir_front, wire) in [(true, true), (false, true), (true, false), (false, false)] {
+            let (source, mut dst) = if dir_front {
                 (&front, back.clone())
             } else {
                 (&back, front.clone())
@@ -254,7 +277,7 @@ mod tests {
             // Running counts of the definitions: `sums[k]` covers pixels
             // `..k` as (blank, opaque).
             let mut sums = vec![(0, 0); n + 1];
-            for (k, (s, d)) in stream.iter().zip(&dst).enumerate() {
+            for (k, (s, d)) in source.iter().zip(&dst).enumerate() {
                 let opaque = if dir_front {
                     s.a == 255
                 } else {
@@ -263,15 +286,16 @@ mod tests {
                 let (b, o) = sums[k];
                 sums[k + 1] = (b + s.is_blank() as usize, o + opaque as usize);
             }
-            let bytes = crate::pixel::pixels_to_bytes(stream);
+            let bytes = crate::pixel::pixels_to_bytes(source);
             let (mut at, mut len) = (0, 1);
             while at < n {
                 let end = (at + len).min(n);
-                let (d, s) = (&mut dst[at..end], &bytes[2 * at..2 * end]);
-                let got = if dir_front {
-                    ga8_over_front(d, s)
-                } else {
-                    ga8_over_back(d, s)
+                let d = &mut dst[at..end];
+                let got = match (dir_front, wire) {
+                    (true, true) => ga8_over_bytes::<true>(d, &bytes[2 * at..2 * end]),
+                    (false, true) => ga8_over_bytes::<false>(d, &bytes[2 * at..2 * end]),
+                    (true, false) => GrayAlpha8::over_front_slice(d, &source[at..end]).unwrap(),
+                    (false, false) => GrayAlpha8::over_back_slice(d, &source[at..end]).unwrap(),
                 };
                 let blank = sums[end].0 - sums[at].0;
                 let want_stats = OverStats {
@@ -281,13 +305,13 @@ mod tests {
                 };
                 assert_eq!(
                     got, want_stats,
-                    "y {y}, front {dir_front}, pixels {at}..{end}"
+                    "y {y}, front {dir_front}, wire {wire}, pixels {at}..{end}"
                 );
                 (at, len) = (end, len % 47 + 1);
             }
             if let Some(k) = (0..n).find(|&k| dst[k] != want[k]) {
                 panic!(
-                    "front {dir_front}: {:?} over {:?} gave {:?}, want {:?}",
+                    "front {dir_front}, wire {wire}: {:?} over {:?} gave {:?}, want {:?}",
                     front[k], back[k], dst[k], want[k]
                 );
             }

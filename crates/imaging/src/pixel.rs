@@ -25,9 +25,10 @@
 use crate::kernels::{self, mul255};
 use crate::ImagingError;
 
-/// Statistics returned by the byte-level composition kernels
-/// ([`Pixel::over_front_bytes`] / [`Pixel::over_back_bytes`] and the codec
-/// `decode_over` kernels built on them).
+/// Statistics returned by the composition kernels
+/// ([`Pixel::over_front_bytes`] / [`Pixel::over_back_bytes`], the codec
+/// `decode_over` kernels built on them, and the slice merges
+/// [`Pixel::over_front_slice`] / [`Pixel::over_back_slice`]).
 ///
 /// Every source pixel is either *blank* (the identity of `over`, counted in
 /// [`OverStats::blank_skipped`]) or *non-blank* (counted in
@@ -65,15 +66,6 @@ pub struct OverStats {
 }
 
 impl OverStats {
-    /// Stats for a single non-blank merge with no fast path.
-    #[inline]
-    pub fn one_non_blank() -> Self {
-        Self {
-            non_blank: 1,
-            ..Self::default()
-        }
-    }
-
     /// Total source pixels walked: `non_blank + blank_skipped`.
     #[inline]
     pub fn source_pixels(&self) -> usize {
@@ -159,42 +151,60 @@ pub trait Pixel: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// the same `non_blank` / `blank_skipped` counts; only
     /// [`OverStats::opaque_fast`] may differ.
     fn over_front_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
-        over_decoded_bytes("Pixel::over_front_bytes", dst, src, |s, d| s.over(d))
+        let want = dst.len() * Self::BYTES;
+        check_len("Pixel::over_front_bytes", want, src.len())?;
+        let stream = src.chunks_exact(Self::BYTES).map(Self::read_bytes);
+        over_each(dst, stream, |s, d| s.over(d))
     }
 
     /// Composite a wire-format pixel stream **behind** `dst`, in place
     /// (`dst[i] = dst[i] over src[i]`), returning [`OverStats`] over the
     /// source pixels. Same contract as [`Pixel::over_front_bytes`].
     fn over_back_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
-        over_decoded_bytes("Pixel::over_back_bytes", dst, src, |s, d| d.over(s))
+        let want = dst.len() * Self::BYTES;
+        check_len("Pixel::over_back_bytes", want, src.len())?;
+        let stream = src.chunks_exact(Self::BYTES).map(Self::read_bytes);
+        over_each(dst, stream, |s, d| d.over(s))
+    }
+
+    /// The one merge of two in-memory pixel slices: `src` (exactly
+    /// `dst.len()` pixels) **in front of** `dst`. Same contract as
+    /// [`Pixel::over_front_bytes`]; [`GrayAlpha8`] overrides the per-pixel
+    /// default with its byte kernels' branch-free span body.
+    fn over_front_slice(dst: &mut [Self], src: &[Self]) -> Result<OverStats, ImagingError> {
+        check_len("Pixel::over_front_slice", dst.len(), src.len())?;
+        over_each(dst, src.iter().cloned().map(Ok), |s, d| s.over(d))
+    }
+
+    /// [`Pixel::over_front_slice`] with `src` **behind** `dst`.
+    fn over_back_slice(dst: &mut [Self], src: &[Self]) -> Result<OverStats, ImagingError> {
+        check_len("Pixel::over_back_slice", dst.len(), src.len())?;
+        over_each(dst, src.iter().cloned().map(Ok), |s, d| d.over(s))
     }
 }
 
-/// The one length check of the byte kernels: `src` must hold exactly
-/// `dst.len()` wire pixels.
-fn check_wire_len<P: Pixel>(what: &'static str, dst: &[P], src: &[u8]) -> Result<(), ImagingError> {
-    if src.len() != dst.len() * P::BYTES {
-        return Err(ImagingError::ShapeMismatch {
+/// The one length check of the kernels: `got` source units for `want`.
+fn check_len(what: &'static str, want: usize, got: usize) -> Result<(), ImagingError> {
+    match want == got {
+        true => Ok(()),
+        false => Err(ImagingError::ShapeMismatch {
             what,
-            lhs: dst.len() * P::BYTES,
-            rhs: src.len(),
-        });
+            lhs: want,
+            rhs: got,
+        }),
     }
-    Ok(())
 }
 
-/// Decode-then-`over`, the reference semantics of the byte kernels:
-/// `merge(stream pixel, destination pixel)` replaces the destination.
-fn over_decoded_bytes<P: Pixel>(
-    what: &'static str,
+/// Pixel-by-pixel `over`, the reference semantics of every kernel:
+/// `merge(source pixel, destination pixel)` replaces the destination.
+fn over_each<P: Pixel>(
     dst: &mut [P],
-    src: &[u8],
+    src: impl Iterator<Item = Result<P, ImagingError>>,
     merge: impl Fn(&P, &P) -> P,
 ) -> Result<OverStats, ImagingError> {
-    check_wire_len(what, dst, src)?;
     let mut stats = OverStats::default();
-    for (d, chunk) in dst.iter_mut().zip(src.chunks_exact(P::BYTES)) {
-        let s = P::read_bytes(chunk)?;
+    for (d, s) in dst.iter_mut().zip(src) {
+        let s = s?;
         if !s.is_blank() {
             stats.non_blank += 1;
         } else {
@@ -474,13 +484,25 @@ impl Pixel for GrayAlpha8 {
     // without a branch (blank and opaque pixels need none: `mul255(255, x)
     // = x`, `mul255(0, x) = 0`); blank runs are scanned a word at a time.
     fn over_front_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
-        check_wire_len("Pixel::over_front_bytes", dst, src)?;
-        Ok(kernels::ga8_over_front(dst, src))
+        check_len("Pixel::over_front_bytes", dst.len() * 2, src.len())?;
+        Ok(kernels::ga8_over_bytes::<true>(dst, src))
     }
 
     fn over_back_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
-        check_wire_len("Pixel::over_back_bytes", dst, src)?;
-        Ok(kernels::ga8_over_back(dst, src))
+        check_len("Pixel::over_back_bytes", dst.len() * 2, src.len())?;
+        Ok(kernels::ga8_over_bytes::<false>(dst, src))
+    }
+
+    // The same span body over in-memory pixels, its words loaded from the
+    // pixel fields instead of the stream.
+    fn over_front_slice(dst: &mut [Self], src: &[Self]) -> Result<OverStats, ImagingError> {
+        check_len("Pixel::over_front_slice", dst.len(), src.len())?;
+        Ok(kernels::ga8_over_pixels::<true>(dst, src))
+    }
+
+    fn over_back_slice(dst: &mut [Self], src: &[Self]) -> Result<OverStats, ImagingError> {
+        check_len("Pixel::over_back_slice", dst.len(), src.len())?;
+        Ok(kernels::ga8_over_pixels::<false>(dst, src))
     }
 }
 
@@ -841,8 +863,10 @@ mod tests {
         let mut dst = vec![GrayAlpha8::blank(); 3];
         assert!(GrayAlpha8::over_front_bytes(&mut dst, &[0u8; 5]).is_err());
         assert!(GrayAlpha8::over_back_bytes(&mut dst, &[0u8; 8]).is_err());
+        assert!(GrayAlpha8::over_back_slice(&mut dst, &[GrayAlpha8::blank(); 2]).is_err());
         let mut dst = vec![Provenance::blank(); 2];
         assert!(Provenance::over_front_bytes(&mut dst, &[0u8; 7]).is_err());
+        assert!(Provenance::over_front_slice(&mut dst, &[Provenance::blank(); 3]).is_err());
     }
 
     #[test]

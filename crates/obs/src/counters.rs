@@ -122,31 +122,6 @@ impl Counters {
             self.add_wire_bytes(codec, *bytes);
         }
     }
-
-    /// The scalar fields as `(name, value)` pairs, for display and export.
-    pub fn scalar_fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("sends", self.sends),
-            ("retransmits", self.retransmits),
-            ("ack_timeouts", self.ack_timeouts),
-            ("checksum_rejects", self.checksum_rejects),
-            ("recvs", self.recvs),
-            ("bytes_sent", self.bytes_sent),
-            ("bytes_received", self.bytes_received),
-            ("pool_hits", self.pool_hits),
-            ("pool_misses", self.pool_misses),
-            ("blank_skipped", self.blank_skipped),
-            ("opaque_fast", self.opaque_fast),
-            ("non_blank_merged", self.non_blank_merged),
-            ("tiles_scanned", self.tiles_scanned),
-            ("tiles_blank", self.tiles_blank),
-            ("tiles_sent", self.tiles_sent),
-            ("tiles_recv", self.tiles_recv),
-            ("tiles_placed", self.tiles_placed),
-            ("tiles_approx", self.tiles_approx),
-            ("tiles_exact_fallback", self.tiles_exact_fallback),
-        ]
-    }
 }
 
 impl std::ops::AddAssign<Counters> for Counters {

@@ -1,0 +1,107 @@
+//! The tile path's allocation budget: a steady-state frame of tile
+//! ownership allocates per message, never per tile or per tile row. Its
+//! own test binary, because it installs a counting global allocator.
+
+use rotate_tiling::comm::FaultPlan;
+use rotate_tiling::core::exec::ComposeConfig;
+use rotate_tiling::core::method::Method;
+use rotate_tiling::core::{compose_plan, Machine, Scratch};
+use rotate_tiling::imaging::{GrayAlpha8, Image, Pixel};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting `alloc`, `alloc_zeroed` and `realloc`.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` obligations pass through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this wrapper with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through this wrapper with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Two ranks each hold a disc of content 40 pixels across, so each ships a
+/// few dozen of its tiles and most tiles of the 256 are blank.
+fn disc_partials(edge: usize) -> Vec<Image<GrayAlpha8>> {
+    [(70, 90), (150, 120)]
+        .into_iter()
+        .map(|(cx, cy): (usize, usize)| {
+            Image::from_fn(edge, edge, |x, y| {
+                let d2 = x.abs_diff(cx).pow(2) + y.abs_diff(cy).pow(2);
+                match d2 < 20 * 20 {
+                    true => GrayAlpha8::new((x + y) as u8 / 2, 200),
+                    false => GrayAlpha8::blank(),
+                }
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn a_steady_state_tile_frame_allocates_fewer_times_than_it_has_tiles() {
+    let (p, edge, frames) = (2, 256, 4);
+    let plan = Method::TileOwner {
+        tiles_x: 16,
+        tiles_y: 16,
+    }
+    .plan(p, edge, edge)
+    .unwrap();
+    let tiles = 16 * 16;
+    let partials = disc_partials(edge);
+    let config = ComposeConfig::default();
+    let machine = Machine::build(p, &config, FaultPlan::none(), None);
+    // Between the first and the last of a frame's four barriers every rank
+    // composes and does nothing else, so rank 0's reading of the global
+    // count across the middle two is the frame's allocations.
+    let sync = Barrier::new(p);
+    let (counts, _) = machine.run(|ctx| {
+        let mut scratch = Scratch::default();
+        let mut counts = Vec::with_capacity(frames);
+        for frame in 0..frames as u64 {
+            let local = partials[ctx.rank()].clone();
+            let config = config.with_frame(frame);
+            sync.wait();
+            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            sync.wait();
+            let out = compose_plan(ctx, &plan, local, &config, &mut scratch);
+            sync.wait();
+            counts.push(ALLOCATIONS.load(Ordering::SeqCst) - before);
+            sync.wait();
+            assert!(out.is_ok(), "frame {frame}: {out:?}");
+        }
+        counts
+    });
+    // The first frame fills the scratch buffers; the last is steady state.
+    let steady = *counts[0].last().unwrap();
+    eprintln!("allocations per frame: {:?}", counts[0]);
+    assert!(
+        steady < tiles,
+        "a steady-state TO(16x16) frame made {steady} allocations for {tiles} tiles"
+    );
+}
