@@ -150,6 +150,15 @@ stray=$(grep '^crates/core/src/schedule\.rs:' <<<"$core" \
 [ -z "$stray" ] || vocabulary_fail "schedule.rs, home of the symbolic Run::over, names a pixel type" "$stray"
 stray=$(awk '/^impl TileGrid \{/,/^\}/' crates/core/src/tile.rs | grep -F 'Vec<Span>' || true)
 [ -z "$stray" ] || vocabulary_fail "TileGrid returns a Vec<Span> again" "$stray"
+# TRLE encodes in two passes through one run packer: the codec classifies
+# and writes its message straight from the pixels, with no staged wire copy
+# of the span, and rt-compress builds a TRLE code in one place.
+compress=$(grep '^crates/compress/src/' <<<"$code" || true)
+stray=$(grep '^crates/compress/src/trle\.rs:' <<<"$compress" | grep -F 'pixels_to_bytes' || true)
+[ -z "$stray" ] || vocabulary_fail "the TRLE encoder stages the span through pixels_to_bytes" "$stray"
+sites=$(grep -F '<< 4) |' <<<"$compress" || true)
+[ "$(grep -c . <<<"$sites")" -eq 1 ] \
+    || vocabulary_fail "rt-compress must build a TRLE code in exactly one place" "$sites"
 
 echo "== build (release) =="
 cargo build --release --workspace
@@ -245,6 +254,17 @@ echo "== over kernel equivalence =="
 # word, or when the slice entry loads a pixel's alpha as its value). The
 # workspace stage above runs it in debug.
 cargo test -q --release -p rt-imaging kernel_equivalence
+
+echo "== trle encode equivalence =="
+# The TRLE encoder (two passes: the word-wise classifier and its blank and
+# all-non-blank run skips, then one exact write) against the per-pixel
+# oracle kept in trle.rs's test module, byte for byte, in release: every
+# two-tile `GrayAlpha8` sequence over the four byte classes, cut to partial
+# tails and repeated into runs of 15–33 tiles, every template pair across
+# the classifier's block boundary and the raw-fallback threshold
+# (`trle_encode_equivalence` — the only test that fails when the classifier
+# reads only the alpha byte). The workspace stage above runs it in debug.
+cargo test -q --release -p rt-compress --lib trle_encode_equivalence
 
 echo "== envelope checksum =="
 # The delivery envelope's checksum (word-wise FNV-1a in eight lanes) in

@@ -10,7 +10,7 @@
 //! Wire format: `[lead: u32 LE][content_len: u32 LE][raw content pixels]`.
 
 use crate::codec::{Codec, CodecError, Encoded};
-use rt_imaging::pixel::{pixels_from_bytes, pixels_to_bytes, Pixel};
+use rt_imaging::pixel::{pixels_from_bytes, Pixel};
 
 /// Bounding-interval codec.
 #[derive(Debug, Clone, Copy, Default)]
@@ -35,7 +35,7 @@ impl<P: Pixel> Codec<P> for BoundsCodec {
         let mut bytes = Vec::with_capacity(8 + content.len() * P::BYTES);
         bytes.extend_from_slice(&(lead as u32).to_le_bytes());
         bytes.extend_from_slice(&(content.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&pixels_to_bytes(content));
+        P::extend_wire_bytes(content, &mut bytes);
         Encoded { bytes, raw_bytes }
     }
 

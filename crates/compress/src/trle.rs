@@ -18,11 +18,13 @@
 //!
 //! Wire format: `[mode][n_codes: u32 LE][codes][non-blank pixel bytes]`,
 //! with a raw-fallback mode so the codec never expands beyond one byte of
-//! header.
+//! header. The encoder makes two passes: it classifies tiles straight into
+//! the code stream while counting non-blank pixels, then writes the message
+//! once at its exact length.
 
 use crate::codec::{over_raw_body, Codec, CodecError, Encoded, OverDir};
-use rt_imaging::kernels::nonzero_byte_mask;
-use rt_imaging::pixel::{pixels_from_bytes, pixels_to_bytes, OverStats, Pixel};
+use rt_imaging::kernels::{nonzero_byte_mask, zero_prefix};
+use rt_imaging::pixel::{pixels_from_bytes, OverStats, Pixel};
 
 const MODE_RAW: u8 = 0;
 const MODE_TRLE: u8 = 1;
@@ -33,6 +35,10 @@ pub const TILE: usize = 4;
 
 /// Maximum tiles one code can cover (4-bit run nibble).
 pub const MAX_RUN: usize = 16;
+
+/// Tiles per block of wire bytes the byte-level classifier reads (2 KiB of
+/// 2-byte pixels, one buffer reused for the whole span).
+const BLOCK_TILES: usize = 256;
 
 /// The paper's TRLE codec.
 #[derive(Debug, Clone, Copy, Default)]
@@ -53,31 +59,78 @@ pub fn tile_template<P: Pixel>(pixels: &[P]) -> u8 {
     t
 }
 
-/// Encode the template masks of `pixels` into TRLE codes.
-pub fn encode_codes<P: Pixel>(pixels: &[P]) -> Vec<u8> {
-    codes_from_templates(pixels.chunks(TILE).map(tile_template::<P>))
+/// The one TRLE run packer: tiles go in as runs of one template — a
+/// single tile, or a whole blank or all-non-blank stretch at once — and
+/// come out as codes of at most [`MAX_RUN`] tiles each. Every TRLE encoder
+/// (flat and 2-D) packs through it.
+#[derive(Debug, Default)]
+pub(crate) struct RunPacker {
+    codes: Vec<u8>,
+    template: u8,
+    /// Tiles in the open run; 0 before the first tile.
+    run: usize,
 }
 
-/// Run-encode an explicit template sequence into TRLE codes — the same
-/// packing as [`encode_codes`], for callers that already classified tiles.
-pub fn codes_from_templates(templates: impl IntoIterator<Item = u8>) -> Vec<u8> {
-    let mut codes = Vec::new();
-    let mut tiles = templates.into_iter();
-    let Some(mut current) = tiles.next() else {
-        return codes;
-    };
-    let mut run = 1usize;
-    for t in tiles {
-        if t == current && run < MAX_RUN {
-            run += 1;
-        } else {
-            codes.push((((run - 1) as u8) << 4) | current);
-            current = t;
-            run = 1;
+impl RunPacker {
+    /// A packer for `tiles` tiles: at most one code each, so the code
+    /// stream is allocated once.
+    pub(crate) fn for_tiles(tiles: usize) -> Self {
+        Self {
+            codes: Vec::with_capacity(tiles),
+            ..Self::default()
         }
     }
-    codes.push((((run - 1) as u8) << 4) | current);
-    codes
+
+    /// Append `k ≥ 1` tiles of template `t`: an open run of another
+    /// template is closed first, then the run is filled and split into
+    /// codes of [`MAX_RUN`] tiles.
+    #[inline]
+    pub(crate) fn push(&mut self, t: u8, k: usize) {
+        if t != self.template {
+            self.close();
+            self.template = t;
+            self.run = 0;
+        }
+        let mut run = self.run + k;
+        while run > MAX_RUN {
+            self.run = MAX_RUN;
+            self.close();
+            run -= MAX_RUN;
+        }
+        self.run = run;
+    }
+
+    fn close(&mut self) {
+        if self.run > 0 {
+            self.codes
+                .push((((self.run - 1) as u8) << 4) | self.template);
+        }
+    }
+
+    /// The code stream, with the open run closed.
+    pub(crate) fn finish(mut self) -> Vec<u8> {
+        self.close();
+        self.codes
+    }
+}
+
+/// Encode the template masks of `pixels` into TRLE codes.
+pub fn encode_codes<P: Pixel>(pixels: &[P]) -> Vec<u8> {
+    classify_pixels(pixels).0
+}
+
+/// Classify tile by tile through `is_blank` ([`tile_template`]): the code
+/// stream and the number of non-blank pixels. The only classifier valid
+/// for pixel types whose blankness is not the all-zero byte pattern.
+fn classify_pixels<P: Pixel>(pixels: &[P]) -> (Vec<u8>, usize) {
+    let mut packer = RunPacker::for_tiles(pixels.len().div_ceil(TILE));
+    let mut non_blank = 0;
+    for tile in pixels.chunks(TILE) {
+        let t = tile_template(tile);
+        non_blank += t.count_ones() as usize;
+        packer.push(t, 1);
+    }
+    (packer.finish(), non_blank)
 }
 
 /// Maps the [`nonzero_byte_mask`] of a `u64` holding four 2-byte pixels to
@@ -102,22 +155,46 @@ const PAIR_TEMPLATE: [u8; 256] = {
     table
 };
 
-/// Classify every tile of a wire-byte stream of 2-byte pixels into
-/// templates by byte inspection alone: a word load + movemask + table
-/// lookup per tile (the partial last tile zero-padded, so its missing
-/// pixels read as blank). Requires [`Pixel::BLANK_IS_ZERO_BYTES`].
-fn templates_from_bytes(raw: &[u8]) -> Vec<u8> {
-    let template =
-        |tile: [u8; 8]| PAIR_TEMPLATE[nonzero_byte_mask(u64::from_le_bytes(tile)) as usize];
-    let (tiles, tail) = raw.as_chunks::<8>();
-    let mut out = Vec::with_capacity(tiles.len() + 1);
-    out.extend(tiles.iter().map(|t| template(*t)));
-    if !tail.is_empty() {
-        let mut padded = [0u8; 8];
-        padded[..tail.len()].copy_from_slice(tail);
-        out.push(template(padded));
+/// True iff every 2-byte pixel of the tile word `w` has a non-zero byte:
+/// `x − 1` borrows into the top bit of a 16-bit lane `x` only if `x = 0`.
+#[inline]
+fn all_pairs_non_zero(w: u64) -> bool {
+    w.wrapping_sub(0x0001_0001_0001_0001) & !w & 0x8000_8000_8000_8000 == 0
+}
+
+/// [`classify_pixels`] by byte inspection, for 2-byte pixels with
+/// [`Pixel::BLANK_IS_ZERO_BYTES`]: the span is serialized [`BLOCK_TILES`]
+/// tiles at a time into one reused buffer (the partial last tile
+/// zero-padded, so its missing pixels read as blank). A blank stretch is
+/// found with [`zero_prefix`] and a stretch of all-non-blank tiles with one
+/// word test per tile, and each is packed in one step; a mixed tile is a
+/// movemask and a [`PAIR_TEMPLATE`] lookup.
+fn classify_wire<P: Pixel>(pixels: &[P]) -> (Vec<u8>, usize) {
+    let mut packer = RunPacker::for_tiles(pixels.len().div_ceil(TILE));
+    let mut non_blank = 0;
+    let mut block = Vec::with_capacity(BLOCK_TILES * TILE * P::BYTES);
+    for chunk in pixels.chunks(BLOCK_TILES * TILE) {
+        block.clear();
+        P::extend_wire_bytes(chunk, &mut block);
+        block.resize(block.len().next_multiple_of(8), 0);
+        let tiles = block.as_chunks::<8>().0;
+        let full = |tile: &&[u8; 8]| all_pairs_non_zero(u64::from_le_bytes(**tile));
+        let mut i = 0;
+        while let Some(&tile) = tiles.get(i) {
+            let word = u64::from_le_bytes(tile);
+            let (t, k) = if word == 0 {
+                (0, zero_prefix(tiles[i..].as_flattened()) / 8)
+            } else if all_pairs_non_zero(word) {
+                (0x0F, tiles[i..].iter().take_while(full).count())
+            } else {
+                (PAIR_TEMPLATE[nonzero_byte_mask(word) as usize], 1)
+            };
+            non_blank += t.count_ones() as usize * k;
+            packer.push(t, k);
+            i += k;
+        }
     }
-    out
+    (packer.finish(), non_blank)
 }
 
 /// Expand TRLE codes back into per-tile templates.
@@ -129,76 +206,6 @@ pub fn decode_codes(codes: &[u8]) -> Vec<u8> {
         tiles.extend(std::iter::repeat_n(template, run));
     }
     tiles
-}
-
-/// Per-pixel TRLE encoder: `is_blank` classification and per-pixel payload
-/// writes — the only classifier valid for pixel types whose blankness is
-/// not the all-zero byte pattern.
-fn trle_encode_scalar<P: Pixel>(pixels: &[P]) -> Encoded {
-    let codes = encode_codes(pixels);
-    let mut payload = Vec::new();
-    for p in pixels {
-        if !p.is_blank() {
-            p.write_bytes(&mut payload);
-        }
-    }
-    let raw = || pixels_to_bytes(pixels);
-    assemble_trle(pixels.len() * P::BYTES, raw, codes, payload)
-}
-
-/// Word-wise TRLE encoder for 2-byte pixels: serialize once, classify tiles
-/// from the wire bytes ([`templates_from_bytes`]), then build the payload
-/// with bulk slice copies — skipping blank tiles outright and copying full
-/// tiles as one 8-byte word. Wire output is byte-identical to
-/// [`trle_encode_scalar`] because [`Pixel::BLANK_IS_ZERO_BYTES`] makes the
-/// byte-level classification agree with `is_blank` exactly.
-fn trle_encode_wide<P: Pixel>(pixels: &[P]) -> Encoded {
-    let raw = pixels_to_bytes(pixels);
-    let templates = templates_from_bytes(&raw);
-    let codes = codes_from_templates(templates.iter().copied());
-    let mut payload = Vec::new();
-    let ship = |payload: &mut Vec<u8>, tile: &[u8], t: u8| {
-        for (j, px) in tile.chunks_exact(2).enumerate() {
-            if t & (1 << j) != 0 {
-                payload.extend_from_slice(px);
-            }
-        }
-    };
-    let (tiles, tail) = raw.as_chunks::<8>();
-    for (tile, &t) in tiles.iter().zip(&templates) {
-        match t {
-            0 => {}
-            0x0F => payload.extend_from_slice(tile),
-            _ => ship(&mut payload, tile, t),
-        }
-    }
-    if let Some(&t) = templates.get(tiles.len()) {
-        ship(&mut payload, tail, t);
-    }
-    assemble_trle(raw.len(), || raw, codes, payload)
-}
-
-/// Shared tail of the encoders: pick TRLE or the raw fallback, whose bytes
-/// `raw` serializes (or hands over, if the encoder already has them).
-fn assemble_trle(
-    raw_bytes: usize,
-    raw: impl FnOnce() -> Vec<u8>,
-    codes: Vec<u8>,
-    payload: Vec<u8>,
-) -> Encoded {
-    let trle_len = 1 + 4 + codes.len() + payload.len();
-    if trle_len > raw_bytes {
-        let mut bytes = Vec::with_capacity(raw_bytes + 1);
-        bytes.push(MODE_RAW);
-        bytes.extend_from_slice(&raw());
-        return Encoded { bytes, raw_bytes };
-    }
-    let mut bytes = Vec::with_capacity(trle_len);
-    bytes.push(MODE_TRLE);
-    bytes.extend_from_slice(&(codes.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&codes);
-    bytes.extend_from_slice(&payload);
-    Encoded { bytes, raw_bytes }
 }
 
 /// Split a `MODE_TRLE` body into `(codes, payload)`. `n_codes` is the
@@ -228,15 +235,48 @@ impl<P: Pixel> Codec<P> for TrleCodec {
         "trle"
     }
 
+    /// Pass 1 classifies (the word-wise classifier reads wire bytes, four
+    /// 2-byte pixels at a time, so it is only valid when blankness is
+    /// exactly the all-zero byte pattern of such a pixel); pass 2 picks
+    /// TRLE or the raw fallback from the exact sizes and writes the message
+    /// once, skipping blank runs, copying each all-non-blank run in one
+    /// bulk store and mixed tiles pixel by pixel.
     fn encode(&self, pixels: &[P]) -> Encoded {
-        // The word-wise classifier reads wire bytes, four 2-byte pixels at
-        // a time, so it is only valid when blankness is exactly the
-        // all-zero byte pattern of such a pixel.
-        if P::BLANK_IS_ZERO_BYTES && P::BYTES == 2 {
-            trle_encode_wide(pixels)
+        let (codes, non_blank) = if P::BLANK_IS_ZERO_BYTES && P::BYTES == 2 {
+            classify_wire(pixels)
         } else {
-            trle_encode_scalar(pixels)
+            classify_pixels(pixels)
+        };
+        let raw_bytes = pixels.len() * P::BYTES;
+        let trle_len = 1 + 4 + codes.len() + non_blank * P::BYTES;
+        if trle_len > raw_bytes {
+            let mut bytes = Vec::with_capacity(raw_bytes + 1);
+            bytes.push(MODE_RAW);
+            P::extend_wire_bytes(pixels, &mut bytes);
+            return Encoded { bytes, raw_bytes };
         }
+        let mut bytes = Vec::with_capacity(trle_len);
+        bytes.push(MODE_TRLE);
+        bytes.extend_from_slice(&(codes.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&codes);
+        let mut base = 0;
+        for &code in &codes {
+            let template = code & 0x0F;
+            let end = (base + ((code >> 4) as usize + 1) * TILE).min(pixels.len());
+            match template {
+                0 => {}
+                0x0F => P::extend_wire_bytes(&pixels[base..end], &mut bytes),
+                _ => {
+                    for (j, p) in pixels[base..end].iter().enumerate() {
+                        if template & (1 << (j % TILE)) != 0 {
+                            p.write_bytes(&mut bytes);
+                        }
+                    }
+                }
+            }
+            base = end;
+        }
+        Encoded { bytes, raw_bytes }
     }
 
     fn decode(&self, data: &[u8], n_pixels: usize) -> Result<Vec<P>, CodecError> {
@@ -432,7 +472,30 @@ mod tests {
     use super::*;
     use crate::rle::RleCodec;
     use proptest::prelude::*;
-    use rt_imaging::pixel::GrayAlpha8;
+    use rt_imaging::pixel::{pixels_to_bytes, GrayAlpha8};
+
+    /// The per-pixel oracle the codec's encoder is held to byte for byte:
+    /// [`encode_codes`], the non-blank pixels one `write_bytes` each, and
+    /// the raw fallback whenever that would be longer than the raw stream.
+    fn trle_encode_scalar<P: Pixel>(pixels: &[P]) -> Encoded {
+        let codes = encode_codes(pixels);
+        let mut payload = Vec::new();
+        for p in pixels.iter().filter(|p| !p.is_blank()) {
+            p.write_bytes(&mut payload);
+        }
+        let raw_bytes = pixels.len() * P::BYTES;
+        let mut bytes = Vec::new();
+        if 1 + 4 + codes.len() + payload.len() > raw_bytes {
+            bytes.push(MODE_RAW);
+            bytes.extend(pixels_to_bytes(pixels));
+        } else {
+            bytes.push(MODE_TRLE);
+            bytes.extend((codes.len() as u32).to_le_bytes());
+            bytes.extend(codes);
+            bytes.extend(payload);
+        }
+        Encoded { bytes, raw_bytes }
+    }
 
     fn blank() -> GrayAlpha8 {
         GrayAlpha8::blank()
@@ -630,6 +693,94 @@ mod tests {
         assert_eq!(dec, pixels);
     }
 
+    /// The codec's encoder against [`trle_encode_scalar`], byte for byte:
+    /// every two-tile sequence over the four byte classes of a `GrayAlpha8`
+    /// (`00`, `v` only, `a` only, both: 4⁸ inputs), each also cut to a
+    /// partial tail of 1–3 pixels (and decoded back, since the oracle packs
+    /// through the same [`RunPacker`]) and each with its tiles repeated
+    /// into runs of 15, 16, 17, 32 and 33; every template pair across the
+    /// classifier's block boundary; and the lengths at which TRLE is as
+    /// long as the raw stream, and one byte longer. Of rt-compress's tests
+    /// it is the only one a classifier reading only the alpha byte fails.
+    /// A packer that lets a run reach 17 tiles or does not close the open
+    /// run, and a blank skip that rounds a partly blank tile up to a blank
+    /// one, fail it and other tests alike.
+    #[test]
+    fn trle_encode_equivalence() {
+        let class = |c: usize, i: usize| {
+            let x = (i % 255) as u8 + 1;
+            match c & 3 {
+                0 => GrayAlpha8::blank(),
+                1 => GrayAlpha8::new(x, 0),
+                2 => GrayAlpha8::new(0, x),
+                _ => GrayAlpha8::new(x, x | 0x80),
+            }
+        };
+        let check = |pixels: &[GrayAlpha8]| {
+            let enc = Codec::<GrayAlpha8>::encode(&TrleCodec, pixels);
+            let want = trle_encode_scalar(pixels);
+            assert!(enc == want, "{pixels:?}: {enc:?} != {want:?}");
+            enc
+        };
+        let mut pixels = Vec::new();
+        for bits in 0..1usize << 16 {
+            let pair: Vec<_> = (0..2 * TILE).map(|i| class(bits >> (2 * i), i)).collect();
+            for len in TILE + 1..=2 * TILE {
+                let enc = check(&pair[..len]);
+                let dec = Codec::<GrayAlpha8>::decode(&TrleCodec, &enc.bytes, len);
+                assert_eq!(dec.as_deref(), Ok(&pair[..len]));
+            }
+            for run in [15, 16, 17, 32, 33] {
+                pixels.clear();
+                for tile in pair.chunks(TILE) {
+                    for _ in 0..run {
+                        pixels.extend_from_slice(tile);
+                    }
+                }
+                check(&pixels);
+            }
+        }
+        // Template pairs (a tile of template `a`, then one of `b`) ending
+        // on either side of the block boundary, after blank tiles or tiles
+        // of template `a`, then with 1–3 more pixels (`b`'s first pixel).
+        let tile = |t: usize| (0..TILE).map(move |j| class(if t >> j & 1 == 1 { 3 } else { 0 }, j));
+        for a in 0..16 {
+            for b in 0..16 {
+                for filler in [0, a] {
+                    for tiles in BLOCK_TILES - 1..=BLOCK_TILES + 1 {
+                        pixels.clear();
+                        pixels.extend((0..tiles - 2).flat_map(|_| tile(filler)));
+                        pixels.extend(tile(a).chain(tile(b)));
+                        check(&pixels);
+                        for _ in 1..TILE {
+                            pixels.extend(tile(b).take(1));
+                            check(&pixels);
+                        }
+                    }
+                }
+            }
+        }
+        // `blank` blank pixels, then `dense` non-blank ones: the oracle's
+        // TRLE length minus the raw length hits 0 (TRLE is kept) and 1
+        // (the raw fallback is taken).
+        let mut margins = [0; 2];
+        for blank in 0..12 {
+            for dense in 0..200 {
+                pixels.clear();
+                pixels.extend((0..blank).map(|_| GrayAlpha8::blank()));
+                pixels.extend((0..dense).map(|i| class(3, i)));
+                check(&pixels);
+                let trle = 1 + 4 + encode_codes(&pixels).len() + 2 * dense;
+                if let Some(hit) = trle.checked_sub(2 * pixels.len()) {
+                    if hit < 2 {
+                        margins[hit] += 1;
+                    }
+                }
+            }
+        }
+        assert!(margins.iter().all(|&m| m > 0), "{margins:?}");
+    }
+
     prop_compose! {
         fn arb_pixels()(spec in proptest::collection::vec((any::<bool>(), any::<u8>(), 1u8..=255), 0..600)) -> Vec<GrayAlpha8> {
             spec.into_iter()
@@ -654,7 +805,7 @@ mod tests {
 
         #[test]
         fn wide_encode_is_byte_identical(pixels in arb_pixels()) {
-            prop_assert_eq!(trle_encode_scalar(&pixels), trle_encode_wide(&pixels));
+            prop_assert_eq!(trle_encode_scalar(&pixels), Codec::<GrayAlpha8>::encode(&TrleCodec, &pixels));
         }
 
         #[test]

@@ -22,7 +22,7 @@
 //! the two.
 
 use crate::codec::{CodecError, Encoded};
-use crate::trle::MAX_RUN;
+use crate::trle::RunPacker;
 use rt_imaging::pixel::Pixel;
 use rt_imaging::Image;
 
@@ -50,25 +50,11 @@ pub fn encode_image<P: Pixel>(img: &Image<P>) -> Encoded {
     let raw_bytes = img.len() * P::BYTES;
     let (tw, th) = tile_coords(img.width(), img.height());
 
-    let mut codes: Vec<u8> = Vec::new();
+    let mut packer = RunPacker::for_tiles(tw * th);
     let mut payload: Vec<u8> = Vec::new();
-    let mut current: Option<u8> = None;
-    let mut run = 0usize;
     for ty in 0..th {
         for tx in 0..tw {
-            let t = tile_template(img, tx, ty);
-            match current {
-                Some(c) if c == t && run < MAX_RUN => run += 1,
-                Some(c) => {
-                    codes.push((((run - 1) as u8) << 4) | c);
-                    current = Some(t);
-                    run = 1;
-                }
-                None => {
-                    current = Some(t);
-                    run = 1;
-                }
-            }
+            packer.push(tile_template(img, tx, ty), 1);
             for (dx, dy) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
                 let (x, y) = (2 * tx + dx, 2 * ty + dy);
                 if x < img.width() && y < img.height() {
@@ -80,9 +66,7 @@ pub fn encode_image<P: Pixel>(img: &Image<P>) -> Encoded {
             }
         }
     }
-    if let Some(c) = current {
-        codes.push((((run - 1) as u8) << 4) | c);
-    }
+    let codes = packer.finish();
 
     let mut bytes = Vec::with_capacity(4 + codes.len() + payload.len());
     bytes.extend_from_slice(&(codes.len() as u32).to_le_bytes());
