@@ -424,4 +424,13 @@ echo "== benchmark byte identity =="
 # no trajectory line has measured (stdlib-only script).
 python3 tools/smoke_identity.py benchmark/out/smoke.json
 
+echo "== paired benchmark smoke =="
+# tools/pairs.py, the paired parent/change comparison every performance
+# claim goes through (stdlib only), on its smallest setting: HEAD against
+# the working tree, one pair of one-second `pipeline_serial` runs, each side
+# built offline from `git archive` (equal trees share one build). Checks the
+# tool builds, runs and reports; the numbers are no evidence.
+python3 tools/pairs.py HEAD --smoke > target/pairs_smoke.txt
+grep -q '^pipeline_serial  *frame_ms_p50 ' target/pairs_smoke.txt
+
 echo "CI gate passed."

@@ -41,6 +41,7 @@ use crate::transport::{InProc, RecvRawError, Transport, WireFrame};
 use crate::ComputeKind;
 use rt_obs::{Counters, Observer, Phase, Recorder};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -927,6 +928,24 @@ impl RankCtx {
     }
 }
 
+/// Threads started so far by [`Multicomputer::run_on`] and by the harnesses
+/// that count theirs with [`note_thread_spawns`].
+static THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
+
+/// How many threads this process has started to run ranks: one per rank of
+/// every [`Multicomputer::run_on`], plus what the harnesses that keep their
+/// own threads (rt-pvr's session) noted with [`note_thread_spawns`]. The
+/// tally a resident session holds flat from its second frame on.
+pub fn threads_spawned() -> u64 {
+    THREADS_SPAWNED.load(Ordering::Relaxed)
+}
+
+/// Add `n` spawns to [`threads_spawned`]: a harness that starts threads of
+/// its own calls this at each spawn site.
+pub fn note_thread_spawns(n: u64) {
+    THREADS_SPAWNED.fetch_add(n, Ordering::Relaxed);
+}
+
 /// A simulated distributed-memory machine of `size` ranks.
 pub struct Multicomputer {
     size: usize,
@@ -1037,6 +1056,7 @@ impl Multicomputer {
         let mut results = Vec::with_capacity(p);
         let mut trace = Trace::default();
         let mut panics: Vec<(usize, String)> = Vec::new();
+        note_thread_spawns(p as u64);
         std::thread::scope(|scope| {
             let handles: Vec<_> = ctxs
                 .iter_mut()

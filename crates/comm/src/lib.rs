@@ -65,7 +65,10 @@ pub mod tag;
 pub mod trace;
 pub mod transport;
 
-pub use comm::{CommError, FaultPlan, Multicomputer, Payload, RankCtx, RankOptions};
+pub use comm::{
+    note_thread_spawns, threads_spawned, CommError, FaultPlan, Multicomputer, Payload, RankCtx,
+    RankOptions,
+};
 pub use cost::{ComputeKind, CostModel};
 pub use mark::Mark;
 pub use replay::{

@@ -30,7 +30,9 @@ use crate::display::{span_cell_segments, DisplayWall};
 use crate::repair::{agree_on_failures, repair, DegradedInfo};
 use crate::schedule::{MergeDir, Schedule};
 use crate::CoreError;
-use rt_comm::{tag, CommError, ComputeKind, FaultPlan, Mark, Multicomputer, RankCtx, Trace};
+use rt_comm::{
+    tag, CommError, ComputeKind, FaultPlan, InProc, Mark, Multicomputer, RankCtx, Trace, Transport,
+};
 use rt_compress::{Codec, CodecKind, OverDir};
 use rt_imaging::pixel::{OverStats, Pixel};
 use rt_imaging::{Image, Span};
@@ -229,6 +231,22 @@ impl Machine {
                 })
             }
         }
+    }
+
+    /// One transport per rank on this machine's backend, for a harness that
+    /// runs its own rank threads and builds each run's [`RankCtx`] over
+    /// them (rt-pvr's resident session). The machine's fault plan and
+    /// observer stay with it: such a harness installs its own per run.
+    pub fn mesh(&self) -> Result<Vec<Box<dyn Transport>>, rt_net::NetError> {
+        fn boxed<X: Transport + 'static>(mesh: Vec<X>) -> Vec<Box<dyn Transport>> {
+            mesh.into_iter()
+                .map(|x| Box::new(x) as Box<dyn Transport>)
+                .collect()
+        }
+        Ok(match self {
+            Machine::InProc(mc) => boxed(InProc::mesh(mc.size())),
+            Machine::Tcp(mc) => boxed(mc.mesh()?),
+        })
     }
 
     /// Run `f` on every rank concurrently; returns the per-rank results

@@ -7,6 +7,7 @@
 //! observer wiring — only the transport underneath differs. Fully
 //! separate OS processes go through [`crate::process`] instead.
 
+use crate::error::NetError;
 use crate::link::TcpOptions;
 use crate::tcp::TcpTransport;
 use crate::topology::Topology;
@@ -86,6 +87,15 @@ impl TcpMulticomputer {
         self.ranks.size()
     }
 
+    /// A freshly dialed loopback mesh of this machine's topology, its link
+    /// deadlines scaled to the receive timeout: the transports
+    /// [`TcpMulticomputer::run`] launches its ranks over, for a harness that
+    /// runs rank threads of its own.
+    pub fn mesh(&self) -> Result<Vec<TcpTransport>, NetError> {
+        let link = TcpOptions::scaled_to(self.ranks.timeout());
+        TcpTransport::loopback_topology(self.size(), &self.topology, link)
+    }
+
     /// Run `f` on every rank concurrently; returns the per-rank results
     /// and the merged event trace: [`rt_comm::Multicomputer::run_on`] over
     /// a freshly dialed loopback mesh.
@@ -102,8 +112,8 @@ impl TcpMulticomputer {
         F: Fn(&mut RankCtx) -> T + Send + Sync,
     {
         let p = self.size();
-        let link = TcpOptions::scaled_to(self.ranks.timeout());
-        let mesh = TcpTransport::loopback_topology(p, &self.topology, link)
+        let mesh = self
+            .mesh()
             .unwrap_or_else(|e| panic!("loopback mesh of {p} ranks failed: {e}"));
         self.ranks.run_on(mesh, f)
     }

@@ -22,7 +22,8 @@
 //! * [`stream::StreamSession`] — an orbit of such frames on one live
 //!   machine, each rank rendering ahead while it composes.
 //!
-//! A frame is a stream of one: both run the same per-rank body.
+//! A frame is a run of one plan: both hand their plans to the same parked
+//! ranks, which run the same per-rank body.
 
 #![warn(missing_docs)]
 #![cfg_attr(
@@ -33,6 +34,7 @@
 pub mod permute;
 pub mod pipeline;
 pub mod scene;
+mod session;
 pub mod stream;
 
 pub use pipeline::{render_frame, render_frame_pooled, FrameRun, PipelineConfig, PipelineOutput};
@@ -41,6 +43,15 @@ pub use stream::{
     orbit_cameras, FrameStats, OrbitConfig, StreamClient, StreamConfig, StreamFrame, StreamHandle,
     StreamSession,
 };
+
+/// Threads this process has started to run frames: rt-comm's tally (rank
+/// launchers, and the ranks, renderers and warp helpers of this crate's
+/// sessions) plus rt-render's (the scoped splits of its parallel loops).
+/// A pooled serial frame after the pool's first, and an orbit after a
+/// session's first, leave it where it was.
+pub fn threads_spawned() -> u64 {
+    rt_comm::threads_spawned() + rt_render::threads::spawned()
+}
 
 /// Errors from the end-to-end pipeline.
 #[derive(Debug, Clone, PartialEq)]

@@ -7,20 +7,24 @@
 //! finishes with the 2-D warp — the complete system of the paper.
 //!
 //! This module is the host side of a frame (`FramePlanner` → `FramePlan`).
-//! A frame is a stream of one: [`FrameRun`] plans its camera and runs that
-//! one plan through [`crate::stream`]'s machine, window 1, so every rank's
-//! frame body is written once, there.
+//! [`FrameRun`] plans its camera and hands that one plan, window 1, to the
+//! ranks an orbit runs on, so every rank's frame body is written once, in
+//! [`crate::stream`].
 //!
-//! The half of a plan no camera changes — the generated volume, its slabs
-//! along each principal axis a view has needed and each slab's
-//! classification (`Partitioned`) — is session state: it rides in the
-//! carried slot of the [`ScratchPool`] the caller passes
-//! ([`FrameRun::pool`], [`crate::StreamSession`]'s own), is reused while
-//! `(dataset, volume_size, seed, p)` holds and replaced when that changes.
-//! A frame without a pool plans into a throwaway one.
+//! Two things no camera changes are session state, carried in the slot of
+//! the [`ScratchPool`] the caller passes ([`FrameRun::pool`],
+//! [`crate::StreamSession`]'s own): the half of a plan that is the
+//! generated volume, its slabs along each principal axis a view has needed
+//! and each slab's classification (`Partitioned`), reused while `(dataset,
+//! volume_size, seed, p)` holds and replaced when that changes; and the
+//! resident machine — rank threads, render threads and warp helpers parked
+//! between frames, so a pooled frame after the first starts no thread. A
+//! frame without a pool plans into a throwaway one, whose machine lives for
+//! the call.
 
 use crate::permute::permute_plan;
-use crate::stream::{stream_plans, StreamConfig};
+use crate::session::{Call, Session};
+use crate::stream::StreamConfig;
 use crate::PvrError;
 use rt_comm::{FaultPlan, Trace};
 use rt_compress::CodecKind;
@@ -34,7 +38,7 @@ use rt_render::datasets::Dataset;
 use rt_render::partition::{depth_order, partition_1d};
 use rt_render::shearwarp::{PreparedSlab, RenderOptions};
 use rt_render::volume::Volume;
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Configuration of one pipeline run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,22 +112,22 @@ pub(crate) struct FramePlan {
 /// The view-independent half of a frame — the paper's stage 1, done once:
 /// the generated volume and, per principal axis, its cut into `p` slabs,
 /// each slab classified ahead of its views. An axis is cut the first time a
-/// view along it is planned, and never again. A [`ScratchPool`] carries one
-/// of these from frame to frame (its carried slot), so neither a serial
+/// view along it is planned, and never again. The session a [`ScratchPool`]
+/// carries holds one of these from frame to frame, so neither a serial
 /// animation loop nor the orbits of a stream session regenerate their
 /// dataset or re-cut an axis; a frame whose `(dataset, volume_size, seed,
 /// p)` differs builds its own and replaces it.
 pub(crate) struct Partitioned {
-    key: PartitionKey,
+    pub key: PartitionKey,
     volume: Volume,
     by_axis: [OnceLock<Arc<Vec<PreparedSlab>>>; 3],
 }
 
 /// What a partition is a function of: `(dataset, volume_size, seed, p)`.
-type PartitionKey = (Dataset, usize, u64, usize);
+pub(crate) type PartitionKey = (Dataset, usize, u64, usize);
 
 impl Partitioned {
-    fn new(key: PartitionKey) -> Self {
+    pub fn new(key: PartitionKey) -> Self {
         let (dataset, volume_size, seed, _) = key;
         Partitioned {
             key,
@@ -150,25 +154,24 @@ impl Partitioned {
 }
 
 /// The data-partitioning stage (host side): plans any number of views over
-/// the session's partition, the one `pool` carries for this configuration.
+/// the partition its session carries for this configuration.
 pub(crate) struct FramePlanner<'a> {
     key: PartitionKey,
     config: &'a PipelineConfig,
-    pool: &'a ScratchPool<GrayAlpha>,
+    session: Arc<Session>,
     /// This configuration's partition, once a plan has needed it.
-    session: Option<Arc<Partitioned>>,
+    partition: Option<Arc<Partitioned>>,
 }
 
 impl<'a> FramePlanner<'a> {
-    /// A planner that starts from what `pool` carries, if that is this
-    /// configuration's partition, and otherwise carries its own there.
-    pub fn new(p: usize, config: &'a PipelineConfig, pool: &'a ScratchPool<GrayAlpha>) -> Self {
-        let key = (config.dataset, config.volume_size, config.seed, p);
+    /// A planner over `session`'s partition for this configuration, which
+    /// the first plan takes over if the session carries another.
+    pub fn new(p: usize, config: &'a PipelineConfig, session: &Arc<Session>) -> Self {
         FramePlanner {
-            key,
+            key: (config.dataset, config.volume_size, config.seed, p),
             config,
-            pool,
-            session: pool.carried::<Partitioned>().filter(|c| c.key == key),
+            session: Arc::clone(session),
+            partition: None,
         }
     }
 
@@ -184,15 +187,8 @@ impl<'a> FramePlanner<'a> {
                 ),
             });
         }
-        let session = match &self.session {
-            Some(session) => Arc::clone(session),
-            None => {
-                let session = Arc::new(Partitioned::new(key));
-                self.pool.carry(Arc::clone(&session));
-                self.session = Some(Arc::clone(&session));
-                session
-            }
-        };
+        let session = &self.session;
+        let session = self.partition.get_or_insert_with(|| session.partition(key));
         // Rank r owns slab r along the view's principal axis. The
         // factorization is pure camera/geometry math — bit-identical to what
         // each rank's render derives internally — so no probe render of the
@@ -311,7 +307,10 @@ impl<'a> FrameRun<'a> {
     }
 
     /// Partition, render, composite and warp the frame: plan its one
-    /// camera, then stream that one plan, window 1, on this thread.
+    /// camera, then run that one plan, window 1, on the pool's machine.
+    // A rank's panic is the frame's bug, re-raised under its rank as a
+    // machine launching its ranks reports it.
+    #[allow(clippy::panic)]
     pub fn execute(self) -> Result<PipelineOutput, PvrError> {
         let FrameRun {
             p,
@@ -328,19 +327,27 @@ impl<'a> FrameRun<'a> {
                 &own_pool
             }
         };
-        let plan = FramePlanner::new(p, config, pool).plan(config.camera)?;
+        let session = Session::of(pool);
+        let plan = FramePlanner::new(p, config, &session).plan(config.camera)?;
+        let method_name = plan.method_name.clone();
         let stream = StreamConfig {
             window: 1,
             faults,
             transport,
             ..StreamConfig::new(*config)
         };
-        let (tx, rx) = mpsc::channel();
-        stream_plans(p, &stream, std::slice::from_ref(&plan), pool, &tx);
-        drop(tx);
-        let frame = rx
-            .recv()
-            .unwrap_or_else(|_| {
+        let mut call = Call::start(session, pool, p, stream, vec![plan])?;
+        let frame = call.next_frame();
+        let panics = call.finish(pool);
+        if !panics.is_empty() {
+            let report: Vec<_> = panics
+                .iter()
+                .map(|(r, m)| format!("rank {r}: {m}"))
+                .collect();
+            panic!("{} rank(s) panicked — {}", panics.len(), report.join("; "));
+        }
+        let frame = frame
+            .unwrap_or_else(|| {
                 Err(PvrError::Config {
                     what: "the stream emitted no frame".into(),
                 })
@@ -353,7 +360,7 @@ impl<'a> FrameRun<'a> {
             frame: frame.frame,
             trace: frame.trace,
             rank_of_depth: frame.stats.rank_of_depth,
-            method_name: plan.method_name,
+            method_name,
             degraded: frame.degraded,
         })
     }
@@ -365,6 +372,10 @@ mod tests {
     use rt_core::rotate::RtVariant;
     use rt_render::partition::Subvolume;
     use rt_render::shearwarp::render;
+
+    fn carried_partition(pool: &ScratchPool<GrayAlpha>) -> Option<Arc<Partitioned>> {
+        pool.carried::<Session>()?.carried_partition()
+    }
 
     fn reference_frame(config: &PipelineConfig) -> Image<GrayAlpha> {
         let volume = config.dataset.generate(config.volume_size, config.seed);
@@ -519,10 +530,7 @@ mod tests {
     fn a_pool_carries_one_partition_and_recuts_the_same_volume() {
         let mut config = PipelineConfig::small(Method::ParallelPipelined);
         let pool = ScratchPool::new();
-        let carried = || {
-            pool.carried::<Partitioned>()
-                .expect("a pooled frame carries")
-        };
+        let carried = || carried_partition(&pool).expect("a pooled frame carries");
         FrameRun::new(3, &config).pool(&pool).execute().unwrap();
         let first = carried();
         FrameRun::new(3, &config).pool(&pool).execute().unwrap();
@@ -550,7 +558,7 @@ mod tests {
             let out = FrameRun::new(3, &config).pool(&pool).execute().unwrap();
             let want = render_frame(3, &config).unwrap().frame;
             assert_eq!(out.frame, want, "frame {frame}");
-            let carried = pool.carried::<Partitioned>().unwrap();
+            let carried = carried_partition(&pool).unwrap();
             let session = session.get_or_insert_with(|| Arc::clone(&carried));
             assert!(Arc::ptr_eq(session, &carried), "frame {frame}: one record");
             for (axis, cut) in cuts.iter_mut().enumerate() {

@@ -17,6 +17,7 @@ use rt_render::camera::{factorize, Camera, Factorization};
 use rt_render::datasets::Dataset;
 use rt_render::partition::{depth_order, partition_1d};
 use rt_render::shearwarp::{render_intermediate, warp_to_screen, RenderOptions};
+use rt_render::threads;
 
 /// Pre-rendered composition inputs: `partials[d]` is the partial
 /// intermediate image at depth position `d` (0 = nearest the viewer).
@@ -83,14 +84,10 @@ pub fn prepare_scene(
     let order = depth_order(&parts, &f);
     let tf = dataset.transfer_function();
     // Slabs render independently — the embarrassingly parallel stage the
-    // multicomputer distributes; on the host we hand it to rayon.
-    let partials: Vec<_> = {
-        use rayon::prelude::*;
-        order
-            .par_iter()
-            .map(|&i| render_intermediate(&parts[i], &tf, camera, opts).0)
-            .collect()
-    };
+    // multicomputer distributes; on the host they go to worker threads.
+    let partials = threads::map(&order, |&i| {
+        render_intermediate(&parts[i], &tf, camera, opts).0
+    });
     Ok(Scene {
         partials,
         factorization: f,
@@ -119,14 +116,7 @@ pub fn prepare_scene_screen(
 ) -> Result<Scene, PvrError> {
     let scene = prepare_scene(p, dataset, volume_size, seed, camera, opts)?;
     let f = scene.factorization.clone();
-    let partials = {
-        use rayon::prelude::*;
-        scene
-            .partials
-            .par_iter()
-            .map(|inter| warp_to_screen(inter, &f, opts))
-            .collect()
-    };
+    let partials = threads::map(&scene.partials, |inter| warp_to_screen(inter, &f, opts));
     Ok(Scene {
         partials,
         factorization: f,

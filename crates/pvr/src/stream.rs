@@ -1,6 +1,7 @@
 //! Pipelined frame streaming: render frame `k+1` while frame `k`'s
-//! composition is in flight. This is every frame's one per-rank body: a
-//! [`crate::FrameRun`] is a stream of one, window 1.
+//! composition is in flight. `stream_rank` is every frame's one per-rank
+//! body: a [`crate::FrameRun`] is a run of one plan, window 1, on the same
+//! ranks an orbit runs on.
 //!
 //! The workload is an orbit ([`OrbitConfig`]): the views of a moving camera,
 //! the interactive-rendering scenario that motivates the paper (composition
@@ -11,10 +12,13 @@
 //! paper's Eq. 5/6 communication cost *after* each frame's render, so every
 //! rank idles through composition. A longer stream removes that stall:
 //!
-//! * **Per-rank render thread.** Each rank spawns a renderer that
-//!   shear-warps its subvolume for upcoming frames into fresh partials and
-//!   hands them over a bounded channel. While the rank's compose loop works
-//!   on frame `k`, the renderer is already producing frame `k+1`.
+//! * **Parked render thread per rank.** The session's machine keeps, beside
+//!   each rank's thread, a render thread that waits for the next run; given
+//!   one, it shear-warps the rank's subvolume for upcoming frames into fresh
+//!   partials and hands them over a bounded channel. While the rank's
+//!   compose loop works on frame `k`, the renderer is already producing
+//!   frame `k+1`. Nothing is spawned per orbit after the session's first
+//!   (see `session.rs` for the machine and when it is kept).
 //! * **Bounded in-flight window.** The hand-off channel holds at most
 //!   `window - 1` rendered frames (default window 2), so the renderer
 //!   stalls — backpressure — instead of ballooning memory when composition
@@ -24,18 +28,17 @@
 //!   ranks on *different* frames exchange concurrently without collision
 //!   and with no inter-frame barrier. Reliability (acks, retransmission),
 //!   chaos injection and observability work unchanged per frame. Frame 0's
-//!   namespace is the identity.
-//! * **Session-pooled scratch.** Compose scratch is checked out of a
-//!   session-lifetime [`ScratchPool`] keyed by rank. A rank composes one
-//!   frame at a time (render-ahead overlaps *rendering*, not compositing),
-//!   so one scratch set per rank serves every frame, and after the first
-//!   frame the pool hands out no fresh allocation. The same pool carries
-//!   the session's partition (generated volume, slabs, classification —
-//!   see [`crate::pipeline`]), so an orbit of the dataset the last one
-//!   showed starts without generating it.
-//! * **In-order emission.** A collector assembles the per-rank event
-//!   slices of each frame, in rank order, into a per-frame [`Trace`] and
-//!   emits [`StreamFrame`]s strictly in sequence.
+//!   namespace is the identity, and every call's frames number from 0.
+//! * **Session-pooled scratch.** Each rank runs an orbit with one compose
+//!   scratch set checked out of the session-lifetime [`ScratchPool`] keyed
+//!   by rank (a rank composes one frame at a time: render-ahead overlaps
+//!   *rendering*, not compositing), and after the first orbit the pool
+//!   hands out no fresh allocation. The same pool carries the session's
+//!   partition (generated volume, slabs, classification — see
+//!   [`crate::pipeline`]) and its machine.
+//! * **In-order emission.** The handle assembles the per-rank event slices
+//!   of each frame, in rank order, into a per-frame [`Trace`] and yields
+//!   [`StreamFrame`]s strictly in sequence, as the consumer asks for them.
 //!
 //! Failure semantics per frame follow the established trichotomy: a clean
 //! frame is byte-identical to the serial pipeline's; a frame degraded by a
@@ -48,18 +51,17 @@
 //! dead rank is consumed before the death marker, and the marker then
 //! fails the first frame the rank truly abandoned, fast.
 
-use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 
 use crate::pipeline::{FramePlan, FramePlanner, PipelineConfig};
+use crate::session::{Call, Crew, RenderJob, Report, Run, Session};
 use crate::PvrError;
 use rt_comm::{replay, ComputeKind, CostModel, FaultPlan, Mark, RankCtx, RankTrace, Trace};
-use rt_core::exec::{ComposeConfig, Machine, ScratchPool, TransportKind};
+use rt_core::exec::{Scratch, ScratchPool, TransportKind};
 use rt_core::repair::DegradedInfo;
 use rt_core::tile::compose_plan;
 use rt_imaging::{GrayAlpha, Image};
 use rt_render::camera::Camera;
-use rt_render::shearwarp::warp_to_screen;
 use serde::{Deserialize, Serialize};
 
 /// An orbit sweep specification.
@@ -180,6 +182,15 @@ impl StreamConfig {
         self.death_at_frame.push((rank, frame));
         self
     }
+
+    /// The first frame `rank` is scripted to be dead for, if any.
+    pub(crate) fn death_of(&self, rank: usize) -> Option<usize> {
+        self.death_at_frame
+            .iter()
+            .filter(|(r, _)| *r == rank)
+            .map(|(_, frame)| *frame)
+            .min()
+    }
 }
 
 /// One emitted frame of a stream, in sequence order.
@@ -215,12 +226,13 @@ impl StreamFrame {
 ///
 /// One session serves any number of clients ([`StreamSession::open`]);
 /// each client can run orbit streams, sequentially or concurrently. The
-/// shared pool means successive streams reuse the same compositing
-/// buffers and the same partitioned volume — concurrent streams stay
-/// correct (checkout removes a buffer from the pool, so nothing is shared
-/// mid-frame; a stream plans from its own handle on a partition, whoever
-/// replaces the pool's) and merely fall back to fresh allocations when
-/// they collide on a slot.
+/// shared pool carries the session's resident machine, compositing buffers
+/// and partitioned volume, so an orbit after the first starts no thread,
+/// allocates no scratch and generates nothing. Concurrent streams stay
+/// correct — checkout removes a buffer or the machine from the pool, so
+/// nothing is shared mid-frame, and a stream plans from its own handle on a
+/// partition, whoever replaces the pool's — and merely fall back to fresh
+/// allocations and a machine of their own when they collide.
 #[derive(Debug)]
 pub struct StreamSession {
     p: usize,
@@ -257,7 +269,7 @@ impl StreamSession {
 }
 
 /// A client of a [`StreamSession`]: runs orbit streams against the
-/// session's shared scratch pool.
+/// session's shared scratch pool and machine.
 #[derive(Debug, Clone)]
 pub struct StreamClient {
     p: usize,
@@ -265,24 +277,27 @@ pub struct StreamClient {
 }
 
 impl StreamClient {
-    /// Start streaming `orbit` under `config`; returns immediately with a
-    /// handle that yields frames in order as they complete.
+    /// Plan `orbit` under `config` and hand the plans to the session's
+    /// machine; returns a handle that yields frames in order as they
+    /// complete. A stream that cannot be planned yields its one error.
     pub fn stream_orbit(&self, config: &StreamConfig, orbit: &OrbitConfig) -> StreamHandle {
-        let (out_tx, out_rx) = mpsc::channel();
-        let p = self.p;
-        let pool = Arc::clone(&self.pool);
-        let config = config.clone();
-        let orbit = *orbit;
-        let join = std::thread::spawn(move || run_stream(p, &config, &orbit, &pool, &out_tx));
+        let started = plan_orbit(self.p, config, orbit, &self.pool).and_then(|(session, plans)| {
+            Call::start(session, &self.pool, self.p, config.clone(), plans)
+        });
+        let (call, refused) = match started {
+            Ok(call) => (Some(call), None),
+            Err(e) => (None, Some(e)),
+        };
         StreamHandle {
-            rx: out_rx,
-            join: Some(join),
+            pool: Arc::clone(&self.pool),
+            call,
+            refused,
         }
     }
 
     /// Stream `orbit` and collect every frame, failing on the first frame
-    /// error (the emitter stops the stream at a failed frame, so nothing
-    /// after it is produced).
+    /// error (the stream stops at a failed frame, so nothing after it is
+    /// produced).
     pub fn collect_orbit(
         &self,
         config: &StreamConfig,
@@ -292,34 +307,72 @@ impl StreamClient {
     }
 }
 
+/// Every frame of `orbit`, planned on the host from `pool`'s session.
+fn plan_orbit(
+    p: usize,
+    config: &StreamConfig,
+    orbit: &OrbitConfig,
+    pool: &ScratchPool<GrayAlpha>,
+) -> Result<(Arc<Session>, Vec<FramePlan>), PvrError> {
+    if orbit.frames == 0 {
+        return Err(PvrError::Config {
+            what: "a stream needs at least one frame".into(),
+        });
+    }
+    let session = Session::of(pool);
+    let mut planner = FramePlanner::new(p, &config.base, &session);
+    let plans = orbit_cameras(orbit)
+        .into_iter()
+        .map(|(_, camera)| planner.plan(camera))
+        .collect::<Result<_, _>>()?;
+    Ok((session, plans))
+}
+
 /// An in-flight stream: iterate to receive frames in sequence order.
 ///
 /// Dropping the handle early does not abort the machine — remaining frames
 /// are rendered and discarded; the drop blocks until the run finishes.
-#[derive(Debug)]
 pub struct StreamHandle {
-    rx: mpsc::Receiver<Result<StreamFrame, PvrError>>,
-    join: Option<std::thread::JoinHandle<()>>,
+    pool: Arc<ScratchPool<GrayAlpha>>,
+    call: Option<Call>,
+    refused: Option<PvrError>,
+}
+
+impl std::fmt::Debug for StreamHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StreamHandle")
+            .field("running", &self.call.is_some())
+            .field("refused", &self.refused)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Iterator for StreamHandle {
     type Item = Result<StreamFrame, PvrError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.rx.recv().ok()
+        if let Some(e) = self.refused.take() {
+            return Some(Err(e));
+        }
+        let call = self.call.as_mut()?;
+        let frame = call.next_frame();
+        if frame.is_none() {
+            call.finish(&self.pool);
+        }
+        frame
     }
 }
 
 impl Drop for StreamHandle {
     fn drop(&mut self) {
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
+        if let Some(call) = &mut self.call {
+            call.finish(&self.pool);
         }
     }
 }
 
 /// What one rank reports for one frame.
-enum FrameOutcome {
+pub(crate) enum FrameOutcome {
     /// The rank completed the frame's composition: the screen frame (on
     /// the frame-holding rank only) and the degradation report.
     Alive(Option<Image<GrayAlpha>>, Option<DegradedInfo>),
@@ -329,89 +382,36 @@ enum FrameOutcome {
     Failed(PvrError),
 }
 
-struct Contribution {
-    frame: usize,
-    rank: usize,
-    events: RankTrace,
-    outcome: FrameOutcome,
+/// One rank's part of one frame: its events and its outcome.
+pub(crate) struct Contribution {
+    pub frame: usize,
+    pub rank: usize,
+    pub events: RankTrace,
+    pub outcome: FrameOutcome,
 }
 
-/// Plan every frame of `orbit` on the host, then stream the plans.
-fn run_stream(
-    p: usize,
-    config: &StreamConfig,
-    orbit: &OrbitConfig,
-    pool: &ScratchPool<GrayAlpha>,
-    out: &mpsc::Sender<Result<StreamFrame, PvrError>>,
-) {
-    let plans: Result<Vec<_>, _> = if orbit.frames == 0 {
-        Err(PvrError::Config {
-            what: "a stream needs at least one frame".into(),
-        })
-    } else {
-        let mut planner = FramePlanner::new(p, &config.base, pool);
-        orbit_cameras(orbit)
-            .into_iter()
-            .map(|(_, camera)| planner.plan(camera))
-            .collect()
-    };
-    match plans {
-        Ok(plans) => stream_plans(p, config, &plans, pool, out),
-        Err(e) => {
-            let _ = out.send(Err(e));
-        }
-    }
-}
-
-/// Run `plans` on one machine of `p` ranks: every rank's [`stream_rank`]
-/// and the emitter, which sends each frame to `out` in order. A stream
-/// and a lone [`crate::FrameRun`] both end here.
-pub(crate) fn stream_plans(
-    p: usize,
-    config: &StreamConfig,
-    plans: &[FramePlan],
-    pool: &ScratchPool<GrayAlpha>,
-    out: &mpsc::Sender<Result<StreamFrame, PvrError>>,
-) {
-    let compose_cfg = config.base.compose_config(&config.faults, config.transport);
-    let machine = Machine::build(p, &compose_cfg, config.faults.clone(), None);
-    let (ctb_tx, ctb_rx) = mpsc::channel::<Contribution>();
-    std::thread::scope(|scope| {
-        let emitter = scope.spawn(move || emit_frames(p, plans, &ctb_rx, out));
-        machine.run(|ctx| {
-            stream_rank(ctx, config, plans, pool, &compose_cfg, &ctb_tx);
-        });
-        drop(ctb_tx);
-        let _ = emitter.join();
-    });
-}
-
-/// One rank's whole stream: a scoped render thread feeding a bounded
-/// channel, and a compose loop draining it frame by frame.
-fn stream_rank(
+/// One rank's part of a run: the rank's parked renderer feeds a bounded
+/// channel, and this compose loop drains it frame by frame.
+pub(crate) fn stream_rank(
     ctx: &mut RankCtx,
-    config: &StreamConfig,
-    plans: &[FramePlan],
-    pool: &ScratchPool<GrayAlpha>,
-    compose_cfg: &ComposeConfig,
-    ctb_tx: &mpsc::Sender<Contribution>,
+    run: &Arc<Run>,
+    scratch: &mut Scratch<GrayAlpha>,
+    renderer: &mpsc::Sender<RenderJob>,
+    crew: &Crew,
+    reports: &mpsc::Sender<Report>,
 ) {
+    let (config, plans) = (&run.config, &run.plans);
     let me = ctx.rank();
-    let my_death = config
-        .death_at_frame
-        .iter()
-        .filter(|(rank, _)| *rank == me)
-        .map(|(_, frame)| *frame)
-        .min();
+    let my_death = config.death_of(me);
     let report = |frame: usize, events: RankTrace, outcome: FrameOutcome| {
-        // A send failure means the emitter is gone; the rank keeps
+        // A send failure means the call is gone; the rank keeps
         // composing so its peers never deadlock waiting for it.
-        let _ = ctb_tx.send(Contribution {
+        let _ = reports.send(Report::Frame(Contribution {
             frame,
             rank: me,
             events,
             outcome,
-        });
+        }));
     };
     let report_dead = |frames: std::ops::Range<usize>| {
         for frame in frames {
@@ -419,134 +419,78 @@ fn stream_rank(
         }
     };
 
-    std::thread::scope(|scope| {
-        // Render pipeline: the channel buffers `window - 1` finished
-        // partials, so with the one the renderer is working on, at most
-        // `window` frames are in flight beyond the composing one.
-        let (part_tx, part_rx) =
-            mpsc::sync_channel::<(usize, Image<GrayAlpha>)>(config.window.saturating_sub(1));
-        let render = &config.base.render;
-        scope.spawn(move || {
-            for (k, plan) in plans.iter().enumerate() {
-                if my_death.is_some_and(|death| k >= death) {
-                    break;
-                }
-                let (partial, _) = plan.parts[me].render(&plan.camera, render);
-                if part_tx.send((k, partial)).is_err() {
-                    break; // compose loop stopped; backpressure doubles as shutdown
-                }
-            }
-        });
-
-        for (k, plan) in plans.iter().enumerate() {
-            if my_death == Some(k) {
-                // Die between frames: the notification rides the same FIFO
-                // channels as data, so peers consume every contribution of
-                // the frames this rank finished before seeing the death.
-                ctx.announce_death(0);
-                let _ = ctx.take_events();
-                report_dead(k..plans.len());
-                return;
-            }
-            let Ok((rendered, partial)) = part_rx.recv() else {
-                ctx.announce_death(0);
-                report(
-                    k,
-                    ctx.take_events(),
-                    FrameOutcome::Failed(PvrError::Config {
-                        what: format!("rank {me}: renderer stopped before frame {k}"),
-                    }),
-                );
-                return;
-            };
-            debug_assert_eq!(rendered, k, "renderer and compose loop out of step");
-            ctx.mark(Mark::FrameStart(k as u32));
-            ctx.mark(Mark::RenderStart);
-            ctx.compute(ComputeKind::Render, plan.parts[me].sub().vol.len() as u64);
-            ctx.mark(Mark::RenderEnd);
-            let frame_cfg = compose_cfg.with_frame(k as u64);
-            // The check-in precedes the next frame's checkout: one
-            // session-pooled scratch set per rank.
-            let mut scratch = pool.checkout(me);
-            let composed = compose_plan(ctx, &plan.compose, partial, &frame_cfg, &mut scratch);
-            pool.checkin(me, scratch);
-            match composed {
-                Ok(band) => {
-                    let crashed_self = band
-                        .degraded
-                        .as_ref()
-                        .is_some_and(|d| d.failed.iter().any(|&(rank, _)| rank == me));
-                    // The rank holding the composited intermediate image
-                    // warps it to the screen.
-                    let screen = band.frame.map(|inter| {
-                        ctx.compute(ComputeKind::Render, (render.width * render.height) as u64);
-                        let screen = warp_to_screen(&inter, &plan.f, render);
-                        ctx.mark(Mark::WarpEnd);
-                        screen
-                    });
-                    ctx.mark(Mark::FrameEnd(k as u32));
-                    let outcome = FrameOutcome::Alive(screen, band.degraded);
-                    report(k, ctx.take_events(), outcome);
-                    if crashed_self {
-                        // The fault plan crashed this rank mid-frame; it is
-                        // gone for the rest of the stream.
-                        report_dead(k + 1..plans.len());
-                        return;
-                    }
-                }
-                Err(e) => {
-                    // Abort the stream on this rank — and say so, so peers
-                    // blocked on recvs from us fail over their fast
-                    // dead-rank path instead of burning a full receive
-                    // deadline. The error cascades and the machine drains
-                    // promptly.
-                    ctx.announce_death(0);
-                    ctx.mark(Mark::FrameEnd(k as u32));
-                    let _ = ctx.take_events();
-                    report(k, RankTrace::new(), FrameOutcome::Failed(e.into()));
+    // Render pipeline: the channel buffers `window - 1` finished partials,
+    // so with the one the renderer is working on, at most `window` frames
+    // are in flight beyond the composing one. A renderer that is gone drops
+    // the sender with the job, which the loop reads as a stopped renderer.
+    let (partials, part_rx) =
+        mpsc::sync_channel::<(usize, Image<GrayAlpha>)>(config.window.saturating_sub(1));
+    let _ = renderer.send(RenderJob {
+        run: Arc::clone(run),
+        partials,
+    });
+    let render = &config.base.render;
+    for (k, plan) in plans.iter().enumerate() {
+        if my_death == Some(k) {
+            // Die between frames: the notification rides the same FIFO
+            // channels as data, so peers consume every contribution of
+            // the frames this rank finished before seeing the death.
+            ctx.announce_death(0);
+            let _ = ctx.take_events();
+            report_dead(k..plans.len());
+            return;
+        }
+        let Ok((rendered, partial)) = part_rx.recv() else {
+            ctx.announce_death(0);
+            report(
+                k,
+                ctx.take_events(),
+                FrameOutcome::Failed(PvrError::Config {
+                    what: format!("rank {me}: renderer stopped before frame {k}"),
+                }),
+            );
+            return;
+        };
+        debug_assert_eq!(rendered, k, "renderer and compose loop out of step");
+        ctx.mark(Mark::FrameStart(k as u32));
+        ctx.mark(Mark::RenderStart);
+        ctx.compute(ComputeKind::Render, plan.parts[me].sub().vol.len() as u64);
+        ctx.mark(Mark::RenderEnd);
+        let frame_cfg = run.compose.with_frame(k as u64);
+        match compose_plan(ctx, &plan.compose, partial, &frame_cfg, scratch) {
+            Ok(band) => {
+                let crashed_self = band
+                    .degraded
+                    .as_ref()
+                    .is_some_and(|d| d.failed.iter().any(|&(rank, _)| rank == me));
+                // The rank holding the composited intermediate image
+                // warps it to the screen, with the machine's warp helpers.
+                let screen = band.frame.map(|inter| {
+                    ctx.compute(ComputeKind::Render, (render.width * render.height) as u64);
+                    let screen = crew.warp(inter, &plan.f, render);
+                    ctx.mark(Mark::WarpEnd);
+                    screen
+                });
+                ctx.mark(Mark::FrameEnd(k as u32));
+                let outcome = FrameOutcome::Alive(screen, band.degraded);
+                report(k, ctx.take_events(), outcome);
+                if crashed_self {
+                    // The fault plan crashed this rank mid-frame; it is
+                    // gone for the rest of the stream.
+                    report_dead(k + 1..plans.len());
                     return;
                 }
             }
-        }
-    });
-}
-
-/// Collect contributions, assemble frames in order, emit. Stops the
-/// stream at the first failed frame.
-fn emit_frames(
-    p: usize,
-    plans: &[FramePlan],
-    ctb_rx: &mpsc::Receiver<Contribution>,
-    out: &mpsc::Sender<Result<StreamFrame, PvrError>>,
-) {
-    let mut pending: BTreeMap<usize, Vec<Contribution>> = BTreeMap::new();
-    for (index, plan) in plans.iter().enumerate() {
-        while pending.get(&index).map_or(0, Vec::len) < p {
-            let Ok(contribution) = ctb_rx.recv() else {
-                // Every rank finished without completing this frame.
-                let _ = out.send(Err(PvrError::Frame {
-                    index,
-                    source: Box::new(PvrError::Config {
-                        what: "stream ended before the frame was produced".into(),
-                    }),
-                }));
-                return;
-            };
-            pending
-                .entry(contribution.frame)
-                .or_default()
-                .push(contribution);
-        }
-        let contributions = pending.remove(&index).unwrap_or_default();
-        let rank_of_depth = plan.rank_of_depth.clone();
-        match assemble_frame(p, index, contributions, plan.camera.yaw, rank_of_depth) {
-            Ok(frame) => {
-                // A closed receiver means the consumer lost interest;
-                // keep draining so the ranks never block.
-                let _ = out.send(Ok(frame));
-            }
             Err(e) => {
-                let _ = out.send(Err(e));
+                // Abort the stream on this rank — and say so, so peers
+                // blocked on recvs from us fail over their fast
+                // dead-rank path instead of burning a full receive
+                // deadline. The error cascades and the machine drains
+                // promptly.
+                ctx.announce_death(0);
+                ctx.mark(Mark::FrameEnd(k as u32));
+                let _ = ctx.take_events();
+                report(k, RankTrace::new(), FrameOutcome::Failed(e.into()));
                 return;
             }
         }
@@ -559,7 +503,7 @@ fn emit_frames(
 /// if the root died, at the survivor the repair plan promoted — and the
 /// degraded report is that rank's (survivors compute identical reports; a
 /// crashed rank only knows about itself).
-fn assemble_frame(
+pub(crate) fn assemble_frame(
     p: usize,
     index: usize,
     mut contributions: Vec<Contribution>,

@@ -15,7 +15,8 @@
 //! * [`shearwarp`] — the slice-order renderer with early-ray termination
 //!   and the final 2-D warp;
 //! * [`partition`] — the 1-D slab and 2-D grid partitioning schemes of the
-//!   paper reference \[15\], with view-dependent depth ordering.
+//!   paper reference \[15\], with view-dependent depth ordering;
+//! * [`threads`] — the worker count and thread spawns of the parallel loops.
 
 #![warn(missing_docs)]
 #![cfg_attr(
@@ -31,6 +32,7 @@ pub mod partition;
 mod raycast;
 pub mod shearwarp;
 pub mod tf;
+pub mod threads;
 pub mod volume;
 
 pub use camera::{Camera, Factorization};

@@ -23,19 +23,21 @@
 //! by exactly one voxel. Every row of the slice reads that map instead of
 //! searching, and samples a band as one fixed-weight four-tap stencil over
 //! two voxel scanlines, rounding without a branch. The warp always splits
-//! its screen rows across threads. Their contract is **bit-identity** with
+//! its screen rows across threads, in bands ([`ScreenWarp`]). Their contract is **bit-identity** with
 //! the per-sample renderer kept in this module's tests, not a tolerance:
 //! the composition stage, the golden digests and every "frame equals the
 //! sequential render" check downstream compare `f32` bits (DESIGN.md §9,
 //! "Where the words go", has the argument).
 
 use crate::camera::{factorize, plane_of, Camera, Factorization};
+use crate::math::Affine2;
 use crate::partition::Subvolume;
 use crate::tf::TransferFunction;
-use rayon::prelude::*;
 use rt_imaging::{GrayAlpha, Image, Pixel};
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Rendering options.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -802,7 +804,25 @@ fn monotone_span(n: usize, holds: impl Fn(usize) -> bool) -> Range<usize> {
     }
 }
 
-/// Warp a composited intermediate image to the screen frame.
+/// Warp a composited intermediate image to the screen frame: one
+/// [`ScreenWarp`] of `inter`, worked on by [`crate::threads::on_workers`].
+pub fn warp_to_screen(
+    inter: &Image<GrayAlpha>,
+    f: &Factorization,
+    opts: &RenderOptions,
+) -> Image<GrayAlpha> {
+    let warp = ScreenWarp::new(inter, f, opts);
+    crate::threads::on_workers(warp.bands, || warp.work());
+    warp.take_screen()
+}
+
+/// Screen rows a [`ScreenWarp`] worker claims at a time.
+const WARP_BAND: usize = 8;
+
+/// One warp of an intermediate image to the screen, in bands of
+/// `WARP_BAND` (8) rows that any number of threads claim until none is left
+/// ([`ScreenWarp::work`]) — the scoped threads of [`warp_to_screen`] or
+/// threads a caller keeps parked. `I` is the image or a reference to it.
 ///
 /// Along one screen row the intermediate coordinates `(u, v)` of pixel `x`
 /// are monotone in `x` (each is a product by a constant plus constants,
@@ -815,37 +835,116 @@ fn monotone_span(n: usize, holds: impl Fn(usize) -> bool) -> Range<usize> {
 /// sub-span, reached by walking the edge pixels in from the span's ends.
 /// Outside the span the screen stays blank, inside the sub-span taps are
 /// read without range tests, and every pixel carries the bits of a
-/// per-pixel sampler that tests and skips each tap. Screen rows are
-/// disjoint outputs over an immutable source, so they go to worker
-/// threads, and the frame is the same.
-pub fn warp_to_screen(
-    inter: &Image<GrayAlpha>,
-    f: &Factorization,
-    opts: &RenderOptions,
-) -> Image<GrayAlpha> {
-    let mut screen = Image::blank(opts.width, opts.height);
-    // A rotation view's warp is singular only at scale zero, the auto-fit
-    // of a frame without area: there is no screen pixel to sample for.
-    let Some(inv) = f.warp.inverse() else {
-        return screen;
-    };
-    let (src, iw, ih) = (inter.pixels(), inter.width(), inter.height());
-    let (w, h) = (iw as i64, ih as i64);
-    // Each intermediate row's occupied columns `[lo, hi)`, `(w, 0)` if none.
-    // `is_blank` decides: `−0` is blank, a non-finite pixel is content.
-    let occupied: Vec<(i64, i64)> = (0..ih)
-        .map(|r| {
-            let row = &src[r * iw..][..iw];
-            let content = |p: &GrayAlpha| !p.is_blank();
-            let Some(lo) = row.iter().position(content) else {
-                return (w, 0);
-            };
-            let hi = row.iter().rposition(content).map_or(lo + 1, |x| x + 1);
-            (lo as i64, hi as i64)
-        })
-        .collect();
-    let rows = screen.pixels_mut().par_chunks_mut(opts.width.max(1));
-    rows.enumerate().for_each(|(y, row)| {
+/// per-pixel sampler that tests and skips each tap. A worker warps a band
+/// into a buffer of its own, then copies each row's span into the screen
+/// under one lock per band: rows are disjoint outputs over an immutable
+/// source, so the frame is the same whoever warps which band.
+pub struct ScreenWarp<I> {
+    inter: I,
+    /// Screen to intermediate coordinates; `None` for a singular view,
+    /// whose screen stays blank.
+    inv: Option<Affine2>,
+    /// Each intermediate row's occupied columns `[lo, hi)`, `(w, 0)` if none.
+    occupied: Vec<(i64, i64)>,
+    width: usize,
+    height: usize,
+    bands: usize,
+    next_band: AtomicUsize,
+    screen: Mutex<Image<GrayAlpha>>,
+}
+
+impl<I: Borrow<Image<GrayAlpha>>> ScreenWarp<I> {
+    /// Plan the warp of `inter` seen through `f` onto a blank
+    /// `opts.width × opts.height` screen.
+    pub fn new(inter: I, f: &Factorization, opts: &RenderOptions) -> Self {
+        // A rotation view's warp is singular only at scale zero, the auto-fit
+        // of a frame without area: there is no screen pixel to sample for.
+        let inv = f.warp.inverse();
+        let image = inter.borrow();
+        let (src, iw) = (image.pixels(), image.width());
+        // `is_blank` decides: `−0` is blank, a non-finite pixel is content.
+        let occupied = match inv {
+            None => Vec::new(),
+            Some(_) => (0..image.height())
+                .map(|r| {
+                    let row = &src[r * iw..][..iw];
+                    let content = |p: &GrayAlpha| !p.is_blank();
+                    let Some(lo) = row.iter().position(content) else {
+                        return (iw as i64, 0);
+                    };
+                    let hi = row.iter().rposition(content).map_or(lo + 1, |x| x + 1);
+                    (lo as i64, hi as i64)
+                })
+                .collect(),
+        };
+        let bands = match (inv, opts.width) {
+            (None, _) | (_, 0) => 0,
+            _ => opts.height.div_ceil(WARP_BAND),
+        };
+        ScreenWarp {
+            inter,
+            inv,
+            occupied,
+            width: opts.width,
+            height: opts.height,
+            bands,
+            next_band: AtomicUsize::new(0),
+            screen: Mutex::new(Image::blank(opts.width, opts.height)),
+        }
+    }
+
+    /// Warp bands until every band is claimed; returns when this thread's
+    /// last band is in the screen.
+    pub fn work(&self) {
+        let Some(inv) = &self.inv else {
+            return;
+        };
+        let width = self.width;
+        let mut buf: Vec<GrayAlpha> = Vec::new();
+        let mut spans: [Range<usize>; WARP_BAND] = Default::default();
+        loop {
+            let band = self.next_band.fetch_add(1, Ordering::Relaxed);
+            if band >= self.bands {
+                return;
+            }
+            if buf.is_empty() {
+                buf = vec![GrayAlpha::blank(); WARP_BAND * width];
+            }
+            let rows = band * WARP_BAND..((band + 1) * WARP_BAND).min(self.height);
+            let spans = &mut spans[..rows.len()];
+            for (y, (line, span)) in rows
+                .clone()
+                .zip(buf.chunks_exact_mut(width).zip(&mut *spans))
+            {
+                *span = self.row(inv, y, line);
+            }
+            {
+                let mut screen = self.screen.lock().unwrap_or_else(PoisonError::into_inner);
+                let out = screen.pixels_mut();
+                for (y, (line, span)) in rows.zip(buf.chunks_exact(width).zip(&*spans)) {
+                    out[y * width..][span.clone()].copy_from_slice(&line[span.clone()]);
+                }
+            }
+            for (line, span) in buf.chunks_exact_mut(width).zip(&*spans) {
+                line[span.clone()].fill(GrayAlpha::blank());
+            }
+        }
+    }
+
+    /// The screen, taken out once every worker's [`ScreenWarp::work`] has
+    /// returned (an empty image is left behind).
+    pub fn take_screen(&self) -> Image<GrayAlpha> {
+        let mut screen = self.screen.lock().unwrap_or_else(PoisonError::into_inner);
+        std::mem::replace(&mut *screen, Image::blank(0, 0))
+    }
+
+    /// Warp screen row `y` into `row`, blank on entry; returns the pixels
+    /// it wrote, the span outside which the row stays blank.
+    fn row(&self, inv: &Affine2, y: usize, row: &mut [GrayAlpha]) -> Range<usize> {
+        let image = self.inter.borrow();
+        let (src, iw, ih) = (image.pixels(), image.width(), image.height());
+        let (w, h) = (iw as i64, ih as i64);
+        let occupied = &self.occupied;
         // `Affine2::apply`, with its `y` products computed once per row;
         // `x` fits a `u32`, whose conversion is exact and cheap.
         let (bu, bv) = (inv.x[1] * y as f64, inv.y[1] * y as f64);
@@ -865,7 +964,7 @@ pub fn warp_to_screen(
         // Some tap on the image: `-1 ≤ ⌊u⌋ < w` and `-1 ≤ ⌊v⌋ < h`.
         let touch = intersect(within(0, -1, w), within(1, -1, h));
         if touch.is_empty() {
-            return;
+            return 0..0;
         }
         // It reads rows `⌊v⌋ ..= ⌊v⌋ + 1`, `⌊v⌋` between its ends' values;
         // some tap on a column they occupy: `lo - 1 ≤ ⌊u⌋ < hi`.
@@ -875,7 +974,7 @@ pub fn warp_to_screen(
             .iter()
             .fold((w, 0), |(lo, hi), &(l, r)| (lo.min(l), hi.max(r)));
         if lo >= hi {
-            return;
+            return 0..0;
         }
         let span = intersect(touch, within(0, lo - 1, hi));
         // All four taps on it: `0 ≤ ⌊u⌋ < w - 1` and `0 ≤ ⌊v⌋ < h - 1`.
@@ -920,8 +1019,8 @@ pub fn warp_to_screen(
             let p = [quad[0], quad[1], quad[iw], quad[iw + 1]];
             *out = bilinear((u - f64::from(u0)) as f32, (v - f64::from(v0)) as f32, p);
         }
-    });
-    screen
+        span
+    }
 }
 
 /// Render a subvolume straight to the screen: intermediate pass + warp.

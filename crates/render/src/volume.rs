@@ -1,7 +1,7 @@
 //! The [`Volume`] scalar field: 8-bit voxels with trilinear sampling.
 
 use crate::RenderError;
-use rayon::prelude::*;
+use std::sync::{Mutex, PoisonError};
 
 /// A regular 3-D grid of 8-bit scalars, stored x-fastest (index
 /// `x + nx·(y + ny·z)`).
@@ -34,15 +34,16 @@ impl Volume {
     ) -> Self {
         let mut data = vec![0; nx * ny * nz];
         if !data.is_empty() {
-            data.par_chunks_mut(nx * ny)
-                .enumerate()
-                .for_each(|(z, slice)| {
-                    for (y, row) in slice.chunks_mut(nx).enumerate() {
-                        for (x, voxel) in row.iter_mut().enumerate() {
-                            *voxel = f(x, y, z);
-                        }
+            let slices = Mutex::new(data.chunks_mut(nx * ny).enumerate());
+            crate::threads::on_workers(nz, || loop {
+                let claimed = slices.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some((z, slice)) = claimed else { break };
+                for (y, row) in slice.chunks_mut(nx).enumerate() {
+                    for (x, voxel) in row.iter_mut().enumerate() {
+                        *voxel = f(x, y, z);
                     }
-                });
+                }
+            });
         }
         Self { nx, ny, nz, data }
     }
