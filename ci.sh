@@ -150,6 +150,16 @@ stray=$(grep '^crates/core/src/schedule\.rs:' <<<"$core" \
 [ -z "$stray" ] || vocabulary_fail "schedule.rs, home of the symbolic Run::over, names a pixel type" "$stray"
 stray=$(awk '/^impl TileGrid \{/,/^\}/' crates/core/src/tile.rs | grep -F 'Vec<Span>' || true)
 [ -z "$stray" ] || vocabulary_fail "TileGrid returns a Vec<Span> again" "$stray"
+# One gather reads each owner's spans off its plan as it ships them: no
+# per-owner span lists, no segment list handed back through an
+# out-parameter, no ownership map on the compose output and no per-row
+# ownership list built by the tile executor.
+stray=$({ grep -F 'spans_of' <<<"$core"
+    grep '^crates/core/src/display\.rs:' <<<"$core" | grep -F '&mut Vec<(Span, usize)>'
+    grep '^crates/core/src/exec\.rs:' <<<"$core" | grep -E '\bpub owners\b'
+    grep '^crates/core/src/tile\.rs:' <<<"$core" | grep -F 'Vec<(Span, usize)>'
+} || true)
+[ -z "$stray" ] || vocabulary_fail "the gather builds ownership lists again" "$stray"
 # TRLE encodes in two passes through one run packer: the codec classifies
 # and writes its message straight from the pixels, with no staged wire copy
 # of the span, and rt-compress builds a TRLE code in one place.
@@ -414,6 +424,13 @@ echo "== benchmark smoke =="
 # frame verified, every declared metric present — is the end-to-end one.
 # Run unmodified; results land in benchmark/out/smoke.json.
 benchmark/smoke.sh
+
+echo "== trace gaps =="
+# Where the traced compose of the smoke suite's `compose_tiles_tcp` run spent
+# its time, rank by rank: frames, mean `core.compose_plan`, each phase's self
+# time and the gap no phase covers, per frame (stdlib-only script; it fails
+# unless every rank track of the trace has its row).
+python3 tools/trace_gaps.py benchmark/out/trace_compose_tiles_tcp.json | tee target/trace_gaps.txt
 
 echo "== benchmark byte identity =="
 # What the smoke suite computed must be what the trajectory recorded: every

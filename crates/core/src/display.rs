@@ -104,37 +104,42 @@ impl DisplayWall {
 }
 
 /// Intersect flat frame-space `spans` with a display cell: the row
-/// segments of the overlap, written to `out` (cleared first) as
-/// `(frame_span, cell_offset)` pairs where `cell_offset` is the segment's
-/// flat pixel position inside the cell's own `cell.width() ×
-/// cell.height()` framebuffer.
+/// segments of the overlap, as `(frame_span, cell_offset)` pairs where
+/// `cell_offset` is the segment's flat pixel position inside the cell's own
+/// `cell.width() × cell.height()` framebuffer, computed as they are read.
 ///
 /// Segments come out in span order, each span's in frame order, so sender
 /// and receiver serialize the overlap identically without negotiation.
-/// The rows of a full-width cell abut in the frame and in the cell, so a
-/// span meets it in one segment: the root's cell hands back the spans
-/// themselves.
-pub fn span_cell_segments(spans: &[Span], width: usize, cell: Rect, out: &mut Vec<(Span, usize)>) {
-    out.clear();
-    if cell.is_empty() || width == 0 {
-        return;
-    }
-    if cell.width() == width {
-        let strip = Span::new(cell.y0 * width, cell.area());
-        let segs = spans.iter().filter_map(|span| span.intersect(&strip));
-        out.extend(segs.map(|seg| (seg, seg.start - strip.start)));
-        return;
-    }
-    for span in spans.iter().filter(|span| !span.is_empty()) {
-        let y0 = (span.start / width).max(cell.y0);
-        let y1 = ((span.end() - 1) / width + 1).min(cell.y1);
-        for y in y0..y1 {
-            let row = Span::new(y * width + cell.x0, cell.width());
-            if let Some(seg) = span.intersect(&row) {
-                out.push((seg, (y - cell.y0) * cell.width() + (seg.start - row.start)));
-            }
-        }
-    }
+/// The rows of a full-width cell abut in the frame and in the cell, so
+/// such a cell is one strip that a span meets in one segment, cut without
+/// a division: the root's cell hands back the spans themselves.
+pub fn span_cell_segments(
+    spans: impl Iterator<Item = Span> + Clone,
+    width: usize,
+    cell: Rect,
+) -> impl Iterator<Item = (Span, usize)> + Clone {
+    let full = cell.width() == width && !cell.is_empty();
+    let strip = Span::new(cell.y0 * width, cell.area());
+    let whole = full.then(|| {
+        let segs = spans.clone().filter_map(move |span| span.intersect(&strip));
+        segs.map(move |seg| (seg, seg.start - strip.start))
+    });
+    let rows = (!full && !cell.is_empty()).then(|| {
+        spans.filter(|span| !span.is_empty()).flat_map(move |span| {
+            let y0 = (span.start / width).max(cell.y0);
+            let y1 = ((span.end() - 1) / width + 1).min(cell.y1);
+            (y0..y1).filter_map(move |y| {
+                let row = Span::new(y * width + cell.x0, cell.width());
+                let seg = span.intersect(&row)?;
+                Some((seg, (y - cell.y0) * cell.width() + (seg.start - row.start)))
+            })
+        })
+    });
+    // One of the two is empty; chaining them keeps one iterator type.
+    whole
+        .into_iter()
+        .flatten()
+        .chain(rows.into_iter().flatten())
 }
 
 #[cfg(test)]
@@ -180,8 +185,7 @@ mod tests {
         let w = 10;
         let cell = Rect::new(3, 1, 8, 3); // rows 1..3, cols 3..8
         let span = Span::new(7, 20); // pixels 7..27 → rows 0,1,2
-        let mut segs = Vec::new();
-        span_cell_segments(&[span], w, cell, &mut segs);
+        let segs: Vec<_> = span_cell_segments([span].into_iter(), w, cell).collect();
         // Row 1: frame 13..18; row 2: frame 23..27 (span ends at 27).
         assert_eq!(segs, vec![(Span::new(13, 5), 0), (Span::new(23, 4), 5),]);
         // Local offsets address a 5-wide, 2-tall cell buffer.
@@ -197,11 +201,7 @@ mod tests {
         let root = DisplayWall::root(3);
         assert_eq!((root.count(), root.rank_of(0)), (1, 3));
         let frame = root.cell_rect(0, 10, 4);
-        let segs = |cell| {
-            let mut out = Vec::new();
-            span_cell_segments(&[span], 10, cell, &mut out);
-            out
-        };
+        let segs = |cell| span_cell_segments([span].into_iter(), 10, cell).collect::<Vec<_>>();
         assert_eq!(segs(frame), vec![(span, 7)]);
         let top = DisplayWall::new(1, 2).cell_rect(0, 10, 4);
         assert_eq!(segs(top), vec![(Span::new(7, 13), 7)]);
@@ -211,12 +211,37 @@ mod tests {
 
     #[test]
     fn disjoint_span_and_cell_yield_nothing() {
-        let mut segs = vec![(Span::new(1, 1), 0)];
-        span_cell_segments(&[Span::new(0, 10)], 10, Rect::new(0, 5, 10, 6), &mut segs);
-        assert!(segs.is_empty());
-        span_cell_segments(&[Span::new(0, 0)], 10, Rect::new(0, 0, 10, 10), &mut segs);
-        assert!(segs.is_empty());
-        span_cell_segments(&[Span::new(0, 0)], 10, Rect::new(0, 0, 5, 10), &mut segs);
-        assert!(segs.is_empty());
+        let segs = |span, cell| span_cell_segments([span].into_iter(), 10, cell).count();
+        assert_eq!(segs(Span::new(0, 10), Rect::new(0, 5, 10, 6)), 0);
+        assert_eq!(segs(Span::new(0, 0), Rect::new(0, 0, 10, 10)), 0);
+        assert_eq!(segs(Span::new(0, 0), Rect::new(0, 0, 5, 10)), 0);
+        assert_eq!(segs(Span::new(0, 10), Rect::EMPTY), 0);
+    }
+
+    #[test]
+    fn segments_match_a_pixel_by_pixel_cut() {
+        // Every span against every cell of small frames: the segments are
+        // exactly the span's pixels inside the cell, in frame order, each
+        // at its row-major place in the cell.
+        for (w, h) in [(1, 1), (5, 3), (7, 4)] {
+            for cell in (0..=w)
+                .flat_map(|x0| (x0..=w).map(move |x1| (x0, x1)))
+                .flat_map(|(x0, x1)| {
+                    (0..=h).flat_map(move |y0| (y0..=h).map(move |y1| Rect::new(x0, y0, x1, y1)))
+                })
+            {
+                for span in (0..w * h).flat_map(|s| (0..=w * h - s).map(move |l| Span::new(s, l))) {
+                    let want: Vec<(usize, usize)> = span
+                        .range()
+                        .filter(|q| cell.contains(q % w, q / w))
+                        .map(|q| (q, (q / w - cell.y0) * cell.width() + q % w - cell.x0))
+                        .collect();
+                    let got: Vec<(usize, usize)> = span_cell_segments([span].into_iter(), w, cell)
+                        .flat_map(|(seg, at)| seg.range().zip(at..))
+                        .collect();
+                    assert_eq!(got, want, "{w}x{h} {span} {cell:?}");
+                }
+            }
+        }
     }
 }

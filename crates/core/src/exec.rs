@@ -275,8 +275,6 @@ impl Machine {
 pub struct Scratch<P: Pixel> {
     /// Staging for concatenated spans about to be encoded (gathers, tiles).
     gather_pixels: Vec<P>,
-    /// The gather's overlap of one owner's spans with one display cell.
-    segments: Vec<(Span, usize)>,
     /// Retired deferred-back accumulators awaiting reuse.
     spare_accs: Vec<Vec<P>>,
 }
@@ -292,7 +290,6 @@ impl<P: Pixel> Scratch<P> {
     pub fn new() -> Self {
         Self {
             gather_pixels: Vec::new(),
-            segments: Vec::new(),
             spare_accs: Vec::new(),
         }
     }
@@ -404,15 +401,10 @@ pub struct ComposeOutput<P: Pixel> {
     pub frame: Option<Image<P>>,
     /// Pixels this rank finally owned (its contribution to the gather).
     pub owned_pixels: usize,
-    /// The final ownership map the run actually used — the schedule's
-    /// `final_owners` after any failure repair reassignments. Rank ids are
-    /// world-local (the machine the schedule ran on). Empty when this rank
-    /// itself crashed. Callers that skip the gather can use it to collect
-    /// the distributed result themselves.
-    pub owners: Vec<(Span, usize)>,
     /// This rank's working image after composition, returned so a caller
     /// running a larger protocol (a custom collection) can read the spans
-    /// `owners` assigns to this rank. `None` only when this rank crashed.
+    /// the plan's final ownership assigns to this rank. `None` only when
+    /// this rank crashed.
     pub residual: Option<Image<P>>,
     /// `Some` when the run completed without the full set of
     /// contributions: rank failures occurred and the frame is the exact
@@ -427,7 +419,6 @@ impl<P: Pixel> ComposeOutput<P> {
         ComposeOutput {
             frame: None,
             owned_pixels: 0,
-            owners: Vec::new(),
             residual: None,
             degraded: Some(degraded),
         }
@@ -503,13 +494,17 @@ impl<'a, P: Pixel> Stage<'a, P> {
         spans: impl IntoIterator<Item = Span>,
     ) -> Result<Vec<u8>, CoreError> {
         let started = ctx.obs_start();
-        scratch.gather_pixels.clear();
-        for span in spans {
-            scratch
-                .gather_pixels
-                .extend_from_slice(local.span_pixels(span)?);
-        }
-        Ok(self.encode(ctx, started, &scratch.gather_pixels))
+        let staged = &mut scratch.gather_pixels;
+        staged.clear();
+        // Internal iteration runs a chained segment walk as one loop, where
+        // a `for` loop would test the chain again on every span.
+        spans
+            .into_iter()
+            .try_for_each(|span| -> Result<(), CoreError> {
+                staged.extend_from_slice(local.span_pixels(span)?);
+                Ok(())
+            })?;
+        Ok(self.encode(ctx, started, staged))
     }
 
     /// Decoding walks the *encoded* stream, so the compute charge is the
@@ -578,11 +573,11 @@ pub(crate) fn scatter<P: Pixel>(
     pixels: &[P],
 ) -> Result<(), CoreError> {
     let mut at = 0usize;
-    for span in spans {
+    spans.into_iter().try_for_each(|span| {
         image.insert(span, &pixels[at..at + span.len])?;
         at += span.len;
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// Execute `schedule` on this rank with `local` as the rank's rendered
@@ -691,7 +686,7 @@ pub(crate) fn compose_schedule<P: Pixel>(
     ctx.mark(Mark::ComposeEnd);
 
     // --- Failure handling: agree on the dead, then re-pair survivors ----
-    let mut owners: Vec<(Span, usize)> = schedule.final_owners.clone();
+    let mut repaired = None;
     let (root, degraded) =
         agree_on_failures(ctx, config, schedule.p, steps_len, |ctx, crashed| {
             let plan = repair(schedule, crashed)?;
@@ -755,12 +750,19 @@ pub(crate) fn compose_schedule<P: Pixel>(
                 }
             }
 
-            owners = plan.final_owners;
+            repaired = Some(plan.final_owners);
             Ok(plan.info)
         })?;
 
-    // Gather tags sit one step past the last exchange.
-    finish(ctx, stage, scratch, local, owners, root, degraded, |slot| {
+    // Each owner's (possibly repaired) final spans, in ownership order;
+    // gather tags sit one step past the last exchange.
+    let owners = repaired.as_ref().unwrap_or(&schedule.final_owners);
+    let owned = |o| {
+        owners
+            .iter()
+            .filter_map(move |&(span, r)| (r == o).then_some(span))
+    };
+    finish(ctx, stage, scratch, local, owned, root, degraded, |slot| {
         tag::step(config.frame_tag, steps_len, slot)
     })
 }
@@ -796,36 +798,24 @@ fn flush_deferred<P: Pixel>(
 /// The tail every plan family ends with: count what this rank finally
 /// owns, run the gather stage if requested — to the config's display wall,
 /// or else to the one-cell wall at `root` — and package the output.
-/// `owners` is the (possibly repaired) ownership map, `local` holds this
-/// rank's owned spans, `root` is the (possibly reassigned) gather root,
-/// and `gather_tag` maps a sender slot to the family's gather tag
-/// namespace.
+/// `owned(o)` walks owner `o`'s (possibly repaired) final spans in
+/// ownership order, `local` holds this rank's owned spans, `root` is the
+/// (possibly reassigned) gather root, and `gather_tag` maps a sender slot
+/// to the family's gather tag namespace.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn finish<P: Pixel>(
+pub(crate) fn finish<P: Pixel, I: Iterator<Item = Span> + Clone>(
     ctx: &mut RankCtx,
     stage: &Stage<P>,
     scratch: &mut Scratch<P>,
     local: Image<P>,
-    owners: Vec<(Span, usize)>,
+    owned: impl Fn(usize) -> I,
     root: usize,
     degraded: Option<DegradedInfo>,
     gather_tag: impl Fn(usize) -> u64,
 ) -> Result<ComposeOutput<P>, CoreError> {
-    let me = ctx.rank();
-    let owned_pixels = owners
-        .iter()
-        .filter(|(_, owner)| *owner == me)
-        .map(|(span, _)| span.len)
-        .sum();
+    let owned_pixels = owned(ctx.rank()).map(|span| span.len).sum();
     let mut frame = None;
     if stage.config.gather {
-        // Spans per owner, in (possibly repaired) ownership order.
-        let mut spans_of = vec![Vec::<Span>::new(); ctx.size()];
-        for (span, owner) in &owners {
-            if !span.is_empty() {
-                spans_of[*owner].push(*span);
-            }
-        }
         let wall = stage.config.with_root(root).gather_target();
         let dead: BTreeSet<usize> = degraded
             .iter()
@@ -835,7 +825,7 @@ pub(crate) fn finish<P: Pixel>(
             ctx,
             stage,
             scratch,
-            &spans_of,
+            &owned,
             &local,
             wall,
             &dead,
@@ -846,85 +836,78 @@ pub(crate) fn finish<P: Pixel>(
     Ok(ComposeOutput {
         frame,
         owned_pixels,
-        owners,
         residual: Some(local),
         degraded,
     })
 }
 
 /// The gather: each final owner ships, per display cell its spans overlap,
-/// ONE message with the overlap segments concatenated in span order (the
-/// coalesced collection a real system would do with `MPI_Gatherv`); each
-/// display rank assembles its own cell-sized framebuffer. For the root's
-/// one-cell wall the segments are the owner's spans themselves. Returns
-/// the cell image on display ranks, `None` elsewhere. Ranks owning nothing
-/// send nothing, and dead ranks (post-repair) neither send nor receive.
+/// ONE message with the overlap segments concatenated in ownership order
+/// (the coalesced collection a real system would do with `MPI_Gatherv`);
+/// each display rank assembles its own cell-sized framebuffer. Sender and
+/// receiver walk the same segments off the owner's spans, so nothing is
+/// negotiated or listed; for the root's one-cell wall the segments are the
+/// owner's spans themselves. Returns the cell image on display ranks,
+/// `None` elsewhere. Ranks owning nothing send nothing, and dead ranks
+/// (post-repair) neither send nor receive.
 #[allow(clippy::too_many_arguments)]
-fn gather<P: Pixel>(
+fn gather<P: Pixel, I: Iterator<Item = Span> + Clone>(
     ctx: &mut RankCtx,
     stage: &Stage<P>,
     scratch: &mut Scratch<P>,
-    spans_of: &[Vec<Span>],
+    owned: &impl Fn(usize) -> I,
     local: &Image<P>,
     wall: DisplayWall,
     dead: &BTreeSet<usize>,
     gather_tag: &impl Fn(usize) -> u64,
 ) -> Result<Option<Image<P>>, CoreError> {
     let me = ctx.rank();
-    let width = local.width();
-    // Overlap of an owner's final spans with a cell, in deterministic span
-    // order: sender and receiver compute the same segments locally.
-    let mut segs = std::mem::take(&mut scratch.segments);
+    let (width, height) = (local.width(), local.height());
     for d in 0..wall.count() {
         let drank = wall.rank_of(d);
         if drank == me || dead.contains(&drank) {
             continue;
         }
-        let cell = wall.cell_rect(d, width, local.height());
-        span_cell_segments(&spans_of[me], width, cell, &mut segs);
-        if segs.is_empty() {
+        let segs = span_cell_segments(owned(me), width, wall.cell_rect(d, width, height));
+        if segs.clone().next().is_none() {
             continue;
         }
-        let mine = segs.iter().map(|(seg, _)| *seg);
-        let bytes = stage.encode_spans(ctx, scratch, local, mine)?;
+        let bytes = stage.encode_spans(ctx, scratch, local, segs.map(|(seg, _)| seg))?;
         ctx.send(drank, gather_tag(tag::wall_slot(d, me)), bytes)?;
     }
     let Some(d) = wall.display_of(me) else {
-        scratch.segments = segs;
         return Ok(None);
     };
-    let cell = wall.cell_rect(d, width, local.height());
+    let cell = wall.cell_rect(d, width, height);
     let mut out = Image::blank(cell.width(), cell.height());
-    for (owner, spans) in spans_of.iter().enumerate() {
-        if dead.contains(&owner) {
-            continue;
-        }
-        span_cell_segments(spans, width, cell, &mut segs);
+    for owner in (0..ctx.size()).filter(|owner| !dead.contains(owner)) {
+        let mut segs = span_cell_segments(owned(owner), width, cell);
         if owner == me {
-            for (seg, at) in segs.iter() {
-                out.insert(Span::new(*at, seg.len), local.span_pixels(*seg)?)?;
-            }
+            segs.try_for_each(|(seg, at)| -> Result<(), CoreError> {
+                out.insert(Span::new(at, seg.len), local.span_pixels(seg)?)?;
+                Ok(())
+            })?;
             continue;
         }
-        if segs.is_empty() {
+        let mut peek = segs.clone();
+        let Some((first, at)) = peek.next() else {
             continue;
-        }
+        };
         let bytes = ctx.recv(owner, gather_tag(tag::wall_slot(d, owner)))?;
         let started = ctx.obs_start();
-        if let [(seg, at)] = segs.as_slice() {
+        if peek.next().is_none() {
             // One segment: stream straight into the blank cell.
-            stage.unpack(ctx, &bytes, out.span_pixels_mut(Span::new(*at, seg.len))?)?;
+            stage.unpack(ctx, &bytes, out.span_pixels_mut(Span::new(at, first.len))?)?;
         } else {
-            let total: usize = segs.iter().map(|(s, _)| s.len).sum();
+            let total = segs.clone().map(|(seg, _)| seg.len).sum();
             let mut staged = scratch.take_acc(total, ctx);
             stage.unpack(ctx, &bytes, &mut staged)?;
-            let cell_spans = segs.iter().map(|(seg, at)| Span::new(*at, seg.len));
+            let cell_spans = segs.map(|(seg, at)| Span::new(at, seg.len));
             scatter(&mut out, cell_spans, &staged)?;
             scratch.put_acc(staged);
         }
         ctx.obs_span(Phase::Decode, started);
     }
-    scratch.segments = segs;
     Ok(Some(out))
 }
 

@@ -431,40 +431,49 @@ mod tests {
 
     #[test]
     fn skipped_gather_leaves_distributed_ownership() {
-        let p = 12;
+        // Without a gather the frame stays spread over the leaders: the
+        // plan's `final_owners` says who holds what, and each holder's
+        // residual carries the reference composite there.
+        let (p, w) = (12, 24);
         let config = ComposeConfig::default().with_gather(false);
+        let partials = band_partials(p, w);
+        let want = reference_composite(&partials).unwrap();
         let results = run_hier(
             p,
             4,
             IntraMethod::DirectSend,
-            band_partials(p, 24),
+            partials,
             &config,
             FaultPlan::none(),
         );
+        let intra = IntraMethod::DirectSend;
+        let ComposePlan::Schedule(plan) = Method::Hier { k: 4, intra }.plan(p, w, p).unwrap()
+        else {
+            unreachable!("hierarchical plans are span schedules")
+        };
         let leaders = [0, 4, 8];
-        let mut covered = vec![0usize; 24 * p];
-        let mut total_owned = 0;
+        let mut covered = vec![0usize; w * p];
+        for &(sp, owner) in &plan.final_owners {
+            assert!(leaders.contains(&owner));
+            for c in &mut covered[sp.range()] {
+                *c += 1;
+            }
+            let residual = results[owner].as_ref().unwrap().residual.as_ref().unwrap();
+            assert_eq!(
+                residual.span_pixels(sp).unwrap(),
+                want.span_pixels(sp).unwrap()
+            );
+        }
+        // Each pixel has exactly one owner.
+        assert!(covered.iter().all(|&c| c == 1));
         for (r, res) in results.iter().enumerate() {
             let out = res.as_ref().unwrap();
             assert!(out.frame.is_none());
-            assert!(out.residual.is_some());
-            total_owned += out.owned_pixels;
+            assert_eq!(out.owned_pixels, plan.owned_pixels()[r], "rank {r}");
             if !leaders.contains(&r) {
                 assert_eq!(out.owned_pixels, 0, "non-leader {r} owns pixels");
             }
-            for &(sp, owner) in &out.owners {
-                assert!(leaders.contains(&owner));
-                if owner == r {
-                    for c in &mut covered[sp.range()] {
-                        *c += 1;
-                    }
-                }
-            }
         }
-        assert_eq!(total_owned, 24 * p, "owners must tile the frame");
-        // owners is the same global map on every rank; each pixel has
-        // exactly one owner.
-        assert!(covered.iter().all(|&c| c == 1));
     }
 
     #[test]

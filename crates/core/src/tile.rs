@@ -626,28 +626,27 @@ impl<P: Pixel> TileScan<'_, P> {
             Some(_) => TileChannel::RepairBundle,
         };
         let tag_of = |sender: usize| tag::tile(config.frame_tag, channel, sender as u64);
-        let mut tiles_of = vec![Vec::new(); self.plan.p];
-        for &t in tiles {
-            tiles_of[owner_of[t]].push(t);
-        }
+        // An owner's tiles of the round, ascending, read off `tiles`.
+        let owned = |o: usize| tiles.iter().copied().filter(move |&t| owner_of[t] == o);
 
         // ---- Ship: one bundle to every other owner, blank or not. --------
-        for (o, o_tiles) in tiles_of.iter().enumerate() {
-            if o == me || o_tiles.is_empty() {
+        for o in (0..self.plan.p).filter(|&o| o != me) {
+            let count = owned(o).count();
+            if count == 0 {
                 continue;
             }
-            let mut streams = Vec::with_capacity(o_tiles.len());
-            for &t in o_tiles {
+            let mut streams = Vec::with_capacity(count);
+            for t in owned(o) {
                 let encode = || {
                     let rows = self.plan.grid.row_spans(t);
                     self.stage.encode_spans(ctx, scratch, local, rows)
                 };
-                streams.push(self.have[t].then(encode).transpose()?);
+                streams.push((t, self.have[t].then(encode).transpose()?));
             }
-            let pieces: Vec<Option<Piece>> = (o_tiles.iter().zip(&streams))
-                .map(|(&t, stream)| {
+            let pieces: Vec<Option<Piece>> = (streams.iter())
+                .map(|(t, stream)| {
                     let stream = stream.as_deref()?;
-                    let ivals = self.segs.get(t).cloned().unwrap_or_default();
+                    let ivals = self.segs.get(*t).cloned().unwrap_or_default();
                     Some(Piece { ivals, stream })
                 })
                 .collect();
@@ -670,10 +669,12 @@ impl<P: Pixel> TileScan<'_, P> {
 
         // ---- Collect (owners only): the live ranks' bundles, in rank
         // order. The one receive of the tile families. -------------------
-        let mine = &tiles_of[me];
-        if mine.is_empty() {
+        let count = owned(me).count();
+        if count == 0 {
             return Ok(());
         }
+        let mut mine = Vec::with_capacity(count);
+        mine.extend(owned(me));
         let mut bundles = vec![None; self.plan.p];
         for src in (0..self.plan.p).filter(|&src| src != me) {
             if dead.is_some_and(|d| d.contains_key(&src)) {
@@ -691,7 +692,7 @@ impl<P: Pixel> TileScan<'_, P> {
         let mut pieces = Vec::with_capacity(bundles.len());
         for (src, bundle) in bundles.iter().enumerate() {
             pieces.push(match bundle {
-                Some(bytes) => parse_bundle(&self.plan.grid, mine, puzzle, bytes, src)?,
+                Some(bytes) => parse_bundle(&self.plan.grid, &mine, puzzle, bytes, src)?,
                 None => Vec::new(),
             });
         }
@@ -809,7 +810,8 @@ pub(crate) fn compose_tiles<P: Pixel>(
         segs,
     };
 
-    let tiles: Vec<usize> = (0..nt).filter(|&t| plan.grid.area(t) > 0).collect();
+    let mut tiles = Vec::with_capacity(nt);
+    tiles.extend((0..nt).filter(|&t| plan.grid.area(t) > 0));
     scan.round(ctx, &mut local, scratch, &plan.owner_of, &tiles, None)?;
 
     ctx.mark(Mark::FlushStart);
@@ -864,21 +866,18 @@ pub(crate) fn compose_tiles<P: Pixel>(
         })
     })?;
 
-    // Post-repair ownership as row-segment spans, mirroring the schedule
-    // executor's `owners` field.
-    let owners: Vec<(Span, usize)> = tiles
-        .iter()
-        .flat_map(|&t| {
-            let owner = owner_of[t];
-            plan.grid.row_spans(t).map(move |span| (span, owner))
-        })
-        .collect();
-
     if !config.gather {
         // The tile families close their timeline either way.
         ctx.mark(Mark::GatherEnd);
     }
-    finish(ctx, stage, scratch, local, owners, root, degraded, |slot| {
+    // What an owner ships: its (post-repair) tiles in ascending order, each
+    // tile's rows top to bottom, read off the grid as they are walked.
+    let (grid, owner_of) = (&plan.grid, &owner_of);
+    let owned = |o| {
+        let mine = tiles.iter().filter(move |&&t| owner_of[t] == o);
+        mine.flat_map(move |&t| grid.row_spans(t))
+    };
+    finish(ctx, stage, scratch, local, owned, root, degraded, |slot| {
         tag::tile(config.frame_tag, TileChannel::Gather, slot as u64)
     })
 }

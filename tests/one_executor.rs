@@ -222,7 +222,7 @@ fn the_root_is_the_one_cell_display_wall() {
                                 .execute(partials.clone());
                             let outs: Vec<_> = results
                                 .into_iter()
-                                .map(|r| r.map(|out| (out.frame, out.owners)))
+                                .map(|r| r.map(|out| (out.frame, out.owned_pixels)))
                                 .collect();
                             (outs, trace)
                         };
@@ -234,7 +234,7 @@ fn the_root_is_the_one_cell_display_wall() {
                             matches!(&rooted[root], Ok((Some(_), _))),
                             "{what}: the root holds the frame"
                         );
-                        assert_eq!(rooted, walled, "{what}: frames and owners");
+                        assert_eq!(rooted, walled, "{what}: frames and owned pixels");
                         assert_eq!(rooted_trace, walled_trace, "{what}: trace");
                         cells += 1;
                     }

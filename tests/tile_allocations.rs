@@ -1,10 +1,12 @@
 //! The tile path's allocation budget: a steady-state frame of tile
-//! ownership allocates per message, never per tile or per tile row. Its
-//! own test binary, because it installs a counting global allocator.
+//! ownership allocates per rank, per message and per shipped tile (one
+//! encode buffer each), never per tile or per tile row. Its own test
+//! binary, because it installs a counting global allocator.
 
 use rotate_tiling::comm::FaultPlan;
 use rotate_tiling::core::exec::ComposeConfig;
 use rotate_tiling::core::method::Method;
+use rotate_tiling::core::tile::ComposePlan;
 use rotate_tiling::core::{compose_plan, Machine, Scratch};
 use rotate_tiling::imaging::{GrayAlpha8, Image, Pixel};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -63,6 +65,14 @@ fn disc_partials(edge: usize) -> Vec<Image<GrayAlpha8>> {
         .collect()
 }
 
+/// What a rank makes once a frame whatever it ships: its timeline's marks,
+/// the content flags, the frame's tile list, the owner map it may repair,
+/// its own tiles and the bundles it receives.
+const PER_RANK: usize = 16;
+/// What one message costs: its buffer, the payload handle it travels in,
+/// and the receiver's parse of it.
+const PER_MESSAGE: usize = 4;
+
 #[test]
 fn a_steady_state_tile_frame_allocates_fewer_times_than_it_has_tiles() {
     let (p, edge, frames) = (2, 256, 4);
@@ -72,15 +82,32 @@ fn a_steady_state_tile_frame_allocates_fewer_times_than_it_has_tiles() {
     }
     .plan(p, edge, edge)
     .unwrap();
-    let tiles = 16 * 16;
+    let ComposePlan::Tiles(tiles) = &plan else {
+        unreachable!("tile ownership compiles to a tile plan")
+    };
     let partials = disc_partials(edge);
+    // A rank ships its content on every tile another rank owns.
+    let shipped = (0..p)
+        .flat_map(|r| (0..tiles.grid.tiles()).map(move |t| (r, t)))
+        .filter(|&(r, t)| tiles.owner_of[t] != r)
+        .filter(|&(r, t)| {
+            let mut rows = tiles.grid.row_spans(t);
+            rows.any(|row| {
+                partials[r]
+                    .span_pixels(row)
+                    .unwrap()
+                    .iter()
+                    .any(|px| !px.is_blank())
+            })
+        })
+        .count();
     let config = ComposeConfig::default();
     let machine = Machine::build(p, &config, FaultPlan::none(), None);
     // Between the first and the last of a frame's four barriers every rank
     // composes and does nothing else, so rank 0's reading of the global
     // count across the middle two is the frame's allocations.
     let sync = Barrier::new(p);
-    let (counts, _) = machine.run(|ctx| {
+    let (counts, trace) = machine.run(|ctx| {
         let mut scratch = Scratch::default();
         let mut counts = Vec::with_capacity(frames);
         for frame in 0..frames as u64 {
@@ -97,11 +124,27 @@ fn a_steady_state_tile_frame_allocates_fewer_times_than_it_has_tiles() {
         }
         counts
     });
-    // The first frame fills the scratch buffers; the last is steady state.
-    let steady = *counts[0].last().unwrap();
-    eprintln!("allocations per frame: {:?}", counts[0]);
+    // One bundle per (sender, owner) and one gather message per non-root
+    // owner, whatever the content.
+    let messages = trace.message_count() as usize / frames;
+    assert_eq!(messages, p * (p - 1) + p - 1);
     assert!(
-        steady < tiles,
-        "a steady-state TO(16x16) frame made {steady} allocations for {tiles} tiles"
+        shipped > 0 && shipped < tiles.grid.tiles() / 4,
+        "{shipped} tiles shipped"
+    );
+    // The first frame fills the scratch buffers; the last is steady state.
+    let steady = *counts[0].last().unwrap() as usize;
+    let budget = PER_RANK * p + PER_MESSAGE * messages + shipped;
+    eprintln!("allocations per frame: {:?}, budget {budget}", counts[0]);
+    assert!(
+        steady < tiles.grid.tiles(),
+        "a steady-state TO(16x16) frame made {steady} allocations for {} tiles",
+        tiles.grid.tiles()
+    );
+    assert!(
+        steady <= budget,
+        "a steady-state TO(16x16) frame made {steady} allocations, over its budget of \
+         {PER_RANK} per rank x {p} + {PER_MESSAGE} per message x {messages} + one per \
+         shipped tile x {shipped} = {budget}"
     );
 }

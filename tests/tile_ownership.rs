@@ -4,10 +4,14 @@
 //! bitmap for blank content, survive degenerate tile grids, send the
 //! message count the tuner prices, and keep the
 //! bit-exact | exact-degraded | typed-error trichotomy when an owner
-//! rank dies mid-frame.
+//! rank dies mid-frame, and gather each owner's tiles to every wall shape
+//! in ascending tile order, rows top to bottom, cut to the cell.
 
+use proptest::prelude::*;
 use rotate_tiling::comm::tag::{tile_channel, TileChannel};
-use rotate_tiling::comm::{Event, FaultPlan, Trace};
+use rotate_tiling::comm::{
+    Event, FaultPlan, InProc, RankCtx, RecvRawError, SendRawError, Trace, Transport, WireFrame,
+};
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::{ComposeConfig, TransportKind};
 use rotate_tiling::core::method::Method;
@@ -15,6 +19,7 @@ use rotate_tiling::core::{DisplayWall, Run};
 use rotate_tiling::imaging::image::reference_composite;
 use rotate_tiling::imaging::synth::{band_partials, provenance_partials};
 use rotate_tiling::imaging::{Image, Pixel, Provenance};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn tile_owner(tiles_x: usize, tiles_y: usize) -> Method {
@@ -406,4 +411,216 @@ fn display_wall_cells_of_a_span_schedule_match_the_root_frame() {
         cells += 1;
     }
     assert_eq!(cells, 2, "both display ranks assemble their cell");
+}
+
+/// A message as sent: `(from, to, tag, payload)`.
+type Sent = (usize, usize, u64, Vec<u8>);
+
+/// An in-process endpoint that keeps a copy of every frame it sends.
+struct Tap {
+    inner: InProc,
+    log: Arc<Mutex<Vec<Sent>>>,
+}
+
+impl Transport for Tap {
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+
+    fn world_size(&self) -> usize {
+        self.inner.world_size()
+    }
+
+    fn send_raw(&mut self, to: usize, frame: WireFrame) -> Result<(), SendRawError> {
+        let copy = (frame.from, to, frame.tag, frame.payload.as_slice().to_vec());
+        self.log.lock().unwrap().push(copy);
+        self.inner.send_raw(to, frame)
+    }
+
+    fn recv_raw(&mut self, timeout: Duration) -> Result<WireFrame, RecvRawError> {
+        self.inner.recv_raw(timeout)
+    }
+}
+
+/// Run a tile plan (raw codec) gathered to `wall`, with `victim` crashing
+/// after its first round, and check the gather: every live cell is the
+/// expected composite cut to that cell, bit for bit, and each gather
+/// message carries exactly the raw pixels of its owner's tiles ∩ the cell —
+/// the owner's (post-repair) tiles in ascending order, each tile's rows top
+/// to bottom.
+fn check_tile_gather(
+    p: usize,
+    puzzle: bool,
+    (w, h): (usize, usize),
+    (tiles_x, tiles_y): (usize, usize),
+    wall: DisplayWall,
+    victim: Option<usize>,
+) {
+    use rotate_tiling::comm::tag::{tile, wall_slot};
+    use rotate_tiling::comm::RankOptions;
+    use rotate_tiling::core::{compose_plan, ComposePlan, Scratch};
+    use rotate_tiling::imaging::GrayAlpha8;
+    let what = format!(
+        "P={p} puzzle={puzzle} {w}x{h} grid {tiles_x}x{tiles_y} {wall:?} victim {victim:?}"
+    );
+    let method = match puzzle {
+        false => tile_owner(tiles_x, tiles_y),
+        true => Method::Puzzle {
+            tiles_x,
+            tiles_y,
+            budget_permille: 0,
+        },
+    };
+    let plan = method.plan(p, w, h).unwrap();
+    let ComposePlan::Tiles(tiles) = &plan else {
+        unreachable!("{what}: a tile plan");
+    };
+    // Overlapping translucent content with blank holes, so a wrong merge
+    // order, a lost piece or a misplaced row changes bytes.
+    let partials: Vec<Image<GrayAlpha8>> = (0..p)
+        .map(|r| {
+            Image::from_fn(w, h, |x, y| match (x / 2 + y + 2 * r) % 4 {
+                0 => GrayAlpha8::blank(),
+                _ => GrayAlpha8::new((37 * r + 5 * x + y) as u8, (60 + 30 * r + 7 * x) as u8),
+            })
+        })
+        .collect();
+    // A step-1 victim's owned tiles are re-folded from the survivors by
+    // the next live rank; everything else is the full fold.
+    let mut want = reference_composite(&partials).unwrap();
+    let mut owner_of = tiles.owner_of.clone();
+    if let Some(v) = victim {
+        let mut surviving = partials.clone();
+        surviving[v] = Image::blank(w, h);
+        let survivors = reference_composite(&surviving).unwrap();
+        for t in tiles.tiles_of(v) {
+            owner_of[t] = (v + 1) % p;
+            for span in tiles.grid.row_spans(t) {
+                want.insert(span, survivors.span_pixels(span).unwrap())
+                    .unwrap();
+            }
+        }
+    }
+
+    let faults = match victim {
+        Some(v) => FaultPlan::none().crash_rank_at_step(v, 1),
+        None => FaultPlan::none(),
+    };
+    let config = ComposeConfig::default()
+        .resilient(victim.is_some())
+        .with_timeout(Duration::from_secs(5))
+        .with_display_wall(wall);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let outputs: Vec<_> = std::thread::scope(|s| {
+        let ranks: Vec<_> = (InProc::mesh(p).into_iter().zip(&partials))
+            .map(|(inner, partial)| {
+                let tap = Tap {
+                    inner,
+                    log: Arc::clone(&log),
+                };
+                let options = RankOptions {
+                    faults: faults.clone(),
+                    ..RankOptions::default()
+                };
+                let (plan, config) = (&plan, &config);
+                s.spawn(move || {
+                    let mut ctx = RankCtx::over_transport(Box::new(tap), options);
+                    let mut scratch = Scratch::default();
+                    compose_plan(&mut ctx, plan, partial.clone(), config, &mut scratch)
+                })
+            })
+            .collect();
+        ranks.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+
+    let gather_tag = |d, o| tile(0, TileChannel::Gather, wall_slot(d, o) as u64);
+    let mut expected = Vec::new();
+    for d in 0..wall.count() {
+        let drank = wall.rank_of(d);
+        if Some(drank) == victim {
+            continue;
+        }
+        let cell = wall.cell_rect(d, w, h);
+        let out = outputs[drank]
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let got = out
+            .frame
+            .as_ref()
+            .unwrap_or_else(|| panic!("{what}: cell {d} missing"));
+        let mut cut = Vec::with_capacity(cell.area());
+        for y in cell.y0..cell.y1 {
+            cut.extend_from_slice(&want.pixels()[y * w + cell.x0..y * w + cell.x1]);
+        }
+        assert_eq!(got.pixels(), &cut[..], "{what}: cell {d}");
+        for o in (0..p).filter(|&o| o != drank && Some(o) != victim) {
+            let mut pixels = Vec::new();
+            for t in (0..tiles.grid.tiles()).filter(|&t| owner_of[t] == o) {
+                let r = tiles.grid.rect(t).intersect(&cell);
+                for y in r.y0..r.y1 {
+                    pixels.extend_from_slice(&want.pixels()[y * w + r.x0..y * w + r.x1]);
+                }
+            }
+            if !pixels.is_empty() {
+                let bytes = CodecKind::Raw.build::<GrayAlpha8>().encode(&pixels).bytes;
+                expected.push((o, drank, gather_tag(d, o), bytes));
+            }
+        }
+    }
+    let gather_tags: Vec<u64> = (0..wall.count())
+        .flat_map(|d| (0..p).map(move |o| gather_tag(d, o)))
+        .collect();
+    let mut sent = std::mem::take(&mut *log.lock().unwrap());
+    sent.retain(|(_, _, tag, _)| gather_tags.contains(tag));
+    sent.sort();
+    expected.sort();
+    assert_eq!(sent, expected, "{what}: gather messages");
+}
+
+#[test]
+fn the_tile_gather_ships_each_owners_tiles_in_order_on_every_wall_shape() {
+    // Grids that do not divide 13x11, one with more tile columns than
+    // pixel columns and one with more tile rows than pixel rows (empty
+    // tiles), and a 2x2 grid whose tiles are wider than a 3x1 wall's
+    // cells.
+    let grids = [(3, 2), (16, 3), (2, 12), (2, 2)];
+    let walls = [(1, 1), (2, 2), (3, 1)];
+    for p in 2..=6 {
+        for puzzle in [false, true] {
+            for &grid in &grids {
+                for &(cols, rows) in walls.iter().filter(|(c, r)| c * r <= p) {
+                    let wall = DisplayWall::new(cols, rows).with_base((p - cols * rows).min(1));
+                    // The victim is the first rank past the wall, a display
+                    // rank only when the wall takes every rank.
+                    let victim = (wall.base + wall.count()) % p;
+                    for victim in [None, Some(victim)] {
+                        check_tile_gather(p, puzzle, (13, 11), grid, wall, victim);
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    #[test]
+    fn the_tile_gather_is_exact_on_random_shapes(
+        p in 2usize..=6,
+        puzzle in 0usize..2,
+        w in 1usize..=20,
+        h in 1usize..=14,
+        tiles_x in 1usize..=24,
+        tiles_y in 1usize..=18,
+        shape in 0usize..3,
+        base in 0usize..6,
+        victim in 0usize..8,
+    ) {
+        let (cols, rows) = [(1, 1), (2, 2), (3, 1)][shape];
+        let (cols, rows) = if cols * rows > p { (1, 1) } else { (cols, rows) };
+        let wall = DisplayWall::new(cols, rows).with_base(base % (p - cols * rows + 1));
+        let victim = (victim < p).then_some(victim);
+        check_tile_gather(p, puzzle == 1, (w, h), (tiles_x, tiles_y), wall, victim);
+    }
 }
