@@ -87,6 +87,13 @@ gone=$(grep -rnE '[c]ompose_hier|[H]ierPlan|ComposePlan::[H]ier|[e]nter_group|[l
     crates src tests examples docs ./*.md ci.sh \
     --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md --exclude=REVIEW.md || true)
 [ -z "$gone" ] || vocabulary_fail "the hierarchical plan family is back" "$gone"
+# Methods are data: `Method` is the one way to name and compile a method, so
+# the trait behind it, its five method objects and the tile-ownership intra
+# method stay gone (bracketed so this line does not match itself).
+gone=$(grep -rnE '[C]ompositionMethod|[B]inarySwap::new|[w]ith_fold\(\)|[P]arallelPipelined::new|[D]irectSend::new|[R]otateTiling::(two_n|n|unchecked)\b|[R]adixK|[I]ntraMethod::TileOwner' \
+    crates src tests examples docs ci.sh .claude \
+    DESIGN.md EXPERIMENTS.md PAPER.md PAPERS.md README.md SNIPPETS.md || true)
+[ -z "$gone" ] || vocabulary_fail "a second method vocabulary is back" "$gone"
 # A transport backend is two verbs: the backend-provided barrier, its error
 # type and deadline knob, the non-blocking receive, the step hints rt-net
 # was handed, the uncalled targeted payload corruption and the second worker

@@ -30,7 +30,6 @@ use rt_bench::harness::{argv, parse_flags};
 use rt_bench::netgrid::frame_hash;
 use rt_comm::comm::{RankCtx, RankOptions};
 use rt_core::exec::{ComposeConfig, Scratch};
-use rt_core::method::CompositionMethod;
 use rt_core::tile::compose_plan;
 use rt_imaging::synth::band_partials;
 use rt_net::{ChaosTransport, WorkerSession, ENV_WORLD};

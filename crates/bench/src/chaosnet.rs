@@ -27,7 +27,7 @@
 use rt_comm::{FaultPlan, RankTrace, Trace};
 use rt_compress::CodecKind;
 use rt_core::exec::ComposeConfig;
-use rt_core::method::{CompositionMethod, Method};
+use rt_core::method::Method;
 use rt_core::rotate::RtVariant;
 use rt_core::Run;
 use rt_net::{process::read_blob, Launcher, NetFaultPlan, TcpOptions};

@@ -19,7 +19,7 @@ use rt_compress::trle::{decode_codes, encode_codes, TILE};
 use rt_compress::{BoundsCodec, Codec, CodecKind, RleCodec, TrleCodec};
 use rt_core::analysis::analyze;
 use rt_core::exec::{ComposeConfig, ComposeOutput};
-use rt_core::method::{CompositionMethod, Method};
+use rt_core::method::Method;
 use rt_core::rotate::RtVariant;
 use rt_core::schedule::verify_schedule;
 use rt_core::theory::{
@@ -27,9 +27,7 @@ use rt_core::theory::{
     eq6_lhs, optimal_blocks_2n, optimal_blocks_n, pipelined_cost, rt_2n_cost, rt_n_cost,
     MethodCost,
 };
-use rt_core::{
-    BinarySwap, ComposePlan, CoreError, DirectSend, ParallelPipelined, RotateTiling, Run,
-};
+use rt_core::{rotate, ComposePlan, CoreError, Run};
 use rt_imaging::pixel::{GrayAlpha8, Pixel};
 use rt_imaging::Image;
 use rt_render::datasets::Dataset;
@@ -72,13 +70,18 @@ pub const SUBCOMMANDS: &[(&str, &str, Generator)] = &[
     ),
 ];
 
-/// A panel of Figures 5 and 7: label, initial block counts, method.
-type RtPanel = (&'static str, &'static [usize], fn(usize) -> RotateTiling);
+/// A panel of Figures 5 and 7: label, initial block counts, variant.
+type RtPanel = (&'static str, &'static [usize], RtVariant);
 /// (a) N_RT at any block count (P is even), (b) 2N_RT at even counts.
 const RT_PANELS: [RtPanel; 2] = [
-    ("a) — N_RT", &[1, 2, 3, 4, 5, 6, 7, 8], RotateTiling::n),
-    ("b) — 2N_RT", &[2, 4, 6, 8, 10, 12], RotateTiling::two_n),
+    ("a) — N_RT", &[1, 2, 3, 4, 5, 6, 7, 8], RtVariant::N),
+    ("b) — 2N_RT", &[2, 4, 6, 8, 10, 12], RtVariant::TwoN),
 ];
+/// The extension sweeps' rotate-tiling: 2N_RT at four initial blocks.
+const RT_2N4: Method = Method::RotateTiling {
+    variant: RtVariant::TwoN,
+    blocks: 4,
+};
 /// Render the scene of every selected dataset, with progress on stderr.
 fn scenes(args: &Args) -> impl Iterator<Item = ScreenScene> + '_ {
     args.datasets().into_iter().map(move |dataset| {
@@ -274,11 +277,12 @@ pub fn walkthrough(argv: &[String], out: &mut dyn Write) -> io::Result<()> {
     };
 
     for (p, blocks, variant) in shapes {
-        let method = match variant {
-            "2n" => RotateTiling::two_n(blocks),
-            "n" => RotateTiling::n(blocks),
+        let variant = match variant {
+            "2n" => RtVariant::TwoN,
+            "n" => RtVariant::N,
             other => panic!("unknown variant {other} (2n|n)"),
         };
+        let method = Method::RotateTiling { variant, blocks };
         match method.build(p, pixels) {
             Ok(schedule) => {
                 verify_schedule(&schedule).expect("schedule verification");
@@ -407,15 +411,15 @@ pub fn fig5(argv: &[String], out: &mut dyn Write) -> io::Result<()> {
             "scene ready: mean blank fraction {:.2}",
             scene.blank_fraction
         );
-        for (label, blocks, method) in RT_PANELS {
+        for (label, blocks, variant) in RT_PANELS {
             let rows: Vec<Vec<String>> = blocks
                 .iter()
                 .map(|&b| {
-                    let rt = method(b);
-                    let (table1, closed) = match rt.variant {
+                    let (table1, closed) = match variant {
                         RtVariant::N => (rt_n_cost(&params, b), closed_form_n(&params, b)),
                         RtVariant::TwoN => (rt_2n_cost(&params, b), closed_form_2n(&params, b)),
                     };
+                    let rt = scene.schedule(Method::RotateTiling { variant, blocks: b });
                     let m = measure(&scene, &rt, CodecKind::Raw, &cost);
                     vec![
                         b.to_string(),
@@ -471,7 +475,7 @@ pub fn fig6(argv: &[String], out: &mut dyn Write) -> io::Result<()> {
             .iter()
             .zip(&theory)
             .map(|(method, t)| {
-                let m = measure(&scene, method, CodecKind::Raw, &cost);
+                let m = measure(&scene, &scene.schedule(*method), CodecKind::Raw, &cost);
                 vec![
                     method.name(),
                     secs(t.total()),
@@ -511,12 +515,13 @@ pub fn fig7(argv: &[String], out: &mut dyn Write) -> io::Result<()> {
     let cost = args.cost();
     for scene in scenes(&args) {
         eprintln!("mean blank fraction {:.2}", scene.blank_fraction);
-        for (label, blocks, method) in RT_PANELS {
+        for (label, blocks, variant) in RT_PANELS {
             let rows: Vec<Vec<String>> = blocks
                 .iter()
                 .map(|&b| {
-                    let raw = measure(&scene, &method(b), CodecKind::Raw, &cost);
-                    let trle = measure(&scene, &method(b), CodecKind::Trle, &cost);
+                    let rt = scene.schedule(Method::RotateTiling { variant, blocks: b });
+                    let raw = measure(&scene, &rt, CodecKind::Raw, &cost);
+                    let trle = measure(&scene, &rt, CodecKind::Trle, &cost);
                     vec![
                         b.to_string(),
                         secs(raw.total_time),
@@ -554,9 +559,10 @@ pub fn fig8(argv: &[String], out: &mut dyn Write) -> io::Result<()> {
         let grid: Vec<(String, Vec<Measurement>)> = Method::figure6_lineup()
             .iter()
             .map(|m| {
+                let schedule = scene.schedule(*m);
                 let cells = CodecKind::ALL
                     .iter()
-                    .map(|&codec| measure(&scene, m, codec, &cost))
+                    .map(|&codec| measure(&scene, &schedule, codec, &cost))
                     .collect();
                 (m.name(), cells)
             })
@@ -611,18 +617,17 @@ pub fn scaling(argv: &[String], out: &mut dyn Write) -> io::Result<()> {
         args.p = p;
         eprintln!("P = {p}: rendering...");
         let scene = ScreenScene::prepare(&args, dataset);
-        let time =
-            |m: &dyn CompositionMethod| secs(measure(&scene, m, CodecKind::Trle, &cost).total_time);
+        let time = |m| secs(measure(&scene, &scene.schedule(m), CodecKind::Trle, &cost).total_time);
         rows.push(vec![
             p.to_string(),
             if p.is_power_of_two() {
-                time(&BinarySwap::new())
+                time(Method::BinarySwap)
             } else {
                 "-".into()
             },
-            time(&BinarySwap::with_fold()),
-            time(&ParallelPipelined::new()),
-            time(&RotateTiling::two_n(4)),
+            time(Method::BinarySwapFold),
+            time(Method::ParallelPipelined),
+            time(RT_2N4),
         ]);
     }
     print_table(
@@ -640,7 +645,7 @@ pub fn scaling(argv: &[String], out: &mut dyn Write) -> io::Result<()> {
 }
 
 /// **Extension E2 — design ablations**: direct-send as a third baseline;
-/// `unchecked` RT on odd-P/odd-B shapes outside the paper's admissibility
+/// the bare RT schedule on odd-P/odd-B shapes outside the paper's admissibility
 /// rule (the re-derived schedule stays correct — the rule is about the
 /// paper's index formulas, not the merge tree); and how the TRLE advantage
 /// erodes as the per-byte codec cost `Tc` grows.
@@ -650,15 +655,11 @@ pub fn ablation(argv: &[String], out: &mut dyn Write) -> io::Result<()> {
     let dataset = args.dataset;
     let figure_scene = ScreenScene::prepare(&args, dataset);
 
-    let methods: [Box<dyn CompositionMethod>; 3] = [
-        Box::new(DirectSend::new()),
-        Box::new(ParallelPipelined::new()),
-        Box::new(RotateTiling::two_n(4)),
-    ];
-    let rows: Vec<Vec<String>> = methods
+    let rows: Vec<Vec<String>> = [Method::DirectSend, Method::ParallelPipelined, RT_2N4]
         .iter()
         .map(|m| {
-            let meas = measure(&figure_scene, m.as_ref(), CodecKind::Raw, &cost);
+            let schedule = figure_scene.schedule(*m);
+            let meas = measure(&figure_scene, &schedule, CodecKind::Raw, &cost);
             vec![
                 m.name(),
                 secs(meas.total_time),
@@ -683,8 +684,15 @@ pub fn ablation(argv: &[String], out: &mut dyn Write) -> io::Result<()> {
     for (p, b) in [(7usize, 3usize), (9, 5), (11, 3), (33, 3)] {
         args.p = p;
         let scene = ScreenScene::prepare(&args, dataset);
-        let rt = measure(&scene, &RotateTiling::unchecked(b), CodecKind::Raw, &cost);
-        let pp = measure(&scene, &ParallelPipelined::new(), CodecKind::Raw, &cost);
+        let rt = rotate::schedule(p, scene.image_len(), RtVariant::TwoN, b)
+            .expect("rotate-tiling compiles for any (P, B)");
+        let rt = measure(&scene, &rt, CodecKind::Raw, &cost);
+        let pp = measure(
+            &scene,
+            &scene.schedule(Method::ParallelPipelined),
+            CodecKind::Raw,
+            &cost,
+        );
         rows.push(vec![
             format!("P={p},B={b}"),
             secs(rt.total_time),
@@ -699,12 +707,12 @@ pub fn ablation(argv: &[String], out: &mut dyn Write) -> io::Result<()> {
         &rows,
     )?;
 
+    let rt = figure_scene.schedule(RT_2N4);
     let rows: Vec<Vec<String>> = [0.0, 1.0, 10.0, 100.0, 1000.0]
         .iter()
         .map(|mult| {
             let mut c = cost;
             c.tc = cost.tp * mult / 10.0; // Tc relative to the per-byte wire cost
-            let rt = RotateTiling::two_n(4);
             let raw = measure(&figure_scene, &rt, CodecKind::Raw, &c);
             let trle = measure(&figure_scene, &rt, CodecKind::Trle, &c);
             vec![
@@ -806,16 +814,14 @@ pub fn inspect(argv: &[String], out: &mut dyn Write) -> io::Result<()> {
 /// Run one faulty composition.
 fn run_faulty(
     scene: &ScreenScene,
-    method: &dyn CompositionMethod,
+    method: Method,
     codec: CodecKind,
     faults: FaultPlan,
 ) -> (
     Vec<Result<ComposeOutput<GrayAlpha8>, CoreError>>,
     rt_comm::Trace,
 ) {
-    let schedule = method
-        .build(scene.p(), scene.image_len())
-        .unwrap_or_else(|e| panic!("{}: {e}", method.name()));
+    let schedule = scene.schedule(method);
     let config = ComposeConfig::default()
         .with_codec(codec)
         .resilient(!faults.is_none());
@@ -858,21 +864,15 @@ pub fn chaos(argv: &[String], out: &mut dyn Write) -> io::Result<()> {
     let cost = args.cost();
     let dataset = args.dataset;
     let scene = ScreenScene::prepare(&args, dataset);
-    let rt = RotateTiling::two_n(4);
 
     // E4a — fault-rate sweep, raw codec.
-    let mut methods: Vec<Box<dyn CompositionMethod>> = vec![
-        Box::new(ParallelPipelined::new()),
-        Box::new(DirectSend::new()),
-        Box::new(rt),
-    ];
+    let mut methods = vec![Method::ParallelPipelined, Method::DirectSend, RT_2N4];
     if args.p.is_power_of_two() {
-        methods.insert(0, Box::new(BinarySwap::new()));
+        methods.insert(0, Method::BinarySwap);
     }
     let mut rows = Vec::new();
-    for m in &methods {
-        let (clean_results, clean_trace) =
-            run_faulty(&scene, m.as_ref(), CodecKind::Raw, FaultPlan::none());
+    for &m in &methods {
+        let (clean_results, clean_trace) = run_faulty(&scene, m, CodecKind::Raw, FaultPlan::none());
         let clean_frame = frame_of(&clean_results);
         let clean_time = price(&clean_trace, &cost, m.name(), CodecKind::Raw).total_time;
         for rate in [0.01, 0.05, 0.10] {
@@ -880,7 +880,7 @@ pub fn chaos(argv: &[String], out: &mut dyn Write) -> io::Result<()> {
                 .with_seed(args.seed)
                 .drop_rate(rate)
                 .corrupt_rate(rate / 2.0);
-            let (results, trace) = run_faulty(&scene, m.as_ref(), CodecKind::Raw, faults);
+            let (results, trace) = run_faulty(&scene, m, CodecKind::Raw, faults);
             let frame = frame_of(&results);
             let degraded = results
                 .iter()
@@ -927,8 +927,8 @@ pub fn chaos(argv: &[String], out: &mut dyn Write) -> io::Result<()> {
                 .with_seed(args.seed)
                 .drop_rate(0.05)
                 .corrupt_rate(0.02);
-            let (_, trace) = run_faulty(&scene, &rt, codec, faults);
-            let meas = price(&trace, &cost, rt.name(), codec);
+            let (_, trace) = run_faulty(&scene, RT_2N4, codec, faults);
+            let meas = price(&trace, &cost, RT_2N4.name(), codec);
             vec![
                 format!("{codec:?}"),
                 trace.retransmit_count().to_string(),
@@ -949,23 +949,19 @@ pub fn chaos(argv: &[String], out: &mut dyn Write) -> io::Result<()> {
     )?;
 
     // E4c — single-rank crash at each step: graceful degradation.
-    let steps = rt
-        .build(args.p, scene.image_len())
-        .expect("2N_RT(4) schedule")
-        .steps
-        .len();
+    let steps = scene.schedule(RT_2N4).steps.len();
     let crash_rank = args.p - 1; // deepest rank: survivors stay contiguous
     let rows: Vec<Vec<String>> = [0, steps / 2, steps]
         .iter()
         .map(|&step| {
             let faults = FaultPlan::none().crash_rank_at_step(crash_rank, step);
-            let (results, trace) = run_faulty(&scene, &rt, CodecKind::Raw, faults);
+            let (results, trace) = run_faulty(&scene, RT_2N4, CodecKind::Raw, faults);
             let info = results
                 .iter()
                 .filter_map(|r| r.as_ref().ok())
                 .find_map(|o| o.degraded.clone())
                 .expect("crash must be reported as degradation");
-            let meas = price(&trace, &cost, rt.name(), CodecKind::Raw);
+            let meas = price(&trace, &cost, RT_2N4.name(), CodecKind::Raw);
             vec![
                 format!("rank {crash_rank} @ step {step}"),
                 format!("{:?}", info.lost_contributions),

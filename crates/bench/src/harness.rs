@@ -3,8 +3,8 @@
 use rt_comm::{replay, CostModel, Trace};
 use rt_compress::CodecKind;
 use rt_core::exec::ComposeConfig;
-use rt_core::method::CompositionMethod;
-use rt_core::schedule::verify_schedule;
+use rt_core::method::Method;
+use rt_core::schedule::{verify_schedule, Schedule};
 use rt_core::theory::TheoryParams;
 use rt_core::{ComposePlan, Run};
 use rt_imaging::pixel::GrayAlpha8;
@@ -253,6 +253,16 @@ impl ScreenScene {
     pub fn image_len(&self) -> usize {
         self.partials[0].len()
     }
+
+    /// `method` compiled for this scene's machine and frame.
+    ///
+    /// # Panics
+    /// If the method does not support the shape, naming it.
+    pub fn schedule(&self, method: Method) -> Schedule {
+        method
+            .build(self.p(), self.image_len())
+            .unwrap_or_else(|e| panic!("{}: {e}", method.name()))
+    }
 }
 
 /// One measured `(method, codec)` data point.
@@ -276,20 +286,18 @@ pub struct Measurement {
 /// the scene reference, and price the trace.
 pub fn measure(
     scene: &ScreenScene,
-    method: &dyn CompositionMethod,
+    schedule: &Schedule,
     codec: CodecKind,
     cost: &CostModel,
 ) -> Measurement {
-    let schedule = method
-        .build(scene.p(), scene.image_len())
-        .unwrap_or_else(|e| panic!("{}: {e}", method.name()));
-    verify_schedule(&schedule).unwrap_or_else(|e| panic!("{}: {e}", method.name()));
+    let name = &schedule.method;
+    verify_schedule(schedule).unwrap_or_else(|e| panic!("{name}: {e}"));
     let config = ComposeConfig::default().with_codec(codec);
-    let plan = ComposePlan::Schedule(schedule);
+    let plan = ComposePlan::Schedule(schedule.clone());
     let (results, trace) = Run::new(&plan, &config).execute(scene.partials.clone());
     let mut frame = None;
     for r in results {
-        let out = r.unwrap_or_else(|e| panic!("{}: {e}", method.name()));
+        let out = r.unwrap_or_else(|e| panic!("{name}: {e}"));
         if out.frame.is_some() {
             frame = out.frame;
         }
@@ -302,11 +310,10 @@ pub fn measure(
     let tol = (rt_core::rotate::ceil_log2(scene.p()) as f64 + 3.0) / 255.0;
     assert!(
         frame.approx_eq(&scene.reference, tol),
-        "{} with {codec:?} diverged from the sequential reference: {:?}",
-        method.name(),
+        "{name} with {codec:?} diverged from the sequential reference: {:?}",
         frame.first_mismatch(&scene.reference, tol),
     );
-    price(&trace, cost, method.name(), codec)
+    price(&trace, cost, name.clone(), codec)
 }
 
 /// Price an existing trace (used when callers already ran the composition).
@@ -370,7 +377,12 @@ pub fn secs(t: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_core::RotateTiling;
+    use rt_core::RtVariant;
+
+    const RT_2N2: Method = Method::RotateTiling {
+        variant: RtVariant::TwoN,
+        blocks: 2,
+    };
 
     fn tiny_args() -> Args {
         Args {
@@ -390,7 +402,7 @@ mod tests {
         assert!(scene.blank_fraction > 0.1);
         let m = measure(
             &scene,
-            &RotateTiling::two_n(2),
+            &scene.schedule(RT_2N2),
             CodecKind::Raw,
             &CostModel::PAPER_EXAMPLE,
         );
@@ -406,13 +418,13 @@ mod tests {
         let scene = ScreenScene::prepare(&args, Dataset::Brain);
         let raw = measure(
             &scene,
-            &RotateTiling::two_n(2),
+            &scene.schedule(RT_2N2),
             CodecKind::Raw,
             &CostModel::PAPER_EXAMPLE,
         );
         let trle = measure(
             &scene,
-            &RotateTiling::two_n(2),
+            &scene.schedule(RT_2N2),
             CodecKind::Trle,
             &CostModel::PAPER_EXAMPLE,
         );

@@ -30,7 +30,7 @@ use crate::harness::{cost_by_name, parse_flags};
 use rt_comm::{critical_path, replay_timeline};
 use rt_compress::CodecKind;
 use rt_core::exec::{ComposeConfig, ScratchPool};
-use rt_core::method::{CompositionMethod, Method};
+use rt_core::method::Method;
 use rt_core::schedule::verify_schedule;
 use rt_core::{ComposePlan, CoreError, Run};
 use rt_imaging::pixel::GrayAlpha8;

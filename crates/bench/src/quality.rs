@@ -37,7 +37,7 @@ use crate::harness::{parse_flags, price, print_table, Args, Measurement, ScreenS
 use rt_comm::CostModel;
 use rt_compress::CodecKind;
 use rt_core::exec::{ComposeConfig, TransportKind};
-use rt_core::method::{CompositionMethod, Method};
+use rt_core::method::Method;
 use rt_core::Run;
 use rt_imaging::image::reference_composite;
 use rt_imaging::pixel::{GrayAlpha8, Pixel};

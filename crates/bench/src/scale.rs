@@ -25,8 +25,7 @@
 use crate::harness::{parse_flags, print_table};
 use rt_comm::{replay_timeline, CostModel};
 use rt_core::{
-    sweep, Candidate, ComposeConfig, ComposePlan, CompositionMethod, DisplayWall, Method, Run,
-    TuneOptions,
+    sweep, Candidate, ComposeConfig, ComposePlan, DisplayWall, Method, Run, TuneOptions,
 };
 use rt_imaging::image::reference_composite;
 use rt_imaging::synth::band_partials;

@@ -10,7 +10,7 @@ use rt_bench::chaosnet::{outcome, run_scenario, scenarios, Job};
 use rt_bench::netgrid::frame_hash;
 use rt_comm::{replay_timeline, CostModel, Trace};
 use rt_compress::CodecKind;
-use rt_core::method::{CompositionMethod, Method};
+use rt_core::method::Method;
 use rt_core::{ComposeConfig, Run};
 use rt_imaging::synth::band_partials;
 use rt_obs::{validate_chrome_trace, ChromeTrace};

@@ -201,8 +201,8 @@ pub fn analyze(schedule: &Schedule, cost: &CostModel, bytes_per_pixel: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::method::CompositionMethod;
-    use crate::{BinarySwap, ParallelPipelined, RotateTiling};
+    use crate::rotate::{self, RtVariant};
+    use crate::Method;
 
     fn cost() -> CostModel {
         CostModel::new(1.0, 0.01, 0.001)
@@ -213,7 +213,7 @@ mod tests {
         // P = 2, A = 100: one step, two 50-px messages, each rank sends
         // once (1 + 50*2*0.01 = 2.0), waits for the partner (also 2.0),
         // composites 50 px (0.05). Makespan 2.05.
-        let s = BinarySwap::new().build(2, 100).unwrap();
+        let s = Method::BinarySwap.build(2, 100).unwrap();
         let a = analyze(&s, &cost(), 2);
         assert!((a.makespan - 2.05).abs() < 1e-12, "{a:?}");
         assert_eq!(a.steps, 1);
@@ -225,7 +225,7 @@ mod tests {
 
     #[test]
     fn latency_depth_counts_startups_only() {
-        let s = BinarySwap::new().build(8, 1 << 12).unwrap();
+        let s = Method::BinarySwap.build(8, 1 << 12).unwrap();
         let a = analyze(&s, &cost(), 2);
         // Three steps, one send per rank per step, partner symmetric:
         // depth = 3 startups.
@@ -235,12 +235,12 @@ mod tests {
     #[test]
     fn rt_latency_depth_scales_with_blocks() {
         let a2 = analyze(
-            &RotateTiling::two_n(2).build(32, 1 << 14).unwrap(),
+            &rotate::schedule(32, 1 << 14, RtVariant::TwoN, 2).unwrap(),
             &cost(),
             2,
         );
         let a8 = analyze(
-            &RotateTiling::two_n(8).build(32, 1 << 14).unwrap(),
+            &rotate::schedule(32, 1 << 14, RtVariant::TwoN, 8).unwrap(),
             &cost(),
             2,
         );
@@ -252,7 +252,7 @@ mod tests {
     #[test]
     fn pipelined_depth_is_linear_in_p() {
         let a = analyze(
-            &ParallelPipelined::new().build(12, 1200).unwrap(),
+            &Method::ParallelPipelined.build(12, 1200).unwrap(),
             &cost(),
             2,
         );
@@ -262,7 +262,7 @@ mod tests {
 
     #[test]
     fn balance_metrics_are_populated() {
-        let s = RotateTiling::two_n(4).build(6, 6000).unwrap();
+        let s = rotate::schedule(6, 6000, RtVariant::TwoN, 4).unwrap();
         let a = analyze(&s, &cost(), 2);
         assert!(a.max_sent_pixels > 0);
         assert!(a.max_over_pixels > 0);

@@ -914,8 +914,9 @@ fn gather<P: Pixel, I: Iterator<Item = Span> + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::method::CompositionMethod;
+    use crate::rotate::{self, RtVariant};
     use crate::schedule::{Step, Transfer};
+    use crate::Method;
     use crate::{ComposePlan, Run};
     use rt_imaging::pixel::Provenance;
     use rt_imaging::synth::provenance_partials;
@@ -1107,7 +1108,7 @@ mod tests {
     fn dropped_messages_recover_bit_exact() {
         // Message loss is absorbed by the comm layer's retransmission:
         // the composite is bit-identical to the clean run.
-        let schedule = crate::RotateTiling::two_n(2).build(4, 256).unwrap();
+        let schedule = rotate::schedule(4, 256, RtVariant::TwoN, 2).unwrap();
         let faults = FaultPlan::none()
             .with_seed(7)
             .drop_rate(0.10)
@@ -1135,9 +1136,9 @@ mod tests {
         // so the Provenance algebra stays exact: every pixel must be the
         // survivors' range [0, 3).
         for (label, schedule) in [
-            ("bs", crate::BinarySwap::new().build(4, 256).unwrap()),
-            ("pp", crate::ParallelPipelined::new().build(4, 256).unwrap()),
-            ("rt", crate::RotateTiling::two_n(2).build(4, 256).unwrap()),
+            ("bs", Method::BinarySwap.build(4, 256).unwrap()),
+            ("pp", Method::ParallelPipelined.build(4, 256).unwrap()),
+            ("rt", rotate::schedule(4, 256, RtVariant::TwoN, 2).unwrap()),
         ] {
             let config = ComposeConfig::default().resilient(true);
             let faults = FaultPlan::none().crash_rank_at_step(3, 0);
@@ -1168,7 +1169,7 @@ mod tests {
 
     #[test]
     fn crash_of_the_root_reassigns_the_gather() {
-        let schedule = crate::BinarySwap::new().build(4, 256).unwrap();
+        let schedule = Method::BinarySwap.build(4, 256).unwrap();
         let config = ComposeConfig::default().resilient(true);
         let faults = FaultPlan::none().crash_rank_at_step(0, 1);
         let (results, _) = run_faulty(&schedule, provenance_partials(4, 16, 16), &config, faults);
@@ -1187,7 +1188,7 @@ mod tests {
         // size, which would price compressed and raw messages identically.
         use rt_comm::Event;
         use rt_imaging::pixel::GrayAlpha8;
-        let schedule = crate::RotateTiling::two_n(2).build(4, 1024).unwrap();
+        let schedule = rotate::schedule(4, 1024, RtVariant::TwoN, 2).unwrap();
         let partials: Vec<Image<GrayAlpha8>> = (0..4)
             .map(|r| {
                 Image::from_fn(32, 32, |x, y| {

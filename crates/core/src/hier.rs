@@ -29,7 +29,7 @@
 //!    to its group's leader (the lowest member) as a
 //!    [`MergeDir::Place`]: the leader shipped that span away earlier, so
 //!    the message becomes its piece — a decode, no `over`;
-//! 3. **inter steps** — the [`RadixK::for_group_size`] rounds, relabelled
+//! 3. **inter steps** — the [`radix::for_group_size`] rounds, relabelled
 //!    onto the leaders; `final_owners` are the inter owners, from which
 //!    the executor gathers to the root (or display wall).
 //!
@@ -38,15 +38,16 @@
 //! every pixel once in depth order, [`crate::analyze`] prices it and
 //! [`crate::repair()`] plans its recovery like any other schedule's.
 
-use crate::method::{CompositionMethod, Method};
-use crate::radix::RadixK;
+use crate::method::Method;
+use crate::radix;
 use crate::rotate::RtVariant;
 use crate::schedule::{MergeDir, Schedule, Step, Transfer};
 use crate::CoreError;
 use serde::{Deserialize, Serialize};
 
-/// The flat method run inside each group — [`Method`] minus the
-/// hierarchical variant itself, so plans cannot nest.
+/// The flat method run inside each group — the span families of [`Method`]
+/// minus the hierarchical variant itself, so plans cannot nest and every
+/// group compiles to a span schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum IntraMethod {
     /// Binary-swap (power-of-two group sizes only).
@@ -64,15 +65,6 @@ pub enum IntraMethod {
         /// Initial block count.
         blocks: usize,
     },
-    /// Tile-ownership. Its message set depends on the content, so it is not
-    /// a span schedule: [`build`] rejects it with
-    /// [`CoreError::UnsupportedShape`].
-    TileOwner {
-        /// Tile columns.
-        tiles_x: usize,
-        /// Tile rows.
-        tiles_y: usize,
-    },
 }
 
 impl IntraMethod {
@@ -86,7 +78,6 @@ impl IntraMethod {
             IntraMethod::RotateTiling { variant, blocks } => {
                 Method::RotateTiling { variant, blocks }
             }
-            IntraMethod::TileOwner { tiles_x, tiles_y } => Method::TileOwner { tiles_x, tiles_y },
         }
     }
 }
@@ -129,13 +120,6 @@ pub fn build(
     }
     if k < 2 {
         return Err(unsupported(format!("group size k={k} must be at least 2")));
-    }
-    if let IntraMethod::TileOwner { .. } = intra {
-        return Err(unsupported(
-            "tile-ownership picks its messages from the content, so it cannot run \
-             inside the groups of a span schedule"
-                .into(),
-        ));
     }
     // Group `g` is ranks `g·k ..` and its leader rank `g·k`; only the last
     // group can be short, so at most two distinct intra schedules exist.
@@ -189,7 +173,7 @@ pub fn build(
         steps.push(place);
     }
 
-    let inter = RadixK::for_group_size(groups, k).build(groups, image_len)?;
+    let inter = radix::schedule(groups, image_len, &radix::for_group_size(groups, k))?;
     steps.extend(inter.steps.iter().map(|step| Step {
         transfers: relabelled(&step.transfers, |leader| leader * k).collect(),
         flush: step.flush,

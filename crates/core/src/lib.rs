@@ -19,10 +19,12 @@
 //!
 //! ## Architecture: schedules, one executor
 //!
-//! Every method is expressed as a pure, introspectable [`schedule::Schedule`]
-//! — the full list of `(step, sender, receiver, span, merge direction)`
-//! transfers plus the final ownership map. One executor (behind
-//! [`compose_plan`], the single per-rank entry point) runs any schedule over
+//! Methods are data: a method is a [`Method`] value, and [`Method::plan`]
+//! compiles a step-structured one — through one plain `schedule` function
+//! in its module — to a pure, introspectable [`schedule::Schedule`]: the
+//! full list of `(step, sender, receiver, span, merge direction)` transfers
+//! plus the final ownership map. One executor (behind [`compose_plan`],
+//! the single per-rank entry point) runs any schedule over
 //! the `rt-comm` multicomputer with any `rt-compress` codec; [`Run`] wraps
 //! it for a whole machine. This split gives three things the reproduction
 //! needs:
@@ -95,16 +97,12 @@ pub mod tile;
 pub mod tune;
 
 pub use analysis::{analyze, ScheduleCost};
-pub use binary_swap::BinarySwap;
-pub use direct::DirectSend;
 pub use display::{span_cell_segments, DisplayWall};
 pub use exec::{ComposeConfig, ComposeOutput, Machine, Scratch, ScratchPool, TransportKind};
 pub use hier::IntraMethod;
-pub use method::{CompositionMethod, Method};
-pub use pipelined::ParallelPipelined;
-pub use radix::RadixK;
+pub use method::Method;
 pub use repair::{repair, DegradedInfo, RepairEntry, RepairFetch, RepairPlan};
-pub use rotate::{RotateTiling, RtVariant};
+pub use rotate::RtVariant;
 pub use run::{run_plan_composition_pooled, Run, RunOutput};
 pub use schedule::{verify_schedule, MergeDir, Schedule, Step, Transfer};
 pub use tile::{compose_plan, verify_tile_plan, ComposePlan, TileGrid, TilePlan};

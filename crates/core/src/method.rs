@@ -1,25 +1,14 @@
-//! The [`CompositionMethod`] trait and the [`Method`] selector enum.
+//! The [`Method`] enum: the one way to name a composition method and
+//! compile it to a plan.
 
-use crate::binary_swap::BinarySwap;
-use crate::direct::DirectSend;
-use crate::pipelined::ParallelPipelined;
-use crate::rotate::{RotateTiling, RtVariant};
+use crate::rotate::RtVariant;
 use crate::schedule::Schedule;
 use crate::tile::{ComposePlan, TileGrid, TilePlan};
-use crate::CoreError;
+use crate::{binary_swap, direct, pipelined, rotate, CoreError};
 use serde::{Deserialize, Serialize};
 
-/// A composition method: anything that can compile itself to a [`Schedule`]
-/// for a given machine size and frame size.
-pub trait CompositionMethod {
-    /// Display name (used in figures and walkthroughs).
-    fn name(&self) -> String;
-
-    /// Compile the schedule, or explain why the shape is unsupported.
-    fn build(&self, p: usize, image_len: usize) -> Result<Schedule, CoreError>;
-}
-
-/// Value-level method selector for benches, examples and config files.
+/// A composition method, as data: benches, examples, the tuner and config
+/// files name a method by its variant, and [`Method::plan`] compiles it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Method {
     /// Binary-swap (power-of-two `P`).
@@ -41,7 +30,7 @@ pub enum Method {
     /// static 2-D tile grid (any `P`; extension). Not expressible as a
     /// span [`Schedule`] — its message set depends on which tiles hold
     /// content — so it compiles through [`Method::plan`] instead of
-    /// [`CompositionMethod::build`].
+    /// [`Method::build`].
     TileOwner {
         /// Tile columns.
         tiles_x: usize,
@@ -126,22 +115,25 @@ impl Method {
                 let plan = TilePlan::puzzle(p, grid, *budget_permille)?;
                 Ok(ComposePlan::Tiles(plan))
             }
-            _ => Ok(ComposePlan::Schedule(self.build(p, width * height)?)),
+            _ => {
+                let overflow = || CoreError::UnsupportedShape {
+                    method: "plan",
+                    why: format!("a {width}x{height} frame overflows the pixel count"),
+                };
+                let image_len = width.checked_mul(height).ok_or_else(overflow)?;
+                Ok(ComposePlan::Schedule(self.build(p, image_len)?))
+            }
         }
     }
-}
 
-impl CompositionMethod for Method {
-    fn name(&self) -> String {
+    /// Display name (used in figures, walkthroughs and plans).
+    pub fn name(&self) -> String {
         match self {
-            Method::BinarySwap => BinarySwap::new().name(),
-            Method::BinarySwapFold => BinarySwap::with_fold().name(),
-            Method::ParallelPipelined => ParallelPipelined::new().name(),
-            Method::DirectSend => DirectSend::new().name(),
-            Method::RotateTiling { variant, blocks } => match variant {
-                RtVariant::TwoN => RotateTiling::two_n(*blocks).name(),
-                RtVariant::N => RotateTiling::n(*blocks).name(),
-            },
+            Method::BinarySwap => "BS".to_string(),
+            Method::BinarySwapFold => "BS+fold".to_string(),
+            Method::ParallelPipelined => "PP".to_string(),
+            Method::DirectSend => "DS".to_string(),
+            Method::RotateTiling { variant, blocks } => format!("{}(B={blocks})", variant.label()),
             Method::TileOwner { tiles_x, tiles_y } => format!("TO({tiles_x}x{tiles_y})"),
             Method::Hier { k, intra } => format!("HIER(k={k},{})", intra.as_method().name()),
             Method::Puzzle {
@@ -152,16 +144,33 @@ impl CompositionMethod for Method {
         }
     }
 
-    fn build(&self, p: usize, image_len: usize) -> Result<Schedule, CoreError> {
+    /// Compile a step-structured method's span [`Schedule`], or explain why
+    /// the shape is unsupported. Rotate-tiling is held to the paper's
+    /// admissibility rule here: `2N_RT` needs an even block count, `N_RT` an
+    /// even processor count.
+    pub fn build(&self, p: usize, image_len: usize) -> Result<Schedule, CoreError> {
         match self {
-            Method::BinarySwap => BinarySwap::new().build(p, image_len),
-            Method::BinarySwapFold => BinarySwap::with_fold().build(p, image_len),
-            Method::ParallelPipelined => ParallelPipelined::new().build(p, image_len),
-            Method::DirectSend => DirectSend::new().build(p, image_len),
-            Method::RotateTiling { variant, blocks } => match variant {
-                RtVariant::TwoN => RotateTiling::two_n(*blocks).build(p, image_len),
-                RtVariant::N => RotateTiling::n(*blocks).build(p, image_len),
-            },
+            Method::BinarySwap => binary_swap::schedule(p, image_len, false),
+            Method::BinarySwapFold => binary_swap::schedule(p, image_len, true),
+            Method::ParallelPipelined => pipelined::schedule(p, image_len),
+            Method::DirectSend => direct::schedule(p, image_len),
+            Method::RotateTiling {
+                variant: RtVariant::TwoN,
+                blocks,
+            } if !blocks.is_multiple_of(2) => Err(CoreError::UnsupportedShape {
+                method: "rotate-tiling (2N_RT)",
+                why: format!("block count {blocks} must be even"),
+            }),
+            Method::RotateTiling {
+                variant: RtVariant::N,
+                ..
+            } if !p.is_multiple_of(2) => Err(CoreError::UnsupportedShape {
+                method: "rotate-tiling (N_RT)",
+                why: format!("processor count {p} must be even"),
+            }),
+            Method::RotateTiling { variant, blocks } => {
+                rotate::schedule(p, image_len, *variant, *blocks)
+            }
             Method::TileOwner { .. } => Err(CoreError::UnsupportedShape {
                 method: "tile-owner",
                 why: "content-adaptive message set cannot compile to a static span \
@@ -182,6 +191,7 @@ impl CompositionMethod for Method {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hier::IntraMethod;
     use crate::schedule::verify_schedule;
 
     #[test]
@@ -226,13 +236,107 @@ mod tests {
 
     #[test]
     fn enum_dispatch_matches_structs() {
+        // `build` holds RT to the paper's rule and otherwise compiles the
+        // module's schedule unchanged.
         let via_enum = Method::RotateTiling {
             variant: RtVariant::TwoN,
             blocks: 4,
         }
         .build(6, 600)
         .unwrap();
-        let via_struct = RotateTiling::two_n(4).build(6, 600).unwrap();
-        assert_eq!(via_enum, via_struct);
+        let via_module = rotate::schedule(6, 600, RtVariant::TwoN, 4).unwrap();
+        assert_eq!(via_enum, via_module);
+    }
+
+    /// Every variant, `Hier` once per intra method.
+    fn every_method() -> Vec<Method> {
+        let rt = |variant, blocks| Method::RotateTiling { variant, blocks };
+        let mut all = vec![
+            Method::BinarySwap,
+            Method::BinarySwapFold,
+            Method::ParallelPipelined,
+            Method::DirectSend,
+            rt(RtVariant::TwoN, 4),
+            rt(RtVariant::N, 3),
+            Method::TileOwner {
+                tiles_x: 4,
+                tiles_y: 4,
+            },
+            Method::Puzzle {
+                tiles_x: 4,
+                tiles_y: 4,
+                budget_permille: 100,
+            },
+        ];
+        let intras = [
+            IntraMethod::BinarySwap,
+            IntraMethod::BinarySwapFold,
+            IntraMethod::ParallelPipelined,
+            IntraMethod::DirectSend,
+            IntraMethod::RotateTiling {
+                variant: RtVariant::TwoN,
+                blocks: 4,
+            },
+            IntraMethod::RotateTiling {
+                variant: RtVariant::N,
+                blocks: 3,
+            },
+        ];
+        all.extend(intras.map(|intra| Method::Hier { k: 2, intra }));
+        all
+    }
+
+    /// Whether `m` compiles to tiles rather than a span schedule; a new
+    /// variant stops this compiling until it is sorted (and listed above).
+    fn is_tile_family(m: &Method) -> bool {
+        match m {
+            Method::TileOwner { .. } | Method::Puzzle { .. } => true,
+            Method::BinarySwap
+            | Method::BinarySwapFold
+            | Method::ParallelPipelined
+            | Method::DirectSend
+            | Method::RotateTiling { .. }
+            | Method::Hier { .. } => false,
+        }
+    }
+
+    #[test]
+    fn one_vocabulary_names_and_compiles_every_method() {
+        let (w, h) = (12, 10);
+        for m in every_method() {
+            for p in [1, 2, 3, 4, 8] {
+                let planned = m.plan(p, w, h);
+                if let Ok(plan) = &planned {
+                    assert_eq!(plan.method_name(), m.name(), "{m:?} p={p}");
+                }
+                if is_tile_family(&m) {
+                    assert!(planned.is_ok(), "{m:?} p={p}");
+                    assert!(
+                        matches!(m.build(p, w * h), Err(CoreError::UnsupportedShape { .. })),
+                        "{m:?} p={p}"
+                    );
+                } else {
+                    assert_eq!(planned, m.build(p, w * h).map(ComposePlan::Schedule));
+                }
+            }
+            // Zero ranks: a typed error from both entries, never a panic.
+            for zero in [m.plan(0, w, h).err(), m.build(0, w * h).err()] {
+                assert!(
+                    matches!(zero, Some(CoreError::UnsupportedShape { .. })),
+                    "{m:?}: {zero:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_overflowing_frame_is_an_unsupported_shape() {
+        for m in every_method().iter().filter(|m| !is_tile_family(m)) {
+            let err = m.plan(4, usize::MAX, 2).unwrap_err();
+            assert!(
+                matches!(err, CoreError::UnsupportedShape { .. }),
+                "{m:?}: {err}"
+            );
+        }
     }
 }

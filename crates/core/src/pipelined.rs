@@ -21,72 +21,55 @@
 //! with a non-commutative operator; it adds one local `A/P`-pixel `over`
 //! per rank and no extra communication.
 
-use crate::method::CompositionMethod;
 use crate::schedule::{MergeDir, Schedule, Step, Transfer};
 use crate::CoreError;
 use rt_imaging::Span;
-use serde::{Deserialize, Serialize};
 
-/// The parallel-pipelined method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct ParallelPipelined;
-
-impl ParallelPipelined {
-    /// Construct the method (no parameters: the block count is always `P`).
-    pub fn new() -> Self {
-        Self
+/// Compile parallel-pipelined for `p` ranks and an `image_len`-pixel frame
+/// (the block count is always `P`).
+pub fn schedule(p: usize, image_len: usize) -> Result<Schedule, CoreError> {
+    if p == 0 {
+        return Err(CoreError::UnsupportedShape {
+            method: "parallel-pipelined",
+            why: "zero ranks".into(),
+        });
     }
-}
-
-impl CompositionMethod for ParallelPipelined {
-    fn name(&self) -> String {
-        "PP".to_string()
-    }
-
-    fn build(&self, p: usize, image_len: usize) -> Result<Schedule, CoreError> {
-        if p == 0 {
-            return Err(CoreError::UnsupportedShape {
-                method: "parallel-pipelined",
-                why: "zero ranks".into(),
+    let spans = Span::whole(image_len).split_even(p);
+    let mut steps = Vec::with_capacity(p.saturating_sub(1));
+    for k in 1..p {
+        let mut step = Step::default();
+        for r in 0..p {
+            let dst = (r + k) % p;
+            if spans[dst].is_empty() {
+                continue;
+            }
+            let dir = if r < dst {
+                MergeDir::Front
+            } else {
+                MergeDir::BackDefer
+            };
+            step.transfers.push(Transfer {
+                src: r,
+                dst,
+                span: spans[dst],
+                dir,
             });
         }
-        let spans = Span::whole(image_len).split_even(p);
-        let mut steps = Vec::with_capacity(p.saturating_sub(1));
-        for k in 1..p {
-            let mut step = Step::default();
-            for r in 0..p {
-                let dst = (r + k) % p;
-                if spans[dst].is_empty() {
-                    continue;
-                }
-                let dir = if r < dst {
-                    MergeDir::Front
-                } else {
-                    MergeDir::BackDefer
-                };
-                step.transfers.push(Transfer {
-                    src: r,
-                    dst,
-                    span: spans[dst],
-                    dir,
-                });
-            }
-            steps.push(step);
-        }
-        let final_owners = spans
-            .into_iter()
-            .enumerate()
-            .map(|(b, span)| (span, b))
-            .collect();
-        Ok(Schedule {
-            p,
-            image_len,
-            steps,
-            final_owners,
-            method: self.name(),
-            depth_of_rank: None,
-        })
+        steps.push(step);
     }
+    let final_owners = spans
+        .into_iter()
+        .enumerate()
+        .map(|(b, span)| (span, b))
+        .collect();
+    Ok(Schedule {
+        p,
+        image_len,
+        steps,
+        final_owners,
+        method: "PP".to_string(),
+        depth_of_rank: None,
+    })
 }
 
 #[cfg(test)]
@@ -97,7 +80,7 @@ mod tests {
     #[test]
     fn any_processor_count_verifies() {
         for p in 1..=16 {
-            let s = ParallelPipelined::new().build(p, 3840).unwrap();
+            let s = schedule(p, 3840).unwrap();
             verify_schedule(&s).unwrap_or_else(|e| panic!("p={p}: {e}"));
             assert_eq!(s.step_count(), p.saturating_sub(1));
         }
@@ -107,7 +90,7 @@ mod tests {
     fn thirty_two_ranks_match_table1_profile() {
         let a = 512 * 512;
         let p = 32;
-        let s = ParallelPipelined::new().build(p, a).unwrap();
+        let s = schedule(p, a).unwrap();
         assert_eq!(s.step_count(), p - 1);
         for step in &s.steps {
             assert_eq!(step.transfers.len(), p);
@@ -127,14 +110,14 @@ mod tests {
 
     #[test]
     fn ownership_is_one_block_per_rank() {
-        let s = ParallelPipelined::new().build(8, 800).unwrap();
+        let s = schedule(8, 800).unwrap();
         let owned = s.owned_pixels();
         assert!(owned.iter().all(|&px| px == 100), "{owned:?}");
     }
 
     #[test]
     fn merge_directions_split_around_owner() {
-        let s = ParallelPipelined::new().build(5, 500).unwrap();
+        let s = schedule(5, 500).unwrap();
         for step in &s.steps {
             for t in &step.transfers {
                 if t.src < t.dst {

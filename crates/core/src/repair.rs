@@ -434,8 +434,8 @@ pub fn repair(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::method::CompositionMethod;
-    use crate::{BinarySwap, ParallelPipelined, RotateTiling};
+    use crate::rotate::{self, RtVariant};
+    use crate::Method;
 
     fn crash(pairs: &[(usize, usize)]) -> BTreeMap<usize, usize> {
         pairs.iter().copied().collect()
@@ -443,7 +443,7 @@ mod tests {
 
     #[test]
     fn no_failures_means_no_work() {
-        let s = BinarySwap::new().build(8, 512).unwrap();
+        let s = Method::BinarySwap.build(8, 512).unwrap();
         let plan = repair(&s, &BTreeMap::new()).unwrap();
         assert!(plan.entries.is_empty());
         assert_eq!(plan.final_owners, s.final_owners);
@@ -454,9 +454,9 @@ mod tests {
     #[test]
     fn crash_at_step_zero_loses_only_the_crashed_contribution() {
         for s in [
-            BinarySwap::new().build(4, 256).unwrap(),
-            ParallelPipelined::new().build(4, 256).unwrap(),
-            RotateTiling::two_n(2).build(4, 256).unwrap(),
+            Method::BinarySwap.build(4, 256).unwrap(),
+            Method::ParallelPipelined.build(4, 256).unwrap(),
+            rotate::schedule(4, 256, RtVariant::TwoN, 2).unwrap(),
         ] {
             let plan = repair(&s, &crash(&[(2, 0)])).unwrap();
             assert_eq!(plan.info.failed, vec![(2, 0)]);
@@ -482,7 +482,7 @@ mod tests {
         // survives (at receivers, or archived at senders), so the only
         // loss is its own rendered data for the span it finally owned —
         // in binary-swap that data never leaves the rank.
-        let s = BinarySwap::new().build(4, 256).unwrap();
+        let s = Method::BinarySwap.build(4, 256).unwrap();
         let k = s.steps.len(); // fail-stop after the steps, before gather
         let plan = repair(&s, &crash(&[(1, k)])).unwrap();
         assert_eq!(plan.info.lost_contributions, vec![1]);
@@ -501,7 +501,7 @@ mod tests {
 
     #[test]
     fn entries_tile_the_reassigned_spans() {
-        let s = RotateTiling::two_n(2).build(6, 360).unwrap();
+        let s = rotate::schedule(6, 360, RtVariant::TwoN, 2).unwrap();
         let plan = repair(&s, &crash(&[(3, 1)])).unwrap();
         assert_sound(&plan, &[3]);
         for e in &plan.entries {
@@ -516,7 +516,7 @@ mod tests {
 
     #[test]
     fn multiple_failures_are_supported() {
-        let s = ParallelPipelined::new().build(6, 360).unwrap();
+        let s = Method::ParallelPipelined.build(6, 360).unwrap();
         let plan = repair(&s, &crash(&[(0, 1), (4, 2)])).unwrap();
         assert_eq!(plan.info.failed, vec![(0, 1), (4, 2)]);
         assert_sound(&plan, &[0, 4]);
@@ -614,7 +614,7 @@ mod tests {
         // ranks 6..9 straight behind its own 0..3, in place, so ranks 4 and
         // 5 no longer fit in between and rank 0's data exists nowhere else
         // in the buffers: its kept partial is what saves it.
-        let s = crate::RadixK::new(vec![3, 3]).build(9, 324).unwrap();
+        let s = crate::radix::schedule(9, 324, &[3, 3]).unwrap();
         let plan = repair(&s, &crash(&[(3, 1)])).unwrap();
         assert_eq!(plan.info.lost_contributions, vec![3]);
         assert_sound(&plan, &[3]);
@@ -661,7 +661,7 @@ mod tests {
 
     #[test]
     fn all_ranks_dead_is_a_typed_error() {
-        let s = BinarySwap::new().build(2, 64).unwrap();
+        let s = Method::BinarySwap.build(2, 64).unwrap();
         let err = repair(&s, &crash(&[(0, 0), (1, 0)])).unwrap_err();
         assert_eq!(err, CoreError::AllRanksFailed { p: 2 });
     }

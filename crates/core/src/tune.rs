@@ -34,7 +34,7 @@
 
 use crate::analysis::{analyze, ScheduleCost};
 use crate::hier::IntraMethod;
-use crate::method::{CompositionMethod, Method};
+use crate::method::Method;
 use crate::rotate::RtVariant;
 use crate::CoreError;
 use rt_comm::{CostModel, Event, Trace};

@@ -14,9 +14,8 @@
 use proptest::prelude::*;
 use rt_comm::FaultPlan;
 use rt_compress::CodecKind;
-use rt_core::method::CompositionMethod;
 use rt_core::rotate::RtVariant;
-use rt_core::{ComposeConfig, ComposePlan, CoreError, IntraMethod, Method, RadixK, Run};
+use rt_core::{radix, ComposeConfig, ComposePlan, IntraMethod, Method, Run};
 use rt_imaging::image::reference_composite;
 use rt_imaging::pixel::{GrayAlpha8, Pixel};
 use rt_imaging::synth::band_partials;
@@ -39,17 +38,19 @@ fn ragged_safe_intras() -> Vec<IntraMethod> {
 /// inside the groups of a span schedule: a typed refusal, not a panic.
 #[test]
 fn tile_owner_intra_is_refused_with_a_typed_error() {
-    let intra = IntraMethod::TileOwner {
-        tiles_x: 2,
-        tiles_y: 2,
-    };
-    match (Method::Hier { k: 3, intra }).plan(9, 6, 9) {
-        Err(CoreError::UnsupportedShape { method, why }) => {
-            assert_eq!(method, "hier");
-            assert!(why.contains("tile-ownership"), "{why}");
-        }
-        other => panic!("expected UnsupportedShape, got {other:?}"),
-    }
+    // `IntraMethod` lists span families only, so tile ownership inside the
+    // groups cannot be written in code, and a config file that asks for it
+    // is refused on load.
+    let tiles = r#"{"Hier":{"k":3,"intra":{"TileOwner":{"tiles_x":2,"tiles_y":2}}}}"#;
+    let err = serde_json::from_str::<Method>(tiles).unwrap_err();
+    assert!(err.to_string().contains("IntraMethod"), "{err}");
+    // The span families it does list still load.
+    let ds = r#"{"Hier":{"k":3,"intra":"DirectSend"}}"#;
+    let intra = IntraMethod::DirectSend;
+    assert_eq!(
+        serde_json::from_str::<Method>(ds).unwrap(),
+        Method::Hier { k: 3, intra }
+    );
 }
 
 /// Pick a group size `2 ≤ k < p` with `k ∤ p` from a raw draw; such a
@@ -311,7 +312,7 @@ fn check_deaths(plan: &ComposePlan, deaths: &[(usize, usize)]) {
 #[test]
 fn dead_relays_and_unplaced_spans_keep_the_depth_order() {
     let (w, h) = DEATH_FRAME;
-    let radix = RadixK::new(vec![3, 3]).build(9, w * h).unwrap();
+    let radix = radix::schedule(9, w * h, &[3, 3]).unwrap();
     for (plan, deaths) in [
         // A member dies before placing its quarter: the leader carries its
         // stale copy on, and the other group lands behind it past ranks 1

@@ -4,10 +4,9 @@
 
 use proptest::prelude::*;
 use rt_core::analysis::analyze;
-use rt_core::method::CompositionMethod;
-use rt_core::rotate::ceil_log2;
+use rt_core::rotate::{self, ceil_log2, RtVariant};
 use rt_core::schedule::verify_schedule;
-use rt_core::{BinarySwap, DirectSend, ParallelPipelined, RotateTiling};
+use rt_core::Method;
 use rt_imaging::span::spans_tile;
 use rt_imaging::Span;
 
@@ -15,7 +14,7 @@ use rt_imaging::Span;
 /// to: eight ranks over two pixels, so most blocks are empty.
 #[test]
 fn binary_swap_verifies_with_fewer_pixels_than_ranks() {
-    let s = BinarySwap::new().build(8, 2).unwrap();
+    let s = Method::BinarySwap.build(8, 2).unwrap();
     assert!(verify_schedule(&s).is_ok());
     assert_eq!(s.step_count(), 3);
 }
@@ -29,7 +28,7 @@ proptest! {
         b in 1usize..=10,
         a in 1usize..=5000,
     ) {
-        let s = RotateTiling::unchecked(b).build(p, a).unwrap();
+        let s = rotate::schedule(p, a, RtVariant::TwoN, b).unwrap();
         prop_assert!(verify_schedule(&s).is_ok(), "p={p} b={b} a={a}");
         prop_assert_eq!(s.step_count(), ceil_log2(p));
         // Final owners tile the frame.
@@ -45,7 +44,7 @@ proptest! {
         // Table 1: the unit of transfer at step k is A/(B·2^(k−1)),
         // within one pixel of rounding for indivisible sizes.
         let a = 1 << 14;
-        let s = RotateTiling::unchecked(b).build(p, a).unwrap();
+        let s = rotate::schedule(p, a, RtVariant::TwoN, b).unwrap();
         for (k, step) in s.steps.iter().enumerate() {
             let expected = a as f64 / (b as f64 * 2f64.powi(k as i32));
             for t in &step.transfers {
@@ -59,10 +58,10 @@ proptest! {
 
     #[test]
     fn pipelined_and_direct_verify_for_any_p(p in 1usize..=20, a in 1usize..=4000) {
-        let pp = ParallelPipelined::new().build(p, a).unwrap();
+        let pp = Method::ParallelPipelined.build(p, a).unwrap();
         prop_assert!(verify_schedule(&pp).is_ok());
         prop_assert_eq!(pp.step_count(), p.saturating_sub(1));
-        let ds = DirectSend::new().build(p, a).unwrap();
+        let ds = Method::DirectSend.build(p, a).unwrap();
         prop_assert!(verify_schedule(&ds).is_ok());
         // Same traffic volume, different step structure.
         prop_assert_eq!(pp.pixels_shipped(), ds.pixels_shipped());
@@ -71,20 +70,20 @@ proptest! {
     #[test]
     fn binary_swap_verifies_for_powers_of_two(exp in 0u32..=5, a in 1usize..=4000) {
         let p = 1usize << exp;
-        let s = BinarySwap::new().build(p, a).unwrap();
+        let s = Method::BinarySwap.build(p, a).unwrap();
         prop_assert!(verify_schedule(&s).is_ok());
         prop_assert_eq!(s.step_count(), exp as usize);
     }
 
     #[test]
     fn binary_swap_fold_verifies_for_any_p(p in 1usize..=24, a in 1usize..=4000) {
-        let s = BinarySwap::with_fold().build(p, a).unwrap();
+        let s = Method::BinarySwapFold.build(p, a).unwrap();
         prop_assert!(verify_schedule(&s).is_ok());
     }
 
     #[test]
     fn schedules_roundtrip_through_serde(p in 1usize..=12, b in 1usize..=6) {
-        let s = RotateTiling::unchecked(b).build(p, 1200).unwrap();
+        let s = rotate::schedule(p, 1200, RtVariant::TwoN, b).unwrap();
         let json = serde_json::to_string(&s).unwrap();
         let back: rt_core::Schedule = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(s, back);
@@ -93,7 +92,7 @@ proptest! {
     #[test]
     fn analysis_invariants_hold(p in 1usize..=20, b in 1usize..=8) {
         let cost = rt_comm::CostModel::new(1.0, 0.001, 0.0001);
-        let s = RotateTiling::unchecked(b).build(p, 2048).unwrap();
+        let s = rotate::schedule(p, 2048, RtVariant::TwoN, b).unwrap();
         let a = analyze(&s, &cost, 2);
         // The makespan is at least the latency depth and at least the
         // busiest rank's serial send time.

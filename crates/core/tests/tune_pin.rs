@@ -12,7 +12,7 @@
 //!   at P ∈ {256, 512}.
 
 use rt_comm::CostModel;
-use rt_core::{choose, sweep, ComposeConfig, CompositionMethod, Method, Run, TuneOptions};
+use rt_core::{choose, sweep, ComposeConfig, Method, Run, TuneOptions};
 use rt_imaging::synth::band_partials;
 
 #[test]

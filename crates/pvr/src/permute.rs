@@ -24,12 +24,11 @@ pub fn permute_plan(plan: &ComposePlan, rank_of_depth: &[usize]) -> Result<Compo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_core::method::CompositionMethod;
-    use rt_core::{BinarySwap, ParallelPipelined};
+    use rt_core::Method;
 
     #[test]
     fn identity_permutation_changes_only_the_label() {
-        let s = ParallelPipelined::new().build(4, 400).unwrap();
+        let s = Method::ParallelPipelined.build(4, 400).unwrap();
         let q = s.permute(&[0, 1, 2, 3]).unwrap();
         assert_eq!(s.steps, q.steps);
         assert_eq!(s.final_owners, q.final_owners);
@@ -37,7 +36,7 @@ mod tests {
 
     #[test]
     fn permutation_relabels_every_endpoint() {
-        let s = BinarySwap::new().build(4, 400).unwrap();
+        let s = Method::BinarySwap.build(4, 400).unwrap();
         let perm = [2, 0, 3, 1];
         let q = s.permute(&perm).unwrap();
         for (a, b) in s
@@ -142,14 +141,14 @@ mod tests {
 
     #[test]
     fn non_permutation_is_a_typed_error() {
-        let s = BinarySwap::new().build(4, 400).unwrap();
+        let s = Method::BinarySwap.build(4, 400).unwrap();
         let err = s.permute(&[0, 0, 1, 2]).unwrap_err();
         assert!(err.to_string().contains("not a permutation"), "{err}");
     }
 
     #[test]
     fn wrong_size_is_a_typed_error() {
-        let s = BinarySwap::new().build(4, 400).unwrap();
+        let s = Method::BinarySwap.build(4, 400).unwrap();
         let err = s.permute(&[0, 1, 2]).unwrap_err();
         assert!(err.to_string().contains("3 entries for 4 ranks"), "{err}");
     }

@@ -157,7 +157,6 @@ pub fn compose_scene(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_core::method::CompositionMethod;
     use rt_core::rotate::RtVariant;
 
     fn two_n(blocks: usize) -> Method {

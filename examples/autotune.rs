@@ -12,7 +12,6 @@
 use rotate_tiling::comm::{replay, CostModel};
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::ComposeConfig;
-use rotate_tiling::core::method::CompositionMethod;
 use rotate_tiling::core::tune::{choose, sweep, TuneOptions};
 use rotate_tiling::core::{ComposePlan, Run};
 use rotate_tiling::imaging::pixel::GrayAlpha8;

@@ -12,9 +12,8 @@
 
 use rotate_tiling::comm::{replay, CostModel};
 use rotate_tiling::compress::CodecKind;
-use rotate_tiling::core::method::{CompositionMethod, Method};
+use rotate_tiling::core::method::Method;
 use rotate_tiling::core::rotate::RtVariant;
-use rotate_tiling::core::RotateTiling;
 use rotate_tiling::pvr::scene::{compose_scene, prepare_scene_screen};
 use rotate_tiling::render::camera::Camera;
 use rotate_tiling::render::datasets::Dataset;
@@ -22,7 +21,12 @@ use rotate_tiling::render::shearwarp::RenderOptions;
 
 fn main() {
     // The paper's Figure 1 example, verified and printed.
-    let fig1 = RotateTiling::two_n(4).build(3, 240).unwrap();
+    let fig1 = Method::RotateTiling {
+        variant: RtVariant::TwoN,
+        blocks: 4,
+    }
+    .build(3, 240)
+    .unwrap();
     rotate_tiling::core::schedule::verify_schedule(&fig1).unwrap();
     println!("{}", fig1.walkthrough());
 

@@ -10,10 +10,9 @@
 use rotate_tiling::comm::{replay, CostModel};
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::ComposeConfig;
-use rotate_tiling::core::method::CompositionMethod;
 use rotate_tiling::core::schedule::verify_schedule;
-use rotate_tiling::core::RotateTiling;
 use rotate_tiling::core::{ComposePlan, Run};
+use rotate_tiling::core::{Method, RtVariant};
 use rotate_tiling::imaging::{GrayAlpha, Image, Pixel};
 
 fn main() {
@@ -35,7 +34,10 @@ fn main() {
         .collect();
 
     // The paper's 2N_RT method with four initial blocks.
-    let method = RotateTiling::two_n(4);
+    let method = Method::RotateTiling {
+        variant: RtVariant::TwoN,
+        blocks: 4,
+    };
     let schedule = method.build(p, w * h).expect("shape is admissible");
     verify_schedule(&schedule).expect("schedule is provably correct");
     println!(

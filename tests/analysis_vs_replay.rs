@@ -12,9 +12,9 @@ use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::analysis::{analyze, schedule_trace};
 use rotate_tiling::core::exec::ComposeConfig;
 use rotate_tiling::core::hier::IntraMethod;
-use rotate_tiling::core::method::{CompositionMethod, Method};
-use rotate_tiling::core::rotate::RtVariant;
-use rotate_tiling::core::{ComposePlan, CoreError, RotateTiling, Run, Schedule};
+use rotate_tiling::core::method::Method;
+use rotate_tiling::core::rotate::{self, RtVariant};
+use rotate_tiling::core::{ComposePlan, CoreError, Run, Schedule};
 use rotate_tiling::imaging::pixel::{GrayAlpha8, Pixel};
 use rotate_tiling::imaging::Image;
 
@@ -214,7 +214,7 @@ fn analyzer_enables_cheap_block_sweeps() {
     let costs: Vec<_> = (1..=12)
         .map(|b| {
             analyze(
-                &RotateTiling::unchecked(b).build(32, 512 * 512).unwrap(),
+                &rotate::schedule(32, 512 * 512, RtVariant::TwoN, b).unwrap(),
                 &cost,
                 2,
             )

@@ -17,24 +17,24 @@ use proptest::prelude::*;
 use rotate_tiling::comm::FaultPlan;
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::{ComposeConfig, ComposeOutput};
-use rotate_tiling::core::method::CompositionMethod;
-use rotate_tiling::core::{
-    BinarySwap, CoreError, DirectSend, ParallelPipelined, RotateTiling, Schedule,
-};
+use rotate_tiling::core::rotate::{self, RtVariant};
 use rotate_tiling::core::{ComposePlan, Run};
+use rotate_tiling::core::{CoreError, Method, Schedule};
 use rotate_tiling::imaging::{Image, Provenance};
 use std::time::Duration;
 
 const IMAGE_LEN: usize = 240;
 const WATCHDOG: Duration = Duration::from_secs(60);
 
-fn build_method(which: usize, p: usize, b: usize) -> Box<dyn CompositionMethod> {
+/// Method `which` compiled for `p` ranks; rotate-tiling at any `(p, b)`.
+fn schedule_of(which: usize, p: usize, b: usize) -> Schedule {
     match which {
-        0 if p.is_power_of_two() => Box::new(BinarySwap::new()),
-        0 | 1 => Box::new(ParallelPipelined::new()),
-        2 => Box::new(DirectSend::new()),
-        _ => Box::new(RotateTiling::unchecked(b)),
+        0 if p.is_power_of_two() => Method::BinarySwap.build(p, IMAGE_LEN),
+        0 | 1 => Method::ParallelPipelined.build(p, IMAGE_LEN),
+        2 => Method::DirectSend.build(p, IMAGE_LEN),
+        _ => rotate::schedule(p, IMAGE_LEN, RtVariant::TwoN, b),
     }
+    .unwrap()
 }
 
 fn partials(p: usize) -> Vec<Image<Provenance>> {
@@ -91,8 +91,7 @@ proptest! {
         drop_pct in 0u32..=12,
         corrupt_pct in 0u32..=6,
     ) {
-        let method = build_method(which, p, b);
-        let schedule = method.build(p, IMAGE_LEN).unwrap();
+        let schedule = schedule_of(which, p, b);
         let faults = FaultPlan::none()
             .with_seed(seed)
             .drop_rate(drop_pct as f64 / 100.0)
@@ -132,8 +131,7 @@ proptest! {
         crash_step in 0usize..16,
         drop_pct in 0u32..=5,
     ) {
-        let method = build_method(which, p, b);
-        let schedule = method.build(p, IMAGE_LEN).unwrap();
+        let schedule = schedule_of(which, p, b);
         let crash_rank = crash_rank % p;
         let crash_step = crash_step % (schedule.steps.len() + 1);
         let faults = FaultPlan::none()
@@ -195,7 +193,7 @@ proptest! {
         seed in 0u64..1_000_000,
         drop_pct in 0u32..=10,
     ) {
-        let schedule = RotateTiling::two_n(2).build(6, IMAGE_LEN).unwrap();
+        let schedule = rotate::schedule(6, IMAGE_LEN, RtVariant::TwoN, 2).unwrap();
         let faults = || FaultPlan::none().with_seed(seed).drop_rate(drop_pct as f64 / 100.0);
         let config = ComposeConfig::default()
             .resilient(true)

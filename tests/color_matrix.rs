@@ -5,11 +5,24 @@
 
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::ComposeConfig;
-use rotate_tiling::core::method::CompositionMethod;
-use rotate_tiling::core::{BinarySwap, ParallelPipelined, RotateTiling};
 use rotate_tiling::core::{ComposePlan, Run};
+use rotate_tiling::core::{Method, RtVariant};
 use rotate_tiling::imaging::image::reference_composite;
 use rotate_tiling::imaging::{GrayAlpha, Image, Rgba};
+
+fn rt_2n(blocks: usize) -> Method {
+    Method::RotateTiling {
+        variant: RtVariant::TwoN,
+        blocks,
+    }
+}
+
+fn rt_n(blocks: usize) -> Method {
+    Method::RotateTiling {
+        variant: RtVariant::N,
+        blocks,
+    }
+}
 
 fn rgba_partials(p: usize, len: usize) -> Vec<Image<Rgba>> {
     (0..p)
@@ -52,11 +65,7 @@ fn rgba_composition_matches_reference_for_every_method_and_codec() {
     let len = 900;
     let partials = rgba_partials(p, len);
     let want = reference_composite(&partials).unwrap();
-    let methods: Vec<Box<dyn CompositionMethod>> = vec![
-        Box::new(ParallelPipelined::new()),
-        Box::new(RotateTiling::two_n(4)),
-        Box::new(RotateTiling::n(3)),
-    ];
+    let methods: Vec<Method> = vec![Method::ParallelPipelined, rt_2n(4), rt_n(3)];
     for m in &methods {
         for codec in CodecKind::ALL {
             let schedule = m.build(p, len).unwrap();
@@ -91,10 +100,7 @@ fn f32_gray_composition_matches_reference() {
     let len = 1024;
     let partials = gray_partials(p, len);
     let want = reference_composite(&partials).unwrap();
-    for m in [
-        Box::new(BinarySwap::new()) as Box<dyn CompositionMethod>,
-        Box::new(RotateTiling::two_n(2)),
-    ] {
+    for m in [Method::BinarySwap, rt_2n(2)] {
         let schedule = m.build(p, len).unwrap();
         let (results, _) = Run::new(
             &ComposePlan::Schedule(schedule.clone()),
@@ -121,7 +127,7 @@ fn trle_compresses_rgba_blank_structure() {
     let p = 4;
     let len = 4096;
     let partials = rgba_partials(p, len);
-    let schedule = RotateTiling::two_n(2).build(p, len).unwrap();
+    let schedule = rt_2n(2).build(p, len).unwrap();
     let run = |codec| {
         let (results, trace) = Run::new(
             &ComposePlan::Schedule(schedule.clone()),

@@ -5,10 +5,15 @@
 use rotate_tiling::comm::{CommError, FaultPlan, Multicomputer};
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::ComposeConfig;
-use rotate_tiling::core::method::CompositionMethod;
-use rotate_tiling::core::{ComposePlan, CoreError, RotateTiling, Run};
+use rotate_tiling::core::rotate::RtVariant;
+use rotate_tiling::core::{ComposePlan, CoreError, Method, Run};
 use rotate_tiling::imaging::{Image, Provenance};
 use std::time::Duration;
+
+const RT_2N2: Method = Method::RotateTiling {
+    variant: RtVariant::TwoN,
+    blocks: 2,
+};
 
 fn partials(p: usize, len: usize) -> Vec<Image<Provenance>> {
     (0..p)
@@ -18,7 +23,7 @@ fn partials(p: usize, len: usize) -> Vec<Image<Provenance>> {
 
 fn run_with_faults(faults: FaultPlan) -> (Vec<Result<(), CoreError>>, rotate_tiling::comm::Trace) {
     let p = 4;
-    let schedule = RotateTiling::two_n(2).build(p, 256).unwrap();
+    let schedule = RT_2N2.build(p, 256).unwrap();
     let config = ComposeConfig {
         codec: CodecKind::Raw,
         root: 0,
@@ -43,7 +48,7 @@ fn clean_run_succeeds() {
 fn dropped_message_is_recovered_by_retransmission() {
     // Find a real transfer of step 0 and drop its first attempt: the sender
     // retransmits and the composition completes as if nothing happened.
-    let schedule = RotateTiling::two_n(2).build(4, 256).unwrap();
+    let schedule = RT_2N2.build(4, 256).unwrap();
     let t = schedule.steps[0].transfers[0];
     let (results, trace) = run_with_faults(FaultPlan::none().drop_message(t.src, t.dst, 0));
     assert!(results.iter().all(|r| r.is_ok()), "{results:?}");
@@ -58,7 +63,7 @@ fn severed_channel_surfaces_a_typed_error() {
     // A permanently dead link exhausts the retry budget: the sender reports
     // DeliveryFailed and downstream ranks starve with a Timeout — never a
     // silently wrong frame.
-    let schedule = RotateTiling::two_n(2).build(4, 256).unwrap();
+    let schedule = RT_2N2.build(4, 256).unwrap();
     let t = schedule.steps[0].transfers[0];
     let (results, _) = run_with_faults(FaultPlan::none().sever_channel(t.src, t.dst));
     let failures: Vec<&CoreError> = results.iter().filter_map(|r| r.as_ref().err()).collect();
@@ -87,7 +92,7 @@ fn all_ranks_crashed_is_a_typed_error() {
     // With every rank dead there is no survivor to degrade onto and no
     // gather root: repair must refuse with the dedicated error, not hand
     // back an empty plan the caller would silently execute.
-    let schedule = RotateTiling::two_n(2).build(4, 256).unwrap();
+    let schedule = RT_2N2.build(4, 256).unwrap();
     let crashed: std::collections::BTreeMap<usize, usize> = (0..4).map(|r| (r, 0)).collect();
     let err = rotate_tiling::core::repair(&schedule, &crashed).unwrap_err();
     assert_eq!(err, CoreError::AllRanksFailed { p: 4 });
@@ -99,7 +104,7 @@ fn sole_survivor_is_elected_root() {
     // the lone survivor must take over the gather root and finish with a
     // degraded frame rather than hang or error.
     let p = 4;
-    let schedule = RotateTiling::two_n(2).build(p, 256).unwrap();
+    let schedule = RT_2N2.build(p, 256).unwrap();
     let config = ComposeConfig {
         codec: CodecKind::Raw,
         root: 0,
@@ -124,7 +129,7 @@ fn sole_survivor_is_elected_root() {
 
 #[test]
 fn corrupted_tag_is_rejected_not_misapplied() {
-    let schedule = RotateTiling::two_n(2).build(4, 256).unwrap();
+    let schedule = RT_2N2.build(4, 256).unwrap();
     let t = schedule.steps[0].transfers[0];
     let (results, _) = run_with_faults(FaultPlan::none().corrupt_tag(t.src, t.dst, 0, 0xDEAD));
     assert!(

@@ -6,9 +6,8 @@
 
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::ComposeConfig;
-use rotate_tiling::core::method::CompositionMethod;
 use rotate_tiling::core::{ComposePlan, Run};
-use rotate_tiling::core::{ParallelPipelined, RotateTiling};
+use rotate_tiling::core::{Method, RtVariant};
 use rotate_tiling::imaging::image::psnr;
 use rotate_tiling::render::camera::Camera;
 use rotate_tiling::render::datasets::Dataset;
@@ -48,10 +47,11 @@ fn grid_partials_composite_to_the_full_frame() {
         "grid partials should barely overlap: {overlap}"
     );
 
-    for m in [
-        Box::new(RotateTiling::two_n(4)) as Box<dyn CompositionMethod>,
-        Box::new(ParallelPipelined::new()),
-    ] {
+    let rt = Method::RotateTiling {
+        variant: RtVariant::TwoN,
+        blocks: 4,
+    };
+    for m in [rt, Method::ParallelPipelined] {
         let schedule = m.build(4, want.len()).unwrap();
         let (results, _) = Run::new(
             &ComposePlan::Schedule(schedule.clone()),

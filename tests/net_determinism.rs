@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use rotate_tiling::comm::{FaultPlan, Trace};
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::{ComposeConfig, TransportKind};
-use rotate_tiling::core::method::{CompositionMethod, Method};
+use rotate_tiling::core::method::Method;
 use rotate_tiling::core::{ComposePlan, Run};
 use rotate_tiling::imaging::{GrayAlpha8, Image, Pixel};
 

@@ -11,7 +11,7 @@
 use rotate_tiling::comm::{replay, replay_timeline, CostModel};
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::ComposeConfig;
-use rotate_tiling::core::method::{CompositionMethod, Method};
+use rotate_tiling::core::method::Method;
 use rotate_tiling::core::CoreError;
 use rotate_tiling::core::{ComposePlan, Run};
 use rotate_tiling::imaging::pixel::GrayAlpha8;

@@ -5,12 +5,25 @@
 use rotate_tiling::comm::{replay, CostModel};
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::ComposeConfig;
-use rotate_tiling::core::method::CompositionMethod;
 use rotate_tiling::core::theory;
-use rotate_tiling::core::{BinarySwap, ParallelPipelined, RotateTiling};
 use rotate_tiling::core::{ComposePlan, Run};
+use rotate_tiling::core::{Method, RtVariant};
 use rotate_tiling::imaging::pixel::GrayAlpha8;
 use rotate_tiling::imaging::{Image, Pixel};
+
+fn rt_2n(blocks: usize) -> Method {
+    Method::RotateTiling {
+        variant: RtVariant::TwoN,
+        blocks,
+    }
+}
+
+fn rt_n(blocks: usize) -> Method {
+    Method::RotateTiling {
+        variant: RtVariant::N,
+        blocks,
+    }
+}
 
 /// A synthetic "partial image" with the sparsity profile of a rendered
 /// slab: rank r's content occupies a band of the frame.
@@ -31,13 +44,7 @@ fn banded_partials(p: usize, len: usize) -> Vec<Image<GrayAlpha8>> {
         .collect()
 }
 
-fn run_of(
-    method: &dyn CompositionMethod,
-    p: usize,
-    len: usize,
-    codec: CodecKind,
-    cost: &CostModel,
-) -> (f64, u64) {
+fn run_of(method: Method, p: usize, len: usize, codec: CodecKind, cost: &CostModel) -> (f64, u64) {
     let schedule = method.build(p, len).unwrap();
     let config = ComposeConfig {
         codec,
@@ -57,13 +64,7 @@ fn run_of(
     )
 }
 
-fn time_of(
-    method: &dyn CompositionMethod,
-    p: usize,
-    len: usize,
-    codec: CodecKind,
-    cost: &CostModel,
-) -> f64 {
+fn time_of(method: Method, p: usize, len: usize, codec: CodecKind, cost: &CostModel) -> f64 {
     run_of(method, p, len, codec, cost).0
 }
 
@@ -75,16 +76,16 @@ fn rt_matches_bs_at_power_of_two_and_beats_pp_at_scale() {
     // tracks binary-swap closely (same volume, same step count), and both
     // log-step methods stay close to PP whose data term dominates here.
     let cost = CostModel::PAPER_EXAMPLE;
-    let bs = time_of(&BinarySwap::new(), 32, A, CodecKind::Raw, &cost);
-    let rt = time_of(&RotateTiling::two_n(2), 32, A, CodecKind::Raw, &cost);
+    let bs = time_of(Method::BinarySwap, 32, A, CodecKind::Raw, &cost);
+    let rt = time_of(rt_2n(2), 32, A, CodecKind::Raw, &cost);
     assert!((rt - bs).abs() / bs < 0.10, "rt {rt} vs bs {bs}");
 
     // Under the SP2-realistic constants the startup term matters and PP's
     // P−1 steps lose to the log-step methods.
     let cost = CostModel::SP2;
-    let bs = time_of(&BinarySwap::new(), 32, A, CodecKind::Raw, &cost);
-    let pp = time_of(&ParallelPipelined::new(), 32, A, CodecKind::Raw, &cost);
-    let rt = time_of(&RotateTiling::two_n(2), 32, A, CodecKind::Raw, &cost);
+    let bs = time_of(Method::BinarySwap, 32, A, CodecKind::Raw, &cost);
+    let pp = time_of(Method::ParallelPipelined, 32, A, CodecKind::Raw, &cost);
+    let rt = time_of(rt_2n(2), 32, A, CodecKind::Raw, &cost);
     assert!(rt < pp, "rt {rt} vs pp {pp}");
     assert!(bs < pp, "bs {bs} vs pp {pp}");
 }
@@ -95,9 +96,9 @@ fn rt_runs_where_bs_cannot() {
     // ⌈log₂P⌉ steps. The startup advantage over PP's P−1 steps appears in
     // the latency-bound regime (small frames or large P); at bulky frames
     // both are bandwidth-bound and close (see EXPERIMENTS.md).
-    assert!(BinarySwap::new().build(33, A).is_err());
-    let rt_schedule = RotateTiling::two_n(4).build(33, A).unwrap();
-    let pp_schedule = ParallelPipelined::new().build(33, A).unwrap();
+    assert!(Method::BinarySwap.build(33, A).is_err());
+    let rt_schedule = rt_2n(4).build(33, A).unwrap();
+    let pp_schedule = Method::ParallelPipelined.build(33, A).unwrap();
     // The structural claim: ⌈log₂33⌉ = 6 steps instead of 32.
     assert_eq!(rt_schedule.step_count(), 6);
     assert_eq!(pp_schedule.step_count(), 32);
@@ -106,15 +107,9 @@ fn rt_runs_where_bs_cannot() {
     // the perfectly regular ring is near-optimal and RT stays within 2×.
     let latency_bound = CostModel::new(4e-4, CostModel::SP2.tp, CostModel::SP2.to);
     let small = 2048;
-    let rt = time_of(
-        &RotateTiling::two_n(4),
-        33,
-        small,
-        CodecKind::Raw,
-        &latency_bound,
-    );
+    let rt = time_of(rt_2n(4), 33, small, CodecKind::Raw, &latency_bound);
     let pp = time_of(
-        &ParallelPipelined::new(),
+        Method::ParallelPipelined,
         33,
         small,
         CodecKind::Raw,
@@ -122,8 +117,8 @@ fn rt_runs_where_bs_cannot() {
     );
     assert!(rt < pp, "rt {rt} vs pp {pp}");
     let cost = CostModel::SP2;
-    let rt_big = time_of(&RotateTiling::two_n(4), 33, A, CodecKind::Raw, &cost);
-    let pp_big = time_of(&ParallelPipelined::new(), 33, A, CodecKind::Raw, &cost);
+    let rt_big = time_of(rt_2n(4), 33, A, CodecKind::Raw, &cost);
+    let pp_big = time_of(Method::ParallelPipelined, 33, A, CodecKind::Raw, &cost);
     assert!(rt_big < 2.0 * pp_big, "rt {rt_big} vs pp {pp_big}");
 }
 
@@ -131,16 +126,16 @@ fn rt_runs_where_bs_cannot() {
 fn trle_reduces_composition_time_for_every_method() {
     // The paper's Figure 8 claim, on sparse banded partials.
     let cost = CostModel::PAPER_EXAMPLE;
-    let methods: Vec<Box<dyn CompositionMethod>> = vec![
-        Box::new(BinarySwap::new()),
-        Box::new(ParallelPipelined::new()),
-        Box::new(RotateTiling::two_n(4)),
-        Box::new(RotateTiling::n(3)),
+    let methods: Vec<Method> = vec![
+        Method::BinarySwap,
+        Method::ParallelPipelined,
+        rt_2n(4),
+        rt_n(3),
     ];
     for m in &methods {
-        let (raw, _) = run_of(m.as_ref(), 16, A, CodecKind::Raw, &cost);
-        let (rle, rle_bytes) = run_of(m.as_ref(), 16, A, CodecKind::Rle, &cost);
-        let (trle, trle_bytes) = run_of(m.as_ref(), 16, A, CodecKind::Trle, &cost);
+        let (raw, _) = run_of(*m, 16, A, CodecKind::Raw, &cost);
+        let (rle, rle_bytes) = run_of(*m, 16, A, CodecKind::Rle, &cost);
+        let (trle, trle_bytes) = run_of(*m, 16, A, CodecKind::Trle, &cost);
         assert!(trle < raw, "{}: trle {trle} vs raw {raw}", m.name());
         assert!(rle < raw, "{}: rle {rle} vs raw {raw}", m.name());
         // The paper's Figure 8 also finds TRLE ahead of RLE. On these
@@ -165,12 +160,7 @@ fn block_count_sweep_has_small_optimum() {
     let cost = CostModel::SP2;
     let times: Vec<(usize, f64)> = [2usize, 4, 8, 12]
         .into_iter()
-        .map(|b| {
-            (
-                b,
-                time_of(&RotateTiling::two_n(b), 32, A, CodecKind::Raw, &cost),
-            )
-        })
+        .map(|b| (b, time_of(rt_2n(b), 32, A, CodecKind::Raw, &cost)))
         .collect();
     let best = times
         .iter()
@@ -198,7 +188,7 @@ fn theory_module_reproduces_paper_orderings() {
 #[test]
 fn gather_cost_is_visible_in_the_replay() {
     let cost = CostModel::PAPER_EXAMPLE;
-    let schedule = RotateTiling::two_n(4).build(8, A).unwrap();
+    let schedule = rt_2n(4).build(8, A).unwrap();
     let (results, trace) = Run::new(
         &ComposePlan::Schedule(schedule.clone()),
         &ComposeConfig {

@@ -33,7 +33,7 @@ use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::analysis::schedule_trace;
 use rotate_tiling::core::exec::ComposeConfig;
 use rotate_tiling::core::hier::IntraMethod;
-use rotate_tiling::core::method::{CompositionMethod, Method};
+use rotate_tiling::core::method::Method;
 use rotate_tiling::core::rotate::RtVariant;
 use rotate_tiling::core::{ComposeOutput, ComposePlan, CoreError, DisplayWall, Run};
 use rotate_tiling::imaging::image::reference_composite;
