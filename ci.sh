@@ -167,6 +167,15 @@ stray=$({ grep -F 'spans_of' <<<"$core"
     grep '^crates/core/src/tile\.rs:' <<<"$core" | grep -F 'Vec<(Span, usize)>'
 } || true)
 [ -z "$stray" ] || vocabulary_fail "the gather builds ownership lists again" "$stray"
+# The tile round pays nothing per blank pixel and copies no stream twice:
+# the content scan asks the pixel type's blank-slice kernel once per tile
+# row, with no per-pixel `is_blank` test in tile.rs, and each tile is
+# encoded straight into its bundle, with no `write_bundle(` of finished
+# streams left in rt-core (the copying writer is a test oracle now).
+stray=$({ grep '^crates/core/src/tile\.rs:' <<<"$core" | grep -F 'is_blank'
+    grep -F 'write_bundle(' <<<"$core"
+} || true)
+[ -z "$stray" ] || vocabulary_fail "the tile round scans pixel by pixel or copies its streams again" "$stray"
 # TRLE encodes in two passes through one run packer: the codec classifies
 # and writes its message straight from the pixels, with no staged wire copy
 # of the span, and rt-compress builds a TRLE code in one place.
@@ -271,6 +280,18 @@ echo "== over kernel equivalence =="
 # word, or when the slice entry loads a pixel's alpha as its value). The
 # workspace stage above runs it in debug.
 cargo test -q --release -p rt-imaging kernel_equivalence
+
+echo "== blank scan equivalence =="
+# The blank-slice kernel behind the tile families' content scan, in
+# release: `GrayAlpha8`'s word-wise OR against the per-pixel test with a
+# lone non-zero value byte, then a lone non-zero alpha byte, at every
+# offset of every slice of 0 to 80 pixels, and over random sparse byte
+# mixes (`blank_scan_kernel_equivalence` fails on a kernel that reads only
+# the alpha byte), then both scans of rt-core against a per-pixel
+# enumeration over every small uneven grid, `GrayAlpha8` and `GrayAlpha`
+# on a `-0.0` background (`content_scans_match_a_per_pixel_enumeration`).
+cargo test -q --release -p rt-imaging blank_scan
+cargo test -q --release -p rt-core --lib content_scans_match
 
 echo "== trle encode equivalence =="
 # The TRLE encoder (two passes: the word-wise classifier and its blank and

@@ -9,7 +9,7 @@
 //!
 //! Wire format: `[lead: u32 LE][content_len: u32 LE][raw content pixels]`.
 
-use crate::codec::{Codec, CodecError, Encoded};
+use crate::codec::{Codec, CodecError};
 use rt_imaging::pixel::{pixels_from_bytes, Pixel};
 
 /// Bounding-interval codec.
@@ -21,8 +21,7 @@ impl<P: Pixel> Codec<P> for BoundsCodec {
         "bounds"
     }
 
-    fn encode(&self, pixels: &[P]) -> Encoded {
-        let raw_bytes = pixels.len() * P::BYTES;
+    fn encode_into(&self, pixels: &[P], out: &mut Vec<u8>) {
         let first = pixels.iter().position(|p| !p.is_blank());
         let (lead, content): (usize, &[P]) = match first {
             None => (pixels.len(), &[]),
@@ -32,11 +31,10 @@ impl<P: Pixel> Codec<P> for BoundsCodec {
                 (f, &pixels[f..=last])
             }
         };
-        let mut bytes = Vec::with_capacity(8 + content.len() * P::BYTES);
-        bytes.extend_from_slice(&(lead as u32).to_le_bytes());
-        bytes.extend_from_slice(&(content.len() as u32).to_le_bytes());
-        P::extend_wire_bytes(content, &mut bytes);
-        Encoded { bytes, raw_bytes }
+        out.reserve(8 + content.len() * P::BYTES);
+        out.extend_from_slice(&(lead as u32).to_le_bytes());
+        out.extend_from_slice(&(content.len() as u32).to_le_bytes());
+        P::extend_wire_bytes(content, out);
     }
 
     fn decode(&self, data: &[u8], n_pixels: usize) -> Result<Vec<P>, CodecError> {

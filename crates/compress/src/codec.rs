@@ -1,6 +1,6 @@
 //! The [`Codec`] trait and the identity [`RawCodec`].
 
-use rt_imaging::pixel::{pixels_from_bytes, pixels_to_bytes, OverStats, Pixel};
+use rt_imaging::pixel::{pixels_from_bytes, OverStats, Pixel};
 use rt_imaging::KernelPath;
 use serde::{Deserialize, Serialize};
 
@@ -81,8 +81,21 @@ pub trait Codec<P: Pixel>: Send + Sync {
     /// Short name for reports ("raw", "rle", "trle", "bounds").
     fn name(&self) -> &'static str;
 
-    /// Encode a pixel block.
-    fn encode(&self, pixels: &[P]) -> Encoded;
+    /// Encode a pixel block, appending its wire bytes to `out` — the one
+    /// encoder of each codec, so a caller can write a stream straight into
+    /// a larger message. Whatever `out` already holds is left as it is.
+    fn encode_into(&self, pixels: &[P], out: &mut Vec<u8>);
+
+    /// Encode a pixel block into a buffer of its own: [`Codec::encode_into`]
+    /// on an empty one.
+    fn encode(&self, pixels: &[P]) -> Encoded {
+        let mut bytes = Vec::new();
+        self.encode_into(pixels, &mut bytes);
+        Encoded {
+            bytes,
+            raw_bytes: pixels.len() * P::BYTES,
+        }
+    }
 
     /// [`Codec::encode`] under its pre-single-path name: the frozen
     /// `benchmark/` package calls this method, so it stays as a delegation
@@ -189,10 +202,8 @@ impl<P: Pixel> Codec<P> for RawCodec {
         "raw"
     }
 
-    fn encode(&self, pixels: &[P]) -> Encoded {
-        let bytes = pixels_to_bytes(pixels);
-        let raw_bytes = bytes.len();
-        Encoded { bytes, raw_bytes }
+    fn encode_into(&self, pixels: &[P], out: &mut Vec<u8>) {
+        P::extend_wire_bytes(pixels, out);
     }
 
     fn decode(&self, data: &[u8], n_pixels: usize) -> Result<Vec<P>, CodecError> {
@@ -280,7 +291,7 @@ impl std::str::FromStr for CodecKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_imaging::pixel::GrayAlpha8;
+    use rt_imaging::pixel::{GrayAlpha, GrayAlpha8};
 
     #[test]
     fn raw_roundtrip() {
@@ -309,6 +320,47 @@ mod tests {
             assert_eq!(codec.name(), kind.name());
         }
         assert!("zip".parse::<CodecKind>().is_err());
+    }
+
+    /// `encode_into` behind a prefix appends exactly `encode`'s bytes and
+    /// leaves the prefix alone, for every codec on empty, blank, sparse and
+    /// dense blocks of both byte-scanned and per-pixel pixel types.
+    #[test]
+    fn encode_into_appends_exactly_the_encoded_bytes() {
+        fn check<P: Pixel>(blocks: &[Vec<P>]) {
+            let prefix = [0xA5u8, 0, 7];
+            for kind in CodecKind::ALL {
+                let codec = kind.build::<P>();
+                for pixels in blocks {
+                    let mut out = prefix.to_vec();
+                    codec.encode_into(pixels, &mut out);
+                    let want = codec.encode(pixels);
+                    assert_eq!(want.raw_bytes, pixels.len() * P::BYTES);
+                    assert_eq!(&out[..3], prefix, "{kind:?}");
+                    assert_eq!(out[3..], want.bytes, "{kind:?}, {} pixels", pixels.len());
+                }
+            }
+        }
+        let blocks = |px: &dyn Fn(usize) -> GrayAlpha8| -> Vec<Vec<GrayAlpha8>> {
+            [0, 1, 5, 64, 301]
+                .into_iter()
+                .map(|n| (0..n).map(px).collect())
+                .collect()
+        };
+        let blank = blocks(&|_| GrayAlpha8::blank());
+        let sparse = blocks(&|i| match i % 13 {
+            3 => GrayAlpha8::new(i as u8, 0),
+            7 => GrayAlpha8::new(0, 200),
+            _ => GrayAlpha8::blank(),
+        });
+        let dense = blocks(&|i| GrayAlpha8::new(i as u8, 255 - i as u8));
+        for set in [&blank, &sparse, &dense] {
+            check(set);
+            let wide: Vec<Vec<GrayAlpha>> = (set.iter())
+                .map(|b| b.iter().map(|p| p.to_f32()).collect())
+                .collect();
+            check(&wide);
+        }
     }
 
     #[test]

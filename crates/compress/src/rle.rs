@@ -9,7 +9,7 @@
 //! A one-byte header selects between `RLE` and a raw fallback, so the codec
 //! never more than doubles (plus one byte) and is exactly reversible.
 
-use crate::codec::{over_raw_body, Codec, CodecError, Encoded, OverDir};
+use crate::codec::{over_raw_body, Codec, CodecError, OverDir};
 use rt_imaging::kernels::byte_run_len;
 use rt_imaging::pixel::{pixels_from_bytes, pixels_to_bytes, OverStats, Pixel};
 
@@ -88,21 +88,16 @@ impl<P: Pixel> Codec<P> for RleCodec {
         "rle"
     }
 
-    fn encode(&self, pixels: &[P]) -> Encoded {
+    fn encode_into(&self, pixels: &[P], out: &mut Vec<u8>) {
         let raw = pixels_to_bytes(pixels);
         let rle = rle_encode_bytes(&raw);
-        let raw_bytes = raw.len();
-        let mut bytes;
-        if rle.len() < raw.len() {
-            bytes = Vec::with_capacity(rle.len() + 1);
-            bytes.push(MODE_RLE);
-            bytes.extend_from_slice(&rle);
-        } else {
-            bytes = Vec::with_capacity(raw.len() + 1);
-            bytes.push(MODE_RAW);
-            bytes.extend_from_slice(&raw);
-        }
-        Encoded { bytes, raw_bytes }
+        let (mode, body) = match rle.len() < raw.len() {
+            true => (MODE_RLE, &rle),
+            false => (MODE_RAW, &raw),
+        };
+        out.reserve(1 + body.len());
+        out.push(mode);
+        out.extend_from_slice(body);
     }
 
     fn decode(&self, data: &[u8], n_pixels: usize) -> Result<Vec<P>, CodecError> {

@@ -22,7 +22,7 @@
 //! the code stream while counting non-blank pixels, then writes the message
 //! once at its exact length.
 
-use crate::codec::{over_raw_body, Codec, CodecError, Encoded, OverDir};
+use crate::codec::{over_raw_body, Codec, CodecError, OverDir};
 use rt_imaging::kernels::{nonzero_byte_mask, zero_prefix};
 use rt_imaging::pixel::{pixels_from_bytes, OverStats, Pixel};
 
@@ -241,7 +241,7 @@ impl<P: Pixel> Codec<P> for TrleCodec {
     /// TRLE or the raw fallback from the exact sizes and writes the message
     /// once, skipping blank runs, copying each all-non-blank run in one
     /// bulk store and mixed tiles pixel by pixel.
-    fn encode(&self, pixels: &[P]) -> Encoded {
+    fn encode_into(&self, pixels: &[P], out: &mut Vec<u8>) {
         let (codes, non_blank) = if P::BLANK_IS_ZERO_BYTES && P::BYTES == 2 {
             classify_wire(pixels)
         } else {
@@ -250,33 +250,32 @@ impl<P: Pixel> Codec<P> for TrleCodec {
         let raw_bytes = pixels.len() * P::BYTES;
         let trle_len = 1 + 4 + codes.len() + non_blank * P::BYTES;
         if trle_len > raw_bytes {
-            let mut bytes = Vec::with_capacity(raw_bytes + 1);
-            bytes.push(MODE_RAW);
-            P::extend_wire_bytes(pixels, &mut bytes);
-            return Encoded { bytes, raw_bytes };
+            out.reserve(raw_bytes + 1);
+            out.push(MODE_RAW);
+            P::extend_wire_bytes(pixels, out);
+            return;
         }
-        let mut bytes = Vec::with_capacity(trle_len);
-        bytes.push(MODE_TRLE);
-        bytes.extend_from_slice(&(codes.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&codes);
+        out.reserve(trle_len);
+        out.push(MODE_TRLE);
+        out.extend_from_slice(&(codes.len() as u32).to_le_bytes());
+        out.extend_from_slice(&codes);
         let mut base = 0;
         for &code in &codes {
             let template = code & 0x0F;
             let end = (base + ((code >> 4) as usize + 1) * TILE).min(pixels.len());
             match template {
                 0 => {}
-                0x0F => P::extend_wire_bytes(&pixels[base..end], &mut bytes),
+                0x0F => P::extend_wire_bytes(&pixels[base..end], out),
                 _ => {
                     for (j, p) in pixels[base..end].iter().enumerate() {
                         if template & (1 << (j % TILE)) != 0 {
-                            p.write_bytes(&mut bytes);
+                            p.write_bytes(out);
                         }
                     }
                 }
             }
             base = end;
         }
-        Encoded { bytes, raw_bytes }
     }
 
     fn decode(&self, data: &[u8], n_pixels: usize) -> Result<Vec<P>, CodecError> {
@@ -470,6 +469,7 @@ fn trle_over_codes<P: Pixel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Encoded;
     use crate::rle::RleCodec;
     use proptest::prelude::*;
     use rt_imaging::pixel::{pixels_to_bytes, GrayAlpha8};

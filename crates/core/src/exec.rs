@@ -29,6 +29,7 @@
 use crate::display::{span_cell_segments, DisplayWall};
 use crate::repair::{agree_on_failures, repair, DegradedInfo};
 use crate::schedule::{MergeDir, Schedule};
+use crate::tile::TileLists;
 use crate::CoreError;
 use rt_comm::{
     tag, CommError, ComputeKind, FaultPlan, InProc, Mark, Multicomputer, RankCtx, Trace, Transport,
@@ -277,6 +278,8 @@ pub struct Scratch<P: Pixel> {
     gather_pixels: Vec<P>,
     /// Retired deferred-back accumulators awaiting reuse.
     spare_accs: Vec<Vec<P>>,
+    /// The tile families' per-frame lists.
+    pub(crate) tiles: TileLists,
 }
 
 impl<P: Pixel> Default for Scratch<P> {
@@ -291,6 +294,7 @@ impl<P: Pixel> Scratch<P> {
         Self {
             gather_pixels: Vec::new(),
             spare_accs: Vec::new(),
+            tiles: TileLists::default(),
         }
     }
 
@@ -455,18 +459,32 @@ impl<'a, P: Pixel> Stage<'a, P> {
         }
     }
 
-    /// Encode `pixels` and charge the codec's work: the sending half of
-    /// every message. `started` opens the wall-clock `Encode` span (callers
-    /// that stage the pixels first start it before the copy).
-    pub fn encode(&self, ctx: &mut RankCtx, started: Option<Instant>, pixels: &[P]) -> Vec<u8> {
-        let encoded = self.codec.encode(pixels);
+    /// Encode `pixels` onto the end of `out` and charge the codec's work:
+    /// the sending half of every message. `started` opens the wall-clock
+    /// `Encode` span (callers that stage the pixels first start it before
+    /// the copy).
+    pub fn encode_into(
+        &self,
+        ctx: &mut RankCtx,
+        started: Option<Instant>,
+        pixels: &[P],
+        out: &mut Vec<u8>,
+    ) {
+        let at = out.len();
+        self.codec.encode_into(pixels, out);
         ctx.obs_span(Phase::Encode, started);
         if !self.raw {
-            ctx.compute(ComputeKind::Encode, encoded.raw_bytes as u64);
+            ctx.compute(ComputeKind::Encode, (pixels.len() * P::BYTES) as u64);
         }
-        let wire = encoded.bytes.len() as u64;
+        let wire = (out.len() - at) as u64;
         ctx.obs_counters(|c| c.add_wire_bytes(self.config.codec.name(), wire));
-        encoded.bytes
+    }
+
+    /// [`Stage::encode_into`] a buffer of its own.
+    pub fn encode(&self, ctx: &mut RankCtx, started: Option<Instant>, pixels: &[P]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        self.encode_into(ctx, started, pixels, &mut bytes);
+        bytes
     }
 
     /// [`Stage::encode`] `pixels` and send the codec's buffer, uncopied, to
@@ -484,15 +502,16 @@ impl<'a, P: Pixel> Stage<'a, P> {
         Ok(())
     }
 
-    /// [`Stage::encode`] for several `spans` of `local` as ONE stream: the
-    /// spans are concatenated, in order, in the reusable staging buffer.
-    pub fn encode_spans(
+    /// [`Stage::encode_into`] for several `spans` of `local` as ONE stream:
+    /// the spans are concatenated, in order, in the reusable staging buffer.
+    pub fn encode_spans_into(
         &self,
         ctx: &mut RankCtx,
         scratch: &mut Scratch<P>,
         local: &Image<P>,
         spans: impl IntoIterator<Item = Span>,
-    ) -> Result<Vec<u8>, CoreError> {
+        out: &mut Vec<u8>,
+    ) -> Result<(), CoreError> {
         let started = ctx.obs_start();
         let staged = &mut scratch.gather_pixels;
         staged.clear();
@@ -504,7 +523,8 @@ impl<'a, P: Pixel> Stage<'a, P> {
                 staged.extend_from_slice(local.span_pixels(span)?);
                 Ok(())
             })?;
-        Ok(self.encode(ctx, started, staged))
+        self.encode_into(ctx, started, staged, out);
+        Ok(())
     }
 
     /// Decoding walks the *encoded* stream, so the compute charge is the
@@ -566,7 +586,7 @@ impl<'a, P: Pixel> Stage<'a, P> {
 }
 
 /// Copy the concatenated `pixels` back out to `spans` of `image`, in order
-/// — the inverse of the staging [`Stage::encode_spans`] does.
+/// — the inverse of the staging [`Stage::encode_spans_into`] does.
 pub(crate) fn scatter<P: Pixel>(
     image: &mut Image<P>,
     spans: impl IntoIterator<Item = Span>,
@@ -872,7 +892,8 @@ fn gather<P: Pixel, I: Iterator<Item = Span> + Clone>(
         if segs.clone().next().is_none() {
             continue;
         }
-        let bytes = stage.encode_spans(ctx, scratch, local, segs.map(|(seg, _)| seg))?;
+        let mut bytes = Vec::new();
+        stage.encode_spans_into(ctx, scratch, local, segs.map(|(seg, _)| seg), &mut bytes)?;
         ctx.send(drank, gather_tag(tag::wall_slot(d, me)), bytes)?;
     }
     let Some(d) = wall.display_of(me) else {

@@ -58,39 +58,46 @@ use rt_obs::Phase;
 /// in tile-local x coordinates (`lo == hi` marks a blank row).
 pub type RowIvals = Vec<(u16, u16)>;
 
-/// Scan the local partial once: per tile, whether it holds any content,
-/// and the per-row non-blank bounding intervals.
+/// Scan the local partial once: per tile, whether it holds any content
+/// (into `have`), and the per-row non-blank bounding intervals. A row the
+/// pixel type's blank-slice kernel finds blank is `(0, 0)` without a
+/// per-pixel search.
 pub(crate) fn scan_tiles<P: Pixel>(
     local: &Image<P>,
     grid: &TileGrid,
-) -> Result<(Vec<bool>, Vec<RowIvals>), CoreError> {
+    have: &mut Vec<bool>,
+) -> Result<Vec<RowIvals>, CoreError> {
     let nt = grid.tiles();
-    let mut have = vec![false; nt];
+    have.clear();
     let mut segs: Vec<RowIvals> = Vec::with_capacity(nt);
-    for (t, have_t) in have.iter_mut().enumerate() {
+    for t in 0..nt {
         let spans = grid.row_spans(t);
         let mut rows: RowIvals = Vec::with_capacity(spans.len());
         for span in spans {
             let px = local.span_pixels(span)?;
-            match px.iter().position(|p| !p.is_blank()) {
+            let lo = match P::any_non_blank(px) {
+                true => px.iter().position(|p| !p.is_blank()),
+                false => None,
+            };
+            match lo {
                 None => rows.push((0, 0)),
                 Some(lo) => {
                     let hi = px.iter().rposition(|p| !p.is_blank()).unwrap_or(lo) + 1;
-                    *have_t = true;
                     rows.push((lo as u16, hi as u16));
                 }
             }
         }
+        have.push(rows.iter().any(|&(lo, hi)| lo < hi));
         segs.push(rows);
     }
-    Ok((have, segs))
+    Ok(segs)
 }
 
 /// Conservative overlap estimate: the summed width of every pairwise
 /// row-interval intersection across the contributors. Zero proves the
 /// pieces are depth-disjoint on this tile (intervals over-approximate
 /// content); with many deep layers the sum may exceed the tile area.
-fn overlap_pixels(ivals: &[&RowIvals]) -> usize {
+fn overlap_pixels(ivals: &[&[(u16, u16)]]) -> usize {
     let rows = ivals.first().map_or(0, |v| v.len());
     let mut overlap = 0usize;
     for row in 0..rows {
@@ -117,7 +124,7 @@ fn overlap_pixels(ivals: &[&RowIvals]) -> usize {
 fn place_piece<'p, P: Pixel>(
     acc: &mut [P],
     tw: usize,
-    ivals: &RowIvals,
+    ivals: &[(u16, u16)],
     row_of: impl Fn(usize) -> Result<&'p [P], CoreError>,
 ) -> Result<(), CoreError> {
     for (row, &(lo, hi)) in ivals.iter().enumerate() {
@@ -144,22 +151,22 @@ pub(crate) fn place_puzzle_tile<'a, P: Pixel>(
     local: &mut Image<P>,
     scratch: &mut Scratch<P>,
     t: usize,
-    piece_of: &impl Fn(usize) -> Option<&'a Piece<'a>>,
+    piece_of: &impl Fn(usize) -> Option<Piece<'a>>,
 ) -> Result<bool, CoreError> {
     let (stage, tiles) = (scan.stage, scan.plan);
     let Some(budget_permille) = tiles.budget else {
         return Ok(false);
     };
-    let own = scan.have[t].then(|| &scan.segs[t]);
+    let own = scan.have[t].then(|| scan.segs[t].as_slice());
     let me = ctx.rank();
     // Contributors in depth order (front to back): their intervals, and the
     // codec stream of every piece but this rank's own.
-    let contributors: Vec<(&RowIvals, Option<&[u8]>)> = tiles
+    let contributors: Vec<_> = tiles
         .rank_at_depth
         .iter()
         .filter_map(|&r| match r == me {
             true => own.map(|ivals| (ivals, None)),
-            false => piece_of(r).map(|piece| (&piece.ivals, Some(piece.stream))),
+            false => piece_of(r).map(|piece| (piece.ivals, Some(piece.stream))),
         })
         .collect();
     match contributors.as_slice() {
@@ -172,7 +179,7 @@ pub(crate) fn place_puzzle_tile<'a, P: Pixel>(
         }
         _ => {}
     }
-    let ivals: Vec<&RowIvals> = contributors.iter().map(|(ivals, _)| *ivals).collect();
+    let ivals: Vec<&[(u16, u16)]> = contributors.iter().map(|(ivals, _)| *ivals).collect();
     let area = tiles.grid.area(t);
     let overlap = overlap_pixels(&ivals);
     if overlap * 1000 > budget_permille as usize * area {
@@ -267,15 +274,16 @@ mod tests {
             }
         });
         let grid = TileGrid::new(8, 4, 1, 1).unwrap();
-        let (have, segs) = scan_tiles(&img, &grid).unwrap();
-        assert!(have[0]);
+        let mut have = Vec::new();
+        let segs = scan_tiles(&img, &grid, &mut have).unwrap();
+        assert_eq!(have, [true]);
         assert_eq!(segs[0], vec![(0, 0), (2, 5), (0, 0), (0, 0)]);
     }
 
     #[test]
     fn segment_blob_roundtrips() {
         // The intervals ride in the tile bundle, with the pieces.
-        use crate::tile::{parse_bundle, write_bundle};
+        use crate::tile::{write_bundle_into, Bundles};
         let img: Image<GrayAlpha8> = Image::from_fn(12, 6, |x, y| {
             if (x + y) % 3 == 0 {
                 GrayAlpha8::new(1, 50)
@@ -284,32 +292,41 @@ mod tests {
             }
         });
         let grid = TileGrid::new(12, 6, 3, 2).unwrap();
-        let (have, segs) = scan_tiles(&img, &grid).unwrap();
-        let owned: Vec<usize> = (0..grid.tiles()).collect();
-        let piece = |&t: &usize| {
-            have[t].then(|| Piece {
-                ivals: segs[t].clone(),
-                stream: b"px",
-            })
+        let mut have = Vec::new();
+        let segs = scan_tiles(&img, &grid, &mut have).unwrap();
+        let owned = 0..grid.tiles();
+        let mut bundle = Vec::new();
+        let pieces = owned.clone().map(|t| have[t].then_some(t));
+        let px = |_, out: &mut Vec<u8>| {
+            out.extend_from_slice(b"px");
+            Ok(())
         };
-        let pieces: Vec<_> = owned.iter().map(piece).collect();
-        let bundle = write_bundle(&pieces).unwrap();
-        assert_eq!(
-            parse_bundle(&grid, &owned, true, &bundle, 0).unwrap(),
-            pieces
-        );
+        write_bundle_into(&mut bundle, pieces, |t| segs[t].as_slice(), px).unwrap();
+        let mut bundles = Bundles::default();
+        bundles.reset(1, owned.clone());
+        bundles
+            .insert(&grid, true, 0, bundle.clone().into())
+            .unwrap();
+        for t in owned {
+            let want = have[t].then(|| Piece {
+                ivals: &segs[t],
+                stream: b"px",
+            });
+            assert_eq!(bundles.piece(0, t), want);
+        }
         // A truncated bundle is a typed error, not a panic.
-        assert!(parse_bundle(&grid, &owned, true, &bundle[..bundle.len() - 1], 0).is_err());
+        let cut = bundle[..bundle.len() - 1].to_vec();
+        assert!(bundles.insert(&grid, true, 0, cut.into()).is_err());
     }
 
     #[test]
     fn overlap_estimate_is_zero_iff_disjoint() {
-        let a: RowIvals = vec![(0, 4), (0, 0)];
-        let b: RowIvals = vec![(4, 8), (2, 6)];
-        let c: RowIvals = vec![(3, 5), (0, 0)];
-        assert_eq!(overlap_pixels(&[&a, &b]), 0);
-        assert_eq!(overlap_pixels(&[&a, &c]), 1);
-        assert_eq!(overlap_pixels(&[&a, &b, &c]), 1 + 1);
+        let a: &[(u16, u16)] = &[(0, 4), (0, 0)];
+        let b: &[(u16, u16)] = &[(4, 8), (2, 6)];
+        let c: &[(u16, u16)] = &[(3, 5), (0, 0)];
+        assert_eq!(overlap_pixels(&[a, b]), 0);
+        assert_eq!(overlap_pixels(&[a, c]), 1);
+        assert_eq!(overlap_pixels(&[a, b, c]), 1 + 1);
     }
 
     #[test]

@@ -8,14 +8,17 @@
 //! 1. the final frame is statically partitioned into a [`TileGrid`] of
 //!    rectangular tiles, each tile assigned an owner rank by the
 //!    [`TilePlan`]'s owner map;
-//! 2. each rank scans its rendered partial once, then encodes **only its
-//!    non-blank tiles** and sends every other owner ONE self-describing
-//!    *bundle* ([`write_bundle`]): a bitmap over that owner's tiles, then
-//!    the set tiles' codec streams, each behind its length — `P·(P−1)`
-//!    messages a frame whatever the content, and a fully blank rank's
-//!    bundles are the bitmap alone;
+//! 2. each rank scans its rendered partial once — a tile row at a time
+//!    through the pixel type's blank-slice kernel
+//!    ([`Pixel::any_non_blank`]), stopping at a tile's first row with
+//!    content — then encodes **only its non-blank tiles** and sends every
+//!    other owner ONE self-describing *bundle* ([`write_bundle_into`]): a
+//!    bitmap over that owner's tiles, then the set tiles' codec streams,
+//!    each behind its length and encoded straight into the bundle —
+//!    `P·(P−1)` messages a frame whatever the content, and a fully blank
+//!    rank's bundles are the bitmap alone;
 //! 3. each owner receives the `P−1` bundles in rank order and parses them
-//!    with one exact-length parser ([`parse_bundle`]); a rank's
+//!    with one exact-length parser ([`Bundles::insert`]); a rank's
 //!    contribution to an owner is therefore atomic — all of it arrives, or
 //!    the rank is dead for that owner;
 //! 4. each owner composites every owned tile with a strict front-to-back
@@ -53,12 +56,13 @@ use crate::repair::{agree_on_failures, DegradedInfo};
 use crate::schedule::{check_permutation, verify_schedule, Schedule};
 use crate::CoreError;
 use rt_comm::tag::{self, Extents, TileChannel};
-use rt_comm::{CommError, ComputeKind, Mark, RankCtx};
+use rt_comm::{CommError, ComputeKind, Mark, Payload, RankCtx};
 use rt_compress::OverDir;
 use rt_imaging::pixel::{OverStats, Pixel};
 use rt_imaging::{Image, Rect, Span};
 use rt_obs::Phase;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// A static partition of a `width × height` frame into `tiles_x × tiles_y`
 /// rectangular tiles, row-major (tile `t` is column `t % tiles_x`, row
@@ -469,111 +473,194 @@ pub(crate) fn schedule_tag_extents(schedule: &Schedule, config: &ComposeConfig) 
 }
 
 /// One tile's share of a bundle.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Piece<'a> {
     /// The sender's per-row non-blank intervals on the tile (puzzle plans;
     /// empty for tile ownership).
-    pub ivals: RowIvals,
+    pub ivals: &'a [(u16, u16)],
     /// The tile's pixels, as the codec wrote them.
     pub stream: &'a [u8],
 }
 
+/// The most any codec adds to a block's raw size (the bounds codec's two
+/// counters): with it a bundle's buffer is sized once, before its streams
+/// are written, and never grows.
+const STREAM_HEADROOM: usize = 8;
+
 /// Write one bundle — everything a rank contributes to one owner in one
-/// round. `pieces[i]` is its share of the owner's `i`-th tile of the round
-/// (ascending), `None` where it holds no content. Wire layout:
+/// round — onto the end of `out`, in one pass. `pieces` yields the owner's
+/// tiles of the round in order (ascending), `Some(piece)` where this rank
+/// holds content; `ivals(piece)` are that piece's row intervals (puzzle
+/// plans; empty otherwise) and `stream(piece, out)` appends its codec
+/// stream. Wire layout:
 ///
-/// 1. a bitmap over the owner's tiles, bit `i` set when `pieces[i]` is;
-/// 2. for each set tile, its row intervals as `(lo, hi)` `u16` LE pairs
-///    (puzzle plans; nothing otherwise);
-/// 3. for each set tile, a `u32` LE length and that many codec bytes.
-pub fn write_bundle(pieces: &[Option<Piece<'_>>]) -> Result<Vec<u8>, CoreError> {
-    let carried = |piece: &Piece| 4 * piece.ivals.len() + 4 + piece.stream.len();
-    let mut bytes = vec![0u8; pieces.len().div_ceil(8)];
-    bytes.reserve_exact(pieces.iter().flatten().map(carried).sum());
-    for (i, piece) in pieces.iter().enumerate() {
+/// 1. a bitmap over the owner's tiles, bit `i` set when the `i`-th piece is;
+/// 2. for each set tile, its row intervals as `(lo, hi)` `u16` LE pairs;
+/// 3. for each set tile, a `u32` LE length and that many codec bytes — the
+///    length goes in as a placeholder, the stream is written behind it in
+///    place, and the length is patched.
+pub fn write_bundle_into<'i, T: Copy>(
+    out: &mut Vec<u8>,
+    pieces: impl Iterator<Item = Option<T>> + Clone,
+    ivals: impl Fn(T) -> &'i [(u16, u16)],
+    mut stream: impl FnMut(T, &mut Vec<u8>) -> Result<(), CoreError>,
+) -> Result<(), CoreError> {
+    let bitmap = out.len();
+    out.resize(bitmap + pieces.clone().count().div_ceil(8), 0);
+    for (i, piece) in pieces.clone().enumerate() {
         if piece.is_some() {
-            bytes[i / 8] |= 1 << (i % 8);
+            out[bitmap + i / 8] |= 1 << (i % 8);
         }
     }
-    for &(lo, hi) in pieces.iter().flatten().flat_map(|piece| &piece.ivals) {
-        bytes.extend_from_slice(&lo.to_le_bytes());
-        bytes.extend_from_slice(&hi.to_le_bytes());
+    for &(lo, hi) in pieces.clone().flatten().flat_map(ivals) {
+        out.extend_from_slice(&lo.to_le_bytes());
+        out.extend_from_slice(&hi.to_le_bytes());
     }
-    for piece in pieces.iter().flatten() {
-        let len = u32::try_from(piece.stream.len()).map_err(|_| CoreError::InvalidSchedule {
-            why: format!(
-                "a {}-byte tile stream overflows the bundle's u32 length",
-                piece.stream.len()
-            ),
+    for piece in pieces.flatten() {
+        let at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        stream(piece, out)?;
+        let written = out.len() - at - 4;
+        let len = u32::try_from(written).map_err(|_| CoreError::InvalidSchedule {
+            why: format!("a {written}-byte tile stream overflows the bundle's u32 length"),
         })?;
-        bytes.extend_from_slice(&len.to_le_bytes());
-        bytes.extend_from_slice(piece.stream);
+        out[at..at + 4].copy_from_slice(&len.to_le_bytes());
     }
-    Ok(bytes)
+    Ok(())
 }
 
-/// Parse the bundle rank `src` sent for `tiles` (the receiver's tiles of
-/// the round, ascending; `puzzle` when the plan carries a budget) —
-/// [`write_bundle`]'s inverse, borrowing the streams from `bytes`. The
-/// length must come out exact: a short or long bitmap, a length running
-/// past the end, trailing bytes or an interval outside its tile is a typed
-/// error, never a panic and never a tile read as blank.
-pub fn parse_bundle<'a>(
-    grid: &TileGrid,
-    tiles: &[usize],
-    puzzle: bool,
-    bytes: &'a [u8],
-    src: usize,
-) -> Result<Vec<Option<Piece<'a>>>, CoreError> {
-    let bad = |why: String| CoreError::InvalidSchedule {
-        why: format!("rank {src}: tile bundle of {} bytes {why}", bytes.len()),
-    };
-    let mut rest = bytes;
-    let mut take = |len: usize, what: &str| match rest.split_at_checked(len) {
-        Some((chunk, tail)) => {
-            rest = tail;
-            Ok(chunk)
-        }
-        None => Err(bad(format!("ends inside its {what}"))),
-    };
-    let bitmap = take(tiles.len().div_ceil(8), "bitmap")?;
-    let set = |i: usize| bitmap[i / 8] & (1 << (i % 8)) != 0;
-    if (tiles.len()..bitmap.len() * 8).any(set) {
-        return Err(bad(format!("sets a bit past its {} tiles", tiles.len())));
+/// Where one piece sits: its intervals in [`Bundles`]' shared list and its
+/// stream in its sender's bundle.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct PieceAt {
+    ivals: Range<usize>,
+    stream: Range<usize>,
+}
+
+/// The bundles one owner receives in a round, parsed: for each sender and
+/// each of the owner's tiles of the round, where the sender's piece sits —
+/// its row intervals, copied into one list shared by every piece, and its
+/// codec stream, borrowed from the bundle. Kept in [`Scratch`] from round
+/// to round, so a steady round receives and parses without allocating.
+#[derive(Debug, Default)]
+pub struct Bundles {
+    /// The owner's tiles of the round, ascending.
+    tiles: Vec<usize>,
+    /// Each sender's bundle, if one was received.
+    bytes: Vec<Option<Payload>>,
+    /// Per sender, per tile (sender-major): its piece, `None` where the
+    /// sender holds no content or sent no bundle.
+    at: Vec<Option<PieceAt>>,
+    /// The row intervals of every piece.
+    ivals: Vec<(u16, u16)>,
+}
+
+impl Bundles {
+    /// Start a round over the owner's `tiles` (ascending) with `senders`
+    /// ranks and no bundle received yet; the previous round's bundles are
+    /// dropped.
+    pub fn reset(&mut self, senders: usize, tiles: impl IntoIterator<Item = usize>) {
+        self.tiles.clear();
+        self.tiles.extend(tiles);
+        self.bytes.clear();
+        self.bytes.resize(senders, None);
+        self.at.clear();
+        self.at.resize(senders * self.tiles.len(), None);
+        self.ivals.clear();
     }
-    let blank = Piece {
-        ivals: Vec::new(),
-        stream: &[],
-    };
-    let mut pieces: Vec<_> = (0..tiles.len())
-        .map(|i| set(i).then(|| blank.clone()))
-        .collect();
-    for (&t, piece) in tiles.iter().zip(&mut pieces).filter(|_| puzzle) {
-        let Some(piece) = piece else { continue };
-        let rect = grid.rect(t);
-        let ival = |row: &[u8]| {
-            let lo = u16::from_le_bytes([row[0], row[1]]);
-            let hi = u16::from_le_bytes([row[2], row[3]]);
-            let inside = lo <= hi && hi as usize <= rect.width();
-            inside.then_some((lo, hi)).ok_or_else(|| {
-                let width = rect.width();
-                bad(format!(
-                    "carries the interval {lo}..{hi} for tile {t} ({width} wide)"
-                ))
-            })
+
+    /// The owner's tiles of the round, ascending.
+    pub fn tiles(&self) -> &[usize] {
+        &self.tiles
+    }
+
+    /// Parse and keep the bundle rank `src` sent (`puzzle` when the plan
+    /// carries a budget) — [`write_bundle_into`]'s inverse. The length must
+    /// come out exact: a short or long bitmap, a length running past the
+    /// end, trailing bytes or an interval outside its tile is a typed
+    /// error, never a panic and never a tile read as blank; nothing is
+    /// allocated by a length the bundle claims.
+    pub fn insert(
+        &mut self,
+        grid: &TileGrid,
+        puzzle: bool,
+        src: usize,
+        bytes: Payload,
+    ) -> Result<(), CoreError> {
+        let n = self.tiles.len();
+        let bad = |why: String| CoreError::InvalidSchedule {
+            why: format!("rank {src}: tile bundle of {} bytes {why}", bytes.len()),
         };
-        let rows = take(rect.height() * 4, "intervals")?.chunks_exact(4);
-        piece.ivals = rows.map(ival).collect::<Result<_, _>>()?;
+        let senders = self.bytes.len();
+        let (Some(slot), Some(at)) = (
+            self.bytes.get_mut(src),
+            self.at.get_mut(src * n..(src + 1) * n),
+        ) else {
+            return Err(bad(format!(
+                "comes from beyond the round's {senders} ranks"
+            )));
+        };
+        let mut pos = 0;
+        let mut take = |len: usize, what: &str| match pos + len <= bytes.len() {
+            true => {
+                pos += len;
+                Ok(pos - len..pos)
+            }
+            false => Err(bad(format!("ends inside its {what}"))),
+        };
+        let bitmap = take(n.div_ceil(8), "bitmap")?;
+        let bitmap = &bytes[bitmap];
+        let set = |i: usize| bitmap[i / 8] & (1 << (i % 8)) != 0;
+        if (n..bitmap.len() * 8).any(set) {
+            return Err(bad(format!("sets a bit past its {n} tiles")));
+        }
+        for (i, piece) in at.iter_mut().enumerate() {
+            *piece = set(i).then_some(PieceAt {
+                ivals: 0..0,
+                stream: 0..0,
+            });
+        }
+        for (&t, piece) in self.tiles.iter().zip(at.iter_mut()).filter(|_| puzzle) {
+            let Some(piece) = piece else { continue };
+            let rect = grid.rect(t);
+            let rows = &bytes[take(rect.height() * 4, "intervals")?];
+            let start = self.ivals.len();
+            for row in rows.chunks_exact(4) {
+                let lo = u16::from_le_bytes([row[0], row[1]]);
+                let hi = u16::from_le_bytes([row[2], row[3]]);
+                if lo > hi || hi as usize > rect.width() {
+                    let width = rect.width();
+                    return Err(bad(format!(
+                        "carries the interval {lo}..{hi} for tile {t} ({width} wide)"
+                    )));
+                }
+                self.ivals.push((lo, hi));
+            }
+            piece.ivals = start..self.ivals.len();
+        }
+        for piece in at.iter_mut().flatten() {
+            let len = &bytes[take(4, "streams")?];
+            let len = u32::from_le_bytes([len[0], len[1], len[2], len[3]]);
+            piece.stream = take(len as usize, "streams")?;
+        }
+        if pos != bytes.len() {
+            return Err(bad(format!("has {} trailing bytes", bytes.len() - pos)));
+        }
+        *slot = Some(bytes);
+        Ok(())
     }
-    for piece in pieces.iter_mut().flatten() {
-        let len = take(4, "streams")?;
-        let len = u32::from_le_bytes([len[0], len[1], len[2], len[3]]);
-        piece.stream = take(len as usize, "streams")?;
+
+    /// Rank `src`'s piece of the owner's `i`-th tile of the round: `None`
+    /// where it holds no content or no bundle of it was received.
+    pub fn piece(&self, src: usize, i: usize) -> Option<Piece<'_>> {
+        let n = self.tiles.len();
+        let at = self.at.get(src * n..(src + 1) * n)?.get(i)?.as_ref()?;
+        let bytes = self.bytes.get(src)?.as_ref()?;
+        Some(Piece {
+            ivals: &self.ivals[at.ivals.clone()],
+            stream: &bytes[at.stream.clone()],
+        })
     }
-    if !rest.is_empty() {
-        return Err(bad(format!("has {} trailing bytes", rest.len())));
-    }
-    Ok(pieces)
 }
 
 /// Lowest live rank strictly "after" `dead` cyclically — the deterministic
@@ -590,6 +677,21 @@ fn next_live_owner(
         .ok_or(CoreError::AllRanksFailed { p })
 }
 
+/// The tile path's per-frame lists, kept in [`Scratch`] from frame to
+/// frame so that a steady frame allocates none of them.
+#[derive(Debug, Default)]
+pub(crate) struct TileLists {
+    /// Which tiles of the local partial carry any content.
+    have: Vec<bool>,
+    /// The frame's non-empty tiles, ascending.
+    tiles: Vec<usize>,
+    /// The owner map with the dead owners' tiles reassigned, written only
+    /// by a repair.
+    owner_of: Vec<usize>,
+    /// The bundles of the round this rank receives.
+    bundles: Bundles,
+}
+
 /// What one rank brings to a tile-family compose — the content scan of
 /// its partial — and the round that both the first pass and the repair
 /// run over it.
@@ -600,6 +702,8 @@ pub(crate) struct TileScan<'a, P: Pixel> {
     pub have: Vec<bool>,
     /// Per tile, the per-row non-blank intervals (puzzle family only).
     pub segs: Vec<RowIvals>,
+    /// The bundles of the round in progress, as this rank received them.
+    bundles: Bundles,
 }
 
 impl<P: Pixel> TileScan<'_, P> {
@@ -611,7 +715,7 @@ impl<P: Pixel> TileScan<'_, P> {
     /// on [`TileChannel::RepairBundle`], and the dead are neither heard
     /// from nor folded.
     fn round(
-        &self,
+        &mut self,
         ctx: &mut RankCtx,
         local: &mut Image<P>,
         scratch: &mut Scratch<P>,
@@ -621,6 +725,7 @@ impl<P: Pixel> TileScan<'_, P> {
     ) -> Result<(), CoreError> {
         let me = ctx.rank();
         let config = self.stage.config;
+        let grid = &self.plan.grid;
         let channel = match dead {
             None => TileChannel::Bundle,
             Some(_) => TileChannel::RepairBundle,
@@ -628,37 +733,35 @@ impl<P: Pixel> TileScan<'_, P> {
         let tag_of = |sender: usize| tag::tile(config.frame_tag, channel, sender as u64);
         // An owner's tiles of the round, ascending, read off `tiles`.
         let owned = |o: usize| tiles.iter().copied().filter(move |&t| owner_of[t] == o);
+        let ivals = |t: usize| self.segs.get(t).map_or(&[][..], Vec::as_slice);
 
-        // ---- Ship: one bundle to every other owner, blank or not. --------
+        // ---- Ship: one bundle to every other owner, blank or not, each
+        // tile encoded straight into it. -----------------------------------
         for o in (0..self.plan.p).filter(|&o| o != me) {
-            let count = owned(o).count();
+            let set = owned(o).map(|t| self.have[t].then_some(t));
+            let count = set.clone().count();
             if count == 0 {
                 continue;
             }
-            let mut streams = Vec::with_capacity(count);
-            for t in owned(o) {
-                let encode = || {
-                    let rows = self.plan.grid.row_spans(t);
-                    self.stage.encode_spans(ctx, scratch, local, rows)
-                };
-                streams.push((t, self.have[t].then(encode).transpose()?));
-            }
-            let pieces: Vec<Option<Piece>> = (streams.iter())
-                .map(|(t, stream)| {
-                    let stream = stream.as_deref()?;
-                    let ivals = self.segs.get(*t).cloned().unwrap_or_default();
-                    Some(Piece { ivals, stream })
-                })
-                .collect();
-            let bundle = write_bundle(&pieces)?;
-            // The codec streams are booked by `encode`; the rest is the
+            let carried =
+                |t: usize| 4 * ivals(t).len() + 4 + grid.area(t) * P::BYTES + STREAM_HEADROOM;
+            let size = count.div_ceil(8) + set.clone().flatten().map(carried).sum::<usize>();
+            let mut bundle = Vec::with_capacity(size);
+            // The codec streams are booked by `encode_into`; the rest is the
             // interval metadata and the framing (bitmap, length prefixes).
-            let sent = pieces.iter().flatten().count();
-            let streamed: usize = pieces.iter().flatten().map(|p| p.stream.len()).sum();
-            let intervals: usize = pieces.iter().flatten().map(|p| 4 * p.ivals.len()).sum();
+            let (mut sent, mut streamed) = (0, 0);
+            write_bundle_into(&mut bundle, set.clone(), ivals, |t, out| {
+                let at = out.len();
+                let rows = grid.row_spans(t);
+                self.stage
+                    .encode_spans_into(ctx, scratch, local, rows, out)?;
+                (sent, streamed) = (sent + 1, streamed + out.len() - at);
+                Ok(())
+            })?;
+            let intervals: usize = set.flatten().map(|t| 4 * ivals(t).len()).sum();
             let framing = bundle.len() - streamed - intervals;
             ctx.obs_counters(|c| {
-                c.tiles_sent += sent as u64;
+                c.tiles_sent += sent;
                 c.add_wire_bytes("tile-manifest", framing as u64);
                 if intervals > 0 {
                     c.add_wire_bytes("pz-segments", intervals as u64);
@@ -669,41 +772,33 @@ impl<P: Pixel> TileScan<'_, P> {
 
         // ---- Collect (owners only): the live ranks' bundles, in rank
         // order. The one receive of the tile families. -------------------
-        let count = owned(me).count();
-        if count == 0 {
+        if owned(me).next().is_none() {
             return Ok(());
         }
-        let mut mine = Vec::with_capacity(count);
-        mine.extend(owned(me));
-        let mut bundles = vec![None; self.plan.p];
+        let puzzle = self.plan.budget.is_some();
+        self.bundles.reset(self.plan.p, owned(me));
         for src in (0..self.plan.p).filter(|&src| src != me) {
             if dead.is_some_and(|d| d.contains_key(&src)) {
                 continue;
             }
             match ctx.recv(src, tag_of(src)) {
-                Ok(bytes) => bundles[src] = Some(bytes),
+                Ok(bytes) => self.bundles.insert(grid, puzzle, src, bytes)?,
                 // A confirmed-dead peer contributed nothing, atomically:
                 // exact, because blank is the identity of `over`.
                 Err(CommError::RankFailed { .. }) if config.resilient => {}
                 Err(e) => return Err(e.into()),
             }
         }
-        let puzzle = self.plan.budget.is_some();
-        let mut pieces = Vec::with_capacity(bundles.len());
-        for (src, bundle) in bundles.iter().enumerate() {
-            pieces.push(match bundle {
-                Some(bytes) => parse_bundle(&self.plan.grid, &mine, puzzle, bytes, src)?,
-                None => Vec::new(),
-            });
-        }
 
         // ---- Resolve owned tiles: place within budget, or fold. ---------
-        for (i, &t) in mine.iter().enumerate() {
-            let piece_of = |r: usize| pieces[r].get(i).and_then(Option::as_ref);
+        for (i, &t) in self.bundles.tiles().iter().enumerate() {
+            let piece_of = |r: usize| self.bundles.piece(r, i);
             if !place_puzzle_tile(ctx, self, local, scratch, t, &piece_of)? {
                 self.fold_tile(ctx, local, scratch, t, &piece_of)?;
             }
         }
+        // Nothing reads the bundles past their round: let their buffers go.
+        self.bundles.reset(0, []);
         Ok(())
     }
 
@@ -717,7 +812,7 @@ impl<P: Pixel> TileScan<'_, P> {
         local: &mut Image<P>,
         scratch: &mut Scratch<P>,
         t: usize,
-        piece_of: &impl Fn(usize) -> Option<&'a Piece<'a>>,
+        piece_of: &impl Fn(usize) -> Option<Piece<'a>>,
     ) -> Result<(), CoreError> {
         let me = ctx.rank();
         let area = self.plan.grid.area(t);
@@ -792,10 +887,19 @@ pub(crate) fn compose_tiles<P: Pixel>(
 
     // ---- Scan: which tiles carry content (and, for the puzzle family,
     // the per-row intervals) — one pass, booked as encode-side work. -----
+    let TileLists {
+        mut have,
+        mut tiles,
+        mut owner_of,
+        bundles,
+    } = std::mem::take(&mut scratch.tiles);
     let scan_started = ctx.obs_start();
-    let (have, segs) = match plan.budget {
-        None => (scan_flags(&local, &plan.grid)?, Vec::new()),
-        Some(_) => scan_tiles(&local, &plan.grid)?,
+    let segs = match plan.budget {
+        None => {
+            scan_flags(&local, &plan.grid, &mut have)?;
+            Vec::new()
+        }
+        Some(_) => scan_tiles(&local, &plan.grid, &mut have)?,
     };
     ctx.obs_span(Phase::Encode, scan_started);
     let blank_tiles = have.iter().filter(|h| !**h).count() as u64;
@@ -803,14 +907,15 @@ pub(crate) fn compose_tiles<P: Pixel>(
         c.tiles_scanned += nt as u64;
         c.tiles_blank += blank_tiles;
     });
-    let scan = TileScan {
+    let mut scan = TileScan {
         stage,
         plan,
         have,
         segs,
+        bundles,
     };
 
-    let mut tiles = Vec::with_capacity(nt);
+    tiles.clear();
     tiles.extend((0..nt).filter(|&t| plan.grid.area(t) > 0));
     scan.round(ctx, &mut local, scratch, &plan.owner_of, &tiles, None)?;
 
@@ -821,9 +926,10 @@ pub(crate) fn compose_tiles<P: Pixel>(
     ctx.mark(Mark::ComposeEnd);
 
     // ---- Failure agreement + tile-granular repair. --------------------
-    let mut owner_of = plan.owner_of.clone();
     let (root, degraded) = agree_on_failures(ctx, config, p, 1, |ctx, crashed| {
         // Deterministic reassignment of dead owners' tiles.
+        owner_of.clear();
+        owner_of.extend_from_slice(&plan.owner_of);
         let mut reassigned: Vec<usize> = Vec::new();
         for &t in &tiles {
             let owner = &mut owner_of[t];
@@ -871,30 +977,50 @@ pub(crate) fn compose_tiles<P: Pixel>(
         ctx.mark(Mark::GatherEnd);
     }
     // What an owner ships: its (post-repair) tiles in ascending order, each
-    // tile's rows top to bottom, read off the grid as they are walked.
-    let (grid, owner_of) = (&plan.grid, &owner_of);
+    // tile's rows top to bottom, read off the grid as they are walked. Only
+    // a repair rewrote the owner map.
+    let final_owners = match degraded {
+        Some(_) => &owner_of,
+        None => &plan.owner_of,
+    };
+    let (grid, tiles_ref) = (&plan.grid, &tiles);
     let owned = |o| {
-        let mine = tiles.iter().filter(move |&&t| owner_of[t] == o);
+        let mine = tiles_ref.iter().filter(move |&&t| final_owners[t] == o);
         mine.flat_map(move |&t| grid.row_spans(t))
     };
-    finish(ctx, stage, scratch, local, owned, root, degraded, |slot| {
+    let out = finish(ctx, stage, scratch, local, owned, root, degraded, |slot| {
         tag::tile(config.frame_tag, TileChannel::Gather, slot as u64)
-    })
+    });
+    scratch.tiles = TileLists {
+        have: scan.have,
+        tiles,
+        owner_of,
+        bundles: scan.bundles,
+    };
+    out
 }
 
-/// Flags-only content scan: tile ownership needs to know *whether* a tile
-/// holds anything, never where.
-fn scan_flags<P: Pixel>(local: &Image<P>, grid: &TileGrid) -> Result<Vec<bool>, CoreError> {
-    let mut have = vec![false; grid.tiles()];
-    for (t, have_t) in have.iter_mut().enumerate() {
+/// Flags-only content scan into `have`: tile ownership needs to know
+/// *whether* a tile holds anything, never where. Each row is one call of
+/// the pixel type's blank-slice kernel, and a tile's scan stops at its
+/// first row with content.
+fn scan_flags<P: Pixel>(
+    local: &Image<P>,
+    grid: &TileGrid,
+    have: &mut Vec<bool>,
+) -> Result<(), CoreError> {
+    have.clear();
+    for t in 0..grid.tiles() {
+        let mut content = false;
         for span in grid.row_spans(t) {
-            if local.span_pixels(span)?.iter().any(|px| !px.is_blank()) {
-                *have_t = true;
+            if P::any_non_blank(local.span_pixels(span)?) {
+                content = true;
                 break;
             }
         }
+        have.push(content);
     }
-    Ok(have)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -903,7 +1029,7 @@ mod tests {
     use crate::{DisplayWall, Run, RunOutput};
     use rt_compress::CodecKind;
     use rt_imaging::image::reference_composite;
-    use rt_imaging::pixel::{GrayAlpha8, Provenance};
+    use rt_imaging::pixel::{GrayAlpha, GrayAlpha8, Provenance};
     use rt_imaging::synth::provenance_partials;
 
     fn run<P: Pixel>(
@@ -951,24 +1077,31 @@ mod tests {
         covered.iter().all(|&c| c == 1)
     }
 
+    /// Every grid of up to 9×8 tiles (none too) over every frame of up to
+    /// 7×6 pixels (none too): uneven, over-fine and empty tiles included.
+    fn small_grids() -> impl Iterator<Item = TileGrid> {
+        let frames = (0..=7).flat_map(|w| (0..=6).map(move |h| (w, h)));
+        frames.flat_map(|(width, height)| {
+            let counts = (0..=9).flat_map(|x| (0..=8).map(move |y| (x, y)));
+            counts.map(move |(tiles_x, tiles_y)| TileGrid {
+                width,
+                height,
+                tiles_x,
+                tiles_y,
+            })
+        })
+    }
+
     #[test]
     fn tile_plan_coverage_verdict_matches_enumeration() {
         let mut plan = plan(2, 1, 1, 1, 1);
-        for (width, height) in (0..=7).flat_map(|w| (0..=6).map(move |h| (w, h))) {
-            for (tiles_x, tiles_y) in (0..=9).flat_map(|x| (0..=8).map(move |y| (x, y))) {
-                let grid = TileGrid {
-                    width,
-                    height,
-                    tiles_x,
-                    tiles_y,
-                };
-                (plan.grid, plan.owner_of) = (grid, vec![0; grid.tiles()]);
-                let want = covers_exactly_once(&grid);
-                assert_eq!(verify_tile_plan(&plan).is_ok(), want, "{grid:?}");
-                for t in (0..grid.tiles()).filter(|_| want) {
-                    for (row, span) in grid.row_spans(t).enumerate() {
-                        assert_eq!(grid.row_span(t, row), span, "{grid:?} tile {t}");
-                    }
+        for grid in small_grids() {
+            (plan.grid, plan.owner_of) = (grid, vec![0; grid.tiles()]);
+            let want = covers_exactly_once(&grid);
+            assert_eq!(verify_tile_plan(&plan).is_ok(), want, "{grid:?}");
+            for t in (0..grid.tiles()).filter(|_| want) {
+                for (row, span) in grid.row_spans(t).enumerate() {
+                    assert_eq!(grid.row_span(t, row), span, "{grid:?} tile {t}");
                 }
             }
         }
@@ -976,6 +1109,141 @@ mod tests {
         let grid = TileGrid::new(usize::MAX / 2, 1, 3, 1).unwrap();
         (plan.grid, plan.owner_of) = (grid, vec![0; 3]);
         assert!(verify_tile_plan(&plan).is_err());
+    }
+
+    /// Which tiles hold a non-blank pixel, pixel by pixel over each tile's
+    /// rectangle: the oracle of both content scans.
+    fn tiles_with_content<P: Pixel>(img: &Image<P>, grid: &TileGrid) -> Vec<bool> {
+        let at = |x, y| &img.pixels()[y * grid.width + x];
+        (0..grid.tiles())
+            .map(|t| {
+                let r = grid.rect(t);
+                (r.y0..r.y1).any(|y| (r.x0..r.x1).any(|x| !at(x, y).is_blank()))
+            })
+            .collect()
+    }
+
+    /// Both content scans against the per-pixel oracle on every small grid,
+    /// with lone content pixels at a third of the positions and none:
+    /// `GrayAlpha8` with a value-only and an alpha-only pixel (the word-wise
+    /// kernel), `GrayAlpha` on a background of `-0.0`, which is blank with
+    /// non-zero bytes (the per-pixel default).
+    #[test]
+    fn content_scans_match_a_per_pixel_enumeration() {
+        fn check<P: Pixel>(img: &Image<P>, grid: &TileGrid) {
+            let want = tiles_with_content(img, grid);
+            let mut have = vec![true; 3];
+            scan_flags(img, grid, &mut have).unwrap();
+            assert_eq!(have, want, "{grid:?}");
+            have.clear();
+            let segs = scan_tiles(img, grid, &mut have).unwrap();
+            assert_eq!(have, want, "{grid:?}");
+            assert_eq!(segs.len(), grid.tiles());
+        }
+        let zero = GrayAlpha::new(-0.0, -0.0);
+        for grid in small_grids().filter(covers_exactly_once) {
+            let (w, h) = (grid.width, grid.height);
+            for lone in (0..=w * h).filter(|k| k % 3 == 0) {
+                let ga8 = |v, a| {
+                    Image::from_fn(w, h, move |x, y| match y * w + x == lone {
+                        true => GrayAlpha8::new(v, a),
+                        false => GrayAlpha8::blank(),
+                    })
+                };
+                check(&ga8(7, 0), &grid);
+                check(&ga8(0, 0x80), &grid);
+                let f32s = Image::from_fn(w, h, |x, y| match y * w + x == lone {
+                    true => GrayAlpha::new(0.25, 0.5),
+                    false => zero,
+                });
+                check(&f32s, &grid);
+            }
+        }
+    }
+
+    /// The bundle as it was written before streams went straight into it:
+    /// every tile's codec stream in a buffer of its own, then the bitmap,
+    /// the intervals and the length-prefixed streams copied into a second
+    /// one. The one-pass writer's oracle.
+    fn write_bundle(pieces: &[Option<Piece<'_>>]) -> Vec<u8> {
+        let mut bytes = vec![0u8; pieces.len().div_ceil(8)];
+        for (i, piece) in pieces.iter().enumerate() {
+            if piece.is_some() {
+                bytes[i / 8] |= 1 << (i % 8);
+            }
+        }
+        for &(lo, hi) in pieces.iter().flatten().flat_map(|piece| piece.ivals) {
+            bytes.extend_from_slice(&lo.to_le_bytes());
+            bytes.extend_from_slice(&hi.to_le_bytes());
+        }
+        for piece in pieces.iter().flatten() {
+            bytes.extend_from_slice(&(piece.stream.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(piece.stream);
+        }
+        bytes
+    }
+
+    /// The one-pass writer, streams encoded in place behind a placeholder
+    /// length, against the copying oracle byte for byte: tile ownership and
+    /// puzzle bundles, every codec, blank, mixed and dense content, over an
+    /// owner's 1, 6 and 20 tiles (a bitmap of one byte and of three), after
+    /// a prefix it must leave alone.
+    #[test]
+    fn one_pass_bundles_match_the_copying_oracle() {
+        let contents: [fn(usize, usize) -> GrayAlpha8; 3] = [
+            |_, _| GrayAlpha8::blank(),
+            |x, y| match (x * 7 + y * 3) % 11 < 4 && x < 13 {
+                true => GrayAlpha8::new((x + y) as u8, 90 + x as u8),
+                false => GrayAlpha8::blank(),
+            },
+            |x, y| GrayAlpha8::new((x * y) as u8, 255),
+        ];
+        for (tx, ty, owner_stride) in [(1, 1, 1), (4, 3, 2), (5, 4, 1)] {
+            let grid = TileGrid::new(30, 20, tx, ty).unwrap();
+            let tiles: Vec<usize> = (0..grid.tiles()).step_by(owner_stride).collect();
+            for (content, puzzle) in contents.iter().flat_map(|c| [(c, false), (c, true)]) {
+                let img = Image::from_fn(30, 20, content);
+                let mut have = Vec::new();
+                let segs = match puzzle {
+                    true => scan_tiles(&img, &grid, &mut have).unwrap(),
+                    false => scan_flags(&img, &grid, &mut have)
+                        .map(|_| Vec::new())
+                        .unwrap(),
+                };
+                let ivals = |t: usize| segs.get(t).map_or(&[][..], Vec::as_slice);
+                let pixels = |t: usize| -> Vec<GrayAlpha8> {
+                    let rows = grid.row_spans(t);
+                    rows.flat_map(|row| img.span_pixels(row).unwrap().to_vec())
+                        .collect()
+                };
+                for kind in CodecKind::ALL {
+                    let codec = kind.build::<GrayAlpha8>();
+                    let streams: Vec<Option<Vec<u8>>> = (tiles.iter())
+                        .map(|&t| have[t].then(|| codec.encode(&pixels(t)).bytes))
+                        .collect();
+                    let pieces: Vec<Option<Piece>> = (tiles.iter().zip(&streams))
+                        .map(|(&t, stream)| {
+                            let stream = stream.as_deref()?;
+                            Some(Piece {
+                                ivals: ivals(t),
+                                stream,
+                            })
+                        })
+                        .collect();
+                    let want = write_bundle(&pieces);
+                    let mut got = vec![0xEE, 0x11];
+                    let set = tiles.iter().map(|&t| have[t].then_some(t));
+                    write_bundle_into(&mut got, set, ivals, |t, out| {
+                        codec.encode_into(&pixels(t), out);
+                        Ok(())
+                    })
+                    .unwrap();
+                    let case = format!("{kind:?}, {tx}x{ty}, puzzle {puzzle}");
+                    assert_eq!(got[..2], [0xEE, 0x11], "{case}");
+                    assert_eq!(got[2..], want, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! panic, never a tile silently read as blank, and never an allocation
 //! sized by a length the peer claimed.
 
-use rt_core::tile::{parse_bundle, write_bundle, Piece, TileGrid};
+use rt_core::tile::{write_bundle_into, Bundles, Piece, TileGrid};
 use rt_core::CoreError;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -39,9 +39,9 @@ fn grid() -> TileGrid {
 /// The receiver's pieces: tiles 4, 5 and 11 carry content, 1 and 8 are
 /// blank. Puzzle pieces carry one interval per tile row.
 fn pieces(puzzle: bool) -> Vec<Option<Piece<'static>>> {
-    let piece = |stream: &'static [u8], ivals: &[(u16, u16)]| {
+    let piece = |stream: &'static [u8], ivals: &'static [(u16, u16)]| {
         Some(Piece {
-            ivals: if puzzle { ivals.to_vec() } else { Vec::new() },
+            ivals: if puzzle { ivals } else { &[] },
             stream,
         })
     };
@@ -59,8 +59,37 @@ fn sections(puzzle: bool) -> (usize, usize) {
     (1, 1 + if puzzle { 3 * 4 * 4 } else { 0 })
 }
 
-fn parse(puzzle: bool, bytes: &[u8]) -> Result<Vec<Option<Piece<'_>>>, CoreError> {
-    parse_bundle(&grid(), &TILES, puzzle, bytes, 2)
+/// Write `pieces` as one bundle, each stream copied in behind its length.
+fn write_bundle(pieces: &[Option<Piece>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let stream = |piece: Piece, out: &mut Vec<u8>| {
+        out.extend_from_slice(piece.stream);
+        Ok(())
+    };
+    write_bundle_into(&mut out, pieces.iter().copied(), |p| p.ivals, stream).unwrap();
+    out
+}
+
+/// Receive `bytes` as the bundle rank `src` sent an owner of `tiles`.
+fn parse_from(
+    src: usize,
+    tiles: &[usize],
+    puzzle: bool,
+    bytes: &[u8],
+) -> Result<Bundles, CoreError> {
+    let mut bundles = Bundles::default();
+    bundles.reset(src + 1, tiles.iter().copied());
+    bundles.insert(&grid(), puzzle, src, bytes.to_vec().into())?;
+    Ok(bundles)
+}
+
+fn parse(puzzle: bool, bytes: &[u8]) -> Result<Bundles, CoreError> {
+    parse_from(2, &TILES, puzzle, bytes)
+}
+
+/// The pieces rank 2's bundle carried, one per tile of `TILES`.
+fn pieces_of(bundles: &Bundles) -> Vec<Option<Piece<'_>>> {
+    (0..TILES.len()).map(|i| bundles.piece(2, i)).collect()
 }
 
 /// The parse fails with the typed error, naming the sender.
@@ -78,8 +107,8 @@ fn refused(puzzle: bool, bytes: &[u8]) -> String {
 fn a_written_bundle_parses_back_and_has_the_documented_layout() {
     for puzzle in [false, true] {
         let pieces = pieces(puzzle);
-        let bundle = write_bundle(&pieces).unwrap();
-        assert_eq!(parse(puzzle, &bundle).unwrap(), pieces);
+        let bundle = write_bundle(&pieces);
+        assert_eq!(pieces_of(&parse(puzzle, &bundle).unwrap()), pieces);
         let (intervals, streams) = sections(puzzle);
         // Bitmap over the five tiles: bits 1, 2 and 4.
         assert_eq!(bundle[0], 0b1_0110);
@@ -90,15 +119,17 @@ fn a_written_bundle_parses_back_and_has_the_documented_layout() {
         }
     }
     // All blank: the bundle is exactly the bitmap.
-    let blank = write_bundle(&[None, None, None, None, None]).unwrap();
+    let blank = write_bundle(&[None, None, None, None, None]);
     assert_eq!(blank, vec![0]);
-    assert!(parse(true, &blank).unwrap().iter().all(Option::is_none));
+    assert!(pieces_of(&parse(true, &blank).unwrap())
+        .iter()
+        .all(Option::is_none));
 }
 
 #[test]
 fn every_truncation_and_every_extension_is_refused() {
     for puzzle in [false, true] {
-        let bundle = write_bundle(&pieces(puzzle)).unwrap();
+        let bundle = write_bundle(&pieces(puzzle));
         for cut in 0..bundle.len() {
             refused(puzzle, &bundle[..cut]);
         }
@@ -113,7 +144,7 @@ fn every_truncation_and_every_extension_is_refused() {
 #[test]
 fn an_overlong_length_prefix_is_refused_without_allocating_for_it() {
     for puzzle in [false, true] {
-        let bundle = write_bundle(&pieces(puzzle)).unwrap();
+        let bundle = write_bundle(&pieces(puzzle));
         let (_, streams) = sections(puzzle);
         // Each of the three length prefixes in turn: one byte too long,
         // and as long as a u32 can claim.
@@ -136,31 +167,31 @@ fn a_bitmap_of_the_wrong_length_is_refused() {
     let streams: Vec<Option<Piece>> = (0..16)
         .map(|i| {
             (i == 12).then_some(Piece {
-                ivals: Vec::new(),
+                ivals: &[],
                 stream: b"x",
             })
         })
         .collect();
-    let sixteen = write_bundle(&streams).unwrap();
+    let sixteen = write_bundle(&streams);
     let tiles: Vec<usize> = (0..12).collect();
     // Written over 16 tiles, read over 9: bit 12 is past the receiver's
     // tiles — not a blank tile, an error.
-    let why = parse_bundle(&grid(), &tiles[..9], false, &sixteen, 0).unwrap_err();
+    let why = parse_from(0, &tiles[..9], false, &sixteen).unwrap_err();
     assert!(
         why.to_string().contains("sets a bit past its 9 tiles"),
         "{why}"
     );
     // Read over 8: the second bitmap byte is left over.
-    assert!(parse_bundle(&grid(), &tiles[..8], false, &sixteen, 0).is_err());
+    assert!(parse_from(0, &tiles[..8], false, &sixteen).is_err());
     // Written over 4 blank tiles, read over 9: shorter than the bitmap.
-    let four = write_bundle(&[None, None, None, None]).unwrap();
-    let why = parse_bundle(&grid(), &tiles[..9], false, &four, 0).unwrap_err();
+    let four = write_bundle(&[None, None, None, None]);
+    let why = parse_from(0, &tiles[..9], false, &four).unwrap_err();
     assert!(why.to_string().contains("ends inside its bitmap"), "{why}");
 }
 
 #[test]
 fn a_flipped_interval_bit_is_refused_or_stays_inside_its_tile() {
-    let bundle = write_bundle(&pieces(true)).unwrap();
+    let bundle = write_bundle(&pieces(true));
     let (intervals, streams) = sections(true);
     let mut refusals = 0;
     for bit in intervals * 8..streams * 8 {
@@ -170,7 +201,7 @@ fn a_flipped_interval_bit_is_refused_or_stays_inside_its_tile() {
             // A flip may land on another legal interval; what the
             // placement indexes with must still lie inside the 6-wide tile.
             Ok(parsed) => {
-                for piece in parsed.iter().flatten() {
+                for piece in pieces_of(&parsed).iter().flatten() {
                     assert_eq!(piece.ivals.len(), 4);
                     assert!(piece.ivals.iter().all(|&(lo, hi)| lo <= hi && hi <= 6));
                 }
@@ -196,7 +227,7 @@ fn random_damage_never_panics() {
         (state >> 33) as usize
     };
     for puzzle in [false, true] {
-        let bundle = write_bundle(&pieces(puzzle)).unwrap();
+        let bundle = write_bundle(&pieces(puzzle));
         for _ in 0..4000 {
             let mut bad = bundle.clone();
             for _ in 0..1 + next() % 3 {

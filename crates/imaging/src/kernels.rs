@@ -207,6 +207,20 @@ pub(crate) fn ga8_over_pixels<const FRONT: bool>(
     })
 }
 
+/// Whether any pixel of `pixels` is non-blank: each sixteen-pixel chunk is
+/// loaded into lane words the way [`ga8_over_pixels`] loads them and ORed
+/// into one, so a blank chunk costs one test and the scan stops at the
+/// first chunk with content. The pixels past the last whole chunk are
+/// tested one word each.
+pub(crate) fn ga8_any_non_blank(pixels: &[GrayAlpha8]) -> bool {
+    let (chunks, tail) = pixels.as_chunks::<GA8_CHUNK>();
+    let or = |chunk: &[GrayAlpha8; GA8_CHUNK]| {
+        let words: [u16; GA8_CHUNK] = std::array::from_fn(|k| ga8_word(&chunk[k]));
+        words.iter().fold(0, |acc, w| acc | w)
+    };
+    chunks.iter().any(|chunk| or(chunk) != 0) || tail.iter().any(|px| ga8_word(px) != 0)
+}
+
 /// The fused merge of a `GrayAlpha8` wire stream, front or back: leading
 /// blank pixels are skipped sixteen bytes per test via [`zero_prefix`],
 /// then the non-blank span — everything up to the start of the next
@@ -370,7 +384,51 @@ mod tests {
         }
     }
 
+    /// The per-pixel reference of [`GrayAlpha8`]'s blank scan.
+    fn any_non_blank_oracle(pixels: &[GrayAlpha8]) -> bool {
+        pixels.iter().any(|px| !px.is_blank())
+    }
+
+    /// The word-wise blank scan against the per-pixel test: a lone non-zero
+    /// value byte, then a lone non-zero alpha byte, at every offset of every
+    /// length 0..=80 (whole chunks, tails and both), and no content at all.
+    /// A scan that reads only one of the two bytes fails it.
+    #[test]
+    fn blank_scan_kernel_equivalence() {
+        for len in 0..=80 {
+            let blank = vec![GrayAlpha8::blank(); len];
+            assert!(!GrayAlpha8::any_non_blank(&blank), "len {len}");
+            for at in 0..len {
+                for lone in [GrayAlpha8::new(1, 0), GrayAlpha8::new(0, 0x80)] {
+                    let mut pixels = blank.clone();
+                    pixels[at] = lone;
+                    let want = any_non_blank_oracle(&pixels);
+                    assert!(want);
+                    assert_eq!(
+                        GrayAlpha8::any_non_blank(&pixels),
+                        want,
+                        "len {len}, {lone:?} at {at}"
+                    );
+                    // Every suffix starting past the content is blank.
+                    assert!(!GrayAlpha8::any_non_blank(&pixels[at + 1..]));
+                }
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn blank_scan_matches_per_pixel(
+            bytes in proptest::collection::vec(prop_oneof![31 => Just(0u8), 1 => any::<u8>()], 0..160),
+        ) {
+            let pixels: Vec<GrayAlpha8> =
+                bytes.chunks_exact(2).map(|b| GrayAlpha8::new(b[0], b[1])).collect();
+            for start in [0, pixels.len() / 3, pixels.len() / 2] {
+                let slice = &pixels[start..];
+                prop_assert_eq!(GrayAlpha8::any_non_blank(slice), any_non_blank_oracle(slice));
+            }
+        }
+
         #[test]
         fn zero_prefix_matches_scalar(bytes in proptest::collection::vec(prop_oneof![9 => Just(0u8), 1 => any::<u8>()], 0..200)) {
             let scalar = |bytes: &[u8]| bytes.iter().take_while(|&&b| b == 0).count();

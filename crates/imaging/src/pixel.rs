@@ -181,6 +181,15 @@ pub trait Pixel: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
         check_len("Pixel::over_back_slice", dst.len(), src.len())?;
         over_each(dst, src.iter().cloned().map(Ok), |s, d| d.over(s))
     }
+
+    /// Whether any pixel of `pixels` is non-blank — the tile families'
+    /// content scan. The default tests pixel by pixel through
+    /// [`Pixel::is_blank`] and is the reference; [`GrayAlpha8`] overrides
+    /// it with a word-wise OR of its lanes. An override must answer exactly
+    /// as this default does.
+    fn any_non_blank(pixels: &[Self]) -> bool {
+        pixels.iter().any(|px| !px.is_blank())
+    }
 }
 
 /// The one length check of the kernels: `got` source units for `want`.
@@ -503,6 +512,12 @@ impl Pixel for GrayAlpha8 {
     fn over_back_slice(dst: &mut [Self], src: &[Self]) -> Result<OverStats, ImagingError> {
         check_len("Pixel::over_back_slice", dst.len(), src.len())?;
         Ok(kernels::ga8_over_pixels::<false>(dst, src))
+    }
+
+    // Blank is the zero word, so a chunk is blank iff the OR of its words
+    // is zero.
+    fn any_non_blank(pixels: &[Self]) -> bool {
+        kernels::ga8_any_non_blank(pixels)
     }
 }
 
