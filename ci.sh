@@ -132,18 +132,24 @@ stray=$(grep -F '.barrier()' <<<"$pvr" || true)
 sites=$(grep -F 'Mark::RenderStart' <<<"$pvr" || true)
 [ "$(grep -c . <<<"$sites")" -eq 1 ] \
     || vocabulary_fail "rt-pvr must mark RenderStart in exactly one place" "$sites"
-# One unsafe: the slab sweep's dispatch to its AVX2 row kernel. Non-test code
-# (comments aside) holds exactly that one, uses nothing of core::arch or
-# std::arch but the feature probe, and rt-render fuses no product into a sum,
-# so both compiled copies of the row kernel round alike.
+# One unsafe, one CPU-width dispatch: `KernelCopy::run` in rt-imaging's
+# kernels.rs calls the AVX2 copy of a span kernel (the 8-bit merges and
+# unpack, rt-render's row kernel). Non-test code (comments aside) holds
+# exactly that one unsafe, names `target_feature` and the feature probe
+# nowhere else, uses nothing of core::arch or std::arch but the probe, and
+# neither crate whose kernels run in both copies fuses a product into a sum,
+# so the copies round alike.
 code=$(non_test_src | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
 sites=$(grep -w 'unsafe' <<<"$code" || true)
-{ [ "$(grep -c . <<<"$sites")" -eq 1 ] && grep -q '^crates/render/src/shearwarp\.rs:' <<<"$sites"; } \
-    || vocabulary_fail "non-test code must hold one unsafe, the row kernel dispatch" "$sites"
+{ [ "$(grep -c . <<<"$sites")" -eq 1 ] && grep -q '^crates/imaging/src/kernels\.rs:' <<<"$sites"; } \
+    || vocabulary_fail "non-test code must hold one unsafe, the span kernel dispatch" "$sites"
+stray=$(grep -E 'target_feature|is_x86_feature_detected!' <<<"$code" \
+    | grep -v '^crates/imaging/src/kernels\.rs:' || true)
+[ -z "$stray" ] || vocabulary_fail "a CPU-width dispatch outside rt_imaging::kernels" "$stray"
 stray=$(grep -E '(core|std)::arch' <<<"$code" | grep -vF 'std::arch::is_x86_feature_detected!' || true)
 [ -z "$stray" ] || vocabulary_fail "core::arch / std::arch beyond the feature probe" "$stray"
-stray=$(grep '^crates/render/src/' <<<"$code" | grep -F 'mul_add' || true)
-[ -z "$stray" ] || vocabulary_fail "rt-render fuses a product into a sum" "$stray"
+stray=$(grep -E '^crates/(render|imaging)/src/' <<<"$code" | grep -F 'mul_add' || true)
+[ -z "$stray" ] || vocabulary_fail "a span kernel fuses a product into a sum" "$stray"
 # One `over`: rt-core composites two in-memory pixel slices only through
 # `Pixel::over_{front,back}_slice`, so no `.over(` call is left in its
 # non-test code but the symbolic `Run::over` that proves schedules in
@@ -157,6 +163,13 @@ stray=$(grep '^crates/core/src/schedule\.rs:' <<<"$core" \
 [ -z "$stray" ] || vocabulary_fail "schedule.rs, home of the symbolic Run::over, names a pixel type" "$stray"
 stray=$(awk '/^impl TileGrid \{/,/^\}/' crates/core/src/tile.rs | grep -F 'Vec<Span>' || true)
 [ -z "$stray" ] || vocabulary_fail "TileGrid returns a Vec<Span> again" "$stray"
+# Nothing is merged onto a blank buffer: the gather, `Place` and puzzle
+# placement receive through `Stage::unpack`, which writes the stream with
+# `Codec::decode_into` and never runs `decode_over`.
+stray=$(awk '/^    pub fn unpack\(/,/^    }$/' crates/core/src/exec.rs | grep -F 'decode_over' || true)
+[ -z "$stray" ] || vocabulary_fail "Stage::unpack merges onto blank again" "$stray"
+grep -q '^    pub fn unpack(' crates/core/src/exec.rs \
+    || vocabulary_fail "Stage::unpack is gone from crates/core/src/exec.rs" ""
 # One gather reads each owner's spans off its plan as it ships them: no
 # per-owner span lists, no segment list handed back through an
 # out-parameter, no ownership map on the compose output and no per-row
@@ -268,7 +281,10 @@ PROPTEST_CASES=256 cargo test -q --release -p rt-render kernel_equivalence
 
 echo "== over kernel equivalence =="
 # The 8-bit `over` kernels' one branch-free span body against
-# `GrayAlpha8::over`, in release, the build the benchmark runs: every
+# `GrayAlpha8::over`, in release, the build the benchmark runs, in each
+# compiled copy called directly — baseline and, on a CPU with AVX2, the wide
+# one every call otherwise picks there (a CPU without AVX2 prints that it
+# skipped the wide copy): every
 # (front alpha, front value, back value) triple, 2^24 merges, which also
 # covers every alpha pair, through the front and the back merge of both
 # entries — the wire stream (`over_{front,back}_bytes`) and the pixel slice
@@ -277,8 +293,12 @@ echo "== over kernel equivalence =="
 # `non_blank`/`blank_skipped`/`opaque_fast` counters of every piece against
 # their definitions (`over_kernel_equivalence` — the only test that fails
 # when the back merge counts `opaque` from the stream's alpha instead of its
-# word, or when the slice entry loads a pixel's alpha as its value). The
-# workspace stage above runs it in debug.
+# word, or when the slice entry loads a pixel's alpha as its value). Then
+# the unpack kernel behind `Codec::decode_into` against the front merge onto
+# blank in the same copy, and its counters against their definitions, over
+# every 8-bit pixel in pieces of 1 to 47 (`unpack_kernel_equivalence` —
+# fails when `opaque` is read off the value byte or the tail is left
+# unwritten). The workspace stage above runs both in debug.
 cargo test -q --release -p rt-imaging kernel_equivalence
 
 echo "== blank scan equivalence =="

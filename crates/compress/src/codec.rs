@@ -1,7 +1,7 @@
 //! The [`Codec`] trait and the identity [`RawCodec`].
 
 use rt_imaging::pixel::{pixels_from_bytes, OverStats, Pixel};
-use rt_imaging::KernelPath;
+use rt_imaging::{ImagingError, KernelPath};
 use serde::{Deserialize, Serialize};
 
 /// Errors produced while decoding a compressed pixel block.
@@ -135,6 +135,20 @@ pub trait Codec<P: Pixel>: Send + Sync {
         Ok(over_decoded(&pixels, dst, dir))
     }
 
+    /// Decode into a destination that is already blank: exactly
+    /// [`Codec::decode_over`] in front of that blank `dst` — the same
+    /// pixels, the same [`OverStats`] (all three counters), and the same
+    /// streams accepted and rejected.
+    ///
+    /// This default **is** that merge. [`RawCodec`] and
+    /// [`TrleCodec`](crate::TrleCodec) override it to write the stream's
+    /// pixels through [`Pixel::unpack_bytes`], a copy for the fixed-point
+    /// types and the front merge itself for the others, so `−0.0`, NaN and
+    /// ±∞ come out as that merge leaves them.
+    fn decode_into(&self, data: &[u8], dst: &mut [P]) -> Result<OverStats, CodecError> {
+        self.decode_over(data, dst, OverDir::Front)
+    }
+
     /// [`Codec::decode_over`] under its pre-single-path name; a delegation
     /// kept for the frozen `benchmark/` exactly like [`Codec::encode_with`]
     /// and dropped with it.
@@ -168,13 +182,28 @@ fn over_decoded<P: Pixel>(pixels: &[P], dst: &mut [P], dir: OverDir) -> OverStat
 }
 
 /// Shared raw-stream kernel: composite `body` (exactly `dst.len() *
-/// P::BYTES` wire bytes) into `dst` through the pixel type's byte kernel,
-/// mapping shape errors to `codec`.
+/// P::BYTES` wire bytes) into `dst` through the pixel type's byte kernel
+/// for `dir`, mapping shape errors to `codec`.
 pub(crate) fn over_raw_body<P: Pixel>(
     codec: &'static str,
     body: &[u8],
     dst: &mut [P],
     dir: OverDir,
+) -> Result<OverStats, CodecError> {
+    match dir {
+        OverDir::Front => raw_body(codec, body, dst, P::over_front_bytes),
+        OverDir::Back => raw_body(codec, body, dst, P::over_back_bytes),
+    }
+}
+
+/// [`over_raw_body`] through any of the pixel type's byte kernels —
+/// [`Pixel::over_front_bytes`], [`Pixel::over_back_bytes`] or
+/// [`Pixel::unpack_bytes`].
+pub(crate) fn raw_body<P: Pixel>(
+    codec: &'static str,
+    body: &[u8],
+    dst: &mut [P],
+    kernel: impl Fn(&mut [P], &[u8]) -> Result<OverStats, ImagingError>,
 ) -> Result<OverStats, CodecError> {
     if body.len() != dst.len() * P::BYTES {
         return Err(CodecError::WrongPixelCount {
@@ -183,11 +212,7 @@ pub(crate) fn over_raw_body<P: Pixel>(
             got: body.len() / P::BYTES,
         });
     }
-    let merged = match dir {
-        OverDir::Front => P::over_front_bytes(dst, body),
-        OverDir::Back => P::over_back_bytes(dst, body),
-    };
-    merged.map_err(|_| CodecError::Corrupt {
+    kernel(dst, body).map_err(|_| CodecError::Corrupt {
         codec,
         what: "undecodable pixel bytes",
     })
@@ -227,6 +252,10 @@ impl<P: Pixel> Codec<P> for RawCodec {
         dir: OverDir,
     ) -> Result<OverStats, CodecError> {
         over_raw_body("raw", data, dst, dir)
+    }
+
+    fn decode_into(&self, data: &[u8], dst: &mut [P]) -> Result<OverStats, CodecError> {
+        raw_body("raw", data, dst, P::unpack_bytes)
     }
 }
 

@@ -22,9 +22,10 @@
 //! the code stream while counting non-blank pixels, then writes the message
 //! once at its exact length.
 
-use crate::codec::{over_raw_body, Codec, CodecError, OverDir};
+use crate::codec::{raw_body, Codec, CodecError, OverDir};
 use rt_imaging::kernels::{nonzero_byte_mask, zero_prefix};
 use rt_imaging::pixel::{pixels_from_bytes, OverStats, Pixel};
+use rt_imaging::ImagingError;
 
 const MODE_RAW: u8 = 0;
 const MODE_TRLE: u8 = 1;
@@ -359,23 +360,41 @@ impl<P: Pixel> Codec<P> for TrleCodec {
         dst: &mut [P],
         dir: OverDir,
     ) -> Result<OverStats, CodecError> {
-        let Some((&mode, body)) = data.split_first() else {
-            if dst.is_empty() {
-                return Ok(OverStats::default());
-            }
-            return Err(CodecError::Truncated { codec: "trle" });
-        };
-        match mode {
-            MODE_RAW => over_raw_body("trle", body, dst, dir),
-            MODE_TRLE => {
-                let (codes, payload) = split_body(body)?;
-                trle_over_codes(codes, payload, dst, dir)
-            }
-            _ => Err(CodecError::Corrupt {
-                codec: "trle",
-                what: "unknown mode byte",
-            }),
+        match dir {
+            OverDir::Front => trle_over(data, dst, P::over_front_bytes),
+            OverDir::Back => trle_over(data, dst, P::over_back_bytes),
         }
+    }
+
+    fn decode_into(&self, data: &[u8], dst: &mut [P]) -> Result<OverStats, CodecError> {
+        trle_over(data, dst, P::unpack_bytes)
+    }
+}
+
+/// A TRLE message merged into `dst` through `kernel`, one of the pixel
+/// type's byte kernels (see [`raw_body`]): a raw-fallback body in one call,
+/// a template body by [`trle_over_codes`].
+fn trle_over<P: Pixel>(
+    data: &[u8],
+    dst: &mut [P],
+    kernel: impl Fn(&mut [P], &[u8]) -> Result<OverStats, ImagingError>,
+) -> Result<OverStats, CodecError> {
+    let Some((&mode, body)) = data.split_first() else {
+        if dst.is_empty() {
+            return Ok(OverStats::default());
+        }
+        return Err(CodecError::Truncated { codec: "trle" });
+    };
+    match mode {
+        MODE_RAW => raw_body("trle", body, dst, kernel),
+        MODE_TRLE => {
+            let (codes, payload) = split_body(body)?;
+            trle_over_codes(codes, payload, dst, kernel)
+        }
+        _ => Err(CodecError::Corrupt {
+            codec: "trle",
+            what: "unknown mode byte",
+        }),
     }
 }
 
@@ -388,12 +407,14 @@ impl<P: Pixel> Codec<P> for TrleCodec {
 /// payload pixels; mixed templates go bit by bit. The stats of shipped
 /// pixels are the kernel's own: an honest encoder ships only non-blank
 /// ones, and a blank one under a set bit counts as what it is, exactly as
-/// decode-then-`over` would count it.
+/// decode-then-`over` would count it. For [`Codec::decode_into`] `kernel`
+/// is the unpack: blank runs stay as the blank destination has them, full
+/// runs are copied in bulk and mixed tiles bit by bit.
 fn trle_over_codes<P: Pixel>(
     codes: &[u8],
     payload: &[u8],
     dst: &mut [P],
-    dir: OverDir,
+    kernel: impl Fn(&mut [P], &[u8]) -> Result<OverStats, ImagingError>,
 ) -> Result<OverStats, CodecError> {
     let n_pixels = dst.len();
     let expected_tiles = n_pixels.div_ceil(TILE);
@@ -405,13 +426,12 @@ fn trle_over_codes<P: Pixel>(
         let bytes = payload
             .get(*at..*at + px * P::BYTES)
             .ok_or(CodecError::Truncated { codec: "trle" })?;
-        let merged =
-            over_raw_body("trle", bytes, &mut dst[base..base + px], dir).map_err(|_| {
-                CodecError::Corrupt {
-                    codec: "trle",
-                    what: "undecodable payload pixel",
-                }
-            })?;
+        let merged = raw_body("trle", bytes, &mut dst[base..base + px], &kernel).map_err(|_| {
+            CodecError::Corrupt {
+                codec: "trle",
+                what: "undecodable payload pixel",
+            }
+        })?;
         *at += bytes.len();
         Ok::<_, CodecError>(merged)
     };

@@ -1,6 +1,8 @@
-//! Content generator shared by the codec integration tests.
+//! Content generator and the `decode_into` parity check shared by the
+//! codec integration tests.
 
-use rt_imaging::pixel::{GrayAlpha8, Pixel};
+use rt_compress::{Codec, OverDir};
+use rt_imaging::pixel::{pixels_to_bytes, GrayAlpha8, Pixel};
 
 /// Run-structured content, the shape of a rendered partial: each
 /// `(kind, value, len, seed)` is a run of `len` blank pixels (kind 0),
@@ -24,4 +26,25 @@ pub fn runs_to_pixels(runs: Vec<(u8, u8, usize, u64)>) -> Vec<GrayAlpha8> {
         }));
     }
     out
+}
+
+/// `decode_into` onto a blank destination of `n` pixels against
+/// `decode_over(Front)` onto another: the same verdict, and on a valid
+/// stream the same `OverStats` (all three counters) and the same pixels
+/// bit for bit, compared as wire bytes so `−0.0` and NaN payloads count.
+pub fn check_decode_into<P: Pixel>(codec: &dyn Codec<P>, data: &[u8], n: usize, what: &str) {
+    let what = format!("{} {what}", codec.name());
+    let mut merged = vec![P::blank(); n];
+    let want = codec.decode_over(data, &mut merged, OverDir::Front);
+    let mut unpacked = vec![P::blank(); n];
+    let got = codec.decode_into(data, &mut unpacked);
+    assert_eq!(got.is_ok(), want.is_ok(), "{what}: {got:?} vs {want:?}");
+    if let (Ok(got), Ok(want)) = (got, want) {
+        assert_eq!(got, want, "{what}: stats");
+        assert_eq!(
+            pixels_to_bytes(&unpacked),
+            pixels_to_bytes(&merged),
+            "{what}: pixels"
+        );
+    }
 }

@@ -3,13 +3,16 @@
 //! fused byte-level walks (raw, RLE, TRLE) and the bounds codec, which runs
 //! the trait default. The executor's hot path relies on this equivalence
 //! being **bit-exact** (virtual-clock charges and composited frames must
-//! not depend on which walk ran).
+//! not depend on which walk ran). `decode_into` is pinned the same way to
+//! `decode_over(Front)` onto a blank destination, over every pixel type's
+//! wire stream: `GrayAlpha8`, `Provenance`, and `GrayAlpha` holding `−0.0`,
+//! NaN and ±∞.
 
 mod common;
 
 use proptest::prelude::*;
 use rt_compress::{Codec, CodecKind, OverDir};
-use rt_imaging::pixel::{GrayAlpha8, Pixel, Provenance};
+use rt_imaging::pixel::{GrayAlpha, GrayAlpha8, Pixel, Provenance};
 
 /// Reference semantics: decode the stream, then merge pixel by pixel,
 /// counting non-blank and blank stream pixels.
@@ -38,6 +41,7 @@ fn reference_over<P: Pixel>(
 }
 
 fn check_equivalence<P: Pixel>(src: &[P], dst: &[P]) {
+    check_decode_into(src);
     for kind in CodecKind::ALL {
         let codec = kind.build::<P>();
         let enc = codec.encode(src);
@@ -56,6 +60,30 @@ fn check_equivalence<P: Pixel>(src: &[P], dst: &[P]) {
             );
         }
     }
+}
+
+/// Every codec's `decode_into` of `src`'s stream against its
+/// `decode_over(Front)`, both onto blank.
+fn check_decode_into<P: Pixel>(src: &[P]) {
+    for kind in CodecKind::ALL {
+        let codec = kind.build::<P>();
+        let enc = codec.encode(src);
+        common::check_decode_into(codec.as_ref(), &enc.bytes, src.len(), "valid");
+    }
+}
+
+/// An `f32` channel that is one of the values a front merge onto blank does
+/// not copy (`−0.0`, NaN, ±∞) or an ordinary one.
+fn arb_channel() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        Just(0.0f32),
+        Just(-0.0f32),
+        Just(f32::NAN),
+        Just(f32::INFINITY),
+        Just(f32::NEG_INFINITY),
+        Just(1.0f32),
+        0.0f32..=1.0,
+    ]
 }
 
 prop_compose! {
@@ -109,6 +137,27 @@ proptest! {
             })
             .collect();
         check_equivalence(&src, &dst);
+    }
+
+    #[test]
+    fn decode_into_matches_front_merge_onto_blank(
+        wide in proptest::collection::vec((arb_channel(), arb_channel()), 0..200),
+        ranks in proptest::collection::vec((0u16..6, 0u16..6), 0..200),
+    ) {
+        // `GrayAlpha` runs the trait defaults, where `−0.0`, NaN and ±∞
+        // merged onto blank are not copies.
+        let wide: Vec<GrayAlpha> = wide.into_iter().map(|(v, a)| GrayAlpha::new(v, a)).collect();
+        check_decode_into(&wide);
+        // `Provenance`: `lo == hi != 0` is blank with non-zero bytes, and
+        // `lo > hi` arrives as it is.
+        let ranks: Vec<Provenance> = ranks
+            .into_iter()
+            .map(|(lo, hi)| match (lo, hi) {
+                (5, 5) => Provenance::INVALID,
+                (lo, hi) => Provenance { lo, hi },
+            })
+            .collect();
+        check_decode_into(&ranks);
     }
 
     #[test]
@@ -197,29 +246,40 @@ proptest! {
 #[test]
 fn fused_error_paths_match_decode() {
     // Streams that decode() rejects must be rejected by decode_over too —
-    // never silently mis-composited.
+    // never silently mis-composited — and by decode_into alike.
     let codec = CodecKind::Trle.build::<GrayAlpha8>();
-    let mut dst = vec![GrayAlpha8::blank(); 4];
-    // Unknown mode byte.
-    assert!(codec
-        .decode_over(&[7, 0, 0, 0, 0], &mut dst, OverDir::Front)
-        .is_err());
-    // Truncated header.
-    assert!(codec
-        .decode_over(&[1, 1, 0], &mut dst, OverDir::Front)
-        .is_err());
-    // Payload missing for a set template bit.
-    assert!(codec
-        .decode_over(&[1, 1, 0, 0, 0, 0x01], &mut dst, OverDir::Front)
-        .is_err());
     let rle = CodecKind::Rle.build::<GrayAlpha8>();
-    // Zero-length run.
-    assert!(rle
-        .decode_over(&[1, 0, 5], &mut dst, OverDir::Front)
-        .is_err());
-    // Wrong pixel count (stream shorter than dst).
-    let enc = rle.encode(&[GrayAlpha8::new(3, 9); 3]);
-    assert!(rle
-        .decode_over(&enc.bytes, &mut dst, OverDir::Front)
-        .is_err());
+    let short = rle.encode(&[GrayAlpha8::new(3, 9); 3]).bytes;
+    let cases: [(&dyn Codec<GrayAlpha8>, &[u8], &str); 5] = [
+        (codec.as_ref(), &[7, 0, 0, 0, 0], "unknown mode byte"),
+        (codec.as_ref(), &[1, 1, 0], "truncated header"),
+        (
+            codec.as_ref(),
+            &[1, 1, 0, 0, 0, 0x01],
+            "payload missing for a set template bit",
+        ),
+        (rle.as_ref(), &[1, 0, 5], "zero-length run"),
+        (rle.as_ref(), &short, "stream shorter than dst"),
+    ];
+    for (codec, data, what) in cases {
+        let mut dst = vec![GrayAlpha8::blank(); 4];
+        assert!(
+            codec.decode_over(data, &mut dst, OverDir::Front).is_err(),
+            "{what}"
+        );
+        let mut dst = vec![GrayAlpha8::blank(); 4];
+        assert!(
+            codec.decode_into(data, &mut dst).is_err(),
+            "{what}: decode_into"
+        );
+        common::check_decode_into(codec, data, 4, what);
+    }
+    // The raw codec's one check, the stream's length.
+    for kind in CodecKind::ALL {
+        let codec = kind.build::<GrayAlpha8>();
+        let enc = codec.encode(&[GrayAlpha8::new(3, 9); 5]).bytes;
+        for n in [0, 4, 6] {
+            common::check_decode_into(codec.as_ref(), &enc, n, &format!("5 pixels as {n}"));
+        }
+    }
 }

@@ -2,6 +2,8 @@
 //! trust nothing in it: whatever the bytes, they return a typed error or
 //! the right pixels — never a panic, never a different verdict from each
 //! other, and never an allocation sized by a length the stream claims.
+//! `decode_into` onto blank is held to `decode_over(Front)` onto blank over
+//! the same corpus.
 
 mod common;
 
@@ -79,6 +81,11 @@ fn check_stream<P: Pixel>(codec: &dyn Codec<P>, data: &[u8], dst: &[P], what: st
             "{what}/{dir:?}"
         );
     }
+    let ((), largest) = watched(|| common::check_decode_into(codec, data, dst.len(), ""));
+    assert!(
+        largest <= budget,
+        "{what}: decode_into allocated {largest} B"
+    );
 }
 
 /// Every prefix, every single-bit flip, every byte forced to 0 / 255 / ±1

@@ -563,12 +563,14 @@ impl<'a, P: Pixel> Stage<'a, P> {
         Ok(())
     }
 
-    /// Decode a received message as an exact copy into the blank `dst`
-    /// (`over` in front of a blank destination copies) — the gather and
-    /// placement receive: a decode charge, no `over` charge.
+    /// Decode a received message into the blank `dst` through
+    /// [`Codec::decode_into`](rt_compress::Codec::decode_into), which
+    /// writes the stream's pixels where `over` onto blank would leave the
+    /// same ones — the gather and placement receive: a decode charge, no
+    /// `over` charge.
     pub fn unpack(&self, ctx: &mut RankCtx, bytes: &[u8], dst: &mut [P]) -> Result<(), CoreError> {
         self.charge_decode(ctx, bytes);
-        let stats = self.codec.decode_over(bytes, dst, OverDir::Front)?;
+        let stats = self.codec.decode_into(bytes, dst)?;
         self.count_stream(ctx, &stats, 0);
         Ok(())
     }
@@ -900,14 +902,20 @@ fn gather<P: Pixel, I: Iterator<Item = Span> + Clone>(
         return Ok(None);
     };
     let cell = wall.cell_rect(d, width, height);
+    // The blank cell and this rank's own segments are frame assembly, a
+    // decode's work on the wall clock.
+    let started = ctx.obs_start();
     let mut out = Image::blank(cell.width(), cell.height());
+    ctx.obs_span(Phase::Decode, started);
     for owner in (0..ctx.size()).filter(|owner| !dead.contains(owner)) {
         let mut segs = span_cell_segments(owned(owner), width, cell);
         if owner == me {
+            let started = ctx.obs_start();
             segs.try_for_each(|(seg, at)| -> Result<(), CoreError> {
                 out.insert(Span::new(at, seg.len), local.span_pixels(seg)?)?;
                 Ok(())
             })?;
+            ctx.obs_span(Phase::Decode, started);
             continue;
         }
         let mut peek = segs.clone();

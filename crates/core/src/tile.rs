@@ -850,7 +850,10 @@ impl<P: Pixel> TileScan<'_, P> {
             };
             ctx.compute(ComputeKind::Over, over_units as u64);
         }
+        // Writing the folded tile back finishes its merge.
+        let started = ctx.obs_start();
         scatter(local, self.plan.grid.row_spans(t), &acc)?;
+        ctx.obs_span(Phase::Over, started);
         scratch.put_acc(acc);
         Ok(())
     }

@@ -1,11 +1,11 @@
-//! Word-wise (SWAR) scan primitives and the fused [`GrayAlpha8`] `over`
-//! kernels built on them.
+//! Word-wise (SWAR) scan primitives, the fused [`GrayAlpha8`] `over` and
+//! unpack kernels built on them, and the workspace's one CPU-width dispatch.
 //!
 //! The hot loops of the composition stage — blank-pixel scanning and the
 //! codecs' run detection / template classification — find their runs a
 //! machine word (`u64`) or two (`u128`) at a time. The `over` kernels skip
 //! a wire stream's blank runs that way and merge every other pixel with one
-//! branch-free body, sixteen pixels per chunk, which the baseline compiler
+//! branch-free body, sixteen pixels per chunk, which the compiler
 //! vectorises; the same body merges two in-memory pixel slices. Neither
 //! changes what is computed: a blank or opaque pixel needs no
 //! shortcut, because the fixed-point arithmetic already gives its result
@@ -13,8 +13,90 @@
 //! kernel is pinned bit for bit to decode-then-
 //! [`Pixel::over`](crate::Pixel::over) by the tests of this crate (every
 //! 8-bit merge, exhaustively) and of rt-compress.
+//!
+//! Every span kernel runs through [`KernelCopy::run`]: one body, compiled
+//! once for the target's baseline and once, on x86-64, with AVX2 enabled,
+//! and the widest copy the CPU supports is the one called. The copies use
+//! no intrinsics and no fused multiply-add, so they compute the same bits.
 
 use crate::pixel::{GrayAlpha8, OverStats};
+
+// --------------------------------------------------------------------------
+// The one CPU-width dispatch
+// --------------------------------------------------------------------------
+
+/// One call of a span kernel, run in a compiled copy by [`KernelCopy::run`].
+///
+/// An implementation marks [`SpanKernel::run`] `#[inline(always)]` and
+/// writes its whole body there (or in `#[inline(always)]` helpers), so each
+/// copy compiles all of it for its own width. The body uses no intrinsics
+/// and no `mul_add`: every copy then rounds alike and writes the same bits.
+pub trait SpanKernel {
+    /// What the kernel returns.
+    type Output;
+
+    /// The kernel body.
+    fn run(self) -> Self::Output;
+}
+
+/// A compiled copy of the span kernels: the target's baseline, or on
+/// x86-64 the AVX2 one, which only a CPU with AVX2 can hold.
+/// [`KernelCopy::widest`] is the copy every kernel call runs;
+/// [`KernelCopy::all`] lets a test call each copy directly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KernelCopy {
+    avx2: bool,
+}
+
+impl KernelCopy {
+    /// The widest copy this CPU runs.
+    #[inline]
+    pub fn widest() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Self { avx2: true };
+        }
+        Self { avx2: false }
+    }
+
+    /// Every copy this CPU runs, baseline first.
+    pub fn all() -> Vec<Self> {
+        let mut copies = vec![Self { avx2: false }];
+        copies.extend(Some(Self::widest()).filter(|c| c.avx2));
+        copies
+    }
+
+    /// `"avx2"` or `"baseline"`.
+    pub fn name(self) -> &'static str {
+        match self.avx2 {
+            true => "avx2",
+            false => "baseline",
+        }
+    }
+
+    /// Run `kernel` in this copy.
+    #[inline]
+    pub fn run<K: SpanKernel>(self, kernel: K) -> K::Output {
+        #[cfg(target_arch = "x86_64")]
+        if self.avx2 {
+            // SAFETY: a copy with `avx2` set is only made by `widest`, on a
+            // CPU found to support AVX2, the one feature `run_avx2` is
+            // compiled with.
+            return unsafe { run_avx2(kernel) };
+        }
+        run_baseline(kernel)
+    }
+}
+
+fn run_baseline<K: SpanKernel>(kernel: K) -> K::Output {
+    kernel.run()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2<K: SpanKernel>(kernel: K) -> K::Output {
+    kernel.run()
+}
 
 /// Placeholder for the retired scalar/wide kernel selector: there is one
 /// kernel path, so this carries no information. Kept because the frozen
@@ -197,10 +279,8 @@ fn ga8_span_bytes<const FRONT: bool>(dst: &mut [GrayAlpha8], src: &[u8]) -> Over
 /// slices (`src.len() == dst.len()` is the caller's contract). No blank
 /// skip in front of it: the span body merges a blank pixel as the identity
 /// at the same speed.
-pub(crate) fn ga8_over_pixels<const FRONT: bool>(
-    dst: &mut [GrayAlpha8],
-    src: &[GrayAlpha8],
-) -> OverStats {
+#[inline(always)]
+fn ga8_over_pixels<const FRONT: bool>(dst: &mut [GrayAlpha8], src: &[GrayAlpha8]) -> OverStats {
     let (words, tail) = src.as_chunks::<GA8_CHUNK>();
     ga8_span::<FRONT, _>(dst, words, tail.iter().map(ga8_word), |s| {
         std::array::from_fn(|k| ga8_word(&s[k]))
@@ -228,7 +308,8 @@ pub(crate) fn ga8_any_non_blank(pixels: &[GrayAlpha8]) -> bool {
 /// handed to the branch-free span body in a single call. Sparse content is
 /// mostly skipped by the words; dense content costs the span body plus one
 /// word test per group.
-pub(crate) fn ga8_over_bytes<const FRONT: bool>(dst: &mut [GrayAlpha8], src: &[u8]) -> OverStats {
+#[inline(always)]
+fn ga8_over_bytes<const FRONT: bool>(dst: &mut [GrayAlpha8], src: &[u8]) -> OverStats {
     let mut stats = OverStats::default();
     let n = dst.len();
     let mut i = 0;
@@ -257,15 +338,107 @@ pub(crate) fn ga8_over_bytes<const FRONT: bool>(dst: &mut [GrayAlpha8], src: &[u
     stats
 }
 
+/// The unpack of a wire stream into blank pixels, `dst[i] = src[i]`: what
+/// the front merge leaves on a blank destination (`f + mul255(255 − fa, 0)
+/// = f`), with the front merge's counters — blank iff the lane word is 0,
+/// opaque iff its alpha byte is 255. One flat loop writes each pixel and
+/// sums both tests into 16-bit counters, which the compiler turns into
+/// vector lanes (a `usize` count would be a scalar one). A block of at most
+/// `u16::MAX` pixels cannot wrap them. `src.len() == dst.len() * 2` is the
+/// caller's contract.
+#[inline(always)]
+fn ga8_unpack(dst: &mut [GrayAlpha8], src: &[u8]) -> OverStats {
+    let (mut non_blank, mut opaque) = (0, 0);
+    let (pairs, _) = src.as_chunks::<2>();
+    // Counts in 16-bit lanes, each block short enough not to wrap one.
+    for (dst, block) in dst
+        .chunks_mut(u16::MAX as usize)
+        .zip(pairs.chunks(u16::MAX as usize))
+    {
+        let (mut block_non_blank, mut block_opaque) = (0u16, 0u16);
+        for (px, pair) in dst.iter_mut().zip(block) {
+            let w = u16::from_le_bytes(*pair);
+            [px.v, px.a] = *pair;
+            block_non_blank += (w != 0) as u16;
+            block_opaque += (w >> 8 == 255) as u16;
+        }
+        non_blank += block_non_blank as usize;
+        opaque += block_opaque as usize;
+    }
+    OverStats {
+        non_blank,
+        blank_skipped: dst.len() - non_blank,
+        opaque_fast: opaque,
+    }
+}
+
+/// One call of a [`GrayAlpha8`] span kernel, run by [`KernelCopy::run`]:
+/// the front or back merge of a wire stream or of a pixel slice, or the
+/// unpack of a wire stream into blank pixels. Its [`SpanKernel::run`] holds
+/// all five bodies, so each compiled copy has its own. The callers check
+/// the lengths.
+pub(crate) enum Ga8<'a> {
+    /// [`ga8_over_bytes`]: a wire stream in front of `dst` or behind it.
+    OverBytes {
+        front: bool,
+        dst: &'a mut [GrayAlpha8],
+        src: &'a [u8],
+    },
+    /// [`ga8_over_pixels`]: a pixel slice in front of `dst` or behind it.
+    OverPixels {
+        front: bool,
+        dst: &'a mut [GrayAlpha8],
+        src: &'a [GrayAlpha8],
+    },
+    /// [`ga8_unpack`]: a wire stream written into the blank `dst`.
+    Unpack {
+        dst: &'a mut [GrayAlpha8],
+        src: &'a [u8],
+    },
+}
+
+impl SpanKernel for Ga8<'_> {
+    type Output = OverStats;
+
+    #[inline(always)]
+    fn run(self) -> OverStats {
+        match self {
+            Ga8::OverBytes { front, dst, src } => match front {
+                true => ga8_over_bytes::<true>(dst, src),
+                false => ga8_over_bytes::<false>(dst, src),
+            },
+            Ga8::OverPixels { front, dst, src } => match front {
+                true => ga8_over_pixels::<true>(dst, src),
+                false => ga8_over_pixels::<false>(dst, src),
+            },
+            Ga8::Unpack { dst, src } => ga8_unpack(dst, src),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Pixel;
     use proptest::prelude::*;
+    use std::io::Write;
+
+    /// Every compiled copy this CPU runs, each to be called directly. A CPU
+    /// without AVX2 tests the baseline copy alone and says so.
+    fn copies() -> Vec<KernelCopy> {
+        let copies = KernelCopy::all();
+        if copies.len() == 1 {
+            // Past the test harness's capture, so every run shows the skip.
+            let skip = "span kernel copies: no AVX2 on this CPU, the wide copy is not tested";
+            let _ = writeln!(std::io::stderr(), "{skip}");
+        }
+        copies
+    }
 
     /// Every merge the 8-bit `over` can be asked for, through both fused
-    /// merges of both entries — the wire stream and the pixel slice —
-    /// against [`GrayAlpha8::over`] and the counter definitions. The front
+    /// merges of both entries — the wire stream and the pixel slice — in
+    /// each compiled copy, against [`GrayAlpha8::over`] and the counter
+    /// definitions. The front
     /// pixel is `(x, y)` and the back one `(z, x + z mod 256)` for all 2²⁴
     /// triples, so the value channel sees every (front alpha, front value,
     /// back value) triple, the alpha channel every alpha pair, and the back
@@ -278,16 +451,23 @@ mod tests {
     /// destination, which a random pixel is once in 2¹⁶ tries.
     #[test]
     fn over_kernel_equivalence() {
-        // Two threads, one per parity of the front alpha.
-        std::thread::scope(|scope| {
-            for parity in [0, 1] {
-                scope.spawn(move || (parity..=255).step_by(2).for_each(check_front_alpha));
-            }
-        });
+        for copy in copies() {
+            // Two threads, one per parity of the front alpha.
+            std::thread::scope(|scope| {
+                for parity in [0, 1] {
+                    scope.spawn(move || {
+                        (parity..=255)
+                            .step_by(2)
+                            .for_each(|y| check_front_alpha(copy, y))
+                    });
+                }
+            });
+        }
     }
 
-    /// The 2¹⁶ merges of [`over_kernel_equivalence`] whose front alpha is `y`.
-    fn check_front_alpha(y: u8) {
+    /// The 2¹⁶ merges of [`over_kernel_equivalence`] whose front alpha is
+    /// `y`, in compiled copy `copy`.
+    fn check_front_alpha(copy: KernelCopy, y: u8) {
         let n = 1 << 16;
         let (front, back): (Vec<_>, Vec<_>) = (0..n)
             .map(|k| {
@@ -318,13 +498,19 @@ mod tests {
             let (mut at, mut len) = (0, 1);
             while at < n {
                 let end = (at + len).min(n);
-                let d = &mut dst[at..end];
-                let got = match (dir_front, wire) {
-                    (true, true) => ga8_over_bytes::<true>(d, &bytes[2 * at..2 * end]),
-                    (false, true) => ga8_over_bytes::<false>(d, &bytes[2 * at..2 * end]),
-                    (true, false) => GrayAlpha8::over_front_slice(d, &source[at..end]).unwrap(),
-                    (false, false) => GrayAlpha8::over_back_slice(d, &source[at..end]).unwrap(),
-                };
+                let (dst, front) = (&mut dst[at..end], dir_front);
+                let got = copy.run(match wire {
+                    true => Ga8::OverBytes {
+                        front,
+                        dst,
+                        src: &bytes[2 * at..2 * end],
+                    },
+                    false => Ga8::OverPixels {
+                        front,
+                        dst,
+                        src: &source[at..end],
+                    },
+                });
                 let blank = sums[end].0 - sums[at].0;
                 let want_stats = OverStats {
                     non_blank: end - at - blank,
@@ -332,17 +518,137 @@ mod tests {
                     opaque_fast: sums[end].1 - sums[at].1,
                 };
                 assert_eq!(
-                    got, want_stats,
-                    "y {y}, front {dir_front}, wire {wire}, pixels {at}..{end}"
+                    got,
+                    want_stats,
+                    "{} copy: y {y}, front {dir_front}, wire {wire}, pixels {at}..{end}",
+                    copy.name()
                 );
                 (at, len) = (end, len % 47 + 1);
             }
             if let Some(k) = (0..n).find(|&k| dst[k] != want[k]) {
                 panic!(
-                    "front {dir_front}, wire {wire}: {:?} over {:?} gave {:?}, want {:?}",
-                    front[k], back[k], dst[k], want[k]
+                    "{} copy: front {dir_front}, wire {wire}: {:?} over {:?} gave {:?}, want {:?}",
+                    copy.name(),
+                    front[k],
+                    back[k],
+                    dst[k],
+                    want[k]
                 );
             }
+        }
+    }
+
+    /// The unpack kernel in each compiled copy against the front merge onto
+    /// a blank destination in the same copy — what the codecs' `decode_into`
+    /// is held to against `decode_over(Front)` — and its counters against
+    /// their definitions: every 8-bit pixel once, by alpha then value (so
+    /// each alpha's 256 pixels hold one of value 255), cut into pieces of 1
+    /// to 47 pixels so the vectorised loop's whole vectors and its scalar
+    /// remainder both run at every offset. Fails on an unpack that counts
+    /// `opaque` from the value byte, or that leaves the pixels past its last
+    /// whole vector unwritten.
+    #[test]
+    fn unpack_kernel_equivalence() {
+        let n = 1 << 16;
+        let source: Vec<GrayAlpha8> = (0..n)
+            .map(|k| GrayAlpha8::new(k as u8, (k >> 8) as u8))
+            .collect();
+        let bytes = crate::pixel::pixels_to_bytes(&source);
+        for copy in copies() {
+            let (mut unpacked, mut merged) =
+                (vec![GrayAlpha8::blank(); n], vec![GrayAlpha8::blank(); n]);
+            let (mut at, mut len) = (0, 1);
+            while at < n {
+                let end = (at + len).min(n);
+                let src = &bytes[2 * at..2 * end];
+                let got = copy.run(Ga8::Unpack {
+                    dst: &mut unpacked[at..end],
+                    src,
+                });
+                let front = true;
+                let dst = &mut merged[at..end];
+                let want = copy.run(Ga8::OverBytes { front, dst, src });
+                let piece = &source[at..end];
+                let blank = piece.iter().filter(|p| p.is_blank()).count();
+                let defined = OverStats {
+                    non_blank: piece.len() - blank,
+                    blank_skipped: blank,
+                    opaque_fast: piece.iter().filter(|p| p.a == 255).count(),
+                };
+                let what = format!("{} copy, pixels {at}..{end}", copy.name());
+                assert_eq!(got, want, "{what}: against the front merge");
+                assert_eq!(got, defined, "{what}: against the definitions");
+                (at, len) = (end, len % 47 + 1);
+            }
+            let merged_onto_blank: Vec<GrayAlpha8> = source
+                .iter()
+                .map(|s| s.over(&GrayAlpha8::blank()))
+                .collect();
+            assert_eq!(
+                merged,
+                merged_onto_blank,
+                "{} copy: front merge",
+                copy.name()
+            );
+            if let Some(k) = (0..n).find(|&k| unpacked[k] != merged[k]) {
+                panic!(
+                    "{} copy: pixel {k}: unpacked {:?}, merged onto blank {:?}",
+                    copy.name(),
+                    unpacked[k],
+                    merged[k]
+                );
+            }
+        }
+    }
+
+    /// µs per call of the front merge and of the unpack, in each compiled
+    /// copy, over a dense 64 K-pixel stream (no pixel blank, so no word
+    /// skip): the numbers EXPERIMENTS.md's E34 reports. Timing only, so
+    /// ignored by default: `cargo test --release -p rt-imaging
+    /// span_kernel_timings -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    fn span_kernel_timings() {
+        let n = 1 << 16;
+        let pixel = |k: usize, salt: usize| {
+            let x = (k ^ salt).wrapping_mul(0x9E37_79B9) >> 8;
+            GrayAlpha8::new(x as u8 | 1, (x >> 8) as u8)
+        };
+        let src: Vec<GrayAlpha8> = (0..n).map(|k| pixel(k, 0)).collect();
+        let back: Vec<GrayAlpha8> = (0..n).map(|k| pixel(k, 0x5A5A)).collect();
+        let bytes = crate::pixel::pixels_to_bytes(&src);
+        let best_of = |f: &mut dyn FnMut()| {
+            (0..200)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    f();
+                    t.elapsed().as_secs_f64() * 1e6
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        for copy in copies() {
+            let mut dst = back.clone();
+            let over = best_of(&mut || {
+                dst.copy_from_slice(&back);
+                let (front, dst) = (true, &mut dst[..]);
+                std::hint::black_box(copy.run(Ga8::OverBytes {
+                    front,
+                    dst,
+                    src: &bytes,
+                }));
+            });
+            let copy_only = best_of(&mut || dst.copy_from_slice(&back));
+            let unpack = best_of(&mut || {
+                std::hint::black_box(copy.run(Ga8::Unpack {
+                    dst: &mut dst,
+                    src: &bytes,
+                }));
+            });
+            println!(
+                "{} copy, dense 64 K pixels: over_front_bytes {:.1} µs, unpack {unpack:.1} µs",
+                copy.name(),
+                over - copy_only,
+            );
         }
     }
 

@@ -12,9 +12,10 @@
 //! * [`rect`] — bounding rectangles of non-blank pixels (Ma et al.'s
 //!   compression baseline) with intersection/union algebra;
 //! * [`io`] — the PGM writer for the example binaries;
-//! * [`kernels`] — word-wise (SWAR) scan primitives and the fused
-//!   [`pixel::GrayAlpha8`] `over` kernels, pinned bit for bit to
-//!   decode-then-`over` by property tests;
+//! * [`kernels`] — word-wise (SWAR) scan primitives, the fused
+//!   [`pixel::GrayAlpha8`] `over` and unpack kernels, pinned bit for bit to
+//!   decode-then-`over` by property tests, and the workspace's one
+//!   CPU-width dispatch ([`kernels::KernelCopy`]);
 //! * [`synth`] — the synthetic partial images tests, benches and examples
 //!   share.
 //!

@@ -22,7 +22,7 @@
 //!   itself on any out-of-order merge. Composition algorithms are proven
 //!   correct by running them over `Provenance` images.
 
-use crate::kernels::{self, mul255};
+use crate::kernels::{mul255, Ga8, KernelCopy};
 use crate::ImagingError;
 
 /// Statistics returned by the composition kernels
@@ -165,6 +165,16 @@ pub trait Pixel: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
         check_len("Pixel::over_back_bytes", want, src.len())?;
         let stream = src.chunks_exact(Self::BYTES).map(Self::read_bytes);
         over_each(dst, stream, |s, d| d.over(s))
+    }
+
+    /// Write a wire-format pixel stream into `dst`, which must be blank:
+    /// exactly what [`Pixel::over_front_bytes`] leaves there, with the same
+    /// [`OverStats`], all three counters. This default **is** that merge, so
+    /// the `f32` types keep its bits (`−0.0`, NaN and ±∞ merged onto blank
+    /// are not copies); [`GrayAlpha8`], whose merge onto blank is a copy,
+    /// overrides it with a bulk store.
+    fn unpack_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
+        Self::over_front_bytes(dst, src)
     }
 
     /// The one merge of two in-memory pixel slices: `src` (exactly
@@ -492,32 +502,43 @@ impl Pixel for GrayAlpha8 {
     // same `mul255` arithmetic as `over` applied to every pixel of a span
     // without a branch (blank and opaque pixels need none: `mul255(255, x)
     // = x`, `mul255(0, x) = 0`); blank runs are scanned a word at a time.
+    // Each runs in the widest compiled copy this CPU supports.
     fn over_front_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
         check_len("Pixel::over_front_bytes", dst.len() * 2, src.len())?;
-        Ok(kernels::ga8_over_bytes::<true>(dst, src))
+        let front = true;
+        Ok(KernelCopy::widest().run(Ga8::OverBytes { front, dst, src }))
     }
 
     fn over_back_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
         check_len("Pixel::over_back_bytes", dst.len() * 2, src.len())?;
-        Ok(kernels::ga8_over_bytes::<false>(dst, src))
+        let front = false;
+        Ok(KernelCopy::widest().run(Ga8::OverBytes { front, dst, src }))
+    }
+
+    // A front merge onto blank writes the stream's pixels: a copy.
+    fn unpack_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
+        check_len("Pixel::unpack_bytes", dst.len() * 2, src.len())?;
+        Ok(KernelCopy::widest().run(Ga8::Unpack { dst, src }))
     }
 
     // The same span body over in-memory pixels, its words loaded from the
     // pixel fields instead of the stream.
     fn over_front_slice(dst: &mut [Self], src: &[Self]) -> Result<OverStats, ImagingError> {
         check_len("Pixel::over_front_slice", dst.len(), src.len())?;
-        Ok(kernels::ga8_over_pixels::<true>(dst, src))
+        let front = true;
+        Ok(KernelCopy::widest().run(Ga8::OverPixels { front, dst, src }))
     }
 
     fn over_back_slice(dst: &mut [Self], src: &[Self]) -> Result<OverStats, ImagingError> {
         check_len("Pixel::over_back_slice", dst.len(), src.len())?;
-        Ok(kernels::ga8_over_pixels::<false>(dst, src))
+        let front = false;
+        Ok(KernelCopy::widest().run(Ga8::OverPixels { front, dst, src }))
     }
 
     // Blank is the zero word, so a chunk is blank iff the OR of its words
     // is zero.
     fn any_non_blank(pixels: &[Self]) -> bool {
-        kernels::ga8_any_non_blank(pixels)
+        crate::kernels::ga8_any_non_blank(pixels)
     }
 }
 

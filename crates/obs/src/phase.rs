@@ -22,10 +22,13 @@ pub enum Phase {
     /// Backoff windows of the reliable-delivery layer (virtual clock).
     Backoff,
     /// Codec decode of an incoming message that is copied, not merged:
-    /// gather receives and puzzle placement. (A step receive is one fused
-    /// decode+merge kernel and reports as [`Phase::Over`].)
+    /// gather receives and puzzle placement, and the rest of a display
+    /// rank's frame assembly (its blank cell and its own segments). (A step
+    /// receive is one fused decode+merge kernel and reports as
+    /// [`Phase::Over`].)
     Decode,
-    /// `over`-compositing incoming pixels into the local frame.
+    /// `over`-compositing incoming pixels into the local frame, including
+    /// writing a folded tile back into it.
     Over,
     /// Flushing deferred back accumulators after the last step.
     Flush,

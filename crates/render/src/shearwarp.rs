@@ -33,6 +33,7 @@ use crate::camera::{factorize, plane_of, Camera, Factorization};
 use crate::math::Affine2;
 use crate::partition::Subvolume;
 use crate::tf::TransferFunction;
+use rt_imaging::kernels::{KernelCopy, SpanKernel};
 use rt_imaging::{GrayAlpha, Image, Pixel};
 use std::borrow::{Borrow, Cow};
 use std::ops::Range;
@@ -251,7 +252,13 @@ impl PreparedSlab {
         opts: &RenderOptions,
     ) -> (Image<GrayAlpha>, Factorization) {
         let f = factorize(camera, self.sub.full, opts.width, opts.height);
-        sweep(row_kernel().1, &self.sub, &self.classification, f, opts)
+        sweep(
+            KernelCopy::widest(),
+            &self.sub,
+            &self.classification,
+            f,
+            opts,
+        )
     }
 }
 
@@ -588,7 +595,7 @@ impl RowTaps<'_> {
 
 /// Composite every pixel slice `job` contributes to row `iv` into that row
 /// of the intermediate image. This is the *only* place sample values are
-/// produced, shared verbatim by both compiled copies ([`RowKernel`]) —
+/// produced, shared verbatim by both compiled copies ([`SweepRows`]) —
 /// identical float expressions per `(k, iv, iu)` is what makes the copies
 /// bit-identical.
 ///
@@ -599,7 +606,7 @@ impl RowTaps<'_> {
 /// sampled) and split into the slice's interior bands and the few edge
 /// pixels either side.
 ///
-/// The one source of both compiled copies ([`RowKernel`]): each inlines
+/// The one source of both compiled copies ([`SweepRows`]): each inlines
 /// it, with pass 1's band stencil and pass 2. Only the edge pixels'
 /// per-pixel fill, a few pixels a row, stays one shared function.
 #[inline(always)]
@@ -653,56 +660,45 @@ fn composite_row(slab: &Slab, slices: &Slices, job: &SliceJob, iv: usize, row: &
     slab.composite(inner_end, &mut row[inner_end..end], edge);
 }
 
-/// A compiled copy of [`composite_row`]. There are two, from the one
-/// source: [`composite_row_baseline`] for the target's baseline, and on
-/// x86-64 [`composite_row_avx2`], where pass 1's stencil runs four `f64`
-/// lanes wide. Only `avx2` is enabled — no `fma`, so no product is fused
-/// into a sum — and IEEE add, multiply, min and conversion round alike at
-/// any width: the copies write the same bits.
-type RowKernel = fn(&Slab, &Slices, &SliceJob, usize, &mut [GrayAlpha]);
-
-fn composite_row_baseline(
-    slab: &Slab,
-    slices: &Slices,
-    job: &SliceJob,
-    iv: usize,
-    row: &mut [GrayAlpha],
-) {
-    composite_row(slab, slices, job, iv, row);
+/// The sweep's rows as one span kernel: every row of every slice job,
+/// front to back, through [`composite_row`] into `pixels` (rows of
+/// `width`). [`KernelCopy::run`] compiles it for the target's baseline and
+/// on x86-64 also with AVX2, where pass 1's stencil runs four `f64` lanes
+/// wide. Only `avx2` is enabled — no `fma`, so no product is fused into a
+/// sum — and IEEE add, multiply, min and conversion round alike at any
+/// width: the copies write the same bits.
+struct SweepRows<'a> {
+    slab: &'a Slab<'a>,
+    slices: &'a Slices,
+    pixels: &'a mut [GrayAlpha],
+    width: usize,
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn composite_row_avx2(
-    slab: &Slab,
-    slices: &Slices,
-    job: &SliceJob,
-    iv: usize,
-    row: &mut [GrayAlpha],
-) {
-    composite_row(slab, slices, job, iv, row);
-}
+impl SpanKernel for SweepRows<'_> {
+    type Output = ();
 
-/// The row kernel's one dispatch: the widest copy this CPU runs, and its
-/// name.
-fn row_kernel() -> (&'static str, RowKernel) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        let avx2: RowKernel = |slab, slices, job, iv, row| {
-            // SAFETY: the CPU was just found to support AVX2, the one
-            // feature `composite_row_avx2` is compiled with.
-            unsafe { composite_row_avx2(slab, slices, job, iv, row) }
-        };
-        return ("avx2", avx2);
+    #[inline(always)]
+    fn run(self) {
+        let Self {
+            slab,
+            slices,
+            pixels,
+            width,
+        } = self;
+        for job in &slices.jobs {
+            for iv in job.iv0..=job.iv1 {
+                let row = &mut pixels[iv * width..(iv + 1) * width];
+                composite_row(slab, slices, job, iv, row);
+            }
+        }
     }
-    ("baseline", composite_row_baseline)
 }
 
 /// Which compiled copy of the slab sweep's row kernel this CPU runs:
 /// `"avx2"` or `"baseline"`. Both render the same bits; only the time
 /// differs.
 pub fn sweep_kernel() -> &'static str {
-    row_kernel().0
+    KernelCopy::widest().name()
 }
 
 /// Render a subvolume into the full-frame intermediate image.
@@ -724,14 +720,14 @@ pub fn render_intermediate(
 ) -> (Image<GrayAlpha>, Factorization) {
     let f = factorize(camera, sub.full, opts.width, opts.height);
     let classification = Classification::new(sub, tf, f.axis);
-    sweep(row_kernel().1, sub, &classification, f, opts)
+    sweep(KernelCopy::widest(), sub, &classification, f, opts)
 }
 
 /// The per-view half: sweep the classified slab's slices front to back
 /// under factorization `f` into a blank intermediate image, every row
-/// through `kernel`, one copy of the row kernel.
+/// through `copy`, one compiled copy of the row kernel.
 fn sweep(
-    kernel: RowKernel,
+    copy: KernelCopy,
     sub: &Subvolume,
     classification: &Classification,
     f: Factorization,
@@ -743,12 +739,12 @@ fn sweep(
     let slices = slice_jobs(sub, &f);
 
     let pixels = inter.pixels_mut();
-    for job in &slices.jobs {
-        for iv in job.iv0..=job.iv1 {
-            let row = &mut pixels[iv * w..(iv + 1) * w];
-            kernel(&slab, &slices, job, iv, row);
-        }
-    }
+    copy.run(SweepRows {
+        slab: &slab,
+        slices: &slices,
+        pixels,
+        width: w,
+    });
     (inter, f)
 }
 
@@ -1549,25 +1545,17 @@ mod kernel_tests {
         }
     }
 
-    /// Every compiled copy of the row kernel this CPU runs, by name, each
-    /// called directly rather than through [`row_kernel`]. A CPU without
+    /// Every compiled copy of the row kernel this CPU runs, each called
+    /// directly rather than through [`KernelCopy::widest`]. A CPU without
     /// AVX2 tests the baseline copy alone and says so.
-    fn row_kernels() -> Vec<(&'static str, RowKernel)> {
-        let mut kernels: Vec<(&'static str, RowKernel)> =
-            vec![("baseline", composite_row_baseline)];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU supports AVX2, checked just above.
-            kernels.push(("avx2", |slab, slices, job, iv, row| unsafe {
-                composite_row_avx2(slab, slices, job, iv, row)
-            }));
-        }
-        if kernels.len() == 1 {
+    fn row_kernels() -> Vec<KernelCopy> {
+        let copies = KernelCopy::all();
+        if copies.len() == 1 {
             // Past the test harness's capture, so every run shows the skip.
             let skip = "row kernel copies: no AVX2 on this CPU, the wide copy is not tested";
             let _ = writeln!(std::io::stderr(), "{skip}");
         }
-        kernels
+        copies
     }
 
     /// `sub` seen from `camera` through each compiled copy, against the
@@ -1581,9 +1569,9 @@ mod kernel_tests {
     ) {
         let (want, f) = render_intermediate_reference(sub, tf, camera, opts);
         let classification = Classification::new(sub, tf, f.axis);
-        for (copy, kernel) in row_kernels() {
-            let (got, _) = sweep(kernel, sub, &classification, f.clone(), opts);
-            assert_eq!(bits(&got), bits(&want), "{what}: {copy} copy");
+        for copy in row_kernels() {
+            let (got, _) = sweep(copy, sub, &classification, f.clone(), opts);
+            assert_eq!(bits(&got), bits(&want), "{what}: {} copy", copy.name());
         }
     }
 
@@ -1699,10 +1687,18 @@ mod kernel_tests {
                     });
                     let rows = [&voxels[..ni], &voxels[ni..]];
                     let want = row_reference(rows, fj, cols, &tf, width);
-                    for (copy, kernel) in row_kernels() {
+                    for copy in row_kernels() {
                         let mut got = Image::blank(width, 1);
-                        kernel(&slab, &slices, &slices.jobs[0], 0, got.pixels_mut());
-                        let what = format!("u_off {u_off:e}, off_i {off_i}, ni {ni}: {copy} copy");
+                        copy.run(SweepRows {
+                            slab: &slab,
+                            slices: &slices,
+                            pixels: got.pixels_mut(),
+                            width,
+                        });
+                        let what = format!(
+                            "u_off {u_off:e}, off_i {off_i}, ni {ni}: {} copy",
+                            copy.name()
+                        );
                         assert_eq!(bits(&got), bits(&want), "{what}");
                     }
                 }
