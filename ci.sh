@@ -39,12 +39,14 @@ stray=$(non_test_src | grep -v '^crates/comm/src/tag\.rs:' \
     | grep -E '<< *(40|48)\b|1(u64)? *<< *(5[7-9]|6[0-3])\b|<< *(16|20)\b.*[Tt]ag|[Tt]ag.*<< *(16|20)\b' \
     | grep -v -e 'wrapping_add((src as u64) << 48)' -e 'const RECONNECT_FLAG: u64' || true)
 [ -z "$stray" ] || vocabulary_fail "tag bits outside rt_comm::tag" "$stray"
-# Mark labels are parsed in exactly one place.
-for needle in 'strip_prefix("step:")' '"flush:start"'; do
-    sites=$(non_test_src | grep -F "$needle" || true)
-    [ "$(grep -c . <<<"$sites")" -eq 1 ] \
-        || vocabulary_fail "$needle must have exactly one site" "$sites"
-done
+# Marks and chaos verdicts are data: the trace stores a closed `Mark`, so
+# the catch-all variant and the infallible label conversion stay gone, and
+# so do the verdict's string constants (bracketed so this line does not
+# match itself).
+gone=$(grep -rnE 'Mark::[O]ther|From<&str> for [M]ark|outcome::([O]K|[D]EGRADED|[E]RROR)\b' \
+    crates src tests examples docs README.md DESIGN.md EXPERIMENTS.md \
+    PAPER.md PAPERS.md SNIPPETS.md ci.sh .claude || true)
+[ -z "$gone" ] || vocabulary_fail "marks or chaos outcomes are strings again" "$gone"
 # One virtual clock: the cost model's per-event prices are charged by the
 # replay walk alone; the analyzer prices a schedule by replaying the trace it
 # compiles to.

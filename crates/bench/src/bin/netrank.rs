@@ -25,7 +25,7 @@
 //! * a typed error → `"error"` with the error's display — the process
 //!   still exits 0, because *reporting* a typed failure is success here.
 
-use rt_bench::chaosnet::{outcome, scenarios, ChaosResult, Expectation, Job, VICTIM_EXIT_CODE};
+use rt_bench::chaosnet::{scenarios, ChaosResult, Expectation, Job, Outcome, VICTIM_EXIT_CODE};
 use rt_bench::harness::{argv, parse_flags};
 use rt_bench::netgrid::frame_hash;
 use rt_comm::comm::{RankCtx, RankOptions};
@@ -124,7 +124,7 @@ fn main() {
 
     let mut result = ChaosResult {
         rank,
-        outcome: outcome::OK.into(),
+        outcome: Outcome::Ok,
         detail: String::new(),
         frame_hash: None,
         lost_contributions: Vec::new(),
@@ -141,13 +141,13 @@ fn main() {
             }
             result.frame_hash = out.frame.as_ref().map(frame_hash);
             if let Some(info) = out.degraded {
-                result.outcome = outcome::DEGRADED.into();
+                result.outcome = Outcome::Degraded;
                 result.lost_contributions = info.lost_contributions;
                 result.lost_pixels = info.lost_pixels;
             }
         }
         Err(e) => {
-            result.outcome = outcome::ERROR.into();
+            result.outcome = Outcome::Error;
             result.detail = e.to_string();
         }
     }

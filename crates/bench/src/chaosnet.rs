@@ -32,6 +32,7 @@ use rt_core::rotate::RtVariant;
 use rt_core::Run;
 use rt_net::{process::read_blob, Launcher, NetFaultPlan, TcpOptions};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -446,9 +447,9 @@ pub const SMOKE_IDS: &[usize] = &[0, 1, 4, 11, 13];
 pub struct ChaosResult {
     /// The reporting rank.
     pub rank: usize,
-    /// `"ok"`, `"degraded"`, or `"error"`.
-    pub outcome: String,
-    /// Display of the typed error for `"error"`, empty otherwise.
+    /// How the rank's run ended.
+    pub outcome: Outcome,
+    /// Display of the typed error for [`Outcome::Error`], empty otherwise.
     pub detail: String,
     /// FNV-1a of the assembled frame (root only).
     pub frame_hash: Option<u64>,
@@ -460,14 +461,25 @@ pub struct ChaosResult {
     pub trace: RankTrace,
 }
 
-/// Outcome labels (shared vocabulary between worker and gate).
-pub mod outcome {
+/// How a worker's run ended (shared vocabulary between worker and gate).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Outcome {
     /// Clean completion.
-    pub const OK: &str = "ok";
+    Ok,
     /// Completed with an exact-degraded frame.
-    pub const DEGRADED: &str = "degraded";
+    Degraded,
     /// Terminated with a typed error.
-    pub const ERROR: &str = "error";
+    Error,
+}
+
+impl fmt::Display for Outcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Outcome::Ok => "ok",
+            Outcome::Degraded => "degraded",
+            Outcome::Error => "error",
+        })
+    }
 }
 
 /// The in-process reference a scenario reconciles against.
@@ -663,7 +675,7 @@ pub fn gate(sc: &Scenario, run: &DistRun, reference: Option<&Reference>) -> Resu
                 let Some(r) = slot else {
                     return fail(format!("rank {rank} reported nothing"));
                 };
-                if r.outcome != outcome::OK {
+                if r.outcome != Outcome::Ok {
                     return fail(format!("rank {rank} ended {} ({})", r.outcome, r.detail));
                 }
                 tcp.ranks.push(r.trace.clone());
@@ -696,7 +708,7 @@ pub fn gate(sc: &Scenario, run: &DistRun, reference: Option<&Reference>) -> Resu
                 let Some(r) = slot else {
                     return fail(format!("survivor rank {rank} reported nothing"));
                 };
-                if r.outcome != outcome::DEGRADED {
+                if r.outcome != Outcome::Degraded {
                     return fail(format!(
                         "survivor rank {rank} ended {} ({})",
                         r.outcome, r.detail
@@ -732,7 +744,7 @@ pub fn gate(sc: &Scenario, run: &DistRun, reference: Option<&Reference>) -> Resu
                 let Some(r) = slot else {
                     return fail(format!("rank {rank} reported nothing"));
                 };
-                if r.outcome == outcome::ERROR {
+                if r.outcome == Outcome::Error {
                     if r.detail.is_empty() {
                         return fail(format!("rank {rank} reported an error with no message"));
                     }

@@ -6,7 +6,7 @@
 //! merge into a valid Chrome trace. The wall clock is the only observable
 //! a transport may change.
 
-use rt_bench::chaosnet::{outcome, run_scenario, scenarios, Job};
+use rt_bench::chaosnet::{run_scenario, scenarios, Job, Outcome};
 use rt_bench::netgrid::frame_hash;
 use rt_comm::{replay_timeline, CostModel, Trace};
 use rt_compress::CodecKind;
@@ -29,7 +29,7 @@ fn tcp_cell(job: &Job) -> (Trace, Option<u64>) {
     let mut frame_hash = None;
     for result in run.results {
         let result = result.expect("every rank reports");
-        assert_eq!(result.outcome, outcome::OK, "{}", result.detail);
+        assert_eq!(result.outcome, Outcome::Ok, "{}", result.detail);
         frame_hash = frame_hash.or(result.frame_hash);
         trace.ranks.push(result.trace);
     }

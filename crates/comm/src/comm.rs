@@ -861,17 +861,13 @@ impl RankCtx {
         self.events.push(Event::Compute { kind, units });
     }
 
-    /// Record a named phase boundary — a [`Mark`], or any label (a `&str`
-    /// converts). The mark also advances the cursor that
-    /// attributes this rank's subsequent wall-clock spans to a step and a
-    /// frame, exactly as the replay attributes virtual spans from the
-    /// recorded label.
-    pub fn mark(&mut self, mark: impl Into<Mark>) {
-        let mark = mark.into();
-        self.cursor.advance(&mark);
-        self.events.push(Event::Mark {
-            label: mark.to_string(),
-        });
+    /// Record a named phase boundary. The mark also advances the cursor
+    /// that attributes this rank's subsequent wall-clock spans to a step
+    /// and a frame, exactly as the replay attributes virtual spans from the
+    /// recorded mark.
+    pub fn mark(&mut self, mark: Mark) {
+        self.cursor.advance(mark);
+        self.events.push(Event::Mark { label: mark });
     }
 
     /// Synchronize all ranks — the one barrier in the workspace, a message
@@ -1558,18 +1554,18 @@ mod tests {
     fn marks_are_recorded() {
         let mc = Multicomputer::new(1);
         let (_, trace) = mc.run(|ctx| {
-            ctx.mark("compose:start");
+            ctx.mark(Mark::ComposeStart);
             ctx.compute(ComputeKind::Over, 1);
-            ctx.mark("compose:end");
+            ctx.mark(Mark::ComposeEnd);
         });
-        let labels: Vec<&str> = trace.ranks[0]
+        let marks: Vec<Mark> = trace.ranks[0]
             .iter()
             .filter_map(|e| match e {
-                Event::Mark { label } => Some(label.as_str()),
+                Event::Mark { label } => Some(*label),
                 _ => None,
             })
             .collect();
-        assert_eq!(labels, vec!["compose:start", "compose:end"]);
+        assert_eq!(marks, vec![Mark::ComposeStart, Mark::ComposeEnd]);
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! The mark vocabulary: the named phase boundaries ranks record into their
 //! traces, and the attribution cursor both clocks drive from them.
 //!
-//! A mark is stored in the trace as its label ([`crate::Event::Mark`]), so
-//! traces stay plain data; [`Mark`] is the typed view of that label.
-//! `Mark::from(label).to_string() == label` holds for **every** string: the
-//! labels below parse to their variant, anything else (a test's `"after"`,
-//! a non-canonical `"step:07"`) is carried verbatim in [`Mark::Other`].
+//! The trace stores the [`Mark`] itself ([`crate::Event::Mark`]); its label
+//! is what it prints, serialises as and parses from. The vocabulary is
+//! closed: the labels below are the only ones, each in one spelling.
 //!
 //! | label            | variant                | emitted by |
 //! |------------------|------------------------|------------|
@@ -28,10 +26,12 @@
 //! `compose:start`/`compose:end` close both, and `frame:K:start`/`:end`
 //! bracket frame `K`.
 
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
+use std::str::FromStr;
 
 /// A named phase boundary. See the [module docs](self) for the vocabulary.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Mark {
     /// `compose:start`
     ComposeStart,
@@ -59,8 +59,6 @@ pub enum Mark {
     FrameStart(u32),
     /// `frame:K:end`
     FrameEnd(u32),
-    /// Any other label, verbatim.
-    Other(String),
 }
 
 /// The marks whose label is one fixed string.
@@ -83,7 +81,6 @@ impl fmt::Display for Mark {
             Mark::Step(k) => write!(f, "step:{k}"),
             Mark::FrameStart(k) => write!(f, "frame:{k}:start"),
             Mark::FrameEnd(k) => write!(f, "frame:{k}:end"),
-            Mark::Other(label) => f.write_str(label),
             fixed => match FIXED.iter().find(|(mark, _)| mark == fixed) {
                 Some((_, label)) => f.write_str(label),
                 None => unreachable!("{fixed:?} has no fixed label"),
@@ -92,34 +89,42 @@ impl fmt::Display for Mark {
     }
 }
 
-impl From<&str> for Mark {
-    fn from(label: &str) -> Mark {
-        if let Some((mark, _)) = FIXED.iter().find(|(_, fixed)| *fixed == label) {
-            return mark.clone();
-        }
-        let numbered = if let Some(k) = label.strip_prefix("step:") {
-            index(k).map(Mark::Step)
-        } else if let Some(rest) = label.strip_prefix("frame:") {
-            if let Some(k) = rest.strip_suffix(":start") {
-                index(k).map(Mark::FrameStart)
-            } else {
-                rest.strip_suffix(":end")
-                    .and_then(index)
-                    .map(Mark::FrameEnd)
-            }
-        } else {
-            None
+/// The one label parser: a label of the vocabulary in its canonical
+/// spelling — the one `Display` prints, so `step:07` or `step:+7` are
+/// refused — or an error naming it.
+impl FromStr for Mark {
+    type Err = DeError;
+
+    fn from_str(label: &str) -> Result<Mark, DeError> {
+        let numbered = |prefix: &str, suffix: &str, mark: fn(u32) -> Mark| {
+            let k = label.strip_prefix(prefix)?.strip_suffix(suffix)?;
+            let canonical = k == "0" || !k.starts_with(['0', '+']);
+            k.parse().ok().filter(|_| canonical).map(mark)
         };
-        numbered.unwrap_or_else(|| Mark::Other(label.to_owned()))
+        FIXED
+            .iter()
+            .find(|(_, fixed)| *fixed == label)
+            .map(|(mark, _)| *mark)
+            .or_else(|| numbered("step:", "", Mark::Step))
+            .or_else(|| numbered("frame:", ":start", Mark::FrameStart))
+            .or_else(|| numbered("frame:", ":end", Mark::FrameEnd))
+            .ok_or_else(|| DeError(format!("unknown mark label `{label}`")))
     }
 }
 
-/// A step or frame index in its canonical spelling only — the one
-/// `Display` prints — so that `step:07` or `step:+7` stay verbatim labels.
-fn index(digits: &str) -> Option<u32> {
-    let canonical = digits.bytes().all(|b| b.is_ascii_digit())
-        && (digits.len() == 1 || !digits.starts_with('0'));
-    digits.parse().ok().filter(|_| canonical)
+/// A mark serialises as its label, so a trace's JSON names its marks.
+impl Serialize for Mark {
+    fn serialize(&self) -> Value {
+        Value::Str(self.to_string())
+    }
+}
+
+/// A peer's trace is parsed, not trusted: a label outside the vocabulary is
+/// refused.
+impl Deserialize for Mark {
+    fn deserialize(v: &Value) -> Result<Mark, DeError> {
+        String::deserialize(v)?.parse()
+    }
 }
 
 /// Where a rank is in its frame, as far as span attribution cares: the
@@ -138,10 +143,10 @@ pub struct Cursor {
 
 impl Cursor {
     /// Move past `mark`.
-    pub fn advance(&mut self, mark: &Mark) {
+    pub fn advance(&mut self, mark: Mark) {
         match mark {
             Mark::Step(k) => {
-                self.step = Some(*k);
+                self.step = Some(k);
                 self.in_flush = false;
             }
             Mark::FlushStart => self.in_flush = true,
@@ -149,7 +154,7 @@ impl Cursor {
                 self.step = None;
                 self.in_flush = false;
             }
-            Mark::FrameStart(k) => self.frame = Some(*k),
+            Mark::FrameStart(k) => self.frame = Some(k),
             Mark::FrameEnd(_) => self.frame = None,
             _ => {}
         }
@@ -162,64 +167,40 @@ mod tests {
 
     #[test]
     fn every_variant_round_trips_through_its_label() {
-        let mut marks: Vec<Mark> = FIXED.iter().map(|(mark, _)| mark.clone()).collect();
+        let mut marks: Vec<Mark> = FIXED.iter().map(|(mark, _)| *mark).collect();
         for k in [0, 1, 7, 255, u32::MAX] {
             marks.extend([Mark::Step(k), Mark::FrameStart(k), Mark::FrameEnd(k)]);
         }
         for mark in marks {
             let label = mark.to_string();
             assert!(!label.is_empty(), "{mark:?}");
-            assert_eq!(Mark::from(label.as_str()), mark, "{label}");
-        }
-    }
-
-    #[test]
-    fn unknown_and_non_canonical_labels_pass_through_untouched() {
-        for label in [
-            "",
-            "after",
-            "start",
-            "step:",
-            "step:x",
-            "step:07",
-            "step:+7",
-            "step:4294967296",
-            "frame:3",
-            "frame:3:middle",
-            "frame::start",
-            "frame:03:end",
-            "compose:started",
-            "Compose:start",
-        ] {
-            let mark = Mark::from(label);
-            assert_eq!(mark, Mark::Other(label.to_owned()), "{label}");
-            assert_eq!(mark.to_string(), label);
+            assert_eq!(label.parse(), Ok(mark), "{label}");
         }
     }
 
     #[test]
     fn the_cursor_follows_a_streamed_frame() {
         let mut cursor = Cursor::default();
-        let mut walk = |label: &str| {
-            cursor.advance(&Mark::from(label));
+        let mut walk = |mark: Mark| {
+            cursor.advance(mark);
             cursor
         };
-        assert_eq!(walk("frame:4:start").frame, Some(4));
-        assert_eq!(walk("render:start"), walk("render:end"));
-        assert_eq!(walk("compose:start").step, None);
-        assert_eq!(walk("step:0").step, Some(0));
-        assert_eq!(walk("step:1").step, Some(1));
-        // The flush keeps the last step and flags the phase; an unknown
-        // label moves nothing.
-        let flushing = walk("flush:start");
+        assert_eq!(walk(Mark::FrameStart(4)).frame, Some(4));
+        assert_eq!(walk(Mark::RenderStart), walk(Mark::RenderEnd));
+        assert_eq!(walk(Mark::ComposeStart).step, None);
+        assert_eq!(walk(Mark::Step(0)).step, Some(0));
+        assert_eq!(walk(Mark::Step(1)).step, Some(1));
+        // The flush keeps the last step and flags the phase; a repair
+        // moves nothing.
+        let flushing = walk(Mark::FlushStart);
         assert_eq!((flushing.step, flushing.in_flush), (Some(1), true));
-        assert_eq!(walk("somewhere"), flushing);
-        let done = walk("compose:end");
+        assert_eq!(walk(Mark::RepairStart), flushing);
+        let done = walk(Mark::ComposeEnd);
         assert_eq!(
             (done.step, done.in_flush, done.frame),
             (None, false, Some(4))
         );
-        assert_eq!(walk("gather:end"), done);
-        assert_eq!(walk("frame:4:end"), Cursor::default());
+        assert_eq!(walk(Mark::GatherEnd), done);
+        assert_eq!(walk(Mark::FrameEnd(4)), Cursor::default());
     }
 }

@@ -13,7 +13,7 @@
 //! * `Compute { kind, units }` — the rank is busy for the model's per-unit
 //!   cost;
 //! * `Barrier` — all ranks align to the latest arrival;
-//! * `Mark` — records the rank's current clock under the label.
+//! * `Mark` — records the rank's current clock under the mark.
 //!
 //! The result is the *composition time* the paper plots: the maximum rank
 //! clock (optionally between two marks). This walk is the workspace's one
@@ -105,29 +105,22 @@ pub struct ReplayReport {
     pub ranks: Vec<RankStats>,
     /// `max` over ranks of `finish` — the run's virtual makespan.
     pub makespan: f64,
-    /// Clock value per `(label, rank)` for every mark that the rank emitted.
-    pub marks: BTreeMap<String, Vec<Option<f64>>>,
+    /// Clock value per `(mark, rank)` for every mark that the rank emitted.
+    pub marks: BTreeMap<Mark, Vec<Option<f64>>>,
 }
 
 impl ReplayReport {
-    /// Duration of a phase delimited by two marks: the latest rank to pass
-    /// `end` minus the earliest rank to pass `start`. Returns `None` if no
-    /// rank emitted one of the marks.
+    /// Duration of a phase delimited by two marks, named by their labels:
+    /// the latest rank to pass `end` minus the earliest rank to pass
+    /// `start`. Returns `None` if no rank emitted one of the marks, or a
+    /// label names no mark.
     pub fn phase(&self, start: &str, end: &str) -> Option<f64> {
-        let start_t = self
-            .marks
-            .get(start)?
-            .iter()
-            .flatten()
-            .cloned()
-            .fold(f64::INFINITY, f64::min);
-        let end_t = self
-            .marks
-            .get(end)?
-            .iter()
-            .flatten()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
+        let fold = |label: &str, from: f64, pick: fn(f64, f64) -> f64| {
+            let per_rank = self.marks.get(&label.parse::<Mark>().ok()?)?;
+            Some(per_rank.iter().flatten().fold(from, |t, &at| pick(t, at)))
+        };
+        let start_t = fold(start, f64::INFINITY, f64::min)?;
+        let end_t = fold(end, f64::NEG_INFINITY, f64::max)?;
         (start_t.is_finite() && end_t.is_finite()).then_some(end_t - start_t)
     }
 
@@ -263,8 +256,9 @@ fn passed(per_rank: &[Option<f64>]) -> impl Iterator<Item = (usize, f64)> + '_ {
 }
 
 /// The critical path of the window from the earliest `start` mark to the
-/// latest `end` mark of `trace` priced under `cost` — `Ok(None)` when no
-/// rank passed one of them.
+/// latest `end` mark of `trace` priced under `cost`, both named by their
+/// labels — `Ok(None)` when no rank passed one of them, or a label names
+/// no mark.
 ///
 /// It is read back from the one replay walk, not priced again: the walk
 /// records, per event, the clock after it and, for every `Recv` (or
@@ -278,21 +272,21 @@ fn passed(per_rank: &[Option<f64>]) -> impl Iterator<Item = (usize, f64)> + '_ {
 /// equals [`ReplayReport::phase`]`(start, end)`.
 ///
 /// ```
-/// use rt_comm::{critical_path, ComputeKind, CostModel, Multicomputer};
+/// use rt_comm::{critical_path, ComputeKind, CostModel, Mark, Multicomputer};
 ///
 /// // Rank 1 renders slowly, then rank 0 waits for its message.
 /// let (_, trace) = Multicomputer::new(2).run(|ctx| {
-///     ctx.mark("frame:start");
+///     ctx.mark(Mark::FrameStart(0));
 ///     if ctx.rank() == 1 {
 ///         ctx.compute(ComputeKind::Render, 10);
 ///         ctx.send(0, 0, vec![0u8; 8]).unwrap();
 ///     } else {
 ///         ctx.recv(1, 0).unwrap();
 ///     }
-///     ctx.mark("frame:end");
+///     ctx.mark(Mark::FrameEnd(0));
 /// });
 /// let cost = CostModel::new(1.0, 0.0, 0.0).with_render_unit(1.0);
-/// let path = critical_path(&trace, &cost, "frame:start", "frame:end")
+/// let path = critical_path(&trace, &cost, "frame:0:start", "frame:0:end")
 ///     .unwrap()
 ///     .unwrap();
 /// let ranks: Vec<usize> = path.links.iter().map(|link| link.rank).collect();
@@ -306,27 +300,26 @@ pub fn critical_path(
     start: &str,
     end: &str,
 ) -> Result<Option<CriticalPath>, ReplayError> {
+    let (Ok(start), Ok(end)) = (start.parse::<Mark>(), end.parse::<Mark>()) else {
+        return Ok(None);
+    };
     let mut stamps: Vec<Vec<Stamp>> = trace
         .ranks
         .iter()
         .map(|events| Vec::with_capacity(events.len()))
         .collect();
     let report = walk(trace, cost, None, Some(&mut stamps))?;
-    let (Some(starts), Some(ends)) = (report.marks.get(start), report.marks.get(end)) else {
+    let (Some(starts), Some(ends)) = (report.marks.get(&start), report.marks.get(&end)) else {
         return Ok(None);
     };
-    let from = starts
-        .iter()
-        .flatten()
-        .copied()
-        .fold(f64::INFINITY, f64::min);
+    let from = passed(starts).fold(f64::INFINITY, |t, (_, at)| t.min(at));
     // The rank that passed `end` last (the lowest on a tie), and where.
     let Some((mut r, to)) = largest(passed(ends)).filter(|_| from.is_finite()) else {
         return Ok(None);
     };
     let at_end = trace.ranks[r]
         .iter()
-        .rposition(|e| matches!(e, Event::Mark { label } if label == end));
+        .rposition(|e| matches!(e, Event::Mark { label } if *label == end));
     let Some(mut i) = at_end else {
         return Ok(None);
     };
@@ -462,10 +455,8 @@ fn walk(
         WordMap::with_capacity_and_hasher(trace.message_count() as usize, Default::default());
     // Barrier bookkeeping: generation -> (arrival clock, event index) per rank.
     let mut barriers: WordMap<u64, Vec<Option<(f64, usize)>>> = WordMap::default();
-    let mut marks: BTreeMap<&str, Vec<Option<f64>>> = BTreeMap::new();
-    // Step/frame attribution, driven by the marks: parsed only when spans
-    // or stamps are asked for.
-    let attribute = timelines.is_some() || stamps.is_some();
+    let mut marks: BTreeMap<Mark, Vec<Option<f64>>> = BTreeMap::new();
+    // Step/frame attribution, driven by the marks.
     let mut cursors = vec![Cursor::default(); p];
 
     // Emit a virtual span; zero-duration charges are elided (see
@@ -613,10 +604,8 @@ fn walk(
                         Some(Phase::Wait)
                     }
                     Event::Mark { label } => {
-                        marks.entry(label).or_insert_with(|| vec![None; p])[r] = Some(clocks[r]);
-                        if attribute {
-                            cursors[r].advance(&Mark::from(label.as_str()));
-                        }
+                        marks.entry(*label).or_insert_with(|| vec![None; p])[r] = Some(clocks[r]);
+                        cursors[r].advance(*label);
                         None
                     }
                 };
@@ -651,10 +640,7 @@ fn walk(
     Ok(ReplayReport {
         ranks: stats,
         makespan,
-        marks: marks
-            .into_iter()
-            .map(|(label, at)| (label.to_owned(), at))
-            .collect(),
+        marks,
     })
 }
 
@@ -727,32 +713,42 @@ mod tests {
             // computes 100 more.
             ctx.compute(ComputeKind::Over, ctx.rank() as u64 * 100);
             ctx.barrier().unwrap();
-            ctx.mark("after");
+            ctx.mark(Mark::ComposeStart);
             ctx.compute(ComputeKind::Over, 100);
         });
         let report = replay(&trace, &CostModel::new(0.0, 0.0, 0.01)).unwrap();
         // Barrier releases at t = 2.0 (rank 2's 200 pixels), so everyone
-        // marks "after" at 2.0 and finishes at 3.0.
+        // marks `compose:start` at 2.0 and finishes at 3.0.
         for r in 0..3 {
-            let at = report.marks["after"][r].unwrap();
+            let at = report.marks[&Mark::ComposeStart][r].unwrap();
             assert!((at - 2.0).abs() < 1e-12, "rank {r} marked at {at}");
             assert!((report.ranks[r].finish - 3.0).abs() < 1e-12);
         }
-        assert!((report.phase("after", "after").unwrap() - 0.0).abs() < 1e-12);
+        let phase = report.phase("compose:start", "compose:start").unwrap();
+        assert!(phase.abs() < 1e-12);
     }
 
     #[test]
     fn marks_delimit_phases() {
         let mc = Multicomputer::new(2);
         let (_, trace) = mc.run(|ctx| {
-            ctx.mark("start");
+            ctx.mark(Mark::ComposeStart);
             ctx.compute(ComputeKind::Over, (ctx.rank() as u64 + 1) * 100);
-            ctx.mark("end");
+            ctx.mark(Mark::ComposeEnd);
         });
         let report = replay(&trace, &CostModel::new(0.0, 0.0, 0.01)).unwrap();
         // Slowest rank does 200 pixels → 2.0.
-        assert!((report.phase("start", "end").unwrap() - 2.0).abs() < 1e-12);
-        assert_eq!(report.phase("start", "nope"), None);
+        let phase = report.phase("compose:start", "compose:end").unwrap();
+        assert!((phase - 2.0).abs() < 1e-12);
+        // A mark no rank passed, and labels that name no mark.
+        assert_eq!(report.phase("compose:start", "gather:end"), None);
+        assert_eq!(report.phase("compose:start", "nope"), None);
+        assert_eq!(report.phase("step:07", "compose:end"), None);
+        let cost = CostModel::new(0.0, 0.0, 0.01);
+        assert_eq!(
+            critical_path(&trace, &cost, "start", "compose:end"),
+            Ok(None)
+        );
     }
 
     #[test]
@@ -811,7 +807,7 @@ mod tests {
             let me = ctx.rank();
             let p = ctx.size();
             ctx.compute(ComputeKind::Render, 5 + me as u64);
-            ctx.mark("compose:start");
+            ctx.mark(Mark::ComposeStart);
             for k in 0..2u32 {
                 ctx.mark(Mark::Step(k));
                 ctx.compute(ComputeKind::Encode, 10);
@@ -821,9 +817,9 @@ mod tests {
                 ctx.compute(ComputeKind::Decode, 10);
                 ctx.compute(ComputeKind::Over, 64);
             }
-            ctx.mark("flush:start");
+            ctx.mark(Mark::FlushStart);
             ctx.compute(ComputeKind::Over, 32);
-            ctx.mark("compose:end");
+            ctx.mark(Mark::ComposeEnd);
             ctx.barrier().unwrap();
         });
         let cost = cost111().with_tc(0.3).with_tr(0.25).with_render_unit(0.7);
@@ -855,9 +851,9 @@ mod tests {
         // attribution.
         let mc = Multicomputer::new(2);
         let (_, trace) = mc.run(|ctx| {
-            ctx.mark("frame:3:start");
+            ctx.mark(Mark::FrameStart(3));
             ctx.compute(ComputeKind::Render, 10);
-            ctx.mark("frame:3:end");
+            ctx.mark(Mark::FrameEnd(3));
             ctx.compute(ComputeKind::Render, 10);
         });
         let (_, timelines) = replay_timeline(&trace, &cost111().with_render_unit(0.5)).unwrap();
@@ -901,20 +897,20 @@ mod tests {
         let mc =
             Multicomputer::new(3).with_faults(crate::comm::FaultPlan::none().drop_message(1, 0, 0));
         let (_, trace) = mc.run(|ctx| {
-            ctx.mark("start");
+            ctx.mark(Mark::ComposeStart);
             match ctx.rank() {
                 0 => {
                     ctx.recv(1, 0).unwrap();
-                    ctx.mark("received");
+                    ctx.mark(Mark::ComposeEnd);
                 }
                 1 => ctx.send(0, 0, vec![0u8; 10]).unwrap(),
                 _ => ctx.compute(ComputeKind::Over, 1000),
             }
             ctx.barrier().unwrap();
-            ctx.mark("end");
+            ctx.mark(Mark::GatherEnd);
         });
         let walk = |end| {
-            let path = critical_path(&trace, &cost111(), "start", end)
+            let path = critical_path(&trace, &cost111(), "compose:start", end)
                 .unwrap()
                 .unwrap();
             let links: Vec<_> = path
@@ -926,7 +922,7 @@ mod tests {
         };
         // Send 2.0, backoff ack_timeout = 2.0, the retransmission 2.0; the
         // receive starts where the last attempt ended.
-        let (links, slack) = walk("received");
+        let (links, slack) = walk("compose:end");
         assert_eq!(
             links,
             [
@@ -938,7 +934,7 @@ mod tests {
         );
         assert_eq!(slack, [Some(0.0), None, None]);
         // The barrier releases at rank 2's 10.0: rank 0 waited for it.
-        let (links, slack) = walk("end");
+        let (links, slack) = walk("gather:end");
         assert_eq!(
             links,
             [

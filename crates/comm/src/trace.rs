@@ -5,6 +5,7 @@
 //! is deterministic even though the threaded execution is not.
 
 use crate::cost::ComputeKind;
+use crate::mark::Mark;
 use serde::{Deserialize, Serialize};
 
 /// One event in a rank's local history.
@@ -73,8 +74,8 @@ pub enum Event {
     },
     /// A named phase boundary (e.g. `compose:start`).
     Mark {
-        /// Label of the phase boundary.
-        label: String,
+        /// The phase boundary, serialised as its label.
+        label: Mark,
     },
 }
 
@@ -207,5 +208,49 @@ mod tests {
         let json = serde_json::to_string(&t).unwrap();
         let back: Trace = serde_json::from_str(&json).unwrap();
         assert_eq!(t, back);
+    }
+
+    #[test]
+    fn a_mark_serialises_as_its_label() {
+        let json = r#"{"ranks":[[{"Mark":{"label":"step:3"}},{"Mark":{"label":"frame:2:end"}}]]}"#;
+        let t = Trace {
+            ranks: vec![vec![
+                Event::Mark {
+                    label: Mark::Step(3),
+                },
+                Event::Mark {
+                    label: Mark::FrameEnd(2),
+                },
+            ]],
+        };
+        assert_eq!(serde_json::to_string(&t).unwrap(), json);
+        assert_eq!(serde_json::from_str::<Trace>(json).unwrap(), t);
+    }
+
+    #[test]
+    fn unknown_and_non_canonical_labels_are_refused() {
+        for label in [
+            "",
+            "after",
+            "start",
+            "step:",
+            "step:x",
+            "step:07",
+            "step:+7",
+            "step:4294967296",
+            "frame:3",
+            "frame:3:middle",
+            "frame::start",
+            "frame:03:end",
+            "compose:started",
+            "Compose:start",
+        ] {
+            let named = format!("`{label}`");
+            let parsed = label.parse::<Mark>().unwrap_err();
+            assert!(parsed.0.contains(&named), "{label}: {parsed}");
+            let json = format!(r#"{{"ranks":[[{{"Mark":{{"label":"{label}"}}}}]]}}"#);
+            let peer = serde_json::from_str::<Trace>(&json).unwrap_err();
+            assert!(peer.0.contains(&named), "{label}: {peer}");
+        }
     }
 }

@@ -59,11 +59,8 @@ pub fn schedule_trace(schedule: &Schedule, bytes_per_pixel: usize) -> Trace {
     let p = schedule.p;
     let mut ranks: Vec<RankTrace> = vec![Vec::new(); p];
     let mark_all = |ranks: &mut [RankTrace], mark: Mark| {
-        let label = mark.to_string();
         for events in ranks {
-            events.push(Event::Mark {
-                label: label.clone(),
-            });
+            events.push(Event::Mark { label: mark });
         }
     };
     let tagged = schedule_tag_extents(schedule, &ComposeConfig::default())

@@ -482,7 +482,7 @@ mod tests {
         let report = rt_comm::replay(&out.trace, &rt_comm::CostModel::PAPER_EXAMPLE).unwrap();
         assert!(report.phase("render:start", "render:end").unwrap() >= 0.0);
         assert!(report.phase("compose:start", "compose:end").unwrap() > 0.0);
-        assert!(report.marks.contains_key("warp:end"));
+        assert!(report.marks.contains_key(&rt_comm::Mark::WarpEnd));
     }
 
     #[test]

@@ -66,12 +66,12 @@ fn disc_partials(edge: usize) -> Vec<Image<GrayAlpha8>> {
         .collect()
 }
 
-/// What a rank makes once a frame whatever it ships: its timeline's five
-/// mark labels, the frame at the root, and now and then a step of its
-/// trace's or its channels' growth (a steady frame reads 17–21 of the
-/// budget's 24 at P = 2). Its flags, tile lists, owner map and parsed
-/// bundles are scratch kept from the frame before.
-const PER_RANK: usize = 9;
+/// What a rank makes once a frame whatever it ships: the frame at the
+/// root, and now and then a step of its trace's or its channels' growth
+/// (a steady frame reads 7–11 of the budget's 14 at P = 2). Its marks are
+/// plain values, and its flags, tile lists, owner map and parsed bundles
+/// are scratch kept from the frame before.
+const PER_RANK: usize = 4;
 /// What one message costs: its buffer and the payload handle it travels
 /// in. The receiver parses it into its scratch.
 const PER_MESSAGE: usize = 2;

@@ -28,7 +28,9 @@
 //! checked in memory (it must telescope to the bit onto the replayed
 //! compose + gather phase); that check writes nothing to the file.
 
-use rotate_tiling::comm::{critical_path, replay, ComputeKind, CostModel, Event, FaultPlan, Trace};
+use rotate_tiling::comm::{
+    critical_path, replay, ComputeKind, CostModel, Event, FaultPlan, Mark, Trace,
+};
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::analysis::schedule_trace;
 use rotate_tiling::core::exec::ComposeConfig;
@@ -121,6 +123,7 @@ fn trace_digest(trace: &Trace) -> u64 {
                 }
                 Event::Barrier { generation } => h.words(&[7, *generation]),
                 Event::Mark { label } => {
+                    let label = label.to_string();
                     h.u64(8);
                     h.u64(label.len() as u64);
                     h.bytes(label.as_bytes());
@@ -503,7 +506,7 @@ fn the_critical_path_names_a_slow_rank() {
     let slow = &mut trace.ranks[5];
     let at = 1 + slow
         .iter()
-        .position(|e| matches!(e, Event::Mark { label } if label == "compose:start"))
+        .position(|e| matches!(e, Event::Mark { label } if *label == Mark::ComposeStart))
         .unwrap();
     slow.insert(
         at,

@@ -1,8 +1,8 @@
-//! The mark vocabulary is closed: every label any executor, the serial
-//! pipeline or the stream records parses to a named [`Mark`] variant and
-//! prints back to exactly the label — so the typed marks the layers emit
-//! and the labels stored in traces (and pinned by the golden digests) are
-//! one vocabulary, with nothing an attribution cursor would silently miss.
+//! The mark vocabulary is exercised whole: the executors, the serial
+//! pipeline and the stream between them emit every kind of [`Mark`], and
+//! each prints a label that parses back to it — so the marks stored in
+//! traces and the labels their JSON and the golden digests carry are one
+//! vocabulary.
 
 use rotate_tiling::comm::{Event, FaultPlan, Mark, Trace};
 use rotate_tiling::core::exec::ComposeConfig;
@@ -16,10 +16,10 @@ use rotate_tiling::pvr::stream::{StreamConfig, StreamSession};
 use rotate_tiling::pvr::OrbitConfig;
 use std::collections::BTreeSet;
 
-fn labels_of(trace: &Trace, into: &mut BTreeSet<String>) {
+fn marks_of(trace: &Trace, into: &mut BTreeSet<Mark>) {
     for event in trace.ranks.iter().flatten() {
         if let Event::Mark { label } = event {
-            into.insert(label.clone());
+            into.insert(*label);
         }
     }
 }
@@ -31,7 +31,7 @@ fn every_emitted_label_is_a_named_mark_and_round_trips() {
         variant: RtVariant::TwoN,
         blocks: 4,
     };
-    let mut labels = BTreeSet::new();
+    let mut marks = BTreeSet::new();
 
     // One traced run per plan family, each with a rank crashing mid-frame
     // so the failure marks are on the record too.
@@ -58,48 +58,44 @@ fn every_emitted_label_is_a_named_mark_and_round_trips() {
         for result in results {
             result.expect("a planned crash degrades, it does not fail");
         }
-        labels_of(&trace, &mut labels);
+        marks_of(&trace, &mut marks);
     }
 
     // The serial pipeline and the stream.
     let base = PipelineConfig::small(rotate);
-    labels_of(
+    marks_of(
         &FrameRun::new(4, &base).execute().unwrap().trace,
-        &mut labels,
+        &mut marks,
     );
     let frames = StreamSession::new(4)
         .open()
         .collect_orbit(&StreamConfig::new(base), &OrbitConfig::quarter(2))
         .unwrap();
     for frame in &frames {
-        labels_of(&frame.trace, &mut labels);
+        marks_of(&frame.trace, &mut marks);
     }
 
-    for label in &labels {
-        let mark = Mark::from(label.as_str());
-        assert!(
-            !matches!(mark, Mark::Other(_)),
-            "`{label}` is emitted but not in the vocabulary"
-        );
-        assert_eq!(&mark.to_string(), label);
+    for mark in &marks {
+        let label = mark.to_string();
+        assert_eq!(label.parse(), Ok(*mark), "`{label}` does not parse back");
     }
     // The runs above exercise the whole vocabulary.
     for expected in [
-        "compose:start",
-        "step:0",
-        "step:2",
-        "flush:start",
-        "compose:end",
-        "compose:crashed",
-        "repair:start",
-        "repair:end",
-        "gather:end",
-        "render:start",
-        "render:end",
-        "warp:end",
-        "frame:0:start",
-        "frame:1:end",
+        Mark::ComposeStart,
+        Mark::Step(0),
+        Mark::Step(2),
+        Mark::FlushStart,
+        Mark::ComposeEnd,
+        Mark::ComposeCrashed,
+        Mark::RepairStart,
+        Mark::RepairEnd,
+        Mark::GatherEnd,
+        Mark::RenderStart,
+        Mark::RenderEnd,
+        Mark::WarpEnd,
+        Mark::FrameStart(0),
+        Mark::FrameEnd(1),
     ] {
-        assert!(labels.contains(expected), "no run emitted `{expected}`");
+        assert!(marks.contains(&expected), "no run emitted `{expected}`");
     }
 }
