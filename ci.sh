@@ -216,11 +216,30 @@ python3 tools/linkcheck.py
 
 echo "== trajectory baseline =="
 # Every BENCH_trajectory.jsonl line must parse and carry a host identity
-# `(nproc, rustc, profile)`, the key a new suite result finds its baseline
-# by (stdlib-only script); checked with the newest line as the result.
+# `(nproc, cpu_model, rustc, profile)`, the key a new suite result finds its
+# baseline by (stdlib-only script), the model without its ` @ <clock>`
+# suffix; checked with the newest line as the result, then with its model
+# swapped: an `AMD EPYC` result must find line 15, the one AMD line, and an
+# Intel one written with its clock an Intel line, so a change of CPU never
+# reads as a regression.
 mkdir -p target
 tail -n 1 BENCH_trajectory.jsonl > target/trajectory_newest.json
 python3 tools/trajectory_baseline.py target/trajectory_newest.json >/dev/null
+python3 - <<'EOF_PY'
+import json, subprocess
+lines = open("BENCH_trajectory.jsonl").read().splitlines()
+result = json.loads(lines[-1])
+for model, want in [("AMD EPYC", "AMD EPYC"),
+                    ("Intel(R) Xeon(R) Processor @ 2.10GHz", "Intel(R) Xeon(R) Processor")]:
+    result["host"]["cpu_model"] = model
+    with open("target/trajectory_probe.json", "w") as f:
+        json.dump(result, f)
+    out = subprocess.run(["python3", "tools/trajectory_baseline.py", "target/trajectory_probe.json"],
+                         check=True, capture_output=True, text=True).stdout.strip()
+    got = json.loads(out)["host"]["cpu_model"].split(" @ ")[0]
+    assert got == want, f"trajectory baseline: a {model} result got a {got} line"
+    assert want != "AMD EPYC" or out == lines[14], "trajectory baseline: AMD EPYC is line 15"
+EOF_PY
 
 echo "== prose budget =="
 # The docs describe the system as it is and may not grow faster than the
@@ -262,7 +281,11 @@ echo "== render kernel equivalence =="
 # `kernel_equivalence_at_production_widths`, the warp alone over 256
 # mostly blank intermediates (`warp_kernel_equivalence_on_sparse_images`:
 # lone border pixels, `−0`, `a = 0, v ≠ 0`, NaN, ±∞ — the cases its
-# occupancy rule must read as blank or as content), the slice column map
+# occupancy rule must read as blank or as content, and a weight-0 tap on a
+# NaN that the branch-free blend must add as `+0`, not as `0 · NaN`) and at
+# 512² from the six golden cameras (`warp_kernel_equivalence_at_
+# production_size`), each through every compiled copy of the band loop as
+# well as `warp_to_screen`'s threads, the slice column map
 # against its definition (`slice_columns_kernel_equivalence`: over shifts
 # at binade edges every `at[c]` is the first pixel whose `⌊li⌋ ≥ c`, and
 # the bands tile the interior, each stepping `⌊li⌋` by one with one
@@ -337,10 +360,13 @@ cargo test -q --release -p rt-comm envelope_checksum
 
 echo "== render stage probe =="
 # The benchmark's orbit with each stage timed on its own (slab sweeps,
-# reference composite, warp), the row kernel copy the sweep picked and a hash
-# of its screens: one round, so the probe that sizes a renderer change keeps
-# compiling and running.
-cargo run -q --release --example render_stages -- 1
+# reference composite, warp), the compiled copy the sweep and the warp ran
+# and a hash of its screens: one round at seed 1, whose sixteen production-
+# size frames must hash to the recorded value — a bit-identity gate on both
+# render kernels, on whichever copy this CPU runs.
+cargo run -q --release --example render_stages -- 1 1 > target/render_stages.txt
+grep -q '^screens fnv  *b2f7befc6a15930c$' target/render_stages.txt ||
+    { cat target/render_stages.txt >&2; echo "render stage probe: the screens' hash moved" >&2; exit 1; }
 
 echo "== net log bound =="
 # rt-net's sent-frame log must follow the in-flight window, not the length

@@ -83,18 +83,18 @@ fn floor_to_int(x: f64) -> i64 {
 }
 
 /// `x.round().clamp(0.0, 255.0) as u8` for `x ∈ [0, 255.5)` — the range an
-/// interpolated 8-bit scalar lives in — in `f64` selects alone, so a loop of
-/// them vectorises: adding and subtracting 2⁵² rounds `x` to an integer `r`
-/// exactly (ties to even), `⌊x⌋` is `r` or `r − 1`, half away from zero adds
-/// one where the exactly computed fraction `x − ⌊x⌋` reaches ½, and the
-/// result plus 2⁵² carries it in the low byte of its bits.
+/// interpolated 8-bit scalar lives in — in `f64` arithmetic and one select,
+/// so a loop of them vectorises: `y = x + 2⁵²` rounds `x` to an integer `r`
+/// exactly (ties to even) and carries it in the low byte of its bits. Ties
+/// to even and half away from zero part only where `x` lies exactly half
+/// way below `r`: there the exact difference `x − r` is ½, and one more
+/// is added.
 #[inline(always)]
 fn round_to_u8(x: f64) -> u8 {
     const TWO_52: f64 = (1u64 << 52) as f64;
-    let r = (x + TWO_52) - TWO_52;
-    let floor = if r > x { r - 1.0 } else { r };
-    let t = if x - floor >= 0.5 { floor + 1.0 } else { floor };
-    (t.min(255.0) + TWO_52).to_bits() as u8
+    let y = x + TWO_52;
+    let up = if x - (y - TWO_52) == 0.5 { 1.0 } else { 0.0 };
+    (y + up).min(TWO_52 + 255.0).to_bits() as u8
 }
 
 /// Pixels per pass-1 chunk of a slab kernel run: the scalars of one chunk
@@ -104,13 +104,14 @@ const CHUNK: usize = 64;
 /// What the transfer function proves transparent without sampling: every
 /// scalar in `0..=max` is, so a bilinear sample — a convex combination of
 /// its four taps, rounded — is too whenever all four taps are `≤ max`.
-/// Per voxel scanline `(j, k)` of the slab, `[lo, hi)` is the interval of
-/// voxels `> max` (`lo ≥ hi`: none).
+/// Per voxel scanline `(j, k)` of the slab, `intervals[j · nk + k] = [lo, hi)`
+/// is the interval of voxels `> max` (`lo ≥ hi`: none); per slice `k`,
+/// `scanlines[k]` is the interval of `j` whose scanline has one.
 #[derive(Debug)]
 struct Transparent {
     nk: usize,
-    lo: Vec<u32>,
-    hi: Vec<u32>,
+    intervals: Vec<(u32, u32)>,
+    scanlines: Vec<(u32, u32)>,
 }
 
 impl Transparent {
@@ -122,16 +123,23 @@ impl Transparent {
         (sj, sk): (usize, usize),
         max: u8,
     ) -> Self {
-        let mut lo = vec![u32::MAX; nj * nk];
-        let mut hi = vec![0u32; nj * nk];
-        for (jk, (lo, hi)) in lo.iter_mut().zip(&mut hi).enumerate() {
-            let row = &voxels[(jk / nk) * sj + (jk % nk) * sk..][..ni];
+        let none = (u32::MAX, 0u32);
+        let (mut intervals, mut scanlines) = (vec![none; nj * nk], vec![none; nk]);
+        for (jk, (lo, hi)) in intervals.iter_mut().enumerate() {
+            let (j, k) = (jk / nk, jk % nk);
+            let row = &voxels[j * sj + k * sk..][..ni];
             if let Some(first) = row.iter().position(|&v| v > max) {
                 let last = row.iter().rposition(|&v| v > max).unwrap_or(first);
                 (*lo, *hi) = (first as u32, last as u32 + 1);
+                let (j_lo, j_hi) = &mut scanlines[k];
+                (*j_lo, *j_hi) = ((*j_lo).min(j as u32), j as u32 + 1);
             }
         }
-        Transparent { nk, lo, hi }
+        Transparent {
+            nk,
+            intervals,
+            scanlines,
+        }
     }
 }
 
@@ -323,29 +331,61 @@ impl<'a> Slab<'a> {
         &self.voxels[j as usize * self.starts.0 + k * self.starts.1..][..self.ni]
     }
 
+    /// Image row `iv`'s in-slice coordinate `lj` in slice `job`.
+    #[inline(always)]
+    fn lj(&self, job: &SliceJob, iv: usize) -> f64 {
+        (iv as f64 - job.v_off) - self.off_j
+    }
+
+    /// The rows of `job`'s window whose scanlines `⌊lj⌋` and `⌊lj⌋ + 1` can
+    /// hold a voxel the transfer function does not prove transparent; every
+    /// other row [`composite_row`] leaves as it is. `⌊lj⌋` is monotone in
+    /// the row, so each end is a guess stepped to the exact row.
+    #[inline(always)]
+    fn rows(&self, job: &SliceJob) -> Range<usize> {
+        let window = job.iv0..job.iv1 + 1;
+        let Some(t) = self.transparent else {
+            return window;
+        };
+        let (lo, hi) = t.scanlines[job.k - self.k_lo];
+        if lo >= hi {
+            return 0..0;
+        }
+        let first = |j: i64| {
+            let guess = (j as f64 + self.off_j + job.v_off).ceil();
+            first_where(window.start, window.end, guess, |iv| {
+                floor_to_int(self.lj(job, iv)) >= j
+            })
+        };
+        first(i64::from(lo) - 1)..first(i64::from(hi))
+    }
+
     /// Classify and composite the pixels `run` (the first is pixel `iu0` of
     /// the image row) in chunks of two passes: first `fill(iu, scalars)`
     /// writes the rounded scalars of the chunk's pixels `iu..`, with nothing
-    /// to branch on; then, in order, the early-termination test, the table
-    /// lookup, the transparent skip and `over`. A sample the transfer
-    /// function proves transparent classifies to `a ≤ 0`, so pass 2 skips it
+    /// to branch on; then the table lookup fills two lane arrays, the
+    /// samples' `v` and `a`, and one branch-free loop merges every pixel —
+    /// `over`, front-to-back, with the accumulated pixel nearer — keeping
+    /// `acc` where it has reached early termination or the sample has
+    /// `a ≤ 0`. The select tests what a loop that skips those pixels tests,
+    /// NaN included, so it keeps the same pixels; a sample the transfer
+    /// function proves transparent classifies to `a ≤ 0`, so it is kept
     /// without a test of its own.
     #[inline(always)]
     fn composite(&self, iu0: usize, run: &mut [GrayAlpha], fill: impl Fn(usize, &mut [u8])) {
-        let mut scalars = [0u8; CHUNK];
+        let (mut scalars, mut v, mut a) = ([0u8; CHUNK], [0f32; CHUNK], [0f32; CHUNK]);
         for (iu, chunk) in (iu0..).step_by(CHUNK).zip(run.chunks_mut(CHUNK)) {
             let scalars = &mut scalars[..chunk.len()];
             fill(iu, scalars);
-            for (acc, &s) in chunk.iter_mut().zip(scalars.iter()) {
-                if acc.a >= self.early_termination {
-                    continue;
-                }
+            for ((v, a), &s) in v.iter_mut().zip(&mut a).zip(&*scalars) {
                 let sample = self.classes[usize::from(s)];
-                if sample.a <= 0.0 {
-                    continue;
-                }
-                // Front-to-back: the accumulated pixel is nearer.
-                *acc = acc.over(&sample);
+                (*v, *a) = (sample.v, sample.a);
+            }
+            for ((acc, &v), &a) in chunk.iter_mut().zip(&v).zip(&a) {
+                let t = 1.0 - acc.a;
+                let over = GrayAlpha::new(acc.v + t * v, acc.a + t * a);
+                let keep = acc.a >= self.early_termination || a <= 0.0;
+                *acc = if keep { *acc } else { over };
             }
         }
     }
@@ -353,16 +393,46 @@ impl<'a> Slab<'a> {
 
 /// The first pixel of `from..to` where `reached` — false, then true along
 /// the row — holds (`to` if nowhere): a guess from the real-number inverse,
-/// stepped to the exact answer, so rounding never misplaces it.
+/// stepped to the exact answer, so rounding never misplaces it. The steps
+/// away from the guess double until they pass the answer, then a bisection
+/// closes in: a guess one pixel off costs two tests, a poor one (a nearly
+/// flat line) a few logarithms of its miss.
+#[inline(always)]
 fn first_where(from: usize, to: usize, guess: f64, reached: impl Fn(usize) -> bool) -> usize {
-    let mut iu = (guess.max(from as f64) as usize).min(to);
-    while iu < to && !reached(iu) {
-        iu += 1;
+    let guess = (guess.max(from as f64) as usize).min(to);
+    // Every pixel before `lo` is short of it; `hi` is `to` or reached.
+    let (mut lo, mut hi) = (from, to);
+    let mut step = 1;
+    if guess < to && !reached(guess) {
+        lo = guess + 1;
+        while guess + step < to {
+            if reached(guess + step) {
+                hi = guess + step;
+                break;
+            }
+            lo = guess + step + 1;
+            step *= 2;
+        }
+    } else {
+        hi = guess;
+        while step <= guess - from {
+            if !reached(guess - step) {
+                lo = guess - step + 1;
+                break;
+            }
+            hi = guess - step;
+            step *= 2;
+        }
     }
-    while iu > from && reached(iu - 1) {
-        iu -= 1;
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if reached(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
     }
-    iu
+    lo
 }
 
 /// Where one slice puts an image row's pixels along its in-slice axis `i`:
@@ -611,7 +681,7 @@ impl RowTaps<'_> {
 /// per-pixel fill, a few pixels a row, stays one shared function.
 #[inline(always)]
 fn composite_row(slab: &Slab, slices: &Slices, job: &SliceJob, iv: usize, row: &mut [GrayAlpha]) {
-    let lj = (iv as f64 - job.v_off) - slab.off_j;
+    let lj = slab.lj(job, iv);
     let j0 = floor_to_int(lj);
     let fj = lj - j0 as f64;
     let k = job.k - slab.k_lo;
@@ -630,8 +700,8 @@ fn composite_row(slab: &Slab, slices: &Slices, job: &SliceJob, iv: usize, row: &
         let (mut lo, mut hi) = (u32::MAX, 0);
         for j in [j0, j0 + 1] {
             if j >= 0 && (j as usize) < slab.nj {
-                lo = lo.min(t.lo[j as usize * t.nk + k]);
-                hi = hi.max(t.hi[j as usize * t.nk + k]);
+                let (l, h) = t.intervals[j as usize * t.nk + k];
+                (lo, hi) = (lo.min(l), hi.max(h));
             }
         }
         if lo >= hi {
@@ -642,22 +712,26 @@ fn composite_row(slab: &Slab, slices: &Slices, job: &SliceJob, iv: usize, row: &
     }
     let inner = at_least(0, start, end);
     let inner_end = at_least(slab.ni as i64 - 1, inner, end);
-    let edge = |iu: usize, scalars: &mut [u8]| {
-        for (s, iu) in scalars.iter_mut().zip(iu..) {
+    let bands = &slices.bands[job.bands.clone()];
+    // A chunk's scalars: its pixels left of the interior, its share of each
+    // band, its pixels right of the interior.
+    slab.composite(start, &mut row[start..end], |iu, scalars| {
+        let to = iu + scalars.len();
+        let (left, right) = (inner.clamp(iu, to), inner_end.clamp(iu, to));
+        for (s, iu) in scalars[..left - iu].iter_mut().zip(iu..) {
             *s = taps.edge(iu);
         }
-    };
-    slab.composite(start, &mut row[start..inner], edge);
-    for band in &slices.bands[job.bands.clone()] {
-        let (a, b) = (band.a.max(inner), band.b.min(inner_end));
-        if a < b {
-            let (i0, w) = (band.i0 + (a - band.a), taps.weights(band.wi));
-            slab.composite(a, &mut row[a..b], |iu, scalars| {
-                taps.stencil(i0 + (iu - a), w, scalars);
-            });
+        for (s, iu) in scalars[right - iu..].iter_mut().zip(right..) {
+            *s = taps.edge(iu);
         }
-    }
-    slab.composite(inner_end, &mut row[inner_end..end], edge);
+        for band in bands.iter().take_while(|band| band.a < right) {
+            let (a, b) = (band.a.max(inner).max(iu), band.b.min(inner_end).min(to));
+            if a < b {
+                let i0 = band.i0 + (a - band.a);
+                taps.stencil(i0, taps.weights(band.wi), &mut scalars[a - iu..b - iu]);
+            }
+        }
+    });
 }
 
 /// The sweep's rows as one span kernel: every row of every slice job,
@@ -686,7 +760,7 @@ impl SpanKernel for SweepRows<'_> {
             width,
         } = self;
         for job in &slices.jobs {
-            for iv in job.iv0..=job.iv1 {
+            for iv in slab.rows(job) {
                 let row = &mut pixels[iv * width..(iv + 1) * width];
                 composite_row(slab, slices, job, iv, row);
             }
@@ -694,10 +768,10 @@ impl SpanKernel for SweepRows<'_> {
     }
 }
 
-/// Which compiled copy of the slab sweep's row kernel this CPU runs:
-/// `"avx2"` or `"baseline"`. Both render the same bits; only the time
-/// differs.
-pub fn sweep_kernel() -> &'static str {
+/// Which compiled copy of the render kernels — the slab sweep's row kernel
+/// and the warp's band loop — this CPU runs: `"avx2"` or `"baseline"`. Both
+/// render the same bits; only the time differs.
+pub fn kernel_copy() -> &'static str {
     KernelCopy::widest().name()
 }
 
@@ -748,56 +822,33 @@ fn sweep(
     (inter, f)
 }
 
-/// The bilinear blend of taps `p` (`(u0, v0)`, `(u0 + 1, v0)`, `(u0, v0 +
-/// 1)`, `(u0 + 1, v0 + 1)`) at fractions `(fu, fv)`. A tap of weight zero
-/// contributes nothing — not `0 · p`, which is NaN for a non-finite `p` —
-/// and the `+0` that stands in for it leaves a sum that is never −0 alone.
+/// The bilinear weights of taps `(u0, v0)`, `(u0 + 1, v0)`, `(u0, v0 + 1)`,
+/// `(u0 + 1, v0 + 1)` at fractions `(fu, fv)`.
+#[inline(always)]
+fn bilinear_weights(fu: f32, fv: f32) -> [f32; 4] {
+    let (wu, wv) = ([1.0 - fu, fu], [1.0 - fv, fv]);
+    [wu[0] * wv[0], wu[1] * wv[0], wu[0] * wv[1], wu[1] * wv[1]]
+}
+
+/// One channel of the blend of four taps `p` under weights `w`, summed in
+/// their order from `+0`. A tap of weight zero contributes nothing — not
+/// `0 · p`, which is NaN for a non-finite `p` — so it adds `+0`: a sum from
+/// `+0` is never −0, and adding `+0` leaves it as it is, so the branch-free
+/// sum carries the bits of one that skips the tap.
+#[inline(always)]
+fn blend_channel(w: [f32; 4], p: [f32; 4]) -> f32 {
+    let term = |w: f32, p: f32| if w > 0.0 { w * p } else { 0.0 };
+    0.0 + term(w[0], p[0]) + term(w[1], p[1]) + term(w[2], p[2]) + term(w[3], p[3])
+}
+
+/// The bilinear blend of taps `p` at fractions `(fu, fv)`.
 #[inline(always)]
 fn bilinear(fu: f32, fv: f32, p: [GrayAlpha; 4]) -> GrayAlpha {
-    let (wu, wv) = ([1.0 - fu, fu], [1.0 - fv, fv]);
-    let w = [wu[0] * wv[0], wu[1] * wv[0], wu[0] * wv[1], wu[1] * wv[1]];
-    let mut out = GrayAlpha::new(0.0, 0.0);
-    for (w, p) in w.into_iter().zip(p) {
-        if w > 0.0 {
-            out.v += w * p.v;
-            out.a += w * p.a;
-        }
-    }
-    out
-}
-
-/// `a ∩ b`, empty at `a ∩ b`'s start when they are disjoint.
-fn intersect(a: Range<usize>, b: Range<usize>) -> Range<usize> {
-    let start = a.start.max(b.start);
-    start..a.end.min(b.end).max(start)
-}
-
-/// The pixels of `0..n` where `holds`, a predicate monotone in the pixel
-/// (true on a prefix or a suffix), is true — by bisection on the predicate
-/// itself, so the span is exact whatever rounding put its ends there.
-fn monotone_span(n: usize, holds: impl Fn(usize) -> bool) -> Range<usize> {
-    let Some(last) = n.checked_sub(1) else {
-        return 0..0;
-    };
-    let rising = holds(last);
-    if holds(0) == rising {
-        return if rising { 0..n } else { 0..0 };
-    }
-    // `holds(lo) != rising == holds(hi)`, down to adjacent pixels.
-    let (mut lo, mut hi) = (0, last);
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if holds(mid) == rising {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    if rising {
-        hi..n
-    } else {
-        0..hi
-    }
+    let w = bilinear_weights(fu, fv);
+    GrayAlpha::new(
+        blend_channel(w, p.map(|p| p.v)),
+        blend_channel(w, p.map(|p| p.a)),
+    )
 }
 
 /// Warp a composited intermediate image to the screen frame: one
@@ -815,6 +866,10 @@ pub fn warp_to_screen(
 /// Screen rows a [`ScreenWarp`] worker claims at a time.
 const WARP_BAND: usize = 8;
 
+/// Screen pixels per chunk of a warp row's interior: the chunk's fractions,
+/// taps and blends fit lane arrays on the stack.
+const WARP_CHUNK: usize = 16;
+
 /// One warp of an intermediate image to the screen, in bands of
 /// `WARP_BAND` (8) rows that any number of threads claim until none is left
 /// ([`ScreenWarp::work`]) — the scoped threads of [`warp_to_screen`] or
@@ -823,14 +878,17 @@ const WARP_BAND: usize = 8;
 /// Along one screen row the intermediate coordinates `(u, v)` of pixel `x`
 /// are monotone in `x` (each is a product by a constant plus constants,
 /// every rounding monotone), so the pixels with a tap on the image form one
-/// span, found by bisection on that very predicate. The span is narrowed,
-/// by the same bisection, to the pixels with a tap on a column some row it
-/// reads occupies (each row's non-blank columns are found once per warp):
-/// a pixel whose four taps are blank or off the image blends to `+0, +0`,
-/// the blank screen pixel. Those with all four taps on the image form one
-/// sub-span, reached by walking the edge pixels in from the span's ends.
-/// Outside the span the screen stays blank, inside the sub-span taps are
-/// read without range tests, and every pixel carries the bits of a
+/// span. Its ends are guessed from the real-number line of `u` or `v` along
+/// the row and stepped to the exact pixel on that very predicate
+/// (`first_where`). The span is narrowed, the same way, to the pixels
+/// with a tap on a column some row it reads occupies (each row's non-blank
+/// columns are found once per warp): a pixel whose four taps are blank or
+/// off the image blends to `+0, +0`, the blank screen pixel. Those with all
+/// four taps on the image form one sub-span, reached by walking the edge
+/// pixels in from the span's ends. Outside the span the screen stays blank;
+/// the sub-span is resampled in chunks of `WARP_CHUNK` (16) pixels —
+/// fractions in lanes, the four taps gathered into lane arrays without range
+/// tests, one branch-free blend — and every pixel carries the bits of a
 /// per-pixel sampler that tests and skips each tap. A worker warps a band
 /// into a buffer of its own, then copies each row's span into the screen
 /// under one lock per band: rows are disjoint outputs over an immutable
@@ -847,6 +905,54 @@ pub struct ScreenWarp<I> {
     bands: usize,
     next_band: AtomicUsize,
     screen: Mutex<Image<GrayAlpha>>,
+}
+
+/// A [`ScreenWarp`]'s band loop as one span kernel: [`KernelCopy::run`]
+/// compiles it for the target's baseline and on x86-64 also with AVX2, where
+/// the interior's fractions and blends run wide. As in the sweep's
+/// [`SweepRows`], only `avx2` is enabled, so the copies write the same bits.
+struct WarpBands<'a, I> {
+    warp: &'a ScreenWarp<I>,
+    inv: &'a Affine2,
+}
+
+impl<I: Borrow<Image<GrayAlpha>>> SpanKernel for WarpBands<'_, I> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Self { warp, inv } = self;
+        let width = warp.width;
+        let mut buf: Vec<GrayAlpha> = Vec::new();
+        let mut spans: [Range<usize>; WARP_BAND] = Default::default();
+        loop {
+            let band = warp.next_band.fetch_add(1, Ordering::Relaxed);
+            if band >= warp.bands {
+                return;
+            }
+            if buf.is_empty() {
+                buf = vec![GrayAlpha::blank(); WARP_BAND * width];
+            }
+            let rows = band * WARP_BAND..((band + 1) * WARP_BAND).min(warp.height);
+            let spans = &mut spans[..rows.len()];
+            for (y, (line, span)) in rows
+                .clone()
+                .zip(buf.chunks_exact_mut(width).zip(&mut *spans))
+            {
+                *span = warp.row(inv, y, line);
+            }
+            {
+                let mut screen = warp.screen.lock().unwrap_or_else(PoisonError::into_inner);
+                let out = screen.pixels_mut();
+                for (y, (line, span)) in rows.zip(buf.chunks_exact(width).zip(&*spans)) {
+                    out[y * width..][span.clone()].copy_from_slice(&line[span.clone()]);
+                }
+            }
+            for (line, span) in buf.chunks_exact_mut(width).zip(&*spans) {
+                line[span.clone()].fill(GrayAlpha::blank());
+            }
+        }
+    }
 }
 
 impl<I: Borrow<Image<GrayAlpha>>> ScreenWarp<I> {
@@ -892,38 +998,14 @@ impl<I: Borrow<Image<GrayAlpha>>> ScreenWarp<I> {
     /// Warp bands until every band is claimed; returns when this thread's
     /// last band is in the screen.
     pub fn work(&self) {
-        let Some(inv) = &self.inv else {
-            return;
-        };
-        let width = self.width;
-        let mut buf: Vec<GrayAlpha> = Vec::new();
-        let mut spans: [Range<usize>; WARP_BAND] = Default::default();
-        loop {
-            let band = self.next_band.fetch_add(1, Ordering::Relaxed);
-            if band >= self.bands {
-                return;
-            }
-            if buf.is_empty() {
-                buf = vec![GrayAlpha::blank(); WARP_BAND * width];
-            }
-            let rows = band * WARP_BAND..((band + 1) * WARP_BAND).min(self.height);
-            let spans = &mut spans[..rows.len()];
-            for (y, (line, span)) in rows
-                .clone()
-                .zip(buf.chunks_exact_mut(width).zip(&mut *spans))
-            {
-                *span = self.row(inv, y, line);
-            }
-            {
-                let mut screen = self.screen.lock().unwrap_or_else(PoisonError::into_inner);
-                let out = screen.pixels_mut();
-                for (y, (line, span)) in rows.zip(buf.chunks_exact(width).zip(&*spans)) {
-                    out[y * width..][span.clone()].copy_from_slice(&line[span.clone()]);
-                }
-            }
-            for (line, span) in buf.chunks_exact_mut(width).zip(&*spans) {
-                line[span.clone()].fill(GrayAlpha::blank());
-            }
+        self.work_in(KernelCopy::widest());
+    }
+
+    /// [`ScreenWarp::work`] through `copy`, one compiled copy of the band
+    /// loop.
+    fn work_in(&self, copy: KernelCopy) {
+        if let Some(inv) = &self.inv {
+            copy.run(WarpBands { warp: self, inv });
         }
     }
 
@@ -936,6 +1018,7 @@ impl<I: Borrow<Image<GrayAlpha>>> ScreenWarp<I> {
 
     /// Warp screen row `y` into `row`, blank on entry; returns the pixels
     /// it wrote, the span outside which the row stays blank.
+    #[inline(always)]
     fn row(&self, inv: &Affine2, y: usize, row: &mut [GrayAlpha]) -> Range<usize> {
         let image = self.inter.borrow();
         let (src, iw, ih) = (image.pixels(), image.width(), image.height());
@@ -952,13 +1035,23 @@ impl<I: Borrow<Image<GrayAlpha>>> ScreenWarp<I> {
             let (u, v) = uv(x);
             [floor_to_int(u), floor_to_int(v)]
         };
-        // The pixels with `low ≤ ⌊u⌋ < limit` (`c = 0`) or `⌊v⌋` (`c = 1`).
-        let within = |c: usize, low: i64, limit: i64| {
-            let above = monotone_span(row.len(), |x| floors(x)[c] >= low);
-            intersect(above, monotone_span(row.len(), |x| floors(x)[c] < limit))
+        // The pixels of `range` with `low ≤ ⌊u⌋ < limit` (`c = 0`) or `⌊v⌋`
+        // (`c = 1`): each end is where `⌊·⌋ ≥ t` turns, true along a rising
+        // line and false along a falling one, first guessed where the real
+        // line `slope · x + base` reaches `t`.
+        let within = |c: usize, low: i64, limit: i64, range: Range<usize>| {
+            let (slope, base) = [(inv.x[0], bu + inv.x[2]), (inv.y[0], bv + inv.y[2])][c];
+            let rising = slope >= 0.0;
+            let turn = |from: usize, t: i64| {
+                let guess = ((t as f64 - base) / slope).ceil();
+                first_where(from, range.end, guess, |x| (floors(x)[c] >= t) == rising)
+            };
+            let (first, last) = if rising { (low, limit) } else { (limit, low) };
+            let start = turn(range.start, first);
+            start..turn(start, last)
         };
         // Some tap on the image: `-1 ≤ ⌊u⌋ < w` and `-1 ≤ ⌊v⌋ < h`.
-        let touch = intersect(within(0, -1, w), within(1, -1, h));
+        let touch = within(1, -1, h, within(0, -1, w, 0..row.len()));
         if touch.is_empty() {
             return 0..0;
         }
@@ -972,7 +1065,7 @@ impl<I: Borrow<Image<GrayAlpha>>> ScreenWarp<I> {
         if lo >= hi {
             return 0..0;
         }
-        let span = intersect(touch, within(0, lo - 1, hi));
+        let span = within(0, lo - 1, hi, touch);
         // All four taps on it: `0 ≤ ⌊u⌋ < w - 1` and `0 ≤ ⌊v⌋ < h - 1`.
         let inside = |x: usize| {
             let [u0, v0] = floors(x);
@@ -1006,14 +1099,35 @@ impl<I: Borrow<Image<GrayAlpha>>> ScreenWarp<I> {
             end -= 1;
             row[end] = edge(end);
         }
-        for (x, out) in (start..end).zip(&mut row[start..end]) {
-            let (u, v) = uv(x);
-            // `u, v ≥ 0`: truncation is the floor.
-            let (u0, v0) = (u as i32, v as i32);
-            let at = v0 as usize * iw + u0 as usize;
-            let quad = &src[at..at + iw + 2];
-            let p = [quad[0], quad[1], quad[iw], quad[iw + 1]];
-            *out = bilinear((u - f64::from(u0)) as f32, (v - f64::from(v0)) as f32, p);
+        let chunks = (start..end).step_by(WARP_CHUNK);
+        for (x0, out) in chunks.zip(row[start..end].chunks_mut(WARP_CHUNK)) {
+            // Every lane's fractions, past the chunk's end too; `u, v ≥ 0`
+            // inside, so truncation is the floor.
+            let (mut u0, mut v0) = ([0i32; WARP_CHUNK], [0i32; WARP_CHUNK]);
+            let (mut fu, mut fv) = ([0f32; WARP_CHUNK], [0f32; WARP_CHUNK]);
+            for (l, (u0, v0)) in u0.iter_mut().zip(&mut v0).enumerate() {
+                let (u, v) = uv(x0 + l);
+                (*u0, *v0) = (u as i32, v as i32);
+                fu[l] = (u - f64::from(*u0)) as f32;
+                fv[l] = (v - f64::from(*v0)) as f32;
+            }
+            // The chunk's taps, `v` and `a` of each of the four.
+            let mut taps = [[[0f32; WARP_CHUNK]; 4]; 2];
+            for (l, (&u0, &v0)) in u0.iter().zip(&v0).take(out.len()).enumerate() {
+                let at = v0 as usize * iw + u0 as usize;
+                let quad = &src[at..at + iw + 2];
+                let p = [quad[0], quad[1], quad[iw], quad[iw + 1]];
+                for (t, p) in p.iter().enumerate() {
+                    (taps[0][t][l], taps[1][t][l]) = (p.v, p.a);
+                }
+            }
+            let mut blends = [GrayAlpha::blank(); WARP_CHUNK];
+            for (l, blend) in blends.iter_mut().enumerate() {
+                let w = bilinear_weights(fu[l], fv[l]);
+                let channel = |c: usize| std::array::from_fn(|t| taps[c][t][l]);
+                *blend = GrayAlpha::new(blend_channel(w, channel(0)), blend_channel(w, channel(1)));
+            }
+            out.copy_from_slice(&blends[..out.len()]);
         }
         span
     }
@@ -1545,14 +1659,14 @@ mod kernel_tests {
         }
     }
 
-    /// Every compiled copy of the row kernel this CPU runs, each called
+    /// Every compiled copy of the render kernels this CPU runs, each called
     /// directly rather than through [`KernelCopy::widest`]. A CPU without
     /// AVX2 tests the baseline copy alone and says so.
-    fn row_kernels() -> Vec<KernelCopy> {
+    fn compiled_copies() -> Vec<KernelCopy> {
         let copies = KernelCopy::all();
         if copies.len() == 1 {
             // Past the test harness's capture, so every run shows the skip.
-            let skip = "row kernel copies: no AVX2 on this CPU, the wide copy is not tested";
+            let skip = "render kernel copies: no AVX2 on this CPU, the wide copy is not tested";
             let _ = writeln!(std::io::stderr(), "{skip}");
         }
         copies
@@ -1569,7 +1683,7 @@ mod kernel_tests {
     ) {
         let (want, f) = render_intermediate_reference(sub, tf, camera, opts);
         let classification = Classification::new(sub, tf, f.axis);
-        for copy in row_kernels() {
+        for copy in compiled_copies() {
             let (got, _) = sweep(copy, sub, &classification, f.clone(), opts);
             assert_eq!(bits(&got), bits(&want), "{what}: {} copy", copy.name());
         }
@@ -1687,7 +1801,7 @@ mod kernel_tests {
                     });
                     let rows = [&voxels[..ni], &voxels[ni..]];
                     let want = row_reference(rows, fj, cols, &tf, width);
-                    for copy in row_kernels() {
+                    for copy in compiled_copies() {
                         let mut got = Image::blank(width, 1);
                         copy.run(SweepRows {
                             slab: &slab,
@@ -1861,10 +1975,47 @@ mod kernel_tests {
                 height: frame.1,
                 ..RenderOptions::paper()
             };
-            prop_assert_eq!(
-                bits(&warp_to_screen(&inter, &f, &opts)),
-                bits(&warp_reference(&inter, &f, &opts))
-            );
+            let want = bits(&warp_reference(&inter, &f, &opts));
+            prop_assert_eq!(&bits(&warp_to_screen(&inter, &f, &opts)), &want);
+            for copy in compiled_copies() {
+                let got = bits(&warp_in(copy, &inter, &f, &opts));
+                prop_assert_eq!(&got, &want, "{} copy", copy.name());
+            }
+        }
+    }
+
+    /// `inter` warped under `f` through one compiled copy of the band loop,
+    /// every band on this thread.
+    fn warp_in(
+        copy: KernelCopy,
+        inter: &Image<GrayAlpha>,
+        f: &Factorization,
+        opts: &RenderOptions,
+    ) -> Image<GrayAlpha> {
+        let warp = ScreenWarp::new(inter, f, opts);
+        warp.work_in(copy);
+        warp.take_screen()
+    }
+
+    /// The warp at the benchmark's screen size, where rows are hundreds of
+    /// pixels wide and most of a row's interior runs in full chunks: a slab
+    /// of the Engine rendered into its intermediate from each golden camera
+    /// and warped to 512², through each compiled copy, against the
+    /// per-pixel reference.
+    #[test]
+    fn warp_kernel_equivalence_at_production_size() {
+        let vol = Dataset::Engine.generate(96, 5);
+        let slab = partition_1d(&vol, 8, 2).unwrap().swap_remove(3);
+        let tf = Dataset::Engine.transfer_function();
+        let opts = RenderOptions::paper();
+        for camera in golden_cameras() {
+            let (inter, f) = render_intermediate(&slab, &tf, &camera, &opts);
+            assert!(inter.count_non_blank() > 0, "{camera:?}: blank");
+            let want = bits(&warp_reference(&inter, &f, &opts));
+            for copy in compiled_copies() {
+                let got = bits(&warp_in(copy, &inter, &f, &opts));
+                assert!(got == want, "{camera:?}: {} copy", copy.name());
+            }
         }
     }
 

@@ -2,9 +2,10 @@
 //! (the Engine volume at 128³ cut into four slabs, 512² frames, early
 //! termination off, sixteen cameras over a quarter orbit) with each stage
 //! of every frame timed on its own — each slab's sweep, the reference
-//! composite of the four depth-ordered partials and the warp — plus an FNV-1a
-//! hash of the first orbit's screens, so a renderer change can be sized
-//! stage by stage and checked for bit-identity in one run.
+//! composite of the four depth-ordered partials and the warp — plus the
+//! compiled copy the sweep and the warp ran and an FNV-1a hash of the first
+//! orbit's screens, so a renderer change can be sized stage by stage and
+//! checked for bit-identity in one run (seed 1 hashes to `b2f7befc6a15930c`).
 //!
 //! The sweeps and the composite run on one thread; the warp splits its
 //! screen rows over the cores it may use, so pin the process to one core
@@ -17,7 +18,7 @@ use rotate_tiling::imaging::image::reference_composite;
 use rotate_tiling::pvr::{orbit_cameras, OrbitConfig};
 use rotate_tiling::render::camera::factorize;
 use rotate_tiling::render::partition::depth_order;
-use rotate_tiling::render::shearwarp::{sweep_kernel, warp_to_screen, PreparedSlab, RenderOptions};
+use rotate_tiling::render::shearwarp::{kernel_copy, warp_to_screen, PreparedSlab, RenderOptions};
 use rotate_tiling::render::{partition_1d, Dataset};
 use std::time::Instant;
 
@@ -82,7 +83,7 @@ fn main() {
         "Engine 128³, P = {P}, 512², {} cameras × {rounds} rounds, seed {seed}",
         cameras.len()
     );
-    println!("sweep row kernel      {}", sweep_kernel());
+    println!("sweep and warp copy   {}", kernel_copy());
     println!("slab sweep ms/frame   {}", slabs.join(" "));
     println!("sweeps total          {}", per_frame(slab_ms.iter().sum()));
     println!("reference composite   {}", per_frame(composite_ms));

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Print the baseline a suite result compares against.
 
-A host's identity is `(nproc, rustc, profile)` from a result's `host`
-block; the CPU model string is left out because the same machine has
-reported it in more than one form. The baseline of SUITE.json is the last
-line of BENCH_trajectory.jsonl (at the repo root, beside tools/) whose
-identity equals SUITE.json's.
+A host's identity is `(nproc, cpu_model, rustc, profile)` from a result's
+`host` block, the CPU model with its ` @ <clock>` suffix stripped: the same
+machine has reported its model with and without the clock, and only that
+suffix told those reports apart, while a different CPU (an AMD EPYC against
+an Intel Xeon) is a different host, whose numbers are no baseline. The
+baseline of SUITE.json is the last line of BENCH_trajectory.jsonl (at the
+repo root, beside tools/) whose identity equals SUITE.json's.
 
 Usage: python3 tools/trajectory_baseline.py SUITE.json > previous.json
 Exit status: 0 with the baseline line on stdout; 1 if no line matches, if
@@ -17,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-IDENTITY = ("nproc", "rustc", "profile")
+IDENTITY = ("nproc", "cpu_model", "rustc", "profile")
 TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_trajectory.jsonl"
 
 
@@ -26,7 +28,12 @@ def identity(result, where):
     missing = [k for k in IDENTITY if not isinstance(host, dict) or k not in host]
     if missing:
         raise ValueError(f"{where}: host block lacks {', '.join(missing)}")
-    return tuple(host[k] for k in IDENTITY)
+    return tuple(cpu_family(host[k]) if k == "cpu_model" else host[k] for k in IDENTITY)
+
+
+def cpu_family(model):
+    """A CPU model string without its ` @ <clock>` suffix."""
+    return model.split(" @ ")[0].strip() if isinstance(model, str) else model
 
 
 def baseline_of(result, where):
