@@ -323,12 +323,22 @@ echo "== over kernel equivalence =="
 # blank in the same copy, and its counters against their definitions, over
 # every 8-bit pixel in pieces of 1 to 47 (`unpack_kernel_equivalence` —
 # fails when `opaque` is read off the value byte or the tail is left
-# unwritten). The workspace stage above runs both in debug.
+# unwritten). Then `GrayAlpha`'s `f32` span kernels in each compiled copy
+# against the per-pixel defaults they override (`over_each`, the oracle),
+# bit for bit and all three counters: every pairing of pixels over `±0`,
+# subnormals, NaN payloads, ±∞, `a > 1`, `a < 0` and ordinary values in
+# either channel, front and back, stream and slice, and the unpack onto
+# blank, in pieces of 1 to 47, then its blank scan with each pixel alone
+# among `±0` blanks (`f32_kernel_equivalence` — fails on a kernel that
+# counts blank by `a == 0.0` alone, or skips a blank source pixel). The
+# workspace stage above runs all three in debug.
 cargo test -q --release -p rt-imaging kernel_equivalence
 
 echo "== blank scan equivalence =="
 # The blank-slice kernel behind the tile families' content scan, in
-# release: `GrayAlpha8`'s word-wise OR against the per-pixel test with a
+# release: the OR of sixteen pixels' content words (`Pixel::content_word`,
+# one body for every pixel type), for `GrayAlpha8` against the per-pixel
+# test with a
 # lone non-zero value byte, then a lone non-zero alpha byte, at every
 # offset of every slice of 0 to 80 pixels, and over random sparse byte
 # mixes (`blank_scan_kernel_equivalence` fails on a kernel that reads only
@@ -339,14 +349,19 @@ cargo test -q --release -p rt-imaging blank_scan
 cargo test -q --release -p rt-core --lib content_scans_match
 
 echo "== trle encode equivalence =="
-# The TRLE encoder (two passes: the word-wise classifier and its blank and
-# all-non-blank run skips, then one exact write) against the per-pixel
-# oracle kept in trle.rs's test module, byte for byte, in release: every
-# two-tile `GrayAlpha8` sequence over the four byte classes, cut to partial
-# tails and repeated into runs of 15–33 tiles, every template pair across
-# the classifier's block boundary and the raw-fallback threshold
-# (`trle_encode_equivalence` — the only test that fails when the classifier
-# reads only the alpha byte). The workspace stage above runs it in debug.
+# The TRLE encoder (two passes: the one classifier, reading every pixel
+# type's content words sixteen pixels at a time and packing blank and
+# all-non-blank chunks whole, straight into the message behind a patched
+# code count; then one write of the payload or of the raw fallback) against
+# the per-pixel oracle kept in trle.rs's test module, byte for byte, in
+# release: every two-tile sequence over four classes, cut to partial tails
+# and repeated into runs of 15–33 tiles, every template pair at every
+# offset of the classifier's chunks, and the raw-fallback threshold — for
+# `GrayAlpha8`'s byte classes, then `GrayAlpha`'s (`±0` blanks in either
+# channel; a subnormal, a NaN payload or ±∞ over `±0`)
+# (`trle_encode_equivalence` — fails when the classifier reads only the
+# alpha channel, or reads `−0` as content). The workspace stage above runs
+# it in debug.
 cargo test -q --release -p rt-compress --lib trle_encode_equivalence
 
 echo "== envelope checksum =="

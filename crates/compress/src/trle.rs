@@ -19,13 +19,14 @@
 //! Wire format: `[mode][n_codes: u32 LE][codes][non-blank pixel bytes]`,
 //! with a raw-fallback mode so the codec never expands beyond one byte of
 //! header. The encoder makes two passes: it classifies tiles straight into
-//! the code stream while counting non-blank pixels, then writes the message
-//! once at its exact length.
+//! the message's code stream while counting non-blank pixels (reading each
+//! pixel's content word, a blank test per sixty-four pixels), then writes
+//! the payload, or truncates back and writes the raw fallback, once.
 
 use crate::codec::{raw_body, Codec, CodecError, OverDir};
-use rt_imaging::kernels::{nonzero_byte_mask, zero_prefix};
 use rt_imaging::pixel::{pixels_from_bytes, OverStats, Pixel};
 use rt_imaging::ImagingError;
+use std::ops::Range;
 
 const MODE_RAW: u8 = 0;
 const MODE_TRLE: u8 = 1;
@@ -37,9 +38,12 @@ pub const TILE: usize = 4;
 /// Maximum tiles one code can cover (4-bit run nibble).
 pub const MAX_RUN: usize = 16;
 
-/// Tiles per block of wire bytes the byte-level classifier reads (2 KiB of
-/// 2-byte pixels, one buffer reused for the whole span).
-const BLOCK_TILES: usize = 256;
+/// Pixels per chunk of the classifier: four tiles, whose sixteen
+/// [`Pixel::content_word`]s it reads and tests together.
+const CHUNK: usize = 4 * TILE;
+
+/// Pixels per block of the classifier's blank skip: four chunks.
+const BLOCK: usize = 4 * CHUNK;
 
 /// The paper's TRLE codec.
 #[derive(Debug, Clone, Copy, Default)]
@@ -61,141 +65,128 @@ pub fn tile_template<P: Pixel>(pixels: &[P]) -> u8 {
 }
 
 /// The one TRLE run packer: tiles go in as runs of one template — a
-/// single tile, or a whole blank or all-non-blank stretch at once — and
-/// come out as codes of at most [`MAX_RUN`] tiles each. Every TRLE encoder
-/// (flat and 2-D) packs through it.
+/// single tile, or a whole blank or all-non-blank chunk at once — and come
+/// out as codes of at most [`MAX_RUN`] tiles each, appended to the code
+/// stream the caller passes. Every TRLE encoder (flat and 2-D) packs
+/// through it.
 #[derive(Debug, Default)]
 pub(crate) struct RunPacker {
-    codes: Vec<u8>,
     template: u8,
     /// Tiles in the open run; 0 before the first tile.
     run: usize,
 }
 
 impl RunPacker {
-    /// A packer for `tiles` tiles: at most one code each, so the code
-    /// stream is allocated once.
-    pub(crate) fn for_tiles(tiles: usize) -> Self {
-        Self {
-            codes: Vec::with_capacity(tiles),
-            ..Self::default()
-        }
-    }
-
     /// Append `k ≥ 1` tiles of template `t`: an open run of another
     /// template is closed first, then the run is filled and split into
     /// codes of [`MAX_RUN`] tiles.
     #[inline]
-    pub(crate) fn push(&mut self, t: u8, k: usize) {
+    pub(crate) fn push(&mut self, codes: &mut Vec<u8>, t: u8, k: usize) {
         if t != self.template {
-            self.close();
+            self.close(codes);
             self.template = t;
             self.run = 0;
         }
         let mut run = self.run + k;
         while run > MAX_RUN {
             self.run = MAX_RUN;
-            self.close();
+            self.close(codes);
             run -= MAX_RUN;
         }
         self.run = run;
     }
 
-    fn close(&mut self) {
+    fn close(&mut self, codes: &mut Vec<u8>) {
         if self.run > 0 {
-            self.codes
-                .push((((self.run - 1) as u8) << 4) | self.template);
+            codes.push((((self.run - 1) as u8) << 4) | self.template);
         }
     }
 
-    /// The code stream, with the open run closed.
-    pub(crate) fn finish(mut self) -> Vec<u8> {
-        self.close();
-        self.codes
+    /// Close the open run.
+    pub(crate) fn finish(mut self, codes: &mut Vec<u8>) {
+        self.close(codes);
     }
 }
 
 /// Encode the template masks of `pixels` into TRLE codes.
 pub fn encode_codes<P: Pixel>(pixels: &[P]) -> Vec<u8> {
-    classify_pixels(pixels).0
+    let mut codes = Vec::with_capacity(pixels.len().div_ceil(TILE));
+    classify(pixels, &mut codes);
+    codes
 }
 
-/// Classify tile by tile through `is_blank` ([`tile_template`]): the code
-/// stream and the number of non-blank pixels. The only classifier valid
-/// for pixel types whose blankness is not the all-zero byte pattern.
-fn classify_pixels<P: Pixel>(pixels: &[P]) -> (Vec<u8>, usize) {
-    let mut packer = RunPacker::for_tiles(pixels.len().div_ceil(TILE));
+/// The flags of a chunk: byte `k` is 1 iff pixel `k`'s
+/// [`Pixel::content_word`] is non-zero.
+#[inline(always)]
+fn flags<P: Pixel>(chunk: &[P; CHUNK]) -> [u8; CHUNK] {
+    std::array::from_fn(|k| u8::from(chunk[k].content_word() != 0))
+}
+
+/// The template of a tile from its four flag bytes `b0..b3`, read as one
+/// little-endian word: one multiply by `2²⁴ + 2¹⁷ + 2¹⁰ + 2³` moves `bj` to
+/// bit `24 + j`, and every other product lands below bit 24 or past bit
+/// 31, with no carry between them.
+#[inline(always)]
+fn template_of(tile_flags: [u8; TILE]) -> u8 {
+    (u32::from_le_bytes(tile_flags).wrapping_mul(0x0102_0408) >> 24) as u8
+}
+
+/// Pass 1 of the encoder: classify `pixels` into TRLE codes appended to
+/// `codes`, returning the number of non-blank pixels. Every pixel type
+/// runs this one classifier, which reads each pixel's content word only. A
+/// block of sixteen tiles whose words OR to zero is packed blank in one
+/// step; otherwise each chunk of four tiles is one word of flag bytes, an
+/// all-blank or all-non-blank chunk packed in one step and a mixed one
+/// tile by tile ([`template_of`]). The pixels past the last whole chunk
+/// are tiled the same way, the partial last tile's missing pixels blank.
+fn classify<P: Pixel>(pixels: &[P], codes: &mut Vec<u8>) -> usize {
+    let mut packer = RunPacker::default();
     let mut non_blank = 0;
-    for tile in pixels.chunks(TILE) {
-        let t = tile_template(tile);
+    let (blocks, rest) = pixels.as_chunks::<BLOCK>();
+    for block in blocks {
+        if block.iter().fold(0, |acc, px| acc | px.content_word()) == 0 {
+            packer.push(codes, 0, BLOCK / TILE);
+            continue;
+        }
+        for chunk in block.as_chunks::<CHUNK>().0 {
+            non_blank += pack_chunk(&mut packer, codes, flags(chunk));
+        }
+    }
+    let (chunks, tail) = rest.as_chunks::<CHUNK>();
+    for chunk in chunks {
+        non_blank += pack_chunk(&mut packer, codes, flags(chunk));
+    }
+    for tile in tail.chunks(TILE) {
+        let mut f = [0; TILE];
+        for (f, px) in f.iter_mut().zip(tile) {
+            *f = u8::from(px.content_word() != 0);
+        }
+        let t = template_of(f);
         non_blank += t.count_ones() as usize;
-        packer.push(t, 1);
+        packer.push(codes, t, 1);
     }
-    (packer.finish(), non_blank)
+    packer.finish(codes);
+    non_blank
 }
 
-/// Maps the [`nonzero_byte_mask`] of a `u64` holding four 2-byte pixels to
-/// the tile template: bit `j` of the template is set iff byte pair
-/// `2j, 2j+1` has any non-zero byte. Valid only for pixel types with
-/// [`Pixel::BLANK_IS_ZERO_BYTES`].
-const PAIR_TEMPLATE: [u8; 256] = {
-    let mut table = [0u8; 256];
-    let mut mask = 0usize;
-    while mask < 256 {
-        let mut t = 0u8;
-        let mut j = 0;
-        while j < 4 {
-            if (mask >> (2 * j)) & 0b11 != 0 {
-                t |= 1 << j;
-            }
-            j += 1;
+/// Pack one chunk from its flags, returning its non-blank pixels.
+#[inline(always)]
+fn pack_chunk(packer: &mut RunPacker, codes: &mut Vec<u8>, f: [u8; CHUNK]) -> usize {
+    match u128::from_le_bytes(f) {
+        0 => {
+            packer.push(codes, 0, CHUNK / TILE);
+            0
         }
-        table[mask] = t;
-        mask += 1;
-    }
-    table
-};
-
-/// True iff every 2-byte pixel of the tile word `w` has a non-zero byte:
-/// `x − 1` borrows into the top bit of a 16-bit lane `x` only if `x = 0`.
-#[inline]
-fn all_pairs_non_zero(w: u64) -> bool {
-    w.wrapping_sub(0x0001_0001_0001_0001) & !w & 0x8000_8000_8000_8000 == 0
-}
-
-/// [`classify_pixels`] by byte inspection, for 2-byte pixels with
-/// [`Pixel::BLANK_IS_ZERO_BYTES`]: the span is serialized [`BLOCK_TILES`]
-/// tiles at a time into one reused buffer (the partial last tile
-/// zero-padded, so its missing pixels read as blank). A blank stretch is
-/// found with [`zero_prefix`] and a stretch of all-non-blank tiles with one
-/// word test per tile, and each is packed in one step; a mixed tile is a
-/// movemask and a [`PAIR_TEMPLATE`] lookup.
-fn classify_wire<P: Pixel>(pixels: &[P]) -> (Vec<u8>, usize) {
-    let mut packer = RunPacker::for_tiles(pixels.len().div_ceil(TILE));
-    let mut non_blank = 0;
-    let mut block = Vec::with_capacity(BLOCK_TILES * TILE * P::BYTES);
-    for chunk in pixels.chunks(BLOCK_TILES * TILE) {
-        block.clear();
-        P::extend_wire_bytes(chunk, &mut block);
-        block.resize(block.len().next_multiple_of(8), 0);
-        let tiles = block.as_chunks::<8>().0;
-        let full = |tile: &&[u8; 8]| all_pairs_non_zero(u64::from_le_bytes(**tile));
-        let mut i = 0;
-        while let Some(&tile) = tiles.get(i) {
-            let word = u64::from_le_bytes(tile);
-            let (t, k) = if word == 0 {
-                (0, zero_prefix(tiles[i..].as_flattened()) / 8)
-            } else if all_pairs_non_zero(word) {
-                (0x0F, tiles[i..].iter().take_while(full).count())
-            } else {
-                (PAIR_TEMPLATE[nonzero_byte_mask(word) as usize], 1)
-            };
-            non_blank += t.count_ones() as usize * k;
-            packer.push(t, k);
-            i += k;
+        0x0101_0101_0101_0101_0101_0101_0101_0101 => {
+            packer.push(codes, 0x0F, CHUNK / TILE);
+            CHUNK
         }
+        _ => f.as_chunks::<TILE>().0.iter().fold(0, |non_blank, tile| {
+            let t = template_of(*tile);
+            packer.push(codes, t, 1);
+            non_blank + t.count_ones() as usize
+        }),
     }
-    (packer.finish(), non_blank)
 }
 
 /// Expand TRLE codes back into per-tile templates.
@@ -236,32 +227,32 @@ impl<P: Pixel> Codec<P> for TrleCodec {
         "trle"
     }
 
-    /// Pass 1 classifies (the word-wise classifier reads wire bytes, four
-    /// 2-byte pixels at a time, so it is only valid when blankness is
-    /// exactly the all-zero byte pattern of such a pixel); pass 2 picks
-    /// TRLE or the raw fallback from the exact sizes and writes the message
-    /// once, skipping blank runs, copying each all-non-blank run in one
-    /// bulk store and mixed tiles pixel by pixel.
+    /// Pass 1 classifies straight into `out`, behind the mode byte and a
+    /// code count patched afterwards; pass 2 then picks TRLE or the raw
+    /// fallback from the exact sizes — the fallback truncates back to the
+    /// message's start — and writes the payload once, skipping blank runs,
+    /// copying each all-non-blank run in one bulk store and mixed tiles
+    /// pixel by pixel. One reservation covers the code stream and either
+    /// message, so an empty `out` is allocated once.
     fn encode_into(&self, pixels: &[P], out: &mut Vec<u8>) {
-        let (codes, non_blank) = if P::BLANK_IS_ZERO_BYTES && P::BYTES == 2 {
-            classify_wire(pixels)
-        } else {
-            classify_pixels(pixels)
-        };
+        let start = out.len();
         let raw_bytes = pixels.len() * P::BYTES;
-        let trle_len = 1 + 4 + codes.len() + non_blank * P::BYTES;
-        if trle_len > raw_bytes {
-            out.reserve(raw_bytes + 1);
+        let header = 1 + 4;
+        out.reserve((raw_bytes + 1).max(header + pixels.len().div_ceil(TILE)));
+        out.push(MODE_TRLE);
+        out.extend_from_slice(&[0; 4]);
+        let non_blank = classify(pixels, out);
+        let codes = start + header..out.len();
+        if out.len() - start + non_blank * P::BYTES > raw_bytes {
+            out.truncate(start);
             out.push(MODE_RAW);
             P::extend_wire_bytes(pixels, out);
             return;
         }
-        out.reserve(trle_len);
-        out.push(MODE_TRLE);
-        out.extend_from_slice(&(codes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&codes);
+        out[start + 1..start + header].copy_from_slice(&(codes.len() as u32).to_le_bytes());
         let mut base = 0;
-        for &code in &codes {
+        for at in codes {
+            let code = out[at];
             let template = code & 0x0F;
             let end = (base + ((code >> 4) as usize + 1) * TILE).min(pixels.len());
             match template {
@@ -402,14 +393,17 @@ fn trle_over<P: Pixel>(
 /// whose template bit is set: blank pixels are the identity of `over`, so
 /// they ship no bytes AND cost no work — the paper's Section 1 claim,
 /// realized at the byte level. A run of all-blank tiles is skipped in one
-/// step, and a run of all-non-blank tiles that lies wholly in bounds is
-/// merged with a single bulk kernel call over `run · TILE` contiguous
-/// payload pixels; mixed templates go bit by bit. The stats of shipped
-/// pixels are the kernel's own: an honest encoder ships only non-blank
-/// ones, and a blank one under a set bit counts as what it is, exactly as
-/// decode-then-`over` would count it. For [`Codec::decode_into`] `kernel`
-/// is the unpack: blank runs stay as the blank destination has them, full
-/// runs are copied in bulk and mixed tiles bit by bit.
+/// step; the set bits are gathered into runs of adjacent pixels — a run of
+/// all-non-blank tiles that lies wholly in bounds, and the set bits of
+/// mixed tiles, across tile and code boundaries — and each run is merged
+/// with one kernel call over its contiguous payload pixels ([`Runs`]). A
+/// run is merged before any error after it is reported, so a stream is
+/// refused at its first fault as a walk pixel by pixel would refuse it.
+/// The stats of shipped pixels are the kernel's own: an honest encoder
+/// ships only non-blank ones, and a blank one under a set bit counts as
+/// what it is, exactly as decode-then-`over` would count it. For
+/// [`Codec::decode_into`] `kernel` is the unpack: blank runs stay as the
+/// blank destination has them.
 fn trle_over_codes<P: Pixel>(
     codes: &[u8],
     payload: &[u8],
@@ -419,38 +413,30 @@ fn trle_over_codes<P: Pixel>(
     let n_pixels = dst.len();
     let expected_tiles = n_pixels.div_ceil(TILE);
     let mut tile_idx = 0usize;
-    let mut at = 0usize; // payload byte cursor
-    let mut stats = OverStats::default();
-    // Merge `px` payload pixels at `at` into `dst[base..]`.
-    let mut merge = |at: &mut usize, base: usize, px: usize| {
-        let bytes = payload
-            .get(*at..*at + px * P::BYTES)
-            .ok_or(CodecError::Truncated { codec: "trle" })?;
-        let merged = raw_body("trle", bytes, &mut dst[base..base + px], &kernel).map_err(|_| {
-            CodecError::Corrupt {
-                codec: "trle",
-                what: "undecodable payload pixel",
-            }
-        })?;
-        *at += bytes.len();
-        Ok::<_, CodecError>(merged)
+    let mut runs = Runs {
+        payload,
+        dst,
+        kernel,
+        run: 0..0,
+        at: 0,
+        stats: OverStats::default(),
     };
     for &code in codes {
         let template = code & 0x0F;
         let run = ((code >> 4) as usize) + 1;
         if tile_idx + run > expected_tiles {
-            return Err(TILE_COUNT_MISMATCH);
+            return Err(runs.fail(TILE_COUNT_MISMATCH));
         }
         let base = tile_idx * TILE;
         if template == 0 {
             // Whole-run blank skip; tiles padding past the image are not
             // skipped source pixels.
-            stats.blank_skipped += (run * TILE).min(n_pixels - base);
+            runs.stats.blank_skipped += (run * TILE).min(n_pixels - base);
             tile_idx += run;
             continue;
         }
         if template == 0x0F && base + run * TILE <= n_pixels {
-            stats += merge(&mut at, base, run * TILE)?;
+            runs.extend(base..base + run * TILE)?;
             tile_idx += run;
             continue;
         }
@@ -459,31 +445,78 @@ fn trle_over_codes<P: Pixel>(
                 let pixel_idx = tile_idx * TILE + j;
                 if template & (1 << j) == 0 {
                     if pixel_idx < n_pixels {
-                        stats.blank_skipped += 1;
+                        runs.stats.blank_skipped += 1;
                     }
                     continue;
                 }
                 if pixel_idx >= n_pixels {
-                    return Err(CodecError::Corrupt {
+                    return Err(runs.fail(CodecError::Corrupt {
                         codec: "trle",
                         what: "non-blank bit set in padding",
-                    });
+                    }));
                 }
-                stats += merge(&mut at, pixel_idx, 1)?;
+                runs.extend(pixel_idx..pixel_idx + 1)?;
             }
             tile_idx += 1;
         }
     }
+    runs.flush()?;
     if tile_idx != expected_tiles {
         return Err(TILE_COUNT_MISMATCH);
     }
-    if at != payload.len() {
+    if runs.at != payload.len() {
         return Err(CodecError::Corrupt {
             codec: "trle",
             what: "trailing payload bytes",
         });
     }
-    Ok(stats)
+    Ok(runs.stats)
+}
+
+/// The set pixels of a TRLE walk, merged a run of adjacent pixels at a
+/// time: `dst[run]` is pending, its payload at byte `at`.
+struct Runs<'a, P, K> {
+    payload: &'a [u8],
+    dst: &'a mut [P],
+    kernel: K,
+    run: Range<usize>,
+    at: usize,
+    stats: OverStats,
+}
+
+impl<P: Pixel, K: Fn(&mut [P], &[u8]) -> Result<OverStats, ImagingError>> Runs<'_, P, K> {
+    /// Add `pixels` to the pending run, merging it first unless adjacent.
+    fn extend(&mut self, pixels: Range<usize>) -> Result<(), CodecError> {
+        if self.run.end != pixels.start {
+            self.flush()?;
+            self.run = pixels.start..pixels.start;
+        }
+        self.run.end = pixels.end;
+        Ok(())
+    }
+
+    /// Merge the pending run in one kernel call over its payload pixels.
+    fn flush(&mut self) -> Result<(), CodecError> {
+        let bytes = self
+            .payload
+            .get(self.at..self.at + self.run.len() * P::BYTES)
+            .ok_or(CodecError::Truncated { codec: "trle" })?;
+        let dst = &mut self.dst[self.run.clone()];
+        self.stats +=
+            raw_body("trle", bytes, dst, &self.kernel).map_err(|_| CodecError::Corrupt {
+                codec: "trle",
+                what: "undecodable payload pixel",
+            })?;
+        self.at += bytes.len();
+        self.run = self.run.end..self.run.end;
+        Ok(())
+    }
+
+    /// `err`, found past the pending run: the run's own fault, if it has
+    /// one, comes first, as in a walk that merges pixel by pixel.
+    fn fail(&mut self, err: CodecError) -> CodecError {
+        self.flush().err().unwrap_or(err)
+    }
 }
 
 #[cfg(test)]
@@ -492,13 +525,24 @@ mod tests {
     use crate::codec::Encoded;
     use crate::rle::RleCodec;
     use proptest::prelude::*;
-    use rt_imaging::pixel::{pixels_to_bytes, GrayAlpha8};
+    use rt_imaging::pixel::{pixels_to_bytes, GrayAlpha, GrayAlpha8};
+
+    /// The per-pixel oracle of the classifier: tile by tile through
+    /// [`tile_template`] (so through `is_blank`), one tile a push.
+    fn codes_scalar<P: Pixel>(pixels: &[P]) -> Vec<u8> {
+        let (mut packer, mut codes) = (RunPacker::default(), Vec::new());
+        for tile in pixels.chunks(TILE) {
+            packer.push(&mut codes, tile_template(tile), 1);
+        }
+        packer.finish(&mut codes);
+        codes
+    }
 
     /// The per-pixel oracle the codec's encoder is held to byte for byte:
-    /// [`encode_codes`], the non-blank pixels one `write_bytes` each, and
+    /// [`codes_scalar`], the non-blank pixels one `write_bytes` each, and
     /// the raw fallback whenever that would be longer than the raw stream.
     fn trle_encode_scalar<P: Pixel>(pixels: &[P]) -> Encoded {
-        let codes = encode_codes(pixels);
+        let codes = codes_scalar(pixels);
         let mut payload = Vec::new();
         for p in pixels.iter().filter(|p| !p.is_blank()) {
             p.write_bytes(&mut payload);
@@ -693,11 +737,10 @@ mod tests {
 
     #[test]
     fn pixel_without_zero_blank_bytes_uses_scalar_classification() {
-        // Provenance's blank test is lo == hi, not all-zero bytes, so the
-        // byte-level classifier must not engage: `encode` has to be the
-        // per-pixel encoder, and roundtrip.
+        // Provenance's blank test is lo == hi, not all-zero bytes: its
+        // content word is the default, `!is_blank()`, so `encode` is the
+        // per-pixel encoder's bytes, and roundtrips.
         use rt_imaging::pixel::Provenance;
-        const { assert!(!Provenance::BLANK_IS_ZERO_BYTES) };
         let pixels: Vec<Provenance> = (0..40u16)
             .map(|i| {
                 if i % 3 == 0 {
@@ -713,44 +756,39 @@ mod tests {
         assert_eq!(dec, pixels);
     }
 
-    /// The codec's encoder against [`trle_encode_scalar`], byte for byte:
-    /// every two-tile sequence over the four byte classes of a `GrayAlpha8`
-    /// (`00`, `v` only, `a` only, both: 4⁸ inputs), each also cut to a
-    /// partial tail of 1–3 pixels (and decoded back, since the oracle packs
-    /// through the same [`RunPacker`]) and each with its tiles repeated
-    /// into runs of 15, 16, 17, 32 and 33; every template pair across the
-    /// classifier's block boundary; and the lengths at which TRLE is as
-    /// long as the raw stream, and one byte longer. Of rt-compress's tests
-    /// it is the only one a classifier reading only the alpha byte fails.
-    /// A packer that lets a run reach 17 tiles or does not close the open
-    /// run, and a blank skip that rounds a partly blank tile up to a blank
-    /// one, fail it and other tests alike.
-    #[test]
-    fn trle_encode_equivalence() {
-        let class = |c: usize, i: usize| {
-            let x = (i % 255) as u8 + 1;
-            match c & 3 {
-                0 => GrayAlpha8::blank(),
-                1 => GrayAlpha8::new(x, 0),
-                2 => GrayAlpha8::new(0, x),
-                _ => GrayAlpha8::new(x, x | 0x80),
-            }
-        };
-        let check = |pixels: &[GrayAlpha8]| {
-            let enc = Codec::<GrayAlpha8>::encode(&TrleCodec, pixels);
+    /// The codec's encoder against [`trle_encode_scalar`], byte for byte,
+    /// over four byte classes of a pixel type: `class(c, i)` is pixel `i`'s
+    /// value of class `c` — 0 blank, 1 content in the first channel only,
+    /// 2 in the second only, 3 in both. Every two-tile sequence of classes
+    /// (4⁸ inputs), each also cut to a partial tail of 1–3 pixels (and
+    /// decoded back) and, unless `short`, with its tiles repeated into runs
+    /// of 15, 16, 17, 32 and 33; every template pair ending at every offset
+    /// of the classifier's chunks and blocks, after blank tiles or tiles of
+    /// the first template; and the lengths at which TRLE is as long as the
+    /// raw stream, and one byte longer.
+    fn check_encode_equivalence<P: Pixel>(class: impl Fn(usize, usize) -> P, short: bool) {
+        let check = |pixels: &[P]| {
+            let enc = Codec::<P>::encode(&TrleCodec, pixels);
             let want = trle_encode_scalar(pixels);
             assert!(enc == want, "{pixels:?}: {enc:?} != {want:?}");
             enc
         };
+        let as_bytes = |pixels: &[P]| pixels_to_bytes(pixels);
         let mut pixels = Vec::new();
         for bits in 0..1usize << 16 {
             let pair: Vec<_> = (0..2 * TILE).map(|i| class(bits >> (2 * i), i)).collect();
             for len in TILE + 1..=2 * TILE {
                 let enc = check(&pair[..len]);
-                let dec = Codec::<GrayAlpha8>::decode(&TrleCodec, &enc.bytes, len);
-                assert_eq!(dec.as_deref(), Ok(&pair[..len]));
+                let dec = Codec::<P>::decode(&TrleCodec, &enc.bytes, len).unwrap();
+                // Blank pixels ship no bytes and come back as `blank()`.
+                let shipped = pair[..len].iter().map(|p| match p.is_blank() {
+                    true => P::blank(),
+                    false => p.clone(),
+                });
+                assert_eq!(as_bytes(&dec), as_bytes(&shipped.collect::<Vec<_>>()));
             }
-            for run in [15, 16, 17, 32, 33] {
+            let runs: &[usize] = if short { &[17] } else { &[15, 16, 17, 32, 33] };
+            for &run in runs {
                 pixels.clear();
                 for tile in pair.chunks(TILE) {
                     for _ in 0..run {
@@ -761,13 +799,15 @@ mod tests {
             }
         }
         // Template pairs (a tile of template `a`, then one of `b`) ending
-        // on either side of the block boundary, after blank tiles or tiles
-        // of template `a`, then with 1–3 more pixels (`b`'s first pixel).
+        // at every tile of a blank-skip block and past it, after blank
+        // tiles or tiles of template `a`, then with 1–3 more pixels (`b`'s
+        // first).
+        let class = &class;
         let tile = |t: usize| (0..TILE).map(move |j| class(if t >> j & 1 == 1 { 3 } else { 0 }, j));
         for a in 0..16 {
             for b in 0..16 {
                 for filler in [0, a] {
-                    for tiles in BLOCK_TILES - 1..=BLOCK_TILES + 1 {
+                    for tiles in 2..=BLOCK / TILE + 2 {
                         pixels.clear();
                         pixels.extend((0..tiles - 2).flat_map(|_| tile(filler)));
                         pixels.extend(tile(a).chain(tile(b)));
@@ -787,11 +827,11 @@ mod tests {
         for blank in 0..12 {
             for dense in 0..200 {
                 pixels.clear();
-                pixels.extend((0..blank).map(|_| GrayAlpha8::blank()));
+                pixels.extend((0..blank).map(|i| class(0, i)));
                 pixels.extend((0..dense).map(|i| class(3, i)));
                 check(&pixels);
-                let trle = 1 + 4 + encode_codes(&pixels).len() + 2 * dense;
-                if let Some(hit) = trle.checked_sub(2 * pixels.len()) {
+                let trle = 1 + 4 + codes_scalar(&pixels).len() + P::BYTES * dense;
+                if let Some(hit) = trle.checked_sub(P::BYTES * pixels.len()) {
                     if hit < 2 {
                         margins[hit] += 1;
                     }
@@ -799,6 +839,54 @@ mod tests {
             }
         }
         assert!(margins.iter().all(|&m| m > 0), "{margins:?}");
+    }
+
+    /// [`check_encode_equivalence`] over `GrayAlpha8`'s byte classes (`00`,
+    /// `v` only, `a` only, both), then over `GrayAlpha`'s: blank as `+0`
+    /// and `−0` in either channel, and content — a subnormal, a NaN with a
+    /// payload, ±∞ or an ordinary value — in one channel over `±0` in the
+    /// other, or in both. Of rt-compress's tests it is the only one a
+    /// classifier reading only the alpha channel fails, or one that reads
+    /// `−0` as content (the sign bit left in its content word). A packer
+    /// that lets a run reach 17 tiles or does not close the open run, and
+    /// a blank skip that rounds a partly blank tile up to a blank one, fail
+    /// it and other tests alike.
+    #[test]
+    fn trle_encode_equivalence() {
+        check_encode_equivalence(
+            |c, i| {
+                let x = (i % 255) as u8 + 1;
+                match c & 3 {
+                    0 => GrayAlpha8::blank(),
+                    1 => GrayAlpha8::new(x, 0),
+                    2 => GrayAlpha8::new(0, x),
+                    _ => GrayAlpha8::new(x, x | 0x80),
+                }
+            },
+            false,
+        );
+        let zeros = [0.0, -0.0];
+        let content = [
+            f32::from_bits(1),
+            f32::from_bits(0xFFC0_0042),
+            f32::INFINITY,
+            0.5,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x8000_0003),
+        ];
+        check_encode_equivalence(
+            |c, i| {
+                let (z, w) = (zeros[i % 2], zeros[i / 2 % 2]);
+                let x = content[i % content.len()];
+                match c & 3 {
+                    0 => GrayAlpha::new(z, w),
+                    1 => GrayAlpha::new(x, w),
+                    2 => GrayAlpha::new(z, x),
+                    _ => GrayAlpha::new(x, content[(i + 1) % content.len()]),
+                }
+            },
+            true,
+        );
     }
 
     prop_compose! {

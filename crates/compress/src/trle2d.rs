@@ -50,11 +50,14 @@ pub fn encode_image<P: Pixel>(img: &Image<P>) -> Encoded {
     let raw_bytes = img.len() * P::BYTES;
     let (tw, th) = tile_coords(img.width(), img.height());
 
-    let mut packer = RunPacker::for_tiles(tw * th);
+    // The code stream is packed behind its count, patched afterwards.
+    let mut bytes = Vec::with_capacity(4 + tw * th);
+    bytes.extend_from_slice(&[0; 4]);
+    let mut packer = RunPacker::default();
     let mut payload: Vec<u8> = Vec::new();
     for ty in 0..th {
         for tx in 0..tw {
-            packer.push(tile_template(img, tx, ty), 1);
+            packer.push(&mut bytes, tile_template(img, tx, ty), 1);
             for (dx, dy) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
                 let (x, y) = (2 * tx + dx, 2 * ty + dy);
                 if x < img.width() && y < img.height() {
@@ -66,11 +69,9 @@ pub fn encode_image<P: Pixel>(img: &Image<P>) -> Encoded {
             }
         }
     }
-    let codes = packer.finish();
-
-    let mut bytes = Vec::with_capacity(4 + codes.len() + payload.len());
-    bytes.extend_from_slice(&(codes.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&codes);
+    packer.finish(&mut bytes);
+    let n_codes = (bytes.len() - 4) as u32;
+    bytes[..4].copy_from_slice(&n_codes.to_le_bytes());
     bytes.extend_from_slice(&payload);
     Encoded { bytes, raw_bytes }
 }

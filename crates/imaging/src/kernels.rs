@@ -1,25 +1,30 @@
-//! Word-wise (SWAR) scan primitives, the fused [`GrayAlpha8`] `over` and
-//! unpack kernels built on them, and the workspace's one CPU-width dispatch.
+//! Word-wise (SWAR) scan primitives, the fused `over` and unpack kernels
+//! of [`GrayAlpha8`] and [`GrayAlpha`], the content-word blank scan, and
+//! the workspace's one CPU-width dispatch.
 //!
 //! The hot loops of the composition stage — blank-pixel scanning and the
 //! codecs' run detection / template classification — find their runs a
-//! machine word (`u64`) or two (`u128`) at a time. The `over` kernels skip
-//! a wire stream's blank runs that way and merge every other pixel with one
-//! branch-free body, sixteen pixels per chunk, which the compiler
-//! vectorises; the same body merges two in-memory pixel slices. Neither
-//! changes what is computed: a blank or opaque pixel needs no
-//! shortcut, because the fixed-point arithmetic already gives its result
-//! (`mul255(0, x) = 0`, `mul255(255, x) = x`), and every
+//! word at a time: a machine word (`u64`) or two (`u128`) of wire bytes,
+//! or sixteen pixels' [`Pixel::content_word`]s ORed into one. The 8-bit
+//! `over` kernels skip a wire stream's blank runs that way and merge every
+//! other pixel with one branch-free body, sixteen pixels per chunk, which
+//! the compiler vectorises; the same body merges two in-memory pixel
+//! slices. Neither changes what is computed: a blank or opaque pixel needs
+//! no shortcut, because the fixed-point arithmetic already gives its result
+//! (`mul255(0, x) = 0`, `mul255(255, x) = x`). The `f32` kernels skip
+//! nothing — merging a blank `f32` pixel is not a copy (`+0 + 1 · −0` is
+//! `+0`) — and run `over` itself on every pixel, sixteen to a chunk. Every
 //! kernel is pinned bit for bit to decode-then-
-//! [`Pixel::over`](crate::Pixel::over) by the tests of this crate (every
-//! 8-bit merge, exhaustively) and of rt-compress.
+//! [`Pixel::over`] by the tests of this crate (every
+//! 8-bit merge, exhaustively; every pairing of the `f32` specials) and of
+//! rt-compress.
 //!
 //! Every span kernel runs through [`KernelCopy::run`]: one body, compiled
 //! once for the target's baseline and once, on x86-64, with AVX2 enabled,
 //! and the widest copy the CPU supports is the one called. The copies use
 //! no intrinsics and no fused multiply-add, so they compute the same bits.
 
-use crate::pixel::{GrayAlpha8, OverStats};
+use crate::pixel::{GrayAlpha, GrayAlpha8, OverStats, Pixel};
 
 // --------------------------------------------------------------------------
 // The one CPU-width dispatch
@@ -151,17 +156,6 @@ pub fn byte_run_len(bytes: &[u8], b: u8) -> usize {
     8 * words.len() + tail.iter().take_while(|&&x| x == b).count()
 }
 
-/// Bitmask of the non-zero bytes of `w`: bit `i` is set iff byte `i`
-/// (little-endian) is non-zero. SWAR: saturating-add `0x7F` per byte sets
-/// the high bit of every non-zero byte, and the multiply gathers the eight
-/// high bits into the top byte (a portable movemask).
-#[inline]
-pub fn nonzero_byte_mask(w: u64) -> u8 {
-    let hi = ((w & 0x7F7F_7F7F_7F7F_7F7F).wrapping_add(0x7F7F_7F7F_7F7F_7F7F) | w)
-        & 0x8080_8080_8080_8080;
-    (((hi >> 7).wrapping_mul(0x0102_0408_1020_4080)) >> 56) as u8
-}
-
 // --------------------------------------------------------------------------
 // GrayAlpha8 kernels (wire layout: [v, a] per pixel, 2 bytes)
 // --------------------------------------------------------------------------
@@ -287,20 +281,6 @@ fn ga8_over_pixels<const FRONT: bool>(dst: &mut [GrayAlpha8], src: &[GrayAlpha8]
     })
 }
 
-/// Whether any pixel of `pixels` is non-blank: each sixteen-pixel chunk is
-/// loaded into lane words the way [`ga8_over_pixels`] loads them and ORed
-/// into one, so a blank chunk costs one test and the scan stops at the
-/// first chunk with content. The pixels past the last whole chunk are
-/// tested one word each.
-pub(crate) fn ga8_any_non_blank(pixels: &[GrayAlpha8]) -> bool {
-    let (chunks, tail) = pixels.as_chunks::<GA8_CHUNK>();
-    let or = |chunk: &[GrayAlpha8; GA8_CHUNK]| {
-        let words: [u16; GA8_CHUNK] = std::array::from_fn(|k| ga8_word(&chunk[k]));
-        words.iter().fold(0, |acc, w| acc | w)
-    };
-    chunks.iter().any(|chunk| or(chunk) != 0) || tail.iter().any(|px| ga8_word(px) != 0)
-}
-
 /// The fused merge of a `GrayAlpha8` wire stream, front or back: leading
 /// blank pixels are skipped sixteen bytes per test via [`zero_prefix`],
 /// then the non-blank span — everything up to the start of the next
@@ -416,10 +396,140 @@ impl SpanKernel for Ga8<'_> {
     }
 }
 
+// --------------------------------------------------------------------------
+// GrayAlpha kernels (wire layout: [v, a] per pixel, f32 LE each, 8 bytes)
+// --------------------------------------------------------------------------
+
+/// Pixels per chunk of the `f32` span body (128 wire bytes).
+const GA_CHUNK: usize = 16;
+
+/// A [`GrayAlpha`] from its 8 wire bytes.
+#[inline(always)]
+fn ga_from_wire(b: &[u8; 8]) -> GrayAlpha {
+    let [v0, v1, v2, v3, a0, a1, a2, a3] = *b;
+    GrayAlpha::new(
+        f32::from_le_bytes([v0, v1, v2, v3]),
+        f32::from_le_bytes([a0, a1, a2, a3]),
+    )
+}
+
+/// One merge of the `f32` span body: `s` in front of `d` (`FRONT`) or
+/// behind it, through [`GrayAlpha::over`](crate::Pixel::over) itself.
+#[inline(always)]
+fn ga_merge<const FRONT: bool>(s: &GrayAlpha, d: &GrayAlpha) -> GrayAlpha {
+    match FRONT {
+        true => s.over(d),
+        false => d.over(s),
+    }
+}
+
+/// The `f32` merge over one span, `dst[i] = src[i] over dst[i]` (`FRONT`)
+/// or `dst[i] = dst[i] over src[i]`, sixteen pixels per chunk: the source
+/// chunk is read into a pixel array by `load` (or taken from `src_tail`
+/// past the last whole chunk), every lane merged by [`ga_merge`] with no
+/// branch and no blank skip — merging a blank is not a copy for `f32`
+/// (`+0 + 1 · −0` is `+0`), so every pixel runs the arithmetic — and a
+/// source pixel counted blank iff its [`Pixel::content_word`] is zero.
+/// `opaque_fast` stays 0, as on the per-pixel default.
+#[inline(always)]
+fn ga_span<const FRONT: bool, C>(
+    dst: &mut [GrayAlpha],
+    src: &[C],
+    src_tail: impl Iterator<Item = GrayAlpha>,
+    load: impl Fn(&C) -> [GrayAlpha; GA_CHUNK],
+) -> OverStats {
+    let mut blank = 0;
+    let (chunks, tail) = dst.as_chunks_mut::<GA_CHUNK>();
+    for (d, s) in chunks.iter_mut().zip(src) {
+        let s = load(s);
+        let chunk_blank = s
+            .iter()
+            .map(|s| (s.content_word() == 0) as u32)
+            .sum::<u32>();
+        *d = std::array::from_fn(|k| ga_merge::<FRONT>(&s[k], &d[k]));
+        blank += chunk_blank as usize;
+    }
+    for (d, s) in tail.iter_mut().zip(src_tail) {
+        blank += (s.content_word() == 0) as usize;
+        *d = ga_merge::<FRONT>(&s, d);
+    }
+    OverStats {
+        non_blank: dst.len() - blank,
+        blank_skipped: blank,
+        opaque_fast: 0,
+    }
+}
+
+/// [`ga_span`] over a wire stream, eight bytes per pixel:
+/// `src.len() == dst.len() * 8` is the caller's contract.
+#[inline(always)]
+fn ga_span_bytes<const FRONT: bool>(dst: &mut [GrayAlpha], src: &[u8]) -> OverStats {
+    let (words, tail) = src.as_chunks::<{ 8 * GA_CHUNK }>();
+    let tail = tail.as_chunks::<8>().0.iter().map(ga_from_wire);
+    ga_span::<FRONT, _>(dst, words, tail, |s| {
+        let (pixels, _) = s.as_chunks::<8>();
+        std::array::from_fn(|k| ga_from_wire(&pixels[k]))
+    })
+}
+
+/// [`ga_span`] over an in-memory pixel slice (`src.len() == dst.len()`).
+#[inline(always)]
+fn ga_over_pixels<const FRONT: bool>(dst: &mut [GrayAlpha], src: &[GrayAlpha]) -> OverStats {
+    let (chunks, tail) = src.as_chunks::<GA_CHUNK>();
+    ga_span::<FRONT, _>(dst, chunks, tail.iter().copied(), |s| *s)
+}
+
+/// One call of a [`GrayAlpha`] span kernel, run by [`KernelCopy::run`]:
+/// the front or back merge of a wire stream or of a pixel slice (the
+/// unpack is the front merge onto blank, the trait's default). The callers
+/// check the lengths.
+pub(crate) enum Ga<'a> {
+    /// A wire stream in front of `dst` or behind it.
+    OverBytes {
+        front: bool,
+        dst: &'a mut [GrayAlpha],
+        src: &'a [u8],
+    },
+    /// A pixel slice in front of `dst` or behind it.
+    OverPixels {
+        front: bool,
+        dst: &'a mut [GrayAlpha],
+        src: &'a [GrayAlpha],
+    },
+}
+
+impl SpanKernel for Ga<'_> {
+    type Output = OverStats;
+
+    #[inline(always)]
+    fn run(self) -> OverStats {
+        match self {
+            Ga::OverBytes { front, dst, src } => match front {
+                true => ga_span_bytes::<true>(dst, src),
+                false => ga_span_bytes::<false>(dst, src),
+            },
+            Ga::OverPixels { front, dst, src } => match front {
+                true => ga_over_pixels::<true>(dst, src),
+                false => ga_over_pixels::<false>(dst, src),
+            },
+        }
+    }
+}
+
+/// Whether any pixel of `pixels` has a non-zero [`Pixel::content_word`]:
+/// the words of each sixteen-pixel chunk are ORed into one, so a blank
+/// chunk costs one test and the scan stops at the first chunk with content;
+/// the pixels past the last whole chunk are tested one word each.
+#[inline]
+pub(crate) fn any_content<P: Pixel>(pixels: &[P]) -> bool {
+    let (chunks, tail) = pixels.as_chunks::<16>();
+    let or = |chunk: &[P; 16]| chunk.iter().fold(0, |acc, px| acc | px.content_word());
+    chunks.iter().any(|chunk| or(chunk) != 0) || tail.iter().any(|px| px.content_word() != 0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Pixel;
     use proptest::prelude::*;
     use std::io::Write;
 
@@ -601,6 +711,164 @@ mod tests {
         }
     }
 
+    /// The `f32` channel values of [`f32_kernel_equivalence`]: both zeros,
+    /// subnormals of either sign, NaNs with payloads and signs, ±∞, the
+    /// alphas outside `[0, 1]` (`a > 1` makes `1 − a` negative, so `t · +0`
+    /// is `−0`) and ordinary values.
+    fn f32_values() -> Vec<f32> {
+        let bits = [
+            0x0000_0001,
+            0x8000_0001,
+            0x007F_FFFF,
+            0x7FC0_0001,
+            0xFFC0_1234,
+            0x7F80_0001,
+        ];
+        let mut values = vec![0.0, -0.0, 0.25, 0.5, 1.0, -0.5, 1.5, 3.0, f32::MAX];
+        values.extend([f32::INFINITY, f32::NEG_INFINITY, f32::MIN_POSITIVE / 2.0]);
+        values.extend(bits.map(f32::from_bits));
+        values
+    }
+
+    /// Every pixel over [`f32_values`] in both channels: `(0, x)`, `(x, 0)`,
+    /// `(±0, ±0)` and the rest.
+    fn f32_pixels() -> Vec<GrayAlpha> {
+        let values = f32_values();
+        let pixels = values
+            .iter()
+            .flat_map(|&v| values.iter().map(move |&a| GrayAlpha::new(v, a)));
+        pixels.collect()
+    }
+
+    /// A pixel as its bits, so `−0.0` and NaN payloads compare.
+    fn f32_bits(p: &GrayAlpha) -> [u32; 2] {
+        [p.v.to_bits(), p.a.to_bits()]
+    }
+
+    /// Whether `got` carries `want`'s bits, for a merge of `inputs`. An
+    /// IEEE operation on two NaNs returns the payload of one of them, and
+    /// which one is the compiler's choice (it may swap a product's
+    /// operands). Two NaNs can meet only when two input channels are
+    /// non-finite (two NaNs, or an ∞ whose `∞ · 0` or `∞ − ∞` makes one),
+    /// so there a NaN matches any NaN; with at most one, a NaN result comes
+    /// from the one NaN input and its payload is pinned.
+    fn same_bits(got: &GrayAlpha, want: &GrayAlpha, inputs: [&GrayAlpha; 2]) -> bool {
+        let non_finite = inputs
+            .iter()
+            .flat_map(|p| [p.v, p.a])
+            .filter(|x| !x.is_finite());
+        let loose = non_finite.count() > 1;
+        let same =
+            |g: f32, w: f32| g.to_bits() == w.to_bits() || (loose && g.is_nan() && w.is_nan());
+        same(got.v, want.v) && same(got.a, want.a)
+    }
+
+    /// [`GrayAlpha`]'s span kernels in each compiled copy against the
+    /// per-pixel defaults they override ([`over_each`](crate::pixel::over_each)
+    /// with `over`, kept as the oracle), bit for bit and all three counters:
+    /// every pixel of [`f32_pixels`] merged with every other, in front and
+    /// behind, from the wire stream and from a pixel slice, and every pixel
+    /// unpacked onto blank, cut into pieces of 1 to 47 pixels so lanes fall
+    /// in whole chunks and in the tail at every offset. Then the blank scan
+    /// against the per-pixel test: each pixel alone among `+0` and `−0`
+    /// blanks at every offset of slices of 0 to 40 pixels. Fails on a kernel
+    /// that counts blank by `a == 0.0` alone, skips a blank source pixel
+    /// (`+0` over `−0` is `+0`), or unpacks by copying.
+    #[test]
+    fn f32_kernel_equivalence() {
+        use crate::pixel::over_each;
+        let pixels = f32_pixels();
+        let n = pixels.len() * pixels.len();
+        let (fronts, backs): (Vec<_>, Vec<_>) = (0..n)
+            .map(|k| (pixels[k / pixels.len()], pixels[k % pixels.len()]))
+            .unzip();
+        let bytes = crate::pixel::pixels_to_bytes(&fronts);
+        // `Some(front)`: a merge; `None`: the unpack onto blank (the trait's,
+        // in the widest copy).
+        let oracle = |dir: Option<bool>, dst: &mut [GrayAlpha], src: &[GrayAlpha]| {
+            let src = src.iter().copied().map(Ok);
+            match dir {
+                Some(false) => over_each(dst, src, |s, d| d.over(s)),
+                _ => over_each(dst, src, |s, d| s.over(d)),
+            }
+            .unwrap()
+        };
+        let cases = [
+            (Some(true), true),
+            (Some(false), true),
+            (Some(true), false),
+            (Some(false), false),
+            (None, true),
+        ];
+        for copy in copies() {
+            for (dir, wire) in cases {
+                let start = match dir {
+                    Some(_) => backs.clone(),
+                    None => vec![GrayAlpha::blank(); n],
+                };
+                let (mut got, mut want) = (start.clone(), start);
+                let (mut at, mut len) = (0, 1);
+                while at < n {
+                    let end = (at + len).min(n);
+                    let (dst, src) = (&mut got[at..end], &bytes[8 * at..8 * end]);
+                    let stats = match (dir, wire) {
+                        (None, _) => GrayAlpha::unpack_bytes(dst, src).unwrap(),
+                        (Some(front), true) => copy.run(Ga::OverBytes { front, dst, src }),
+                        (Some(front), false) => {
+                            let src = &fronts[at..end];
+                            copy.run(Ga::OverPixels { front, dst, src })
+                        }
+                    };
+                    let want_stats = oracle(dir, &mut want[at..end], &fronts[at..end]);
+                    let what = format!(
+                        "{} copy, {dir:?}, wire {wire}, pixels {at}..{end}",
+                        copy.name()
+                    );
+                    assert_eq!(stats, want_stats, "{what}");
+                    (at, len) = (end, len % 47 + 1);
+                }
+                let back = |k: usize| match dir {
+                    Some(_) => backs[k],
+                    None => GrayAlpha::blank(),
+                };
+                let same = |k: usize| same_bits(&got[k], &want[k], [&fronts[k], &back(k)]);
+                if let Some(k) = (0..n).find(|&k| !same(k)) {
+                    panic!(
+                        "{} copy, {dir:?}, wire {wire}: {:?} and {:?} gave bits {:x?}, want {:x?}",
+                        copy.name(),
+                        fronts[k],
+                        back(k),
+                        f32_bits(&got[k]),
+                        f32_bits(&want[k])
+                    );
+                }
+            }
+        }
+        // Blanks of every sign pattern around one pixel of each kind.
+        let zeros = [
+            GrayAlpha::new(0.0, 0.0),
+            GrayAlpha::new(-0.0, 0.0),
+            GrayAlpha::new(0.0, -0.0),
+            GrayAlpha::new(-0.0, -0.0),
+        ];
+        for len in 0..=40 {
+            let mut slice: Vec<GrayAlpha> = (0..len).map(|k| zeros[k % 4]).collect();
+            assert!(!GrayAlpha::any_non_blank(&slice), "len {len}");
+            for at in 0..len {
+                for &lone in &pixels {
+                    let blank = std::mem::replace(&mut slice[at], lone);
+                    let want = slice.iter().any(|px| !px.is_blank());
+                    assert_eq!(
+                        GrayAlpha::any_non_blank(&slice),
+                        want,
+                        "len {len}, {lone:?} at {at}"
+                    );
+                    slice[at] = blank;
+                }
+            }
+        }
+    }
+
     /// µs per call of the front merge and of the unpack, in each compiled
     /// copy, over a dense 64 K-pixel stream (no pixel blank, so no word
     /// skip): the numbers EXPERIMENTS.md's E34 reports. Timing only, so
@@ -649,28 +917,6 @@ mod tests {
                 copy.name(),
                 over - copy_only,
             );
-        }
-    }
-
-    #[test]
-    fn nonzero_byte_mask_matches_per_byte_test() {
-        // Every subset of non-zero byte positions, with varied non-zero
-        // values (including 0x80, the SWAR edge).
-        for mask in 0u32..256 {
-            for &val in &[1u8, 0x7F, 0x80, 0xFF] {
-                let mut bytes = [0u8; 8];
-                for (i, b) in bytes.iter_mut().enumerate() {
-                    if mask & (1 << i) != 0 {
-                        *b = val;
-                    }
-                }
-                let w = u64::from_le_bytes(bytes);
-                assert_eq!(
-                    nonzero_byte_mask(w),
-                    mask as u8,
-                    "mask {mask:#x} val {val:#x}"
-                );
-            }
         }
     }
 
@@ -752,18 +998,6 @@ mod tests {
             data.extend(bytes);
             let scalar = |bytes: &[u8]| bytes.iter().take_while(|&&x| x == b).count();
             prop_assert_eq!(byte_run_len(&data, b), scalar(&data));
-        }
-
-        #[test]
-        fn nonzero_byte_mask_random(w in any::<u64>()) {
-            let bytes = w.to_le_bytes();
-            let mut want = 0u8;
-            for (i, &b) in bytes.iter().enumerate() {
-                if b != 0 {
-                    want |= 1 << i;
-                }
-            }
-            prop_assert_eq!(nonzero_byte_mask(w), want);
         }
     }
 }

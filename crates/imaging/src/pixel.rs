@@ -22,7 +22,7 @@
 //!   itself on any out-of-order merge. Composition algorithms are proven
 //!   correct by running them over `Provenance` images.
 
-use crate::kernels::{mul255, Ga8, KernelCopy};
+use crate::kernels::{mul255, Ga, Ga8, KernelCopy};
 use crate::ImagingError;
 
 /// Statistics returned by the composition kernels
@@ -100,20 +100,21 @@ pub trait Pixel: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// Exact number of bytes produced by [`Pixel::write_bytes`].
     const BYTES: usize;
 
-    /// True iff the wire encoding maps blankness to the all-zero byte
-    /// pattern **exactly both ways**: every blank pixel writes
-    /// [`Pixel::BYTES`] zero bytes, and all-zero bytes decode to a blank
-    /// pixel. Only then may byte-level kernels treat zero words as blank
-    /// runs. False for the `f32` types (`-0.0` is blank with non-zero
-    /// bytes) and for [`Provenance`] (`lo == hi != 0` is blank but not
-    /// zero), true for the fixed-point wire types.
-    const BLANK_IS_ZERO_BYTES: bool = false;
-
     /// The fully transparent pixel (identity of `over`).
     fn blank() -> Self;
 
     /// True if this pixel is the identity (carries no contribution).
     fn is_blank(&self) -> bool;
+
+    /// The pixel's content word: non-zero iff the pixel is non-blank, so
+    /// the blank scans and the TRLE classifier OR and test words instead of
+    /// calling [`Pixel::is_blank`]. The default is `!is_blank()` itself;
+    /// [`GrayAlpha`] and [`GrayAlpha8`] read it off their bits (`GrayAlpha`
+    /// masks the sign bits, so `−0.0` reads as blank).
+    #[inline]
+    fn content_word(&self) -> u32 {
+        !self.is_blank() as u32
+    }
 
     /// Porter–Duff *over*: `self` is in **front** of `back`.
     fn over(&self, back: &Self) -> Self;
@@ -122,9 +123,9 @@ pub trait Pixel: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     fn write_bytes(&self, out: &mut Vec<u8>);
 
     /// Append the wire encoding of a whole pixel slice. Must be equivalent
-    /// to calling [`Pixel::write_bytes`] per pixel; the fixed-point types
-    /// override it with a bulk store, since per-pixel `Vec` pushes dominate
-    /// the encode cost of large raw messages.
+    /// to calling [`Pixel::write_bytes`] per pixel; [`GrayAlpha`] and
+    /// [`GrayAlpha8`] override it with a bulk store, since per-pixel `Vec`
+    /// pushes dominate the encode cost of large raw messages.
     fn extend_wire_bytes(pixels: &[Self], out: &mut Vec<u8>) {
         out.reserve(pixels.len() * Self::BYTES);
         for p in pixels {
@@ -145,8 +146,8 @@ pub trait Pixel: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// source pixels. `src` must hold exactly `dst.len() * BYTES` bytes.
     ///
     /// The default decodes pixel by pixel via [`Pixel::read_bytes`];
-    /// [`GrayAlpha8`] overrides it with a fused byte-level kernel that
-    /// never materializes an intermediate pixel. An override must leave
+    /// [`GrayAlpha`] and [`GrayAlpha8`] override it with a fused span kernel
+    /// that never materializes an intermediate pixel. An override must leave
     /// `dst` bit-identical to this default (decode-then-`over`) and report
     /// the same `non_blank` / `blank_skipped` counts; only
     /// [`OverStats::opaque_fast`] may differ.
@@ -179,8 +180,9 @@ pub trait Pixel: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
 
     /// The one merge of two in-memory pixel slices: `src` (exactly
     /// `dst.len()` pixels) **in front of** `dst`. Same contract as
-    /// [`Pixel::over_front_bytes`]; [`GrayAlpha8`] overrides the per-pixel
-    /// default with its byte kernels' branch-free span body.
+    /// [`Pixel::over_front_bytes`]; [`GrayAlpha`] and [`GrayAlpha8`]
+    /// override the per-pixel default with their byte kernels' branch-free
+    /// span bodies.
     fn over_front_slice(dst: &mut [Self], src: &[Self]) -> Result<OverStats, ImagingError> {
         check_len("Pixel::over_front_slice", dst.len(), src.len())?;
         over_each(dst, src.iter().cloned().map(Ok), |s, d| s.over(d))
@@ -193,12 +195,11 @@ pub trait Pixel: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     }
 
     /// Whether any pixel of `pixels` is non-blank — the tile families'
-    /// content scan. The default tests pixel by pixel through
-    /// [`Pixel::is_blank`] and is the reference; [`GrayAlpha8`] overrides
-    /// it with a word-wise OR of its lanes. An override must answer exactly
-    /// as this default does.
+    /// content scan: the [`Pixel::content_word`]s of each sixteen-pixel
+    /// chunk ORed and tested once. It must answer as
+    /// `pixels.iter().any(|px| !px.is_blank())`, the tests' reference.
     fn any_non_blank(pixels: &[Self]) -> bool {
-        pixels.iter().any(|px| !px.is_blank())
+        crate::kernels::any_content(pixels)
     }
 }
 
@@ -216,7 +217,7 @@ fn check_len(what: &'static str, want: usize, got: usize) -> Result<(), ImagingE
 
 /// Pixel-by-pixel `over`, the reference semantics of every kernel:
 /// `merge(source pixel, destination pixel)` replaces the destination.
-fn over_each<P: Pixel>(
+pub(crate) fn over_each<P: Pixel>(
     dst: &mut [P],
     src: impl Iterator<Item = Result<P, ImagingError>>,
     merge: impl Fn(&P, &P) -> P,
@@ -291,6 +292,14 @@ impl Pixel for GrayAlpha {
         self.a == 0.0 && self.v == 0.0
     }
 
+    // `x == 0.0` iff the bits of `x` other than its sign are zero (a NaN
+    // has a non-zero mantissa, a subnormal too), so masking the two sign
+    // bits off the OR of both channels' bits leaves zero iff both are ±0.
+    #[inline]
+    fn content_word(&self) -> u32 {
+        (self.v.to_bits() | self.a.to_bits()) & 0x7FFF_FFFF
+    }
+
     #[inline]
     fn over(&self, back: &Self) -> Self {
         let t = 1.0 - self.a;
@@ -300,9 +309,18 @@ impl Pixel for GrayAlpha {
         }
     }
 
+    #[inline]
     fn write_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.v.to_le_bytes());
-        out.extend_from_slice(&self.a.to_le_bytes());
+        out.extend_from_slice(&ga_wire(self));
+    }
+
+    fn extend_wire_bytes(pixels: &[Self], out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + pixels.len() * 8, 0);
+        let (words, _) = out[start..].as_chunks_mut::<8>();
+        for (word, p) in words.iter_mut().zip(pixels) {
+            *word = ga_wire(p);
+        }
     }
 
     fn read_bytes(bytes: &[u8]) -> Result<Self, ImagingError> {
@@ -321,6 +339,41 @@ impl Pixel for GrayAlpha {
     fn approx_eq(&self, other: &Self, tol: f64) -> bool {
         ((self.v - other.v).abs() as f64) <= tol && ((self.a - other.a).abs() as f64) <= tol
     }
+
+    // The per-pixel defaults' arithmetic — `over` on every pixel, blank
+    // ones too, since merging a blank is not a copy in `f32` — and their
+    // counters, sixteen pixels per branch-free chunk in the widest
+    // compiled copy. The default unpack is the front merge, so it runs
+    // here too.
+    fn over_front_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
+        check_len("Pixel::over_front_bytes", dst.len() * 8, src.len())?;
+        let front = true;
+        Ok(KernelCopy::widest().run(Ga::OverBytes { front, dst, src }))
+    }
+
+    fn over_back_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
+        check_len("Pixel::over_back_bytes", dst.len() * 8, src.len())?;
+        let front = false;
+        Ok(KernelCopy::widest().run(Ga::OverBytes { front, dst, src }))
+    }
+
+    fn over_front_slice(dst: &mut [Self], src: &[Self]) -> Result<OverStats, ImagingError> {
+        check_len("Pixel::over_front_slice", dst.len(), src.len())?;
+        let front = true;
+        Ok(KernelCopy::widest().run(Ga::OverPixels { front, dst, src }))
+    }
+
+    fn over_back_slice(dst: &mut [Self], src: &[Self]) -> Result<OverStats, ImagingError> {
+        check_len("Pixel::over_back_slice", dst.len(), src.len())?;
+        let front = false;
+        Ok(KernelCopy::widest().run(Ga::OverPixels { front, dst, src }))
+    }
+}
+
+/// The 8 wire bytes of a [`GrayAlpha`]: `v`, then `a`, little-endian.
+#[inline(always)]
+fn ga_wire(p: &GrayAlpha) -> [u8; 8] {
+    (u64::from(p.v.to_bits()) | u64::from(p.a.to_bits()) << 32).to_le_bytes()
 }
 
 /// Premultiplied RGBA pixel with `f32` channels.
@@ -444,7 +497,6 @@ impl GrayAlpha8 {
 
 impl Pixel for GrayAlpha8 {
     const BYTES: usize = 2;
-    const BLANK_IS_ZERO_BYTES: bool = true;
 
     #[inline]
     fn blank() -> Self {
@@ -454,6 +506,12 @@ impl Pixel for GrayAlpha8 {
     #[inline]
     fn is_blank(&self) -> bool {
         self.v == 0 && self.a == 0
+    }
+
+    // Blank is the zero word.
+    #[inline]
+    fn content_word(&self) -> u32 {
+        u16::from_le_bytes([self.v, self.a]).into()
     }
 
     #[inline]
@@ -533,12 +591,6 @@ impl Pixel for GrayAlpha8 {
         check_len("Pixel::over_back_slice", dst.len(), src.len())?;
         let front = false;
         Ok(KernelCopy::widest().run(Ga8::OverPixels { front, dst, src }))
-    }
-
-    // Blank is the zero word, so a chunk is blank iff the OR of its words
-    // is zero.
-    fn any_non_blank(pixels: &[Self]) -> bool {
-        crate::kernels::ga8_any_non_blank(pixels)
     }
 }
 

@@ -822,6 +822,17 @@ fn sweep(
     (inter, f)
 }
 
+/// An integral `x` with `0 ≤ x < 2³¹` as an `i32`, exactly: `x + 2⁵²` is
+/// exact, and its low mantissa bits are `x` (the trick of
+/// [`round_to_u8`]). An add and a move per lane, where `x as i32` also
+/// clamps, which compiles to a scalar convert and two compares per lane.
+/// A lane outside that range gets some value and must not be used.
+#[inline(always)]
+fn small_int_to_i32(x: f64) -> i32 {
+    const TWO_52: f64 = (1u64 << 52) as f64;
+    (x + TWO_52).to_bits() as i32
+}
+
 /// The bilinear weights of taps `(u0, v0)`, `(u0 + 1, v0)`, `(u0, v0 + 1)`,
 /// `(u0 + 1, v0 + 1)` at fractions `(fu, fv)`.
 #[inline(always)]
@@ -1105,11 +1116,12 @@ impl<I: Borrow<Image<GrayAlpha>>> ScreenWarp<I> {
             // inside, so truncation is the floor.
             let (mut u0, mut v0) = ([0i32; WARP_CHUNK], [0i32; WARP_CHUNK]);
             let (mut fu, mut fv) = ([0f32; WARP_CHUNK], [0f32; WARP_CHUNK]);
-            for (l, (u0, v0)) in u0.iter_mut().zip(&mut v0).enumerate() {
+            for l in 0..WARP_CHUNK {
                 let (u, v) = uv(x0 + l);
-                (*u0, *v0) = (u as i32, v as i32);
-                fu[l] = (u - f64::from(*u0)) as f32;
-                fv[l] = (v - f64::from(*v0)) as f32;
+                let (tu, tv) = (u.trunc(), v.trunc());
+                (u0[l], v0[l]) = (small_int_to_i32(tu), small_int_to_i32(tv));
+                fu[l] = (u - tu) as f32;
+                fv[l] = (v - tv) as f32;
             }
             // The chunk's taps, `v` and `a` of each of the four.
             let mut taps = [[[0f32; WARP_CHUNK]; 4]; 2];
