@@ -26,9 +26,6 @@ use crate::trle::RunPacker;
 use rt_imaging::pixel::Pixel;
 use rt_imaging::Image;
 
-/// Pixels per 2-D tile (2×2).
-pub const TILE_2D: usize = 4;
-
 fn tile_coords(width: usize, height: usize) -> (usize, usize) {
     (width.div_ceil(2), height.div_ceil(2))
 }

@@ -71,10 +71,6 @@ pub struct ComposeConfig {
     /// Rank that assembles the final frame: the base of the one-cell wall
     /// the gather targets when [`ComposeConfig::display`] is `None`.
     pub root: usize,
-    /// Whether to run the final gather (the paper's collection stage).
-    /// When `false`, the composed pieces stay distributed and only the
-    /// owners' local frames are meaningful.
-    pub gather: bool,
     /// Degrade gracefully on confirmed rank failures instead of erroring:
     /// skip dead peers' contributions, re-pair the survivors via
     /// [`crate::repair()`], and report what is missing in
@@ -99,8 +95,7 @@ pub struct ComposeConfig {
     /// Gather to a tiled display wall instead of the single root: each
     /// display rank assembles its own cell of the virtual framebuffer
     /// (see [`crate::display::DisplayWall`]). `None` (default) gathers to
-    /// [`DisplayWall::root`]`(root)`. Ignored when
-    /// [`ComposeConfig::gather`] is off.
+    /// [`DisplayWall::root`]`(root)`.
     pub display: Option<DisplayWall>,
 }
 
@@ -109,7 +104,6 @@ impl Default for ComposeConfig {
         Self {
             codec: CodecKind::Raw,
             root: 0,
-            gather: true,
             resilient: false,
             timeout: None,
             transport: TransportKind::default(),
@@ -129,12 +123,6 @@ impl ComposeConfig {
     /// Set the gather root.
     pub fn with_root(mut self, root: usize) -> Self {
         self.root = root;
-        self
-    }
-
-    /// Enable or disable the final gather.
-    pub fn with_gather(mut self, gather: bool) -> Self {
-        self.gather = gather;
         self
     }
 
@@ -163,11 +151,9 @@ impl ComposeConfig {
         self
     }
 
-    /// Gather to a tiled display wall instead of the single root (also
-    /// re-enables the gather stage).
+    /// Gather to a tiled display wall instead of the single root.
     pub fn with_display_wall(mut self, wall: DisplayWall) -> Self {
         self.display = Some(wall);
-        self.gather = true;
         self
     }
 
@@ -401,15 +387,11 @@ impl<P: Pixel> ScratchPool<P> {
 /// What one rank gets back from [`crate::compose_plan`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComposeOutput<P: Pixel> {
-    /// The assembled frame (root only, and only if `gather` was requested).
+    /// The assembled frame, or this rank's cell of the display wall; `None`
+    /// on every rank the gather does not target.
     pub frame: Option<Image<P>>,
     /// Pixels this rank finally owned (its contribution to the gather).
     pub owned_pixels: usize,
-    /// This rank's working image after composition, returned so a caller
-    /// running a larger protocol (a custom collection) can read the spans
-    /// the plan's final ownership assigns to this rank. `None` only when
-    /// this rank crashed.
-    pub residual: Option<Image<P>>,
     /// `Some` when the run completed without the full set of
     /// contributions: rank failures occurred and the frame is the exact
     /// composite of the survivors (or this rank itself crashed).
@@ -417,13 +399,12 @@ pub struct ComposeOutput<P: Pixel> {
 }
 
 impl<P: Pixel> ComposeOutput<P> {
-    /// What a rank reports about itself after stopping: nothing owned, no
-    /// residual, and `degraded` (usually [`DegradedInfo::self_crash`]).
+    /// What a rank reports about itself after stopping: nothing owned and
+    /// `degraded` (usually [`DegradedInfo::self_crash`]).
     pub(crate) fn dead(degraded: DegradedInfo) -> Self {
         ComposeOutput {
             frame: None,
             owned_pixels: 0,
-            residual: None,
             degraded: Some(degraded),
         }
     }
@@ -818,12 +799,12 @@ fn flush_deferred<P: Pixel>(
 }
 
 /// The tail every plan family ends with: count what this rank finally
-/// owns, run the gather stage if requested — to the config's display wall,
-/// or else to the one-cell wall at `root` — and package the output.
-/// `owned(o)` walks owner `o`'s (possibly repaired) final spans in
-/// ownership order, `local` holds this rank's owned spans, `root` is the
-/// (possibly reassigned) gather root, and `gather_tag` maps a sender slot
-/// to the family's gather tag namespace.
+/// owns, run the gather — to the config's display wall, or else to the
+/// one-cell wall at `root` — and package the output. `owned(o)` walks owner
+/// `o`'s (possibly repaired) final spans in ownership order, `local` holds
+/// this rank's owned spans, `root` is the (possibly reassigned) gather
+/// root, and `gather_tag` maps a sender slot to the family's gather tag
+/// namespace.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish<P: Pixel, I: Iterator<Item = Span> + Clone>(
     ctx: &mut RankCtx,
@@ -836,29 +817,25 @@ pub(crate) fn finish<P: Pixel, I: Iterator<Item = Span> + Clone>(
     gather_tag: impl Fn(usize) -> u64,
 ) -> Result<ComposeOutput<P>, CoreError> {
     let owned_pixels = owned(ctx.rank()).map(|span| span.len).sum();
-    let mut frame = None;
-    if stage.config.gather {
-        let wall = stage.config.with_root(root).gather_target();
-        let dead: BTreeSet<usize> = degraded
-            .iter()
-            .flat_map(|d| d.failed.iter().map(|(r, _)| *r))
-            .collect();
-        frame = gather(
-            ctx,
-            stage,
-            scratch,
-            &owned,
-            &local,
-            wall,
-            &dead,
-            &gather_tag,
-        )?;
-        ctx.mark(Mark::GatherEnd);
-    }
+    let wall = stage.config.with_root(root).gather_target();
+    let dead: BTreeSet<usize> = degraded
+        .iter()
+        .flat_map(|d| d.failed.iter().map(|(r, _)| *r))
+        .collect();
+    let frame = gather(
+        ctx,
+        stage,
+        scratch,
+        &owned,
+        &local,
+        wall,
+        &dead,
+        &gather_tag,
+    )?;
+    ctx.mark(Mark::GatherEnd);
     Ok(ComposeOutput {
         frame,
         owned_pixels,
-        residual: Some(local),
         degraded,
     })
 }
@@ -1022,19 +999,6 @@ mod tests {
             .collect();
         assert_eq!(owned.iter().sum::<usize>(), 25);
         assert_eq!(owned, schedule.owned_pixels());
-    }
-
-    #[test]
-    fn no_gather_returns_no_frame() {
-        let schedule = two_rank_swap(24);
-        let partials = provenance_partials(2, 6, 4);
-        let config = ComposeConfig {
-            gather: false,
-            ..Default::default()
-        };
-        let (results, trace) = run(&schedule, partials, &config);
-        assert!(results.iter().all(|r| r.as_ref().unwrap().frame.is_none()));
-        assert_eq!(trace.message_count(), 2);
     }
 
     #[test]

@@ -414,12 +414,12 @@ mod tests {
     }
 
     #[test]
-    fn skipped_gather_leaves_distributed_ownership() {
-        // Without a gather the frame stays spread over the leaders: the
-        // plan's `final_owners` says who holds what, and each holder's
-        // residual carries the reference composite there.
+    fn gathered_frame_has_one_final_owner_per_pixel() {
+        // The composed frame is spread over the leaders until the gather:
+        // the plan's `final_owners` says who holds what, each pixel has one
+        // holder, each rank reports what it holds, and the root assembles
+        // the reference composite from the holders' spans.
         let (p, w) = (12, 24);
-        let config = ComposeConfig::default().with_gather(false);
         let partials = band_partials(p, w);
         let want = reference_composite(&partials).unwrap();
         let results = run_hier(
@@ -427,7 +427,7 @@ mod tests {
             4,
             IntraMethod::DirectSend,
             partials,
-            &config,
+            &ComposeConfig::default(),
             FaultPlan::none(),
         );
         let intra = IntraMethod::DirectSend;
@@ -442,22 +442,19 @@ mod tests {
             for c in &mut covered[sp.range()] {
                 *c += 1;
             }
-            let residual = results[owner].as_ref().unwrap().residual.as_ref().unwrap();
-            assert_eq!(
-                residual.span_pixels(sp).unwrap(),
-                want.span_pixels(sp).unwrap()
-            );
         }
         // Each pixel has exactly one owner.
         assert!(covered.iter().all(|&c| c == 1));
         for (r, res) in results.iter().enumerate() {
             let out = res.as_ref().unwrap();
-            assert!(out.frame.is_none());
+            assert_eq!(out.frame.is_some(), r == 0, "rank {r}");
             assert_eq!(out.owned_pixels, plan.owned_pixels()[r], "rank {r}");
             if !leaders.contains(&r) {
                 assert_eq!(out.owned_pixels, 0, "non-leader {r} owns pixels");
             }
         }
+        let frame = results[0].as_ref().unwrap().frame.as_ref().unwrap();
+        assert_eq!(frame.pixels(), want.pixels());
     }
 
     #[test]
@@ -514,7 +511,7 @@ mod tests {
             );
             // The crashed rank reports its own demise.
             let crashed_out = results[4].as_ref().unwrap();
-            assert!(crashed_out.residual.is_none());
+            assert_eq!(crashed_out.owned_pixels, 0);
             assert_eq!(
                 crashed_out.degraded.as_ref().unwrap().failed,
                 vec![(4, step)]

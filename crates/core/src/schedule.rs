@@ -157,21 +157,6 @@ impl Schedule {
             .sum()
     }
 
-    /// Largest number of messages any rank sends in any single step.
-    pub fn max_sends_per_rank_step(&self) -> usize {
-        self.steps
-            .iter()
-            .map(|s| {
-                let mut counts = vec![0usize; self.p];
-                for t in &s.transfers {
-                    counts[t.src] += 1;
-                }
-                counts.into_iter().max().unwrap_or(0)
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Pixels finally owned by each rank (gather message sizes).
     pub fn owned_pixels(&self) -> Vec<usize> {
         let mut owned = vec![0usize; self.p];
@@ -776,7 +761,6 @@ mod tests {
         assert_eq!(s.step_count(), 1);
         assert_eq!(s.message_count(), 2);
         assert_eq!(s.pixels_shipped(), 100);
-        assert_eq!(s.max_sends_per_rank_step(), 1);
         assert_eq!(s.owned_pixels(), vec![50, 50]);
     }
 }

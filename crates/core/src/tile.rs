@@ -438,7 +438,7 @@ pub fn compose_plan<P: Pixel>(
 /// of a message tag ([`rt_comm::tag`]), for the width check at entry.
 fn tag_extents(plan: &ComposePlan, config: &ComposeConfig) -> Extents {
     let p = plan.p();
-    let mut extents = match plan {
+    let extents = match plan {
         ComposePlan::Schedule(s) => schedule_tag_extents(s, config),
         // The low field carries a sending rank or a gather slot.
         ComposePlan::Tiles(_) => Extents {
@@ -446,10 +446,10 @@ fn tag_extents(plan: &ComposePlan, config: &ComposeConfig) -> Extents {
             ..Extents::default()
         },
     };
-    if config.gather {
-        extents.wall = Some((config.gather_target().count() - 1, p - 1));
+    Extents {
+        wall: Some((config.gather_target().count() - 1, p - 1)),
+        ..extents
     }
-    extents
 }
 
 /// What a span schedule writes: its steps and the gather one past them,
@@ -975,10 +975,6 @@ pub(crate) fn compose_tiles<P: Pixel>(
         })
     })?;
 
-    if !config.gather {
-        // The tile families close their timeline either way.
-        ctx.mark(Mark::GatherEnd);
-    }
     // What an owner ships: its (post-repair) tiles in ascending order, each
     // tile's rows top to bottom, read off the grid as they are walked. Only
     // a repair rewrote the owner map.

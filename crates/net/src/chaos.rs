@@ -219,6 +219,7 @@ impl Transport for ChaosTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{TcpOptions, Topology};
 
     #[test]
     fn explicit_faults_fire_exactly_where_scheduled() {
@@ -262,7 +263,8 @@ mod tests {
 
     #[test]
     fn chaos_transport_is_transparent_when_the_plan_is_empty() {
-        let mut world = TcpTransport::loopback_mesh(2).unwrap();
+        let mut world =
+            TcpTransport::loopback(2, &Topology::FullMesh, TcpOptions::default()).unwrap();
         let mut b = ChaosTransport::new(world.pop().unwrap(), NetFaultPlan::none());
         let mut a = ChaosTransport::new(world.pop().unwrap(), NetFaultPlan::none());
         let f = WireFrame {
@@ -290,7 +292,7 @@ mod tests {
             restore_deadline: Duration::from_millis(500),
             ..crate::link::TcpOptions::default()
         };
-        let mut world = TcpTransport::loopback_mesh_with(2, tight).unwrap();
+        let mut world = TcpTransport::loopback(2, &Topology::FullMesh, tight).unwrap();
         let mut b = world.pop().unwrap();
         let mut a = ChaosTransport::new(world.pop().unwrap(), NetFaultPlan::none().reset(1, 1));
         for i in 0..4u8 {
@@ -311,7 +313,8 @@ mod tests {
 
     #[test]
     fn barrier_round_frames_pass_uncounted_and_unfaulted() {
-        let mut world = TcpTransport::loopback_mesh(2).unwrap();
+        let mut world =
+            TcpTransport::loopback(2, &Topology::FullMesh, TcpOptions::default()).unwrap();
         let mut b = world.pop().unwrap();
         let mut a = ChaosTransport::new(world.pop().unwrap(), NetFaultPlan::none().reset(1, 0));
         let round = WireFrame::control(0, tag::barrier(3), Vec::new());
@@ -328,7 +331,8 @@ mod tests {
 
     #[test]
     fn swallowed_death_never_reaches_the_wire() {
-        let mut world = TcpTransport::loopback_mesh(2).unwrap();
+        let mut world =
+            TcpTransport::loopback(2, &Topology::FullMesh, TcpOptions::default()).unwrap();
         let mut b = world.pop().unwrap();
         let mut a = ChaosTransport::new(world.pop().unwrap(), NetFaultPlan::none().swallow_death());
         let death = WireFrame::control(0, tag::DEATH, WireFrame::death_payload(0));

@@ -12,18 +12,21 @@
 //!   logs, bounded reconnect-with-resume, heartbeat liveness, and death
 //!   declaration ([`TcpOptions`] holds the knobs, [`LinkStats`] reads a
 //!   link's state).
-//! * [`tcp`] — [`TcpTransport`]: full-mesh `TcpStream`s with a rank
+//! * [`tcp`] — [`TcpTransport`]: `TcpStream`s along a connection
+//!   [`Topology`] (the full mesh or a plan's edges) with a rank
 //!   handshake, `TCP_NODELAY` and per-peer receive threads behind the
-//!   trait's two verbs, `send_raw` and `recv_raw`.
+//!   trait's two verbs, `send_raw` and `recv_raw`; built for one rank by
+//!   `establish` or for a world in one process by `loopback`.
 //! * [`chaos`] — [`ChaosTransport`] + [`NetFaultPlan`]: deterministic,
 //!   seeded socket-level fault injection (resets, partial writes,
 //!   truncated frames, delays, stalls) under the real transport.
 //! * [`process`] — the rendezvous protocol: a [`Launcher`] spawns one OS
 //!   process per rank and a [`WorkerSession`] in each process joins the
 //!   mesh and reports results back.
-//! * [`multicomputer`] — [`TcpMulticomputer`]: the
-//!   [`rt_comm::Multicomputer`] API over loopback TCP, for tests and
-//!   examples that want real sockets without real processes.
+//! * [`multicomputer`] — [`TcpMulticomputer`]: a
+//!   [`rt_comm::Multicomputer`] (`new`, or `From` one already configured)
+//!   run over loopback TCP, for tests and examples that want real sockets
+//!   without real processes.
 //!
 //! The reliable-delivery envelope (sequence numbers, eight-lane FNV-1a
 //! checksums, retransmission, fault injection) lives above the transport in

@@ -1121,7 +1121,7 @@ mod tests {
             restore_deadline: Duration::from_millis(500),
             heartbeat_interval: heartbeat,
         };
-        let mut world = crate::TcpTransport::loopback_mesh_with(2, opts).unwrap();
+        let mut world = crate::TcpTransport::loopback(2, &crate::Topology::FullMesh, opts).unwrap();
         let b = world.pop().unwrap();
         (world.pop().unwrap(), b)
     }

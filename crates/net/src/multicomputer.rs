@@ -4,25 +4,28 @@
 //! Ranks are still threads of one process (one real socket pair per mesh
 //! edge), which makes this the workhorse for cross-backend determinism
 //! tests and examples: same `run(|ctx| …)` shape, same fault plans, same
-//! observer wiring — only the transport underneath differs. Fully
-//! separate OS processes go through [`crate::process`] instead.
+//! observer wiring — only the transport underneath differs. It has two
+//! constructors: [`TcpMulticomputer::new`] for a default machine, and
+//! `From<Multicomputer>` for one whose timeout, fault plan and observer
+//! were set on the in-process machine; [`TcpMulticomputer::with_topology`]
+//! restricts the sockets either dials. Each run dials its mesh with
+//! [`TcpTransport::loopback`], the in-process one of the transport's two
+//! constructors; fully separate OS processes go through
+//! [`crate::process`], whose workers call the other,
+//! [`TcpTransport::establish`].
 
 use crate::error::NetError;
 use crate::link::TcpOptions;
 use crate::tcp::TcpTransport;
 use crate::topology::Topology;
 use rt_comm::comm::RankCtx;
-use rt_comm::{FaultPlan, Multicomputer, Trace};
-use rt_obs::Observer;
-use std::sync::Arc;
-use std::time::Duration;
+use rt_comm::{Multicomputer, Trace};
 
 /// A machine of `size` ranks joined by loopback TCP.
 ///
-/// Mirrors the [`rt_comm::Multicomputer`] builder API so call sites can
-/// switch backends by swapping the constructor. It *is* that machine —
-/// timeout, fault plan, observer and the rank launcher are its — plus the
-/// socket mesh dialed for each run.
+/// It *is* a [`rt_comm::Multicomputer`] — timeout, fault plan, observer
+/// and the rank launcher are its, configured there and converted with
+/// `From` — plus the socket mesh dialed for each run.
 pub struct TcpMulticomputer {
     ranks: Multicomputer,
     topology: Topology,
@@ -49,36 +52,12 @@ impl TcpMulticomputer {
     }
 
     /// Restrict establishment to a connection [`Topology`] (default:
-    /// the full mesh). A closure that barriers needs a star on rank 0, the
-    /// hub of the round — see [`Topology::with_star`] — and sends outside
-    /// the topology fail typed, so only plan-driven closures should
-    /// restrict.
+    /// the full mesh). A closure that barriers needs an edge from every
+    /// rank to rank 0, the hub of the round (add them with
+    /// [`Topology::from_links`]), and sends outside the topology fail
+    /// typed, so only plan-driven closures should restrict.
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
-        self
-    }
-
-    /// Override the receive timeout (default 10 s). Link-level deadlines
-    /// (reconnect budget, restore window, heartbeats) are derived from it
-    /// via [`TcpOptions::scaled_to`], so socket failures resolve into the
-    /// typed failure protocol before the envelope's deadline fires.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.ranks = self.ranks.with_timeout(timeout);
-        self
-    }
-
-    /// Install a fault-injection plan. Faults are injected by the
-    /// envelope above the transport, so the plan behaves exactly as on
-    /// the in-process backend — same drops, same retransmits, same trace.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.ranks = self.ranks.with_faults(faults);
-        self
-    }
-
-    /// Attach a wall-clock [`Observer`]; recorders are checked back in
-    /// when all ranks have joined.
-    pub fn with_observer(mut self, observer: Arc<Observer>) -> Self {
-        self.ranks = self.ranks.with_observer(observer);
         self
     }
 
@@ -93,7 +72,7 @@ impl TcpMulticomputer {
     /// runs rank threads of its own.
     pub fn mesh(&self) -> Result<Vec<TcpTransport>, NetError> {
         let link = TcpOptions::scaled_to(self.ranks.timeout());
-        TcpTransport::loopback_topology(self.size(), &self.topology, link)
+        TcpTransport::loopback(self.size(), &self.topology, link)
     }
 
     /// Run `f` on every rank concurrently; returns the per-rank results
@@ -122,6 +101,8 @@ impl TcpMulticomputer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rt_comm::FaultPlan;
+    use std::time::Duration;
 
     #[test]
     fn ring_pass_matches_inproc_trace() {
@@ -171,7 +152,8 @@ mod tests {
             }
             ctx.barrier().unwrap();
         };
-        let (_, tcp_trace) = TcpMulticomputer::new(2).with_faults(plan()).run(exchange);
+        let tcp = TcpMulticomputer::from(Multicomputer::new(2).with_faults(plan()));
+        let (_, tcp_trace) = tcp.run(exchange);
         let (_, inproc_trace) = Multicomputer::new(2).with_faults(plan()).run(exchange);
         assert_eq!(tcp_trace, inproc_trace);
         assert!(tcp_trace.retransmit_count() > 0, "the drop must be visible");
@@ -181,7 +163,8 @@ mod tests {
     fn timeout_message_names_peer_and_tag_over_tcp() {
         // Same diagnostic contract as the in-process backend: a timeout
         // error formats to a message naming the peer rank and the tag.
-        let mc = TcpMulticomputer::new(2).with_timeout(Duration::from_millis(30));
+        let mc =
+            TcpMulticomputer::from(Multicomputer::new(2).with_timeout(Duration::from_millis(30)));
         let (results, _) = mc.run(|ctx| {
             if ctx.rank() == 0 {
                 Some(ctx.recv(1, 0x2a).expect_err("must time out").to_string())

@@ -10,10 +10,11 @@
 //!
 //! The rendezvous stream stays open as a control channel: when its work is
 //! done, a worker writes one length-prefixed result blob back to the
-//! launcher ([`WorkerSession::send_result`] / [`Launcher::rendezvous`]'s
-//! returned streams + [`read_blob`]). Results are typically
-//! `serde_json`-encoded traces and stats, so the launcher can reconcile
-//! the distributed run against an in-process reference.
+//! launcher ([`WorkerSession::send_result`] /
+//! [`Launcher::rendezvous_within`]'s returned streams + [`read_blob`]).
+//! Results are typically `serde_json`-encoded traces and stats, so the
+//! launcher can reconcile the distributed run against an in-process
+//! reference.
 //!
 //! Failure handling: everything here returns a typed
 //! [`NetError`] — a worker that dies before registering turns into a
@@ -27,6 +28,7 @@
 use crate::error::NetError;
 use crate::link::TcpOptions;
 use crate::tcp::TcpTransport;
+use crate::topology::Topology;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::Command;
@@ -91,18 +93,13 @@ impl Launcher {
         Ok(())
     }
 
-    /// [`Launcher::rendezvous_within`] with no deadline (waits for every
-    /// worker indefinitely).
-    pub fn rendezvous(&self, world: usize) -> Result<Vec<TcpStream>, NetError> {
-        self.rendezvous_within(world, None)
-    }
-
     /// Accept registrations from all `world` workers, broadcast the mesh
     /// address table, and return the control streams **indexed by rank**.
     ///
-    /// With a `deadline`, a worker that never registers (crashed at
-    /// startup, wedged) fails the rendezvous with a typed error instead of
-    /// hanging the launcher — the watchdog half of the chaos soak.
+    /// With no `deadline` it waits for every worker indefinitely. With one,
+    /// a worker that never registers (crashed at startup, wedged) fails the
+    /// rendezvous with a typed error instead of hanging the launcher — the
+    /// watchdog half of the chaos soak.
     ///
     /// After this returns, every worker is connected into the mesh (or in
     /// the middle of the handshake); read each worker's result blob from
@@ -270,7 +267,8 @@ impl WorkerSession {
                 addrs.len()
             )));
         }
-        let transport = TcpTransport::establish_with(rank, world, listener, &addrs, opts)?;
+        let transport =
+            TcpTransport::establish(rank, world, listener, &addrs, &Topology::FullMesh, opts)?;
         Ok(WorkerSession {
             rank,
             world,
@@ -325,7 +323,15 @@ mod tests {
                     let table = String::from_utf8(read_blob(&mut control).unwrap()).unwrap();
                     let addrs: Vec<SocketAddr> =
                         table.lines().map(|l| l.parse().unwrap()).collect();
-                    let t = TcpTransport::establish(rank, WORLD, listener, &addrs).unwrap();
+                    let t = TcpTransport::establish(
+                        rank,
+                        WORLD,
+                        listener,
+                        &addrs,
+                        &Topology::FullMesh,
+                        TcpOptions::default(),
+                    )
+                    .unwrap();
                     let mut ctx = RankCtx::over_transport(Box::new(t), RankOptions::default());
                     ctx.barrier().unwrap();
                     write_blob(&mut control, format!("rank{rank}").as_bytes()).unwrap();

@@ -27,6 +27,13 @@
 //! so transient socket failures are invisible above the transport; a peer
 //! that stays gone is declared dead through the envelope's
 //! death-notification protocol.
+//!
+//! **Construction.** Two constructors, both given the world's
+//! [`Topology`] and the link's [`TcpOptions`]:
+//! [`TcpTransport::establish`] connects one rank (a bound listener and the
+//! full address table — what a worker process of [`crate::process`] calls)
+//! and [`TcpTransport::loopback`] builds every rank of a world inside this
+//! process, one thread per rank establishing over loopback sockets.
 
 use crate::error::NetError;
 use crate::link::{Fabric, LinkStats, TcpOptions, WireFault};
@@ -41,49 +48,28 @@ use std::time::Duration;
 /// A [`Transport`] over per-peer `TcpStream`s with reconnection and
 /// liveness (see the module docs).
 ///
-/// Built by [`TcpTransport::establish`] (given a bound listener and the
-/// full address table) or [`TcpTransport::loopback_mesh`] (threads in one
-/// process, for tests and examples). Multi-process worlds get theirs
-/// through the rendezvous in [`crate::process`].
+/// Built by [`TcpTransport::establish`] (one rank) or
+/// [`TcpTransport::loopback`] (a world in one process); see the module
+/// docs. Multi-process worlds get theirs through the rendezvous in
+/// [`crate::process`].
 pub struct TcpTransport {
     pub(crate) fabric: Arc<Fabric>,
     rx: Receiver<WireFrame>,
 }
 
 impl TcpTransport {
-    /// Connect this rank into a full mesh with default [`TcpOptions`].
+    /// Connect this rank into the world's connection [`Topology`]: only the
+    /// topology's edges are dialed/accepted, so a plan-driven world pays
+    /// `O(edges)` sockets instead of the full `O(P²)` mesh
+    /// ([`Topology::FullMesh`] dials every pair). Sends to an unconnected
+    /// peer fail typed.
     ///
     /// `listener` must already be bound (its address is `addrs[rank]`),
     /// and every other rank must eventually call `establish` with the same
-    /// address table. Connects to all lower ranks, accepts from all higher
-    /// ranks, spawns one receive thread per peer.
+    /// address table and the *same* topology, or establishment deadlocks on
+    /// the mismatched edge. Connects to its lower peers, accepts from its
+    /// higher ones, spawns one receive thread per peer.
     pub fn establish(
-        rank: usize,
-        world: usize,
-        listener: TcpListener,
-        addrs: &[SocketAddr],
-    ) -> Result<TcpTransport, NetError> {
-        TcpTransport::establish_with(rank, world, listener, addrs, TcpOptions::default())
-    }
-
-    /// [`TcpTransport::establish`] with explicit failure-handling options.
-    pub fn establish_with(
-        rank: usize,
-        world: usize,
-        listener: TcpListener,
-        addrs: &[SocketAddr],
-        opts: TcpOptions,
-    ) -> Result<TcpTransport, NetError> {
-        TcpTransport::establish_topology(rank, world, listener, addrs, &Topology::FullMesh, opts)
-    }
-
-    /// [`TcpTransport::establish_with`] restricted to a connection
-    /// [`Topology`]: only the topology's edges are dialed/accepted, so a
-    /// plan-driven world pays `O(edges)` sockets instead of the full
-    /// `O(P²)` mesh. Sends to an unconnected peer fail typed. Every rank
-    /// must establish with the *same* topology, or establishment
-    /// deadlocks on the mismatched edge.
-    pub fn establish_topology(
         rank: usize,
         world: usize,
         listener: TcpListener,
@@ -151,36 +137,17 @@ impl TcpTransport {
         Ok(TcpTransport { fabric, rx })
     }
 
-    /// Build a fully-connected world of `p` endpoints over loopback TCP,
-    /// all inside the current process (one real socket pair per edge),
-    /// with default [`TcpOptions`].
+    /// A world of `p` endpoints over loopback TCP, all inside the current
+    /// process, restricted to a connection [`Topology`]: every endpoint
+    /// lives in this process (so the fd cost is `p` listeners plus *two*
+    /// descriptors per edge), and only the topology's edges get sockets.
+    /// Fails typed with [`NetError::TooManyRanks`] — before binding
+    /// anything when the preflight estimate exceeds the process's open-file
+    /// limit, or when the kernel says `EMFILE` / `ENFILE` mid-establishment.
     ///
     /// # Panics
     /// Panics if `p == 0`.
-    pub fn loopback_mesh(p: usize) -> Result<Vec<TcpTransport>, NetError> {
-        TcpTransport::loopback_mesh_with(p, TcpOptions::default())
-    }
-
-    /// [`TcpTransport::loopback_mesh`] with explicit failure-handling
-    /// options (shared by every endpoint).
-    ///
-    /// # Panics
-    /// Panics if `p == 0`.
-    pub fn loopback_mesh_with(p: usize, opts: TcpOptions) -> Result<Vec<TcpTransport>, NetError> {
-        TcpTransport::loopback_topology(p, &Topology::FullMesh, opts)
-    }
-
-    /// A loopback world restricted to a connection [`Topology`]: every
-    /// endpoint lives in this process (so the fd cost is `p` listeners
-    /// plus *two* descriptors per edge), and only the topology's edges
-    /// get sockets. Fails typed with [`NetError::TooManyRanks`] — before
-    /// binding anything when the preflight estimate exceeds the
-    /// process's open-file limit, or when the kernel says `EMFILE` /
-    /// `ENFILE` mid-establishment.
-    ///
-    /// # Panics
-    /// Panics if `p == 0`.
-    pub fn loopback_topology(
+    pub fn loopback(
         p: usize,
         topology: &Topology,
         opts: TcpOptions,
@@ -230,14 +197,7 @@ impl TcpTransport {
                 .enumerate()
                 .map(|(rank, listener)| {
                     scope.spawn(move || {
-                        TcpTransport::establish_topology(
-                            rank,
-                            p,
-                            listener,
-                            addrs,
-                            topology,
-                            opts.clone(),
-                        )
+                        TcpTransport::establish(rank, p, listener, addrs, topology, opts.clone())
                     })
                 })
                 .collect();
@@ -375,7 +335,8 @@ mod tests {
 
     #[test]
     fn loopback_mesh_delivers_point_to_point_in_order() {
-        let mut world = TcpTransport::loopback_mesh(2).unwrap();
+        let mut world =
+            TcpTransport::loopback(2, &Topology::FullMesh, TcpOptions::default()).unwrap();
         let mut b = world.pop().unwrap();
         let mut a = world.pop().unwrap();
         assert_eq!((a.rank(), b.rank()), (0, 1));
@@ -389,7 +350,8 @@ mod tests {
 
     #[test]
     fn self_send_loops_back_without_a_socket() {
-        let mut world = TcpTransport::loopback_mesh(1).unwrap();
+        let mut world =
+            TcpTransport::loopback(1, &Topology::FullMesh, TcpOptions::default()).unwrap();
         let mut t = world.pop().unwrap();
         t.send_raw(0, frame(0, 3, vec![9])).unwrap();
         assert_eq!(
@@ -403,7 +365,8 @@ mod tests {
 
     #[test]
     fn recv_times_out_when_nothing_arrives() {
-        let mut world = TcpTransport::loopback_mesh(2).unwrap();
+        let mut world =
+            TcpTransport::loopback(2, &Topology::FullMesh, TcpOptions::default()).unwrap();
         let mut a = world.remove(0);
         assert!(matches!(
             a.recv_raw(Duration::from_millis(30)),
@@ -417,7 +380,7 @@ mod tests {
 
     #[test]
     fn send_to_torn_down_peer_eventually_fails_typed() {
-        let mut world = TcpTransport::loopback_mesh_with(2, tight()).unwrap();
+        let mut world = TcpTransport::loopback(2, &Topology::FullMesh, tight()).unwrap();
         let b = world.pop().unwrap();
         let mut a = world.pop().unwrap();
         drop(b);
@@ -437,7 +400,7 @@ mod tests {
 
     #[test]
     fn reset_fault_recovers_via_reconnect_and_replay() {
-        let mut world = TcpTransport::loopback_mesh_with(2, tight()).unwrap();
+        let mut world = TcpTransport::loopback(2, &Topology::FullMesh, tight()).unwrap();
         let mut b = world.pop().unwrap();
         let mut a = world.pop().unwrap();
         a.send_raw(1, frame(0, 7, vec![1])).unwrap();
@@ -472,7 +435,7 @@ mod tests {
 
     #[test]
     fn truncated_frame_recovers_with_full_redelivery() {
-        let mut world = TcpTransport::loopback_mesh_with(2, tight()).unwrap();
+        let mut world = TcpTransport::loopback(2, &Topology::FullMesh, tight()).unwrap();
         let mut b = world.pop().unwrap();
         let mut a = world.pop().unwrap();
         a.send_raw_faulty(1, frame(0, 9, vec![7; 128]), Some(WireFault::Truncate))
@@ -487,7 +450,7 @@ mod tests {
     /// deadline: the death notice, or the arrival frame refused outright.
     fn barrier_beside_a_dropped_peer(survivor: usize) {
         use rt_comm::{CommError, RankCtx, RankOptions};
-        let mut world = TcpTransport::loopback_mesh_with(2, tight()).unwrap();
+        let mut world = TcpTransport::loopback(2, &Topology::FullMesh, tight()).unwrap();
         let alive = world.swap_remove(survivor);
         drop(world);
         let opts = RankOptions {
@@ -521,14 +484,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one rank")]
     fn zero_rank_mesh_panics() {
-        let _ = TcpTransport::loopback_mesh(0);
+        let _ = TcpTransport::loopback(0, &Topology::FullMesh, TcpOptions::default());
     }
 
     #[test]
     fn restricted_topology_dials_only_its_edges() {
         // A 4-rank line 0—1—2—3: 3 sockets instead of the mesh's 6.
         let topo = Topology::from_links([(0, 1), (1, 2), (2, 3)]);
-        let mut world = TcpTransport::loopback_topology(4, &topo, tight()).unwrap();
+        let mut world = TcpTransport::loopback(4, &topo, tight()).unwrap();
         let degrees: Vec<usize> = world.iter().map(|t| t.link_count()).collect();
         assert_eq!(degrees, vec![1, 2, 2, 1]);
         assert_eq!(degrees.iter().sum::<usize>(), 2 * topo.socket_count(4));
@@ -547,7 +510,7 @@ mod tests {
     #[test]
     fn out_of_range_topology_edge_fails_establishment() {
         let topo = Topology::from_links([(0, 5)]);
-        let Err(err) = TcpTransport::loopback_topology(2, &topo, tight()) else {
+        let Err(err) = TcpTransport::loopback(2, &topo, tight()) else {
             panic!("edge (0, 5) cannot fit a world of 2");
         };
         assert!(matches!(err, NetError::Protocol { .. }), "{err}");
@@ -564,7 +527,7 @@ mod tests {
         };
         let p = 4096;
         assert!(p + 2 * (p * (p - 1) / 2) + 64 > limit, "limit too lax");
-        let Err(err) = TcpTransport::loopback_mesh_with(p, tight()) else {
+        let Err(err) = TcpTransport::loopback(p, &Topology::FullMesh, tight()) else {
             panic!("a 4096-rank single-process mesh must exceed the fd budget");
         };
         match err {

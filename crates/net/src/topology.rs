@@ -9,13 +9,18 @@
 //! establishment to exactly those edges. Everything above the socket
 //! layer — the reliable-delivery envelope, reconnection, heartbeats,
 //! death declaration — is untouched: it operates per established link.
+//! Both of rt-net's transport constructors,
+//! [`TcpTransport::establish`](crate::TcpTransport::establish) (one rank)
+//! and [`TcpTransport::loopback`](crate::TcpTransport::loopback) (a world
+//! in one process), take the topology.
 //!
 //! Two caveats, by design:
 //!
 //! * `RankCtx::barrier` is a message round through rank 0 (arrivals in,
 //!   releases out), so worlds that call `barrier()` need a link from every
-//!   rank to rank 0 — add [`Topology::with_star`] if the closure barriers.
-//!   Plan-driven compositions never barrier.
+//!   rank to rank 0 — add every rank's edge to rank 0 with
+//!   [`Topology::from_links`] if the closure barriers. Plan-driven
+//!   compositions never barrier.
 //! * Fault *repair* may route pieces between ranks the crash-free plan
 //!   never pairs. A resilient run should keep [`Topology::FullMesh`];
 //!   the restricted set is the fast path for crash-free scale runs.
@@ -58,34 +63,11 @@ impl Topology {
         }
     }
 
-    /// The peers `rank` holds a socket to, in ascending order.
-    pub fn peers_of(&self, rank: usize, world: usize) -> Vec<usize> {
-        (0..world).filter(|&p| self.connects(rank, p)).collect()
-    }
-
     /// Total sockets a world of `world` ranks establishes (one per edge).
     pub fn socket_count(&self, world: usize) -> usize {
         match self {
             Topology::FullMesh => world * world.saturating_sub(1) / 2,
             Topology::Links(links) => links.len(),
-        }
-    }
-
-    /// Add a star on `hub`: a link from every rank to `hub`. What a
-    /// closure that barriers needs on a restricted topology (`hub = 0`, the
-    /// hub of the barrier round in rt-comm); a no-op on
-    /// [`Topology::FullMesh`].
-    pub fn with_star(self, hub: usize, world: usize) -> Topology {
-        match self {
-            Topology::FullMesh => Topology::FullMesh,
-            Topology::Links(mut links) => {
-                for r in 0..world {
-                    if r != hub {
-                        links.insert((r.min(hub), r.max(hub)));
-                    }
-                }
-                Topology::Links(links)
-            }
         }
     }
 
@@ -116,7 +98,7 @@ mod tests {
         assert!(t.connects(5, 0));
         assert!(!t.connects(3, 3));
         assert_eq!(t.socket_count(16), 120);
-        assert_eq!(t.peers_of(1, 4), vec![0, 2, 3]);
+        assert!((0..4).filter(|&p| p != 1).all(|p| t.connects(1, p)));
     }
 
     #[test]
@@ -126,14 +108,14 @@ mod tests {
         assert!(t.connects(1, 3));
         assert!(t.connects(3, 1));
         assert!(!t.connects(0, 3));
-        assert_eq!(t.peers_of(1, 4), vec![0, 3]);
+        assert!(!t.connects(1, 2));
         t.validate(4).unwrap();
         assert!(t.validate(3).is_err(), "edge (1,3) outside world of 3");
     }
 
     #[test]
     fn star_makes_a_restricted_world_barrier_capable() {
-        let t = Topology::from_links([(1, 2)]).with_star(0, 4);
+        let t = Topology::from_links((1..4).map(|r| (0, r)).chain([(1, 2)]));
         for r in 1..4 {
             assert!(t.connects(0, r));
         }

@@ -1,7 +1,7 @@
 //! Helpers shared by rt-net's socket-level integration tests.
 
 use rt_comm::{Payload, Transport, WireFrame};
-use rt_net::{TcpOptions, TcpTransport};
+use rt_net::{TcpOptions, TcpTransport, Topology};
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;
 
@@ -16,7 +16,7 @@ pub fn pair(heartbeat: Option<Duration>) -> (TcpTransport, TcpTransport) {
         restore_deadline: Duration::from_secs(2),
         heartbeat_interval: heartbeat,
     };
-    let mut world = TcpTransport::loopback_mesh_with(2, opts).unwrap();
+    let mut world = TcpTransport::loopback(2, &Topology::FullMesh, opts).unwrap();
     let b = world.pop().unwrap();
     (world.pop().unwrap(), b)
 }

@@ -24,7 +24,7 @@ use common::{expect, frame, pair, within};
 use rt_comm::{tag, Payload, SendRawError, Transport, WireFrame};
 use rt_net::frame::{encode_header, write_encoded, HEADER_BYTES};
 use rt_net::link::SENT_LOG_BUDGET;
-use rt_net::{TcpOptions, TcpTransport, WireFault};
+use rt_net::{TcpOptions, TcpTransport, Topology, WireFault};
 use std::io::Read;
 use std::net::TcpListener;
 use std::sync::{Arc, Barrier};
@@ -109,7 +109,7 @@ fn a_silent_peer_is_taken_down_while_a_sender_is_blocked_on_it() {
             restore_deadline: Duration::from_secs(2),
             heartbeat_interval: Some(Duration::from_millis(10)),
         };
-        let mut t = TcpTransport::establish_with(1, 2, mine, &addrs, opts).unwrap();
+        let mut t = TcpTransport::establish(1, 2, mine, &addrs, &Topology::FullMesh, opts).unwrap();
         let held_open = peer.join().unwrap();
         // The socket buffers fill within the first frame or two and the
         // sender blocks; only the heartbeat can notice the silence, and the
@@ -144,7 +144,7 @@ fn a_peer_that_announces_its_death_releases_a_blocked_sender() {
             heartbeat_interval: None,
             ..TcpOptions::default()
         };
-        let mut t = TcpTransport::establish_with(1, 2, mine, &addrs, opts).unwrap();
+        let mut t = TcpTransport::establish(1, 2, mine, &addrs, &Topology::FullMesh, opts).unwrap();
         let payload = Payload::from(vec![0xd5; BULK_BYTES]);
         let refused = (0..).find_map(|seq| t.send_raw(0, frame(1, seq, &payload)).err());
         assert_eq!(refused, Some(SendRawError { to: 0 }));

@@ -7,8 +7,8 @@
 //! finishes with the 2-D warp — the complete system of the paper.
 //!
 //! This module is the host side of a frame (`FramePlanner` → `FramePlan`).
-//! [`FrameRun`] plans its camera and hands that one plan, window 1, to the
-//! ranks an orbit runs on, so every rank's frame body is written once, in
+//! [`FrameRun`] plans its camera and hands that one plan to the ranks an
+//! orbit runs on, so every rank's frame body is written once, in
 //! [`crate::stream`].
 //!
 //! Two things no camera changes are session state, carried in the slot of
@@ -307,7 +307,7 @@ impl<'a> FrameRun<'a> {
     }
 
     /// Partition, render, composite and warp the frame: plan its one
-    /// camera, then run that one plan, window 1, on the pool's machine.
+    /// camera, then run that one plan on the pool's machine.
     // A rank's panic is the frame's bug, re-raised under its rank as a
     // machine launching its ranks reports it.
     #[allow(clippy::panic)]
@@ -331,7 +331,6 @@ impl<'a> FrameRun<'a> {
         let plan = FramePlanner::new(p, config, &session).plan(config.camera)?;
         let method_name = plan.method_name.clone();
         let stream = StreamConfig {
-            window: 1,
             faults,
             transport,
             ..StreamConfig::new(*config)

@@ -135,14 +135,11 @@ pub fn compose_scene(
     scene: &Scene,
     method: Method,
     codec: CodecKind,
-    gather: bool,
 ) -> Result<(Option<Image<GrayAlpha>>, Trace), PvrError> {
     let (w, h) = (scene.partials[0].width(), scene.partials[0].height());
     let plan = method.plan(scene.p(), w, h)?;
     plan.verify()?;
-    let config = ComposeConfig::default()
-        .with_codec(codec)
-        .with_gather(gather);
+    let config = ComposeConfig::default().with_codec(codec);
     let (results, trace) = Run::new(&plan, &config).execute(scene.partials.clone());
     let mut frame = None;
     for r in results {
@@ -203,7 +200,7 @@ mod tests {
             },
         ];
         for m in methods {
-            let (frame, _) = compose_scene(&scene, m, CodecKind::Raw, true).unwrap();
+            let (frame, _) = compose_scene(&scene, m, CodecKind::Raw).unwrap();
             let frame = frame.expect("root gathers the frame");
             assert!(
                 frame.approx_eq(&want, 1e-4),
@@ -225,7 +222,7 @@ mod tests {
                 tiles_x: 6,
                 tiles_y: 6,
             };
-            let (frame, _) = compose_scene(&scene, method, codec, true).unwrap();
+            let (frame, _) = compose_scene(&scene, method, codec).unwrap();
             assert_eq!(
                 frame.unwrap().pixels(),
                 want.pixels(),
@@ -239,7 +236,7 @@ mod tests {
         let scene = small_scene(3);
         let want = scene.reference().unwrap();
         for codec in CodecKind::ALL {
-            let (frame, _) = compose_scene(&scene, two_n(2), codec, true).unwrap();
+            let (frame, _) = compose_scene(&scene, two_n(2), codec).unwrap();
             assert!(
                 frame.unwrap().approx_eq(&want, 1e-4),
                 "codec {codec:?} diverges"
@@ -268,15 +265,15 @@ mod tests {
         assert!(scene.mean_blank_fraction() > 0.2);
         // Composition still matches its own reference exactly.
         let want = scene.reference().unwrap();
-        let (frame, _) = compose_scene(&scene, two_n(4), CodecKind::Raw, true).unwrap();
+        let (frame, _) = compose_scene(&scene, two_n(4), CodecKind::Raw).unwrap();
         assert!(frame.unwrap().approx_eq(&want, 1e-4));
     }
 
     #[test]
     fn traces_show_codec_savings_on_sparse_scenes() {
         let scene = small_scene(4);
-        let (_, raw) = compose_scene(&scene, Method::BinarySwap, CodecKind::Raw, true).unwrap();
-        let (_, trle) = compose_scene(&scene, Method::BinarySwap, CodecKind::Trle, true).unwrap();
+        let (_, raw) = compose_scene(&scene, Method::BinarySwap, CodecKind::Raw).unwrap();
+        let (_, trle) = compose_scene(&scene, Method::BinarySwap, CodecKind::Trle).unwrap();
         assert!(
             trle.bytes_sent() < raw.bytes_sent(),
             "TRLE {} vs raw {}",

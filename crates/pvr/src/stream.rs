@@ -1,7 +1,7 @@
 //! Pipelined frame streaming: render frame `k+1` while frame `k`'s
 //! composition is in flight. `stream_rank` is every frame's one per-rank
-//! body: a [`crate::FrameRun`] is a run of one plan, window 1, on the same
-//! ranks an orbit runs on.
+//! body: a [`crate::FrameRun`] is a run of one plan on the same ranks an
+//! orbit runs on.
 //!
 //! The workload is an orbit ([`OrbitConfig`]): the views of a moving camera,
 //! the interactive-rendering scenario that motivates the paper (composition
@@ -19,10 +19,10 @@
 //!   compose loop works on frame `k`, the renderer is already producing
 //!   frame `k+1`. Nothing is spawned per orbit after the session's first
 //!   (see `session.rs` for the machine and when it is kept).
-//! * **Bounded in-flight window.** The hand-off channel holds at most
-//!   `window - 1` rendered frames (default window 2), so the renderer
-//!   stalls — backpressure — instead of ballooning memory when composition
-//!   is the bottleneck.
+//! * **Bounded in-flight window.** The hand-off channel holds at most one
+//!   rendered frame (a window of two frames per rank: the one composing
+//!   and the one rendered ahead), so the renderer stalls — backpressure —
+//!   instead of ballooning memory when composition is the bottleneck.
 //! * **Frame-namespaced tags.** Every composition message of frame `k`
 //!   carries [`rt_comm::tag::frame_base`]`(k)` in the frame field of its tag, so
 //!   ranks on *different* frames exchange concurrently without collision
@@ -121,6 +121,11 @@ pub fn orbit_cameras(orbit: &OrbitConfig) -> Vec<(f64, Camera)> {
         .collect()
 }
 
+/// Frames in flight per rank: the one composing and the one rendered
+/// ahead. Two overlaps the render of frame `k+1` with the composition of
+/// frame `k` and nothing more.
+const WINDOW: usize = 2;
+
 /// Configuration of one streaming run: the per-frame pipeline settings
 /// plus the streaming-specific knobs.
 #[derive(Debug, Clone)]
@@ -129,10 +134,6 @@ pub struct StreamConfig {
     /// The camera field is ignored — each frame's camera comes from the
     /// orbit.
     pub base: PipelineConfig,
-    /// Maximum frames in flight per rank (rendered-but-not-composed),
-    /// minimum 1. The default of 2 overlaps the render of frame `k+1`
-    /// with the composition of frame `k` and nothing more.
-    pub window: usize,
     /// Fault-injection plan; a non-empty plan switches composition to
     /// resilient mode, exactly like the serial pipeline.
     pub faults: FaultPlan,
@@ -144,22 +145,14 @@ pub struct StreamConfig {
 }
 
 impl StreamConfig {
-    /// Streaming defaults around `base`: window 2, no faults, in-process
-    /// transport.
+    /// Streaming defaults around `base`: no faults, in-process transport.
     pub fn new(base: PipelineConfig) -> Self {
         StreamConfig {
             base,
-            window: 2,
             faults: FaultPlan::none(),
             death_at_frame: Vec::new(),
             transport: TransportKind::InProc,
         }
-    }
-
-    /// Set the in-flight window (clamped to at least 1).
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = window.max(1);
-        self
     }
 
     /// Install a fault plan (switches composition to resilient mode).
@@ -224,16 +217,16 @@ impl StreamFrame {
 
 /// A streaming service endpoint owning the session-lifetime scratch pool.
 ///
-/// One session serves any number of clients ([`StreamSession::open`]);
-/// each client can run orbit streams, sequentially or concurrently. The
-/// shared pool carries the session's resident machine, compositing buffers
-/// and partitioned volume, so an orbit after the first starts no thread,
-/// allocates no scratch and generates nothing. Concurrent streams stay
-/// correct — checkout removes a buffer or the machine from the pool, so
-/// nothing is shared mid-frame, and a stream plans from its own handle on a
-/// partition, whoever replaces the pool's — and merely fall back to fresh
-/// allocations and a machine of their own when they collide.
-#[derive(Debug)]
+/// A session runs orbit streams, sequentially or concurrently, and its
+/// clones share it. The shared pool carries the session's resident
+/// machine, compositing buffers and partitioned volume, so an orbit after
+/// the first starts no thread, allocates no scratch and generates nothing.
+/// Concurrent streams stay correct — checkout removes a buffer or the
+/// machine from the pool, so nothing is shared mid-frame, and a stream
+/// plans from its own handle on a partition, whoever replaces the pool's —
+/// and merely fall back to fresh allocations and a machine of their own
+/// when they collide.
+#[derive(Debug, Clone)]
 pub struct StreamSession {
     p: usize,
     pool: Arc<ScratchPool<GrayAlpha>>,
@@ -259,24 +252,11 @@ impl StreamSession {
         self.pool.fresh_checkouts()
     }
 
-    /// Open a client on this session.
-    pub fn open(&self) -> StreamClient {
-        StreamClient {
-            p: self.p,
-            pool: Arc::clone(&self.pool),
-        }
+    /// Another handle on this session, sharing its pool: a clone.
+    pub fn open(&self) -> StreamSession {
+        self.clone()
     }
-}
 
-/// A client of a [`StreamSession`]: runs orbit streams against the
-/// session's shared scratch pool and machine.
-#[derive(Debug, Clone)]
-pub struct StreamClient {
-    p: usize,
-    pool: Arc<ScratchPool<GrayAlpha>>,
-}
-
-impl StreamClient {
     /// Plan `orbit` under `config` and hand the plans to the session's
     /// machine; returns a handle that yields frames in order as they
     /// complete. A stream that cannot be planned yields its one error.
@@ -419,12 +399,11 @@ pub(crate) fn stream_rank(
         }
     };
 
-    // Render pipeline: the channel buffers `window - 1` finished partials,
-    // so with the one the renderer is working on, at most `window` frames
+    // Render pipeline: the channel buffers `WINDOW - 1` finished partials,
+    // so with the one the renderer is working on, at most `WINDOW` frames
     // are in flight beyond the composing one. A renderer that is gone drops
     // the sender with the job, which the loop reads as a stopped renderer.
-    let (partials, part_rx) =
-        mpsc::sync_channel::<(usize, Image<GrayAlpha>)>(config.window.saturating_sub(1));
+    let (partials, part_rx) = mpsc::sync_channel::<(usize, Image<GrayAlpha>)>(WINDOW - 1);
     let _ = renderer.send(RenderJob {
         run: Arc::clone(run),
         partials,
@@ -589,7 +568,6 @@ mod tests {
         for orbit in [OrbitConfig::quarter(4), half, single] {
             let session = StreamSession::new(3);
             let frames = session
-                .open()
                 .collect_orbit(&StreamConfig::new(base()), &orbit)
                 .unwrap();
             let want = serial_frames(3, &orbit);
@@ -622,9 +600,8 @@ mod tests {
     #[test]
     fn session_pool_allocation_is_flat_after_the_first_two_frames() {
         let session = StreamSession::new(3);
-        let client = session.open();
         let orbit = OrbitConfig::quarter(5);
-        client
+        session
             .collect_orbit(&StreamConfig::new(base()), &orbit)
             .unwrap();
         // One scratch set per rank, allocated on the first frame: a rank
@@ -632,7 +609,7 @@ mod tests {
         let after_first = session.fresh_checkouts();
         assert_eq!(after_first, 3, "expected p fresh checkouts");
         // A second stream on the same session reuses every buffer.
-        client
+        session
             .collect_orbit(&StreamConfig::new(base()), &orbit)
             .unwrap();
         assert_eq!(session.fresh_checkouts(), after_first);
@@ -642,12 +619,8 @@ mod tests {
     fn concurrent_clients_stream_independently() {
         let orbit = OrbitConfig::quarter(3);
         let session = StreamSession::new(3);
-        let a = session
-            .open()
-            .stream_orbit(&StreamConfig::new(base()), &orbit);
-        let b = session
-            .open()
-            .stream_orbit(&StreamConfig::new(base()), &orbit);
+        let a = session.stream_orbit(&StreamConfig::new(base()), &orbit);
+        let b = session.stream_orbit(&StreamConfig::new(base()), &orbit);
         let got_a: Vec<_> = a.map(Result::unwrap).collect();
         let got_b: Vec<_> = b.map(Result::unwrap).collect();
         let want = serial_frames(3, &orbit);
@@ -668,13 +641,10 @@ mod tests {
         let shared = StreamSession::new(3);
         let handles = configs
             .each_ref()
-            .map(|config| shared.open().stream_orbit(config, &orbit));
+            .map(|config| shared.stream_orbit(config, &orbit));
         for (config, handle) in configs.iter().zip(handles) {
             let together: Vec<_> = handle.map(Result::unwrap).collect();
-            let solo = StreamSession::new(3)
-                .open()
-                .collect_orbit(config, &orbit)
-                .unwrap();
+            let solo = StreamSession::new(3).collect_orbit(config, &orbit).unwrap();
             assert_eq!(together.len(), solo.len());
             for (got, want) in together.iter().zip(&solo) {
                 assert_eq!(got.frame.pixels(), want.frame.pixels(), "frame {}", got.seq);
@@ -697,7 +667,6 @@ mod tests {
         let session = StreamSession::new(3);
         for round in 0..2 {
             let frames = session
-                .open()
                 .collect_orbit(&StreamConfig::new(base()), &orbit)
                 .unwrap();
             assert_eq!(frames.len(), want.len());
@@ -713,23 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_windows_change_nothing_but_memory() {
-        let orbit = OrbitConfig::quarter(4);
-        let session = StreamSession::new(2);
-        let narrow = session
-            .open()
-            .collect_orbit(&StreamConfig::new(base()).with_window(1), &orbit)
-            .unwrap();
-        let wide = session
-            .open()
-            .collect_orbit(&StreamConfig::new(base()).with_window(4), &orbit)
-            .unwrap();
-        for (a, b) in narrow.iter().zip(&wide) {
-            assert_eq!(a.frame.pixels(), b.frame.pixels());
-        }
-    }
-
-    #[test]
     fn message_chaos_is_invisible_to_streamed_frames() {
         let orbit = OrbitConfig::quarter(4);
         let faults = FaultPlan::none()
@@ -738,7 +690,6 @@ mod tests {
             .corrupt_rate(0.05);
         let session = StreamSession::new(3);
         let frames = session
-            .open()
             .collect_orbit(&StreamConfig::new(base()).with_faults(faults), &orbit)
             .unwrap();
         let want = serial_frames(3, &orbit);
@@ -757,7 +708,6 @@ mod tests {
         let faults = FaultPlan::none().crash_rank_at_step(2, 1);
         let session = StreamSession::new(4);
         let frames = session
-            .open()
             .collect_orbit(
                 &StreamConfig::new(base()).with_faults(faults.clone()),
                 &orbit,
@@ -788,7 +738,7 @@ mod tests {
                 .kill_rank_before_frame(1, 2);
             let started = std::time::Instant::now();
             let session = StreamSession::new(3);
-            let mut stream = session.open().stream_orbit(&config, &orbit);
+            let mut stream = session.stream_orbit(&config, &orbit);
             // Frames before the death complete cleanly.
             for expect in 0..2usize {
                 let frame = stream.next().expect("stream open").expect("clean frame");
@@ -818,7 +768,6 @@ mod tests {
         let orbit = OrbitConfig::quarter(2);
         let stream = |p: usize, base: PipelineConfig| {
             StreamSession::new(p)
-                .open()
                 .collect_orbit(&StreamConfig::new(base), &orbit)
                 .unwrap_err()
         };
@@ -875,7 +824,6 @@ mod tests {
         };
         let session = StreamSession::new(2);
         let err = session
-            .open()
             .collect_orbit(&StreamConfig::new(base()), &orbit)
             .unwrap_err();
         assert!(matches!(err, PvrError::Config { .. }), "{err}");
@@ -886,7 +834,6 @@ mod tests {
         let orbit = OrbitConfig::quarter(3);
         let session = StreamSession::new(2);
         let frames = session
-            .open()
             .collect_orbit(&StreamConfig::new(base()), &orbit)
             .unwrap();
         // Replaying frame k's trace attributes its spans to frame k via

@@ -159,16 +159,6 @@ impl Volume {
         Ok(out)
     }
 
-    /// Histogram of voxel values (256 bins) — used to sanity-check the
-    /// synthetic datasets.
-    pub fn histogram(&self) -> [usize; 256] {
-        let mut h = [0usize; 256];
-        for &v in &self.data {
-            h[v as usize] += 1;
-        }
-        h
-    }
-
     /// Fraction of voxels that are exactly zero (empty space).
     pub fn empty_fraction(&self) -> f64 {
         if self.data.is_empty() {
@@ -233,11 +223,8 @@ mod tests {
     }
 
     #[test]
-    fn histogram_and_empty_fraction() {
+    fn empty_fraction_counts_zero_voxels() {
         let v = Volume::from_fn(2, 2, 2, |x, _, _| if x == 0 { 0 } else { 200 });
-        let h = v.histogram();
-        assert_eq!(h[0], 4);
-        assert_eq!(h[200], 4);
         assert!((v.empty_fraction() - 0.5).abs() < 1e-12);
     }
 }

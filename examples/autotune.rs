@@ -62,7 +62,6 @@ fn main() {
             &ComposeConfig {
                 codec: CodecKind::Raw,
                 root: 0,
-                gather: true,
                 ..Default::default()
             },
         )

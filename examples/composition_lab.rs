@@ -73,7 +73,7 @@ fn main() {
     for method in methods {
         let mut raw_time = None;
         for codec in CodecKind::ALL {
-            match compose_scene(&scene, method, codec, true) {
+            match compose_scene(&scene, method, codec) {
                 Ok((_, trace)) => {
                     let report = replay(&trace, &CostModel::SP2).unwrap();
                     let t = report.phase("compose:start", "gather:end").unwrap();

@@ -52,7 +52,6 @@ fn main() {
     let config = ComposeConfig {
         codec: CodecKind::Trle,
         root: 0,
-        gather: true,
         ..Default::default()
     };
     let (results, trace) =

@@ -42,7 +42,6 @@ fn executed(schedule: &Schedule) -> Trace {
     let config = ComposeConfig {
         codec: CodecKind::Raw,
         root: 0,
-        gather: true,
         ..Default::default()
     };
     let plan = ComposePlan::Schedule(schedule.clone());

@@ -74,7 +74,6 @@ fn rgba_composition_matches_reference_for_every_method_and_codec() {
                 &ComposeConfig {
                     codec,
                     root: 0,
-                    gather: true,
                     ..Default::default()
                 },
             )
@@ -107,7 +106,6 @@ fn f32_gray_composition_matches_reference() {
             &ComposeConfig {
                 codec: CodecKind::Trle,
                 root: 0,
-                gather: true,
                 ..Default::default()
             },
         )
@@ -134,7 +132,6 @@ fn trle_compresses_rgba_blank_structure() {
             &ComposeConfig {
                 codec,
                 root: 0,
-                gather: true,
                 ..Default::default()
             },
         )

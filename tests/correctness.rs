@@ -47,7 +47,6 @@ fn assert_schedule_exact(schedule: Schedule, codec: CodecKind) {
     let config = ComposeConfig {
         codec,
         root: p / 2, // non-default root
-        gather: true,
         ..Default::default()
     };
     let (results, _) =

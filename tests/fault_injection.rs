@@ -27,7 +27,6 @@ fn run_with_faults(faults: FaultPlan) -> (Vec<Result<(), CoreError>>, rotate_til
     let config = ComposeConfig {
         codec: CodecKind::Raw,
         root: 0,
-        gather: true,
         ..Default::default()
     }
     .with_timeout(Duration::from_millis(300));
@@ -108,7 +107,6 @@ fn sole_survivor_is_elected_root() {
     let config = ComposeConfig {
         codec: CodecKind::Raw,
         root: 0,
-        gather: true,
         ..Default::default()
     }
     .resilient(true)

@@ -58,7 +58,6 @@ fn grid_partials_composite_to_the_full_frame() {
             &ComposeConfig {
                 codec: CodecKind::Trle,
                 root: 0,
-                gather: true,
                 ..Default::default()
             },
         )

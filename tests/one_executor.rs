@@ -90,8 +90,9 @@ fn zero_budget_puzzle_is_tile_ownership_byte_for_byte_and_to_ships_no_segments()
 
 #[test]
 fn the_tile_content_scan_is_booked_as_an_encode_span() {
-    // All-blank partials ship no tile and, without the gather, encode
-    // nothing — so the one Encode span each rank records is the scan.
+    // All-blank partials ship no tile, so before `compose:end` each rank
+    // records one Encode span, the scan. The gather's encodes come after
+    // `compose:end`, which closes the step a wall-clock span is booked to.
     let (p, w, h) = (4, 32, 32);
     let blank: Vec<Image<GrayAlpha8>> = (0..p).map(|_| Image::blank(w, h)).collect();
     for method in [
@@ -106,7 +107,7 @@ fn the_tile_content_scan_is_booked_as_an_encode_span() {
         },
     ] {
         let plan = method.plan(p, w, h).unwrap();
-        let config = ComposeConfig::default().with_gather(false);
+        let config = ComposeConfig::default();
         let observer = Arc::new(Observer::new());
         let (results, _) = Run::new(&plan, &config)
             .observer(Arc::clone(&observer))
@@ -117,7 +118,11 @@ fn the_tile_content_scan_is_booked_as_an_encode_span() {
         let timelines = observer.timelines();
         assert_eq!(timelines.len(), p);
         for tl in &timelines {
-            let encodes = tl.spans.iter().filter(|s| s.phase == Phase::Encode).count();
+            let encodes = tl
+                .spans
+                .iter()
+                .filter(|s| s.phase == Phase::Encode && s.step.is_some())
+                .count();
             assert_eq!(encodes, 1, "{method:?}: rank {} scan span", tl.rank);
         }
     }

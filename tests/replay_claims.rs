@@ -49,7 +49,6 @@ fn run_of(method: Method, p: usize, len: usize, codec: CodecKind, cost: &CostMod
     let config = ComposeConfig {
         codec,
         root: 0,
-        gather: true,
         ..Default::default()
     };
     let (results, trace) = Run::new(&ComposePlan::Schedule(schedule.clone()), &config)
@@ -194,7 +193,6 @@ fn gather_cost_is_visible_in_the_replay() {
         &ComposeConfig {
             codec: CodecKind::Raw,
             root: 0,
-            gather: true,
             ..Default::default()
         },
     )

@@ -101,12 +101,11 @@ fn steady_pooled_frames_and_later_orbits_start_no_thread() {
     }
 
     let session = StreamSession::new(4);
-    let client = session.open();
     let stream = StreamConfig::new(config);
     let orbit = OrbitConfig::quarter(5);
-    let first = client.collect_orbit(&stream, &orbit).unwrap();
+    let first = session.collect_orbit(&stream, &orbit).unwrap();
     let before = threads_spawned();
-    let second = client.collect_orbit(&stream, &orbit).unwrap();
+    let second = session.collect_orbit(&stream, &orbit).unwrap();
     assert_eq!(threads_spawned(), before, "a second orbit started threads");
     assert_same_frames(&second, &first, "second orbit");
 }
@@ -145,14 +144,13 @@ fn a_failed_call_leaves_no_machine_behind_and_the_next_frame_is_a_fresh_sessions
     // next orbit builds another and equals a fresh session's.
     let orbit = OrbitConfig::quarter(3);
     let session = StreamSession::new(3);
-    let client = session.open();
-    client
+    session
         .collect_orbit(&StreamConfig::new(config), &orbit)
         .unwrap();
     let dying = StreamConfig::new(config).kill_rank_before_frame(1, 1);
-    assert!(client.collect_orbit(&dying, &orbit).is_err());
+    assert!(session.collect_orbit(&dying, &orbit).is_err());
     let before = threads_spawned();
-    let again = client
+    let again = session
         .collect_orbit(&StreamConfig::new(config), &orbit)
         .unwrap();
     assert!(
@@ -160,7 +158,6 @@ fn a_failed_call_leaves_no_machine_behind_and_the_next_frame_is_a_fresh_sessions
         "the failed call's machine came back"
     );
     let fresh = StreamSession::new(3)
-        .open()
         .collect_orbit(&StreamConfig::new(config), &orbit)
         .unwrap();
     assert_same_frames(&again, &fresh, "after a failed orbit");
@@ -206,12 +203,12 @@ fn dropping_the_pool_joins_its_parked_threads() {
     assert!(all_joined(), "{} left after the pool", parked_now());
 
     let session = StreamSession::new(3);
-    let client = session.open();
-    client
+    let handle = session.clone();
+    handle
         .collect_orbit(&StreamConfig::new(config), &OrbitConfig::quarter(3))
         .unwrap();
     assert!(parked_now() >= 6, "{} parked", parked_now());
-    drop(client);
+    drop(handle);
     assert!(parked_now() >= 6, "the session still holds its machine");
     drop(session);
     assert!(all_joined(), "{} left after the session", parked_now());
@@ -249,18 +246,17 @@ fn concurrent_clients_on_one_session_match_the_serial_frames() {
         .map(|(_, camera)| render_frame(3, &seen_from(&config, camera)).unwrap())
         .collect();
     let solo = StreamSession::new(3)
-        .open()
         .collect_orbit(&StreamConfig::new(config), &orbit)
         .unwrap();
     let session = StreamSession::new(3);
     // The first round builds the session's machine; in the second one
-    // client takes it and the other runs on a machine of its own.
+    // stream takes it and the other runs on a machine of its own.
     for round in 0..2 {
-        let handles = [session.open(), session.open()]
-            .map(|client| client.stream_orbit(&StreamConfig::new(config), &orbit));
-        for (client, handle) in handles.into_iter().enumerate() {
+        let handles = [&session, &session]
+            .map(|session| session.stream_orbit(&StreamConfig::new(config), &orbit));
+        for (stream, handle) in handles.into_iter().enumerate() {
             let frames: Vec<_> = handle.map(Result::unwrap).collect();
-            let what = format!("round {round} client {client}");
+            let what = format!("round {round} stream {stream}");
             assert_same_frames(&frames, &solo, &what);
             for (got, want) in frames.iter().zip(&serial) {
                 assert_eq!(got.frame.pixels(), want.frame.pixels(), "{what}");

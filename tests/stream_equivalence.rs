@@ -3,7 +3,7 @@
 //! across composition methods, codecs, machine sizes and transports —
 //! and must keep the repo's failure trichotomy per frame under chaos.
 
-use rotate_tiling::comm::FaultPlan;
+use rotate_tiling::comm::{tag, FaultPlan};
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::TransportKind;
 use rotate_tiling::core::hier::IntraMethod;
@@ -55,7 +55,6 @@ fn streamed_frames_are_byte_identical_across_methods_codecs_and_p() {
                 let want = serial_frames(p, &config, &orbit);
                 let session = StreamSession::new(p);
                 let got = session
-                    .open()
                     .collect_orbit(&StreamConfig::new(config), &orbit)
                     .unwrap();
                 assert_eq!(got.len(), want.len());
@@ -87,7 +86,6 @@ fn tcp_stream_is_byte_identical_to_serial() {
     let want = serial_frames(4, &config, &orbit);
     let session = StreamSession::new(4);
     let got = session
-        .open()
         .collect_orbit(
             &StreamConfig::new(config).with_transport(TransportKind::TcpLoopback),
             &orbit,
@@ -117,7 +115,6 @@ fn seeded_message_chaos_mid_stream_resolves_to_bit_exact() {
         .corrupt_rate(0.04);
     let session = StreamSession::new(4);
     let got = session
-        .open()
         .collect_orbit(&StreamConfig::new(config).with_faults(faults), &orbit)
         .unwrap();
     let mut retransmits = 0u64;
@@ -143,7 +140,6 @@ fn seeded_crash_mid_stream_resolves_to_exact_degraded() {
     let faults = FaultPlan::none().crash_rank_at_step(1, 1);
     let session = StreamSession::new(4);
     let got = session
-        .open()
         .collect_orbit(
             &StreamConfig::new(config).with_faults(faults.clone()),
             &orbit,
@@ -182,7 +178,7 @@ fn between_frame_death_attributes_the_abandoned_frame_on_both_transports() {
             .kill_rank_before_frame(2, 1);
         let started = std::time::Instant::now();
         let session = StreamSession::new(4);
-        let mut stream = session.open().stream_orbit(&config, &orbit);
+        let mut stream = session.stream_orbit(&config, &orbit);
         let first = stream
             .next()
             .expect("frame 0 emitted")
@@ -221,7 +217,6 @@ fn streamed_puzzle_frames_match_the_serial_pipeline_at_any_budget() {
         let want = serial_frames(4, &config, &orbit);
         let session = StreamSession::new(4);
         let got = session
-            .open()
             .collect_orbit(&StreamConfig::new(config), &orbit)
             .unwrap();
         assert_eq!(got.len(), want.len());
@@ -234,4 +229,42 @@ fn streamed_puzzle_frames_match_the_serial_pipeline_at_any_budget() {
             );
         }
     }
+}
+
+/// A stream longer than the tag's frame field: frame `k` tags its messages
+/// with `frame_base(k)`, which wraps at `tag::FRAME_WRAP`, so frame
+/// `FRAME_WRAP` reuses frame 0's namespace while frame `FRAME_WRAP - 1`'s
+/// messages may still be in flight. The frames either side of the wrap
+/// must still be the serial pipeline's, byte for byte.
+#[test]
+fn a_stream_past_the_frame_tag_wrap_matches_the_serial_frames() {
+    let wrap = tag::FRAME_WRAP as usize;
+    let mut config = PipelineConfig::small(Method::BinarySwap);
+    config.volume_size = 8;
+    config.render = RenderOptions {
+        early_termination: 1.0,
+        ..RenderOptions::square(8)
+    };
+    let orbit = OrbitConfig::quarter(wrap + 3);
+    let cameras = orbit_cameras(&orbit);
+    let session = StreamSession::new(2);
+    let mut streamed = 0;
+    for frame in session.stream_orbit(&StreamConfig::new(config), &orbit) {
+        let frame = frame.unwrap();
+        assert_eq!(frame.seq, streamed as u64);
+        streamed += 1;
+        if frame.stats.index + 1 < wrap {
+            continue;
+        }
+        let mut serial = config;
+        serial.camera = cameras[frame.stats.index].1;
+        let want = FrameRun::new(2, &serial).execute().unwrap().frame;
+        assert!(want.pixels().iter().any(|px| px.a > 0.0), "a blank frame");
+        let bits = |image: &Image<GrayAlpha>| -> Vec<(u32, u32)> {
+            let pixels = image.pixels().iter();
+            pixels.map(|px| (px.v.to_bits(), px.a.to_bits())).collect()
+        };
+        assert_eq!(bits(&frame.frame), bits(&want), "frame {}", frame.seq);
+    }
+    assert_eq!(streamed, wrap + 3);
 }

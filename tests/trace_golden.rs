@@ -318,7 +318,7 @@ fn pipeline_digests() -> String {
                     serial_first.get_or_insert(frame.trace);
                 }
                 let config = StreamConfig::new(base).with_faults(faults);
-                let frames = StreamSession::new(p).open().collect_orbit(&config, &orbit);
+                let frames = StreamSession::new(p).collect_orbit(&config, &orbit);
                 let frames = frames.unwrap();
                 for (k, frame) in frames.iter().enumerate() {
                     cell("stream", k, &frame.trace, &frame.frame);

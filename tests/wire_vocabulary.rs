@@ -68,7 +68,6 @@ fn every_emitted_label_is_a_named_mark_and_round_trips() {
         &mut marks,
     );
     let frames = StreamSession::new(4)
-        .open()
         .collect_orbit(&StreamConfig::new(base), &OrbitConfig::quarter(2))
         .unwrap();
     for frame in &frames {
