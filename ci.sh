@@ -21,11 +21,25 @@ echo "== vocabulary gate =="
 # and the mark labels in crates/comm/src/mark.rs, and nothing else may grow
 # a private copy. Checked over non-test code: each file without its test
 # modules, each cut from a column-0 `#[cfg(test)]` followed by `mod <name> {`
-# to that module's column-0 closing brace. Code after a test module, and
-# test-only items inside non-test code, stay in view.
+# to that module's column-0 closing brace, and without the files their
+# parent declares as a test module (`#[cfg(test)]` at column 0, then
+# `mod <name>;`). Code after a test module, and test-only items inside
+# non-test code, stay in view.
 non_test_src() {
-    local f
+    local f test_files
+    test_files=$(awk '
+        /^#\[cfg\(test\)\]/ {
+            if ((getline next_line) <= 0 || next_line !~ /^(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+;$/)
+                next
+            name = next_line; sub(/^.*mod /, "", name); sub(/;$/, "", name)
+            dir = FILENAME; sub(/[^\/]*$/, "", dir)
+            stem = FILENAME; sub(/^.*\//, "", stem); sub(/\.rs$/, "", stem)
+            if (stem != "lib" && stem != "main" && stem != "mod" && dir !~ /\/src\/bin\/$/)
+                dir = dir stem "/"
+            print dir name ".rs"
+        }' crates/*/src/*.rs crates/*/src/bin/*.rs)
     for f in crates/*/src/*.rs crates/*/src/bin/*.rs; do
+        grep -qxF "$f" <<<"$test_files" && continue
         awk -v F="$f" '
             skip { if (/^}/) skip = 0; next }
             /^#\[cfg\(test\)\]/ {
@@ -196,6 +210,21 @@ stray=$(awk '/^    pub fn unpack\(/,/^    }$/' crates/core/src/exec.rs | grep -F
 [ -z "$stray" ] || vocabulary_fail "Stage::unpack merges onto blank again" "$stray"
 grep -q '^    pub fn unpack(' crates/core/src/exec.rs \
     || vocabulary_fail "Stage::unpack is gone from crates/core/src/exec.rs" ""
+# One price per `over`: `Stage` in exec.rs is rt-core's one home of the
+# decode, the merge and the virtual-clock `Over` charge, so no other
+# non-test code of the crate calls a codec's decode entry, merges two pixel
+# slices or charges an `over`. A comparison with `ComputeKind::Over` reads a
+# recorded event and charges nothing; analysis.rs, the static model of the
+# raw schedule's trace, writes its events itself.
+stage_lines=$(awk '/^impl<.*> Stage<.*> \{$/ { s = FNR } s && /^}$/ { print s "-" FNR; exit }' \
+    crates/core/src/exec.rs)
+[ -n "$stage_lines" ] || vocabulary_fail "impl Stage is gone from crates/core/src/exec.rs" ""
+stray=$(grep -v '^crates/core/src/analysis\.rs:' <<<"$core" \
+    | awk -F: -v r="$stage_lines" 'BEGIN { split(r, b, "-") }
+        !($1 == "crates/core/src/exec.rs" && $2 >= b[1] && $2 <= b[2])' \
+    | grep -E '\bComputeKind::Over\b|\bover_(back|front)_slice\b|\.over_(back|front)\(|\.decode(_over|_into)?\(' \
+    | grep -vE '==[[:space:]]*(rt_comm::)?ComputeKind::Over\b' || true)
+[ -z "$stray" ] || vocabulary_fail "rt-core decodes, merges or prices an over outside Stage" "$stray"
 # One gather reads each owner's spans off its plan as it ships them: no
 # per-owner span lists, no segment list handed back through an
 # out-parameter, no ownership map on the compose output and no per-row

@@ -1019,8 +1019,6 @@ impl Multicomputer {
     /// is still joined and the panic is re-raised with a report naming
     /// **which** ranks panicked and their messages, as a crashed node
     /// would abort an MPI job with its rank in the error.
-    // A rank's panic is the closure's bug, reported under its rank.
-    #[allow(clippy::panic)]
     pub fn run_on<X, T, F>(&self, mesh: Vec<X>, f: F) -> (Vec<T>, Trace)
     where
         X: Transport + 'static,
@@ -1069,14 +1067,7 @@ impl Multicomputer {
                         results.push(result);
                         trace.ranks.push(events);
                     }
-                    Err(payload) => {
-                        let msg = payload
-                            .downcast_ref::<&'static str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_string());
-                        panics.push((rank, msg));
-                    }
+                    Err(payload) => panics.push((rank, panic_message(&*payload))),
                 }
             }
         });
@@ -1089,16 +1080,36 @@ impl Multicomputer {
                 }
             }
         }
-        if !panics.is_empty() {
-            let report = panics
-                .iter()
-                .map(|(r, m)| format!("rank {r}: {m}"))
-                .collect::<Vec<_>>()
-                .join("; ");
-            panic!("{} rank(s) panicked — {report}", panics.len());
-        }
+        raise_rank_panics(&panics);
         (results, trace)
     }
+}
+
+/// The message a panic carried: its `&str` or `String` payload, or a stand-in
+/// for any other payload.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&'static str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+/// Re-raise the ranks' panics, `(rank, message)` in rank order, as one panic
+/// naming every rank and its message, as a crashed node aborts an MPI job
+/// with its rank in the error. Returns if no rank panicked.
+// A rank's panic is its caller's bug, reported under its rank.
+#[allow(clippy::panic)]
+pub fn raise_rank_panics(panics: &[(usize, String)]) {
+    if panics.is_empty() {
+        return;
+    }
+    let report = panics
+        .iter()
+        .map(|(r, m)| format!("rank {r}: {m}"))
+        .collect::<Vec<_>>()
+        .join("; ");
+    panic!("{} rank(s) panicked — {report}", panics.len());
 }
 
 #[cfg(test)]
@@ -1583,6 +1594,26 @@ mod tests {
                 panic!("boom");
             }
         });
+    }
+
+    #[test]
+    fn one_report_names_each_panicked_rank_and_its_message() {
+        let payloads: [Box<dyn std::any::Any + Send>; 3] = [
+            Box::new("boom"),
+            Box::new(String::from("bang")),
+            Box::new(7u32),
+        ];
+        let panics: Vec<(usize, String)> = payloads
+            .iter()
+            .enumerate()
+            .map(|(rank, payload)| (rank, panic_message(&**payload)))
+            .collect();
+        raise_rank_panics(&[]);
+        let report = std::panic::catch_unwind(|| raise_rank_panics(&panics)).unwrap_err();
+        assert_eq!(
+            panic_message(&*report),
+            "3 rank(s) panicked — rank 0: boom; rank 1: bang; rank 2: non-string panic payload"
+        );
     }
 
     /// Word-wise FNV-1a in eight lanes, written out plainly: lane `i` over

@@ -66,8 +66,8 @@ pub mod trace;
 pub mod transport;
 
 pub use comm::{
-    note_thread_spawns, threads_spawned, CommError, FaultPlan, Multicomputer, Payload, RankCtx,
-    RankOptions,
+    note_thread_spawns, panic_message, raise_rank_panics, threads_spawned, CommError, FaultPlan,
+    Multicomputer, Payload, RankCtx, RankOptions,
 };
 pub use cost::{ComputeKind, CostModel};
 pub use mark::Mark;

@@ -27,7 +27,7 @@
 //! the tile executor calls the same two.
 
 use crate::display::{span_cell_segments, DisplayWall};
-use crate::repair::{agree_on_failures, repair, DegradedInfo};
+use crate::repair::{agree_on_failures, repair, DegradedInfo, RepairFetch};
 use crate::schedule::{MergeDir, Schedule};
 use crate::tile::TileLists;
 use crate::CoreError;
@@ -36,7 +36,7 @@ use rt_comm::{
 };
 use rt_compress::{Codec, CodecKind, OverDir};
 use rt_imaging::pixel::{OverStats, Pixel};
-use rt_imaging::{Image, Span};
+use rt_imaging::{Image, ImagingError, Span};
 use rt_net::TcpMulticomputer;
 use rt_obs::{Observer, Phase};
 use std::any::Any;
@@ -428,7 +428,7 @@ pub(crate) struct Stage<'a, P: Pixel> {
     codec: Box<dyn Codec<P>>,
     /// Raw buffers carry no blank structure, so `over` is charged for the
     /// full span and the codec accounts stay empty.
-    pub raw: bool,
+    raw: bool,
 }
 
 impl<'a, P: Pixel> Stage<'a, P> {
@@ -461,15 +461,8 @@ impl<'a, P: Pixel> Stage<'a, P> {
         ctx.obs_counters(|c| c.add_wire_bytes(self.config.codec.name(), wire));
     }
 
-    /// [`Stage::encode_into`] a buffer of its own.
-    pub fn encode(&self, ctx: &mut RankCtx, started: Option<Instant>, pixels: &[P]) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        self.encode_into(ctx, started, pixels, &mut bytes);
-        bytes
-    }
-
-    /// [`Stage::encode`] `pixels` and send the codec's buffer, uncopied, to
-    /// `dst`.
+    /// [`Stage::encode_into`] `pixels` to a buffer of their own and send it,
+    /// uncopied, to `dst`.
     pub fn ship(
         &self,
         ctx: &mut RankCtx,
@@ -477,8 +470,8 @@ impl<'a, P: Pixel> Stage<'a, P> {
         dst: usize,
         tag: u64,
     ) -> Result<(), CoreError> {
-        let started = ctx.obs_start();
-        let bytes = self.encode(ctx, started, pixels);
+        let mut bytes = Vec::new();
+        self.encode_into(ctx, ctx.obs_start(), pixels, &mut bytes);
         ctx.send(dst, tag, bytes)?;
         Ok(())
     }
@@ -512,7 +505,7 @@ impl<'a, P: Pixel> Stage<'a, P> {
     /// wire size, not the decompressed size — a compressed message must
     /// cost less to decode, or the paper's claim that compression cuts
     /// composition time (Section 3) is mispriced.
-    pub fn charge_decode(&self, ctx: &mut RankCtx, bytes: &[u8]) {
+    fn charge_decode(&self, ctx: &mut RankCtx, bytes: &[u8]) {
         if !self.raw {
             ctx.compute(ComputeKind::Decode, bytes.len() as u64);
         }
@@ -520,13 +513,6 @@ impl<'a, P: Pixel> Stage<'a, P> {
 
     /// Stream a received message through the fused decode+`over` kernel
     /// directly into `dst` — no decoded `Vec` — and charge it.
-    ///
-    /// Blank pixels are the identity of `over`; the structured codecs
-    /// (TRLE templates, RLE runs, bounding intervals) identify blank
-    /// regions during decode, so — as the paper argues in Section 1 —
-    /// compression reduces the composition *computation* as well as the
-    /// traffic: only the non-blank pixels cost an `over`. Raw buffers
-    /// carry no such structure and are charged for the full span.
     pub fn merge(
         &self,
         ctx: &mut RankCtx,
@@ -539,9 +525,35 @@ impl<'a, P: Pixel> Stage<'a, P> {
         let stats = self.codec.decode_over(bytes, dst, dir)?;
         ctx.obs_span(Phase::Over, started);
         self.count_stream(ctx, &stats, stats.non_blank);
-        let over_units = if self.raw { dst.len() } else { stats.non_blank };
-        ctx.compute(ComputeKind::Over, over_units as u64);
+        self.charge_over(ctx, dst.len(), &stats);
         Ok(())
+    }
+
+    /// Merge pixels this rank holds in memory behind `dst` (`dst = dst over
+    /// back`), the `back` pieces laid end to end along `dst`, and charge
+    /// the merge like a received one: a deferred flush, the tile fold's
+    /// local tile, a repair's own piece. `phase` names the wall-clock span;
+    /// the caller tallies the returned counters where its phase counts them.
+    pub fn merge_own<'b>(
+        &self,
+        ctx: &mut RankCtx,
+        phase: Phase,
+        dst: &mut [P],
+        back: impl IntoIterator<Item = Result<&'b [P], ImagingError>>,
+    ) -> Result<OverStats, CoreError> {
+        let started = ctx.obs_start();
+        let mut stats = OverStats::default();
+        let mut rest = &mut *dst;
+        for piece in back {
+            let piece = piece?;
+            let n = piece.len().min(rest.len());
+            let (row, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            stats += P::over_back_slice(row, piece)?;
+            rest = tail;
+        }
+        ctx.obs_span(phase, started);
+        self.charge_over(ctx, dst.len(), &stats);
+        Ok(stats)
     }
 
     /// Decode a received message into the blank `dst` through
@@ -556,15 +568,26 @@ impl<'a, P: Pixel> Stage<'a, P> {
         Ok(())
     }
 
-    /// Tally one decoded stream on the observability kernel counters;
-    /// `merged` of its non-blank pixels were composited (none when the
-    /// stream was only copied).
+    /// Tally one merged or copied stream on the observability kernel
+    /// counters; `merged` of its non-blank pixels were composited (none
+    /// when the stream was only copied).
     fn count_stream(&self, ctx: &mut RankCtx, stats: &OverStats, merged: usize) {
         ctx.obs_counters(|c| {
             c.non_blank_merged += merged as u64;
             c.blank_skipped += stats.blank_skipped as u64;
             c.opaque_fast += stats.opaque_fast as u64;
         });
+    }
+
+    /// The one price of an `over` of `len` pixels. Blank pixels are the
+    /// identity of `over`; the structured codecs (TRLE templates, RLE runs,
+    /// bounding intervals) identify blank regions, so — as the paper argues
+    /// in Section 1 — compression reduces the composition *computation* as
+    /// well as the traffic: only the non-blank pixels cost an `over`. Raw
+    /// buffers carry no such structure and are charged for every pixel.
+    fn charge_over(&self, ctx: &mut RankCtx, len: usize, stats: &OverStats) {
+        let units = if self.raw { len } else { stats.non_blank };
+        ctx.compute(ComputeKind::Over, units as u64);
     }
 }
 
@@ -694,63 +717,52 @@ pub(crate) fn compose_schedule<P: Pixel>(
         agree_on_failures(ctx, config, schedule.p, steps_len, |ctx, crashed| {
             let plan = repair(schedule, crashed)?;
 
-            // Phase 1: copy every piece this rank keeps for the plan *before*
-            // any insert can overwrite it, and ship the remote-bound ones (all
-            // sends precede all receives: no deadlock on the buffered
-            // channels).
-            let mut own_pieces: HashMap<(usize, usize), Vec<P>> = HashMap::new();
+            // `own` is kept whenever a repair can run (resilient).
+            let source = |f: &RepairFetch| own.as_ref().filter(|_| f.own).unwrap_or(&local);
+            // Phase 1: ship the remote-bound pieces (all sends precede all
+            // receives: no deadlock on the buffered channels).
             for (ei, e) in plan.entries.iter().enumerate() {
                 for (fi, fetch) in e.fetches.iter().enumerate() {
-                    if fetch.holder != me {
-                        continue;
-                    }
-                    // `own` is kept whenever a repair can run (resilient).
-                    let source = own.as_ref().filter(|_| fetch.own).unwrap_or(&local);
-                    if e.owner == me {
-                        own_pieces.insert((ei, fi), source.extract(e.span)?);
-                    } else {
+                    if fetch.holder == me && e.owner != me {
                         let tag = tag::repair(config.frame_tag, ei, fi);
-                        stage.ship(ctx, source.span_pixels(e.span)?, e.owner, tag)?;
+                        stage.ship(ctx, source(fetch).span_pixels(e.span)?, e.owner, tag)?;
                     }
                 }
             }
-            // Phase 2: assemble the spans this rank now owns, merging the
-            // fetched pieces front-to-back.
+            // Phase 2: fold each span this rank now owns front to back. The
+            // folds read this rank's buffer, so nothing is written back into
+            // it before the last one.
+            let mut folded = Vec::new();
             for (ei, e) in plan.entries.iter().enumerate() {
                 if e.owner != me {
                     continue;
                 }
-                let mut acc: Option<Vec<P>> = None;
+                let mut acc = scratch.take_acc(e.span.len, ctx);
                 for (fi, fetch) in e.fetches.iter().enumerate() {
-                    let pixels: Vec<P> = if fetch.holder == me {
-                        match own_pieces.remove(&(ei, fi)) {
-                            Some(px) => px,
-                            None => {
-                                return Err(CoreError::InvalidSchedule {
-                                    why: format!(
-                                    "repair plan fetch ({ei},{fi}) was not extracted in phase 1"
-                                ),
-                                })
-                            }
-                        }
-                    } else {
+                    let first = fi == 0;
+                    if fetch.holder != me {
                         let bytes =
                             ctx.recv(fetch.holder, tag::repair(config.frame_tag, ei, fi))?;
-                        stage.charge_decode(ctx, &bytes);
-                        stage.codec.decode(&bytes, e.span.len)?
-                    };
-                    acc = Some(match acc {
-                        None => pixels,
-                        Some(mut front) => {
-                            ctx.compute(ComputeKind::Over, e.span.len as u64);
-                            P::over_back_slice(&mut front, &pixels)?;
-                            front
+                        if first {
+                            let started = ctx.obs_start();
+                            stage.unpack(ctx, &bytes, &mut acc)?;
+                            ctx.obs_span(Phase::Decode, started);
+                        } else {
+                            stage.merge(ctx, &bytes, &mut acc, OverDir::Back)?;
                         }
-                    });
+                    } else if first {
+                        acc.clone_from_slice(source(fetch).span_pixels(e.span)?);
+                    } else {
+                        let piece = source(fetch).span_pixels(e.span);
+                        let stats = stage.merge_own(ctx, Phase::Over, &mut acc, [piece])?;
+                        stage.count_stream(ctx, &stats, stats.non_blank);
+                    }
                 }
-                if let Some(acc) = acc {
-                    local.insert(e.span, &acc)?;
-                }
+                folded.push((e.span, acc));
+            }
+            for (span, acc) in folded {
+                local.insert(span, &acc)?;
+                scratch.put_acc(acc);
             }
 
             repaired = Some(plan.final_owners);
@@ -784,15 +796,8 @@ fn flush_deferred<P: Pixel>(
     let mut flushes: Vec<(Span, Vec<P>)> = back_acc.drain().map(|(_, acc)| acc).collect();
     flushes.sort_by_key(|(span, _)| span.start);
     for (span, acc) in flushes {
-        let flush_started = ctx.obs_start();
-        let stats = local.over_back(span, &acc)?;
-        // Mirror the per-step charging rule: under a structured codec only
-        // the non-blank accumulated pixels cost an `over`; charging the
-        // full span here would price the flush as if the codec had found
-        // no blank structure at all.
-        let over_units = if stage.raw { span.len } else { stats.non_blank };
-        ctx.compute(ComputeKind::Over, over_units as u64);
-        ctx.obs_span(Phase::Flush, flush_started);
+        let dst = local.span_pixels_mut(span)?;
+        stage.merge_own(ctx, Phase::Flush, dst, [Ok(&*acc)])?;
         scratch.put_acc(acc);
     }
     Ok(())

@@ -10,8 +10,8 @@
 //!
 //! # Why recovery is possible at all
 //!
-//! The executor *copies* a span out of the local buffer when it sends
-//! ([`rt_imaging::Image::extract`]), and the schedule verifier's
+//! The executor encodes a span straight off the local buffer when it sends
+//! and leaves those pixels in place, and the schedule verifier's
 //! conservation invariant guarantees a rank never merges new data into a
 //! span it has already shipped. So the physical buffer of every survivor
 //! still holds, at every span it ever sent, the exact pixels it sent — a

@@ -56,9 +56,9 @@ use crate::repair::{agree_on_failures, DegradedInfo};
 use crate::schedule::{check_permutation, verify_schedule, Schedule};
 use crate::CoreError;
 use rt_comm::tag::{self, Extents, TileChannel};
-use rt_comm::{CommError, ComputeKind, Mark, Payload, RankCtx};
+use rt_comm::{CommError, Mark, Payload, RankCtx};
 use rt_compress::OverDir;
-use rt_imaging::pixel::{OverStats, Pixel};
+use rt_imaging::pixel::Pixel;
 use rt_imaging::{Image, Rect, Span};
 use rt_obs::Phase;
 use std::collections::BTreeMap;
@@ -815,8 +815,7 @@ impl<P: Pixel> TileScan<'_, P> {
         piece_of: &impl Fn(usize) -> Option<Piece<'a>>,
     ) -> Result<(), CoreError> {
         let me = ctx.rank();
-        let area = self.plan.grid.area(t);
-        let mut acc = scratch.take_acc(area, ctx);
+        let mut acc = scratch.take_acc(self.plan.grid.area(t), ctx);
         for &r in &self.plan.rank_at_depth {
             if r != me {
                 if let Some(piece) = piece_of(r) {
@@ -832,23 +831,16 @@ impl<P: Pixel> TileScan<'_, P> {
             // Fold the local tile at its depth position: acc = acc over
             // local (the incoming piece is deeper than everything folded so
             // far).
-            let over_started = ctx.obs_start();
-            let mut stats = OverStats::default();
-            let width = self.plan.grid.rect(t).width();
-            for (row, span) in acc.chunks_mut(width).zip(self.plan.grid.row_spans(t)) {
-                stats += P::over_back_slice(row, local.span_pixels(span)?)?;
-            }
-            ctx.obs_span(Phase::Over, over_started);
+            let rows = self
+                .plan
+                .grid
+                .row_spans(t)
+                .map(|span| local.span_pixels(span));
+            let stats = self.stage.merge_own(ctx, Phase::Over, &mut acc, rows)?;
             ctx.obs_counters(|c| {
                 c.non_blank_merged += stats.non_blank as u64;
                 c.blank_skipped += stats.blank_skipped as u64;
             });
-            let over_units = if self.stage.raw {
-                area
-            } else {
-                stats.non_blank
-            };
-            ctx.compute(ComputeKind::Over, over_units as u64);
         }
         // Writing the folded tile back finishes its merge.
         let started = ctx.obs_start();

@@ -1,6 +1,7 @@
-//! The [`Image`] container and span-wise composition primitives.
+//! The [`Image`] container, its span access and the sequential reference
+//! composite.
 
-use crate::pixel::{OverStats, Pixel};
+use crate::pixel::Pixel;
 use crate::span::Span;
 use crate::ImagingError;
 
@@ -117,14 +118,7 @@ impl<P: Pixel> Image<P> {
         Ok(())
     }
 
-    /// Copy the pixels covered by `span` into a new vector.
-    pub fn extract(&self, span: Span) -> Result<Vec<P>, ImagingError> {
-        self.check_span(span)?;
-        Ok(self.data[span.range()].to_vec())
-    }
-
-    /// Borrow the pixels covered by `span` (the allocation-free
-    /// counterpart of [`Image::extract`] — spans are contiguous).
+    /// Borrow the pixels covered by `span` (spans are contiguous).
     pub fn span_pixels(&self, span: Span) -> Result<&[P], ImagingError> {
         self.check_span(span)?;
         Ok(&self.data[span.range()])
@@ -149,26 +143,6 @@ impl<P: Pixel> Image<P> {
         }
         self.data[span.range()].clone_from_slice(src);
         Ok(())
-    }
-
-    /// Composite `front` (a buffer of `span.len` pixels) **over** the pixels
-    /// covered by `span`, in place: `self[span] = front over self[span]`,
-    /// through [`Pixel::over_front_slice`].
-    ///
-    /// This is the receive-side merge used when a *nearer* partial arrives.
-    pub fn over_front(&mut self, span: Span, front: &[P]) -> Result<OverStats, ImagingError> {
-        self.check_span(span)?;
-        P::over_front_slice(&mut self.data[span.range()], front)
-    }
-
-    /// Composite `back` **under** the pixels covered by `span`, in place:
-    /// `self[span] = self[span] over back`, through
-    /// [`Pixel::over_back_slice`].
-    ///
-    /// This is the receive-side merge used when a *farther* partial arrives.
-    pub fn over_back(&mut self, span: Span, back: &[P]) -> Result<OverStats, ImagingError> {
-        self.check_span(span)?;
-        P::over_back_slice(&mut self.data[span.range()], back)
     }
 
     /// Number of non-blank pixels (drives compression ratios and bounding
@@ -273,25 +247,25 @@ mod tests {
     }
 
     #[test]
-    fn extract_insert_roundtrip() {
+    fn span_pixels_insert_roundtrip() {
         let img = Image::from_fn(4, 4, |x, y| GrayAlpha::opaque((x + y) as f32));
         let span = Span::new(5, 6);
-        let pixels = img.extract(span).unwrap();
+        let pixels = img.span_pixels(span).unwrap();
         let mut img2 = Image::blank(4, 4);
-        img2.insert(span, &pixels).unwrap();
-        assert_eq!(img2.extract(span).unwrap(), pixels);
+        img2.insert(span, pixels).unwrap();
+        assert_eq!(img2.span_pixels(span).unwrap(), pixels);
     }
 
     #[test]
     fn span_bounds_are_enforced() {
-        let img: Image<GrayAlpha> = Image::blank(2, 2);
-        assert!(img.extract(Span::new(2, 3)).is_err());
-        let mut img = img;
+        let mut img: Image<GrayAlpha> = Image::blank(2, 2);
+        assert!(img.span_pixels(Span::new(2, 3)).is_err());
+        assert!(img.span_pixels_mut(Span::new(4, 1)).is_err());
         assert!(img
             .insert(Span::new(0, 5), &[GrayAlpha::blank(); 5])
             .is_err());
         assert!(img
-            .over_front(Span::new(0, 2), &[GrayAlpha::blank(); 3])
+            .insert(Span::new(0, 2), &[GrayAlpha::blank(); 3])
             .is_err());
     }
 
@@ -300,12 +274,11 @@ mod tests {
         // rank 0 (front) over rank 1 (back) via both receive directions.
         let front = Image::from_fn(2, 2, |_, _| Provenance::rank(0));
         let back = Image::from_fn(2, 2, |_, _| Provenance::rank(1));
-        let span = Span::whole(4);
 
         let mut a = back.clone();
-        a.over_front(span, front.pixels()).unwrap();
+        Provenance::over_front_slice(a.pixels_mut(), front.pixels()).unwrap();
         let mut b = front.clone();
-        b.over_back(span, back.pixels()).unwrap();
+        Provenance::over_back_slice(b.pixels_mut(), back.pixels()).unwrap();
         assert_eq!(a, b);
         assert!(a.pixels().iter().all(|p| *p == Provenance::complete(2)));
     }

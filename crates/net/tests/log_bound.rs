@@ -45,10 +45,18 @@ fn send_windowed(t: &mut TcpTransport, to: usize, seq: u64, payload: &Payload) {
 const STREAM_FRAMES: u64 = 2_000;
 const STREAM_FRAME_BYTES: usize = 256 << 10;
 
+/// The streams' heartbeat. Both ends live in this one process, so a stall
+/// of the whole process — a virtual CPU the host does not run — is silence
+/// both heartbeats read once it ends, and a silence past five beats
+/// re-dials a healthy stream, which these tests count. Stopping the process
+/// for 250 ms mid-stream re-dials both streams at a 20 ms beat every time;
+/// at this beat a stall must pass a second to do so.
+const STREAM_HEARTBEAT: Duration = Duration::from_millis(200);
+
 #[test]
 fn a_one_way_stream_keeps_the_log_within_the_window() {
     within(Duration::from_secs(120), || {
-        let (mut a, mut b) = pair(Some(Duration::from_millis(20)));
+        let (mut a, mut b) = pair(Some(STREAM_HEARTBEAT));
         let payload = Payload::from(vec![0x5a; STREAM_FRAME_BYTES]);
         let theirs = payload.clone();
         let receiver = std::thread::spawn(move || {
@@ -72,7 +80,7 @@ fn a_one_way_stream_keeps_the_log_within_the_window() {
 #[test]
 fn a_two_way_stream_keeps_both_logs_within_the_window() {
     within(Duration::from_secs(120), || {
-        let (a, b) = pair(Some(Duration::from_millis(20)));
+        let (a, b) = pair(Some(STREAM_HEARTBEAT));
         let payload = Payload::from(vec![0xa5; STREAM_FRAME_BYTES]);
         let ends: Vec<_> = [(a, 1), (b, 0)]
             .into_iter()

@@ -26,7 +26,7 @@ use crate::permute::permute_plan;
 use crate::session::{Call, Session};
 use crate::stream::StreamConfig;
 use crate::PvrError;
-use rt_comm::{FaultPlan, Trace};
+use rt_comm::{raise_rank_panics, FaultPlan, Trace};
 use rt_compress::CodecKind;
 use rt_core::exec::{ComposeConfig, ScratchPool, TransportKind};
 use rt_core::method::Method;
@@ -308,9 +308,6 @@ impl<'a> FrameRun<'a> {
 
     /// Partition, render, composite and warp the frame: plan its one
     /// camera, then run that one plan on the pool's machine.
-    // A rank's panic is the frame's bug, re-raised under its rank as a
-    // machine launching its ranks reports it.
-    #[allow(clippy::panic)]
     pub fn execute(self) -> Result<PipelineOutput, PvrError> {
         let FrameRun {
             p,
@@ -337,14 +334,7 @@ impl<'a> FrameRun<'a> {
         };
         let mut call = Call::start(session, pool, p, stream, vec![plan])?;
         let frame = call.next_frame();
-        let panics = call.finish(pool);
-        if !panics.is_empty() {
-            let report: Vec<_> = panics
-                .iter()
-                .map(|(r, m)| format!("rank {r}: {m}"))
-                .collect();
-            panic!("{} rank(s) panicked — {}", panics.len(), report.join("; "));
-        }
+        raise_rank_panics(&call.finish(pool));
         let frame = frame
             .unwrap_or_else(|| {
                 Err(PvrError::Config {

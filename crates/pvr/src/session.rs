@@ -26,7 +26,7 @@
 use crate::pipeline::{FramePlan, PartitionKey, Partitioned};
 use crate::stream::{assemble_frame, stream_rank, Contribution, StreamConfig, StreamFrame};
 use crate::PvrError;
-use rt_comm::{note_thread_spawns, FaultPlan, RankCtx, RankOptions, Transport};
+use rt_comm::{note_thread_spawns, panic_message, FaultPlan, RankCtx, RankOptions, Transport};
 use rt_comm::{RecvRawError, SendRawError, WireFrame};
 use rt_core::exec::{ComposeConfig, Machine, Scratch, ScratchPool, TransportKind};
 use rt_imaging::{GrayAlpha, Image};
@@ -299,13 +299,7 @@ fn park_rank(me: usize, endpoint: &Endpoint, jobs: &mpsc::Receiver<RankJob>, cre
             stream_rank(&mut ctx, &run, &mut scratch, &renderer, crew, &reports);
         }));
         drop(run);
-        let panic = ran.err().map(|payload| {
-            payload
-                .downcast_ref::<&'static str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string())
-        });
+        let panic = ran.err().map(|payload| panic_message(&*payload));
         let _ = reports.send(Report::Done {
             rank: me,
             scratch,

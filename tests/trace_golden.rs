@@ -527,3 +527,65 @@ fn the_critical_path_names_a_slow_rank() {
     );
     assert_eq!(path.bounding_rank().map(|(rank, _)| rank), Some(5));
 }
+
+/// The survivors' repair merges are priced like every other merge: under a
+/// structured codec only the non-blank pixels a merge composites cost an
+/// `over`. 2N_RT(B=4) at P = 4 with rank 3 crashed at step 1 must charge
+/// each survivor the same `over` units between `compose:end` and
+/// `gather:end` under RLE, TRLE and bounds, strictly fewer than raw's full
+/// spans, and deliver raw's frames.
+#[test]
+fn the_repair_charges_over_like_every_other_merge() {
+    let p = 4;
+    let method = Method::RotateTiling {
+        variant: RtVariant::TwoN,
+        blocks: 4,
+    };
+    let plan = method.plan(p, SIDE, SIDE).unwrap();
+    let faults = FaultPlan::none().crash_rank_at_step(p - 1, 1);
+    let run = |codec: CodecKind| {
+        let config = ComposeConfig::default().with_codec(codec).resilient(true);
+        let (results, trace) = Run::new(&plan, &config)
+            .faults(faults.clone())
+            .execute(partials(p));
+        let repair_over: Vec<u64> = trace.ranks[..p - 1]
+            .iter()
+            .map(|events| {
+                let (mut inside, mut units) = (false, 0);
+                for e in events {
+                    match e {
+                        Event::Mark {
+                            label: Mark::ComposeEnd,
+                        } => inside = true,
+                        Event::Mark {
+                            label: Mark::GatherEnd,
+                        } => inside = false,
+                        Event::Compute {
+                            kind: ComputeKind::Over,
+                            units: u,
+                        } if inside => units += u,
+                        _ => {}
+                    }
+                }
+                units
+            })
+            .collect();
+        (frames_digest(&results), repair_over)
+    };
+    let (raw_frames, raw_over) = run(CodecKind::Raw);
+    let raw_total: u64 = raw_over.iter().sum();
+    assert!(
+        raw_total > 0,
+        "the crash must leave the survivors merges to repair"
+    );
+    let (_, structured) = run(CodecKind::Rle);
+    for codec in [CodecKind::Rle, CodecKind::Trle, CodecKind::Bounds] {
+        let (frames, over) = run(codec);
+        assert_eq!(frames, raw_frames, "{codec:?}: frames differ from raw's");
+        assert_eq!(over, structured, "{codec:?}: repair priced unlike RLE's");
+        assert!(
+            over.iter().sum::<u64>() < raw_total,
+            "{codec:?}: repair over units {over:?} not below raw's {raw_over:?}"
+        );
+    }
+}
