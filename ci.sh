@@ -590,8 +590,10 @@ echo "== paired benchmark smoke =="
 # claim goes through (stdlib only), on its smallest setting: HEAD against
 # the working tree, one pair of one-second `pipeline_serial` runs, each side
 # built offline from `git archive` (equal trees share one build). Checks the
-# tool builds, runs and reports; the numbers are no evidence.
+# tool builds, runs and reports, the acceptance bound flag included; the
+# numbers are no evidence.
 python3 tools/pairs.py HEAD --smoke > target/pairs_smoke.txt
 grep -q '^pipeline_serial  *frame_ms_p50 ' target/pairs_smoke.txt
+grep -q '"over_bound": ' target/pairs_smoke.txt
 
 echo "CI gate passed."

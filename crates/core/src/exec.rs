@@ -571,7 +571,7 @@ impl<'a, P: Pixel> Stage<'a, P> {
     /// Tally one merged or copied stream on the observability kernel
     /// counters; `merged` of its non-blank pixels were composited (none
     /// when the stream was only copied).
-    fn count_stream(&self, ctx: &mut RankCtx, stats: &OverStats, merged: usize) {
+    pub(crate) fn count_stream(&self, ctx: &mut RankCtx, stats: &OverStats, merged: usize) {
         ctx.obs_counters(|c| {
             c.non_blank_merged += merged as u64;
             c.blank_skipped += stats.blank_skipped as u64;

@@ -837,10 +837,7 @@ impl<P: Pixel> TileScan<'_, P> {
                 .row_spans(t)
                 .map(|span| local.span_pixels(span));
             let stats = self.stage.merge_own(ctx, Phase::Over, &mut acc, rows)?;
-            ctx.obs_counters(|c| {
-                c.non_blank_merged += stats.non_blank as u64;
-                c.blank_skipped += stats.blank_skipped as u64;
-            });
+            self.stage.count_stream(ctx, &stats, stats.non_blank);
         }
         // Writing the folded tile back finishes its merge.
         let started = ctx.obs_start();
@@ -1022,6 +1019,7 @@ mod tests {
     use rt_imaging::image::reference_composite;
     use rt_imaging::pixel::{GrayAlpha, GrayAlpha8, Provenance};
     use rt_imaging::synth::provenance_partials;
+    use std::sync::Arc;
 
     fn run<P: Pixel>(
         plan: &TilePlan,
@@ -1356,6 +1354,29 @@ mod tests {
         let extents = tag_extents(&widest, &config);
         assert_eq!((extents.step, extents.wall), (255, Some((1, 255))));
         extents.check().unwrap();
+    }
+
+    #[test]
+    fn the_own_tile_merge_counts_its_opaque_fast_pixels() {
+        // Rank 1 folds each owned tile behind rank 0's opaque piece, so
+        // every pixel of its own tiles merges behind an opaque front.
+        let (p, w, h) = (2, 16, 16);
+        let partials: Vec<Image<GrayAlpha8>> = (0..p)
+            .map(|r| Image::from_fn(w, h, |x, y| GrayAlpha8::new((x + y + 50 * r) as u8, 255)))
+            .collect();
+        let tiles = plan(p, w, h, 4, 4);
+        assert_eq!(tiles.rank_at_depth, [0, 1]);
+        for codec in CodecKind::ALL {
+            let observer = Arc::new(rt_obs::Observer::new());
+            let config = ComposeConfig::default().with_codec(codec);
+            Run::new(&ComposePlan::Tiles(tiles.clone()), &config)
+                .observer(Arc::clone(&observer))
+                .execute(partials.clone());
+            let counters = observer.counters();
+            let (_, rank1) = counters.iter().find(|(r, _)| *r == 1).unwrap();
+            let owned = tiles.owned_area(1) as u64;
+            assert_eq!(rank1.opaque_fast, owned, "{codec:?}");
+        }
     }
 
     #[test]

@@ -516,6 +516,27 @@ mod tests {
     }
 
     #[test]
+    fn a_pool_warps_each_frame_at_its_own_screen_size() {
+        // The warp crew keeps a spare screen made at the last frame's size;
+        // a frame of another size drops it, never warps onto it.
+        let base = PipelineConfig::small(Method::ParallelPipelined);
+        let pool = ScratchPool::new();
+        for (i, n) in [64, 96, 64, 64].into_iter().enumerate() {
+            let config = PipelineConfig {
+                render: RenderOptions {
+                    early_termination: 1.0,
+                    ..RenderOptions::square(n)
+                },
+                ..base
+            };
+            let pooled = render_frame_pooled(3, &config, FaultPlan::none(), &pool).unwrap();
+            let fresh = render_frame(3, &config).unwrap();
+            assert_eq!((pooled.frame.width(), pooled.frame.height()), (n, n));
+            assert_eq!(pooled.frame.pixels(), fresh.frame.pixels(), "frame {i}");
+        }
+    }
+
+    #[test]
     fn a_pool_carries_one_partition_and_recuts_the_same_volume() {
         let mut config = PipelineConfig::small(Method::ParallelPipelined);
         let pool = ScratchPool::new();

@@ -8,6 +8,11 @@
 //! plans to the ranks as one *run* and assembles what they report
 //! ([`Call`]).
 //!
+//! The warp helpers also keep one spare blank screen ([`Crew`]): the first
+//! helper makes the next frame's screen once its bands are done, so the
+//! frame-holding rank warps onto memory that is already blank and paged in
+//! instead of filling 2 MB before any helper starts.
+//!
 //! Every run builds each rank a fresh [`RankCtx`] over the rank's endpoint,
 //! so sequence numbers start from zero and a call's frames number from
 //! frame 0: its trace is the one a new machine records, byte for byte.
@@ -31,7 +36,7 @@ use rt_comm::{RecvRawError, SendRawError, WireFrame};
 use rt_core::exec::{ComposeConfig, Machine, Scratch, ScratchPool, TransportKind};
 use rt_imaging::{GrayAlpha, Image};
 use rt_render::camera::Factorization;
-use rt_render::shearwarp::{RenderOptions, ScreenWarp};
+use rt_render::shearwarp::{BlankScreen, RenderOptions, ScreenWarp};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
@@ -330,32 +335,50 @@ fn park_renderer(me: usize, jobs: &mpsc::Receiver<RenderJob>) {
 
 /// The warp helpers, `rt_render::threads::workers() - 1` of them: with the
 /// rank that holds the frame they are as many threads as the warp's own
-/// split would start.
+/// split would start. The crew keeps one spare [`BlankScreen`]: the first
+/// helper, once its bands are done, makes the next frame's screen at the
+/// size it just warped if the slot is empty, while the ranks render and
+/// compose that frame; [`Crew::warp`] takes it. With no helper the slot
+/// stays empty and the warp blanks its own screen.
 pub(crate) struct Crew {
     helpers: Vec<mpsc::Sender<WarpJob>>,
+    spare: Arc<Mutex<Option<BlankScreen>>>,
 }
 
 type WarpJob = (Arc<ScreenWarp<Image<GrayAlpha>>>, mpsc::Sender<()>);
 
 impl Crew {
     fn build() -> (Crew, Vec<JoinHandle<()>>) {
+        let spare = Arc::new(Mutex::new(None));
         let (helpers, threads) = (1..rt_render::threads::workers())
-            .map(|_| {
+            .map(|helper| {
                 let (tx, jobs) = mpsc::channel::<WarpJob>();
+                let spare = (helper == 1).then(|| Arc::clone(&spare));
                 let thread = spawn("warp".to_string(), move || {
                     for (warp, done) in jobs {
                         warp.work();
+                        let (width, height) = warp.size();
                         drop(warp);
                         let _ = done.send(());
+                        // Filled outside the lock, so a warp that comes
+                        // for the spare meanwhile blanks its own instead of
+                        // waiting for this one.
+                        if let Some(spare) = spare.as_deref() {
+                            if lock(spare).is_none() {
+                                let screen = BlankScreen::new(width, height);
+                                lock(spare).get_or_insert(screen);
+                            }
+                        }
                     }
                 });
                 (tx, thread)
             })
             .unzip();
-        (Crew { helpers }, threads)
+        (Crew { helpers, spare }, threads)
     }
 
-    /// Warp `inter` to the screen with every helper: the same frame as
+    /// Warp `inter` to the screen with every helper, onto the spare screen
+    /// if one is made: the same frame as
     /// [`rt_render::shearwarp::warp_to_screen`].
     pub fn warp(
         &self,
@@ -363,7 +386,8 @@ impl Crew {
         f: &Factorization,
         opts: &RenderOptions,
     ) -> Image<GrayAlpha> {
-        let warp = Arc::new(ScreenWarp::new(inter, f, opts));
+        let spare = lock(&self.spare).take();
+        let warp = Arc::new(ScreenWarp::new(inter, f, opts, spare));
         let (done_tx, done) = mpsc::channel();
         let helping = self
             .helpers
@@ -514,5 +538,51 @@ impl Call {
         self.pending.clear();
         self.session.checkin(lease, clean);
         std::mem::take(&mut self.panics)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rt_render::camera::Camera;
+    use rt_render::datasets::Dataset;
+    use rt_render::shearwarp::{render_intermediate, warp_to_screen};
+    use rt_render::Subvolume;
+
+    /// Return once the first helper is idle: it takes jobs in order, so an
+    /// empty warp's "done" comes after the spare its last warp made.
+    fn settle(crew: &Crew, f: &Factorization) {
+        let Some(helper) = crew.helpers.first() else {
+            return;
+        };
+        let none = RenderOptions::square(0);
+        let idle = Arc::new(ScreenWarp::new(Image::blank(0, 0), f, &none, None));
+        let (done_tx, done) = mpsc::channel();
+        helper.send((idle, done_tx)).unwrap();
+        done.recv().unwrap();
+    }
+
+    #[test]
+    fn the_crew_warps_onto_a_spare_of_the_frames_size_and_drops_any_other() {
+        let sub = Subvolume::whole(Dataset::Engine.generate(24, 7));
+        let tf = Dataset::Engine.transfer_function();
+        let camera = Camera::yaw_pitch(0.3, 0.15);
+        let (crew, helpers) = Crew::build();
+        // Every warp after the first starts with a spare, of another size
+        // at each size change; with no helper, never one.
+        for n in [64, 96, 64, 64] {
+            let opts = RenderOptions::square(n);
+            let (inter, f) = render_intermediate(&sub, &tf, &camera, &opts);
+            let want = warp_to_screen(&inter, &f, &opts);
+            let got = crew.warp(inter, &f, &opts);
+            assert_eq!((got.width(), got.height()), (n, n));
+            assert_eq!(got.pixels(), want.pixels(), "{n}²");
+            settle(&crew, &f);
+            assert_eq!(lock(&crew.spare).is_some(), !helpers.is_empty());
+        }
+        drop(crew);
+        for helper in helpers {
+            helper.join().unwrap();
+        }
     }
 }

@@ -869,9 +869,23 @@ pub fn warp_to_screen(
     f: &Factorization,
     opts: &RenderOptions,
 ) -> Image<GrayAlpha> {
-    let warp = ScreenWarp::new(inter, f, opts);
+    let warp = ScreenWarp::new(inter, f, opts, None);
     crate::threads::on_workers(warp.bands, || warp.work());
     warp.take_screen()
+}
+
+/// A `width × height` screen whose every pixel is blank: the only way to
+/// make one is [`BlankScreen::new`], so a [`ScreenWarp`] handed one warps
+/// onto it as onto the screen it would have blanked itself. A caller that
+/// warps frame after frame can make the next frame's screen — its fill and
+/// its page faults — on a thread off the frame's critical path.
+pub struct BlankScreen(Image<GrayAlpha>);
+
+impl BlankScreen {
+    /// A blank `width × height` screen.
+    pub fn new(width: usize, height: usize) -> Self {
+        BlankScreen(Image::blank(width, height))
+    }
 }
 
 /// Screen rows a [`ScreenWarp`] worker claims at a time.
@@ -903,7 +917,9 @@ const WARP_CHUNK: usize = 16;
 /// per-pixel sampler that tests and skips each tap. A worker warps a band
 /// into a buffer of its own, then copies each row's span into the screen
 /// under one lock per band: rows are disjoint outputs over an immutable
-/// source, so the frame is the same whoever warps which band.
+/// source, so the frame is the same whoever warps which band. The screen is
+/// a [`BlankScreen`] the caller made ahead of time when one of the frame's
+/// size is at hand, else one blanked here.
 pub struct ScreenWarp<I> {
     inter: I,
     /// Screen to intermediate coordinates; `None` for a singular view,
@@ -968,8 +984,14 @@ impl<I: Borrow<Image<GrayAlpha>>> SpanKernel for WarpBands<'_, I> {
 
 impl<I: Borrow<Image<GrayAlpha>>> ScreenWarp<I> {
     /// Plan the warp of `inter` seen through `f` onto a blank
-    /// `opts.width × opts.height` screen.
-    pub fn new(inter: I, f: &Factorization, opts: &RenderOptions) -> Self {
+    /// `opts.width × opts.height` screen: `spare` if it has that size (one
+    /// of another size is dropped), else a fresh one.
+    pub fn new(
+        inter: I,
+        f: &Factorization,
+        opts: &RenderOptions,
+        spare: Option<BlankScreen>,
+    ) -> Self {
         // A rotation view's warp is singular only at scale zero, the auto-fit
         // of a frame without area: there is no screen pixel to sample for.
         let inv = f.warp.inverse();
@@ -994,16 +1016,28 @@ impl<I: Borrow<Image<GrayAlpha>>> ScreenWarp<I> {
             (None, _) | (_, 0) => 0,
             _ => opts.height.div_ceil(WARP_BAND),
         };
+        let (width, height) = (opts.width, opts.height);
+        let screen = match spare {
+            Some(BlankScreen(screen)) if (screen.width(), screen.height()) == (width, height) => {
+                screen
+            }
+            _ => Image::blank(width, height),
+        };
         ScreenWarp {
             inter,
             inv,
             occupied,
-            width: opts.width,
-            height: opts.height,
+            width,
+            height,
             bands,
             next_band: AtomicUsize::new(0),
-            screen: Mutex::new(Image::blank(opts.width, opts.height)),
+            screen: Mutex::new(screen),
         }
+    }
+
+    /// The screen's `(width, height)`.
+    pub fn size(&self) -> (usize, usize) {
+        (self.width, self.height)
     }
 
     /// Warp bands until every band is claimed; returns when this thread's
@@ -1990,21 +2024,23 @@ mod kernel_tests {
             let want = bits(&warp_reference(&inter, &f, &opts));
             prop_assert_eq!(&bits(&warp_to_screen(&inter, &f, &opts)), &want);
             for copy in compiled_copies() {
-                let got = bits(&warp_in(copy, &inter, &f, &opts));
+                let got = bits(&warp_in(copy, &inter, &f, &opts, None));
                 prop_assert_eq!(&got, &want, "{} copy", copy.name());
             }
         }
     }
 
-    /// `inter` warped under `f` through one compiled copy of the band loop,
-    /// every band on this thread.
+    /// `inter` warped under `f` onto `spare` (or a screen of its own)
+    /// through one compiled copy of the band loop, every band on this
+    /// thread.
     fn warp_in(
         copy: KernelCopy,
         inter: &Image<GrayAlpha>,
         f: &Factorization,
         opts: &RenderOptions,
+        spare: Option<BlankScreen>,
     ) -> Image<GrayAlpha> {
-        let warp = ScreenWarp::new(inter, f, opts);
+        let warp = ScreenWarp::new(inter, f, opts, spare);
         warp.work_in(copy);
         warp.take_screen()
     }
@@ -2013,20 +2049,33 @@ mod kernel_tests {
     /// pixels wide and most of a row's interior runs in full chunks: a slab
     /// of the Engine rendered into its intermediate from each golden camera
     /// and warped to 512², through each compiled copy, against the
-    /// per-pixel reference.
+    /// per-pixel reference — onto a screen of its own, onto a spare
+    /// [`BlankScreen`] of its size, and past a spare of another size, which
+    /// it must drop rather than warp onto. `warp_to_screen` matches too.
     #[test]
     fn warp_kernel_equivalence_at_production_size() {
         let vol = Dataset::Engine.generate(96, 5);
         let slab = partition_1d(&vol, 8, 2).unwrap().swap_remove(3);
         let tf = Dataset::Engine.transfer_function();
         let opts = RenderOptions::paper();
+        let (w, h) = (opts.width, opts.height);
         for camera in golden_cameras() {
             let (inter, f) = render_intermediate(&slab, &tf, &camera, &opts);
             assert!(inter.count_non_blank() > 0, "{camera:?}: blank");
             let want = bits(&warp_reference(&inter, &f, &opts));
+            assert!(
+                bits(&warp_to_screen(&inter, &f, &opts)) == want,
+                "{camera:?}"
+            );
             for copy in compiled_copies() {
-                let got = bits(&warp_in(copy, &inter, &f, &opts));
-                assert!(got == want, "{camera:?}: {} copy", copy.name());
+                let spares = [None, Some((w, h)), Some((w, h + 8)), Some((w / 2, h))];
+                for spare in spares {
+                    let screen = spare.map(|(w, h)| BlankScreen::new(w, h));
+                    let got = warp_in(copy, &inter, &f, &opts, screen);
+                    assert_eq!((got.width(), got.height()), (w, h), "{camera:?}");
+                    let copy = copy.name();
+                    assert!(bits(&got) == want, "{camera:?}: {copy} copy onto {spare:?}");
+                }
             }
         }
     }

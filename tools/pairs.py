@@ -18,8 +18,11 @@ end-to-end metric BENCHMARK.json declares, the table prints the parent's and
 the child's median, the parent's interquartile range (IQR), the change of the
 medians and wins/N (pairs in which the child is better). A claim holds when
 the child wins at least nine pairs in ten and the medians differ by more than
-the parent's IQR (`claim` column). The same numbers follow the table as one
-JSON object, and are written to DIR/pairs.json.
+the parent's IQR (`claim` column). A change is refused when any metric's
+child median is worse than the parent's by more than the metric's `bound` in
+BENCHMARK.json, a fraction of the parent's median (`bound` column: `over`;
+`over_bound` in the JSON). The same numbers follow the table as one JSON
+object, and are written to DIR/pairs.json.
 
 The child defaults to the working tree, untracked files included (whatever
 `git add -A` would stage; the real index is not touched). `--smoke` runs one
@@ -104,13 +107,14 @@ def quartiles(xs):
     return q[0], q[2]
 
 
-def summarize(metric, better, parent, child):
+def summarize(metric, better, bound, parent, child):
     lower = better == "lower"
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, child))
     pm, cm = statistics.median(parent), statistics.median(child)
     q1, q3 = quartiles(parent)
     iqr = q3 - q1
     n = len(parent)
+    worse = ((cm - pm) if lower else (pm - cm)) / pm if pm else 0.0
     return {
         "metric": metric,
         "better": better,
@@ -123,6 +127,8 @@ def summarize(metric, better, parent, child):
         "claim": wins >= math.ceil(0.9 * n)
         and abs(cm - pm) > iqr
         and ((cm < pm) if lower else (cm > pm)),
+        "bound": bound,
+        "over_bound": worse > bound,
         "parent": parent,
         "child": child,
     }
@@ -147,7 +153,7 @@ def main():
     os.makedirs(workdir, exist_ok=True)
     declared = json.load(open(os.path.join(root, "BENCHMARK.json")))
     workloads = args.workloads or [w["name"] for w in declared["workloads"]]
-    metrics = [(m["name"], m["better"]) for m in declared["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in declared["end_to_end"]]
 
     sides = {}
     for name, rev in (("parent", args.parent_rev), ("child", args.child)):
@@ -166,18 +172,20 @@ def main():
                 samples[name].append(run(binary, cwd, workload, args.seed, args.seconds))
             print(f"{workload}: pair {i + 1}/{args.pairs}", file=sys.stderr)
         report["workloads"][workload] = [
-            summarize(m, better, [s[m] for s in samples["parent"]], [s[m] for s in samples["child"]])
-            for m, better in metrics
+            summarize(
+                m, better, bound, [s[m] for s in samples["parent"]], [s[m] for s in samples["child"]]
+            )
+            for m, better, bound in metrics
         ]
 
     print(f"{'workload':22} {'metric':18} {'parent':>10} {'child':>10} "
-          f"{'change':>8} {'IQR':>9} {'wins':>6}  claim")
+          f"{'change':>8} {'IQR':>9} {'wins':>6}  claim  bound")
     for workload, rows in report["workloads"].items():
         for r in rows:
             print(f"{workload:22} {r['metric']:18} {r['parent_median']:10.4g} "
                   f"{r['child_median']:10.4g} {r['change_pct']:+7.1f}% "
                   f"{r['parent_iqr']:9.3g} {r['wins']:>2}/{r['pairs']:<3}  "
-                  f"{'yes' if r['claim'] else 'no'}")
+                  f"{'yes' if r['claim'] else 'no':5}  {'over' if r['over_bound'] else 'ok'}")
     with open(os.path.join(workdir, "pairs.json"), "w") as f:
         json.dump(report, f, indent=1)
     print(json.dumps(report))
