@@ -157,10 +157,11 @@ gone=$(grep -rnE '[g]ather_to_root|[w]ith_parallel|[o]pts\.parallel' \
 # Every setting earns a caller: the no-gather mode and the compose output's
 # residual image, the stream window and the second stream handle, rt-net's
 # four extra transport constructors, the star builder, the peer list and
-# the deadline-less rendezvous stay gone (bracketed so this line does not
-# match itself). The change log, the roadmap and the experiment log record
-# history and may name them.
-gone=$(grep -rnE '\b[w]ith_gather\b|\.[r]esidual\b|\b[w]ith_window\b|\b[S]treamClient\b|\b[l]oopback_mesh(_with)?\(|\b[e]stablish_with\b|\b[e]stablish_topology\b|\b[l]oopback_topology\b|\b[w]ith_star\b|\b[p]eers_of\b|\b[r]endezvous\(' \
+# the deadline-less rendezvous stay gone; so do the repair switch and the
+# per-rank crash lookup, since the fault plan alone decides a repair
+# (bracketed so this line does not match itself). The change log, the
+# roadmap and the experiment log record history and may name them.
+gone=$(grep -rnE '\b[w]ith_gather\b|\.[r]esidual\b|\b[w]ith_window\b|\b[S]treamClient\b|\b[l]oopback_mesh(_with)?\(|\b[e]stablish_with\b|\b[e]stablish_topology\b|\b[l]oopback_topology\b|\b[w]ith_star\b|\b[p]eers_of\b|\b[r]endezvous\(|\.[r]esilient\b|\b[m]y_crash_step\b' \
     crates src tests examples docs ci.sh .claude \
     ./DESIGN.md ./PAPER.md ./PAPERS.md ./README.md ./SNIPPETS.md || true)
 [ -z "$gone" ] || vocabulary_fail "a setting or entry point with one value in use is back" "$gone"

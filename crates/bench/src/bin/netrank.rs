@@ -95,9 +95,7 @@ fn main() {
     plan.verify()
         .unwrap_or_else(|e| panic!("{}: {e}", method.name()));
     let partial = band_partials(p, job.frame, job.frame).swap_remove(rank);
-    let config = ComposeConfig::default()
-        .with_codec(job.codec)
-        .resilient(!sc.faults.is_none());
+    let config = ComposeConfig::default().with_codec(job.codec);
     let opts = RankOptions {
         timeout: Some(sc.recv_timeout),
         faults: sc.faults.clone(),

@@ -503,9 +503,7 @@ pub fn reference_run(sc: &Scenario, p: usize, job: &Job) -> Reference {
     let plan = method
         .plan(p, job.frame, job.frame)
         .unwrap_or_else(|e| panic!("{}: {e}", method.name()));
-    let config = ComposeConfig::default()
-        .with_codec(job.codec)
-        .resilient(!sc.faults.is_none());
+    let config = ComposeConfig::default().with_codec(job.codec);
     let (results, trace) = Run::new(&plan, &config)
         .faults(sc.faults.clone())
         .execute(band_partials(p, job.frame, job.frame));

@@ -822,9 +822,7 @@ fn run_faulty(
     rt_comm::Trace,
 ) {
     let schedule = scene.schedule(method);
-    let config = ComposeConfig::default()
-        .with_codec(codec)
-        .resilient(!faults.is_none());
+    let config = ComposeConfig::default().with_codec(codec);
     Run::new(&ComposePlan::Schedule(schedule), &config)
         .faults(faults)
         .execute(scene.partials.clone())

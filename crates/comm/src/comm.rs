@@ -270,7 +270,7 @@ impl FaultPlan {
     }
 
     /// Make `rank` fail (fail-stop) at the start of schedule step `step`.
-    /// The executor consults [`RankCtx::my_crash_step`]; the dying rank
+    /// The executor reads [`RankCtx::planned_crashes`]; the dying rank
     /// broadcasts a death notification and exits.
     pub fn crash_rank_at_step(mut self, rank: usize, step: usize) -> Self {
         self.crashes.insert(rank, step);
@@ -753,11 +753,6 @@ impl RankCtx {
     /// outside the machine.
     pub fn checksum_rejects(&self) -> u64 {
         self.checksum_rejects
-    }
-
-    /// The schedule step at which this rank is planned to fail, if any.
-    pub fn my_crash_step(&self) -> Option<usize> {
-        self.faults.crash_step_of(self.rank)
     }
 
     /// All fail-stop crashes in the installed fault plan, as sorted
@@ -1397,7 +1392,7 @@ mod tests {
     fn liveness_exchange_reaches_consensus() {
         let mc = Multicomputer::new(4).with_faults(FaultPlan::none().crash_rank_at_step(2, 0));
         let (results, _) = mc.run(|ctx| {
-            if ctx.my_crash_step() == Some(0) {
+            if ctx.planned_crashes().contains(&(ctx.rank(), 0)) {
                 ctx.announce_death(0);
                 return BTreeMap::new();
             }

@@ -14,7 +14,6 @@
 //! plus the per-rank balance and the latency-only / bandwidth-only lower
 //! bounds that explain *why* a schedule performs as it does.
 
-use crate::exec::ComposeConfig;
 use crate::schedule::{MergeDir, Schedule};
 use crate::tile::schedule_tag_extents;
 use rt_comm::{replay, tag, ComputeKind, CostModel, Event, Mark, RankTrace, ReplayReport, Trace};
@@ -46,9 +45,9 @@ pub struct ScheduleCost {
 }
 
 /// The trace a fault-free run of `schedule` records under the raw codec
-/// with the default [`ComposeConfig`] (frame 0, gather to rank 0), built
-/// without running it. Per step, each rank records its `step:K` mark, its
-/// sends, then its receives, each with its `over` charge (none for a
+/// with the default [`crate::ComposeConfig`] (frame 0, gather to rank 0),
+/// built without running it. Per step, each rank records its `step:K` mark,
+/// its sends, then its receives, each with its `over` charge (none for a
 /// [`MergeDir::Place`]); the deferred-back flushes and the coalesced gather
 /// follow. `bytes_per_pixel` sizes every message as the raw codec ships it.
 ///
@@ -63,9 +62,7 @@ pub fn schedule_trace(schedule: &Schedule, bytes_per_pixel: usize) -> Trace {
             events.push(Event::Mark { label: mark });
         }
     };
-    let tagged = schedule_tag_extents(schedule, &ComposeConfig::default())
-        .check()
-        .is_ok();
+    let tagged = schedule_tag_extents(schedule, false).check().is_ok();
     let tag = |step: usize, low: usize| if tagged { tag::step(0, step, low) } else { 0 };
     let bytes = |px: usize| (px * bytes_per_pixel) as u64;
     let over = |px: usize| Event::Compute {

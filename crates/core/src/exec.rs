@@ -71,12 +71,6 @@ pub struct ComposeConfig {
     /// Rank that assembles the final frame: the base of the one-cell wall
     /// the gather targets when [`ComposeConfig::display`] is `None`.
     pub root: usize,
-    /// Degrade gracefully on confirmed rank failures instead of erroring:
-    /// skip dead peers' contributions, re-pair the survivors via
-    /// [`crate::repair()`], and report what is missing in
-    /// [`ComposeOutput::degraded`]. A span schedule's ranks each keep a copy
-    /// of their partial for the frame, so only dead ranks' data can go.
-    pub resilient: bool,
     /// Receive-deadline override for the harnesses that build their own
     /// machine ([`crate::Run`] and `rt-pvr`'s pipeline). `None` keeps the
     /// comm layer's default.
@@ -104,7 +98,6 @@ impl Default for ComposeConfig {
         Self {
             codec: CodecKind::Raw,
             root: 0,
-            resilient: false,
             timeout: None,
             transport: TransportKind::default(),
             frame_tag: 0,
@@ -123,12 +116,6 @@ impl ComposeConfig {
     /// Set the gather root.
     pub fn with_root(mut self, root: usize) -> Self {
         self.root = root;
-        self
-    }
-
-    /// Enable graceful degradation on rank failures.
-    pub fn resilient(mut self, on: bool) -> Self {
-        self.resilient = on;
         self
     }
 
@@ -418,13 +405,20 @@ impl<P: Pixel> ComposeOutput<P> {
     }
 }
 
-/// What every stage of one compose call shares: the config and the built
-/// codec. It owns the two sequences every executor repeats — encode →
-/// charge → count → send, and charge → fused decode → count — so each
-/// virtual-clock charge is written once for all plan families.
+/// What every stage of one compose call shares: the config, the planned
+/// crashes and the built codec. It owns the two sequences every executor
+/// repeats — encode → charge → count → send, and charge → fused decode →
+/// count — so each virtual-clock charge is written once for all plan
+/// families.
 pub(crate) struct Stage<'a, P: Pixel> {
     /// The compose call's options.
     pub config: &'a ComposeConfig,
+    /// The fault plan's crashes within this compose, `(rank, step)`. The
+    /// compose repairs exactly when there is one: the survivors skip dead
+    /// peers' data, re-pair via [`crate::repair()`] and report what is
+    /// missing in [`ComposeOutput::degraded`]. Any other death is a typed
+    /// [`CommError::RankFailed`].
+    pub crashes: Vec<(usize, usize)>,
     codec: Box<dyn Codec<P>>,
     /// Raw buffers carry no blank structure, so `over` is charged for the
     /// full span and the codec accounts stay empty.
@@ -432,9 +426,10 @@ pub(crate) struct Stage<'a, P: Pixel> {
 }
 
 impl<'a, P: Pixel> Stage<'a, P> {
-    pub fn new(config: &'a ComposeConfig) -> Self {
+    pub fn new(config: &'a ComposeConfig, crashes: Vec<(usize, usize)>) -> Self {
         Stage {
             config,
+            crashes,
             codec: config.codec.build::<P>(),
             raw: config.codec == CodecKind::Raw,
         }
@@ -622,23 +617,21 @@ pub(crate) fn compose_schedule<P: Pixel>(
 
     // Fail-stop point for this rank, if the fault plan crashes it within
     // this schedule (a step index, or `steps.len()` for "after the last
-    // step, before the gather"). Only honored in resilient mode.
+    // step, before the gather").
     let steps_len = schedule.steps.len();
-    let my_crash = if config.resilient {
-        ctx.my_crash_step().filter(|k| *k <= steps_len)
-    } else {
-        None
-    };
+    let crashes = &stage.crashes;
+    let my_crash = crashes.iter().find(|c| c.0 == me).map(|c| c.1);
+    let repairs = !crashes.is_empty();
 
     ctx.mark(Mark::ComposeStart);
 
     // Deferred back accumulators, keyed by span start.
     let mut back_acc: HashMap<usize, (Span, Vec<P>)> = HashMap::new();
-    // A resilient rank keeps its rendered partial aside: its own content on
-    // spans it never shipped is the one thing no send-time archive holds,
-    // and a merge behind a dead relay's hole would bury it (see
-    // `crate::repair`).
-    let own = config.resilient.then(|| local.clone());
+    // When the compose repairs, a rank keeps its rendered partial aside: its
+    // own content on spans it never shipped is the one thing no send-time
+    // archive holds, and a merge behind a dead relay's hole would bury it
+    // (see `crate::repair`).
+    let own = repairs.then(|| local.clone());
 
     for (k, step) in schedule.steps.iter().enumerate() {
         if my_crash == Some(k) {
@@ -659,7 +652,7 @@ pub(crate) fn compose_schedule<P: Pixel>(
                 // A confirmed-dead peer's contribution is skipped: `over`
                 // is associative, so the composite of the remaining
                 // members stays exact (see `crate::repair`).
-                Err(CommError::RankFailed { .. }) if config.resilient => continue,
+                Err(CommError::RankFailed { .. }) if repairs => continue,
                 Err(e) => return Err(e.into()),
             };
             match t.dir {
@@ -714,10 +707,10 @@ pub(crate) fn compose_schedule<P: Pixel>(
     // --- Failure handling: agree on the dead, then re-pair survivors ----
     let mut repaired = None;
     let (root, degraded) =
-        agree_on_failures(ctx, config, schedule.p, steps_len, |ctx, crashed| {
+        agree_on_failures(ctx, config.root, schedule.p, crashes, |ctx, crashed| {
             let plan = repair(schedule, crashed)?;
 
-            // `own` is kept whenever a repair can run (resilient).
+            // `own` is kept whenever a repair can run.
             let source = |f: &RepairFetch| own.as_ref().filter(|_| f.own).unwrap_or(&local);
             // Phase 1: ship the remote-bound pieces (all sends precede all
             // receives: no deadlock on the buffered channels).
@@ -1138,7 +1131,7 @@ mod tests {
             ("pp", Method::ParallelPipelined.build(4, 256).unwrap()),
             ("rt", rotate::schedule(4, 256, RtVariant::TwoN, 2).unwrap()),
         ] {
-            let config = ComposeConfig::default().resilient(true);
+            let config = ComposeConfig::default();
             let faults = FaultPlan::none().crash_rank_at_step(3, 0);
             let (results, _) =
                 run_faulty(&schedule, provenance_partials(4, 16, 16), &config, faults);
@@ -1168,7 +1161,7 @@ mod tests {
     #[test]
     fn crash_of_the_root_reassigns_the_gather() {
         let schedule = Method::BinarySwap.build(4, 256).unwrap();
-        let config = ComposeConfig::default().resilient(true);
+        let config = ComposeConfig::default();
         let faults = FaultPlan::none().crash_rank_at_step(0, 1);
         let (results, _) = run_faulty(&schedule, provenance_partials(4, 16, 16), &config, faults);
         // Root (rank 0) died: the lowest survivor assembles instead.
@@ -1249,11 +1242,14 @@ mod tests {
         }
     }
 
+    /// A fault plan that crashes no rank repairs nothing and flags nothing.
     #[test]
     fn resilient_clean_run_is_not_flagged_degraded() {
         let schedule = two_rank_swap(24);
-        let config = ComposeConfig::default().resilient(true);
-        let (results, _) = run(&schedule, provenance_partials(2, 6, 4), &config);
+        let config = ComposeConfig::default();
+        let faults = FaultPlan::none().drop_message(0, 1, 0);
+        let (results, trace) = run_faulty(&schedule, provenance_partials(2, 6, 4), &config, faults);
+        assert!(trace.retransmit_count() > 0);
         for r in &results {
             assert!(r.as_ref().unwrap().degraded.is_none());
         }

@@ -481,7 +481,7 @@ mod tests {
         let mut survivors = partials.clone();
         survivors[4] = Image::blank(w, p);
         let without_4 = reference_composite(&survivors).unwrap();
-        let config = ComposeConfig::default().resilient(true);
+        let config = ComposeConfig::default();
         let run = |step: usize| {
             run_hier(
                 p,
@@ -533,7 +533,7 @@ mod tests {
         let p = 8;
         let w = 16;
         let partials = band_partials(p, w);
-        let config = ComposeConfig::default().resilient(true);
+        let config = ComposeConfig::default();
         let results = run_hier(
             p,
             2,

@@ -28,7 +28,7 @@
 //! sender) leaves the buffer untouched, so what the receiver carries on
 //! from there is its own archived snapshot.
 //!
-//! # Dead relays, and why a resilient rank keeps its partial
+//! # Dead relays, and why a repairing rank keeps its partial
 //!
 //! Pieces can be composited together only if their depth ranges do not
 //! interleave. A rank that dies holding other ranks' data — a group leader,
@@ -38,7 +38,7 @@
 //! place, over their own never-shipped content (a leader that missed a
 //! placement carries its old snapshot onward the same way). The skipped
 //! ranks' archives then interleave with those pieces, and a survivor's own
-//! content could be kept only by giving theirs up. So a resilient executor
+//! content could be kept only by giving theirs up. So a repairing executor
 //! keeps each rank's rendered partial aside ([`RepairFetch::own`]): every
 //! survivor is fetchable alone on every span, a cover of all survivors
 //! always exists, and a degraded frame misses dead ranks' data only.
@@ -60,7 +60,6 @@
 //! ([`Schedule::depth_of_rank`]) repairs the same way as a depth-indexed
 //! one.
 
-use crate::exec::ComposeConfig;
 use crate::schedule::{MergeDir, Pieces, Schedule};
 use crate::CoreError;
 use rt_comm::{Mark, RankCtx};
@@ -119,11 +118,11 @@ pub(crate) fn reassign_root(
 }
 
 /// The failure-agreement round of a flat executor, run between
-/// `compose:end` and the gather: decide whether any planned crash fires
-/// within this compose (steps `..= horizon`), agree with the other
-/// survivors on who actually died, let `recover` rebuild what the dead
-/// owned, and re-elect the gather root. Returns the root to gather at and
-/// what the frame is missing (`None` when nobody died).
+/// `compose:end` and the gather: when the fault plan crashes a rank within
+/// this compose (`crashes`, `(rank, step)`), agree with the other survivors
+/// on who actually died, let `recover` rebuild what the dead owned, and
+/// re-elect the gather `root`. Returns the root to gather at and what the
+/// frame is missing (`None` when nobody died).
 ///
 /// The fault plan is shared, so "is a failure phase needed" is decided
 /// identically, and without communication, by every rank; and the
@@ -134,22 +133,16 @@ pub(crate) fn reassign_root(
 /// payload sizes).
 pub(crate) fn agree_on_failures(
     ctx: &mut RankCtx,
-    config: &ComposeConfig,
+    mut root: usize,
     p: usize,
-    horizon: usize,
+    crashes: &[(usize, usize)],
     recover: impl FnOnce(&mut RankCtx, &BTreeMap<usize, usize>) -> Result<DegradedInfo, CoreError>,
 ) -> Result<(usize, Option<DegradedInfo>), CoreError> {
-    let mut root = config.root;
-    if !config.resilient {
-        return Ok((root, None));
-    }
-    let mut announced = ctx.planned_crashes();
-    announced.retain(|&(_, step)| step <= horizon);
-    if announced.is_empty() {
+    if crashes.is_empty() {
         return Ok((root, None));
     }
     ctx.mark(Mark::RepairStart);
-    let crashed = ctx.liveness_exchange(&announced)?;
+    let crashed = ctx.liveness_exchange(crashes)?;
     let mut degraded = None;
     if !crashed.is_empty() {
         let mut info = recover(ctx, &crashed)?;

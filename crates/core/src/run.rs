@@ -14,7 +14,7 @@
 //! use std::sync::Arc;
 //!
 //! let plan = Method::BinarySwap.plan(4, 8, 8).unwrap();
-//! let config = ComposeConfig::default().resilient(true);
+//! let config = ComposeConfig::default();
 //! let partials: Vec<Image<GrayAlpha8>> = (0..4)
 //!     .map(|r| Image::from_fn(8, 8, |x, _| GrayAlpha8::new(40 * r as u8 + x as u8, 128)))
 //!     .collect();
@@ -63,8 +63,8 @@ impl<'a, P: Pixel> Run<'a, P> {
     }
 
     /// Install `faults` on the machine, so message loss, corruption and
-    /// rank crashes can be exercised end to end (crashes only degrade
-    /// gracefully under [`ComposeConfig::resilient`]).
+    /// rank crashes can be exercised end to end (a crash the plan
+    /// schedules within the compose degrades the frame gracefully).
     pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
@@ -131,15 +131,15 @@ impl<'a, P: Pixel> Run<'a, P> {
 /// lists ([`crate::Schedule::links`]), which for a hierarchical schedule is
 /// `O(P·k + (P/k)²)` sockets instead of the `O(P²)` mesh. `None` (keep the
 /// full mesh) for the in-process backend (no sockets to save), for tile
-/// plans (the message set depends on the content), and for resilient or
-/// faulty runs — repair fetches and reassigned owners may route between
-/// ranks the crash-free schedule never pairs.
+/// plans (the message set depends on the content), and for faulty runs —
+/// repair fetches and reassigned owners may route between ranks the
+/// crash-free schedule never pairs.
 fn plan_topology(
     plan: &ComposePlan,
     config: &ComposeConfig,
     faults: &FaultPlan,
 ) -> Option<rt_net::Topology> {
-    if config.transport != TransportKind::TcpLoopback || config.resilient || !faults.is_none() {
+    if config.transport != TransportKind::TcpLoopback || !faults.is_none() {
         return None;
     }
     match plan {

@@ -172,7 +172,7 @@ impl Schedule {
     /// display wall; see [`crate::ComposeConfig::gather_target`]). This is
     /// the topology a connection-restricted transport dials — for a
     /// hierarchical schedule far below the `P(P−1)/2` mesh. Fault repair
-    /// may route outside this set, so resilient runs keep the full mesh.
+    /// may route outside this set, so faulty runs keep the full mesh.
     pub fn links(&self, target: DisplayWall) -> BTreeSet<(usize, usize)> {
         let transfers = self
             .steps

@@ -401,14 +401,15 @@ fn check_shape<P: Pixel>(
 /// the plan was permuted (see `rt-pvr`). To run a whole machine in one
 /// call, use [`crate::Run`].
 ///
-/// Crash semantics (resilient mode) for the tile families: a fault-plan
-/// step of `0` fails the rank before any traffic (its whole contribution
-/// is lost), `1` after compositing but before the gather (only its *owned
-/// tiles* are lost; tiles it shipped to live owners survive). Either
-/// triggers the deterministic repair round that reassigns dead owners'
-/// tiles to the next live rank and re-collects the survivors' content for
-/// them. Span schedules crash at their own step indices (see
-/// [`crate::repair()`]).
+/// Crash semantics: the compose repairs exactly when the fault plan crashes
+/// a rank within it; any other death is a typed `RankFailed`. For the tile
+/// families a fault-plan step of `0` fails the rank before any traffic (its
+/// whole contribution is lost), `1` after compositing but before the gather
+/// (only its *owned tiles* are lost; tiles it shipped to live owners
+/// survive). Either triggers the deterministic repair round that reassigns
+/// dead owners' tiles to the next live rank and re-collects the survivors'
+/// content for them. Span schedules crash at their own step indices, up to
+/// `steps.len()` (see [`crate::repair()`]).
 pub fn compose_plan<P: Pixel>(
     ctx: &mut RankCtx,
     plan: &ComposePlan,
@@ -416,18 +417,20 @@ pub fn compose_plan<P: Pixel>(
     config: &ComposeConfig,
     scratch: &mut Scratch<P>,
 ) -> Result<ComposeOutput<P>, CoreError> {
-    let dims = match plan {
-        ComposePlan::Schedule(_) => None,
-        ComposePlan::Tiles(t) => Some((t.grid.width, t.grid.height)),
+    let (dims, horizon) = match plan {
+        ComposePlan::Schedule(s) => (None, s.steps.len()),
+        ComposePlan::Tiles(t) => (Some((t.grid.width, t.grid.height)), 1),
     };
     check_shape(ctx, plan.p(), plan.image_len(), dims, &local)?;
     config.gather_target().validate(plan.p())?;
+    let mut crashes = ctx.planned_crashes();
+    crashes.retain(|&(_, step)| step <= horizon);
     // An oversized plan is a typed error here, before any message is sent,
     // instead of a tag that aliases another frame's or another step's.
-    tag_extents(plan, config)
+    tag_extents(plan, config, !crashes.is_empty())
         .check()
         .map_err(|why| CoreError::InvalidSchedule { why })?;
-    let stage = Stage::new(config);
+    let stage = Stage::new(config, crashes);
     match plan {
         ComposePlan::Schedule(s) => compose_schedule(ctx, &stage, s, local, scratch),
         ComposePlan::Tiles(t) => compose_tiles(ctx, &stage, t, local, scratch),
@@ -436,10 +439,10 @@ pub fn compose_plan<P: Pixel>(
 
 /// The largest values this compose call will write into the bounded fields
 /// of a message tag ([`rt_comm::tag`]), for the width check at entry.
-fn tag_extents(plan: &ComposePlan, config: &ComposeConfig) -> Extents {
+fn tag_extents(plan: &ComposePlan, config: &ComposeConfig, repairs: bool) -> Extents {
     let p = plan.p();
     let extents = match plan {
-        ComposePlan::Schedule(s) => schedule_tag_extents(s, config),
+        ComposePlan::Schedule(s) => schedule_tag_extents(s, repairs),
         // The low field carries a sending rank or a gather slot.
         ComposePlan::Tiles(_) => Extents {
             low: p - 1,
@@ -454,9 +457,9 @@ fn tag_extents(plan: &ComposePlan, config: &ComposeConfig) -> Extents {
 
 /// What a span schedule writes: its steps and the gather one past them,
 /// span starts and the root's gather slots (sending ranks) in the low
-/// field, and — when failures may be repaired — the coordinates of the
-/// repair plan's fetches.
-pub(crate) fn schedule_tag_extents(schedule: &Schedule, config: &ComposeConfig) -> Extents {
+/// field, and — when the compose `repairs` — the coordinates of the repair
+/// plan's fetches.
+pub(crate) fn schedule_tag_extents(schedule: &Schedule, repairs: bool) -> Extents {
     Extents {
         step: schedule.steps.len(),
         low: schedule.image_len.max(schedule.p).saturating_sub(1),
@@ -464,7 +467,7 @@ pub(crate) fn schedule_tag_extents(schedule: &Schedule, config: &ComposeConfig) 
         // An entry fetches from distinct holders, and a repair plan has at
         // most one entry per piece the final spans are cut into, whose
         // edges are all edges of transfer spans: fewer than this many.
-        repair: config.resilient.then(|| {
+        repair: repairs.then(|| {
             let transfers: usize = schedule.steps.iter().map(|s| s.transfers.len()).sum();
             let entries = schedule.final_owners.len() + 2 * transfers;
             (entries, schedule.p.saturating_sub(1))
@@ -785,7 +788,7 @@ impl<P: Pixel> TileScan<'_, P> {
                 Ok(bytes) => self.bundles.insert(grid, puzzle, src, bytes)?,
                 // A confirmed-dead peer contributed nothing, atomically:
                 // exact, because blank is the identity of `over`.
-                Err(CommError::RankFailed { .. }) if config.resilient => {}
+                Err(CommError::RankFailed { .. }) if !self.stage.crashes.is_empty() => {}
                 Err(e) => return Err(e.into()),
             }
         }
@@ -863,13 +866,10 @@ pub(crate) fn compose_tiles<P: Pixel>(
     let config = stage.config;
     let nt = plan.grid.tiles();
 
-    // Fail-stop points: 0 = before any traffic, 1 = after compose. Only
-    // honored in resilient mode (mirrors the schedule executor).
-    let my_crash = if config.resilient {
-        ctx.my_crash_step().filter(|k| *k <= 1)
-    } else {
-        None
-    };
+    // Fail-stop points: 0 = before any traffic, 1 = after compose (mirrors
+    // the schedule executor).
+    let crashes = &stage.crashes;
+    let my_crash = crashes.iter().find(|c| c.0 == ctx.rank()).map(|c| c.1);
 
     ctx.mark(Mark::ComposeStart);
     if my_crash == Some(0) {
@@ -918,7 +918,7 @@ pub(crate) fn compose_tiles<P: Pixel>(
     ctx.mark(Mark::ComposeEnd);
 
     // ---- Failure agreement + tile-granular repair. --------------------
-    let (root, degraded) = agree_on_failures(ctx, config, p, 1, |ctx, crashed| {
+    let (root, degraded) = agree_on_failures(ctx, config.root, p, crashes, |ctx, crashed| {
         // Deterministic reassignment of dead owners' tiles.
         owner_of.clear();
         owner_of.extend_from_slice(&plan.owner_of);
@@ -1348,10 +1348,8 @@ mod tests {
         assert_eq!(trace.message_count(), 0);
         // One step fewer than the field holds is fine (gather step 255).
         let widest = Method::ParallelPipelined.plan(256, 16, 16).unwrap();
-        let config = ComposeConfig::default()
-            .resilient(true)
-            .with_display_wall(DisplayWall::new(2, 1));
-        let extents = tag_extents(&widest, &config);
+        let config = ComposeConfig::default().with_display_wall(DisplayWall::new(2, 1));
+        let extents = tag_extents(&widest, &config, true);
         assert_eq!((extents.step, extents.wall), (255, Some((1, 255))));
         extents.check().unwrap();
     }

@@ -116,7 +116,7 @@ proptest! {
         let leaders: Vec<usize> = (0..p).step_by(k).collect();
         let victim = leaders[group % leaders.len()];
         let faults = FaultPlan::none().crash_rank_at_step(victim, step);
-        let config = ComposeConfig::default().resilient(true);
+        let config = ComposeConfig::default();
         let (results, _) = Run::new(&plan, &config).faults(faults).execute(partials);
         // The victim may or may not have crashed (the step can lie past
         // both phases' windows); the gathered frame lands at the lowest
@@ -273,7 +273,7 @@ fn check_deaths(plan: &ComposePlan, deaths: &[(usize, usize)]) {
     let faults = deaths.iter().fold(FaultPlan::none(), |f, &(rank, step)| {
         f.crash_rank_at_step(rank, step)
     });
-    let config = ComposeConfig::default().resilient(true);
+    let config = ComposeConfig::default();
     let (results, _) = Run::new(plan, &config).faults(faults).execute(partials);
     let out = results
         .iter()

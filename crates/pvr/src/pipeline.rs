@@ -79,17 +79,12 @@ impl PipelineConfig {
         }
     }
 
-    /// The composition options this pipeline implies: its codec and root,
-    /// resilient exactly when a fault plan is installed.
-    pub(crate) fn compose_config(
-        &self,
-        faults: &FaultPlan,
-        transport: TransportKind,
-    ) -> ComposeConfig {
+    /// The composition options this pipeline implies: its codec and root
+    /// (the installed fault plan alone decides whether a compose repairs).
+    pub(crate) fn compose_config(&self, transport: TransportKind) -> ComposeConfig {
         ComposeConfig::default()
             .with_codec(self.codec)
             .with_root(self.root)
-            .resilient(!faults.is_none())
             .with_transport(transport)
     }
 }
@@ -278,9 +273,9 @@ impl<'a> FrameRun<'a> {
         }
     }
 
-    /// Install `faults` on the multicomputer and compose in resilient mode,
-    /// so seeded message loss/corruption is absorbed by retransmission and
-    /// planned rank crashes degrade the frame gracefully (see
+    /// Install `faults` on the multicomputer, so seeded message
+    /// loss/corruption is absorbed by retransmission and planned rank
+    /// crashes degrade the frame gracefully (see
     /// [`PipelineOutput::degraded`]).
     pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;

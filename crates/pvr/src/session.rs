@@ -433,7 +433,7 @@ impl Call {
         config: StreamConfig,
         plans: Vec<FramePlan>,
     ) -> Result<Call, PvrError> {
-        let compose = config.base.compose_config(&config.faults, config.transport);
+        let compose = config.base.compose_config(config.transport);
         let lease = session.checkout(p, &compose, &config.faults)?;
         let run = Arc::new(Run {
             config,

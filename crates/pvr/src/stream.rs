@@ -134,8 +134,8 @@ pub struct StreamConfig {
     /// The camera field is ignored — each frame's camera comes from the
     /// orbit.
     pub base: PipelineConfig,
-    /// Fault-injection plan; a non-empty plan switches composition to
-    /// resilient mode, exactly like the serial pipeline.
+    /// Fault-injection plan, exactly like the serial pipeline's: its
+    /// crashes degrade a frame; any other death fails it.
     pub faults: FaultPlan,
     /// Scripted between-frame deaths: `(rank, frame)` makes `rank` die
     /// after finishing frame `frame - 1`, before touching frame `frame`.
@@ -155,7 +155,7 @@ impl StreamConfig {
         }
     }
 
-    /// Install a fault plan (switches composition to resilient mode).
+    /// Install a fault plan (its crashes degrade a frame gracefully).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self

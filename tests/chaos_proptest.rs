@@ -54,7 +54,6 @@ fn run_guarded(
     let handle = std::thread::spawn(move || {
         let config = ComposeConfig::default()
             .with_codec(codec)
-            .resilient(true)
             .with_timeout(Duration::from_millis(500));
         let p = schedule.p;
         let (results, _) = Run::new(&ComposePlan::Schedule(schedule.clone()), &config)
@@ -195,9 +194,7 @@ proptest! {
     ) {
         let schedule = rotate::schedule(6, IMAGE_LEN, RtVariant::TwoN, 2).unwrap();
         let faults = || FaultPlan::none().with_seed(seed).drop_rate(drop_pct as f64 / 100.0);
-        let config = ComposeConfig::default()
-            .resilient(true)
-            .with_timeout(Duration::from_millis(500));
+        let config = ComposeConfig::default().with_timeout(Duration::from_millis(500));
         let (r1, t1) = Run::new(&ComposePlan::Schedule(schedule.clone()), &config).faults(faults()).execute(partials(6));
         let (r2, t2) = Run::new(&ComposePlan::Schedule(schedule.clone()), &config).faults(faults()).execute(partials(6));
         prop_assert_eq!(t1.retransmit_count(), t2.retransmit_count());

@@ -6,7 +6,7 @@ use rotate_tiling::comm::{CommError, FaultPlan, Multicomputer};
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::ComposeConfig;
 use rotate_tiling::core::rotate::RtVariant;
-use rotate_tiling::core::{ComposePlan, CoreError, Method, Run};
+use rotate_tiling::core::{compose_plan, ComposePlan, CoreError, Machine, Method, Run, Scratch};
 use rotate_tiling::imaging::{Image, Provenance};
 use std::time::Duration;
 
@@ -109,7 +109,6 @@ fn sole_survivor_is_elected_root() {
         root: 0,
         ..Default::default()
     }
-    .resilient(true)
     .with_timeout(Duration::from_millis(300));
     let faults = FaultPlan::none()
         .crash_rank_at_step(0, 0)
@@ -123,6 +122,52 @@ fn sole_survivor_is_elected_root() {
     assert_eq!(info.root_reassigned_to, Some(3));
     let frame = out.frame.as_ref().expect("survivor assembles the frame");
     assert_eq!(frame.pixels().len(), 256);
+}
+
+#[test]
+fn a_death_outside_the_fault_plan_is_a_typed_error_under_a_message_fault() {
+    // Rank 1 dies at once, but the installed plan schedules no crash, only
+    // one dropped message: no compose may repair around rank 1. The root
+    // reports it by name, and a rank that never hears from it may finish
+    // only if it owned nothing — never with a frame, and never having
+    // merged without it.
+    let p = 3;
+    let config = ComposeConfig::default().with_timeout(Duration::from_millis(300));
+    let faults = FaultPlan::none().drop_message(0, 2, 0);
+    let to = Method::TileOwner {
+        tiles_x: 1,
+        tiles_y: 1,
+    };
+    for method in [to, Method::DirectSend] {
+        let plan = method.plan(p, 16, 16).unwrap();
+        let machine = Machine::build(p, &config, faults.clone(), None);
+        let (results, _) = machine.run(|ctx| {
+            if ctx.rank() == 1 {
+                ctx.announce_death(0);
+                return None;
+            }
+            let local = Image::from_fn(16, 16, |_, _| Provenance::rank(ctx.rank() as u16));
+            let mut scratch = Scratch::default();
+            Some(compose_plan(ctx, &plan, local, &config, &mut scratch))
+        });
+        for (rank, result) in results.iter().enumerate() {
+            match result {
+                Some(Ok(out)) => assert!(
+                    rank != 0 && out.frame.is_none() && out.owned_pixels == 0,
+                    "{method:?}: rank {rank} finished without rank 1: frame {}, {} owned, degraded {:?}",
+                    out.frame.is_some(),
+                    out.owned_pixels,
+                    out.degraded
+                ),
+                Some(Err(e)) => assert_eq!(
+                    e,
+                    &CoreError::Comm(CommError::RankFailed { rank: 1 }),
+                    "{method:?}: rank {rank}"
+                ),
+                None => assert_eq!(rank, 1),
+            }
+        }
+    }
 }
 
 #[test]

@@ -145,9 +145,7 @@ fn faults_pool_and_observer_compose_on_one_run() {
     }
     .plan(p, w, h)
     .unwrap();
-    let config = ComposeConfig::default()
-        .with_codec(CodecKind::Trle)
-        .resilient(true);
+    let config = ComposeConfig::default().with_codec(CodecKind::Trle);
     let pool = ScratchPool::new();
     let observer = Arc::new(Observer::new());
     let mut fresh_after = Vec::new();
@@ -218,9 +216,7 @@ fn the_root_is_the_one_cell_display_wall() {
                         FaultPlan::none(),
                         FaultPlan::none().crash_rank_at_step(1, 1),
                     ] {
-                        let base = ComposeConfig::default()
-                            .with_codec(codec)
-                            .resilient(!faults.is_none());
+                        let base = ComposeConfig::default().with_codec(codec);
                         let run = |config: ComposeConfig| {
                             let (results, trace) = Run::new(&plan, &config)
                                 .faults(faults.clone())

@@ -198,6 +198,51 @@ fn between_frame_death_attributes_the_abandoned_frame_on_both_transports() {
     }
 }
 
+/// A death the fault plan did not schedule is a typed error whatever else
+/// the plan holds: a rank killed between frames fails frame 1 with no
+/// fault plan and under a plan holding one message fault alike — never a
+/// clean-looking frame composited without the dead rank's content.
+#[test]
+fn an_unplanned_death_fails_its_frame_under_a_message_only_fault_plan() {
+    let p = 3;
+    let orbit = OrbitConfig::quarter(3);
+    let config = PipelineConfig::small(Method::TileOwner {
+        tiles_x: 1,
+        tiles_y: 1,
+    });
+    let clean = StreamSession::new(p)
+        .collect_orbit(&StreamConfig::new(config), &orbit)
+        .unwrap();
+    for victim in [1usize, 2] {
+        for faults in [FaultPlan::none(), FaultPlan::none().drop_message(0, 2, 0)] {
+            let stream_config = StreamConfig::new(config)
+                .with_faults(faults.clone())
+                .kill_rank_before_frame(victim, 1);
+            let session = StreamSession::new(p);
+            let mut stream = session.stream_orbit(&stream_config, &orbit);
+            let first = stream
+                .next()
+                .expect("frame 0 emitted")
+                .expect("frame 0 clean");
+            assert_eq!(
+                first.frame.pixels(),
+                clean[0].frame.pixels(),
+                "victim {victim}, {faults:?}: frame 0"
+            );
+            match stream.next().expect("frame 1 emitted") {
+                Err(PvrError::Frame { index, .. }) => assert_eq!(index, 1),
+                Err(other) => {
+                    panic!("victim {victim}, {faults:?}: expected frame error, got {other}")
+                }
+                Ok(frame) => panic!(
+                    "victim {victim}, {faults:?}: frame 1 came out Ok, degraded {:?}",
+                    frame.degraded
+                ),
+            }
+        }
+    }
+}
+
 /// Satellite of the puzzle subsystem: `Method::Puzzle` plans thread
 /// through the streaming path (plan → per-camera rank permutation →
 /// compose) like any other plan method. Streamed frames must match the

@@ -226,9 +226,7 @@ fn owner_rank_death_mid_frame_keeps_the_trichotomy() {
     //    only the tiles it *owned* lose its contribution — they are
     //    reassigned and recomposed from the survivors, exactly.
     let faults = FaultPlan::none().crash_rank_at_step(deepest, 1);
-    let config = ComposeConfig::default()
-        .resilient(true)
-        .with_timeout(Duration::from_millis(500));
+    let config = ComposeConfig::default().with_timeout(Duration::from_millis(500));
     let (results, _) = Run::new(&plan, &config)
         .faults(faults)
         .execute(partials.clone());
@@ -346,7 +344,6 @@ fn owner_deaths_keep_their_degraded_info_and_frame_bytes() {
                 for codec in [CodecKind::Raw, CodecKind::Trle] {
                     let config = ComposeConfig::default()
                         .with_codec(codec)
-                        .resilient(true)
                         .with_timeout(Duration::from_millis(500));
                     let (results, trace) = Run::new(&plan, &config)
                         .faults(FaultPlan::none().crash_rank_at_step(victim, step))
@@ -507,7 +504,6 @@ fn check_tile_gather(
         None => FaultPlan::none(),
     };
     let config = ComposeConfig::default()
-        .resilient(victim.is_some())
         .with_timeout(Duration::from_secs(5))
         .with_display_wall(wall);
     let log = Arc::new(Mutex::new(Vec::new()));

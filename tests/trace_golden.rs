@@ -223,8 +223,7 @@ fn compute_digests() -> String {
                 plan.verify().unwrap();
                 for crash in [false, true] {
                     for wall in [false, true] {
-                        let mut config =
-                            ComposeConfig::default().with_codec(codec).resilient(crash);
+                        let mut config = ComposeConfig::default().with_codec(codec);
                         if wall {
                             config = config.with_display_wall(DisplayWall::new(2, 2));
                         }
@@ -544,7 +543,7 @@ fn the_repair_charges_over_like_every_other_merge() {
     let plan = method.plan(p, SIDE, SIDE).unwrap();
     let faults = FaultPlan::none().crash_rank_at_step(p - 1, 1);
     let run = |codec: CodecKind| {
-        let config = ComposeConfig::default().with_codec(codec).resilient(true);
+        let config = ComposeConfig::default().with_codec(codec);
         let (results, trace) = Run::new(&plan, &config)
             .faults(faults.clone())
             .execute(partials(p));

@@ -52,7 +52,7 @@ fn every_emitted_label_is_a_named_mark_and_round_trips() {
         },
     ] {
         let plan = method.plan(p, w, h).unwrap();
-        let (results, trace) = Run::new(&plan, &ComposeConfig::default().resilient(true))
+        let (results, trace) = Run::new(&plan, &ComposeConfig::default())
             .faults(FaultPlan::none().crash_rank_at_step(5, 1))
             .execute(band_partials(p, w, h));
         for result in results {
