@@ -27,6 +27,12 @@
 //! Every compose and pipeline cell's trace also has its critical path
 //! checked in memory (it must telescope to the bit onto the replayed
 //! compose + gather phase); that check writes nothing to the file.
+//!
+//! Beside the digests, `tests/golden/trace_census.txt` (regenerated with
+//! them) counts each traced cell's events per rank: sends, receives and
+//! retransmits with their bytes, and `Compute` units by kind. The digest is
+//! the gate; on a drift the test prints each moved cell's census difference
+//! first, so a regeneration says what moved.
 
 use rotate_tiling::comm::{
     critical_path, replay, ComputeKind, CostModel, Event, FaultPlan, Mark, Trace,
@@ -56,6 +62,7 @@ const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/trace_digests.txt"
 );
+const CENSUS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/trace_census.txt");
 const SIDE: usize = 32;
 
 /// 64-bit FNV-1a, fed field by field.
@@ -132,6 +139,74 @@ fn trace_digest(trace: &Trace) -> u64 {
         }
     }
     h.0
+}
+
+/// One census line per rank of `trace`, each opened by `cell`: message
+/// counts and bytes by direction, then `Compute` units by kind.
+fn census(out: &mut String, cell: &str, trace: &Trace) {
+    for (rank, events) in trace.ranks.iter().enumerate() {
+        let (mut send, mut recv, mut retx) = ((0, 0), (0, 0), (0, 0));
+        let mut units = [0u64; 4];
+        for e in events {
+            match e {
+                Event::Send { bytes, .. } => send = (send.0 + 1, send.1 + bytes),
+                Event::Recv { bytes, .. } => recv = (recv.0 + 1, recv.1 + bytes),
+                Event::Retransmit { bytes, .. } => retx = (retx.0 + 1, retx.1 + bytes),
+                Event::Compute { kind, units: u } => {
+                    let k = match kind {
+                        ComputeKind::Over => 0,
+                        ComputeKind::Encode => 1,
+                        ComputeKind::Decode => 2,
+                        ComputeKind::Render => 3,
+                    };
+                    units[k] += u;
+                }
+                _ => {}
+            }
+        }
+        let [over, encode, decode, render] = units;
+        writeln!(
+            out,
+            "{cell} rank {rank}: Send {} / {} B, Recv {} / {} B, Retransmit {} / {} B, \
+             Over {over}, Encode {encode}, Decode {decode}, Render {render}",
+            send.0, send.1, recv.0, recv.1, retx.0, retx.1,
+        )
+        .unwrap();
+    }
+}
+
+/// The census fields of `cell` that differ between the committed census
+/// `want` and `got`, one `rank k: Field old → new` line each.
+fn census_drift(cell: &str, want: &str, got: &str) -> Vec<String> {
+    let of = |census: &str| -> Vec<(String, String)> {
+        let prefix = format!("{cell} rank ");
+        census
+            .lines()
+            .filter_map(|line| line.strip_prefix(&prefix))
+            .flat_map(|line| {
+                let (rank, fields) = line.split_once(": ").unwrap_or((line, ""));
+                fields.split(", ").map(move |field| {
+                    let (name, value) = field.split_once(' ').unwrap_or((field, ""));
+                    (format!("rank {rank}: {name}"), value.to_string())
+                })
+            })
+            .collect()
+    };
+    let (want, got) = (of(want), of(got));
+    let mut drift: Vec<String> = got
+        .iter()
+        .filter(|field| !want.contains(field))
+        .map(|(name, new)| {
+            let old = want.iter().find(|(n, _)| n == name);
+            let old = old.map_or("(none)", |(_, v)| v.as_str());
+            format!("{cell} {name} {old} → {new}")
+        })
+        .collect();
+    let gone = want
+        .iter()
+        .filter(|(name, _)| !got.iter().any(|(n, _)| n == name));
+    drift.extend(gone.map(|(name, old)| format!("{cell} {name} {old} → (none)")));
+    drift
 }
 
 /// The critical path of `trace`'s compose window (`compose:start` →
@@ -214,8 +289,9 @@ fn methods() -> Vec<Method> {
     methods
 }
 
-fn compute_digests() -> String {
-    let mut out = String::new();
+/// The digest lines of every cell, and the census of every traced cell.
+fn compute_digests() -> (String, String) {
+    let (mut out, mut counts) = (String::new(), String::new());
     for method in methods() {
         for codec in CodecKind::ALL {
             for p in [4usize, 8] {
@@ -242,6 +318,7 @@ fn compute_digests() -> String {
                             if wall { "wall2x2" } else { "root" },
                         );
                         assert_path_telescopes(&trace, &cell);
+                        census(&mut counts, &cell, &trace);
                         writeln!(
                             out,
                             "{cell} trace={:016x} frames={:016x}",
@@ -254,7 +331,10 @@ fn compute_digests() -> String {
             }
         }
     }
-    out + &pipeline_digests() + &render_digests()
+    (
+        out + &pipeline_digests(&mut counts) + &render_digests(),
+        counts,
+    )
 }
 
 fn screen_digest(frame: &Image<GrayAlpha>) -> u64 {
@@ -271,7 +351,7 @@ fn screen_digest(frame: &Image<GrayAlpha>) -> u64 {
 /// view through `FrameRun` (one machine per frame) and the whole orbit
 /// through one `StreamSession` (window 2). A frame is a stream of one, so
 /// every cell's serial frame 0 must carry its streamed twin's trace.
-fn pipeline_digests() -> String {
+fn pipeline_digests(counts: &mut String) -> String {
     let mut out = String::new();
     let orbit = OrbitConfig::quarter(4);
     let methods = [
@@ -300,6 +380,7 @@ fn pipeline_digests() -> String {
                         if crash { "crash" } else { "clean" },
                     );
                     assert_path_telescopes(trace, &cell);
+                    census(counts, &cell, trace);
                     writeln!(
                         out,
                         "{cell} trace={:016x} screen={:016x}",
@@ -453,16 +534,31 @@ fn render_digests() -> String {
 
 #[test]
 fn traces_and_frames_match_the_golden_digests() {
-    let got = compute_digests();
+    let (got, got_census) = compute_digests();
     if std::env::var_os("RT_REGENERATE_GOLDEN").is_some() {
         std::fs::write(GOLDEN, &got).unwrap();
+        std::fs::write(CENSUS, &got_census).unwrap();
         return;
     }
     let want = std::fs::read_to_string(GOLDEN).unwrap();
+    let want_census = std::fs::read_to_string(CENSUS).unwrap();
     assert_eq!(got.lines().count(), want.lines().count(), "cell count");
-    for (g, w) in got.lines().zip(want.lines()) {
+    let moved: Vec<(&str, &str)> = (got.lines().zip(want.lines()))
+        .filter(|(g, w)| g != w)
+        .collect();
+    for (g, _) in &moved {
+        let cell = g.split(" trace=").next().unwrap_or(g);
+        for line in census_drift(cell, &want_census, &got_census) {
+            eprintln!("census drift: {line}");
+        }
+    }
+    for (g, w) in moved {
         assert_eq!(g, w, "digest drifted from tests/golden/trace_digests.txt");
     }
+    assert!(
+        got_census == want_census,
+        "tests/golden/trace_census.txt is stale: regenerate it with the digests"
+    );
 }
 
 /// Every raw, clean, root-gathered schedule cell records the trace its
