@@ -169,15 +169,11 @@ pub(crate) fn place_puzzle_tile<'a, P: Pixel>(
             false => piece_of(r).map(|piece| (piece.ivals, Some(piece.stream))),
         })
         .collect();
-    match contributors.as_slice() {
-        // Nothing anywhere: the owner's own region is already blank.
-        [] => return Ok(true),
-        // Solo-local: the finished tile is the local content, in place.
-        [(_, None)] => {
-            ctx.obs_counters(|c| c.tiles_placed += 1);
-            return Ok(true);
-        }
-        _ => {}
+    // The round resolves no tile without content, so there is a contributor.
+    // Solo-local: the finished tile is the local content, in place.
+    if let [(_, None)] = contributors.as_slice() {
+        ctx.obs_counters(|c| c.tiles_placed += 1);
+        return Ok(true);
     }
     let ivals: Vec<&[(u16, u16)]> = contributors.iter().map(|(ivals, _)| *ivals).collect();
     let area = tiles.grid.area(t);

@@ -793,12 +793,18 @@ impl<P: Pixel> TileScan<'_, P> {
             }
         }
 
-        // ---- Resolve owned tiles: place within budget, or fold. ---------
+        // ---- Resolve owned tiles: place within budget, or fold. A tile
+        // no live rank drew on is already blank in `local`: it costs
+        // nothing. A resolved tile holds content. ---------------------------
         for (i, &t) in self.bundles.tiles().iter().enumerate() {
             let piece_of = |r: usize| self.bundles.piece(r, i);
+            if !self.have[t] && (0..self.plan.p).all(|r| piece_of(r).is_none()) {
+                continue;
+            }
             if !place_puzzle_tile(ctx, self, local, scratch, t, &piece_of)? {
                 self.fold_tile(ctx, local, scratch, t, &piece_of)?;
             }
+            self.have[t] = true;
         }
         // Nothing reads the bundles past their round: let their buffers go.
         self.bundles.reset(0, []);
