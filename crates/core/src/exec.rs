@@ -36,7 +36,7 @@ use rt_comm::{
 };
 use rt_compress::{Codec, CodecKind, OverDir};
 use rt_imaging::pixel::{OverStats, Pixel};
-use rt_imaging::{Image, ImagingError, Span};
+use rt_imaging::{Image, ImagingError, Rect, Span};
 use rt_net::TcpMulticomputer;
 use rt_obs::{Observer, Phase};
 use std::any::Any;
@@ -476,12 +476,12 @@ impl<'a, P: Pixel> Stage<'a, P> {
     pub fn encode_spans_into(
         &self,
         ctx: &mut RankCtx,
+        started: Option<Instant>,
         scratch: &mut Scratch<P>,
         local: &Image<P>,
         spans: impl IntoIterator<Item = Span>,
         out: &mut Vec<u8>,
     ) -> Result<(), CoreError> {
-        let started = ctx.obs_start();
         let staged = &mut scratch.gather_pixels;
         staged.clear();
         // Internal iteration runs a chained segment walk as one loop, where
@@ -768,7 +768,7 @@ pub(crate) fn compose_schedule<P: Pixel>(
     let owned = |o| {
         owners
             .iter()
-            .filter_map(move |&(span, r)| (r == o).then_some(span))
+            .filter_map(move |&(span, r)| (r == o).then_some((None, std::iter::once(span))))
     };
     finish(ctx, stage, scratch, local, owned, root, degraded, |slot| {
         tag::step(config.frame_tag, steps_len, slot)
@@ -796,15 +796,23 @@ fn flush_deferred<P: Pixel>(
     Ok(())
 }
 
+/// The most any codec adds to a block's raw size (the bounds codec's two
+/// counters): with it a message's buffer is sized once, before its streams
+/// are written, and never grows.
+pub(crate) const STREAM_HEADROOM: usize = 8;
+
 /// The tail every plan family ends with: count what this rank finally
 /// owns, run the gather — to the config's display wall, or else to the
 /// one-cell wall at `root` — and package the output. `owned(o)` walks owner
-/// `o`'s (possibly repaired) final spans in ownership order, `local` holds
-/// this rank's owned spans, `root` is the (possibly reassigned) gather
-/// root, and `gather_tag` maps a sender slot to the family's gather tag
-/// namespace.
+/// `o`'s (possibly repaired) final pieces in ownership order, each its
+/// spans and a content flag: `None` for a span schedule's spans, `Some(c)`
+/// for a tile, announced in the gather's content bitmap, with `c` false
+/// only where this rank knows the tile blank (its own tiles without
+/// content). `local` holds this rank's owned pieces, `root` is the
+/// (possibly reassigned) gather root, and `gather_tag` maps a sender slot
+/// to the family's gather tag namespace.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn finish<P: Pixel, I: Iterator<Item = Span> + Clone>(
+pub(crate) fn finish<P: Pixel, I, J>(
     ctx: &mut RankCtx,
     stage: &Stage<P>,
     scratch: &mut Scratch<P>,
@@ -813,8 +821,15 @@ pub(crate) fn finish<P: Pixel, I: Iterator<Item = Span> + Clone>(
     root: usize,
     degraded: Option<DegradedInfo>,
     gather_tag: impl Fn(usize) -> u64,
-) -> Result<ComposeOutput<P>, CoreError> {
-    let owned_pixels = owned(ctx.rank()).map(|span| span.len).sum();
+) -> Result<ComposeOutput<P>, CoreError>
+where
+    I: Iterator<Item = (Option<bool>, J)> + Clone,
+    J: Iterator<Item = Span> + Clone,
+{
+    let owned_pixels = owned(ctx.rank())
+        .flat_map(|(_, spans)| spans)
+        .map(|span| span.len)
+        .sum();
     let wall = stage.config.with_root(root).gather_target();
     let dead: BTreeSet<usize> = degraded
         .iter()
@@ -838,17 +853,53 @@ pub(crate) fn finish<P: Pixel, I: Iterator<Item = Span> + Clone>(
     })
 }
 
-/// The gather: each final owner ships, per display cell its spans overlap,
-/// ONE message with the overlap segments concatenated in ownership order
-/// (the coalesced collection a real system would do with `MPI_Gatherv`);
-/// each display rank assembles its own cell-sized framebuffer. Sender and
-/// receiver walk the same segments off the owner's spans, so nothing is
-/// negotiated or listed; for the root's one-cell wall the segments are the
-/// owner's spans themselves. Returns the cell image on display ranks,
-/// `None` elsewhere. Ranks owning nothing send nothing, and dead ranks
-/// (post-repair) neither send nor receive.
+/// An owner's pieces cut to a display cell: each piece that meets `cell`,
+/// with its flag and its segments there ([`span_cell_segments`]).
+fn cell_pieces<J: Iterator<Item = Span> + Clone>(
+    pieces: impl Iterator<Item = (Option<bool>, J)> + Clone,
+    width: usize,
+    cell: Rect,
+) -> impl Iterator<Item = (Option<bool>, impl Iterator<Item = (Span, usize)> + Clone)> + Clone {
+    let cut = move |(content, spans)| (content, span_cell_segments(spans, width, cell));
+    pieces
+        .map(cut)
+        .filter(|(_, segs)| segs.clone().next().is_some())
+}
+
+/// The segments a gather message's stream carries: every unflagged piece's,
+/// and each flagged piece's whose bit is set in `bitmap` (the `i`-th
+/// flagged piece reads bit `i`).
+fn shipped<'b, J>(
+    pieces: impl Iterator<Item = (Option<bool>, J)> + Clone + 'b,
+    bitmap: &'b [u8],
+) -> impl Iterator<Item = (Span, usize)> + Clone + 'b
+where
+    J: Iterator<Item = (Span, usize)> + Clone + 'b,
+{
+    let keep = move |i: &mut usize, (content, segs): (Option<bool>, J)| {
+        let set = content.is_none() || {
+            *i += 1;
+            bitmap[(*i - 1) / 8] & (1 << ((*i - 1) % 8)) != 0
+        };
+        Some(set.then_some(segs))
+    };
+    pieces.scan(0, keep).flatten().flatten()
+}
+
+/// The gather: each final owner ships, per display cell its pieces meet,
+/// ONE message (the coalesced collection a real system would do with
+/// `MPI_Gatherv`): a bitmap over its flagged pieces that meet the cell,
+/// bit set where the piece holds content, then one codec stream of the
+/// shipped pieces' segments in ownership order — unflagged pieces always,
+/// flagged ones where their bit is set, no stream when none is. Each
+/// display rank assembles its own cell-sized framebuffer from a blank one.
+/// Sender and receiver walk the same segments off the owner's pieces, so
+/// nothing else is negotiated or listed; for the root's one-cell wall the
+/// segments are the owner's spans themselves. Returns the cell image on
+/// display ranks, `None` elsewhere. Ranks owning nothing send nothing, and
+/// dead ranks (post-repair) neither send nor receive.
 #[allow(clippy::too_many_arguments)]
-fn gather<P: Pixel, I: Iterator<Item = Span> + Clone>(
+fn gather<P: Pixel, I, J>(
     ctx: &mut RankCtx,
     stage: &Stage<P>,
     scratch: &mut Scratch<P>,
@@ -857,58 +908,104 @@ fn gather<P: Pixel, I: Iterator<Item = Span> + Clone>(
     wall: DisplayWall,
     dead: &BTreeSet<usize>,
     gather_tag: &impl Fn(usize) -> u64,
-) -> Result<Option<Image<P>>, CoreError> {
+) -> Result<Option<Image<P>>, CoreError>
+where
+    I: Iterator<Item = (Option<bool>, J)> + Clone,
+    J: Iterator<Item = Span> + Clone,
+{
     let me = ctx.rank();
     let (width, height) = (local.width(), local.height());
+    // A piece goes into the stream unless it is flagged blank.
+    let held = |(content, _): &(Option<bool>, _)| *content != Some(false);
     for d in 0..wall.count() {
         let drank = wall.rank_of(d);
         if drank == me || dead.contains(&drank) {
             continue;
         }
-        let segs = span_cell_segments(owned(me), width, wall.cell_rect(d, width, height));
-        if segs.clone().next().is_none() {
+        let pieces = cell_pieces(owned(me), width, wall.cell_rect(d, width, height));
+        if pieces.clone().next().is_none() {
             continue;
         }
-        let mut bytes = Vec::new();
-        stage.encode_spans_into(ctx, scratch, local, segs.map(|(seg, _)| seg), &mut bytes)?;
+        let started = ctx.obs_start();
+        let flags = pieces.clone().filter_map(|(content, _)| content);
+        let head = flags.clone().count().div_ceil(8);
+        let segs = pieces.filter(held).flat_map(|(_, segs)| segs);
+        let len: usize = segs.clone().map(|(seg, _)| seg.len).sum();
+        let mut bytes = Vec::with_capacity(head + len * P::BYTES + STREAM_HEADROOM);
+        bytes.resize(head, 0);
+        for (i, content) in flags.enumerate() {
+            bytes[i / 8] |= (content as u8) << (i % 8);
+        }
+        match segs.clone().next() {
+            None => ctx.obs_span(Phase::Encode, started),
+            Some(_) => {
+                let segs = segs.map(|(seg, _)| seg);
+                stage.encode_spans_into(ctx, started, scratch, local, segs, &mut bytes)?
+            }
+        }
         ctx.send(drank, gather_tag(tag::wall_slot(d, me)), bytes)?;
     }
     let Some(d) = wall.display_of(me) else {
         return Ok(None);
     };
     let cell = wall.cell_rect(d, width, height);
-    // The blank cell and this rank's own segments are frame assembly, a
-    // decode's work on the wall clock.
+    // The blank cell and this rank's own pieces with content are frame
+    // assembly, a decode's work on the wall clock.
     let started = ctx.obs_start();
     let mut out = Image::blank(cell.width(), cell.height());
     ctx.obs_span(Phase::Decode, started);
     for owner in (0..ctx.size()).filter(|owner| !dead.contains(owner)) {
-        let mut segs = span_cell_segments(owned(owner), width, cell);
+        let pieces = cell_pieces(owned(owner), width, cell);
         if owner == me {
             let started = ctx.obs_start();
-            segs.try_for_each(|(seg, at)| -> Result<(), CoreError> {
-                out.insert(Span::new(at, seg.len), local.span_pixels(seg)?)?;
-                Ok(())
-            })?;
+            (pieces.filter(held).flat_map(|(_, segs)| segs)).try_for_each(
+                |(seg, at)| -> Result<(), CoreError> {
+                    out.insert(Span::new(at, seg.len), local.span_pixels(seg)?)?;
+                    Ok(())
+                },
+            )?;
             ctx.obs_span(Phase::Decode, started);
             continue;
         }
-        let mut peek = segs.clone();
-        let Some((first, at)) = peek.next() else {
+        if pieces.clone().next().is_none() {
             continue;
-        };
+        }
         let bytes = ctx.recv(owner, gather_tag(tag::wall_slot(d, owner)))?;
         let started = ctx.obs_start();
-        if peek.next().is_none() {
+        let n = pieces
+            .clone()
+            .filter(|(content, _)| content.is_some())
+            .count();
+        let bad = |why: String| CoreError::InvalidSchedule {
+            why: format!(
+                "rank {owner}: gather message of {} bytes {why}",
+                bytes.len()
+            ),
+        };
+        let (bitmap, stream) = match bytes.len() >= n.div_ceil(8) {
+            true => bytes.split_at(n.div_ceil(8)),
+            false => return Err(bad(format!("ends inside its bitmap of {n} pieces"))),
+        };
+        if (n..bitmap.len() * 8).any(|i| bitmap[i / 8] & (1 << (i % 8)) != 0) {
+            return Err(bad(format!("sets a bit past its {n} pieces")));
+        }
+        let mut segs = shipped(pieces, bitmap);
+        let mut peek = segs.clone();
+        match (peek.next(), peek.next()) {
+            (None, _) if stream.is_empty() => {}
+            (None, _) => return Err(bad(format!("has {} trailing bytes", stream.len()))),
             // One segment: stream straight into the blank cell.
-            stage.unpack(ctx, &bytes, out.span_pixels_mut(Span::new(at, first.len))?)?;
-        } else {
-            let total = segs.clone().map(|(seg, _)| seg.len).sum();
-            let mut staged = scratch.take_acc(total, ctx);
-            stage.unpack(ctx, &bytes, &mut staged)?;
-            let cell_spans = segs.map(|(seg, at)| Span::new(at, seg.len));
-            scatter(&mut out, cell_spans, &staged)?;
-            scratch.put_acc(staged);
+            (Some((first, at)), None) => {
+                stage.unpack(ctx, stream, out.span_pixels_mut(Span::new(at, first.len))?)?
+            }
+            _ => {
+                let total = segs.clone().map(|(seg, _)| seg.len).sum();
+                let mut staged = scratch.take_acc(total, ctx);
+                stage.unpack(ctx, stream, &mut staged)?;
+                let cell_spans = segs.by_ref().map(|(seg, at)| Span::new(at, seg.len));
+                scatter(&mut out, cell_spans, &staged)?;
+                scratch.put_acc(staged);
+            }
         }
         ctx.obs_span(Phase::Decode, started);
     }

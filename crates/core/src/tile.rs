@@ -50,6 +50,7 @@
 
 use crate::exec::{
     compose_schedule, finish, scatter, ComposeConfig, ComposeOutput, Scratch, Stage,
+    STREAM_HEADROOM,
 };
 use crate::puzzle::{place_puzzle_tile, scan_tiles, RowIvals};
 use crate::repair::{agree_on_failures, DegradedInfo};
@@ -485,11 +486,6 @@ pub struct Piece<'a> {
     pub stream: &'a [u8],
 }
 
-/// The most any codec adds to a block's raw size (the bounds codec's two
-/// counters): with it a bundle's buffer is sized once, before its streams
-/// are written, and never grows.
-const STREAM_HEADROOM: usize = 8;
-
 /// Write one bundle — everything a rank contributes to one owner in one
 /// round — onto the end of `out`, in one pass. `pieces` yields the owner's
 /// tiles of the round in order (ascending), `Some(piece)` where this rank
@@ -755,9 +751,9 @@ impl<P: Pixel> TileScan<'_, P> {
             let (mut sent, mut streamed) = (0, 0);
             write_bundle_into(&mut bundle, set.clone(), ivals, |t, out| {
                 let at = out.len();
-                let rows = grid.row_spans(t);
+                let (started, rows) = (ctx.obs_start(), grid.row_spans(t));
                 self.stage
-                    .encode_spans_into(ctx, scratch, local, rows, out)?;
+                    .encode_spans_into(ctx, started, scratch, local, rows, out)?;
                 (sent, streamed) = (sent + 1, streamed + out.len() - at);
                 Ok(())
             })?;
@@ -785,7 +781,11 @@ impl<P: Pixel> TileScan<'_, P> {
                 continue;
             }
             match ctx.recv(src, tag_of(src)) {
-                Ok(bytes) => self.bundles.insert(grid, puzzle, src, bytes)?,
+                Ok(bytes) => {
+                    let started = ctx.obs_start();
+                    self.bundles.insert(grid, puzzle, src, bytes)?;
+                    ctx.obs_span(Phase::Decode, started);
+                }
                 // A confirmed-dead peer contributed nothing, atomically:
                 // exact, because blank is the identity of `over`.
                 Err(CommError::RankFailed { .. }) if !self.stage.crashes.is_empty() => {}
@@ -971,16 +971,17 @@ pub(crate) fn compose_tiles<P: Pixel>(
     })?;
 
     // What an owner ships: its (post-repair) tiles in ascending order, each
-    // tile's rows top to bottom, read off the grid as they are walked. Only
-    // a repair rewrote the owner map.
+    // tile's rows top to bottom, read off the grid as they are walked, and
+    // flagged blank where this rank is the owner and holds no content there.
+    // Only a repair rewrote the owner map.
     let final_owners = match degraded {
         Some(_) => &owner_of,
         None => &plan.owner_of,
     };
-    let (grid, tiles_ref) = (&plan.grid, &tiles);
+    let (me, grid, tiles_ref, have) = (ctx.rank(), &plan.grid, &tiles, &scan.have);
     let owned = |o| {
         let mine = tiles_ref.iter().filter(move |&&t| final_owners[t] == o);
-        mine.flat_map(move |&t| grid.row_spans(t))
+        mine.map(move |&t| (Some(o != me || have[t]), grid.row_spans(t)))
     };
     let out = finish(ctx, stage, scratch, local, owned, root, degraded, |slot| {
         tag::tile(config.frame_tag, TileChannel::Gather, slot as u64)

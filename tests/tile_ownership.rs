@@ -8,17 +8,19 @@
 //! in ascending tile order, rows top to bottom, cut to the cell.
 
 use proptest::prelude::*;
-use rotate_tiling::comm::tag::{tile_channel, TileChannel};
+use rotate_tiling::comm::tag::{tile, tile_channel, wall_slot, TileChannel};
 use rotate_tiling::comm::{
-    Event, FaultPlan, InProc, RankCtx, RecvRawError, SendRawError, Trace, Transport, WireFrame,
+    Event, FaultPlan, InProc, RankCtx, RankOptions, RecvRawError, SendRawError, Trace, Transport,
+    WireFrame,
 };
 use rotate_tiling::compress::CodecKind;
-use rotate_tiling::core::exec::{ComposeConfig, TransportKind};
+use rotate_tiling::core::exec::{ComposeConfig, ComposeOutput, TransportKind};
 use rotate_tiling::core::method::Method;
-use rotate_tiling::core::{DisplayWall, Run};
+use rotate_tiling::core::tile::TileGrid;
+use rotate_tiling::core::{compose_plan, ComposePlan, CoreError, DisplayWall, Run, Scratch};
 use rotate_tiling::imaging::image::reference_composite;
 use rotate_tiling::imaging::synth::{band_partials, provenance_partials};
-use rotate_tiling::imaging::{Image, Pixel, Provenance};
+use rotate_tiling::imaging::{GrayAlpha8, Image, Pixel, Provenance, Rect};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -439,12 +441,98 @@ impl Transport for Tap {
     }
 }
 
+/// Run `plan` on `partials` over tapping in-process endpoints: every rank's
+/// output, and a copy of every message sent.
+fn tapped_run(
+    plan: &ComposePlan,
+    partials: &[Image<GrayAlpha8>],
+    config: &ComposeConfig,
+    faults: FaultPlan,
+) -> (Vec<Result<ComposeOutput<GrayAlpha8>, CoreError>>, Vec<Sent>) {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let outputs = std::thread::scope(|s| {
+        let ranks: Vec<_> = (InProc::mesh(partials.len()).into_iter().zip(partials))
+            .map(|(inner, partial)| {
+                let tap = Tap {
+                    inner,
+                    log: Arc::clone(&log),
+                };
+                let options = RankOptions {
+                    faults: faults.clone(),
+                    ..RankOptions::default()
+                };
+                s.spawn(move || {
+                    let mut ctx = RankCtx::over_transport(Box::new(tap), options);
+                    let mut scratch = Scratch::default();
+                    compose_plan(&mut ctx, plan, partial.clone(), config, &mut scratch)
+                })
+            })
+            .collect();
+        ranks.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    let sent = std::mem::take(&mut *log.lock().unwrap());
+    (outputs, sent)
+}
+
+/// The gather messages of a tapped run, sorted: `(from, to, tag, payload)`
+/// for every tag of the tile gather at P ranks over `wall`.
+fn gather_sends(sent: Vec<Sent>, p: usize, wall: DisplayWall) -> Vec<Sent> {
+    let tags: Vec<u64> = (0..wall.count())
+        .flat_map(|d| (0..p).map(move |o| gather_tag(d, o)))
+        .collect();
+    let mut sent: Vec<Sent> = sent.into_iter().filter(|s| tags.contains(&s.2)).collect();
+    sent.sort();
+    sent
+}
+
+fn gather_tag(d: usize, o: usize) -> u64 {
+    tile(0, TileChannel::Gather, wall_slot(d, o) as u64)
+}
+
+/// The gather message an owner sends a cell: a bitmap over its `tiles`
+/// (ascending) that meet `cell`, bit set where `content(t)`, then the raw
+/// pixels of `frame` on the set tiles' rows cut to the cell; `None` when no
+/// tile meets the cell.
+fn gather_message(
+    frame: &Image<GrayAlpha8>,
+    grid: &TileGrid,
+    tiles: impl Iterator<Item = usize>,
+    cell: Rect,
+    content: impl Fn(usize) -> bool,
+) -> Option<Vec<u8>> {
+    let meets: Vec<usize> = tiles
+        .filter(|&t| !grid.rect(t).intersect(&cell).is_empty())
+        .collect();
+    let mut bytes = vec![0u8; meets.len().div_ceil(8)];
+    let mut pixels = Vec::new();
+    for (i, &t) in meets.iter().enumerate().filter(|(_, &t)| content(t)) {
+        bytes[i / 8] |= 1 << (i % 8);
+        let r = grid.rect(t).intersect(&cell);
+        for y in r.y0..r.y1 {
+            pixels.extend_from_slice(&frame.pixels()[y * grid.width + r.x0..][..r.width()]);
+        }
+    }
+    if !pixels.is_empty() {
+        bytes.extend(CodecKind::Raw.build::<GrayAlpha8>().encode(&pixels).bytes);
+    }
+    (!meets.is_empty()).then_some(bytes)
+}
+
+/// Whether any of `partials` draws on tile `t`.
+fn drawn(partials: &[Image<GrayAlpha8>], grid: &TileGrid, t: usize) -> bool {
+    let r = grid.rect(t);
+    partials.iter().any(|img| {
+        (r.y0..r.y1).any(|y| (r.x0..r.x1).any(|x| !img.pixels()[y * grid.width + x].is_blank()))
+    })
+}
+
 /// Run a tile plan (raw codec) gathered to `wall`, with `victim` crashing
 /// after its first round, and check the gather: every live cell is the
 /// expected composite cut to that cell, bit for bit, and each gather
-/// message carries exactly the raw pixels of its owner's tiles ∩ the cell —
-/// the owner's (post-repair) tiles in ascending order, each tile's rows top
-/// to bottom.
+/// message is a bitmap over its owner's (post-repair) tiles that meet the
+/// cell, ascending, set where some contributing partial drew on the tile,
+/// then the raw pixels of exactly the set tiles ∩ the cell, each tile's
+/// rows top to bottom.
 fn check_tile_gather(
     p: usize,
     puzzle: bool,
@@ -453,10 +541,6 @@ fn check_tile_gather(
     wall: DisplayWall,
     victim: Option<usize>,
 ) {
-    use rotate_tiling::comm::tag::{tile, wall_slot};
-    use rotate_tiling::comm::RankOptions;
-    use rotate_tiling::core::{compose_plan, ComposePlan, Scratch};
-    use rotate_tiling::imaging::GrayAlpha8;
     let what = format!(
         "P={p} puzzle={puzzle} {w}x{h} grid {tiles_x}x{tiles_y} {wall:?} victim {victim:?}"
     );
@@ -473,10 +557,12 @@ fn check_tile_gather(
         unreachable!("{what}: a tile plan");
     };
     // Overlapping translucent content with blank holes, so a wrong merge
-    // order, a lost piece or a misplaced row changes bytes.
+    // order, a lost piece or a misplaced row changes bytes, and a corner
+    // nobody draws on, so some tiles hold no content anywhere.
     let partials: Vec<Image<GrayAlpha8>> = (0..p)
         .map(|r| {
             Image::from_fn(w, h, |x, y| match (x / 2 + y + 2 * r) % 4 {
+                _ if x >= 6 && y >= 5 => GrayAlpha8::blank(),
                 0 => GrayAlpha8::blank(),
                 _ => GrayAlpha8::new((37 * r + 5 * x + y) as u8, (60 + 30 * r + 7 * x) as u8),
             })
@@ -486,8 +572,8 @@ fn check_tile_gather(
     // the next live rank; everything else is the full fold.
     let mut want = reference_composite(&partials).unwrap();
     let mut owner_of = tiles.owner_of.clone();
+    let mut surviving = partials.clone();
     if let Some(v) = victim {
-        let mut surviving = partials.clone();
         surviving[v] = Image::blank(w, h);
         let survivors = reference_composite(&surviving).unwrap();
         for t in tiles.tiles_of(v) {
@@ -498,6 +584,10 @@ fn check_tile_gather(
             }
         }
     }
+    let content = |t: usize| match Some(tiles.owner_of[t]) == victim {
+        true => drawn(&surviving, &tiles.grid, t),
+        false => drawn(&partials, &tiles.grid, t),
+    };
 
     let faults = match victim {
         Some(v) => FaultPlan::none().crash_rank_at_step(v, 1),
@@ -506,30 +596,8 @@ fn check_tile_gather(
     let config = ComposeConfig::default()
         .with_timeout(Duration::from_secs(5))
         .with_display_wall(wall);
-    let log = Arc::new(Mutex::new(Vec::new()));
-    let outputs: Vec<_> = std::thread::scope(|s| {
-        let ranks: Vec<_> = (InProc::mesh(p).into_iter().zip(&partials))
-            .map(|(inner, partial)| {
-                let tap = Tap {
-                    inner,
-                    log: Arc::clone(&log),
-                };
-                let options = RankOptions {
-                    faults: faults.clone(),
-                    ..RankOptions::default()
-                };
-                let (plan, config) = (&plan, &config);
-                s.spawn(move || {
-                    let mut ctx = RankCtx::over_transport(Box::new(tap), options);
-                    let mut scratch = Scratch::default();
-                    compose_plan(&mut ctx, plan, partial.clone(), config, &mut scratch)
-                })
-            })
-            .collect();
-        ranks.into_iter().map(|r| r.join().unwrap()).collect()
-    });
+    let (outputs, sent) = tapped_run(&plan, &partials, &config, faults);
 
-    let gather_tag = |d, o| tile(0, TileChannel::Gather, wall_slot(d, o) as u64);
     let mut expected = Vec::new();
     for d in 0..wall.count() {
         let drank = wall.rank_of(d);
@@ -550,27 +618,140 @@ fn check_tile_gather(
         }
         assert_eq!(got.pixels(), &cut[..], "{what}: cell {d}");
         for o in (0..p).filter(|&o| o != drank && Some(o) != victim) {
-            let mut pixels = Vec::new();
-            for t in (0..tiles.grid.tiles()).filter(|&t| owner_of[t] == o) {
-                let r = tiles.grid.rect(t).intersect(&cell);
-                for y in r.y0..r.y1 {
-                    pixels.extend_from_slice(&want.pixels()[y * w + r.x0..y * w + r.x1]);
-                }
-            }
-            if !pixels.is_empty() {
-                let bytes = CodecKind::Raw.build::<GrayAlpha8>().encode(&pixels).bytes;
+            let owned = (0..tiles.grid.tiles()).filter(|&t| owner_of[t] == o);
+            if let Some(bytes) = gather_message(&want, &tiles.grid, owned, cell, content) {
                 expected.push((o, drank, gather_tag(d, o), bytes));
             }
         }
     }
-    let gather_tags: Vec<u64> = (0..wall.count())
-        .flat_map(|d| (0..p).map(move |o| gather_tag(d, o)))
-        .collect();
-    let mut sent = std::mem::take(&mut *log.lock().unwrap());
-    sent.retain(|(_, _, tag, _)| gather_tags.contains(tag));
-    sent.sort();
     expected.sort();
-    assert_eq!(sent, expected, "{what}: gather messages");
+    assert_eq!(
+        gather_sends(sent, p, wall),
+        expected,
+        "{what}: gather messages"
+    );
+}
+
+/// TO at P = 4 over a 4×4 grid of 4×4-pixel tiles, content on tiles 0, 5, 6
+/// and 10 only: each owner (`t % 4`) sends the root its bitmap over its four
+/// tiles and one raw stream of exactly its tiles with content — owner 3,
+/// with none, its bitmap alone. With every partial blank, every message is
+/// its bitmap alone.
+#[test]
+fn the_tile_gather_ships_only_tiles_with_content() {
+    let (p, side) = (4, 16);
+    let plan = tile_owner(4, 4).plan(p, side, side).unwrap();
+    let grid = TileGrid::new(side, side, 4, 4).unwrap();
+    // Rank r draws on the tiles `drawn[r]` lists, translucent, so tile 10
+    // (everyone's) folds four layers.
+    let drawn: [&[usize]; 4] = [&[0, 10], &[5, 10], &[5, 10], &[6, 10]];
+    let partials: Vec<Image<GrayAlpha8>> = (0..p)
+        .map(|r| {
+            Image::from_fn(side, side, |x, y| {
+                match drawn[r].contains(&((y / 4) * 4 + x / 4)) {
+                    true => GrayAlpha8::new((20 * r + x + y) as u8, (90 + 9 * r) as u8),
+                    false => GrayAlpha8::blank(),
+                }
+            })
+        })
+        .collect();
+    let want = reference_composite(&partials).unwrap();
+    let config = ComposeConfig::default();
+    let (outputs, sent) = tapped_run(&plan, &partials, &config, FaultPlan::none());
+    let frame = outputs[0].as_ref().unwrap().frame.as_ref().unwrap();
+    assert_eq!(frame.pixels(), want.pixels());
+    let raw = |tiles: &[usize]| {
+        let rows = tiles.iter().flat_map(|&t| grid.row_spans(t));
+        let pixels: Vec<GrayAlpha8> = rows
+            .flat_map(|row| want.span_pixels(row).unwrap().to_vec())
+            .collect();
+        CodecKind::Raw.build::<GrayAlpha8>().encode(&pixels).bytes
+    };
+    // Owner 1 holds tiles 1, 5, 9, 13; owner 2 tiles 2, 6, 10, 14.
+    let expected: Vec<Sent> = vec![
+        (1, 0, gather_tag(0, 1), [vec![0b0010], raw(&[5])].concat()),
+        (
+            2,
+            0,
+            gather_tag(0, 2),
+            [vec![0b0110], raw(&[6, 10])].concat(),
+        ),
+        (3, 0, gather_tag(0, 3), vec![0]),
+    ];
+    assert_eq!(gather_sends(sent, p, DisplayWall::root(0)), expected);
+
+    let blank = vec![Image::blank(side, side); p];
+    let (outputs, sent) = tapped_run(&plan, &blank, &config, FaultPlan::none());
+    let frame = outputs[0].as_ref().unwrap().frame.as_ref().unwrap();
+    assert!(frame.pixels().iter().all(|px| px.is_blank()));
+    let bitmaps: Vec<Vec<u8>> = gather_sends(sent, p, DisplayWall::root(0))
+        .into_iter()
+        .map(|(.., bytes)| bytes)
+        .collect();
+    assert_eq!(bitmaps, vec![vec![0]; 3]);
+}
+
+/// A display rank handed a hostile gather message refuses it with a typed
+/// error, never a panic and never a cell read as blank. Rank 1 of a P = 2
+/// TO plan is played by hand: it sends the root a blank bundle, then the
+/// message under test. Its tiles are two 2-pixel columns (eight row
+/// segments, staged) or one band of full rows (one segment, unpacked in
+/// place); the root draws on its own tile, so every frame has content.
+#[test]
+fn a_hostile_gather_message_is_a_typed_error() {
+    let (w, h) = (8, 4);
+    let px = |n: usize| vec![7u8; 2 * n];
+    // (grid, label, message); a label naming a pixel expects a codec error.
+    let cases: Vec<((usize, usize), &str, Vec<u8>)> = vec![
+        ((4, 1), "empty: short bitmap", vec![]),
+        ((4, 1), "bit past the last tile", vec![0b100]),
+        (
+            (4, 1),
+            "stream a pixel short",
+            [vec![0b11], px(15)].concat(),
+        ),
+        ((4, 1), "stream a pixel long", [vec![0b11], px(17)].concat()),
+        ((4, 1), "blank bitmap, trailing bytes", vec![0, 9]),
+        ((1, 2), "one segment: short bitmap", vec![]),
+        ((1, 2), "one segment: bit past", vec![0b10]),
+        (
+            (1, 2),
+            "one segment: a pixel short",
+            [vec![1], px(15)].concat(),
+        ),
+        (
+            (1, 2),
+            "one segment: a pixel long",
+            [vec![1], px(17)].concat(),
+        ),
+    ];
+    for ((tiles_x, tiles_y), what, message) in cases {
+        let plan = tile_owner(tiles_x, tiles_y).plan(2, w, h).unwrap();
+        let partial = Image::from_fn(w, h, |x, y| GrayAlpha8::new((x + y) as u8, 200));
+        let config = ComposeConfig::default().with_timeout(Duration::from_secs(5));
+        let mut mesh = InProc::mesh(2).into_iter();
+        let (root, fake) = (mesh.next().unwrap(), mesh.next().unwrap());
+        let result = std::thread::scope(|s| {
+            let root = s.spawn(|| {
+                let mut ctx = RankCtx::over_transport(Box::new(root), RankOptions::default());
+                let mut scratch = Scratch::default();
+                compose_plan(&mut ctx, &plan, partial.clone(), &config, &mut scratch)
+            });
+            let mut ctx = RankCtx::over_transport(Box::new(fake), RankOptions::default());
+            ctx.send(0, tile(0, TileChannel::Bundle, 1), vec![0u8])
+                .unwrap();
+            ctx.send(0, gather_tag(0, 1), message.clone()).unwrap();
+            root.join()
+        });
+        match result {
+            // A bad bitmap or framing is the gather's verdict; a stream that
+            // does not fill the set tiles exactly, the codec's.
+            Ok(Err(CoreError::InvalidSchedule { .. })) if !what.contains("pixel") => {}
+            Ok(Err(CoreError::Codec(_))) if what.contains("pixel") => {}
+            Ok(other) => panic!("{what}: expected a typed error, got {other:?}"),
+            Err(_) => panic!("{what}: the root panicked"),
+        }
+    }
 }
 
 #[test]
