@@ -879,11 +879,16 @@ where
     let keep = move |i: &mut usize, (content, segs): (Option<bool>, J)| {
         let set = content.is_none() || {
             *i += 1;
-            bitmap[(*i - 1) / 8] & (1 << ((*i - 1) % 8)) != 0
+            bit(bitmap, *i - 1)
         };
         Some(set.then_some(segs))
     };
     pieces.scan(0, keep).flatten().flatten()
+}
+
+/// Bit `i` of a little-endian bitmap.
+fn bit(bitmap: &[u8], i: usize) -> bool {
+    bitmap[i / 8] & (1 << (i % 8)) != 0
 }
 
 /// The gather: each final owner ships, per display cell its pieces meet,
@@ -986,10 +991,10 @@ where
             true => bytes.split_at(n.div_ceil(8)),
             false => return Err(bad(format!("ends inside its bitmap of {n} pieces"))),
         };
-        if (n..bitmap.len() * 8).any(|i| bitmap[i / 8] & (1 << (i % 8)) != 0) {
+        if (n..bitmap.len() * 8).any(|i| bit(bitmap, i)) {
             return Err(bad(format!("sets a bit past its {n} pieces")));
         }
-        let mut segs = shipped(pieces, bitmap);
+        let segs = shipped(pieces, bitmap);
         let mut peek = segs.clone();
         match (peek.next(), peek.next()) {
             (None, _) if stream.is_empty() => {}
@@ -1002,7 +1007,7 @@ where
                 let total = segs.clone().map(|(seg, _)| seg.len).sum();
                 let mut staged = scratch.take_acc(total, ctx);
                 stage.unpack(ctx, stream, &mut staged)?;
-                let cell_spans = segs.by_ref().map(|(seg, at)| Span::new(at, seg.len));
+                let cell_spans = segs.map(|(seg, at)| Span::new(at, seg.len));
                 scatter(&mut out, cell_spans, &staged)?;
                 scratch.put_acc(staged);
             }

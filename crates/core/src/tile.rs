@@ -25,7 +25,12 @@
 //!    left fold from a blank accumulator, in depth order — **the exact
 //!    association order of [`rt_imaging::image::reference_composite`]**,
 //!    so the result is byte-identical to the sequential reference on any
-//!    content, not merely algebraically equivalent.
+//!    content, not merely algebraically equivalent; a tile no live rank
+//!    drew on is already blank and is not folded;
+//! 5. each owner ships each display cell its tiles meet ONE gather
+//!    message: a bitmap over those tiles (ascending), set where the tile
+//!    holds content, then one codec stream of the set tiles' rows cut to
+//!    the cell — so a blank tile costs neither `over` work nor wire bytes.
 //!
 //! Point 4 is load-bearing: saturating integer `over` is not associative
 //! at the byte level, so two *different* parallel association orders can
@@ -38,8 +43,8 @@
 //! fault trichotomy (bit-exact | exact-degraded | typed error) with
 //! tile-granular repair, observability counters and virtual-clock replay.
 //! Its gather is the schedule executor's ([`crate::exec`]'s `finish`) over
-//! the owned tiles' row spans, so the [`crate::DisplayWall`] scenario comes
-//! for free.
+//! the owned tiles' row spans, each tile flagged with its content, so the
+//! [`crate::DisplayWall`] scenario comes for free.
 //!
 //! The approximate puzzlepiece family ([`crate::puzzle`]) runs through the
 //! same executor: its plan is a [`TilePlan`] with an overlap
@@ -680,7 +685,7 @@ fn next_live_owner(
 /// frame so that a steady frame allocates none of them.
 #[derive(Debug, Default)]
 pub(crate) struct TileLists {
-    /// Which tiles of the local partial carry any content.
+    /// Per tile, whether the local partial holds content there.
     have: Vec<bool>,
     /// The frame's non-empty tiles, ascending.
     tiles: Vec<usize>,
@@ -697,7 +702,8 @@ pub(crate) struct TileLists {
 pub(crate) struct TileScan<'a, P: Pixel> {
     pub stage: &'a Stage<'a, P>,
     pub plan: &'a TilePlan,
-    /// Which tiles of the local partial carry any content.
+    /// Per tile, whether `local` holds content there: set by the scan, and
+    /// again when the round resolves an owned tile.
     pub have: Vec<bool>,
     /// Per tile, the per-row non-blank intervals (puzzle family only).
     pub segs: Vec<RowIvals>,

@@ -138,8 +138,8 @@ fn wire_model(base: &CostModel, ratio: f64) -> CostModel {
 /// Price tile-ownership: one bundle per (sender, owner) — exactly
 /// direct-send's messages (`tests/tile_ownership.rs` holds the counts
 /// equal) — with every shipped span scaled by the content fraction. The
-/// gather is left at full owned size (owners hold assembled tiles), making
-/// this a mild over-estimate.
+/// gather is priced at full owned size although owners ship only their
+/// tiles with content, making this a mild over-estimate.
 fn tile_owner_cost(
     p: usize,
     image_len: usize,
