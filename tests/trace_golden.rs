@@ -90,6 +90,16 @@ impl Fnv {
     }
 }
 
+/// A `ComputeKind`'s place in the digest and in the census.
+fn kind_code(kind: &ComputeKind) -> usize {
+    match kind {
+        ComputeKind::Over => 0,
+        ComputeKind::Encode => 1,
+        ComputeKind::Decode => 2,
+        ComputeKind::Render => 3,
+    }
+}
+
 fn trace_digest(trace: &Trace) -> u64 {
     let mut h = Fnv::new();
     for (rank, events) in trace.ranks.iter().enumerate() {
@@ -119,15 +129,7 @@ fn trace_digest(trace: &Trace) -> u64 {
                     bytes,
                     seq,
                 } => h.words(&[5, *from as u64, *tag, *bytes, *seq]),
-                Event::Compute { kind, units } => {
-                    let kind = match kind {
-                        ComputeKind::Over => 0,
-                        ComputeKind::Encode => 1,
-                        ComputeKind::Decode => 2,
-                        ComputeKind::Render => 3,
-                    };
-                    h.words(&[6, kind, *units]);
-                }
+                Event::Compute { kind, units } => h.words(&[6, kind_code(kind) as u64, *units]),
                 Event::Barrier { generation } => h.words(&[7, *generation]),
                 Event::Mark { label } => {
                     let label = label.to_string();
@@ -152,15 +154,7 @@ fn census(out: &mut String, cell: &str, trace: &Trace) {
                 Event::Send { bytes, .. } => send = (send.0 + 1, send.1 + bytes),
                 Event::Recv { bytes, .. } => recv = (recv.0 + 1, recv.1 + bytes),
                 Event::Retransmit { bytes, .. } => retx = (retx.0 + 1, retx.1 + bytes),
-                Event::Compute { kind, units: u } => {
-                    let k = match kind {
-                        ComputeKind::Over => 0,
-                        ComputeKind::Encode => 1,
-                        ComputeKind::Decode => 2,
-                        ComputeKind::Render => 3,
-                    };
-                    units[k] += u;
-                }
+                Event::Compute { kind, units: u } => units[kind_code(kind)] += u,
                 _ => {}
             }
         }
