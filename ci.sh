@@ -89,6 +89,17 @@ frames=$(non_test_src | grep '^crates/comm/src/comm\.rs:' | grep -c 'WireFrame {
 sites=$(non_test_src | grep -E '\bfn fnv1a\b' || true)
 { [ "$(grep -c . <<<"$sites")" -eq 1 ] && grep -q '^crates/comm/src/comm\.rs:' <<<"$sites"; } \
     || vocabulary_fail "the envelope checksum must be defined once, in rt_comm::comm" "$sites"
+# Each buffer is hashed once: the one call of the hash outside tests (comment
+# lines aside) is inside `Payload::checksum`, which keeps the value in the
+# payload; sends, receives and control rounds read it there.
+sites=$(non_test_src | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | grep -E '\bfnv1a\(' \
+    | grep -vE '\bfn fnv1a\(' || true)
+memo=$(awk '/^impl Payload \{$/ { s = 1 } s && /^    fn checksum\(/ { f = FNR }
+    f && /^    }$/ { print f "-" FNR; exit }' crates/comm/src/comm.rs)
+{ [ "$(grep -c . <<<"$sites")" -eq 1 ] && [ -n "$memo" ] \
+    && awk -F: -v r="$memo" 'BEGIN { split(r, b, "-") }
+        !($1 == "crates/comm/src/comm.rs" && $2 > b[1] && $2 < b[2]) { exit 1 }' <<<"$sites"; } \
+    || vocabulary_fail "the envelope checksum must be called once, inside Payload::checksum" "$sites"
 rounds=$(grep -rn 'liveness_exchange(' crates/core/src || true)
 [ "$(grep -c . <<<"$rounds")" -eq 1 ] \
     || vocabulary_fail "rt-core must call liveness_exchange from one place" "$rounds"

@@ -9,7 +9,9 @@
 //!
 //! **Reliable delivery.** Every message carries a per-channel sequence
 //! number and a payload checksum, word-wise FNV-1a in eight independent
-//! lanes, hashed once per message. A [`FaultPlan`] can drop or
+//! lanes, hashed once per buffer: the [`Payload`] keeps the value, so
+//! retransmissions and an in-process receiver's check read it rather than
+//! hash the bytes again. A [`FaultPlan`] can drop or
 //! corrupt messages (deterministically or at a seeded rate); the sender
 //! retransmits with exponential backoff, up to [`MAX_ATTEMPTS`] attempts,
 //! recording `Retransmit`/`AckWait` trace events so the virtual-clock
@@ -42,7 +44,7 @@ use crate::ComputeKind;
 use rt_obs::{Counters, Observer, Phase, Recorder};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Maximum delivery attempts (1 original send + 3 retransmissions).
@@ -167,8 +169,9 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// The delivery envelope's checksum: word-wise FNV-1a in eight independent
-/// lanes. Payloads are hashed on every send *and* verified on every
-/// receive, so one serial multiply chain would set the wall-clock cost of
+/// lanes, hashed once per buffer and kept by [`Payload::checksum`]. A sent
+/// buffer is hashed by its sender, and a buffer read off a socket by its
+/// receiver, so one serial multiply chain would set the wall-clock cost of
 /// moving a large frame; eight chains keep the multiplier busy instead.
 ///
 /// Lane `i` hashes words `i, i + 8, …` of the payload's whole 64-byte
@@ -320,22 +323,44 @@ const CORRUPT_SALT: u64 = 0xC0;
 /// pointer bump instead of a byte copy — only a deliberately *corrupted*
 /// attempt materializes a fresh buffer (it must damage its own copy).
 ///
+/// The buffer keeps its envelope checksum next to its bytes, hashed on
+/// first use: the bytes never change, so the sender's hash serves every
+/// attempt and, in process, the receiver's check of the same buffer. Each
+/// buffer is hashed at most once; a fresh buffer — a damaged copy, a frame
+/// read off a socket — is hashed afresh.
+///
 /// `Payload` dereferences to `[u8]`, so receivers use it like a byte
 /// slice.
 #[derive(Debug, Clone)]
-pub struct Payload(Arc<Vec<u8>>);
+pub struct Payload(Arc<Buffer>);
+
+/// A payload's bytes and their envelope checksum, once computed.
+#[derive(Debug)]
+struct Buffer {
+    bytes: Vec<u8>,
+    checksum: OnceLock<u64>,
+}
 
 impl Payload {
     /// View the bytes as a slice.
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
-        &self.0
+        &self.0.bytes
+    }
+
+    /// The envelope checksum of the bytes: [`fnv1a`] on the first call,
+    /// the kept value on every later one, from this handle or a clone.
+    fn checksum(&self) -> u64 {
+        *self.0.checksum.get_or_init(|| fnv1a(&self.0.bytes))
     }
 }
 
 impl From<Vec<u8>> for Payload {
-    fn from(v: Vec<u8>) -> Self {
-        Payload(Arc::new(v))
+    fn from(bytes: Vec<u8>) -> Self {
+        Payload(Arc::new(Buffer {
+            bytes,
+            checksum: OnceLock::new(),
+        }))
     }
 }
 
@@ -343,13 +368,13 @@ impl std::ops::Deref for Payload {
     type Target = [u8];
     #[inline]
     fn deref(&self) -> &[u8] {
-        &self.0
+        &self.0.bytes
     }
 }
 
 impl PartialEq for Payload {
     fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
+        self.0.bytes == other.0.bytes
     }
 }
 
@@ -357,7 +382,7 @@ impl Eq for Payload {}
 
 impl PartialEq<Vec<u8>> for Payload {
     fn eq(&self, other: &Vec<u8>) -> bool {
-        *self.0 == *other
+        self.0.bytes == *other
     }
 }
 
@@ -536,7 +561,7 @@ impl RankCtx {
     /// effort, since a peer whose endpoint is gone has already exited.
     fn post_control(&mut self, peers: &[usize], tag: u64, bytes: Vec<u8>) {
         let payload = Payload::from(bytes);
-        let checksum = fnv1a(&payload);
+        let checksum = payload.checksum();
         for &to in peers {
             let seq = self.open_send(to, tag, payload.len() as u64);
             let _ = self.post(to, tag, seq, checksum, payload.clone());
@@ -571,7 +596,7 @@ impl RankCtx {
         let key = (self.rank, to, seq);
         let wire_tag = *self.faults.tag_corruptions.get(&key).unwrap_or(&tag);
         let faults = Arc::clone(&self.faults);
-        let checksum = fnv1a(&payload);
+        let checksum = payload.checksum();
         for attempt in 0..MAX_ATTEMPTS {
             if attempt > 0 {
                 self.events.push(Event::Retransmit {
@@ -645,7 +670,7 @@ impl RankCtx {
             self.dead.insert(msg.from, step);
             return;
         }
-        if !known || fnv1a(&msg.payload) != msg.checksum {
+        if !known || msg.payload.checksum() != msg.checksum {
             self.checksum_rejects += 1;
             self.obs_counters(|c| c.checksum_rejects += 1);
             return;
@@ -894,7 +919,7 @@ impl RankCtx {
     fn barrier_round(&mut self, tag: u64) -> Result<(), CommError> {
         let started = Instant::now();
         let empty = Payload::from(Vec::new());
-        let checksum = fnv1a(&empty);
+        let checksum = empty.checksum();
         if self.rank == 0 {
             for from in 1..self.size {
                 self.take(from, tag, started, false)?;
@@ -1223,6 +1248,44 @@ mod tests {
         assert_eq!(payload, vec![1, 2, 3]);
         assert_eq!(rejects, 1, "the damaged frame must be caught");
         assert_eq!(trace.retransmit_count(), 1);
+    }
+
+    /// A payload's checksum is hashed once and shared by its clones, and a
+    /// corrupted attempt built from a hashed payload is a fresh buffer that
+    /// keeps none of it: the receiver hashes the damaged bytes, rejects
+    /// them, and takes the intact retransmission. Fails when the damaged
+    /// copy inherits the original's kept value (the receiver then accepts
+    /// the damage).
+    #[test]
+    fn a_payload_is_hashed_once_and_its_damaged_copy_afresh() {
+        let bytes: Vec<u8> = (0..1000).map(|i| (i * 7) as u8).collect();
+        let payload = Payload::from(bytes.clone());
+        assert_eq!(payload.0.checksum.get(), None, "hashed before its first read");
+        let sum = payload.checksum();
+        let clone = payload.clone();
+        assert!(Arc::ptr_eq(&payload.0, &clone.0));
+        assert_eq!(clone.0.checksum.get(), Some(&sum), "the clone shares the kept value");
+
+        // Seed 16 at rate 0.5 damages the first attempt of message 0 on
+        // channel 0 → 1 and spares its retry.
+        let plan = FaultPlan::none().with_seed(16).corrupt_rate(0.5);
+        assert!(plan.chance(CORRUPT_SALT, 0, 1, 0, 0) < 0.5);
+        assert!(plan.chance(CORRUPT_SALT, 0, 1, 0, 1) >= 0.5);
+        let mc = Multicomputer::new(2).with_faults(plan);
+        let (results, trace) = mc.run(|ctx| {
+            if ctx.rank() == 0 {
+                ctx.send(1, 5, clone.clone())?;
+                Ok((Vec::new(), 0))
+            } else {
+                let got = ctx.recv(0, 5)?.to_vec();
+                Ok::<_, CommError>((got, ctx.checksum_rejects()))
+            }
+        });
+        let (got, rejects) = results[1].clone().unwrap();
+        assert_eq!(rejects, 1, "the damaged copy must be hashed afresh and rejected");
+        assert_eq!(got, bytes, "the retransmission delivers the intact bytes");
+        assert_eq!(trace.retransmit_count(), 1);
+        assert_eq!(payload.checksum(), sum);
     }
 
     #[test]
@@ -1650,7 +1713,8 @@ mod tests {
 
     /// The envelope checksum's contract: (a) it equals the plain reference
     /// above at every length 0..=300 and at 1 MiB + 13, so every block,
-    /// leftover-word and leftover-byte split is covered; (b) at every length
+    /// leftover-word and leftover-byte split is covered, and so does a
+    /// payload's kept value, on its first read and its second; (b) at every length
     /// 1..=200 each single-bit flip of each byte, and the fault plan's
     /// `^ 0xA5`, changes it; (c) appending a zero byte changes it at every
     /// length 0..=200. The only test that fails when the lane loop leaves
@@ -1660,7 +1724,11 @@ mod tests {
     fn envelope_checksum_contract() {
         for len in (0..=300).chain([(1 << 20) + 13]) {
             let bytes = seeded_bytes(len, len as u64);
-            assert_eq!(fnv1a(&bytes), lane_fnv1a_reference(&bytes), "length {len}");
+            let want = lane_fnv1a_reference(&bytes);
+            assert_eq!(fnv1a(&bytes), want, "length {len}");
+            let payload = Payload::from(bytes);
+            assert_eq!(payload.checksum(), want, "length {len}: first read");
+            assert_eq!(payload.checksum(), want, "length {len}: kept value");
         }
         for len in 1..=200 {
             let bytes = seeded_bytes(len, 7);

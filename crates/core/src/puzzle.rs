@@ -59,20 +59,22 @@ use rt_obs::Phase;
 pub type RowIvals = Vec<(u16, u16)>;
 
 /// Scan the local partial once: per tile, whether it holds any content
-/// (into `have`), and the per-row non-blank bounding intervals. A row the
-/// pixel type's blank-slice kernel finds blank is `(0, 0)` without a
-/// per-pixel search.
+/// (into `have`), and the per-row non-blank bounding intervals (into
+/// `segs`, whose per-tile lists are refilled in place, so a steady frame
+/// allocates none). A row the pixel type's blank-slice kernel finds blank
+/// is `(0, 0)` without a per-pixel search.
 pub(crate) fn scan_tiles<P: Pixel>(
     local: &Image<P>,
     grid: &TileGrid,
     have: &mut Vec<bool>,
-) -> Result<Vec<RowIvals>, CoreError> {
-    let nt = grid.tiles();
+    segs: &mut Vec<RowIvals>,
+) -> Result<(), CoreError> {
     have.clear();
-    let mut segs: Vec<RowIvals> = Vec::with_capacity(nt);
-    for t in 0..nt {
+    segs.resize_with(grid.tiles(), Vec::new);
+    for (t, rows) in segs.iter_mut().enumerate() {
         let spans = grid.row_spans(t);
-        let mut rows: RowIvals = Vec::with_capacity(spans.len());
+        rows.clear();
+        rows.reserve(spans.len());
         for span in spans {
             let px = local.span_pixels(span)?;
             let lo = match P::any_non_blank(px) {
@@ -88,30 +90,22 @@ pub(crate) fn scan_tiles<P: Pixel>(
             }
         }
         have.push(rows.iter().any(|&(lo, hi)| lo < hi));
-        segs.push(rows);
     }
-    Ok(segs)
+    Ok(())
 }
 
 /// Conservative overlap estimate: the summed width of every pairwise
-/// row-interval intersection across the contributors. Zero proves the
-/// pieces are depth-disjoint on this tile (intervals over-approximate
-/// content); with many deep layers the sum may exceed the tile area.
-fn overlap_pixels(ivals: &[&[(u16, u16)]]) -> usize {
-    let rows = ivals.first().map_or(0, |v| v.len());
+/// row-interval intersection across the contributors, each a tile's rows
+/// top to bottom. Zero proves the pieces are depth-disjoint on this tile
+/// (intervals over-approximate content); with many deep layers the sum may
+/// exceed the tile area. A blank row (`lo == hi`) intersects nothing.
+fn overlap_pixels<'a>(ivals: impl Iterator<Item = &'a [(u16, u16)]> + Clone) -> usize {
     let mut overlap = 0usize;
-    for row in 0..rows {
-        for (i, a) in ivals.iter().enumerate() {
-            let (alo, ahi) = a[row];
-            if alo == ahi {
-                continue;
-            }
-            for b in &ivals[i + 1..] {
-                let (blo, bhi) = b[row];
-                let (lo, hi) = (alo.max(blo), ahi.min(bhi));
-                if hi > lo {
-                    overlap += (hi - lo) as usize;
-                }
+    let mut rest = ivals;
+    while let Some(a) = rest.next() {
+        for b in rest.clone() {
+            for (&(alo, ahi), &(blo, bhi)) in a.iter().zip(b) {
+                overlap += ahi.min(bhi).saturating_sub(alo.max(blo)) as usize;
             }
         }
     }
@@ -160,24 +154,22 @@ pub(crate) fn place_puzzle_tile<'a, P: Pixel>(
     let own = scan.have[t].then(|| scan.segs[t].as_slice());
     let me = ctx.rank();
     // Contributors in depth order (front to back): their intervals, and the
-    // codec stream of every piece but this rank's own.
-    let contributors: Vec<_> = tiles
-        .rank_at_depth
-        .iter()
-        .filter_map(|&r| match r == me {
-            true => own.map(|ivals| (ivals, None)),
-            false => piece_of(r).map(|piece| (piece.ivals, Some(piece.stream))),
-        })
-        .collect();
+    // codec stream of every piece but this rank's own, walked as often as
+    // needed rather than collected.
+    let contributor = |&r: &usize| match r == me {
+        true => own.map(|ivals| (ivals, None)),
+        false => piece_of(r).map(|piece| (piece.ivals, Some(piece.stream))),
+    };
+    let contributors = || tiles.rank_at_depth.iter().filter_map(contributor);
     // The round resolves no tile without content, so there is a contributor.
     // Solo-local: the finished tile is the local content, in place.
-    if let [(_, None)] = contributors.as_slice() {
+    let mut first_two = contributors();
+    if let (Some((_, None)), None) = (first_two.next(), first_two.next()) {
         ctx.obs_counters(|c| c.tiles_placed += 1);
         return Ok(true);
     }
-    let ivals: Vec<&[(u16, u16)]> = contributors.iter().map(|(ivals, _)| *ivals).collect();
     let area = tiles.grid.area(t);
-    let overlap = overlap_pixels(&ivals);
+    let overlap = overlap_pixels(contributors().map(|(ivals, _)| ivals));
     if overlap * 1000 > budget_permille as usize * area {
         ctx.obs_counters(|c| c.tiles_exact_fallback += 1);
         return Ok(false);
@@ -196,7 +188,7 @@ pub(crate) fn place_puzzle_tile<'a, P: Pixel>(
     let grid = &tiles.grid;
     let tw = grid.rect(t).width();
     let mut acc = scratch.take_acc(area, ctx);
-    for &(iv, stream) in contributors.iter().rev() {
+    for (iv, stream) in contributors().rev() {
         let Some(bytes) = stream else {
             place_piece(&mut acc, tw, iv, |row| {
                 Ok(local.span_pixels(grid.row_span(t, row))?)
@@ -270,10 +262,17 @@ mod tests {
             }
         });
         let grid = TileGrid::new(8, 4, 1, 1).unwrap();
-        let mut have = Vec::new();
-        let segs = scan_tiles(&img, &grid, &mut have).unwrap();
+        let (mut have, mut segs) = (Vec::new(), Vec::new());
+        scan_tiles(&img, &grid, &mut have, &mut segs).unwrap();
         assert_eq!(have, [true]);
-        assert_eq!(segs[0], vec![(0, 0), (2, 5), (0, 0), (0, 0)]);
+        assert_eq!(segs, [vec![(0, 0), (2, 5), (0, 0), (0, 0)]]);
+        // The lists are refilled in place: a blank partial on a finer grid
+        // leaves no interval of the frame before.
+        let blank = Image::from_fn(8, 4, |_, _| GrayAlpha8::blank());
+        let grid = TileGrid::new(8, 4, 2, 2).unwrap();
+        scan_tiles(&blank, &grid, &mut have, &mut segs).unwrap();
+        assert_eq!(have, [false; 4]);
+        assert_eq!(segs, vec![vec![(0, 0); 2]; 4]);
     }
 
     #[test]
@@ -288,8 +287,8 @@ mod tests {
             }
         });
         let grid = TileGrid::new(12, 6, 3, 2).unwrap();
-        let mut have = Vec::new();
-        let segs = scan_tiles(&img, &grid, &mut have).unwrap();
+        let (mut have, mut segs) = (Vec::new(), Vec::new());
+        scan_tiles(&img, &grid, &mut have, &mut segs).unwrap();
         let owned = 0..grid.tiles();
         let mut bundle = Vec::new();
         let pieces = owned.clone().map(|t| have[t].then_some(t));
@@ -320,9 +319,9 @@ mod tests {
         let a: &[(u16, u16)] = &[(0, 4), (0, 0)];
         let b: &[(u16, u16)] = &[(4, 8), (2, 6)];
         let c: &[(u16, u16)] = &[(3, 5), (0, 0)];
-        assert_eq!(overlap_pixels(&[a, b]), 0);
-        assert_eq!(overlap_pixels(&[a, c]), 1);
-        assert_eq!(overlap_pixels(&[a, b, c]), 1 + 1);
+        assert_eq!(overlap_pixels([a, b].into_iter()), 0);
+        assert_eq!(overlap_pixels([a, c].into_iter()), 1);
+        assert_eq!(overlap_pixels([a, b, c].into_iter()), 1 + 1);
     }
 
     #[test]

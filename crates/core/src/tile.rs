@@ -687,6 +687,8 @@ fn next_live_owner(
 pub(crate) struct TileLists {
     /// Per tile, whether the local partial holds content there.
     have: Vec<bool>,
+    /// Per tile, the per-row non-blank intervals (puzzle family only).
+    segs: Vec<RowIvals>,
     /// The frame's non-empty tiles, ascending.
     tiles: Vec<usize>,
     /// The owner map with the dead owners' tiles reassigned, written only
@@ -893,18 +895,19 @@ pub(crate) fn compose_tiles<P: Pixel>(
     // the per-row intervals) — one pass, booked as encode-side work. -----
     let TileLists {
         mut have,
+        mut segs,
         mut tiles,
         mut owner_of,
         bundles,
     } = std::mem::take(&mut scratch.tiles);
     let scan_started = ctx.obs_start();
-    let segs = match plan.budget {
+    match plan.budget {
         None => {
             scan_flags(&local, &plan.grid, &mut have)?;
-            Vec::new()
+            segs.clear();
         }
-        Some(_) => scan_tiles(&local, &plan.grid, &mut have)?,
-    };
+        Some(_) => scan_tiles(&local, &plan.grid, &mut have, &mut segs)?,
+    }
     ctx.obs_span(Phase::Encode, scan_started);
     let blank_tiles = have.iter().filter(|h| !**h).count() as u64;
     ctx.obs_counters(|c| {
@@ -994,6 +997,7 @@ pub(crate) fn compose_tiles<P: Pixel>(
     });
     scratch.tiles = TileLists {
         have: scan.have,
+        segs: scan.segs,
         tiles,
         owner_of,
         bundles: scan.bundles,
@@ -1138,7 +1142,8 @@ mod tests {
             scan_flags(img, grid, &mut have).unwrap();
             assert_eq!(have, want, "{grid:?}");
             have.clear();
-            let segs = scan_tiles(img, grid, &mut have).unwrap();
+            let mut segs = Vec::new();
+            scan_tiles(img, grid, &mut have, &mut segs).unwrap();
             assert_eq!(have, want, "{grid:?}");
             assert_eq!(segs.len(), grid.tiles());
         }
@@ -1205,13 +1210,11 @@ mod tests {
             let tiles: Vec<usize> = (0..grid.tiles()).step_by(owner_stride).collect();
             for (content, puzzle) in contents.iter().flat_map(|c| [(c, false), (c, true)]) {
                 let img = Image::from_fn(30, 20, content);
-                let mut have = Vec::new();
-                let segs = match puzzle {
-                    true => scan_tiles(&img, &grid, &mut have).unwrap(),
-                    false => scan_flags(&img, &grid, &mut have)
-                        .map(|_| Vec::new())
-                        .unwrap(),
-                };
+                let (mut have, mut segs) = (Vec::new(), Vec::new());
+                match puzzle {
+                    true => scan_tiles(&img, &grid, &mut have, &mut segs).unwrap(),
+                    false => scan_flags(&img, &grid, &mut have).unwrap(),
+                }
                 let ivals = |t: usize| segs.get(t).map_or(&[][..], Vec::as_slice);
                 let pixels = |t: usize| -> Vec<GrayAlpha8> {
                     let rows = grid.row_spans(t);

@@ -745,24 +745,6 @@ mod tests {
         [p.v.to_bits(), p.a.to_bits()]
     }
 
-    /// Whether `got` carries `want`'s bits, for a merge of `inputs`. An
-    /// IEEE operation on two NaNs returns the payload of one of them, and
-    /// which one is the compiler's choice (it may swap a product's
-    /// operands). Two NaNs can meet only when two input channels are
-    /// non-finite (two NaNs, or an ∞ whose `∞ · 0` or `∞ − ∞` makes one),
-    /// so there a NaN matches any NaN; with at most one, a NaN result comes
-    /// from the one NaN input and its payload is pinned.
-    fn same_bits(got: &GrayAlpha, want: &GrayAlpha, inputs: [&GrayAlpha; 2]) -> bool {
-        let non_finite = inputs
-            .iter()
-            .flat_map(|p| [p.v, p.a])
-            .filter(|x| !x.is_finite());
-        let loose = non_finite.count() > 1;
-        let same =
-            |g: f32, w: f32| g.to_bits() == w.to_bits() || (loose && g.is_nan() && w.is_nan());
-        same(got.v, want.v) && same(got.a, want.a)
-    }
-
     /// [`GrayAlpha`]'s span kernels in each compiled copy against the
     /// per-pixel defaults they override ([`over_each`](crate::pixel::over_each)
     /// with `over`, kept as the oracle), bit for bit and all three counters:
@@ -771,7 +753,9 @@ mod tests {
     /// unpacked onto blank, cut into pieces of 1 to 47 pixels so lanes fall
     /// in whole chunks and in the tail at every offset. Then the blank scan
     /// against the per-pixel test: each pixel alone among `+0` and `−0`
-    /// blanks at every offset of slices of 0 to 40 pixels. Fails on a kernel
+    /// blanks at every offset of slices of 0 to 40 pixels. Every NaN the
+    /// kernels write is [`CANONICAL_NAN`](crate::pixel::CANONICAL_NAN), and
+    /// some merges write one. Fails on a kernel
     /// that counts blank by `a == 0.0` alone, skips a blank source pixel
     /// (`+0` over `−0` is `+0`), or unpacks by copying.
     #[test]
@@ -831,8 +815,7 @@ mod tests {
                     Some(_) => backs[k],
                     None => GrayAlpha::blank(),
                 };
-                let same = |k: usize| same_bits(&got[k], &want[k], [&fronts[k], &back(k)]);
-                if let Some(k) = (0..n).find(|&k| !same(k)) {
+                if let Some(k) = (0..n).find(|&k| f32_bits(&got[k]) != f32_bits(&want[k])) {
                     panic!(
                         "{} copy, {dir:?}, wire {wire}: {:?} and {:?} gave bits {:x?}, want {:x?}",
                         copy.name(),
@@ -842,6 +825,14 @@ mod tests {
                         f32_bits(&want[k])
                     );
                 }
+                let nans = got.iter().flat_map(|p| [p.v, p.a]).filter(|x| x.is_nan());
+                let canonical = crate::pixel::CANONICAL_NAN.to_bits();
+                let (count, stray) = nans.fold((0, None), |(count, stray), x| {
+                    let stray = stray.or((x.to_bits() != canonical).then_some(x.to_bits()));
+                    (count + 1, stray)
+                });
+                assert!(count > 0, "{} copy, {dir:?}, wire {wire}: no NaN", copy.name());
+                assert_eq!(stray, None, "{} copy, {dir:?}, wire {wire}", copy.name());
             }
         }
         // Blanks of every sign pattern around one pixel of each kind.

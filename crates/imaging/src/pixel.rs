@@ -171,8 +171,8 @@ pub trait Pixel: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// Write a wire-format pixel stream into `dst`, which must be blank:
     /// exactly what [`Pixel::over_front_bytes`] leaves there, with the same
     /// [`OverStats`], all three counters. This default **is** that merge, so
-    /// the `f32` types keep its bits (`−0.0`, NaN and ±∞ merged onto blank
-    /// are not copies); [`GrayAlpha8`], whose merge onto blank is a copy,
+    /// the `f32` types keep its bits (`−0.0` and NaN merged onto blank are
+    /// not copies); [`GrayAlpha8`], whose merge onto blank is a copy,
     /// overrides it with a bulk store.
     fn unpack_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
         Self::over_front_bytes(dst, src)
@@ -239,8 +239,13 @@ fn f32_from(bytes: &[u8], at: usize) -> f32 {
     f32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
 }
 
+/// The quiet NaN with no payload and a clear sign bit, `0x7FC0_0000`: the
+/// one NaN [`GrayAlpha`]'s `over` returns.
+pub const CANONICAL_NAN: f32 = f32::from_bits(0x7FC0_0000);
+
 /// Premultiplied grayscale pixel: luminance `v` and coverage `a`, both in
-/// `[0, 1]` with `v <= a` for physically meaningful pixels.
+/// `[0, 1]` with `v <= a` for physically meaningful pixels. Its `over`
+/// returns [`CANONICAL_NAN`] wherever a channel's result is NaN.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GrayAlpha {
     /// Premultiplied luminance.
@@ -300,12 +305,17 @@ impl Pixel for GrayAlpha {
         (self.v.to_bits() | self.a.to_bits()) & 0x7FFF_FFFF
     }
 
+    // A NaN result is the one quiet NaN: which input's payload an IEEE
+    // operation on two NaNs passes on is the compiler's choice, so every
+    // compiled copy of the span kernels writes the same bits only if no
+    // payload survives. A select, so the span kernels stay branch-free.
     #[inline]
     fn over(&self, back: &Self) -> Self {
         let t = 1.0 - self.a;
+        let quiet = |x: f32| if x.is_nan() { CANONICAL_NAN } else { x };
         Self {
-            v: self.v + t * back.v,
-            a: self.a + t * back.a,
+            v: quiet(self.v + t * back.v),
+            a: quiet(self.a + t * back.a),
         }
     }
 
