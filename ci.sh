@@ -434,8 +434,9 @@ echo "== envelope checksum =="
 # release, the build the benchmark runs: equal to a plain reference at every
 # length 0..=300 and at 1 MiB + 13, every single-bit flip and the fault
 # plan's `^ 0xA5` of every byte at lengths 1..=200 caught, and a trailing
-# zero byte changing it (`envelope_checksum_contract` — the only test that
-# fails when the lane loop leaves lane 7 unhashed).
+# zero byte changing it; a payload's kept checksum equals the reference too
+# (`envelope_checksum_contract` — the only test that fails when the lane
+# loop leaves lane 7 unhashed).
 cargo test -q --release -p rt-comm envelope_checksum
 
 echo "== render stage probe =="

@@ -1260,11 +1260,11 @@ mod tests {
     fn a_payload_is_hashed_once_and_its_damaged_copy_afresh() {
         let bytes: Vec<u8> = (0..1000).map(|i| (i * 7) as u8).collect();
         let payload = Payload::from(bytes.clone());
-        assert_eq!(payload.0.checksum.get(), None, "hashed before its first read");
+        assert_eq!(payload.0.checksum.get(), None, "not hashed yet");
         let sum = payload.checksum();
         let clone = payload.clone();
         assert!(Arc::ptr_eq(&payload.0, &clone.0));
-        assert_eq!(clone.0.checksum.get(), Some(&sum), "the clone shares the kept value");
+        assert_eq!(clone.0.checksum.get(), Some(&sum), "shared by the clone");
 
         // Seed 16 at rate 0.5 damages the first attempt of message 0 on
         // channel 0 → 1 and spares its retry.
@@ -1282,7 +1282,7 @@ mod tests {
             }
         });
         let (got, rejects) = results[1].clone().unwrap();
-        assert_eq!(rejects, 1, "the damaged copy must be hashed afresh and rejected");
+        assert_eq!(rejects, 1, "the damaged copy is hashed afresh");
         assert_eq!(got, bytes, "the retransmission delivers the intact bytes");
         assert_eq!(trace.retransmit_count(), 1);
         assert_eq!(payload.checksum(), sum);

@@ -825,14 +825,13 @@ mod tests {
                         f32_bits(&want[k])
                     );
                 }
-                let nans = got.iter().flat_map(|p| [p.v, p.a]).filter(|x| x.is_nan());
                 let canonical = crate::pixel::CANONICAL_NAN.to_bits();
-                let (count, stray) = nans.fold((0, None), |(count, stray), x| {
-                    let stray = stray.or((x.to_bits() != canonical).then_some(x.to_bits()));
-                    (count + 1, stray)
-                });
-                assert!(count > 0, "{} copy, {dir:?}, wire {wire}: no NaN", copy.name());
-                assert_eq!(stray, None, "{} copy, {dir:?}, wire {wire}", copy.name());
+                let nans = got.iter().flat_map(f32_bits);
+                let nans = nans.filter(|&b| f32::from_bits(b).is_nan());
+                let stray = nans.clone().find(|&b| b != canonical);
+                let what = format!("{} copy, {dir:?}, wire {wire}", copy.name());
+                assert!(nans.count() > 0, "{what}: no NaN");
+                assert_eq!(stray, None, "{what}: a NaN that is not the canonical one");
             }
         }
         // Blanks of every sign pattern around one pixel of each kind.
