@@ -1714,10 +1714,10 @@ mod tests {
     /// The envelope checksum's contract: (a) it equals the plain reference
     /// above at every length 0..=300 and at 1 MiB + 13, so every block,
     /// leftover-word and leftover-byte split is covered, and so does a
-    /// payload's kept value, on its first read and its second; (b) at every length
-    /// 1..=200 each single-bit flip of each byte, and the fault plan's
-    /// `^ 0xA5`, changes it; (c) appending a zero byte changes it at every
-    /// length 0..=200. The only test that fails when the lane loop leaves
+    /// payload's kept value, on its first read and its second; (b) at every
+    /// length 1..=200 each single-bit flip of each byte, and the fault
+    /// plan's `^ 0xA5`, changes it; (c) appending a zero byte changes it at
+    /// every length 0..=200. The only test that fails when the lane loop leaves
     /// lane 7 unhashed (`zip(&block.as_chunks::<8>().0[..7])`): the fault
     /// plan damages a payload's first byte, which lies in lane 0.
     #[test]

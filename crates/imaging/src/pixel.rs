@@ -171,8 +171,8 @@ pub trait Pixel: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// Write a wire-format pixel stream into `dst`, which must be blank:
     /// exactly what [`Pixel::over_front_bytes`] leaves there, with the same
     /// [`OverStats`], all three counters. This default **is** that merge, so
-    /// the `f32` types keep its bits (`−0.0` and NaN merged onto blank are
-    /// not copies); [`GrayAlpha8`], whose merge onto blank is a copy,
+    /// the `f32` types keep its bits (`−0.0`, NaN and ±∞ merged onto blank
+    /// are not copies); [`GrayAlpha8`], whose merge onto blank is a copy,
     /// overrides it with a bulk store.
     fn unpack_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
         Self::over_front_bytes(dst, src)
