@@ -105,10 +105,11 @@ rounds=$(grep -rn 'liveness_exchange(' crates/core/src || true)
     || vocabulary_fail "rt-core must call liveness_exchange from one place" "$rounds"
 # What this vocabulary replaced stays gone, and so does the wall-clock
 # bench stack the repo benchmark (benchmark/) retired: its two JSON files,
-# the stub it ran on and every per-figure binary `figures` folded in. The
-# change log, the planning files and a reviewer's notes are history and may
-# say the names.
-gone=$(grep -rn 'PuzzlePlan\|GATHER_TAG_BIT\|REPAIR_TAG_BIT\|fn repair_tag\|with_cost\|struct Sim\b' \
+# the stub it ran on and every per-figure binary `figures` folded in. So do
+# the sweep's binade bands, a second pass-1 path beside the one `f32`
+# stencil. The change log, the planning files and a reviewer's notes are
+# history and may say the names.
+gone=$(grep -rn 'PuzzlePlan\|GATHER_TAG_BIT\|REPAIR_TAG_BIT\|fn repair_tag\|with_cost\|struct Sim\b\|band_end\|binades(\|struct Band\b' \
     crates src tests examples || true)
 [ -z "$gone" ] || vocabulary_fail "retired names are back" "$gone"
 # A tile frame is one bundle per (sender, owner): the three-kind protocol
@@ -352,11 +353,14 @@ echo "== render kernel equivalence =="
 # production_size`), each through every compiled copy of the band loop as
 # well as `warp_to_screen`'s threads, the slice column map
 # against its definition (`slice_columns_kernel_equivalence`: over shifts
-# at binade edges every `at[c]` is the first pixel whose `⌊li⌋ ≥ c`, and
-# the bands tile the interior, each stepping `⌊li⌋` by one with one
-# fraction — fails on a table built with `>` or an interior of one band),
-# the band stencil against the per-pixel blend
-# (`band_kernel_equivalence_at_binade_edges`), the branch-free rounding
+# at binade edges every `at[c]` is the first pixel whose `⌊li⌋ ≥ c` —
+# fails on a table built with `>`), the row's one `f32` stencil against
+# the per-pixel `f64` blend (`stencil_kernel_equivalence_at_binade_edges`:
+# every pixel of rows over those shifts and fractions within 10⁻¹⁵ of an
+# integer, from the interior's first pixel and from each later one, the
+# interior's last pixel and the column rule included;
+# `stencil_kernel_equivalence_at_ties`: samples on `k + ½` and within 2⁻¹²
+# of it, which its tie filter must send to the `f64` blend), the branch-free rounding
 # against libm's at every half-integer and the `f64` either side
 # (`round_to_u8_kernel_equivalence`), and each compiled copy of the row
 # kernel called directly — baseline and, on a CPU with AVX2, the wide one,

@@ -19,10 +19,11 @@
 //! transfer function makes transparent, screen pixels whose taps are all
 //! blank. Where a slice's pixels fall along its voxel scanlines is a
 //! function of the slice alone, so it is mapped once per slice: the first
-//! pixel of each voxel column, and the *bands* over which the column steps
-//! by exactly one voxel. Every row of the slice reads that map instead of
-//! searching, and samples a band as one fixed-weight four-tap stencil over
-//! two voxel scanlines, rounding without a branch. The warp always splits
+//! pixel of each voxel column. Every row of the slice reads that map instead
+//! of searching, and samples its whole interior as one fixed-weight four-tap
+//! `f32` stencil over two voxel scanlines, rounding without a branch; the
+//! rare sample too near a rounding tie for `f32` to settle is recomputed by
+//! the per-pixel `f64` definition. The warp always splits
 //! its screen rows across threads, in bands ([`ScreenWarp`]). Their contract is **bit-identity** with
 //! the per-sample renderer kept in this module's tests, not a tolerance:
 //! the composition stage, the golden digests and every "frame equals the
@@ -446,92 +447,28 @@ struct Columns {
 }
 
 impl Columns {
-    /// `x` and `li` of pixel `iu`.
-    #[inline(always)]
-    fn shifts(self, iu: usize) -> (f64, f64) {
-        let x = iu as f64 - self.u_off;
-        (x, x - self.off_i)
-    }
-
-    /// `li` and its floor, the column of pixel `iu`'s first taps.
+    /// `li` of pixel `iu` and its floor, the column of its first taps.
     #[inline(always)]
     fn column(self, iu: usize) -> (f64, i64) {
-        let li = self.shifts(iu).1;
+        let li = (iu as f64 - self.u_off) - self.off_i;
         (li, floor_to_int(li))
     }
-
-    /// Sign and binary exponent of both roundings of pixel `iu`'s column.
-    #[inline(always)]
-    fn binades(self, iu: usize) -> (u64, u64) {
-        let (x, li) = self.shifts(iu);
-        (x.to_bits() >> 52, li.to_bits() >> 52)
-    }
-
-    /// The end of the band that starts at pixel `a` of the interior
-    /// `a..to`: the pixels over which `x` and `li` keep their binades.
-    /// Both are monotone in `iu`, so that is a prefix; both are `≥ 0` here,
-    /// so it ends where one of them reaches its next power of two.
-    ///
-    /// Inside a band `x` and `li` each keep a binade whose ulp is at most
-    /// ½ (they are voxel coordinates, far below 2⁵²), so subtracting a
-    /// fixed value from `iu` rounds alike for every pixel: both ties-to-
-    /// even parity bits are fractional, and `li` steps by exactly 1.0. So
-    /// `⌊li⌋` steps by one and the exactly computed fraction `li − ⌊li⌋`
-    /// keeps its bits across the band.
-    fn band_end(self, a: usize, to: usize) -> usize {
-        let key = self.binades(a);
-        let top = |binade: u64| f64::from_bits((binade + 1) << 52);
-        let guess = (top(key.0) + self.u_off).min(top(key.1) + self.off_i + self.u_off);
-        first_where(a + 1, to, guess.ceil(), |iu| self.binades(iu) != key)
-    }
 }
 
-/// A band of a slice's interior: pixels `a..b` over which `⌊li⌋` steps by
-/// one from `i0` and the in-slice weights `wi = [1 − fi, fi]` are fixed
-/// ([`Columns::band_end`] has the argument).
-struct Band {
-    a: usize,
-    b: usize,
-    i0: usize,
-    wi: [f64; 2],
-}
-
-/// Append one slice's column map over its `run` of pixels: to `at`, for
+/// Append one slice's column map over its `run` of pixels to `at`: for
 /// `c ∈ −1..=ni`, the first pixel of `run` whose column `⌊li⌋` is at least
-/// `c` (`run.end` if none), found by one monotone walk; to `bands`, the
-/// bands that tile its interior `at[0]..at[ni − 1]`, the pixels with
-/// `0 ≤ ⌊li⌋ ≤ ni − 2`, whose four taps all lie on the slab.
+/// `c` (`run.end` if none), found by one monotone walk.
 ///
 /// Every row of the slice trims its own pixels inside `run`, and `⌊li⌋` is
 /// monotone, so the first pixel of `from..to ⊆ run` with column at least
 /// `c` is `at[c].clamp(from, to)`: a row reads the map, it never searches.
-fn map_columns(
-    cols: Columns,
-    ni: usize,
-    run: Range<usize>,
-    at: &mut Vec<usize>,
-    bands: &mut Vec<Band>,
-) {
-    let table = at.len();
+fn map_columns(cols: Columns, ni: usize, run: Range<usize>, at: &mut Vec<usize>) {
     let mut iu = run.start;
     for c in -1..=ni as i64 {
         while iu < run.end && cols.column(iu).1 < c {
             iu += 1;
         }
         at.push(iu);
-    }
-    let (mut a, end) = (at[table + 1], at[table + ni]);
-    while a < end {
-        let b = cols.band_end(a, end);
-        let (li, i0) = cols.column(a);
-        let fi = li - i0 as f64;
-        bands.push(Band {
-            a,
-            b,
-            i0: i0 as usize,
-            wi: [1.0 - fi, fi],
-        });
-        a = b;
     }
 }
 
@@ -549,16 +486,13 @@ struct SliceJob {
     iv1: usize,
     /// Where its `ni + 2` entries of [`Slices::at`] start.
     at: usize,
-    /// Its interior's bands in [`Slices::bands`].
-    bands: Range<usize>,
 }
 
 /// A sweep's slice jobs in depth order and their column maps
-/// ([`map_columns`]), every slice's stored in the same two vectors.
+/// ([`map_columns`]), every slice's stored in one vector.
 struct Slices {
     jobs: Vec<SliceJob>,
     at: Vec<usize>,
-    bands: Vec<Band>,
 }
 
 /// The depth-ordered slices of `sub`; the sweep walks the jobs in order, so
@@ -569,14 +503,9 @@ fn slice_jobs(sub: &Subvolume, f: &Factorization) -> Slices {
     let (j_lo, j_hi) = sub.extent(f.plane.1);
     let (w, h) = f.inter_size;
     let (n, ni) = (k_hi - k_lo, i_hi - i_lo);
-    // Over an interior `x` and `li` are `≥ 0`, below `i_hi` and at most one
-    // of each below 1: each visits at most this many binades, and every
-    // band starts where one of them enters a new one.
-    let binades = (usize::BITS - i_hi.leading_zeros()) as usize + 1;
     let mut slices = Slices {
         jobs: Vec::with_capacity(n),
         at: Vec::with_capacity(n * (ni + 2)),
-        bands: Vec::with_capacity(n * 2 * binades),
     };
     for k in f.slice_order().filter(|&k| k >= k_lo && k < k_hi) {
         let kf = k as f64;
@@ -592,8 +521,8 @@ fn slice_jobs(sub: &Subvolume, f: &Factorization) -> Slices {
             u_off,
             off_i: i_lo as f64,
         };
-        let (at, first_band) = (slices.at.len(), slices.bands.len());
-        map_columns(cols, ni, run.clone(), &mut slices.at, &mut slices.bands);
+        let at = slices.at.len();
+        map_columns(cols, ni, run.clone(), &mut slices.at);
         slices.jobs.push(SliceJob {
             k,
             cols,
@@ -602,7 +531,6 @@ fn slice_jobs(sub: &Subvolume, f: &Factorization) -> Slices {
             iv0: (j_lo as f64 + v_off).floor().max(0.0) as usize,
             iv1: ((j_hi as f64 + v_off).ceil() as usize).min(h.saturating_sub(1)),
             at,
-            bands: first_band..slices.bands.len(),
         });
     }
     slices
@@ -616,6 +544,18 @@ struct RowTaps<'a> {
     /// Their bilinear weights `1 - fj`, `fj`.
     wj: [f64; 2],
     cols: Columns,
+    /// The pixels [`RowTaps::stencil`] samples, from the interior's first.
+    inner: Range<usize>,
+    /// The column of `inner.start`'s first taps and its four tap weights.
+    c0: usize,
+    w: [f32; 4],
+}
+
+/// The four tap weights of in-slice weights `wi` and row weights `wj`, in
+/// [`blend`]'s order.
+#[inline(always)]
+fn weights(wi: [f64; 2], wj: [f64; 2]) -> [f64; 4] {
+    [wi[0] * wj[0], wi[1] * wj[0], wi[0] * wj[1], wi[1] * wj[1]]
 }
 
 /// The rounded bilinear scalar of the taps `v` — voxels `i0`, `i0 + 1` of
@@ -632,33 +572,112 @@ fn blend(w: [f64; 4], v: [u8; 4]) -> u8 {
     )
 }
 
-impl RowTaps<'_> {
-    /// The four tap weights under in-slice weights `wi`, in [`blend`]'s
-    /// order.
-    #[inline(always)]
-    fn weights(&self, wi: [f64; 2]) -> [f64; 4] {
-        let wj = self.wj;
-        [wi[0] * wj[0], wi[1] * wj[0], wi[0] * wj[1], wi[1] * wj[1]]
+/// One lane of [`RowTaps::stencil`]: the taps `v` under `f32` weights `w`,
+/// rounded to an integer by the `2²³` trick, and whether the sum lies within
+/// ε = 2⁻¹⁰ of a rounding tie. `y = x + 2²³` carries `x` rounded (ties to
+/// even) in the low byte of its bits, and `d = x − (y − 2²³)` is exact.
+#[inline(always)]
+fn stencil_lane(w: [f32; 4], v: [u8; 4]) -> (u8, bool) {
+    const TWO_23: f32 = (1u32 << 23) as f32;
+    const TIE: f32 = 0.5 - 1.0 / 1024.0;
+    let x = w[0] * f32::from(v[0])
+        + w[1] * f32::from(v[1])
+        + w[2] * f32::from(v[2])
+        + w[3] * f32::from(v[3]);
+    let y = x + TWO_23;
+    (y.to_bits() as u8, (x - (y - TWO_23)).abs() > TIE)
+}
+
+impl<'a> RowTaps<'a> {
+    /// The taps of scanlines `rows` (each `ni` voxels) under row weights
+    /// `wj`, with the stencil over the row's interior `inner`, the pixels
+    /// with `0 ≤ ⌊li⌋ ≤ ni − 2`. The stencil's column `c0 + (iu − inner)`
+    /// and a pixel's own `⌊li⌋` can part by one where `li` is within an ulp
+    /// of an integer, so the pixels it would place past column `ni − 2` are
+    /// left to [`RowTaps::edge`]: no tap reads off a scanline.
+    fn new(rows: [&'a [u8]; 2], wj: [f64; 2], cols: Columns, inner: Range<usize>) -> Self {
+        let (li, c0) = cols.column(inner.start);
+        let fi = li - c0 as f64;
+        let room = (rows[0].len() as i64 - 1 - c0).clamp(0, inner.len() as i64) as usize;
+        RowTaps {
+            rows,
+            wj,
+            cols,
+            inner: inner.start..inner.start + room,
+            c0: c0.max(0) as usize,
+            w: weights([1.0 - fi, fi], wj).map(|w| w as f32),
+        }
     }
 
-    /// Pixel `iu`'s scalar anywhere, taps off the slab reading 0.
+    /// Pixel `iu`'s scalar anywhere, taps off the slab reading 0: the
+    /// per-pixel `f64` definition.
     fn edge(&self, iu: usize) -> u8 {
         let (li, i0) = self.cols.column(iu);
         let fi = li - i0 as f64;
         let tap = |r: &[u8], i: i64| usize::try_from(i).map_or(0, |i| r.get(i).map_or(0, |&v| v));
         let [r0, r1] = self.rows;
         let v = [tap(r0, i0), tap(r0, i0 + 1), tap(r1, i0), tap(r1, i0 + 1)];
-        blend(self.weights([1.0 - fi, fi]), v)
+        blend(weights([1.0 - fi, fi], self.wj), v)
     }
 
-    /// The scalars of consecutive pixels of one band from column `i0` on:
-    /// one fixed-weight four-tap stencil over the two scanlines, which
-    /// gives every pixel the bits [`RowTaps::edge`] gives it.
+    /// The scalars of pixels `iu..iu + out.len()`: the stencil's pixels
+    /// through [`RowTaps::stencil`], the few either side through
+    /// [`RowTaps::edge`].
     #[inline(always)]
-    fn stencil(&self, i0: usize, w: [f64; 4], out: &mut [u8]) {
+    fn fill(&self, iu: usize, out: &mut [u8]) {
+        let to = iu + out.len();
+        let (a, b) = (self.inner.start.clamp(iu, to), self.inner.end.clamp(iu, to));
+        for (s, iu) in out[..a - iu].iter_mut().zip(iu..) {
+            *s = self.edge(iu);
+        }
+        for (s, iu) in out[b - iu..].iter_mut().zip(b..) {
+            *s = self.edge(iu);
+        }
+        if a < b {
+            self.stencil(a, &mut out[a - iu..b - iu]);
+        }
+    }
+
+    /// The scalars of the stencil's pixels `a..a + out.len()`, each carrying
+    /// the bits [`RowTaps::edge`] gives it: one fixed-weight four-tap `f32`
+    /// stencil ([`stencil_lane`]) over the two scanlines, under the weights
+    /// of the interior's first pixel, its column stepping by one a pixel.
+    /// The compiler runs its lanes eight wide in the AVX2 copy; no `fma` is
+    /// enabled and IEEE `f32` add and multiply round alike at any width, so
+    /// both compiled copies write the same bits.
+    ///
+    /// The lane's sum `x` differs from the reference's `f64` sum by at most
+    /// - 4 · 255 · 2⁻²⁵ ≈ 3.0·10⁻⁵: the four weights rounded to `f32`;
+    /// - 7 · 2⁻¹⁷ ≈ 5.3·10⁻⁵: the four products and three sums, each
+    ///   below 256, each rounded to `f32`;
+    /// - under 10⁻⁸: the pixel's own `li` and the stencil's `c0 + fi +
+    ///   (iu − inner)` part by a few roundings of coordinates below 2¹⁶,
+    ///   and the interpolant moves at most 255 a unit of `li` (also where
+    ///   they part across an integer and the columns differ by one);
+    /// - about 10⁻¹³: the reference's own `f64` rounding.
+    ///
+    /// That is about 8.4·10⁻⁵, well under ε = 2⁻¹⁰. A lane at least ε from
+    /// every half-integer (`|d| ≤ ½ − ε`) thus shares its interval
+    /// `(k − ½, k + ½)` with the reference's sum and rounds to the same `k`;
+    /// the rest, ties included, are recomputed by [`RowTaps::edge`].
+    #[inline(always)]
+    fn stencil(&self, a: usize, out: &mut [u8]) {
+        let i0 = self.c0 + (a - self.inner.start);
         let [r0, r1] = self.rows.map(|r| &r[i0..i0 + out.len() + 1]);
+        let lane = |p: &[u8], q: &[u8]| stencil_lane(self.w, [p[0], p[1], q[0], q[1]]);
+        let mut ties = false;
         for ((s, p), q) in out.iter_mut().zip(r0.windows(2)).zip(r1.windows(2)) {
-            *s = blend(w, [p[0], p[1], q[0], q[1]]);
+            let (scalar, tie) = lane(p, q);
+            *s = scalar;
+            ties |= tie;
+        }
+        if ties {
+            let taps = r0.windows(2).zip(r1.windows(2));
+            for ((s, iu), (p, q)) in out.iter_mut().zip(a..).zip(taps) {
+                if lane(p, q).1 {
+                    *s = self.edge(iu);
+                }
+            }
         }
     }
 }
@@ -673,23 +692,16 @@ impl RowTaps<'_> {
 /// contiguous voxel scanlines with fixed weights, and where its pixels fall
 /// along them is the slice's column map. The run is trimmed to the pixels
 /// the transfer function cannot prove transparent (the rest are never
-/// sampled) and split into the slice's interior bands and the few edge
-/// pixels either side.
-///
-/// The one source of both compiled copies ([`SweepRows`]): each inlines
-/// it, with pass 1's band stencil and pass 2. Only the edge pixels'
-/// per-pixel fill, a few pixels a row, stays one shared function.
+/// sampled) and split into the slice's interior, one `f32` stencil with a
+/// tie filter ([`RowTaps::stencil`]), and the few edge pixels either side.
+/// Each copy inlines it with both passes; only the per-pixel fill of edge
+/// pixels and near-tie lanes stays one shared function.
 #[inline(always)]
 fn composite_row(slab: &Slab, slices: &Slices, job: &SliceJob, iv: usize, row: &mut [GrayAlpha]) {
     let lj = slab.lj(job, iv);
     let j0 = floor_to_int(lj);
     let fj = lj - j0 as f64;
     let k = job.k - slab.k_lo;
-    let taps = RowTaps {
-        rows: [slab.row(j0, k), slab.row(j0 + 1, k)],
-        wj: [1.0 - fj, fj],
-        cols: job.cols,
-    };
     // The first pixel of `from..to` whose column is at least `c`.
     let at = &slices.at[job.at..][..slab.ni + 2];
     let at_least = |c: i64, from: usize, to: usize| at[(c + 1) as usize].clamp(from, to);
@@ -710,34 +722,17 @@ fn composite_row(slab: &Slab, slices: &Slices, job: &SliceJob, iv: usize, row: &
         start = at_least(i64::from(lo) - 1, start, end);
         end = at_least(i64::from(hi), start, end);
     }
+    let rows = [slab.row(j0, k), slab.row(j0 + 1, k)];
     let inner = at_least(0, start, end);
-    let inner_end = at_least(slab.ni as i64 - 1, inner, end);
-    let bands = &slices.bands[job.bands.clone()];
-    // A chunk's scalars: its pixels left of the interior, its share of each
-    // band, its pixels right of the interior.
-    slab.composite(start, &mut row[start..end], |iu, scalars| {
-        let to = iu + scalars.len();
-        let (left, right) = (inner.clamp(iu, to), inner_end.clamp(iu, to));
-        for (s, iu) in scalars[..left - iu].iter_mut().zip(iu..) {
-            *s = taps.edge(iu);
-        }
-        for (s, iu) in scalars[right - iu..].iter_mut().zip(right..) {
-            *s = taps.edge(iu);
-        }
-        for band in bands.iter().take_while(|band| band.a < right) {
-            let (a, b) = (band.a.max(inner).max(iu), band.b.min(inner_end).min(to));
-            if a < b {
-                let i0 = band.i0 + (a - band.a);
-                taps.stencil(i0, taps.weights(band.wi), &mut scalars[a - iu..b - iu]);
-            }
-        }
-    });
+    let inner = inner..at_least(slab.ni as i64 - 1, inner, end);
+    let taps = RowTaps::new(rows, [1.0 - fj, fj], job.cols, inner);
+    slab.composite(start, &mut row[start..end], |iu, s| taps.fill(iu, s));
 }
 
 /// The sweep's rows as one span kernel: every row of every slice job,
 /// front to back, through [`composite_row`] into `pixels` (rows of
 /// `width`). [`KernelCopy::run`] compiles it for the target's baseline and
-/// on x86-64 also with AVX2, where pass 1's stencil runs four `f64` lanes
+/// on x86-64 also with AVX2, where pass 1's stencil runs eight `f32` lanes
 /// wide. Only `avx2` is enabled — no `fma`, so no product is fused into a
 /// sum — and IEEE add, multiply, min and conversion round alike at any
 /// width: the copies write the same bits.
@@ -769,8 +764,9 @@ impl SpanKernel for SweepRows<'_> {
 }
 
 /// Which compiled copy of the render kernels — the slab sweep's row kernel
-/// and the warp's band loop — this CPU runs: `"avx2"` or `"baseline"`. Both
-/// render the same bits; only the time differs.
+/// and the warp's band loop — this CPU runs: `"avx2"` (the sweep's `f32`
+/// stencil eight lanes wide) or `"baseline"`. Both render the same bits;
+/// only the time differs.
 pub fn kernel_copy() -> &'static str {
     KernelCopy::widest().name()
 }
@@ -1627,9 +1623,7 @@ mod kernel_tests {
     /// rounded scalar. Over binade-edge shifts, in-slice offsets 0, 5 and
     /// 37, slabs of 0–150 voxels and runs that start and end outside the
     /// slab or inside it: every `at[c]` is the first pixel of the run whose
-    /// `⌊li⌋` (libm's floor) is at least `c`, the bands tile the interior
-    /// `at[0]..at[ni − 1]`, and across each `⌊li⌋` steps by one from the
-    /// band's `i0` and `[1 − fi, fi]` keeps the band's bits.
+    /// `⌊li⌋` (libm's floor) is at least `c`.
     #[test]
     fn slice_columns_kernel_equivalence() {
         for u_off in binade_edge_shifts() {
@@ -1640,65 +1634,134 @@ mod kernel_tests {
                     let width = row_width(u_off, off_i, ni);
                     for run in [0..width, width / 3..width, 0..2 * width / 3, width..width] {
                         let what = format!("u_off {u_off:e}, off_i {off_i}, ni {ni}, run {run:?}");
-                        let (mut at, mut bands) = (Vec::new(), Vec::new());
-                        map_columns(cols, ni, run.clone(), &mut at, &mut bands);
+                        let mut at = Vec::new();
+                        map_columns(cols, ni, run.clone(), &mut at);
                         assert_eq!(at.len(), ni + 2, "{what}");
                         for (c, &got) in (-1..).zip(&at) {
                             let first = run.clone().find(|&iu| floor(iu) >= f64::from(c));
                             assert_eq!(got, first.unwrap_or(run.end), "{what}: at[{c}]");
                         }
-                        let mut next = at[1];
-                        for band in &bands {
-                            let (a, b) = (band.a, band.b);
-                            assert!(a == next && a < b, "{what}: band {a}..{b} after {next}");
-                            for iu in a..b {
-                                let pixel = format!("{what}: band {a}..{b}, pixel {iu}");
-                                let li = (iu as f64 - u_off) - off_i;
-                                assert_eq!(li.floor(), (band.i0 + iu - a) as f64, "{pixel}: floor");
-                                let fi = li - li.floor();
-                                let wi = [1.0 - fi, fi].map(f64::to_bits);
-                                assert_eq!(wi, band.wi.map(f64::to_bits), "{pixel}: fraction");
-                            }
-                            next = b;
-                        }
-                        assert_eq!(next, at[ni].max(at[1]), "{what}: the bands' end");
                     }
                 }
             }
         }
     }
 
-    /// The band stencil's premise, row by row: over the same shifts and
-    /// slabs past 128 voxels, a band's scalars, from its first pixel or from
-    /// any later one (a pass-1 chunk may start there), are the per-pixel
-    /// blend's.
+    /// One row of scanlines `rows` under row weights `wj` and columns
+    /// `cols`, its interior taken from the slice's column map as
+    /// `composite_row` takes it: every pixel's scalar, filled from the
+    /// row's first pixel and again from each pixel on (a pass-1 chunk may
+    /// start anywhere), must be [`RowTaps::edge`]'s. The stencil covers
+    /// the interior from its first pixel, and the column rule leaves at
+    /// most its last pixel to `edge`. Returns the stencil's lanes and how
+    /// many of them the tie filter sent to `edge`.
+    fn assert_stencil_matches_edge(
+        rows: [&[u8]; 2],
+        wj: [f64; 2],
+        cols: Columns,
+        what: &str,
+    ) -> (usize, usize) {
+        let ni = rows[0].len();
+        let width = row_width(cols.u_off, cols.off_i, ni);
+        let mut at = Vec::new();
+        map_columns(cols, ni, 0..width, &mut at);
+        let taps = RowTaps::new(rows, wj, cols, at[1]..at[ni]);
+        let inner = taps.inner.clone();
+        assert!(
+            inner.start == at[1] && inner.end + 1 >= at[ni].max(at[1]),
+            "{what}: {inner:?}"
+        );
+        let mut whole = vec![0; width];
+        taps.fill(0, &mut whole);
+        let mut ties = 0;
+        for (iu, &s) in whole.iter().enumerate() {
+            let want = taps.edge(iu);
+            assert_eq!(s, want, "{what}: pixel {iu}");
+            let mut from_here = [0];
+            taps.fill(iu, &mut from_here);
+            assert_eq!(from_here[0], want, "{what}: pixel {iu} from a later start");
+            if inner.contains(&iu) {
+                let i = taps.c0 + (iu - inner.start);
+                let v = [rows[0][i], rows[0][i + 1], rows[1][i], rows[1][i + 1]];
+                ties += usize::from(stencil_lane(taps.w, v).1);
+            }
+        }
+        (inner.len(), ties)
+    }
+
+    /// The stencil's premise, row by row: over the binade-edge shifts and
+    /// shifts whose fraction lies within 10⁻¹⁵ of 0 or 1, slabs past 128
+    /// voxels and row weights with neither, a half or a zero, every pixel —
+    /// the interior's last one included — carries the per-pixel blend's
+    /// scalar.
     #[test]
-    fn band_kernel_equivalence_at_binade_edges() {
+    fn stencil_kernel_equivalence_at_binade_edges() {
         let mut state = 13;
         let voxels: Vec<u8> = (0..300).map(|_| splitmix(&mut state) as u8).collect();
-        for u_off in binade_edge_shifts() {
+        let near_integers = (0..=8).flat_map(|n| {
+            let n = f64::from(n);
+            [1e-15, 5e-16, 2e-16]
+                .into_iter()
+                .flat_map(move |d| [n + d, n + 1.0 - d])
+        });
+        let mut shifts = binade_edge_shifts();
+        shifts.extend(near_integers.flat_map(|s| [s, -s]));
+        for u_off in shifts {
             for off_i in [0.0, 5.0, 37.0] {
                 for ni in [130, 150] {
-                    let taps = RowTaps {
-                        rows: [&voxels[..ni], &voxels[ni..2 * ni]],
-                        wj: [0.7, 0.3],
-                        cols: Columns { u_off, off_i },
-                    };
-                    let (mut at, mut bands) = (Vec::new(), Vec::new());
-                    let run = 0..row_width(u_off, off_i, ni);
-                    map_columns(taps.cols, ni, run, &mut at, &mut bands);
-                    let what = format!("u_off {u_off:e}, off_i {off_i}, ni {ni}");
-                    for &Band { a, b, i0, wi } in &bands {
-                        let w = taps.weights(wi);
-                        let mut scalars = vec![0; b - a];
-                        taps.stencil(i0, w, &mut scalars);
-                        for (iu, &s) in (a..b).zip(&scalars) {
-                            let band = format!("{what}: band {a}..{b}, pixel {iu}");
-                            assert_eq!(s, taps.edge(iu), "{band}: scalar");
-                            let mut from_here = [0];
-                            taps.stencil(i0 + (iu - a), w, &mut from_here);
-                            assert_eq!(from_here[0], s, "{band}: scalar from a later start");
-                        }
+                    for wj in [[0.7, 0.3], [0.5, 0.5], [1.0, 0.0]] {
+                        let rows = [&voxels[..ni], &voxels[ni..2 * ni]];
+                        let cols = Columns { u_off, off_i };
+                        let what = format!("u_off {u_off:e}, off_i {off_i}, ni {ni}, wj {wj:?}");
+                        assert_stencil_matches_edge(rows, wj, cols, &what);
+                    }
+                }
+            }
+        }
+        // The column rule, on an interior one pixel longer than the map's:
+        // the stencil's column at pixel 26 would be `ni − 1 = 25`, past
+        // `ni − 2`, so the rule must leave that pixel to `edge`. No map's
+        // interior reaches that far: `x` and `li` only coarsen along an
+        // interior, so where a pixel's `⌊li⌋` parts from the stencil's column
+        // it is the larger one.
+        let cols = Columns {
+            u_off: 0.25,
+            off_i: 0.0,
+        };
+        let taps = RowTaps::new([&voxels[..26], &voxels[26..52]], [0.7, 0.3], cols, 1..27);
+        assert_eq!(taps.inner, 1..26, "the column rule");
+        let mut scalars = [0; 30];
+        taps.fill(0, &mut scalars);
+        for (iu, &s) in scalars.iter().enumerate() {
+            assert_eq!(s, taps.edge(iu), "the column rule: pixel {iu}");
+        }
+    }
+
+    /// Samples exactly on `k + ½` and `d = ±2⁻¹²` or `±2⁻²⁰` off it, where
+    /// `f32` cannot round as the reference does: the tie filter must send
+    /// every such lane to [`RowTaps::edge`] (on an exact tie the `2²³`
+    /// trick rounds to even, the reference away from zero). At `d = ±2⁻⁹`,
+    /// past ε = 2⁻¹⁰, no lane is sent and the stencil rounds alone. Voxel
+    /// ramps step by one along and across the scanlines, so the fraction
+    /// `½ + d` puts every sample `d` from a tie: along the scanline under
+    /// `wj = [1, 0]`, or across them at a whole-voxel shift.
+    #[test]
+    fn stencil_kernel_equivalence_at_ties() {
+        for base in [0u8, 104] {
+            let ramp = |from: u8| (from..).take(150).collect::<Vec<u8>>();
+            let (r0, r1) = (ramp(base), ramp(base + 1));
+            for d in [0.0, 2f64.powi(-12), 2f64.powi(-20), 2f64.powi(-9)] {
+                for d in [d, -d] {
+                    let cases = [(-(0.5 + d), [1.0, 0.0]), (3.0, [0.5 - d, 0.5 + d])];
+                    for ((u_off, wj), off_i) in cases.into_iter().flat_map(|c| [(c, 0.0), (c, 5.0)])
+                    {
+                        let cols = Columns { u_off, off_i };
+                        let what = format!("base {base}, d {d:e}, u_off {u_off}, off_i {off_i}");
+                        let (lanes, ties) =
+                            assert_stencil_matches_edge([&r0, &r1], wj, cols, &what);
+                        assert!(lanes > 100, "{what}: {lanes} stencil lanes");
+                        let want = if d.abs() < 2f64.powi(-10) { lanes } else { 0 };
+                        assert_eq!(ties, want, "{what}: lanes sent to edge");
                     }
                 }
             }
@@ -1777,9 +1840,12 @@ mod kernel_tests {
     /// reaches the baseline copy. Each copy, called directly, must carry
     /// the per-sample reference's bits: on the preset scenes, at the six
     /// golden cameras at production widths, and on single rows at the
-    /// binade-edge shifts, where every band must step `⌊li⌋` by one. A
-    /// copy whose body alone changes the arithmetic (a `mul_add` in the
-    /// stencil, a product fused by an enabled `fma`) fails here.
+    /// binade-edge shifts, where the stencil's column and weights must hold
+    /// across binades. A copy whose body alone changes a rounded scalar
+    /// fails here. A fused product moves a sum by about an ulp, which the
+    /// stencil's tie filter absorbs and the `f64` blend shows only on a sum
+    /// that close to a tie, so what keeps fusion out is that no copy
+    /// enables `fma`.
     #[test]
     fn compiled_copies_kernel_equivalence() {
         for dataset in [Dataset::Engine, Dataset::Brain, Dataset::Head] {
@@ -1832,9 +1898,8 @@ mod kernel_tests {
                     let mut slices = Slices {
                         jobs: Vec::new(),
                         at: Vec::new(),
-                        bands: Vec::new(),
                     };
-                    map_columns(cols, ni, 0..width, &mut slices.at, &mut slices.bands);
+                    map_columns(cols, ni, 0..width, &mut slices.at);
                     slices.jobs.push(SliceJob {
                         k: 0,
                         cols,
@@ -1843,7 +1908,6 @@ mod kernel_tests {
                         iv0: 0,
                         iv1: 0,
                         at: 0,
-                        bands: 0..slices.bands.len(),
                     });
                     let rows = [&voxels[..ni], &voxels[ni..]];
                     let want = row_reference(rows, fj, cols, &tf, width);
@@ -1951,7 +2015,7 @@ mod kernel_tests {
     proptest! {
         // About one scene in eight is wide and thin: in-slice extents past
         // 64 voxels along any principal axis, so its rows cross the 32 and
-        // 64 binades the band loop splits at.
+        // 64 binades the stencil's one set of weights must hold across.
         #[test]
         fn kernel_equivalence(
             dims in prop_oneof![
