@@ -107,9 +107,12 @@ rounds=$(grep -rn 'liveness_exchange(' crates/core/src || true)
 # bench stack the repo benchmark (benchmark/) retired: its two JSON files,
 # the stub it ran on and every per-figure binary `figures` folded in. So do
 # the sweep's binade bands, a second pass-1 path beside the one `f32`
-# stencil. The change log, the planning files and a reviewer's notes are
-# history and may say the names.
-gone=$(grep -rn 'PuzzlePlan\|GATHER_TAG_BIT\|REPAIR_TAG_BIT\|fn repair_tag\|with_cost\|struct Sim\b\|band_end\|binades(\|struct Band\b' \
+# stencil, and the code no caller used: the `f32` RGBA pixel, the PGM and
+# raw-volume readers, the bounding rectangle and the lock a resident rank's
+# transport sat behind (bracketed so this line does not match itself). The
+# change log, the planning files and a reviewer's notes are history and
+# may say the names.
+gone=$(grep -rn 'PuzzlePlan\|GATHER_TAG_BIT\|REPAIR_TAG_BIT\|fn repair_tag\|with_cost\|struct Sim\b\|band_end\|binades(\|struct Band\b\|struct [R]gba\b\|fn [r]ead_pgm\|fn [r]ead_raw\|fn [w]rite_raw\|fn [b]ounding_rect\|struct [L]ent\b' \
     crates src tests examples || true)
 [ -z "$gone" ] || vocabulary_fail "retired names are back" "$gone"
 # A tile frame is one bundle per (sender, owner): the three-kind protocol
@@ -144,7 +147,7 @@ gone=$(grep -rnE '[B]arrierError|[b]arrier_timeout|[d]eath_steps|[t]ry_recv_raw|
     crates src tests examples docs ./*.md ci.sh .claude \
     --exclude=CHANGES.md --exclude=ISSUE.md --exclude=ROADMAP.md --exclude=REVIEW.md || true)
 [ -z "$gone" ] || vocabulary_fail "the transport-level barrier vocabulary is back" "$gone"
-# One kernel path, one renderer, four pixel types: the scalar/wide selector
+# One kernel path, one renderer, three pixel types: the scalar/wide selector
 # and the counters that recorded it, the ray-cast accel / octree / shading
 # stack and the 8-bit colour pixel stay gone.
 gone=$(grep -rnE 'KernelPath::[S]calar|[H]AS_WIDE_KERNEL|over_(front|back)_[b]ytes_with|_over_codes_[s]calar|(wide|scalar)_[k]ernel_(pixels|bytes)|[k]ernel_fallbacks|[r]ender_raycast_accel|[M]inMaxOctree|[r]ender_color|[R]gba8|[c]olor_views' \

@@ -462,6 +462,13 @@ impl RankCtx {
         }
     }
 
+    /// The transport under this context, for the next context its owner
+    /// builds over it. Frames buffered here and not yet received are
+    /// dropped with the context.
+    pub fn into_transport(self) -> Box<dyn Transport> {
+        self.transport
+    }
+
     /// This rank's id in `0..size`.
     #[inline]
     pub fn rank(&self) -> usize {

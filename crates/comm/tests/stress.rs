@@ -2,9 +2,16 @@
 //! patterns at moderate scale, exercising buffering, FIFO ordering, barrier
 //! generations and replay determinism together.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use rt_comm::{replay, ComputeKind, CostModel, Multicomputer};
+
+/// One SplitMix64 step: advance `state` and return its next draw.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// Every rank sends one message to every other rank in a seeded random
 /// order each round, receives in rank order, and barriers between rounds.
@@ -21,9 +28,9 @@ fn randomized_all_to_all_rounds() {
             // Per-rank seeded order, deterministic but different per rank
             // and round.
             let mut order: Vec<usize> = (0..ctx.size()).filter(|&r| r != me).collect();
-            let mut rng = StdRng::seed_from_u64(round * 1000 + me as u64);
+            let mut state = round * 1000 + me as u64;
             for i in (1..order.len()).rev() {
-                let j = rng.gen_range(0..=i);
+                let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
                 order.swap(i, j);
             }
             for &dst in &order {

@@ -79,7 +79,7 @@ pub fn rle_decode_bytes(data: &[u8], max_len: usize) -> Result<Vec<u8>, CodecErr
 }
 
 /// Staging-buffer size of the fused RLE walk: a multiple of every shipped
-/// pixel size (the largest, `Rgba`, is 16 bytes), big enough to amortize
+/// pixel size (the largest, `GrayAlpha`, is 8 bytes), big enough to amortize
 /// the bulk-kernel call per flush, small enough to stay in L1.
 const STAGE_BYTES: usize = 4096;
 

@@ -14,14 +14,14 @@
 //!
 //! The code format is unchanged (low nibble template, high nibble run − 1),
 //! and non-blank pixel values follow the code stream in tile order. Odd
-//! image extents are padded with blank pixels (padding bits must be zero,
-//! enforced on decode).
+//! image extents are padded with blank pixels, whose template bits are
+//! zero.
 //!
 //! On 2-D-coherent images (the blocky engine frames) the square tiles find
 //! slightly longer template runs than the flat codec; `trle_demo` compares
 //! the two.
 
-use crate::codec::{CodecError, Encoded};
+use crate::codec::Encoded;
 use crate::trle::RunPacker;
 use rt_imaging::pixel::Pixel;
 use rt_imaging::Image;
@@ -73,68 +73,69 @@ pub fn encode_image<P: Pixel>(img: &Image<P>) -> Encoded {
     Encoded { bytes, raw_bytes }
 }
 
-/// Decode a buffer produced by [`encode_image`] back into a
-/// `width × height` image.
-pub fn decode_image<P: Pixel>(
-    data: &[u8],
-    width: usize,
-    height: usize,
-) -> Result<Image<P>, CodecError> {
-    let bad = |what| CodecError::Corrupt {
-        codec: "trle2d",
-        what,
-    };
-    if data.len() < 4 {
-        return Err(CodecError::Truncated { codec: "trle2d" });
-    }
-    let n_codes = u32::from_le_bytes([data[0], data[1], data[2], data[3]]) as usize;
-    if data.len() < 4 + n_codes {
-        return Err(CodecError::Truncated { codec: "trle2d" });
-    }
-    let codes = &data[4..4 + n_codes];
-    let payload = &data[4 + n_codes..];
-    let (tw, th) = tile_coords(width, height);
-
-    let templates = crate::trle::decode_codes(codes);
-    if templates.len() != tw * th {
-        return Err(bad("tile count does not match image size"));
-    }
-
-    let mut img: Image<P> = Image::blank(width, height);
-    let mut at = 0usize;
-    for (tile_idx, template) in templates.iter().enumerate() {
-        let (ty, tx) = (tile_idx / tw, tile_idx % tw);
-        for (bit, (dx, dy)) in [(0, 0), (1, 0), (0, 1), (1, 1)].into_iter().enumerate() {
-            let (x, y) = (2 * tx + dx, 2 * ty + dy);
-            let set = template & (1 << bit) != 0;
-            if x >= width || y >= height {
-                if set {
-                    return Err(bad("non-blank bit set in padding"));
-                }
-                continue;
-            }
-            if set {
-                if at + P::BYTES > payload.len() {
-                    return Err(CodecError::Truncated { codec: "trle2d" });
-                }
-                let p = P::read_bytes(&payload[at..at + P::BYTES])
-                    .map_err(|_| bad("undecodable payload pixel"))?;
-                at += P::BYTES;
-                img.set(x, y, p);
-            }
-        }
-    }
-    if at != payload.len() {
-        return Err(bad("trailing payload bytes"));
-    }
-    Ok(img)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::CodecError;
     use proptest::prelude::*;
     use rt_imaging::pixel::GrayAlpha8;
+
+    /// Decode a buffer produced by [`encode_image`] back into a
+    /// `width × height` image, refusing padding bits that are set.
+    fn decode_image<P: Pixel>(
+        data: &[u8],
+        width: usize,
+        height: usize,
+    ) -> Result<Image<P>, CodecError> {
+        let bad = |what| CodecError::Corrupt {
+            codec: "trle2d",
+            what,
+        };
+        if data.len() < 4 {
+            return Err(CodecError::Truncated { codec: "trle2d" });
+        }
+        let n_codes = u32::from_le_bytes([data[0], data[1], data[2], data[3]]) as usize;
+        if data.len() < 4 + n_codes {
+            return Err(CodecError::Truncated { codec: "trle2d" });
+        }
+        let codes = &data[4..4 + n_codes];
+        let payload = &data[4 + n_codes..];
+        let (tw, th) = tile_coords(width, height);
+
+        let templates = crate::trle::decode_codes(codes);
+        if templates.len() != tw * th {
+            return Err(bad("tile count does not match image size"));
+        }
+
+        let mut img: Image<P> = Image::blank(width, height);
+        let mut at = 0usize;
+        for (tile_idx, template) in templates.iter().enumerate() {
+            let (ty, tx) = (tile_idx / tw, tile_idx % tw);
+            for (bit, (dx, dy)) in [(0, 0), (1, 0), (0, 1), (1, 1)].into_iter().enumerate() {
+                let (x, y) = (2 * tx + dx, 2 * ty + dy);
+                let set = template & (1 << bit) != 0;
+                if x >= width || y >= height {
+                    if set {
+                        return Err(bad("non-blank bit set in padding"));
+                    }
+                    continue;
+                }
+                if set {
+                    if at + P::BYTES > payload.len() {
+                        return Err(CodecError::Truncated { codec: "trle2d" });
+                    }
+                    let p = P::read_bytes(&payload[at..at + P::BYTES])
+                        .map_err(|_| bad("undecodable payload pixel"))?;
+                    at += P::BYTES;
+                    img.set(x, y, p);
+                }
+            }
+        }
+        if at != payload.len() {
+            return Err(bad("trailing payload bytes"));
+        }
+        Ok(img)
+    }
 
     fn px(v: u8) -> GrayAlpha8 {
         GrayAlpha8::new(v, 255)

@@ -82,14 +82,6 @@ impl Default for TuneOptions {
 }
 
 impl TuneOptions {
-    /// Enable `codec` at measured wire-volume `ratio` (compressed bytes
-    /// over raw bytes).
-    pub fn with_codec_ratio(mut self, codec: CodecKind, ratio: f64) -> Self {
-        let i = CodecKind::ALL.iter().position(|c| *c == codec).unwrap_or(0);
-        self.codec_ratios[i] = Some(ratio);
-        self
-    }
-
     /// Consider hierarchical candidates with group sizes up to `k`.
     pub fn with_max_group(mut self, k: usize) -> Self {
         self.max_group = k;
@@ -527,7 +519,8 @@ mod tests {
         // TRLE at a 4:1 measured ratio: every method's TRLE point beats
         // its raw point under a bandwidth-bound model, and the space
         // doubles.
-        let opts = opts().with_codec_ratio(CodecKind::Trle, 0.25);
+        let mut opts = opts();
+        opts.codec_ratios[2] = Some(0.25); // TRLE, indexed like `CodecKind::ALL`
         let cost = CostModel::new(1e-7, 1e-7, 0.0);
         let cands = sweep(8, 1 << 16, &cost, &opts).unwrap();
         assert_eq!(cands.len(), 30);

@@ -4,13 +4,12 @@
 //! rotate-tiling reproduction:
 //!
 //! * [`pixel`] — pixel types with a Porter–Duff **over** operator
-//!   ([`pixel::Pixel`], [`pixel::GrayAlpha`], [`pixel::Rgba`],
-//!   [`pixel::GrayAlpha8`] and the exact test pixel [`pixel::Provenance`]);
+//!   ([`pixel::Pixel`], [`pixel::GrayAlpha`], [`pixel::GrayAlpha8`] and
+//!   the exact test pixel [`pixel::Provenance`]);
 //! * [`image`] — the [`image::Image`] container with flat row-major storage;
 //! * [`span`] — contiguous pixel ranges ([`span::Span`]), equal partitioning
 //!   and the halving used by the rotate-tiling block tree;
-//! * [`rect`] — bounding rectangles of non-blank pixels (Ma et al.'s
-//!   compression baseline) with intersection/union algebra;
+//! * [`rect`] — the pixel rectangle of a tile or a display-wall cell;
 //! * [`io`] — the PGM writer for the example binaries;
 //! * [`kernels`] — word-wise (SWAR) scan primitives, the fused
 //!   [`pixel::GrayAlpha8`] `over` and unpack kernels, pinned bit for bit to
@@ -39,7 +38,7 @@ pub mod synth;
 
 pub use image::Image;
 pub use kernels::KernelPath;
-pub use pixel::{GrayAlpha, GrayAlpha8, OverStats, Pixel, Provenance, Rgba};
+pub use pixel::{GrayAlpha, GrayAlpha8, OverStats, Pixel, Provenance};
 pub use rect::Rect;
 pub use span::Span;
 

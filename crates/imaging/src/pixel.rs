@@ -10,11 +10,10 @@
 //! out.alpha = front.alpha + (1 - front.alpha) * back.alpha
 //! ```
 //!
-//! Four pixel types are provided:
+//! Three pixel types are provided:
 //!
 //! * [`GrayAlpha`] — `f32` luminance + alpha, the workhorse of the paper's
 //!   grayscale 512×512 frames;
-//! * [`Rgba`] — `f32` RGBA, the color pixel of the `color_matrix` tests;
 //! * [`GrayAlpha8`] — 8-bit fixed-point gray+alpha, matching the wire format
 //!   a 2001-era renderer would actually ship (and what TRLE compresses best);
 //! * [`Provenance`] — an *exact* algebraic pixel used by tests: it records
@@ -45,7 +44,7 @@ use crate::ImagingError;
 /// total += OverStats { non_blank: 3, blank_skipped: 5, opaque_fast: 1 };
 /// total += OverStats { non_blank: 2, blank_skipped: 0, opaque_fast: 2 };
 /// assert_eq!(total.non_blank, 5);
-/// assert_eq!(total.source_pixels(), 10);
+/// assert_eq!(total.blank_skipped, 5);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OverStats {
@@ -63,14 +62,6 @@ pub struct OverStats {
     /// arithmetic on every pixel — so this is a count, not a path. Zero on
     /// reference paths.
     pub opaque_fast: usize,
-}
-
-impl OverStats {
-    /// Total source pixels walked: `non_blank + blank_skipped`.
-    #[inline]
-    pub fn source_pixels(&self) -> usize {
-        self.non_blank + self.blank_skipped
-    }
 }
 
 impl std::ops::AddAssign for OverStats {
@@ -267,16 +258,6 @@ impl GrayAlpha {
         Self { v, a: 1.0 }
     }
 
-    /// Non-premultiplied ("straight") luminance, `0` if fully transparent.
-    #[inline]
-    pub fn straight(&self) -> f32 {
-        if self.a <= f32::EPSILON {
-            0.0
-        } else {
-            self.v / self.a
-        }
-    }
-
     /// Quantize to an 8-bit display value (luminance against black).
     #[inline]
     pub fn to_u8(&self) -> u8 {
@@ -384,81 +365,6 @@ impl Pixel for GrayAlpha {
 #[inline(always)]
 fn ga_wire(p: &GrayAlpha) -> [u8; 8] {
     (u64::from(p.v.to_bits()) | u64::from(p.a.to_bits()) << 32).to_le_bytes()
-}
-
-/// Premultiplied RGBA pixel with `f32` channels.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Rgba {
-    /// Premultiplied red.
-    pub r: f32,
-    /// Premultiplied green.
-    pub g: f32,
-    /// Premultiplied blue.
-    pub b: f32,
-    /// Alpha.
-    pub a: f32,
-}
-
-impl Rgba {
-    /// Construct from premultiplied channels.
-    #[inline]
-    pub fn new(r: f32, g: f32, b: f32, a: f32) -> Self {
-        Self { r, g, b, a }
-    }
-}
-
-impl Pixel for Rgba {
-    const BYTES: usize = 16;
-
-    #[inline]
-    fn blank() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    fn is_blank(&self) -> bool {
-        self.a == 0.0 && self.r == 0.0 && self.g == 0.0 && self.b == 0.0
-    }
-
-    #[inline]
-    fn over(&self, back: &Self) -> Self {
-        let t = 1.0 - self.a;
-        Self {
-            r: self.r + t * back.r,
-            g: self.g + t * back.g,
-            b: self.b + t * back.b,
-            a: self.a + t * back.a,
-        }
-    }
-
-    fn write_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.r.to_le_bytes());
-        out.extend_from_slice(&self.g.to_le_bytes());
-        out.extend_from_slice(&self.b.to_le_bytes());
-        out.extend_from_slice(&self.a.to_le_bytes());
-    }
-
-    fn read_bytes(bytes: &[u8]) -> Result<Self, ImagingError> {
-        if bytes.len() < Self::BYTES {
-            return Err(ImagingError::BadEncoding {
-                what: "Rgba needs 16 bytes",
-            });
-        }
-        Ok(Self {
-            r: f32_from(bytes, 0),
-            g: f32_from(bytes, 4),
-            b: f32_from(bytes, 8),
-            a: f32_from(bytes, 12),
-        })
-    }
-
-    #[inline]
-    fn approx_eq(&self, other: &Self, tol: f64) -> bool {
-        ((self.r - other.r).abs() as f64) <= tol
-            && ((self.g - other.g).abs() as f64) <= tol
-            && ((self.b - other.b).abs() as f64) <= tol
-            && ((self.a - other.a).abs() as f64) <= tol
-    }
 }
 
 /// 8-bit fixed-point premultiplied gray+alpha pixel (2 bytes on the wire).
@@ -806,11 +712,6 @@ mod tests {
         assert_eq!(buf.len(), GrayAlpha::BYTES);
         assert_eq!(GrayAlpha::read_bytes(&buf).unwrap(), g);
 
-        let c = Rgba::new(0.1, 0.2, 0.3, 0.4);
-        let mut buf = Vec::new();
-        c.write_bytes(&mut buf);
-        assert_eq!(Rgba::read_bytes(&buf).unwrap(), c);
-
         let q = GrayAlpha8::new(17, 200);
         let mut buf = Vec::new();
         q.write_bytes(&mut buf);
@@ -825,7 +726,6 @@ mod tests {
     #[test]
     fn short_buffers_are_rejected() {
         assert!(GrayAlpha::read_bytes(&[0; 7]).is_err());
-        assert!(Rgba::read_bytes(&[0; 15]).is_err());
         assert!(GrayAlpha8::read_bytes(&[0; 1]).is_err());
         assert!(Provenance::read_bytes(&[0; 3]).is_err());
     }
@@ -937,7 +837,7 @@ mod tests {
             let want: Vec<GrayAlpha8> = src.iter().zip(&dst).map(|(f, b)| f.over(b)).collect();
             prop_assert_eq!(&fused, &want);
             prop_assert_eq!(front.non_blank, src.iter().filter(|p| !p.is_blank()).count());
-            prop_assert_eq!(front.source_pixels(), src.len());
+            prop_assert_eq!(front.non_blank + front.blank_skipped, src.len());
             prop_assert_eq!(
                 front.opaque_fast,
                 src.iter().filter(|p| !p.is_blank() && p.a == 255).count()

@@ -22,7 +22,7 @@
 //! an over-cap length — produces a typed [`FrameError`], never a panic, and
 //! a length prefix reserves memory only as its bytes arrive. The proptests
 //! in this module drive arbitrary byte prefixes and huge claims with short
-//! bodies through [`read_frame`] to pin that contract.
+//! bodies through `read_frame_noting` to pin that contract.
 
 use rt_comm::{Payload, WireFrame};
 use std::io::{self, ErrorKind, IoSlice, Read, Write};
@@ -35,8 +35,8 @@ pub const HEADER_BYTES: usize = 4 + 8 * 4;
 /// allocation.
 pub const MAX_PAYLOAD_BYTES: u32 = 1 << 30;
 
-/// [`read_frame`] takes a payload in steps of this size, reserving memory
-/// one step ahead of the bytes that have actually arrived.
+/// `read_frame_noting` takes a payload in steps of this size, reserving
+/// memory one step ahead of the bytes that have actually arrived.
 const PAYLOAD_STEP: usize = 1 << 20;
 
 /// A frame could not be decoded from (or encoded onto) the byte stream.
@@ -151,16 +151,12 @@ pub fn write_encoded(
     Ok(())
 }
 
-/// Read one frame from `r`. Returns `Ok(None)` on a clean EOF at a frame
-/// boundary (the peer closed); a mid-frame EOF, an over-cap length prefix
-/// or a stream failure is a typed [`FrameError`].
-pub fn read_frame(r: &mut impl Read) -> Result<Option<WireFrame>, FrameError> {
-    read_frame_noting(r, || ())
-}
-
-/// [`read_frame`], calling `heard` as the frame's bytes arrive — at the
-/// header and between [`PAYLOAD_STEP`]s — so that liveness is judged by
-/// bytes, not by whole frames, however long one takes.
+/// Read one frame from `r`, calling `heard` as the frame's bytes arrive —
+/// at the header and between [`PAYLOAD_STEP`]s — so that liveness is
+/// judged by bytes, not by whole frames, however long one takes. Returns
+/// `Ok(None)` on a clean EOF at a frame boundary (the peer closed); a
+/// mid-frame EOF, an over-cap length prefix or a stream failure is a typed
+/// [`FrameError`].
 pub(crate) fn read_frame_noting(
     r: &mut impl Read,
     mut heard: impl FnMut(),
@@ -217,6 +213,10 @@ pub(crate) fn read_frame_noting(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn read_frame(r: &mut impl Read) -> Result<Option<WireFrame>, FrameError> {
+        read_frame_noting(r, || ())
+    }
 
     /// Serialize one frame onto `w` the way the link fabric does.
     fn write_frame(w: &mut impl Write, frame: &WireFrame) -> io::Result<()> {

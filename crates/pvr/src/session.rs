@@ -13,14 +13,17 @@
 //! frame-holding rank warps onto memory that is already blank and paged in
 //! instead of filling 2 MB before any helper starts.
 //!
-//! Every run builds each rank a fresh [`RankCtx`] over the rank's endpoint,
-//! so sequence numbers start from zero and a call's frames number from
-//! frame 0: its trace is the one a new machine records, byte for byte.
+//! A parked machine holds the ranks' transports. A run moves each into its
+//! rank's job; the rank builds a fresh [`RankCtx`] over it and hands it
+//! back when it reports the run done. So sequence numbers start from zero
+//! and a call's frames number from frame 0: its trace is the one a new
+//! machine records, byte for byte.
 //!
 //! The machine is checked out for a call and checked back in after it, like
 //! a [`Scratch`], under one rule ([`Session::checkin`]): it is parked again
 //! only when the call ran in process without a fault plan, every frame of
-//! it was clean, every rank reported and every rank's inbox is empty.
+//! it was clean, every rank handed its transport back and every inbox is
+//! empty.
 //! Otherwise it is dropped and the next call builds a fresh one. A call on
 //! TCP or with faults installed, and one that finds the machine checked out
 //! by a concurrent call, runs on a machine of its own that lives for that
@@ -32,7 +35,6 @@ use crate::pipeline::{FramePlan, PartitionKey, Partitioned};
 use crate::stream::{assemble_frame, stream_rank, Contribution, StreamConfig, StreamFrame};
 use crate::PvrError;
 use rt_comm::{note_thread_spawns, panic_message, FaultPlan, RankCtx, RankOptions, Transport};
-use rt_comm::{RecvRawError, SendRawError, WireFrame};
 use rt_core::exec::{ComposeConfig, Machine, Scratch, ScratchPool, TransportKind};
 use rt_imaging::{GrayAlpha, Image};
 use rt_render::camera::Factorization;
@@ -136,14 +138,18 @@ impl Session {
     }
 
     /// The one lifetime rule: the session's machine is parked again only
-    /// after a clean call whose ranks all reported and left nothing in an
-    /// inbox; any other machine is dropped here, joining its threads.
+    /// after a clean call whose ranks all handed their transports back with
+    /// nothing in an inbox; any other machine is dropped here, joining its
+    /// threads.
     fn checkin(&self, lease: Lease, clean: bool) {
         if !lease.resident {
             return;
         }
-        let ranks = lease.ranks;
-        let parked = clean && ranks.inboxes_empty();
+        let mut ranks = lease.ranks;
+        let parked = clean
+            && ranks.transports.len() == ranks.p
+            && (ranks.transports.iter_mut())
+                .all(|transport| transport.recv_raw(Duration::ZERO).is_err());
         let dropped = {
             let mut slot = lock(&self.machine);
             if parked {
@@ -164,32 +170,6 @@ struct Lease {
     resident: bool,
 }
 
-/// One rank's endpoint, shared by the rank's thread and the machine that
-/// checks its inbox after a run.
-type Endpoint = Arc<Mutex<Box<dyn Transport>>>;
-
-/// An endpoint as one run's [`RankCtx`] sees it: the context lives for the
-/// run, the endpoint for the machine.
-struct Lent(Endpoint);
-
-impl Transport for Lent {
-    fn rank(&self) -> usize {
-        lock(&self.0).rank()
-    }
-
-    fn world_size(&self) -> usize {
-        lock(&self.0).world_size()
-    }
-
-    fn send_raw(&mut self, to: usize, frame: WireFrame) -> Result<(), SendRawError> {
-        lock(&self.0).send_raw(to, frame)
-    }
-
-    fn recv_raw(&mut self, timeout: Duration) -> Result<WireFrame, RecvRawError> {
-        lock(&self.0).recv_raw(timeout)
-    }
-}
-
 /// One call's work, shared by every rank of the machine running it.
 pub(crate) struct Run {
     pub config: StreamConfig,
@@ -202,16 +182,19 @@ struct RankJob {
     run: Arc<Run>,
     reports: mpsc::Sender<Report>,
     scratch: Scratch<GrayAlpha>,
+    transport: Box<dyn Transport>,
 }
 
 /// What a rank tells the call running it.
 pub(crate) enum Report {
     /// Its part of one frame.
     Frame(Contribution),
-    /// The run is over on this rank: its scratch, and its panic if any.
+    /// The run is over on this rank: its scratch and transport, and its
+    /// panic if any.
     Done {
         rank: usize,
         scratch: Scratch<GrayAlpha>,
+        transport: Box<dyn Transport>,
         panic: Option<String>,
     },
 }
@@ -228,7 +211,9 @@ pub(crate) struct RenderJob {
 pub(crate) struct Ranks {
     p: usize,
     runs: Vec<mpsc::Sender<RankJob>>,
-    endpoints: Vec<Endpoint>,
+    /// The ranks' transports, in any order, while no call runs; a call
+    /// moves them into its jobs and files them back as the ranks report.
+    transports: Vec<Box<dyn Transport>>,
     ranks: Vec<JoinHandle<()>>,
     helpers: Vec<JoinHandle<()>>,
 }
@@ -243,31 +228,21 @@ impl Ranks {
         let (crew, helpers) = Crew::build();
         let crew = Arc::new(crew);
         let mut runs = Vec::with_capacity(p);
-        let mut endpoints = Vec::with_capacity(p);
         let mut ranks = Vec::with_capacity(p);
-        for (rank, transport) in mesh.into_iter().enumerate() {
-            let endpoint: Endpoint = Arc::new(Mutex::new(transport));
+        for rank in 0..p {
             let (tx, jobs) = mpsc::channel();
-            let (lent, crew) = (Arc::clone(&endpoint), Arc::clone(&crew));
-            let body = move || park_rank(rank, &lent, &jobs, &crew);
+            let crew = Arc::clone(&crew);
+            let body = move || park_rank(rank, &jobs, &crew);
             ranks.push(spawn(format!("rank {rank}"), body));
             runs.push(tx);
-            endpoints.push(endpoint);
         }
         Ok(Ranks {
             p,
             runs,
-            endpoints,
+            transports: mesh,
             ranks,
             helpers,
         })
-    }
-
-    /// No rank has a frame waiting in its transport.
-    fn inboxes_empty(&self) -> bool {
-        self.endpoints
-            .iter()
-            .all(|endpoint| lock(endpoint).recv_raw(Duration::ZERO).is_err())
     }
 }
 
@@ -282,8 +257,9 @@ impl Drop for Ranks {
     }
 }
 
-/// A rank's thread: one fresh context per run over the rank's endpoint.
-fn park_rank(me: usize, endpoint: &Endpoint, jobs: &mpsc::Receiver<RankJob>, crew: &Crew) {
+/// A rank's thread: one fresh context per run over the transport the run
+/// lends it.
+fn park_rank(me: usize, jobs: &mpsc::Receiver<RankJob>, crew: &Crew) {
     let (renderer, render_jobs) = mpsc::channel::<RenderJob>();
     let render_thread = spawn(format!("render {me}"), move || {
         park_renderer(me, &render_jobs);
@@ -292,15 +268,16 @@ fn park_rank(me: usize, endpoint: &Endpoint, jobs: &mpsc::Receiver<RankJob>, cre
         run,
         reports,
         mut scratch,
+        transport,
     } in jobs
     {
+        let options = RankOptions {
+            timeout: run.compose.timeout,
+            faults: run.config.faults.clone(),
+            recorder: None,
+        };
+        let mut ctx = RankCtx::over_transport(transport, options);
         let ran = catch_unwind(AssertUnwindSafe(|| {
-            let options = RankOptions {
-                timeout: run.compose.timeout,
-                faults: run.config.faults.clone(),
-                recorder: None,
-            };
-            let mut ctx = RankCtx::over_transport(Box::new(Lent(Arc::clone(endpoint))), options);
             stream_rank(&mut ctx, &run, &mut scratch, &renderer, crew, &reports);
         }));
         drop(run);
@@ -308,6 +285,7 @@ fn park_rank(me: usize, endpoint: &Endpoint, jobs: &mpsc::Receiver<RankJob>, cre
         let _ = reports.send(Report::Done {
             rank: me,
             scratch,
+            transport: ctx.into_transport(),
             panic,
         });
     }
@@ -434,7 +412,7 @@ impl Call {
         plans: Vec<FramePlan>,
     ) -> Result<Call, PvrError> {
         let compose = config.base.compose_config(config.transport);
-        let lease = session.checkout(p, &compose, &config.faults)?;
+        let mut lease = session.checkout(p, &compose, &config.faults)?;
         let run = Arc::new(Run {
             config,
             compose,
@@ -455,15 +433,18 @@ impl Call {
             scratch: Vec::with_capacity(p),
             panics: Vec::new(),
         };
-        for (rank, runs) in lease.ranks.runs.iter().enumerate() {
+        for transport in std::mem::take(&mut lease.ranks.transports) {
+            let rank = transport.rank();
             let job = RankJob {
                 run: Arc::clone(&call.run),
                 reports: reports_tx.clone(),
                 scratch: pool.checkout(rank),
+                transport,
             };
             // A rank thread that is gone never reports: count it done.
-            if let Err(mpsc::SendError(job)) = runs.send(job) {
+            if let Err(mpsc::SendError(job)) = lease.ranks.runs[rank].send(job) {
                 call.scratch.push((rank, job.scratch));
+                lease.ranks.transports.push(job.transport);
                 call.done += 1;
                 call.clean = false;
             }
@@ -510,10 +491,14 @@ impl Call {
             Ok(Report::Done {
                 rank,
                 scratch,
+                transport,
                 panic,
             }) => {
                 self.done += 1;
                 self.scratch.push((rank, scratch));
+                if let Some(lease) = &mut self.lease {
+                    lease.ranks.transports.push(transport);
+                }
                 self.panics.extend(panic.map(|message| (rank, message)));
             }
             Err(_) => return false,
@@ -525,11 +510,11 @@ impl Call {
     /// into `pool` and the machine into the session; returns the ranks that
     /// panicked. A call finishes once: later calls return nothing.
     pub fn finish(&mut self, pool: &ScratchPool<GrayAlpha>) -> Vec<(usize, String)> {
+        let p = self.p;
+        while self.done < p && self.receive() {}
         let Some(lease) = self.lease.take() else {
             return Vec::new();
         };
-        let p = self.p;
-        while self.done < p && self.receive() {}
         let whole = !self.stopped && self.next == self.run.plans.len();
         let clean = self.clean && whole && self.done == p && self.panics.is_empty();
         for (rank, scratch) in self.scratch.drain(..) {

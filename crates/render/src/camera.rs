@@ -99,15 +99,6 @@ pub struct Factorization {
 }
 
 impl Factorization {
-    /// Intermediate coordinates of voxel `(vi, vj)` on slice `k`, where
-    /// `vi`/`vj` index the in-slice axes [`Factorization::plane`].
-    pub fn intermediate_of(&self, vi: f64, vj: f64, k: f64) -> (f64, f64) {
-        (
-            vi + self.shear.0 * k + self.origin.0,
-            vj + self.shear.1 * k + self.origin.1,
-        )
-    }
-
     /// Slice indices in front-to-back order.
     pub fn slice_order(&self) -> Box<dyn Iterator<Item = usize>> {
         if self.flip {
@@ -202,6 +193,15 @@ pub fn factorize(
 mod tests {
     use super::*;
 
+    /// Intermediate coordinates of voxel `(vi, vj)` on slice `k`, where
+    /// `vi`/`vj` index the in-slice axes [`Factorization::plane`].
+    fn intermediate_of(f: &Factorization, vi: f64, vj: f64, k: f64) -> (f64, f64) {
+        (
+            vi + f.shear.0 * k + f.origin.0,
+            vj + f.shear.1 * k + f.origin.1,
+        )
+    }
+
     #[test]
     fn axis_aligned_view_has_no_shear() {
         let f = factorize(&Camera::front(), (32, 32, 32), 128, 128);
@@ -255,7 +255,7 @@ mod tests {
             p[f.plane.0] = vi;
             p[f.plane.1] = vj;
             p[f.axis] = k;
-            let (u, v) = f.intermediate_of(vi, vj, k);
+            let (u, v) = intermediate_of(&f, vi, vj, k);
             let (wx, wy) = f.warp.apply(u, v);
             let (sx, sy) = screen_of(Vec3::new(p[0], p[1], p[2]));
             assert!(
@@ -276,14 +276,14 @@ mod tests {
         ] {
             let f = factorize(&Camera::yaw_pitch(yaw, pitch), (30, 20, 25), 100, 100);
             for k in [0, f.slices - 1] {
-                let (u, v) = f.intermediate_of(0.0, 0.0, k as f64);
+                let (u, v) = intermediate_of(&f, 0.0, 0.0, k as f64);
                 assert!(
                     u >= -1e-9 && v >= -1e-9,
                     "yaw {yaw} pitch {pitch}: ({u},{v})"
                 );
                 let ni = [30.0, 20.0, 25.0][f.plane.0];
                 let nj = [30.0, 20.0, 25.0][f.plane.1];
-                let (u, v) = f.intermediate_of(ni, nj, k as f64);
+                let (u, v) = intermediate_of(&f, ni, nj, k as f64);
                 assert!(
                     u <= f.inter_size.0 as f64 + 1e-9 && v <= f.inter_size.1 as f64 + 1e-9,
                     "({u},{v}) vs {:?}",

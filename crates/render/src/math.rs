@@ -37,12 +37,6 @@ impl Vec3 {
         self.dot(self).sqrt()
     }
 
-    /// Unit vector in this direction.
-    pub fn normalized(&self) -> Vec3 {
-        let n = self.norm();
-        Vec3::new(self.x / n, self.y / n, self.z / n)
-    }
-
     /// Index of the component with the largest magnitude.
     pub fn argmax_abs(&self) -> usize {
         let a = [self.x.abs(), self.y.abs(), self.z.abs()];
@@ -85,13 +79,6 @@ pub struct Mat3 {
 }
 
 impl Mat3 {
-    /// The identity matrix.
-    pub fn identity() -> Self {
-        Self {
-            m: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-        }
-    }
-
     /// Rotation about the X axis by `a` radians.
     pub fn rot_x(a: f64) -> Self {
         let (s, c) = a.sin_cos();

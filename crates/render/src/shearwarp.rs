@@ -1953,6 +1953,45 @@ mod kernel_tests {
         }
     }
 
+    /// `blend` rounds each product and adds them in order. These taps put
+    /// that sum one ulp below 239.5 and exactly on 210.5; fusing the first
+    /// two products (`w[1].mul_add(v[1], w[0] * v[0])`) moves each sum to
+    /// the other side of its tie, and the scalar by one.
+    #[test]
+    fn blend_sums_in_order_on_either_side_of_a_tie() {
+        const BELOW: u8 = 239;
+        const ON: u8 = 211;
+        let cases: [([f64; 4], [u8; 4], f64, u8); 2] = [
+            (
+                [
+                    0.010343599439308083,
+                    0.028445553004865634,
+                    0.2990144594537837,
+                    0.6675498528634117,
+                ],
+                [53, 47, 241, 248],
+                239.5f64.next_down(),
+                BELOW,
+            ),
+            (
+                [
+                    0.5188776087225395,
+                    0.01751341248453146,
+                    0.45211716299384574,
+                    0.01350549138425959,
+                ],
+                [190, 167, 237, 136],
+                210.5,
+                ON,
+            ),
+        ];
+        for (w, v, sum, want) in cases {
+            let got = (0..4).fold(0.0, |s, i| s + w[i] * f64::from(v[i]));
+            assert_eq!(got, sum, "{w:?} {v:?}");
+            assert_eq!(blend(w, v), want, "{w:?} {v:?}");
+        }
+    }
+
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = *state;

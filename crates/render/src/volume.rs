@@ -228,49 +228,3 @@ mod tests {
         assert!((v.empty_fraction() - 0.5).abs() < 1e-12);
     }
 }
-
-/// Raw 8-bit volume file I/O: the format the Chapel Hill datasets and most
-/// research volumes ship in (a bare voxel array; dimensions supplied by the
-/// caller). Lets users substitute the real CT/MR data for the procedural
-/// stand-ins without code changes.
-impl Volume {
-    /// Read a raw 8-bit volume of known dimensions.
-    pub fn read_raw(
-        path: impl AsRef<std::path::Path>,
-        nx: usize,
-        ny: usize,
-        nz: usize,
-    ) -> Result<Volume, RenderError> {
-        let data = std::fs::read(path).map_err(|_| RenderError::BadDimensions {
-            what: "raw volume file unreadable",
-        })?;
-        Volume::from_vec(nx, ny, nz, data)
-    }
-
-    /// Write the voxels as a bare byte array.
-    pub fn write_raw(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, &self.data)
-    }
-}
-
-#[cfg(test)]
-mod io_tests {
-    use super::*;
-
-    #[test]
-    fn raw_roundtrip() {
-        let v = Volume::from_fn(5, 4, 3, |x, y, z| (x * 17 + y * 5 + z) as u8);
-        let path = std::env::temp_dir().join("rt_volume_roundtrip.raw");
-        v.write_raw(&path).unwrap();
-        let back = Volume::read_raw(&path, 5, 4, 3).unwrap();
-        assert_eq!(back, v);
-        // Wrong dimensions are rejected.
-        assert!(Volume::read_raw(&path, 5, 4, 4).is_err());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn missing_file_is_an_error() {
-        assert!(Volume::read_raw("/nonexistent/volume.raw", 2, 2, 2).is_err());
-    }
-}

@@ -1,14 +1,14 @@
 //! The composition machinery is pixel-type generic; this matrix proves the
-//! full stack (schedules → executor → codecs → gather) on RGBA and f32
-//! gray pixels, complementing the `Provenance` exactness matrix and the
-//! 8-bit figure runs.
+//! full stack (schedules → executor → codecs → gather) on `f32` gray
+//! pixels, complementing the `Provenance` exactness matrix and the 8-bit
+//! figure runs.
 
 use rotate_tiling::compress::CodecKind;
 use rotate_tiling::core::exec::ComposeConfig;
 use rotate_tiling::core::{ComposePlan, Run};
 use rotate_tiling::core::{Method, RtVariant};
 use rotate_tiling::imaging::image::reference_composite;
-use rotate_tiling::imaging::{GrayAlpha, Image, Rgba};
+use rotate_tiling::imaging::{GrayAlpha, Image};
 
 fn rt_2n(blocks: usize) -> Method {
     Method::RotateTiling {
@@ -24,20 +24,16 @@ fn rt_n(blocks: usize) -> Method {
     }
 }
 
-fn rgba_partials(p: usize, len: usize) -> Vec<Image<Rgba>> {
+/// Runs of 37 pixels, two of every three blank on each rank.
+fn sparse_partials(p: usize, len: usize) -> Vec<Image<GrayAlpha>> {
     (0..p)
         .map(|r| {
             Image::from_fn(len, 1, |x, _| {
                 if (x / 37 + r) % 3 == 0 {
                     let a = 0.4 + 0.05 * r as f32;
-                    Rgba::new(
-                        a * (x % 11) as f32 / 11.0,
-                        a * (x % 7) as f32 / 7.0,
-                        a * (r as f32 / p as f32),
-                        a,
-                    )
+                    GrayAlpha::new(a * (x % 11) as f32 / 11.0, a)
                 } else {
-                    Rgba::new(0.0, 0.0, 0.0, 0.0)
+                    GrayAlpha::new(0.0, 0.0)
                 }
             })
         })
@@ -60,10 +56,10 @@ fn gray_partials(p: usize, len: usize) -> Vec<Image<GrayAlpha>> {
 }
 
 #[test]
-fn rgba_composition_matches_reference_for_every_method_and_codec() {
+fn f32_composition_matches_reference_for_every_method_and_codec() {
     let p = 6;
     let len = 900;
-    let partials = rgba_partials(p, len);
+    let partials = sparse_partials(p, len);
     let want = reference_composite(&partials).unwrap();
     let methods: Vec<Method> = vec![Method::ParallelPipelined, rt_2n(4), rt_n(3)];
     for m in &methods {
@@ -120,11 +116,11 @@ fn f32_gray_composition_matches_reference() {
 }
 
 #[test]
-fn trle_compresses_rgba_blank_structure() {
-    // 16-byte RGBA pixels: the blank mask mechanism is format-agnostic.
+fn trle_compresses_f32_blank_structure() {
+    // 8-byte `f32` pixels: the blank mask mechanism is format-agnostic.
     let p = 4;
     let len = 4096;
-    let partials = rgba_partials(p, len);
+    let partials = sparse_partials(p, len);
     let schedule = rt_2n(2).build(p, len).unwrap();
     let run = |codec| {
         let (results, trace) = Run::new(
