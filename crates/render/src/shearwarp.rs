@@ -21,10 +21,13 @@
 //! function of the slice alone, so it is mapped once per slice: the first
 //! pixel of each voxel column. Every row of the slice reads that map instead
 //! of searching, and samples its whole interior as one fixed-weight four-tap
-//! `f32` stencil over two voxel scanlines, rounding without a branch; the
-//! rare sample too near a rounding tie for `f32` to settle is recomputed by
-//! the per-pixel `f64` definition. The warp always splits
-//! its screen rows across threads, in bands ([`ScreenWarp`]). Their contract is **bit-identity** with
+//! `f32` stencil over two voxel scanlines, rounding without a branch; each
+//! lane's tie flag goes into a mask as the lane is computed, and only the
+//! rare flagged sample, too near a rounding tie for `f32` to settle, is
+//! recomputed by the per-pixel `f64` definition. The warp always splits its
+//! screen rows across threads, in bands ([`ScreenWarp`]), and resamples a
+//! row's interior in fixed-width chunks written straight into the band's
+//! row. Their contract is **bit-identity** with
 //! the per-sample renderer kept in this module's tests, not a tolerance:
 //! the composition stage, the golden digests and every "frame equals the
 //! sequential render" check downstream compare `f32` bits (DESIGN.md §9,
@@ -101,6 +104,17 @@ fn round_to_u8(x: f64) -> u8 {
 /// Pixels per pass-1 chunk of a slab kernel run: the scalars of one chunk
 /// fit a stack buffer.
 const CHUNK: usize = 64;
+
+/// One pass-1 chunk's lanes: the rounded scalars, then the samples' `v` and
+/// `a`. A sweep keeps one set and overwrites it chunk by chunk. Aligned to a
+/// cache line: where the stack happened to misalign them, one build of the
+/// benchmark spent a third more CPU a `pipeline_serial` frame.
+#[repr(align(64))]
+struct Lanes {
+    scalars: [u8; CHUNK],
+    v: [f32; CHUNK],
+    a: [f32; CHUNK],
+}
 
 /// What the transfer function proves transparent without sampling: every
 /// scalar in `0..=max` is, so a bilinear sample — a convex combination of
@@ -362,27 +376,29 @@ impl<'a> Slab<'a> {
     }
 
     /// Classify and composite the pixels `run` (the first is pixel `iu0` of
-    /// the image row) in chunks of two passes: first `fill(iu, scalars)`
-    /// writes the rounded scalars of the chunk's pixels `iu..`, with nothing
-    /// to branch on; then the table lookup fills two lane arrays, the
+    /// the image row) in chunks of two passes through `lanes`: first
+    /// [`RowTaps::fill`] writes the rounded scalars of the chunk's pixels
+    /// `iu..`; then the table lookup fills two lane arrays, the
     /// samples' `v` and `a`, and one branch-free loop merges every pixel —
     /// `over`, front-to-back, with the accumulated pixel nearer — keeping
     /// `acc` where it has reached early termination or the sample has
     /// `a ≤ 0`. The select tests what a loop that skips those pixels tests,
     /// NaN included, so it keeps the same pixels; a sample the transfer
     /// function proves transparent classifies to `a ≤ 0`, so it is kept
-    /// without a test of its own.
+    /// without a test of its own. `taps` comes as itself, not as a closure:
+    /// the compiler kept a closure out of line, where pass 1 ran the
+    /// baseline code inside the AVX2 copy.
     #[inline(always)]
-    fn composite(&self, iu0: usize, run: &mut [GrayAlpha], fill: impl Fn(usize, &mut [u8])) {
-        let (mut scalars, mut v, mut a) = ([0u8; CHUNK], [0f32; CHUNK], [0f32; CHUNK]);
+    fn composite(&self, iu0: usize, run: &mut [GrayAlpha], taps: &RowTaps, lanes: &mut Lanes) {
+        let Lanes { scalars, v, a } = lanes;
         for (iu, chunk) in (iu0..).step_by(CHUNK).zip(run.chunks_mut(CHUNK)) {
             let scalars = &mut scalars[..chunk.len()];
-            fill(iu, scalars);
-            for ((v, a), &s) in v.iter_mut().zip(&mut a).zip(&*scalars) {
+            taps.fill(iu, scalars);
+            for ((v, a), &s) in v.iter_mut().zip(&mut *a).zip(&*scalars) {
                 let sample = self.classes[usize::from(s)];
                 (*v, *a) = (sample.v, sample.a);
             }
-            for ((acc, &v), &a) in chunk.iter_mut().zip(&v).zip(&a) {
+            for ((acc, &v), &a) in chunk.iter_mut().zip(&*v).zip(&*a) {
                 let t = 1.0 - acc.a;
                 let over = GrayAlpha::new(acc.v + t * v, acc.a + t * a);
                 let keep = acc.a >= self.early_termination || a <= 0.0;
@@ -447,35 +463,54 @@ struct Columns {
 }
 
 impl Columns {
-    /// `li` of pixel `iu` and its floor, the column of its first taps.
+    /// `li` of pixel `iu` and its floor, the column of its first taps. An
+    /// image row's `iu` fits a `u32`, whose conversion is exact and cheap.
     #[inline(always)]
     fn column(self, iu: usize) -> (f64, i64) {
-        let li = (iu as f64 - self.u_off) - self.off_i;
+        let li = (f64::from(iu as u32) - self.u_off) - self.off_i;
         (li, floor_to_int(li))
     }
 }
 
 /// Append one slice's column map over its `run` of pixels to `at`: for
 /// `c ∈ −1..=ni`, the first pixel of `run` whose column `⌊li⌋` is at least
-/// `c` (`run.end` if none), found by one monotone walk.
+/// `c` (`run.end` if none). In real numbers that pixel is `c + ⌈u_off +
+/// off_i⌉`, clamped to the run; each entry is that closed form, checked
+/// exactly on [`Columns::column`] at the pixel and the one before it — the
+/// previous entry's pixel, so one column a entry is computed — and searched
+/// for ([`first_where`]) where a rounding moved it.
 ///
 /// Every row of the slice trims its own pixels inside `run`, and `⌊li⌋` is
 /// monotone, so the first pixel of `from..to ⊆ run` with column at least
 /// `c` is `at[c].clamp(from, to)`: a row reads the map, it never searches.
 fn map_columns(cols: Columns, ni: usize, run: Range<usize>, at: &mut Vec<usize>) {
-    let mut iu = run.start;
-    for c in -1..=ni as i64 {
-        while iu < run.end && cols.column(iu).1 < c {
-            iu += 1;
+    let shift = -floor_to_int(-(cols.u_off + cols.off_i));
+    let (from, to) = (run.start as i64, run.end as i64);
+    let mut last = (usize::MAX, 0);
+    let mut column = |iu: usize| {
+        if last.0 != iu {
+            last = (iu, cols.column(iu).1);
         }
-        at.push(iu);
+        last.1
+    };
+    for c in -1..=ni as i64 {
+        let guess = (c + shift).clamp(from, to) as usize;
+        let exact = (guess == run.start || column(guess - 1) < c)
+            && (guess == run.end || column(guess) >= c);
+        at.push(if exact {
+            guess
+        } else {
+            first_where(run.start, run.end, guess as f64, |iu| {
+                cols.column(iu).1 >= c
+            })
+        });
     }
 }
 
 /// One slice of the principal-axis sweep: its shear offsets, the
-/// intermediate-image window its footprint can touch and where its column
-/// map lies in [`Slices`] — precomputed once per sweep, so every row the
-/// slice reaches reads the same numbers.
+/// intermediate-image window its footprint can touch, where its column map
+/// lies in [`Slices`] and its stencil — precomputed once per sweep, so every
+/// row the slice reaches reads the same numbers.
 struct SliceJob {
     k: usize,
     cols: Columns,
@@ -484,8 +519,39 @@ struct SliceJob {
     run: Range<usize>,
     iv0: usize,
     iv1: usize,
-    /// Where its `ni + 2` entries of [`Slices::at`] start.
-    at: usize,
+    /// Its `ni + 2` entries of [`Slices::at`].
+    at: Range<usize>,
+    stencil: Stencil,
+}
+
+/// Where one slice's `f32` stencil ([`RowTaps::stencil`]) lies along every
+/// image row: the pixels `from..to` of its interior, the pixels with `0 ≤
+/// ⌊li⌋ ≤ ni − 2`, and the column `c0` and fraction `fi` of pixel `from`.
+/// A pixel `iu` of the stencil reads columns `c0 + (iu − from)` and one
+/// more. That column and the pixel's own `⌊li⌋` can part by one where `li`
+/// is within an ulp of an integer, so the pixels it would place past column
+/// `ni − 2` are left to [`RowTaps::edge`]: no tap reads off a scanline.
+#[derive(Debug, Clone, Copy)]
+struct Stencil {
+    from: usize,
+    to: usize,
+    c0: usize,
+    fi: f64,
+}
+
+impl Stencil {
+    /// The stencil over `interior`, the pixels of a slice of `ni` voxels per
+    /// scanline whose first taps lie on the slab.
+    fn new(cols: Columns, ni: usize, interior: Range<usize>) -> Self {
+        let (li, c0) = cols.column(interior.start);
+        let room = (ni as i64 - 1 - c0).clamp(0, interior.len() as i64) as usize;
+        Stencil {
+            from: interior.start,
+            to: interior.start + room,
+            c0: c0.max(0) as usize,
+            fi: li - c0 as f64,
+        }
+    }
 }
 
 /// A sweep's slice jobs in depth order and their column maps
@@ -523,6 +589,7 @@ fn slice_jobs(sub: &Subvolume, f: &Factorization) -> Slices {
         };
         let at = slices.at.len();
         map_columns(cols, ni, run.clone(), &mut slices.at);
+        let interior = slices.at[at + 1]..slices.at[at + ni];
         slices.jobs.push(SliceJob {
             k,
             cols,
@@ -530,7 +597,8 @@ fn slice_jobs(sub: &Subvolume, f: &Factorization) -> Slices {
             run,
             iv0: (j_lo as f64 + v_off).floor().max(0.0) as usize,
             iv1: ((j_hi as f64 + v_off).ceil() as usize).min(h.saturating_sub(1)),
-            at,
+            at: at..at + ni + 2,
+            stencil: Stencil::new(cols, ni, interior),
         });
     }
     slices
@@ -544,9 +612,10 @@ struct RowTaps<'a> {
     /// Their bilinear weights `1 - fj`, `fj`.
     wj: [f64; 2],
     cols: Columns,
-    /// The pixels [`RowTaps::stencil`] samples, from the interior's first.
+    /// The pixels [`RowTaps::stencil`] samples: the slice's stencil within
+    /// the row's interior.
     inner: Range<usize>,
-    /// The column of `inner.start`'s first taps and its four tap weights.
+    /// The stencil's column at `inner.start` and its four tap weights.
     c0: usize,
     w: [f32; 4],
 }
@@ -589,22 +658,24 @@ fn stencil_lane(w: [f32; 4], v: [u8; 4]) -> (u8, bool) {
 }
 
 impl<'a> RowTaps<'a> {
-    /// The taps of scanlines `rows` (each `ni` voxels) under row weights
-    /// `wj`, with the stencil over the row's interior `inner`, the pixels
-    /// with `0 ≤ ⌊li⌋ ≤ ni − 2`. The stencil's column `c0 + (iu − inner)`
-    /// and a pixel's own `⌊li⌋` can part by one where `li` is within an ulp
-    /// of an integer, so the pixels it would place past column `ni − 2` are
-    /// left to [`RowTaps::edge`]: no tap reads off a scanline.
-    fn new(rows: [&'a [u8]; 2], wj: [f64; 2], cols: Columns, inner: Range<usize>) -> Self {
-        let (li, c0) = cols.column(inner.start);
-        let fi = li - c0 as f64;
-        let room = (rows[0].len() as i64 - 1 - c0).clamp(0, inner.len() as i64) as usize;
+    /// The taps of scanlines `rows` under row weights `wj`, with the slice's
+    /// `stencil` over the pixels of the row's interior `inner` it covers.
+    #[inline(always)]
+    fn new(
+        rows: [&'a [u8]; 2],
+        wj: [f64; 2],
+        cols: Columns,
+        stencil: Stencil,
+        inner: Range<usize>,
+    ) -> Self {
+        let start = inner.start.max(stencil.from);
+        let fi = stencil.fi;
         RowTaps {
             rows,
             wj,
             cols,
-            inner: inner.start..inner.start + room,
-            c0: c0.max(0) as usize,
+            inner: start..inner.end.min(stencil.to).max(start),
+            c0: stencil.c0 + (start - stencil.from),
             w: weights([1.0 - fi, fi], wj).map(|w| w as f32),
         }
     }
@@ -660,22 +731,32 @@ impl<'a> RowTaps<'a> {
     /// every half-integer (`|d| ≤ ½ − ε`) thus shares its interval
     /// `(k − ½, k + ½)` with the reference's sum and rounds to the same `k`;
     /// the rest, ties included, are recomputed by [`RowTaps::edge`].
+    ///
+    /// Each lane's tie flag goes into a byte mask as the lane is computed, 64
+    /// lanes a mask, read eight lanes a word; only the flagged lanes are
+    /// visited again.
     #[inline(always)]
     fn stencil(&self, a: usize, out: &mut [u8]) {
         let i0 = self.c0 + (a - self.inner.start);
         let [r0, r1] = self.rows.map(|r| &r[i0..i0 + out.len() + 1]);
-        let lane = |p: &[u8], q: &[u8]| stencil_lane(self.w, [p[0], p[1], q[0], q[1]]);
-        let mut ties = false;
-        for ((s, p), q) in out.iter_mut().zip(r0.windows(2)).zip(r1.windows(2)) {
-            let (scalar, tie) = lane(p, q);
-            *s = scalar;
-            ties |= tie;
-        }
-        if ties {
-            let taps = r0.windows(2).zip(r1.windows(2));
-            for ((s, iu), (p, q)) in out.iter_mut().zip(a..).zip(taps) {
-                if lane(p, q).1 {
-                    *s = self.edge(iu);
+        for (b, out) in out.chunks_mut(64).enumerate() {
+            let [p, q] = [r0, r1].map(|r| &r[b * 64..]);
+            let mut ties = [0u8; 64];
+            let lanes = out
+                .iter_mut()
+                .zip(&mut ties)
+                .zip(p.windows(2))
+                .zip(q.windows(2));
+            for (((s, tie), p), q) in lanes {
+                let (scalar, near) = stencil_lane(self.w, [p[0], p[1], q[0], q[1]]);
+                (*s, *tie) = (scalar, u8::from(near));
+            }
+            for (w, word) in ties.as_chunks::<8>().0.iter().enumerate() {
+                let mut bits = u64::from_le_bytes(*word);
+                while bits != 0 {
+                    let l = w * 8 + bits.trailing_zeros() as usize / 8;
+                    out[l] = self.edge(a + b * 64 + l);
+                    bits &= bits - 1;
                 }
             }
         }
@@ -697,13 +778,20 @@ impl<'a> RowTaps<'a> {
 /// Each copy inlines it with both passes; only the per-pixel fill of edge
 /// pixels and near-tie lanes stays one shared function.
 #[inline(always)]
-fn composite_row(slab: &Slab, slices: &Slices, job: &SliceJob, iv: usize, row: &mut [GrayAlpha]) {
+fn composite_row(
+    slab: &Slab,
+    slices: &Slices,
+    job: &SliceJob,
+    iv: usize,
+    row: &mut [GrayAlpha],
+    lanes: &mut Lanes,
+) {
     let lj = slab.lj(job, iv);
     let j0 = floor_to_int(lj);
     let fj = lj - j0 as f64;
     let k = job.k - slab.k_lo;
     // The first pixel of `from..to` whose column is at least `c`.
-    let at = &slices.at[job.at..][..slab.ni + 2];
+    let at = &slices.at[job.at.clone()];
     let at_least = |c: i64, from: usize, to: usize| at[(c + 1) as usize].clamp(from, to);
     let (mut start, mut end) = (job.run.start, job.run.end);
     if let Some(t) = slab.transparent {
@@ -725,8 +813,8 @@ fn composite_row(slab: &Slab, slices: &Slices, job: &SliceJob, iv: usize, row: &
     let rows = [slab.row(j0, k), slab.row(j0 + 1, k)];
     let inner = at_least(0, start, end);
     let inner = inner..at_least(slab.ni as i64 - 1, inner, end);
-    let taps = RowTaps::new(rows, [1.0 - fj, fj], job.cols, inner);
-    slab.composite(start, &mut row[start..end], |iu, s| taps.fill(iu, s));
+    let taps = RowTaps::new(rows, [1.0 - fj, fj], job.cols, job.stencil, inner);
+    slab.composite(start, &mut row[start..end], &taps, lanes);
 }
 
 /// The sweep's rows as one span kernel: every row of every slice job,
@@ -754,10 +842,15 @@ impl SpanKernel for SweepRows<'_> {
             pixels,
             width,
         } = self;
+        let mut lanes = Lanes {
+            scalars: [0; CHUNK],
+            v: [0.0; CHUNK],
+            a: [0.0; CHUNK],
+        };
         for job in &slices.jobs {
             for iv in slab.rows(job) {
                 let row = &mut pixels[iv * width..(iv + 1) * width];
-                composite_row(slab, slices, job, iv, row);
+                composite_row(slab, slices, job, iv, row, &mut lanes);
             }
         }
     }
@@ -889,7 +982,65 @@ const WARP_BAND: usize = 8;
 
 /// Screen pixels per chunk of a warp row's interior: the chunk's fractions,
 /// taps and blends fit lane arrays on the stack.
-const WARP_CHUNK: usize = 16;
+const WARP_CHUNK: usize = 32;
+
+/// The lane arrays of one chunk of a warp row's interior: each lane's
+/// fractions and its four taps' `v` and `a`. A band loop keeps one set and
+/// overwrites it chunk by chunk, aligned as [`Lanes`] is.
+#[repr(align(64))]
+struct WarpLanes {
+    fu: [f32; WARP_CHUNK],
+    fv: [f32; WARP_CHUNK],
+    taps: [[[f32; WARP_CHUNK]; 4]; 2],
+}
+
+impl WarpLanes {
+    fn new() -> Self {
+        WarpLanes {
+            fu: [0.0; WARP_CHUNK],
+            fv: [0.0; WARP_CHUNK],
+            taps: [[[0.0; WARP_CHUNK]; 4]; 2],
+        }
+    }
+
+    /// The fractions and taps of the `n ≤ WARP_CHUNK` interior pixels from
+    /// `x0`, whose intermediate coordinates are `uv(x)`: `u, v ≥ 0` inside,
+    /// so truncation is the floor, and all four taps lie on `src` (rows of
+    /// `iw`), so they are read without range tests.
+    #[inline(always)]
+    fn gather(
+        &mut self,
+        src: &[GrayAlpha],
+        iw: usize,
+        x0: usize,
+        n: usize,
+        uv: impl Fn(usize) -> (f64, f64),
+    ) {
+        let mut at = [0usize; WARP_CHUNK];
+        for (l, at) in at.iter_mut().enumerate().take(n) {
+            let (u, v) = uv(x0 + l);
+            let (tu, tv) = (u.trunc(), v.trunc());
+            *at = small_int_to_i32(tv) as usize * iw + small_int_to_i32(tu) as usize;
+            self.fu[l] = (u - tu) as f32;
+            self.fv[l] = (v - tv) as f32;
+        }
+        for (l, &at) in at.iter().enumerate().take(n) {
+            let quad = &src[at..at + iw + 2];
+            let p = [quad[0], quad[1], quad[iw], quad[iw + 1]];
+            for (t, p) in p.iter().enumerate() {
+                (self.taps[0][t][l], self.taps[1][t][l]) = (p.v, p.a);
+            }
+        }
+    }
+
+    /// Lane `l`'s blend of its four taps.
+    #[inline(always)]
+    fn blend(&self, l: usize) -> GrayAlpha {
+        let w = bilinear_weights(self.fu[l], self.fv[l]);
+        let channel = |c: usize| std::array::from_fn(|t| self.taps[c][t][l]);
+        GrayAlpha::new(blend_channel(w, channel(0)), blend_channel(w, channel(1)))
+    }
+}
 
 /// One warp of an intermediate image to the screen, in bands of
 /// `WARP_BAND` (8) rows that any number of threads claim until none is left
@@ -907,15 +1058,17 @@ const WARP_CHUNK: usize = 16;
 /// off the image blends to `+0, +0`, the blank screen pixel. Those with all
 /// four taps on the image form one sub-span, reached by walking the edge
 /// pixels in from the span's ends. Outside the span the screen stays blank;
-/// the sub-span is resampled in chunks of `WARP_CHUNK` (16) pixels —
-/// fractions in lanes, the four taps gathered into lane arrays without range
-/// tests, one branch-free blend — and every pixel carries the bits of a
-/// per-pixel sampler that tests and skips each tap. A worker warps a band
-/// into a buffer of its own, then copies each row's span into the screen
-/// under one lock per band: rows are disjoint outputs over an immutable
-/// source, so the frame is the same whoever warps which band. The screen is
-/// a [`BlankScreen`] the caller made ahead of time when one of the frame's
-/// size is at hand, else one blanked here.
+/// the sub-span is resampled in full chunks of `WARP_CHUNK` (32) pixels,
+/// each a fixed-width array, and one shorter tail — fractions in lanes, the
+/// four taps gathered into lane arrays without range tests, one branch-free
+/// blend written straight into the row — and every pixel carries the bits
+/// of a per-pixel sampler that tests and skips each tap. A worker warps a
+/// band into a buffer of its own, then copies each row's span into the
+/// screen under one lock per band; the span is every pixel the row wrote,
+/// so the buffer is never blanked again. Rows are disjoint outputs over an
+/// immutable source, so the frame is the same whoever warps which band. The
+/// screen is a [`BlankScreen`] the caller made ahead of time when one of the
+/// frame's size is at hand, else one blanked here.
 pub struct ScreenWarp<I> {
     inter: I,
     /// Screen to intermediate coordinates; `None` for a singular view,
@@ -923,6 +1076,9 @@ pub struct ScreenWarp<I> {
     inv: Option<Affine2>,
     /// Each intermediate row's occupied columns `[lo, hi)`, `(w, 0)` if none.
     occupied: Vec<(i64, i64)>,
+    /// `1 / ∂u/∂x` and `1 / ∂v/∂x` along a screen row, for the span
+    /// searches' first guesses.
+    recip: [f64; 2],
     width: usize,
     height: usize,
     bands: usize,
@@ -948,6 +1104,7 @@ impl<I: Borrow<Image<GrayAlpha>>> SpanKernel for WarpBands<'_, I> {
         let width = warp.width;
         let mut buf: Vec<GrayAlpha> = Vec::new();
         let mut spans: [Range<usize>; WARP_BAND] = Default::default();
+        let mut lanes = WarpLanes::new();
         loop {
             let band = warp.next_band.fetch_add(1, Ordering::Relaxed);
             if band >= warp.bands {
@@ -962,17 +1119,12 @@ impl<I: Borrow<Image<GrayAlpha>>> SpanKernel for WarpBands<'_, I> {
                 .clone()
                 .zip(buf.chunks_exact_mut(width).zip(&mut *spans))
             {
-                *span = warp.row(inv, y, line);
+                *span = warp.row(inv, y, line, &mut lanes);
             }
-            {
-                let mut screen = warp.screen.lock().unwrap_or_else(PoisonError::into_inner);
-                let out = screen.pixels_mut();
-                for (y, (line, span)) in rows.zip(buf.chunks_exact(width).zip(&*spans)) {
-                    out[y * width..][span.clone()].copy_from_slice(&line[span.clone()]);
-                }
-            }
-            for (line, span) in buf.chunks_exact_mut(width).zip(&*spans) {
-                line[span.clone()].fill(GrayAlpha::blank());
+            let mut screen = warp.screen.lock().unwrap_or_else(PoisonError::into_inner);
+            let out = screen.pixels_mut();
+            for (y, (line, span)) in rows.zip(buf.chunks_exact(width).zip(&*spans)) {
+                out[y * width..][span.clone()].copy_from_slice(&line[span.clone()]);
             }
         }
     }
@@ -1023,6 +1175,7 @@ impl<I: Borrow<Image<GrayAlpha>>> ScreenWarp<I> {
             inter,
             inv,
             occupied,
+            recip: inv.map_or([0.0; 2], |inv| [1.0 / inv.x[0], 1.0 / inv.y[0]]),
             width,
             height,
             bands,
@@ -1057,10 +1210,17 @@ impl<I: Borrow<Image<GrayAlpha>>> ScreenWarp<I> {
         std::mem::replace(&mut *screen, Image::blank(0, 0))
     }
 
-    /// Warp screen row `y` into `row`, blank on entry; returns the pixels
-    /// it wrote, the span outside which the row stays blank.
+    /// Warp screen row `y` into `row`: returns the span of pixels it wrote,
+    /// every one of them, outside which the screen row stays blank; the rest
+    /// of `row` is left as it was.
     #[inline(always)]
-    fn row(&self, inv: &Affine2, y: usize, row: &mut [GrayAlpha]) -> Range<usize> {
+    fn row(
+        &self,
+        inv: &Affine2,
+        y: usize,
+        row: &mut [GrayAlpha],
+        lanes: &mut WarpLanes,
+    ) -> Range<usize> {
         let image = self.inter.borrow();
         let (src, iw, ih) = (image.pixels(), image.width(), image.height());
         let (w, h) = (iw as i64, ih as i64);
@@ -1082,9 +1242,9 @@ impl<I: Borrow<Image<GrayAlpha>>> ScreenWarp<I> {
         // line `slope · x + base` reaches `t`.
         let within = |c: usize, low: i64, limit: i64, range: Range<usize>| {
             let (slope, base) = [(inv.x[0], bu + inv.x[2]), (inv.y[0], bv + inv.y[2])][c];
-            let rising = slope >= 0.0;
+            let (rising, recip) = (slope >= 0.0, self.recip[c]);
             let turn = |from: usize, t: i64| {
-                let guess = ((t as f64 - base) / slope).ceil();
+                let guess = ((t as f64 - base) * recip).ceil();
                 first_where(from, range.end, guess, |x| (floors(x)[c] >= t) == rising)
             };
             let (first, last) = if rising { (low, limit) } else { (limit, low) };
@@ -1140,36 +1300,18 @@ impl<I: Borrow<Image<GrayAlpha>>> ScreenWarp<I> {
             end -= 1;
             row[end] = edge(end);
         }
-        let chunks = (start..end).step_by(WARP_CHUNK);
-        for (x0, out) in chunks.zip(row[start..end].chunks_mut(WARP_CHUNK)) {
-            // Every lane's fractions, past the chunk's end too; `u, v ≥ 0`
-            // inside, so truncation is the floor.
-            let (mut u0, mut v0) = ([0i32; WARP_CHUNK], [0i32; WARP_CHUNK]);
-            let (mut fu, mut fv) = ([0f32; WARP_CHUNK], [0f32; WARP_CHUNK]);
-            for l in 0..WARP_CHUNK {
-                let (u, v) = uv(x0 + l);
-                let (tu, tv) = (u.trunc(), v.trunc());
-                (u0[l], v0[l]) = (small_int_to_i32(tu), small_int_to_i32(tv));
-                fu[l] = (u - tu) as f32;
-                fv[l] = (v - tv) as f32;
+        let (full, tail) = row[start..end].as_chunks_mut::<WARP_CHUNK>();
+        for (x0, out) in (start..).step_by(WARP_CHUNK).zip(full) {
+            lanes.gather(src, iw, x0, WARP_CHUNK, uv);
+            for (l, out) in out.iter_mut().enumerate() {
+                *out = lanes.blend(l);
             }
-            // The chunk's taps, `v` and `a` of each of the four.
-            let mut taps = [[[0f32; WARP_CHUNK]; 4]; 2];
-            for (l, (&u0, &v0)) in u0.iter().zip(&v0).take(out.len()).enumerate() {
-                let at = v0 as usize * iw + u0 as usize;
-                let quad = &src[at..at + iw + 2];
-                let p = [quad[0], quad[1], quad[iw], quad[iw + 1]];
-                for (t, p) in p.iter().enumerate() {
-                    (taps[0][t][l], taps[1][t][l]) = (p.v, p.a);
-                }
+        }
+        if !tail.is_empty() {
+            lanes.gather(src, iw, end - tail.len(), tail.len(), uv);
+            for (l, out) in tail.iter_mut().enumerate() {
+                *out = lanes.blend(l);
             }
-            let mut blends = [GrayAlpha::blank(); WARP_CHUNK];
-            for (l, blend) in blends.iter_mut().enumerate() {
-                let w = bilinear_weights(fu[l], fv[l]);
-                let channel = |c: usize| std::array::from_fn(|t| taps[c][t][l]);
-                *blend = GrayAlpha::new(blend_channel(w, channel(0)), blend_channel(w, channel(1)));
-            }
-            out.copy_from_slice(&blends[..out.len()]);
         }
         span
     }
@@ -1665,7 +1807,8 @@ mod kernel_tests {
         let width = row_width(cols.u_off, cols.off_i, ni);
         let mut at = Vec::new();
         map_columns(cols, ni, 0..width, &mut at);
-        let taps = RowTaps::new(rows, wj, cols, at[1]..at[ni]);
+        let stencil = Stencil::new(cols, ni, at[1]..at[ni]);
+        let taps = RowTaps::new(rows, wj, cols, stencil, at[1]..at[ni]);
         let inner = taps.inner.clone();
         assert!(
             inner.start == at[1] && inner.end + 1 >= at[ni].max(at[1]),
@@ -1728,7 +1871,14 @@ mod kernel_tests {
             u_off: 0.25,
             off_i: 0.0,
         };
-        let taps = RowTaps::new([&voxels[..26], &voxels[26..52]], [0.7, 0.3], cols, 1..27);
+        let stencil = Stencil::new(cols, 26, 1..27);
+        let taps = RowTaps::new(
+            [&voxels[..26], &voxels[26..52]],
+            [0.7, 0.3],
+            cols,
+            stencil,
+            1..27,
+        );
         assert_eq!(taps.inner, 1..26, "the column rule");
         let mut scalars = [0; 30];
         taps.fill(0, &mut scalars);
@@ -1872,62 +2022,109 @@ mod kernel_tests {
         // One slice of two scanlines, row `iv = 0` at `lj = fj`.
         let mut state = 13;
         let voxels: Vec<u8> = (0..300).map(|_| splitmix(&mut state) as u8).collect();
-        let classes = std::array::from_fn(|s| tf.classify_premultiplied(s as u8));
         for u_off in binade_edge_shifts() {
             for off_i in [0.0, 5.0, 37.0] {
                 for (ni, fj) in [(130, 0.0), (150, 0.3)] {
-                    let voxels = &voxels[..2 * ni];
-                    let zeros = vec![0; ni];
-                    let transparent = tf
-                        .transparent_prefix()
-                        .map(|max| Transparent::scan(voxels, (ni, 2, 1), (ni, 2 * ni), max));
-                    let slab = Slab {
-                        voxels: Cow::Borrowed(voxels),
-                        ni,
-                        nj: 2,
-                        starts: (ni, 2 * ni),
-                        zeros: &zeros,
-                        off_j: 0.0,
-                        k_lo: 0,
-                        classes: &classes,
-                        transparent: transparent.as_ref(),
-                        early_termination: 1.0,
-                    };
                     let cols = Columns { u_off, off_i };
-                    let width = row_width(u_off, off_i, ni);
-                    let mut slices = Slices {
-                        jobs: Vec::new(),
-                        at: Vec::new(),
-                    };
-                    map_columns(cols, ni, 0..width, &mut slices.at);
-                    slices.jobs.push(SliceJob {
-                        k: 0,
-                        cols,
-                        v_off: -fj,
-                        run: 0..width,
-                        iv0: 0,
-                        iv1: 0,
-                        at: 0,
-                    });
-                    let rows = [&voxels[..ni], &voxels[ni..]];
-                    let want = row_reference(rows, fj, cols, &tf, width);
-                    for copy in compiled_copies() {
-                        let mut got = Image::blank(width, 1);
-                        copy.run(SweepRows {
-                            slab: &slab,
-                            slices: &slices,
-                            pixels: got.pixels_mut(),
-                            width,
-                        });
-                        let what = format!(
-                            "u_off {u_off:e}, off_i {off_i}, ni {ni}: {} copy",
-                            copy.name()
-                        );
-                        assert_eq!(bits(&got), bits(&want), "{what}");
-                    }
+                    let what = format!("u_off {u_off:e}, off_i {off_i}, ni {ni}");
+                    assert_row_copies_match_reference(&voxels[..2 * ni], fj, cols, &tf, &what);
                 }
             }
         }
+    }
+
+    /// One slice of the two scanlines `voxels` (`ni` voxels each), row
+    /// `iv = 0` at `lj = fj`, composited onto a blank row by each compiled
+    /// copy of the sweep — `composite_row`'s 64-pixel chunks from the row's
+    /// first pixel — against [`row_reference`].
+    fn assert_row_copies_match_reference(
+        voxels: &[u8],
+        fj: f64,
+        cols: Columns,
+        tf: &TransferFunction,
+        what: &str,
+    ) {
+        let ni = voxels.len() / 2;
+        let classes = std::array::from_fn(|s| tf.classify_premultiplied(s as u8));
+        let zeros = vec![0; ni];
+        let transparent = tf
+            .transparent_prefix()
+            .map(|max| Transparent::scan(voxels, (ni, 2, 1), (ni, 2 * ni), max));
+        let slab = Slab {
+            voxels: Cow::Borrowed(voxels),
+            ni,
+            nj: 2,
+            starts: (ni, 2 * ni),
+            zeros: &zeros,
+            off_j: 0.0,
+            k_lo: 0,
+            classes: &classes,
+            transparent: transparent.as_ref(),
+            early_termination: 1.0,
+        };
+        let width = row_width(cols.u_off, cols.off_i, ni);
+        let mut slices = Slices {
+            jobs: Vec::new(),
+            at: Vec::new(),
+        };
+        map_columns(cols, ni, 0..width, &mut slices.at);
+        slices.jobs.push(SliceJob {
+            k: 0,
+            cols,
+            v_off: -fj,
+            run: 0..width,
+            iv0: 0,
+            iv1: 0,
+            at: 0..ni + 2,
+            stencil: Stencil::new(cols, ni, slices.at[1]..slices.at[ni]),
+        });
+        let want = row_reference([&voxels[..ni], &voxels[ni..]], fj, cols, tf, width);
+        for copy in compiled_copies() {
+            let mut got = Image::blank(width, 1);
+            copy.run(SweepRows {
+                slab: &slab,
+                slices: &slices,
+                pixels: got.pixels_mut(),
+                width,
+            });
+            assert_eq!(bits(&got), bits(&want), "{what}: {} copy", copy.name());
+        }
+    }
+
+    /// Lone ties the tie mask must catch wherever they sit: a row whose
+    /// only near-tie lanes are interior lanes 0, 63, 64, 127 and the last
+    /// one, 148. Under `wj = [1, 0]` and `fi = ½` a lane's sample is the
+    /// mean of two voxels; the voxels step between 10 and 11 only at those
+    /// lanes, so each of them samples exactly 10.5, where the stencil rounds
+    /// to even (10) and the reference away from zero (11), and every other
+    /// lane samples a whole number. One `fill` over the 149-lane interior
+    /// and `composite_row`'s chunks from pixel 0 (lanes 63 | 64 and 127 |
+    /// 128 straddle their boundaries) must both carry the reference's bits:
+    /// a mask shifted by one lane misses lane 0 or 63, a mask cut off at 64
+    /// lanes misses 64, 127 and 148.
+    #[test]
+    fn stencil_kernel_equivalence_at_isolated_ties() {
+        const TIES: [usize; 5] = [0, 63, 64, 127, 148];
+        let ni = 150;
+        let mut row = vec![10u8; ni];
+        for l in 1..ni {
+            let step = TIES.contains(&(l - 1));
+            row[l] = if step { 21 - row[l - 1] } else { row[l - 1] };
+        }
+        let voxels = [row.clone(), row].concat();
+        let cols = Columns {
+            u_off: -0.5,
+            off_i: 0.0,
+        };
+        let rows = [&voxels[..ni], &voxels[ni..]];
+        let (lanes, ties) = assert_stencil_matches_edge(rows, [1.0, 0.0], cols, "isolated ties");
+        assert_eq!(
+            (lanes, ties),
+            (149, TIES.len()),
+            "the row's interior and its ties"
+        );
+        let tf = TransferFunction::from_points(&[(0, 0.2, 0.05), (255, 1.0, 0.9)]);
+        assert_row_copies_match_reference(&voxels, 0.0, cols, &tf, "isolated ties");
     }
 
     /// The branch-free rounding against libm's, at every half-integer of
@@ -2146,6 +2343,85 @@ mod kernel_tests {
         let warp = ScreenWarp::new(inter, f, opts, spare);
         warp.work_in(copy);
         warp.take_screen()
+    }
+
+    /// One screen row through [`ScreenWarp::row`] in one compiled copy.
+    struct WarpRow<'a> {
+        warp: &'a ScreenWarp<&'a Image<GrayAlpha>>,
+        inv: &'a Affine2,
+        y: usize,
+        line: &'a mut [GrayAlpha],
+    }
+
+    impl SpanKernel for WarpRow<'_> {
+        type Output = Range<usize>;
+
+        #[inline(always)]
+        fn run(self) -> Range<usize> {
+            self.warp
+                .row(self.inv, self.y, self.line, &mut WarpLanes::new())
+        }
+    }
+
+    /// `row`'s contract, which lets a band reuse its buffer without
+    /// blanking it: every pixel of the span it returns is written. Over
+    /// intermediates whose rows are all content, `n + 1` pixels wide, seen
+    /// through a whole-pixel shift (so a row's interior — all four taps on
+    /// the image — is exactly `n` pixels), with `n` one less than, equal to
+    /// and one more than 1, 2 and 3 full chunks: each screen row warped into
+    /// a line pre-filled with a NaN sentinel in every compiled copy must
+    /// carry the reference's bits over its whole span and no sentinel.
+    #[test]
+    fn warp_kernel_equivalence_of_every_span_pixel() {
+        const SENTINEL: u32 = 0x7fc0_dead;
+        let stale = GrayAlpha::new(f32::from_bits(SENTINEL), f32::from_bits(SENTINEL));
+        let fit = |n: usize, screen: usize| n + (n + screen) % 2;
+        for k in 1..=3 {
+            for n in [k * WARP_CHUNK - 1, k * WARP_CHUNK, k * WARP_CHUNK + 1] {
+                let (iw, ih) = (n + 1, 4);
+                let inter = Image::from_fn(iw, ih, |x, y| {
+                    GrayAlpha::new((x % 7) as f32 / 8.0, 0.25 + (y % 3) as f32 / 4.0)
+                });
+                let opts = RenderOptions {
+                    width: iw + 9,
+                    height: ih + 4,
+                    ..RenderOptions::paper()
+                };
+                let camera = Camera {
+                    scale: 1.0,
+                    ..Camera::front()
+                };
+                let dims = (fit(iw, opts.width), fit(ih, opts.height), 3);
+                let f = factorize(&camera, dims, opts.width, opts.height);
+                let inv = f.warp.inverse().unwrap();
+                assert_eq!((inv.x[2].fract(), inv.y[2].fract()), (0.0, 0.0), "n {n}");
+                let want = warp_reference(&inter, &f, &opts);
+                let warp = ScreenWarp::new(&inter, &f, &opts, None);
+                for copy in compiled_copies() {
+                    let mut widest = 0;
+                    for y in 0..opts.height {
+                        let mut line = vec![stale; opts.width];
+                        let span = copy.run(WarpRow {
+                            warp: &warp,
+                            inv: &inv,
+                            y,
+                            line: &mut line,
+                        });
+                        let what = format!("n {n}, row {y}, {} copy, span {span:?}", copy.name());
+                        let row = &want.pixels()[y * opts.width..][..opts.width];
+                        for x in span.clone() {
+                            let (got, want) = (line[x], row[x]);
+                            assert!(got.v.to_bits() != SENTINEL, "{what}: pixel {x} unwritten");
+                            let bits = |p: GrayAlpha| (p.v.to_bits(), p.a.to_bits());
+                            assert_eq!(bits(got), bits(want), "{what}: pixel {x}");
+                        }
+                        widest = widest.max(span.len());
+                    }
+                    // The interior and one edge pixel either side.
+                    assert_eq!(widest, n + 2, "n {n}: {} copy", copy.name());
+                }
+            }
+        }
     }
 
     /// The warp at the benchmark's screen size, where rows are hundreds of

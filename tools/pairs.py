@@ -13,7 +13,10 @@ function keeps code placement from moving a number between two builds. The
 flag is for this evidence only; the benchmark command builds without it.
 
 Each pair runs one workload once on each side, `--workload W --seed S
---seconds T --trace 0`, and alternates which side runs first. For every
+--seconds T --trace 0`, and alternates which side runs first. Around each
+run it reads the host's steal time from `/proc/stat` and, from `os.wait4`,
+the run's own voluntary and involuntary context switches; each pair's line
+shows them per side, and the JSON keeps them under `host`. For every
 end-to-end metric BENCHMARK.json declares, the table prints the parent's and
 the child's median, the parent's interquartile range (IQR), the change of the
 medians and wins/N (pairs in which the child is better). A claim holds when
@@ -85,19 +88,39 @@ def build(root, workdir, tree):
     return os.path.join(side, "benchmark", "target", "release", "rt-benchmark"), side
 
 
+def cpu_ticks():
+    """The host's steal ticks and all its ticks so far, from `/proc/stat`."""
+    with open("/proc/stat") as f:
+        fields = [int(x) for x in f.readline().split()[1:]]
+    return fields[7], sum(fields)
+
+
 def run(binary, cwd, workload, seed, seconds):
-    out = subprocess.run(
-        [binary, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-        + ["--trace", "0"],
-        cwd=cwd,
-        check=True,
-        capture_output=True,
-        text=True,
-    )
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    """One run's metrics, and what the host did around it: the share of the
+    host's CPU time stolen meanwhile (percent) and the run's voluntary and
+    involuntary context switches."""
+    argv = [binary, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    steal_before, total_before = cpu_ticks()
+    with tempfile.TemporaryFile() as err:
+        child = subprocess.Popen(argv + ["--trace", "0"], cwd=cwd, stdout=subprocess.PIPE, stderr=err)
+        stdout = child.stdout.read().decode()
+        child.stdout.close()
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        if child.returncode != 0:
+            err.seek(0)
+            sys.stderr.write(err.read().decode(errors="replace"))
+            sys.exit(f"{workload} in {cwd}: exit status {child.returncode}")
+    steal_after, total_after = cpu_ticks()
+    result = json.loads(stdout.strip().splitlines()[-1])
     if result["failed"]:
         sys.exit(f"{workload} in {cwd}: {result['failed']} failed frames")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    host = {
+        "steal_pct": 100.0 * (steal_after - steal_before) / max(total_after - total_before, 1),
+        "voluntary_csw": usage.ru_nvcsw,
+        "involuntary_csw": usage.ru_nivcsw,
+    }
+    return {name: m["value"] for name, m in result["metrics"].items()}, host
 
 
 def quartiles(xs):
@@ -162,15 +185,23 @@ def main():
         sides[name] = build(root, workdir, tree)
 
     report = {"parent_rev": args.parent_rev, "child_rev": args.child or "working tree"}
-    report.update(seed=args.seed, seconds=args.seconds, pairs=args.pairs, workloads={})
+    report.update(seed=args.seed, seconds=args.seconds, pairs=args.pairs, workloads={}, host={})
     for workload in workloads:
         samples = {"parent": [], "child": []}
+        report["host"][workload] = []
         for i in range(args.pairs):
             order = ("parent", "child") if i % 2 == 0 else ("child", "parent")
+            host = {}
             for name in order:
                 binary, cwd = sides[name]
-                samples[name].append(run(binary, cwd, workload, args.seed, args.seconds))
-            print(f"{workload}: pair {i + 1}/{args.pairs}", file=sys.stderr)
+                values, host[name] = run(binary, cwd, workload, args.seed, args.seconds)
+                samples[name].append(values)
+            report["host"][workload].append(host)
+            sides_line = "  ".join(
+                f"{name} steal {h['steal_pct']:.1f}% csw {h['voluntary_csw']}/{h['involuntary_csw']}"
+                for name, h in sorted(host.items(), reverse=True)
+            )
+            print(f"{workload}: pair {i + 1}/{args.pairs}  {sides_line}", file=sys.stderr)
         report["workloads"][workload] = [
             summarize(
                 m, better, bound, [s[m] for s in samples["parent"]], [s[m] for s in samples["child"]]
