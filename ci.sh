@@ -180,6 +180,14 @@ gone=$(grep -rnE '\b[w]ith_gather\b|\.[r]esidual\b|\b[w]ith_window\b|\b[S]treamC
     crates src tests examples docs ci.sh .claude \
     ./DESIGN.md ./PAPER.md ./PAPERS.md ./README.md ./SNIPPETS.md || true)
 [ -z "$gone" ] || vocabulary_fail "a setting or entry point with one value in use is back" "$gone"
+# Each count is kept once: message, retransmit and byte counts are the
+# trace's, so the observer's copies, the replay's and the stream frame's
+# stay gone; so do the tile counters nothing read and the tuner's codec axis
+# no caller enabled (bracketed so this line does not match itself).
+gone=$(grep -rnE '[t]iles_scanned|[t]iles_exact_fallback|[a]ck_timeouts|[b]ytes_received|[m]essages_sent|[F]rameStats|[c]odec_ratios|[w]ire_model' \
+    crates src tests examples docs ci.sh .claude ./DESIGN.md ./EXPERIMENTS.md \
+    ./PAPER.md ./PAPERS.md ./README.md ./SNIPPETS.md || true)
+[ -z "$gone" ] || vocabulary_fail "a second tally of a traced count is back" "$gone"
 # A frame is a stream of one: rt-pvr has one per-rank frame body, so its
 # non-test code has no barrier and marks a render's start in one place.
 pvr=$(non_test_src | grep '^crates/pvr/src/' || true)

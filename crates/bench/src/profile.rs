@@ -190,8 +190,10 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> io::Result<()> {
                 emitted.push(path.clone());
 
                 // Text flamegraph of the virtual clock plus headline
-                // counters (including the kernel-path block).
+                // counters (including the kernel-path block). Message counts
+                // are the trace's; every rep sends the same messages.
                 let total = observer.counters_total();
+                let reps = args.reps as u64;
                 writeln!(
                     out,
                     "{}",
@@ -205,8 +207,8 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> io::Result<()> {
                     out,
                     "  counters: {} sends, {} retransmits, {} wire bytes ({}), \
                      pool {}H/{}M, {} blank-skipped, {} opaque-fast",
-                    total.sends,
-                    total.retransmits,
+                    trace.message_count() * reps,
+                    trace.retransmit_count() * reps,
                     total.wire_bytes_for(codec.name()),
                     codec.name(),
                     total.pool_hits,

@@ -614,14 +614,6 @@ impl RankCtx {
                     attempt,
                 });
             }
-            self.obs_counters(|c| {
-                if attempt == 0 {
-                    c.sends += 1;
-                } else {
-                    c.retransmits += 1;
-                }
-                c.bytes_sent += bytes;
-            });
             let dropped = (attempt == 0 && faults.drops.contains(&key))
                 || faults.severed.contains(&(self.rank, to))
                 || faults.chance(DROP_SALT, self.rank, to, seq, attempt) < faults.drop_rate;
@@ -650,7 +642,6 @@ impl RankCtx {
                 // wait one backoff window for the acknowledgement that
                 // never comes, then retry.
                 self.events.push(Event::AckWait { to, seq, attempt });
-                self.obs_counters(|c| c.ack_timeouts += 1);
                 continue;
             }
             return Ok(());
@@ -679,7 +670,6 @@ impl RankCtx {
         }
         if !known || msg.payload.checksum() != msg.checksum {
             self.checksum_rejects += 1;
-            self.obs_counters(|c| c.checksum_rejects += 1);
             return;
         }
         self.pending[msg.from].push_back(msg);
@@ -721,16 +711,11 @@ impl RankCtx {
     fn recv_inner(&mut self, from: usize, tag: u64) -> Result<Payload, CommError> {
         self.check_rank(from)?;
         let msg = self.take(from, tag, Instant::now(), true)?;
-        let bytes = msg.payload.len() as u64;
         self.events.push(Event::Recv {
             from,
             tag,
-            bytes,
+            bytes: msg.payload.len() as u64,
             seq: msg.seq,
-        });
-        self.obs_counters(|c| {
-            c.recvs += 1;
-            c.bytes_received += bytes;
         });
         Ok(msg.payload)
     }
@@ -748,7 +733,9 @@ impl RankCtx {
         started: Instant,
         span_polls: bool,
     ) -> Result<WireFrame, CommError> {
-        let deadline = started + self.timeout;
+        // A deadline past the clock's range is no deadline: the backends'
+        // `recv_raw` then wait without bound.
+        let deadline = started.checked_add(self.timeout);
         loop {
             let queue = &mut self.pending[from];
             let found = queue.iter().position(|m| m.tag == tag);
@@ -758,9 +745,10 @@ impl RankCtx {
             if self.dead.contains_key(&from) {
                 return Err(CommError::RankFailed { rank: from });
             }
-            let remaining = match deadline.checked_duration_since(Instant::now()) {
-                Some(d) => d,
-                None => return Err(self.recv_failure(from, tag, started)),
+            let remaining = match deadline.map(|d| d.checked_duration_since(Instant::now())) {
+                Some(Some(d)) => d,
+                Some(None) => return Err(self.recv_failure(from, tag, started)),
+                None => self.timeout,
             };
             let wait_started = if span_polls { self.obs_start() } else { None };
             let polled = self.transport.recv_raw(remaining);
@@ -1193,6 +1181,22 @@ mod tests {
             }
         });
         assert_eq!(results[1], vec![2, 1]);
+    }
+
+    #[test]
+    fn a_deadline_past_the_clock_is_no_deadline() {
+        let mc = Multicomputer::new(2).with_timeout(Duration::MAX);
+        let (results, _) = mc.run(|ctx| {
+            if ctx.rank() == 0 {
+                ctx.send(1, 3, vec![7]).unwrap();
+                ctx.recv(1, 4).unwrap()[0]
+            } else {
+                let got = ctx.recv(0, 3).unwrap()[0];
+                ctx.send(0, 4, vec![got + 1]).unwrap();
+                got
+            }
+        });
+        assert_eq!(results, vec![8, 7]);
     }
 
     #[test]

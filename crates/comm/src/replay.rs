@@ -54,7 +54,9 @@ impl std::fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// Priced summary of one rank's activity.
+/// Priced summary of one rank's activity: times only. Message, retransmit
+/// and byte counts are read off the trace itself ([`Trace::message_count`],
+/// [`Trace::retransmit_count`], [`Trace::bytes_sent`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RankStats {
     /// Virtual time at which the rank finished its last event.
@@ -69,16 +71,10 @@ pub struct RankStats {
     pub codec_time: f64,
     /// Time spent rendering.
     pub render_time: f64,
-    /// Messages sent.
-    pub messages_sent: u64,
-    /// Retransmissions performed by the reliable-delivery layer.
-    pub retransmits: u64,
     /// Time spent in acknowledgement-timeout backoff before retransmitting.
     pub backoff_time: f64,
     /// Receiver-side per-message overhead (`Σ tr`; zero in the presets).
     pub recv_overhead_time: f64,
-    /// Bytes sent (post-compression, as recorded, including retransmits).
-    pub bytes_sent: u64,
 }
 
 impl RankStats {
@@ -498,8 +494,6 @@ fn walk(
                         emit(&mut timelines, r, Phase::Send, at, clocks[r], dur);
                         clocks[r] += dur;
                         stats[r].send_time += dur;
-                        stats[r].messages_sent += 1;
-                        stats[r].bytes_sent += bytes;
                         publish(&mut sent, &retried, (r, *to, *seq), 0, (clocks[r], i));
                         Some(Phase::Send)
                     }
@@ -516,8 +510,6 @@ fn walk(
                         emit(&mut timelines, r, Phase::Send, at, clocks[r], dur);
                         clocks[r] += dur;
                         stats[r].send_time += dur;
-                        stats[r].retransmits += 1;
-                        stats[r].bytes_sent += bytes;
                         publish(
                             &mut sent,
                             &retried,
@@ -964,7 +956,7 @@ mod tests {
         // Two non-root ranks each send one 10-byte message (cost 2.0);
         // the root waits for both.
         assert!((report.makespan - 2.0).abs() < 1e-12);
-        assert_eq!(report.ranks[1].messages_sent, 1);
-        assert_eq!(report.ranks[0].messages_sent, 0);
+        assert_eq!(report.ranks[1].send_time, 2.0);
+        assert_eq!(report.ranks[0].send_time, 0.0);
     }
 }

@@ -165,22 +165,13 @@ pub(crate) fn place_puzzle_tile<'a, P: Pixel>(
     // Solo-local: the finished tile is the local content, in place.
     let mut first_two = contributors();
     if let (Some((_, None)), None) = (first_two.next(), first_two.next()) {
-        ctx.obs_counters(|c| c.tiles_placed += 1);
         return Ok(true);
     }
     let area = tiles.grid.area(t);
     let overlap = overlap_pixels(contributors().map(|(ivals, _)| ivals));
     if overlap * 1000 > budget_permille as usize * area {
-        ctx.obs_counters(|c| c.tiles_exact_fallback += 1);
         return Ok(false);
     }
-    ctx.obs_counters(|c| {
-        if overlap == 0 {
-            c.tiles_placed += 1;
-        } else {
-            c.tiles_approx += 1;
-        }
-    });
 
     // Placement: farthest-first interval copies, nearest content winning
     // conflict pixels. No `over` work — priced like the gather stage
@@ -201,7 +192,6 @@ pub(crate) fn place_puzzle_tile<'a, P: Pixel>(
         place_piece(&mut acc, tw, iv, |row| Ok(&staged[row * tw..][..tw]))?;
         scratch.put_acc(staged);
         ctx.obs_span(Phase::Decode, dec_started);
-        ctx.obs_counters(|c| c.tiles_recv += 1);
     }
     scatter(local, grid.row_spans(t), &acc)?;
     scratch.put_acc(acc);

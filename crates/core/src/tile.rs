@@ -756,19 +756,18 @@ impl<P: Pixel> TileScan<'_, P> {
             let mut bundle = Vec::with_capacity(size);
             // The codec streams are booked by `encode_into`; the rest is the
             // interval metadata and the framing (bitmap, length prefixes).
-            let (mut sent, mut streamed) = (0, 0);
+            let mut streamed = 0;
             write_bundle_into(&mut bundle, set.clone(), ivals, |t, out| {
                 let at = out.len();
                 let (started, rows) = (ctx.obs_start(), grid.row_spans(t));
                 self.stage
                     .encode_spans_into(ctx, started, scratch, local, rows, out)?;
-                (sent, streamed) = (sent + 1, streamed + out.len() - at);
+                streamed += out.len() - at;
                 Ok(())
             })?;
             let intervals: usize = set.flatten().map(|t| 4 * ivals(t).len()).sum();
             let framing = bundle.len() - streamed - intervals;
             ctx.obs_counters(|c| {
-                c.tiles_sent += sent;
                 c.add_wire_bytes("tile-manifest", framing as u64);
                 if intervals > 0 {
                     c.add_wire_bytes("pz-segments", intervals as u64);
@@ -838,7 +837,6 @@ impl<P: Pixel> TileScan<'_, P> {
                 if let Some(piece) = piece_of(r) {
                     self.stage
                         .merge(ctx, piece.stream, &mut acc, OverDir::Back)?;
-                    ctx.obs_counters(|c| c.tiles_recv += 1);
                 }
                 continue;
             }
@@ -909,11 +907,6 @@ pub(crate) fn compose_tiles<P: Pixel>(
         Some(_) => scan_tiles(&local, &plan.grid, &mut have, &mut segs)?,
     }
     ctx.obs_span(Phase::Encode, scan_started);
-    let blank_tiles = have.iter().filter(|h| !**h).count() as u64;
-    ctx.obs_counters(|c| {
-        c.tiles_scanned += nt as u64;
-        c.tiles_blank += blank_tiles;
-    });
     let mut scan = TileScan {
         stage,
         plan,

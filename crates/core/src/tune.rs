@@ -8,14 +8,8 @@
 //! [`choose`] returns the winner; [`sweep`] returns the whole ranked space
 //! for reports.
 //!
-//! Three axes extend the flat sweep:
+//! Two axes extend the flat sweep, which prices the raw wire format:
 //!
-//! * **Codecs.** A per-codec compression ratio (measured, e.g. from a
-//!   trace's `bytes_sent` under that codec against raw) scales the wire
-//!   term `Tp`; every enabled codec multiplies the method space. Codec
-//!   CPU time is *not* modeled (the paper's premise is that TRLE's bit
-//!   operations are cheap); fold it into the ratio if it matters on a
-//!   platform.
 //! * **Content.** [`TuneOptions::content_fraction`] is the fraction of
 //!   the frame that actually holds non-blank pixels. It prices the
 //!   tile-ownership method, which ships only content tiles — modeled as
@@ -38,7 +32,6 @@ use crate::method::Method;
 use crate::rotate::RtVariant;
 use crate::CoreError;
 use rt_comm::{CostModel, Event, Trace};
-use rt_compress::CodecKind;
 use rt_obs::{Phase, RankTimeline};
 
 /// One evaluated design point.
@@ -46,8 +39,6 @@ use rt_obs::{Phase, RankTimeline};
 pub struct Candidate {
     /// The method (with parameters).
     pub method: Method,
-    /// The wire codec the cost was priced under.
-    pub codec: CodecKind,
     /// Its statically predicted cost.
     pub cost: ScheduleCost,
 }
@@ -55,12 +46,6 @@ pub struct Candidate {
 /// Search options.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuneOptions {
-    /// Per-codec wire-volume ratios, indexed like [`CodecKind::ALL`]
-    /// (raw, RLE, TRLE, bounds). `Some(r)` enables the codec and scales
-    /// `Tp` by `r`; `None` leaves it out of the sweep. The default
-    /// enables only the raw codec at ratio 1, which keeps the sweep
-    /// identical to the flat single-codec space.
-    pub codec_ratios: [Option<f64>; 4],
     /// Largest hierarchical group size `k` to consider (powers of two
     /// from 2 up to `min(max_group, p/2)`). `0` (the default) disables
     /// hierarchical candidates.
@@ -74,7 +59,6 @@ pub struct TuneOptions {
 impl Default for TuneOptions {
     fn default() -> Self {
         Self {
-            codec_ratios: [Some(1.0), None, None, None],
             max_group: 0,
             content_fraction: 1.0,
         }
@@ -98,8 +82,7 @@ impl TuneOptions {
 /// Largest rotate-tiling block count the sweep considers.
 const MAX_BLOCKS: usize = 12;
 
-/// Wire bytes per pixel before codec scaling (the `GrayAlpha8` format the
-/// benches compose).
+/// Wire bytes per pixel (the `GrayAlpha8` format the benches compose).
 const BYTES_PER_PIXEL: usize = 2;
 
 /// The default tile grid for tile-ownership candidates (the bench
@@ -116,15 +99,6 @@ fn flat_candidates(p: usize) -> Vec<Method> {
         out.push(Method::BinarySwapFold);
     }
     out
-}
-
-/// Codec-scaled wire model: compression shrinks every message's payload
-/// by `ratio`, which under the paper's linear model is a `Tp` scaling.
-fn wire_model(base: &CostModel, ratio: f64) -> CostModel {
-    CostModel {
-        tp: base.tp * ratio,
-        ..*base
-    }
 }
 
 /// Price tile-ownership: one bundle per (sender, owner) — exactly
@@ -165,9 +139,8 @@ fn hier_intra_candidates(p: usize, k: usize) -> Vec<IntraMethod> {
 
 /// Evaluate every applicable design point — the flat methods (the four
 /// baselines, rotate-tiling at every admissible block count up to 12,
-/// tile-ownership when content is sparse) times every enabled codec, plus
-/// hierarchical `(k, intra)` pairs when `opts.max_group ≥ 2` — ranked best
-/// first.
+/// tile-ownership when content is sparse), plus hierarchical `(k, intra)`
+/// pairs when `opts.max_group ≥ 2` — ranked best first.
 pub fn sweep(
     p: usize,
     image_len: usize,
@@ -175,59 +148,47 @@ pub fn sweep(
     opts: &TuneOptions,
 ) -> Result<Vec<Candidate>, CoreError> {
     let mut out = Vec::new();
-    for (ci, codec) in CodecKind::ALL.iter().enumerate() {
-        let Some(ratio) = opts.codec_ratios[ci] else {
-            continue;
-        };
-        let wire = wire_model(cost, ratio);
-        let mut push = |method: Method, sc: ScheduleCost| {
-            out.push(Candidate {
-                method,
-                codec: *codec,
-                cost: sc,
+    let mut push = |method: Method, cost: ScheduleCost| out.push(Candidate { method, cost });
+    let mut scheduled = flat_candidates(p);
+    for b in 1..=MAX_BLOCKS {
+        if b % 2 == 0 {
+            scheduled.push(Method::RotateTiling {
+                variant: RtVariant::TwoN,
+                blocks: b,
             });
-        };
-        let mut scheduled = flat_candidates(p);
-        for b in 1..=MAX_BLOCKS {
-            if b % 2 == 0 {
-                scheduled.push(Method::RotateTiling {
-                    variant: RtVariant::TwoN,
-                    blocks: b,
-                });
-            } else if p.is_multiple_of(2) {
-                scheduled.push(Method::RotateTiling {
-                    variant: RtVariant::N,
-                    blocks: b,
-                });
+        } else if p.is_multiple_of(2) {
+            scheduled.push(Method::RotateTiling {
+                variant: RtVariant::N,
+                blocks: b,
+            });
+        }
+    }
+    for m in scheduled {
+        push(m, analyze(&m.build(p, image_len)?, cost, BYTES_PER_PIXEL));
+    }
+    if opts.content_fraction < 1.0 && p > 1 {
+        let sc = tile_owner_cost(p, image_len, cost, opts.content_fraction)?;
+        push(
+            Method::TileOwner {
+                tiles_x: TO_GRID.0,
+                tiles_y: TO_GRID.1,
+            },
+            sc,
+        );
+    }
+    let mut k = 2usize;
+    while k <= opts.max_group && k <= p / 2 {
+        for intra in hier_intra_candidates(p, k) {
+            let m = Method::Hier { k, intra };
+            // A pair whose groups the intra method cannot run is not a
+            // design point; it must not abort the sweep.
+            match m.build(p, image_len) {
+                Ok(s) => push(m, analyze(&s, cost, BYTES_PER_PIXEL)),
+                Err(CoreError::UnsupportedShape { .. }) => {}
+                Err(e) => return Err(e),
             }
         }
-        for m in scheduled {
-            push(m, analyze(&m.build(p, image_len)?, &wire, BYTES_PER_PIXEL));
-        }
-        if opts.content_fraction < 1.0 && p > 1 {
-            let sc = tile_owner_cost(p, image_len, &wire, opts.content_fraction)?;
-            push(
-                Method::TileOwner {
-                    tiles_x: TO_GRID.0,
-                    tiles_y: TO_GRID.1,
-                },
-                sc,
-            );
-        }
-        let mut k = 2usize;
-        while k <= opts.max_group && k <= p / 2 {
-            for intra in hier_intra_candidates(p, k) {
-                let m = Method::Hier { k, intra };
-                // A pair whose groups the intra method cannot run is not a
-                // design point; it must not abort the sweep.
-                match m.build(p, image_len) {
-                    Ok(s) => push(m, analyze(&s, &wire, BYTES_PER_PIXEL)),
-                    Err(CoreError::UnsupportedShape { .. }) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            k *= 2;
-        }
+        k *= 2;
     }
     // Ranked by the paper's composition stage: time including the gather.
     out.sort_by(|a, b| {
@@ -466,8 +427,6 @@ mod tests {
         for w in cands.windows(2) {
             assert!(w[0].cost.makespan_with_gather <= w[1].cost.makespan_with_gather);
         }
-        // The default options price raw only.
-        assert!(cands.iter().all(|c| c.codec == CodecKind::Raw));
     }
 
     #[test]
@@ -512,28 +471,6 @@ mod tests {
         assert!(cands
             .iter()
             .any(|c| matches!(c.method, Method::BinarySwapFold)));
-    }
-
-    #[test]
-    fn codec_ratio_scales_the_ranking() {
-        // TRLE at a 4:1 measured ratio: every method's TRLE point beats
-        // its raw point under a bandwidth-bound model, and the space
-        // doubles.
-        let mut opts = opts();
-        opts.codec_ratios[2] = Some(0.25); // TRLE, indexed like `CodecKind::ALL`
-        let cost = CostModel::new(1e-7, 1e-7, 0.0);
-        let cands = sweep(8, 1 << 16, &cost, &opts).unwrap();
-        assert_eq!(cands.len(), 30);
-        assert_eq!(cands[0].codec, CodecKind::Trle);
-        for c in &cands {
-            if c.codec == CodecKind::Raw {
-                let twin = cands
-                    .iter()
-                    .find(|t| t.codec == CodecKind::Trle && t.method == c.method)
-                    .unwrap();
-                assert!(twin.cost.makespan_with_gather < c.cost.makespan_with_gather);
-            }
-        }
     }
 
     #[test]

@@ -244,7 +244,7 @@ mod tests {
         trace.meta_process(PID_WALL, "wall clock");
         trace.add_timeline(PID_VIRTUAL, &sample_timeline());
         let mut counters = Counters {
-            sends: 4,
+            pool_hits: 4,
             ..Counters::default()
         };
         counters.add_wire_bytes("rle", 99);

@@ -10,9 +10,9 @@
 //!   clock: the execution layer records **wall-clock** spans through a
 //!   [`Recorder`], and `rt-comm`'s `replay_timeline` derives **virtual-
 //!   clock** spans from the event trace;
-//! * [`Counters`] — retransmits, corrupt/dropped envelopes, scratch-pool
-//!   hits/misses, blank-skip and opaque fast-path activations, and bytes
-//!   on the wire per codec;
+//! * [`Counters`] — scratch-pool hits/misses, blank-skip and opaque
+//!   fast-path activations, non-blank merges and bytes on the wire per
+//!   codec (message counts live in the `rt-comm` event trace);
 //! * [`chrome`] — a Chrome-trace (Perfetto) JSON exporter plus
 //!   [`summary::phase_summary`], a compact text flamegraph;
 //! * [`reconcile()`] — the consistency check that per-phase virtual-time

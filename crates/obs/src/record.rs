@@ -166,12 +166,12 @@ mod tests {
         let mut r0 = obs.recorder(0);
         let t = Instant::now();
         r0.record_span(Phase::Send, Some(1), None, t);
-        r0.counters_mut().sends = 2;
+        r0.counters_mut().pool_hits = 2;
         obs.checkin(r0);
 
         let mut r0b = obs.recorder(0);
         r0b.record_span(Phase::Over, None, None, Instant::now());
-        r0b.counters_mut().sends = 3;
+        r0b.counters_mut().pool_hits = 3;
         obs.checkin(r0b);
 
         let mut r3 = obs.recorder(3);
@@ -187,8 +187,8 @@ mod tests {
         assert_eq!(timelines[1].rank, 3);
 
         let counters = obs.counters();
-        assert_eq!(counters[0].1.sends, 5);
-        assert_eq!(obs.counters_total().sends, 5);
+        assert_eq!(counters[0].1.pool_hits, 5);
+        assert_eq!(obs.counters_total().pool_hits, 5);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod stream;
 pub use pipeline::{render_frame, render_frame_pooled, FrameRun, PipelineConfig, PipelineOutput};
 pub use scene::{compose_scene, prepare_scene, Scene};
 pub use stream::{
-    orbit_cameras, FrameStats, OrbitConfig, StreamConfig, StreamFrame, StreamHandle, StreamSession,
+    orbit_cameras, OrbitConfig, StreamConfig, StreamFrame, StreamHandle, StreamSession,
 };
 
 /// Threads this process has started to run frames: rt-comm's tally (rank

@@ -343,7 +343,7 @@ impl<'a> FrameRun<'a> {
         Ok(PipelineOutput {
             frame: frame.frame,
             trace: frame.trace,
-            rank_of_depth: frame.stats.rank_of_depth,
+            rank_of_depth: frame.rank_of_depth,
             method_name,
             degraded: frame.degraded,
         })

@@ -6,7 +6,7 @@
 //! The workload is an orbit ([`OrbitConfig`]): the views of a moving camera,
 //! the interactive-rendering scenario that motivates the paper (composition
 //! cost is paid *per frame*). Each frame re-derives the depth permutation
-//! for its view and reports [`FrameStats`].
+//! for its view and emits it as a [`StreamFrame`].
 //!
 //! A serial animation loop (one [`crate::FrameRun`] per view) pays the
 //! paper's Eq. 5/6 communication cost *after* each frame's render, so every
@@ -62,7 +62,6 @@ use rt_core::repair::DegradedInfo;
 use rt_core::tile::compose_plan;
 use rt_imaging::{GrayAlpha, Image};
 use rt_render::camera::Camera;
-use serde::{Deserialize, Serialize};
 
 /// An orbit sweep specification.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,21 +86,6 @@ impl OrbitConfig {
             pitch: 0.2,
         }
     }
-}
-
-/// Per-frame statistics of an orbit run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FrameStats {
-    /// Frame index.
-    pub index: usize,
-    /// Camera yaw of this frame.
-    pub yaw: f64,
-    /// Bytes shipped (post-codec).
-    pub bytes: u64,
-    /// Messages sent.
-    pub messages: u64,
-    /// Physical rank at each depth position for this view.
-    pub rank_of_depth: Vec<usize>,
 }
 
 /// The camera of every frame of `orbit`, with its yaw: index `i` gets yaw
@@ -193,8 +177,10 @@ pub struct StreamFrame {
     pub seq: u64,
     /// The final screen frame.
     pub frame: Image<GrayAlpha>,
-    /// Per-frame statistics (traffic, depth order).
-    pub stats: FrameStats,
+    /// Camera yaw of this frame.
+    pub yaw: f64,
+    /// Physical rank at each depth position for this view.
+    pub rank_of_depth: Vec<usize>,
     /// `Some` when rank failures degraded this frame — it is then the
     /// exact composite of the surviving ranks.
     pub degraded: Option<DegradedInfo>,
@@ -509,20 +495,13 @@ pub(crate) fn assemble_frame(
             what: "no rank produced the final frame".into(),
         })
     })?;
-    let trace = Trace { ranks };
-    let stats = FrameStats {
-        index,
-        yaw,
-        bytes: trace.bytes_sent(),
-        messages: trace.message_count(),
-        rank_of_depth,
-    };
     Ok(StreamFrame {
         seq: index as u64,
         frame: image,
-        stats,
+        yaw,
+        rank_of_depth,
         degraded,
-        trace,
+        trace: Trace { ranks },
     })
 }
 
@@ -578,21 +557,20 @@ mod tests {
             // In order, with sequence numbers, each priced.
             for (i, f) in frames.iter().enumerate() {
                 assert_eq!(f.seq, i as u64);
-                assert_eq!(f.stats.index, i);
                 assert!(f.compose_time(&CostModel::SP2) > 0.0);
-                assert!(f.stats.bytes > 0);
+                assert!(f.trace.bytes_sent() > 0);
                 assert!(f.degraded.is_none());
             }
             // Yaw sweeps start → end; a one-frame orbit sits at the start.
-            assert!((frames[0].stats.yaw - orbit.start_yaw).abs() < 1e-12);
+            assert!((frames[0].yaw - orbit.start_yaw).abs() < 1e-12);
             if orbit.frames > 1 {
                 let last = frames.last().unwrap();
-                assert!((last.stats.yaw - orbit.end_yaw).abs() < 1e-12);
+                assert!((last.yaw - orbit.end_yaw).abs() < 1e-12);
             }
             if orbit == half {
                 // Sweeping yaw through π reverses the traversal of the slabs.
-                assert_eq!(frames[0].stats.rank_of_depth, vec![0, 1, 2]);
-                assert_eq!(frames[1].stats.rank_of_depth, vec![2, 1, 0]);
+                assert_eq!(frames[0].rank_of_depth, vec![0, 1, 2]);
+                assert_eq!(frames[1].rank_of_depth, vec![2, 1, 0]);
             }
         }
     }
@@ -742,7 +720,7 @@ mod tests {
             // Frames before the death complete cleanly.
             for expect in 0..2usize {
                 let frame = stream.next().expect("stream open").expect("clean frame");
-                assert_eq!(frame.stats.index, expect);
+                assert_eq!(frame.seq, expect as u64);
             }
             // The death between frames 1 and 2 surfaces as *frame 2's*
             // typed error — the frame the rank abandoned — not as a stale

@@ -183,7 +183,7 @@ fn between_frame_death_attributes_the_abandoned_frame_on_both_transports() {
             .next()
             .expect("frame 0 emitted")
             .expect("frame 0 clean");
-        assert_eq!(first.stats.index, 0);
+        assert_eq!(first.seq, 0);
         let err = stream.next().expect("error emitted").unwrap_err();
         match err {
             PvrError::Frame { index, .. } => assert_eq!(index, 1, "{transport:?}"),
@@ -298,11 +298,11 @@ fn a_stream_past_the_frame_tag_wrap_matches_the_serial_frames() {
         let frame = frame.unwrap();
         assert_eq!(frame.seq, streamed as u64);
         streamed += 1;
-        if frame.stats.index + 1 < wrap {
+        if frame.seq as usize + 1 < wrap {
             continue;
         }
         let mut serial = config;
-        serial.camera = cameras[frame.stats.index].1;
+        serial.camera = cameras[frame.seq as usize].1;
         let want = FrameRun::new(2, &serial).execute().unwrap().frame;
         assert!(want.pixels().iter().any(|px| px.a > 0.0), "a blank frame");
         let bits = |image: &Image<GrayAlpha>| -> Vec<(u32, u32)> {
