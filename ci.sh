@@ -451,8 +451,11 @@ echo "== envelope checksum =="
 # plan's `^ 0xA5` of every byte at lengths 1..=200 caught, and a trailing
 # zero byte changing it; a payload's kept checksum equals the reference too
 # (`envelope_checksum_contract` — the only test that fails when the lane
-# loop leaves lane 7 unhashed).
-cargo test -q --release -p rt-comm envelope_checksum
+# loop leaves lane 7 unhashed). A payload is hashed once, a damaged copy
+# afresh, and a clean in-process message by nobody (`…_hashed_…`); rt-net
+# seals an unsealed frame with its payload's checksum, so the wire bytes
+# are what they were (`…_sealed_…`).
+cargo test -q --release -p rt-comm -p rt-net --lib -- envelope_checksum hashed sealed
 
 echo "== render stage probe =="
 # The benchmark's orbit with each stage timed on its own (slab sweeps,

@@ -8,10 +8,12 @@
 //! (see [`mod@crate::replay`]).
 //!
 //! **Reliable delivery.** Every message carries a per-channel sequence
-//! number and a payload checksum, word-wise FNV-1a in eight independent
-//! lanes, hashed once per buffer: the [`Payload`] keeps the value, so
-//! retransmissions and an in-process receiver's check read it rather than
-//! hash the bytes again. A [`FaultPlan`] can drop or
+//! number, and every copy of its bytes a checksum of the intact ones,
+//! word-wise FNV-1a in eight independent lanes, hashed once per buffer
+//! ([`Payload`] keeps the value). An undamaged in-process attempt moves the
+//! sender's own buffer, so it goes unsealed and nobody hashes it; a damaged
+//! copy, or a frame a backend copied off a socket, is sealed and checked
+//! (see [`Transport`]). A [`FaultPlan`] can drop or
 //! corrupt messages (deterministically or at a seeded rate); the sender
 //! retransmits with exponential backoff, up to [`MAX_ATTEMPTS`] attempts,
 //! recording `Retransmit`/`AckWait` trace events so the virtual-clock
@@ -169,10 +171,11 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// The delivery envelope's checksum: word-wise FNV-1a in eight independent
-/// lanes, hashed once per buffer and kept by [`Payload::checksum`]. A sent
-/// buffer is hashed by its sender, and a buffer read off a socket by its
-/// receiver, so one serial multiply chain would set the wall-clock cost of
-/// moving a large frame; eight chains keep the multiplier busy instead.
+/// lanes, hashed once per buffer and kept by [`Payload::checksum`]. A
+/// buffer sent over a socket is hashed by its sender, and the copy read off
+/// the socket by its receiver, so one serial multiply chain would set the
+/// wall-clock cost of moving a large frame; eight chains keep the
+/// multiplier busy instead.
 ///
 /// Lane `i` hashes words `i, i + 8, …` of the payload's whole 64-byte
 /// blocks; the eight lane states and then the payload length are folded
@@ -324,10 +327,10 @@ const CORRUPT_SALT: u64 = 0xC0;
 /// attempt materializes a fresh buffer (it must damage its own copy).
 ///
 /// The buffer keeps its envelope checksum next to its bytes, hashed on
-/// first use: the bytes never change, so the sender's hash serves every
-/// attempt and, in process, the receiver's check of the same buffer. Each
-/// buffer is hashed at most once; a fresh buffer — a damaged copy, a frame
-/// read off a socket — is hashed afresh.
+/// first use — by a backend that seals a copy, or by the check of a sealed
+/// frame — and never for a buffer that only moves in process. The bytes
+/// never change, so one hash serves every attempt; a fresh buffer (a
+/// damaged copy, a frame read off a socket) is hashed afresh.
 ///
 /// `Payload` dereferences to `[u8]`, so receivers use it like a byte
 /// slice.
@@ -352,6 +355,16 @@ impl Payload {
     /// the kept value on every later one, from this handle or a clone.
     fn checksum(&self) -> u64 {
         *self.0.checksum.get_or_init(|| fnv1a(&self.0.bytes))
+    }
+}
+
+impl WireFrame {
+    /// The checksum a copy of this frame's bytes carries: the frame's own,
+    /// or for an unsealed frame the payload's kept hash (hashed now if no
+    /// one has yet). A backend that copies the bytes puts this value on the
+    /// copy (see [`Transport`]).
+    pub fn sealed_checksum(&self) -> u64 {
+        self.checksum.unwrap_or_else(|| self.payload.checksum())
     }
 }
 
@@ -543,7 +556,7 @@ impl RankCtx {
         to: usize,
         tag: u64,
         seq: u64,
-        checksum: u64,
+        checksum: Option<u64>,
         payload: Payload,
     ) -> Result<(), CommError> {
         let frame = WireFrame {
@@ -568,10 +581,9 @@ impl RankCtx {
     /// effort, since a peer whose endpoint is gone has already exited.
     fn post_control(&mut self, peers: &[usize], tag: u64, bytes: Vec<u8>) {
         let payload = Payload::from(bytes);
-        let checksum = payload.checksum();
         for &to in peers {
             let seq = self.open_send(to, tag, payload.len() as u64);
-            let _ = self.post(to, tag, seq, checksum, payload.clone());
+            let _ = self.post(to, tag, seq, None, payload.clone());
         }
     }
 
@@ -583,7 +595,8 @@ impl RankCtx {
     /// times with exponential backoff; all attempts and backoff windows
     /// are recorded in the trace so replay prices the recovery. Every
     /// attempt shares one [`Payload`] buffer — retransmission never copies
-    /// the bytes.
+    /// the bytes — and goes out unsealed: only a damaged copy carries the
+    /// intact bytes' checksum, so only it costs a hash here.
     pub fn send(
         &mut self,
         to: usize,
@@ -603,7 +616,6 @@ impl RankCtx {
         let key = (self.rank, to, seq);
         let wire_tag = *self.faults.tag_corruptions.get(&key).unwrap_or(&tag);
         let faults = Arc::clone(&self.faults);
-        let checksum = payload.checksum();
         for attempt in 0..MAX_ATTEMPTS {
             if attempt > 0 {
                 self.events.push(Event::Retransmit {
@@ -620,20 +632,20 @@ impl RankCtx {
             let corrupted = !dropped
                 && faults.chance(CORRUPT_SALT, self.rank, to, seq, attempt) < faults.corrupt_rate;
             if !dropped {
-                let mut sum = checksum;
-                let wire = if corrupted {
-                    // Deliver a damaged frame: the receiver's checksum
-                    // rejects it. Only this path copies the bytes — the
-                    // damage must not reach the shared buffer the
-                    // retransmission will resend.
+                let (sum, wire) = if corrupted {
+                    // Deliver a damaged frame sealed with the intact bytes'
+                    // checksum: the receiver's check rejects it. Only this
+                    // path copies the bytes — the damage must not reach the
+                    // shared buffer the retransmission will resend.
+                    let mut sum = payload.checksum();
                     let mut bad = payload.to_vec();
                     match bad.first_mut() {
                         Some(b) => *b ^= 0xA5,
                         None => sum ^= 1,
                     }
-                    Payload::from(bad)
+                    (Some(sum), Payload::from(bad))
                 } else {
-                    payload.clone()
+                    (None, payload.clone())
                 };
                 self.post(to, wire_tag, seq, sum, wire)?;
             }
@@ -654,8 +666,10 @@ impl RankCtx {
     }
 
     /// File an incoming frame: intercept death notices, drop and count a
-    /// frame whose checksum fails or whose sender is outside the machine
-    /// (`from` comes off the wire), queue the rest.
+    /// frame whose sealed checksum fails or whose sender is outside the
+    /// machine (`from` comes off the wire), queue the rest. An unsealed
+    /// frame is the sender's own buffer, moved whole with its envelope, so
+    /// there is nothing to check.
     fn stash(&mut self, msg: WireFrame) {
         let known = msg.from < self.size;
         if known && msg.tag == tag::DEATH {
@@ -668,7 +682,10 @@ impl RankCtx {
             self.dead.insert(msg.from, step);
             return;
         }
-        if !known || msg.payload.checksum() != msg.checksum {
+        let damaged = msg
+            .checksum
+            .is_some_and(|sum| msg.payload.checksum() != sum);
+        if !known || damaged {
             self.checksum_rejects += 1;
             return;
         }
@@ -914,16 +931,15 @@ impl RankCtx {
     fn barrier_round(&mut self, tag: u64) -> Result<(), CommError> {
         let started = Instant::now();
         let empty = Payload::from(Vec::new());
-        let checksum = empty.checksum();
         if self.rank == 0 {
             for from in 1..self.size {
                 self.take(from, tag, started, false)?;
             }
             for to in 1..self.size {
-                self.post(to, tag, 0, checksum, empty.clone())?;
+                self.post(to, tag, 0, None, empty.clone())?;
             }
         } else {
-            self.post(0, tag, 0, checksum, empty)?;
+            self.post(0, tag, 0, None, empty)?;
             self.take(0, tag, started, false)?;
         }
         Ok(())
@@ -1299,6 +1315,33 @@ mod tests {
         assert_eq!(payload.checksum(), sum);
     }
 
+    /// A clean in-process send moves the sender's own buffer, unsealed, and
+    /// its receive checks nothing: the payload's hash is never computed, on
+    /// the sending side or the receiving one, for a data message or a
+    /// barrier round. Fails when a clean attempt is sealed, or when the
+    /// receiver hashes an unsealed frame.
+    #[test]
+    fn a_clean_in_process_message_is_hashed_by_nobody() {
+        let payload = Payload::from((0..4096).map(|i| i as u8).collect::<Vec<u8>>());
+        let sent = payload.clone();
+        let (results, trace) = Multicomputer::new(2).run(|ctx| {
+            if ctx.rank() == 0 {
+                ctx.send(1, 5, sent.clone())?;
+                ctx.barrier()?;
+                Ok(None)
+            } else {
+                let got = ctx.recv(0, 5)?;
+                ctx.barrier()?;
+                Ok::<_, CommError>(Some((got, ctx.checksum_rejects())))
+            }
+        });
+        let (got, rejects) = results[1].clone().unwrap().unwrap();
+        assert!(Arc::ptr_eq(&got.0, &payload.0), "the sender's own buffer");
+        assert_eq!(got.0.checksum.get(), None, "hashed by the receiver");
+        assert_eq!(payload.0.checksum.get(), None, "hashed by the sender");
+        assert_eq!((rejects, trace.retransmit_count()), (0, 0));
+    }
+
     #[test]
     fn severed_channel_exhausts_retries() {
         let mc = Multicomputer::new(2)
@@ -1542,7 +1585,7 @@ mod tests {
         for ledger in ledgers {
             let (mut ctx, mut peer) = ctx_and_raw_peer(FaultPlan::none());
             let mut frame = WireFrame::control(1, tag, ledger);
-            frame.checksum = fnv1a(&frame.payload);
+            frame.checksum = Some(fnv1a(&frame.payload));
             peer.send_raw(0, frame).unwrap();
             let malformed = CommError::Malformed { from: 1, tag };
             assert_eq!(ctx.liveness_exchange(&[]), Err(malformed));
@@ -1555,7 +1598,7 @@ mod tests {
             let (mut ctx, mut peers) = ctx_and_raw_peers(4, FaultPlan::none());
             for (from, ledger) in [(3, Vec::new()), (2, Vec::new()), (1, ledger)] {
                 let mut frame = WireFrame::control(from, tag, ledger);
-                frame.checksum = fnv1a(&frame.payload);
+                frame.checksum = Some(fnv1a(&frame.payload));
                 peers[from - 1].send_raw(0, frame).unwrap();
             }
             let got = ctx.liveness_exchange(&[]);

@@ -36,9 +36,9 @@ use std::time::Duration;
 /// plus the (possibly shared) payload bytes.
 ///
 /// The envelope fields are written by [`crate::comm::RankCtx`]; a backend
-/// moves them verbatim. On [`InProc`] the payload is a reference-counted
-/// pointer bump; the TCP backend serializes the frame with a length prefix
-/// (see `rt-net`).
+/// moves them verbatim, or seals them (see [`Transport`]). On [`InProc`]
+/// the payload is a reference-counted pointer bump; the TCP backend
+/// serializes the frame with a length prefix (see `rt-net`).
 #[derive(Debug, Clone)]
 pub struct WireFrame {
     /// Sending rank.
@@ -47,9 +47,14 @@ pub struct WireFrame {
     pub tag: u64,
     /// Per-directed-channel FIFO sequence number.
     pub seq: u64,
-    /// Checksum of the payload as the sender computed it: word-wise FNV-1a
-    /// in eight lanes, defined by the delivery envelope in [`crate::comm`].
-    pub checksum: u64,
+    /// Checksum of the payload as the sender computed it — word-wise
+    /// FNV-1a in eight lanes, defined by the delivery envelope in
+    /// [`crate::comm`] — which the receiver checks against the bytes it
+    /// holds. `None` seals nothing: the payload is the sender's own buffer,
+    /// undamaged, so a backend that moves the buffer itself needs no hash,
+    /// and one that delivers a copy seals it with
+    /// [`WireFrame::sealed_checksum`].
+    pub checksum: Option<u64>,
     /// The message bytes.
     pub payload: Payload,
 }
@@ -64,7 +69,7 @@ impl WireFrame {
             from,
             tag,
             seq: 0,
-            checksum: 0,
+            checksum: None,
             payload: Payload::from(payload),
         }
     }
@@ -111,6 +116,14 @@ pub enum RecvRawError {
 /// frame it is handed, and the only frames it originates are the death
 /// notice of a peer it has given up on and whatever its links exchange
 /// below `recv_raw`.
+///
+/// A backend that delivers the sender's own [`Payload`] (as [`InProc`]
+/// does, moving the whole frame) may leave an unsealed frame's
+/// [`WireFrame::checksum`] `None`: nothing can change the bytes between the
+/// two ends, so nobody hashes them. A backend that delivers a *copy* of the
+/// bytes seals it: it carries [`WireFrame::sealed_checksum`] across and
+/// surfaces the copy with `Some` of that value, so the receiver checks the
+/// bytes it got against the sender's.
 pub trait Transport: Send {
     /// This endpoint's rank in `0..world_size`.
     fn rank(&self) -> usize;
@@ -201,7 +214,7 @@ mod tests {
             from,
             tag,
             seq: 0,
-            checksum: 0,
+            checksum: None,
             payload: Payload::from(payload),
         }
     }

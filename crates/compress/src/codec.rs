@@ -135,17 +135,20 @@ pub trait Codec<P: Pixel>: Send + Sync {
         Ok(over_decoded(&pixels, dst, dir))
     }
 
-    /// Decode into a destination that is already blank: exactly
-    /// [`Codec::decode_over`] in front of that blank `dst` — the same
-    /// pixels, the same [`OverStats`] (all three counters), and the same
-    /// streams accepted and rejected.
+    /// Decode over `dst`, whatever it held: on success `dst` holds exactly
+    /// what [`Codec::decode_over`] in front of a blank `dst` leaves there —
+    /// the same pixels, the same [`OverStats`] (all three counters) — and
+    /// the same streams are accepted and rejected. On an invalid stream
+    /// only the verdict is pinned.
     ///
-    /// This default **is** that merge. [`RawCodec`] and
-    /// [`TrleCodec`](crate::TrleCodec) override it to write the stream's
-    /// pixels through [`Pixel::unpack_bytes`], a copy for the fixed-point
-    /// types and the front merge itself for the others, so `−0.0`, NaN and
-    /// ±∞ come out as that merge leaves them.
+    /// This default blanks `dst` and runs that merge.
+    /// [`RawCodec`] and [`TrleCodec`](crate::TrleCodec) override it to
+    /// write each pixel once: the stream's pixels through
+    /// [`Pixel::unpack_bytes`] (a copy for the fixed-point types, `src over
+    /// blank` for the others, so `−0.0`, NaN and ±∞ come out as that merge
+    /// leaves them), and TRLE's blank runs and clear template bits as blank.
     fn decode_into(&self, data: &[u8], dst: &mut [P]) -> Result<OverStats, CodecError> {
+        dst.fill(P::blank());
         self.decode_over(data, dst, OverDir::Front)
     }
 

@@ -352,23 +352,25 @@ impl<P: Pixel> Codec<P> for TrleCodec {
         dir: OverDir,
     ) -> Result<OverStats, CodecError> {
         match dir {
-            OverDir::Front => trle_over(data, dst, P::over_front_bytes),
-            OverDir::Back => trle_over(data, dst, P::over_back_bytes),
+            OverDir::Front => trle_over(data, dst, P::over_front_bytes, false),
+            OverDir::Back => trle_over(data, dst, P::over_back_bytes, false),
         }
     }
 
     fn decode_into(&self, data: &[u8], dst: &mut [P]) -> Result<OverStats, CodecError> {
-        trle_over(data, dst, P::unpack_bytes)
+        trle_over(data, dst, P::unpack_bytes, true)
     }
 }
 
 /// A TRLE message merged into `dst` through `kernel`, one of the pixel
 /// type's byte kernels (see [`raw_body`]): a raw-fallback body in one call,
-/// a template body by [`trle_over_codes`].
+/// a template body by [`trle_over_codes`], which writes its unshipped
+/// pixels blank when `overwrite` is set.
 fn trle_over<P: Pixel>(
     data: &[u8],
     dst: &mut [P],
     kernel: impl Fn(&mut [P], &[u8]) -> Result<OverStats, ImagingError>,
+    overwrite: bool,
 ) -> Result<OverStats, CodecError> {
     let Some((&mode, body)) = data.split_first() else {
         if dst.is_empty() {
@@ -380,7 +382,7 @@ fn trle_over<P: Pixel>(
         MODE_RAW => raw_body("trle", body, dst, kernel),
         MODE_TRLE => {
             let (codes, payload) = split_body(body)?;
-            trle_over_codes(codes, payload, dst, kernel)
+            trle_over_codes(codes, payload, dst, kernel, overwrite)
         }
         _ => Err(CodecError::Corrupt {
             codec: "trle",
@@ -402,13 +404,15 @@ fn trle_over<P: Pixel>(
 /// The stats of shipped pixels are the kernel's own: an honest encoder
 /// ships only non-blank ones, and a blank one under a set bit counts as
 /// what it is, exactly as decode-then-`over` would count it. For
-/// [`Codec::decode_into`] `kernel` is the unpack: blank runs stay as the
-/// blank destination has them.
+/// [`Codec::decode_into`] `kernel` is the unpack and `overwrite` is set:
+/// blank runs and the clear bits of mixed tiles are written blank, so
+/// every pixel of `dst` is written once, whatever it held.
 fn trle_over_codes<P: Pixel>(
     codes: &[u8],
     payload: &[u8],
     dst: &mut [P],
     kernel: impl Fn(&mut [P], &[u8]) -> Result<OverStats, ImagingError>,
+    overwrite: bool,
 ) -> Result<OverStats, CodecError> {
     let n_pixels = dst.len();
     let expected_tiles = n_pixels.div_ceil(TILE);
@@ -417,6 +421,7 @@ fn trle_over_codes<P: Pixel>(
         payload,
         dst,
         kernel,
+        overwrite,
         run: 0..0,
         at: 0,
         stats: OverStats::default(),
@@ -431,7 +436,7 @@ fn trle_over_codes<P: Pixel>(
         if template == 0 {
             // Whole-run blank skip; tiles padding past the image are not
             // skipped source pixels.
-            runs.stats.blank_skipped += (run * TILE).min(n_pixels - base);
+            runs.skip(base..n_pixels.min(base + run * TILE));
             tile_idx += run;
             continue;
         }
@@ -445,7 +450,7 @@ fn trle_over_codes<P: Pixel>(
                 let pixel_idx = tile_idx * TILE + j;
                 if template & (1 << j) == 0 {
                     if pixel_idx < n_pixels {
-                        runs.stats.blank_skipped += 1;
+                        runs.skip(pixel_idx..pixel_idx + 1);
                     }
                     continue;
                 }
@@ -474,11 +479,13 @@ fn trle_over_codes<P: Pixel>(
 }
 
 /// The set pixels of a TRLE walk, merged a run of adjacent pixels at a
-/// time: `dst[run]` is pending, its payload at byte `at`.
+/// time: `dst[run]` is pending, its payload at byte `at`. With `overwrite`
+/// the clear pixels are written blank as the walk passes them.
 struct Runs<'a, P, K> {
     payload: &'a [u8],
     dst: &'a mut [P],
     kernel: K,
+    overwrite: bool,
     run: Range<usize>,
     at: usize,
     stats: OverStats,
@@ -493,6 +500,15 @@ impl<P: Pixel, K: Fn(&mut [P], &[u8]) -> Result<OverStats, ImagingError>> Runs<'
         }
         self.run.end = pixels.end;
         Ok(())
+    }
+
+    /// Pass the clear `pixels`: counted blank, and written blank when the
+    /// walk overwrites.
+    fn skip(&mut self, pixels: Range<usize>) {
+        self.stats.blank_skipped += pixels.len();
+        if self.overwrite {
+            self.dst[pixels].fill(P::blank());
+        }
     }
 
     /// Merge the pending run in one kernel call over its payload pixels.

@@ -3,10 +3,10 @@
 //! fused byte-level walks (raw, RLE, TRLE) and the bounds codec, which runs
 //! the trait default. The executor's hot path relies on this equivalence
 //! being **bit-exact** (virtual-clock charges and composited frames must
-//! not depend on which walk ran). `decode_into` is pinned the same way to
-//! `decode_over(Front)` onto a blank destination, over every pixel type's
-//! wire stream: `GrayAlpha8`, `Provenance`, and `GrayAlpha` holding `−0.0`,
-//! NaN and ±∞.
+//! not depend on which walk ran). `decode_into` over a dirty destination is
+//! pinned the same way to `decode_over(Front)` onto a blank one, over every
+//! pixel type's wire stream: `GrayAlpha8`, `Provenance`, and `GrayAlpha`
+//! holding `−0.0`, NaN and ±∞.
 
 mod common;
 
@@ -62,8 +62,8 @@ fn check_equivalence<P: Pixel>(src: &[P], dst: &[P]) {
     }
 }
 
-/// Every codec's `decode_into` of `src`'s stream against its
-/// `decode_over(Front)`, both onto blank.
+/// Every codec's `decode_into` of `src`'s stream over a dirty destination
+/// against its `decode_over(Front)` onto blank.
 fn check_decode_into<P: Pixel>(src: &[P]) {
     for kind in CodecKind::ALL {
         let codec = kind.build::<P>();

@@ -2,8 +2,8 @@
 //! trust nothing in it: whatever the bytes, they return a typed error or
 //! the right pixels — never a panic, never a different verdict from each
 //! other, and never an allocation sized by a length the stream claims.
-//! `decode_into` onto blank is held to `decode_over(Front)` onto blank over
-//! the same corpus.
+//! `decode_into` over a dirty destination is held to `decode_over(Front)`
+//! onto blank over the same corpus.
 
 mod common;
 

@@ -271,10 +271,19 @@ impl<P: Pixel> Scratch<P> {
         }
     }
 
-    /// A blank-filled accumulator of `len` pixels, reusing a retired
-    /// buffer when one is available. Reuses and fresh allocations are
-    /// tallied as pool hits/misses on observed runs.
+    /// A blank-filled accumulator of `len` pixels: [`Scratch::take_buf`],
+    /// blanked.
     pub(crate) fn take_acc(&mut self, len: usize, ctx: &mut RankCtx) -> Vec<P> {
+        let mut buf = self.take_buf(len, ctx);
+        buf.fill(P::blank());
+        buf
+    }
+
+    /// A buffer of `len` pixels holding whatever its last use left, for a
+    /// receiver that writes every pixel (`Stage::unpack`), reusing a
+    /// retired buffer when one is available. Reuses and fresh allocations
+    /// are tallied as pool hits/misses on observed runs.
+    pub(crate) fn take_buf(&mut self, len: usize, ctx: &mut RankCtx) -> Vec<P> {
         let reused = !self.spare_accs.is_empty();
         ctx.obs_counters(|c| {
             if reused {
@@ -284,7 +293,6 @@ impl<P: Pixel> Scratch<P> {
             }
         });
         let mut buf = self.spare_accs.pop().unwrap_or_default();
-        buf.clear();
         buf.resize(len, P::blank());
         buf
     }
@@ -551,11 +559,10 @@ impl<'a, P: Pixel> Stage<'a, P> {
         Ok(stats)
     }
 
-    /// Decode a received message into the blank `dst` through
+    /// Decode a received message over `dst`, whatever it held, through
     /// [`Codec::decode_into`](rt_compress::Codec::decode_into), which
-    /// writes the stream's pixels where `over` onto blank would leave the
-    /// same ones — the gather and placement receive: a decode charge, no
-    /// `over` charge.
+    /// writes the pixels `over` onto blank would leave — the gather and
+    /// placement receive: a decode charge, no `over` charge.
     pub fn unpack(&self, ctx: &mut RankCtx, bytes: &[u8], dst: &mut [P]) -> Result<(), CoreError> {
         self.charge_decode(ctx, bytes);
         let stats = self.codec.decode_into(bytes, dst)?;
@@ -683,11 +690,9 @@ pub(crate) fn compose_schedule<P: Pixel>(
                 }
                 MergeDir::Place => {
                     // What the buffer still shows here is this rank's own
-                    // send-time copy; the message replaces it.
+                    // send-time copy; the message overwrites it.
                     let started = ctx.obs_start();
-                    let placed = local.span_pixels_mut(t.span)?;
-                    placed.fill(P::blank());
-                    stage.unpack(ctx, &bytes, placed)?;
+                    stage.unpack(ctx, &bytes, local.span_pixels_mut(t.span)?)?;
                     ctx.obs_span(Phase::Decode, started);
                 }
             }
@@ -835,16 +840,7 @@ where
         .iter()
         .flat_map(|d| d.failed.iter().map(|(r, _)| *r))
         .collect();
-    let frame = gather(
-        ctx,
-        stage,
-        scratch,
-        &owned,
-        &local,
-        wall,
-        &dead,
-        &gather_tag,
-    )?;
+    let frame = gather(ctx, stage, scratch, &owned, local, wall, &dead, &gather_tag)?;
     ctx.mark(Mark::GatherEnd);
     Ok(ComposeOutput {
         frame,
@@ -866,12 +862,14 @@ fn cell_pieces<J: Iterator<Item = Span> + Clone>(
         .filter(|(_, segs)| segs.clone().next().is_some())
 }
 
-/// The segments a gather message's stream carries: every unflagged piece's,
-/// and each flagged piece's whose bit is set in `bitmap` (the `i`-th
-/// flagged piece reads bit `i`).
+/// The segments a gather message's stream carries (`sent`): every
+/// unflagged piece's, and each flagged piece's whose bit is set in `bitmap`
+/// (the `i`-th flagged piece reads bit `i`) — or, with `sent` false, the
+/// rest: each flagged piece's whose bit is clear.
 fn shipped<'b, J>(
     pieces: impl Iterator<Item = (Option<bool>, J)> + Clone + 'b,
     bitmap: &'b [u8],
+    sent: bool,
 ) -> impl Iterator<Item = (Span, usize)> + Clone + 'b
 where
     J: Iterator<Item = (Span, usize)> + Clone + 'b,
@@ -881,9 +879,18 @@ where
             *i += 1;
             bit(bitmap, *i - 1)
         };
-        Some(set.then_some(segs))
+        Some((set == sent).then_some(segs))
     };
     pieces.scan(0, keep).flatten().flatten()
+}
+
+/// Whether `frame` is blank on every cell segment of `segs`: what the
+/// in-place gather relies on where it writes nothing.
+fn blank_on<P: Pixel>(frame: &Image<P>, mut segs: impl Iterator<Item = (Span, usize)>) -> bool {
+    segs.all(|(seg, at)| {
+        let pixels = frame.span_pixels(Span::new(at, seg.len));
+        pixels.is_ok_and(|pixels| !P::any_non_blank(pixels))
+    })
 }
 
 /// Bit `i` of a little-endian bitmap.
@@ -896,20 +903,29 @@ fn bit(bitmap: &[u8], i: usize) -> bool {
 /// `MPI_Gatherv`): a bitmap over its flagged pieces that meet the cell,
 /// bit set where the piece holds content, then one codec stream of the
 /// shipped pieces' segments in ownership order — unflagged pieces always,
-/// flagged ones where their bit is set, no stream when none is. Each
-/// display rank assembles its own cell-sized framebuffer from a blank one.
-/// Sender and receiver walk the same segments off the owner's pieces, so
-/// nothing else is negotiated or listed; for the root's one-cell wall the
-/// segments are the owner's spans themselves. Returns the cell image on
-/// display ranks, `None` elsewhere. Ranks owning nothing send nothing, and
-/// dead ranks (post-repair) neither send nor receive.
+/// flagged ones where their bit is set, no stream when none is. Sender and
+/// receiver walk the same segments off the owner's pieces, so nothing else
+/// is negotiated or listed; for the root's one-cell wall the segments are
+/// the owner's spans themselves. Each display rank decodes every stream
+/// over its owner's segments of the cell, a raw stream cut at the segment
+/// boundaries and any other through one staging buffer.
+///
+/// Where the cell is the whole frame and no rank died — every gather to the
+/// root — the display rank assembles the frame in `local` itself: its own
+/// pieces are already in place, every other owner's stream overwrites
+/// that owner's segments, and a piece no stream carries is blank there
+/// already (a tile its live owner flags blank held content at no rank,
+/// since every rank ships each tile it has content in to its owner). Any
+/// other display rank assembles its cell from a blank framebuffer. Returns
+/// the cell image on display ranks, `None` elsewhere. Ranks owning nothing
+/// send nothing, and dead ranks (post-repair) neither send nor receive.
 #[allow(clippy::too_many_arguments)]
 fn gather<P: Pixel, I, J>(
     ctx: &mut RankCtx,
     stage: &Stage<P>,
     scratch: &mut Scratch<P>,
     owned: &impl Fn(usize) -> I,
-    local: &Image<P>,
+    local: Image<P>,
     wall: DisplayWall,
     dead: &BTreeSet<usize>,
     gather_tag: &impl Fn(usize) -> u64,
@@ -945,7 +961,7 @@ where
             None => ctx.obs_span(Phase::Encode, started),
             Some(_) => {
                 let segs = segs.map(|(seg, _)| seg);
-                stage.encode_spans_into(ctx, started, scratch, local, segs, &mut bytes)?
+                stage.encode_spans_into(ctx, started, scratch, &local, segs, &mut bytes)?
             }
         }
         ctx.send(drank, gather_tag(tag::wall_slot(d, me)), bytes)?;
@@ -954,14 +970,27 @@ where
         return Ok(None);
     };
     let cell = wall.cell_rect(d, width, height);
-    // The blank cell and this rank's own pieces with content are frame
-    // assembly, a decode's work on the wall clock.
-    let started = ctx.obs_start();
-    let mut out = Image::blank(cell.width(), cell.height());
-    ctx.obs_span(Phase::Decode, started);
+    let in_place = wall.count() == 1 && dead.is_empty();
+    let (mut out, local) = match in_place {
+        true => (local, None),
+        false => {
+            // The blank cell is frame assembly, a decode's work on the wall
+            // clock.
+            let started = ctx.obs_start();
+            let blank = Image::blank(cell.width(), cell.height());
+            ctx.obs_span(Phase::Decode, started);
+            (blank, Some(local))
+        }
+    };
     for owner in (0..ctx.size()).filter(|owner| !dead.contains(owner)) {
         let pieces = cell_pieces(owned(owner), width, cell);
         if owner == me {
+            let Some(local) = &local else {
+                let unheld = pieces.filter(|piece| !held(piece));
+                debug_assert!(blank_on(&out, unheld.flat_map(|(_, segs)| segs)));
+                continue;
+            };
+            // This rank's own pieces with content, copied into the cell.
             let started = ctx.obs_start();
             (pieces.filter(held).flat_map(|(_, segs)| segs)).try_for_each(
                 |(seg, at)| -> Result<(), CoreError> {
@@ -994,24 +1023,42 @@ where
         if (n..bitmap.len() * 8).any(|i| bit(bitmap, i)) {
             return Err(bad(format!("sets a bit past its {n} pieces")));
         }
-        let segs = shipped(pieces, bitmap);
+        let segs = shipped(pieces.clone(), bitmap, true);
         let mut peek = segs.clone();
         match (peek.next(), peek.next()) {
             (None, _) if stream.is_empty() => {}
             (None, _) => return Err(bad(format!("has {} trailing bytes", stream.len()))),
-            // One segment: stream straight into the blank cell.
+            // One segment: stream straight into the cell.
             (Some((first, at)), None) => {
                 stage.unpack(ctx, stream, out.span_pixels_mut(Span::new(at, first.len))?)?
             }
+            // A raw stream is its segments end to end: each part decoded
+            // straight into place, the last taking whatever is left, so a
+            // stream of the wrong length is still the codec's error.
+            _ if stage.raw => {
+                let mut rest = stream;
+                let mut segs = segs.peekable();
+                while let Some((seg, at)) = segs.next() {
+                    let take = match segs.peek() {
+                        Some(_) => rest.len().min(seg.len * P::BYTES),
+                        None => rest.len(),
+                    };
+                    let (part, tail) = rest.split_at(take);
+                    stage.unpack(ctx, part, out.span_pixels_mut(Span::new(at, seg.len))?)?;
+                    rest = tail;
+                }
+            }
             _ => {
                 let total = segs.clone().map(|(seg, _)| seg.len).sum();
-                let mut staged = scratch.take_acc(total, ctx);
+                let mut staged = scratch.take_buf(total, ctx);
                 stage.unpack(ctx, stream, &mut staged)?;
                 let cell_spans = segs.map(|(seg, at)| Span::new(at, seg.len));
                 scatter(&mut out, cell_spans, &staged)?;
                 scratch.put_acc(staged);
             }
         }
+        // A well-formed message's unshipped tiles are blank in place.
+        debug_assert!(!in_place || blank_on(&out, shipped(pieces, bitmap, false)));
         ctx.obs_span(Phase::Decode, started);
     }
     Ok(Some(out))

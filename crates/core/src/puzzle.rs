@@ -187,7 +187,7 @@ pub(crate) fn place_puzzle_tile<'a, P: Pixel>(
             continue;
         };
         let dec_started = ctx.obs_start();
-        let mut staged = scratch.take_acc(area, ctx);
+        let mut staged = scratch.take_buf(area, ctx);
         stage.unpack(ctx, bytes, &mut staged)?;
         place_piece(&mut acc, tw, iv, |row| Ok(&staged[row * tw..][..tw]))?;
         scratch.put_acc(staged);

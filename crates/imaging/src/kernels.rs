@@ -318,14 +318,14 @@ fn ga8_over_bytes<const FRONT: bool>(dst: &mut [GrayAlpha8], src: &[u8]) -> Over
     stats
 }
 
-/// The unpack of a wire stream into blank pixels, `dst[i] = src[i]`: what
-/// the front merge leaves on a blank destination (`f + mul255(255 − fa, 0)
-/// = f`), with the front merge's counters — blank iff the lane word is 0,
-/// opaque iff its alpha byte is 255. One flat loop writes each pixel and
-/// sums both tests into 16-bit counters, which the compiler turns into
-/// vector lanes (a `usize` count would be a scalar one). A block of at most
-/// `u16::MAX` pixels cannot wrap them. `src.len() == dst.len() * 2` is the
-/// caller's contract.
+/// The unpack of a wire stream over whatever `dst` held, `dst[i] =
+/// src[i]`: what the front merge leaves on a blank destination (`f +
+/// mul255(255 − fa, 0) = f`), with the front merge's counters — blank iff
+/// the lane word is 0, opaque iff its alpha byte is 255. One flat loop
+/// writes each pixel and sums both tests into 16-bit counters, which the
+/// compiler turns into vector lanes (a `usize` count would be a scalar
+/// one). A block of at most `u16::MAX` pixels cannot wrap them.
+/// `src.len() == dst.len() * 2` is the caller's contract.
 #[inline(always)]
 fn ga8_unpack(dst: &mut [GrayAlpha8], src: &[u8]) -> OverStats {
     let (mut non_blank, mut opaque) = (0, 0);
@@ -354,7 +354,7 @@ fn ga8_unpack(dst: &mut [GrayAlpha8], src: &[u8]) -> OverStats {
 
 /// One call of a [`GrayAlpha8`] span kernel, run by [`KernelCopy::run`]:
 /// the front or back merge of a wire stream or of a pixel slice, or the
-/// unpack of a wire stream into blank pixels. Its [`SpanKernel::run`] holds
+/// unpack of a wire stream over `dst`. Its [`SpanKernel::run`] holds
 /// all five bodies, so each compiled copy has its own. The callers check
 /// the lengths.
 pub(crate) enum Ga8<'a> {
@@ -370,7 +370,7 @@ pub(crate) enum Ga8<'a> {
         dst: &'a mut [GrayAlpha8],
         src: &'a [GrayAlpha8],
     },
-    /// [`ga8_unpack`]: a wire stream written into the blank `dst`.
+    /// [`ga8_unpack`]: a wire stream written over `dst`.
     Unpack {
         dst: &'a mut [GrayAlpha8],
         src: &'a [u8],
@@ -413,26 +413,39 @@ fn ga_from_wire(b: &[u8; 8]) -> GrayAlpha {
     )
 }
 
-/// One merge of the `f32` span body: `s` in front of `d` (`FRONT`) or
-/// behind it, through [`GrayAlpha::over`](crate::Pixel::over) itself.
+/// The three merges of the `f32` span body, through
+/// [`GrayAlpha::over`](crate::Pixel::over) itself: the source pixel `s` in
+/// front of the destination pixel `d`, behind it, or in front of blank
+/// whatever `d` holds (the unpack, which never reads `d`).
 #[inline(always)]
-fn ga_merge<const FRONT: bool>(s: &GrayAlpha, d: &GrayAlpha) -> GrayAlpha {
-    match FRONT {
-        true => s.over(d),
-        false => d.over(s),
-    }
+fn ga_front(s: &GrayAlpha, d: &GrayAlpha) -> GrayAlpha {
+    s.over(d)
 }
 
-/// The `f32` merge over one span, `dst[i] = src[i] over dst[i]` (`FRONT`)
-/// or `dst[i] = dst[i] over src[i]`, sixteen pixels per chunk: the source
-/// chunk is read into a pixel array by `load` (or taken from `src_tail`
-/// past the last whole chunk), every lane merged by [`ga_merge`] with no
+/// See [`ga_front`].
+#[inline(always)]
+fn ga_back(s: &GrayAlpha, d: &GrayAlpha) -> GrayAlpha {
+    d.over(s)
+}
+
+/// See [`ga_front`].
+#[inline(always)]
+fn ga_unpack(s: &GrayAlpha, _: &GrayAlpha) -> GrayAlpha {
+    s.over(&GrayAlpha::blank())
+}
+
+/// The `f32` merge over one span, `dst[i] = merge(src[i], dst[i])` with
+/// one of [`ga_front`], [`ga_back`] and [`ga_unpack`], sixteen pixels per
+/// chunk: the source chunk is read into a pixel array by `load` (or taken
+/// from `src_tail` past the last whole chunk), every lane merged with no
 /// branch and no blank skip — merging a blank is not a copy for `f32`
 /// (`+0 + 1 · −0` is `+0`), so every pixel runs the arithmetic — and a
 /// source pixel counted blank iff its [`Pixel::content_word`] is zero.
-/// `opaque_fast` stays 0, as on the per-pixel default.
+/// `opaque_fast` stays 0, as on the per-pixel default. Each merge is its
+/// own compiled body.
 #[inline(always)]
-fn ga_span<const FRONT: bool, C>(
+fn ga_span<C>(
+    merge: impl Fn(&GrayAlpha, &GrayAlpha) -> GrayAlpha,
     dst: &mut [GrayAlpha],
     src: &[C],
     src_tail: impl Iterator<Item = GrayAlpha>,
@@ -446,12 +459,12 @@ fn ga_span<const FRONT: bool, C>(
             .iter()
             .map(|s| (s.content_word() == 0) as u32)
             .sum::<u32>();
-        *d = std::array::from_fn(|k| ga_merge::<FRONT>(&s[k], &d[k]));
+        *d = std::array::from_fn(|k| merge(&s[k], &d[k]));
         blank += chunk_blank as usize;
     }
     for (d, s) in tail.iter_mut().zip(src_tail) {
         blank += (s.content_word() == 0) as usize;
-        *d = ga_merge::<FRONT>(&s, d);
+        *d = merge(&s, d);
     }
     OverStats {
         non_blank: dst.len() - blank,
@@ -463,10 +476,14 @@ fn ga_span<const FRONT: bool, C>(
 /// [`ga_span`] over a wire stream, eight bytes per pixel:
 /// `src.len() == dst.len() * 8` is the caller's contract.
 #[inline(always)]
-fn ga_span_bytes<const FRONT: bool>(dst: &mut [GrayAlpha], src: &[u8]) -> OverStats {
+fn ga_span_bytes(
+    merge: impl Fn(&GrayAlpha, &GrayAlpha) -> GrayAlpha,
+    dst: &mut [GrayAlpha],
+    src: &[u8],
+) -> OverStats {
     let (words, tail) = src.as_chunks::<{ 8 * GA_CHUNK }>();
     let tail = tail.as_chunks::<8>().0.iter().map(ga_from_wire);
-    ga_span::<FRONT, _>(dst, words, tail, |s| {
+    ga_span(merge, dst, words, tail, |s| {
         let (pixels, _) = s.as_chunks::<8>();
         std::array::from_fn(|k| ga_from_wire(&pixels[k]))
     })
@@ -474,15 +491,19 @@ fn ga_span_bytes<const FRONT: bool>(dst: &mut [GrayAlpha], src: &[u8]) -> OverSt
 
 /// [`ga_span`] over an in-memory pixel slice (`src.len() == dst.len()`).
 #[inline(always)]
-fn ga_over_pixels<const FRONT: bool>(dst: &mut [GrayAlpha], src: &[GrayAlpha]) -> OverStats {
+fn ga_over_pixels(
+    merge: impl Fn(&GrayAlpha, &GrayAlpha) -> GrayAlpha,
+    dst: &mut [GrayAlpha],
+    src: &[GrayAlpha],
+) -> OverStats {
     let (chunks, tail) = src.as_chunks::<GA_CHUNK>();
-    ga_span::<FRONT, _>(dst, chunks, tail.iter().copied(), |s| *s)
+    ga_span(merge, dst, chunks, tail.iter().copied(), |s| *s)
 }
 
 /// One call of a [`GrayAlpha`] span kernel, run by [`KernelCopy::run`]:
-/// the front or back merge of a wire stream or of a pixel slice (the
-/// unpack is the front merge onto blank, the trait's default). The callers
-/// check the lengths.
+/// the front or back merge of a wire stream or of a pixel slice, or the
+/// unpack of a wire stream over `dst`, which writes what the front merge
+/// leaves on blank. The callers check the lengths.
 pub(crate) enum Ga<'a> {
     /// A wire stream in front of `dst` or behind it.
     OverBytes {
@@ -496,6 +517,11 @@ pub(crate) enum Ga<'a> {
         dst: &'a mut [GrayAlpha],
         src: &'a [GrayAlpha],
     },
+    /// A wire stream in front of blank, written over `dst`.
+    Unpack {
+        dst: &'a mut [GrayAlpha],
+        src: &'a [u8],
+    },
 }
 
 impl SpanKernel for Ga<'_> {
@@ -505,13 +531,14 @@ impl SpanKernel for Ga<'_> {
     fn run(self) -> OverStats {
         match self {
             Ga::OverBytes { front, dst, src } => match front {
-                true => ga_span_bytes::<true>(dst, src),
-                false => ga_span_bytes::<false>(dst, src),
+                true => ga_span_bytes(ga_front, dst, src),
+                false => ga_span_bytes(ga_back, dst, src),
             },
             Ga::OverPixels { front, dst, src } => match front {
-                true => ga_over_pixels::<true>(dst, src),
-                false => ga_over_pixels::<false>(dst, src),
+                true => ga_over_pixels(ga_front, dst, src),
+                false => ga_over_pixels(ga_back, dst, src),
             },
+            Ga::Unpack { dst, src } => ga_span_bytes(ga_unpack, dst, src),
         }
     }
 }
@@ -648,9 +675,10 @@ mod tests {
         }
     }
 
-    /// The unpack kernel in each compiled copy against the front merge onto
-    /// a blank destination in the same copy — what the codecs' `decode_into`
-    /// is held to against `decode_over(Front)` — and its counters against
+    /// The unpack kernel in each compiled copy, over a destination that
+    /// holds every pixel but blank, against the front merge onto a blank
+    /// destination in the same copy — what the codecs' `decode_into` is
+    /// held to against `decode_over(Front)` — and its counters against
     /// their definitions: every 8-bit pixel once, by alpha then value (so
     /// each alpha's 256 pixels hold one of value 255), cut into pieces of 1
     /// to 47 pixels so the vectorised loop's whole vectors and its scalar
@@ -665,8 +693,8 @@ mod tests {
             .collect();
         let bytes = crate::pixel::pixels_to_bytes(&source);
         for copy in copies() {
-            let (mut unpacked, mut merged) =
-                (vec![GrayAlpha8::blank(); n], vec![GrayAlpha8::blank(); n]);
+            let mut unpacked: Vec<GrayAlpha8> = source.iter().rev().copied().collect();
+            let mut merged = vec![GrayAlpha8::blank(); n];
             let (mut at, mut len) = (0, 1);
             while at < n {
                 let end = (at + len).min(n);
@@ -750,14 +778,16 @@ mod tests {
     /// with `over`, kept as the oracle), bit for bit and all three counters:
     /// every pixel of [`f32_pixels`] merged with every other, in front and
     /// behind, from the wire stream and from a pixel slice, and every pixel
-    /// unpacked onto blank, cut into pieces of 1 to 47 pixels so lanes fall
+    /// unpacked over every other against its front merge onto blank, cut
+    /// into pieces of 1 to 47 pixels so lanes fall
     /// in whole chunks and in the tail at every offset. Then the blank scan
     /// against the per-pixel test: each pixel alone among `+0` and `−0`
     /// blanks at every offset of slices of 0 to 40 pixels. Every NaN the
     /// kernels write is [`CANONICAL_NAN`](crate::pixel::CANONICAL_NAN), and
     /// some merges write one. Fails on a kernel
     /// that counts blank by `a == 0.0` alone, skips a blank source pixel
-    /// (`+0` over `−0` is `+0`), or unpacks by copying.
+    /// (`+0` over `−0` is `+0`), unpacks by copying, or unpacks by merging
+    /// onto what the destination held.
     #[test]
     fn f32_kernel_equivalence() {
         use crate::pixel::over_each;
@@ -767,8 +797,8 @@ mod tests {
             .map(|k| (pixels[k / pixels.len()], pixels[k % pixels.len()]))
             .unzip();
         let bytes = crate::pixel::pixels_to_bytes(&fronts);
-        // `Some(front)`: a merge; `None`: the unpack onto blank (the trait's,
-        // in the widest copy).
+        // `Some(front)`: a merge; `None`: the unpack, over the same dirty
+        // destination, against the front merge onto blank.
         let oracle = |dir: Option<bool>, dst: &mut [GrayAlpha], src: &[GrayAlpha]| {
             let src = src.iter().copied().map(Ok);
             match dir {
@@ -786,17 +816,17 @@ mod tests {
         ];
         for copy in copies() {
             for (dir, wire) in cases {
-                let start = match dir {
+                let mut got = backs.clone();
+                let mut want = match dir {
                     Some(_) => backs.clone(),
                     None => vec![GrayAlpha::blank(); n],
                 };
-                let (mut got, mut want) = (start.clone(), start);
                 let (mut at, mut len) = (0, 1);
                 while at < n {
                     let end = (at + len).min(n);
                     let (dst, src) = (&mut got[at..end], &bytes[8 * at..8 * end]);
                     let stats = match (dir, wire) {
-                        (None, _) => GrayAlpha::unpack_bytes(dst, src).unwrap(),
+                        (None, _) => copy.run(Ga::Unpack { dst, src }),
                         (Some(front), true) => copy.run(Ga::OverBytes { front, dst, src }),
                         (Some(front), false) => {
                             let src = &fronts[at..end];

@@ -159,14 +159,18 @@ pub trait Pixel: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
         over_each(dst, stream, |s, d| d.over(s))
     }
 
-    /// Write a wire-format pixel stream into `dst`, which must be blank:
-    /// exactly what [`Pixel::over_front_bytes`] leaves there, with the same
-    /// [`OverStats`], all three counters. This default **is** that merge, so
-    /// the `f32` types keep its bits (`−0.0`, NaN and ±∞ merged onto blank
-    /// are not copies); [`GrayAlpha8`], whose merge onto blank is a copy,
-    /// overrides it with a bulk store.
+    /// Write a wire-format pixel stream over `dst`, whatever it held:
+    /// exactly what [`Pixel::over_front_bytes`] leaves on a blank `dst`,
+    /// with the same [`OverStats`], all three counters. This default writes
+    /// `src[i] over blank` pixel by pixel and never reads `dst`, so the
+    /// `f32` types keep that merge's bits (`−0.0` comes out `+0.0`, a NaN
+    /// the canonical one); [`GrayAlpha`] runs the same merge in its span
+    /// kernel, and [`GrayAlpha8`], whose merge onto blank is a copy, a bulk
+    /// store.
     fn unpack_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
-        Self::over_front_bytes(dst, src)
+        check_len("Pixel::unpack_bytes", dst.len() * Self::BYTES, src.len())?;
+        let stream = src.chunks_exact(Self::BYTES).map(Self::read_bytes);
+        over_each(dst, stream, |s, _| s.over(&Self::blank()))
     }
 
     /// The one merge of two in-memory pixel slices: `src` (exactly
@@ -334,8 +338,7 @@ impl Pixel for GrayAlpha {
     // The per-pixel defaults' arithmetic — `over` on every pixel, blank
     // ones too, since merging a blank is not a copy in `f32` — and their
     // counters, sixteen pixels per branch-free chunk in the widest
-    // compiled copy. The default unpack is the front merge, so it runs
-    // here too.
+    // compiled copy.
     fn over_front_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
         check_len("Pixel::over_front_bytes", dst.len() * 8, src.len())?;
         let front = true;
@@ -346,6 +349,11 @@ impl Pixel for GrayAlpha {
         check_len("Pixel::over_back_bytes", dst.len() * 8, src.len())?;
         let front = false;
         Ok(KernelCopy::widest().run(Ga::OverBytes { front, dst, src }))
+    }
+
+    fn unpack_bytes(dst: &mut [Self], src: &[u8]) -> Result<OverStats, ImagingError> {
+        check_len("Pixel::unpack_bytes", dst.len() * 8, src.len())?;
+        Ok(KernelCopy::widest().run(Ga::Unpack { dst, src }))
     }
 
     fn over_front_slice(dst: &mut [Self], src: &[Self]) -> Result<OverStats, ImagingError> {
@@ -456,13 +464,11 @@ impl Pixel for GrayAlpha8 {
         })
     }
 
+    // Appended, each wire byte written once: an iterator of fixed-size
+    // arrays has an exact length, so `extend` reserves once and stores in
+    // bulk (a zero fill and an overwrite cost about twice as much).
     fn extend_wire_bytes(pixels: &[Self], out: &mut Vec<u8>) {
-        let start = out.len();
-        out.resize(start + pixels.len() * 2, 0);
-        for (pair, p) in out[start..].chunks_exact_mut(2).zip(pixels) {
-            pair[0] = p.v;
-            pair[1] = p.a;
-        }
+        out.extend(pixels.iter().flat_map(|p| [p.v, p.a]));
     }
 
     #[inline]

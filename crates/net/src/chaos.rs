@@ -271,7 +271,7 @@ mod tests {
             from: 0,
             tag: 4,
             seq: 0,
-            checksum: 0,
+            checksum: None,
             payload: rt_comm::Payload::from(vec![5, 6]),
         };
         a.send_raw(1, f).unwrap();
@@ -300,7 +300,7 @@ mod tests {
                 from: 0,
                 tag: 9,
                 seq: i as u64,
-                checksum: 0,
+                checksum: None,
                 payload: rt_comm::Payload::from(vec![i]),
             };
             a.send_raw(1, f).unwrap();
@@ -341,7 +341,7 @@ mod tests {
             from: 0,
             tag: 2,
             seq: 0,
-            checksum: 0,
+            checksum: None,
             payload: rt_comm::Payload::from(vec![1]),
         };
         a.send_raw(1, f).unwrap();

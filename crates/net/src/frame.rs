@@ -7,10 +7,12 @@
 //! [payload len  u32][from u64][tag u64][seq u64][checksum u64][payload …]
 //! ```
 //!
-//! The header carries the delivery envelope verbatim — the checksum is the
-//! sender's eight-lane FNV-1a over the payload, computed by `rt-comm`
-//! *above* the transport, so a frame corrupted by the fault plan is detected
-//! by the receiving envelope exactly as on the in-process backend. The
+//! The header carries the delivery envelope — the checksum is the
+//! sender's eight-lane FNV-1a over the intact payload, kept by `rt-comm`
+//! *above* the transport: an unsealed frame is sealed here with
+//! [`WireFrame::sealed_checksum`], and a frame read back is always sealed,
+//! so a frame corrupted by the fault plan is detected by the receiving
+//! envelope exactly as on the in-process backend. The
 //! length prefix makes frame boundaries explicit on the byte stream; a clean
 //! EOF at a frame boundary means the peer closed its endpoint.
 //!
@@ -112,7 +114,8 @@ pub(crate) fn header(len: u32, envelope: [u64; 4]) -> [u8; HEADER_BYTES] {
     out
 }
 
-/// The header of `frame`. The payload is never copied to be sent: the
+/// The header of `frame`, sealed: the checksum field is
+/// [`WireFrame::sealed_checksum`]. The payload is never copied to be sent: the
 /// transport's sent-frame log keeps this header beside the frame's shared
 /// [`Payload`] and writes — or replays — the two with [`write_encoded`].
 pub fn encode_header(frame: &WireFrame) -> Result<[u8; HEADER_BYTES], FrameError> {
@@ -122,7 +125,12 @@ pub fn encode_header(frame: &WireFrame) -> Result<[u8; HEADER_BYTES], FrameError
         .ok_or(FrameError::Oversized {
             len: frame.payload.len() as u64,
         })?;
-    let envelope = [frame.from as u64, frame.tag, frame.seq, frame.checksum];
+    let envelope = [
+        frame.from as u64,
+        frame.tag,
+        frame.seq,
+        frame.sealed_checksum(),
+    ];
     Ok(header(len, envelope))
 }
 
@@ -204,7 +212,7 @@ pub(crate) fn read_frame_noting(
         from: from as usize,
         tag,
         seq,
-        checksum,
+        checksum: Some(checksum),
         payload: Payload::from(payload),
     }))
 }
@@ -229,7 +237,7 @@ mod tests {
             from: 3,
             tag: 0xdead_beef,
             seq: 41,
-            checksum: 0x1234_5678_9abc_def0,
+            checksum: Some(0x1234_5678_9abc_def0),
             payload: Payload::from(payload),
         }
     }
@@ -243,8 +251,34 @@ mod tests {
         assert_eq!(got.from, 3);
         assert_eq!(got.tag, 0xdead_beef);
         assert_eq!(got.seq, 41);
-        assert_eq!(got.checksum, 0x1234_5678_9abc_def0);
+        assert_eq!(got.checksum, Some(0x1234_5678_9abc_def0));
         assert_eq!(got.payload.as_slice(), &[7, 8, 9]);
+    }
+
+    /// A frame sent unsealed (the sender's own buffer, as the envelope posts
+    /// it) goes out with the same header bytes as the frame sealed with its
+    /// payload's checksum, and reads back sealed with that value — so the
+    /// wire bytes do not depend on whether the sender hashed. Fails when
+    /// the header writes an unsealed frame's checksum as 0, or when the
+    /// reader leaves a frame off the socket unsealed.
+    #[test]
+    fn an_unsealed_frame_goes_out_sealed_with_its_payload_checksum() {
+        let mut unsealed = sample((0u8..200).collect());
+        unsealed.checksum = None;
+        let sum = unsealed.sealed_checksum();
+        let sealed = WireFrame {
+            checksum: Some(sum),
+            ..unsealed.clone()
+        };
+        let header = |f: &WireFrame| encode_header(f).unwrap();
+        assert_eq!(header(&unsealed), header(&sealed));
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &unsealed).unwrap();
+        let got = read_frame(&mut buf.as_slice()).unwrap().unwrap();
+        assert_eq!(got.checksum, Some(sum));
+        let mut other = sample((1u8..201).collect());
+        other.checksum = None;
+        assert_ne!(other.sealed_checksum(), sum, "the hash reads the payload");
     }
 
     /// A writer that takes at most `step` bytes per call, like a socket

@@ -27,7 +27,7 @@ pub fn frame(from: usize, seq: u64, payload: &Payload) -> WireFrame {
         from,
         tag: TAG,
         seq,
-        checksum: 0,
+        checksum: None,
         payload: payload.clone(),
     }
 }
