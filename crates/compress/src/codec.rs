@@ -141,12 +141,12 @@ pub trait Codec<P: Pixel>: Send + Sync {
     /// the same streams are accepted and rejected. On an invalid stream
     /// only the verdict is pinned.
     ///
-    /// This default blanks `dst` and runs that merge.
-    /// [`RawCodec`] and [`TrleCodec`](crate::TrleCodec) override it to
-    /// write each pixel once: the stream's pixels through
-    /// [`Pixel::unpack_bytes`] (a copy for the fixed-point types, `src over
-    /// blank` for the others, so `−0.0`, NaN and ±∞ come out as that merge
-    /// leaves them), and TRLE's blank runs and clear template bits as blank.
+    /// This default blanks `dst` and runs that merge. [`RawCodec`] and
+    /// [`TrleCodec`](crate::TrleCodec) override it to write each pixel
+    /// once: the stream's pixels through [`Pixel::unpack_bytes`] (a copy
+    /// for the fixed-point types, `src over blank` for the others, so
+    /// `−0.0`, NaN and ±∞ come out as that merge leaves them), and TRLE's
+    /// blank runs and clear template bits as blank.
     fn decode_into(&self, data: &[u8], dst: &mut [P]) -> Result<OverStats, CodecError> {
         dst.fill(P::blank());
         self.decode_over(data, dst, OverDir::Front)
